@@ -28,6 +28,8 @@
 // runDiff); `make bench-diff` runs it against the committed baselines.
 // -pool-metrics adds the buffer pool's health gauges to a -metrics-out
 // dump (they are opt-in so the fcstats key goldens stay byte-stable).
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
+// the run (any -test); both are off unless given.
 package main
 
 import (
@@ -143,6 +145,8 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
 	diff := flag.Bool("diff", false, "compare two benchmark JSON documents: fcbench -diff old.json new.json")
 	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof -sample_index=alloc_objects)")
 	flag.Parse()
 
 	set := map[string]bool{}
@@ -258,6 +262,16 @@ func main() {
 		fail("unknown -metrics-format %q (json|csv|perfetto)", *metricsFormat)
 	}
 
+	fc, err := schemeFor(*scheme, *prepost, *dynmax, *slotbytes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fcbench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+
+	// Everything below is the measured run; usage errors exited above.
+	defer startProfiles(*cpuProfile, *memProfile)()
+
 	if *test == "micro" {
 		runMicro(*prepost, *dynmax, *size, *iters, *reps, workers, *blocking, *rdma, *jsonOut)
 		return
@@ -284,13 +298,6 @@ func main() {
 			fmt.Print(t.String())
 		}
 		return
-	}
-
-	fc, err := schemeFor(*scheme, *prepost, *dynmax, *slotbytes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fcbench:", err)
-		flag.Usage()
-		os.Exit(2)
 	}
 
 	// One registry + trace ring per process; only ever attached when the

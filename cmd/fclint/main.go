@@ -137,11 +137,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 				res.err = err
 				return res
 			}
-			for _, d := range out {
-				if !analysis.Exempt(a.Name, pkg.Fset.Position(d.Pos).Filename) {
-					diags = append(diags, d)
-				}
-			}
+			diags = append(diags, out...)
 		}
 		kept, stale := analysis.FilterAllowedStale(pkg.Fset, diags, allows)
 		res.stale = stale

@@ -49,20 +49,15 @@ func (e *Engine) AtCall(t Time, h Handler, arg uint64) { e.pending++; _ = h; _ =
 
 func (e *Engine) AfterCall(d Time, h Handler, arg uint64) { e.pending++; _ = h; _ = arg }
 `)
-	// proc.go is exempt from simgoroutine and simhotpath by file name, so
-	// the real channel operations here feed the facts layer (Sleep parks)
-	// without producing findings of their own.
+	// The coroutine yield is what the facts layer derives "Sleep parks"
+	// from; like the real proc.go it needs no exemption of its own.
 	write("internal/sim/proc.go", `package sim
 
 type Proc struct {
-	resume chan struct{}
-	parked chan struct{}
+	yield func(struct{}) bool
 }
 
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 func (p *Proc) Sleep(d Time) { _ = d; p.park() }
 `)
@@ -132,7 +127,7 @@ func TestFindingsAndJSONStability(t *testing.T) {
 	for _, f := range findings {
 		switch f.Analyzer {
 		case "simhotpath":
-			if !strings.Contains(f.Message, "(*ib.pump).OnEvent") || !strings.Contains(f.Message, "sends on a channel") {
+			if !strings.Contains(f.Message, "(*ib.pump).OnEvent") || !strings.Contains(f.Message, "yields its coroutine to the engine") {
 				t.Errorf("simhotpath message = %q, want the handler and the park chain", f.Message)
 			}
 		case "fclint":

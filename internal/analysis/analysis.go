@@ -102,6 +102,11 @@ func recvNamed(info *types.Info, e ast.Expr) *types.Named {
 	if t == nil {
 		return nil
 	}
+	return namedOf(t)
+}
+
+// namedOf returns the named type t or *t denotes, or nil.
+func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}

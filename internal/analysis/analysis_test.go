@@ -173,20 +173,4 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("Audited(%q) = true, want false", path)
 		}
 	}
-
-	if !analysis.Exempt("simgoroutine", "/root/repo/internal/sim/proc.go") {
-		t.Error("proc.go should be exempt from simgoroutine")
-	}
-	if !analysis.Exempt("simhotpath", "/root/repo/internal/sim/proc.go") {
-		t.Error("proc.go should be exempt from simhotpath: Proc.OnEvent is the coroutine dispatch bridge")
-	}
-	if analysis.Exempt("hotalloc", "/root/repo/internal/sim/proc.go") {
-		t.Error("proc.go must not be exempt from hotalloc")
-	}
-	if analysis.Exempt("simwallclock", "/root/repo/internal/sim/proc.go") {
-		t.Error("proc.go must not be exempt from simwallclock")
-	}
-	if analysis.Exempt("simgoroutine", "/root/repo/internal/sim/sim.go") {
-		t.Error("sim.go must not be exempt from simgoroutine")
-	}
 }

@@ -105,11 +105,7 @@ func creditFieldSel(pass *Pass, e ast.Expr) (*ast.SelectorExpr, *types.Named) {
 	if !creditFields[s.Obj().Name()] {
 		return nil, nil
 	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
+	named := namedOf(s.Recv())
 	if named == nil {
 		return nil, nil
 	}

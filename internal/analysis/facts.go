@@ -472,6 +472,10 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 		})
 		return
 	}
+	if s.simCoroutineYield(call) {
+		park(f, "yields its coroutine to the engine")
+		return
+	}
 	fn := s.callee(call)
 	if fn == nil {
 		return
@@ -482,13 +486,6 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 	}
 	if kind, ok := simScheduleKind(fn); ok {
 		s.scheduleCall(f, call, kind)
-		return
-	}
-	if simResumeBridge(fn) {
-		// (*sim.Gate).Release hands the CPU to a parked coroutine and
-		// returns the moment it yields — the same sanctioned dispatch
-		// bridge as Engine.Go: a control-flow handoff, not an
-		// event-context edge into the engine's channel machinery.
 		return
 	}
 	edge(fn.FullName())
@@ -620,8 +617,8 @@ func (s *summarizer) callee(call *ast.CallExpr) *types.Func {
 
 // parkReason classifies stdlib calls that block the calling goroutine.
 // The simulator's own parking primitives (Proc.Sleep, Cond.Wait, ...)
-// need no special case: their implementations bottom out in channel
-// operations, so the fact propagates to them naturally.
+// are not listed: their implementations bottom out in the coroutine
+// yield (see simCoroutineYield), so the fact propagates to them.
 func parkReason(fn *types.Func) string {
 	pkg := fn.Pkg()
 	if pkg == nil {
@@ -643,28 +640,27 @@ func parkReason(fn *types.Func) string {
 	return ""
 }
 
-// simResumeBridge reports whether fn is the sim package's synchronous
-// coroutine-resume bridge, (*Gate).Release. Its implementation unparks a
-// process via channels, but — exactly like Proc.OnEvent, the other half
-// of the dispatch bridge — the event loop never stalls on it: the call
-// runs the released process inline and returns when it yields. Treating
-// it as a park would flag every handler-based progress engine at the
-// point where it hands a finished request back to the asking process.
-func simResumeBridge(fn *types.Func) bool {
-	pkg := fn.Pkg()
-	if pkg == nil || !simLikePath(pkg.Path()) || fn.Name() != "Release" {
+// simCoroutineYield reports whether call is the sim package's park
+// primitive: an invocation of the func-typed field Proc.yield, the
+// process half of the iter.Pull pair the engine resumes processes
+// through. It is a call through a field, which the static call graph
+// cannot see, so it is named here — the one place a process hands the
+// CPU back to the engine, and therefore what makes Proc.Sleep, Cond.Wait
+// and Gate.Wait parks. The other half (Proc.next, called by
+// Engine.dispatch under Proc.OnEvent and Gate.Release) needs no entry:
+// it runs a process inline and returns when that process yields, so the
+// event loop never stalls on it.
+func (s *summarizer) simCoroutineYield(call *ast.CallExpr) bool {
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || fun.Sel.Name != "yield" || !simLikePath(s.pkg.Path()) {
 		return false
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
+	sel, ok := s.info.Selections[fun]
+	if !ok || sel.Kind() != types.FieldVal {
 		return false
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Gate"
+	named := namedOf(sel.Recv())
+	return named != nil && named.Obj().Name() == "Proc"
 }
 
 // simLikePath reports whether pkgPath is the simulation-core package.
@@ -687,12 +683,7 @@ func simScheduleKind(fn *types.Func) (string, bool) {
 		return "", false
 	}
 	if recv := sig.Recv(); recv != nil {
-		t := recv.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		named, ok := t.(*types.Named)
-		if !ok || named.Obj().Name() != "Engine" {
+		if named := namedOf(recv.Type()); named == nil || named.Obj().Name() != "Engine" {
 			return "", false
 		}
 		switch fn.Name() {

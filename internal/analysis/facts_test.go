@@ -64,7 +64,7 @@ func TestFactPropagation(t *testing.T) {
 
 	sleep := fs.Fact("(*simhotpath/sim.Proc).Sleep")
 	if sleep == nil || !sleep.Parks {
-		t.Error("Proc.Sleep should park (derived from park's channel send, not hardcoded)")
+		t.Error("Proc.Sleep should park (derived from park's coroutine yield, not hardcoded)")
 	}
 
 	onEvent := fs.Fact("(*simhotpath.crosser).OnEvent")
@@ -123,6 +123,61 @@ func TestFactPropagation(t *testing.T) {
 	clean := fs.Fact("(*simhotpath.clean).OnEvent")
 	if clean == nil || !clean.SchedulesViaAt || clean.AllocatesClosure || clean.Parks {
 		t.Errorf("clean.OnEvent should schedule without allocating or parking, got %+v", clean)
+	}
+}
+
+// TestRealSimParkFacts pins the hot-path contract to the real simulator,
+// not only the fixtures' miniature sim: the process-side primitives must
+// carry Parks, derived from the coroutine yield in (*Proc).park, and the
+// engine side of the pair (the resume) must not. A tree that changes how park hands
+// the CPU back without teaching facts.go reads Parks=false everywhere
+// here, and simhotpath goes blind while fclint still says "ok".
+func TestRealSimParkFacts(t *testing.T) {
+	mod, err := analysis.LoadModule("../..", []string{"./internal/sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := analysis.BuildFacts(mod)
+	const sim = "ibflow/internal/sim."
+	for key, chain := range map[string]string{
+		"(*" + sim + "Proc).park":      "yields its coroutine to the engine",
+		"(*" + sim + "Proc).Sleep":     "calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Proc).Yield":     "calls (*sim.Proc).Sleep, which calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Cond).Wait":      "calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Cond).WaitUntil": "calls (*sim.Cond).Wait, which calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Gate).Wait":      "calls (*sim.Proc).park, which yields its coroutine to the engine",
+	} {
+		f := fs.Fact(key)
+		if f == nil {
+			t.Errorf("no fact for %s", key)
+			continue
+		}
+		if !f.Parks {
+			t.Errorf("%s must carry Parks: it hands the CPU back to the engine", key)
+			continue
+		}
+		if got := analysis.ParkChain(f, fs.Fact); got != chain {
+			t.Errorf("ParkChain(%s) = %q, want %q", key, got, chain)
+		}
+	}
+	for _, key := range []string{
+		"(*" + sim + "Gate).Release",
+		"(*" + sim + "Proc).OnEvent",
+		"(*" + sim + "Engine).dispatch",
+		"(*" + sim + "Engine).Close",
+		"(*" + sim + "Cond).Signal",
+		"(*" + sim + "Cond).Broadcast",
+	} {
+		f := fs.Fact(key)
+		if f == nil {
+			t.Errorf("no fact for %s", key)
+		} else if f.Parks {
+			t.Errorf("%s must not carry Parks (%s): it resumes a process and returns when that process yields",
+				key, analysis.ParkChain(f, fs.Fact))
+		}
+	}
+	if f := fs.Fact("(*" + sim + "Proc).OnEvent"); f != nil && f.Root != analysis.RootHandler {
+		t.Errorf("Proc.OnEvent root = %v, want RootHandler", f.Root)
 	}
 }
 

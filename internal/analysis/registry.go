@@ -48,25 +48,3 @@ func Audited(path string) bool {
 	}
 	return false
 }
-
-// ExemptFiles lists, per analyzer, path suffixes of files excluded from
-// that analyzer. The engine's own process machinery is the one sanctioned
-// home of goroutines and channels: it is what makes them unnecessary
-// everywhere else.
-var ExemptFiles = map[string][]string{
-	SimGoroutine.Name: {"internal/sim/proc.go"},
-	// Proc.OnEvent is the one handler that parks by design: it is the
-	// coroutine dispatch bridge (the engine hands the CPU to a process
-	// and waits for it to yield). Everything else must not.
-	SimHotpath.Name: {"internal/sim/proc.go"},
-}
-
-// Exempt reports whether file is excluded from analyzer name's findings.
-func Exempt(name, file string) bool {
-	for _, suffix := range ExemptFiles[name] {
-		if strings.HasSuffix(file, suffix) {
-			return true
-		}
-	}
-	return false
-}

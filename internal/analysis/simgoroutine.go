@@ -19,6 +19,9 @@ var syncPrimitives = map[string]bool{
 // operations in simulation packages. Simulated concurrency must go through
 // (*sim.Engine).Go / GoDaemon and sim.Cond, which the engine serializes;
 // anything else executes outside virtual time and races with the engine.
+// No file is exempt: the engine's own process machinery (internal/sim's
+// proc.go) switches runtime coroutines directly and holds neither a go
+// statement nor a channel.
 //
 // One package is different: ibflow/internal/runner, the world-sweep
 // worker pool, where real goroutines are the point. There the analyzer
@@ -110,7 +113,7 @@ func runSimGoroutine(pass *Pass) error {
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" {
 					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
 						pass.Reportf(n.Pos(),
-							"close of a bare channel; channel lifecycles belong to the engine (sim.Engine.Close)")
+							"close of a bare channel executes outside virtual time; wake waiters with sim.Cond.Broadcast or engine events")
 					}
 				}
 			}

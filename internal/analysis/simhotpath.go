@@ -15,11 +15,12 @@ import "sort"
 //     migration frontier of the goroutine-to-handler conversions.
 //
 // Parking is detected bottom-up through cross-package facts (see
-// facts.go): channel operations, select, sync lock acquisition and
-// time.Sleep are direct parks, and the fact propagates through static
-// calls — so the sim package's own Proc.Sleep and Cond.Wait count
-// because their implementations bottom out in channel handoffs. A park
-// two call hops away in another package is still flagged at the handler.
+// facts.go): channel operations, select, sync lock acquisition,
+// time.Sleep and the sim package's coroutine yield are direct parks, and
+// the fact propagates through static calls — so Proc.Sleep, Cond.Wait and
+// Gate.Wait count because their implementations bottom out in that
+// yield. A park two call hops away in another package is still flagged at
+// the handler.
 var SimHotpath = &Analyzer{
 	Name: "simhotpath",
 	Doc: "forbid parking (channel ops, select, sync locks, Proc/Cond waits, time.Sleep) in functions " +

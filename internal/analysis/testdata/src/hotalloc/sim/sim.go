@@ -1,8 +1,8 @@
 // Package sim is a miniature model of ibflow/internal/sim for analyzer
-// fixtures: same names and shapes, and parking bottoms out in channel
-// operations exactly like the real engine's coroutine bridge — so the
-// facts layer derives Proc.Sleep/Cond.Wait parks instead of hardcoding
-// them.
+// fixtures: same names and shapes, and parking bottoms out in a call of
+// the Proc.yield field exactly like the real engine's coroutine pair — so
+// the facts layer derives Proc.Sleep/Cond.Wait parks from the one yield
+// site instead of hardcoding them.
 package sim
 
 // Time is virtual time.
@@ -40,16 +40,13 @@ type Timer struct{ fn func() }
 // NewTimer creates an unarmed timer running fn.
 func NewTimer(e *Engine, fn func()) *Timer { return &Timer{fn: fn} }
 
-// Proc is a simulated process; parking hands off through channels.
+// Proc is a simulated process; parking yields its coroutine.
 type Proc struct {
-	resume chan struct{}
-	parked chan struct{}
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep parks the process for d of virtual time.
 func (p *Proc) Sleep(d Time) { p.park() }

@@ -1,8 +1,8 @@
 // Package sim is a miniature model of ibflow/internal/sim for analyzer
-// fixtures: same names and shapes, and parking bottoms out in channel
-// operations exactly like the real engine's coroutine bridge — so the
-// facts layer derives Proc.Sleep/Cond.Wait parks instead of hardcoding
-// them.
+// fixtures: same names and shapes, and parking bottoms out in a call of
+// the Proc.yield field exactly like the real engine's coroutine pair — so
+// the facts layer derives Proc.Sleep/Cond.Wait parks from the one yield
+// site instead of hardcoding them.
 package sim
 
 // Time is virtual time.
@@ -40,16 +40,13 @@ type Timer struct{ fn func() }
 // NewTimer creates an unarmed timer running fn.
 func NewTimer(e *Engine, fn func()) *Timer { return &Timer{fn: fn} }
 
-// Proc is a simulated process; parking hands off through channels.
+// Proc is a simulated process; parking yields its coroutine.
 type Proc struct {
-	resume chan struct{}
-	parked chan struct{}
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Sleep parks the process for d of virtual time.
 func (p *Proc) Sleep(d Time) { p.park() }
@@ -64,9 +61,8 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Gate parks one process until a handler releases it. Release resumes
-// the process synchronously through the same channel bridge as the
-// engine's dispatch — the facts layer sanctions it by (package, type,
-// method), not by hiding the channel operations.
+// the process synchronously through the same next() as the engine's
+// dispatch: it returns when the process yields, so it is not a park.
 type Gate struct{ p *Proc }
 
 // Wait parks p until Release.
@@ -79,6 +75,12 @@ func (g *Gate) Wait(p *Proc) {
 func (g *Gate) Release() {
 	p := g.p
 	g.p = nil
-	p.resume <- struct{}{}
-	<-p.parked
+	p.next()
 }
+
+// Lookalike carries a field with the primitive's name on another type:
+// the yield is matched by (package, type, field), so calling it is no park.
+type Lookalike struct{ yield func(struct{}) bool }
+
+// Poke calls the look-alike field.
+func (l *Lookalike) Poke() { l.yield(struct{}{}) }

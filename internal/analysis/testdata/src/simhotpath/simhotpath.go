@@ -25,13 +25,13 @@ func (h *crosser) OnEvent(arg uint64) { // want `handler \(\*simhotpath\.crosser
 }
 
 // procWaiter waits on the simulated process API; the park derives from
-// the sim package's own channel handoffs, not a hardcoded method list.
+// the sim package's own coroutine yield, not a hardcoded method list.
 type procWaiter struct {
 	c *sim.Cond
 	p *sim.Proc
 }
 
-func (h *procWaiter) OnEvent(arg uint64) { // want `handler \(\*simhotpath\.procWaiter\)\.OnEvent may park the event loop: calls \(\*sim\.Cond\)\.Wait, which calls \(\*sim\.Proc\)\.park, which sends on a channel`
+func (h *procWaiter) OnEvent(arg uint64) { // want `handler \(\*simhotpath\.procWaiter\)\.OnEvent may park the event loop: calls \(\*sim\.Cond\)\.Wait, which calls \(\*sim\.Proc\)\.park, which yields its coroutine to the engine`
 	h.c.Wait(h.p)
 }
 
@@ -66,7 +66,7 @@ func schedule(e *sim.Engine, ch chan int) {
 // even though no handler reaches it statically.
 //
 //fclint:hotpath progress-engine loop slated for handler conversion
-func frontier(p *sim.Proc) { // want `hot-path function simhotpath\.frontier parks: calls \(\*sim\.Proc\)\.Sleep, which calls \(\*sim\.Proc\)\.park, which sends on a channel`
+func frontier(p *sim.Proc) { // want `hot-path function simhotpath\.frontier parks: calls \(\*sim\.Proc\)\.Sleep, which calls \(\*sim\.Proc\)\.park, which yields its coroutine to the engine`
 	p.Sleep(5)
 }
 
@@ -90,18 +90,37 @@ func spawner(ch chan int) { // no simhotpath finding here
 }
 
 // releaser hands a finished request back to the asking process: Release
-// is the sanctioned coroutine dispatch bridge, not a park.
+// runs the process inline and returns when it yields — a dispatch, not a
+// park.
 type releaser struct{ g *sim.Gate }
 
-func (h *releaser) OnEvent(arg uint64) { // negative: Release is the dispatch bridge
+func (h *releaser) OnEvent(arg uint64) { // negative: Release resumes, it does not park
 	h.g.Release()
 }
 
-// fakeGate wears the sanctioned method name on a non-sim type: the
-// bridge is matched by (package, type, method), so this still parks.
+// gateWaiter is the other half: Gate.Wait is the process side of the
+// same pair and bottoms out in the coroutine yield.
+type gateWaiter struct {
+	g *sim.Gate
+	p *sim.Proc
+}
+
+func (h *gateWaiter) OnEvent(arg uint64) { // want `handler \(\*simhotpath\.gateWaiter\)\.OnEvent may park the event loop: calls \(\*sim\.Gate\)\.Wait, which calls \(\*sim\.Proc\)\.park, which yields its coroutine to the engine`
+	h.g.Wait(h.p)
+}
+
+// poker calls a func field named yield on a sim type that is not Proc.
+type poker struct{ l *sim.Lookalike }
+
+func (h *poker) OnEvent(arg uint64) { // negative: only Proc.yield is the park primitive
+	h.l.Poke()
+}
+
+// fakeGate wears Release's name on a non-sim type: Release is clean
+// because of what it does, not what it is called, so this still parks.
 type fakeGate struct{ ch chan int }
 
-// Release blocks on a channel; only sim.Gate's Release is sanctioned.
+// Release blocks on a channel.
 func (f *fakeGate) Release() { f.ch <- 1 }
 
 type fakeReleaser struct{ g *fakeGate }

@@ -178,6 +178,7 @@ type QP struct {
 
 	// sender state
 	queue    []*sendWQE // [0,next) in flight; [next,len) waiting
+	queueBuf []*sendWQE // queue's backing array from its start (see post)
 	wqeFree  *sendWQE   // recycled WQE boxes (see sendWQE)
 	next     int
 	baseSeq  uint64 // seq of queue[0]
@@ -312,6 +313,15 @@ func (qp *QP) post(w *sendWQE) {
 	w.seq = qp.sendSeq
 	qp.sendSeq++
 	w.wire = wireEvent{w: w, qp: qp}
+	// retireAcked pops with queue[1:], which gives capacity away at the
+	// front; queueBuf keeps the array's start so a drained queue rewinds
+	// onto it instead of reallocating on every post. Growing by hand is
+	// what keeps queueBuf pointing at the array queue actually lives in.
+	if len(qp.queue) == cap(qp.queue) {
+		grown := make([]*sendWQE, len(qp.queue), max(4, 2*len(qp.queue)))
+		copy(grown, qp.queue)
+		qp.queue, qp.queueBuf = grown, grown[:0]
+	}
 	qp.queue = append(qp.queue, w)
 	if len(qp.queue) > qp.stats.MaxQueueLen {
 		qp.stats.MaxQueueLen = len(qp.queue)
@@ -507,6 +517,9 @@ func (qp *QP) retireAcked() {
 		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: head.wireLen()}
 		qp.releaseWQE(head)
 		qp.sendCQ.push(wc)
+	}
+	if len(qp.queue) == 0 {
+		qp.queue = qp.queueBuf
 	}
 	qp.debugCheckQueue()
 	qp.pump()

@@ -36,6 +36,11 @@ type Request struct {
 
 	nextFree *Request // freelist link while released
 	released bool     // on the freelist; release is idempotent
+
+	// isDone is r.Done bound once per box (by the first Wait on it) and
+	// kept across acquireReq's reset, so the predicate Wait hands the
+	// progress engine is not a fresh closure per call.
+	isDone func() bool
 }
 
 func (r *Request) complete(st Status) {
@@ -231,7 +236,10 @@ func (c *Comm) Recv(src, tag int, buf []byte) Status {
 // Wait blocks until req completes, driving communication progress. The
 // request is released for reuse, as MPI_Wait deallocates the handle.
 func (c *Comm) Wait(req *Request) Status {
-	c.r.dev.WaitProgress(c.r.proc, func() bool { return req.done })
+	if req.isDone == nil {
+		req.isDone = req.Done
+	}
+	c.r.dev.WaitProgress(c.r.proc, req.isDone)
 	st := req.status
 	c.r.releaseReq(req)
 	return st

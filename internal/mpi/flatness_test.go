@@ -1,10 +1,12 @@
 package mpi
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
 	"ibflow/internal/core"
+	"ibflow/internal/sim"
 )
 
 // The goroutine-flatness regression tests pin the payoff of the
@@ -169,5 +171,35 @@ func TestReceiverDispatchFlat(t *testing.T) {
 			t.Errorf("%v: dispatches superlinear in messages: %d for %d msgs, %d for %d msgs",
 				fc.Kind, small, msgs, double, 2*msgs)
 		}
+	}
+}
+
+// TestRankMainPanicSurfacesFromRun: a panic in one rank's main comes out
+// of World.Run on the caller's goroutine with its original value — so a
+// sweep's worker pool can attribute it to a cell — and the other ranks,
+// parked mid-Recv, are unwound on the way out, not leaked.
+func TestRankMainPanicSurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	boom := errors.New("rank 2 gave up")
+	w := NewWorld(4, DefaultOptions(core.Static(8)))
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		err := w.Run(func(c *Comm) {
+			if c.Rank() == 2 {
+				c.Compute(5 * sim.Microsecond)
+				panic(boom)
+			}
+			c.Recv(2, 0, make([]byte, 8)) // never sent
+		})
+		t.Errorf("Run returned %v, want rank 2's panic", err)
+	}()
+	if got != any(boom) {
+		t.Errorf("Run panicked with %v, want the original value %v", got, boom)
+	}
+	// Unwinding is synchronous; "not more than before" because the
+	// previous test's goroutine may still have been exiting at the baseline.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d rank main(s) leaked after the panic", n-before)
 	}
 }

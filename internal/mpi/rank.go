@@ -63,7 +63,8 @@ type Rank struct {
 const reqChunk = 64
 
 // acquireReq pops a recycled Request box, carving a fresh chunk when the
-// freelist runs dry. The box is returned zeroed.
+// freelist runs dry. The box is returned zeroed, but for the Wait
+// predicate bound to it (see Request.isDone).
 func (r *Rank) acquireReq() *Request {
 	if r.reqFree == nil {
 		chunk := make([]Request, reqChunk)
@@ -75,7 +76,7 @@ func (r *Rank) acquireReq() *Request {
 	}
 	q := r.reqFree
 	r.reqFree = q.nextFree
-	*q = Request{}
+	*q = Request{isDone: q.isDone}
 	return q
 }
 

@@ -156,9 +156,10 @@ func (w *World) Run(main func(c *Comm)) error {
 	if limit == 0 {
 		limit = sim.MaxTime
 	}
-	// The job is over when Run returns, whatever the outcome; closing
-	// the engine releases any goroutine still parked (a deadlocked rank,
-	// a daemon driver). Stop is idempotent: the deferred call only
+	// The job is over when Run returns, whatever the outcome — a
+	// deadlock, the time limit, a panic in a rank main passing through;
+	// closing the engine unwinds every rank still parked. Stop is
+	// idempotent: the deferred call only
 	// matters on error paths (deadlock, time limit), where it grabs a
 	// final sample of the aborted state.
 	defer w.eng.Close()

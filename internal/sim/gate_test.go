@@ -96,7 +96,7 @@ func TestGateDoubleWaitPanics(t *testing.T) {
 		g.Wait(p)
 	})
 	// The run deadlocks by construction (first waiter never released);
-	// Close unwinds the parked goroutines.
+	// Close unwinds the parked process.
 	_ = e.Run(MaxTime)
 	e.Close()
 }

@@ -130,8 +130,9 @@ func BenchmarkCancelChurn(b *testing.B) {
 
 // TestSteadyStateAllocGate is the allocation-regression gate behind
 // `make bench-simcore`: after warm-up, the handler fast path must not
-// allocate at all, and BenchmarkHeapChurn's closure loop may allocate
-// only the user's closure itself (one object per event). Armed via
+// allocate at all, BenchmarkHeapChurn's closure loop may allocate only
+// the user's closure itself (one object per event), and a process
+// parking and resuming through a Cond must not allocate either. Armed via
 // IBFLOW_ALLOC_GATE so plain `go test ./...` stays allocation-agnostic.
 func TestSteadyStateAllocGate(t *testing.T) {
 	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
@@ -186,11 +187,41 @@ func TestSteadyStateAllocGate(t *testing.T) {
 	if got := testing.AllocsPerRun(3, closure) / events; got > (events+pending)/float64(events)+0.05 {
 		t.Errorf("closure churn: %.3f allocs/event, want <= 1 closure per scheduled event", got)
 	}
+
+	// Process path (BenchmarkProcContextSwitch's loop): a park, a wakeup
+	// event and a resume per switch, none of which may allocate. The two
+	// processes never finish; Close unwinds them.
+	pe := NewEngine()
+	defer pe.Close()
+	c1, c2 := NewCond(pe), NewCond(pe)
+	pe.GoDaemon("b", func(p *Proc) {
+		for {
+			c2.Wait(p)
+			c1.Signal()
+		}
+	})
+	pe.GoDaemon("a", func(p *Proc) {
+		for {
+			c2.Signal()
+			c1.Wait(p)
+		}
+	})
+	const rounds = 1024
+	pingpong := func() {
+		if ran := pe.Steps(2 * rounds); ran != 2*rounds {
+			t.Fatalf("cond ping-pong ran %d events, want %d", ran, 2*rounds)
+		}
+	}
+	pingpong()
+	if got := testing.AllocsPerRun(3, pingpong) / rounds; got > 0.01 {
+		t.Errorf("cond ping-pong: %.3f allocs/round, want 0", got)
+	}
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
 	// Two processes ping-ponging through a Cond measures the coroutine
-	// dispatch cost (two channel handoffs per switch).
+	// dispatch cost: one next() into the process and one yield() back per
+	// switch, plus the wakeup event.
 	e := NewEngine()
 	c1, c2 := NewCond(e), NewCond(e)
 	rounds := b.N

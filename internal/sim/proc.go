@@ -2,24 +2,33 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
+	"slices"
 )
 
-// Proc is a simulated process: a goroutine whose execution is serialized by
-// the engine. A process runs until it blocks (Sleep, Cond.Wait, ...) or
-// returns; only then does the engine continue with other events. Processes
-// therefore never race with one another or with event callbacks.
+// Proc is a simulated process: a runtime coroutine (iter.Pull) that the
+// engine resumes and that yields back when it blocks. A process runs until
+// it blocks (Sleep, Cond.Wait, ...) or returns; only then does the engine
+// continue with other events. The switch in either direction is a direct
+// hand-over between two goroutines that never enters the Go scheduler, so
+// processes never race with one another or with event callbacks.
 //
-// All Proc methods must be called from the process's own goroutine.
+// All Proc methods must be called from the process's own coroutine.
 type Proc struct {
 	eng        *Engine
 	name       string
-	resume     chan struct{} // engine -> proc: run
-	parked     chan struct{} // proc -> engine: I yielded (or finished)
+	next       func() (struct{}, bool) // engine -> proc: run until the next park (or the end)
+	stop       func()                  // engine -> proc: unwind (Engine.Close)
+	yield      func(struct{}) bool     // proc -> engine: I parked; false means unwind
 	finished   bool
 	daemon     bool
 	dispatches uint64
 }
+
+// unwind is the value park panics with when the engine is closed under a
+// parked process: it runs the process's deferred functions on the way out
+// and is recovered by the coroutine body, never seen by callers.
+type unwind struct{}
 
 // Go spawns a new process running fn. The process starts at the current
 // virtual time (as a scheduled event). The name is used in deadlock reports.
@@ -35,30 +44,27 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-		daemon: daemon,
-	}
+	p := &Proc{eng: e, name: name, daemon: daemon}
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.nlive++
 	}
-	go func() {
-		select {
-		case <-p.resume:
-		case <-e.dead:
-			return
-		}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.finished = true
+			if !daemon {
+				e.nlive--
+			}
+			// A real panic (or a goroutine exit such as t.FailNow, which
+			// recover does not see) propagates through iter.Pull to
+			// whoever called next or stop.
+			if r := recover(); r != nil && r != (unwind{}) {
+				panic(r)
+			}
+		}()
 		fn(p)
-		p.finished = true
-		if !p.daemon {
-			p.eng.nlive--
-		}
-		p.parked <- struct{}{}
-	}()
+	})
 	e.AtCall(e.now, p, 0)
 	return p
 }
@@ -67,8 +73,10 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 // process. The argument is unused — a Proc event always means "run".
 func (p *Proc) OnEvent(uint64) { p.eng.dispatch(p) }
 
-// dispatch hands the CPU to p and waits for it to park or finish.
-// Must be called from the engine goroutine (inside an event).
+// dispatch hands the CPU to p and returns when it parks or finishes. It may
+// be called from the engine's goroutine or from another process's coroutine
+// (a Gate.Release issued while that process steps the machine inline), one
+// call at a time. A panic in p surfaces here with its original value.
 func (e *Engine) dispatch(p *Proc) {
 	if p.finished {
 		panic(fmt.Sprintf("sim: dispatch of finished process %q", p.name))
@@ -76,19 +84,16 @@ func (e *Engine) dispatch(p *Proc) {
 	p.dispatches++
 	prev := e.cur
 	e.cur = p
-	p.resume <- struct{}{}
-	<-p.parked
-	e.cur = prev
+	defer func() { e.cur = prev }()
+	p.next()
 }
 
 // park yields control back to the engine until the next dispatch. If the
-// engine is closed while parked, the goroutine unwinds and exits.
+// engine is closed while parked, the process unwinds: its deferred
+// functions run and the coroutine exits.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.eng.dead:
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
@@ -96,7 +101,7 @@ func (p *Proc) park() {
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Dispatches reports how many times the engine has handed the CPU to this
-// process — the goroutine context-switch count. Handler-based progress
+// process — the coroutine context-switch count. Handler-based progress
 // engines exist to keep this flat: steady-state traffic must not grow it.
 func (p *Proc) Dispatches() uint64 { return p.dispatches }
 
@@ -160,7 +165,9 @@ func (c *Cond) Signal() {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	// Shift down rather than reslice: waiters[1:] gives capacity away at
+	// the front, so a signal/wait ping-pong would reallocate every round.
+	c.waiters = slices.Delete(c.waiters, 0, 1)
 	c.eng.AtCall(c.eng.now, w, 0)
 }
 
@@ -180,10 +187,10 @@ func (c *Cond) WaitUntil(p *Proc, pred func() bool) {
 //
 // Unlike Cond.Broadcast (which schedules the waiter as a fresh event),
 // Release hands the CPU over inline, exactly as if the waiting process had
-// been the current event's handler itself. That makes Release the inverse
-// of Proc.OnEvent and, like it, part of the sanctioned coroutine dispatch
-// bridge: the facts layer treats a Release call the way it treats
-// Engine.Go — a control-flow handoff, not a park (see internal/analysis).
+// been the current event's handler itself. Like Proc.OnEvent it resumes a
+// process and returns when that process yields, so it is legal in event
+// context: the hot-path contract (see internal/analysis) forbids handlers
+// to park, and only the process side of the pair — Wait — parks.
 //
 // The zero value is NOT usable; create with NewGate.
 type Gate struct {
@@ -205,8 +212,9 @@ func (g *Gate) Wait(p *Proc) {
 }
 
 // Release synchronously resumes the waiting process and returns when it
-// parks again or finishes. Must be called from the engine goroutine
-// (inside an event); panics if no process is waiting.
+// parks again or finishes. Must be called inside an event — which may
+// itself be running on another process's stack, when that process steps a
+// progress machine inline; panics if no process is waiting.
 func (g *Gate) Release() {
 	p := g.p
 	if p == nil {

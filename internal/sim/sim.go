@@ -1,9 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation core.
 //
 // The engine maintains a virtual clock and a hierarchical bucketed event
-// queue (see queue.go). Simulated processes (see Proc) run as goroutines,
-// but the engine serializes them: at most one process executes at a time,
-// and it runs to its next blocking point before the engine continues.
+// queue (see queue.go). Simulated processes (see Proc) run as runtime
+// coroutines that the engine resumes one at a time: at most one process
+// executes, and it runs to its next blocking point before the engine
+// continues.
 // Event ties are broken by insertion order, so a simulation is fully
 // deterministic: the same inputs always produce the same virtual-time
 // trace.
@@ -87,34 +88,39 @@ func (ev *event) dead() bool { return ev.fn == nil && ev.h == nil }
 // engine itself enforces mutual exclusion between processes, so simulation
 // state shared between processes needs no locking.
 type Engine struct {
-	now   Time
-	q     eventQueue
-	seq   uint64
-	free  []*event // recycled event structs; see alloc/recycle
-	procs []*Proc  // all spawned processes, for deadlock reporting
-	nlive int      // processes that have not finished
-	cur   *Proc    // currently executing process, if any
-	fired uint64   // total events executed, for stats/limits
-	//fclint:allow simgoroutine engine-internal shutdown broadcast that releases parked process goroutines
-	dead   chan struct{}
+	now    Time
+	q      eventQueue
+	seq    uint64
+	free   []*event // recycled event structs; see alloc/recycle
+	procs  []*Proc  // all spawned processes, for deadlock reporting
+	nlive  int      // processes that have not finished
+	cur    *Proc    // currently executing process, if any
+	fired  uint64   // total events executed, for stats/limits
 	closed bool
 }
 
 // NewEngine creates an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	//fclint:allow simgoroutine engine-internal shutdown broadcast channel (see Engine.dead)
-	return &Engine{dead: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// Close releases every goroutine still parked in an unfinished process
-// (daemons, deadlocked ranks) so a discarded engine leaks nothing. The
-// engine must not be used afterwards.
+// Close unwinds every unfinished process (daemons, deadlocked ranks, ranks
+// never dispatched) so a discarded engine leaks nothing: a parked process
+// runs its deferred functions and exits, one that never started exits
+// without running. It returns once they are all gone. The engine must not
+// be used afterwards. Close panics when called from inside a process: a
+// process cannot unwind the stack it is standing on.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
+	if e.cur != nil {
+		panic(fmt.Sprintf("sim: Close called from inside running process %q", e.cur.name))
+	}
 	e.closed = true
-	close(e.dead) //fclint:allow simgoroutine closing the engine-internal shutdown broadcast channel
+	for _, p := range e.procs {
+		if !p.finished {
+			p.stop()
+		}
+	}
 }
 
 // Now returns the current virtual time.
