@@ -4,7 +4,7 @@ GO ?= go
 # Raise it when coverage improves; never lower it to make a change pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: all build vet lint lint-json lint-fix lint-baseline test debug race cover bench bench-simcore bench-diff fmt metrics-smoke scaling-smoke endpoints-smoke
+.PHONY: all build vet lint lint-json lint-fix lint-baseline test debug race cover bench bench-simcore bench-diff fmt metrics-smoke scaling-smoke endpoints-smoke loc
 
 all: build vet lint test
 
@@ -117,6 +117,14 @@ endpoints-smoke:
 	$(GO) run ./cmd/fcstats -keys /tmp/ibflow-metrics-ep.json | diff - cmd/fcstats/testdata/endpoints_metrics_keys.golden
 	$(GO) run ./cmd/fcstats -allow-new-keys /tmp/ibflow-metrics-classic.json /tmp/ibflow-metrics-ep.json
 	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run TestEndpointsSteadyAllocGate -v ./internal/bench
+
+# loc reports the size metric ROADMAP aim 2 asks every PR to quote:
+# non-test Go lines per package (tracked files only), then one total.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; pkg[d] += $$1; t += $$1 } \
+		END { for (d in pkg) printf "%7d  %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n", t }'
 
 fmt:
 	gofmt -w .

@@ -15,10 +15,10 @@
 // With -metrics-out the tool runs a single instrumented point (one
 // world, one metrics registry) and dumps the deterministic metric
 // series in the chosen -metrics-format; "perfetto" output opens in
-// ui.perfetto.dev. -test micro sweeps all three schemes through the
+// ui.perfetto.dev. -test micro sweeps all five schemes through the
 // latency and bandwidth tests; with -json it emits the machine-readable
 // document stored as BENCH_micro.json at the repo root. -test scaling
-// runs the connection-scaling benchmark (all four schemes, Table-2
+// runs the connection-scaling benchmark (all five schemes, Table-2
 // style); its -json form is BENCH_scaling.json. -test endpoints sweeps
 // endpoint-set sizes under a many-to-one burst (all schemes); its -json
 // form is BENCH_endpoints.json. -endpoints runs a latency/bandwidth
@@ -45,24 +45,6 @@ import (
 	"ibflow/internal/runner"
 	"ibflow/internal/trace"
 )
-
-func schemeFor(name string, prepost, dynmax, slotBytes int) (core.Params, error) {
-	switch name {
-	case "hardware":
-		return core.Hardware(prepost), nil
-	case "static":
-		return core.Static(prepost), nil
-	case "dynamic":
-		return core.Dynamic(prepost, dynmax), nil
-	case "shared":
-		return core.Shared(prepost, dynmax), nil
-	case "rdma":
-		// The ring scheme reads -prepost as the slot count per
-		// connection direction.
-		return core.RDMA(prepost, slotBytes), nil
-	}
-	return core.Params{}, fmt.Errorf("unknown scheme %q (hardware|static|dynamic|shared|rdma)", name)
-}
 
 // fail prints a flag-combination error plus usage and exits nonzero.
 func fail(format string, args ...any) {
@@ -130,13 +112,12 @@ func main() {
 	scheme := flag.String("scheme", "static", "flow control scheme: hardware, static, dynamic, shared, rdma")
 	prepost := flag.Int("prepost", 100, "pre-posted buffers per connection (ring slots for -scheme rdma)")
 	dynmax := flag.Int("dynmax", 300, "dynamic scheme growth cap")
-	slotbytes := flag.Int("slotbytes", 1024, "ring slot size in bytes (-scheme rdma only)")
+	slotbytes := flag.Int("slotbytes", 0, "ring slot size in bytes (-scheme rdma only; default 1024)")
 	size := flag.Int("size", 4, "message size in bytes (bandwidth; latency sweeps unless set)")
 	window := flag.Int("window", 0, "bandwidth window size (0 = sweep)")
 	reps := flag.Int("reps", 10, "bandwidth repetitions")
 	iters := flag.Int("iters", 200, "latency ping-pong iterations")
 	blocking := flag.Bool("blocking", true, "use blocking MPI_Send/Recv")
-	rdma := flag.Bool("rdma", false, "use the RDMA-write eager channel (ICS'03 extension)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	metricsOut := flag.String("metrics-out", "", "write the run's metric dump to this file (single point only)")
 	metricsFormat := flag.String("metrics-format", "json", "metric dump format: json, csv, or perfetto")
@@ -187,9 +168,6 @@ func main() {
 		if set["scheme"] {
 			fail("-test micro sweeps all schemes; drop -scheme")
 		}
-		if set["slotbytes"] {
-			fail("-slotbytes applies to -scheme rdma only")
-		}
 		if set["metrics-out"] {
 			fail("-metrics-out is not supported with -test micro (many worlds, one registry)")
 		}
@@ -200,7 +178,7 @@ func main() {
 		if set["metrics-out"] {
 			fail("-metrics-out is not supported with -test scaling (many worlds, one registry)")
 		}
-		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "rdma", "endpoints"} {
+		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
 			if set[f] {
 				fail("-%s does not apply to -test scaling (fixed sweep; see internal/bench.ConnScaling)", f)
 			}
@@ -212,7 +190,7 @@ func main() {
 		if set["metrics-out"] {
 			fail("-metrics-out is not supported with -test endpoints (many worlds, one registry)")
 		}
-		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "rdma", "endpoints"} {
+		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
 			if set[f] {
 				fail("-%s does not apply to -test endpoints (fixed sweep; see internal/bench.EndpointContention)", f)
 			}
@@ -228,12 +206,6 @@ func main() {
 	}
 	if set["endpoints"] && *test == "micro" {
 		fail("-endpoints applies to -test latency and bandwidth, not micro")
-	}
-	if *scheme == "rdma" && *rdma {
-		fail("-scheme rdma carries its own persistent RDMA channel; drop -rdma (the ICS'03 copy-based variant)")
-	}
-	if set["slotbytes"] && *scheme != "rdma" {
-		fail("-slotbytes applies to -scheme rdma only")
 	}
 	if *parallel < 0 {
 		fail("-parallel must be >= 0")
@@ -262,7 +234,7 @@ func main() {
 		fail("unknown -metrics-format %q (json|csv|perfetto)", *metricsFormat)
 	}
 
-	fc, err := schemeFor(*scheme, *prepost, *dynmax, *slotbytes)
+	fc, err := bench.ParseScheme(*scheme, *prepost, *dynmax, *slotbytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fcbench:", err)
 		flag.Usage()
@@ -273,7 +245,7 @@ func main() {
 	defer startProfiles(*cpuProfile, *memProfile)()
 
 	if *test == "micro" {
-		runMicro(*prepost, *dynmax, *size, *iters, *reps, workers, *blocking, *rdma, *jsonOut)
+		runMicro(*prepost, *dynmax, *size, *iters, *reps, workers, *blocking, *jsonOut)
 		return
 	}
 	if *test == "scaling" {
@@ -309,7 +281,6 @@ func main() {
 		ring = trace.NewBuffer(1 << 14)
 	}
 	tune := func(o *mpi.Options) {
-		o.Chan.RDMAEager = *rdma
 		o.Chan.Endpoints = *endpoints
 		o.Chan.PoolMetrics = *poolMetrics
 		if reg != nil {
@@ -334,11 +305,10 @@ func main() {
 				Scheme  string     `json:"scheme"`
 				Prepost int        `json:"prepost"`
 				Iters   int        `json:"iters"`
-				RDMA    bool       `json:"rdma"`
 				Points  []latPoint `json:"points"`
-			}{"latency", *scheme, *prepost, *iters, *rdma, points})
+			}{"latency", *scheme, *prepost, *iters, points})
 		} else {
-			fmt.Printf("# one-way latency, scheme=%s prepost=%d rdma=%v\n", *scheme, *prepost, *rdma)
+			fmt.Printf("# one-way latency, scheme=%s prepost=%d\n", *scheme, *prepost)
 			fmt.Printf("%-10s %s\n", "size(B)", "latency(us)")
 			for _, p := range points {
 				fmt.Printf("%-10d %.2f\n", p.SizeB, p.US)
@@ -360,9 +330,8 @@ func main() {
 				SizeB    int       `json:"size_b"`
 				Reps     int       `json:"reps"`
 				Blocking bool      `json:"blocking"`
-				RDMA     bool      `json:"rdma"`
 				Points   []bwPoint `json:"points"`
-			}{"bandwidth", *scheme, *prepost, *size, *reps, *blocking, *rdma, points})
+			}{"bandwidth", *scheme, *prepost, *size, *reps, *blocking, points})
 		} else {
 			fmt.Printf("# bandwidth MB/s, scheme=%s prepost=%d size=%dB blocking=%v\n",
 				*scheme, *prepost, *size, *blocking)
@@ -378,28 +347,28 @@ func main() {
 	}
 }
 
-// runMicro sweeps all three schemes through the latency and bandwidth
-// micro-benchmarks; its -json form is the BENCH_micro.json document.
-func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, rdma, jsonOut bool) {
-	tune := func(o *mpi.Options) { o.Chan.RDMAEager = rdma }
-	names := []string{"hardware", "static", "dynamic"}
-	schemes := bench.Schemes(prepost, dynmax)
+// runMicro sweeps all five schemes through the latency and bandwidth
+// micro-benchmarks (the ring at prepost slots of 2048 bytes); its -json
+// form is the BENCH_micro.json document.
+func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, jsonOut bool) {
+	schemes := append(bench.Schemes(prepost, dynmax),
+		core.Shared(prepost, dynmax), core.RDMA(prepost, 2048))
 
 	// Each (scheme, point) cell is an independent world: sweep the grids
 	// through the worker pool and reassemble series in cell-index order.
 	latVals := runner.Map(len(schemes)*len(latSizes), workers, func(k int) float64 {
-		return bench.LatencyOpts(schemes[k/len(latSizes)], latSizes[k%len(latSizes)], iters, tune)
+		return bench.Latency(schemes[k/len(latSizes)], latSizes[k%len(latSizes)], iters)
 	})
 	lat := make([]series, len(schemes))
 	for i := range schemes {
-		lat[i] = series{names[i], latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
+		lat[i] = series{schemes[i].Kind.String(), latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
 	}
 	bwVals := runner.Map(len(schemes)*len(bwWindows), workers, func(k int) float64 {
-		return bench.BandwidthOpts(schemes[k/len(bwWindows)], size, bwWindows[k%len(bwWindows)], reps, blocking, tune)
+		return bench.Bandwidth(schemes[k/len(bwWindows)], size, bwWindows[k%len(bwWindows)], reps, blocking)
 	})
 	bw := make([]series, len(schemes))
 	for i := range schemes {
-		bw[i] = series{names[i], bwVals[i*len(bwWindows) : (i+1)*len(bwWindows)]}
+		bw[i] = series{schemes[i].Kind.String(), bwVals[i*len(bwWindows) : (i+1)*len(bwWindows)]}
 	}
 
 	if jsonOut {
@@ -407,7 +376,6 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, rdma, j
 			Benchmark string `json:"benchmark"`
 			Prepost   int    `json:"prepost"`
 			DynMax    int    `json:"dynmax"`
-			RDMA      bool   `json:"rdma"`
 			Latency   struct {
 				Unit   string   `json:"unit"`
 				Iters  int      `json:"iters"`
@@ -422,7 +390,7 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, rdma, j
 				Windows  []int    `json:"windows"`
 				Series   []series `json:"series"`
 			} `json:"bandwidth"`
-		}{Benchmark: "micro", Prepost: prepost, DynMax: dynmax, RDMA: rdma}
+		}{Benchmark: "micro", Prepost: prepost, DynMax: dynmax}
 		doc.Latency.Unit = "us"
 		doc.Latency.Iters = iters
 		doc.Latency.Sizes = latSizes
@@ -437,10 +405,10 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, rdma, j
 		return
 	}
 
-	fmt.Printf("# micro suite, prepost=%d dynmax=%d rdma=%v\n", prepost, dynmax, rdma)
+	fmt.Printf("# micro suite, prepost=%d dynmax=%d\n", prepost, dynmax)
 	fmt.Printf("\n## one-way latency (us)\n%-10s", "size(B)")
-	for _, n := range names {
-		fmt.Printf(" %10s", n)
+	for _, s := range lat {
+		fmt.Printf(" %10s", s.Scheme)
 	}
 	fmt.Println()
 	for j, s := range latSizes {
@@ -451,8 +419,8 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, rdma, j
 		fmt.Println()
 	}
 	fmt.Printf("\n## bandwidth MB/s (%dB, blocking=%v)\n%-10s", size, blocking, "window")
-	for _, n := range names {
-		fmt.Printf(" %10s", n)
+	for _, s := range bw {
+		fmt.Printf(" %10s", s.Scheme)
 	}
 	fmt.Println()
 	for j, w := range bwWindows {

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"ibflow/internal/bench"
-	"ibflow/internal/core"
 	"ibflow/internal/mpi"
 	"ibflow/internal/nas"
 	"ibflow/internal/trace"
@@ -26,7 +25,7 @@ func main() {
 	scheme := flag.String("scheme", "static", "flow control scheme: hardware, static, dynamic, shared, rdma")
 	prepost := flag.Int("prepost", 100, "pre-posted buffers per connection (shared pool start; ring slots for rdma)")
 	dynmax := flag.Int("dynmax", 300, "dynamic/shared scheme growth cap")
-	slotbytes := flag.Int("slotbytes", 1024, "ring slot size in bytes (-scheme rdma only)")
+	slotbytes := flag.Int("slotbytes", 0, "ring slot size in bytes (-scheme rdma only; default 1024)")
 	traceN := flag.Int("trace", 0, "print the last N protocol trace events")
 	flag.Parse()
 
@@ -35,20 +34,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var fc core.Params
-	switch *scheme {
-	case "hardware":
-		fc = core.Hardware(*prepost)
-	case "static":
-		fc = core.Static(*prepost)
-	case "dynamic":
-		fc = core.Dynamic(*prepost, *dynmax)
-	case "shared":
-		fc = core.Shared(*prepost, *dynmax)
-	case "rdma":
-		fc = core.RDMA(*prepost, *slotbytes)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
+	fc, err := bench.ParseScheme(*scheme, *prepost, *dynmax, *slotbytes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nasrun:", err)
 		os.Exit(2)
 	}
 	procs := *np

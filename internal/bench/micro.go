@@ -6,6 +6,8 @@
 package bench
 
 import (
+	"fmt"
+
 	"ibflow/internal/core"
 	"ibflow/internal/sim"
 )
@@ -19,6 +21,33 @@ func Schemes(prepost, dynMax int) []core.Params {
 		core.Static(prepost),
 		core.Dynamic(prepost, dynMax),
 	}
+}
+
+// ParseScheme maps a tool's -scheme name and sizing flags to flow
+// control parameters. prepost is the per-connection pre-post (the shared
+// pool's starting size; the ring's slot count per connection direction).
+// slotBytes is the ring slot size: 0 selects the 1024-byte default, and
+// any other value is rejected for a scheme that has no slots.
+func ParseScheme(name string, prepost, dynMax, slotBytes int) (core.Params, error) {
+	if slotBytes != 0 && name != "rdma" {
+		return core.Params{}, fmt.Errorf("-slotbytes applies to -scheme rdma only, not %q", name)
+	}
+	switch name {
+	case "hardware":
+		return core.Hardware(prepost), nil
+	case "static":
+		return core.Static(prepost), nil
+	case "dynamic":
+		return core.Dynamic(prepost, dynMax), nil
+	case "shared":
+		return core.Shared(prepost, dynMax), nil
+	case "rdma":
+		if slotBytes == 0 {
+			slotBytes = 1024
+		}
+		return core.RDMA(prepost, slotBytes), nil
+	}
+	return core.Params{}, fmt.Errorf("unknown scheme %q (hardware|static|dynamic|shared|rdma)", name)
 }
 
 // Latency measures the one-way small-message latency (the paper's

@@ -63,19 +63,15 @@ type Config struct {
 	// "optimistic" scheme exists to fix). Only for demonstrations.
 	PessimisticECM bool
 
-	// RDMAEager switches small messages to the RDMA-write-based eager
-	// channel of the authors' companion ICS'03 design: each connection
-	// owns a set of persistent receiver-side slots the sender writes
-	// into, detected by memory polling (modelled as a notify
-	// completion). SWRecvRDMA is its cheaper receive path (no receive
-	// descriptor handling). The slot count follows the flow control
-	// scheme; dynamic growth requires an explicit slot-announcement
-	// message, the sender/receiver cooperation the paper mentions.
-	RDMAEager  bool
+	// SWRecvRDMA is the receive overhead of the ring scheme's
+	// (core.KindRDMA) RDMA-write eager channel, the authors' companion
+	// ICS'03 design: the sender writes into persistent receiver-side
+	// slots, detected by memory polling (modelled as a notify
+	// completion) — cheaper than SWRecv, no receive descriptor handling.
 	SWRecvRDMA sim.Time
 
-	// CtrlPrepost is the fixed pool of send/receive descriptors kept
-	// per connection for control traffic when RDMAEager is on.
+	// CtrlPrepost is the fixed pool of send/receive descriptors the
+	// ring scheme keeps per connection for control traffic.
 	CtrlPrepost int
 
 	// Tracer, when non-nil, records protocol events (sends, arrivals,

@@ -136,26 +136,16 @@ type conn struct {
 	// frozen stream is re-issued (Config.ReissueDelay later).
 	degraded bool
 
-	// RDMA eager channel state (Config.RDMAEager). The receiver owns
-	// persistent slots; the sender tracks them through explicit FIFO
-	// used/free lists: the receiver frees slots in exactly the order
-	// they were written, so each piggybacked credit releases the
-	// longest-used slot. (A plain round-robin cursor corrupts data the
-	// moment the slot count grows mid-stream.)
-	slots    [][]byte       // receiver-side slot views
-	slotsOut []ib.RemoteKey // sender-side remote slot addresses
-	slotFree fifo[int]      // sender-side free slot indices, FIFO
-	slotUsed fifo[int]      // sender-side in-flight slot indices, FIFO
-
 	// Ring channel state (core.KindRDMA): the persistent-slot design
 	// where flow control IS the ring geometry. ringOut is the sender's
 	// view of the outgoing direction (tail owned here, peer head learned
 	// from piggybacks); ringIn is the receiver's view of the incoming
-	// one (head owned here, communicated back on reverse traffic). The
-	// slots/slotsOut views above are reused for the slot memory; the
-	// FIFO free/used lists are not — position mod slots is the slot.
-	ringOut *core.Ring
-	ringIn  *core.Ring
+	// one (head owned here, communicated back on reverse traffic).
+	// Position mod slots is the slot: no free/used lists exist.
+	slots    [][]byte       // receiver-side slot views
+	slotsOut []ib.RemoteKey // sender-side remote slot addresses
+	ringOut  *core.Ring
+	ringIn   *core.Ring
 }
 
 // noteOut records a work request posted on this endpoint.
@@ -303,16 +293,10 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	if cfg.BufSize <= HeaderSize {
 		panic(fmt.Sprintf("chdev: buffer size %d below header size %d", cfg.BufSize, HeaderSize))
 	}
-	if params.SharedPool() && cfg.RDMAEager {
-		panic("chdev: RDMA eager channel is incompatible with the shared-pool scheme (persistent slots are per-connection by design)")
-	}
 	if cfg.Endpoints < 0 {
 		panic(fmt.Sprintf("chdev: negative endpoint count %d", cfg.Endpoints))
 	}
 	if params.RingChannel() {
-		if cfg.RDMAEager {
-			panic("chdev: the KindRDMA ring scheme already owns the RDMA eager channel; Config.RDMAEager composes with the send/recv schemes only")
-		}
 		if params.SlotBytes <= HeaderSize {
 			panic(fmt.Sprintf("chdev: ring slot size %d below header size %d", params.SlotBytes, HeaderSize))
 		}
@@ -360,9 +344,9 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		d.prov = &ringProvisioner{d: d}
 		d.rndvReadBytes = d.cfg.Metrics.Counter("chdev_rndv_read_bytes", metrics.RankLabel(rank))
 		d.cfg.Metrics.GaugeFunc("chdev_ring_occupancy_hwm",
-			func() int64 { return int64(d.ringOccupancyHWM()) }, metrics.RankLabel(rank))
+			func() int64 { return int64(d.Stats().RingOccupancyHWM) }, metrics.RankLabel(rank))
 		d.cfg.Metrics.CounterFunc("chdev_ring_syncs",
-			func() uint64 { return d.ringSyncs() }, metrics.RankLabel(rank))
+			func() uint64 { return d.Stats().RingSyncs }, metrics.RankLabel(rank))
 	} else {
 		d.prov = &connProvisioner{d: d}
 	}
@@ -476,51 +460,6 @@ func (d *Device) selectEP(g *epGroup) *conn {
 	return g.pickSticky(d.curTID)
 }
 
-// ringMode reports whether eager traffic runs on the persistent ring.
-func (d *Device) ringMode() bool { return d.params.RingChannel() }
-
-// ringOccupancyHWM is the worst in-flight slot count any ring direction
-// reached. The outbound view (written, head not yet returned) is where
-// backpressure registers; the inbound view (arrived, not yet consumed)
-// catches a receiver falling behind its own completions.
-func (d *Device) ringOccupancyHWM() int {
-	hwm := 0
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			if c.ringOut != nil {
-				if o := c.ringOut.Stats().OccupancyHWM; o > hwm {
-					hwm = o
-				}
-			}
-			if c.ringIn != nil {
-				if o := c.ringIn.Stats().OccupancyHWM; o > hwm {
-					hwm = o
-				}
-			}
-		}
-	}
-	return hwm
-}
-
-// ringSyncs totals explicit head-sync messages across endpoints.
-func (d *Device) ringSyncs() uint64 {
-	n := uint64(0)
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			if c.ringIn != nil {
-				n += uint64(c.ringIn.Stats().Syncs)
-			}
-		}
-	}
-	return n
-}
-
 // onPoolLimit handles the SRQ's low-watermark limit event: the free
 // descriptor count dipped below the watermark, so replenish the shared
 // pool by the scheme's increment. Replenishment is watermark-driven —
@@ -564,10 +503,10 @@ func Wire(devs []*Device) {
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and
 // virtual channels — between two devices and pre-posts the initial
-// buffers on both sides, returning a's group. With the RDMA eager
-// channel, pre-posting means allocating persistent slots and exchanging
-// their addresses (part of connection setup); a small fixed descriptor
-// pool still backs control traffic. All QPs are created first and
+// buffers on both sides, returning a's group. Under the ring scheme,
+// pre-posting means allocating persistent slots and exchanging their
+// addresses (part of connection setup); a small fixed descriptor pool
+// still backs control traffic. All QPs are created first and
 // connected as a set (ib.ConnectSet), then each endpoint's channel
 // state is built in index order — at set size 1 the sequence is
 // exactly the pre-endpoint establishment.
@@ -614,49 +553,25 @@ func establish(a, b *Device) *epGroup {
 			ca.vc.RegisterMetricsEP(a.cfg.Metrics, a.rank, b.rank, ep)
 			cb.vc.RegisterMetricsEP(b.cfg.Metrics, b.rank, a.rank, ep)
 		}
+		a.prov.provisionConn(ca)
+		b.prov.provisionConn(cb)
 		if a.params.RingChannel() {
-			// Ring scheme: control descriptors from the provisioner, then
-			// each side allocates its inbound slot ring and the peers adopt
-			// the remote addresses (exchanged during connection setup, like
-			// the RDMAEager announce).
-			a.prov.provisionConn(ca)
-			b.prov.provisionConn(cb)
+			// Ring scheme: the provisioner posted the control descriptors;
+			// each side now allocates its inbound slot ring and the peers
+			// adopt the remote addresses (exchanged during connection setup).
 			mrA := a.allocRing(ca)
 			mrB := b.allocRing(cb)
 			b.adoptRing(cb, mrA, a.params.Prepost, a.params.SlotBytes)
 			a.adoptRing(ca, mrB, b.params.Prepost, b.params.SlotBytes)
-		} else if a.cfg.RDMAEager {
-			a.prepost(ca, a.cfg.CtrlPrepost)
-			b.prepost(cb, b.cfg.CtrlPrepost)
-			mrA := a.allocSlots(ca, ca.vc.Posted())
-			mrB := b.allocSlots(cb, cb.vc.Posted())
-			// Slot addresses are exchanged during connection setup.
-			b.announceSlots(cb, mrA, ca.vc.Posted())
-			a.announceSlots(ca, mrB, cb.vc.Posted())
-		} else {
-			a.prov.provisionConn(ca)
-			b.prov.provisionConn(cb)
 		}
 	}
 	return ga
 }
 
-// allocSlots allocates and registers n persistent eager slots on the
-// receiver side of c and returns the backing region.
-func (d *Device) allocSlots(c *conn, n int) *ib.MR {
-	//fclint:allow hotalloc one-time slot provisioning at connection setup/growth, not per message
-	region := make([]byte, n*d.cfg.BufSize)
-	mr := d.hca.RegisterMemory(region)
-	for i := 0; i < n; i++ {
-		c.slots = append(c.slots, region[i*d.cfg.BufSize:(i+1)*d.cfg.BufSize])
-	}
-	return mr
-}
-
 // allocRing allocates and registers this side's inbound slot ring on c:
 // a fixed region of Prepost slots of SlotBytes each that the peer will
-// RDMA-write eager packets into. Unlike the RDMAEager channel there are
-// no free/used lists — the ring bookkeeping is position arithmetic.
+// RDMA-write eager packets into. There are no free/used lists — the ring
+// bookkeeping is position arithmetic.
 func (d *Device) allocRing(c *conn) *ib.MR {
 	n, sz := d.params.Prepost, d.params.SlotBytes
 	region := make([]byte, n*sz)
@@ -677,16 +592,6 @@ func (d *Device) adoptRing(c *conn, mr *ib.MR, n, sz int) {
 	c.ringOut = core.NewRing(n)
 }
 
-// announceSlots appends n remote slots backed by mr to the sender side of
-// c (called at setup directly, or on receipt of a PktRingExt).
-func (d *Device) announceSlots(c *conn, mr *ib.MR, n int) {
-	base := mr.Len()/d.cfg.BufSize - n // new slots are the region's tail
-	for i := 0; i < n; i++ {
-		c.slotFree.push(len(c.slotsOut))
-		c.slotsOut = append(c.slotsOut, ib.RemoteKey{MR: mr, Offset: (base + i) * d.cfg.BufSize})
-	}
-}
-
 // pushBacklog appends a held-back send to the connection's backlog queue.
 // The queue and the VC's backlog counter move together; fclint's creditmut
 // analyzer keeps all other code out of the field.
@@ -697,18 +602,6 @@ func (c *conn) pushBacklog(e backlogEntry) {
 // popBacklog removes and returns the backlog head.
 func (c *conn) popBacklog() backlogEntry {
 	return c.backlog.pop()
-}
-
-// releaseSlots moves n slots from the in-flight list back to the free
-// list; the receiver processes (and therefore frees) slots in write
-// order, so the FIFO head is always the slot a returning credit means.
-func (c *conn) releaseSlots(n int) {
-	if n > c.slotUsed.Len() {
-		n = c.slotUsed.Len()
-	}
-	for i := 0; i < n; i++ {
-		c.slotFree.push(c.slotUsed.pop())
-	}
 }
 
 // tr records a trace event if tracing is enabled.
@@ -731,8 +624,6 @@ func pktKind(t PktType) trace.Kind {
 		return trace.SendFin
 	case PktCredit:
 		return trace.SendECM
-	case PktRingExt:
-		return trace.SendRingExt
 	case PktRingSync:
 		return trace.SendRingSync
 	}
@@ -842,7 +733,7 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 	d.ProgressOnce(p)
 	c := d.conn(p, dst)
 	p.Sleep(d.cfg.SWSend)
-	if d.ringMode() {
+	if d.params.RingChannel() {
 		if len(data) <= d.params.SlotBytes-HeaderSize {
 			d.sendRingEager(p, c, tag, comm, data, token, blocking)
 		} else {
@@ -863,7 +754,7 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 		}
 		switch c.vc.DecideEager(blocking) {
 		case core.ActionSend:
-			d.postEager(p, c, tag, comm, data, 0)
+			d.postEager(p, c, tag, comm, data)
 			d.handler.SendDone(token)
 		case core.ActionDemote:
 			d.tr(trace.Demoted, c.peer, int64(len(data)))
@@ -901,7 +792,7 @@ func (d *Device) sendRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data 
 	}
 	if !c.degraded && c.backlog.Len() == 0 && c.ringOut.Free() > 0 {
 		c.vc.DecideEager(false) // non-user-level: counts EagerSent, always sends
-		d.postRingEager(p, c, tag, comm, data)
+		d.postEager(p, c, tag, comm, data)
 		d.handler.SendDone(token)
 		return
 	}
@@ -913,23 +804,6 @@ func (d *Device) sendRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data 
 	}
 }
 
-// postRingEager encodes an eager packet and writes it into the next ring
-// slot (the caller checked ringOut.Free).
-func (d *Device) postRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte) {
-	buf := d.pool.Get()
-	h := Header{
-		Type: PktEager,
-		Comm: comm,
-		Src:  int32(d.rank),
-		Tag:  int32(tag),
-		Len:  uint32(len(data)),
-	}
-	h.Encode(buf)
-	copy(buf[HeaderSize:], data)
-	p.Sleep(d.cfg.CopyTime(HeaderSize + len(data)))
-	d.postEagerPacket(c, buf, HeaderSize+len(data))
-}
-
 // sendRndvPath routes a message through the rendezvous protocol. The RTS
 // occupies a receiver buffer like any other send, so under user-level
 // schemes it consumes a credit; at zero credits (or behind a non-empty
@@ -938,9 +812,9 @@ func (d *Device) postRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data 
 // the paper observes in Figures 7-8.
 func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any) {
 	out := d.newRndvOut(p, c, tag, comm, data, token, false)
-	if d.cfg.RDMAEager || d.ringMode() {
+	if d.params.RingChannel() {
 		// Control traffic rides the descriptor pool, outside the
-		// slot credit system — but it must not overtake backlogged
+		// ring's slot accounting — but it must not overtake backlogged
 		// eager traffic (MPI's non-overtaking order).
 		if c.backlog.Len() > 0 {
 			out.starved = true
@@ -961,62 +835,59 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 	d.sendRTS(p, c, out, consumed)
 }
 
-// postEager encodes and posts an eager data packet (credit already
-// consumed by the caller's DecideEager).
-func (d *Device) postEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, extraFlags uint8) {
+// encodeEager builds an eager data packet in a fresh pool buffer and
+// charges the header+payload copy. A direct send (starved false) carries
+// the owed credits now; a backlogged one is flagged as the dynamic
+// scheme's growth feedback and takes its piggyback at drain time. Ring
+// flow control has no credits and no growth feedback, so a ring packet
+// carries neither — backlogged or not, it is the same packet once a slot
+// frees up.
+func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, starved bool) backlogEntry {
 	buf := d.pool.Get()
 	h := Header{
-		Type:      PktEager,
-		Flags:     FlagCredit | extraFlags,
-		Comm:      comm,
-		Src:       int32(d.rank),
-		Tag:       int32(tag),
-		Len:       uint32(len(data)),
-		Piggyback: uint32(c.vc.TakePiggyback()),
+		Type: PktEager,
+		Comm: comm,
+		Src:  int32(d.rank),
+		Tag:  int32(tag),
+		Len:  uint32(len(data)),
+	}
+	if c.ringOut == nil {
+		h.Flags = FlagCredit
+		if starved {
+			h.Flags |= FlagStarved
+		} else {
+			h.Piggyback = uint32(c.vc.TakePiggyback())
+		}
 	}
 	h.Encode(buf)
 	copy(buf[HeaderSize:], data)
 	p.Sleep(d.cfg.CopyTime(HeaderSize + len(data)))
-	d.postEagerPacket(c, buf, HeaderSize+len(data))
+	return backlogEntry{buf: buf, n: HeaderSize + len(data)}
 }
 
-// postEagerPacket ships an encoded eager packet over whichever eager
-// channel is configured: a send/receive descriptor or an RDMA write into
-// the next persistent slot.
+// postEager encodes and posts an eager data packet (the caller's
+// DecideEager consumed the credit, or checked ringOut.Free).
+func (d *Device) postEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte) {
+	e := d.encodeEager(p, c, tag, comm, data, false)
+	d.postEagerPacket(c, e.buf, e.n)
+}
+
+// postEagerPacket ships an encoded eager packet over the scheme's eager
+// channel: a send/receive descriptor, or an RDMA write into the next
+// ring position.
 func (d *Device) postEagerPacket(c *conn, buf []byte, n int) {
-	if c.ringOut != nil {
-		// Ring channel: write into the next ring position. Callers gate
-		// on ringOut.Free() before reaching here, so Reserve cannot
-		// overrun the peer's last announced head.
-		slot := c.ringOut.Reserve()
-		binary.LittleEndian.PutUint32(buf[44:], c.ringIn.TakeHead(true))
-		d.wridSeq++
-		d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxBuf, buf: buf, conn: c}
-		c.noteOut()
-		c.qp.PostWriteNotify(d.wridSeq, buf[:n], c.slotsOut[slot], uint64(slot))
-		c.vc.CountMsg()
-		c.lastSend = d.eng.Now()
-		d.tr(trace.SendEager, c.peer, int64(n))
-		return
-	}
-	if !d.cfg.RDMAEager {
+	if c.ringOut == nil {
 		d.postPacket(c, buf, n, sendCtx{kind: ctxBuf})
 		return
 	}
-	if c.slotFree.Len() == 0 {
-		// No free persistent slot. User-level schemes never get here
-		// (credits equal free slots); the hardware scheme has no
-		// bookkeeping, so it falls back to the send/receive channel
-		// and its RNR backstop, as the real RDMA-channel designs do.
-		d.postPacket(c, buf, n, sendCtx{kind: ctxBuf})
-		return
-	}
-	idx := c.slotFree.pop()
-	c.slotUsed.push(idx)
+	// Callers gate on ringOut.Free() before reaching here, so Reserve
+	// cannot overrun the peer's last announced head.
+	slot := c.ringOut.Reserve()
+	binary.LittleEndian.PutUint32(buf[44:], c.ringIn.TakeHead(true))
 	d.wridSeq++
 	d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxBuf, buf: buf, conn: c}
 	c.noteOut()
-	c.qp.PostWriteNotify(d.wridSeq, buf[:n], c.slotsOut[idx], uint64(idx))
+	c.qp.PostWriteNotify(d.wridSeq, buf[:n], c.slotsOut[slot], uint64(slot))
 	c.vc.CountMsg()
 	c.lastSend = d.eng.Now()
 	d.tr(trace.SendEager, c.peer, int64(n))
@@ -1025,26 +896,7 @@ func (d *Device) postEagerPacket(c *conn, buf []byte, n int) {
 // enqueueEager copies a starved eager send into the backlog. The user
 // buffer is immediately reusable, so SendDone fires now.
 func (d *Device) enqueueEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any) {
-	buf := d.pool.Get()
-	flags := FlagCredit | FlagStarved
-	if c.ringOut != nil {
-		// Ring flow control has no credits and no growth feedback; the
-		// packet is indistinguishable from a direct send once a slot
-		// frees up.
-		flags = 0
-	}
-	h := Header{
-		Type:  PktEager,
-		Flags: flags,
-		Comm:  comm,
-		Src:   int32(d.rank),
-		Tag:   int32(tag),
-		Len:   uint32(len(data)),
-	}
-	h.Encode(buf)
-	copy(buf[HeaderSize:], data)
-	p.Sleep(d.cfg.CopyTime(HeaderSize + len(data)))
-	c.pushBacklog(backlogEntry{buf: buf, n: HeaderSize + len(data)})
+	c.pushBacklog(d.encodeEager(p, c, tag, comm, data, true))
 	d.handler.SendDone(token)
 }
 
@@ -1081,13 +933,12 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	for c.backlog.Len() > 0 {
 		e := c.backlog.peek()
 		if e.rndv != nil {
-			// RDMA-channel RTS entries queued only for ordering
-			// drain without a credit; an RC-channel RTS needs one
+			// A ring-scheme RTS queued only for ordering (control
+			// traffic is outside the ring's slot accounting) and
+			// drains freely; a send/recv-channel RTS needs a credit
 			// under a user-level scheme.
 			consumed := false
-			if d.cfg.RDMAEager || d.ringMode() {
-				// Control traffic is outside the slot/ring credit
-				// system; the entry queued only for ordering.
+			if d.params.RingChannel() {
 				c.vc.DrainFree()
 			} else {
 				if !c.vc.CanDrainBacklog() {
@@ -1171,7 +1022,7 @@ func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 		Piggyback: uint32(c.vc.TakePiggyback()),
 		ReqID:     out.id,
 	}
-	if d.ringMode() && len(out.data) > 0 {
+	if d.params.RingChannel() && len(out.data) > 0 {
 		// Ring rendezvous pulls with an RDMA read: the RTS carries the
 		// registered source region so the receiver needs no CTS round.
 		h.MRID = uint32(out.mr.ID())
@@ -1185,9 +1036,8 @@ func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 // path: the MPI layer calls it when a receive posted after the RTS
 // finally matches (the in-band accept runs on the progress machine).
 func (d *Device) AcceptRndv(p *sim.Proc, r *RndvIn, buf []byte) {
-	if d.ringMode() {
-		cost, reg := d.acceptReadStart(r, buf)
-		if reg {
+	if d.params.RingChannel() {
+		if _, cost, reg := d.acceptBuf(r, buf); reg {
 			p.Sleep(cost)
 		}
 		if r.Len == 0 {
@@ -1207,12 +1057,13 @@ func (d *Device) AcceptRndv(p *sim.Proc, r *RndvIn, buf []byte) {
 	d.postPacket(r.conn, pkt, HeaderSize, sendCtx{kind: ctxBuf})
 }
 
-// acceptStart runs the accept bookkeeping for an announced rendezvous
-// and builds the CTS header. reg reports whether a registration charge
-// of `cost` is due before encoding (zero-length transfers register
-// nothing); the caller charges it, then encodes, charges the header
-// copy, and posts.
-func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, reg bool) {
+// acceptBuf is the accept check both rendezvous flavours share: it
+// validates and records the receive buffer and registers it (pin-down
+// cached). reg reports whether a registration charge of `cost` is due
+// (zero-length transfers register nothing); the caller charges it before
+// its next step — encoding the CTS, or posting the ring scheme's RDMA
+// read (the RTS carried the source region; no CTS round exists there).
+func (d *Device) acceptBuf(r *RndvIn, buf []byte) (mr *ib.MR, cost sim.Time, reg bool) {
 	if r.accepted {
 		panic("chdev: rendezvous accepted twice")
 	}
@@ -1221,6 +1072,19 @@ func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, re
 	}
 	r.accepted = true
 	r.buf = buf
+	if r.Len > 0 {
+		mr, cost = d.regs.Register(buf[:r.Len])
+		return mr, cost, true
+	}
+	return nil, 0, false
+}
+
+// acceptStart accepts an announced send/recv-channel rendezvous and
+// builds the CTS header carrying the registered destination. The caller
+// charges the registration (see acceptBuf), then encodes, charges the
+// header copy, and posts.
+func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, reg bool) {
+	mr, cost, reg := d.acceptBuf(r, buf)
 	c := r.conn
 	d.rndvSeq++
 	r.myReq = d.rndvSeq
@@ -1234,32 +1098,10 @@ func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, re
 		ReqID:     r.senderReq,
 		PeerReqID: r.myReq,
 	}
-	if r.Len > 0 {
-		mr, regCost := d.regs.Register(buf[:r.Len])
+	if reg {
 		h.MRID = uint32(mr.ID())
-		return h, regCost, true
 	}
-	return h, 0, false
-}
-
-// acceptReadStart runs the accept bookkeeping for a ring-scheme
-// rendezvous, whose payload the receiver pulls with an RDMA read (the
-// RTS carried the source region; no CTS round exists). reg reports
-// whether a registration charge of `cost` is due before the read posts.
-func (d *Device) acceptReadStart(r *RndvIn, buf []byte) (cost sim.Time, reg bool) {
-	if r.accepted {
-		panic("chdev: rendezvous accepted twice")
-	}
-	if len(buf) < r.Len {
-		panic(fmt.Sprintf("chdev: rendezvous buffer %d bytes for %d-byte message", len(buf), r.Len))
-	}
-	r.accepted = true
-	r.buf = buf
-	if r.Len > 0 {
-		_, regCost := d.regs.Register(buf[:r.Len])
-		return regCost, true
-	}
-	return 0, false
+	return h, cost, reg
 }
 
 // postRndvRead posts the RDMA read pulling an accepted ring-scheme
@@ -1287,70 +1129,91 @@ func (d *Device) finishRndvRead(r *RndvIn) {
 	d.handler.DeliverRndvDone(r)
 }
 
-// sendFin posts the rendezvous completion control message. It runs in
-// event context (the FIN follows the RDMA write's completion) and
-// charges no process time.
-func (d *Device) sendFin(c *conn, peerReq uint64) {
+// postCtrl encodes and posts a header-only control packet from event
+// context: no copy charge, no process time.
+func (d *Device) postCtrl(c *conn, h *Header) {
 	buf := d.pool.Get()
-	h := Header{
-		Type:      PktFin,
-		Src:       int32(d.rank),
-		Piggyback: uint32(c.vc.TakePiggyback()),
-		ReqID:     peerReq,
-	}
 	h.Encode(buf)
 	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
 }
 
-// sendECM posts an explicit credit message. Under the optimistic policy it
-// bypasses user-level flow control entirely; under the pessimistic policy
-// (for the deadlock demonstration) it needs a credit like any other send.
-// It may run from a timer event, so it never charges process time.
+// sendFin posts the rendezvous completion control message. It runs in
+// event context (the FIN follows the RDMA write's completion) and
+// charges no process time.
+func (d *Device) sendFin(c *conn, peerReq uint64) {
+	d.postCtrl(c, &Header{
+		Type:      PktFin,
+		Src:       int32(d.rank),
+		Piggyback: uint32(c.vc.TakePiggyback()),
+		ReqID:     peerReq,
+	})
+}
+
+// needReturn reports whether c's receive side has accumulated enough
+// unreturned state — owed credits, or consumed ring slots the peer has
+// not been told about — to justify an explicit return message (no
+// outgoing traffic rode it back).
+func (c *conn) needReturn() bool {
+	if c.ringIn != nil {
+		return c.ringIn.NeedSync()
+	}
+	return c.vc.NeedECM()
+}
+
+// sendReturn posts c's explicit return message: an explicit credit
+// message (ECM), or on the ring channel its analogue, the head sync.
+// Under the optimistic policy an ECM bypasses user-level flow control
+// entirely; under the pessimistic policy (for the deadlock demonstration)
+// it needs a credit like any other send. sendReturn may run from a timer
+// event, so it never charges process time.
 //
-// An injected drop fails the ECM before the wire: the owed credits stay
-// owed (conservation holds) and the silence timer re-arms so the credits
-// still flow — a peer may be blocked waiting for exactly these. An
-// injected duplicate follows a successful ECM with a zero-credit copy,
-// exercising exactly-once credit application at the receiver.
-func (d *Device) sendECM(c *conn) bool {
+// An injected drop fails the message before the wire: what was owed stays
+// owed (credits are conserved; the ring's headSent is unchanged, so
+// NeedSync stays true) and the silence timer re-arms so it still flows —
+// a peer may be blocked waiting for exactly this. An injected duplicate
+// follows a successful message with a copy that carries nothing new,
+// exercising exactly-once application at the receiver.
+func (d *Device) sendReturn(c *conn) bool {
 	now := d.eng.Now()
 	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDropped()
-		d.tr(trace.ECMDropped, c.peer, int64(c.vc.Owed()))
+		unreturned := c.vc.Owed()
+		if c.ringIn != nil {
+			unreturned = c.ringIn.Unsynced()
+		}
+		d.tr(trace.ECMDropped, c.peer, int64(unreturned))
 		t := d.ecmTimer(c)
 		if !t.Armed() {
 			t.Reset(d.cfg.ECMSilence)
 		}
 		return false
 	}
-	flags := uint8(0)
-	if d.cfg.PessimisticECM {
-		if c.vc.Credits() == 0 || c.vc.BacklogLen() > 0 {
-			return false // cannot send: this is how deadlock happens
+	h := Header{Type: PktCredit, Src: int32(d.rank)}
+	if c.ringIn != nil {
+		h.Type = PktRingSync
+		h.RingHead = c.ringIn.TakeHead(false)
+	} else {
+		if d.cfg.PessimisticECM {
+			if c.vc.Credits() == 0 || c.vc.BacklogLen() > 0 {
+				return false // cannot send: this is how deadlock happens
+			}
+			if c.vc.DecideEager(false) != core.ActionSend {
+				return false
+			}
+			h.Flags = FlagCredit
 		}
-		if c.vc.DecideEager(false) != core.ActionSend {
-			return false
-		}
-		flags |= FlagCredit
+		h.Piggyback = uint32(c.vc.TakeECM())
 	}
-	buf := d.pool.Get()
-	h := Header{
-		Type:      PktCredit,
-		Flags:     flags,
-		Src:       int32(d.rank),
-		Piggyback: uint32(c.vc.TakeECM()),
-	}
-	h.Encode(buf)
-	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
+	d.postCtrl(c, &h)
 	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDuplicated()
 		d.tr(trace.ECMDuplicated, c.peer, 0)
-		dup := d.pool.Get()
 		// TakeECM above cleared owed, so the duplicate carries zero
 		// credits — double-applying it cannot mint credit at the peer.
-		dh := Header{Type: PktCredit, Src: int32(d.rank)}
-		dh.Encode(dup)
-		d.postPacket(c, dup, HeaderSize, sendCtx{kind: ctxBuf})
+		// A ring duplicate repeats the same absolute head, which SeenHead
+		// treats as stale: duplication cannot free slots twice.
+		h.Flags, h.Piggyback = 0, 0
+		d.postCtrl(c, &h)
 	}
 	return true
 }
@@ -1380,10 +1243,11 @@ func (d *Device) debugCheckConn(c *conn) {
 	}
 }
 
-// flushCredits sends explicit credit messages for connections whose owed
-// credits crossed the threshold with no outgoing traffic to ride on. The
-// progress engine calls it when the session is about to block — the moment
-// it knows the MPI layer has nothing else to say to the peer.
+// flushCredits sends explicit return messages for connections whose owed
+// credits (or unannounced ring head) crossed the threshold with no
+// outgoing traffic to ride on. The progress engine calls it when the
+// session is about to block — the moment it knows the MPI layer has
+// nothing else to say to the peer.
 func (d *Device) flushCredits() bool {
 	did := false
 	for _, g := range d.groups {
@@ -1391,20 +1255,8 @@ func (d *Device) flushCredits() bool {
 			continue
 		}
 		for _, c := range g.eps {
-			if c.ringIn != nil {
-				// Ring channel: what flows back is the head pointer, not
-				// credits. Same silence gate, different message.
-				if c.ringIn.NeedSync() && d.maybeSendRingSync(c) {
-					did = true
-				}
-				continue
-			}
-			if !d.cfg.RDMAEager {
-				// Shrinking persistent slots would need another
-				// cooperation round; not modelled.
-				c.vc.MaybeShrink(d.eng.Now())
-			}
-			if c.vc.NeedECM() && d.maybeSendECM(c) {
+			c.vc.MaybeShrink(d.eng.Now())
+			if c.needReturn() && d.maybeSendReturn(c) {
 				did = true
 			}
 		}
@@ -1412,24 +1264,19 @@ func (d *Device) flushCredits() bool {
 	return did
 }
 
-// ecmTimer lazily creates the connection's deferred-ECM timer. The timer
-// re-checks the silence gate at expiry and keeps re-arming while credits
-// remain owed, so an ECM that was deferred — or dropped by fault
-// injection — is eventually delivered.
+// ecmTimer lazily creates the connection's deferred-return timer. The
+// timer re-checks the silence gate at expiry and keeps re-arming while
+// credits (or ring head) remain owed, so a return message that was
+// deferred — or dropped by fault injection — is eventually delivered.
 func (d *Device) ecmTimer(c *conn) *sim.Timer {
 	if c.ecmTimer == nil {
 		c.ecmTimer = sim.NewTimer(d.eng, func() {
-			if c.ringIn != nil {
-				if c.ringIn.NeedSync() && d.eng.Now()-c.lastSend >= d.cfg.ECMSilence {
-					d.sendRingSync(c)
-				} else if c.ringIn.NeedSync() {
-					c.ecmTimer.Reset(d.cfg.ECMSilence)
-				}
+			if !c.needReturn() {
 				return
 			}
-			if c.vc.NeedECM() && d.eng.Now()-c.lastSend >= d.cfg.ECMSilence {
-				d.sendECM(c)
-			} else if c.vc.NeedECM() {
+			if d.eng.Now()-c.lastSend >= d.cfg.ECMSilence {
+				d.sendReturn(c)
+			} else {
 				c.ecmTimer.Reset(d.cfg.ECMSilence)
 			}
 		})
@@ -1437,77 +1284,22 @@ func (d *Device) ecmTimer(c *conn) *sim.Timer {
 	return c.ecmTimer
 }
 
-// maybeSendECM sends an explicit credit message if the connection has been
-// outbound-silent long enough; otherwise it arms a timer so the credits
-// still flow even if this rank stays parked (liveness: a peer may be
-// blocked waiting for exactly these credits).
-func (d *Device) maybeSendECM(c *conn) bool {
+// maybeSendReturn is the silence gate: the explicit return message goes
+// out only if the connection has been outbound-silent for ECMSilence (no
+// reverse traffic carried the credits or the head); otherwise it arms a
+// timer so they still flow even if this rank stays parked (liveness: a
+// peer may be blocked waiting for exactly these credits or ring slots).
+func (d *Device) maybeSendReturn(c *conn) bool {
 	now := d.eng.Now()
 	silence := d.cfg.ECMSilence
 	if now-c.lastSend >= silence {
-		return d.sendECM(c)
+		return d.sendReturn(c)
 	}
 	t := d.ecmTimer(c)
 	if !t.Armed() {
 		t.Reset(c.lastSend + silence - now)
 	}
 	return false
-}
-
-// maybeSendRingSync is the ring channel's silence gate: an explicit head
-// sync goes out only when no reverse traffic has carried the head for
-// ECMSilence; otherwise a timer keeps the update flowing even if this
-// rank stays parked (liveness: the peer may be out of ring slots).
-func (d *Device) maybeSendRingSync(c *conn) bool {
-	now := d.eng.Now()
-	silence := d.cfg.ECMSilence
-	if now-c.lastSend >= silence {
-		return d.sendRingSync(c)
-	}
-	t := d.ecmTimer(c)
-	if !t.Armed() {
-		t.Reset(c.lastSend + silence - now)
-	}
-	return false
-}
-
-// sendRingSync posts the ring channel's explicit head update — the
-// analogue of an ECM when the reverse path is idle. It may run from a
-// timer event, so it charges no process time. The fault hooks mirror
-// sendECM: a drop leaves the head unannounced (headSent unchanged, so
-// NeedSync stays true and the timer retries); a duplicate re-sends the
-// same absolute head, which SeenHead ignores as stale.
-func (d *Device) sendRingSync(c *conn) bool {
-	now := d.eng.Now()
-	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, c.peer) {
-		c.vc.NoteECMDropped()
-		d.tr(trace.ECMDropped, c.peer, int64(c.ringIn.Unsynced()))
-		t := d.ecmTimer(c)
-		if !t.Armed() {
-			t.Reset(d.cfg.ECMSilence)
-		}
-		return false
-	}
-	buf := d.pool.Get()
-	h := Header{
-		Type:     PktRingSync,
-		Src:      int32(d.rank),
-		RingHead: c.ringIn.TakeHead(false),
-	}
-	h.Encode(buf)
-	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
-	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
-		c.vc.NoteECMDuplicated()
-		d.tr(trace.ECMDuplicated, c.peer, 0)
-		dup := d.pool.Get()
-		// Same absolute head again: SeenHead at the peer treats the
-		// second application as stale, so duplication cannot free slots
-		// twice.
-		dh := Header{Type: PktRingSync, Src: int32(d.rank), RingHead: c.ringIn.TakeHead(false)}
-		dh.Encode(dup)
-		d.postPacket(c, dup, HeaderSize, sendCtx{kind: ctxBuf})
-	}
-	return true
 }
 
 // WaitProgress runs the progress engine until done() holds, blocking on
@@ -1561,19 +1353,16 @@ func (d *Device) PendingCompletions() int { return d.cq.Len() }
 func (d *Device) Busy() bool { return d.handling > 0 }
 
 // CreditFlushPending reports whether any connection still owes enough
-// credits to require an explicit credit message. Until this clears, the
-// job is not settled: a cross-rank credit audit would see the owed
-// credits as in flight.
+// credits (or ring head) to require an explicit return message. Until
+// this clears, the job is not settled: a cross-rank audit would see the
+// owed credits as in flight.
 func (d *Device) CreditFlushPending() bool {
 	for _, g := range d.groups {
 		if g == nil {
 			continue
 		}
 		for _, c := range g.eps {
-			if c.ringIn != nil && c.ringIn.NeedSync() {
-				return true
-			}
-			if c.vc.NeedECM() {
+			if c.needReturn() {
 				return true
 			}
 		}
@@ -1662,20 +1451,6 @@ func (re *reissueEvent) OnEvent(uint64) {
 	re.c.qp.ResumeStalled()
 }
 
-// sendRingExt announces grow new slots backed by mr to the peer.
-func (d *Device) sendRingExt(c *conn, mr *ib.MR, grow int) {
-	buf := d.pool.Get()
-	h := Header{
-		Type:      PktRingExt,
-		Src:       int32(d.rank),
-		Len:       uint32(grow),
-		MRID:      uint32(mr.ID()),
-		Piggyback: uint32(c.vc.TakePiggyback()),
-	}
-	h.Encode(buf)
-	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
-}
-
 // Stats aggregates the device's counters.
 func (d *Device) Stats() Stats {
 	s := Stats{Rank: d.rank, RegHits: d.regs.Hits(), RegMisses: d.regs.Misses()}
@@ -1729,7 +1504,7 @@ func (d *Device) Stats() Stats {
 	}
 	s.SumPosted = d.prov.posted()
 	s.BufBytesInUse = s.SumPosted * d.cfg.BufSize
-	if d.ringMode() {
+	if d.params.RingChannel() {
 		// The ring slots are pinned for the connection's lifetime; they
 		// are receive memory even though nothing is "posted" for them.
 		s.BufBytesInUse += s.Conns * d.params.Prepost * d.params.SlotBytes

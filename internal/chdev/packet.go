@@ -19,14 +19,14 @@ const (
 	PktFin
 	// PktCredit is an explicit credit message (ECM).
 	PktCredit
-	// PktRingExt announces freshly allocated RDMA eager slots to the
-	// sender (dynamic growth on the RDMA channel requires cooperation:
-	// the new buffers are unusable until their addresses are known).
-	PktRingExt
+	// Wire value 6 (the retired slot-announce packet) stays reserved:
+	// renumbering PktRingSync would shift the Recv trace argument.
+	_
 	// PktRingSync carries the ring scheme's receiver head pointer when
 	// the reverse path has been idle too long for piggybacking — the
 	// ring channel's analogue of an ECM.
 	PktRingSync
+	pktEnd // one past the last packet type; the name test loops up to it
 )
 
 func (t PktType) String() string {
@@ -41,8 +41,6 @@ func (t PktType) String() string {
 		return "FIN"
 	case PktCredit:
 		return "CREDIT"
-	case PktRingExt:
-		return "RING_EXT"
 	case PktRingSync:
 		return "RING_SYNC"
 	}

@@ -1,6 +1,7 @@
 package chdev
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -47,6 +48,13 @@ func TestPacketTypeStringsAndControl(t *testing.T) {
 		}
 		if ty != PktEager && !ty.Control() {
 			t.Errorf("%v should be control", ty)
+		}
+	}
+	const reserved = PktType(6) // retired wire value, see packet.go
+	for ty := PktEager; ty < pktEnd; ty++ {
+		named := !strings.HasPrefix(ty.String(), "PktType(")
+		if want := ty != reserved; named != want {
+			t.Errorf("packet type %d: String() = %q, named = %v, want %v", ty, ty.String(), named, want)
 		}
 	}
 }

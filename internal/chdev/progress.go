@@ -212,18 +212,13 @@ func (m *progressMachine) step() {
 					panic("chdev: notify on unknown QP")
 				}
 				m.c = c
-				if c.ringIn != nil {
-					// Ring channel: arrivals are in-order, so the slot
-					// is determined by the ring tail; the immediate
-					// value must agree with it.
-					slot := c.ringIn.Arrived()
-					if slot != int(wc.Imm) {
-						panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", wc.Imm, slot))
-					}
-					m.buf = c.slots[slot]
-				} else {
-					m.buf = c.slots[int(wc.Imm)]
+				// Ring arrivals are in-order, so the slot is determined
+				// by the ring tail; the immediate value must agree.
+				slot := c.ringIn.Arrived()
+				if slot != int(wc.Imm) {
+					panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", wc.Imm, slot))
 				}
+				m.buf = c.slots[slot]
 				m.viaRDMA = true
 			default:
 				panic(fmt.Sprintf("chdev: unexpected completion opcode %v", wc.Opcode))
@@ -254,9 +249,6 @@ func (m *progressMachine) step() {
 			}
 			if m.hdr.Piggyback > 0 {
 				m.c.vc.AddCredits(int(m.hdr.Piggyback))
-				if d.cfg.RDMAEager {
-					m.c.releaseSlots(int(m.hdr.Piggyback))
-				}
 				m.startDrain(m.c, pcPktBody)
 				continue
 			}
@@ -264,18 +256,7 @@ func (m *progressMachine) step() {
 
 		case pcPktBody:
 			if m.hdr.Flags&FlagStarved != 0 {
-				if d.cfg.RDMAEager {
-					// Growth on the RDMA channel needs cooperation:
-					// the new slots only become usable once the
-					// sender learns their addresses from a
-					// ring-extension message, which itself carries
-					// the new credits.
-					if grow := m.c.vc.OnStarvedFeedbackRDMA(d.eng.Now()); grow > 0 {
-						d.tr(trace.Grew, m.c.peer, int64(m.c.vc.Posted()))
-						mr := d.allocSlots(m.c, grow)
-						d.sendRingExt(m.c, mr, grow)
-					}
-				} else if grow := m.c.vc.OnStarvedFeedback(d.eng.Now()); grow > 0 {
+				if grow := m.c.vc.OnStarvedFeedback(d.eng.Now()); grow > 0 {
 					d.tr(trace.Grew, m.c.peer, int64(m.c.vc.Posted()))
 					d.prepost(m.c, grow)
 				}
@@ -303,10 +284,10 @@ func (m *progressMachine) step() {
 					m.pc = pcPktTail
 					continue
 				}
-				if d.ringMode() {
+				if d.params.RingChannel() {
 					// Ring rendezvous: the RTS carried the source
 					// region, so pull with an RDMA read — no CTS round.
-					cost, reg := d.acceptReadStart(r, ubuf)
+					_, cost, reg := d.acceptBuf(r, ubuf)
 					m.readR = r
 					m.pc = pcReadPost
 					if reg {
@@ -347,7 +328,7 @@ func (m *progressMachine) step() {
 				}
 				m.pc = pcPktTail
 			case PktFin:
-				if d.ringMode() {
+				if d.params.RingChannel() {
 					// Ring rendezvous FIN travels receiver -> sender:
 					// the RDMA read finished, the source buffer is free.
 					out, ok := m.c.sendRndv[m.hdr.ReqID]
@@ -373,13 +354,6 @@ func (m *progressMachine) step() {
 			case PktRingSync:
 				// The head update was applied at pcPktCredits.
 				m.pc = pcPktTail
-			case PktRingExt:
-				// New persistent slots at the peer: resolve the region
-				// and take the credits that come with them.
-				mr := m.c.qp.Peer().HCA().LookupMR(int(m.hdr.MRID))
-				d.announceSlots(m.c, mr, int(m.hdr.Len))
-				m.c.vc.AddCredits(int(m.hdr.Len))
-				m.startDrain(m.c, pcPktTail)
 			default:
 				panic(fmt.Sprintf("chdev: bad packet type %v", m.hdr.Type))
 			}
@@ -414,15 +388,10 @@ func (m *progressMachine) step() {
 		case pcPktTail:
 			d.tr(trace.Recv, m.c.peer, int64(m.hdr.Type))
 			if m.viaRDMA {
-				if m.c.ringIn != nil {
-					// Ring channel: consuming the slot advances the
-					// head; the peer learns it from the next piggyback
-					// or an explicit sync.
-					m.c.ringIn.Consumed()
-				} else {
-					// The slot frees implicitly; only credit accounting runs.
-					m.c.vc.BufferProcessed(m.hdr.Flags&FlagCredit != 0, d.eng.Now())
-				}
+				// Ring channel: consuming the slot advances the head;
+				// the peer learns it from the next piggyback or an
+				// explicit sync.
+				m.c.ringIn.Consumed()
 			} else {
 				d.prov.processed(m.c, m.buf, m.hdr.Flags&FlagCredit != 0)
 			}

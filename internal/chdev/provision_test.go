@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ibflow/internal/core"
-	"ibflow/internal/ib"
 	"ibflow/internal/sim"
 )
 
@@ -113,21 +112,6 @@ func TestSharedPoolAuditCatchesImbalance(t *testing.T) {
 	if err := Audit([]*Device{d0, d1}); err == nil {
 		t.Error("audit accepted a pool with a buffer still in use")
 	}
-}
-
-// TestSharedPoolRejectsRDMAEager: persistent per-connection slots are
-// incompatible with one shared pool; construction must refuse the combo.
-func TestSharedPoolRejectsRDMAEager(t *testing.T) {
-	eng := sim.NewEngine()
-	f := ib.NewFabric(eng, ib.DefaultConfig(), 1)
-	cfg := DefaultConfig()
-	cfg.RDMAEager = true
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted shared pool + RDMA eager channel")
-		}
-	}()
-	New(eng, f.HCA(0), cfg, core.Shared(8, 32), 0, 1, &fakeHandler{})
 }
 
 // TestPerConnSchemesHaveNoSRQ: the seam must leave the three

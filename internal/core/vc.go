@@ -328,20 +328,6 @@ func (vc *VC) TakeECM() int {
 // pre-post target and to the owed credits so the peer learns about them);
 // other schemes return 0.
 func (vc *VC) OnStarvedFeedback(now sim.Time) int {
-	return vc.grow(now, true)
-}
-
-// OnStarvedFeedbackRDMA is the growth hook for an RDMA-based eager
-// channel: the new buffers are NOT added to the owed credits, because the
-// sender cannot use them until it learns their addresses — the device
-// announces them in an explicit ring-extension message that carries the
-// new credits itself (the sender/receiver cooperation the paper says the
-// dynamic scheme needs on an RDMA channel).
-func (vc *VC) OnStarvedFeedbackRDMA(now sim.Time) int {
-	return vc.grow(now, false)
-}
-
-func (vc *VC) grow(now sim.Time, owe bool) int {
 	if debug.Enabled {
 		defer vc.debugCheck()
 	}
@@ -368,9 +354,7 @@ func (vc *VC) grow(now sim.Time, owe bool) int {
 		return 0
 	}
 	vc.posted += grow
-	if owe {
-		vc.owed += grow
-	}
+	vc.owed += grow
 	vc.stats.GrowthEvents++
 	if vc.posted > vc.stats.MaxPosted {
 		vc.stats.MaxPosted = vc.posted

@@ -40,8 +40,8 @@ type semanticGolden struct {
 }
 
 // semanticCells enumerates the pinned worlds: all five schemes (the ring
-// scheme carries its own channel), the RDMA eager channel where
-// supported, and the on-demand connection path. One fixed seed per cell — determinism of
+// scheme is the RDMA eager channel) and the on-demand connection path.
+// One fixed seed per cell — determinism of
 // the engine (same world, same bytes) is already pinned by the torture
 // rerun tests; this file pins identity across the migration.
 func semanticCells() []struct {
@@ -59,9 +59,6 @@ func semanticCells() []struct {
 		{"dynamic", core.Dynamic(1, 64), nil},
 		{"shared", core.Shared(4, 64), nil},
 		{"rdma", core.RDMA(4, 1024), nil},
-		{"hardware-rdma", core.Hardware(2), func(o *Options) { o.Chan.RDMAEager = true }},
-		{"static-rdma", core.Static(2), func(o *Options) { o.Chan.RDMAEager = true }},
-		{"dynamic-rdma", core.Dynamic(1, 64), func(o *Options) { o.Chan.RDMAEager = true }},
 		{"dynamic-ondemand", core.Dynamic(1, 64), func(o *Options) { o.Chan.OnDemand = true }},
 	}
 }

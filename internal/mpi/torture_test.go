@@ -103,8 +103,8 @@ func runTorture(t *testing.T, opts Options, n, count int, seed uint64) {
 	}
 }
 
-// TestTortureMatrix runs the mixed workload across every scheme, both
-// eager channels, SMP placement and tiny pre-posts. Any mis-ordered
+// TestTortureMatrix runs the mixed workload across every scheme (both
+// eager channels), SMP placement and tiny pre-posts. Any mis-ordered
 // match, credit leak or slot corruption fails payload verification or
 // deadlocks.
 func TestTortureMatrix(t *testing.T) {
@@ -121,7 +121,6 @@ func TestTortureMatrix(t *testing.T) {
 	}
 	variants := []cfg{
 		{"sendrecv", func(o *Options) {}},
-		{"rdma", func(o *Options) { o.Chan.RDMAEager = true }},
 		{"smp", func(o *Options) { o.RanksPerNode = 2 }},
 		{"ondemand", func(o *Options) { o.Chan.OnDemand = true }},
 		// Two endpoints per rank pair; the tag-keyed worker threads in
@@ -133,17 +132,6 @@ func TestTortureMatrix(t *testing.T) {
 	}
 	for _, fc := range schemes {
 		for _, v := range variants {
-			if fc.SharedPool() && v.name == "rdma" {
-				// The RDMA eager channel's persistent slots are
-				// per-connection by design; the device rejects the
-				// combination.
-				continue
-			}
-			if fc.RingChannel() && v.name == "rdma" {
-				// The ring scheme IS an RDMA eager channel; composing
-				// it with Config.RDMAEager is rejected by the device.
-				continue
-			}
 			fc, v := fc, v
 			t.Run(fc.Kind.String()+"-"+v.name, func(t *testing.T) {
 				opts := DefaultOptions(fc)
@@ -253,7 +241,7 @@ func faultTorture(fc core.Params, seed uint64) (faultRunResult, error) {
 }
 
 // faultTortureVariant is faultTorture with an Options mutator applied on
-// top of the fault configuration, so channel variants (RDMA eager,
+// top of the fault configuration, so channel variants (endpoint sets,
 // on-demand connections) run under the identical fault mix.
 func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (faultRunResult, error) {
 	const n, count = 4, 40

@@ -23,7 +23,6 @@ const (
 	SendCTS
 	SendFin
 	SendECM
-	SendRingExt
 	SendRDMAData
 	Recv
 	Demoted
@@ -41,10 +40,10 @@ const (
 	Reissued
 	PoolLimit
 	PoolGrew
-	// Ring-channel kinds (core.KindRDMA) — appended so the values of the
-	// kinds above stay stable for semantic golden digests.
+	// Ring-channel kinds (core.KindRDMA).
 	SendRingSync
 	SendRDMARead
+	kindEnd // one past the last kind; the name test loops up to it
 )
 
 var kindNames = map[Kind]string{
@@ -53,7 +52,6 @@ var kindNames = map[Kind]string{
 	SendCTS:        "send-cts",
 	SendFin:        "send-fin",
 	SendECM:        "send-ecm",
-	SendRingExt:    "send-ringext",
 	SendRDMAData:   "rdma-data",
 	Recv:           "recv",
 	Demoted:        "demoted",

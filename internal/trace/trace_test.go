@@ -63,7 +63,7 @@ func TestDumpAndSummary(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := SendEager; k <= Reissued; k++ {
+	for k := SendEager; k < kindEnd; k++ {
 		if strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
