@@ -98,9 +98,13 @@ metrics-smoke:
 # TestConnScalingSharedSubLinear), and the 128-rank world-level
 # allocation gate must hold: steady-state traffic allocates only the
 # storm main's own payloads, nothing per message in the progress engine.
+# Settling is free, so the scale cell is also audited on every push: the
+# 128-rank fat-tree storm with on-demand connections settles, passes
+# World.Audit under all five schemes, and Settle adds nothing where
+# nothing was left behind.
 scaling-smoke:
 	$(GO) run ./cmd/fcbench -test scaling -quick
-	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run TestScalingSteadyAllocGate -v ./internal/bench
+	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run 'TestScalingSteadyAllocGate|TestSettleAddsNothingWhenClean' -v ./internal/bench
 
 # endpoints-smoke mirrors the CI step: the endpoint-contention sweep in
 # quick mode must complete and render; an endpoint-instrumented run must

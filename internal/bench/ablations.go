@@ -20,8 +20,8 @@ func AblationDemotion(o Opts) Table {
 	for _, pol := range []core.ZeroCreditPolicy{core.DemoteToRendezvous, core.PureBacklog} {
 		fc := core.Static(10)
 		fc.ZeroCredit = pol
-		nb := bandwidthTuned(fc, 4, 100, o.bwReps(), false, o.Tune)
-		blk := bandwidthTuned(fc, 4, 100, o.bwReps(), true, o.Tune)
+		nb := BandwidthOpts(fc, 4, 100, o.bwReps(), false, o.Tune)
+		blk := BandwidthOpts(fc, 4, 100, o.bwReps(), true, o.Tune)
 		fcLU := core.Static(2)
 		fcLU.ZeroCredit = pol
 		res, err := RunNASOpts("LU", o.class(), 8, fcLU, o.Tune)
@@ -52,7 +52,7 @@ func AblationGrowth(o Opts) Table {
 	} {
 		fc := core.Dynamic(1, dynMax)
 		gr.mut(&fc)
-		bw := bandwidthTuned(fc, 4, 100, o.bwReps(), false, o.Tune)
+		bw := BandwidthOpts(fc, 4, 100, o.bwReps(), false, o.Tune)
 		res, err := RunNASOpts("LU", o.class(), 8, fc, o.Tune)
 		if err != nil {
 			panic(err)
@@ -120,8 +120,8 @@ func AblationEagerThreshold(o Opts) Table {
 	for _, bs := range []int{256, 512, 1024, 2048, 4096, 8192} {
 		bs := bs
 		tune := composeTune(func(op *mpi.Options) { op.Chan.BufSize = bs }, o.Tune)
-		lat1 := latencyTuned(core.Static(10), 1024, o.latIters(), tune)
-		lat4 := latencyTuned(core.Static(10), 4096, o.latIters(), tune)
+		lat1 := LatencyOpts(core.Static(10), 1024, o.latIters(), tune)
+		lat4 := LatencyOpts(core.Static(10), 4096, o.latIters(), tune)
 		res, err := RunNASOpts("IS", o.class(), 8, core.Static(10), tune)
 		if err != nil {
 			panic(err)
@@ -131,8 +131,8 @@ func AblationEagerThreshold(o Opts) Table {
 	return t
 }
 
-// latencyTuned is Latency with an options hook.
-func latencyTuned(fc core.Params, size, iters int, tune func(*mpi.Options)) float64 {
+// LatencyOpts is Latency with an options hook.
+func LatencyOpts(fc core.Params, size, iters int, tune func(*mpi.Options)) float64 {
 	opts := mpi.DefaultOptions(fc)
 	if tune != nil {
 		tune(&opts)

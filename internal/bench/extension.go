@@ -29,8 +29,8 @@ func ExtensionRDMAChannel(o Opts) Table {
 		{"send/recv", core.Static(100), core.Dynamic(10, dynMax), core.Dynamic(1, dynMax)},
 		{"rdma-write", core.RDMA(100, slotBytes), core.RDMA(64, slotBytes), core.RDMA(8, slotBytes)},
 	} {
-		lat := latencyTuned(row.lat, 4, o.latIters(), o.Tune)
-		bw := bandwidthTuned(row.bw, 4, 64, o.bwReps(), false, o.Tune)
+		lat := LatencyOpts(row.lat, 4, o.latIters(), o.Tune)
+		bw := BandwidthOpts(row.bw, 4, 64, o.bwReps(), false, o.Tune)
 		res, err := RunNASOpts("LU", o.class(), 8, row.lu, o.Tune)
 		if err != nil {
 			panic(err)
@@ -41,19 +41,8 @@ func ExtensionRDMAChannel(o Opts) Table {
 	return t
 }
 
-// LatencyOpts is Latency with an options hook.
-func LatencyOpts(fc core.Params, size, iters int, tune func(*mpi.Options)) float64 {
-	return latencyTuned(fc, size, iters, tune)
-}
-
 // BandwidthOpts is Bandwidth with an options hook.
 func BandwidthOpts(fc core.Params, size, window, reps int, blocking bool,
-	tune func(*mpi.Options)) float64 {
-	return bandwidthTuned(fc, size, window, reps, blocking, tune)
-}
-
-// bandwidthTuned is Bandwidth with an options hook.
-func bandwidthTuned(fc core.Params, size, window, reps int, blocking bool,
 	tune func(*mpi.Options)) float64 {
 	const warmup = 6
 	var start sim.Time

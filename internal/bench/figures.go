@@ -109,7 +109,7 @@ func Figure2(o Opts) Table {
 	sizes := o.latSizes()
 	schemes := Schemes(100, dynMax)
 	vals := runner.Map(len(sizes)*len(schemes), o.workers(), func(k int) float64 {
-		return latencyTuned(schemes[k%len(schemes)], sizes[k/len(schemes)], o.latIters(), o.Tune)
+		return LatencyOpts(schemes[k%len(schemes)], sizes[k/len(schemes)], o.latIters(), o.Tune)
 	})
 	for i, size := range sizes {
 		row := []string{fmt.Sprint(size)}
@@ -131,7 +131,7 @@ func bwFigure(o Opts, title, note string, size, prepost int, blocking bool) Tabl
 	wins := o.windows()
 	schemes := Schemes(prepost, dynMax)
 	vals := runner.Map(len(wins)*len(schemes), o.workers(), func(k int) float64 {
-		return bandwidthTuned(schemes[k%len(schemes)], size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
+		return BandwidthOpts(schemes[k%len(schemes)], size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
 	})
 	for i, win := range wins {
 		row := []string{fmt.Sprint(win)}

@@ -53,7 +53,7 @@ func ParseScheme(name string, prepost, dynMax, slotBytes int) (core.Params, erro
 // Latency measures the one-way small-message latency (the paper's
 // ping-pong test, Figure 2) in microseconds for one message size.
 func Latency(fc core.Params, size, iters int) float64 {
-	return latencyTuned(fc, size, iters, nil)
+	return LatencyOpts(fc, size, iters, nil)
 }
 
 // Bandwidth measures the paper's window-based bandwidth test: the sender
@@ -64,7 +64,7 @@ func Latency(fc core.Params, size, iters int) float64 {
 // loops measured). Blocking selects MPI_Send/Recv vs MPI_Isend/Irecv.
 // The result is MB/s (10^6 bytes per second, as the paper plots).
 func Bandwidth(fc core.Params, size, window, reps int, blocking bool) float64 {
-	return bandwidthTuned(fc, size, window, reps, blocking, nil)
+	return BandwidthOpts(fc, size, window, reps, blocking, nil)
 }
 
 // LatencySweep runs Latency across message sizes.

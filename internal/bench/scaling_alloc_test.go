@@ -9,6 +9,18 @@ import (
 	"ibflow/internal/mpi"
 )
 
+// smokeDoc is the quick scaling sweep's configuration (fat tree from 64
+// ranks) for the tests `make scaling-smoke` and `endpoints-smoke` run,
+// with on-demand connections from onDemandFrom ranks up.
+func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
+	return ScalingDoc{
+		Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
+		RingSlots: 8, SlotBytes: 1024,
+		Fanout: fanout, FatTreeFrom: 64, LeafRadix: 32, Oversub: 2, Rails: 2,
+		OnDemandFrom: onDemandFrom,
+	}
+}
+
 // TestScalingSteadyAllocGate is the world-level allocation gate behind
 // `make scaling-smoke`, armed via IBFLOW_ALLOC_GATE like the event-core
 // gate in internal/sim. It runs the quick sweep's 128-rank cell (static
@@ -32,12 +44,7 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
 	}
 	const ranks, size, fanout = 128, 256, 24
-	doc := ScalingDoc{
-		Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
-		RingSlots: 8, SlotBytes: 1024,
-		Fanout: fanout, FatTreeFrom: 64, LeafRadix: 32, Oversub: 2, Rails: 2,
-		OnDemandFrom: 512,
-	}
+	doc := smokeDoc(fanout, 512)
 	cellMallocs := func(fc core.Params, msgs int) uint64 {
 		opts := doc.cellOptions(fc, ranks)
 		w := mpi.NewWorld(ranks, opts)
@@ -68,12 +75,7 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make endpoints-smoke) to arm the gate")
 	}
 	const ranks, size, fanout = 128, 256, 24
-	doc := ScalingDoc{
-		Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
-		RingSlots: 8, SlotBytes: 1024,
-		Fanout: fanout, FatTreeFrom: 64, LeafRadix: 32, Oversub: 2, Rails: 2,
-		OnDemandFrom: 512,
-	}
+	doc := smokeDoc(fanout, 512)
 	cellMallocs := func(fc core.Params, msgs int) uint64 {
 		opts := doc.cellOptions(fc, ranks)
 		opts.Chan.Endpoints = 4

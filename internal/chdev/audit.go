@@ -37,71 +37,66 @@ func Audit(devs []*Device) error {
 		if n := d.PendingCompletions(); n > 0 {
 			return fmt.Errorf("chdev audit: rank %d has %d unpolled completions", d.rank, n)
 		}
+		if len(d.sendRndv) > 0 || len(d.recvRndv) > 0 {
+			return fmt.Errorf("chdev audit: rank %d: rendezvous still in flight (%d out, %d in)",
+				d.rank, len(d.sendRndv), len(d.recvRndv))
+		}
 		if err := d.prov.audit(); err != nil {
 			return err
 		}
-		for _, g := range d.groups {
-			if g == nil {
-				continue
+		for _, c := range d.live {
+			c.vc.CheckInvariants()
+			if c.degraded {
+				return fmt.Errorf("chdev audit: rank %d -> %d still degraded", d.rank, c.peer)
 			}
-			for _, c := range g.eps {
-				c.vc.CheckInvariants()
-				if c.degraded {
-					return fmt.Errorf("chdev audit: rank %d -> %d still degraded", d.rank, c.peer)
-				}
-				if c.backlog.Len() > 0 || c.vc.BacklogLen() > 0 {
-					return fmt.Errorf("chdev audit: rank %d -> %d: %d messages stranded in backlog",
-						d.rank, c.peer, c.backlog.Len())
-				}
-				if n := c.qp.QueuedSends(); n > 0 {
-					return fmt.Errorf("chdev audit: rank %d -> %d: %d WQEs still queued", d.rank, c.peer, n)
-				}
-				if len(c.sendRndv) > 0 || len(c.recvRndv) > 0 {
-					return fmt.Errorf("chdev audit: rank %d -> %d: rendezvous still in flight (%d out, %d in)",
-						d.rank, c.peer, len(c.sendRndv), len(c.recvRndv))
-				}
+			if c.backlog.Len() > 0 || c.vc.BacklogLen() > 0 {
+				return fmt.Errorf("chdev audit: rank %d -> %d: %d messages stranded in backlog",
+					d.rank, c.peer, c.backlog.Len())
+			}
+			if n := c.qp.QueuedSends(); n > 0 {
+				return fmt.Errorf("chdev audit: rank %d -> %d: %d WQEs still queued", d.rank, c.peer, n)
+			}
 
-				// The pairwise laws hold endpoint-to-endpoint: endpoint
-				// ep of A's set toward B converses only with endpoint ep
-				// of B's set toward A.
-				rd := devs[c.peer]
-				rc := rd.epAt(d.rank, c.ep)
-				if rc == nil {
-					return fmt.Errorf("chdev audit: rank %d -> %d connected only one way", d.rank, c.peer)
-				}
-				if d.params.RingChannel() {
-					// The ring conservation laws, cross-endpoint: every
-					// slot A reserved arrived at B (the write channel loses
-					// nothing), and at quiescence A's view of B's head has
-					// caught up with everything B announced.
-					if got, want := c.ringOut.Tail(), rc.ringIn.Tail(); got != want {
-						return fmt.Errorf(
-							"chdev audit: ring slot leak on %d -> %d: %d reserved, %d arrived",
-							d.rank, c.peer, got, want)
-					}
-					if got, want := c.ringOut.HeadSeen(), rc.ringIn.HeadSent(); got != want {
-						return fmt.Errorf(
-							"chdev audit: ring head skew on %d -> %d: sender saw %d, receiver sent %d",
-							d.rank, c.peer, got, want)
-					}
-				}
-				if d.params.UserLevel() {
-					// The conservation law of the credit-based schemes. It
-					// holds through dynamic growth (new buffers mint owed
-					// credit) and shrink (buffer and credit destroyed
-					// together).
-					if got, want := c.vc.Credits()+rc.vc.Owed(), rc.vc.Posted(); got != want {
-						return fmt.Errorf(
-							"chdev audit: credit leak on %d -> %d: credits %d + owed %d = %d, posted %d",
-							d.rank, c.peer, c.vc.Credits(), rc.vc.Owed(), got, want)
-					}
-				}
-				ss, rs := c.qp.Stats(), rc.qp.Stats()
-				if ss.MsgsSent != rs.Delivered {
+			// The pairwise laws hold endpoint-to-endpoint: endpoint
+			// ep of A's set toward B converses only with endpoint ep
+			// of B's set toward A.
+			rd := devs[c.peer]
+			rc := rd.epAt(d.rank, c.ep)
+			if rc == nil {
+				return fmt.Errorf("chdev audit: rank %d -> %d connected only one way", d.rank, c.peer)
+			}
+			if d.params.RingChannel() {
+				// The ring conservation laws, cross-endpoint: every
+				// slot A reserved arrived at B (the write channel loses
+				// nothing), and at quiescence A's view of B's head has
+				// caught up with everything B announced.
+				if got, want := c.ringOut.Tail(), rc.ringIn.Tail(); got != want {
 					return fmt.Errorf(
-						"chdev audit: message loss on %d -> %d: %d sent, %d delivered",
-						d.rank, c.peer, ss.MsgsSent, rs.Delivered)
+						"chdev audit: ring slot leak on %d -> %d: %d reserved, %d arrived",
+						d.rank, c.peer, got, want)
 				}
+				if got, want := c.ringOut.HeadSeen(), rc.ringIn.HeadSent(); got != want {
+					return fmt.Errorf(
+						"chdev audit: ring head skew on %d -> %d: sender saw %d, receiver sent %d",
+						d.rank, c.peer, got, want)
+				}
+			}
+			if d.params.UserLevel() {
+				// The conservation law of the credit-based schemes. It
+				// holds through dynamic growth (new buffers mint owed
+				// credit) and shrink (buffer and credit destroyed
+				// together).
+				if got, want := c.vc.Credits()+rc.vc.Owed(), rc.vc.Posted(); got != want {
+					return fmt.Errorf(
+						"chdev audit: credit leak on %d -> %d: credits %d + owed %d = %d, posted %d",
+						d.rank, c.peer, c.vc.Credits(), rc.vc.Owed(), got, want)
+				}
+			}
+			ss, rs := c.qp.Stats(), rc.qp.Stats()
+			if ss.MsgsSent != rs.Delivered {
+				return fmt.Errorf(
+					"chdev audit: message loss on %d -> %d: %d sent, %d delivered",
+					d.rank, c.peer, ss.MsgsSent, rs.Delivered)
 			}
 		}
 	}

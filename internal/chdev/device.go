@@ -1,8 +1,10 @@
 package chdev
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ibflow/internal/core"
 	"ibflow/internal/debug"
@@ -62,10 +64,11 @@ type rndvOut struct {
 	id      uint64
 	tag     int
 	comm    uint16
+	starved bool // packed beside comm: the struct stays in the 96-byte size class
+	conn    *conn
 	data    []byte
 	mr      *ib.MR // registered source region (ring scheme: RTS carries its id)
 	token   any
-	starved bool
 	peerReq uint64
 	start   sim.Time // when the rendezvous began, for the latency histogram
 }
@@ -107,13 +110,11 @@ type backlogEntry struct {
 // each with independent scheme state; the classic device is the
 // single-endpoint special case.
 type conn struct {
-	peer     int
-	ep       int // index within the peer's endpoint set
-	qp       *ib.QP
-	vc       *core.VC
-	backlog  fifo[backlogEntry]
-	sendRndv map[uint64]*rndvOut
-	recvRndv map[uint64]*RndvIn
+	peer    int
+	ep      int // index within the peer's endpoint set
+	qp      *ib.QP
+	vc      *core.VC
+	backlog fifo[backlogEntry]
 
 	// occ / occHWM track this endpoint's outstanding work requests
 	// (send contexts in flight), the per-endpoint occupancy the
@@ -243,7 +244,12 @@ type Device struct {
 
 	pool   *mem.BufPool
 	regs   *mem.RegCache
-	groups []*epGroup // per-peer endpoint sets, nil until established
+	groups []*epGroup // per-peer endpoint sets, nil until established: the O(1) send-side lookup
+	// live is the connection table: every established endpoint in
+	// (peer, ep) order. Everything that visits connections — the progress
+	// sweep, credit flush, stats, audit — walks it, so a pass costs the
+	// connections that exist, not the job size. addConn is its only writer.
+	live   []*conn
 	qpConn map[*ib.QP]*conn
 	peers  []*Device
 
@@ -263,9 +269,12 @@ type Device struct {
 	rndvSeq  uint64
 	sendCtxs map[uint64]sendCtx
 	recvCtxs map[uint64]recvSlot
+	// Rendezvous in flight, keyed by rndvSeq ids (unique per device, so
+	// one table serves every connection; each entry names its conn).
+	sendRndv map[uint64]*rndvOut
+	recvRndv map[uint64]*RndvIn
 
-	setups   int // on-demand connection setups initiated
-	handling int // completions popped off the CQ but not fully processed
+	setups int // on-demand connection setups initiated
 
 	// progress is the device's bound-handler progress engine; gate parks
 	// the rank's process for the duration of a blocking progress session
@@ -319,6 +328,8 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		qpConn:   make(map[*ib.QP]*conn),
 		sendCtxs: make(map[uint64]sendCtx),
 		recvCtxs: make(map[uint64]recvSlot),
+		sendRndv: make(map[uint64]*rndvOut),
+		recvRndv: make(map[uint64]*RndvIn),
 		rndvHist: cfg.Metrics.Histogram("chdev_rndv_ns", metrics.TimeBuckets,
 			metrics.RankLabel(rank)),
 	}
@@ -397,18 +408,15 @@ type EPStats struct {
 
 // EndpointStats reports the device's endpoint-set counters.
 func (d *Device) EndpointStats() EPStats {
-	s := EPStats{Endpoints: d.epN}
-	for _, g := range d.groups {
-		if g == nil {
-			continue
+	s := EPStats{Endpoints: d.epN, Active: len(d.live)}
+	for _, c := range d.live {
+		if c.ep == 0 { // once per peer: selection counters live on the group
+			g := d.groups[c.peer]
+			s.StickySels += g.selSticky
+			s.RRSels += g.selRR
 		}
-		s.StickySels += g.selSticky
-		s.RRSels += g.selRR
-		for _, c := range g.eps {
-			s.Active++
-			if c.occHWM > s.OccupancyHWM {
-				s.OccupancyHWM = c.occHWM
-			}
+		if c.occHWM > s.OccupancyHWM {
+			s.OccupancyHWM = c.occHWM
 		}
 	}
 	return s
@@ -425,15 +433,20 @@ func (d *Device) BindThread(tid int) {
 	d.curTID = tid
 }
 
-// connAt flattens the endpoint sets into one peer-major index space of
-// size*epN entries, preserving the pre-endpoint sweep order at set
-// size 1. Unestablished peers yield nil.
-func (d *Device) connAt(idx int) *conn {
-	g := d.groups[idx/d.epN]
-	if g == nil {
-		return nil
+// addConn enters a freshly established endpoint into the live list at
+// its (peer, ep) position; static wiring only ever appends. A peer's
+// establish can land here while this device's sweep is parked on a
+// staged charge, so the sweep cursor moves with the connection it names:
+// an endpoint inserted at or before the cursor is skipped this pass, one
+// after it is still visited — the order a peer-major index space gives.
+func (d *Device) addConn(c *conn) {
+	i, _ := slices.BinarySearchFunc(d.live, c, func(l, c *conn) int {
+		return cmp.Or(cmp.Compare(l.peer, c.peer), cmp.Compare(l.ep, c.ep))
+	})
+	d.live = slices.Insert(d.live, i, c)
+	if i <= d.progress.connIdx {
+		d.progress.connIdx++
 	}
-	return g.eps[idx%d.epN]
 }
 
 // epAt returns endpoint ep of the set toward peer, or nil if the peer
@@ -528,14 +541,14 @@ func establish(a, b *Device) *epGroup {
 	a.groups[b.rank] = ga
 	b.groups[a.rank] = gb
 	for ep := 0; ep < epN; ep++ {
-		ca := &conn{peer: b.rank, ep: ep, qp: qas[ep], vc: core.NewVC(&a.params),
-			sendRndv: make(map[uint64]*rndvOut), recvRndv: make(map[uint64]*RndvIn)}
-		cb := &conn{peer: a.rank, ep: ep, qp: qbs[ep], vc: core.NewVC(&b.params),
-			sendRndv: make(map[uint64]*rndvOut), recvRndv: make(map[uint64]*RndvIn)}
+		ca := &conn{peer: b.rank, ep: ep, qp: qas[ep], vc: core.NewVC(&a.params)}
+		cb := &conn{peer: a.rank, ep: ep, qp: qbs[ep], vc: core.NewVC(&b.params)}
 		ca.reissue.c = ca
 		cb.reissue.c = cb
 		ga.eps[ep] = ca
 		gb.eps[ep] = cb
+		a.addConn(ca)
+		b.addConn(cb)
 		a.qpConn[qas[ep]] = ca
 		b.qpConn[qbs[ep]] = cb
 		// Each direction of each endpoint is a distinct metric series;
@@ -972,9 +985,9 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 // outgoing rendezvous state.
 func (d *Device) newRndvOut(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any, starved bool) *rndvOut {
 	d.rndvSeq++
-	out := &rndvOut{id: d.rndvSeq, tag: tag, comm: comm, data: data, token: token,
-		starved: starved, start: d.eng.Now()}
-	c.sendRndv[out.id] = out
+	out := &rndvOut{id: d.rndvSeq, tag: tag, comm: comm, starved: starved, conn: c,
+		data: data, token: token, start: d.eng.Now()}
+	d.sendRndv[out.id] = out
 	if len(data) > 0 {
 		mr, cost := d.regs.Register(data)
 		out.mr = mr
@@ -1088,7 +1101,7 @@ func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, re
 	c := r.conn
 	d.rndvSeq++
 	r.myReq = d.rndvSeq
-	c.recvRndv[r.myReq] = r
+	d.recvRndv[r.myReq] = r
 
 	h = Header{
 		Type:      PktCTS,
@@ -1250,15 +1263,10 @@ func (d *Device) debugCheckConn(c *conn) {
 // nothing else to say to the peer.
 func (d *Device) flushCredits() bool {
 	did := false
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			c.vc.MaybeShrink(d.eng.Now())
-			if c.needReturn() && d.maybeSendReturn(c) {
-				did = true
-			}
+	for _, c := range d.live {
+		c.vc.MaybeShrink(d.eng.Now())
+		if c.needReturn() && d.maybeSendReturn(c) {
+			did = true
 		}
 	}
 	return did
@@ -1319,17 +1327,12 @@ func (d *Device) WaitProgress(p *sim.Proc, done func() bool) {
 // the backlog reach the wire even if the application makes no further MPI
 // calls.
 func (d *Device) Quiescent() bool {
-	if len(d.sendCtxs) > 0 {
+	if len(d.sendCtxs) > 0 || len(d.sendRndv) > 0 {
 		return false
 	}
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			if c.backlog.Len() > 0 || len(c.sendRndv) > 0 {
-				return false
-			}
+	for _, c := range d.live {
+		if c.backlog.Len() > 0 {
+			return false
 		}
 	}
 	return true
@@ -1342,49 +1345,9 @@ func (d *Device) Poke(p *sim.Proc) {
 	d.flushCredits()
 }
 
-// PendingCompletions reports completions waiting on the device's CQ.
-// The end-of-run settlement loop uses it to know in-flight work remains.
+// PendingCompletions reports completions waiting on the device's CQ
+// (at the end of a settled run the audit expects none).
 func (d *Device) PendingCompletions() int { return d.cq.Len() }
-
-// Busy reports that a completion has been polled but its handler has not
-// finished (it is sleeping out a software overhead). The settlement
-// detector must treat such a device as active: the handler may still
-// apply credits, drain a backlog or queue an explicit credit message.
-func (d *Device) Busy() bool { return d.handling > 0 }
-
-// CreditFlushPending reports whether any connection still owes enough
-// credits (or ring head) to require an explicit return message. Until
-// this clears, the job is not settled: a cross-rank audit would see the
-// owed credits as in flight.
-func (d *Device) CreditFlushPending() bool {
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			if c.needReturn() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Degraded reports whether any connection is currently in degraded mode
-// (frozen QP awaiting re-issue).
-func (d *Device) Degraded() bool {
-	for _, g := range d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			if c.degraded {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // retireSend dispatches a send or RDMA-write completion: release the
 // pool buffer, or finish the rendezvous whose payload write completed.
@@ -1408,7 +1371,7 @@ func (d *Device) retireSend(wc ib.WC) {
 		d.pool.Put(ctx.buf)
 	case ctxRndvData:
 		d.sendFin(ctx.conn, ctx.out.peerReq)
-		delete(ctx.conn.sendRndv, ctx.out.id)
+		delete(d.sendRndv, ctx.out.id)
 		d.rndvHist.ObserveTime(d.eng.Now() - ctx.out.start)
 		d.handler.SendDone(ctx.out.token)
 	case ctxRndvRead:
@@ -1453,43 +1416,37 @@ func (re *reissueEvent) OnEvent(uint64) {
 
 // Stats aggregates the device's counters.
 func (d *Device) Stats() Stats {
-	s := Stats{Rank: d.rank, RegHits: d.regs.Hits(), RegMisses: d.regs.Misses()}
-	for _, g := range d.groups {
-		if g == nil {
-			continue
+	s := Stats{Rank: d.rank, Conns: len(d.live), RegHits: d.regs.Hits(), RegMisses: d.regs.Misses()}
+	for _, c := range d.live {
+		vs := c.vc.Stats()
+		s.MsgsSent += vs.MsgsSent
+		s.EagerSent += vs.EagerSent
+		s.Demoted += vs.Demoted
+		s.Backlogged += vs.Backlogged
+		s.ECMsSent += vs.ECMsSent
+		s.GrowthEvents += vs.GrowthEvents
+		s.ShrinkEvents += vs.ShrinkEvents
+		if vs.MaxPosted > s.MaxPosted {
+			s.MaxPosted = vs.MaxPosted
 		}
-		for _, c := range g.eps {
-			s.Conns++
-			vs := c.vc.Stats()
-			s.MsgsSent += vs.MsgsSent
-			s.EagerSent += vs.EagerSent
-			s.Demoted += vs.Demoted
-			s.Backlogged += vs.Backlogged
-			s.ECMsSent += vs.ECMsSent
-			s.GrowthEvents += vs.GrowthEvents
-			s.ShrinkEvents += vs.ShrinkEvents
-			if vs.MaxPosted > s.MaxPosted {
-				s.MaxPosted = vs.MaxPosted
+		s.Reissues += vs.Reissues
+		s.ECMsDropped += vs.ECMsDropped
+		s.ECMsDuplicated += vs.ECMsDuplicated
+		qs := c.qp.Stats()
+		s.RNRNaks += qs.RNRNaks
+		s.Retransmits += qs.Retransmits
+		s.WastedBytes += qs.WastedBytes
+		s.RNRExhausted += qs.RNRExhausted
+		if c.ringIn != nil {
+			rs := c.ringIn.Stats()
+			s.RingSyncs += uint64(rs.Syncs)
+			if rs.OccupancyHWM > s.RingOccupancyHWM {
+				s.RingOccupancyHWM = rs.OccupancyHWM
 			}
-			s.Reissues += vs.Reissues
-			s.ECMsDropped += vs.ECMsDropped
-			s.ECMsDuplicated += vs.ECMsDuplicated
-			qs := c.qp.Stats()
-			s.RNRNaks += qs.RNRNaks
-			s.Retransmits += qs.Retransmits
-			s.WastedBytes += qs.WastedBytes
-			s.RNRExhausted += qs.RNRExhausted
-			if c.ringIn != nil {
-				rs := c.ringIn.Stats()
-				s.RingSyncs += uint64(rs.Syncs)
-				if rs.OccupancyHWM > s.RingOccupancyHWM {
-					s.RingOccupancyHWM = rs.OccupancyHWM
-				}
-			}
-			if c.ringOut != nil {
-				if o := c.ringOut.Stats().OccupancyHWM; o > s.RingOccupancyHWM {
-					s.RingOccupancyHWM = o
-				}
+		}
+		if c.ringOut != nil {
+			if o := c.ringOut.Stats().OccupancyHWM; o > s.RingOccupancyHWM {
+				s.RingOccupancyHWM = o
 			}
 		}
 	}

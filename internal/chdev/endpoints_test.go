@@ -184,19 +184,15 @@ func TestEndpointRingScheme(t *testing.T) {
 			d0.BindThread(i % 2)
 			d0.Send(p, 1, i, 0, []byte{byte(i)}, i, true)
 		}
-		// Drain until both endpoints' rings are fully credited back and
-		// the head-sync completions are polled, so the audit sees a
-		// settled pair.
-		d0.WaitProgress(p, func() bool {
-			return d0.Quiescent() && d0.PendingCompletions() == 0 &&
-				d0.epAt(1, 0).ringOut.Free() == 4 && d0.epAt(1, 1).ringOut.Free() == 4
-		})
+		// Detached, both devices keep draining until the rings are fully
+		// credited back and the head-sync completions are polled: the
+		// engine's empty queue hands the audit a settled pair.
+		d0.WaitProgress(p, d0.Quiescent)
+		d0.Detach()
 	})
 	eng.Go("receiver", func(p *sim.Proc) {
-		d1.WaitProgress(p, func() bool {
-			return len(h1.eager) == 8 && d1.Quiescent() &&
-				!d1.CreditFlushPending() && d1.PendingCompletions() == 0
-		})
+		d1.WaitProgress(p, func() bool { return len(h1.eager) == 8 && d1.Quiescent() })
+		d1.Detach()
 	})
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
@@ -204,6 +200,9 @@ func TestEndpointRingScheme(t *testing.T) {
 	for ep := 0; ep < 2; ep++ {
 		if got := d0.epAt(1, ep).ringOut.Tail(); got != 4 {
 			t.Errorf("endpoint %d reserved %d ring slots, want 4", ep, got)
+		}
+		if got := d0.epAt(1, ep).ringOut.Free(); got != 4 {
+			t.Errorf("endpoint %d has %d ring slots credited back, want 4", ep, got)
 		}
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {

@@ -71,7 +71,8 @@ type progressMachine struct {
 	// old ProgressOnce return value.
 	did bool
 	// pred, when non-nil, makes the session a WaitProgress loop: passes
-	// repeat (blocking on the armed CQ when idle) until pred holds.
+	// repeat (blocking on the armed CQ when idle) until pred holds. A
+	// detached session's pred never holds.
 	pred func() bool
 
 	// In-flight packet, valid from pcPktCredits through pcPktTail.
@@ -93,7 +94,8 @@ type progressMachine struct {
 	drainRTS   []byte
 	afterDrain pstate
 
-	// Conn-sweep cursor (pcConns/pcConnsCheck).
+	// Conn-sweep cursor into Device.live (pcConns/pcConnsCheck); addConn
+	// keeps it on the same connection across an insertion.
 	connIdx int
 }
 
@@ -117,6 +119,25 @@ func (d *Device) progressSession(p *sim.Proc, pred func() bool) bool {
 		d.gate.Wait(p)
 	}
 	return m.did
+}
+
+// Detach starts an open-ended session that no process owns: the first
+// pass runs inline on the caller, then the machine drains its own armed
+// CQ — poll until empty, flush owed credits, re-arm, sleep — for as long
+// as completions keep arriving. A finished rank detaches its device so
+// late arrivals (credits, FINs, re-issued streams) are still processed;
+// everything the machine waits on is an event, so the job has settled
+// exactly when the engine's queue drains. The device accepts no further
+// progress calls.
+func (d *Device) Detach() {
+	m := &d.progress
+	if m.active {
+		panic(fmt.Sprintf("chdev: rank %d: detach inside a progress session", d.rank))
+	}
+	m.active = true
+	m.pred = func() bool { return false }
+	m.startPass()
+	m.step()
 }
 
 // OnEvent implements sim.Handler: every staged charge and every CQ
@@ -186,15 +207,9 @@ func (m *progressMachine) step() {
 				continue
 			}
 			m.did = true
-			// Handlers charge software overheads, so other processes
-			// can observe the device between Poll and the handler's
-			// effects; Busy keeps that window visible to the
-			// settlement detector.
-			d.handling++
 			switch wc.Opcode {
 			case ib.OpSendComplete, ib.OpWriteComplete, ib.OpReadComplete:
 				d.retireSend(wc)
-				d.handling--
 				continue
 			case ib.OpRecvComplete:
 				slot, ok := d.recvCtxs[wc.WRID]
@@ -307,14 +322,14 @@ func (m *progressMachine) step() {
 				}
 				continue
 			case PktCTS:
-				out, ok := m.c.sendRndv[m.hdr.ReqID]
-				if !ok {
+				out, ok := d.sendRndv[m.hdr.ReqID]
+				if !ok || out.conn != m.c {
 					panic("chdev: CTS for unknown rendezvous")
 				}
 				out.peerReq = m.hdr.PeerReqID
 				if len(out.data) == 0 {
 					d.sendFin(m.c, out.peerReq)
-					delete(m.c.sendRndv, out.id)
+					delete(d.sendRndv, out.id)
 					d.rndvHist.ObserveTime(d.eng.Now() - out.start)
 					d.handler.SendDone(out.token)
 				} else {
@@ -331,21 +346,21 @@ func (m *progressMachine) step() {
 				if d.params.RingChannel() {
 					// Ring rendezvous FIN travels receiver -> sender:
 					// the RDMA read finished, the source buffer is free.
-					out, ok := m.c.sendRndv[m.hdr.ReqID]
-					if !ok {
+					out, ok := d.sendRndv[m.hdr.ReqID]
+					if !ok || out.conn != m.c {
 						panic("chdev: FIN for unknown rendezvous")
 					}
-					delete(m.c.sendRndv, out.id)
+					delete(d.sendRndv, out.id)
 					d.rndvHist.ObserveTime(d.eng.Now() - out.start)
 					d.handler.SendDone(out.token)
 					m.pc = pcPktTail
 					continue
 				}
-				r, ok := m.c.recvRndv[m.hdr.ReqID]
-				if !ok {
+				r, ok := d.recvRndv[m.hdr.ReqID]
+				if !ok || r.conn != m.c {
 					panic("chdev: FIN for unknown rendezvous")
 				}
-				delete(m.c.recvRndv, m.hdr.ReqID)
+				delete(d.recvRndv, m.hdr.ReqID)
 				d.handler.DeliverRndvDone(r)
 				m.pc = pcPktTail
 			case PktCredit:
@@ -395,7 +410,6 @@ func (m *progressMachine) step() {
 			} else {
 				d.prov.processed(m.c, m.buf, m.hdr.Flags&FlagCredit != 0)
 			}
-			d.handling--
 			m.c, m.buf = nil, nil
 			m.pc = pcPoll
 
@@ -422,13 +436,10 @@ func (m *progressMachine) step() {
 			m.pc = pcDrain
 
 		case pcConns:
-			// The sweep walks the flattened peer-major endpoint index
-			// space; at set size 1 the order is the old per-peer one.
-			for m.connIdx < d.size*d.epN && d.connAt(m.connIdx) == nil {
-				m.connIdx++
-			}
-			if m.connIdx < d.size*d.epN {
-				m.startDrain(d.connAt(m.connIdx), pcConnsCheck)
+			// The sweep walks the live list: only the connections that
+			// exist, in (peer, ep) order.
+			if m.connIdx < len(d.live) {
+				m.startDrain(d.live[m.connIdx], pcConnsCheck)
 				continue
 			}
 			// End of pass: the old loop's post-ProgressOnce decisions.
@@ -463,7 +474,7 @@ func (m *progressMachine) step() {
 			return
 
 		case pcConnsCheck:
-			d.debugCheckConn(d.connAt(m.connIdx))
+			d.debugCheckConn(d.live[m.connIdx])
 			m.connIdx++
 			m.pc = pcConns
 		}

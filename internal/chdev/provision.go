@@ -72,26 +72,16 @@ func (cp *connProvisioner) processed(c *conn, buf []byte, consumedCredit bool) {
 
 func (cp *connProvisioner) posted() int {
 	n := 0
-	for _, g := range cp.d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			n += c.vc.Posted()
-		}
+	for _, c := range cp.d.live {
+		n += c.vc.Posted()
 	}
 	return n
 }
 
 func (cp *connProvisioner) postedHWMBytes() int {
 	n := 0
-	for _, g := range cp.d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			n += c.vc.Stats().MaxPosted
-		}
+	for _, c := range cp.d.live {
+		n += c.vc.Stats().MaxPosted
 	}
 	return n * cp.d.cfg.BufSize
 }
@@ -130,14 +120,7 @@ func (rp *ringProvisioner) processed(c *conn, buf []byte, consumedCredit bool) {
 }
 
 func (rp *ringProvisioner) posted() int {
-	n := 0
-	for _, g := range rp.d.groups {
-		if g == nil {
-			continue
-		}
-		n += len(g.eps) * rp.d.cfg.CtrlPrepost
-	}
-	return n
+	return len(rp.d.live) * rp.d.cfg.CtrlPrepost
 }
 
 // postedHWMBytes counts the pinned ring slots alongside the control
@@ -145,14 +128,7 @@ func (rp *ringProvisioner) posted() int {
 // connection's lifetime, and the sum is what the scaling benchmark
 // plots. It is also the high-water mark — the ring never grows.
 func (rp *ringProvisioner) postedHWMBytes() int {
-	n := 0
-	for _, g := range rp.d.groups {
-		if g == nil {
-			continue
-		}
-		n += len(g.eps) * (rp.d.params.Prepost*rp.d.params.SlotBytes + rp.d.cfg.CtrlPrepost*rp.d.cfg.BufSize)
-	}
-	return n
+	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + rp.d.cfg.CtrlPrepost*rp.d.cfg.BufSize)
 }
 
 // audit checks each endpoint's ring laws at quiescence: the counter
@@ -160,17 +136,12 @@ func (rp *ringProvisioner) postedHWMBytes() int {
 // full consumption — every arrived slot was consumed, so head == tail on
 // the inbound view.
 func (rp *ringProvisioner) audit() error {
-	for _, g := range rp.d.groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.eps {
-			c.ringIn.CheckInvariants()
-			c.ringOut.CheckInvariants()
-			if h, t := c.ringIn.Head(), c.ringIn.Tail(); h != t {
-				return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
-					rp.d.rank, c.peer, c.ep, int32(t-h))
-			}
+	for _, c := range rp.d.live {
+		c.ringIn.CheckInvariants()
+		c.ringOut.CheckInvariants()
+		if h, t := c.ringIn.Head(), c.ringIn.Tail(); h != t {
+			return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
+				rp.d.rank, c.peer, c.ep, int32(t-h))
 		}
 	}
 	return nil

@@ -97,22 +97,80 @@ func TestMetricsDumpDeterminism(t *testing.T) {
 // readers like everything else, so sampling them must be free too.
 func TestMetricsDoNotChangeMakespan(t *testing.T) {
 	for _, fc := range []core.Params{core.Dynamic(1, 64), core.Shared(4, 64)} {
-		fc := fc
-		t.Run(fc.Kind.String(), func(t *testing.T) {
-			mk := func(instrument bool) sim.Time {
-				opts := DefaultOptions(fc)
-				if instrument {
-					opts.Metrics = metrics.New()
+		for _, settle := range []bool{false, true} {
+			name := fc.Kind.String()
+			if settle {
+				name += "-settle"
+			}
+			t.Run(name, func(t *testing.T) {
+				mk := func(instrument bool) sim.Time {
+					opts := DefaultOptions(fc)
+					opts.Settle = settle
+					if instrument {
+						opts.Metrics = metrics.New()
+					}
+					return runInstrumented(t, opts, 3).Time()
 				}
-				return runInstrumented(t, opts, 3).Time()
+				plain := mk(false)
+				instrumented := mk(true)
+				if plain != instrumented {
+					t.Errorf("instrumentation changed the makespan: %v (plain) != %v (instrumented)",
+						plain, instrumented)
+				}
+			})
+		}
+	}
+}
+
+// TestMetricsUnderSettle: a settling job's ranks exit before its last
+// event, so the sampler goes quiet at the last exit and takes its final
+// sample after the drain. The series must still end with end-of-run
+// state — last sample at the makespan, final counter samples equal to
+// the stats read after Run — and mpi_settle_ns must hold exactly one
+// observation per rank, none longer than the job.
+func TestMetricsUnderSettle(t *testing.T) {
+	const n = 3
+	opts := DefaultOptions(core.Dynamic(1, 64))
+	opts.Settle = true
+	opts.Metrics = metrics.New()
+	w := runInstrumented(t, opts, n)
+	if err := w.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	d := w.Metrics().Snapshot()
+	if got := sim.Time(d.SampleNS[len(d.SampleNS)-1]); got != w.Time() {
+		t.Errorf("last sample at %v, want the makespan %v", got, w.Time())
+	}
+	final := map[string]uint64{}
+	for i := range d.Metrics {
+		m := &d.Metrics[i]
+		if m.Name == "mpi_settle_ns" {
+			if m.Value != n {
+				t.Errorf("mpi_settle_ns holds %d observations, want one per rank (%d)", m.Value, n)
 			}
-			plain := mk(false)
-			instrumented := mk(true)
-			if plain != instrumented {
-				t.Errorf("instrumentation changed the makespan: %v (plain) != %v (instrumented)",
-					plain, instrumented)
+			if m.Min < 0 || sim.Time(m.Max) > w.Time() {
+				t.Errorf("mpi_settle_ns range [%d, %d] ns outside the %v job", m.Min, m.Max, w.Time())
 			}
-		})
+		}
+		if m.Kind == "counter" {
+			final[m.Name] += uint64(m.Series[len(m.Series)-1])
+		}
+	}
+	st := w.Stats()
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"fc_msgs_sent", st.MsgsSent}, {"fc_eager_sent", st.EagerSent}, {"fc_ecms_sent", st.ECMsSent},
+		{"fc_backlogged", st.Backlogged}, {"ib_rnr_naks", st.RNRNaks},
+		{"sim_events_fired", w.Engine().EventsFired()},
+	} {
+		if final[c.name] != c.want {
+			t.Errorf("final %s samples sum to %d, end-of-run value is %d", c.name, final[c.name], c.want)
+		}
+	}
+	if st.ECMsSent == 0 {
+		t.Error("workload sent no explicit credit message: nothing trailed finalize")
 	}
 }
 

@@ -43,6 +43,7 @@ type Rank struct {
 	idx         int
 	dev         *chdev.Device
 	proc        *sim.Proc
+	detached    sim.Time   // Options.Settle: when the rank left finalize and detached its device
 	postedRecvs []*Request // posted receives, in post order
 	unex        []unexEntry
 	maxUnex     int

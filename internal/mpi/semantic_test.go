@@ -39,21 +39,22 @@ type semanticGolden struct {
 	MetricKeys string `json:"metric_keys_digest"`
 }
 
+// semanticCell is one pinned world.
+type semanticCell struct {
+	name string
+	fc   core.Params
+	mut  func(*Options)
+}
+
 // semanticCells enumerates the pinned worlds: all five schemes (the ring
 // scheme is the RDMA eager channel) and the on-demand connection path.
 // One fixed seed per cell — determinism of
 // the engine (same world, same bytes) is already pinned by the torture
-// rerun tests; this file pins identity across the migration.
-func semanticCells() []struct {
-	name string
-	fc   core.Params
-	mut  func(*Options)
-} {
-	return []struct {
-		name string
-		fc   core.Params
-		mut  func(*Options)
-	}{
+// rerun tests; this file pins identity across the migration. Every cell
+// settles and is audited; TestSemanticGoldens also pins each one's
+// Settle-off twin.
+func semanticCells() []semanticCell {
+	return []semanticCell{
 		{"hardware", core.Hardware(2), nil},
 		{"static", core.Static(2), nil},
 		{"dynamic", core.Dynamic(1, 64), nil},
@@ -61,6 +62,18 @@ func semanticCells() []struct {
 		{"rdma", core.RDMA(4, 1024), nil},
 		{"dynamic-ondemand", core.Dynamic(1, 64), func(o *Options) { o.Chan.OnDemand = true }},
 	}
+}
+
+// noSettle is the cell's Settle-off twin: the same faulty world ending
+// at MPI_Finalize, unaudited. The twins pin what a change to the
+// settlement mechanism must not move — everything up to finalize.
+func (c semanticCell) noSettle() semanticCell {
+	return semanticCell{c.name + "-nosettle", c.fc, func(o *Options) {
+		if c.mut != nil {
+			c.mut(o)
+		}
+		o.Settle = false
+	}}
 }
 
 // digestFaultRun folds everything a migration must preserve into one
@@ -102,7 +115,11 @@ func TestSemanticGoldens(t *testing.T) {
 	const seed = 0x5eed7
 	path := filepath.Join("testdata", "semantic_goldens.json")
 	got := map[string]semanticGolden{}
+	cells := semanticCells()
 	for _, cell := range semanticCells() {
+		cells = append(cells, cell.noSettle())
+	}
+	for _, cell := range cells {
 		res, err := faultTortureVariant(cell.fc, seed, cell.mut)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)

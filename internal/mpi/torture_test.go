@@ -224,6 +224,7 @@ func faultTortureOpts(fc core.Params, seed uint64, tracer *trace.Buffer) Options
 // faultRunResult snapshots everything a rerun must reproduce bit-identically.
 type faultRunResult struct {
 	makespan    sim.Time
+	firstExit   sim.Time // when the first rank left finalize (not part of the digest)
 	stats       chdev.Stats
 	fstats      fault.Stats
 	events      []trace.Event
@@ -242,7 +243,9 @@ func faultTorture(fc core.Params, seed uint64) (faultRunResult, error) {
 
 // faultTortureVariant is faultTorture with an Options mutator applied on
 // top of the fault configuration, so channel variants (endpoint sets,
-// on-demand connections) run under the identical fault mix.
+// on-demand connections) run under the identical fault mix. A variant
+// that turns Settle off is not audited: an unsettled job may still have
+// credits in flight.
 func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (faultRunResult, error) {
 	const n, count = 4, 40
 	tracer := trace.NewBuffer(1 << 14)
@@ -252,6 +255,7 @@ func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (fault
 	}
 	sched := tortureSchedule(n, count, seed^0xf001)
 	w := NewWorld(n, opts)
+	firstExit := sim.MaxTime
 	err := w.Run(func(c *Comm) {
 		me := c.Rank()
 		var reqs []*Request
@@ -281,12 +285,18 @@ func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (fault
 					i, m.src, m.tag, m.size))
 			}
 		}
+		// Run finalize's wait here, where its end can be observed; the
+		// one World.Run issues after main then returns without a pass.
+		c.r.dev.WaitProgress(c.r.proc, c.r.dev.Quiescent)
+		firstExit = min(firstExit, c.Time())
 	})
 	if err != nil {
 		return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", fc.Kind, seed, err)
 	}
-	if err := w.Audit(); err != nil {
-		return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", fc.Kind, seed, err)
+	if opts.Settle {
+		if err := w.Audit(); err != nil {
+			return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", fc.Kind, seed, err)
+		}
 	}
 	var mbuf bytes.Buffer
 	if err := w.Metrics().WriteJSON(&mbuf); err != nil {
@@ -294,6 +304,7 @@ func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (fault
 	}
 	return faultRunResult{
 		makespan:    w.Time(),
+		firstExit:   firstExit,
 		stats:       w.Stats(),
 		fstats:      opts.Faults.Stats(),
 		events:      tracer.Events(),

@@ -35,11 +35,13 @@ type Options struct {
 	// into the whole job (it is wired into both IB.Faults and
 	// Chan.Faults by NewWorld).
 	Faults *fault.Plan
-	// Settle extends finalize with a termination-detection phase: ranks
-	// keep running the progress engine until every device is quiescent
-	// with no pending completions and no owed-credit flush outstanding.
-	// Audit requires a settled job; perf runs leave this off so their
-	// makespans stay comparable.
+	// Settle extends finalize with termination detection: a finished
+	// rank leaves its device's progress engine running detached, so late
+	// credits, FINs and re-issued streams are still processed, and Run
+	// returns when the event queue has drained — every device quiescent,
+	// every completion polled, every owed credit flushed. Audit requires
+	// a settled job; perf runs leave this off so their makespans stay
+	// comparable.
 	Settle bool
 	// Metrics, when non-nil, attaches the deterministic metrics registry
 	// to the whole job: NewWorld wires it into Chan.Metrics and
@@ -65,12 +67,11 @@ func DefaultOptions(fc core.Params) Options {
 
 // World is a simulated MPI job: n ranks on n nodes of one fabric.
 type World struct {
-	eng      *sim.Engine
-	fabric   *ib.Fabric
-	ranks    []*Rank
-	devs     []*chdev.Device
-	opts     Options
-	settling int // ranks that have finished main + finalize (Settle barrier)
+	eng    *sim.Engine
+	fabric *ib.Fabric
+	ranks  []*Rank
+	devs   []*chdev.Device
+	opts   Options
 
 	// Job-level histograms, non-nil only when Options.Metrics is set
 	// (their methods are nil-safe).
@@ -138,10 +139,14 @@ func (w *World) Run(main func(c *Comm)) error {
 			// does.
 			r.dev.WaitProgress(p, r.dev.Quiescent)
 			if w.opts.Settle {
-				w.settling++
-				start := p.Now()
-				w.settle(p, r)
-				w.settleHist.ObserveTime(p.Now() - start)
+				// The rank is done but its device is not: peers may still
+				// owe it credits, FINs or a re-issued stream, which an
+				// early exit would leave for the audit to misread as
+				// leaks. Detached, the device keeps draining its own CQ,
+				// and the engine's empty queue is the termination
+				// detector: nothing is in flight once no event is.
+				r.detached = p.Now()
+				r.dev.Detach()
 			}
 			// The last rank out stops the sampler: its armed tick is
 			// cancelled before it could fire past the final real event,
@@ -170,37 +175,15 @@ func (w *World) Run(main func(c *Comm)) error {
 	if w.eng.Pending() > 0 {
 		return fmt.Errorf("mpi: time limit %v exceeded", limit)
 	}
-	return nil
-}
-
-// settle keeps a finished rank's progress engine turning until the whole
-// job is settled: every device quiescent, every completion polled, every
-// owed-credit flush done. Without this, a rank that exits early leaves
-// in-flight credits (ECMs, late arrivals) unprocessed, and the end-of-run
-// audit would misread them as leaks. The predicate is stable once true:
-// it requires every rank to have reached the settle barrier first, so no
-// application-level work can originate after it holds, and Busy covers a
-// peer that already popped a completion but has not applied its effects.
-func (w *World) settle(p *sim.Proc, r *Rank) {
-	const tick = 10 * sim.Microsecond
-	for !w.settled() {
-		r.dev.Poke(p)
-		p.Sleep(tick)
-	}
-}
-
-// settled reports whether no protocol work remains anywhere in the job.
-func (w *World) settled() bool {
-	if w.settling < len(w.ranks) {
-		return false // a rank is still in its main body or finalize
-	}
-	for _, d := range w.devs {
-		if !d.Quiescent() || d.Busy() || d.PendingCompletions() > 0 ||
-			d.CreditFlushPending() || d.Degraded() {
-			return false
+	if w.opts.Settle {
+		// The queue drained: every rank's settle time is now known, and
+		// one more sample ends the series with the settled state.
+		for _, r := range w.ranks {
+			w.settleHist.ObserveTime(w.eng.Now() - r.detached)
 		}
+		w.opts.Metrics.Sample(w.eng.Now())
 	}
-	return true
+	return nil
 }
 
 // Audit runs the chdev end-of-run conservation audit over all devices:
