@@ -101,10 +101,13 @@ metrics-smoke:
 # Settling is free, so the scale cell is also audited on every push: the
 # 128-rank fat-tree storm with on-demand connections settles, passes
 # World.Audit under all five schemes, and Settle adds nothing where
-# nothing was left behind.
+# nothing was left behind. The set-up budget rides along: in the same
+# 128-rank on-demand storm at 2 messages per peer, one connection end
+# costs World.Run at most 12 KB and 16 objects under every scheme — a
+# posted receive is a descriptor and a ring a reservation, not memory.
 scaling-smoke:
 	$(GO) run ./cmd/fcbench -test scaling -quick
-	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run 'TestScalingSteadyAllocGate|TestSettleAddsNothingWhenClean' -v ./internal/bench
+	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run 'TestScalingSteadyAllocGate|TestConnSetupBudget|TestSettleAddsNothingWhenClean' -v ./internal/bench
 
 # endpoints-smoke mirrors the CI step: the endpoint-contention sweep in
 # quick mode must complete and render; an endpoint-instrumented run must

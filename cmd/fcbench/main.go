@@ -28,6 +28,8 @@
 // runDiff); `make bench-diff` runs it against the committed baselines.
 // -pool-metrics adds the buffer pool's health gauges to a -metrics-out
 // dump (they are opt-in so the fcstats key goldens stay byte-stable).
+// They count host buffers in use — packets being staged, sent or
+// processed — not posted receive descriptors, which hold no buffer.
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
 // the run (any -test); both are off unless given.
 package main
@@ -125,7 +127,7 @@ func main() {
 	endpoints := flag.Int("endpoints", 0, "VC/QP endpoints per rank pair (latency/bandwidth; 0 or 1 = classic single connection)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
 	diff := flag.Bool("diff", false, "compare two benchmark JSON documents: fcbench -diff old.json new.json")
-	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump")
+	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump (host buffers in use by packets being staged, sent or processed; posted receive descriptors hold none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof -sample_index=alloc_objects)")
 	flag.Parse()

@@ -64,6 +64,49 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 	}
 }
 
+// TestConnSetupBudget is the set-up twin of the steady-state gate (armed
+// and run the same way): what one connection end costs the host when it
+// is established inside the run. The steady gate differences two traffic
+// volumes, so set-up cancels out of it by construction; this one runs
+// the 128-rank on-demand storm at 2 messages per peer — the repo
+// benchmark's storm_1024 shape — where set-up is nearly all there is,
+// and divides World.Run's TotalAlloc and Mallocs by the connection ends
+// established. A posted receive is a descriptor and a ring a reservation
+// (DESIGN.md, provisioning seam), so an end costs its bookkeeping plus
+// the bytes its two messages actually land in: measured 5.5 KB / 11.3
+// objects (hardware, static, dynamic), 2.3 KB / 9.8 (shared), 9.7 KB /
+// 14.9 (rdma). Backing every pre-posted descriptor and every ring at
+// establishment read 22.7 KB / 15.1 and 31.5 KB / 26.9, and blows the
+// 12 KB / 16 budget.
+func TestConnSetupBudget(t *testing.T) {
+	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
+		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
+	}
+	const ranks, size, fanout, msgs = 128, 256, 24, 2
+	doc := smokeDoc(fanout, ranks)
+	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
+		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+			t.Fatalf("%v: %v", fc.Kind, err)
+		}
+		runtime.ReadMemStats(&after)
+		ends := float64(w.Stats().Conns)
+		if ends == 0 {
+			t.Fatalf("%v: the on-demand storm established nothing", fc.Kind)
+		}
+		bytesPerEnd := float64(after.TotalAlloc-before.TotalAlloc) / ends
+		objsPerEnd := float64(after.Mallocs-before.Mallocs) / ends
+		t.Logf("%v: %.0f connection ends, %.0f B and %.1f objects allocated per end",
+			fc.Kind, ends, bytesPerEnd, objsPerEnd)
+		if bytesPerEnd > 12<<10 || objsPerEnd > 16 {
+			t.Errorf("%v: a connection end costs %.0f B / %.1f objects across World.Run, want <= 12 KB / 16",
+				fc.Kind, bytesPerEnd, objsPerEnd)
+		}
+	}
+}
+
 // TestEndpointsSteadyAllocGate repeats the steady-state allocation gate
 // with a four-endpoint set per rank pair (armed via IBFLOW_ALLOC_GATE,
 // run by `make endpoints-smoke`). Endpoint selection sits on the send

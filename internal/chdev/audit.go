@@ -20,7 +20,13 @@ import "fmt"
 //     checked in ringProvisioner.audit);
 //   - shared-pool scheme: the provisioner's own law — no pooled buffer
 //     in use and the SRQ's free count equal to the pool's accounting
-//     (the pooled analogue of the credit law, see poolProvisioner.audit).
+//     (the pooled analogue of the credit law, see poolProvisioner.audit);
+//   - descriptor conservation on the other two shapes: each connection's
+//     receive queue holds exactly the descriptors its scheme accounts for
+//     (the VC's posted count; the fixed control quota on the ring);
+//   - no host buffer checked out: posted receives are descriptors and
+//     hold none, so at quiescence every staging, packet and landing
+//     buffer is back in the device's pool.
 //
 // It returns a descriptive error naming the first violated invariant, or
 // nil if every law holds.
@@ -43,6 +49,9 @@ func Audit(devs []*Device) error {
 		}
 		if err := d.prov.audit(); err != nil {
 			return err
+		}
+		if n := d.pool.Outstanding(); n != 0 {
+			return fmt.Errorf("chdev audit: rank %d: %d pool buffers still checked out at quiescence", d.rank, n)
 		}
 		for _, c := range d.live {
 			c.vc.CheckInvariants()

@@ -91,7 +91,10 @@ type Config struct {
 	// mirroring the endpoint-metrics gate: the fcstats key goldens pin
 	// the classic inventories byte-identically, so new keys only appear
 	// when explicitly requested (fcstats -allow-new-keys accepts the
-	// strict superset).
+	// strict superset). The gauges count host buffers, not descriptors:
+	// a posted receive holds no buffer, so outstanding / out_hwm read
+	// the packets being staged, sent or processed at once (zero at
+	// quiescence) and allocated the most that ever coexisted.
 	PoolMetrics bool
 
 	// Debug enables per-progress invariant checking.

@@ -91,11 +91,6 @@ type sendCtx struct {
 	attempts int // times re-issued after RNR budget exhaustion
 }
 
-type recvSlot struct {
-	conn *conn
-	buf  []byte
-}
-
 // backlogEntry is a send held back by user-level flow control: either a
 // pre-encoded eager packet or a rendezvous start kept in order behind
 // eager traffic.
@@ -142,9 +137,12 @@ type conn struct {
 	// view of the outgoing direction (tail owned here, peer head learned
 	// from piggybacks); ringIn is the receiver's view of the incoming
 	// one (head owned here, communicated back on reverse traffic).
-	// Position mod slots is the slot: no free/used lists exist.
-	slots    [][]byte       // receiver-side slot views
-	slotsOut []ib.RemoteKey // sender-side remote slot addresses
+	// Position mod slots is the slot: no free/used lists exist, and a
+	// slot's address is arithmetic on its region — slot i of ringMR is the
+	// receive view, (peerMR, i*peerSlot) the send key.
+	ringMR   *ib.MR // this side's inbound region (see allocRing)
+	peerMR   *ib.MR // the peer's inbound region, this side's write target
+	peerSlot int    // the peer's slot size in bytes
 	ringOut  *core.Ring
 	ringIn   *core.Ring
 }
@@ -268,7 +266,6 @@ type Device struct {
 	wridSeq  uint64
 	rndvSeq  uint64
 	sendCtxs map[uint64]sendCtx
-	recvCtxs map[uint64]recvSlot
 	// Rendezvous in flight, keyed by rndvSeq ids (unique per device, so
 	// one table serves every connection; each entry names its conn).
 	sendRndv map[uint64]*rndvOut
@@ -327,7 +324,6 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		groups:   make([]*epGroup, size),
 		qpConn:   make(map[*ib.QP]*conn),
 		sendCtxs: make(map[uint64]sendCtx),
-		recvCtxs: make(map[uint64]recvSlot),
 		sendRndv: make(map[uint64]*rndvOut),
 		recvRndv: make(map[uint64]*RndvIn),
 		rndvHist: cfg.Metrics.Histogram("chdev_rndv_ns", metrics.TimeBuckets,
@@ -345,8 +341,9 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		d.rpool = core.NewPool(&d.params)
 		d.prov = &poolProvisioner{d: d, srq: d.srq, pool: d.rpool}
 		d.srq.SetLimit(d.rpool.Watermark(), d.onPoolLimit)
+		d.pool.Warm()
 		for i := 0; i < d.rpool.Posted(); i++ {
-			d.postSRQBuf(d.pool.Get())
+			d.srq.PostRecvFrom(0, d.pool)
 		}
 		d.rpool.RegisterMetrics(d.cfg.Metrics, rank)
 		d.cfg.Metrics.GaugeFunc("chdev_pool_free",
@@ -483,19 +480,10 @@ func (d *Device) onPoolLimit() {
 	d.tr(trace.PoolLimit, d.rank, int64(d.srq.PostedRecvs()))
 	if grow := d.rpool.OnLimitEvent(d.eng.Now()); grow > 0 {
 		for i := 0; i < grow; i++ {
-			d.postSRQBuf(d.pool.Get())
+			d.srq.PostRecvFrom(0, d.pool)
 		}
 		d.tr(trace.PoolGrew, d.rank, int64(d.rpool.Posted()))
 	}
-}
-
-// postSRQBuf posts a fresh buffer into the shared receive queue. The
-// receive context carries no connection: the consuming QP identifies
-// the connection at arrival time.
-func (d *Device) postSRQBuf(buf []byte) {
-	d.wridSeq++
-	d.recvCtxs[d.wridSeq] = recvSlot{buf: buf}
-	d.srq.PostRecv(d.wridSeq, buf)
 }
 
 // Wire connects a full set of devices: every pair eagerly unless OnDemand
@@ -516,8 +504,8 @@ func Wire(devs []*Device) {
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and
 // virtual channels — between two devices and pre-posts the initial
-// buffers on both sides, returning a's group. Under the ring scheme,
-// pre-posting means allocating persistent slots and exchanging their
+// receive descriptors on both sides, returning a's group. Under the ring
+// scheme, pre-posting means reserving persistent slots and exchanging their
 // addresses (part of connection setup); a small fixed descriptor pool
 // still backs control traffic. All QPs are created first and
 // connected as a set (ib.ConnectSet), then each endpoint's channel
@@ -570,7 +558,7 @@ func establish(a, b *Device) *epGroup {
 		b.prov.provisionConn(cb)
 		if a.params.RingChannel() {
 			// Ring scheme: the provisioner posted the control descriptors;
-			// each side now allocates its inbound slot ring and the peers
+			// each side now reserves its inbound slot ring and the peers
 			// adopt the remote addresses (exchanged during connection setup).
 			mrA := a.allocRing(ca)
 			mrB := b.allocRing(cb)
@@ -581,27 +569,25 @@ func establish(a, b *Device) *epGroup {
 	return ga
 }
 
-// allocRing allocates and registers this side's inbound slot ring on c:
-// a fixed region of Prepost slots of SlotBytes each that the peer will
-// RDMA-write eager packets into. There are no free/used lists — the ring
-// bookkeeping is position arithmetic.
+// allocRing reserves this side's inbound slot ring on c: a fixed region
+// of Prepost slots of SlotBytes each that the peer will RDMA-write eager
+// packets into. There are no free/used lists — the ring bookkeeping is
+// position arithmetic. The region is pinned for the connection's
+// lifetime on the virtual clock (Stats counts it from here on); its host
+// bytes are committed, whole and for good, by the first write that lands
+// in it (ib.HCA.ReserveMemory). It is never served from the buffer pool:
+// the slots are persistent memory, and an overrun must keep corrupting a
+// live payload so that a flow-control bug cannot hide.
 func (d *Device) allocRing(c *conn) *ib.MR {
-	n, sz := d.params.Prepost, d.params.SlotBytes
-	region := make([]byte, n*sz)
-	mr := d.hca.RegisterMemory(region)
-	for i := 0; i < n; i++ {
-		c.slots = append(c.slots, region[i*sz:(i+1)*sz])
-	}
-	c.ringIn = core.NewRing(n)
-	return mr
+	c.ringMR = d.hca.ReserveMemory(d.params.Prepost * d.params.SlotBytes)
+	c.ringIn = core.NewRing(d.params.Prepost)
+	return c.ringMR
 }
 
 // adoptRing installs the peer's inbound ring as this side's outbound
 // one: n remote slots of sz bytes backed by mr, written at (tail mod n).
 func (d *Device) adoptRing(c *conn, mr *ib.MR, n, sz int) {
-	for i := 0; i < n; i++ {
-		c.slotsOut = append(c.slotsOut, ib.RemoteKey{MR: mr, Offset: i * sz})
-	}
+	c.peerMR, c.peerSlot = mr, sz
 	c.ringOut = core.NewRing(n)
 }
 
@@ -699,18 +685,17 @@ func (d *Device) conn(p *sim.Proc, peer int) *conn {
 	return d.selectEP(d.group(p, peer))
 }
 
-// prepost takes n fresh buffers from the pool and posts them as receive
-// descriptors on c.
+// prepost posts n receive descriptors on c. A descriptor names the pool,
+// not a buffer: the bytes are taken when a message lands in it and go
+// back when the packet has been processed (pcPktTail), so what is posted
+// is a count — the one the schemes and Stats account for — and an idle
+// connection holds no buffer. The pool's first slab stays a provisioning
+// cost (see mem.BufPool.Warm).
 func (d *Device) prepost(c *conn, n int) {
+	d.pool.Warm()
 	for i := 0; i < n; i++ {
-		d.postRecvBuf(c, d.pool.Get())
+		c.qp.PostRecvFrom(0, d.pool)
 	}
-}
-
-func (d *Device) postRecvBuf(c *conn, buf []byte) {
-	d.wridSeq++
-	d.recvCtxs[d.wridSeq] = recvSlot{conn: c, buf: buf}
-	c.qp.PostRecv(d.wridSeq, buf)
 }
 
 // postPacket posts an encoded packet of n bytes from a pool buffer.
@@ -900,7 +885,7 @@ func (d *Device) postEagerPacket(c *conn, buf []byte, n int) {
 	d.wridSeq++
 	d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxBuf, buf: buf, conn: c}
 	c.noteOut()
-	c.qp.PostWriteNotify(d.wridSeq, buf[:n], c.slotsOut[slot], uint64(slot))
+	c.qp.PostWriteNotify(d.wridSeq, buf[:n], ib.RemoteKey{MR: c.peerMR, Offset: slot * c.peerSlot}, uint64(slot))
 	c.vc.CountMsg()
 	c.lastSend = d.eng.Now()
 	d.tr(trace.SendEager, c.peer, int64(n))

@@ -48,7 +48,7 @@ const (
 	// pcReadPost (staged: registration): post the ring rendezvous RDMA
 	// read (or finish immediately for a zero-length transfer).
 	pcReadPost
-	// pcPktTail: trace, buffer re-post/retire, next completion.
+	// pcPktTail: trace, buffer release, descriptor re-post, next completion.
 	pcPktTail
 	// pcDrain: advance the current connection's backlog.
 	pcDrain
@@ -211,32 +211,33 @@ func (m *progressMachine) step() {
 			case ib.OpSendComplete, ib.OpWriteComplete, ib.OpReadComplete:
 				d.retireSend(wc)
 				continue
-			case ib.OpRecvComplete:
-				slot, ok := d.recvCtxs[wc.WRID]
-				if !ok {
-					panic("chdev: unknown recv completion")
-				}
-				delete(d.recvCtxs, wc.WRID)
-				m.c = d.prov.arrival(wc, slot)
-				m.buf = slot.buf
-				m.viaRDMA = false
-			case ib.OpRecvImm:
+			case ib.OpRecvComplete, ib.OpRecvImm:
+			default:
+				panic(fmt.Sprintf("chdev: unexpected completion opcode %v", wc.Opcode))
+			}
+			// An arrival's completion names the QP, and the QP the
+			// connection — for every provisioning shape.
+			c, ok := d.qpConn[wc.QP]
+			if !ok {
+				panic("chdev: arrival on unknown QP")
+			}
+			m.c = c
+			m.viaRDMA = wc.Opcode == ib.OpRecvImm
+			if m.viaRDMA {
 				// RDMA eager arrival detected (models memory polling).
-				c, ok := d.qpConn[wc.QP]
-				if !ok {
-					panic("chdev: notify on unknown QP")
-				}
-				m.c = c
 				// Ring arrivals are in-order, so the slot is determined
 				// by the ring tail; the immediate value must agree.
 				slot := c.ringIn.Arrived()
 				if slot != int(wc.Imm) {
 					panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", wc.Imm, slot))
 				}
-				m.buf = c.slots[slot]
-				m.viaRDMA = true
-			default:
-				panic(fmt.Sprintf("chdev: unexpected completion opcode %v", wc.Opcode))
+				sz := d.params.SlotBytes
+				m.buf = c.ringMR.Bytes()[slot*sz : (slot+1)*sz]
+			} else {
+				// The buffer is the one the transport committed when the
+				// message landed; it goes back to the pool at pcPktTail.
+				d.prov.arrival()
+				m.buf = wc.Buf
 			}
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
@@ -408,7 +409,8 @@ func (m *progressMachine) step() {
 				// explicit sync.
 				m.c.ringIn.Consumed()
 			} else {
-				d.prov.processed(m.c, m.buf, m.hdr.Flags&FlagCredit != 0)
+				d.pool.Put(m.buf)
+				d.prov.processed(m.c, m.hdr.Flags&FlagCredit != 0)
 			}
 			m.c, m.buf = nil, nil
 			m.pc = pcPoll

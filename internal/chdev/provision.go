@@ -9,12 +9,19 @@ import (
 )
 
 // recvProvisioner is the device-side half of the receive-provisioning
-// seam: everything the device does with posted receive buffers —
+// seam: everything the device does with posted receive descriptors —
 // creating endpoints, pre-posting at wire-up, accounting an arrival,
 // reposting after processing, and auditing conservation at quiescence —
-// goes through this interface instead of touching QPs directly. Two
-// shapes implement it: per-connection queues (hardware/static/dynamic)
-// and one SRQ-backed pool shared by every connection (core.KindShared).
+// goes through this interface instead of touching QPs directly. Three
+// shapes implement it: per-connection queues (hardware/static/dynamic),
+// one SRQ-backed pool shared by every connection (core.KindShared), and
+// the ring channel's fixed control quota (core.KindRDMA).
+//
+// What a shape posts is a descriptor (ib.QP.PostRecvFrom): a count the
+// scheme accounts for, naming the device's buffer pool. The host bytes
+// exist only from the landing of a message to the end of its processing
+// — the transport takes a buffer when it accepts the message, pcPktTail
+// returns it — so the provisioner never handles a buffer.
 type recvProvisioner interface {
 	// newQP creates a transport endpoint wired to this provisioning
 	// shape (private receive queue or shared SRQ).
@@ -23,13 +30,13 @@ type recvProvisioner interface {
 	// connection; a no-op for the shared shape, whose pool is
 	// provisioned once per device.
 	provisionConn(c *conn)
-	// arrival resolves the connection an arrived packet belongs to and
-	// accounts for the consumed receive descriptor.
-	arrival(wc ib.WC, slot recvSlot) *conn
-	// processed finishes with a consumed buffer: run the receiver-side
-	// accounting, then repost it or retire it to the host pool. Runs in
+	// arrival accounts for the receive descriptor an arrived packet
+	// consumed.
+	arrival()
+	// processed finishes with a consumed descriptor: run the
+	// receiver-side accounting, then repost it or let it lapse. Runs in
 	// event context on the progress machine.
-	processed(c *conn, buf []byte, consumedCredit bool)
+	processed(c *conn, consumedCredit bool)
 	// posted reports receive descriptors currently provisioned
 	// (Stats.SumPosted, the live buffer-memory proxy).
 	posted() int
@@ -56,17 +63,14 @@ func (cp *connProvisioner) provisionConn(c *conn) {
 	cp.d.prepost(c, c.vc.Posted())
 }
 
-func (cp *connProvisioner) arrival(wc ib.WC, slot recvSlot) *conn {
-	return slot.conn
-}
+func (cp *connProvisioner) arrival() {}
 
-func (cp *connProvisioner) processed(c *conn, buf []byte, consumedCredit bool) {
+func (cp *connProvisioner) processed(c *conn, consumedCredit bool) {
 	d := cp.d
 	if c.vc.BufferProcessed(consumedCredit, d.eng.Now()) {
-		d.postRecvBuf(c, buf)
+		c.qp.PostRecvFrom(0, d.pool)
 	} else {
 		d.tr(trace.Shrank, c.peer, int64(c.vc.Posted()))
-		d.pool.Put(buf)
 	}
 }
 
@@ -86,10 +90,29 @@ func (cp *connProvisioner) postedHWMBytes() int {
 	return n * cp.d.cfg.BufSize
 }
 
-// audit returns nil: the per-channel credit conservation law spans two
-// devices (A.credits + B.owed == B.posted) and is checked pairwise in
-// Audit, where both endpoints are in hand.
-func (cp *connProvisioner) audit() error { return nil }
+// audit checks descriptor conservation, the twin of the shared shape's
+// SRQ law: at quiescence every descriptor the VC accounts for is posted
+// on the connection's queue. (The per-channel credit law spans two
+// devices — A.credits + B.owed == B.posted — and is checked pairwise in
+// Audit, where both endpoints are in hand.)
+func (cp *connProvisioner) audit() error {
+	for _, c := range cp.d.live {
+		if err := cp.d.auditPosted(c, c.vc.Posted()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// auditPosted checks that c's receive queue holds exactly want posted
+// descriptors: a repost skipped, or made twice, shows here.
+func (d *Device) auditPosted(c *conn, want int) error {
+	if got := c.qp.PostedRecvs(); got != want {
+		return fmt.Errorf("chdev audit: rank %d peer %d ep %d: receive descriptor leak: queue holds %d posted, accounting says %d",
+			d.rank, c.peer, c.ep, got, want)
+	}
+	return nil
+}
 
 // ringProvisioner is the ring shape (core.KindRDMA): eager data lands in
 // persistent RDMA-written ring slots that consume no receive descriptors
@@ -108,15 +131,13 @@ func (rp *ringProvisioner) provisionConn(c *conn) {
 	rp.d.prepost(c, rp.d.cfg.CtrlPrepost)
 }
 
-func (rp *ringProvisioner) arrival(wc ib.WC, slot recvSlot) *conn {
-	return slot.conn
-}
+func (rp *ringProvisioner) arrival() {}
 
-// processed recycles a consumed control buffer 1:1: eager data never
+// processed recycles a consumed control descriptor 1:1: eager data never
 // lands here (it arrives in ring slots via OpRecvImm), so the control
 // quota is constant for the connection's lifetime.
-func (rp *ringProvisioner) processed(c *conn, buf []byte, consumedCredit bool) {
-	rp.d.postRecvBuf(c, buf)
+func (rp *ringProvisioner) processed(c *conn, consumedCredit bool) {
+	c.qp.PostRecvFrom(0, rp.d.pool)
 }
 
 func (rp *ringProvisioner) posted() int {
@@ -132,9 +153,9 @@ func (rp *ringProvisioner) postedHWMBytes() int {
 }
 
 // audit checks each endpoint's ring laws at quiescence: the counter
-// invariants (head <= tail <= head + slots in signed-distance form) and
+// invariants (head <= tail <= head + slots in signed-distance form),
 // full consumption — every arrived slot was consumed, so head == tail on
-// the inbound view.
+// the inbound view — and the control quota's descriptor conservation.
 func (rp *ringProvisioner) audit() error {
 	for _, c := range rp.d.live {
 		c.ringIn.CheckInvariants()
@@ -142,6 +163,9 @@ func (rp *ringProvisioner) audit() error {
 		if h, t := c.ringIn.Head(), c.ringIn.Tail(); h != t {
 			return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
 				rp.d.rank, c.peer, c.ep, int32(t-h))
+		}
+		if err := rp.d.auditPosted(c, rp.d.cfg.CtrlPrepost); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -166,20 +190,11 @@ func (pp *poolProvisioner) newQP() *ib.QP {
 // that is the whole point of the shared scheme.
 func (pp *poolProvisioner) provisionConn(c *conn) {}
 
-func (pp *poolProvisioner) arrival(wc ib.WC, slot recvSlot) *conn {
-	pp.pool.Take()
-	c, ok := pp.d.qpConn[wc.QP]
-	if !ok {
-		panic("chdev: shared-pool arrival on unknown QP")
-	}
-	return c
-}
+func (pp *poolProvisioner) arrival() { pp.pool.Take() }
 
-func (pp *poolProvisioner) processed(c *conn, buf []byte, consumedCredit bool) {
+func (pp *poolProvisioner) processed(c *conn, consumedCredit bool) {
 	if pp.pool.Processed() {
-		pp.d.postSRQBuf(buf)
-	} else {
-		pp.d.pool.Put(buf)
+		pp.srq.PostRecvFrom(0, pp.d.pool)
 	}
 }
 

@@ -62,6 +62,7 @@ type WC struct {
 	Status  Status
 	WRID    uint64 // caller's work-request id
 	Len     int    // payload bytes (receives and RDMA)
+	Buf     []byte // RC receives: the buffer the message landed in (posted, or committed at landing)
 	Imm     uint64 // immediate value for OpRecvImm
 	SrcNode int    // UD receives: source node of the datagram
 	Err     error  // typed detail for non-success statuses (*RNRExhaustedError)

@@ -229,18 +229,32 @@ func ConnectSet(a, b []*QP) {
 
 // MR is a registered memory region. RDMA operations address remote memory
 // as (MR, offset); registration is the unit the pin-down cache manages.
+// A region made by ReserveMemory has its length but no host bytes until
+// something first writes or reads it.
 type MR struct {
 	hca *HCA
 	id  int
-	buf []byte
+	n   int
+	buf []byte // nil while a reserved region is uncommitted
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
 // responsible for charging Config.RegTime to the virtual clock (pinning is
 // host work, so the MPI layer accounts for it, enabling pin-down caching).
 func (h *HCA) RegisterMemory(buf []byte) *MR {
+	mr := h.ReserveMemory(len(buf))
+	mr.buf = buf
+	return mr
+}
+
+// ReserveMemory registers a zeroed region of n bytes the adapter owns,
+// without backing it yet: the region has its id, its length and its
+// bounds from the start, and its host bytes are committed — whole, and
+// for good — by the first RDMA write or read that lands in it or the
+// first Bytes call. A region nothing ever touches costs no host memory.
+func (h *HCA) ReserveMemory(n int) *MR {
 	h.nextMR++
-	mr := &MR{hca: h, id: h.nextMR, buf: buf}
+	mr := &MR{hca: h, id: h.nextMR, n: n}
 	if h.mrs == nil {
 		h.mrs = make(map[int]*MR)
 	}
@@ -263,10 +277,20 @@ func (h *HCA) LookupMR(id int) *MR {
 func (m *MR) ID() int { return m.id }
 
 // Len returns the region's length in bytes.
-func (m *MR) Len() int { return len(m.buf) }
+func (m *MR) Len() int { return m.n }
 
-// Bytes exposes the registered buffer.
-func (m *MR) Bytes() []byte { return m.buf }
+// Committed reports whether the region has host bytes behind it; only a
+// reserved region that nothing has touched yet reports false.
+func (m *MR) Committed() bool { return m.buf != nil || m.n == 0 }
+
+// Bytes exposes the registered buffer, committing a reserved region.
+func (m *MR) Bytes() []byte {
+	if m.buf == nil && m.n > 0 {
+		//fclint:allow hotalloc one commit per region lifetime, at its first access; it replaces the make at reservation
+		m.buf = make([]byte, m.n)
+	}
+	return m.buf
+}
 
 // RemoteKey identifies a window of a remote memory region for RDMA.
 type RemoteKey struct {

@@ -1,0 +1,347 @@
+package ib
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"ibflow/internal/sim"
+)
+
+// countingSource is a RecvSource that hands out fresh size-byte buffers
+// and remembers each one, so a test can count commits and identify the
+// buffer a completion carries.
+type countingSource struct {
+	size int
+	bufs [][]byte
+}
+
+func (s *countingSource) Get() []byte {
+	b := make([]byte, s.size)
+	s.bufs = append(s.bufs, b)
+	return b
+}
+
+// forceRNR NAKs the first n deliveries that find a descriptor posted.
+type forceRNR struct{ n int }
+
+func (f *forceRNR) MessageDelay(sim.Time, int, int, int) sim.Time { return 0 }
+func (f *forceRNR) AckDelay(sim.Time) sim.Time                    { return 0 }
+func (f *forceRNR) ForceRNR(sim.Time, int) bool {
+	if f.n == 0 {
+		return false
+	}
+	f.n--
+	return true
+}
+
+// The receive queue is sized by what is posted at once, not by how many
+// messages passed through it: a connection that keeps 10 descriptors
+// posted never drains, and the old append-only queue rewound only when
+// it drained — one entry leaked per message received.
+func TestRecvQueueBoundedByPosted(t *testing.T) {
+	var q recvQueue
+	for i := 0; i < 10; i++ {
+		q.post(recvWQE{wrid: uint64(i)})
+	}
+	for i := 10; i < 100_010; i++ {
+		w, ok := q.take()
+		if !ok || w.wrid != uint64(i-10) {
+			t.Fatalf("take %d = wrid %d ok=%v, want wrid %d", i, w.wrid, ok, i-10)
+		}
+		q.post(recvWQE{wrid: uint64(i)})
+		if q.posted() != 10 {
+			t.Fatalf("posted = %d after cycle %d, want 10", q.posted(), i)
+		}
+	}
+	if len(q.ring) > 16 {
+		t.Errorf("ring holds %d slots for 10 posted descriptors, want <= 16", len(q.ring))
+	}
+	// Growth past a wrapped head keeps FIFO order; popped slots are zeroed.
+	for i := 0; i < 30; i++ {
+		q.post(recvWQE{wrid: uint64(100_010 + i), buf: make([]byte, 1)})
+	}
+	for i := 0; i < 40; i++ {
+		if w, _ := q.take(); w.wrid != uint64(100_000+i) {
+			t.Fatalf("after growth: take %d = wrid %d, want %d", i, w.wrid, 100_000+i)
+		}
+	}
+	if _, ok := q.take(); ok {
+		t.Error("take on an empty queue succeeded")
+	}
+	for i, w := range q.ring {
+		if w.buf != nil || w.src != nil {
+			t.Fatalf("slot %d still pins its descriptor after the pop", i)
+		}
+	}
+}
+
+// Get is called exactly once per accepted message, and never for a
+// descriptor nothing consumed.
+func TestCommitOncePerAcceptedMessage(t *testing.T) {
+	eng, qp0, qp1, _, cq1 := pair(DefaultConfig())
+	src := &countingSource{size: 16}
+	for i := 0; i < 5; i++ {
+		qp1.PostRecvFrom(uint64(i), src)
+	}
+	if len(src.bufs) != 0 {
+		t.Fatalf("posting committed %d buffers", len(src.bufs))
+	}
+	msgs := []string{"alpha", "beta", "gamma"}
+	for i, m := range msgs {
+		qp0.PostSend(uint64(i), []byte(m))
+	}
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.bufs) != len(msgs) {
+		t.Fatalf("%d commits for %d accepted messages", len(src.bufs), len(msgs))
+	}
+	if got := qp1.PostedRecvs(); got != 2 {
+		t.Errorf("PostedRecvs = %d, want the 2 descriptors nothing consumed", got)
+	}
+	for i, m := range msgs {
+		wc, ok := cq1.Poll()
+		if !ok || wc.WRID != uint64(i) || wc.Len != len(m) {
+			t.Fatalf("recv wc %d = %+v ok=%v", i, wc, ok)
+		}
+		if &wc.Buf[0] != &src.bufs[i][0] || !bytes.Equal(wc.Buf[:wc.Len], []byte(m)) {
+			t.Errorf("wc %d carries %q, want commit %d holding %q", i, wc.Buf[:wc.Len], i, m)
+		}
+	}
+}
+
+// A message the receiver refuses commits nothing: not while it is RNR
+// NAKed for want of a descriptor, not when an injected ForceRNR refuses
+// it with descriptors posted, and not when a go-back-N rewind drops it as
+// out of order — only its eventual acceptance asks the source.
+func TestRefusedMessageCommitsNothing(t *testing.T) {
+	t.Run("rnr", func(t *testing.T) {
+		cfg := DefaultConfig()
+		eng, qp0, qp1, _, _ := pair(cfg)
+		src := &countingSource{size: 16}
+		qp0.PostSend(7, []byte("late"))
+		eng.At(3*cfg.RNRTimeout+cfg.RNRTimeout/2, func() {
+			if len(src.bufs) != 0 {
+				t.Errorf("%d commits while every attempt was NAKed", len(src.bufs))
+			}
+			qp1.PostRecvFrom(9, src)
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if qp0.Stats().RNRNaks < 3 {
+			t.Fatalf("RNRNaks = %d, want >= 3", qp0.Stats().RNRNaks)
+		}
+		if len(src.bufs) != 1 || !bytes.Equal(src.bufs[0][:4], []byte("late")) {
+			t.Errorf("commits = %d, want 1 holding the message", len(src.bufs))
+		}
+	})
+	t.Run("force-rnr", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Faults = &forceRNR{n: 2}
+		eng, qp0, qp1, _, _ := pair(cfg)
+		src := &countingSource{size: 16}
+		qp1.PostRecvFrom(1, src)
+		qp0.PostSend(1, []byte("x"))
+		eng.At(cfg.RNRTimeout, func() {
+			if len(src.bufs) != 0 {
+				t.Errorf("%d commits for a ForceRNR-refused message", len(src.bufs))
+			}
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if got := qp0.Stats().RNRNaks; got != 2 {
+			t.Fatalf("RNRNaks = %d, want the 2 forced", got)
+		}
+		if len(src.bufs) != 1 {
+			t.Errorf("commits = %d, want 1", len(src.bufs))
+		}
+	})
+	t.Run("out-of-order", func(t *testing.T) {
+		cfg := DefaultConfig()
+		eng, qp0, qp1, _, cq1 := pair(cfg)
+		src := &countingSource{size: 1024}
+		// Nothing posted: message 0 draws the NAK. Descriptors appear
+		// before 1 and 2 arrive (1 KB apart on the wire), but those are
+		// now out of order and are dropped with descriptors in hand; the
+		// rewind redelivers all three.
+		for i := 0; i < 3; i++ {
+			msg := make([]byte, 1024)
+			msg[0] = byte('a' + i)
+			qp0.PostSend(uint64(i), msg)
+		}
+		eng.Go("poster", func(p *sim.Proc) {
+			for qp0.Stats().RNRNaks == 0 {
+				p.Sleep(100 * sim.Nanosecond)
+			}
+			for i := 0; i < 3; i++ {
+				qp1.PostRecvFrom(uint64(i), src)
+			}
+			wasted := qp0.Stats().WastedBytes
+			p.Sleep(cfg.RNRTimeout / 2)
+			if len(src.bufs) != 0 || qp0.Stats().WastedBytes == wasted {
+				t.Errorf("before the rewind: %d commits, %d bytes dropped past posted descriptors; want 0 commits and drops",
+					len(src.bufs), qp0.Stats().WastedBytes-wasted)
+			}
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if len(src.bufs) != 3 || qp1.Stats().Delivered != 3 {
+			t.Fatalf("commits = %d, delivered = %d, want 3 and 3", len(src.bufs), qp1.Stats().Delivered)
+		}
+		for i := 0; i < 3; i++ {
+			if wc, _ := cq1.Poll(); wc.Buf[0] != byte('a'+i) {
+				t.Errorf("wc %d carries %q", i, wc.Buf[:1])
+			}
+		}
+	})
+}
+
+// Descriptors that carry their buffer and descriptors that commit one at
+// landing share a queue: they complete in post order, each completion
+// carrying the buffer its message landed in.
+func TestMixedDescriptorsCompleteInPostOrder(t *testing.T) {
+	eng, qp0, qp1, _, cq1 := pair(DefaultConfig())
+	src := &countingSource{size: 16}
+	own := [][]byte{make([]byte, 16), make([]byte, 16)}
+	qp1.PostRecv(10, own[0])
+	qp1.PostRecvFrom(11, src)
+	qp1.PostRecv(12, own[1])
+	qp1.PostRecvFrom(13, src)
+	for i := 0; i < 4; i++ {
+		qp0.PostSend(uint64(i), []byte(fmt.Sprintf("msg%d", i)))
+	}
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.bufs) != 2 {
+		t.Fatalf("commits = %d, want 2", len(src.bufs))
+	}
+	want := [][]byte{own[0], src.bufs[0], own[1], src.bufs[1]}
+	for i := range want {
+		wc, ok := cq1.Poll()
+		if !ok || wc.WRID != uint64(10+i) {
+			t.Fatalf("wc %d = %+v ok=%v, want wrid %d", i, wc, ok, 10+i)
+		}
+		if &wc.Buf[0] != &want[i][0] || string(wc.Buf[:wc.Len]) != fmt.Sprintf("msg%d", i) {
+			t.Errorf("wc %d landed %q in the wrong buffer", i, wc.Buf[:wc.Len])
+		}
+	}
+}
+
+// A message larger than the committed buffer panics exactly as it does
+// into a posted one.
+func TestOversizeIntoCommittedBufferPanics(t *testing.T) {
+	eng, qp0, qp1, _, _ := pair(DefaultConfig())
+	qp1.PostRecvFrom(1, &countingSource{size: 16})
+	qp0.PostSend(1, make([]byte, 32))
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "message of 32 bytes into 16-byte receive buffer") {
+			t.Errorf("panic = %v, want the oversize-message panic", r)
+		}
+	}()
+	_ = eng.Run(sim.MaxTime)
+}
+
+// The shared receive queue commits at landing like a private one, and
+// descriptor-only posts count toward its limit event alike.
+func TestSRQCommitsAtLanding(t *testing.T) {
+	eng := sim.NewEngine()
+	f := NewFabric(eng, DefaultConfig(), 3)
+	cq1 := f.HCA(2).NewCQ()
+	srq := f.HCA(2).NewSRQ()
+	var senders [2]*QP
+	for i := range senders {
+		cq := f.HCA(i).NewCQ()
+		senders[i] = f.HCA(i).NewQP(cq, cq)
+		Connect(senders[i], f.HCA(2).NewQPWithSRQ(cq1, cq1, srq))
+	}
+	src := &countingSource{size: 16}
+	fired := 0
+	srq.SetLimit(2, func() {
+		fired++
+		srq.PostRecvFrom(99, src) // replenish from inside the event, as chdev does
+	})
+	for i := 0; i < 3; i++ {
+		srq.PostRecvFrom(uint64(i), src)
+	}
+	senders[0].PostSend(0, []byte("from-a"))
+	senders[1].PostSend(0, []byte("from-b"))
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.bufs) != 2 {
+		t.Fatalf("commits = %d for 2 accepted messages", len(src.bufs))
+	}
+	if fired != 1 || srq.Stats().LimitEvents != 1 {
+		t.Errorf("limit events = %d (stats %d), want 1", fired, srq.Stats().LimitEvents)
+	}
+	if got := srq.PostedRecvs(); got != 2 {
+		t.Errorf("PostedRecvs = %d, want 2 (3 posted + 1 replenished - 2 consumed)", got)
+	}
+	for i := 0; i < 2; i++ {
+		wc, ok := cq1.Poll()
+		if !ok || wc.WRID != uint64(i) || &wc.Buf[0] != &src.bufs[i][0] {
+			t.Errorf("wc %d = wrid %d ok=%v, want commit %d", i, wc.WRID, ok, i)
+		}
+	}
+}
+
+// A reserved region has its id, length and bounds from the start and no
+// host bytes until its first write or read.
+func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
+	eng, qp0, qp1, _, _ := pair(DefaultConfig())
+	h := qp1.HCA()
+	w, r, idle := h.ReserveMemory(64), h.ReserveMemory(64), h.ReserveMemory(64)
+	for _, mr := range []*MR{w, r, idle} {
+		if mr.Committed() || mr.Len() != 64 || h.LookupMR(mr.ID()) != mr {
+			t.Fatalf("fresh reservation: committed=%v len=%d", mr.Committed(), mr.Len())
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"write", func() { qp0.PostWrite(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}) }},
+		{"write-notify", func() { qp0.PostWriteNotify(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}, 0) }},
+		{"read", func() { qp0.PostRead(1, make([]byte, 65), RemoteKey{MR: r}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s beyond an uncommitted region did not panic", tc.name)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+	if w.Committed() || r.Committed() {
+		t.Fatal("a refused post committed the region")
+	}
+	dst := []byte("garbage!")
+	qp0.PostWrite(1, []byte("landed"), RemoteKey{MR: w, Offset: 8})
+	qp0.PostRead(2, dst, RemoteKey{MR: r, Offset: 8})
+	if w.Committed() {
+		t.Error("posting the write committed the region before anything landed")
+	}
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if !w.Committed() || !bytes.Equal(w.Bytes()[8:14], []byte("landed")) || len(w.Bytes()) != 64 {
+		t.Errorf("written region: committed=%v bytes=%q", w.Committed(), w.Bytes()[8:14])
+	}
+	if !r.Committed() || !bytes.Equal(dst, make([]byte, 8)) {
+		t.Errorf("read region: committed=%v, read %q, want zeroes", r.Committed(), dst)
+	}
+	if idle.Committed() {
+		t.Error("a region nothing touched was committed")
+	}
+	if reg := h.RegisterMemory(make([]byte, 8)); !reg.Committed() || reg.Len() != 8 {
+		t.Errorf("registered region: committed=%v len=%d", reg.Committed(), reg.Len())
+	}
+}

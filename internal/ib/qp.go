@@ -105,7 +105,7 @@ func (re *readEvent) OnEvent(stage uint64) {
 		return
 	}
 	w := re.w
-	copy(w.readDst, w.remote.MR.buf[w.remote.Offset:w.remote.Offset+len(w.readDst)])
+	copy(w.readDst, w.remote.MR.Bytes()[w.remote.Offset:w.remote.Offset+len(w.readDst)])
 	sender.retire(w)
 }
 
@@ -129,12 +129,6 @@ func (w *sendWQE) wireLen() int {
 	default:
 		return 0 // read request carries no payload
 	}
-}
-
-// recvWQE is a pre-posted receive descriptor.
-type recvWQE struct {
-	wrid uint64
-	buf  []byte
 }
 
 // QPStats counts per-connection transport events.
@@ -233,11 +227,22 @@ func (qp *QP) QueuedSends() int { return len(qp.queue) }
 // A QP attached to a shared receive queue has no private queue to post
 // into: descriptors go to the SRQ instead.
 func (qp *QP) PostRecv(wrid uint64, buf []byte) {
+	qp.postRecv(recvWQE{wrid: wrid, buf: buf})
+}
+
+// PostRecvFrom posts a descriptor-only receive: the descriptor counts as
+// posted like any other, but its bytes are taken from src only when a
+// message is accepted into it (see RecvSource) and come back in WC.Buf.
+func (qp *QP) PostRecvFrom(wrid uint64, src RecvSource) {
+	qp.postRecv(recvWQE{wrid: wrid, src: src})
+}
+
+func (qp *QP) postRecv(w recvWQE) {
 	rq, ok := qp.recv.(*recvQueue)
 	if !ok {
 		panic("ib: PostRecv on an SRQ-attached QP; post to the SRQ instead")
 	}
-	rq.post(recvWQE{wrid: wrid, buf: buf})
+	rq.post(w)
 }
 
 // PostSend posts a channel-semantics send of payload.
@@ -250,7 +255,7 @@ func (qp *QP) PostSend(wrid uint64, payload []byte) {
 // PostWrite posts an RDMA write of payload into remote memory. It consumes
 // no receive descriptor and completes invisibly to the remote software.
 func (qp *QP) PostWrite(wrid uint64, payload []byte, remote RemoteKey) {
-	if remote.Offset+len(payload) > len(remote.MR.buf) {
+	if remote.Offset+len(payload) > remote.MR.n {
 		panic("ib: RDMA write beyond registered region")
 	}
 	w := qp.acquireWQE()
@@ -263,7 +268,7 @@ func (qp *QP) PostWrite(wrid uint64, payload []byte, remote RemoteKey) {
 // receive descriptor. It models the memory-polling arrival detection of
 // RDMA-based eager channels.
 func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm uint64) {
-	if remote.Offset+len(payload) > len(remote.MR.buf) {
+	if remote.Offset+len(payload) > remote.MR.n {
 		panic("ib: RDMA write beyond registered region")
 	}
 	w := qp.acquireWQE()
@@ -273,7 +278,7 @@ func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm
 
 // PostRead posts an RDMA read of len(dst) bytes from remote memory into dst.
 func (qp *QP) PostRead(wrid uint64, dst []byte, remote RemoteKey) {
-	if remote.Offset+len(dst) > len(remote.MR.buf) {
+	if remote.Offset+len(dst) > remote.MR.n {
 		panic("ib: RDMA read beyond registered region")
 	}
 	w := qp.acquireWQE()
@@ -424,6 +429,13 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 			eng.AfterCall(cfg.SwitchLatency, &sender.nakEv, w.seq)
 			return
 		}
+		if r.src != nil {
+			// Commit at landing: a descriptor-only post owes its bytes
+			// until a message is accepted into it. Every exit that
+			// refuses the message is above, so the source is asked once
+			// per accepted message and never for a NAKed or dropped one.
+			r.buf = r.src.Get()
+		}
 		if len(w.payload) > len(r.buf) {
 			panic(fmt.Sprintf("ib: message of %d bytes into %d-byte receive buffer",
 				len(w.payload), len(r.buf)))
@@ -432,11 +444,11 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		qp.expected++
 		qp.stats.Delivered++
 		qp.hca.stats.MsgsDelivered++
-		qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvComplete, WRID: r.wrid, Len: len(w.payload)})
+		qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvComplete, WRID: r.wrid, Len: len(w.payload), Buf: r.buf})
 		qp.ack(sender, w)
 
 	case opWrite, opWriteImm:
-		copy(w.remote.MR.buf[w.remote.Offset:], w.payload)
+		copy(w.remote.MR.Bytes()[w.remote.Offset:], w.payload)
 		qp.expected++
 		qp.stats.Delivered++
 		qp.hca.stats.MsgsDelivered++

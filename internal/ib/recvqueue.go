@@ -16,29 +16,56 @@ type recvProvisioner interface {
 	posted() int
 }
 
-// recvQueue is the classic per-QP receive queue: descriptors are consumed
-// in the order they were posted and the backing slice is compacted each
-// time it drains.
-type recvQueue struct {
-	q    []recvWQE
-	head int
+// RecvSource supplies the host bytes behind a descriptor-only receive
+// (PostRecvFrom). A posted descriptor only names memory; Get is called
+// once, when a message is accepted into it, and the buffer it returns
+// rides the completion as WC.Buf. A descriptor nothing lands in never
+// calls Get, so a posted-but-idle receive costs no host memory.
+type RecvSource interface{ Get() []byte }
+
+// recvWQE is a pre-posted receive descriptor: it carries its buffer
+// (PostRecv), or the source that commits one at landing (PostRecvFrom).
+type recvWQE struct {
+	wrid uint64
+	buf  []byte
+	src  RecvSource
 }
+
+// recvQueue is the FIFO of posted receive descriptors behind a QP, an SRQ
+// or a UD QP: a power-of-two ring sized by the most descriptors ever
+// posted at once, not by how many messages passed through. Popped slots
+// are zeroed so the ring never pins a buffer past its consumption.
+type recvQueue struct {
+	ring  []recvWQE // power-of-two length
+	head  int
+	count int
+}
+
+// recvQueueMinCap is the first ring's size: the usual pre-post depth, so
+// a connection's receive queue is one allocation.
+const recvQueueMinCap = 8
 
 func (r *recvQueue) post(w recvWQE) {
-	r.q = append(r.q, w)
+	if r.count == len(r.ring) {
+		grown := make([]recvWQE, max(recvQueueMinCap, 2*len(r.ring)))
+		for i := 0; i < r.count; i++ {
+			grown[i] = r.ring[(r.head+i)&(len(r.ring)-1)]
+		}
+		r.ring, r.head = grown, 0
+	}
+	r.ring[(r.head+r.count)&(len(r.ring)-1)] = w
+	r.count++
 }
 
-func (r *recvQueue) posted() int { return len(r.q) - r.head }
+func (r *recvQueue) posted() int { return r.count }
 
 func (r *recvQueue) take() (recvWQE, bool) {
-	if r.head >= len(r.q) {
+	if r.count == 0 {
 		return recvWQE{}, false
 	}
-	w := r.q[r.head]
-	r.head++
-	if r.head == len(r.q) {
-		r.q = r.q[:0]
-		r.head = 0
-	}
+	w := r.ring[r.head]
+	r.ring[r.head] = recvWQE{}
+	r.head = (r.head + 1) & (len(r.ring) - 1)
+	r.count--
 	return w, true
 }

@@ -74,7 +74,17 @@ func (s *SRQ) Limit() int { return s.limit }
 // PostRecv posts a receive descriptor into the shared pool. Arrivals on
 // any attached QP consume descriptors in FIFO order.
 func (s *SRQ) PostRecv(wrid uint64, buf []byte) {
-	s.q.post(recvWQE{wrid: wrid, buf: buf})
+	s.postRecv(recvWQE{wrid: wrid, buf: buf})
+}
+
+// PostRecvFrom posts a descriptor-only receive into the shared pool; its
+// bytes are committed from src when a message lands (see RecvSource).
+func (s *SRQ) PostRecvFrom(wrid uint64, src RecvSource) {
+	s.postRecv(recvWQE{wrid: wrid, src: src})
+}
+
+func (s *SRQ) postRecv(w recvWQE) {
+	s.q.post(w)
 	s.stats.PostedTotal++
 	// Hysteresis re-arm: once replenishment brings the pool back to the
 	// watermark, the next dip below it fires again.

@@ -26,8 +26,7 @@ type UDQP struct {
 	sendCQ *CQ
 	recvCQ *CQ
 
-	recvQ    []recvWQE
-	recvHead int
+	recvQ recvQueue
 
 	// sendEv is the bound send-completion handler: AtCall carries the
 	// WRID as the event payload, so retiring a datagram send stays
@@ -66,11 +65,11 @@ func (qp *UDQP) Num() int { return qp.num }
 func (qp *UDQP) Stats() UDStats { return qp.stats }
 
 // PostedRecvs reports currently posted receive descriptors.
-func (qp *UDQP) PostedRecvs() int { return len(qp.recvQ) - qp.recvHead }
+func (qp *UDQP) PostedRecvs() int { return qp.recvQ.posted() }
 
 // PostRecv posts a receive descriptor to the shared pool.
 func (qp *UDQP) PostRecv(wrid uint64, buf []byte) {
-	qp.recvQ = append(qp.recvQ, recvWQE{wrid: wrid, buf: buf})
+	qp.recvQ.post(recvWQE{wrid: wrid, buf: buf})
 }
 
 // SendTo transmits one datagram to (dstNode, dstQPN). The send completes
@@ -174,15 +173,10 @@ func (f *Fabric) releaseUDBuf(b []byte) {
 
 // deliver hands a datagram to a posted descriptor, or drops it.
 func (qp *UDQP) deliver(srcNode int, data []byte) {
-	if qp.recvHead >= len(qp.recvQ) {
+	r, ok := qp.recvQ.take()
+	if !ok {
 		qp.stats.Dropped++
 		return
-	}
-	r := qp.recvQ[qp.recvHead]
-	qp.recvHead++
-	if qp.recvHead == len(qp.recvQ) {
-		qp.recvQ = qp.recvQ[:0]
-		qp.recvHead = 0
 	}
 	if len(data) > len(r.buf) {
 		panic(fmt.Sprintf("ib: %d-byte datagram into %d-byte descriptor", len(data), len(r.buf)))

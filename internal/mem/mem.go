@@ -69,6 +69,18 @@ func (p *BufPool) Get() []byte {
 	return b
 }
 
+// Warm allocates the pool's first slab if nothing was ever carved, and
+// carves no buffer from it. Receive posts are descriptors that take
+// their buffer only when a message lands (ib.RecvSource), so a pool's
+// first allocation would otherwise fall on its first message; whoever
+// provisions receives calls Warm to keep that allocation a provisioning
+// cost.
+func (p *BufPool) Warm() {
+	if p.alloc == 0 && p.slab == nil {
+		p.slab = make([]byte, p.size*slabBufs)
+	}
+}
+
 // Put returns a buffer to the pool.
 func (p *BufPool) Put(b []byte) {
 	if len(b) != p.size {

@@ -69,6 +69,31 @@ func TestBufPoolSlabGrowth(t *testing.T) {
 	}
 }
 
+// Warm makes the first slab a provisioning cost: it allocates the slab
+// once, carves nothing, and the Gets that follow allocate nothing.
+func TestBufPoolWarm(t *testing.T) {
+	p := NewBufPool(2048)
+	p.Warm()
+	slab := &p.slab[0]
+	p.Warm()
+	if &p.slab[0] != slab || p.Allocated() != 0 || p.Outstanding() != 0 {
+		t.Fatalf("Warm twice: reallocated=%v allocated=%d outstanding=%d",
+			&p.slab[0] != slab, p.Allocated(), p.Outstanding())
+	}
+	if b := p.Get(); &b[0] != slab || p.Allocated() != 1 {
+		t.Errorf("first Get after Warm carved elsewhere (allocated %d)", p.Allocated())
+	}
+	// Once anything was carved, Warm never allocates again — not even
+	// when the slab has been used up.
+	for i := 1; i < slabBufs; i++ {
+		p.Get()
+	}
+	p.Warm()
+	if len(p.slab) != 0 {
+		t.Errorf("Warm refilled a used-up slab (%d bytes)", len(p.slab))
+	}
+}
+
 func TestBufPoolPanicsOnMisuse(t *testing.T) {
 	p := NewBufPool(32)
 	func() {
