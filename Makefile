@@ -103,7 +103,7 @@ metrics-smoke:
 # World.Audit under all five schemes, and Settle adds nothing where
 # nothing was left behind. The set-up budget rides along: in the same
 # 128-rank on-demand storm at 2 messages per peer, one connection end
-# costs World.Run at most 12 KB and 16 objects under every scheme — a
+# costs World.Run at most 12 KB and 15 objects under every scheme — a
 # posted receive is a descriptor and a ring a reservation, not memory.
 scaling-smoke:
 	$(GO) run ./cmd/fcbench -test scaling -quick

@@ -33,12 +33,14 @@ func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 // list, the MPI layer recycles request boxes and stages unexpected eager
 // payloads through the device pool, and the transport runs on recycled
 // WQEs and bound CQ handlers — so the marginal cost of one more message
-// is amortized pool/slab refills only. The bound of 4 allocations per
-// message holds roughly 2x headroom over the measured ~2 — a path that
-// regresses to per-message buffers, requests, or WQEs blows well past
-// it. All five schemes are gated; hardware/static/dynamic/shared share
-// the send/recv eager machinery and rdma is the ring channel, whose
-// slot reserve/write/consume cycle must be just as free.
+// is amortized pool/slab refills only: measured 0.75 (static) to 1.11
+// (shared). The bound of 2 allocations per message is roughly 2x over
+// that, and one extra object per message anywhere on the path — a
+// buffer, a request, a WQE, or a local whose address escapes through the
+// provisioner interface (that one read +3.1 under every scheme) — blows
+// past it. All five schemes are gated; hardware/static/dynamic/shared
+// share the send/recv eager machinery and rdma is the ring channel,
+// whose slot reserve/write/consume cycle must be just as free.
 func TestScalingSteadyAllocGate(t *testing.T) {
 	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
@@ -73,11 +75,12 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 // and divides World.Run's TotalAlloc and Mallocs by the connection ends
 // established. A posted receive is a descriptor and a ring a reservation
 // (DESIGN.md, provisioning seam), so an end costs its bookkeeping plus
-// the bytes its two messages actually land in: measured 5.5 KB / 11.3
-// objects (hardware, static, dynamic), 2.3 KB / 9.8 (shared), 9.7 KB /
-// 14.9 (rdma). Backing every pre-posted descriptor and every ring at
+// the bytes its two messages actually land in: measured 5.4 KB / 11.1
+// objects (hardware, static, dynamic), 2.2 KB / 9.7 (shared), 9.7 KB /
+// 13.8 (rdma: a VC with both rings in one object, no per-device QP
+// table). Backing every pre-posted descriptor and every ring at
 // establishment read 22.7 KB / 15.1 and 31.5 KB / 26.9, and blows the
-// 12 KB / 16 budget.
+// 12 KB / 15 budget.
 func TestConnSetupBudget(t *testing.T) {
 	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
@@ -100,8 +103,8 @@ func TestConnSetupBudget(t *testing.T) {
 		objsPerEnd := float64(after.Mallocs-before.Mallocs) / ends
 		t.Logf("%v: %.0f connection ends, %.0f B and %.1f objects allocated per end",
 			fc.Kind, ends, bytesPerEnd, objsPerEnd)
-		if bytesPerEnd > 12<<10 || objsPerEnd > 16 {
-			t.Errorf("%v: a connection end costs %.0f B / %.1f objects across World.Run, want <= 12 KB / 16",
+		if bytesPerEnd > 12<<10 || objsPerEnd > 15 {
+			t.Errorf("%v: a connection end costs %.0f B / %.1f objects across World.Run, want <= 12 KB / 15",
 				fc.Kind, bytesPerEnd, objsPerEnd)
 		}
 	}
@@ -140,7 +143,7 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 }
 
 // checkPerMsg differences two traffic volumes' malloc counts and
-// enforces the 4-allocations-per-message steady-state bound.
+// enforces the 2-allocations-per-message steady-state bound.
 func checkPerMsg(t *testing.T, fc core.Params, low, high uint64, msgsLow, msgsHigh, flows int) {
 	t.Helper()
 	if high <= low {
@@ -151,8 +154,8 @@ func checkPerMsg(t *testing.T, fc core.Params, low, high uint64, msgsLow, msgsHi
 	perMsg := float64(high-low) / float64(extraMsgs)
 	t.Logf("%v: marginal allocations per message: %.2f (%d extra mallocs over %d extra messages)",
 		fc.Kind, perMsg, high-low, extraMsgs)
-	if perMsg > 4 {
-		t.Errorf("%v: steady state allocates %.2f objects per message, want <= 4 (amortized pool refills only)",
+	if perMsg > 2 {
+		t.Errorf("%v: steady state allocates %.2f objects per message, want <= 2 (amortized pool refills only)",
 			fc.Kind, perMsg)
 	}
 }

@@ -7,26 +7,25 @@ import "fmt"
 // every device idle, every completion drained, every owed credit flushed.
 // The invariants checked, per connected pair (A→B direction):
 //
-//   - zero credit leak: every credit B ever granted is either back in A's
-//     sender-side pool or still owed at B awaiting a ride, i.e.
-//     A.credits + B.owed == B.posted (user-level schemes);
 //   - message conservation: every message A's QP transmitted was accepted
 //     by B's QP (Delivered counts first acceptances only);
 //   - no stranded work: empty backlogs, no queued WQEs, no rendezvous in
 //     flight, no degraded connection;
-//   - ring scheme (core.KindRDMA): every slot A reserved arrived at B,
-//     A's view of B's head matches what B announced, and each endpoint's
-//     own ring law head <= tail <= head + slots holds (per-endpoint half
-//     checked in ringProvisioner.audit);
-//   - shared-pool scheme: the provisioner's own law — no pooled buffer
-//     in use and the SRQ's free count equal to the pool's accounting
-//     (the pooled analogue of the credit law, see poolProvisioner.audit);
-//   - descriptor conservation on the other two shapes: each connection's
-//     receive queue holds exactly the descriptors its scheme accounts for
-//     (the VC's posted count; the fixed control quota on the ring);
+//   - each VC's own bookkeeping invariants (core.VC.CheckInvariants: no
+//     negative count, and on the ring head <= tail <= head + slots);
 //   - no host buffer checked out: posted receives are descriptors and
 //     hold none, so at quiescence every staging, packet and landing
-//     buffer is back in the device's pool.
+//     buffer is back in the device's pool;
+//   - the transport shape's own laws (provision.go), per device in audit
+//     and per pair in auditPair. Per-connection queues: each receive queue
+//     holds exactly the descriptors its VC accounts for, and under the
+//     user-level schemes zero credit leak — every credit B ever granted is
+//     either back in A's sender-side pool or still owed at B awaiting a
+//     ride, A.credits + B.owed == B.posted. Shared pool: no pooled buffer
+//     in use and the SRQ's free count equal to the pool's accounting (the
+//     pooled analogue of the credit law). Ring: every arrived slot
+//     consumed, the control quota intact, every slot A reserved arrived at
+//     B, and A's view of B's head matches what B announced.
 //
 // It returns a descriptive error naming the first violated invariant, or
 // nil if every law holds.
@@ -74,32 +73,8 @@ func Audit(devs []*Device) error {
 			if rc == nil {
 				return fmt.Errorf("chdev audit: rank %d -> %d connected only one way", d.rank, c.peer)
 			}
-			if d.params.RingChannel() {
-				// The ring conservation laws, cross-endpoint: every
-				// slot A reserved arrived at B (the write channel loses
-				// nothing), and at quiescence A's view of B's head has
-				// caught up with everything B announced.
-				if got, want := c.ringOut.Tail(), rc.ringIn.Tail(); got != want {
-					return fmt.Errorf(
-						"chdev audit: ring slot leak on %d -> %d: %d reserved, %d arrived",
-						d.rank, c.peer, got, want)
-				}
-				if got, want := c.ringOut.HeadSeen(), rc.ringIn.HeadSent(); got != want {
-					return fmt.Errorf(
-						"chdev audit: ring head skew on %d -> %d: sender saw %d, receiver sent %d",
-						d.rank, c.peer, got, want)
-				}
-			}
-			if d.params.UserLevel() {
-				// The conservation law of the credit-based schemes. It
-				// holds through dynamic growth (new buffers mint owed
-				// credit) and shrink (buffer and credit destroyed
-				// together).
-				if got, want := c.vc.Credits()+rc.vc.Owed(), rc.vc.Posted(); got != want {
-					return fmt.Errorf(
-						"chdev audit: credit leak on %d -> %d: credits %d + owed %d = %d, posted %d",
-						d.rank, c.peer, c.vc.Credits(), rc.vc.Owed(), got, want)
-				}
+			if err := d.prov.auditPair(c, rc); err != nil {
+				return err
 			}
 			ss, rs := c.qp.Stats(), rc.qp.Stats()
 			if ss.MsgsSent != rs.Delivered {

@@ -109,11 +109,6 @@ type Config struct {
 	// stream is re-issued; new eager traffic backlogs meanwhile.
 	ReissueDelay sim.Time
 
-	// ReissueLimit bounds how often one send may be re-issued after
-	// budget exhaustion before the device gives up (panics); 0 means
-	// unlimited, mirroring the transport's infinite-retry default.
-	ReissueLimit int
-
 	// Endpoints is the number of independent VC/QP endpoints per rank
 	// pair (Zambre et al.'s communication endpoints for MPI+threads).
 	// Each endpoint owns its own scheme state — credits, ring, or a

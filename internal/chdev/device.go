@@ -53,7 +53,7 @@ type RndvIn struct {
 
 	conn      *conn
 	senderReq uint64
-	senderMR  uint32 // ring scheme: source region id from the RTS
+	senderMR  uint32 // source region id from the RTS, for a receiver that pulls
 	myReq     uint64
 	accepted  bool
 	buf       []byte
@@ -67,7 +67,7 @@ type rndvOut struct {
 	starved bool // packed beside comm: the struct stays in the 96-byte size class
 	conn    *conn
 	data    []byte
-	mr      *ib.MR // registered source region (ring scheme: RTS carries its id)
+	mr      *ib.MR // registered source region; the RTS carries its id
 	token   any
 	peerReq uint64
 	start   sim.Time // when the rendezvous began, for the latency histogram
@@ -79,7 +79,7 @@ type ctxKind int
 const (
 	ctxBuf      ctxKind = iota // pool buffer to release on completion
 	ctxRndvData                // RDMA write of rendezvous payload
-	ctxRndvRead                // RDMA read pulling rendezvous payload (ring scheme)
+	ctxRndvRead                // RDMA read pulling rendezvous payload
 )
 
 type sendCtx struct {
@@ -132,19 +132,12 @@ type conn struct {
 	// frozen stream is re-issued (Config.ReissueDelay later).
 	degraded bool
 
-	// Ring channel state (core.KindRDMA): the persistent-slot design
-	// where flow control IS the ring geometry. ringOut is the sender's
-	// view of the outgoing direction (tail owned here, peer head learned
-	// from piggybacks); ringIn is the receiver's view of the incoming
-	// one (head owned here, communicated back on reverse traffic).
-	// Position mod slots is the slot: no free/used lists exist, and a
-	// slot's address is arithmetic on its region — slot i of ringMR is the
-	// receive view, (peerMR, i*peerSlot) the send key.
-	ringMR   *ib.MR // this side's inbound region (see allocRing)
-	peerMR   *ib.MR // the peer's inbound region, this side's write target
-	peerSlot int    // the peer's slot size in bytes
-	ringOut  *core.Ring
-	ringIn   *core.Ring
+	// Landing regions, the provisioner's to set and use (provision.go):
+	// where the peer writes this end's eager arrivals, and this end's
+	// write target at the peer. Nil for a shape whose arrivals all land
+	// in receive descriptors.
+	ringMR *ib.MR
+	peerMR *ib.MR
 }
 
 // noteOut records a work request posted on this endpoint.
@@ -247,9 +240,8 @@ type Device struct {
 	// (peer, ep) order. Everything that visits connections — the progress
 	// sweep, credit flush, stats, audit — walks it, so a pass costs the
 	// connections that exist, not the job size. addConn is its only writer.
-	live   []*conn
-	qpConn map[*ib.QP]*conn
-	peers  []*Device
+	live  []*conn
+	peers []*Device
 
 	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
 	// is the logical thread the next send is issued from, set by
@@ -257,11 +249,10 @@ type Device struct {
 	epN    int
 	curTID int
 
-	// prov owns receive-buffer provisioning: per-connection queues, or
-	// (for core.KindShared) the SRQ-backed shared pool below.
-	prov  recvProvisioner
-	srq   *ib.SRQ
-	rpool *core.Pool
+	// prov owns the transport shape (see recvProvisioner); eagerMax is the
+	// largest payload its eager channel carries.
+	prov     recvProvisioner
+	eagerMax int
 
 	wridSeq  uint64
 	rndvSeq  uint64
@@ -282,12 +273,6 @@ type Device struct {
 	// rndvHist, when metrics are attached, is the per-rank histogram of
 	// sender-side rendezvous latency (RTS posted to FIN sent).
 	rndvHist *metrics.Histogram
-
-	// rndvReadBytes counts payload bytes pulled by the ring scheme's
-	// RDMA-read rendezvous (nil-safe; only registered under KindRDMA).
-	// rndvReadTotal mirrors it for Stats even without a metrics registry.
-	rndvReadBytes *metrics.Counter
-	rndvReadTotal uint64
 }
 
 // New creates a channel device for rank on hca. Wire must be called on the
@@ -302,14 +287,6 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	if cfg.Endpoints < 0 {
 		panic(fmt.Sprintf("chdev: negative endpoint count %d", cfg.Endpoints))
 	}
-	if params.RingChannel() {
-		if params.SlotBytes <= HeaderSize {
-			panic(fmt.Sprintf("chdev: ring slot size %d below header size %d", params.SlotBytes, HeaderSize))
-		}
-		if params.SlotBytes > cfg.BufSize {
-			panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", params.SlotBytes, cfg.BufSize))
-		}
-	}
 	d := &Device{
 		eng:      eng,
 		hca:      hca,
@@ -322,7 +299,6 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		pool:     mem.NewBufPool(cfg.BufSize),
 		regs:     mem.NewRegCache(hca),
 		groups:   make([]*epGroup, size),
-		qpConn:   make(map[*ib.QP]*conn),
 		sendCtxs: make(map[uint64]sendCtx),
 		sendRndv: make(map[uint64]*rndvOut),
 		recvRndv: make(map[uint64]*RndvIn),
@@ -336,28 +312,7 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	d.gate = sim.NewGate(eng)
 	d.progress.d = d
 	d.cq.SetNotify(&d.progress)
-	if d.params.SharedPool() {
-		d.srq = hca.NewSRQ()
-		d.rpool = core.NewPool(&d.params)
-		d.prov = &poolProvisioner{d: d, srq: d.srq, pool: d.rpool}
-		d.srq.SetLimit(d.rpool.Watermark(), d.onPoolLimit)
-		d.pool.Warm()
-		for i := 0; i < d.rpool.Posted(); i++ {
-			d.srq.PostRecvFrom(0, d.pool)
-		}
-		d.rpool.RegisterMetrics(d.cfg.Metrics, rank)
-		d.cfg.Metrics.GaugeFunc("chdev_pool_free",
-			func() int64 { return int64(d.srq.PostedRecvs()) }, metrics.RankLabel(rank))
-	} else if d.params.RingChannel() {
-		d.prov = &ringProvisioner{d: d}
-		d.rndvReadBytes = d.cfg.Metrics.Counter("chdev_rndv_read_bytes", metrics.RankLabel(rank))
-		d.cfg.Metrics.GaugeFunc("chdev_ring_occupancy_hwm",
-			func() int64 { return int64(d.Stats().RingOccupancyHWM) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.CounterFunc("chdev_ring_syncs",
-			func() uint64 { return d.Stats().RingSyncs }, metrics.RankLabel(rank))
-	} else {
-		d.prov = &connProvisioner{d: d}
-	}
+	d.prov, d.eagerMax = newProvisioner(d)
 	d.cfg.Metrics.GaugeFunc("chdev_buf_bytes_hwm",
 		func() int64 { return int64(d.prov.postedHWMBytes()) }, metrics.RankLabel(rank))
 	if cfg.PoolMetrics {
@@ -470,22 +425,6 @@ func (d *Device) selectEP(g *epGroup) *conn {
 	return g.pickSticky(d.curTID)
 }
 
-// onPoolLimit handles the SRQ's low-watermark limit event: the free
-// descriptor count dipped below the watermark, so replenish the shared
-// pool by the scheme's increment. Replenishment is watermark-driven —
-// one event per dip, paced by the growth cooldown — rather than
-// per-message, which is what keeps the pool's size tracking aggregate
-// pressure instead of the connection count.
-func (d *Device) onPoolLimit() {
-	d.tr(trace.PoolLimit, d.rank, int64(d.srq.PostedRecvs()))
-	if grow := d.rpool.OnLimitEvent(d.eng.Now()); grow > 0 {
-		for i := 0; i < grow; i++ {
-			d.srq.PostRecvFrom(0, d.pool)
-		}
-		d.tr(trace.PoolGrew, d.rank, int64(d.rpool.Posted()))
-	}
-}
-
 // Wire connects a full set of devices: every pair eagerly unless OnDemand
 // is configured, in which case connections appear at first use.
 func Wire(devs []*Device) {
@@ -503,13 +442,12 @@ func Wire(devs []*Device) {
 }
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and
-// virtual channels — between two devices and pre-posts the initial
-// receive descriptors on both sides, returning a's group. Under the ring
-// scheme, pre-posting means reserving persistent slots and exchanging their
-// addresses (part of connection setup); a small fixed descriptor pool
-// still backs control traffic. All QPs are created first and
-// connected as a set (ib.ConnectSet), then each endpoint's channel
-// state is built in index order — at set size 1 the sequence is
+// virtual channels — between two devices, returning a's group. Each
+// end's provisioner sets up its receive resources (a before b: regions
+// are numbered in reservation order, and two ranks may share an HCA),
+// then adopts what set-up hands over from the other. All QPs are created
+// first and connected as a set (ib.ConnectSet), then each endpoint's
+// channel state is built in index order — at set size 1 the sequence is
 // exactly the pre-endpoint establishment.
 func establish(a, b *Device) *epGroup {
 	if a.epN != b.epN {
@@ -537,8 +475,9 @@ func establish(a, b *Device) *epGroup {
 		gb.eps[ep] = cb
 		a.addConn(ca)
 		b.addConn(cb)
-		a.qpConn[qas[ep]] = ca
-		b.qpConn[qbs[ep]] = cb
+		// A completion names its QP, and the QP its connection.
+		qas[ep].SetOwner(ca)
+		qbs[ep].SetOwner(cb)
 		// Each direction of each endpoint is a distinct metric series;
 		// with on-demand wiring this runs mid-job and the series align
 		// via the registry's first-sample offsets. Endpoint 0 keeps the
@@ -556,39 +495,10 @@ func establish(a, b *Device) *epGroup {
 		}
 		a.prov.provisionConn(ca)
 		b.prov.provisionConn(cb)
-		if a.params.RingChannel() {
-			// Ring scheme: the provisioner posted the control descriptors;
-			// each side now reserves its inbound slot ring and the peers
-			// adopt the remote addresses (exchanged during connection setup).
-			mrA := a.allocRing(ca)
-			mrB := b.allocRing(cb)
-			b.adoptRing(cb, mrA, a.params.Prepost, a.params.SlotBytes)
-			a.adoptRing(ca, mrB, b.params.Prepost, b.params.SlotBytes)
-		}
+		a.prov.adopt(ca, cb)
+		b.prov.adopt(cb, ca)
 	}
 	return ga
-}
-
-// allocRing reserves this side's inbound slot ring on c: a fixed region
-// of Prepost slots of SlotBytes each that the peer will RDMA-write eager
-// packets into. There are no free/used lists — the ring bookkeeping is
-// position arithmetic. The region is pinned for the connection's
-// lifetime on the virtual clock (Stats counts it from here on); its host
-// bytes are committed, whole and for good, by the first write that lands
-// in it (ib.HCA.ReserveMemory). It is never served from the buffer pool:
-// the slots are persistent memory, and an overrun must keep corrupting a
-// live payload so that a flow-control bug cannot hide.
-func (d *Device) allocRing(c *conn) *ib.MR {
-	c.ringMR = d.hca.ReserveMemory(d.params.Prepost * d.params.SlotBytes)
-	c.ringIn = core.NewRing(d.params.Prepost)
-	return c.ringMR
-}
-
-// adoptRing installs the peer's inbound ring as this side's outbound
-// one: n remote slots of sz bytes backed by mr, written at (tail mod n).
-func (d *Device) adoptRing(c *conn, mr *ib.MR, n, sz int) {
-	c.peerMR, c.peerSlot = mr, sz
-	c.ringOut = core.NewRing(n)
 }
 
 // pushBacklog appends a held-back send to the connection's backlog queue.
@@ -698,32 +608,34 @@ func (d *Device) prepost(c *conn, n int) {
 	}
 }
 
-// postPacket posts an encoded packet of n bytes from a pool buffer.
-func (d *Device) postPacket(c *conn, buf []byte, n int, ctx sendCtx) {
+// track enters a work request about to be posted on c in the device's
+// books — its context under a fresh id, the endpoint's occupancy, the
+// message total — and returns the id to post it under.
+func (d *Device) track(c *conn, ctx sendCtx) uint64 {
 	d.wridSeq++
 	ctx.conn = c
-	if ctx.buf == nil && ctx.kind == ctxBuf {
-		ctx.buf = buf
-	}
 	d.sendCtxs[d.wridSeq] = ctx
 	c.noteOut()
-	if c.ringIn != nil {
-		// The piggyback rule: every outgoing packet on a ring connection
-		// carries the receiver's current head, re-stamped post-encode so
-		// even backlogged or pre-built packets return the freshest value.
-		binary.LittleEndian.PutUint32(buf[44:], c.ringIn.TakeHead(true))
-	}
-	c.qp.PostSend(d.wridSeq, buf[:n])
 	c.vc.CountMsg()
+	return d.wridSeq
+}
+
+// postPacket posts an encoded packet of n bytes from a pool buffer. Every
+// outgoing packet carries the VC's piggybacked ring head, stamped
+// post-encode so even backlogged or pre-built packets return the freshest
+// value.
+func (d *Device) postPacket(c *conn, buf []byte, n int) {
+	binary.LittleEndian.PutUint32(buf[44:], c.vc.PiggybackHead())
+	c.qp.PostSend(d.track(c, sendCtx{kind: ctxBuf, buf: buf}), buf[:n])
 	c.lastSend = d.eng.Now()
 	d.tr(pktKind(PktType(buf[0])), c.peer, int64(n))
 }
 
 // Send transmits data to rank dst with the given tag. token is handed back
 // through Handler.SendDone when the send completes in the MPI sense.
-// blocking marks MPI_Send-style calls whose credit-starved small messages
-// may demote to a rendezvous handshake; non-blocking starved sends queue
-// in the backlog instead.
+// blocking marks MPI_Send-style calls, which may wait where a non-blocking
+// send queues: a credit-starved small message demotes to a rendezvous
+// handshake, one facing a full ring parks until a slot frees up.
 func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token any, blocking bool) {
 	// Every MPI call enters the progress engine first (as MPICH's ADI
 	// does): arrivals processed here return piggybacked credits, which
@@ -731,40 +643,47 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 	d.ProgressOnce(p)
 	c := d.conn(p, dst)
 	p.Sleep(d.cfg.SWSend)
-	if d.params.RingChannel() {
-		if len(data) <= d.params.SlotBytes-HeaderSize {
-			d.sendRingEager(p, c, tag, comm, data, token, blocking)
-		} else {
-			d.sendRndvPath(p, c, tag, comm, data, token)
-		}
+	if len(data) > d.eagerMax {
+		d.sendRndvPath(p, c, tag, comm, data, token)
 		return
 	}
-	if len(data) <= d.cfg.EagerThreshold() {
-		if c.degraded {
-			// Degraded mode: the QP is frozen on RNR exhaustion, so
-			// force the backlog regardless of credits (the credit, if
-			// the scheme uses one, is consumed at drain time — net
-			// accounting is identical to a credit-starved backlog).
-			d.tr(trace.Backlogged, c.peer, int64(len(data)))
-			c.vc.QueueFree()
-			d.enqueueEager(p, c, tag, comm, data, token)
-			return
-		}
-		switch c.vc.DecideEager(blocking) {
-		case core.ActionSend:
-			d.postEager(p, c, tag, comm, data)
-			d.handler.SendDone(token)
-		case core.ActionDemote:
-			d.tr(trace.Demoted, c.peer, int64(len(data)))
-			d.startRndv(p, c, tag, comm, data, token, true)
-		case core.ActionBacklog:
-			d.tr(trace.Backlogged, c.peer, int64(len(data)))
-			d.enqueueEager(p, c, tag, comm, data, token)
-			d.drainBacklog(p, c)
-		}
-		return
+	switch d.admitEager(p, c, len(data), blocking) {
+	case core.ActionSend:
+		e := d.encodeEager(p, c, tag, comm, data, false)
+		d.prov.postEager(c, e.buf, e.n)
+		d.handler.SendDone(token)
+	case core.ActionDemote:
+		d.tr(trace.Demoted, c.peer, int64(len(data)))
+		d.startRndv(p, c, tag, comm, data, token, true)
+	case core.ActionBacklog:
+		// The user buffer is copied out and immediately reusable, so
+		// SendDone fires now. drainBacklog refuses a degraded connection.
+		d.tr(trace.Backlogged, c.peer, int64(len(data)))
+		c.pushBacklog(d.encodeEager(p, c, tag, comm, data, true))
+		d.handler.SendDone(token)
+		d.drainBacklog(p, c)
 	}
-	d.sendRndvPath(p, c, tag, comm, data, token)
+}
+
+// admitEager asks c's VC what to do with an n-byte eager send. A degraded
+// connection — its QP frozen on RNR exhaustion — forces the backlog
+// whatever the VC would say (the credit, if the scheme uses one, is
+// consumed at drain time: net accounting is identical to a starved
+// backlog). On ActionWait the rank's own process parks on the progress
+// engine — backpressure, never a handler — until the channel reopens or
+// degrades, then asks again without the option to wait.
+func (d *Device) admitEager(p *sim.Proc, c *conn, n int, blocking bool) core.Action {
+	for !c.degraded {
+		a := c.vc.DecideEager(blocking)
+		if a != core.ActionWait {
+			return a
+		}
+		d.tr(trace.Backlogged, c.peer, int64(n))
+		d.WaitProgress(p, func() bool { return c.degraded || c.vc.SendReady() })
+		blocking = false
+	}
+	c.vc.QueueFree()
+	return core.ActionBacklog
 }
 
 // SendSync transmits data with synchronous-mode semantics (MPI_Ssend):
@@ -777,31 +696,6 @@ func (d *Device) SendSync(p *sim.Proc, dst, tag int, comm uint16, data []byte, t
 	d.sendRndvPath(p, c, tag, comm, data, token)
 }
 
-// sendRingEager routes a small message over the ring channel. The flow
-// control IS the ring geometry: a send needs a free slot between the
-// local tail and the peer's last announced head. A blocking send with no
-// free slot parks the rank's own process on the progress engine until a
-// head update arrives (slot-exhaustion backpressure — never a handler);
-// a non-blocking one joins the backlog and drains as heads come back.
-func (d *Device) sendRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any, blocking bool) {
-	if blocking && !c.degraded && c.backlog.Len() == 0 && c.ringOut.Free() == 0 {
-		d.tr(trace.Backlogged, c.peer, int64(len(data)))
-		d.WaitProgress(p, func() bool { return c.degraded || c.ringOut.Free() > 0 })
-	}
-	if !c.degraded && c.backlog.Len() == 0 && c.ringOut.Free() > 0 {
-		c.vc.DecideEager(false) // non-user-level: counts EagerSent, always sends
-		d.postEager(p, c, tag, comm, data)
-		d.handler.SendDone(token)
-		return
-	}
-	d.tr(trace.Backlogged, c.peer, int64(len(data)))
-	c.vc.QueueFree()
-	d.enqueueEager(p, c, tag, comm, data, token)
-	if !c.degraded {
-		d.drainBacklog(p, c)
-	}
-}
-
 // sendRndvPath routes a message through the rendezvous protocol. The RTS
 // occupies a receiver buffer like any other send, so under user-level
 // schemes it consumes a credit; at zero credits (or behind a non-empty
@@ -810,19 +704,6 @@ func (d *Device) sendRingEager(p *sim.Proc, c *conn, tag int, comm uint16, data 
 // the paper observes in Figures 7-8.
 func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any) {
 	out := d.newRndvOut(p, c, tag, comm, data, token, false)
-	if d.params.RingChannel() {
-		// Control traffic rides the descriptor pool, outside the
-		// ring's slot accounting — but it must not overtake backlogged
-		// eager traffic (MPI's non-overtaking order).
-		if c.backlog.Len() > 0 {
-			out.starved = true
-			c.vc.QueueFree()
-			c.pushBacklog(backlogEntry{rndv: out})
-			return
-		}
-		d.sendRTS(p, c, out, false)
-		return
-	}
 	consumed, queue := c.vc.DecideRTS()
 	if queue {
 		out.starved = true
@@ -836,66 +717,28 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 // encodeEager builds an eager data packet in a fresh pool buffer and
 // charges the header+payload copy. A direct send (starved false) carries
 // the owed credits now; a backlogged one is flagged as the dynamic
-// scheme's growth feedback and takes its piggyback at drain time. Ring
-// flow control has no credits and no growth feedback, so a ring packet
-// carries neither — backlogged or not, it is the same packet once a slot
-// frees up.
+// scheme's growth feedback and takes its piggyback at drain time. The
+// flags mean something to a receiver whose scheme has credits and are
+// ignored by the others.
 func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, starved bool) backlogEntry {
 	buf := d.pool.Get()
 	h := Header{
-		Type: PktEager,
-		Comm: comm,
-		Src:  int32(d.rank),
-		Tag:  int32(tag),
-		Len:  uint32(len(data)),
+		Type:  PktEager,
+		Flags: FlagCredit,
+		Comm:  comm,
+		Src:   int32(d.rank),
+		Tag:   int32(tag),
+		Len:   uint32(len(data)),
 	}
-	if c.ringOut == nil {
-		h.Flags = FlagCredit
-		if starved {
-			h.Flags |= FlagStarved
-		} else {
-			h.Piggyback = uint32(c.vc.TakePiggyback())
-		}
+	if starved {
+		h.Flags |= FlagStarved
+	} else {
+		h.Piggyback = uint32(c.vc.TakePiggyback())
 	}
 	h.Encode(buf)
 	copy(buf[HeaderSize:], data)
 	p.Sleep(d.cfg.CopyTime(HeaderSize + len(data)))
 	return backlogEntry{buf: buf, n: HeaderSize + len(data)}
-}
-
-// postEager encodes and posts an eager data packet (the caller's
-// DecideEager consumed the credit, or checked ringOut.Free).
-func (d *Device) postEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte) {
-	e := d.encodeEager(p, c, tag, comm, data, false)
-	d.postEagerPacket(c, e.buf, e.n)
-}
-
-// postEagerPacket ships an encoded eager packet over the scheme's eager
-// channel: a send/receive descriptor, or an RDMA write into the next
-// ring position.
-func (d *Device) postEagerPacket(c *conn, buf []byte, n int) {
-	if c.ringOut == nil {
-		d.postPacket(c, buf, n, sendCtx{kind: ctxBuf})
-		return
-	}
-	// Callers gate on ringOut.Free() before reaching here, so Reserve
-	// cannot overrun the peer's last announced head.
-	slot := c.ringOut.Reserve()
-	binary.LittleEndian.PutUint32(buf[44:], c.ringIn.TakeHead(true))
-	d.wridSeq++
-	d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxBuf, buf: buf, conn: c}
-	c.noteOut()
-	c.qp.PostWriteNotify(d.wridSeq, buf[:n], ib.RemoteKey{MR: c.peerMR, Offset: slot * c.peerSlot}, uint64(slot))
-	c.vc.CountMsg()
-	c.lastSend = d.eng.Now()
-	d.tr(trace.SendEager, c.peer, int64(n))
-}
-
-// enqueueEager copies a starved eager send into the backlog. The user
-// buffer is immediately reusable, so SendDone fires now.
-func (d *Device) enqueueEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any) {
-	c.pushBacklog(d.encodeEager(p, c, tag, comm, data, true))
-	d.handler.SendDone(token)
 }
 
 // drainBacklog sends backlogged messages in FIFO order while credits last.
@@ -916,43 +759,28 @@ func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
 		}
 		did = true
 		p.Sleep(d.cfg.CopyTime(HeaderSize))
-		d.postPacket(c, rts, HeaderSize, sendCtx{kind: ctxBuf})
+		d.postPacket(c, rts, HeaderSize)
 	}
 }
 
-// drainAdvance advances c's backlog as far as possible without charging
-// virtual time: eager entries post inline (their payload copy was paid
-// at enqueue), while an RTS entry is prepared and returned for the
-// caller — process or progress machine — to charge the header copy and
-// post. It reports whether it accomplished anything beyond the returned
-// RTS. Callers gate on c.degraded before starting a drain.
+// drainAdvance advances c's backlog as far as the VC lets it without
+// charging virtual time: eager entries post inline (their payload copy
+// was paid at enqueue), while an RTS entry is prepared and returned for
+// the caller — process or progress machine — to charge the header copy
+// and post. It reports whether it accomplished anything beyond the
+// returned RTS. Callers gate on c.degraded before starting a drain.
 func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	did := false
 	for c.backlog.Len() > 0 {
 		e := c.backlog.peek()
 		if e.rndv != nil {
-			// A ring-scheme RTS queued only for ordering (control
-			// traffic is outside the ring's slot accounting) and
-			// drains freely; a send/recv-channel RTS needs a credit
-			// under a user-level scheme.
-			consumed := false
-			if d.params.RingChannel() {
-				c.vc.DrainFree()
-			} else {
-				if !c.vc.CanDrainBacklog() {
-					return nil, did
-				}
-				consumed = d.params.UserLevel()
+			consumed, ok := c.vc.DrainRTS()
+			if !ok {
+				return nil, did
 			}
 			c.popBacklog()
 			d.tr(trace.Drained, c.peer, 0)
 			return d.prepRTS(c, e.rndv, consumed), did
-		}
-		if c.ringOut != nil && c.ringOut.Free() == 0 {
-			// Ring slot exhaustion: wait for a head update before
-			// draining further (CanDrainBacklog below is unconditional
-			// for non-user-level schemes, so gate first).
-			return nil, did
 		}
 		if !c.vc.CanDrainBacklog() {
 			return nil, did
@@ -960,7 +788,7 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 		c.popBacklog()
 		d.tr(trace.Drained, c.peer, int64(e.n))
 		binary.LittleEndian.PutUint32(e.buf[16:], uint32(c.vc.TakePiggyback()))
-		d.postEagerPacket(c, e.buf, e.n)
+		d.prov.postEager(c, e.buf, e.n)
 		did = true
 	}
 	return nil, did
@@ -993,14 +821,15 @@ func (d *Device) startRndv(p *sim.Proc, c *conn, tag int, comm uint16, data []by
 func (d *Device) sendRTS(p *sim.Proc, c *conn, out *rndvOut, consumed bool) {
 	buf := d.prepRTS(c, out, consumed)
 	p.Sleep(d.cfg.CopyTime(HeaderSize))
-	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
+	d.postPacket(c, buf, HeaderSize)
 }
 
 // prepRTS encodes the Rendezvous Start control message. consumed records
 // whether a user-level credit backs it; credit-less RTS (a demoted small
 // send, or the hardware scheme) is optimistic: InfiniBand's end-to-end
-// flow control is the backstop. The caller charges the header copy
-// before posting the returned packet.
+// flow control is the backstop. The RTS names the registered source
+// region, so a receiver that pulls needs no CTS round. The caller charges
+// the header copy before posting the returned packet.
 func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 	buf := d.pool.Get()
 	flags := uint8(0)
@@ -1020,9 +849,7 @@ func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 		Piggyback: uint32(c.vc.TakePiggyback()),
 		ReqID:     out.id,
 	}
-	if d.params.RingChannel() && len(out.data) > 0 {
-		// Ring rendezvous pulls with an RDMA read: the RTS carries the
-		// registered source region so the receiver needs no CTS round.
+	if out.mr != nil {
 		h.MRID = uint32(out.mr.ID())
 	}
 	h.Encode(buf)
@@ -1030,38 +857,29 @@ func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 }
 
 // AcceptRndv supplies the receive buffer for an announced rendezvous and
-// sends the CTS reply carrying the registered destination. Process-context
-// path: the MPI layer calls it when a receive posted after the RTS
-// finally matches (the in-band accept runs on the progress machine).
+// moves the transfer along: the CTS reply carrying the registered
+// destination, or whatever the transport shape does instead.
+// Process-context path: the MPI layer calls it when a receive posted after
+// the RTS finally matches (the in-band accept runs on the progress
+// machine, pcPktBody onwards, in the same three steps).
 func (d *Device) AcceptRndv(p *sim.Proc, r *RndvIn, buf []byte) {
-	if d.params.RingChannel() {
-		if _, cost, reg := d.acceptBuf(r, buf); reg {
-			p.Sleep(cost)
-		}
-		if r.Len == 0 {
-			d.finishRndvRead(r)
-			return
-		}
-		d.postRndvRead(r)
-		return
-	}
 	h, cost, reg := d.acceptStart(r, buf)
 	if reg {
 		p.Sleep(cost)
 	}
-	pkt := d.pool.Get()
-	h.Encode(pkt)
-	p.Sleep(d.cfg.CopyTime(HeaderSize))
-	d.postPacket(r.conn, pkt, HeaderSize, sendCtx{kind: ctxBuf})
+	if pkt := d.prov.accepted(r, h); pkt != nil {
+		p.Sleep(d.cfg.CopyTime(HeaderSize))
+		d.postPacket(r.conn, pkt, HeaderSize)
+	}
 }
 
-// acceptBuf is the accept check both rendezvous flavours share: it
-// validates and records the receive buffer and registers it (pin-down
-// cached). reg reports whether a registration charge of `cost` is due
-// (zero-length transfers register nothing); the caller charges it before
-// its next step — encoding the CTS, or posting the ring scheme's RDMA
-// read (the RTS carried the source region; no CTS round exists there).
-func (d *Device) acceptBuf(r *RndvIn, buf []byte) (mr *ib.MR, cost sim.Time, reg bool) {
+// acceptStart validates and records the receive buffer of an announced
+// rendezvous, registers it (pin-down cached) and lets the provisioner
+// decide what the reply needs before the registration is charged. reg
+// reports whether a registration charge of `cost` is due (zero-length
+// transfers register nothing); the caller charges it, then hands the
+// header to the provisioner's accepted.
+func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, reg bool) {
 	if r.accepted {
 		panic("chdev: rendezvous accepted twice")
 	}
@@ -1070,61 +888,11 @@ func (d *Device) acceptBuf(r *RndvIn, buf []byte) (mr *ib.MR, cost sim.Time, reg
 	}
 	r.accepted = true
 	r.buf = buf
-	if r.Len > 0 {
+	var mr *ib.MR
+	if reg = r.Len > 0; reg {
 		mr, cost = d.regs.Register(buf[:r.Len])
-		return mr, cost, true
 	}
-	return nil, 0, false
-}
-
-// acceptStart accepts an announced send/recv-channel rendezvous and
-// builds the CTS header carrying the registered destination. The caller
-// charges the registration (see acceptBuf), then encodes, charges the
-// header copy, and posts.
-func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, reg bool) {
-	mr, cost, reg := d.acceptBuf(r, buf)
-	c := r.conn
-	d.rndvSeq++
-	r.myReq = d.rndvSeq
-	d.recvRndv[r.myReq] = r
-
-	h = Header{
-		Type:      PktCTS,
-		Src:       int32(d.rank),
-		Len:       uint32(r.Len),
-		Piggyback: uint32(c.vc.TakePiggyback()),
-		ReqID:     r.senderReq,
-		PeerReqID: r.myReq,
-	}
-	if reg {
-		h.MRID = uint32(mr.ID())
-	}
-	return h, cost, reg
-}
-
-// postRndvRead posts the RDMA read pulling an accepted ring-scheme
-// rendezvous payload from the sender's registered region. Completion
-// (OpReadComplete) sends the FIN and delivers the data.
-func (d *Device) postRndvRead(r *RndvIn) {
-	c := r.conn
-	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
-	d.wridSeq++
-	d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxRndvRead, rin: r, conn: c}
-	c.noteOut()
-	c.qp.PostRead(d.wridSeq, r.buf[:r.Len], ib.RemoteKey{MR: mr})
-	c.vc.CountMsg()
-	c.lastSend = d.eng.Now()
-	d.rndvReadBytes.Add(uint64(r.Len))
-	d.rndvReadTotal += uint64(r.Len)
-	d.tr(trace.SendRDMARead, c.peer, int64(r.Len))
-}
-
-// finishRndvRead completes a ring-scheme rendezvous at the receiver: the
-// payload (if any) is in r.buf, so tell the sender (FIN) and the MPI
-// layer. Runs in event context; charges no time.
-func (d *Device) finishRndvRead(r *RndvIn) {
-	d.sendFin(r.conn, r.senderReq)
-	d.handler.DeliverRndvDone(r)
+	return d.prov.accept(r, mr), cost, reg
 }
 
 // postCtrl encodes and posts a header-only control packet from event
@@ -1132,7 +900,7 @@ func (d *Device) finishRndvRead(r *RndvIn) {
 func (d *Device) postCtrl(c *conn, h *Header) {
 	buf := d.pool.Get()
 	h.Encode(buf)
-	d.postPacket(c, buf, HeaderSize, sendCtx{kind: ctxBuf})
+	d.postPacket(c, buf, HeaderSize)
 }
 
 // sendFin posts the rendezvous completion control message. It runs in
@@ -1147,69 +915,48 @@ func (d *Device) sendFin(c *conn, peerReq uint64) {
 	})
 }
 
-// needReturn reports whether c's receive side has accumulated enough
-// unreturned state — owed credits, or consumed ring slots the peer has
-// not been told about — to justify an explicit return message (no
-// outgoing traffic rode it back).
-func (c *conn) needReturn() bool {
-	if c.ringIn != nil {
-		return c.ringIn.NeedSync()
-	}
-	return c.vc.NeedECM()
+// finishSend completes an outgoing rendezvous: the peer has the payload,
+// the user buffer is reusable.
+func (d *Device) finishSend(out *rndvOut) {
+	delete(d.sendRndv, out.id)
+	d.rndvHist.ObserveTime(d.eng.Now() - out.start)
+	d.handler.SendDone(out.token)
 }
 
-// sendReturn posts c's explicit return message: an explicit credit
-// message (ECM), or on the ring channel its analogue, the head sync.
-// Under the optimistic policy an ECM bypasses user-level flow control
-// entirely; under the pessimistic policy (for the deadlock demonstration)
-// it needs a credit like any other send. sendReturn may run from a timer
-// event, so it never charges process time.
+// sendReturn posts c's explicit return message — an explicit credit
+// message (ECM), or whatever the provisioner makes of it — once c's VC has
+// said one is due. It may run from a timer event, so it never charges
+// process time.
 //
 // An injected drop fails the message before the wire: what was owed stays
-// owed (credits are conserved; the ring's headSent is unchanged, so
-// NeedSync stays true) and the silence timer re-arms so it still flows —
-// a peer may be blocked waiting for exactly this. An injected duplicate
-// follows a successful message with a copy that carries nothing new,
-// exercising exactly-once application at the receiver.
+// owed (the VC is not touched, so NeedECM stays true) and the silence
+// timer re-arms so it still flows — a peer may be blocked waiting for
+// exactly this. An injected duplicate follows a successful message with a
+// copy that carries nothing new, exercising exactly-once application at
+// the receiver.
 func (d *Device) sendReturn(c *conn) bool {
 	now := d.eng.Now()
 	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDropped()
-		unreturned := c.vc.Owed()
-		if c.ringIn != nil {
-			unreturned = c.ringIn.Unsynced()
-		}
-		d.tr(trace.ECMDropped, c.peer, int64(unreturned))
+		d.tr(trace.ECMDropped, c.peer, int64(c.vc.Unreturned()))
 		t := d.ecmTimer(c)
 		if !t.Armed() {
 			t.Reset(d.cfg.ECMSilence)
 		}
 		return false
 	}
-	h := Header{Type: PktCredit, Src: int32(d.rank)}
-	if c.ringIn != nil {
-		h.Type = PktRingSync
-		h.RingHead = c.ringIn.TakeHead(false)
-	} else {
-		if d.cfg.PessimisticECM {
-			if c.vc.Credits() == 0 || c.vc.BacklogLen() > 0 {
-				return false // cannot send: this is how deadlock happens
-			}
-			if c.vc.DecideEager(false) != core.ActionSend {
-				return false
-			}
-			h.Flags = FlagCredit
-		}
-		h.Piggyback = uint32(c.vc.TakeECM())
+	h, ok := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
+	if !ok {
+		return false
 	}
 	d.postCtrl(c, &h)
 	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDuplicated()
 		d.tr(trace.ECMDuplicated, c.peer, 0)
-		// TakeECM above cleared owed, so the duplicate carries zero
-		// credits — double-applying it cannot mint credit at the peer.
-		// A ring duplicate repeats the same absolute head, which SeenHead
-		// treats as stale: duplication cannot free slots twice.
+		// The original took everything owed, so the duplicate carries zero
+		// credits — double-applying it cannot mint credit at the peer —
+		// or repeats the same absolute ring head, which the peer treats as
+		// stale: duplication cannot free slots twice.
 		h.Flags, h.Piggyback = 0, 0
 		d.postCtrl(c, &h)
 	}
@@ -1227,8 +974,8 @@ func (d *Device) ProgressOnce(p *sim.Proc) bool {
 
 // debugCheckConn validates a connection's credit state: the VC's own
 // invariants plus agreement between the queued backlog entries and the
-// VC's backlog counter, which pushBacklog/popBacklog and the
-// QueueFree/DrainFree counters must keep in lockstep. It runs under the
+// VC's backlog counter, which pushBacklog/popBacklog and the VC's
+// decision calls must keep in lockstep. It runs under the
 // per-run Debug switch or an ibdebug build, and compiles away otherwise.
 func (d *Device) debugCheckConn(c *conn) {
 	if !debug.Enabled && !d.cfg.Debug {
@@ -1250,7 +997,7 @@ func (d *Device) flushCredits() bool {
 	did := false
 	for _, c := range d.live {
 		c.vc.MaybeShrink(d.eng.Now())
-		if c.needReturn() && d.maybeSendReturn(c) {
+		if c.vc.NeedECM() && d.maybeSendReturn(c) {
 			did = true
 		}
 	}
@@ -1264,7 +1011,7 @@ func (d *Device) flushCredits() bool {
 func (d *Device) ecmTimer(c *conn) *sim.Timer {
 	if c.ecmTimer == nil {
 		c.ecmTimer = sim.NewTimer(d.eng, func() {
-			if !c.needReturn() {
+			if !c.vc.NeedECM() {
 				return
 			}
 			if d.eng.Now()-c.lastSend >= d.cfg.ECMSilence {
@@ -1343,7 +1090,7 @@ func (d *Device) retireSend(wc ib.WC) {
 		panic("chdev: unknown send completion")
 	}
 	if wc.Status == ib.StatusRNRRetryExceeded {
-		d.onRetryExhausted(wc, ctx)
+		d.onRetryExhausted(wc.WRID, ctx)
 		return
 	}
 	delete(d.sendCtxs, wc.WRID)
@@ -1356,13 +1103,12 @@ func (d *Device) retireSend(wc ib.WC) {
 		d.pool.Put(ctx.buf)
 	case ctxRndvData:
 		d.sendFin(ctx.conn, ctx.out.peerReq)
-		delete(d.sendRndv, ctx.out.id)
-		d.rndvHist.ObserveTime(d.eng.Now() - ctx.out.start)
-		d.handler.SendDone(ctx.out.token)
+		d.finishSend(ctx.out)
 	case ctxRndvRead:
 		// The RDMA read pulled the payload into the accepted buffer:
-		// complete at the receiver and FIN the sender.
-		d.finishRndvRead(ctx.rin)
+		// FIN the sender and complete at the receiver.
+		d.sendFin(ctx.conn, ctx.rin.senderReq)
+		d.handler.DeliverRndvDone(ctx.rin)
 	}
 }
 
@@ -1372,16 +1118,12 @@ func (d *Device) retireSend(wc ib.WC) {
 // is just ResumeStalled with a fresh retry budget after ReissueDelay; the
 // connection meanwhile runs degraded, forcing new eager traffic into the
 // backlog so nothing piles onto the frozen stream out of order.
-func (d *Device) onRetryExhausted(wc ib.WC, ctx sendCtx) {
+func (d *Device) onRetryExhausted(wrid uint64, ctx sendCtx) {
 	c := ctx.conn
 	ctx.attempts++
-	if d.cfg.ReissueLimit > 0 && ctx.attempts > d.cfg.ReissueLimit {
-		panic(fmt.Sprintf("chdev: rank %d giving up on peer %d after %d re-issues: %v",
-			d.rank, c.peer, ctx.attempts-1, wc.Err))
-	}
 	// The WQE is still queued in the frozen QP; keep its context (the
 	// pool buffer is still pinned under it) with the bumped count.
-	d.sendCtxs[wc.WRID] = ctx
+	d.sendCtxs[wrid] = ctx
 	c.degraded = true
 	c.vc.NoteReissue()
 	d.tr(trace.Reissued, c.peer, int64(ctx.attempts))
@@ -1422,37 +1164,11 @@ func (d *Device) Stats() Stats {
 		s.Retransmits += qs.Retransmits
 		s.WastedBytes += qs.WastedBytes
 		s.RNRExhausted += qs.RNRExhausted
-		if c.ringIn != nil {
-			rs := c.ringIn.Stats()
-			s.RingSyncs += uint64(rs.Syncs)
-			if rs.OccupancyHWM > s.RingOccupancyHWM {
-				s.RingOccupancyHWM = rs.OccupancyHWM
-			}
-		}
-		if c.ringOut != nil {
-			if o := c.ringOut.Stats().OccupancyHWM; o > s.RingOccupancyHWM {
-				s.RingOccupancyHWM = o
-			}
-		}
-	}
-	s.RndvReadBytes = d.rndvReadTotal
-	if d.rpool != nil {
-		// Shared shape: the pool's accounting replaces the per-VC
-		// receiver-side numbers, which are vestigial under this scheme.
-		ps := d.rpool.Stats()
-		s.MaxPosted = ps.MaxPosted
-		s.LimitEvents = ps.LimitEvents
-		s.GrowthEvents += ps.GrowthEvents
 	}
 	s.SumPosted = d.prov.posted()
 	s.BufBytesInUse = s.SumPosted * d.cfg.BufSize
-	if d.params.RingChannel() {
-		// The ring slots are pinned for the connection's lifetime; they
-		// are receive memory even though nothing is "posted" for them.
-		s.BufBytesInUse += s.Conns * d.params.Prepost * d.params.SlotBytes
-	}
 	s.BufBytesHWM = d.prov.postedHWMBytes()
-	return s
+	return d.prov.stats(s)
 }
 
 // ConnSetups reports on-demand connection establishments initiated here.

@@ -21,6 +21,18 @@ func devPairEP(t *testing.T, cfg Config, params core.Params) (*sim.Engine, *Devi
 	return devPair(t, cfg, params)
 }
 
+// ownedQPs counts the QPs that name one of d's connections as their
+// owner — what an arrival's completion is resolved through.
+func ownedQPs(d *Device) int {
+	seen := map[*ib.QP]bool{}
+	for _, c := range d.live {
+		if c.qp.Owner() == any(c) {
+			seen[c.qp] = true
+		}
+	}
+	return len(seen)
+}
+
 // TestEndpointSetEstablish: wiring a pair with Endpoints=4 builds four
 // independent QP/VC endpoints, all visible through the stats accessors,
 // with per-endpoint receive provisioning.
@@ -33,8 +45,8 @@ func TestEndpointSetEstablish(t *testing.T) {
 		if es.Endpoints != 4 || es.Active != 4 {
 			t.Fatalf("rank %d endpoint stats = %+v, want Endpoints 4 Active 4", d.Rank(), es)
 		}
-		if len(d.qpConn) != 4 {
-			t.Fatalf("rank %d has %d QPs, want 4", d.Rank(), len(d.qpConn))
+		if n := ownedQPs(d); n != 4 {
+			t.Fatalf("rank %d has %d QPs, want 4", d.Rank(), n)
 		}
 		st := d.Stats()
 		if st.Conns != 4 {
@@ -161,10 +173,11 @@ func TestEndpointSharedPoolConservation(t *testing.T) {
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if d1.rpool.InUse() != 0 {
-		t.Errorf("pool in use at quiescence: %d", d1.rpool.InUse())
+	pp := d1.prov.(*poolProvisioner)
+	if pp.pool.InUse() != 0 {
+		t.Errorf("pool in use at quiescence: %d", pp.pool.InUse())
 	}
-	if got, want := d1.srq.PostedRecvs(), d1.rpool.Posted(); got != want {
+	if got, want := pp.srq.PostedRecvs(), pp.pool.Posted(); got != want {
 		t.Errorf("SRQ free = %d, pool accounting = %d", got, want)
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
@@ -198,10 +211,10 @@ func TestEndpointRingScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ep := 0; ep < 2; ep++ {
-		if got := d0.epAt(1, ep).ringOut.Tail(); got != 4 {
+		if got := d0.epAt(1, ep).vc.RingOut().Tail(); got != 4 {
 			t.Errorf("endpoint %d reserved %d ring slots, want 4", ep, got)
 		}
-		if got := d0.epAt(1, ep).ringOut.Free(); got != 4 {
+		if got := d0.epAt(1, ep).vc.RingOut().Free(); got != 4 {
 			t.Errorf("endpoint %d has %d ring slots credited back, want 4", ep, got)
 		}
 	}
@@ -250,8 +263,8 @@ func TestEndpointOnDemandBothEnds(t *testing.T) {
 				if got := d.EndpointStats().Active; got != epN {
 					t.Errorf("rank %d has %d endpoints, want %d", d.Rank(), got, epN)
 				}
-				if len(d.qpConn) != epN {
-					t.Errorf("rank %d has %d QPs, want %d", d.Rank(), len(d.qpConn), epN)
+				if n := ownedQPs(d); n != epN {
+					t.Errorf("rank %d has %d QPs, want %d", d.Rank(), n, epN)
 				}
 			}
 			if err := Audit([]*Device{d0, d1}); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"ibflow/internal/core"
 	"ibflow/internal/ib"
+	"ibflow/internal/mem"
 	"ibflow/internal/sim"
 )
 
@@ -122,15 +123,17 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 // skipOneRepost is a provisioner that forgets one processed descriptor.
 type skipOneRepost struct {
 	recvProvisioner
+	pool    *mem.BufPool
 	skipped bool
 }
 
-func (s *skipOneRepost) processed(c *conn, consumedCredit bool) {
+func (s *skipOneRepost) processed(c *conn, buf []byte, hdr *Header) {
 	if !s.skipped {
 		s.skipped = true
+		s.pool.Put(buf)
 		return
 	}
-	s.recvProvisioner.processed(c, consumedCredit)
+	s.recvProvisioner.processed(c, buf, hdr)
 }
 
 // The audit's descriptor law catches a repost that never happened on the
@@ -143,7 +146,7 @@ func TestAuditCatchesDescriptorAndBufferLeaks(t *testing.T) {
 	run := func(t *testing.T, params core.Params, skip bool) []*Device {
 		eng, d0, d1, h0, h1 := devPair(t, DefaultConfig(), params)
 		if skip {
-			d0.prov = &skipOneRepost{recvProvisioner: d0.prov}
+			d0.prov = &skipOneRepost{recvProvisioner: d0.prov, pool: d0.pool}
 		}
 		eng.Go("sender", func(p *sim.Proc) {
 			d0.Send(p, 1, 0, 0, make([]byte, 64<<10), nil, true)

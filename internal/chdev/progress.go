@@ -34,20 +34,18 @@ const (
 	pcIdle pstate = iota
 	// pcPoll: pop the next completion (or move to the conn sweep).
 	pcPoll
-	// pcPktCredits (staged: SW receive overhead): apply piggybacked
-	// credits, then drain the backlog they may have opened.
+	// pcPktCredits (staged: SW receive overhead): apply what the packet
+	// returns, then drain the backlog it may have opened.
 	pcPktCredits
 	// pcPktBody: starvation feedback and the packet-type dispatch.
 	pcPktBody
 	// pcPktEagerDone (staged: payload copy): complete eager delivery.
 	pcPktEagerDone
-	// pcAcceptEncode (staged: registration): encode the CTS reply.
-	pcAcceptEncode
-	// pcAcceptPost (staged: header copy): post the CTS reply.
+	// pcAccepted (staged: registration): second phase of a rendezvous
+	// accept — the provisioner encodes a reply or moves the transfer itself.
+	pcAccepted
+	// pcAcceptPost (staged: header copy): post the reply.
 	pcAcceptPost
-	// pcReadPost (staged: registration): post the ring rendezvous RDMA
-	// read (or finish immediately for a zero-length transfer).
-	pcReadPost
 	// pcPktTail: trace, buffer release, descriptor re-post, next completion.
 	pcPktTail
 	// pcDrain: advance the current connection's backlog.
@@ -76,17 +74,14 @@ type progressMachine struct {
 	pred func() bool
 
 	// In-flight packet, valid from pcPktCredits through pcPktTail.
-	c       *conn
-	buf     []byte
-	viaRDMA bool
-	hdr     Header
+	c   *conn
+	buf []byte
+	hdr Header
 
-	// Rendezvous-accept staging (pcAcceptEncode/pcAcceptPost).
+	// Rendezvous-accept staging (pcAccepted/pcAcceptPost).
+	acceptR   *RndvIn
 	acceptHdr Header
 	acceptPkt []byte
-
-	// Ring rendezvous-read staging (pcReadPost).
-	readR *RndvIn
 
 	// Backlog-drain staging: the connection being drained and where to
 	// continue once it can make no more progress.
@@ -217,32 +212,20 @@ func (m *progressMachine) step() {
 			}
 			// An arrival's completion names the QP, and the QP the
 			// connection — for every provisioning shape.
-			c, ok := d.qpConn[wc.QP]
+			c, ok := wc.QP.Owner().(*conn)
 			if !ok {
 				panic("chdev: arrival on unknown QP")
 			}
 			m.c = c
-			m.viaRDMA = wc.Opcode == ib.OpRecvImm
-			if m.viaRDMA {
-				// RDMA eager arrival detected (models memory polling).
-				// Ring arrivals are in-order, so the slot is determined
-				// by the ring tail; the immediate value must agree.
-				slot := c.ringIn.Arrived()
-				if slot != int(wc.Imm) {
-					panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", wc.Imm, slot))
-				}
-				sz := d.params.SlotBytes
-				m.buf = c.ringMR.Bytes()[slot*sz : (slot+1)*sz]
-			} else {
-				// The buffer is the one the transport committed when the
-				// message landed; it goes back to the pool at pcPktTail.
-				d.prov.arrival()
-				m.buf = wc.Buf
-			}
+			// Where it landed is the provisioner's to say: the buffer the
+			// transport committed for its descriptor, or memory the peer
+			// wrote directly. Either way it is released at pcPktTail.
+			m.buf = d.prov.landed(c, wc.Buf, wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
 			switch { // was: the SWRecv* sleep at the top of handlePacket
-			case m.viaRDMA:
+			case wc.Opcode == ib.OpRecvImm:
+				// Detected by polling memory: no descriptor handling.
 				d.eng.AfterCall(d.cfg.SWRecvRDMA, m, 0)
 			case m.hdr.Type.Control():
 				d.eng.AfterCall(d.cfg.SWRecvCtrl, m, 0)
@@ -252,19 +235,10 @@ func (m *progressMachine) step() {
 			return
 
 		case pcPktCredits:
-			if m.c.ringOut != nil {
-				// Ring channel: every inbound packet piggybacks the
-				// peer's receive head; an advance frees outbound slots,
-				// which may unblock the backlog.
-				if m.c.ringOut.SeenHead(m.hdr.RingHead) {
-					m.startDrain(m.c, pcPktBody)
-					continue
-				}
-				m.pc = pcPktBody
-				continue
-			}
-			if m.hdr.Piggyback > 0 {
-				m.c.vc.AddCredits(int(m.hdr.Piggyback))
+			// Every inbound packet piggybacks what the peer can give
+			// back — credits, its receive head; either may unblock the
+			// backlog.
+			if m.c.vc.Returned(int(m.hdr.Piggyback), m.hdr.RingHead) {
 				m.startDrain(m.c, pcPktBody)
 				continue
 			}
@@ -300,22 +274,9 @@ func (m *progressMachine) step() {
 					m.pc = pcPktTail
 					continue
 				}
-				if d.params.RingChannel() {
-					// Ring rendezvous: the RTS carried the source
-					// region, so pull with an RDMA read — no CTS round.
-					_, cost, reg := d.acceptBuf(r, ubuf)
-					m.readR = r
-					m.pc = pcReadPost
-					if reg {
-						// was: the registration-cost sleep in AcceptRndv
-						d.eng.AfterCall(cost, m, 0)
-						return
-					}
-					continue
-				}
 				h, cost, reg := d.acceptStart(r, ubuf)
-				m.acceptHdr = h
-				m.pc = pcAcceptEncode
+				m.acceptR, m.acceptHdr = r, h
+				m.pc = pcAccepted
 				if reg {
 					// was: the registration-cost sleep in AcceptRndv
 					d.eng.AfterCall(cost, m, 0)
@@ -330,45 +291,21 @@ func (m *progressMachine) step() {
 				out.peerReq = m.hdr.PeerReqID
 				if len(out.data) == 0 {
 					d.sendFin(m.c, out.peerReq)
-					delete(d.sendRndv, out.id)
-					d.rndvHist.ObserveTime(d.eng.Now() - out.start)
-					d.handler.SendDone(out.token)
+					d.finishSend(out)
 				} else {
+					// The one post that leaves lastSend alone: the silence
+					// gate has never counted the payload write as traffic.
 					mr := m.c.qp.Peer().HCA().LookupMR(int(m.hdr.MRID))
-					d.wridSeq++
-					d.sendCtxs[d.wridSeq] = sendCtx{kind: ctxRndvData, out: out, conn: m.c}
-					m.c.noteOut()
-					m.c.qp.PostWrite(d.wridSeq, out.data, ib.RemoteKey{MR: mr})
-					m.c.vc.CountMsg()
+					m.c.qp.PostWrite(d.track(m.c, sendCtx{kind: ctxRndvData, out: out}), out.data, ib.RemoteKey{MR: mr})
 					d.tr(trace.SendRDMAData, m.c.peer, int64(len(out.data)))
 				}
 				m.pc = pcPktTail
 			case PktFin:
-				if d.params.RingChannel() {
-					// Ring rendezvous FIN travels receiver -> sender:
-					// the RDMA read finished, the source buffer is free.
-					out, ok := d.sendRndv[m.hdr.ReqID]
-					if !ok || out.conn != m.c {
-						panic("chdev: FIN for unknown rendezvous")
-					}
-					delete(d.sendRndv, out.id)
-					d.rndvHist.ObserveTime(d.eng.Now() - out.start)
-					d.handler.SendDone(out.token)
-					m.pc = pcPktTail
-					continue
-				}
-				r, ok := d.recvRndv[m.hdr.ReqID]
-				if !ok || r.conn != m.c {
-					panic("chdev: FIN for unknown rendezvous")
-				}
-				delete(d.recvRndv, m.hdr.ReqID)
-				d.handler.DeliverRndvDone(r)
+				// Which end a FIN completes depends on who moved the data.
+				d.prov.fin(m.c, m.hdr.ReqID)
 				m.pc = pcPktTail
-			case PktCredit:
-				// Credits were handled at pcPktCredits.
-				m.pc = pcPktTail
-			case PktRingSync:
-				// The head update was applied at pcPktCredits.
+			case PktCredit, PktRingSync:
+				// What they return was applied at pcPktCredits.
 				m.pc = pcPktTail
 			default:
 				panic(fmt.Sprintf("chdev: bad packet type %v", m.hdr.Type))
@@ -378,40 +315,26 @@ func (m *progressMachine) step() {
 			d.handler.DeliverEagerDone()
 			m.pc = pcPktTail
 
-		case pcAcceptEncode:
-			m.acceptPkt = d.pool.Get()
-			m.acceptHdr.Encode(m.acceptPkt)
+		case pcAccepted:
+			m.acceptPkt = d.prov.accepted(m.acceptR, m.acceptHdr)
+			m.acceptR = nil
+			if m.acceptPkt == nil {
+				m.pc = pcPktTail
+				continue
+			}
 			m.pc = pcAcceptPost
 			// was: the CopyTime(HeaderSize) sleep before the CTS post
 			d.eng.AfterCall(d.cfg.CopyTime(HeaderSize), m, 0)
 			return
 
 		case pcAcceptPost:
-			d.postPacket(m.c, m.acceptPkt, HeaderSize, sendCtx{kind: ctxBuf})
+			d.postPacket(m.c, m.acceptPkt, HeaderSize)
 			m.acceptPkt = nil
-			m.pc = pcPktTail
-
-		case pcReadPost:
-			r := m.readR
-			m.readR = nil
-			if r.Len == 0 {
-				d.finishRndvRead(r)
-			} else {
-				d.postRndvRead(r)
-			}
 			m.pc = pcPktTail
 
 		case pcPktTail:
 			d.tr(trace.Recv, m.c.peer, int64(m.hdr.Type))
-			if m.viaRDMA {
-				// Ring channel: consuming the slot advances the head;
-				// the peer learns it from the next piggyback or an
-				// explicit sync.
-				m.c.ringIn.Consumed()
-			} else {
-				d.pool.Put(m.buf)
-				d.prov.processed(m.c, m.hdr.Flags&FlagCredit != 0)
-			}
+			d.prov.processed(m.c, m.buf, &m.hdr)
 			m.c, m.buf = nil, nil
 			m.pc = pcPoll
 
@@ -433,7 +356,7 @@ func (m *progressMachine) step() {
 			return
 
 		case pcDrainPost:
-			d.postPacket(m.drainC, m.drainRTS, HeaderSize, sendCtx{kind: ctxBuf})
+			d.postPacket(m.drainC, m.drainRTS, HeaderSize)
 			m.drainRTS = nil
 			m.pc = pcDrain
 

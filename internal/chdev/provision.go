@@ -1,56 +1,108 @@
 package chdev
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ibflow/internal/core"
 	"ibflow/internal/ib"
+	"ibflow/internal/metrics"
 	"ibflow/internal/trace"
 )
 
-// recvProvisioner is the device-side half of the receive-provisioning
-// seam: everything the device does with posted receive descriptors —
-// creating endpoints, pre-posting at wire-up, accounting an arrival,
-// reposting after processing, and auditing conservation at quiescence —
-// goes through this interface instead of touching QPs directly. Three
-// shapes implement it: per-connection queues (hardware/static/dynamic),
-// one SRQ-backed pool shared by every connection (core.KindShared), and
-// the ring channel's fixed control quota (core.KindRDMA).
+// recvProvisioner is the transport-shape seam, one of the two that keep
+// the device blind to the flow control scheme. The other is core.VC: *when*
+// a message may go and what comes back for it is a decision, and the
+// device asks the connection's VC. *How* it travels is a shape, and lives
+// here: which queue a connection's receives come from, what set-up
+// exchanges, whether an eager packet is a send or a write into a ring
+// slot, where an arrival landed and what frees it, what an explicit return
+// message carries, which way round a rendezvous runs, and the conservation
+// laws that follow from all that. Three shapes implement it:
+// per-connection receive queues (hardware/static/dynamic), one SRQ-backed
+// pool shared by every connection (core.KindShared), and the ring
+// channel's persistent slots beside a fixed control quota
+// (core.KindRDMA); the latter two embed the first and override what
+// differs. newProvisioner is the one place the package looks at the kind.
 //
 // What a shape posts is a descriptor (ib.QP.PostRecvFrom): a count the
 // scheme accounts for, naming the device's buffer pool. The host bytes
 // exist only from the landing of a message to the end of its processing
-// — the transport takes a buffer when it accepts the message, pcPktTail
-// returns it — so the provisioner never handles a buffer.
+// — the transport takes a buffer when it accepts the message, processed
+// returns it.
+//
+// Arguments cross this interface by value, or as pointers to what already
+// lives on the heap (a conn, the progress machine's header): a pointer to
+// a caller's local would escape through the dynamic call and cost an
+// allocation per message.
 type recvProvisioner interface {
 	// newQP creates a transport endpoint wired to this provisioning
 	// shape (private receive queue or shared SRQ).
 	newQP() *ib.QP
-	// provisionConn pre-posts receive resources for a newly established
-	// connection; a no-op for the shared shape, whose pool is
-	// provisioned once per device.
+	// provisionConn sets up this end's receive resources for a newly
+	// established connection: pre-posted descriptors, reserved regions.
 	provisionConn(c *conn)
-	// arrival accounts for the receive descriptor an arrived packet
-	// consumed.
-	arrival()
-	// processed finishes with a consumed descriptor: run the
-	// receiver-side accounting, then repost it or let it lapse. Runs in
-	// event context on the progress machine.
-	processed(c *conn, consumedCredit bool)
+	// adopt installs what connection set-up hands over from the remote
+	// end; it runs once both ends are provisioned.
+	adopt(c, remote *conn)
+
+	// postEager ships an encoded eager packet the VC admitted.
+	postEager(c *conn, buf []byte, n int)
+	// landed accounts for an arrival on c and returns the bytes it landed
+	// in: buf, the buffer its receive descriptor committed, or — when the
+	// arrival consumed none — wherever imm says the peer wrote it.
+	landed(c *conn, buf []byte, imm uint64) []byte
+	// processed finishes with an arrival: release what landed returned,
+	// run the receiver-side accounting, repost the descriptor or let it
+	// lapse. Runs in event context on the progress machine.
+	processed(c *conn, buf []byte, hdr *Header)
+	// fillReturn completes the explicit return message — c's VC said one
+	// is due — or reports that it cannot be sent now.
+	fillReturn(c *conn, h Header) (Header, bool)
+
+	// accept is the first phase of accepting a rendezvous into r.buf
+	// (registered as mr; nil for a zero-length transfer): whatever must be
+	// decided before the registration charge elapses, returned as the
+	// header of the reply.
+	accept(r *RndvIn, mr *ib.MR) Header
+	// accepted is the second phase, after the charge: the encoded reply
+	// for the caller to charge the header copy for and post, or nil if
+	// the shape moved the transfer along itself.
+	accepted(r *RndvIn, h Header) []byte
+	// fin handles an arrived FIN naming rendezvous id.
+	fin(c *conn, id uint64)
+
 	// posted reports receive descriptors currently provisioned
 	// (Stats.SumPosted, the live buffer-memory proxy).
 	posted() int
 	// postedHWMBytes is the high-water mark of receive-buffer memory,
 	// the number the connection-scaling benchmark plots against peers.
 	postedHWMBytes() int
-	// audit checks this shape's conservation law at quiescence.
+	// stats adds the shape's own counters to the device's.
+	stats(s Stats) Stats
+	// audit checks this shape's conservation law at quiescence;
+	// auditPair the law that spans both ends of one connection.
 	audit() error
+	auditPair(c, rc *conn) error
+}
+
+// newProvisioner builds the shape d's scheme calls for and reports the
+// largest payload its eager channel carries.
+func newProvisioner(d *Device) (recvProvisioner, int) {
+	switch d.params.Kind {
+	case core.KindShared:
+		return newPoolProvisioner(d), d.cfg.EagerThreshold()
+	case core.KindRDMA:
+		return newRingProvisioner(d), d.params.SlotBytes - HeaderSize
+	}
+	return &connProvisioner{d: d}, d.cfg.EagerThreshold()
 }
 
 // connProvisioner is the classic shape: each connection owns a private
 // receive queue pre-posted to the VC's target, and processed buffers
 // repost onto the same connection (or retire, when the dynamic scheme's
-// shrink is paying down debt).
+// shrink is paying down debt). Eager packets are sends, explicit returns
+// are credit messages, and a rendezvous is RTS, CTS, RDMA write, FIN.
 type connProvisioner struct {
 	d *Device
 }
@@ -63,15 +115,80 @@ func (cp *connProvisioner) provisionConn(c *conn) {
 	cp.d.prepost(c, c.vc.Posted())
 }
 
-func (cp *connProvisioner) arrival() {}
+func (cp *connProvisioner) adopt(c, remote *conn) {}
 
-func (cp *connProvisioner) processed(c *conn, consumedCredit bool) {
+func (cp *connProvisioner) postEager(c *conn, buf []byte, n int) {
+	cp.d.postPacket(c, buf, n)
+}
+
+func (cp *connProvisioner) landed(c *conn, buf []byte, imm uint64) []byte { return buf }
+
+func (cp *connProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	d := cp.d
-	if c.vc.BufferProcessed(consumedCredit, d.eng.Now()) {
+	d.pool.Put(buf)
+	if c.vc.BufferProcessed(hdr.Flags&FlagCredit != 0, d.eng.Now()) {
 		c.qp.PostRecvFrom(0, d.pool)
 	} else {
 		d.tr(trace.Shrank, c.peer, int64(c.vc.Posted()))
 	}
+}
+
+// fillReturn makes the message an explicit credit message (ECM). Under
+// the optimistic policy it bypasses user-level flow control entirely;
+// under the pessimistic policy (for the deadlock demonstration) it needs
+// a credit like any other send.
+func (cp *connProvisioner) fillReturn(c *conn, h Header) (Header, bool) {
+	if cp.d.cfg.PessimisticECM {
+		if c.vc.Credits() == 0 || c.vc.BacklogLen() > 0 {
+			return h, false // cannot send: this is how deadlock happens
+		}
+		if c.vc.DecideEager(false) != core.ActionSend {
+			return h, false
+		}
+		h.Flags = FlagCredit
+	}
+	h.Piggyback = uint32(c.vc.TakeECM())
+	return h, true
+}
+
+// accept names the transfer for the sender's FIN and builds the CTS
+// carrying the registered destination. Its piggyback is taken and its id
+// drawn now, before the registration charge: in process context an ECM
+// timer can fire inside that charge.
+func (cp *connProvisioner) accept(r *RndvIn, mr *ib.MR) Header {
+	d := cp.d
+	d.rndvSeq++
+	r.myReq = d.rndvSeq
+	d.recvRndv[r.myReq] = r
+	h := Header{
+		Type:      PktCTS,
+		Src:       int32(d.rank),
+		Len:       uint32(r.Len),
+		Piggyback: uint32(r.conn.vc.TakePiggyback()),
+		ReqID:     r.senderReq,
+		PeerReqID: r.myReq,
+	}
+	if mr != nil {
+		h.MRID = uint32(mr.ID())
+	}
+	return h
+}
+
+func (cp *connProvisioner) accepted(r *RndvIn, h Header) []byte {
+	pkt := cp.d.pool.Get()
+	h.Encode(pkt)
+	return pkt
+}
+
+// fin: the sender's RDMA write completed, the data is in the buffer.
+func (cp *connProvisioner) fin(c *conn, id uint64) {
+	d := cp.d
+	r, ok := d.recvRndv[id]
+	if !ok || r.conn != c {
+		panic("chdev: FIN for unknown rendezvous")
+	}
+	delete(d.recvRndv, id)
+	d.handler.DeliverRndvDone(r)
 }
 
 func (cp *connProvisioner) posted() int {
@@ -90,16 +207,33 @@ func (cp *connProvisioner) postedHWMBytes() int {
 	return n * cp.d.cfg.BufSize
 }
 
+func (cp *connProvisioner) stats(s Stats) Stats { return s }
+
 // audit checks descriptor conservation, the twin of the shared shape's
 // SRQ law: at quiescence every descriptor the VC accounts for is posted
-// on the connection's queue. (The per-channel credit law spans two
-// devices — A.credits + B.owed == B.posted — and is checked pairwise in
-// Audit, where both endpoints are in hand.)
+// on the connection's queue.
 func (cp *connProvisioner) audit() error {
 	for _, c := range cp.d.live {
 		if err := cp.d.auditPosted(c, c.vc.Posted()); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// auditPair checks the conservation law of the credit-based schemes on
+// the c -> rc direction: every credit rc ever granted is back in c's
+// sender-side pool or still owed at rc. It holds through dynamic growth
+// (new buffers mint owed credit) and shrink (buffer and credit destroyed
+// together); a scheme without sender credits has no such law.
+func (cp *connProvisioner) auditPair(c, rc *conn) error {
+	if !cp.d.params.UserLevel() {
+		return nil
+	}
+	if got, want := c.vc.Credits()+rc.vc.Owed(), rc.vc.Posted(); got != want {
+		return fmt.Errorf(
+			"chdev audit: credit leak on %d -> %d: credits %d + owed %d = %d, posted %d",
+			cp.d.rank, c.peer, c.vc.Credits(), rc.vc.Owed(), got, want)
 	}
 	return nil
 }
@@ -114,87 +248,67 @@ func (d *Device) auditPosted(c *conn, want int) error {
 	return nil
 }
 
-// ringProvisioner is the ring shape (core.KindRDMA): eager data lands in
-// persistent RDMA-written ring slots that consume no receive descriptors
-// at all, so the only posted receives are a small fixed control quota per
-// connection (RTS/FIN/sync packets), recycled 1:1. Flow control is the
-// ring geometry itself — audited here per endpoint and pairwise in Audit.
-type ringProvisioner struct {
-	d *Device
-}
-
-func (rp *ringProvisioner) newQP() *ib.QP {
-	return rp.d.hca.NewQP(rp.d.cq, rp.d.cq)
-}
-
-func (rp *ringProvisioner) provisionConn(c *conn) {
-	rp.d.prepost(c, rp.d.cfg.CtrlPrepost)
-}
-
-func (rp *ringProvisioner) arrival() {}
-
-// processed recycles a consumed control descriptor 1:1: eager data never
-// lands here (it arrives in ring slots via OpRecvImm), so the control
-// quota is constant for the connection's lifetime.
-func (rp *ringProvisioner) processed(c *conn, consumedCredit bool) {
-	c.qp.PostRecvFrom(0, rp.d.pool)
-}
-
-func (rp *ringProvisioner) posted() int {
-	return len(rp.d.live) * rp.d.cfg.CtrlPrepost
-}
-
-// postedHWMBytes counts the pinned ring slots alongside the control
-// receives: both are per-connection receive memory held for the
-// connection's lifetime, and the sum is what the scaling benchmark
-// plots. It is also the high-water mark — the ring never grows.
-func (rp *ringProvisioner) postedHWMBytes() int {
-	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + rp.d.cfg.CtrlPrepost*rp.d.cfg.BufSize)
-}
-
-// audit checks each endpoint's ring laws at quiescence: the counter
-// invariants (head <= tail <= head + slots in signed-distance form),
-// full consumption — every arrived slot was consumed, so head == tail on
-// the inbound view — and the control quota's descriptor conservation.
-func (rp *ringProvisioner) audit() error {
-	for _, c := range rp.d.live {
-		c.ringIn.CheckInvariants()
-		c.ringOut.CheckInvariants()
-		if h, t := c.ringIn.Head(), c.ringIn.Tail(); h != t {
-			return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
-				rp.d.rank, c.peer, c.ep, int32(t-h))
-		}
-		if err := rp.d.auditPosted(c, rp.d.cfg.CtrlPrepost); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // poolProvisioner is the shared shape: one SRQ holds every receive
 // descriptor, every QP consumes from it, and a core.Pool carries the
 // accounting. Replenishment is watermark-driven — the SRQ limit event
 // grows the pool — instead of per-connection credit bookkeeping.
+// Everything a message does on the way is the classic shape's.
 type poolProvisioner struct {
-	d    *Device
+	connProvisioner
 	srq  *ib.SRQ
 	pool *core.Pool
+}
+
+// newPoolProvisioner provisions the pool once per device: its size tracks
+// aggregate pressure, not the connection count — that is the whole point
+// of the shared scheme.
+func newPoolProvisioner(d *Device) *poolProvisioner {
+	pp := &poolProvisioner{connProvisioner{d}, d.hca.NewSRQ(), core.NewPool(&d.params)}
+	pp.srq.SetLimit(pp.pool.Watermark(), pp.onLimit)
+	d.pool.Warm()
+	pp.post(pp.pool.Posted())
+	pp.pool.RegisterMetrics(d.cfg.Metrics, d.rank)
+	d.cfg.Metrics.GaugeFunc("chdev_pool_free",
+		func() int64 { return int64(pp.srq.PostedRecvs()) }, metrics.RankLabel(d.rank))
+	return pp
+}
+
+func (pp *poolProvisioner) post(n int) {
+	for i := 0; i < n; i++ {
+		pp.srq.PostRecvFrom(0, pp.d.pool)
+	}
+}
+
+// onLimit handles the SRQ's low-watermark limit event: the free
+// descriptor count dipped below the watermark, so replenish the shared
+// pool by the scheme's increment. Replenishment is watermark-driven —
+// one event per dip, paced by the growth cooldown — rather than
+// per-message, which is what keeps the pool's size tracking aggregate
+// pressure instead of the connection count.
+func (pp *poolProvisioner) onLimit() {
+	d := pp.d
+	d.tr(trace.PoolLimit, d.rank, int64(pp.srq.PostedRecvs()))
+	if grow := pp.pool.OnLimitEvent(d.eng.Now()); grow > 0 {
+		pp.post(grow)
+		d.tr(trace.PoolGrew, d.rank, int64(pp.pool.Posted()))
+	}
 }
 
 func (pp *poolProvisioner) newQP() *ib.QP {
 	return pp.d.hca.NewQPWithSRQ(pp.d.cq, pp.d.cq, pp.srq)
 }
 
-// provisionConn is a no-op: the pool was provisioned at device creation
-// and its size tracks aggregate pressure, not the connection count —
-// that is the whole point of the shared scheme.
 func (pp *poolProvisioner) provisionConn(c *conn) {}
 
-func (pp *poolProvisioner) arrival() { pp.pool.Take() }
+func (pp *poolProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
+	pp.pool.Take()
+	return buf
+}
 
-func (pp *poolProvisioner) processed(c *conn, consumedCredit bool) {
+func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
+	pp.d.pool.Put(buf)
 	if pp.pool.Processed() {
-		pp.srq.PostRecvFrom(0, pp.d.pool)
+		pp.post(1)
 	}
 }
 
@@ -202,6 +316,16 @@ func (pp *poolProvisioner) posted() int { return pp.pool.Posted() }
 
 func (pp *poolProvisioner) postedHWMBytes() int {
 	return pp.pool.Stats().MaxPosted * pp.d.cfg.BufSize
+}
+
+// stats: the pool's accounting replaces the per-VC receiver-side numbers,
+// which are vestigial under this scheme.
+func (pp *poolProvisioner) stats(s Stats) Stats {
+	ps := pp.pool.Stats()
+	s.MaxPosted = ps.MaxPosted
+	s.LimitEvents = ps.LimitEvents
+	s.GrowthEvents += ps.GrowthEvents
+	return s
 }
 
 // audit checks the shared shape's conservation law: at quiescence every
@@ -219,6 +343,200 @@ func (pp *poolProvisioner) audit() error {
 	if got, want := pp.srq.PostedRecvs(), pp.pool.Posted(); got != want {
 		return fmt.Errorf("chdev audit: rank %d: shared-pool descriptor leak: SRQ holds %d free, accounting says %d",
 			pp.d.rank, got, want)
+	}
+	return nil
+}
+
+// ringProvisioner is the ring shape (core.KindRDMA), the persistent-slot
+// design where flow control IS the ring geometry. Each end reserves an
+// inbound region of Prepost slots of SlotBytes (conn.ringMR) and learns
+// the peer's (conn.peerMR) at set-up; position mod slots is the slot, so
+// there are no free/used lists and a slot's address is arithmetic on its
+// region. Eager data is RDMA-written into the slots and consumes no
+// receive descriptor; the only posted receives are a small fixed control
+// quota per connection (RTS/FIN/sync packets), recycled 1:1. The explicit
+// return is a head sync, and a rendezvous is RTS, RDMA read, FIN: the RTS
+// names the source region, so there is no CTS round. The VC's two Rings
+// keep the books.
+type ringProvisioner struct {
+	connProvisioner
+	// readBytes counts payload bytes pulled by the RDMA-read rendezvous
+	// (nil-safe); readTotal mirrors it for Stats even without a registry.
+	readBytes *metrics.Counter
+	readTotal uint64
+}
+
+func newRingProvisioner(d *Device) *ringProvisioner {
+	if d.params.SlotBytes <= HeaderSize {
+		panic(fmt.Sprintf("chdev: ring slot size %d below header size %d", d.params.SlotBytes, HeaderSize))
+	}
+	if d.params.SlotBytes > d.cfg.BufSize {
+		panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", d.params.SlotBytes, d.cfg.BufSize))
+	}
+	rank := metrics.RankLabel(d.rank)
+	rp := &ringProvisioner{connProvisioner: connProvisioner{d},
+		readBytes: d.cfg.Metrics.Counter("chdev_rndv_read_bytes", rank)}
+	d.cfg.Metrics.GaugeFunc("chdev_ring_occupancy_hwm",
+		func() int64 { return int64(d.Stats().RingOccupancyHWM) }, rank)
+	d.cfg.Metrics.CounterFunc("chdev_ring_syncs",
+		func() uint64 { return d.Stats().RingSyncs }, rank)
+	return rp
+}
+
+// provisionConn posts the control quota and reserves this end's inbound
+// slot ring. The region is pinned for the connection's lifetime on the
+// virtual clock (Stats counts it from here on); its host bytes are
+// committed, whole and for good, by the first write that lands in it
+// (ib.HCA.ReserveMemory). It is never served from the buffer pool: the
+// slots are persistent memory, and an overrun must keep corrupting a live
+// payload so that a flow-control bug cannot hide.
+func (rp *ringProvisioner) provisionConn(c *conn) {
+	d := rp.d
+	d.prepost(c, d.cfg.CtrlPrepost)
+	c.ringMR = d.hca.ReserveMemory(d.params.Prepost * d.params.SlotBytes)
+}
+
+// adopt makes the peer's inbound ring this end's write target. Its
+// geometry is this end's own: configuration is uniform across the job.
+func (rp *ringProvisioner) adopt(c, remote *conn) { c.peerMR = remote.ringMR }
+
+// postEager writes the packet into the next ring position. The VC saw a
+// free slot before admitting it, so Reserve cannot overrun the peer's
+// last announced head.
+func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
+	d := rp.d
+	slot := c.vc.RingOut().Reserve()
+	binary.LittleEndian.PutUint32(buf[44:], c.vc.PiggybackHead())
+	c.qp.PostWriteNotify(d.track(c, sendCtx{kind: ctxBuf, buf: buf}), buf[:n],
+		ib.RemoteKey{MR: c.peerMR, Offset: slot * d.params.SlotBytes}, uint64(slot))
+	c.lastSend = d.eng.Now()
+	d.tr(trace.SendEager, c.peer, int64(n))
+}
+
+// landed: a control packet arrives in a descriptor's buffer; an eager one
+// was written into a slot and detected there (the notify completion
+// models memory polling). Ring arrivals are in order, so the slot is
+// determined by the ring tail; the immediate value must agree.
+func (rp *ringProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
+	if buf != nil {
+		return buf
+	}
+	slot := c.vc.RingIn().Arrived()
+	if slot != int(imm) {
+		panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", imm, slot))
+	}
+	sz := rp.d.params.SlotBytes
+	return c.ringMR.Bytes()[slot*sz : (slot+1)*sz]
+}
+
+// processed: consuming an eager packet's slot advances the head, which
+// the peer learns from the next piggyback or an explicit sync; a control
+// packet's descriptor is recycled 1:1, so the control quota is constant
+// for the connection's lifetime.
+func (rp *ringProvisioner) processed(c *conn, buf []byte, hdr *Header) {
+	if hdr.Type == PktEager {
+		c.vc.RingIn().Consumed()
+		return
+	}
+	rp.d.pool.Put(buf)
+	c.qp.PostRecvFrom(0, rp.d.pool)
+}
+
+// fillReturn makes the message a head sync, the ring's analogue of an ECM.
+func (rp *ringProvisioner) fillReturn(c *conn, h Header) (Header, bool) {
+	h.Type = PktRingSync
+	h.RingHead = c.vc.RingIn().TakeHead(false)
+	return h, true
+}
+
+func (rp *ringProvisioner) accept(r *RndvIn, mr *ib.MR) Header { return Header{} }
+
+// accepted pulls the payload from the source region the RTS named with an
+// RDMA read; its completion (ctxRndvRead) sends the FIN and delivers. A
+// zero-length transfer has nothing to pull and finishes here.
+func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
+	d, c := rp.d, r.conn
+	if r.Len == 0 {
+		d.sendFin(c, r.senderReq)
+		d.handler.DeliverRndvDone(r)
+		return nil
+	}
+	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
+	c.qp.PostRead(d.track(c, sendCtx{kind: ctxRndvRead, rin: r}), r.buf[:r.Len], ib.RemoteKey{MR: mr})
+	c.lastSend = d.eng.Now()
+	rp.readBytes.Add(uint64(r.Len))
+	rp.readTotal += uint64(r.Len)
+	d.tr(trace.SendRDMARead, c.peer, int64(r.Len))
+	return nil
+}
+
+// fin: the ring rendezvous FIN travels receiver -> sender — the RDMA read
+// finished, the source buffer is free.
+func (rp *ringProvisioner) fin(c *conn, id uint64) {
+	out, ok := rp.d.sendRndv[id]
+	if !ok || out.conn != c {
+		panic("chdev: FIN for unknown rendezvous")
+	}
+	rp.d.finishSend(out)
+}
+
+func (rp *ringProvisioner) posted() int {
+	return len(rp.d.live) * rp.d.cfg.CtrlPrepost
+}
+
+// postedHWMBytes counts the pinned ring slots alongside the control
+// receives: both are per-connection receive memory held for the
+// connection's lifetime, and the sum is what the scaling benchmark
+// plots. It is also the high-water mark — the ring never grows.
+func (rp *ringProvisioner) postedHWMBytes() int {
+	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + rp.d.cfg.CtrlPrepost*rp.d.cfg.BufSize)
+}
+
+func (rp *ringProvisioner) stats(s Stats) Stats {
+	for _, c := range rp.d.live {
+		in := c.vc.RingIn().Stats()
+		s.RingSyncs += uint64(in.Syncs)
+		s.RingOccupancyHWM = max(s.RingOccupancyHWM, in.OccupancyHWM, c.vc.RingOut().Stats().OccupancyHWM)
+	}
+	s.RndvReadBytes = rp.readTotal
+	// The ring slots are pinned for the connection's lifetime; they are
+	// receive memory even though nothing is "posted" for them.
+	s.BufBytesInUse += s.Conns * rp.d.params.Prepost * rp.d.params.SlotBytes
+	return s
+}
+
+// audit checks each endpoint's own ring law at quiescence — full
+// consumption: every arrived slot was consumed, so head == tail on the
+// inbound view (the counter invariants head <= tail <= head + slots are
+// the VC's) — and the control quota's descriptor conservation.
+func (rp *ringProvisioner) audit() error {
+	for _, c := range rp.d.live {
+		if h, t := c.vc.RingIn().Head(), c.vc.RingIn().Tail(); h != t {
+			return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
+				rp.d.rank, c.peer, c.ep, int32(t-h))
+		}
+		if err := rp.d.auditPosted(c, rp.d.cfg.CtrlPrepost); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// auditPair checks the ring conservation laws on the c -> rc direction:
+// every slot c reserved arrived at rc (the write channel loses nothing),
+// and at quiescence c's view of rc's head has caught up with everything
+// rc announced.
+func (rp *ringProvisioner) auditPair(c, rc *conn) error {
+	out, in := c.vc.RingOut(), rc.vc.RingIn()
+	if got, want := out.Tail(), in.Tail(); got != want {
+		return fmt.Errorf(
+			"chdev audit: ring slot leak on %d -> %d: %d reserved, %d arrived",
+			rp.d.rank, c.peer, got, want)
+	}
+	if got, want := out.HeadSeen(), in.HeadSent(); got != want {
+		return fmt.Errorf(
+			"chdev audit: ring head skew on %d -> %d: sender saw %d, receiver sent %d",
+			rp.d.rank, c.peer, got, want)
 	}
 	return nil
 }

@@ -15,9 +15,10 @@ import (
 // its provisioner stats.
 func TestSharedPoolEagerDelivery(t *testing.T) {
 	eng, d0, d1, _, h1 := devPair(t, DefaultConfig(), core.Shared(8, 32))
-	if d0.srq == nil || d0.rpool == nil {
+	if pp, ok := d0.prov.(*poolProvisioner); !ok || pp.srq == nil || pp.pool == nil {
 		t.Fatal("shared-scheme device built without SRQ/pool")
 	}
+	rpool := d1.prov.(*poolProvisioner).pool
 	eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			d0.Send(p, 1, i, 0, []byte(fmt.Sprintf("msg%d", i)), i, true)
@@ -36,13 +37,13 @@ func TestSharedPoolEagerDelivery(t *testing.T) {
 		}
 	}
 	st := d1.Stats()
-	if st.SumPosted != d1.rpool.Posted() {
-		t.Errorf("SumPosted = %d, want pool size %d", st.SumPosted, d1.rpool.Posted())
+	if st.SumPosted != rpool.Posted() {
+		t.Errorf("SumPosted = %d, want pool size %d", st.SumPosted, rpool.Posted())
 	}
-	if want := d1.rpool.Stats().MaxPosted * d1.cfg.BufSize; st.BufBytesHWM != want {
+	if want := rpool.Stats().MaxPosted * d1.cfg.BufSize; st.BufBytesHWM != want {
 		t.Errorf("BufBytesHWM = %d, want %d", st.BufBytesHWM, want)
 	}
-	if ps := d1.rpool.Stats(); ps.Taken != 4 || ps.Reposted != 4 {
+	if ps := rpool.Stats(); ps.Taken != 4 || ps.Reposted != 4 {
 		t.Errorf("pool stats = %+v, want Taken 4, Reposted 4", ps)
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
@@ -83,7 +84,7 @@ func TestSharedPoolGrowsOnLimitEvent(t *testing.T) {
 	if st.MaxPosted <= fc.Prepost {
 		t.Errorf("MaxPosted = %d, want > initial %d", st.MaxPosted, fc.Prepost)
 	}
-	if d1.srq.Stats().LimitEvents == 0 {
+	if d1.prov.(*poolProvisioner).srq.Stats().LimitEvents == 0 {
 		t.Error("SRQ recorded no limit events")
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
@@ -108,7 +109,7 @@ func TestSharedPoolAuditCatchesImbalance(t *testing.T) {
 	if err := Audit([]*Device{d0, d1}); err != nil {
 		t.Fatalf("clean run must audit clean: %v", err)
 	}
-	d1.rpool.Take() // a descriptor in use at quiescence = leak
+	d1.prov.(*poolProvisioner).pool.Take() // a descriptor in use at quiescence = leak
 	if err := Audit([]*Device{d0, d1}); err == nil {
 		t.Error("audit accepted a pool with a buffer still in use")
 	}
@@ -119,7 +120,7 @@ func TestSharedPoolAuditCatchesImbalance(t *testing.T) {
 func TestPerConnSchemesHaveNoSRQ(t *testing.T) {
 	for _, fc := range []core.Params{core.Hardware(4), core.Static(4), core.Dynamic(2, 16)} {
 		_, d0, _, _, _ := devPair(t, DefaultConfig(), fc)
-		if d0.srq != nil || d0.rpool != nil {
+		if d0.epAt(1, 0).qp.SRQ() != nil {
 			t.Errorf("%v scheme built an SRQ/pool", fc.Kind)
 		}
 		if _, ok := d0.prov.(*connProvisioner); !ok {

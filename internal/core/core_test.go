@@ -45,7 +45,7 @@ func TestKindStrings(t *testing.T) {
 		t.Error("policy strings wrong")
 	}
 	if ActionSend.String() != "send" || ActionDemote.String() != "demote" ||
-		ActionBacklog.String() != "backlog" {
+		ActionBacklog.String() != "backlog" || ActionWait.String() != "wait" {
 		t.Error("action strings wrong")
 	}
 }
@@ -288,13 +288,183 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 // Property: simulate both ends of a channel with random traffic; the sum
 // credits + owed + in-flight-consuming + occupied buffers always equals the
 // posted count, credits never go negative, and posted never exceeds Max.
+// TestRingVCDecisions walks a ring VC through the decision calls the
+// device makes, one step per row: on the ring a free slot is the credit
+// and the peer's head is what comes back.
+func TestRingVCDecisions(t *testing.T) {
+	p := RDMA(2, 1024)
+	vc := NewVC(&p)
+	send := func() { vc.RingOut().Reserve() } // what the device does on ActionSend
+	steps := []struct {
+		name string
+		do   func() bool
+		want Stats // counters after the step
+	}{
+		{"send while a slot is free", func() bool {
+			ok := vc.DecideEager(true) == ActionSend
+			send()
+			return ok && vc.DecideEager(false) == ActionSend
+		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		{"a blocking sender waits on a full ring and moves no counter", func() bool {
+			send()
+			return !vc.SendReady() && vc.DecideEager(true) == ActionWait && vc.BacklogLen() == 0
+		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		{"an RTS in front of an empty backlog goes out, full ring or not", func() bool {
+			consumed, queue := vc.DecideRTS()
+			return !consumed && !queue
+		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		{"a non-blocking sender queues", func() bool {
+			return vc.DecideEager(false) == ActionBacklog && vc.BacklogLen() == 1
+		}, Stats{EagerSent: 2, Backlogged: 1, MaxBacklogLen: 1, MaxPosted: 2}},
+		{"behind a backlog everything queues, blocking or not, RTS too", func() bool {
+			_, queue := vc.DecideRTS()
+			return vc.DecideEager(true) == ActionBacklog && queue && vc.BacklogLen() == 3
+		}, Stats{EagerSent: 2, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		{"no drain at Free() == 0, nor for a stale head", func() bool {
+			return !vc.CanDrainBacklog() && !vc.Returned(0, 0) && !vc.CanDrainBacklog()
+		}, Stats{EagerSent: 2, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		{"a returned head reopens the drain", func() bool {
+			ok := vc.Returned(0, 1) && vc.CanDrainBacklog()
+			send()
+			return ok && !vc.CanDrainBacklog() && vc.BacklogLen() == 2
+		}, Stats{EagerSent: 3, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		{"a queued RTS drains without a slot and is not an eager send", func() bool {
+			consumed, ok := vc.DrainRTS()
+			return !consumed && ok && vc.RingOut().Free() == 0 && vc.BacklogLen() == 1
+		}, Stats{EagerSent: 3, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		{"degraded mode queues past a free slot", func() bool {
+			ok := vc.Returned(0, 3) && vc.CanDrainBacklog() && vc.SendReady()
+			send()
+			vc.QueueFree()
+			return ok && vc.BacklogLen() == 1 && !vc.SendReady()
+		}, Stats{EagerSent: 4, Backlogged: 4, MaxBacklogLen: 3, MaxPosted: 2}},
+	}
+	for _, st := range steps {
+		if !st.do() {
+			t.Fatalf("%s: wrong answer", st.name)
+		}
+		if got := vc.Stats(); got != st.want {
+			t.Fatalf("%s: stats = %+v, want %+v", st.name, got, st.want)
+		}
+		vc.CheckInvariants()
+	}
+	if _, ok := NewVC(&p).DrainRTS(); ok {
+		t.Error("DrainRTS drained an empty backlog")
+	}
+}
+
+// TestDrainRTSPerKind pins what draining a backlogged RTS costs and
+// counts under each scheme: a credit only where there are credits, and an
+// EagerSent everywhere but on the ring (the send/recv schemes drain an
+// RTS through the eager gate; Table 1's eager column has always included
+// it).
+func TestDrainRTSPerKind(t *testing.T) {
+	for _, tc := range []struct {
+		p         Params
+		consumed  bool
+		eagerSent uint64
+	}{
+		{Hardware(4), false, 1},
+		{Static(4), true, 1},
+		{Dynamic(4, 16), true, 1},
+		{Shared(4, 16), false, 1},
+		{RDMA(4, 1024), false, 0},
+	} {
+		if err := tc.p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		vc := NewVC(&tc.p)
+		vc.QueueFree() // an eager send held by degraded mode...
+		if _, queue := vc.DecideRTS(); !queue {
+			t.Fatalf("%v: RTS overtook the backlog", tc.p.Kind)
+		}
+		if !vc.CanDrainBacklog() { // ...drains first
+			t.Fatalf("%v: eager entry did not drain", tc.p.Kind)
+		}
+		before := vc.Stats().EagerSent
+		consumed, ok := vc.DrainRTS()
+		if !ok || consumed != tc.consumed {
+			t.Errorf("%v: DrainRTS = (%v, %v), want (%v, true)", tc.p.Kind, consumed, ok, tc.consumed)
+		}
+		if got := vc.Stats().EagerSent - before; got != tc.eagerSent {
+			t.Errorf("%v: a drained RTS counted %d eager sends, want %d", tc.p.Kind, got, tc.eagerSent)
+		}
+		if vc.BacklogLen() != 0 {
+			t.Errorf("%v: backlog %d after draining both entries", tc.p.Kind, vc.BacklogLen())
+		}
+	}
+	// At zero credits a user-level RTS stays queued.
+	p := Static(1)
+	vc := NewVC(&p)
+	vc.DecideEager(false)
+	if _, queue := vc.DecideRTS(); !queue {
+		t.Fatal("RTS sent without a credit")
+	}
+	if _, ok := vc.DrainRTS(); ok {
+		t.Error("RTS drained without a credit")
+	}
+}
+
+// TestReturnSideAnswersPerKind: what a VC still has to give back, and
+// when that is worth a message of its own, comes from the owed credits or
+// from the inbound ring, whichever the scheme has.
+func TestReturnSideAnswersPerKind(t *testing.T) {
+	p := RDMA(4, 1024)
+	vc := NewVC(&p)
+	in := vc.RingIn()
+	for i := 1; i <= 4; i++ {
+		in.Arrived()
+		in.Consumed()
+		if vc.NeedECM() != in.NeedSync() || vc.Unreturned() != i {
+			t.Fatalf("after %d slots: NeedECM %v (NeedSync %v), Unreturned %d",
+				i, vc.NeedECM(), in.NeedSync(), vc.Unreturned())
+		}
+	}
+	if !vc.NeedECM() {
+		t.Error("a fully consumed, unannounced ring wants no sync")
+	}
+	if h := vc.PiggybackHead(); h != 4 || vc.Unreturned() != 0 || vc.NeedECM() {
+		t.Errorf("piggybacked head %d, then Unreturned %d, NeedECM %v", h, vc.Unreturned(), vc.NeedECM())
+	}
+	if in.Stats().HeadsPiggybacked != 1 || in.Stats().Syncs != 0 {
+		t.Errorf("ring stats = %+v, want one piggybacked head", in.Stats())
+	}
+
+	for _, p := range []Params{Hardware(4), Static(4), Dynamic(4, 16), Shared(4, 16)} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		vc := NewVC(&p)
+		vc.BufferProcessed(true, 0)
+		if vc.Unreturned() != vc.Owed() || vc.PiggybackHead() != 0 {
+			t.Errorf("%v: Unreturned %d (owed %d), PiggybackHead %d",
+				p.Kind, vc.Unreturned(), vc.Owed(), vc.PiggybackHead())
+		}
+		if vc.Returned(0, 7) || !vc.Returned(2, 7) {
+			t.Errorf("%v: only a positive piggyback returns anything off the ring", p.Kind)
+		}
+	}
+}
+
+func TestNewVCKeepsRingSlotCheck(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a ring VC with no slots was built")
+		}
+	}()
+	NewVC(&Params{Kind: KindRDMA, SlotBytes: 1024})
+}
+
 func TestPropertyCreditConservation(t *testing.T) {
-	prop := func(ops []uint8, dynamic bool) bool {
+	prop := func(ops []uint8, kind uint8) bool {
 		var p Params
-		if dynamic {
-			p = Dynamic(2, 64)
-		} else {
+		switch kind % 3 {
+		case 0:
 			p = Static(4)
+		case 1:
+			p = Dynamic(2, 64)
+		case 2:
+			return ringWalk(ops)
 		}
 		sender := NewVC(&p)   // A's view toward B
 		receiver := NewVC(&p) // B's bookkeeping for A (same direction)
@@ -338,7 +508,81 @@ func TestPropertyCreditConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 450}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ringWalk is the KindRDMA row of the random walk, with the device's part
+// — Reserve on a send, a FIFO of held messages drained head first — played
+// by a small model. The law: both ends' CheckInvariants hold after every
+// step, the VC's backlog count is the model's queue, and no more arrivals
+// are ever outstanding than the ring has slots (Arrived panics on an
+// overrun, so a decision that admits one send too many fails the walk).
+func ringWalk(ops []uint8) bool {
+	p := RDMA(4, 1024)
+	sender, receiver := NewVC(&p), NewVC(&p)
+	out, in := sender.RingOut(), receiver.RingIn()
+	var held []bool // the backlog; true marks an RTS
+	drain := func() {
+		for len(held) > 0 {
+			if held[0] {
+				if _, ok := sender.DrainRTS(); !ok {
+					panic("a queued ring RTS must drain freely")
+				}
+			} else if sender.CanDrainBacklog() {
+				out.Reserve()
+			} else {
+				return
+			}
+			held = held[1:]
+		}
+	}
+	for _, op := range ops {
+		switch op % 6 {
+		case 0: // A sends eager, blocking or not
+			switch sender.DecideEager(op&8 != 0) {
+			case ActionSend:
+				out.Reserve()
+			case ActionWait:
+				if sender.SendReady() || len(held) > 0 {
+					return false
+				}
+			case ActionBacklog:
+				held = append(held, false)
+				drain()
+			default:
+				return false
+			}
+		case 1: // A starts a rendezvous: queued only behind a backlog
+			if _, queue := sender.DecideRTS(); queue != (len(held) > 0) {
+				return false
+			} else if queue {
+				held = append(held, true)
+				drain()
+			}
+		case 2: // B detects the next written slot
+			if in.Tail() != out.Tail() {
+				in.Arrived()
+			}
+		case 3: // B consumes the oldest arrival
+			if in.Head() != in.Tail() {
+				in.Consumed()
+			}
+		case 4: // the head rides home on reverse traffic
+			if sender.Returned(0, receiver.PiggybackHead()) {
+				drain()
+			}
+		case 5: // explicit head sync, when B's VC asks for one
+			if receiver.NeedECM() && sender.Returned(0, in.TakeHead(false)) {
+				drain()
+			}
+		}
+		sender.CheckInvariants()
+		receiver.CheckInvariants()
+		if sender.BacklogLen() != len(held) || int(in.Tail()-in.Head()) > in.Slots() {
+			return false
+		}
+	}
+	return true
 }

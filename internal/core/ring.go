@@ -19,7 +19,8 @@ import (
 // Each connection endpoint holds two Rings over the same slot count:
 // the outbound view (Reserve/SeenHead — sender-owned tail, peer head
 // learned from piggybacks) and the inbound view (Arrived/Consumed/
-// TakeHead — receiver-owned head, communicated back to the peer).
+// TakeHead — receiver-owned head, communicated back to the peer). A
+// KindRDMA VC owns the pair and answers its decision calls from them.
 // Like VC, the Ring is pure bookkeeping: the channel device owns the
 // actual slot memory and the wire traffic.
 type Ring struct {
@@ -58,10 +59,17 @@ type RingStats struct {
 
 // NewRing returns the bookkeeping for one ring direction of slots slots.
 func NewRing(slots int) *Ring {
+	r := makeRing(slots)
+	return &r
+}
+
+// makeRing is NewRing by value, for a VC that holds both directions of
+// its connection end in one object.
+func makeRing(slots int) Ring {
 	if slots < 1 {
 		panic(fmt.Sprintf("core: ring slots %d < 1", slots))
 	}
-	return &Ring{slots: slots}
+	return Ring{slots: slots}
 }
 
 // Slots returns the fixed slot count of the ring.

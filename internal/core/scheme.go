@@ -13,18 +13,27 @@
 //     went through the backlog") arrive, adapting buffer usage to the
 //     application's communication pattern.
 //
-// A fourth scheme extends the paper along its own scalability concern:
+// Two more schemes extend the paper along its own scalability concern:
 //
 //   - Shared: receive buffers come from one SRQ-backed pool serving all
 //     connections (KindShared). Senders post optimistically like the
 //     hardware scheme; the receiver replenishes the pool when the SRQ's
 //     low-watermark limit event fires, so receive memory tracks the
 //     aggregate arrival rate instead of the connection count.
+//   - RDMA ring: eager data is written into a persistent per-connection
+//     ring of pre-registered slots (KindRDMA). A free slot is the credit
+//     and the receiver's head pointer is what flows back, piggybacked on
+//     reverse traffic or in an explicit sync; no receive descriptor is
+//     consumed by eager data at all.
 //
 // The package is pure bookkeeping: it decides, counts and enforces
 // invariants. The channel device (internal/chdev) owns the actual buffers,
 // packets and progress engine and consults a VC (virtual channel) for every
-// decision.
+// decision — may this send go, may the backlog drain, what came back, is an
+// explicit return due. A VC answers the same calls under all five schemes:
+// from its credits, from nothing at all (hardware, shared), or from the two
+// Rings it owns under KindRDMA. Pool is the shared scheme's receive-side
+// ledger, device-wide rather than per channel.
 package core
 
 import (
@@ -33,8 +42,8 @@ import (
 	"ibflow/internal/sim"
 )
 
-// Kind selects a flow control scheme: the paper's three, or the
-// SRQ-backed shared-pool extension.
+// Kind selects a flow control scheme: the paper's three, the SRQ-backed
+// shared-pool extension, or the RDMA-write ring.
 type Kind int
 
 const (

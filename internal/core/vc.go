@@ -20,6 +20,10 @@ const (
 	// ActionBacklog means no credits: the device must queue the message
 	// and drain it in FIFO order as credits return.
 	ActionBacklog
+	// ActionWait means the ring is full and the sender is blocking:
+	// nothing was counted; the device parks the sender on its progress
+	// engine until SendReady holds, then decides again non-blocking.
+	ActionWait
 )
 
 func (a Action) String() string {
@@ -30,6 +34,8 @@ func (a Action) String() string {
 		return "demote"
 	case ActionBacklog:
 		return "backlog"
+	case ActionWait:
+		return "wait"
 	}
 	return fmt.Sprintf("Action(%d)", int(a))
 }
@@ -58,7 +64,9 @@ type Stats struct {
 // VC is the flow control state of one virtual channel: the sender-side
 // credit view toward a peer plus the receiver-side buffer accounting for
 // traffic from that peer. A connection between ranks A and B has one VC at
-// each end.
+// each end. It answers the same decision calls under all five schemes; on
+// the ring channel (KindRDMA) the answers come from the ring geometry —
+// a free slot is the credit, the receiver's head is what flows back.
 type VC struct {
 	params *Params
 
@@ -73,8 +81,18 @@ type VC struct {
 	lastPressure sim.Time
 	lastGrowth   sim.Time
 
+	// ring is both directions of the ring channel's bookkeeping, one
+	// object per connection end; nil off KindRDMA.
+	ring *ringPair
+
 	stats Stats
 }
+
+// ringPair is a connection end's two Rings: out is the sender's view of
+// the outgoing direction (tail owned here, peer head learned from
+// piggybacks), in the receiver's view of the incoming one (head owned
+// here, communicated back on reverse traffic).
+type ringPair struct{ out, in Ring }
 
 // NewVC creates the flow control state for one end of a connection.
 // Params must have been validated.
@@ -87,8 +105,21 @@ func NewVC(p *Params) *VC {
 	}
 	vc := &VC{params: p, posted: p.Prepost, credits: credits}
 	vc.stats.MaxPosted = vc.posted
+	if p.RingChannel() {
+		// Prepost doubles as the slot count, uniform across the job like
+		// the initial credits above.
+		vc.ring = &ringPair{out: makeRing(p.Prepost), in: makeRing(p.Prepost)}
+	}
 	return vc
 }
+
+// RingOut returns the outbound ring view (KindRDMA only): the device
+// reserves the slot an eager write lands in.
+func (vc *VC) RingOut() *Ring { return &vc.ring.out }
+
+// RingIn returns the inbound ring view (KindRDMA only): the device
+// reports arrivals and consumed slots.
+func (vc *VC) RingIn() *Ring { return &vc.ring.in }
 
 // Params returns the scheme parameters.
 func (vc *VC) Params() *Params { return vc.params }
@@ -124,35 +155,59 @@ func (vc *VC) NoteECMDuplicated() { vc.stats.ECMsDuplicated++ }
 
 // DecideEager decides the fate of an outgoing eager (credit-consuming)
 // send. For user-level schemes a returned ActionSend has already consumed
-// one credit. canDemote distinguishes blocking sends — which can afford to
+// one credit. blocking distinguishes blocking sends — which can afford to
 // wait out a rendezvous handshake and harvest its piggybacked credits (the
 // paper's explanation of why blocking beats non-blocking past the credit
-// limit) — from non-blocking ones, which go to the backlog. A non-empty
-// backlog forces ActionBacklog regardless, preserving MPI's non-overtaking
-// order.
-func (vc *VC) DecideEager(canDemote bool) Action {
+// limit), or on a full ring simply wait for a head update (ActionWait) —
+// from non-blocking ones, which go to the backlog. A non-empty backlog
+// forces ActionBacklog regardless, preserving MPI's non-overtaking order.
+func (vc *VC) DecideEager(blocking bool) Action {
 	if debug.Enabled {
 		defer vc.debugCheck()
 	}
-	if !vc.params.UserLevel() {
+	switch {
+	case vc.ring != nil:
+		// The flow control IS the ring geometry: a send needs a free slot
+		// between the local tail and the peer's last announced head (the
+		// device's Reserve takes it).
+		if vc.backlog == 0 && vc.ring.out.Free() > 0 {
+			vc.stats.EagerSent++
+			return ActionSend
+		}
+		if vc.backlog == 0 && blocking {
+			return ActionWait
+		}
+	case !vc.params.UserLevel():
 		vc.stats.EagerSent++
 		return ActionSend
-	}
-	if vc.backlog == 0 && vc.credits > 0 {
+	case vc.backlog == 0 && vc.credits > 0:
 		vc.credits--
 		vc.stats.EagerSent++
 		return ActionSend
-	}
-	if vc.params.ZeroCredit == DemoteToRendezvous && canDemote && vc.backlog == 0 {
+	case vc.params.ZeroCredit == DemoteToRendezvous && blocking && vc.backlog == 0:
 		vc.stats.Demoted++
 		return ActionDemote
 	}
+	vc.queue()
+	return ActionBacklog
+}
+
+// SendReady reports whether DecideEager would now answer ActionSend: what
+// a sender parked by ActionWait waits for.
+func (vc *VC) SendReady() bool {
+	if vc.ring != nil {
+		return vc.backlog == 0 && vc.ring.out.Free() > 0
+	}
+	return !vc.params.UserLevel() || vc.backlog == 0 && vc.credits > 0
+}
+
+// queue counts one more message held in the device's backlog.
+func (vc *VC) queue() {
 	vc.backlog++
 	vc.stats.Backlogged++
 	if vc.backlog > vc.stats.MaxBacklogLen {
 		vc.stats.MaxBacklogLen = vc.backlog
 	}
-	return ActionBacklog
 }
 
 // DecideRTS decides the fate of an outgoing rendezvous-start control
@@ -170,74 +225,69 @@ func (vc *VC) DecideRTS() (consumed, queue bool) {
 		if vc.backlog == 0 {
 			return false, false
 		}
-		// The hardware scheme backlogs only while the device is in
-		// degraded mode (after RNR budget exhaustion); an RTS must not
-		// overtake that queued traffic.
-		vc.backlog++
-		vc.stats.Backlogged++
-		if vc.backlog > vc.stats.MaxBacklogLen {
-			vc.stats.MaxBacklogLen = vc.backlog
-		}
+		// Without credits an RTS waits only for order: it must not
+		// overtake queued traffic — a degraded connection's (after RNR
+		// budget exhaustion) or, on the ring, eager sends waiting for a
+		// slot while control traffic rides the descriptor pool.
+		vc.queue()
 		return false, true
 	}
 	if vc.backlog == 0 && vc.credits > 0 {
 		vc.credits--
 		return true, false
 	}
-	vc.backlog++
-	vc.stats.Backlogged++
-	if vc.backlog > vc.stats.MaxBacklogLen {
-		vc.stats.MaxBacklogLen = vc.backlog
-	}
+	vc.queue()
 	return false, true
 }
 
-// QueueFree enqueues a message that needs no credit (e.g. an RDMA-channel
-// RTS that travels the control pool) but must still wait its turn behind
-// earlier backlogged traffic to preserve MPI ordering.
+// QueueFree enqueues an eager send without asking for a credit or a slot:
+// the device's degraded mode (a QP frozen on RNR exhaustion) holds new
+// traffic in the backlog whatever the scheme would have said, and the
+// credit, if the scheme uses one, is consumed at drain time.
 func (vc *VC) QueueFree() {
-	vc.backlog++
-	vc.stats.Backlogged++
-	if vc.backlog > vc.stats.MaxBacklogLen {
-		vc.stats.MaxBacklogLen = vc.backlog
-	}
-	vc.debugCheck()
-}
-
-// DrainFree accounts for a credit-free backlog entry leaving the queue.
-func (vc *VC) DrainFree() {
-	if vc.backlog <= 0 {
-		panic("core: DrainFree with empty backlog")
-	}
-	vc.backlog--
+	vc.queue()
 	vc.debugCheck()
 }
 
 // CanDrainBacklog reports whether the device may send the next backlogged
-// message (consuming the credit if so). Backlogged RTS entries drain
-// through the same gate: progress is guaranteed because credits always
-// return eventually (piggybacked on handshakes or via an optimistic ECM
-// before the peer blocks).
+// eager message (consuming the credit if so; the ring's free slot is taken
+// by the device's Reserve). Progress is guaranteed because credits and
+// heads always return eventually (piggybacked on handshakes or via an
+// optimistic ECM or head sync before the peer blocks). Without credits or
+// a ring there is no gate: such a backlog exists only while the device is
+// degraded, so it drains unconditionally.
 func (vc *VC) CanDrainBacklog() bool {
-	if vc.backlog == 0 {
+	if vc.backlog == 0 || vc.ring != nil && vc.ring.out.Free() == 0 {
 		return false
 	}
-	if !vc.params.UserLevel() {
-		// No credit gate: the hardware scheme's backlog exists only
-		// while the device is degraded, so drain unconditionally.
-		vc.backlog--
-		vc.stats.EagerSent++
-		vc.debugCheck()
-		return true
-	}
-	if vc.credits == 0 {
-		return false
+	if vc.params.UserLevel() {
+		if vc.credits == 0 {
+			return false
+		}
+		vc.credits--
 	}
 	vc.backlog--
-	vc.credits--
 	vc.stats.EagerSent++
 	vc.debugCheck()
 	return true
+}
+
+// DrainRTS reports whether the device may send the backlogged RTS at the
+// head of the queue, and whether a credit was consumed for it. Off the
+// ring it drains through the eager gate (and, like an eager entry, counts
+// EagerSent). A ring RTS queued only for order — control traffic is
+// outside the ring's slot accounting — so it drains freely.
+func (vc *VC) DrainRTS() (consumed, ok bool) {
+	if vc.ring == nil {
+		ok = vc.CanDrainBacklog()
+		return ok && vc.params.UserLevel(), ok
+	}
+	if vc.backlog == 0 {
+		return false, false
+	}
+	vc.backlog--
+	vc.debugCheck()
+	return false, true
 }
 
 // BacklogLen returns how many messages the device is holding.
@@ -250,6 +300,20 @@ func (vc *VC) AddCredits(n int) {
 	}
 	vc.credits += n
 	vc.debugCheck()
+}
+
+// Returned applies what an arrived packet's header gives back — piggybacked
+// credits, and on the ring the peer's receive head — and reports whether
+// anything came back, i.e. whether the backlog may have been reopened.
+func (vc *VC) Returned(piggyback int, ringHead uint32) bool {
+	opened := piggyback > 0
+	if opened {
+		vc.AddCredits(piggyback)
+	}
+	if vc.ring != nil && vc.ring.out.SeenHead(ringHead) {
+		opened = true
+	}
+	return opened
 }
 
 // --- Receiver side -------------------------------------------------------
@@ -304,10 +368,33 @@ func (vc *VC) effECMThreshold() int {
 	return t
 }
 
-// NeedECM reports whether the accumulated credits justify an explicit
-// credit message (no outgoing traffic rode them back).
+// NeedECM reports whether the receive side has accumulated enough
+// unreturned state — owed credits, or consumed ring slots the peer has not
+// been told about — to justify an explicit return message (no outgoing
+// traffic rode it back).
 func (vc *VC) NeedECM() bool {
+	if vc.ring != nil {
+		return vc.ring.in.NeedSync()
+	}
 	return vc.params.UserLevel() && vc.owed >= vc.effECMThreshold()
+}
+
+// Unreturned is how much the peer has not been told it may reuse: owed
+// credits, or consumed ring slots.
+func (vc *VC) Unreturned() int {
+	if vc.ring != nil {
+		return vc.ring.in.Unsynced()
+	}
+	return vc.owed
+}
+
+// PiggybackHead returns the ring head every outgoing packet carries back
+// and records it as communicated; 0 off the ring.
+func (vc *VC) PiggybackHead() uint32 {
+	if vc.ring == nil {
+		return 0
+	}
+	return vc.ring.in.TakeHead(true)
 }
 
 // TakeECM returns and clears the owed credits for an explicit credit
@@ -417,5 +504,9 @@ func (vc *VC) CheckInvariants() {
 	}
 	if vc.params.Kind == KindDynamic && vc.posted > vc.params.Max {
 		panic(fmt.Sprintf("core: posted %d beyond max %d", vc.posted, vc.params.Max))
+	}
+	if vc.ring != nil {
+		vc.ring.out.CheckInvariants()
+		vc.ring.in.CheckInvariants()
 	}
 }

@@ -169,6 +169,7 @@ type QP struct {
 	peer   *QP
 	sendCQ *CQ
 	recvCQ *CQ
+	owner  any // the consumer's context (see SetOwner)
 
 	// sender state
 	queue    []*sendWQE // [0,next) in flight; [next,len) waiting
@@ -203,6 +204,14 @@ func (qp *QP) HCA() *HCA { return qp.hca }
 
 // Peer returns the connected remote QP, or nil.
 func (qp *QP) Peer() *QP { return qp.peer }
+
+// SetOwner hangs the consumer's context on the QP — the verbs qp_context.
+// A completion names its QP (WC.QP) and the QP hands the context back, so
+// a consumer needs no lookup table above the transport.
+func (qp *QP) SetOwner(o any) { qp.owner = o }
+
+// Owner returns the context set by SetOwner, or nil.
+func (qp *QP) Owner() any { return qp.owner }
 
 // Stats returns a copy of the QP's counters.
 func (qp *QP) Stats() QPStats { return qp.stats }

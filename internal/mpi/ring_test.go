@@ -30,30 +30,53 @@ func runRing(t *testing.T, n, slots, slotBytes int, main func(c *Comm)) *World {
 }
 
 // TestRingWraparoundFlood pushes far more messages than the ring has
-// slots through a tiny 2-slot ring in both directions, with payload
-// verification: the absolute head/tail counters must wrap the slot
-// positions without ever landing a packet in the wrong slot.
+// slots through a tiny ring, with payload verification: the absolute
+// head/tail counters must wrap the slot positions without ever landing a
+// packet in the wrong slot, and slot reuse must never corrupt. Once in
+// both directions at the same time with non-blocking sends, once one way
+// with blocking ones (the sender parks on a full ring, and only explicit
+// syncs bring the head back).
 func TestRingWraparoundFlood(t *testing.T) {
-	const msgs = 100 // 50 ring revolutions on 2 slots
-	runRing(t, 2, 2, 256, func(c *Comm) {
-		me, peer := c.Rank(), 1-c.Rank()
-		var reqs []*Request
-		bufs := make([][]byte, msgs)
-		for i := 0; i < msgs; i++ {
-			bufs[i] = make([]byte, 64)
-			reqs = append(reqs, c.Irecv(peer, i, bufs[i]))
-		}
-		for i := 0; i < msgs; i++ {
-			data := make([]byte, 64)
-			fillPattern(data, byte(me*131+i))
-			c.Wait(c.Isend(peer, i, data))
-		}
-		c.Waitall(reqs...)
-		for i := 0; i < msgs; i++ {
-			if !checkPattern(bufs[i], byte(peer*131+i)) {
-				c.Abort(fmt.Sprintf("message %d corrupted crossing the slot boundary", i))
+	t.Run("both-ways-nonblocking", func(t *testing.T) {
+		const msgs = 100 // 50 ring revolutions on 2 slots
+		runRing(t, 2, 2, 256, func(c *Comm) {
+			me, peer := c.Rank(), 1-c.Rank()
+			var reqs []*Request
+			bufs := make([][]byte, msgs)
+			for i := 0; i < msgs; i++ {
+				bufs[i] = make([]byte, 64)
+				reqs = append(reqs, c.Irecv(peer, i, bufs[i]))
 			}
-		}
+			for i := 0; i < msgs; i++ {
+				data := make([]byte, 64)
+				fillPattern(data, byte(me*131+i))
+				c.Wait(c.Isend(peer, i, data))
+			}
+			c.Waitall(reqs...)
+			for i := 0; i < msgs; i++ {
+				if !checkPattern(bufs[i], byte(peer*131+i)) {
+					c.Abort(fmt.Sprintf("message %d corrupted crossing the slot boundary", i))
+				}
+			}
+		})
+	})
+	t.Run("one-way-blocking", func(t *testing.T) {
+		const msgs = 200 // 50 revolutions on 4 slots, every message on one tag
+		runRing(t, 2, 4, 2048, func(c *Comm) {
+			if c.Rank() == 0 {
+				for i := 0; i < msgs; i++ {
+					c.Send(1, 0, []byte{byte(i), byte(i >> 8)})
+				}
+			} else {
+				buf := make([]byte, 2)
+				for i := 0; i < msgs; i++ {
+					c.Recv(0, 0, buf)
+					if buf[0] != byte(i) || buf[1] != byte(i>>8) {
+						c.Abort(fmt.Sprintf("slot reuse corrupted message %d", i))
+					}
+				}
+			}
+		})
 	})
 }
 
@@ -123,38 +146,65 @@ func TestRingSyncOnIdleReversePath(t *testing.T) {
 // TestRingRendezvousRead moves payloads above the slot capacity: they
 // must take the RDMA-read rendezvous (RTS carries the source region, the
 // receiver pulls, a FIN completes the sender) and the read-byte counter
-// must account every payload byte exactly once.
+// must account every payload byte exactly once — a mix of sizes in both
+// directions with non-blocking calls, and one large blocking transfer
+// checked byte for byte (a large message must not go eager).
 func TestRingRendezvousRead(t *testing.T) {
-	sizes := []int{2048, 65536, 0, 1000}
-	total := 0
-	for _, n := range sizes {
-		if n > 1024-48 { // above SlotBytes-HeaderSize: pulled by RDMA read
-			total += n
-		}
-	}
-	w := runRing(t, 2, 4, 1024, func(c *Comm) {
-		me, peer := c.Rank(), 1-c.Rank()
-		var reqs []*Request
-		bufs := make([][]byte, len(sizes))
-		for i, n := range sizes {
-			bufs[i] = make([]byte, n)
-			reqs = append(reqs, c.Irecv(peer, i, bufs[i]))
-		}
-		for i, n := range sizes {
-			data := make([]byte, n)
-			fillPattern(data, byte(me*131+i))
-			c.Wait(c.Isend(peer, i, data))
-		}
-		c.Waitall(reqs...)
-		for i := range sizes {
-			if !checkPattern(bufs[i], byte(peer*131+i)) {
-				c.Abort(fmt.Sprintf("rendezvous payload %d corrupted", i))
+	t.Run("mixed-sizes-both-ways", func(t *testing.T) {
+		sizes := []int{2048, 65536, 0, 1000}
+		total := 0
+		for _, n := range sizes {
+			if n > 1024-48 { // above SlotBytes-HeaderSize: pulled by RDMA read
+				total += n
 			}
 		}
+		w := runRing(t, 2, 4, 1024, func(c *Comm) {
+			me, peer := c.Rank(), 1-c.Rank()
+			var reqs []*Request
+			bufs := make([][]byte, len(sizes))
+			for i, n := range sizes {
+				bufs[i] = make([]byte, n)
+				reqs = append(reqs, c.Irecv(peer, i, bufs[i]))
+			}
+			for i, n := range sizes {
+				data := make([]byte, n)
+				fillPattern(data, byte(me*131+i))
+				c.Wait(c.Isend(peer, i, data))
+			}
+			c.Waitall(reqs...)
+			for i := range sizes {
+				if !checkPattern(bufs[i], byte(peer*131+i)) {
+					c.Abort(fmt.Sprintf("rendezvous payload %d corrupted", i))
+				}
+			}
+		})
+		if st, want := w.Stats(), uint64(2*total); st.RndvReadBytes != want {
+			t.Errorf("rendezvous read bytes = %d, want %d", st.RndvReadBytes, want)
+		}
 	})
-	if st, want := w.Stats(), uint64(2*total); st.RndvReadBytes != want {
-		t.Errorf("rendezvous read bytes = %d, want %d", st.RndvReadBytes, want)
-	}
+	t.Run("one-way-blocking-128KB", func(t *testing.T) {
+		const size = 128 * 1024
+		w := runRing(t, 2, 8, 2048, func(c *Comm) {
+			if c.Rank() == 0 {
+				data := make([]byte, size)
+				for i := range data {
+					data[i] = byte(i * 3)
+				}
+				c.Send(1, 0, data)
+			} else {
+				buf := make([]byte, size)
+				c.Recv(0, 0, buf)
+				for i := range buf {
+					if buf[i] != byte(i*3) {
+						c.Abort("large transfer corrupted on RDMA channel")
+					}
+				}
+			}
+		})
+		if got := w.Stats().RndvReadBytes; got != size {
+			t.Errorf("rendezvous read bytes = %d, want %d (large message must not go eager)", got, size)
+		}
+	})
 }
 
 // TestRingManyToOne hammers a single receiver from every other rank —
