@@ -103,8 +103,10 @@ metrics-smoke:
 # World.Audit under all five schemes, and Settle adds nothing where
 # nothing was left behind. The set-up budget rides along: in the same
 # 128-rank on-demand storm at 2 messages per peer, one connection end
-# costs World.Run at most 12 KB and 15 objects under every scheme — a
-# posted receive is a descriptor and a ring a reservation, not memory.
+# costs World.Run at most 5 KB and 4 objects under every scheme, and the
+# finished world retains at most 4.2 KB per end (what the repo benchmark
+# reports as live_heap_mb) — an end is one object, a posted receive a
+# descriptor, a ring slot memory only once written.
 scaling-smoke:
 	$(GO) run ./cmd/fcbench -test scaling -quick
 	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run 'TestScalingSteadyAllocGate|TestConnSetupBudget|TestSettleAddsNothingWhenClean' -v ./internal/bench

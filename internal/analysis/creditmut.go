@@ -16,11 +16,11 @@ import (
 // trustworthy. inUse is the pool's in-flight descriptor count; the
 // ring's head/tail counters ARE its credit state (free slots =
 // slots - (tail - headSeen)), so a stray write to either silently
-// forges or destroys ring credit. occ/occHWM are a chdev endpoint's
-// outstanding-send occupancy (mutated only via noteOut/noteRetired, in
-// lockstep with the sendCtxs map), and rr is the endpoint group's
-// round-robin cursor — a write from outside the group breaks selection
-// determinism.
+// forges or destroys ring credit. occ/occHWM are an endpoint's
+// outstanding-send occupancy (chdev keeps the high-water mark beside the
+// endpoint's queue of posted sends, mutated only via noteOut), and rr is
+// an endpoint set's round-robin cursor — a write from outside its
+// selection state breaks selection determinism.
 var creditFields = map[string]bool{
 	"credits": true, "owed": true, "posted": true,
 	"backlog": true, "shrinkDebt": true, "inUse": true,

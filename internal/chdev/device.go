@@ -74,7 +74,7 @@ type rndvOut struct {
 }
 
 // ctxKind classifies outstanding work requests.
-type ctxKind int
+type ctxKind uint8
 
 const (
 	ctxBuf      ctxKind = iota // pool buffer to release on completion
@@ -82,13 +82,14 @@ const (
 	ctxRndvRead                // RDMA read pulling rendezvous payload
 )
 
+// sendCtx is what the device remembers about a work request it posted, in
+// the posting connection's sends queue until the completion comes back.
 type sendCtx struct {
 	kind     ctxKind
+	attempts int32 // times re-issued after RNR budget exhaustion
 	buf      []byte
 	out      *rndvOut
 	rin      *RndvIn // ctxRndvRead: the accepted rendezvous being pulled
-	conn     *conn
-	attempts int // times re-issued after RNR budget exhaustion
 }
 
 // backlogEntry is a send held back by user-level flow control: either a
@@ -103,29 +104,41 @@ type backlogEntry struct {
 // conn is one endpoint (virtual channel + queue pair) toward a peer
 // rank. A rank pair owns an endpoint set of Config.Endpoints conns,
 // each with independent scheme state; the classic device is the
-// single-endpoint special case.
+// single-endpoint special case. An end is one object: its VC, its QP
+// (with both queues' first rings) and its landing region live in the conn
+// by value, and a set's conns are one slice that establish sizes once and
+// never grows — everything here that points into a conn (the QP's owner
+// and bound events, the live list, the peer's write target) relies on it
+// staying where it is.
 type conn struct {
 	peer    int
 	ep      int // index within the peer's endpoint set
-	qp      *ib.QP
-	vc      *core.VC
+	qp      ib.QP
+	vc      core.VC
 	backlog fifo[backlogEntry]
 
-	// occ / occHWM track this endpoint's outstanding work requests
-	// (send contexts in flight), the per-endpoint occupancy the
-	// contention benchmark plots. Guarded by fclint's creditmut:
-	// mutation only through noteOut/noteRetired.
-	occ    int
+	// sends holds the context of every work request posted on qp and not
+	// yet completed, in post order — the order a QP retires them in, so a
+	// successful completion's context is the head (retireSend). sends0 is
+	// its first ring: the few sends a connection usually has in flight
+	// cost nothing.
+	sends   fifo[sendCtx]
+	sends0  [4]sendCtx
+	sendSeq uint64 // work requests ever posted: the next one's id
+
+	// occHWM is the high-water mark of this endpoint's outstanding work
+	// requests (the length of sends), the per-endpoint occupancy the
+	// contention benchmark plots. Guarded by fclint's creditmut: mutation
+	// only through noteOut.
 	occHWM int
+
+	// sel is the selection state of the endpoint set this conn belongs
+	// to, one per set; nil for a set of one, which has nothing to select.
+	sel *epSelect
 
 	// Explicit-credit-message silence gate state.
 	lastSend sim.Time   // last outgoing traffic on this connection
 	ecmTimer *sim.Timer // deferred ECM when the gate is still closed
-
-	// reissue is the bound re-open callback for RNR-exhaustion recovery
-	// (see Device.onRetryExhausted); embedding it keeps the recovery
-	// path closure-free.
-	reissue reissueEvent
 
 	// degraded marks a connection whose QP froze on RNR budget
 	// exhaustion: new eager traffic falls back to the backlog until the
@@ -134,55 +147,46 @@ type conn struct {
 
 	// Landing regions, the provisioner's to set and use (provision.go):
 	// where the peer writes this end's eager arrivals, and this end's
-	// write target at the peer. Nil for a shape whose arrivals all land
+	// write target at the peer. Unset for a shape whose arrivals all land
 	// in receive descriptors.
-	ringMR *ib.MR
+	ringMR ib.MR
 	peerMR *ib.MR
 }
 
-// noteOut records a work request posted on this endpoint.
+// noteOut records that a work request joined sends.
 func (c *conn) noteOut() {
-	c.occ++
-	if c.occ > c.occHWM {
-		c.occHWM = c.occ
+	if n := c.sends.Len(); n > c.occHWM {
+		c.occHWM = n
 	}
 }
 
-// noteRetired records a work request retired on this endpoint.
-func (c *conn) noteRetired() {
-	c.occ--
-}
-
-// epGroup is one peer's endpoint set: Config.Endpoints independent
-// conns plus the deterministic selection state that multiplexes
-// logical threads over them. eps is fully populated at establishment;
-// a nil group means the peer is not connected yet.
-type epGroup struct {
-	peer int
-	eps  []*conn
-
+// epSelect is the deterministic selection state that multiplexes logical
+// threads over one peer's endpoint set. The set itself is Config.Endpoints
+// consecutive entries of Device.live (Device.eps); each of its conns
+// points at the state.
+type epSelect struct {
 	// rr is the round-robin cursor (guarded by creditmut: selection
-	// state moves only through the pick methods); selSticky/selRR
-	// count selections per policy for the endpoint-selection metrics.
-	rr        int
-	selSticky uint64
-	selRR     uint64
+	// state moves only through the pick methods); sticky/rrSels count
+	// selections per policy for the endpoint-selection metrics.
+	rr     int
+	sticky uint64
+	rrSels uint64
 }
 
 // pickSticky pins logical thread tid to one endpoint of the set.
-func (g *epGroup) pickSticky(tid int) *conn {
-	g.selSticky++
-	return g.eps[tid%len(g.eps)]
+func (s *epSelect) pickSticky(eps []*conn, tid int) *conn {
+	s.sticky++
+	return eps[tid%len(eps)]
 }
 
 // pickRR rotates over the endpoint set per send.
-func (g *epGroup) pickRR() *conn {
-	c := g.eps[g.rr]
-	g.rr++
-	if g.rr == len(g.eps) {
-		g.rr = 0
+func (s *epSelect) pickRR(eps []*conn) *conn {
+	c := eps[s.rr]
+	s.rr++
+	if s.rr == len(eps) {
+		s.rr = 0
 	}
-	g.selRR++
+	s.rrSels++
 	return c
 }
 
@@ -233,13 +237,14 @@ type Device struct {
 	size    int
 	handler Handler
 
-	pool   *mem.BufPool
-	regs   *mem.RegCache
-	groups []*epGroup // per-peer endpoint sets, nil until established: the O(1) send-side lookup
+	pool *mem.BufPool
+	regs *mem.RegCache
 	// live is the connection table: every established endpoint in
-	// (peer, ep) order. Everything that visits connections — the progress
-	// sweep, credit flush, stats, audit — walks it, so a pass costs the
-	// connections that exist, not the job size. addConn is its only writer.
+	// (peer, ep) order, so a peer's endpoint set is epN consecutive entries
+	// (eps). Everything that visits connections — the send-side lookup, the
+	// progress sweep, credit flush, stats, audit — goes through it, so the
+	// device's cost follows the connections that exist, not the job size.
+	// addConn is its only writer.
 	live  []*conn
 	peers []*Device
 
@@ -254,9 +259,7 @@ type Device struct {
 	prov     recvProvisioner
 	eagerMax int
 
-	wridSeq  uint64
-	rndvSeq  uint64
-	sendCtxs map[uint64]sendCtx
+	rndvSeq uint64
 	// Rendezvous in flight, keyed by rndvSeq ids (unique per device, so
 	// one table serves every connection; each entry names its conn).
 	sendRndv map[uint64]*rndvOut
@@ -298,12 +301,8 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		handler:  h,
 		pool:     mem.NewBufPool(cfg.BufSize),
 		regs:     mem.NewRegCache(hca),
-		groups:   make([]*epGroup, size),
-		sendCtxs: make(map[uint64]sendCtx),
 		sendRndv: make(map[uint64]*rndvOut),
 		recvRndv: make(map[uint64]*RndvIn),
-		rndvHist: cfg.Metrics.Histogram("chdev_rndv_ns", metrics.TimeBuckets,
-			metrics.RankLabel(rank)),
 	}
 	d.epN = 1
 	if cfg.Endpoints > 1 {
@@ -312,20 +311,31 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	d.gate = sim.NewGate(eng)
 	d.progress.d = d
 	d.cq.SetNotify(&d.progress)
+	if cfg.Metrics != nil {
+		d.rndvHist = cfg.Metrics.Histogram("chdev_rndv_ns", metrics.TimeBuckets, metrics.RankLabel(rank))
+	}
 	d.prov, d.eagerMax = newProvisioner(d)
-	d.cfg.Metrics.GaugeFunc("chdev_buf_bytes_hwm",
-		func() int64 { return int64(d.prov.postedHWMBytes()) }, metrics.RankLabel(rank))
-	if cfg.PoolMetrics {
+	d.registerMetrics()
+	return d
+}
+
+// registerMetrics folds the device's own gauges into the configured
+// registry as reader closures; without a registry nothing is built — no
+// closure, no label — as for a QP's and a VC's series.
+func (d *Device) registerMetrics() {
+	r := d.cfg.Metrics
+	if r == nil {
+		return
+	}
+	rank := metrics.RankLabel(d.rank)
+	r.GaugeFunc("chdev_buf_bytes_hwm", func() int64 { return int64(d.prov.postedHWMBytes()) }, rank)
+	if d.cfg.PoolMetrics {
 		// Buffer-pool health, registered only on request so the classic
 		// fcstats key inventories stay byte-identical (see Config).
-		d.cfg.Metrics.GaugeFunc("chdev_pool_outstanding",
-			func() int64 { return int64(d.pool.Outstanding()) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.GaugeFunc("chdev_pool_out_hwm",
-			func() int64 { return int64(d.pool.MaxOutstanding()) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.GaugeFunc("chdev_pool_allocated",
-			func() int64 { return int64(d.pool.Allocated()) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.GaugeFunc("chdev_pool_recycled",
-			func() int64 { return int64(d.pool.Recycled()) }, metrics.RankLabel(rank))
+		r.GaugeFunc("chdev_pool_outstanding", func() int64 { return int64(d.pool.Outstanding()) }, rank)
+		r.GaugeFunc("chdev_pool_out_hwm", func() int64 { return int64(d.pool.MaxOutstanding()) }, rank)
+		r.GaugeFunc("chdev_pool_allocated", func() int64 { return int64(d.pool.Allocated()) }, rank)
+		r.GaugeFunc("chdev_pool_recycled", func() int64 { return int64(d.pool.Recycled()) }, rank)
 	}
 	if d.epN > 1 {
 		// Endpoint-set observability, registered only for true sets: a
@@ -335,16 +345,11 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		// classic dump — endpoint 0 keeps the classic per-connection
 		// labels (see establish) — so fcstats -allow-new-keys diffs the
 		// two cleanly.
-		d.cfg.Metrics.GaugeFunc("chdev_endpoints_active",
-			func() int64 { return int64(d.EndpointStats().Active) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.GaugeFunc("chdev_ep_occupancy_hwm",
-			func() int64 { return int64(d.EndpointStats().OccupancyHWM) }, metrics.RankLabel(rank))
-		d.cfg.Metrics.CounterFunc("chdev_ep_sel_sticky",
-			func() uint64 { return d.EndpointStats().StickySels }, metrics.RankLabel(rank))
-		d.cfg.Metrics.CounterFunc("chdev_ep_sel_rr",
-			func() uint64 { return d.EndpointStats().RRSels }, metrics.RankLabel(rank))
+		r.GaugeFunc("chdev_endpoints_active", func() int64 { return int64(d.EndpointStats().Active) }, rank)
+		r.GaugeFunc("chdev_ep_occupancy_hwm", func() int64 { return int64(d.EndpointStats().OccupancyHWM) }, rank)
+		r.CounterFunc("chdev_ep_sel_sticky", func() uint64 { return d.EndpointStats().StickySels }, rank)
+		r.CounterFunc("chdev_ep_sel_rr", func() uint64 { return d.EndpointStats().RRSels }, rank)
 	}
-	return d
 }
 
 // EPStats summarizes a device's endpoint-set state. It is a separate
@@ -362,10 +367,9 @@ type EPStats struct {
 func (d *Device) EndpointStats() EPStats {
 	s := EPStats{Endpoints: d.epN, Active: len(d.live)}
 	for _, c := range d.live {
-		if c.ep == 0 { // once per peer: selection counters live on the group
-			g := d.groups[c.peer]
-			s.StickySels += g.selSticky
-			s.RRSels += g.selRR
+		if c.ep == 0 && c.sel != nil { // once per set
+			s.StickySels += c.sel.sticky
+			s.RRSels += c.sel.rrSels
 		}
 		if c.occHWM > s.OccupancyHWM {
 			s.OccupancyHWM = c.occHWM
@@ -401,38 +405,57 @@ func (d *Device) addConn(c *conn) {
 	}
 }
 
+// eps returns the endpoint set toward peer — epN consecutive entries of
+// the live list — or nil if the peer is not connected. It is the send
+// path's lookup: a binary search over what is established, where a table
+// indexed by rank cost every device the job size.
+func (d *Device) eps(peer int) []*conn {
+	i, ok := slices.BinarySearchFunc(d.live, peer, func(c *conn, peer int) int {
+		return cmp.Compare(c.peer, peer)
+	})
+	if !ok {
+		return nil
+	}
+	return d.live[i : i+d.epN]
+}
+
 // epAt returns endpoint ep of the set toward peer, or nil if the peer
 // is not connected.
 func (d *Device) epAt(peer, ep int) *conn {
-	g := d.groups[peer]
-	if g == nil {
-		return nil
+	if set := d.eps(peer); set != nil {
+		return set[ep]
 	}
-	return g.eps[ep]
+	return nil
 }
 
-// selectEP multiplexes the current logical thread over g's endpoint
-// set. A size-1 set short-circuits without touching the selection
-// counters, keeping the single-endpoint device byte-identical to the
-// pre-endpoint one.
-func (d *Device) selectEP(g *epGroup) *conn {
+// selectEP multiplexes the current logical thread over an endpoint set.
+// A size-1 set short-circuits without touching the selection counters,
+// keeping the single-endpoint device byte-identical to the pre-endpoint
+// one.
+func (d *Device) selectEP(eps []*conn) *conn {
 	if d.epN == 1 {
-		return g.eps[0]
+		return eps[0]
 	}
 	if d.cfg.EPPolicy == EPRoundRobin {
-		return g.pickRR()
+		return eps[0].sel.pickRR(eps)
 	}
-	return g.pickSticky(d.curTID)
+	return eps[0].sel.pickSticky(eps, d.curTID)
 }
 
 // Wire connects a full set of devices: every pair eagerly unless OnDemand
-// is configured, in which case connections appear at first use.
+// is configured, in which case connections appear at first use — and so
+// does the buffer pool's memory. A statically wired device provisions its
+// pool's first slab here with its connections, so that the job's first
+// messages land in set-up memory (mem.BufPool.Warm).
 func Wire(devs []*Device) {
 	for _, d := range devs {
 		d.peers = devs
 	}
 	if devs[0].cfg.OnDemand {
 		return
+	}
+	for _, d := range devs {
+		d.pool.Warm()
 	}
 	for i := range devs {
 		for j := i + 1; j < len(devs); j++ {
@@ -442,63 +465,67 @@ func Wire(devs []*Device) {
 }
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and
-// virtual channels — between two devices, returning a's group. Each
-// end's provisioner sets up its receive resources (a before b: regions
-// are numbered in reservation order, and two ranks may share an HCA),
-// then adopts what set-up hands over from the other. All QPs are created
-// first and connected as a set (ib.ConnectSet), then each endpoint's
-// channel state is built in index order — at set size 1 the sequence is
-// exactly the pre-endpoint establishment.
-func establish(a, b *Device) *epGroup {
+// virtual channels — between two devices and returns a's. Each side's set
+// is one allocation, sized here for good: the conns hold their QP, VC and
+// landing region by value and are pointed into from all sides. All QPs
+// are made first (a's then b's per endpoint: queue pair numbers follow)
+// and connected in index order, then each endpoint's channel state is
+// built — at set size 1 the sequence is exactly the pre-endpoint
+// establishment. Each end's provisioner sets up its receive resources (a
+// before b: regions are numbered in reservation order, and two ranks may
+// share an HCA), then adopts what set-up hands over from the other.
+func establish(a, b *Device) []*conn {
 	if a.epN != b.epN {
 		panic(fmt.Sprintf("chdev: endpoint-set size mismatch: rank %d has %d, rank %d has %d",
 			a.rank, a.epN, b.rank, b.epN))
 	}
-	epN := a.epN
-	qas := make([]*ib.QP, epN)
-	qbs := make([]*ib.QP, epN)
-	for ep := 0; ep < epN; ep++ {
-		qas[ep] = a.prov.newQP()
-		qbs[ep] = b.prov.newQP()
-	}
-	ib.ConnectSet(qas, qbs)
-	ga := &epGroup{peer: b.rank, eps: make([]*conn, epN)}
-	gb := &epGroup{peer: a.rank, eps: make([]*conn, epN)}
-	a.groups[b.rank] = ga
-	b.groups[a.rank] = gb
-	for ep := 0; ep < epN; ep++ {
-		ca := &conn{peer: b.rank, ep: ep, qp: qas[ep], vc: core.NewVC(&a.params)}
-		cb := &conn{peer: a.rank, ep: ep, qp: qbs[ep], vc: core.NewVC(&b.params)}
-		ca.reissue.c = ca
-		cb.reissue.c = cb
-		ga.eps[ep] = ca
-		gb.eps[ep] = cb
-		a.addConn(ca)
-		b.addConn(cb)
-		// A completion names its QP, and the QP its connection.
-		qas[ep].SetOwner(ca)
-		qbs[ep].SetOwner(cb)
-		// Each direction of each endpoint is a distinct metric series;
-		// with on-demand wiring this runs mid-job and the series align
-		// via the registry's first-sample offsets. Endpoint 0 keeps the
-		// pre-endpoint key shape (no ep label) at every set size, so a
-		// size-1 set reproduces the classic inventory byte for byte and
-		// a larger set's dump is a strict superset of it — additional
-		// endpoints' series carry the ep label, and fcstats
-		// -allow-new-keys accepts the growth.
-		if ep == 0 {
-			ca.vc.RegisterMetrics(a.cfg.Metrics, a.rank, b.rank)
-			cb.vc.RegisterMetrics(b.cfg.Metrics, b.rank, a.rank)
-		} else {
-			ca.vc.RegisterMetricsEP(a.cfg.Metrics, a.rank, b.rank, ep)
-			cb.vc.RegisterMetricsEP(b.cfg.Metrics, b.rank, a.rank, ep)
+	ea, eb := make([]conn, a.epN), make([]conn, a.epN)
+	if a.epN > 1 {
+		sa, sb := new(epSelect), new(epSelect)
+		for ep := range ea {
+			ea[ep].sel, eb[ep].sel = sa, sb
 		}
+	}
+	for ep := range ea {
+		a.prov.initQP(&ea[ep].qp)
+		b.prov.initQP(&eb[ep].qp)
+	}
+	for ep := range ea {
+		ib.Connect(&ea[ep].qp, &eb[ep].qp)
+	}
+	for ep := range ea {
+		ca, cb := &ea[ep], &eb[ep]
+		a.initConn(ca, b.rank, ep)
+		b.initConn(cb, a.rank, ep)
 		a.prov.provisionConn(ca)
 		b.prov.provisionConn(cb)
 		a.prov.adopt(ca, cb)
 		b.prov.adopt(cb, ca)
 	}
-	return ga
+	return a.eps(b.rank)
+}
+
+// initConn builds endpoint ep toward peer in c, whose QP is connected,
+// and enters it into the device's books.
+func (d *Device) initConn(c *conn, peer, ep int) {
+	c.peer, c.ep = peer, ep
+	c.vc.Init(&d.params)
+	c.sends.seed(c.sends0[:])
+	d.addConn(c)
+	// A completion names its QP, and the QP its connection.
+	c.qp.SetOwner(c)
+	// Each direction of each endpoint is a distinct metric series; with
+	// on-demand wiring this runs mid-job and the series align via the
+	// registry's first-sample offsets. Endpoint 0 keeps the pre-endpoint
+	// key shape (no ep label) at every set size, so a size-1 set
+	// reproduces the classic inventory byte for byte and a larger set's
+	// dump is a strict superset of it — additional endpoints' series carry
+	// the ep label, and fcstats -allow-new-keys accepts the growth.
+	if ep == 0 {
+		c.vc.RegisterMetrics(d.cfg.Metrics, d.rank, peer)
+	} else {
+		c.vc.RegisterMetricsEP(d.cfg.Metrics, d.rank, peer, ep)
+	}
 }
 
 // pushBacklog appends a held-back send to the connection's backlog queue.
@@ -562,16 +589,14 @@ func (d *Device) Pool() *mem.BufPool { return d.pool }
 // ChargeCopy charges the virtual clock for an n-byte host copy.
 func (d *Device) ChargeCopy(p *sim.Proc, n int) { p.Sleep(d.cfg.CopyTime(n)) }
 
-// group returns the endpoint set toward peer, establishing it on
-// demand. Establishment hands the fresh group straight back (the old
-// path looked the connection up, established, then looked it up a
-// second time).
-func (d *Device) group(p *sim.Proc, peer int) *epGroup {
+// connect returns the endpoint set toward peer, establishing it on
+// demand. Establishment hands the fresh set straight back.
+func (d *Device) connect(p *sim.Proc, peer int) []*conn {
 	if peer == d.rank || peer < 0 || peer >= d.size {
 		panic(fmt.Sprintf("chdev: rank %d has no connection to %d", d.rank, peer))
 	}
-	g := d.groups[peer]
-	if g == nil {
+	set := d.eps(peer)
+	if set == nil {
 		if !d.cfg.OnDemand {
 			panic("chdev: devices not wired")
 		}
@@ -581,43 +606,42 @@ func (d *Device) group(p *sim.Proc, peer int) *epGroup {
 		// establishes the whole set, the others reuse it. Without the
 		// re-check the loser would wire a second QP set over the first
 		// (and double-register the endpoints' metrics).
-		if g = d.groups[peer]; g == nil {
-			g = establish(d, d.peers[peer])
+		if set = d.eps(peer); set == nil {
+			set = establish(d, d.peers[peer])
 			d.setups++
 		}
 	}
-	return g
+	return set
 }
 
 // conn resolves the endpoint the current logical thread should use
 // toward peer, establishing the set on demand.
 func (d *Device) conn(p *sim.Proc, peer int) *conn {
-	return d.selectEP(d.group(p, peer))
+	return d.selectEP(d.connect(p, peer))
 }
 
 // prepost posts n receive descriptors on c. A descriptor names the pool,
 // not a buffer: the bytes are taken when a message lands in it and go
 // back when the packet has been processed (pcPktTail), so what is posted
 // is a count — the one the schemes and Stats account for — and an idle
-// connection holds no buffer. The pool's first slab stays a provisioning
-// cost (see mem.BufPool.Warm).
+// connection holds no buffer.
 func (d *Device) prepost(c *conn, n int) {
-	d.pool.Warm()
 	for i := 0; i < n; i++ {
 		c.qp.PostRecvFrom(0, d.pool)
 	}
 }
 
-// track enters a work request about to be posted on c in the device's
-// books — its context under a fresh id, the endpoint's occupancy, the
-// message total — and returns the id to post it under.
+// track enters a work request about to be posted on c in the books — its
+// context at the tail of c's sends, the occupancy that makes, the message
+// total — and returns the id to post it under: its number in c's post
+// order, which is where its completion finds the context again.
 func (d *Device) track(c *conn, ctx sendCtx) uint64 {
-	d.wridSeq++
-	ctx.conn = c
-	d.sendCtxs[d.wridSeq] = ctx
+	c.sends.push(ctx)
 	c.noteOut()
 	c.vc.CountMsg()
-	return d.wridSeq
+	id := c.sendSeq
+	c.sendSeq++
+	return id
 }
 
 // postPacket posts an encoded packet of n bytes from a pool buffer. Every
@@ -772,7 +796,7 @@ func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
 func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	did := false
 	for c.backlog.Len() > 0 {
-		e := c.backlog.peek()
+		e := *c.backlog.at(0)
 		if e.rndv != nil {
 			consumed, ok := c.vc.DrainRTS()
 			if !ok {
@@ -1059,11 +1083,11 @@ func (d *Device) WaitProgress(p *sim.Proc, done func() bool) {
 // the backlog reach the wire even if the application makes no further MPI
 // calls.
 func (d *Device) Quiescent() bool {
-	if len(d.sendCtxs) > 0 || len(d.sendRndv) > 0 {
+	if len(d.sendRndv) > 0 {
 		return false
 	}
 	for _, c := range d.live {
-		if c.backlog.Len() > 0 {
+		if c.sends.Len() > 0 || c.backlog.Len() > 0 {
 			return false
 		}
 	}
@@ -1083,31 +1107,42 @@ func (d *Device) PendingCompletions() int { return d.cq.Len() }
 
 // retireSend dispatches a send or RDMA-write completion: release the
 // pool buffer, or finish the rendezvous whose payload write completed.
-// Runs in event context; charges no time.
+// The completion names its QP, the QP its connection, and the work
+// request's id its place in the connection's sends: a QP retires in post
+// order, so a successful completion is the head, and only an RNR-exhausted
+// one — whose predecessors' acks may still be in flight — can name an
+// entry behind it. Runs in event context; charges no time.
 func (d *Device) retireSend(wc ib.WC) {
-	ctx, ok := d.sendCtxs[wc.WRID]
+	c, ok := wc.QP.Owner().(*conn)
 	if !ok {
+		panic("chdev: send completion on unknown QP")
+	}
+	i := wc.WRID - (c.sendSeq - uint64(c.sends.Len()))
+	if i >= uint64(c.sends.Len()) {
 		panic("chdev: unknown send completion")
 	}
 	if wc.Status == ib.StatusRNRRetryExceeded {
-		d.onRetryExhausted(wc.WRID, ctx)
+		d.onRetryExhausted(c, c.sends.at(int(i)))
 		return
 	}
-	delete(d.sendCtxs, wc.WRID)
-	ctx.conn.noteRetired()
 	if wc.Status != ib.StatusSuccess {
 		panic(fmt.Sprintf("chdev: transport error %v on rank %d", wc.Status, d.rank))
 	}
+	if i != 0 {
+		panic(fmt.Sprintf("chdev: rank %d -> %d: send completion %d overtook %d predecessors",
+			d.rank, c.peer, wc.WRID, i))
+	}
+	ctx := c.sends.pop()
 	switch ctx.kind {
 	case ctxBuf:
 		d.pool.Put(ctx.buf)
 	case ctxRndvData:
-		d.sendFin(ctx.conn, ctx.out.peerReq)
+		d.sendFin(c, ctx.out.peerReq)
 		d.finishSend(ctx.out)
 	case ctxRndvRead:
 		// The RDMA read pulled the payload into the accepted buffer:
 		// FIN the sender and complete at the receiver.
-		d.sendFin(ctx.conn, ctx.rin.senderReq)
+		d.sendFin(c, ctx.rin.senderReq)
 		d.handler.DeliverRndvDone(ctx.rin)
 	}
 }
@@ -1117,28 +1152,27 @@ func (d *Device) retireSend(wc ib.WC) {
 // QP kept the failed WQE (and everything behind it) queued, so re-issuing
 // is just ResumeStalled with a fresh retry budget after ReissueDelay; the
 // connection meanwhile runs degraded, forcing new eager traffic into the
-// backlog so nothing piles onto the frozen stream out of order.
-func (d *Device) onRetryExhausted(wrid uint64, ctx sendCtx) {
-	c := ctx.conn
+// backlog so nothing piles onto the frozen stream out of order. The
+// request's context stays where it is in c's sends (the pool buffer is
+// still pinned under it), with the bumped count.
+func (d *Device) onRetryExhausted(c *conn, ctx *sendCtx) {
 	ctx.attempts++
-	// The WQE is still queued in the frozen QP; keep its context (the
-	// pool buffer is still pinned under it) with the bumped count.
-	d.sendCtxs[wrid] = ctx
 	c.degraded = true
 	c.vc.NoteReissue()
 	d.tr(trace.Reissued, c.peer, int64(ctx.attempts))
-	d.eng.AfterCall(d.cfg.ReissueDelay, &c.reissue, 0)
+	d.eng.AfterCall(d.cfg.ReissueDelay, (*reissueEvent)(c), 0)
 }
 
-// reissueEvent re-opens a degraded connection after ReissueDelay: one is
-// embedded in each conn so RNR-exhaustion recovery schedules without a
-// closure. The frozen QP kept everything queued, so re-opening is just
-// ResumeStalled with a fresh retry budget.
-type reissueEvent struct{ c *conn }
+// reissueEvent is a conn as the target of its re-open event, ReissueDelay
+// after it degraded: a handler type over the same memory, so
+// RNR-exhaustion recovery schedules without a closure. The frozen QP kept
+// everything queued, so re-opening is just ResumeStalled with a fresh
+// retry budget.
+type reissueEvent conn
 
 func (re *reissueEvent) OnEvent(uint64) {
-	re.c.degraded = false
-	re.c.qp.ResumeStalled()
+	re.degraded = false
+	re.qp.ResumeStalled()
 }
 
 // Stats aggregates the device's counters.

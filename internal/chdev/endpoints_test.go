@@ -27,7 +27,7 @@ func ownedQPs(d *Device) int {
 	seen := map[*ib.QP]bool{}
 	for _, c := range d.live {
 		if c.qp.Owner() == any(c) {
-			seen[c.qp] = true
+			seen[&c.qp] = true
 		}
 	}
 	return len(seen)
@@ -64,15 +64,15 @@ func TestEndpointSetEstablish(t *testing.T) {
 			if c.ep != ep {
 				t.Fatalf("rank %d endpoint %d self-index = %d", d.Rank(), ep, c.ep)
 			}
-			if seen[c.qp] {
+			if seen[&c.qp] {
 				t.Fatalf("rank %d endpoint %d shares a QP", d.Rank(), ep)
 			}
-			seen[c.qp] = true
+			seen[&c.qp] = true
 		}
 	}
 	// Endpoint i converses with the peer's endpoint i, not a shuffle.
 	for ep := 0; ep < 4; ep++ {
-		if d0.epAt(1, ep).qp.Peer() != d1.epAt(0, ep).qp {
+		if d0.epAt(1, ep).qp.Peer() != &d1.epAt(0, ep).qp {
 			t.Fatalf("endpoint %d cross-wired", ep)
 		}
 	}

@@ -11,11 +11,10 @@ package chdev
 // half. Popped slots are zeroed so the queue never pins a pooled buffer
 // past its dequeue.
 type fifo[T any] struct {
-	ring   []T // power-of-two length
-	start  int // index of the head element
-	count  int
-	quiet  int // consecutive pops at count < len(ring)/4
-	capHWM int
+	ring  []T // power-of-two length
+	start int // index of the head element
+	count int
+	quiet int // consecutive pops at count < len(ring)/4
 }
 
 const (
@@ -32,9 +31,6 @@ const (
 // Len reports queued entries.
 func (q *fifo[T]) Len() int { return q.count }
 
-// CapHWM reports the largest ring ever held, for the shrink tests.
-func (q *fifo[T]) CapHWM() int { return q.capHWM }
-
 // capNow reports the current ring size, for the shrink tests.
 func (q *fifo[T]) capNow() int { return len(q.ring) }
 
@@ -49,13 +45,16 @@ func (q *fifo[T]) push(v T) {
 	}
 	q.ring[(q.start+q.count)&(len(q.ring)-1)] = v
 	q.count++
-	if len(q.ring) > q.capHWM {
-		q.capHWM = len(q.ring)
-	}
 }
 
-// peek returns the head without removing it.
-func (q *fifo[T]) peek() T { return q.ring[q.start] }
+// at returns the i-th queued entry, the head being 0, in place: the
+// pointer is good until the next push or pop.
+func (q *fifo[T]) at(i int) *T { return &q.ring[(q.start+i)&(len(q.ring)-1)] }
+
+// seed gives an empty queue its first ring (a power-of-two length), for
+// an owner that keeps one inline; the queue outgrows it like any other
+// and never shrinks back below fifoMinCap.
+func (q *fifo[T]) seed(ring []T) { q.ring = ring }
 
 // pop removes and returns the head, zeroing its slot and shrinking the
 // ring once occupancy has stayed under a quarter of capacity for

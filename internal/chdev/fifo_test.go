@@ -46,9 +46,6 @@ func TestFifoReleasesBurstCapacity(t *testing.T) {
 	for q.Len() > 0 {
 		q.pop()
 	}
-	if q.CapHWM() < burst {
-		t.Fatalf("cap HWM %d, want >= %d", q.CapHWM(), burst)
-	}
 	grown := q.capNow()
 	// Steady trickle at occupancy 1: every pop is a low-occupancy pop, so
 	// each shrinkSettle of them halves the ring until the floor.
@@ -61,9 +58,6 @@ func TestFifoReleasesBurstCapacity(t *testing.T) {
 	if q.capNow() > fifoMinCap {
 		t.Errorf("ring cap stuck at %d after sustained low occupancy (burst grew it to %d)",
 			q.capNow(), grown)
-	}
-	if q.CapHWM() < burst {
-		t.Errorf("cap HWM %d lost by shrinking", q.CapHWM())
 	}
 }
 
@@ -114,5 +108,41 @@ func TestFifoPopZeroesSlot(t *testing.T) {
 		if q.ring[i] != nil {
 			t.Fatalf("ring slot %d still references the popped value", i)
 		}
+	}
+}
+
+// A seeded queue lives in its owner's ring until it outgrows it — the
+// first entries cost no allocation — and at() reaches every queued entry
+// in place, head first, across the wrap.
+func TestFifoSeedAndAt(t *testing.T) {
+	var inline [4]int
+	var q fifo[int]
+	q.seed(inline[:])
+	for i := 0; i < 6; i++ { // wrap inside the seed ring
+		q.push(i)
+		if i >= 2 {
+			if got := q.pop(); got != i-2 {
+				t.Fatalf("pop = %d, want %d", got, i-2)
+			}
+		}
+	}
+	if q.Len() != 2 || &q.ring[0] != &inline[0] {
+		t.Fatalf("len %d, ring moved off the seed: %v", q.Len(), &q.ring[0] != &inline[0])
+	}
+	for i := 6; i < 10; i++ {
+		q.push(i)
+	}
+	if q.capNow() != 2*len(inline) || &q.ring[0] == &inline[0] {
+		t.Fatalf("cap %d after outgrowing a %d-entry seed", q.capNow(), len(inline))
+	}
+	for i := 0; i < q.Len(); i++ {
+		if got := *q.at(i); got != 4+i {
+			t.Errorf("at(%d) = %d, want %d", i, got, 4+i)
+		}
+	}
+	*q.at(1) = -1
+	q.pop()
+	if got := q.pop(); got != -1 {
+		t.Errorf("a write through at(1) did not reach the entry: popped %d", got)
 	}
 }

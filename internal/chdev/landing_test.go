@@ -84,8 +84,8 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 				t.Fatalf("rank %d carved %d buffers for idle connections", d.rank, d.pool.Allocated())
 			}
 			for _, c := range d.live {
-				if c.ringMR.Committed() || c.ringMR.Len() != 8*1024 {
-					t.Fatalf("rank %d -> %d: idle ring region committed=%v len=%d",
+				if c.ringMR.Committed() != 0 || c.ringMR.Len() != 8*1024 {
+					t.Fatalf("rank %d -> %d: idle ring region committed=%d len=%d",
 						d.rank, c.peer, c.ringMR.Committed(), c.ringMR.Len())
 				}
 			}
@@ -96,9 +96,13 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 		sendOneSettled(t, eng, devs, hs[1])
 		for _, d := range devs {
 			for _, c := range d.live {
-				if want := d.rank == 1 && c.peer == 0; c.ringMR.Committed() != want {
-					t.Errorf("rank %d ring from %d: committed=%v, want %v (only the written ring)",
-						d.rank, c.peer, c.ringMR.Committed(), want)
+				want := 0
+				if d.rank == 1 && c.peer == 0 {
+					want = 1024
+				}
+				if got := c.ringMR.Committed(); got != want {
+					t.Errorf("rank %d ring from %d: %d bytes committed, want %d (the one written slot of the one written ring)",
+						d.rank, c.peer, got, want)
 				}
 			}
 			if st := d.Stats(); st.SumPosted != 16 || st.BufBytesHWM != 2*perConn {
@@ -107,8 +111,8 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 		}
 		// The ring landing took no pool buffer, and one consumed slot is
 		// below the head-sync threshold: only the sender's staging buffer
-		// was carved. At the parent each rank had carved its 16 control
-		// buffers and allocated both 8 KB rings.
+		// was carved. Backing everything at establishment, each rank had
+		// carved its 16 control buffers and allocated both 8 KB rings.
 		for rank, want := range []int{1, 0, 0} {
 			if got := devs[rank].pool.Allocated(); got != want {
 				t.Errorf("rank %d carved %d buffers, want %d", rank, got, want)
@@ -116,6 +120,109 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 		}
 		if err := Audit(devs); err != nil {
 			t.Errorf("audit: %v", err)
+		}
+	})
+}
+
+// aliasHandler keeps what DeliverEagerStart was handed — the bytes the
+// arrival landed in, not a copy.
+type aliasHandler struct {
+	fakeHandler
+	landed [][]byte
+}
+
+func (h *aliasHandler) DeliverEagerStart(src, tag int, comm uint16, data []byte) {
+	h.landed = append(h.landed, data)
+	h.fakeHandler.DeliverEagerStart(src, tag, comm, data)
+}
+
+// ringDevPair wires two devices on the ring scheme, rank 1 keeping its
+// landings.
+func ringDevPair(t *testing.T, slots int) (*sim.Engine, *Device, *Device, *aliasHandler) {
+	t.Helper()
+	eng := sim.NewEngine()
+	f := ib.NewFabric(eng, ib.DefaultConfig(), 2)
+	h1 := &aliasHandler{}
+	d0 := New(eng, f.HCA(0), DefaultConfig(), core.RDMA(slots, 1024), 0, 2, &fakeHandler{})
+	d1 := New(eng, f.HCA(1), DefaultConfig(), core.RDMA(slots, 1024), 1, 2, h1)
+	Wire([]*Device{d0, d1})
+	return eng, d0, d1, h1
+}
+
+// Ring memory is persistent: a slot's host bytes are committed by the
+// first write into it and are the same bytes on every lap of the ring —
+// never pool-served, never recycled. That is what makes a flow-control
+// bug visible: a write that overruns an unconsumed slot lands in the live
+// payload, and the receiver delivers the damage.
+func TestRingSlotsKeepTheirBytes(t *testing.T) {
+	const slots, laps = 4, 3
+	t.Run("same bytes every lap", func(t *testing.T) {
+		eng, d0, d1, h1 := ringDevPair(t, slots)
+		eng.Go("sender", func(p *sim.Proc) {
+			for i := 0; i < slots*laps; i++ {
+				d0.Send(p, 1, 0, 0, []byte{byte(i)}, nil, true)
+			}
+			d0.WaitProgress(p, d0.Quiescent)
+			d0.Detach()
+		})
+		eng.Go("receiver", func(p *sim.Proc) {
+			d1.WaitProgress(p, func() bool { return len(h1.eager) == slots*laps })
+			d1.Detach()
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if len(h1.landed) != slots*laps {
+			t.Fatalf("%d messages landed, want %d", len(h1.landed), slots*laps)
+		}
+		for i, b := range h1.landed {
+			if h1.eager[i][0] != byte(i) {
+				t.Fatalf("message %d delivered %v", i, h1.eager[i])
+			}
+			if first := h1.landed[i%slots]; &b[0] != &first[0] {
+				t.Errorf("message %d (slot %d, lap %d) landed in different host bytes than on lap 0", i, i%slots, i/slots)
+			}
+			for j := 0; j < i%slots; j++ {
+				if &b[0] == &h1.landed[j][0] {
+					t.Errorf("slots %d and %d share host bytes", i%slots, j)
+				}
+			}
+		}
+		if got := d1.epAt(0, 0).ringMR.Committed(); got != slots*1024 {
+			t.Errorf("%d ring bytes committed after %d laps, want %d: one commit per slot", got, laps, slots*1024)
+		}
+		if err := Audit([]*Device{d0, d1}); err != nil {
+			t.Errorf("audit: %v", err)
+		}
+	})
+	t.Run("an overrun corrupts a live payload", func(t *testing.T) {
+		eng, d0, d1, h1 := ringDevPair(t, slots)
+		// One message lands in slot 0 and stays unconsumed: the receiver's
+		// software has not run yet.
+		eng.Go("sender", func(p *sim.Proc) {
+			d0.Send(p, 1, 0, 0, []byte("intact!"), nil, true)
+			d0.WaitProgress(p, d0.Quiescent)
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		// What a sender that ignored the ring's head would do: write the
+		// slot again. Bare verbs, outside the device's flow control.
+		cq0, cq1 := d0.hca.NewCQ(), d1.hca.NewCQ()
+		rogue, sink := d0.hca.NewQP(cq0, cq0), d1.hca.NewQP(cq1, cq1)
+		ib.Connect(rogue, sink)
+		rogue.PostWrite(1, []byte("damaged"), ib.RemoteKey{MR: &d1.epAt(0, 0).ringMR, Offset: HeaderSize})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		eng.Go("receiver", func(p *sim.Proc) {
+			d1.WaitProgress(p, func() bool { return len(h1.eager) == 1 })
+		})
+		if err := eng.Run(sim.MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(h1.eager[0]); got != "damaged" {
+			t.Errorf("delivered %q: the overrun did not reach the bytes the arrival landed in", got)
 		}
 	})
 }

@@ -36,9 +36,9 @@ import (
 // a caller's local would escape through the dynamic call and cost an
 // allocation per message.
 type recvProvisioner interface {
-	// newQP creates a transport endpoint wired to this provisioning
-	// shape (private receive queue or shared SRQ).
-	newQP() *ib.QP
+	// initQP makes qp — a new conn's — a transport endpoint wired to this
+	// provisioning shape (private receive queue or shared SRQ).
+	initQP(qp *ib.QP)
 	// provisionConn sets up this end's receive resources for a newly
 	// established connection: pre-posted descriptors, reserved regions.
 	provisionConn(c *conn)
@@ -107,8 +107,8 @@ type connProvisioner struct {
 	d *Device
 }
 
-func (cp *connProvisioner) newQP() *ib.QP {
-	return cp.d.hca.NewQP(cp.d.cq, cp.d.cq)
+func (cp *connProvisioner) initQP(qp *ib.QP) {
+	cp.d.hca.InitQP(qp, cp.d.cq, cp.d.cq, nil)
 }
 
 func (cp *connProvisioner) provisionConn(c *conn) {
@@ -265,11 +265,12 @@ type poolProvisioner struct {
 func newPoolProvisioner(d *Device) *poolProvisioner {
 	pp := &poolProvisioner{connProvisioner{d}, d.hca.NewSRQ(), core.NewPool(&d.params)}
 	pp.srq.SetLimit(pp.pool.Watermark(), pp.onLimit)
-	d.pool.Warm()
 	pp.post(pp.pool.Posted())
-	pp.pool.RegisterMetrics(d.cfg.Metrics, d.rank)
-	d.cfg.Metrics.GaugeFunc("chdev_pool_free",
-		func() int64 { return int64(pp.srq.PostedRecvs()) }, metrics.RankLabel(d.rank))
+	if r := d.cfg.Metrics; r != nil {
+		pp.pool.RegisterMetrics(r, d.rank)
+		r.GaugeFunc("chdev_pool_free",
+			func() int64 { return int64(pp.srq.PostedRecvs()) }, metrics.RankLabel(d.rank))
+	}
 	return pp
 }
 
@@ -294,8 +295,8 @@ func (pp *poolProvisioner) onLimit() {
 	}
 }
 
-func (pp *poolProvisioner) newQP() *ib.QP {
-	return pp.d.hca.NewQPWithSRQ(pp.d.cq, pp.d.cq, pp.srq)
+func (pp *poolProvisioner) initQP(qp *ib.QP) {
+	pp.d.hca.InitQP(qp, pp.d.cq, pp.d.cq, pp.srq)
 }
 
 func (pp *poolProvisioner) provisionConn(c *conn) {}
@@ -373,32 +374,36 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 	if d.params.SlotBytes > d.cfg.BufSize {
 		panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", d.params.SlotBytes, d.cfg.BufSize))
 	}
-	rank := metrics.RankLabel(d.rank)
-	rp := &ringProvisioner{connProvisioner: connProvisioner{d},
-		readBytes: d.cfg.Metrics.Counter("chdev_rndv_read_bytes", rank)}
-	d.cfg.Metrics.GaugeFunc("chdev_ring_occupancy_hwm",
-		func() int64 { return int64(d.Stats().RingOccupancyHWM) }, rank)
-	d.cfg.Metrics.CounterFunc("chdev_ring_syncs",
-		func() uint64 { return d.Stats().RingSyncs }, rank)
+	rp := &ringProvisioner{connProvisioner: connProvisioner{d}}
+	if r := d.cfg.Metrics; r != nil {
+		rank := metrics.RankLabel(d.rank)
+		rp.readBytes = r.Counter("chdev_rndv_read_bytes", rank)
+		r.GaugeFunc("chdev_ring_occupancy_hwm",
+			func() int64 { return int64(d.Stats().RingOccupancyHWM) }, rank)
+		r.CounterFunc("chdev_ring_syncs",
+			func() uint64 { return d.Stats().RingSyncs }, rank)
+	}
 	return rp
 }
 
 // provisionConn posts the control quota and reserves this end's inbound
 // slot ring. The region is pinned for the connection's lifetime on the
 // virtual clock (Stats counts it from here on); its host bytes are
-// committed, whole and for good, by the first write that lands in it
-// (ib.HCA.ReserveMemory). It is never served from the buffer pool: the
-// slots are persistent memory, and an overrun must keep corrupting a live
-// payload so that a flow-control bug cannot hide.
+// committed slot by slot — the slot is the region's commit granule, this
+// shape's choice — by the first write that lands in each
+// (ib.MR.Window). Ring memory is never served from the buffer pool: a
+// slot's host bytes, once committed, are the same bytes for the
+// connection's lifetime and are never recycled, so an overrun keeps
+// corrupting a live payload and a flow-control bug cannot hide.
 func (rp *ringProvisioner) provisionConn(c *conn) {
 	d := rp.d
 	d.prepost(c, d.cfg.CtrlPrepost)
-	c.ringMR = d.hca.ReserveMemory(d.params.Prepost * d.params.SlotBytes)
+	d.hca.InitMR(&c.ringMR, d.params.Prepost*d.params.SlotBytes, d.params.SlotBytes)
 }
 
 // adopt makes the peer's inbound ring this end's write target. Its
 // geometry is this end's own: configuration is uniform across the job.
-func (rp *ringProvisioner) adopt(c, remote *conn) { c.peerMR = remote.ringMR }
+func (rp *ringProvisioner) adopt(c, remote *conn) { c.peerMR = &remote.ringMR }
 
 // postEager writes the packet into the next ring position. The VC saw a
 // free slot before admitting it, so Reserve cannot overrun the peer's
@@ -426,7 +431,7 @@ func (rp *ringProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
 		panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", imm, slot))
 	}
 	sz := rp.d.params.SlotBytes
-	return c.ringMR.Bytes()[slot*sz : (slot+1)*sz]
+	return c.ringMR.Window(slot*sz, sz)
 }
 
 // processed: consuming an eager packet's slot advances the head, which

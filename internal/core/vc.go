@@ -81,9 +81,10 @@ type VC struct {
 	lastPressure sim.Time
 	lastGrowth   sim.Time
 
-	// ring is both directions of the ring channel's bookkeeping, one
-	// object per connection end; nil off KindRDMA.
-	ring *ringPair
+	// ring is both directions of the ring channel's bookkeeping, held by
+	// value so a connection end stays one object; zero (no slots) off
+	// KindRDMA.
+	ring ringPair
 
 	stats Stats
 }
@@ -94,22 +95,32 @@ type VC struct {
 // here, communicated back on reverse traffic).
 type ringPair struct{ out, in Ring }
 
-// NewVC creates the flow control state for one end of a connection.
-// Params must have been validated.
-func NewVC(p *Params) *VC {
-	credits := 0
+// onRing reports whether this VC answers from the ring geometry.
+func (vc *VC) onRing() bool { return vc.ring.out.slots != 0 }
+
+// Init makes *vc the flow control state for one end of a connection, in
+// storage the caller owns (the channel device keeps one record per end
+// and embeds its VC). Params must have been validated.
+func (vc *VC) Init(p *Params) {
+	*vc = VC{params: p, posted: p.Prepost}
 	if p.UserLevel() {
 		// Initial credits equal the peer's initial pre-post count;
 		// configuration is uniform across the job, as in the paper.
-		credits = p.Prepost
+		vc.credits = p.Prepost
 	}
-	vc := &VC{params: p, posted: p.Prepost, credits: credits}
 	vc.stats.MaxPosted = vc.posted
 	if p.RingChannel() {
 		// Prepost doubles as the slot count, uniform across the job like
 		// the initial credits above.
-		vc.ring = &ringPair{out: makeRing(p.Prepost), in: makeRing(p.Prepost)}
+		vc.ring = ringPair{out: makeRing(p.Prepost), in: makeRing(p.Prepost)}
 	}
+}
+
+// NewVC allocates the flow control state for one end of a connection
+// (see Init).
+func NewVC(p *Params) *VC {
+	vc := new(VC)
+	vc.Init(p)
 	return vc
 }
 
@@ -166,7 +177,7 @@ func (vc *VC) DecideEager(blocking bool) Action {
 		defer vc.debugCheck()
 	}
 	switch {
-	case vc.ring != nil:
+	case vc.onRing():
 		// The flow control IS the ring geometry: a send needs a free slot
 		// between the local tail and the peer's last announced head (the
 		// device's Reserve takes it).
@@ -195,7 +206,7 @@ func (vc *VC) DecideEager(blocking bool) Action {
 // SendReady reports whether DecideEager would now answer ActionSend: what
 // a sender parked by ActionWait waits for.
 func (vc *VC) SendReady() bool {
-	if vc.ring != nil {
+	if vc.onRing() {
 		return vc.backlog == 0 && vc.ring.out.Free() > 0
 	}
 	return !vc.params.UserLevel() || vc.backlog == 0 && vc.credits > 0
@@ -257,7 +268,7 @@ func (vc *VC) QueueFree() {
 // a ring there is no gate: such a backlog exists only while the device is
 // degraded, so it drains unconditionally.
 func (vc *VC) CanDrainBacklog() bool {
-	if vc.backlog == 0 || vc.ring != nil && vc.ring.out.Free() == 0 {
+	if vc.backlog == 0 || vc.onRing() && vc.ring.out.Free() == 0 {
 		return false
 	}
 	if vc.params.UserLevel() {
@@ -278,7 +289,7 @@ func (vc *VC) CanDrainBacklog() bool {
 // EagerSent). A ring RTS queued only for order — control traffic is
 // outside the ring's slot accounting — so it drains freely.
 func (vc *VC) DrainRTS() (consumed, ok bool) {
-	if vc.ring == nil {
+	if !vc.onRing() {
 		ok = vc.CanDrainBacklog()
 		return ok && vc.params.UserLevel(), ok
 	}
@@ -310,7 +321,7 @@ func (vc *VC) Returned(piggyback int, ringHead uint32) bool {
 	if opened {
 		vc.AddCredits(piggyback)
 	}
-	if vc.ring != nil && vc.ring.out.SeenHead(ringHead) {
+	if vc.onRing() && vc.ring.out.SeenHead(ringHead) {
 		opened = true
 	}
 	return opened
@@ -373,7 +384,7 @@ func (vc *VC) effECMThreshold() int {
 // been told about — to justify an explicit return message (no outgoing
 // traffic rode it back).
 func (vc *VC) NeedECM() bool {
-	if vc.ring != nil {
+	if vc.onRing() {
 		return vc.ring.in.NeedSync()
 	}
 	return vc.params.UserLevel() && vc.owed >= vc.effECMThreshold()
@@ -382,7 +393,7 @@ func (vc *VC) NeedECM() bool {
 // Unreturned is how much the peer has not been told it may reuse: owed
 // credits, or consumed ring slots.
 func (vc *VC) Unreturned() int {
-	if vc.ring != nil {
+	if vc.onRing() {
 		return vc.ring.in.Unsynced()
 	}
 	return vc.owed
@@ -391,7 +402,7 @@ func (vc *VC) Unreturned() int {
 // PiggybackHead returns the ring head every outgoing packet carries back
 // and records it as communicated; 0 off the ring.
 func (vc *VC) PiggybackHead() uint32 {
-	if vc.ring == nil {
+	if !vc.onRing() {
 		return 0
 	}
 	return vc.ring.in.TakeHead(true)
@@ -505,7 +516,7 @@ func (vc *VC) CheckInvariants() {
 	if vc.params.Kind == KindDynamic && vc.posted > vc.params.Max {
 		panic(fmt.Sprintf("core: posted %d beyond max %d", vc.posted, vc.params.Max))
 	}
-	if vc.ring != nil {
+	if vc.onRing() {
 		vc.ring.out.CheckInvariants()
 		vc.ring.in.CheckInvariants()
 	}

@@ -130,11 +130,12 @@ type HCA struct {
 	node    int
 	egress  port
 	ingress port
-	qps     []*QP
+	nQP     int // queue pairs created so far: the next one's number
 	udqps   []*UDQP
 	srqs    []*SRQ
-	nextMR  int
-	mrs     map[int]*MR
+	mrs     []*MR    // region id-1 -> region: ids are dense from 1
+	wqeFree *sendWQE // recycled send WQE boxes of every QP here (see sendWQE)
+	page    []byte   // rest of the current commit page (see commit)
 	stats   HCAStats
 }
 
@@ -152,43 +153,42 @@ func (h *HCA) NewCQ() *CQ {
 	return &CQ{eng: h.fabric.eng, cond: sim.NewCond(h.fabric.eng)}
 }
 
-// NewQP creates a queue pair on this adapter using the given completion
-// queues (they may be the same queue, as the paper's MPI does). The QP
-// owns a private receive queue; use NewQPWithSRQ to share one instead.
-func (h *HCA) NewQP(sendCQ, recvCQ *CQ) *QP {
-	qp := &QP{
-		hca:    h,
-		num:    len(h.qps),
-		sendCQ: sendCQ,
-		recvCQ: recvCQ,
-		recv:   &recvQueue{},
+// InitQP makes *qp a queue pair on this adapter using the given
+// completion queues (they may be the same queue, as the paper's MPI
+// does), in storage the caller owns: a consumer that keeps one record per
+// connection embeds its QP there. Receive descriptors come from the
+// shared receive queue srq, which must live on this adapter, or — srq
+// nil — from the QP's private queue. The QP points into itself (its
+// queues' first backing arrays), so it must not be copied or moved
+// afterwards.
+func (h *HCA) InitQP(qp *QP, sendCQ, recvCQ *CQ, srq *SRQ) {
+	if srq != nil && srq.hca != h {
+		panic("ib: SRQ and QP on different HCAs")
 	}
-	qp.nakEv.qp = qp
-	qp.ackEv.qp = qp
-	h.qps = append(h.qps, qp)
+	*qp = QP{hca: h, num: h.nQP, sendCQ: sendCQ, recvCQ: recvCQ}
+	h.nQP++
+	qp.recv = &qp.rq
+	if srq != nil {
+		qp.recv = srq
+	}
+	qp.queue, qp.queueBuf = qp.queue0[:0], qp.queue0[:0]
+}
+
+// NewQP allocates a queue pair with a private receive queue (see InitQP).
+func (h *HCA) NewQP(sendCQ, recvCQ *CQ) *QP {
+	qp := new(QP)
+	h.InitQP(qp, sendCQ, recvCQ, nil)
 	return qp
 }
 
-// NewQPWithSRQ creates a queue pair whose receive descriptors come from
-// the shared receive queue srq instead of a private queue. The SRQ must
-// live on the same adapter.
+// NewQPWithSRQ allocates a queue pair whose receive descriptors come from
+// the shared receive queue srq instead of a private queue (see InitQP).
 func (h *HCA) NewQPWithSRQ(sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 	if srq == nil {
 		panic("ib: NewQPWithSRQ with nil SRQ")
 	}
-	if srq.hca != h {
-		panic("ib: SRQ and QP on different HCAs")
-	}
-	qp := &QP{
-		hca:    h,
-		num:    len(h.qps),
-		sendCQ: sendCQ,
-		recvCQ: recvCQ,
-		recv:   srq,
-	}
-	qp.nakEv.qp = qp
-	qp.ackEv.qp = qp
-	h.qps = append(h.qps, qp)
+	qp := new(QP)
+	h.InitQP(qp, sendCQ, recvCQ, srq)
 	return qp
 }
 
@@ -229,36 +229,46 @@ func ConnectSet(a, b []*QP) {
 
 // MR is a registered memory region. RDMA operations address remote memory
 // as (MR, offset); registration is the unit the pin-down cache manages.
-// A region made by ReserveMemory has its length but no host bytes until
-// something first writes or reads it.
+// A region has its id, its length and its bounds from registration on; its
+// host bytes exist per commit granule. RegisterMemory's region is one
+// granule, the caller's buffer. A region the adapter owns (ReserveMemory)
+// names its granule, and a granule gets host bytes — zeroed, its own for
+// the region's lifetime, never recycled — when a window first opens on it.
 type MR struct {
-	hca *HCA
-	id  int
-	n   int
-	buf []byte // nil while a reserved region is uncommitted
+	hca     *HCA
+	id      int
+	n       int
+	granule int      // commit unit; == n for a region committed whole
+	buf     []byte   // the one granule of a whole-commit region (nil until committed)
+	grans   [][]byte // granule table of a multi-granule region, made at the first commit
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
 // responsible for charging Config.RegTime to the virtual clock (pinning is
 // host work, so the MPI layer accounts for it, enabling pin-down caching).
 func (h *HCA) RegisterMemory(buf []byte) *MR {
-	mr := h.ReserveMemory(len(buf))
+	mr := h.ReserveMemory(len(buf), len(buf))
 	mr.buf = buf
 	return mr
 }
 
-// ReserveMemory registers a zeroed region of n bytes the adapter owns,
-// without backing it yet: the region has its id, its length and its
-// bounds from the start, and its host bytes are committed — whole, and
-// for good — by the first RDMA write or read that lands in it or the
-// first Bytes call. A region nothing ever touches costs no host memory.
-func (h *HCA) ReserveMemory(n int) *MR {
-	h.nextMR++
-	mr := &MR{hca: h, id: h.nextMR, n: n}
-	if h.mrs == nil {
-		h.mrs = make(map[int]*MR)
+// InitMR makes *mr a zeroed region of n bytes the adapter owns, in
+// storage the caller owns, without backing it: what nothing touches costs
+// no host memory. granule is the unit in which it commits (see
+// MR.Window): n for a region that is all-or-nothing, the slot size for a
+// ring whose slots fill one at a time.
+func (h *HCA) InitMR(mr *MR, n, granule int) {
+	if n < 0 || granule < 0 || granule > n || n > 0 && granule == 0 {
+		panic(fmt.Sprintf("ib: reserving %d bytes in granules of %d", n, granule))
 	}
-	h.mrs[mr.id] = mr
+	h.mrs = append(h.mrs, mr)
+	*mr = MR{hca: h, id: len(h.mrs), n: n, granule: granule}
+}
+
+// ReserveMemory allocates a region handle and reserves it (see InitMR).
+func (h *HCA) ReserveMemory(n, granule int) *MR {
+	mr := new(MR)
+	h.InitMR(mr, n, granule)
 	return mr
 }
 
@@ -266,11 +276,10 @@ func (h *HCA) ReserveMemory(n int) *MR {
 // it is the simulator's stand-in for an InfiniBand rkey carried in a
 // rendezvous reply message.
 func (h *HCA) LookupMR(id int) *MR {
-	mr, ok := h.mrs[id]
-	if !ok {
+	if id < 1 || id > len(h.mrs) {
 		panic(fmt.Sprintf("ib: unknown MR id %d on node %d", id, h.node))
 	}
-	return mr
+	return h.mrs[id-1]
 }
 
 // ID returns the region's identifier (the simulated rkey).
@@ -279,17 +288,70 @@ func (m *MR) ID() int { return m.id }
 // Len returns the region's length in bytes.
 func (m *MR) Len() int { return m.n }
 
-// Committed reports whether the region has host bytes behind it; only a
-// reserved region that nothing has touched yet reports false.
-func (m *MR) Committed() bool { return m.buf != nil || m.n == 0 }
-
-// Bytes exposes the registered buffer, committing a reserved region.
-func (m *MR) Bytes() []byte {
-	if m.buf == nil && m.n > 0 {
-		//fclint:allow hotalloc one commit per region lifetime, at its first access; it replaces the make at reservation
-		m.buf = make([]byte, m.n)
+// Committed reports how many of the region's bytes have host memory
+// behind them: whole granules, so 0 for a reservation nothing has touched
+// and Len for a registered buffer.
+func (m *MR) Committed() int {
+	total := len(m.buf)
+	for _, g := range m.grans {
+		total += len(g)
 	}
-	return m.buf
+	return total
+}
+
+// Window returns the n bytes at offset off, committing the granule behind
+// them if this is its first access — that granule and no other. It is the
+// one way to the region's bytes: both RDMA landings go through it, and so
+// does whoever consumes what landed. A window may not straddle a granule;
+// an RDMA operation on a multi-granule region addresses one slot.
+func (m *MR) Window(off, n int) []byte {
+	if off < 0 || n < 0 || off+n > m.n {
+		panic(fmt.Sprintf("ib: window [%d,%d) beyond %d-byte region", off, off+n, m.n))
+	}
+	if n == 0 {
+		return nil
+	}
+	i := off / m.granule
+	base := i * m.granule
+	if off+n > base+m.granule {
+		panic(fmt.Sprintf("ib: window [%d,%d) straddles a %d-byte commit granule", off, off+n, m.granule))
+	}
+	g := &m.buf
+	if m.granule < m.n {
+		if m.grans == nil {
+			m.grans = make([][]byte, (m.n+m.granule-1)/m.granule)
+		}
+		g = &m.grans[i]
+	}
+	if *g == nil {
+		*g = m.hca.commit(min(m.granule, m.n-base))
+	}
+	return (*g)[off-base : off-base+n]
+}
+
+// commitPage is how much host memory the adapter takes at a time for the
+// granules of the regions it owns: small granules are carved from a
+// shared page, so committing ring slots one at a time costs one
+// allocation per page of them, not one each.
+const commitPage = 4 << 10
+
+// commit returns n zeroed bytes of adapter-owned memory, capped at n so a
+// write past a granule cannot spill into its neighbour unnoticed. A
+// granule that does not fit what is left of the page starts the next one
+// (a page or more gets an allocation of its own); nothing carved is ever
+// handed out again.
+func (h *HCA) commit(n int) []byte {
+	if n <= len(h.page) {
+		g := h.page[:n:n]
+		h.page = h.page[n:]
+		return g
+	}
+	//fclint:allow hotalloc one allocation per commitPage bytes of granules, each committed once, at its first access; it replaces the make at reservation
+	fresh := make([]byte, max(n, commitPage))
+	if n < commitPage {
+		h.page = fresh[n:]
+	}
+	return fresh[:n:n]
 }
 
 // RemoteKey identifies a window of a remote memory region for RDMA.

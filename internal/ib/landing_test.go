@@ -293,55 +293,177 @@ func TestSRQCommitsAtLanding(t *testing.T) {
 }
 
 // A reserved region has its id, length and bounds from the start and no
-// host bytes until its first write or read.
+// host bytes until its first write or read — and then only the commit
+// granule that access touched.
 func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
 	eng, qp0, qp1, _, _ := pair(DefaultConfig())
 	h := qp1.HCA()
-	w, r, idle := h.ReserveMemory(64), h.ReserveMemory(64), h.ReserveMemory(64)
-	for _, mr := range []*MR{w, r, idle} {
-		if mr.Committed() || mr.Len() != 64 || h.LookupMR(mr.ID()) != mr {
-			t.Fatalf("fresh reservation: committed=%v len=%d", mr.Committed(), mr.Len())
+	w, r, idle := h.ReserveMemory(64, 64), h.ReserveMemory(64, 64), h.ReserveMemory(64, 64)
+	ring := h.ReserveMemory(4*16, 16) // four 16-byte slots
+	for _, mr := range []*MR{w, r, idle, ring} {
+		if mr.Committed() != 0 || mr.Len() != 64 || h.LookupMR(mr.ID()) != mr {
+			t.Fatalf("fresh reservation: committed=%d len=%d", mr.Committed(), mr.Len())
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"write", func() { qp0.PostWrite(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}) }},
-		{"write-notify", func() { qp0.PostWriteNotify(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}, 0) }},
-		{"read", func() { qp0.PostRead(1, make([]byte, 65), RemoteKey{MR: r}) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s beyond an uncommitted region did not panic", tc.name)
-				}
-			}()
-			tc.fn()
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
 		}()
+		fn()
 	}
-	if w.Committed() || r.Committed() {
-		t.Fatal("a refused post committed the region")
+	mustPanic("write beyond an uncommitted region", func() { qp0.PostWrite(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}) })
+	mustPanic("write-notify beyond an uncommitted region", func() { qp0.PostWriteNotify(1, make([]byte, 16), RemoteKey{MR: w, Offset: 56}, 0) })
+	mustPanic("read beyond an uncommitted region", func() { qp0.PostRead(1, make([]byte, 65), RemoteKey{MR: r}) })
+	mustPanic("window beyond the region", func() { ring.Window(56, 16) })
+	mustPanic("window straddling two granules", func() { ring.Window(8, 16) })
+	mustPanic("granule larger than the region", func() { h.ReserveMemory(16, 32) })
+	for _, mr := range []*MR{w, r, ring} {
+		if mr.Committed() != 0 {
+			t.Fatal("a refused access committed the region")
+		}
 	}
-	dst := []byte("garbage!")
+	dst, slotDst := []byte("garbage!"), []byte("garbage!")
 	qp0.PostWrite(1, []byte("landed"), RemoteKey{MR: w, Offset: 8})
 	qp0.PostRead(2, dst, RemoteKey{MR: r, Offset: 8})
-	if w.Committed() {
+	qp0.PostWrite(3, []byte("slot two"), RemoteKey{MR: ring, Offset: 2 * 16})
+	qp0.PostRead(4, slotDst, RemoteKey{MR: ring, Offset: 3*16 + 8})
+	if w.Committed() != 0 || ring.Committed() != 0 {
 		t.Error("posting the write committed the region before anything landed")
 	}
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Committed() || !bytes.Equal(w.Bytes()[8:14], []byte("landed")) || len(w.Bytes()) != 64 {
-		t.Errorf("written region: committed=%v bytes=%q", w.Committed(), w.Bytes()[8:14])
+	if w.Committed() != 64 || !bytes.Equal(w.Window(8, 6), []byte("landed")) {
+		t.Errorf("written region: committed=%d bytes=%q", w.Committed(), w.Window(8, 6))
 	}
-	if !r.Committed() || !bytes.Equal(dst, make([]byte, 8)) {
-		t.Errorf("read region: committed=%v, read %q, want zeroes", r.Committed(), dst)
+	if r.Committed() != 64 || !bytes.Equal(dst, make([]byte, 8)) {
+		t.Errorf("read region: committed=%d, read %q, want zeroes", r.Committed(), dst)
 	}
-	if idle.Committed() {
+	if idle.Committed() != 0 {
 		t.Error("a region nothing touched was committed")
 	}
-	if reg := h.RegisterMemory(make([]byte, 8)); !reg.Committed() || reg.Len() != 8 {
-		t.Errorf("registered region: committed=%v len=%d", reg.Committed(), reg.Len())
+	// The granule law: the write committed slot 2, the read slot 3, and
+	// neither touched slots 0 and 1; an untouched granule reads as zeroes.
+	if got := ring.Committed(); got != 2*16 {
+		t.Errorf("slotted region: %d bytes committed after one slot written and one read, want 32", got)
+	}
+	if !bytes.Equal(slotDst, make([]byte, 8)) {
+		t.Errorf("read of an untouched slot = %q, want zeroes", slotDst)
+	}
+	slot2 := ring.Window(2*16, 16)
+	if !bytes.Equal(slot2[:8], []byte("slot two")) || ring.Committed() != 2*16 {
+		t.Errorf("slot 2 = %q, committed %d: opening a committed slot must commit nothing", slot2[:8], ring.Committed())
+	}
+	if again := ring.Window(2*16+4, 4); &again[0] != &slot2[4] {
+		t.Error("a slot's host bytes moved between two windows")
+	}
+	if slot0 := ring.Window(0, 16); !bytes.Equal(slot0, make([]byte, 16)) || ring.Committed() != 3*16 {
+		t.Errorf("slot 0 = %q, committed %d: want zeroes and one more granule", slot0, ring.Committed())
+	}
+	if cap(slot2) != 16 {
+		t.Errorf("slot 2 has capacity %d: a write past a granule could spill into its neighbour", cap(slot2))
+	}
+	if reg := h.RegisterMemory(make([]byte, 8)); reg.Committed() != 8 || reg.Len() != 8 {
+		t.Errorf("registered region: committed=%d len=%d", reg.Committed(), reg.Len())
+	}
+}
+
+// Send WQE boxes are recycled per adapter, not per QP: a box one QP
+// retires is the next one any QP of the HCA posts with. Two QPs of one
+// node alternate bursts while one of them is in go-back-N recovery — its
+// receiver short of descriptors, its stream NAKed, rewound and
+// retransmitted — so a box freed by a retirement on one stream is reused
+// on the other while stale attempts of its old neighbours are still on
+// the wire. Under -tags ibdebug the pooled assertions in transmit and
+// deliver would catch any reference to a recycled box.
+func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := sim.NewEngine()
+	f := NewFabric(eng, cfg, 3)
+	cq0, cq1, cq2 := f.HCA(0).NewCQ(), f.HCA(1).NewCQ(), f.HCA(2).NewCQ()
+	a, b := f.HCA(0).NewQP(cq0, cq0), f.HCA(0).NewQP(cq0, cq0)
+	ra, rb := f.HCA(1).NewQP(cq1, cq1), f.HCA(2).NewQP(cq2, cq2)
+	Connect(a, ra)
+	Connect(b, rb)
+
+	const rounds, burst = 8, 3
+	usedBy := map[*sendWQE][2]bool{}
+	post := func(qp *QP, who int, seq int) {
+		qp.PostSend(uint64(seq), []byte{byte(who), byte(seq)})
+		u := usedBy[qp.queue[len(qp.queue)-1]]
+		u[who] = true
+		usedBy[qp.queue[len(qp.queue)-1]] = u
+	}
+	recvA, recvB := make([][]byte, rounds*burst), make([][]byte, rounds*burst)
+	for i := range recvA {
+		recvA[i], recvB[i] = make([]byte, 2), make([]byte, 2)
+	}
+	for r := 0; r < rounds; r++ {
+		// b's receiver is ready for the whole round; a's has one
+		// descriptor for a burst of three: the first lands and retires,
+		// the second is NAKed, the third arrives out of order and is
+		// dropped.
+		for k := 0; k < burst; k++ {
+			rb.PostRecv(uint64(r*burst+k), recvB[r*burst+k])
+		}
+		ra.PostRecv(uint64(r*burst), recvA[r*burst])
+		for k := 0; k < burst; k++ {
+			post(a, 0, r*burst+k)
+		}
+		// Past the first retirement, inside a's RNR back-off: b posts
+		// with whatever a's stream has freed.
+		if err := eng.Run(eng.Now() + cfg.RNRTimeout/2); err != nil {
+			t.Fatal(err)
+		}
+		if !a.stalled || a.QueuedSends() != burst-1 {
+			t.Fatalf("round %d: a stalled=%v with %d queued, want an RNR back-off holding %d", r, a.stalled, a.QueuedSends(), burst-1)
+		}
+		for k := 0; k < burst; k++ {
+			post(b, 1, r*burst+k)
+		}
+		for k := 1; k < burst; k++ {
+			ra.PostRecv(uint64(r*burst+k), recvA[r*burst+k])
+		}
+		if err := eng.Run(eng.Now() + 2*cfg.RNRTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if a.QueuedSends() != 0 || b.QueuedSends() != 0 {
+		t.Fatalf("sends left queued: a %d, b %d", a.QueuedSends(), b.QueuedSends())
+	}
+	if st := a.Stats(); st.RNRNaks < rounds || st.Retransmits < rounds*(burst-1) {
+		t.Errorf("a's stream was meant to go back N every round: %+v", st)
+	}
+	for i := range recvA {
+		if recvA[i][0] != 0 || int(recvA[i][1]) != i || recvB[i][0] != 1 || int(recvB[i][1]) != i {
+			t.Fatalf("message %d: a's receiver got %v, b's %v", i, recvA[i], recvB[i])
+		}
+	}
+	shared := 0
+	for _, u := range usedBy {
+		if u[0] && u[1] {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Error("no box retired by one QP was reused by the other")
+	}
+	// A rank keeps a handful of sends in flight: the adapter holds that
+	// many boxes, not that many per QP.
+	if len(usedBy) > 2*burst {
+		t.Errorf("%d boxes allocated for two QPs with at most %d sends in flight", len(usedBy), 2*burst)
+	}
+	free := 0
+	for w := f.HCA(0).wqeFree; w != nil; w = w.nextFree {
+		free++
+	}
+	if free != len(usedBy) {
+		t.Errorf("freelist holds %d of the %d boxes ever allocated", free, len(usedBy))
 	}
 }

@@ -19,13 +19,17 @@ const (
 )
 
 // sendWQE is a queued work request on a QP's send queue. WQEs are
-// recycled through a per-QP freelist: retireAcked releases the box when
-// the in-order completion posts, and the next Post* reuses it. Recycling
-// at retirement is safe without reference counting because per-pair
-// delivery is FIFO (links serialize reservations in call order and fault
-// jitter preserves per-pair order), so every in-flight attempt of a WQE —
-// including stale go-back-N duplicates — has reached the receiver's
-// deliver before the ack that retires it was even sent. The gen counter
+// recycled through a freelist on the adapter, shared by its QPs (a rank
+// keeps a handful of sends in flight, over however many connections):
+// retireAcked releases the box when the in-order completion posts, and
+// the next Post* on any QP of the HCA reuses it. Recycling at retirement
+// is safe without reference counting because per-pair delivery is FIFO
+// (links serialize reservations in call order and fault jitter preserves
+// per-pair order), so every in-flight attempt of a WQE — including stale
+// go-back-N duplicates — has reached the receiver's deliver before the ack
+// that retires it was even sent. That is a fact about the retiring QP's
+// own stream and holds at the moment of release; which QP takes the box
+// next does not enter into it (post rebinds the box's events). The gen counter
 // records how many times the box has been recycled, and the pooled flag
 // lets ibdebug builds assert that no stale reference touches a freed box
 // (the bound events are embedded in the WQE itself, so a per-attempt
@@ -105,22 +109,23 @@ func (re *readEvent) OnEvent(stage uint64) {
 		return
 	}
 	w := re.w
-	copy(w.readDst, w.remote.MR.Bytes()[w.remote.Offset:w.remote.Offset+len(w.readDst)])
+	copy(w.readDst, w.remote.MR.Window(w.remote.Offset, len(w.readDst)))
 	sender.retire(w)
 }
 
-// nakEvent delivers a deferred RNR NAK (arg = rewound sequence) to its
-// owning QP; one lives in each QP so NAK scheduling is allocation-free.
-type nakEvent struct{ qp *QP }
+// nakEvent is a QP as the target of its deferred RNR NAKs (arg = rewound
+// sequence): a second handler type over the same memory, so NAK
+// scheduling allocates nothing and the QP carries no bound event for it.
+type nakEvent QP
 
-func (ne *nakEvent) OnEvent(seq uint64) { ne.qp.onRNRNak(seq) }
+func (ne *nakEvent) OnEvent(seq uint64) { (*QP)(ne).onRNRNak(seq) }
 
-// ackEvent delivers a deferred cumulative ack (arg = acknowledged
-// sequence) to its owning QP; one lives in each QP so the per-message ack
-// round-trip schedules without a closure.
-type ackEvent struct{ qp *QP }
+// ackEvent is a QP as the target of its deferred cumulative acks (arg =
+// acknowledged sequence), so the per-message ack round-trip schedules
+// without a closure.
+type ackEvent QP
 
-func (ae *ackEvent) OnEvent(seq uint64) { ae.qp.retireSeq(seq) }
+func (ae *ackEvent) OnEvent(seq uint64) { (*QP)(ae).retireSeq(seq) }
 
 func (w *sendWQE) wireLen() int {
 	switch w.kind {
@@ -172,9 +177,9 @@ type QP struct {
 	owner  any // the consumer's context (see SetOwner)
 
 	// sender state
-	queue    []*sendWQE // [0,next) in flight; [next,len) waiting
-	queueBuf []*sendWQE // queue's backing array from its start (see post)
-	wqeFree  *sendWQE   // recycled WQE boxes (see sendWQE)
+	queue    []*sendWQE  // [0,next) in flight; [next,len) waiting
+	queueBuf []*sendWQE  // queue's backing array from its start (see post)
+	queue0   [4]*sendWQE // the first backing array
 	next     int
 	baseSeq  uint64 // seq of queue[0]
 	sendSeq  uint64 // next seq to assign
@@ -182,16 +187,12 @@ type QP struct {
 	failed   bool   // frozen after RNR budget exhaustion (see ResumeStalled)
 	rnrTimer *sim.Timer
 
-	// receiver state. recv owns the posted receive descriptors: a
-	// private recvQueue for a classic RC connection, or a shared SRQ
+	// receiver state. recv owns the posted receive descriptors: the
+	// private queue rq for a classic RC connection, or a shared SRQ
 	// serving many QPs (see recvProvisioner).
 	recv     recvProvisioner
+	rq       recvQueue
 	expected uint64 // next acceptable incoming seq
-
-	// Bound schedule targets (see nakEvent/ackEvent): initialized by the
-	// constructors so the hot NAK/ack paths never allocate.
-	nakEv nakEvent
-	ackEv ackEvent
 
 	stats QPStats
 }
@@ -247,11 +248,10 @@ func (qp *QP) PostRecvFrom(wrid uint64, src RecvSource) {
 }
 
 func (qp *QP) postRecv(w recvWQE) {
-	rq, ok := qp.recv.(*recvQueue)
-	if !ok {
+	if qp.recv != &qp.rq {
 		panic("ib: PostRecv on an SRQ-attached QP; post to the SRQ instead")
 	}
-	rq.post(w)
+	qp.rq.post(w)
 }
 
 // PostSend posts a channel-semantics send of payload.
@@ -295,16 +295,16 @@ func (qp *QP) PostRead(wrid uint64, dst []byte, remote RemoteKey) {
 	qp.post(w)
 }
 
-// acquireWQE pops a recycled WQE box off the QP's freelist, or allocates
-// a fresh one while the pool is still warming up. The returned box is
-// zeroed except for its recycle generation.
+// acquireWQE pops a recycled WQE box off the adapter's freelist, or
+// allocates a fresh one while the pool is still warming up. The returned
+// box is zeroed except for its recycle generation.
 func (qp *QP) acquireWQE() *sendWQE {
-	w := qp.wqeFree
+	w := qp.hca.wqeFree
 	if w == nil {
 		return &sendWQE{}
 	}
-	debug.Assert(w.pooled, "ib: QP %d freelist holds an unpooled WQE", qp.num)
-	qp.wqeFree = w.nextFree
+	debug.Assert(w.pooled, "ib: node %d freelist holds an unpooled WQE", qp.hca.node)
+	qp.hca.wqeFree = w.nextFree
 	w.nextFree = nil
 	w.pooled = false
 	return w
@@ -316,8 +316,8 @@ func (qp *QP) acquireWQE() *sendWQE {
 // still references the box — see the sendWQE recycling comment.
 func (qp *QP) releaseWQE(w *sendWQE) {
 	debug.Assert(!w.pooled, "ib: double release of WQE seq %d on QP %d", w.seq, qp.num)
-	*w = sendWQE{gen: w.gen + 1, pooled: true, nextFree: qp.wqeFree}
-	qp.wqeFree = w
+	*w = sendWQE{gen: w.gen + 1, pooled: true, nextFree: qp.hca.wqeFree}
+	qp.hca.wqeFree = w
 }
 
 func (qp *QP) post(w *sendWQE) {
@@ -435,7 +435,7 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 				cfg.Tracer.Add(trace.Event{T: eng.Now(), Rank: qp.hca.node,
 					Peer: sender.hca.node, Kind: trace.RNRNak, Arg: int64(w.seq)})
 			}
-			eng.AfterCall(cfg.SwitchLatency, &sender.nakEv, w.seq)
+			eng.AfterCall(cfg.SwitchLatency, (*nakEvent)(sender), w.seq)
 			return
 		}
 		if r.src != nil {
@@ -457,7 +457,7 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		qp.ack(sender, w)
 
 	case opWrite, opWriteImm:
-		copy(w.remote.MR.Bytes()[w.remote.Offset:], w.payload)
+		copy(w.remote.MR.Window(w.remote.Offset, len(w.payload)), w.payload)
 		qp.expected++
 		qp.stats.Delivered++
 		qp.hca.stats.MsgsDelivered++
@@ -490,7 +490,7 @@ func (qp *QP) ack(sender *QP, w *sendWQE) {
 	if cfg.Faults != nil {
 		lat += cfg.Faults.AckDelay(eng.Now())
 	}
-	eng.AfterCall(lat, &sender.ackEv, w.seq)
+	eng.AfterCall(lat, (*ackEvent)(sender), w.seq)
 }
 
 // retireSeq marks the WQE carrying seq acknowledged, if it is still

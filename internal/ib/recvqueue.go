@@ -34,23 +34,29 @@ type recvWQE struct {
 // recvQueue is the FIFO of posted receive descriptors behind a QP, an SRQ
 // or a UD QP: a power-of-two ring sized by the most descriptors ever
 // posted at once, not by how many messages passed through. Popped slots
-// are zeroed so the ring never pins a buffer past its consumption.
+// are zeroed so the ring never pins a buffer past its consumption. The
+// first ring is the queue's own array — the usual pre-post depth costs no
+// allocation — so a queue that has been posted to must not be copied.
 type recvQueue struct {
 	ring  []recvWQE // power-of-two length
 	head  int
 	count int
+	first [recvQueueMinCap]recvWQE
 }
 
-// recvQueueMinCap is the first ring's size: the usual pre-post depth, so
-// a connection's receive queue is one allocation.
+// recvQueueMinCap is the first ring's size: the usual pre-post depth.
 const recvQueueMinCap = 8
 
 func (r *recvQueue) post(w recvWQE) {
 	if r.count == len(r.ring) {
-		grown := make([]recvWQE, max(recvQueueMinCap, 2*len(r.ring)))
+		grown := r.first[:]
+		if len(r.ring) > 0 {
+			grown = make([]recvWQE, 2*len(r.ring))
+		}
 		for i := 0; i < r.count; i++ {
 			grown[i] = r.ring[(r.head+i)&(len(r.ring)-1)]
 		}
+		clear(r.ring) // the outgrown ring may be first, which stays
 		r.ring, r.head = grown, 0
 	}
 	r.ring[(r.head+r.count)&(len(r.ring)-1)] = w

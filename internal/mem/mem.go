@@ -10,18 +10,25 @@ import (
 	"ibflow/internal/sim"
 )
 
-// slabBufs is how many buffers a pool carves out of one backing slab
-// allocation. Growth therefore costs one allocation per slabBufs cache
-// misses instead of one per buffer, which keeps the steady-state message
-// path at amortized ~1/slabBufs allocations even while a pool is still
-// warming up.
+// slabBufs is the most buffers a pool carves out of one backing slab
+// allocation, and what Warm provisions up front: at that size growth costs
+// one allocation per slabBufs cache misses instead of one per buffer.
 const slabBufs = 64
+
+// slabStep sets how a pool that nobody warmed follows its demand: the
+// next slab holds a 1/slabStep of the buffers carved so far, at least
+// slabStep and at most slabBufs of them. A pool whose demand peaks at k
+// buffers therefore holds at most k + max(slabStep, k/slabStep) of them —
+// a quarter over, where a fixed slab held 64 for a demand of 3 — and
+// growing still allocates less than once per slabStep carves at worst,
+// once per slabBufs from 256 buffers on.
+const slabStep = 4
 
 // BufPool hands out fixed-size pre-pinned buffers. The pool grows on
 // demand (host memory is plentiful; the scarce resource the paper studies
 // is the *pre-posted* buffers on each connection) and recycles returned
-// buffers. Growth is slab-based: buffers are carved in slabBufs-sized
-// batches from a single backing allocation.
+// buffers. Growth is slab-based: buffers are carved in batches from a
+// single backing allocation sized by the demand seen so far (slabStep).
 type BufPool struct {
 	size     int
 	free     [][]byte
@@ -54,7 +61,7 @@ func (p *BufPool) Get() []byte {
 		p.recycled++
 	} else {
 		if len(p.slab) < p.size {
-			p.slab = make([]byte, p.size*slabBufs)
+			p.slab = make([]byte, p.size*min(slabBufs, max(slabStep, p.alloc/slabStep)))
 		}
 		b = p.slab[:p.size:p.size]
 		p.slab = p.slab[p.size:]
@@ -69,12 +76,13 @@ func (p *BufPool) Get() []byte {
 	return b
 }
 
-// Warm allocates the pool's first slab if nothing was ever carved, and
-// carves no buffer from it. Receive posts are descriptors that take
-// their buffer only when a message lands (ib.RecvSource), so a pool's
-// first allocation would otherwise fall on its first message; whoever
-// provisions receives calls Warm to keep that allocation a provisioning
-// cost.
+// Warm allocates a full first slab if nothing was ever carved, and carves
+// no buffer from it. Receive posts are descriptors that take their buffer
+// only when a message lands (ib.RecvSource), so a pool's first
+// allocations would otherwise fall on its first messages; whoever
+// provisions receives ahead of traffic calls Warm to keep them a
+// provisioning cost. A pool nobody warms starts small and follows its
+// demand (slabStep).
 func (p *BufPool) Warm() {
 	if p.alloc == 0 && p.slab == nil {
 		p.slab = make([]byte, p.size*slabBufs)

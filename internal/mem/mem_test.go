@@ -31,54 +31,85 @@ func TestBufPoolRecycles(t *testing.T) {
 	}
 }
 
+// A pool nobody warmed follows its demand: the next slab is a quarter of
+// what has been carved (at least slabStep, at most slabBufs buffers), so
+// a demand that peaks at k buffers holds at most k + max(slabStep,
+// k/slabStep) of them, and growing costs at most one allocation per
+// slabStep carves — one per 8 from 128 buffers on, one per slabBufs in
+// the end.
 func TestBufPoolSlabGrowth(t *testing.T) {
-	p := NewBufPool(16)
+	const size = 16
+	for _, k := range []int{1, 3, 4, 5, 16, 34, 48, 64, 128, 300, 1000} {
+		p := NewBufPool(size)
+		bufs := make([][]byte, 0, k)
+		slabs := 0
+		for i := 0; i < k; i++ {
+			if len(p.slab) < size {
+				slabs++
+			}
+			bufs = append(bufs, p.Get())
+		}
+		held := p.Allocated() + len(p.slab)/size
+		if limit := k + max(slabStep, k/slabStep); p.Allocated() != k || held > limit {
+			t.Errorf("demand %d: pool carved %d and holds %d buffers, want %d carved and at most %d held",
+				k, p.Allocated(), held, k, limit)
+		}
+		limit := (k + slabStep - 1) / slabStep
+		if k >= 128 {
+			limit = k / 8
+		}
+		if slabs > limit {
+			t.Errorf("demand %d: %d slab allocations, want at most %d", k, slabs, limit)
+		}
+		// Carved buffers must still be independent spans.
+		for i := range bufs {
+			bufs[i][0] = byte(i)
+		}
+		for i := range bufs {
+			if bufs[i][0] != byte(i) {
+				t.Fatalf("demand %d: carved buffers overlap at %d", k, i)
+			}
+		}
+		if p.Recycled() != 0 {
+			t.Errorf("recycled = %d before any Put", p.Recycled())
+		}
+		p.Put(bufs[0])
+		p.Get()
+		if p.Recycled() != 1 || p.Allocated() != k {
+			t.Errorf("demand %d: recycled = %d, carved = %d after one recycle", k, p.Recycled(), p.Allocated())
+		}
+	}
+
+	// The slab really is one allocation: allow slack for the ibdebug
+	// tracking map, but a per-buffer make([]byte) regression (one malloc
+	// per Get) must fail.
+	p := NewBufPool(size)
+	for i := 0; i < 4*slabBufs; i++ {
+		p.Get()
+	}
 	var ms0, ms1 runtime.MemStats
-	bufs := make([][]byte, 0, slabBufs)
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < slabBufs; i++ {
-		bufs = append(bufs, p.Get())
+		p.Get()
 	}
 	runtime.ReadMemStats(&ms1)
-	if p.Allocated() != slabBufs {
-		t.Fatalf("allocated %d, want %d", p.Allocated(), slabBufs)
-	}
-	// One slab backs all slabBufs carves; allow slack for the ibdebug
-	// tracking map, but a per-buffer make([]byte) regression (one malloc
-	// per Get) must fail.
 	if got := ms1.Mallocs - ms0.Mallocs; got > slabBufs/2 {
-		t.Errorf("%d mallocs for %d carves; slab growth should amortize", got, slabBufs)
-	}
-	// Carved buffers must still be independent spans.
-	for i := range bufs {
-		bufs[i][0] = byte(i)
-	}
-	for i := range bufs {
-		if bufs[i][0] != byte(i) {
-			t.Fatalf("carved buffers overlap at %d", i)
-		}
-	}
-	if p.Recycled() != 0 {
-		t.Errorf("recycled = %d before any Put", p.Recycled())
-	}
-	p.Put(bufs[0])
-	p.Get()
-	if p.Recycled() != 1 {
-		t.Errorf("recycled = %d after one recycle", p.Recycled())
+		t.Errorf("%d mallocs for %d carves of a grown pool; slab growth should amortize", got, slabBufs)
 	}
 }
 
-// Warm makes the first slab a provisioning cost: it allocates the slab
-// once, carves nothing, and the Gets that follow allocate nothing.
+// Warm makes a full first slab a provisioning cost: it allocates the slab
+// once, carves nothing, and the slabBufs Gets that follow allocate
+// nothing; after that the pool follows its demand like any other.
 func TestBufPoolWarm(t *testing.T) {
 	p := NewBufPool(2048)
 	p.Warm()
 	slab := &p.slab[0]
 	p.Warm()
-	if &p.slab[0] != slab || p.Allocated() != 0 || p.Outstanding() != 0 {
-		t.Fatalf("Warm twice: reallocated=%v allocated=%d outstanding=%d",
-			&p.slab[0] != slab, p.Allocated(), p.Outstanding())
+	if &p.slab[0] != slab || len(p.slab) != slabBufs*2048 || p.Allocated() != 0 || p.Outstanding() != 0 {
+		t.Fatalf("Warm twice: reallocated=%v slab=%d allocated=%d outstanding=%d",
+			&p.slab[0] != slab, len(p.slab), p.Allocated(), p.Outstanding())
 	}
 	if b := p.Get(); &b[0] != slab || p.Allocated() != 1 {
 		t.Errorf("first Get after Warm carved elsewhere (allocated %d)", p.Allocated())
@@ -91,6 +122,10 @@ func TestBufPoolWarm(t *testing.T) {
 	p.Warm()
 	if len(p.slab) != 0 {
 		t.Errorf("Warm refilled a used-up slab (%d bytes)", len(p.slab))
+	}
+	p.Get()
+	if got, want := len(p.slab)/2048+1, slabBufs/slabStep; got != want {
+		t.Errorf("the slab after a warmed one holds %d buffers, want %d (a quarter of what was carved)", got, want)
 	}
 }
 
