@@ -75,7 +75,10 @@ bench-simcore:
 # are not comparable to the committed full sweeps, so this runs the full
 # ones, serially so the allocs/msg column is meaningful) and diffs them
 # against the checked-in baselines: virtual time, buffer memory and
-# allocations per message must not regress past 5%.
+# allocations per message must not regress past 5%, and the scaling
+# sweep's five 1024-rank on-demand cells — connection set-up inside the
+# measured run — may not allocate more than 2 objects per message,
+# whatever the baseline says (fcbench -diff, allocGate).
 bench-diff:
 	$(GO) run ./cmd/fcbench -test scaling -parallel 1 -json > /tmp/ibflow-scaling-new.json
 	$(GO) run ./cmd/fcbench -diff BENCH_scaling.json /tmp/ibflow-scaling-new.json
@@ -97,7 +100,11 @@ metrics-smoke:
 # render (sub-linearity itself is asserted by internal/bench's
 # TestConnScalingSharedSubLinear), and the 128-rank world-level
 # allocation gate must hold: steady-state traffic allocates only the
-# storm main's own payloads, nothing per message in the progress engine.
+# storm main's own payloads, nothing per message in the progress engine —
+# at most 2 objects per eager message under all five schemes (amortized
+# pool and slab refills) and at most 0.25 per rendezvous under both
+# transport shapes (write and read), whose state is pooled: one &T{} on
+# either path fails the step.
 # Settling is free, so the scale cell is also audited on every push: the
 # 128-rank fat-tree storm with on-demand connections settles, passes
 # World.Audit under all five schemes, and Settle adds nothing where

@@ -7,6 +7,7 @@
 //	experiments -only fig9 # one experiment
 //	experiments -quick -only fig2 -json          # machine-readable tables
 //	experiments -quick -only fig2 -metrics-out m # per-world metric dumps m-000.json, ...
+//	experiments -quick -only fig9 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"ibflow/internal/bench"
 	"ibflow/internal/metrics"
 	"ibflow/internal/mpi"
+	"ibflow/internal/prof"
 )
 
 // metricsSink hands every simulated world a fresh registry (a registry
@@ -60,6 +62,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit tables as one JSON document instead of aligned text")
 	metricsOut := flag.String("metrics-out", "", "dump each world's metrics to <prefix>-NNN.json")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -149,6 +152,7 @@ func main() {
 	}
 	ran := 0
 	var tables []json.RawMessage
+	stopProfiles := profiles.Start("experiments")
 	for _, e := range experiments {
 		if !sel(e.keys...) {
 			continue
@@ -164,6 +168,7 @@ func main() {
 		}
 		ran++
 	}
+	stopProfiles()
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched -only=%s\n", *only)
 		os.Exit(2)

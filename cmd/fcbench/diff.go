@@ -18,9 +18,12 @@ import (
 // Thresholds: time and memory regress at >5% growth. The allocs/msg
 // column is host-measured (GC timing jitters it a little even serially),
 // so it additionally needs an absolute increase of 0.25 allocations per
-// message before it fails the diff. Wall-clock columns are never gated —
-// they measure the machine, not the code. Cells whose old value is
-// missing (a new column, a longer sweep) are reported but never fail.
+// message before it fails the diff — and, whatever the old document says,
+// an on-demand cell of the scaling sweep (where connection set-up is
+// inside the measured run) may not allocate more than allocGate objects
+// per message. Wall-clock columns are never gated — they measure the
+// machine, not the code. Cells whose old value is missing (a new column,
+// a longer sweep) are reported but never fail.
 func runDiff(oldPath, newPath string, stdout, stderr io.Writer) int {
 	oldDoc, err := loadBenchDoc(oldPath)
 	if err != nil {
@@ -65,6 +68,11 @@ const (
 	// the percentage threshold: the malloc counter is process-wide, so
 	// even serial runs jitter by a few hundredths.
 	allocSlack = 0.25
+	// allocGate is the absolute bound on allocs/msg at the scaling
+	// sweep's on-demand cells: the 1024-rank worlds, whose every message
+	// pays its share of establishing the connections it uses (1.00-1.29
+	// since a connection end is one object).
+	allocGate = 2.0
 )
 
 // benchDoc is the diffable view of either benchmark document: metric ->
@@ -73,6 +81,8 @@ type benchDoc struct {
 	kind    string
 	cells   []string
 	schemes []string
+	// gated holds the cells under the absolute allocGate.
+	gated map[string]bool
 	// values[metric][scheme][cell]; missing cells are absent keys.
 	values map[string]map[string]map[string]float64
 }
@@ -134,8 +144,10 @@ func (d *benchDoc) get(metric, scheme, cell string) (float64, bool) {
 
 func scalingView(doc *bench.ScalingDoc) *benchDoc {
 	d := newBenchView("connscaling")
+	d.gated = map[string]bool{}
 	for _, n := range doc.Ranks {
 		d.cells = append(d.cells, fmt.Sprint(n))
+		d.gated[fmt.Sprint(n)] = n >= doc.OnDemandFrom
 	}
 	for _, s := range doc.Series {
 		d.schemes = append(d.schemes, s.Scheme)
@@ -196,13 +208,15 @@ func diffRows(oldDoc, newDoc *benchDoc) []diffRow {
 				if !ok {
 					continue
 				}
-				ov, ok := oldDoc.get(metric, scheme, cell)
-				if !ok {
-					rows = append(rows, diffRow{metric, scheme, cell,
-						"-", fmt.Sprintf("%.3f", nv), "new", false})
-					continue
+				row := diffRow{metric, scheme, cell, "-", fmt.Sprintf("%.3f", nv), "new", false}
+				if ov, ok := oldDoc.get(metric, scheme, cell); ok {
+					row = compareCell(metric, scheme, cell, ov, nv)
 				}
-				rows = append(rows, compareCell(metric, scheme, cell, ov, nv))
+				if metric == "allocs_per_msg" && newDoc.gated[cell] && nv > allocGate {
+					row.delta += fmt.Sprintf(" >%g", allocGate)
+					row.regressed = true
+				}
+				rows = append(rows, row)
 			}
 		}
 	}

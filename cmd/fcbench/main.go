@@ -44,6 +44,7 @@ import (
 	"ibflow/internal/core"
 	"ibflow/internal/metrics"
 	"ibflow/internal/mpi"
+	"ibflow/internal/prof"
 	"ibflow/internal/runner"
 	"ibflow/internal/trace"
 )
@@ -128,8 +129,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
 	diff := flag.Bool("diff", false, "compare two benchmark JSON documents: fcbench -diff old.json new.json")
 	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump (host buffers in use by packets being staged, sent or processed; posted receive descriptors hold none)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof -sample_index=alloc_objects)")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	set := map[string]bool{}
@@ -244,7 +244,7 @@ func main() {
 	}
 
 	// Everything below is the measured run; usage errors exited above.
-	defer startProfiles(*cpuProfile, *memProfile)()
+	defer profiles.Start("fcbench")()
 
 	if *test == "micro" {
 		runMicro(*prepost, *dynmax, *size, *iters, *reps, workers, *blocking, *jsonOut)

@@ -5,6 +5,10 @@
 // Example:
 //
 //	nasrun -app LU -class A -np 8 -scheme dynamic -prepost 1
+//
+// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
+// the kernel run (internal/prof; -memprofile records every allocation, so
+// alloc_objects counts are exact).
 package main
 
 import (
@@ -15,6 +19,7 @@ import (
 	"ibflow/internal/bench"
 	"ibflow/internal/mpi"
 	"ibflow/internal/nas"
+	"ibflow/internal/prof"
 	"ibflow/internal/trace"
 )
 
@@ -27,6 +32,7 @@ func main() {
 	dynmax := flag.Int("dynmax", 300, "dynamic/shared scheme growth cap")
 	slotbytes := flag.Int("slotbytes", 0, "ring slot size in bytes (-scheme rdma only; default 1024)")
 	traceN := flag.Int("trace", 0, "print the last N protocol trace events")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	class, err := nas.ParseClass(*classStr)
@@ -53,7 +59,9 @@ func main() {
 			o.IB.Tracer = buf
 		}
 	}
+	stopProfiles := profiles.Start("nasrun")
 	res, err := bench.RunNASOpts(*app, class, procs, fc, tune)
+	stopProfiles()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

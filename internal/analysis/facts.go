@@ -115,6 +115,13 @@ type PkgFacts struct {
 	// discipline (mem.BufPool, the engine freelists) exists to avoid
 	// exactly these on the steady-state message path.
 	SliceSites []ScheduleSite
+	// StructSites are &T{...} and new(T) expressions of a named struct
+	// type (Method holds the expression as written, "&T{...}" or
+	// "new(T)") — a per-event object if the enclosing function is hot;
+	// per-message state belongs in a pool its owner recycles
+	// (store.Pool) or inside the long-lived owner. A handler built at an
+	// AtCall/AfterCall call site is a FreshSite, not repeated here.
+	StructSites []ScheduleSite
 	// BadHotpath are //fclint:hotpath annotations without a reason.
 	BadHotpath []badDirective
 
@@ -242,7 +249,7 @@ func SummarizePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package
 		lookup = func(string) *FuncFact { return nil }
 	}
 	pf := &PkgFacts{Funcs: map[string]*FuncFact{}, pendingRoots: map[string]RootKind{}}
-	s := &summarizer{fset: fset, info: info, pkg: pkg, pf: pf}
+	s := &summarizer{fset: fset, info: info, pkg: pkg, pf: pf, fresh: map[token.Pos]bool{}}
 	for _, f := range files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -362,6 +369,8 @@ type summarizer struct {
 	info *types.Info
 	pkg  *types.Package
 	pf   *PkgFacts
+	// fresh holds the positions already recorded as FreshSites.
+	fresh map[token.Pos]bool
 }
 
 // declFact summarizes one function declaration.
@@ -441,6 +450,9 @@ func (s *summarizer) walkBody(f *FuncFact, body ast.Node) {
 			if n.Op == token.ARROW {
 				park(f, "receives from a channel")
 			}
+			if lit, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
+				s.structSite(f, n, "&", "{...}", s.info.TypeOf(lit))
+			}
 		case *ast.SelectStmt:
 			park(f, "selects on channels")
 		case *ast.RangeStmt:
@@ -471,6 +483,12 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 			Pos: call.Pos(), Method: "make", Owner: f.Key, File: pos.Filename,
 		})
 		return
+	}
+	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "new" && len(call.Args) == 1 {
+		if _, builtin := s.info.Uses[id].(*types.Builtin); builtin {
+			s.structSite(f, call, "new(", ")", s.info.TypeOf(call.Args[0]))
+			return
+		}
 	}
 	if s.simCoroutineYield(call) {
 		park(f, "yields its coroutine to the engine")
@@ -533,6 +551,7 @@ func (s *summarizer) scheduleCall(f *FuncFact, call *ast.CallExpr, kind string) 
 		s.markFuncValueRoot(arg)
 	case "AtCall", "AfterCall":
 		if freshAlloc(arg) {
+			s.fresh[ast.Unparen(arg).Pos()] = true
 			s.pf.FreshSites = append(s.pf.FreshSites, ScheduleSite{
 				Pos: arg.Pos(), Method: kind, Owner: f.Key, File: pos.Filename,
 			})
@@ -559,6 +578,23 @@ func (s *summarizer) markFuncValueRoot(arg ast.Expr) {
 			s.pf.pendingRoots[fn.FullName()] = RootScheduled
 		}
 	}
+}
+
+// structSite records e — &T{...} or new(T), t being T — as a StructSite of
+// f when T is a named struct type. Anonymous structs, arrays, slices and
+// maps are not per-message state and are left to the other rules.
+func (s *summarizer) structSite(f *FuncFact, e ast.Expr, open, close string, t types.Type) {
+	named, ok := t.(*types.Named)
+	if !ok || s.fresh[e.Pos()] {
+		return
+	}
+	if _, ok := named.Underlying().(*types.Struct); !ok {
+		return
+	}
+	s.pf.StructSites = append(s.pf.StructSites, ScheduleSite{
+		Pos: e.Pos(), Method: open + named.Obj().Name() + close, Owner: f.Key,
+		File: s.fset.Position(e.Pos()).Filename,
+	})
 }
 
 // isByteSliceMake reports whether call is the builtin make producing a

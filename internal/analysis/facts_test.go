@@ -197,3 +197,40 @@ func TestShortKey(t *testing.T) {
 		}
 	}
 }
+
+// TestHotAllocAllowsRefill runs the struct-allocation rule through the
+// suppression pipeline: the fixture's freelist refill carries a
+// fclint:allow and vanishes, the two per-event allocations beside it
+// survive, and the allow is not stale.
+func TestHotAllocAllowsRefill(t *testing.T) {
+	tr := analysistest.LoadTree(t, testdata("hotalloc"))
+	pkg := tr.Pkgs["hotalloc"]
+	diags, err := analysis.RunWithFacts(analysis.HotAlloc, pkg, tr.Facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := func(ds []analysis.Diagnostic) (n int) {
+		for _, d := range ds {
+			if strings.Contains(d.Message, "state") {
+				n++
+			}
+		}
+		return n
+	}
+	if got := structs(diags); got != 3 {
+		t.Fatalf("raw struct-allocation findings = %d, want 3 (&state{}, new(state), the refill): %v", got, diags)
+	}
+	allows, bad := analysis.CollectAllows(pkg.Fset, pkg.Files, analysis.KnownNames())
+	if len(allows) != 1 || len(bad) != 0 {
+		t.Fatalf("allows = %v, malformed = %v, want the refill's one allow", allows, bad)
+	}
+	kept := analysis.FilterAllowed(pkg.Fset, diags, allows)
+	if got := structs(kept); got != 2 {
+		t.Errorf("struct-allocation findings after filtering = %d, want 2: %v", got, kept)
+	}
+	for _, d := range kept {
+		if strings.Contains(d.Message, "builder).refill") {
+			t.Errorf("the allowed refill survived: %s", d.Message)
+		}
+	}
+}

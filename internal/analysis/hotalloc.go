@@ -19,7 +19,14 @@ import (
 //   - a make([]byte, ...) in a function reachable from event context
 //     allocates a payload buffer per event; the fix is staging through
 //     mem.BufPool (or another freelist), with fclint:allow reserved for
-//     genuinely amortized allocations such as pool slab refills.
+//     genuinely amortized allocations such as pool slab refills;
+//   - &T{...} or new(T) of a named struct type in a function reachable
+//     from event context allocates an object per event — per-message
+//     protocol state, the pattern the rendezvous path was rid of; the fix
+//     is a pool the owner recycles (store.Pool) or a field of the
+//     long-lived owner, with fclint:allow reserved for the refill of a
+//     freelist or chunk. A struct literal used by value stays on the
+//     stack and is not flagged.
 //
 // AtCancel and sim.NewTimer deliberately take closures and are not
 // flagged: AtCancel is the sanctioned cancellable path for auxiliary
@@ -31,8 +38,9 @@ var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid per-event allocations on the event hot path: closures passed to Engine.At/After " +
 		"from handler-reachable code, handler structs built at AtCall/AfterCall call sites, and " +
-		"make([]byte, ...) in handler-reachable code — bind struct handlers into long-lived owners " +
-		"and stage payloads through pooled buffers instead",
+		"make([]byte, ...) and &T{...}/new(T) of named struct types in handler-reachable code — " +
+		"bind struct handlers into long-lived owners, stage payloads through pooled buffers and " +
+		"take per-message state from a recycled pool instead",
 	Run: runHotAlloc,
 }
 
@@ -108,6 +116,20 @@ func runHotAlloc(pass *Pass) error {
 				"this allocates a buffer per event — stage through a pooled buffer (mem.BufPool) instead, "+
 				"or suppress with fclint:allow if the allocation is amortized",
 			ShortKey(site.Owner), ShortKey(root))
+	}
+	for _, site := range pf.StructSites {
+		if strings.HasSuffix(site.File, "_test.go") {
+			continue
+		}
+		root, hot := hotVia[site.Owner]
+		if !hot {
+			continue
+		}
+		pass.Reportf(site.Pos,
+			"%s in %s, which runs in event context (reachable from %s): "+
+				"this allocates an object per event — take it from a pool its owner recycles (store.Pool) "+
+				"or keep it in the long-lived owner; fclint:allow is for freelist and chunk refills",
+			site.Method, ShortKey(site.Owner), ShortKey(root))
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ func KnownNames() map[string]bool {
 // //fclint:allow escape hatches for the few legitimate wall-clock uses.
 var AuditedPackages = []string{
 	"ibflow/internal/sim",
+	"ibflow/internal/store",
 	"ibflow/internal/ib",
 	"ibflow/internal/core",
 	"ibflow/internal/chdev",

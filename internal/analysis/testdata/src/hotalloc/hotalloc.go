@@ -87,3 +87,38 @@ func (s *slicer) fill() {
 // coldFill makes a byte slice but is unreachable from event context: it
 // costs one buffer per call, not per event, and passes.
 func coldFill() []byte { return make([]byte, 8) }
+
+// state stands for per-message protocol state, and builder for the
+// handler that used to allocate one per event.
+type state struct{ id int }
+
+type builder struct {
+	cur, free *state
+	e         *sim.Engine
+}
+
+func (b *builder) OnEvent(arg uint64) {
+	b.cur = &state{id: 1} // want `&state\{\.\.\.\} in \(\*hotalloc\.builder\)\.OnEvent, which runs in event context \(reachable from \(\*hotalloc\.builder\)\.OnEvent\)`
+	b.cur = new(state)    // want `new\(state\) in \(\*hotalloc\.builder\)\.OnEvent, which runs in event context`
+	b.refill()
+	_ = byValue(state{id: 2})    // negative: a literal passed by value stays on the stack
+	_ = &[4]int{}                // negative: not a named struct type
+	_ = new(int)                 // negative: likewise
+	b.e.AtCall(1, &handler{}, 0) // want `handler struct allocated at the Engine\.AtCall call site in \(\*hotalloc\.builder\)\.OnEvent`
+}
+
+// refill is hot too (OnEvent calls it), and its allocation is the
+// sanctioned kind: the finding is raised and the fclint:allow takes it
+// back (TestHotAllocAllowsRefill).
+func (b *builder) refill() {
+	if b.free == nil {
+		//fclint:allow hotalloc freelist refill: made once, recycled from then on
+		b.free = &state{} // want `&state\{\.\.\.\} in \(\*hotalloc\.builder\)\.refill, which runs in event context \(reachable from \(\*hotalloc\.builder\)\.OnEvent\)`
+	}
+}
+
+func byValue(s state) int { return s.id }
+
+// coldState allocates the same struct but is unreachable from event
+// context: one object per call, not per event, and passes.
+func coldState() *state { return &state{id: 3} }

@@ -262,25 +262,8 @@ func StripHostMetrics(doc ScalingDoc) ScalingDoc {
 // one at a time, so the write is race-free).
 func scalingStorm(msgs, size, fanout int, goroutines *int) func(c *mpi.Comm) {
 	return func(c *mpi.Comm) {
-		me, n := c.Rank(), c.Size()
-		k := fanout
-		if k > n-1 {
-			k = n - 1
-		}
-		stride := (n - 1) / k
-		// Ascending-peer posting order (the classic storm's): low-numbered
-		// ranks absorb everyone's opening burst, so the fan-in incast the
-		// shared pool must survive is part of the workload, not an accident
-		// of iteration order. With k = n-1 this is exactly the old
-		// all-to-all storm.
-		recvSrc := make([]int, 0, k)
-		sendDst := make([]int, 0, k)
-		for j := 1; j <= k; j++ {
-			recvSrc = append(recvSrc, ((me-j*stride)%n+n)%n)
-			sendDst = append(sendDst, (me+j*stride)%n)
-		}
-		sort.Ints(recvSrc)
-		sort.Ints(sendDst)
+		recvSrc, sendDst := stormPeers(c.Rank(), c.Size(), fanout)
+		k := len(recvSrc)
 		// Slab-allocate the payload buffers and pre-size the request list:
 		// the storm main makes a constant number of allocations per rank
 		// regardless of message count, so the world-level allocation gates
@@ -308,6 +291,26 @@ func scalingStorm(msgs, size, fanout int, goroutines *int) func(c *mpi.Comm) {
 		}
 		c.Waitall(reqs...)
 	}
+}
+
+// stormPeers picks the ranks me receives from and sends to in a storm over
+// n ranks: up to fanout of each, at a fixed stride so the set spans leaf
+// switches, in ascending order (the classic storm's posting order):
+// low-numbered ranks absorb everyone's opening burst, so the fan-in incast
+// the shared pool must survive is part of the workload, not an accident of
+// iteration order. With fanout >= n-1 it is everyone else.
+func stormPeers(me, n, fanout int) (recvSrc, sendDst []int) {
+	k := min(fanout, n-1)
+	stride := (n - 1) / k
+	recvSrc = make([]int, 0, k)
+	sendDst = make([]int, 0, k)
+	for j := 1; j <= k; j++ {
+		recvSrc = append(recvSrc, ((me-j*stride)%n+n)%n)
+		sendDst = append(sendDst, (me+j*stride)%n)
+	}
+	sort.Ints(recvSrc)
+	sort.Ints(sendDst)
+	return recvSrc, sendDst
 }
 
 // ConnScalingTable renders the scaling document's memory column as the

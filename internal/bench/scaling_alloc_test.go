@@ -33,36 +33,83 @@ func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 // list, the MPI layer recycles request boxes and stages unexpected eager
 // payloads through the device pool, and the transport runs on recycled
 // WQEs and bound CQ handlers — so the marginal cost of one more message
-// is amortized pool/slab refills only: measured 0.75 (static) to 1.11
-// (shared). The bound of 2 allocations per message is roughly 2x over
+// is amortized pool/slab refills only: measured 0.37 (static) to 0.79
+// (shared). The bound of 2 allocations per message is well over
 // that, and one extra object per message anywhere on the path — a
 // buffer, a request, a WQE, or a local whose address escapes through the
 // provisioner interface (that one read +3.1 under every scheme) — blows
 // past it. All five schemes are gated; hardware/static/dynamic/shared
 // share the send/recv eager machinery and rdma is the ring channel,
 // whose slot reserve/write/consume cycle must be just as free.
+//
+// The rendezvous path is gated the same way, one cell per transport
+// shape (write: RTS, CTS, RDMA write, FIN; read: RTS, RDMA read, FIN): the
+// storm's peer set at 16 KB, in rounds (rendezvousRounds), differenced
+// over the number of rounds. Its state is pooled on both sides and the
+// buffers are reused, so one more rendezvous costs chunk refills at most —
+// measured 0.03 under both shapes (2.06 and 2.07 before the state was pooled) — and the bound is 0.25: the next &T{}
+// on the path costs 1 and fails it. These two cells run on one rail: on a
+// multi-rail port a FIN can overtake the 16 KB write it follows on the
+// same QP, the transport drops it as out of order and nothing resends it
+// (a fault of the fabric model, at the parent too; ROADMAP item 2).
 func TestScalingSteadyAllocGate(t *testing.T) {
 	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
 	}
-	const ranks, size, fanout = 128, 256, 24
+	const ranks, size, rndvSize, fanout = 128, 256, 16 << 10, 24
+	const msgsLow, msgsHigh = 6, 12
 	doc := smokeDoc(fanout, 512)
-	cellMallocs := func(fc core.Params, msgs int) uint64 {
+	cellMallocs := func(fc core.Params, main func(c *mpi.Comm)) uint64 {
 		opts := doc.cellOptions(fc, ranks)
 		w := mpi.NewWorld(ranks, opts)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
-			t.Fatalf("%v at %d ranks, %d msgs: %v", fc.Kind, ranks, msgs, err)
+		if err := w.Run(main); err != nil {
+			t.Fatalf("%v at %d ranks: %v", fc.Kind, ranks, err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
 	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
-		const msgsLow, msgsHigh = 6, 12
-		low := cellMallocs(fc, msgsLow)
-		high := cellMallocs(fc, msgsHigh)
-		checkPerMsg(t, fc, low, high, msgsLow, msgsHigh, ranks*fanout)
+		low := cellMallocs(fc, scalingStorm(msgsLow, size, fanout, nil))
+		high := cellMallocs(fc, scalingStorm(msgsHigh, size, fanout, nil))
+		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 2)
+	}
+	doc.Rails = 1
+	for _, fc := range []core.Params{core.Static(doc.Prepost), core.RDMA(doc.RingSlots, doc.SlotBytes)} {
+		low := cellMallocs(fc, rendezvousRounds(msgsLow, rndvSize, fanout))
+		high := cellMallocs(fc, rendezvousRounds(msgsHigh, rndvSize, fanout))
+		checkPerMsg(t, "rendezvous", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 0.25)
+	}
+}
+
+// rendezvousRounds is the storm's exchange — every rank with the storm's
+// peers — made round by round: one message of size bytes per peer and
+// direction, a Waitall, and again. The eager storm posts everything at
+// once, which is what it is for; at rendezvous size that makes the work in
+// flight (work requests, events, queue depth) grow with the message count,
+// and differencing two counts would measure that growth. A round's
+// concurrency does not depend on how many rounds follow, and a peer's
+// messages all leave from and land in one buffer, so every registration
+// after the first hits the pin-down cache: what is differenced is the
+// protocol's own cost per message. A peer a round ahead finds no receive
+// posted, so the deferred accept (Device.AcceptRndv) is exercised too.
+func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
+	return func(c *mpi.Comm) {
+		recvSrc, sendDst := stormPeers(c.Rank(), c.Size(), fanout)
+		recvSlab := make([]byte, len(recvSrc)*size)
+		sendBuf := make([]byte, size)
+		reqs := make([]*mpi.Request, 0, len(recvSrc)+len(sendDst))
+		for r := 0; r < rounds; r++ {
+			reqs = reqs[:0]
+			for i, src := range recvSrc {
+				reqs = append(reqs, c.Irecv(src, r, recvSlab[i*size:(i+1)*size]))
+			}
+			for _, dst := range sendDst {
+				reqs = append(reqs, c.Isend(dst, r, sendBuf))
+			}
+			c.Waitall(reqs...)
+		}
 	}
 }
 
@@ -155,24 +202,24 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 		const msgsLow, msgsHigh = 6, 12
 		low := cellMallocs(fc, msgsLow)
 		high := cellMallocs(fc, msgsHigh)
-		checkPerMsg(t, fc, low, high, msgsLow, msgsHigh, ranks*fanout)
+		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 2)
 	}
 }
 
 // checkPerMsg differences two traffic volumes' malloc counts and
-// enforces the 2-allocations-per-message steady-state bound.
-func checkPerMsg(t *testing.T, fc core.Params, low, high uint64, msgsLow, msgsHigh, flows int) {
+// enforces the steady-state bound of max allocations per message.
+func checkPerMsg(t *testing.T, path string, fc core.Params, low, high uint64, msgsLow, msgsHigh, flows int, max float64) {
 	t.Helper()
 	if high <= low {
-		t.Fatalf("%v: malloc counter did not grow with traffic: %d for %d msgs, %d for %d",
-			fc.Kind, low, msgsLow, high, msgsHigh)
+		t.Fatalf("%v %s: malloc counter did not grow with traffic: %d for %d msgs, %d for %d",
+			fc.Kind, path, low, msgsLow, high, msgsHigh)
 	}
 	extraMsgs := uint64(flows * (msgsHigh - msgsLow))
 	perMsg := float64(high-low) / float64(extraMsgs)
-	t.Logf("%v: marginal allocations per message: %.2f (%d extra mallocs over %d extra messages)",
-		fc.Kind, perMsg, high-low, extraMsgs)
-	if perMsg > 2 {
-		t.Errorf("%v: steady state allocates %.2f objects per message, want <= 2 (amortized pool refills only)",
-			fc.Kind, perMsg)
+	t.Logf("%v %s: marginal allocations per message: %.2f (%d extra mallocs over %d extra messages)",
+		fc.Kind, path, perMsg, high-low, extraMsgs)
+	if perMsg > max {
+		t.Errorf("%v %s: steady state allocates %.2f objects per message, want <= %v (amortized pool and chunk refills only)",
+			fc.Kind, path, perMsg, max)
 	}
 }

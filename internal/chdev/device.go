@@ -12,6 +12,7 @@ import (
 	"ibflow/internal/mem"
 	"ibflow/internal/metrics"
 	"ibflow/internal/sim"
+	"ibflow/internal/store"
 	"ibflow/internal/trace"
 )
 
@@ -37,14 +38,18 @@ type Handler interface {
 	// matching receive buffer exists.
 	DeliverRndvStart(r *RndvIn) (buf []byte, accept bool)
 	// DeliverRndvDone reports that an accepted rendezvous finished: the
-	// data is in the buffer passed to AcceptRndv.
+	// data is in the buffer passed to AcceptRndv. A *RndvIn is the
+	// handler's until DeliverRndvDone returns; the device recycles it then.
 	DeliverRndvDone(r *RndvIn)
 	// SendDone reports that the send identified by token completed in
 	// the MPI sense (its user buffer is reusable).
 	SendDone(token any)
 }
 
-// RndvIn is an incoming rendezvous transfer in progress.
+// RndvIn is an incoming rendezvous transfer in progress. The device takes
+// it from its pool at the RTS and returns it after DeliverRndvDone
+// (finishRecv); ids are never reused, so a recycled object is never
+// reachable through an old id.
 type RndvIn struct {
 	Src, Tag int
 	Comm     uint16
@@ -59,12 +64,13 @@ type RndvIn struct {
 	buf       []byte
 }
 
-// rndvOut is an outgoing rendezvous transfer in progress.
+// rndvOut is an outgoing rendezvous transfer in progress, recycled through
+// the device's pool from newRndvOut to finishSend.
 type rndvOut struct {
 	id      uint64
 	tag     int
 	comm    uint16
-	starved bool // packed beside comm: the struct stays in the 96-byte size class
+	starved bool
 	conn    *conn
 	data    []byte
 	mr      *ib.MR // registered source region; the RTS carries its id
@@ -115,14 +121,14 @@ type conn struct {
 	ep      int // index within the peer's endpoint set
 	qp      ib.QP
 	vc      core.VC
-	backlog fifo[backlogEntry]
+	backlog store.Fifo[backlogEntry]
 
 	// sends holds the context of every work request posted on qp and not
 	// yet completed, in post order — the order a QP retires them in, so a
 	// successful completion's context is the head (retireSend). sends0 is
 	// its first ring: the few sends a connection usually has in flight
 	// cost nothing.
-	sends   fifo[sendCtx]
+	sends   store.Fifo[sendCtx]
 	sends0  [4]sendCtx
 	sendSeq uint64 // work requests ever posted: the next one's id
 
@@ -261,9 +267,12 @@ type Device struct {
 
 	rndvSeq uint64
 	// Rendezvous in flight, keyed by rndvSeq ids (unique per device, so
-	// one table serves every connection; each entry names its conn).
+	// one table serves every connection; each entry names its conn). The
+	// entries live in the two pools: a message in flight allocates neither.
 	sendRndv map[uint64]*rndvOut
 	recvRndv map[uint64]*RndvIn
+	outs     store.Pool[rndvOut]
+	ins      store.Pool[RndvIn]
 
 	setups int // on-demand connection setups initiated
 
@@ -510,7 +519,7 @@ func establish(a, b *Device) []*conn {
 func (d *Device) initConn(c *conn, peer, ep int) {
 	c.peer, c.ep = peer, ep
 	c.vc.Init(&d.params)
-	c.sends.seed(c.sends0[:])
+	c.sends.Seed(c.sends0[:])
 	d.addConn(c)
 	// A completion names its QP, and the QP its connection.
 	c.qp.SetOwner(c)
@@ -532,12 +541,12 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 // The queue and the VC's backlog counter move together; fclint's creditmut
 // analyzer keeps all other code out of the field.
 func (c *conn) pushBacklog(e backlogEntry) {
-	c.backlog.push(e)
+	c.backlog.Push(e)
 }
 
 // popBacklog removes and returns the backlog head.
 func (c *conn) popBacklog() backlogEntry {
-	return c.backlog.pop()
+	return c.backlog.Pop()
 }
 
 // tr records a trace event if tracing is enabled.
@@ -636,7 +645,7 @@ func (d *Device) prepost(c *conn, n int) {
 // total — and returns the id to post it under: its number in c's post
 // order, which is where its completion finds the context again.
 func (d *Device) track(c *conn, ctx sendCtx) uint64 {
-	c.sends.push(ctx)
+	c.sends.Push(ctx)
 	c.noteOut()
 	c.vc.CountMsg()
 	id := c.sendSeq
@@ -796,7 +805,7 @@ func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
 func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	did := false
 	for c.backlog.Len() > 0 {
-		e := *c.backlog.at(0)
+		e := *c.backlog.At(0)
 		if e.rndv != nil {
 			consumed, ok := c.vc.DrainRTS()
 			if !ok {
@@ -822,7 +831,8 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 // outgoing rendezvous state.
 func (d *Device) newRndvOut(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, token any, starved bool) *rndvOut {
 	d.rndvSeq++
-	out := &rndvOut{id: d.rndvSeq, tag: tag, comm: comm, starved: starved, conn: c,
+	out := d.outs.Get()
+	*out = rndvOut{id: d.rndvSeq, tag: tag, comm: comm, starved: starved, conn: c,
 		data: data, token: token, start: d.eng.Now()}
 	d.sendRndv[out.id] = out
 	if len(data) > 0 {
@@ -887,6 +897,7 @@ func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
 // the RTS finally matches (the in-band accept runs on the progress
 // machine, pcPktBody onwards, in the same three steps).
 func (d *Device) AcceptRndv(p *sim.Proc, r *RndvIn, buf []byte) {
+	d.debugLiveIn(r)
 	h, cost, reg := d.acceptStart(r, buf)
 	if reg {
 		p.Sleep(cost)
@@ -921,7 +932,7 @@ func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, re
 
 // postCtrl encodes and posts a header-only control packet from event
 // context: no copy charge, no process time.
-func (d *Device) postCtrl(c *conn, h *Header) {
+func (d *Device) postCtrl(c *conn, h Header) {
 	buf := d.pool.Get()
 	h.Encode(buf)
 	d.postPacket(c, buf, HeaderSize)
@@ -931,7 +942,7 @@ func (d *Device) postCtrl(c *conn, h *Header) {
 // event context (the FIN follows the RDMA write's completion) and
 // charges no process time.
 func (d *Device) sendFin(c *conn, peerReq uint64) {
-	d.postCtrl(c, &Header{
+	d.postCtrl(c, Header{
 		Type:      PktFin,
 		Src:       int32(d.rank),
 		Piggyback: uint32(c.vc.TakePiggyback()),
@@ -940,11 +951,56 @@ func (d *Device) sendFin(c *conn, peerReq uint64) {
 }
 
 // finishSend completes an outgoing rendezvous: the peer has the payload,
-// the user buffer is reusable.
+// the user buffer is reusable, and the state goes back to the pool — after
+// the upcall, with its references dropped.
 func (d *Device) finishSend(out *rndvOut) {
+	d.debugLiveOut(out, out.id)
+	if d.sendRndv[out.id] != out {
+		panic(fmt.Sprintf("chdev: rank %d: finishing unknown rendezvous %d", d.rank, out.id))
+	}
 	delete(d.sendRndv, out.id)
 	d.rndvHist.ObserveTime(d.eng.Now() - out.start)
 	d.handler.SendDone(out.token)
+	out.conn, out.data, out.mr, out.token = nil, nil, nil, nil
+	d.outs.Put(out)
+}
+
+// finishRecv completes an incoming rendezvous: the payload is in the
+// buffer the handler accepted it into. The handler has r until the upcall
+// returns; then it is recycled, references dropped, accepted still set —
+// a holder that accepts it again panics as for any double accept, until
+// the object is handed out anew.
+func (d *Device) finishRecv(r *RndvIn) {
+	d.debugLiveIn(r)
+	d.handler.DeliverRndvDone(r)
+	r.UserData, r.conn, r.buf = nil, nil, nil
+	d.ins.Put(r)
+}
+
+// debugLiveOut asserts, in an ibdebug build, that out is checked out of
+// the device's pool and is still the rendezvous the caller knows as id:
+// ids are never reused, so the id an object carries is the generation it
+// was handed out with. Every table lookup and every completion that names
+// a rendezvous passes through here or through debugLiveIn.
+func (d *Device) debugLiveOut(out *rndvOut, id uint64) {
+	if !debug.Enabled {
+		return
+	}
+	debug.Assert(d.outs.Live(out) && out.id == id,
+		"chdev: rank %d: outgoing rendezvous %d used after it was recycled (object now %d, generation %d)",
+		d.rank, id, out.id, d.outs.Gen(out))
+}
+
+// debugLiveIn is debugLiveOut for an incoming rendezvous, which the
+// handler holds too: one kept past DeliverRndvDone is caught at its next
+// use. It is named by the sender's id, the one it has from the RTS on.
+func (d *Device) debugLiveIn(r *RndvIn) {
+	if !debug.Enabled {
+		return
+	}
+	debug.Assert(d.ins.Live(r),
+		"chdev: rank %d: rendezvous %d from rank %d used after it was recycled (generation %d)",
+		d.rank, r.senderReq, r.Src, d.ins.Gen(r))
 }
 
 // sendReturn posts c's explicit return message — an explicit credit
@@ -973,7 +1029,7 @@ func (d *Device) sendReturn(c *conn) bool {
 	if !ok {
 		return false
 	}
-	d.postCtrl(c, &h)
+	d.postCtrl(c, h)
 	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDuplicated()
 		d.tr(trace.ECMDuplicated, c.peer, 0)
@@ -982,7 +1038,7 @@ func (d *Device) sendReturn(c *conn) bool {
 		// or repeats the same absolute ring head, which the peer treats as
 		// stale: duplication cannot free slots twice.
 		h.Flags, h.Piggyback = 0, 0
-		d.postCtrl(c, &h)
+		d.postCtrl(c, h)
 	}
 	return true
 }
@@ -1122,7 +1178,7 @@ func (d *Device) retireSend(wc ib.WC) {
 		panic("chdev: unknown send completion")
 	}
 	if wc.Status == ib.StatusRNRRetryExceeded {
-		d.onRetryExhausted(c, c.sends.at(int(i)))
+		d.onRetryExhausted(c, c.sends.At(int(i)))
 		return
 	}
 	if wc.Status != ib.StatusSuccess {
@@ -1132,18 +1188,20 @@ func (d *Device) retireSend(wc ib.WC) {
 		panic(fmt.Sprintf("chdev: rank %d -> %d: send completion %d overtook %d predecessors",
 			d.rank, c.peer, wc.WRID, i))
 	}
-	ctx := c.sends.pop()
+	ctx := c.sends.Pop()
 	switch ctx.kind {
 	case ctxBuf:
 		d.pool.Put(ctx.buf)
 	case ctxRndvData:
+		d.debugLiveOut(ctx.out, ctx.out.id)
 		d.sendFin(c, ctx.out.peerReq)
 		d.finishSend(ctx.out)
 	case ctxRndvRead:
 		// The RDMA read pulled the payload into the accepted buffer:
 		// FIN the sender and complete at the receiver.
+		d.debugLiveIn(ctx.rin)
 		d.sendFin(c, ctx.rin.senderReq)
-		d.handler.DeliverRndvDone(ctx.rin)
+		d.finishRecv(ctx.rin)
 	}
 }
 

@@ -260,7 +260,8 @@ func (m *progressMachine) step() {
 				d.eng.AfterCall(d.cfg.CopyTime(int(m.hdr.Len)), m, 0)
 				return
 			case PktRTS:
-				r := &RndvIn{
+				r := d.ins.Get()
+				*r = RndvIn{
 					Src:       int(m.hdr.Src),
 					Tag:       int(m.hdr.Tag),
 					Comm:      m.hdr.Comm,
@@ -288,6 +289,7 @@ func (m *progressMachine) step() {
 				if !ok || out.conn != m.c {
 					panic("chdev: CTS for unknown rendezvous")
 				}
+				d.debugLiveOut(out, m.hdr.ReqID)
 				out.peerReq = m.hdr.PeerReqID
 				if len(out.data) == 0 {
 					d.sendFin(m.c, out.peerReq)

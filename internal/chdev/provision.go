@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ibflow/internal/core"
+	"ibflow/internal/debug"
 	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/trace"
@@ -187,8 +188,10 @@ func (cp *connProvisioner) fin(c *conn, id uint64) {
 	if !ok || r.conn != c {
 		panic("chdev: FIN for unknown rendezvous")
 	}
+	debug.Assert(r.myReq == id, "chdev: rank %d: rendezvous table entry %d holds a recycled object (now %d)",
+		d.rank, id, r.myReq)
 	delete(d.recvRndv, id)
-	d.handler.DeliverRndvDone(r)
+	d.finishRecv(r)
 }
 
 func (cp *connProvisioner) posted() int {
@@ -463,7 +466,7 @@ func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 	d, c := rp.d, r.conn
 	if r.Len == 0 {
 		d.sendFin(c, r.senderReq)
-		d.handler.DeliverRndvDone(r)
+		d.finishRecv(r)
 		return nil
 	}
 	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
@@ -482,6 +485,7 @@ func (rp *ringProvisioner) fin(c *conn, id uint64) {
 	if !ok || out.conn != c {
 		panic("chdev: FIN for unknown rendezvous")
 	}
+	rp.d.debugLiveOut(out, id)
 	rp.d.finishSend(out)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ibflow/internal/sim"
+	"ibflow/internal/store"
 )
 
 // Fabric is an InfiniBand network connecting n HCAs through one crossbar
@@ -133,9 +134,10 @@ type HCA struct {
 	nQP     int // queue pairs created so far: the next one's number
 	udqps   []*UDQP
 	srqs    []*SRQ
-	mrs     []*MR    // region id-1 -> region: ids are dense from 1
-	wqeFree *sendWQE // recycled send WQE boxes of every QP here (see sendWQE)
-	page    []byte   // rest of the current commit page (see commit)
+	mrs     []*MR          // region id-1 -> region: ids are dense from 1
+	mrPool  store.Pool[MR] // handles of the regions the adapter allocates (ReserveMemory)
+	wqeFree *sendWQE       // recycled send WQE boxes of every QP here (see sendWQE)
+	page    []byte         // rest of the current commit page (see commit)
 	stats   HCAStats
 }
 
@@ -171,7 +173,7 @@ func (h *HCA) InitQP(qp *QP, sendCQ, recvCQ *CQ, srq *SRQ) {
 	if srq != nil {
 		qp.recv = srq
 	}
-	qp.queue, qp.queueBuf = qp.queue0[:0], qp.queue0[:0]
+	qp.queue.Seed(qp.queue0[:])
 }
 
 // NewQP allocates a queue pair with a private receive queue (see InitQP).
@@ -207,24 +209,6 @@ func Connect(a, b *QP) {
 	a.peer, b.peer = b, a
 	a.registerMetrics()
 	b.registerMetrics()
-}
-
-// ConnectSet establishes Reliable Connections pairwise between two
-// equal-length QP slices — the endpoint-set form of Connect used when a
-// rank pair owns several independent endpoints (which may share CQs
-// and/or an SRQ on each side). Endpoint i of a converses exactly with
-// endpoint i of b; connections are made in index order, so a size-1 set
-// is literally one Connect call.
-func ConnectSet(a, b []*QP) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("ib: endpoint-set size mismatch: %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		panic("ib: empty endpoint set")
-	}
-	for i := range a {
-		Connect(a[i], b[i])
-	}
 }
 
 // MR is a registered memory region. RDMA operations address remote memory
@@ -265,9 +249,12 @@ func (h *HCA) InitMR(mr *MR, n, granule int) {
 	*mr = MR{hca: h, id: len(h.mrs), n: n, granule: granule}
 }
 
-// ReserveMemory allocates a region handle and reserves it (see InitMR).
+// ReserveMemory takes a region handle from the adapter and reserves it
+// (see InitMR). Handles are carved in chunks and never given back — a
+// registration lives as long as its adapter — so a pin-down cache miss
+// costs a handle's bytes, not an allocation.
 func (h *HCA) ReserveMemory(n, granule int) *MR {
-	mr := new(MR)
+	mr := h.mrPool.Get()
 	h.InitMR(mr, n, granule)
 	return mr
 }

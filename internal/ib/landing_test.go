@@ -55,8 +55,8 @@ func TestRecvQueueBoundedByPosted(t *testing.T) {
 			t.Fatalf("posted = %d after cycle %d, want 10", q.posted(), i)
 		}
 	}
-	if len(q.ring) > 16 {
-		t.Errorf("ring holds %d slots for 10 posted descriptors, want <= 16", len(q.ring))
+	if q.q.Cap() > 16 {
+		t.Errorf("ring holds %d slots for 10 posted descriptors, want <= 16", q.q.Cap())
 	}
 	// Growth past a wrapped head keeps FIFO order; popped slots are zeroed.
 	for i := 0; i < 30; i++ {
@@ -70,9 +70,11 @@ func TestRecvQueueBoundedByPosted(t *testing.T) {
 	if _, ok := q.take(); ok {
 		t.Error("take on an empty queue succeeded")
 	}
-	for i, w := range q.ring {
+	// The ring zeroes what it pops (store's own test); the queue's part
+	// is its first ring, which stays behind when the queue outgrows it.
+	for i, w := range q.first {
 		if w.buf != nil || w.src != nil {
-			t.Fatalf("slot %d still pins its descriptor after the pop", i)
+			t.Fatalf("first-ring slot %d still pins its descriptor after the queue moved on", i)
 		}
 	}
 }
@@ -393,9 +395,10 @@ func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 	usedBy := map[*sendWQE][2]bool{}
 	post := func(qp *QP, who int, seq int) {
 		qp.PostSend(uint64(seq), []byte{byte(who), byte(seq)})
-		u := usedBy[qp.queue[len(qp.queue)-1]]
+		tail := *qp.queue.At(qp.queue.Len() - 1)
+		u := usedBy[tail]
 		u[who] = true
-		usedBy[qp.queue[len(qp.queue)-1]] = u
+		usedBy[tail] = u
 	}
 	recvA, recvB := make([][]byte, rounds*burst), make([][]byte, rounds*burst)
 	for i := range recvA {

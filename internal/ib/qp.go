@@ -5,6 +5,7 @@ import (
 
 	"ibflow/internal/debug"
 	"ibflow/internal/sim"
+	"ibflow/internal/store"
 	"ibflow/internal/trace"
 )
 
@@ -176,12 +177,12 @@ type QP struct {
 	recvCQ *CQ
 	owner  any // the consumer's context (see SetOwner)
 
-	// sender state
-	queue    []*sendWQE  // [0,next) in flight; [next,len) waiting
-	queueBuf []*sendWQE  // queue's backing array from its start (see post)
-	queue0   [4]*sendWQE // the first backing array
+	// sender state. queue is a ring indexed by seq - baseSeq: the head
+	// retires, go-back-N rewinds next, an ack marks its entry in place.
+	queue    store.Fifo[*sendWQE] // [0,next) in flight; [next,Len) waiting
+	queue0   [4]*sendWQE          // the first ring
 	next     int
-	baseSeq  uint64 // seq of queue[0]
+	baseSeq  uint64 // seq of the queue's head
 	sendSeq  uint64 // next seq to assign
 	stalled  bool   // waiting out an RNR timer
 	failed   bool   // frozen after RNR budget exhaustion (see ResumeStalled)
@@ -230,7 +231,7 @@ func (qp *QP) SRQ() *SRQ {
 }
 
 // QueuedSends reports send WQEs not yet retired (in flight or waiting).
-func (qp *QP) QueuedSends() int { return len(qp.queue) }
+func (qp *QP) QueuedSends() int { return qp.queue.Len() }
 
 // PostRecv posts a receive descriptor. Incoming sends consume descriptors
 // in FIFO order; a send arriving when none is posted triggers an RNR NAK.
@@ -301,6 +302,7 @@ func (qp *QP) PostRead(wrid uint64, dst []byte, remote RemoteKey) {
 func (qp *QP) acquireWQE() *sendWQE {
 	w := qp.hca.wqeFree
 	if w == nil {
+		//fclint:allow hotalloc freelist refill: a box is made only when every one the adapter owns is in flight, and recycled from then on
 		return &sendWQE{}
 	}
 	debug.Assert(w.pooled, "ib: node %d freelist holds an unpooled WQE", qp.hca.node)
@@ -327,18 +329,9 @@ func (qp *QP) post(w *sendWQE) {
 	w.seq = qp.sendSeq
 	qp.sendSeq++
 	w.wire = wireEvent{w: w, qp: qp}
-	// retireAcked pops with queue[1:], which gives capacity away at the
-	// front; queueBuf keeps the array's start so a drained queue rewinds
-	// onto it instead of reallocating on every post. Growing by hand is
-	// what keeps queueBuf pointing at the array queue actually lives in.
-	if len(qp.queue) == cap(qp.queue) {
-		grown := make([]*sendWQE, len(qp.queue), max(4, 2*len(qp.queue)))
-		copy(grown, qp.queue)
-		qp.queue, qp.queueBuf = grown, grown[:0]
-	}
-	qp.queue = append(qp.queue, w)
-	if len(qp.queue) > qp.stats.MaxQueueLen {
-		qp.stats.MaxQueueLen = len(qp.queue)
+	qp.queue.Push(w)
+	if n := qp.queue.Len(); n > qp.stats.MaxQueueLen {
+		qp.stats.MaxQueueLen = n
 	}
 	qp.debugCheckQueue()
 	qp.pump()
@@ -352,11 +345,13 @@ func (qp *QP) debugCheckQueue() {
 	if !debug.Enabled {
 		return
 	}
-	debug.Assert(qp.next >= 0 && qp.next <= len(qp.queue),
-		"ib: QP %d in-flight cursor %d outside send queue of %d", qp.num, qp.next, len(qp.queue))
-	debug.Assert(qp.sendSeq == qp.baseSeq+uint64(len(qp.queue)),
-		"ib: QP %d sendSeq %d != baseSeq %d + %d queued", qp.num, qp.sendSeq, qp.baseSeq, len(qp.queue))
-	for i, w := range qp.queue {
+	n := qp.queue.Len()
+	debug.Assert(qp.next >= 0 && qp.next <= n,
+		"ib: QP %d in-flight cursor %d outside send queue of %d", qp.num, qp.next, n)
+	debug.Assert(qp.sendSeq == qp.baseSeq+uint64(n),
+		"ib: QP %d sendSeq %d != baseSeq %d + %d queued", qp.num, qp.sendSeq, qp.baseSeq, n)
+	for i := 0; i < n; i++ {
+		w := *qp.queue.At(i)
 		debug.Assert(w.seq == qp.baseSeq+uint64(i),
 			"ib: QP %d send queue out of FIFO order: queue[%d].seq = %d, want %d",
 			qp.num, i, w.seq, qp.baseSeq+uint64(i))
@@ -366,8 +361,8 @@ func (qp *QP) debugCheckQueue() {
 // pump transmits queued WQEs up to the in-flight window.
 func (qp *QP) pump() {
 	cfg := qp.hca.fabric.Config()
-	for !qp.stalled && !qp.failed && qp.next < len(qp.queue) && qp.next < cfg.SendWindow {
-		qp.transmit(qp.queue[qp.next])
+	for !qp.stalled && !qp.failed && qp.next < qp.queue.Len() && qp.next < cfg.SendWindow {
+		qp.transmit(*qp.queue.At(qp.next))
 		qp.next++
 	}
 }
@@ -499,8 +494,8 @@ func (qp *QP) ack(sender *QP, w *sendWQE) {
 // exactly the no-op the direct-pointer form produced.
 func (qp *QP) retireSeq(seq uint64) {
 	if seq >= qp.baseSeq {
-		if idx := int(seq - qp.baseSeq); idx < len(qp.queue) {
-			qp.queue[idx].acked = true
+		if idx := int(seq - qp.baseSeq); idx < qp.queue.Len() {
+			(*qp.queue.At(idx)).acked = true
 		}
 	}
 	qp.retireAcked()
@@ -522,10 +517,8 @@ func (qp *QP) retire(w *sendWQE) {
 // AckLatency after the last delivery of that WQE, so no wire or read
 // event still references the box (see sendWQE).
 func (qp *QP) retireAcked() {
-	for len(qp.queue) > 0 && qp.queue[0].acked {
-		head := qp.queue[0]
-		qp.queue[0] = nil
-		qp.queue = qp.queue[1:]
+	for qp.queue.Len() > 0 && (*qp.queue.At(0)).acked {
+		head := qp.queue.Pop()
 		qp.next--
 		qp.baseSeq++
 		op := OpSendComplete
@@ -539,9 +532,6 @@ func (qp *QP) retireAcked() {
 		qp.releaseWQE(head)
 		qp.sendCQ.push(wc)
 	}
-	if len(qp.queue) == 0 {
-		qp.queue = qp.queueBuf
-	}
 	qp.debugCheckQueue()
 	qp.pump()
 }
@@ -554,11 +544,11 @@ func (qp *QP) onRNRNak(seq uint64) {
 		return // stale NAK, already rewinding, or already frozen
 	}
 	idx := int(seq - qp.baseSeq)
-	if idx >= len(qp.queue) {
+	if idx >= qp.queue.Len() {
 		return
 	}
 	cfg := qp.hca.fabric.Config()
-	w := qp.queue[idx]
+	w := *qp.queue.At(idx)
 	w.attempts++
 	if cfg.RNRRetryCount >= 0 && w.attempts > cfg.RNRRetryCount {
 		// Retry budget exhausted. A real HCA transitions the QP to the
@@ -576,14 +566,15 @@ func (qp *QP) onRNRNak(seq uint64) {
 			cfg.Tracer.Add(trace.Event{T: qp.hca.fabric.eng.Now(), Rank: qp.hca.node,
 				Peer: qp.peer.hca.node, Kind: trace.RetryExhausted, Arg: int64(w.attempts)})
 		}
-		qp.sendCQ.push(WC{QP: qp, Opcode: OpSendComplete, Status: StatusRNRRetryExceeded,
-			WRID: w.wrid, Err: &RNRExhaustedError{
-				Node:     qp.hca.node,
-				PeerNode: qp.peer.hca.node,
-				QPNum:    qp.num,
-				WRID:     w.wrid,
-				Attempts: w.attempts,
-			}})
+		//fclint:allow hotalloc the typed error of a QP freeze: one per exhausted retry budget, never on a message's way
+		err := &RNRExhaustedError{
+			Node:     qp.hca.node,
+			PeerNode: qp.peer.hca.node,
+			QPNum:    qp.num,
+			WRID:     w.wrid,
+			Attempts: w.attempts,
+		}
+		qp.sendCQ.push(WC{QP: qp, Opcode: OpSendComplete, Status: StatusRNRRetryExceeded, WRID: w.wrid, Err: err})
 		return
 	}
 	qp.stalled = true
@@ -626,8 +617,8 @@ func (qp *QP) ResumeStalled() {
 		return
 	}
 	qp.failed = false
-	if qp.next < len(qp.queue) {
-		qp.queue[qp.next].attempts = 0
+	if qp.next < qp.queue.Len() {
+		(*qp.queue.At(qp.next)).attempts = 0
 	}
 	qp.pump()
 }

@@ -1,5 +1,7 @@
 package ib
 
+import "ibflow/internal/store"
+
 // recvProvisioner is the seam between a QP's delivery path and whatever
 // owns its receive descriptors: the per-QP FIFO of a classic Reliable
 // Connection, or a shared receive queue (SRQ) serving many QPs. The
@@ -32,15 +34,13 @@ type recvWQE struct {
 }
 
 // recvQueue is the FIFO of posted receive descriptors behind a QP, an SRQ
-// or a UD QP: a power-of-two ring sized by the most descriptors ever
-// posted at once, not by how many messages passed through. Popped slots
-// are zeroed so the ring never pins a buffer past its consumption. The
-// first ring is the queue's own array — the usual pre-post depth costs no
+// or a UD QP: the one ring (store.Fifo), sized by the most descriptors
+// posted at once, not by how many messages passed through, and zeroing
+// what it pops so it never pins a buffer past its consumption. The first
+// ring is the queue's own array — the usual pre-post depth costs no
 // allocation — so a queue that has been posted to must not be copied.
 type recvQueue struct {
-	ring  []recvWQE // power-of-two length
-	head  int
-	count int
+	q     store.Fifo[recvWQE]
 	first [recvQueueMinCap]recvWQE
 }
 
@@ -48,30 +48,17 @@ type recvQueue struct {
 const recvQueueMinCap = 8
 
 func (r *recvQueue) post(w recvWQE) {
-	if r.count == len(r.ring) {
-		grown := r.first[:]
-		if len(r.ring) > 0 {
-			grown = make([]recvWQE, 2*len(r.ring))
-		}
-		for i := 0; i < r.count; i++ {
-			grown[i] = r.ring[(r.head+i)&(len(r.ring)-1)]
-		}
-		clear(r.ring) // the outgrown ring may be first, which stays
-		r.ring, r.head = grown, 0
+	if r.q.Cap() == 0 {
+		r.q.Seed(r.first[:])
 	}
-	r.ring[(r.head+r.count)&(len(r.ring)-1)] = w
-	r.count++
+	r.q.Push(w)
 }
 
-func (r *recvQueue) posted() int { return r.count }
+func (r *recvQueue) posted() int { return r.q.Len() }
 
 func (r *recvQueue) take() (recvWQE, bool) {
-	if r.count == 0 {
+	if r.q.Len() == 0 {
 		return recvWQE{}, false
 	}
-	w := r.ring[r.head]
-	r.ring[r.head] = recvWQE{}
-	r.head = (r.head + 1) & (len(r.ring) - 1)
-	r.count--
-	return w, true
+	return r.q.Pop(), true
 }

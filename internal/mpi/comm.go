@@ -256,14 +256,7 @@ func (c *Comm) Test(req *Request) (Status, bool) {
 // Waitall blocks until every request completes, then releases them all
 // for reuse (as MPI_Waitall deallocates its handles).
 func (c *Comm) Waitall(reqs ...*Request) {
-	c.r.dev.WaitProgress(c.r.proc, func() bool {
-		for _, r := range reqs {
-			if !r.done {
-				return false
-			}
-		}
-		return true
-	})
+	c.r.waitFor(c.r.allDone, reqs...)
 	for _, r := range reqs {
 		c.r.releaseReq(r)
 	}
@@ -272,17 +265,8 @@ func (c *Comm) Waitall(reqs ...*Request) {
 // Waitany blocks until at least one of reqs completes and returns the
 // index of a completed request (the lowest-numbered one).
 func (c *Comm) Waitany(reqs ...*Request) int {
-	idx := -1
-	c.r.dev.WaitProgress(c.r.proc, func() bool {
-		for i, r := range reqs {
-			if r.done {
-				idx = i
-				return true
-			}
-		}
-		return false
-	})
-	return idx
+	c.r.waitFor(c.r.anyDone, reqs...)
+	return c.r.waitIdx
 }
 
 // Sendrecv performs a simultaneous send and receive, the classic
@@ -290,7 +274,7 @@ func (c *Comm) Waitany(reqs ...*Request) int {
 func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte) Status {
 	rr := c.Irecv(src, rtag, rbuf)
 	sr := c.Isend(dst, stag, sdata)
-	c.r.dev.WaitProgress(c.r.proc, func() bool { return rr.done && sr.done })
+	c.r.waitFor(c.r.allDone, rr, sr)
 	st := rr.status
 	c.r.releaseReq(rr)
 	c.r.releaseReq(sr)

@@ -58,6 +58,51 @@ type Rank struct {
 	// reqChunk batches so a storm of in-flight requests costs one
 	// allocation per chunk, not one per request.
 	reqFree *Request
+
+	// waitSet is what the rank's one blocking multi-request wait is on —
+	// a rank runs one progress session at a time — in backing the rank
+	// owns, and allDone / anyDone are the predicates over it, bound once
+	// (newRank): Waitall, Waitany and Sendrecv build no closure per call,
+	// and a caller's variadic request list does not escape. waitIdx is
+	// anyDone's answer: the lowest-numbered completed request.
+	waitSet          []*Request
+	waitIdx          int
+	allDone, anyDone func() bool
+}
+
+// newRank makes rank idx of w, without its device.
+func newRank(w *World, idx int) *Rank {
+	r := &Rank{world: w, idx: idx}
+	r.allDone, r.anyDone = r.waitSetDone, r.waitSetAny
+	return r
+}
+
+// waitFor drives progress until pred — allDone or anyDone — holds over
+// reqs. The set is cleared before the caller releases the requests.
+func (r *Rank) waitFor(pred func() bool, reqs ...*Request) {
+	r.waitSet = append(r.waitSet[:0], reqs...)
+	r.dev.WaitProgress(r.proc, pred)
+	clear(r.waitSet)
+}
+
+func (r *Rank) waitSetDone() bool {
+	for _, q := range r.waitSet {
+		if !q.done {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *Rank) waitSetAny() bool {
+	r.waitIdx = -1
+	for i, q := range r.waitSet {
+		if q.done {
+			r.waitIdx = i
+			return true
+		}
+	}
+	return false
 }
 
 // reqChunk is the request-freelist carve size.

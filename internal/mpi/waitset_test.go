@@ -1,0 +1,78 @@
+package mpi
+
+import (
+	"runtime"
+	"testing"
+
+	"ibflow/internal/core"
+	"ibflow/internal/debug"
+)
+
+// The blocking multi-request waits build nothing per call: the rank owns
+// the wait set and the predicate over it (Rank.waitFor), the variadic
+// request list stays on the caller's stack, requests and eager buffers are
+// recycled. Two ranks exchanging small messages in a Sendrecv loop, then
+// in an Isend/Irecv/Waitall(a, b) loop, then through Waitany, allocate
+// nothing at all once warm — where each call cost a closure (and Waitall
+// its escaped argument slice).
+func TestMultiWaitsAllocateNothing(t *testing.T) {
+	const warm, calls = 200, 2000
+	var sendrecv, waitall, waitany uint64
+	run(t, 2, core.Static(10), func(c *Comm) {
+		me, peer := c.Rank(), 1-c.Rank()
+		sbuf, rbuf := make([]byte, 8), make([]byte, 8)
+		phase := func(count *uint64, call func(i int)) {
+			var before, after runtime.MemStats
+			for i := 0; i < warm+calls; i++ {
+				if i == warm && me == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				sbuf[0] = byte(i)
+				call(i)
+				if rbuf[0] != byte(i) {
+					c.Abort("payload lost")
+				}
+			}
+			if me == 0 {
+				runtime.ReadMemStats(&after)
+				*count = after.Mallocs - before.Mallocs
+			}
+		}
+		phase(&sendrecv, func(i int) { c.Sendrecv(peer, 1, sbuf, peer, 1, rbuf) })
+		phase(&waitall, func(i int) {
+			a, b := c.Irecv(peer, 2, rbuf), c.Isend(peer, 2, sbuf)
+			c.Waitall(a, b)
+		})
+		phase(&waitany, func(i int) {
+			a, b := c.Irecv(peer, 3, rbuf), c.Isend(peer, 3, sbuf)
+			if idx := c.Waitany(a, b); idx < 0 || idx > 1 {
+				c.Abort("Waitany returned no request")
+			}
+			c.Waitall(a, b) // the other one, and release both
+		})
+	})
+	t.Logf("objects allocated by both ranks over %d calls each: Sendrecv %d, Waitall(a, b) %d, Waitany %d",
+		calls, sendrecv, waitall, waitany)
+	if debug.Enabled {
+		return // an ibdebug build's assertions box their arguments
+	}
+	if sendrecv != 0 || waitall != 0 || waitany != 0 {
+		t.Errorf("Sendrecv allocates %d, Waitall(a, b) %d and Waitany %d objects over %d calls, want 0",
+			sendrecv, waitall, waitany, calls)
+	}
+}
+
+// The wait set is cleared when the wait ends: the rank does not keep a
+// completed call's requests (and, through them, user buffers) reachable.
+func TestWaitSetCleared(t *testing.T) {
+	run(t, 2, core.Static(10), func(c *Comm) {
+		peer := 1 - c.Rank()
+		a, b := c.Irecv(peer, 0, make([]byte, 4)), c.Isend(peer, 0, []byte("ping"))
+		c.Waitall(a, b)
+		for _, q := range c.r.waitSet[:cap(c.r.waitSet)] {
+			if q != nil {
+				c.Abort("wait set still holds a request after Waitall")
+			}
+		}
+	})
+}

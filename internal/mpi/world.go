@@ -105,7 +105,7 @@ func NewWorld(n int, opts Options) *World {
 	}
 	devs := make([]*chdev.Device, n)
 	for i := 0; i < n; i++ {
-		r := &Rank{world: w, idx: i}
+		r := newRank(w, i)
 		r.dev = chdev.New(eng, w.fabric.HCA(i/rpn), opts.Chan, opts.FC, i, n, r)
 		w.ranks = append(w.ranks, r)
 		devs[i] = r.dev

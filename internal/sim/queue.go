@@ -13,7 +13,8 @@ package sim
 //            here, so pops are exact regardless of bucket granularity.
 //   buckets  a ring of numBuckets buckets, each bucketWidth ns wide,
 //            covering [horizon, horizon+span). Insertion is O(1): events
-//            land in the bucket of their time block, unsorted.
+//            land in the bucket of their time block, unsorted. Only a
+//            non-empty bucket holds storage (see bucketSeed).
 //   far      an unsorted overflow list for events at or beyond
 //            horizon+span, with its minimum time tracked incrementally.
 //
@@ -41,6 +42,18 @@ const (
 	// and fault-outage horizons so the far list stays cold.
 	numBuckets = 256
 	span       = Time(numBuckets) * bucketWidth
+	// bucketSeed is the capacity of a fresh bucket backing and bucketChunk
+	// how many event slots the queue allocates at a time to carve those
+	// from. A backing is the queue's, not a bucket's: a drained bucket
+	// hands its backing to the next one that fills (spare), so the queue
+	// holds as many as were ever non-empty at once — a handful in a 2-rank
+	// world, up to numBuckets in a large one — and a world's first lap
+	// around the ring costs one allocation per 64 buckets, where growing
+	// each bucket 1→2→4→8 by append cost four per bucket. Past bucketSeed
+	// a backing doubles by append as any slice does, and is handed on at
+	// the size it reached.
+	bucketSeed  = 8
+	bucketChunk = 512
 	// horizonCap guards int64 overflow: once the horizon would pass it,
 	// the queue collapses into the plain exact heap (events that far out
 	// — centuries of virtual time — are not a performance concern).
@@ -53,6 +66,8 @@ type eventQueue struct {
 	near      nearHeap
 	horizon   Time // exclusive upper bound of near; multiple of bucketWidth
 	buckets   [numBuckets][]*event
+	chunk     []*event   // rest of the current carve chunk (see bucketSeed)
+	spare     [][]*event // backings of drained buckets, for the next bucket that fills
 	nbucketed int
 	far       []*event
 	farMin    Time // min at over far; meaningful only when far is non-empty
@@ -68,15 +83,33 @@ func (q *eventQueue) push(ev *event) {
 	case ev.at < q.horizon || q.horizon > horizonCap:
 		q.near.push(ev)
 	case ev.at-q.horizon < span:
-		idx := int((ev.at >> bucketBits) % numBuckets)
-		q.buckets[idx] = append(q.buckets[idx], ev)
-		q.nbucketed++
+		q.bucket(ev)
 	default:
 		if len(q.far) == 0 || ev.at < q.farMin {
 			q.farMin = ev.at
 		}
 		q.far = append(q.far, ev)
 	}
+}
+
+// bucket files ev, which falls inside the bucketed span, in the bucket of
+// its time block. An empty bucket has no backing: it takes a drained
+// bucket's, or carves a fresh one from the queue's chunk.
+func (q *eventQueue) bucket(ev *event) {
+	idx := int((ev.at >> bucketBits) % numBuckets)
+	b := q.buckets[idx]
+	if cap(b) == 0 {
+		if n := len(q.spare); n > 0 {
+			b, q.spare[n-1], q.spare = q.spare[n-1], nil, q.spare[:n-1]
+		} else {
+			if len(q.chunk) < bucketSeed {
+				q.chunk = make([]*event, bucketChunk)
+			}
+			b, q.chunk = q.chunk[:0:bucketSeed], q.chunk[bucketSeed:]
+		}
+	}
+	q.buckets[idx] = append(b, ev)
+	q.nbucketed++
 }
 
 // peek returns the earliest event without removing it, or nil when empty.
@@ -133,7 +166,8 @@ func (q *eventQueue) advance() {
 				b[i] = nil
 			}
 			q.nbucketed -= len(b)
-			q.buckets[idx] = b[:0]
+			q.buckets[idx] = nil
+			q.spare = append(q.spare, b[:0])
 		}
 		q.horizon += bucketWidth
 		if q.horizon > horizonCap {
@@ -150,9 +184,7 @@ func (q *eventQueue) migrate() {
 	min := MaxTime
 	for _, ev := range q.far {
 		if ev.at-q.horizon < span { // far events satisfy at >= horizon
-			idx := int((ev.at >> bucketBits) % numBuckets)
-			q.buckets[idx] = append(q.buckets[idx], ev)
-			q.nbucketed++
+			q.bucket(ev)
 			continue
 		}
 		if ev.at < min {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -264,3 +265,49 @@ func TestAtCallOrderMatchesAt(t *testing.T) {
 type recorder struct{ out *[]int }
 
 func (r *recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
+
+// A bucket's backing is the queue's, not the bucket's: the first capacity
+// a filling bucket needs is carved from a chunk, eight slots of 512, and a
+// drained bucket hands its backing to the next one that fills. A world
+// touches every bucket within its first quarter millisecond; that burst —
+// here eight events in each of the 256 buckets — costs four chunk
+// allocations where growing every bucket 1→2→4→8 by append cost 1 024,
+// the same burst one span later costs none, and the total order is the
+// reference's throughout.
+func TestQueueBurstOverAllBucketsCarves(t *testing.T) {
+	q := &eventQueue{}
+	var seq uint64
+	burst := func(base Time) []*event {
+		evs := make([]*event, 0, numBuckets*bucketSeed)
+		for j := 0; j < bucketSeed; j++ {
+			for k := 0; k < numBuckets; k++ {
+				seq++
+				evs = append(evs, &event{at: base + Time(k)*bucketWidth + Time(j), seq: seq})
+			}
+		}
+		return evs
+	}
+	push := func(evs []*event) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, ev := range evs {
+			q.push(ev)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	first := burst(0)
+	if n := push(first); n > 8 {
+		t.Errorf("a burst over all %d buckets allocated %d times, want <= 8 (%d slots carved in chunks of %d)",
+			numBuckets, n, numBuckets*bucketSeed, bucketChunk)
+	}
+	if q.nbucketed != len(first) {
+		t.Fatalf("%d of %d events bucketed", q.nbucketed, len(first))
+	}
+	drain(t, q, refOrder(first))
+	second := burst(q.horizon)
+	if n := push(second); n != 0 {
+		t.Errorf("the same burst one lap later allocated %d times, want 0: drained backings are reused", n)
+	}
+	drain(t, q, refOrder(second))
+}

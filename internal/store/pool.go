@@ -1,0 +1,68 @@
+package store
+
+const (
+	// chunkMin and chunkMax bound how many objects a pool carves from one
+	// backing allocation; between them the next chunk is as large as
+	// everything carved so far, so a pool doubles: 4, 4, 8, 16, 32, 64,
+	// 64, ... It is mem.BufPool's law — the next slab follows what has
+	// been carved — with the whole in place of a quarter: the objects here
+	// are a hundred bytes where a buffer is 2 KB, so overshooting a small
+	// demand by its own size costs a few hundred bytes, and reaching 64 in
+	// six refills instead of eighteen is what keeps a world of many small
+	// adapters under one refill per 25 objects. An owner that needs a
+	// handful pays for four or eight, one that needs thousands allocates
+	// once per 64 — and never per object.
+	chunkMin = 4
+	chunkMax = 64
+)
+
+// Pool hands out *T carved from chunked []T backing and, for an owner that
+// returns them, recycles them: the one allocator behind the per-message
+// objects of the rendezvous path (chdev's rndvOut and RndvIn) and behind
+// registration handles (ib.MR, carved and never returned). The zero value
+// is ready to use. Get's object is zeroed. Put does not touch it — the
+// owner drops the references it holds and may leave the scalars readable,
+// as a released mpi.Request keeps its status — and an object handed out
+// again is zeroed then. Under the ibdebug build tag the pool knows every
+// object it carved, whether it is out or pooled and how many times it has
+// been recycled (its generation), so a stale reference is caught where it
+// is used: a double Put, a foreign Put and Live on a pooled object fail at
+// once instead of aliasing the next owner's state.
+type Pool[T any] struct {
+	dbg    poolDebug[T] // empty without the ibdebug tag (not last: a trailing empty field is padded)
+	chunk  []T          // rest of the current chunk
+	free   []*T         // returned objects, reused last in first out
+	carved int          // objects ever carved: sizes the next chunk
+}
+
+// Get returns a zeroed object: the one most recently Put, or the next of
+// the current chunk.
+func (p *Pool[T]) Get() *T {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.dbg.reuse(v)
+		var zero T
+		*v = zero
+		return v
+	}
+	if len(p.chunk) == 0 {
+		p.chunk = make([]T, min(chunkMax, max(chunkMin, p.carved)))
+	}
+	v := &p.chunk[0]
+	p.chunk = p.chunk[1:]
+	p.carved++
+	p.dbg.carve(v)
+	return v
+}
+
+// Put returns v, which Get handed out and nothing references any more,
+// for reuse.
+func (p *Pool[T]) Put(v *T) {
+	p.dbg.put(v)
+	p.free = append(p.free, v)
+}
+
+// Carved reports how many distinct objects the pool has ever made.
+func (p *Pool[T]) Carved() int { return p.carved }
