@@ -19,8 +19,8 @@ import (
 // forges or destroys ring credit. occ/occHWM are an endpoint's
 // outstanding-send occupancy (chdev keeps the high-water mark beside the
 // endpoint's queue of posted sends, mutated only via noteOut), and rr is
-// an endpoint set's round-robin cursor — a write from outside its
-// selection state breaks selection determinism.
+// a round-robin cursor — a write from outside its owner's methods breaks
+// selection determinism.
 var creditFields = map[string]bool{
 	"credits": true, "owed": true, "posted": true,
 	"backlog": true, "shrinkDebt": true, "inUse": true,

@@ -112,7 +112,7 @@ type PkgFacts struct {
 	FreshSites []ScheduleSite
 	// SliceSites are make([]byte, ...) expressions — a per-event buffer
 	// allocation if the enclosing function is hot; the pooled-buffer
-	// discipline (mem.BufPool, the engine freelists) exists to avoid
+	// discipline (mem.BufPool) exists to avoid
 	// exactly these on the steady-state message path.
 	SliceSites []ScheduleSite
 	// StructSites are &T{...} and new(T) expressions of a named struct

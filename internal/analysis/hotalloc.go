@@ -12,21 +12,21 @@ import (
 //   - a closure literal passed to Engine.At or Engine.After from a
 //     function reachable from event context allocates one closure per
 //     event; the fix is a bound struct handler scheduled with
-//     AtCall/AfterCall, whose event rides the engine's freelist;
+//     AtCall/AfterCall, whose event rides the engine's pool;
 //   - a handler built at the AtCall/AfterCall call site (&T{...}, T{...}
 //     or new(T)) re-allocates what the bound-struct pattern hoists into
 //     the long-lived owner, so it is flagged anywhere in audited code;
 //   - a make([]byte, ...) in a function reachable from event context
 //     allocates a payload buffer per event; the fix is staging through
-//     mem.BufPool (or another freelist), with fclint:allow reserved for
-//     genuinely amortized allocations such as pool slab refills;
+//     mem.BufPool, with fclint:allow reserved for genuinely amortized
+//     allocations such as pool slab refills;
 //   - &T{...} or new(T) of a named struct type in a function reachable
 //     from event context allocates an object per event — per-message
 //     protocol state, the pattern the rendezvous path was rid of; the fix
-//     is a pool the owner recycles (store.Pool) or a field of the
-//     long-lived owner, with fclint:allow reserved for the refill of a
-//     freelist or chunk. A struct literal used by value stays on the
-//     stack and is not flagged.
+//     is a pool the owner recycles (store.Pool, the one recycler: a
+//     hand-rolled freelist's refill is not an audited exception) or a
+//     field of the long-lived owner. A struct literal used by value stays
+//     on the stack and is not flagged.
 //
 // AtCancel and sim.NewTimer deliberately take closures and are not
 // flagged: AtCancel is the sanctioned cancellable path for auxiliary
@@ -128,7 +128,7 @@ func runHotAlloc(pass *Pass) error {
 		pass.Reportf(site.Pos,
 			"%s in %s, which runs in event context (reachable from %s): "+
 				"this allocates an object per event — take it from a pool its owner recycles (store.Pool) "+
-				"or keep it in the long-lived owner; fclint:allow is for freelist and chunk refills",
+				"or keep it in the long-lived owner; a hand-rolled freelist is not an exception, store.Pool is the one recycler",
 			site.Method, ShortKey(site.Owner), ShortKey(root))
 	}
 	return nil

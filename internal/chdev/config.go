@@ -113,29 +113,12 @@ type Config struct {
 	// pair (Zambre et al.'s communication endpoints for MPI+threads).
 	// Each endpoint owns its own scheme state — credits, ring, or a
 	// share of the device's pool — and logical worker threads are
-	// multiplexed over the set by EPPolicy. 0 or 1 means the classic
-	// single connection per pair, byte-identical to the pre-endpoint
-	// device.
+	// pinned to the set's endpoints (tid mod Endpoints), which preserves
+	// MPI's per-pair non-overtaking order for traffic within a thread. 0
+	// or 1 means the classic single connection per pair, byte-identical
+	// to the pre-endpoint device.
 	Endpoints int
-
-	// EPPolicy selects how sends are multiplexed over an endpoint set.
-	// The zero value (EPSticky) pins each logical thread to one
-	// endpoint (tid mod Endpoints), which preserves MPI's per-pair
-	// non-overtaking order for traffic within a thread; EPRoundRobin
-	// rotates over the set per send and is only safe when the
-	// application does not rely on cross-send ordering to a peer.
-	EPPolicy EPPolicy
 }
-
-// EPPolicy is the deterministic endpoint-selection policy seam.
-type EPPolicy int
-
-const (
-	// EPSticky pins a logical thread to endpoint tid mod Endpoints.
-	EPSticky EPPolicy = iota
-	// EPRoundRobin rotates over the endpoint set per send.
-	EPRoundRobin
-)
 
 // DefaultConfig returns host overheads calibrated so the full MPI stack
 // reproduces the paper's ~7.5 us small-message latency over the default

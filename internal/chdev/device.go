@@ -166,34 +166,20 @@ func (c *conn) noteOut() {
 	}
 }
 
-// epSelect is the deterministic selection state that multiplexes logical
-// threads over one peer's endpoint set. The set itself is Config.Endpoints
+// epSelect is the selection state of one peer's endpoint set: logical
+// threads are pinned to its endpoints (Zambre et al.: an endpoint per
+// thread), and the pins are counted. The set itself is Config.Endpoints
 // consecutive entries of Device.live (Device.eps); each of its conns
 // points at the state.
 type epSelect struct {
-	// rr is the round-robin cursor (guarded by creditmut: selection
-	// state moves only through the pick methods); sticky/rrSels count
-	// selections per policy for the endpoint-selection metrics.
-	rr     int
 	sticky uint64
-	rrSels uint64
 }
 
-// pickSticky pins logical thread tid to one endpoint of the set.
+// pickSticky pins logical thread tid to one endpoint of the set, which
+// keeps MPI's per-pair non-overtaking order for traffic within a thread.
 func (s *epSelect) pickSticky(eps []*conn, tid int) *conn {
 	s.sticky++
 	return eps[tid%len(eps)]
-}
-
-// pickRR rotates over the endpoint set per send.
-func (s *epSelect) pickRR(eps []*conn) *conn {
-	c := eps[s.rr]
-	s.rr++
-	if s.rr == len(eps) {
-		s.rr = 0
-	}
-	s.rrSels++
-	return c
 }
 
 // Stats aggregates a device's flow control and transport counters.
@@ -357,7 +343,6 @@ func (d *Device) registerMetrics() {
 		r.GaugeFunc("chdev_endpoints_active", func() int64 { return int64(d.EndpointStats().Active) }, rank)
 		r.GaugeFunc("chdev_ep_occupancy_hwm", func() int64 { return int64(d.EndpointStats().OccupancyHWM) }, rank)
 		r.CounterFunc("chdev_ep_sel_sticky", func() uint64 { return d.EndpointStats().StickySels }, rank)
-		r.CounterFunc("chdev_ep_sel_rr", func() uint64 { return d.EndpointStats().RRSels }, rank)
 	}
 }
 
@@ -368,8 +353,7 @@ type EPStats struct {
 	Endpoints    int    // configured endpoints per rank pair
 	Active       int    // endpoints established across all peers
 	OccupancyHWM int    // worst outstanding-WQE count any endpoint saw
-	StickySels   uint64 // sends routed by the sticky policy
-	RRSels       uint64 // sends routed by the round-robin policy
+	StickySels   uint64 // sends routed over a set, each pinned by its thread
 }
 
 // EndpointStats reports the device's endpoint-set counters.
@@ -378,7 +362,6 @@ func (d *Device) EndpointStats() EPStats {
 	for _, c := range d.live {
 		if c.ep == 0 && c.sel != nil { // once per set
 			s.StickySels += c.sel.sticky
-			s.RRSels += c.sel.rrSels
 		}
 		if c.occHWM > s.OccupancyHWM {
 			s.OccupancyHWM = c.occHWM
@@ -444,9 +427,6 @@ func (d *Device) epAt(peer, ep int) *conn {
 func (d *Device) selectEP(eps []*conn) *conn {
 	if d.epN == 1 {
 		return eps[0]
-	}
-	if d.cfg.EPPolicy == EPRoundRobin {
-		return eps[0].sel.pickRR(eps)
 	}
 	return eps[0].sel.pickSticky(eps, d.curTID)
 }

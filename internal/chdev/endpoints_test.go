@@ -100,8 +100,8 @@ func TestEndpointStickySelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := d0.EndpointStats()
-	if es.StickySels != 4 || es.RRSels != 0 {
-		t.Fatalf("selection counters = %+v, want 4 sticky, 0 rr", es)
+	if es.StickySels != 4 {
+		t.Fatalf("selection counters = %+v, want 4 sticky", es)
 	}
 	for ep := 0; ep < 2; ep++ {
 		if got := d0.epAt(1, ep).vc.Stats().EagerSent; got != 2 {
@@ -110,39 +110,6 @@ func TestEndpointStickySelection(t *testing.T) {
 	}
 	if es.OccupancyHWM < 1 {
 		t.Errorf("occupancy HWM = %d, want >= 1", es.OccupancyHWM)
-	}
-	if err := Audit([]*Device{d0, d1}); err != nil {
-		t.Errorf("audit: %v", err)
-	}
-}
-
-// TestEndpointRoundRobinSelection: the round-robin policy rotates every
-// send over the set regardless of thread.
-func TestEndpointRoundRobinSelection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Endpoints = 2
-	cfg.EPPolicy = EPRoundRobin
-	eng, d0, d1, _, h1 := devPairEP(t, cfg, core.Static(8))
-	eng.Go("sender", func(p *sim.Proc) {
-		for i := 0; i < 6; i++ {
-			d0.Send(p, 1, i, 0, []byte{byte(i)}, i, true)
-		}
-		d0.WaitProgress(p, d0.Quiescent)
-	})
-	eng.Go("receiver", func(p *sim.Proc) {
-		d1.WaitProgress(p, func() bool { return len(h1.eager) == 6 })
-	})
-	if err := eng.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	es := d0.EndpointStats()
-	if es.RRSels != 6 || es.StickySels != 0 {
-		t.Fatalf("selection counters = %+v, want 6 rr, 0 sticky", es)
-	}
-	for ep := 0; ep < 2; ep++ {
-		if got := d0.epAt(1, ep).vc.Stats().EagerSent; got != 3 {
-			t.Errorf("endpoint %d carried %d eager sends, want 3", ep, got)
-		}
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
 		t.Errorf("audit: %v", err)

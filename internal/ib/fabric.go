@@ -15,16 +15,11 @@ type Fabric struct {
 	hcas   []*HCA
 	leaves []*leafSwitch
 
-	// trunkFree recycles trunkEvent hops (see topology.go) so inter-leaf
-	// delivery stays allocation-free at steady state.
-	trunkFree *trunkEvent
-
-	// udFree recycles udDeliverEvent arrivals (see ud.go) the same way.
-	udFree *udDeliverEvent
-
-	// udBufs recycles the MaxUDPayload staging buffers that ride those
-	// arrivals, so datagram sends stop allocating per message.
-	udBufs [][]byte
+	// Messages in flight across the fabric: inter-leaf trunk hops (see
+	// topology.go) and datagram arrivals (see ud.go), each taken when a
+	// message enters the wire and returned at its last hop.
+	trunks store.Pool[trunkEvent]
+	uds    store.Pool[udDeliverEvent]
 }
 
 // NewFabric creates a fabric with nodes HCAs.
@@ -134,10 +129,10 @@ type HCA struct {
 	nQP     int // queue pairs created so far: the next one's number
 	udqps   []*UDQP
 	srqs    []*SRQ
-	mrs     []*MR          // region id-1 -> region: ids are dense from 1
-	mrPool  store.Pool[MR] // handles of the regions the adapter allocates (ReserveMemory)
-	wqeFree *sendWQE       // recycled send WQE boxes of every QP here (see sendWQE)
-	page    []byte         // rest of the current commit page (see commit)
+	mrs     []*MR               // region id-1 -> region: ids are dense from 1
+	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory)
+	wqes    store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
+	page    []byte              // rest of the current commit page (see commit)
 	stats   HCAStats
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibflow/internal/debug"
 	"ibflow/internal/sim"
 )
 
@@ -379,7 +380,7 @@ func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
 // receiver short of descriptors, its stream NAKed, rewound and
 // retransmitted — so a box freed by a retirement on one stream is reused
 // on the other while stale attempts of its old neighbours are still on
-// the wire. Under -tags ibdebug the pooled assertions in transmit and
+// the wire. Under -tags ibdebug the liveness assertions in transmit and
 // deliver would catch any reference to a recycled box.
 func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 	cfg := DefaultConfig()
@@ -393,10 +394,14 @@ func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 
 	const rounds, burst = 8, 3
 	usedBy := map[*sendWQE][2]bool{}
+	var boxes []*sendWQE // usedBy's keys, in order of first use
 	post := func(qp *QP, who int, seq int) {
 		qp.PostSend(uint64(seq), []byte{byte(who), byte(seq)})
 		tail := *qp.queue.At(qp.queue.Len() - 1)
-		u := usedBy[tail]
+		u, seen := usedBy[tail]
+		if !seen {
+			boxes = append(boxes, tail)
+		}
 		u[who] = true
 		usedBy[tail] = u
 	}
@@ -462,11 +467,13 @@ func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 	if len(usedBy) > 2*burst {
 		t.Errorf("%d boxes allocated for two QPs with at most %d sends in flight", len(usedBy), 2*burst)
 	}
-	free := 0
-	for w := f.HCA(0).wqeFree; w != nil; w = w.nextFree {
-		free++
+	wqes := &f.HCA(0).wqes
+	if wqes.Carved() != len(usedBy) {
+		t.Errorf("the adapter carved %d boxes, its QPs posted with %d", wqes.Carved(), len(usedBy))
 	}
-	if free != len(usedBy) {
-		t.Errorf("freelist holds %d of the %d boxes ever allocated", free, len(usedBy))
+	for _, w := range boxes {
+		if debug.Enabled && wqes.Live(w) {
+			t.Errorf("a box is still checked out (generation %d) with nothing queued", wqes.Gen(w))
+		}
 	}
 }

@@ -19,23 +19,20 @@ const (
 	opRead
 )
 
-// sendWQE is a queued work request on a QP's send queue. WQEs are
-// recycled through a freelist on the adapter, shared by its QPs (a rank
-// keeps a handful of sends in flight, over however many connections):
-// retireAcked releases the box when the in-order completion posts, and
-// the next Post* on any QP of the HCA reuses it. Recycling at retirement
-// is safe without reference counting because per-pair delivery is FIFO
-// (links serialize reservations in call order and fault jitter preserves
-// per-pair order), so every in-flight attempt of a WQE — including stale
-// go-back-N duplicates — has reached the receiver's deliver before the ack
-// that retires it was even sent. That is a fact about the retiring QP's
-// own stream and holds at the moment of release; which QP takes the box
-// next does not enter into it (post rebinds the box's events). The gen counter
-// records how many times the box has been recycled, and the pooled flag
-// lets ibdebug builds assert that no stale reference touches a freed box
-// (the bound events are embedded in the WQE itself, so a per-attempt
-// generation stamp would be overwritten by the reuse it is meant to
-// detect; the pooled assertions are the enforceable form of the check).
+// sendWQE is a queued work request on a QP's send queue. The boxes come
+// from a pool on the adapter, shared by its QPs (a rank keeps a handful
+// of sends in flight, over however many connections): a WQE is the
+// adapter's from post to completion — retireAcked returns the box when
+// the in-order completion posts, and the next Post* on any QP of the HCA
+// takes it. Returning it at retirement is safe without reference counting
+// because per-pair delivery is FIFO (links serialize reservations in call
+// order and fault jitter preserves per-pair order), so every in-flight
+// attempt of a WQE — including stale go-back-N duplicates — has reached
+// the receiver's deliver before the ack that retires it was even sent.
+// That is a fact about the retiring QP's own stream and holds at the
+// moment of release; which QP takes the box next does not enter into it
+// (post rebinds the box's events). ibdebug builds hold transmit and
+// deliver to it: the box must be live in the sending adapter's pool.
 type sendWQE struct {
 	kind     opKind
 	wrid     uint64
@@ -49,10 +46,6 @@ type sendWQE struct {
 	acked    bool      // delivery acknowledged, awaiting in-order retirement
 	wire     wireEvent // bound delivery callback, reused across retransmits
 	read     readEvent // bound read-response callback (opRead only)
-
-	nextFree *sendWQE // freelist link while pooled
-	gen      uint64   // recycle generation, bumped on release
-	pooled   bool     // on the freelist (ibdebug assertions)
 }
 
 // wireEvent is the delivery callback for one WQE, embedded in the WQE so
@@ -257,7 +250,7 @@ func (qp *QP) postRecv(w recvWQE) {
 
 // PostSend posts a channel-semantics send of payload.
 func (qp *QP) PostSend(wrid uint64, payload []byte) {
-	w := qp.acquireWQE()
+	w := qp.hca.wqes.Get()
 	w.kind, w.wrid, w.payload = opSend, wrid, payload
 	qp.post(w)
 }
@@ -268,7 +261,7 @@ func (qp *QP) PostWrite(wrid uint64, payload []byte, remote RemoteKey) {
 	if remote.Offset+len(payload) > remote.MR.n {
 		panic("ib: RDMA write beyond registered region")
 	}
-	w := qp.acquireWQE()
+	w := qp.hca.wqes.Get()
 	w.kind, w.wrid, w.payload, w.remote = opWrite, wrid, payload, remote
 	qp.post(w)
 }
@@ -281,7 +274,7 @@ func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm
 	if remote.Offset+len(payload) > remote.MR.n {
 		panic("ib: RDMA write beyond registered region")
 	}
-	w := qp.acquireWQE()
+	w := qp.hca.wqes.Get()
 	w.kind, w.wrid, w.payload, w.remote, w.imm = opWriteImm, wrid, payload, remote, imm
 	qp.post(w)
 }
@@ -291,35 +284,9 @@ func (qp *QP) PostRead(wrid uint64, dst []byte, remote RemoteKey) {
 	if remote.Offset+len(dst) > remote.MR.n {
 		panic("ib: RDMA read beyond registered region")
 	}
-	w := qp.acquireWQE()
+	w := qp.hca.wqes.Get()
 	w.kind, w.wrid, w.readDst, w.remote = opRead, wrid, dst, remote
 	qp.post(w)
-}
-
-// acquireWQE pops a recycled WQE box off the adapter's freelist, or
-// allocates a fresh one while the pool is still warming up. The returned
-// box is zeroed except for its recycle generation.
-func (qp *QP) acquireWQE() *sendWQE {
-	w := qp.hca.wqeFree
-	if w == nil {
-		//fclint:allow hotalloc freelist refill: a box is made only when every one the adapter owns is in flight, and recycled from then on
-		return &sendWQE{}
-	}
-	debug.Assert(w.pooled, "ib: node %d freelist holds an unpooled WQE", qp.hca.node)
-	qp.hca.wqeFree = w.nextFree
-	w.nextFree = nil
-	w.pooled = false
-	return w
-}
-
-// releaseWQE clears a retired WQE (dropping its payload and destination
-// references so pooled buffers can recycle independently) and pushes it
-// on the freelist for the next post. Callers must guarantee no event
-// still references the box — see the sendWQE recycling comment.
-func (qp *QP) releaseWQE(w *sendWQE) {
-	debug.Assert(!w.pooled, "ib: double release of WQE seq %d on QP %d", w.seq, qp.num)
-	*w = sendWQE{gen: w.gen + 1, pooled: true, nextFree: qp.hca.wqeFree}
-	qp.hca.wqeFree = w
 }
 
 func (qp *QP) post(w *sendWQE) {
@@ -370,7 +337,7 @@ func (qp *QP) pump() {
 // transmit puts one message on the wire: egress serialization, switch
 // latency, ingress serialization at the peer, then delivery processing.
 func (qp *QP) transmit(w *sendWQE) {
-	debug.Assert(!w.pooled, "ib: QP %d transmitting a recycled WQE (gen %d)", qp.num, w.gen)
+	debug.Assert(qp.hca.wqes.Live(w), "ib: QP %d transmitting a recycled WQE (gen %d)", qp.num, qp.hca.wqes.Gen(w))
 	eng := qp.hca.fabric.eng
 	cfg := qp.hca.fabric.Config()
 	n := w.wireLen()
@@ -399,7 +366,7 @@ func (qp *QP) transmit(w *sendWQE) {
 
 // deliver processes message w arriving at the receiving QP.
 func (qp *QP) deliver(w *sendWQE, sender *QP) {
-	debug.Assert(!w.pooled, "ib: QP %d delivering a recycled WQE (gen %d)", qp.num, w.gen)
+	debug.Assert(sender.hca.wqes.Live(w), "ib: QP %d delivering a recycled WQE (gen %d)", qp.num, sender.hca.wqes.Gen(w))
 	eng := qp.hca.fabric.eng
 	cfg := qp.hca.fabric.Config()
 
@@ -512,8 +479,8 @@ func (qp *QP) retire(w *sendWQE) {
 
 // retireAcked pops the acked prefix of the send queue, posting
 // completions in FIFO order and recycling each retired WQE box, then
-// refills the in-flight window. Recycling here is the release point of
-// the WQE freelist: the ack that marked the head arrived a full
+// refills the in-flight window. This is where a WQE box goes back to the
+// adapter's pool: the ack that marked the head arrived a full
 // AckLatency after the last delivery of that WQE, so no wire or read
 // event still references the box (see sendWQE).
 func (qp *QP) retireAcked() {
@@ -529,7 +496,8 @@ func (qp *QP) retireAcked() {
 			op = OpReadComplete
 		}
 		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: head.wireLen()}
-		qp.releaseWQE(head)
+		head.payload, head.readDst, head.remote = nil, nil, RemoteKey{} // a pooled box pins no buffer
+		qp.hca.wqes.Put(head)
 		qp.sendCQ.push(wc)
 	}
 	qp.debugCheckQueue()

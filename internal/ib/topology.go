@@ -83,7 +83,7 @@ func (f *Fabric) deliverTo(src, dst *HCA, start, tx sim.Time, n int, h sim.Handl
 		return
 	}
 
-	te := f.acquireTrunk()
+	te := f.trunks.Get()
 	*te = trunkEvent{
 		f:       f,
 		srcLeaf: f.leaves[f.leafOf(src.node)],
@@ -97,8 +97,8 @@ func (f *Fabric) deliverTo(src, dst *HCA, start, tx sim.Time, n int, h sim.Handl
 // trunkEvent walks one inter-leaf message across the fat-tree trunk as a
 // bound two-stage handler: stage 0 reserves the source leaf's uplink,
 // stage 1 reserves the destination leaf's downlink, hands off to the
-// destination-port handler, and returns itself to the fabric's freelist.
-// One trunkEvent is live per in-flight inter-leaf message, so recycling
+// destination-port handler, and returns itself to the fabric's pool. One
+// trunkEvent is live per in-flight inter-leaf message, so returning it
 // after the final hop is safe.
 type trunkEvent struct {
 	f       *Fabric
@@ -106,7 +106,6 @@ type trunkEvent struct {
 	dstLeaf *leafSwitch
 	ttx     sim.Time
 	h       sim.Handler
-	next    *trunkEvent // freelist link, valid only while released
 }
 
 func (te *trunkEvent) OnEvent(stage uint64) {
@@ -119,22 +118,6 @@ func (te *trunkEvent) OnEvent(stage uint64) {
 	}
 	dnStart := te.dstLeaf.down.reserve(eng.Now(), te.ttx)
 	eng.AtCall(dnStart+lat, te.h, 0)
-	te.f.releaseTrunk(te)
-}
-
-// acquireTrunk pops a recycled trunkEvent or allocates a fresh one.
-func (f *Fabric) acquireTrunk() *trunkEvent {
-	if te := f.trunkFree; te != nil {
-		f.trunkFree = te.next
-		return te
-	}
-	//fclint:allow hotalloc freelist refill: a hop is made only when every one the fabric owns is in flight, and recycled from then on
-	return &trunkEvent{}
-}
-
-// releaseTrunk returns a finished trunkEvent to the freelist, clearing it
-// so the recycled hop cannot leak the previous message's handler.
-func (f *Fabric) releaseTrunk(te *trunkEvent) {
-	*te = trunkEvent{next: f.trunkFree}
-	f.trunkFree = te
+	te.h = nil // a pooled hop must not pin the message's handler
+	te.f.trunks.Put(te)
 }

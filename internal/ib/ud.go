@@ -99,31 +99,27 @@ func (qp *UDQP) SendTo(wrid uint64, dstNode, dstQPN int, payload []byte) {
 
 	start := qp.hca.egress.reserve(eng.Now()+cfg.SendOverhead, tx)
 	eng.AtCall(start+tx, &qp.sendEv, wrid)
-	// Snapshot the payload into a pooled staging buffer (the caller may
-	// reuse its slice the moment SendTo returns); the buffer rides the
-	// delivery event and is recycled as soon as the receiver copies out.
-	buf := f.acquireUDBuf()
-	n := copy(buf, payload)
-	de := f.acquireUDDeliver()
-	*de = udDeliverEvent{f: f, dst: dst, srcNode: qp.hca.node, buf: buf, n: n, tx: tx}
+	// Snapshot the payload into the arrival's own staging buffer: the
+	// caller may reuse its slice the moment SendTo returns.
+	de := f.uds.Get()
+	de.f, de.dst, de.srcNode, de.tx = f, dst, qp.hca.node, tx
+	de.n = copy(de.buf[:], payload)
 	f.deliverTo(qp.hca, dstHCA, start, tx, len(payload), de)
 }
 
 // udDeliverEvent walks one datagram through the destination port as a
 // bound two-stage handler (the deliverTo convention, see topology.go):
 // stage 0 reserves the destination ingress link and charges the receive
-// overhead, stage 1 hands the payload to the destination queue pair,
-// recycles the staging buffer and returns the event to the fabric's
-// freelist. With both the event and the staging buffer pooled, a UD
+// overhead, stage 1 hands the payload to the destination queue pair and
+// returns the arrival, staging buffer and all, to the fabric's pool: a UD
 // datagram in steady state allocates nothing.
 type udDeliverEvent struct {
 	f       *Fabric
 	dst     *UDQP
 	srcNode int
-	buf     []byte // pooled staging buffer, MaxUDPayload capacity
-	n       int    // datagram length within buf
+	n       int // datagram length within buf
 	tx      sim.Time
-	next    *udDeliverEvent // freelist link, valid only while released
+	buf     [MaxUDPayload]byte
 }
 
 func (de *udDeliverEvent) OnEvent(stage uint64) {
@@ -134,42 +130,7 @@ func (de *udDeliverEvent) OnEvent(stage uint64) {
 		return
 	}
 	de.dst.deliver(de.srcNode, de.buf[:de.n])
-	de.f.releaseUDBuf(de.buf)
-	de.f.releaseUDDeliver(de)
-}
-
-// acquireUDDeliver pops a recycled udDeliverEvent or allocates a fresh one.
-func (f *Fabric) acquireUDDeliver() *udDeliverEvent {
-	if de := f.udFree; de != nil {
-		f.udFree = de.next
-		return de
-	}
-	//fclint:allow hotalloc freelist refill: an arrival is made only when every one the fabric owns is in flight, and recycled from then on
-	return &udDeliverEvent{}
-}
-
-// releaseUDDeliver returns a finished udDeliverEvent to the freelist,
-// clearing it so the recycled arrival cannot leak the previous datagram.
-func (f *Fabric) releaseUDDeliver(de *udDeliverEvent) {
-	*de = udDeliverEvent{next: f.udFree}
-	f.udFree = de
-}
-
-// acquireUDBuf pops a pooled MaxUDPayload staging buffer or allocates one.
-func (f *Fabric) acquireUDBuf() []byte {
-	if n := len(f.udBufs); n > 0 {
-		b := f.udBufs[n-1]
-		f.udBufs[n-1] = nil
-		f.udBufs = f.udBufs[:n-1]
-		return b
-	}
-	//fclint:allow hotalloc freelist warm-up; every staging buffer is recycled at delivery
-	return make([]byte, MaxUDPayload)
-}
-
-// releaseUDBuf recycles a staging buffer once its datagram is delivered.
-func (f *Fabric) releaseUDBuf(b []byte) {
-	f.udBufs = append(f.udBufs, b[:MaxUDPayload])
+	de.f.uds.Put(de)
 }
 
 // deliver hands a datagram to a posted descriptor, or drops it.

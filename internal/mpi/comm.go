@@ -14,16 +14,16 @@ type Status struct {
 	Len    int
 }
 
-// Request is a non-blocking operation handle. Requests are recycled
-// through a per-rank freelist: Wait and Waitall release the handle once
-// the operation completed (as MPI deallocates a request at MPI_Wait), and
-// the next Isend/Irecv on the rank reuses the box. The status and done
-// flag survive release until the box is reacquired, so the classic
-// "Waitall, then read the status" pattern keeps working; holding a handle
-// past the next acquisition is the same use-after-free it would be in
-// MPI. Test and Waitany never release (their MPI counterparts leave the
-// request live), and a request never waited on is simply garbage
-// collected instead of recycled.
+// Request is a non-blocking operation handle. The boxes come from a pool
+// on the world (its ranks are coroutines of one engine): Wait and Waitall
+// release the handle once the operation completed (as MPI deallocates a
+// request at MPI_Wait), and the next Isend/Irecv of any rank takes the
+// box. The status and done flag survive release until the box is taken
+// again, so the classic "Waitall, then read the status" pattern keeps
+// working; holding a handle past that is the same use-after-free it would
+// be in MPI. Test and Waitany never release (their MPI counterparts leave
+// the request live); a request never waited on stays checked out, and its
+// box goes when the world's chunk does.
 type Request struct {
 	done   bool
 	isRecv bool
@@ -34,13 +34,7 @@ type Request struct {
 	owner  *Comm // for translating the status source to a comm rank
 	status Status
 
-	nextFree *Request // freelist link while released
-	released bool     // on the freelist; release is idempotent
-
-	// isDone is r.Done bound once per box (by the first Wait on it) and
-	// kept across acquireReq's reset, so the predicate Wait hands the
-	// progress engine is not a fresh closure per call.
-	isDone func() bool
+	released bool // back in the pool; release is idempotent
 }
 
 func (r *Request) complete(st Status) {
@@ -146,7 +140,7 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 }
 
 func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
-	req := c.r.acquireReq()
+	req := c.r.world.reqs.Get()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
 		c.selfSend(tag, data)
@@ -170,7 +164,7 @@ func (c *Comm) selfSend(tag int, data []byte) {
 // Irecv posts a non-blocking receive into buf for a message matching
 // (src, tag); src may be AnySource and tag AnyTag.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
-	req := c.r.acquireReq()
+	req := c.r.world.reqs.Get()
 	req.isRecv, req.buf, req.src, req.tag, req.comm, req.owner =
 		true, buf, c.worldRank(src), tag, c.id, c
 	if c.r.matchUnex(req) {
@@ -197,7 +191,7 @@ func (c *Comm) Ssend(dst, tag int, data []byte) {
 
 // Issend starts a non-blocking synchronous-mode send.
 func (c *Comm) Issend(dst, tag int, data []byte) *Request {
-	req := c.r.acquireReq()
+	req := c.r.world.reqs.Get()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
 		// Self sends are matched locally and immediately.
@@ -236,10 +230,7 @@ func (c *Comm) Recv(src, tag int, buf []byte) Status {
 // Wait blocks until req completes, driving communication progress. The
 // request is released for reuse, as MPI_Wait deallocates the handle.
 func (c *Comm) Wait(req *Request) Status {
-	if req.isDone == nil {
-		req.isDone = req.Done
-	}
-	c.r.dev.WaitProgress(c.r.proc, req.isDone)
+	c.r.waitFor(c.r.allDone, req)
 	st := req.status
 	c.r.releaseReq(req)
 	return st

@@ -54,17 +54,12 @@ type Rank struct {
 	// the two upcalls; at most one delivery is in flight per rank).
 	pending pendingEager
 
-	// reqFree recycles Request boxes (see Request). Boxes are carved in
-	// reqChunk batches so a storm of in-flight requests costs one
-	// allocation per chunk, not one per request.
-	reqFree *Request
-
-	// waitSet is what the rank's one blocking multi-request wait is on —
-	// a rank runs one progress session at a time — in backing the rank
-	// owns, and allDone / anyDone are the predicates over it, bound once
-	// (newRank): Waitall, Waitany and Sendrecv build no closure per call,
-	// and a caller's variadic request list does not escape. waitIdx is
-	// anyDone's answer: the lowest-numbered completed request.
+	// waitSet is what the rank's one blocking wait is on — a rank runs one
+	// progress session at a time — in backing the rank owns, and allDone /
+	// anyDone are the predicates over it, bound once (newRank): Wait,
+	// Waitall, Waitany and Sendrecv build no closure per call, and a
+	// caller's variadic request list does not escape. waitIdx is anyDone's
+	// answer: the lowest-numbered completed request.
 	waitSet          []*Request
 	waitIdx          int
 	allDone, anyDone func() bool
@@ -105,30 +100,9 @@ func (r *Rank) waitSetAny() bool {
 	return false
 }
 
-// reqChunk is the request-freelist carve size.
-const reqChunk = 64
-
-// acquireReq pops a recycled Request box, carving a fresh chunk when the
-// freelist runs dry. The box is returned zeroed, but for the Wait
-// predicate bound to it (see Request.isDone).
-func (r *Rank) acquireReq() *Request {
-	if r.reqFree == nil {
-		chunk := make([]Request, reqChunk)
-		for i := range chunk {
-			chunk[i].released = true
-			chunk[i].nextFree = r.reqFree
-			r.reqFree = &chunk[i]
-		}
-	}
-	q := r.reqFree
-	r.reqFree = q.nextFree
-	*q = Request{isDone: q.isDone}
-	return q
-}
-
-// releaseReq returns a completed request to the freelist. It is
+// releaseReq returns a completed request to the world's pool. It is
 // idempotent — a second Waitall over the same handles is a no-op, as it
-// is in MPI — and keeps done/status readable until the box is reacquired.
+// is in MPI — and keeps done/status readable until the box is taken again.
 func (r *Rank) releaseReq(q *Request) {
 	if q.released {
 		return
@@ -137,8 +111,7 @@ func (r *Rank) releaseReq(q *Request) {
 	q.buf = nil
 	q.owner = nil
 	q.released = true
-	q.nextFree = r.reqFree
-	r.reqFree = q
+	r.world.reqs.Put(q)
 }
 
 // pendingEager records a matched-or-queued eager message whose copy

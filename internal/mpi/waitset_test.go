@@ -8,17 +8,18 @@ import (
 	"ibflow/internal/debug"
 )
 
-// The blocking multi-request waits build nothing per call: the rank owns
-// the wait set and the predicate over it (Rank.waitFor), the variadic
-// request list stays on the caller's stack, requests and eager buffers are
-// recycled. Two ranks exchanging small messages in a Sendrecv loop, then
-// in an Isend/Irecv/Waitall(a, b) loop, then through Waitany, allocate
-// nothing at all once warm — where each call cost a closure (and Waitall
-// its escaped argument slice).
+// The blocking waits build nothing per call: the rank owns the wait set
+// and the predicate over it (Rank.waitFor), the variadic request list
+// stays on the caller's stack, requests — from the world's one pool — and
+// eager buffers are recycled. Two ranks exchanging small messages in a
+// Sendrecv loop, then in an Isend/Irecv/Waitall(a, b) loop, then through
+// Waitany, then through two Waits, allocate nothing at all once warm —
+// where each call cost a closure (and Waitall its escaped argument
+// slice) — and the world never holds more boxes than are in flight.
 func TestMultiWaitsAllocateNothing(t *testing.T) {
 	const warm, calls = 200, 2000
-	var sendrecv, waitall, waitany uint64
-	run(t, 2, core.Static(10), func(c *Comm) {
+	var sendrecv, waitall, waitany, wait uint64
+	w := run(t, 2, core.Static(10), func(c *Comm) {
 		me, peer := c.Rank(), 1-c.Rank()
 		sbuf, rbuf := make([]byte, 8), make([]byte, 8)
 		phase := func(count *uint64, call func(i int)) {
@@ -50,15 +51,23 @@ func TestMultiWaitsAllocateNothing(t *testing.T) {
 			}
 			c.Waitall(a, b) // the other one, and release both
 		})
+		phase(&wait, func(i int) {
+			a, b := c.Irecv(peer, 4, rbuf), c.Isend(peer, 4, sbuf)
+			c.Wait(a)
+			c.Wait(b)
+		})
 	})
-	t.Logf("objects allocated by both ranks over %d calls each: Sendrecv %d, Waitall(a, b) %d, Waitany %d",
-		calls, sendrecv, waitall, waitany)
+	t.Logf("objects allocated by both ranks over %d calls each: Sendrecv %d, Waitall(a, b) %d, Waitany %d, Wait twice %d",
+		calls, sendrecv, waitall, waitany, wait)
+	if got := w.reqs.Carved(); got > 8 {
+		t.Errorf("the world carved %d request boxes for two ranks with two requests in flight each", got)
+	}
 	if debug.Enabled {
 		return // an ibdebug build's assertions box their arguments
 	}
-	if sendrecv != 0 || waitall != 0 || waitany != 0 {
-		t.Errorf("Sendrecv allocates %d, Waitall(a, b) %d and Waitany %d objects over %d calls, want 0",
-			sendrecv, waitall, waitany, calls)
+	if sendrecv != 0 || waitall != 0 || waitany != 0 || wait != 0 {
+		t.Errorf("Sendrecv allocates %d, Waitall(a, b) %d, Waitany %d and two Waits %d objects over %d calls, want 0",
+			sendrecv, waitall, waitany, wait, calls)
 	}
 }
 

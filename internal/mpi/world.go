@@ -14,6 +14,7 @@ import (
 	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/sim"
+	"ibflow/internal/store"
 )
 
 // Options configures a simulated MPI job.
@@ -72,6 +73,7 @@ type World struct {
 	ranks  []*Rank
 	devs   []*chdev.Device
 	opts   Options
+	reqs   store.Pool[Request] // every rank's request boxes (see Request)
 
 	// Job-level histograms, non-nil only when Options.Metrics is set
 	// (their methods are nil-safe).
@@ -214,7 +216,6 @@ func (w *World) EndpointStats() chdev.EPStats {
 			es.OccupancyHWM = rs.OccupancyHWM
 		}
 		es.StickySels += rs.StickySels
-		es.RRSels += rs.RRSels
 	}
 	return es
 }

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"ibflow/internal/ib"
+	"ibflow/internal/mem"
 	"ibflow/internal/sim"
 )
 
@@ -106,12 +107,11 @@ type Endpoint struct {
 	// elapsing; the next OnEvent delivers it before draining the CQ.
 	pend []byte
 
-	// recvFree and pktFree recycle receive-pool and send-packet buffers
-	// (all MaxUDPayload-capacity) so the steady-state datagram path
-	// allocates nothing; deliverBuf is the single staging buffer handed
-	// to the OnMessage callback, reused across deliveries.
-	recvFree   [][]byte
-	pktFree    [][]byte
+	// pool recycles the MaxUDPayload buffers of posted receives and queued
+	// packets, so the steady-state datagram path allocates nothing;
+	// deliverBuf is the single staging buffer handed to the OnMessage
+	// callback, reused across deliveries.
+	pool       *mem.BufPool
 	deliverBuf []byte
 }
 
@@ -133,6 +133,7 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, nPeers int, onMessage func(sr
 		peers:      make([]*peerState, nPeers),
 		handler:    onMessage,
 		bufs:       make(map[uint64][]byte),
+		pool:       mem.NewBufPool(ib.MaxUDPayload),
 		deliverBuf: make([]byte, MaxPayload),
 	}
 	for i := range e.peers {
@@ -155,22 +156,9 @@ func (e *Endpoint) UDStats() ib.UDStats { return e.qp.Stats() }
 
 func (e *Endpoint) postRecv() {
 	e.wrid++
-	buf := e.acquireBuf(&e.recvFree)
+	buf := e.pool.Get()
 	e.bufs[e.wrid] = buf
 	e.qp.PostRecv(e.wrid, buf)
-}
-
-// acquireBuf pops a recycled MaxUDPayload buffer from the given freelist
-// or allocates one (pool warm-up only; the steady state recycles).
-func (e *Endpoint) acquireBuf(free *[][]byte) []byte {
-	if n := len(*free); n > 0 {
-		b := (*free)[n-1]
-		(*free)[n-1] = nil
-		*free = (*free)[:n-1]
-		return b
-	}
-	//fclint:allow hotalloc freelist warm-up; every buffer is recycled once retired
-	return make([]byte, ib.MaxUDPayload)
 }
 
 // Send queues data for reliable in-order delivery to dst. The data is
@@ -181,7 +169,7 @@ func (e *Endpoint) Send(dst int, data []byte) {
 			len(data), MaxPayload))
 	}
 	p := e.peers[dst]
-	pkt := e.acquireBuf(&e.pktFree)[:hdrSize+len(data)]
+	pkt := e.pool.Get()[:hdrSize+len(data)]
 	pkt[0], pkt[1] = pktData, 0 // recycled buffers carry stale bytes: write the full header
 	binary.LittleEndian.PutUint16(pkt[2:], uint16(e.node))
 	binary.LittleEndian.PutUint32(pkt[4:], p.nextSeq)
@@ -240,7 +228,7 @@ func (e *Endpoint) OnEvent(uint64) {
 		buf := e.pend
 		e.pend = nil
 		e.handlePacket(buf)
-		e.recvFree = append(e.recvFree, buf[:ib.MaxUDPayload])
+		e.pool.Put(buf[:ib.MaxUDPayload])
 		e.postRecv()
 	}
 	for {
@@ -303,7 +291,7 @@ func (e *Endpoint) onAck(src int, p *peerState, ack uint32) {
 	// Retired packets can never be retransmitted again: recycle their
 	// buffers and drop the queue's references to them.
 	for i := 0; i < n; i++ {
-		e.pktFree = append(e.pktFree, p.outq[i][:ib.MaxUDPayload])
+		e.pool.Put(p.outq[i][:ib.MaxUDPayload])
 		p.outq[i] = nil
 	}
 	p.outq = p.outq[n:]
@@ -338,16 +326,16 @@ func (e *Endpoint) scheduleAck(src int, p *peerState) {
 func (e *Endpoint) sendAck(dst int, p *peerState) {
 	p.ackOwed = false
 	p.lastAcked = p.expected
-	pkt := e.acquireBuf(&e.pktFree)[:hdrSize]
+	pkt := e.pool.Get()[:hdrSize]
 	pkt[0], pkt[1] = pktAck, 0 // recycled buffers carry stale bytes: write the full header
 	binary.LittleEndian.PutUint16(pkt[2:], uint16(e.node))
 	binary.LittleEndian.PutUint32(pkt[4:], 0)
 	binary.LittleEndian.PutUint32(pkt[8:], p.expected)
 	e.wrid++
-	// SendTo copies the payload into the fabric's staging buffer before
+	// SendTo copies the payload into the arrival's staging buffer before
 	// returning, so a pure ack (never retransmitted) recycles immediately.
 	e.qp.SendTo(e.wrid, dst, 0, pkt)
-	e.pktFree = append(e.pktFree, pkt[:ib.MaxUDPayload])
+	e.pool.Put(pkt[:ib.MaxUDPayload])
 	e.stats.AcksSent++
 }
 

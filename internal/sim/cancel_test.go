@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestAtCancelFires(t *testing.T) {
 	e := NewEngine()
@@ -76,5 +79,56 @@ func TestStepsSkipsCancelled(t *testing.T) {
 	}
 	if e.Now() != 2 {
 		t.Fatalf("now = %v, want 2ns", e.Now())
+	}
+}
+
+// An event struct is back in the pool before its callback runs, so a
+// handle can be cancelled at three moments after its event fired: inside
+// the callback itself, later but before the struct is handed out again,
+// and after it was. None may touch the event that takes the struct next.
+func TestCancelAfterFiringNeverKillsTheNextEvent(t *testing.T) {
+	for _, when := range []string{"inside, before rescheduling", "inside, after rescheduling", "between fire and reuse", "after reuse"} {
+		e := NewEngine()
+		ran := false
+		next := func() { e.At(2, func() { ran = true }) }
+		var s Scheduled
+		s = e.AtCancel(1, func() {
+			switch when {
+			case "inside, before rescheduling":
+				s.Cancel()
+				next()
+			case "inside, after rescheduling":
+				next()
+				s.Cancel()
+			}
+		})
+		first := s.ev
+		if got := e.Steps(1); got != 1 {
+			t.Fatalf("%s: Steps = %d, want 1", when, got)
+		}
+		switch when {
+		case "between fire and reuse":
+			s.Cancel()
+			next()
+		case "after reuse":
+			next()
+			s.Cancel()
+		}
+		if got := e.q.peek(); got != first {
+			t.Fatalf("%s: the next event did not reuse the fired one's struct", when)
+		}
+		if err := e.Run(MaxTime); err != nil {
+			t.Fatal(err)
+		}
+		if !ran || e.EventsFired() != 2 {
+			t.Errorf("%s: next event ran = %v after %d events, want true after 2", when, ran, e.EventsFired())
+		}
+	}
+}
+
+// An in-flight event is five words: no closure arm, no generation.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 40", got)
 	}
 }

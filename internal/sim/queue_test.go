@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -195,8 +194,8 @@ func TestQueueNearMaxTime(t *testing.T) {
 }
 
 func TestEngineFreelistRecycles(t *testing.T) {
-	// Steady-state churn must reuse event structs rather than growing the
-	// freelist without bound.
+	// Steady-state churn must reuse event structs rather than carving
+	// without bound.
 	e := NewEngine()
 	n := 0
 	var fn func()
@@ -213,8 +212,8 @@ func TestEngineFreelistRecycles(t *testing.T) {
 	if n != 10000 {
 		t.Fatalf("fired %d events, want 10000", n)
 	}
-	if len(e.free) > 8 {
-		t.Fatalf("freelist grew to %d for a 1-pending workload", len(e.free))
+	if got := e.events.Carved(); got > 8 {
+		t.Fatalf("the engine carved %d events for a 1-pending workload", got)
 	}
 }
 
@@ -275,7 +274,6 @@ func (r *recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
 // the same burst one span later costs none, and the total order is the
 // reference's throughout.
 func TestQueueBurstOverAllBucketsCarves(t *testing.T) {
-	q := &eventQueue{}
 	var seq uint64
 	burst := func(base Time) []*event {
 		evs := make([]*event, 0, numBuckets*bucketSeed)
@@ -287,27 +285,36 @@ func TestQueueBurstOverAllBucketsCarves(t *testing.T) {
 		}
 		return evs
 	}
-	push := func(evs []*event) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for _, ev := range evs {
-			q.push(ev)
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+	// AllocsPerRun counts with the process held to one thread — a bare
+	// MemStats diff also counted whatever other tests' coroutines were
+	// still unwinding — and runs its function twice, so there are two
+	// queues: the warm-up run fills one, the measured run the other.
+	qs := [2]*eventQueue{{}, {}}
+	push := func(evs []*event) float64 {
+		i := 0
+		return testing.AllocsPerRun(1, func() {
+			for _, ev := range evs {
+				qs[i].push(ev)
+			}
+			i++
+		})
 	}
 	first := burst(0)
 	if n := push(first); n > 8 {
-		t.Errorf("a burst over all %d buckets allocated %d times, want <= 8 (%d slots carved in chunks of %d)",
+		t.Errorf("a burst over all %d buckets allocated %.0f times, want <= 8 (%d slots carved in chunks of %d)",
 			numBuckets, n, numBuckets*bucketSeed, bucketChunk)
 	}
-	if q.nbucketed != len(first) {
-		t.Fatalf("%d of %d events bucketed", q.nbucketed, len(first))
+	for _, q := range qs {
+		if q.nbucketed != len(first) {
+			t.Fatalf("%d of %d events bucketed", q.nbucketed, len(first))
+		}
+		drain(t, q, refOrder(first))
 	}
-	drain(t, q, refOrder(first))
-	second := burst(q.horizon)
+	second := burst(qs[0].horizon)
 	if n := push(second); n != 0 {
-		t.Errorf("the same burst one lap later allocated %d times, want 0: drained backings are reused", n)
+		t.Errorf("the same burst one lap later allocated %.0f times, want 0: drained backings are reused", n)
 	}
-	drain(t, q, refOrder(second))
+	for _, q := range qs {
+		drain(t, q, refOrder(second))
+	}
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"ibflow/internal/store"
 )
 
 // Time is virtual time in nanoseconds.
@@ -63,22 +65,21 @@ type Handler interface {
 	OnEvent(arg uint64)
 }
 
-// event is a scheduled callback: either a plain closure (fn) or a bound
-// handler call (h, harg). Exactly one of fn and h is set for a live
-// event; a cancelled event has both nil. Events are engine-owned and
-// recycled through a freelist; gen invalidates stale Scheduled handles
-// to recycled events.
+// funcHandler adapts a plain callback to Handler, so At, After and
+// AtCancel schedule the one event shape there is. A func value is
+// pointer-shaped: boxing it in the interface allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) OnEvent(uint64) { f() }
+
+// event is a scheduled handler call; a cancelled event has a nil h.
+// Events are the engine's, carved and recycled by its pool.
 type event struct {
 	at   Time
-	seq  uint64 // insertion order; breaks ties deterministically
-	gen  uint64 // bumped on recycle; guards Scheduled handles
-	fn   func()
+	seq  uint64 // insertion order; breaks ties deterministically and names the event to its Scheduled handle
 	h    Handler
 	harg uint64
 }
-
-// dead reports whether the event was cancelled.
-func (ev *event) dead() bool { return ev.fn == nil && ev.h == nil }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create one with NewEngine.
@@ -91,11 +92,11 @@ type Engine struct {
 	now    Time
 	q      eventQueue
 	seq    uint64
-	free   []*event // recycled event structs; see alloc/recycle
-	procs  []*Proc  // all spawned processes, for deadlock reporting
-	nlive  int      // processes that have not finished
-	cur    *Proc    // currently executing process, if any
-	fired  uint64   // total events executed, for stats/limits
+	events store.Pool[event]
+	procs  []*Proc // all spawned processes, for deadlock reporting
+	nlive  int     // processes that have not finished
+	cur    *Proc   // currently executing process, if any
+	fired  uint64  // total events executed, for stats/limits
 	closed bool
 }
 
@@ -129,79 +130,74 @@ func (e *Engine) Now() Time { return e.now }
 // EventsFired reports how many events the engine has executed.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// alloc takes an event struct off the freelist (or heap-allocates the
-// first time) and stamps it with the next insertion sequence.
-func (e *Engine) alloc(t Time) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{}
-	}
+// schedule queues h.OnEvent(arg) at t (clamped to the present) under the
+// next insertion sequence.
+func (e *Engine) schedule(t Time, h Handler, arg uint64) *event {
 	if t < e.now {
-		t = e.now // scheduling in the past is clamped to the present
+		t = e.now
 	}
 	e.seq++
-	ev.at, ev.seq = t, e.seq
+	ev := e.events.Get()
+	ev.at, ev.seq, ev.h, ev.harg = t, e.seq, h, arg
+	e.q.push(ev)
 	return ev
 }
 
-// recycle returns a popped event to the freelist. Bumping gen first makes
-// any outstanding Scheduled handle to it inert, so recycling is safe even
-// before the callback runs (the caller snapshots fn/h/harg).
-func (e *Engine) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
-	ev.h = nil
-	ev.harg = 0
-	e.free = append(e.free, ev)
+// run is the one fire path: it runs events in (time, sequence) order
+// until n have run, the queue is empty or the next one lies beyond limit,
+// and reports how many ran. A cancelled event is discarded — even past
+// the limit, so it never counts as pending work — without touching the
+// clock or either count. An event goes back to the pool before its
+// callback runs: the callback may schedule new events, which may reuse
+// this very struct.
+func (e *Engine) run(limit Time, n int) int {
+	ran := 0
+	for ran < n && e.q.size > 0 {
+		ev := e.q.peek()
+		at, h, arg := ev.at, ev.h, ev.harg
+		if h != nil && at > limit {
+			break
+		}
+		e.q.pop()
+		ev.h = nil
+		e.events.Put(ev)
+		if h == nil {
+			continue
+		}
+		e.now = at
+		e.fired++
+		h.OnEvent(arg)
+		ran++
+	}
+	return ran
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past is clamped to the present.
-func (e *Engine) At(t Time, fn func()) {
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.q.push(ev)
-}
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, funcHandler(fn), 0) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) { e.At(e.now+max(d, 0), fn) }
 
-// AtCall schedules h.OnEvent(arg) at absolute virtual time t. It is the
-// allocation-free twin of At: the handler is a long-lived object and the
-// argument rides in the event itself, so steady-state scheduling reuses
-// freelisted event structs and allocates nothing.
+// AtCall schedules h.OnEvent(arg) at absolute virtual time t. The handler
+// is a long-lived object and the argument rides in the event itself, so
+// steady-state scheduling reuses pooled event structs and allocates
+// nothing.
 func (e *Engine) AtCall(t Time, h Handler, arg uint64) {
 	if h == nil {
 		panic("sim: AtCall with nil handler")
 	}
-	ev := e.alloc(t)
-	ev.h = h
-	ev.harg = arg
-	e.q.push(ev)
+	e.schedule(t, h, arg)
 }
 
 // AfterCall schedules h.OnEvent(arg) d nanoseconds from now.
-func (e *Engine) AfterCall(d Time, h Handler, arg uint64) {
-	if d < 0 {
-		d = 0
-	}
-	e.AtCall(e.now+d, h, arg)
-}
+func (e *Engine) AfterCall(d Time, h Handler, arg uint64) { e.AtCall(e.now+max(d, 0), h, arg) }
 
 // Scheduled is a handle to an event scheduled with AtCancel. The zero
 // value is a no-op handle.
 type Scheduled struct {
 	ev  *event
-	gen uint64
+	seq uint64
 }
 
 // Cancel marks the event dead. A cancelled event is discarded when it
@@ -210,12 +206,11 @@ type Scheduled struct {
 // keep the classic advance-the-clock behaviour. This makes AtCancel safe
 // for auxiliary periodic work (metrics sampling) that must not stretch a
 // run's makespan when the real workload finishes first. Cancelling an
-// event that already fired (and whose struct may since have been
-// recycled for an unrelated event) is detected by generation and is a
-// no-op.
+// event that already fired is a no-op: its struct is back in the pool
+// with no handler, or carries another event's sequence number — an
+// engine never issues one twice.
 func (s Scheduled) Cancel() {
-	if s.ev != nil && s.ev.gen == s.gen {
-		s.ev.fn = nil
+	if s.ev != nil && s.ev.seq == s.seq {
 		s.ev.h = nil
 	}
 }
@@ -226,10 +221,8 @@ func (e *Engine) AtCancel(t Time, fn func()) Scheduled {
 	if fn == nil {
 		panic("sim: AtCancel with nil callback")
 	}
-	ev := e.alloc(t)
-	ev.fn = fn
-	e.q.push(ev)
-	return Scheduled{ev: ev, gen: ev.gen}
+	ev := e.schedule(t, funcHandler(fn), 0)
+	return Scheduled{ev: ev, seq: ev.seq}
 }
 
 // DeadlockError is returned by Run when the event queue drains while
@@ -255,32 +248,9 @@ func (e *DeadlockError) Error() string {
 // the queue drains while spawned processes are still parked. Run may be
 // called repeatedly; it resumes from the current virtual time.
 func (e *Engine) Run(limit Time) error {
-	for e.q.size > 0 {
-		next := e.q.peek()
-		if next.dead() {
-			// Cancelled: discard without touching the clock. Drained even
-			// past the limit so a cancelled future event never counts as
-			// pending work.
-			e.q.pop()
-			e.recycle(next)
-			continue
-		}
-		if next.at > limit {
-			return nil
-		}
-		e.q.pop()
-		e.now = next.at
-		e.fired++
-		// Snapshot the callback and recycle before firing: the callback
-		// may schedule new events, which may legitimately reuse this
-		// very struct.
-		fn, h, harg := next.fn, next.h, next.harg
-		e.recycle(next)
-		if h != nil {
-			h.OnEvent(harg)
-		} else {
-			fn()
-		}
+	e.run(limit, math.MaxInt)
+	if e.q.size > 0 {
+		return nil
 	}
 	if e.nlive > 0 {
 		var blocked, daemons []string
@@ -301,29 +271,9 @@ func (e *Engine) Run(limit Time) error {
 	return nil
 }
 
-// Steps runs at most n events (useful for tests that single-step).
-// It reports how many events actually ran.
-func (e *Engine) Steps(n int) int {
-	ran := 0
-	for ran < n && e.q.size > 0 {
-		next := e.q.pop()
-		if next.dead() {
-			e.recycle(next)
-			continue // cancelled: does not count as a step
-		}
-		e.now = next.at
-		e.fired++
-		fn, h, harg := next.fn, next.h, next.harg
-		e.recycle(next)
-		if h != nil {
-			h.OnEvent(harg)
-		} else {
-			fn()
-		}
-		ran++
-	}
-	return ran
-}
+// Steps runs at most n events (useful for tests that single-step); a
+// cancelled event is not a step. It reports how many events actually ran.
+func (e *Engine) Steps(n int) int { return e.run(MaxTime, n) }
 
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return e.q.size }

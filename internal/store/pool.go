@@ -17,10 +17,12 @@ const (
 )
 
 // Pool hands out *T carved from chunked []T backing and, for an owner that
-// returns them, recycles them: the one allocator behind the per-message
-// objects of the rendezvous path (chdev's rndvOut and RndvIn) and behind
-// registration handles (ib.MR, carved and never returned). The zero value
-// is ready to use. Get's object is zeroed. Put does not touch it — the
+// returns them, recycles them: the one recycler behind every object a
+// message needs on its way — the engine's events, an adapter's send WQEs,
+// the fabric's trunk hops and datagram arrivals, the world's requests, the
+// device's rendezvous state — and behind registration handles (ib.MR,
+// carved and never returned). The zero value is ready to use; a pool in
+// use points into itself and must not be copied. Get's object is zeroed. Put does not touch it — the
 // owner drops the references it holds and may leave the scalars readable,
 // as a released mpi.Request keeps its status — and an object handed out
 // again is zeroed then. Under the ibdebug build tag the pool knows every
@@ -33,6 +35,7 @@ type Pool[T any] struct {
 	chunk  []T          // rest of the current chunk
 	free   []*T         // returned objects, reused last in first out
 	carved int          // objects ever carved: sizes the next chunk
+	free0  [chunkMin]*T // the free stack's first backing: a pool of a handful never allocates one
 }
 
 // Get returns a zeroed object: the one most recently Put, or the next of
@@ -61,6 +64,16 @@ func (p *Pool[T]) Get() *T {
 // for reuse.
 func (p *Pool[T]) Put(v *T) {
 	p.dbg.put(v)
+	if n := len(p.free); n == cap(p.free) {
+		// The stack never holds more than was carved, so growing it to
+		// that costs at most one allocation per chunk — not one per
+		// doubling on top of the chunks.
+		if n == 0 {
+			p.free = p.free0[:0]
+		} else {
+			p.free = append(make([]*T, 0, p.carved), p.free...)
+		}
+	}
 	p.free = append(p.free, v)
 }
 

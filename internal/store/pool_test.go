@@ -86,3 +86,29 @@ func TestPoolCarveOnlyAmortizes(t *testing.T) {
 		t.Errorf("carving 640 objects allocates %.0f times, want 10 (one per %d)", n, chunkMax)
 	}
 }
+
+// The free stack starts in the pool itself and, outgrown, is made as deep
+// as the pool has carved: it cannot hold more, so returning everything
+// costs one allocation, not one per doubling, and a pool of a handful
+// never allocates a stack at all.
+func TestPoolFreeStackGrowsToCarved(t *testing.T) {
+	var p Pool[box]
+	objs := make([]*box, 100)
+	for i := range objs {
+		objs[i] = p.Get()
+	}
+	for i, v := range objs {
+		p.Put(v)
+		if i < chunkMin && &p.free[0] != &p.free0[0] {
+			t.Fatalf("the stack left the pool's own backing at %d objects", i+1)
+		}
+	}
+	if cap(p.free) != p.Carved() {
+		t.Errorf("free stack of %d slots for %d objects carved", cap(p.free), p.Carved())
+	}
+	for i := len(objs) - 1; i >= 0; i-- {
+		if got := p.Get(); got != objs[i] {
+			t.Fatalf("object %d did not come back in last-in-first-out order", i)
+		}
+	}
+}
