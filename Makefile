@@ -4,7 +4,7 @@ GO ?= go
 # Raise it when coverage improves; never lower it to make a change pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: all build vet lint lint-json lint-fix lint-baseline test debug race cover bench bench-simcore bench-diff fmt metrics-smoke scaling-smoke endpoints-smoke loc
+.PHONY: all build vet lint lint-json lint-fix lint-baseline test debug race cover bench bench-simcore bench-nas bench-diff fmt metrics-smoke scaling-smoke endpoints-smoke loc
 
 all: build vet lint test
 
@@ -80,6 +80,14 @@ bench:
 bench-simcore:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	IBFLOW_ALLOC_GATE=1 $(GO) test -count=1 -run TestSteadyStateAllocGate -v ./internal/sim
+
+# bench-nas times every NAS kernel at the repo benchmark's nas_mix
+# geometry (class A, Static(1), 8 ranks, 16 for BT/SP at two per node),
+# one whole world per iteration, with allocations. CI runs it as a smoke
+# with BENCHTIME=1x; EXPERIMENTS.md has the per-kernel numbers.
+BENCHTIME ?= 1s
+bench-nas:
+	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -benchtime $(BENCHTIME) ./internal/nas
 
 # bench-diff regenerates the scaling and endpoint documents (quick sweeps
 # are not comparable to the committed full sweeps, so this runs the full

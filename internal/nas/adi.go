@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ibflow/internal/coll"
 	"ibflow/internal/enc"
 	"ibflow/internal/mpi"
 )
@@ -52,6 +51,51 @@ func RunBT(c *mpi.Comm, class Class) error { return runADI(c, btParamsFor(class)
 // RunSP is the scalar-pentadiagonal ADI kernel (square process grid).
 func RunSP(c *mpi.Comm, class Class) error { return runADI(c, spParamsFor(class)) }
 
+// The implicit operator (I + sigma*L) along one line: sub- and
+// super-diagonal a, diagonal b.
+const (
+	adiSigma = 0.4
+	adiA     = -adiSigma
+	adiB     = 1 + 2*adiSigma
+)
+
+// adi is one rank's share of a BT/SP solve: its block of the field and
+// the scratch every sweep reuses.
+type adi struct {
+	c            *mpi.Comm
+	p            adiParams
+	nxl, nyl, nz int
+	// u[(i*nyl+j)*nz+k] for i in [0,nxl), j in [0,nyl), k in [0,nz); no
+	// ghosts (the pipeline passes coefficients, not halos).
+	u []float64
+	// cp, dp hold the forward elimination's c' and d' per cell, laid out
+	// like u, until back substitution consumes them.
+	cp, dp []float64
+	// pc, pd, x carry each line's Thomas state — c', d' forward, the
+	// solution backward — across the steps of one pipeline chunk.
+	pc, pd, x []float64
+}
+
+// adiDir is one distributed sweep direction. A step is one grid plane
+// along the direction; the lines crossing it are numbered
+// li = outer*nz + k, and line li's cell in step s sits at
+// u[s*stepStride + outer*outerStride + k].
+type adiDir struct {
+	steps                   int
+	stepStride, outerStride int
+	coord, q                int // this rank's grid coordinate along the direction, grid side
+	prev, next              int // ranks upstream and downstream of the pipeline
+	fwdTag, backTag         int
+}
+
+// run locates the cells of step st that lines li, li+1, ... occupy
+// contiguously, stopping at line end or at the end of li's outer row:
+// their offset in u and their count.
+func (d adiDir) run(li, end, st, nz int) (off, m int) {
+	outer, k := li/nz, li%nz
+	return st*d.stepStride + outer*d.outerStride + k, min(end, (outer+1)*nz) - li
+}
+
 // runADI implements implicit diffusion sweeps (I + sigma*L) factored per
 // direction, with distributed Thomas solves along x and y pipelined over
 // the process grid, and local solves along z. Zero Dirichlet boundaries
@@ -68,41 +112,41 @@ func runADI(c *mpi.Comm, p adiParams) error {
 		return fmt.Errorf("%s: grid %d^3 not divisible over %dx%d", p.name, n, q, q)
 	}
 	cx, cy := me%q, me/q
-	nxl, nyl := n/q, n/q
-	nz := n
-
-	// u[i][j][k] local, no ghosts (pipeline passes coefficients, not
-	// halos). idx for i in [0,nxl), j in [0,nyl), k in [0,nz).
-	idx := func(i, j, k int) int { return (i*nyl+j)*nz + k }
-	u := make([]float64, nxl*nyl*nz)
-	rng := newPrand(uint64(999 + 7*me))
-	for i := range u {
-		u[i] = rng.float64n() - 0.5
+	nxl, nyl, nz := n/q, n/q, n
+	cells := nxl * nyl * nz
+	state := max(nyl*nz/p.zChunks, nxl*nz/p.zChunks, nyl)
+	scratch := make([]float64, 2*cells+3*state)
+	s := &adi{
+		c: c, p: p, nxl: nxl, nyl: nyl, nz: nz,
+		u:  make([]float64, cells),
+		cp: scratch[:cells], dp: scratch[cells : 2*cells],
+		pc: scratch[2*cells : 2*cells+state], pd: scratch[2*cells+state : 2*cells+2*state],
+		x: scratch[2*cells+2*state:],
 	}
-
-	const sigma = 0.4
-	a, b := -sigma, 1+2*sigma
-
-	west, east := me-1, me+1
-	north, south := me-q, me+q
+	rng := newPrand(uint64(999 + 7*me))
+	for i := range s.u {
+		s.u[i] = rng.float64n() - 0.5
+	}
+	xDir := adiDir{steps: nxl, stepStride: nyl * nz, outerStride: nz,
+		coord: cx, q: q, prev: me - 1, next: me + 1, fwdTag: 7000, backTag: 7500}
+	yDir := adiDir{steps: nyl, stepStride: nz, outerStride: nyl * nz,
+		coord: cy, q: q, prev: me - q, next: me + q, fwdTag: 8000, backTag: 8500}
 
 	norm := func() float64 {
-		s := 0.0
-		for _, v := range u {
-			s += v * v
+		sum := 0.0
+		for _, v := range s.u {
+			sum += v * v
 		}
-		chargeFlops(c, 2*len(u))
-		buf := enc.F64Bytes([]float64{s})
-		coll.Allreduce(c, buf, coll.SumF64)
-		return math.Sqrt(enc.F64s(buf)[0])
+		chargeFlops(c, 2*len(s.u))
+		return math.Sqrt(allreduceSum(c, sum))
 	}
 
 	norm0 := norm()
 	prev := norm0
 	for iter := 0; iter < p.iters; iter++ {
-		sweepX(c, u, idx, nxl, nyl, nz, cx, q, west, east, a, b, p)
-		sweepY(c, u, idx, nxl, nyl, nz, cy, q, north, south, a, b, p)
-		sweepZ(c, u, idx, nxl, nyl, nz, a, b, p)
+		s.sweep(xDir)
+		s.sweep(yDir)
+		s.sweepZ()
 		got := norm()
 		if math.IsNaN(got) || got >= prev {
 			return fmt.Errorf("%s: diffusion norm failed to contract at iter %d: %g -> %g",
@@ -110,163 +154,120 @@ func runADI(c *mpi.Comm, p adiParams) error {
 		}
 		prev = got
 	}
+	if observe != nil {
+		observe(c, s.u, norm0, prev)
+	}
 	if prev > 0.99*norm0 {
 		return fmt.Errorf("%s: no meaningful contraction: %g -> %g", p.name, norm0, prev)
 	}
 	return nil
 }
 
-// sweepX runs the distributed Thomas solve along x: forward elimination
-// west->east, back substitution east->west, pipelined in zChunks pieces.
-func sweepX(c *mpi.Comm, u []float64, idx func(i, j, k int) int,
-	nxl, nyl, nz, cx, q, west, east int, a, b float64, p adiParams) {
-	lines := nyl * nz
-	cp := make([]float64, nxl*lines) // c' coefficients per line per i
-	dp := make([]float64, nxl*lines)
-	line := func(j, k int) int { return j*nz + k }
+// sweep runs the distributed Thomas solve along d: forward elimination
+// downstream, back substitution upstream, pipelined in zChunks pieces of
+// the lines. Each step runs over all of a chunk's lines at once, so the
+// cells it touches are contiguous runs of up to nz; every line still sees
+// its own recurrence in its own order.
+func (s *adi) sweep(d adiDir) {
+	c, u, cp, dp, nz := s.c, s.u, s.cp, s.dp, s.nz
+	cl := s.nxl * s.nyl * nz / d.steps / s.p.zChunks // lines per chunk
+	pc, pd, x := s.pc[:cl], s.pd[:cl], s.x[:cl]
 
-	chunkLines := lines / p.zChunks
 	// Forward elimination.
-	for ch := 0; ch < p.zChunks; ch++ {
-		lo, hi := ch*chunkLines, (ch+1)*chunkLines
-		inCp := make([]float64, chunkLines)
-		inDp := make([]float64, chunkLines)
-		if cx > 0 {
-			buf := make([]byte, 8*2*chunkLines)
-			c.Recv(west, 7000+ch, buf)
-			v := enc.F64s(buf)
-			copy(inCp, v[:chunkLines])
-			copy(inDp, v[chunkLines:])
+	for ch := 0; ch < s.p.zChunks; ch++ {
+		lo := ch * cl
+		if d.coord > 0 {
+			buf := make([]byte, 8*2*cl)
+			c.Recv(d.prev, d.fwdTag+ch, buf)
+			enc.GetF64(buf[:8*cl], pc)
+			enc.GetF64(buf[8*cl:], pd)
+		} else {
+			clear(pc)
+			clear(pd)
 		}
-		for li := lo; li < hi; li++ {
-			j, k := li/nz, li%nz
-			pc, pd := inCp[li-lo], inDp[li-lo]
-			for i := 0; i < nxl; i++ {
-				den := b - a*pc
-				pc = a / den // constant upper coefficient c == a here
-				pd = (u[idx(i, j, k)] - a*pd) / den
-				cp[i*lines+line(j, k)] = pc
-				dp[i*lines+line(j, k)] = pd
+		for st := 0; st < d.steps; st++ {
+			for l, m := 0, 0; l < cl; l += m {
+				var off int
+				off, m = d.run(lo+l, lo+cl, st, nz)
+				eliminate(pc[l:l+m], pd[l:l+m], u[off:], cp[off:], dp[off:], 1)
 			}
-			inCp[li-lo], inDp[li-lo] = pc, pd
 		}
-		chargeFlops(c, p.cellFlops*nxl*chunkLines/2)
-		if cx < q-1 {
-			out := make([]float64, 2*chunkLines)
-			copy(out[:chunkLines], inCp)
-			copy(out[chunkLines:], inDp)
-			c.Send(east, 7000+ch, enc.F64Bytes(out))
+		chargeFlops(c, s.p.cellFlops*d.steps*cl/2)
+		if d.coord < d.q-1 {
+			out := make([]byte, 8*2*cl)
+			enc.PutF64(out, pc)
+			enc.PutF64(out[8*cl:], pd)
+			c.Send(d.next, d.fwdTag+ch, out)
 		}
 	}
 	// Back substitution.
-	for ch := 0; ch < p.zChunks; ch++ {
-		lo, hi := ch*chunkLines, (ch+1)*chunkLines
-		xNext := make([]float64, chunkLines)
-		if cx < q-1 {
-			buf := make([]byte, 8*chunkLines)
-			c.Recv(east, 7500+ch, buf)
-			enc.GetF64(buf, xNext)
+	for ch := 0; ch < s.p.zChunks; ch++ {
+		lo := ch * cl
+		if d.coord < d.q-1 {
+			buf := make([]byte, 8*cl)
+			c.Recv(d.next, d.backTag+ch, buf)
+			enc.GetF64(buf, x)
+		} else {
+			clear(x)
 		}
-		for li := lo; li < hi; li++ {
-			j, k := li/nz, li%nz
-			xn := xNext[li-lo]
-			for i := nxl - 1; i >= 0; i-- {
-				xn = dp[i*lines+line(j, k)] - cp[i*lines+line(j, k)]*xn
-				u[idx(i, j, k)] = xn
+		for st := d.steps - 1; st >= 0; st-- {
+			for l, m := 0, 0; l < cl; l += m {
+				var off int
+				off, m = d.run(lo+l, lo+cl, st, nz)
+				substitute(x[l:l+m], u[off:], cp[off:], dp[off:], 1)
 			}
-			xNext[li-lo] = xn
 		}
-		chargeFlops(c, p.cellFlops*nxl*chunkLines/2)
-		if cx > 0 {
-			c.Send(west, 7500+ch, enc.F64Bytes(xNext))
+		chargeFlops(c, s.p.cellFlops*d.steps*cl/2)
+		if d.coord > 0 {
+			c.Send(d.prev, d.backTag+ch, enc.F64Bytes(x))
 		}
 	}
 }
 
-// sweepY is the same solve along y, pipelined north->south.
-func sweepY(c *mpi.Comm, u []float64, idx func(i, j, k int) int,
-	nxl, nyl, nz, cy, q, north, south int, a, b float64, p adiParams) {
-	lines := nxl * nz
-	cp := make([]float64, nyl*lines)
-	dp := make([]float64, nyl*lines)
-	line := func(i, k int) int { return i*nz + k }
-
-	chunkLines := lines / p.zChunks
-	for ch := 0; ch < p.zChunks; ch++ {
-		lo, hi := ch*chunkLines, (ch+1)*chunkLines
-		inCp := make([]float64, chunkLines)
-		inDp := make([]float64, chunkLines)
-		if cy > 0 {
-			buf := make([]byte, 8*2*chunkLines)
-			c.Recv(north, 8000+ch, buf)
-			v := enc.F64s(buf)
-			copy(inCp, v[:chunkLines])
-			copy(inDp, v[chunkLines:])
-		}
-		for li := lo; li < hi; li++ {
-			i, k := li/nz, li%nz
-			pc, pd := inCp[li-lo], inDp[li-lo]
-			for j := 0; j < nyl; j++ {
-				den := b - a*pc
-				pc = a / den
-				pd = (u[idx(i, j, k)] - a*pd) / den
-				cp[j*lines+line(i, k)] = pc
-				dp[j*lines+line(i, k)] = pd
-			}
-			inCp[li-lo], inDp[li-lo] = pc, pd
-		}
-		chargeFlops(c, p.cellFlops*nyl*chunkLines/2)
-		if cy < q-1 {
-			out := make([]float64, 2*chunkLines)
-			copy(out[:chunkLines], inCp)
-			copy(out[chunkLines:], inDp)
-			c.Send(south, 8000+ch, enc.F64Bytes(out))
-		}
-	}
-	for ch := 0; ch < p.zChunks; ch++ {
-		lo, hi := ch*chunkLines, (ch+1)*chunkLines
-		xNext := make([]float64, chunkLines)
-		if cy < q-1 {
-			buf := make([]byte, 8*chunkLines)
-			c.Recv(south, 8500+ch, buf)
-			enc.GetF64(buf, xNext)
-		}
-		for li := lo; li < hi; li++ {
-			i, k := li/nz, li%nz
-			xn := xNext[li-lo]
-			for j := nyl - 1; j >= 0; j-- {
-				xn = dp[j*lines+line(i, k)] - cp[j*lines+line(i, k)]*xn
-				u[idx(i, j, k)] = xn
-			}
-			xNext[li-lo] = xn
-		}
-		chargeFlops(c, p.cellFlops*nyl*chunkLines/2)
-		if cy > 0 {
-			c.Send(north, 8500+ch, enc.F64Bytes(xNext))
-		}
+// eliminate advances the forward elimination of len(pc) lines by one
+// cell each: pc, pd are the lines' running c' and d'; line l's cell sits
+// at l*stride in u, which holds the right-hand sides, and in cp, dp, which
+// receive the cell's c' and d'.
+func eliminate(pc, pd, u, cp, dp []float64, stride int) {
+	pd = pd[:len(pc)]
+	for l, c := range pc {
+		o := l * stride
+		den := adiB - adiA*c
+		c = adiA / den // constant upper coefficient c == a here
+		d := (u[o] - adiA*pd[l]) / den
+		pc[l], pd[l] = c, d
+		cp[o], dp[o] = c, d
 	}
 }
 
-// sweepZ is the fully local solve along z.
-func sweepZ(c *mpi.Comm, u []float64, idx func(i, j, k int) int,
-	nxl, nyl, nz int, a, b float64, p adiParams) {
-	cp := make([]float64, nz)
-	dp := make([]float64, nz)
-	for i := 0; i < nxl; i++ {
-		for j := 0; j < nyl; j++ {
-			pc, pd := 0.0, 0.0
-			for k := 0; k < nz; k++ {
-				den := b - a*pc
-				pc = a / den
-				pd = (u[idx(i, j, k)] - a*pd) / den
-				cp[k], dp[k] = pc, pd
-			}
-			xn := 0.0
-			for k := nz - 1; k >= 0; k-- {
-				xn = dp[k] - cp[k]*xn
-				u[idx(i, j, k)] = xn
-			}
+// substitute moves the back substitution of len(x) lines one cell
+// upstream: x holds each line's solution in the cell downstream and
+// receives, like u, the solution in this one; cells are laid out as for
+// eliminate.
+func substitute(x, u, cp, dp []float64, stride int) {
+	for l, xn := range x {
+		o := l * stride
+		xn = dp[o] - cp[o]*xn
+		x[l], u[o] = xn, xn
+	}
+}
+
+// sweepZ is the fully local solve along z. The nyl lines of one i-plane
+// advance together, one k at a time, so their divisions overlap.
+func (s *adi) sweepZ() {
+	nyl, nz := s.nyl, s.nz
+	pc, pd, x := s.pc[:nyl], s.pd[:nyl], s.x[:nyl]
+	for i := 0; i < s.nxl; i++ {
+		plane := i * nyl * nz
+		clear(pc)
+		clear(pd)
+		for k := plane; k < plane+nz; k++ {
+			eliminate(pc, pd, s.u[k:], s.cp[k:], s.dp[k:], nz)
+		}
+		clear(x)
+		for k := plane + nz - 1; k >= plane; k-- {
+			substitute(x, s.u[k:], s.cp[k:], s.dp[k:], nz)
 		}
 	}
-	chargeFlops(c, p.cellFlops*nxl*nyl*nz)
+	chargeFlops(s.c, s.p.cellFlops*s.nxl*nyl*nz)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ibflow/internal/coll"
 	"ibflow/internal/enc"
 	"ibflow/internal/mpi"
 )
@@ -27,6 +26,9 @@ func cgParamsFor(class Class) cgParams {
 	}
 }
 
+// cgShift is the diagonal shift that keeps the system well-conditioned.
+const cgShift = 0.5
+
 // RunCG is the conjugate gradient kernel: repeated CG solves against an
 // SPD matrix (shifted 2-D Laplacian) row-partitioned across ranks. Each
 // matvec needs one halo row from each neighbour (≈2 KB eager messages at
@@ -42,7 +44,6 @@ func RunCG(c *mpi.Comm, class Class) error {
 	}
 	rl := n / nprocs // local rows
 
-	const shift = 0.5 // diagonal shift keeps the system well-conditioned
 	up, down := me-1, me+1
 
 	// Halo rows live at x[-1] and x[rl]; flatten with 2 extra rows.
@@ -73,28 +74,24 @@ func RunCG(c *mpi.Comm, class Class) error {
 		}
 	}
 
+	// zero stands in for the rows beyond the global boundary: subtracting
+	// +0 leaves every value, -0 included, as it was.
+	zero := make([]float64, n)
+
 	// matvec computes y = A x for the local rows; x and y have halo
 	// padding (row 0 and row rl+1 are ghosts).
 	matvec := func(y, x []float64) {
 		halo(x)
 		for i := 1; i <= rl; i++ {
 			gi := (me*rl + i - 1) // global row index of this grid row
-			for j := 0; j < n; j++ {
-				v := (4 + shift) * x[i*n+j]
-				if j > 0 {
-					v -= x[i*n+j-1]
-				}
-				if j < n-1 {
-					v -= x[i*n+j+1]
-				}
-				if gi > 0 {
-					v -= x[(i-1)*n+j]
-				}
-				if gi < n-1 {
-					v -= x[(i+1)*n+j]
-				}
-				y[i*n+j] = v
+			north, south := x[(i-1)*n:i*n], x[(i+1)*n:(i+2)*n]
+			if gi == 0 {
+				north = zero
 			}
+			if gi == n-1 {
+				south = zero
+			}
+			laplaceRow(y[i*n:(i+1)*n], x[i*n:(i+1)*n], north, south)
 		}
 		chargeFlops(c, 10*rl*n)
 	}
@@ -105,9 +102,7 @@ func RunCG(c *mpi.Comm, class Class) error {
 			s += a[i] * b[i]
 		}
 		chargeFlops(c, 2*rl*n)
-		buf := enc.F64Bytes([]float64{s})
-		coll.Allreduce(c, buf, coll.SumF64)
-		return enc.F64s(buf)[0]
+		return allreduceSum(c, s)
 	}
 
 	size := (rl + 2) * n
@@ -124,9 +119,7 @@ func RunCG(c *mpi.Comm, class Class) error {
 	var finalRes, firstRes float64
 	for out := 0; out < p.outer; out++ {
 		// Restart from x = 0 each outer iteration, as NPB CG does.
-		for i := range x {
-			x[i] = 0
-		}
+		clear(x)
 		copy(r, b)
 		copy(pv, r)
 		rr := dot(r, r)
@@ -155,8 +148,24 @@ func RunCG(c *mpi.Comm, class Class) error {
 			return fmt.Errorf("CG: diverged: %g -> %g", res0, finalRes)
 		}
 	}
+	if observe != nil {
+		observe(c, x, firstRes, finalRes)
+	}
 	if finalRes > firstRes*0.05 {
 		return fmt.Errorf("CG: weak convergence: %g -> %g", firstRes, finalRes)
 	}
 	return nil
+}
+
+// laplaceRow computes one row of y = (4+shift)x - (west + east + north +
+// south), subtracting the neighbours in that order; the first and last
+// columns have no west and east neighbour.
+func laplaceRow(y, x, north, south []float64) {
+	n := len(x)
+	y, north, south = y[:n], north[:n], south[:n]
+	y[0] = (4+cgShift)*x[0] - x[1] - north[0] - south[0]
+	for j := 1; j < n-1; j++ {
+		y[j] = (4+cgShift)*x[j] - x[j-1] - x[j+1] - north[j] - south[j]
+	}
+	y[n-1] = (4+cgShift)*x[n-1] - x[n-2] - north[n-1] - south[n-1]
 }

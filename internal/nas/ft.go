@@ -26,13 +26,26 @@ func ftParamsFor(class Class) ftParams {
 	}
 }
 
-// fft performs an in-place radix-2 transform of n complex values stored
-// interleaved (re, im) in a[0:2n]. sign is -1 for forward, +1 for inverse
-// (unnormalized).
-func fft(a []float64, n int, sign float64) {
+// twiddles returns the per-stage roots of unity of a length-n transform,
+// cos and sin of sign*2π/len for len = 2, 4, ..., n; sign is -1 for
+// forward, +1 for inverse.
+func twiddles(n int, sign float64) []float64 {
 	if n&(n-1) != 0 {
 		panic("nas: fft length must be a power of two")
 	}
+	var tw []float64
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		tw = append(tw, math.Cos(ang), math.Sin(ang))
+	}
+	return tw
+}
+
+// fft performs an in-place radix-2 transform of the len(a)/2 complex
+// values stored interleaved (re, im) in a, with tw from twiddles
+// (unnormalized).
+func fft(a, tw []float64) {
+	n := len(a) / 2
 	// Bit-reversal permutation.
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
@@ -45,22 +58,34 @@ func fft(a []float64, n int, sign float64) {
 			a[2*i+1], a[2*j+1] = a[2*j+1], a[2*i+1]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wr, wi := math.Cos(ang), math.Sin(ang)
+	for s, length := 0, 2; length <= n; s, length = s+1, length<<1 {
+		wr, wi := tw[2*s], tw[2*s+1]
 		for i := 0; i < n; i += length {
 			cwr, cwi := 1.0, 0.0
-			for j := 0; j < length/2; j++ {
-				p, q := i+j, i+j+length/2
-				ur, ui := a[2*p], a[2*p+1]
-				vr := a[2*q]*cwr - a[2*q+1]*cwi
-				vi := a[2*q]*cwi + a[2*q+1]*cwr
-				a[2*p], a[2*p+1] = ur+vr, ui+vi
-				a[2*q], a[2*q+1] = ur-vr, ui-vi
+			// lo and hi are the butterfly's two halves, each length/2
+			// complex values.
+			lo, hi := a[2*i:2*i+length], a[2*i+length:2*i+2*length]
+			for p := 0; p < length; p += 2 {
+				ur, ui := lo[p], lo[p+1]
+				vr := hi[p]*cwr - hi[p+1]*cwi
+				vi := hi[p]*cwi + hi[p+1]*cwr
+				lo[p], lo[p+1] = ur+vr, ui+vi
+				hi[p], hi[p+1] = ur-vr, ui-vi
 				cwr, cwi = cwr*wr-cwi*wi, cwr*wi+cwi*wr
 			}
 		}
 	}
+}
+
+// ftPlan is one rank's FFT state: the twiddles of every transform it
+// runs and the scratch its transposes and y-transforms reuse.
+type ftPlan struct {
+	c                      *mpi.Comm
+	nx, ny, nzLoc, colsLoc int
+	fwdX, invX, fwdY, invY []float64
+	fwdZ, invZ             []float64
+	col                    []float64 // one y-column, 2*ny
+	stage                  []float64 // a transpose's packed blocks
 }
 
 // RunFT is the 3-D FFT kernel. The grid is slab-decomposed along z; the
@@ -83,6 +108,15 @@ func RunFT(c *mpi.Comm, class Class) error {
 	ntot := nx * ny * nz    // global points
 	nloc := nx * ny * nzLoc // local points in slab layout
 
+	f := &ftPlan{
+		c: c, nx: nx, ny: ny, nzLoc: nzLoc, colsLoc: colsLoc,
+		fwdX: twiddles(nx, -1), invX: twiddles(nx, +1),
+		fwdY: twiddles(ny, -1), invY: twiddles(ny, +1),
+		fwdZ: twiddles(nz, -1), invZ: twiddles(nz, +1),
+		col:   make([]float64, 2*ny),
+		stage: make([]float64, 2*nloc),
+	}
+
 	// Initial condition: reproducible pseudo-random complex field.
 	rng := newPrand(uint64(1565 + 37*me))
 	u0 := make([]float64, 2*nloc)
@@ -91,34 +125,33 @@ func RunFT(c *mpi.Comm, class Class) error {
 	}
 	slab := append([]float64(nil), u0...)
 
-	energy0 := localEnergy(slab)
-	eng := enc.F64Bytes([]float64{energy0})
-	coll.Allreduce(c, eng, coll.SumF64)
-	energy0 = enc.F64s(eng)[0]
+	energy0 := allreduceSum(c, localEnergy(slab))
 
 	// --- forward 3-D FFT ---
-	fftX(slab, nx, ny, nzLoc, -1)
+	f.fftX(slab, f.fwdX)
 	chargeFlops(c, 5*nloc*log2i(nx))
-	fftY(slab, nx, ny, nzLoc, -1)
+	f.fftY(slab, f.fwdY)
 	chargeFlops(c, 5*nloc*log2i(ny))
-	colMajor := transpose(c, slab, nx, ny, nzLoc, colsLoc, true)
-	fftZ(colMajor, colsLoc, nz, -1)
-	chargeFlops(c, 5*colsLoc*nz*log2i(nz))
-
 	// ut is the frequency-space field, kept across iterations (as NPB
 	// FT keeps u-tilde).
-	ut := colMajor
+	ut := make([]float64, 2*nloc)
+	f.transpose(ut, slab, true)
+	f.fftZ(ut, f.fwdZ)
+	chargeFlops(c, 5*colsLoc*nz*log2i(nz))
 
+	// w is the evolved spectrum, back its physical-space image.
+	w := make([]float64, 2*nloc)
+	back := make([]float64, 2*nloc)
+	var energy float64
 	for iter := 0; iter <= p.iters; iter++ {
 		// Evolve by a per-frequency unit-modulus phase, t = iter.
-		w := make([]float64, len(ut))
+		t := float64(iter) * 2 * math.Pi
 		for col := 0; col < colsLoc; col++ {
 			gcol := me*colsLoc + col
 			kx, ky := gcol%nx, gcol/nx
+			kxy := float64(kx)/float64(nx) + float64(ky)/float64(ny)
 			for kz := 0; kz < nz; kz++ {
-				theta := float64(iter) * 2 * math.Pi *
-					(float64(kx)/float64(nx) + float64(ky)/float64(ny) + float64(kz)/float64(nz))
-				cr, ci := math.Cos(theta), math.Sin(theta)
+				ci, cr := math.Sincos(t * (kxy + float64(kz)/float64(nz)))
 				i := 2 * (col*nz + kz)
 				w[i] = ut[i]*cr - ut[i+1]*ci
 				w[i+1] = ut[i]*ci + ut[i+1]*cr
@@ -127,12 +160,12 @@ func RunFT(c *mpi.Comm, class Class) error {
 		chargeFlops(c, 8*colsLoc*nz)
 
 		// Inverse 3-D FFT back to physical space.
-		fftZ(w, colsLoc, nz, +1)
+		f.fftZ(w, f.invZ)
 		chargeFlops(c, 5*colsLoc*nz*log2i(nz))
-		back := transpose(c, w, nx, ny, nzLoc, colsLoc, false)
-		fftY(back, nx, ny, nzLoc, +1)
+		f.transpose(back, w, false)
+		f.fftY(back, f.invY)
 		chargeFlops(c, 5*nloc*log2i(ny))
-		fftX(back, nx, ny, nzLoc, +1)
+		f.fftX(back, f.invX)
 		chargeFlops(c, 5*nloc*log2i(nx))
 		scale := 1 / float64(ntot)
 		for i := range back {
@@ -142,11 +175,8 @@ func RunFT(c *mpi.Comm, class Class) error {
 
 		// Verification: the evolution is unitary, so energy must be
 		// conserved every iteration...
-		e := localEnergy(back)
-		eb := enc.F64Bytes([]float64{e})
-		coll.Allreduce(c, eb, coll.SumF64)
-		if got := enc.F64s(eb)[0]; math.Abs(got-energy0) > 1e-6*(1+energy0) {
-			return fmt.Errorf("FT: iter %d energy %g, want %g", iter, got, energy0)
+		if energy = allreduceSum(c, localEnergy(back)); math.Abs(energy-energy0) > 1e-6*(1+energy0) {
+			return fmt.Errorf("FT: iter %d energy %g, want %g", iter, energy, energy0)
 		}
 		// ...and iteration 0 (zero phase) must reproduce the input.
 		if iter == 0 {
@@ -157,6 +187,9 @@ func RunFT(c *mpi.Comm, class Class) error {
 				}
 			}
 		}
+	}
+	if observe != nil {
+		observe(c, back, energy0, energy)
 	}
 	return nil
 }
@@ -178,59 +211,56 @@ func log2i(n int) int {
 }
 
 // fftX transforms each x-row of the slab in place.
-func fftX(a []float64, nx, ny, nzLoc int, sign float64) {
-	for z := 0; z < nzLoc; z++ {
-		for y := 0; y < ny; y++ {
-			row := a[2*((z*ny+y)*nx) : 2*((z*ny+y)*nx+nx)]
-			fft(row, nx, sign)
-		}
+func (f *ftPlan) fftX(a, tw []float64) {
+	for row := range f.ny * f.nzLoc {
+		fft(a[2*row*f.nx:2*(row+1)*f.nx], tw)
 	}
 }
 
-// fftY transforms each y-column of the slab via a scratch buffer.
-func fftY(a []float64, nx, ny, nzLoc int, sign float64) {
-	scratch := make([]float64, 2*ny)
-	for z := 0; z < nzLoc; z++ {
+// fftY transforms each y-column of the slab through f.col.
+func (f *ftPlan) fftY(a, tw []float64) {
+	nx, ny, col := f.nx, f.ny, f.col
+	for z := 0; z < f.nzLoc; z++ {
 		for x := 0; x < nx; x++ {
 			for y := 0; y < ny; y++ {
 				i := 2 * ((z*ny+y)*nx + x)
-				scratch[2*y], scratch[2*y+1] = a[i], a[i+1]
+				col[2*y], col[2*y+1] = a[i], a[i+1]
 			}
-			fft(scratch, ny, sign)
+			fft(col, tw)
 			for y := 0; y < ny; y++ {
 				i := 2 * ((z*ny+y)*nx + x)
-				a[i], a[i+1] = scratch[2*y], scratch[2*y+1]
+				a[i], a[i+1] = col[2*y], col[2*y+1]
 			}
 		}
 	}
 }
 
 // fftZ transforms each full-length z-column of the transposed layout.
-func fftZ(a []float64, colsLoc, nz int, sign float64) {
-	for col := 0; col < colsLoc; col++ {
-		fft(a[2*col*nz:2*(col+1)*nz], nz, sign)
+func (f *ftPlan) fftZ(a, tw []float64) {
+	nz := f.nzLoc * f.c.Size()
+	for col := 0; col < f.colsLoc; col++ {
+		fft(a[2*col*nz:2*(col+1)*nz], tw)
 	}
 }
 
-// transpose redistributes between the slab layout (all (x,y) for nzLoc
-// z-planes) and the column layout (all z for colsLoc (x,y) columns) with
-// one large all-to-all. forward selects the direction.
-func transpose(c *mpi.Comm, a []float64, nx, ny, nzLoc, colsLoc int, forward bool) []float64 {
+// transpose redistributes a into out between the slab layout (all (x,y)
+// for nzLoc z-planes) and the column layout (all z for colsLoc (x,y)
+// columns) with one large all-to-all; forward selects the direction.
+// The all-to-all's buffers are allocated fresh; f.stage holds the packed
+// blocks on either side of it.
+func (f *ftPlan) transpose(out, a []float64, forward bool) {
+	c, nx, ny, nzLoc, colsLoc := f.c, f.nx, f.ny, f.nzLoc, f.colsLoc
 	n := c.Size()
 	nz := nzLoc * n
 	block := nzLoc * colsLoc * 2 // float64s per destination
-	send := make([]float64, n*block)
+	stage := f.stage
 	if forward {
 		// slab -> columns: destination j owns columns [j*colsLoc, ...).
 		for j := 0; j < n; j++ {
 			idx := j * block
 			for z := 0; z < nzLoc; z++ {
-				for col := j * colsLoc; col < (j+1)*colsLoc; col++ {
-					i := 2 * (z*nx*ny + col)
-					send[idx] = a[i]
-					send[idx+1] = a[i+1]
-					idx += 2
-				}
+				copy(stage[idx:idx+2*colsLoc], a[2*(z*nx*ny+j*colsLoc):])
+				idx += 2 * colsLoc
 			}
 		}
 	} else {
@@ -240,19 +270,18 @@ func transpose(c *mpi.Comm, a []float64, nx, ny, nzLoc, colsLoc int, forward boo
 			for z := j * nzLoc; z < (j+1)*nzLoc; z++ {
 				for col := 0; col < colsLoc; col++ {
 					i := 2 * (col*nz + z)
-					send[idx] = a[i]
-					send[idx+1] = a[i+1]
+					stage[idx] = a[i]
+					stage[idx+1] = a[i+1]
 					idx += 2
 				}
 			}
 		}
 	}
-	sb := enc.F64Bytes(send)
+	sb := enc.F64Bytes(stage)
 	rb := make([]byte, len(sb))
 	coll.Alltoall(c, sb, rb, block*8)
-	recv := enc.F64s(rb)
+	enc.GetF64(rb, stage)
 
-	out := make([]float64, len(a))
 	if forward {
 		// From src i: its z-planes [i*nzLoc...) for my columns.
 		for i := 0; i < n; i++ {
@@ -260,8 +289,8 @@ func transpose(c *mpi.Comm, a []float64, nx, ny, nzLoc, colsLoc int, forward boo
 			for z := i * nzLoc; z < (i+1)*nzLoc; z++ {
 				for col := 0; col < colsLoc; col++ {
 					o := 2 * (col*nz + z)
-					out[o] = recv[idx]
-					out[o+1] = recv[idx+1]
+					out[o] = stage[idx]
+					out[o+1] = stage[idx+1]
 					idx += 2
 				}
 			}
@@ -271,14 +300,9 @@ func transpose(c *mpi.Comm, a []float64, nx, ny, nzLoc, colsLoc int, forward boo
 		for i := 0; i < n; i++ {
 			idx := i * block
 			for z := 0; z < nzLoc; z++ {
-				for col := i * colsLoc; col < (i+1)*colsLoc; col++ {
-					o := 2 * (z*nx*ny + col)
-					out[o] = recv[idx]
-					out[o+1] = recv[idx+1]
-					idx += 2
-				}
+				copy(out[2*(z*nx*ny+i*colsLoc):], stage[idx:idx+2*colsLoc])
+				idx += 2 * colsLoc
 			}
 		}
 	}
-	return out
 }

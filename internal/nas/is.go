@@ -2,6 +2,7 @@ package nas
 
 import (
 	"fmt"
+	"slices"
 
 	"ibflow/internal/coll"
 	"ibflow/internal/enc"
@@ -42,10 +43,21 @@ func RunIS(c *mpi.Comm, class Class) error {
 		keys[i] = int32(rng.intn(int(p.maxKey)))
 	}
 
+	// Scratch reused by every iteration; what MPI sees is allocated fresh.
+	hist := make([]int64, p.buckets)
+	ghist := make([]int64, p.buckets)
+	owner := make([]int, p.buckets)
+	sendKeys := make([]int32, local)
+	cnt := make([]int64, n)
+	// Per destination rank: key counts and offsets, sent and received,
+	// and the send cursor; the byte counts and offsets Alltoallv takes.
+	sc, so, rc, ro, fill := make([]int, n), make([]int, n), make([]int, n), make([]int, n), make([]int, n)
+	scB, soB := make([]int, n), make([]int, n)
+
 	var sorted []int32
 	for iter := 0; iter < p.iters; iter++ {
 		// Local bucket histogram. NPB charges ~N/p work per pass.
-		hist := make([]int64, p.buckets)
+		clear(hist)
 		bshift := int32(p.maxKey) / int32(p.buckets)
 		for _, k := range keys {
 			hist[int(k/bshift)]++
@@ -55,11 +67,10 @@ func RunIS(c *mpi.Comm, class Class) error {
 		// Global histogram so every rank knows the bucket split.
 		hbuf := enc.I64Bytes(hist)
 		coll.Allreduce(c, hbuf, coll.SumI64)
-		ghist := enc.I64s(hbuf)
+		enc.GetI64(hbuf, ghist)
 
 		// Assign contiguous bucket ranges to ranks, balancing keys.
 		perRank := int64(p.totalKeys / n)
-		owner := make([]int, p.buckets)
 		acc, r := int64(0), 0
 		for b := 0; b < p.buckets; b++ {
 			owner[b] = r
@@ -71,16 +82,14 @@ func RunIS(c *mpi.Comm, class Class) error {
 		}
 
 		// Partition local keys by destination rank.
-		sc := make([]int, n)
+		clear(sc)
 		for _, k := range keys {
 			sc[owner[int(k/bshift)]]++
 		}
-		so := make([]int, n)
 		for i := 1; i < n; i++ {
 			so[i] = so[i-1] + sc[i-1]
 		}
-		sendKeys := make([]int32, local)
-		fill := append([]int(nil), so...)
+		copy(fill, so)
 		for _, k := range keys {
 			d := owner[int(k/bshift)]
 			sendKeys[fill[d]] = k
@@ -89,20 +98,19 @@ func RunIS(c *mpi.Comm, class Class) error {
 		chargeFlops(c, 3*local)
 
 		// Exchange key counts, then the keys (all-to-all-v).
-		cntBuf := enc.I64Bytes(int64sOf(sc))
+		for i, v := range sc {
+			cnt[i] = int64(v)
+		}
+		cntBuf := enc.I64Bytes(cnt)
 		rcntBuf := make([]byte, len(cntBuf))
 		coll.Alltoall(c, cntBuf, rcntBuf, 8)
-		rcv := enc.I64s(rcntBuf)
-		rc := make([]int, n)
-		ro := make([]int, n)
+		enc.GetI64(rcntBuf, cnt) // now the counts each rank sends here
 		rtotal := 0
 		for i := 0; i < n; i++ {
-			rc[i] = int(rcv[i]) * 4
+			rc[i] = int(cnt[i]) * 4
 			ro[i] = rtotal
 			rtotal += rc[i]
 		}
-		scB := make([]int, n)
-		soB := make([]int, n)
 		for i := 0; i < n; i++ {
 			scB[i] = sc[i] * 4
 			soB[i] = so[i] * 4
@@ -110,25 +118,31 @@ func RunIS(c *mpi.Comm, class Class) error {
 		sendBuf := enc.I32Bytes(sendKeys)
 		recvBuf := make([]byte, rtotal)
 		coll.Alltoallv(c, sendBuf, scB, soB, recvBuf, rc, ro)
-		mine := enc.I32s(recvBuf)
 
 		// Full sort only on the final iteration (as NPB does).
 		if iter == p.iters-1 {
-			sortInt32(mine)
-			chargeFlops(c, 12*len(mine))
-			sorted = mine
+			sorted = enc.I32s(recvBuf)
+			slices.Sort(sorted)
+			chargeFlops(c, 12*len(sorted))
 		} else {
-			chargeFlops(c, 2*len(mine))
+			chargeFlops(c, 2*(rtotal/4))
 		}
 	}
 
-	return verifyIS(c, sorted)
+	if observe != nil {
+		field := make([]float64, len(sorted))
+		for i, k := range sorted {
+			field[i] = float64(k)
+		}
+		observe(c, field)
+	}
+	return verifyIS(c, sorted, p.totalKeys)
 }
 
-// verifyIS checks local ordering and that each rank's minimum is no less
-// than its left neighbor's maximum (global order), plus conservation of
-// the total key count.
-func verifyIS(c *mpi.Comm, sorted []int32) error {
+// verifyIS checks local ordering, that each rank's minimum is no less
+// than its left neighbor's maximum (global order), and that the ranks
+// together hold exactly totalKeys keys (conservation).
+func verifyIS(c *mpi.Comm, sorted []int32, totalKeys int) error {
 	n, me := c.Size(), c.Rank()
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i-1] > sorted[i] {
@@ -153,32 +167,8 @@ func verifyIS(c *mpi.Comm, sorted []int32) error {
 	}
 	cnt := enc.I64Bytes([]int64{int64(len(sorted))})
 	coll.Allreduce(c, cnt, coll.SumI64)
-	total := enc.I64s(cnt)[0]
-	if total != int64(isParamsFor(classOfTotal(total)).totalKeys) {
-		// Class recovery from the total is a tautology; just check a
-		// positive conserved count matching every rank's view.
-		if total <= 0 {
-			return fmt.Errorf("IS: key count not conserved (%d)", total)
-		}
+	if total := enc.I64s(cnt)[0]; total != int64(totalKeys) {
+		return fmt.Errorf("IS: key count not conserved: %d keys, want %d", total, totalKeys)
 	}
 	return nil
-}
-
-func classOfTotal(total int64) Class {
-	switch {
-	case total <= 1<<12:
-		return ClassS
-	case total <= 1<<15:
-		return ClassW
-	default:
-		return ClassA
-	}
-}
-
-func int64sOf(v []int) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = int64(x)
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package nas
 import (
 	"fmt"
 
-	"ibflow/internal/coll"
 	"ibflow/internal/enc"
 	"ibflow/internal/mpi"
 )
@@ -30,6 +29,9 @@ func luParamsFor(class Class) luParams {
 // message sizes (and therefore the flow control behaviour) match NPB.
 const faceComps = 5
 
+// luOmega is the SSOR over-relaxation factor.
+const luOmega = 1.2
+
 // RunLU is the SSOR kernel. The (i,j) plane is decomposed over a 2-D
 // process grid with z intact; each SSOR iteration sweeps the z-planes
 // twice (lower and upper triangular), with a 2-D pipelined wavefront per
@@ -52,21 +54,23 @@ func RunLU(c *mpi.Comm, class Class) error {
 	nz := n
 
 	// Scalar field with one ghost layer in i and j; z needs none (it is
-	// local). idx(k, i, j) with i in [0, nxl+1], j in [0, nyl+1].
-	sx, sy := nxl+2, nyl+2
-	idx := func(k, i, j int) int { return (k*sx+i)*sy + j }
-	u := make([]float64, nz*sx*sy)
-	f := make([]float64, nz*sx*sy)
+	// local). Point (k, i, j), i in [0, nxl+1], j in [0, nyl+1], sits at
+	// k*plane + i*sy + j.
+	sy := nyl + 2
+	plane := (nxl + 2) * sy
+	u := make([]float64, nz*plane)
+	f := make([]float64, nz*plane)
 	rng := newPrand(uint64(42 + me))
 	for k := 0; k < nz; k++ {
 		for i := 1; i <= nxl; i++ {
 			for j := 1; j <= nyl; j++ {
-				f[idx(k, i, j)] = rng.float64n()
+				f[k*plane+i*sy+j] = rng.float64n()
 			}
 		}
 	}
+	// zero stands in for the planes beyond the z boundaries.
+	zero := make([]float64, plane)
 
-	const omega = 1.2
 	// Message buffers: a west/east face column is nyl points, a
 	// north/south face row is nxl points, each padded to 5 components.
 	colBuf := make([]float64, faceComps*nyl)
@@ -74,44 +78,34 @@ func RunLU(c *mpi.Comm, class Class) error {
 	colBytes := make([]byte, 8*len(colBuf))
 	rowBytes := make([]byte, 8*len(rowBuf))
 
-	recvCol := func(from, tag, k int) {
+	// recvCol and sendCol move column i (j = 1..nyl) of plane k; recvRow
+	// and sendRow move row j (i = 1..nxl).
+	recvCol := func(from, tag, k, i int) {
 		c.Recv(from, tag, colBytes)
 		enc.GetF64(colBytes, colBuf)
-		for j := 1; j <= nyl; j++ {
-			u[idx(k, 0, j)] = colBuf[(j-1)*faceComps]
-		}
-	}
-	recvColEast := func(from, tag, k int) {
-		c.Recv(from, tag, colBytes)
-		enc.GetF64(colBytes, colBuf)
-		for j := 1; j <= nyl; j++ {
-			u[idx(k, nxl+1, j)] = colBuf[(j-1)*faceComps]
+		col := u[k*plane+i*sy+1:]
+		for j := range nyl {
+			col[j] = colBuf[j*faceComps]
 		}
 	}
 	sendCol := func(to, tag, k, i int) {
-		for j := 1; j <= nyl; j++ {
-			colBuf[(j-1)*faceComps] = u[idx(k, i, j)]
+		col := u[k*plane+i*sy+1:]
+		for j := range nyl {
+			colBuf[j*faceComps] = col[j]
 		}
 		enc.PutF64(colBytes, colBuf)
 		c.Send(to, tag, colBytes)
 	}
-	recvRow := func(from, tag, k int) {
+	recvRow := func(from, tag, k, j int) {
 		c.Recv(from, tag, rowBytes)
 		enc.GetF64(rowBytes, rowBuf)
-		for i := 1; i <= nxl; i++ {
-			u[idx(k, i, 0)] = rowBuf[(i-1)*faceComps]
-		}
-	}
-	recvRowSouth := func(from, tag, k int) {
-		c.Recv(from, tag, rowBytes)
-		enc.GetF64(rowBytes, rowBuf)
-		for i := 1; i <= nxl; i++ {
-			u[idx(k, i, nyl+1)] = rowBuf[(i-1)*faceComps]
+		for i := range nxl {
+			u[k*plane+(i+1)*sy+j] = rowBuf[i*faceComps]
 		}
 	}
 	sendRow := func(to, tag, k, j int) {
-		for i := 1; i <= nxl; i++ {
-			rowBuf[(i-1)*faceComps] = u[idx(k, i, j)]
+		for i := range nxl {
+			rowBuf[i*faceComps] = u[k*plane+(i+1)*sy+j]
 		}
 		enc.PutF64(rowBytes, rowBuf)
 		c.Send(to, tag, rowBytes)
@@ -123,38 +117,34 @@ func RunLU(c *mpi.Comm, class Class) error {
 	// One hybrid Gauss-Seidel plane update. dir=+1 uses already-updated
 	// west/north/below neighbours (lower sweep); dir=-1 the opposite.
 	planeUpdate := func(k, dir int) float64 {
-		delta := 0.0
-		iStart, iEnd, jStart, jEnd, step := 1, nxl, 1, nyl, 1
-		if dir < 0 {
-			iStart, iEnd, jStart, jEnd, step = nxl, 1, nyl, 1, -1
+		cur, fk := u[k*plane:(k+1)*plane], f[k*plane:(k+1)*plane]
+		below, above := zero, zero
+		if k > 0 {
+			below = u[(k-1)*plane : k*plane]
 		}
-		for i := iStart; ; i += step {
-			for j := jStart; ; j += step {
-				below, above := 0.0, 0.0
-				if k > 0 {
-					below = u[idx(k-1, i, j)]
-				}
-				if k < nz-1 {
-					above = u[idx(k+1, i, j)]
-				}
-				avg := (u[idx(k, i-1, j)] + u[idx(k, i+1, j)] +
-					u[idx(k, i, j-1)] + u[idx(k, i, j+1)] +
-					below + above + f[idx(k, i, j)]) / 6.0
-				nv := (1-omega)*u[idx(k, i, j)] + omega*avg
-				d := nv - u[idx(k, i, j)]
-				delta += d * d
-				u[idx(k, i, j)] = nv
-				if j == jEnd {
-					break
+		if k < nz-1 {
+			above = u[(k+1)*plane : (k+2)*plane]
+		}
+		delta := 0.0
+		if dir > 0 {
+			for i := 1; i <= nxl; i++ {
+				for o := i*sy + 1; o <= i*sy+nyl; o++ {
+					delta += relax(cur, below, above, fk, o, sy)
 				}
 			}
-			if i == iEnd {
-				break
+		} else {
+			for i := nxl; i >= 1; i-- {
+				for o := i*sy + nyl; o >= i*sy+1; o-- {
+					delta += relax(cur, below, above, fk, o, sy)
+				}
 			}
 		}
 		chargeFlops(c, 14*nxl*nyl)
 		return delta
 	}
+
+	// Face exchange scratch: one packed or unpacked face.
+	face := make([]float64, nz*max(nxl, nyl))
 
 	var firstDelta, lastDelta float64
 	for iter := 0; iter < p.iters; iter++ {
@@ -162,10 +152,10 @@ func RunLU(c *mpi.Comm, class Class) error {
 		// Lower-triangular sweep: wavefront from the north-west corner.
 		for k := 0; k < nz; k++ {
 			if cx > 0 {
-				recvCol(west, 1000+k, k)
+				recvCol(west, 1000+k, k, 0)
 			}
 			if cy > 0 {
-				recvRow(north, 2000+k, k)
+				recvRow(north, 2000+k, k, 0)
 			}
 			delta += planeUpdate(k, +1)
 			if cx < px-1 {
@@ -178,10 +168,10 @@ func RunLU(c *mpi.Comm, class Class) error {
 		// Upper-triangular sweep: wavefront from the south-east corner.
 		for k := nz - 1; k >= 0; k-- {
 			if cx < px-1 {
-				recvColEast(east, 3000+k, k)
+				recvCol(east, 3000+k, k, nxl+1)
 			}
 			if cy < py-1 {
-				recvRowSouth(south, 4000+k, k)
+				recvRow(south, 4000+k, k, nyl+1)
 			}
 			delta += planeUpdate(k, -1)
 			if cx > 0 {
@@ -194,11 +184,9 @@ func RunLU(c *mpi.Comm, class Class) error {
 
 		// Full-face ghost refresh (NPB LU's exchange_3): one large
 		// rendezvous-sized message per neighbour direction.
-		exchangeFaces(c, u, idx, nz, nxl, nyl, cx, cy, px, py)
+		exchangeFaces(c, u, face, nz, nxl, nyl, cx, cy, px, py)
 
-		db := enc.F64Bytes([]float64{delta})
-		coll.Allreduce(c, db, coll.SumF64)
-		delta = enc.F64s(db)[0]
+		delta = allreduceSum(c, delta)
 		if iter == 0 {
 			firstDelta = delta
 		}
@@ -207,35 +195,48 @@ func RunLU(c *mpi.Comm, class Class) error {
 		}
 		lastDelta = delta
 	}
+	if observe != nil {
+		observe(c, u, firstDelta, lastDelta)
+	}
 	if p.iters > 1 && lastDelta > 0.9*firstDelta {
 		return fmt.Errorf("LU: SSOR failed to converge: %g -> %g", firstDelta, lastDelta)
 	}
 	return nil
 }
 
+// relax over-relaxes cell o of plane cur (row stride sy) towards the
+// average of its six neighbours and its source term, and returns the
+// squared change.
+func relax(cur, below, above, f []float64, o, sy int) float64 {
+	avg := (cur[o-sy] + cur[o+sy] + cur[o-1] + cur[o+1] + below[o] + above[o] + f[o]) / 6.0
+	nv := (1-luOmega)*cur[o] + luOmega*avg
+	d := nv - cur[o]
+	cur[o] = nv
+	return d * d
+}
+
 // exchangeFaces refreshes the full i and j ghost faces with neighbours
-// using large Sendrecv messages (nz*edge points).
-func exchangeFaces(c *mpi.Comm, u []float64, idx func(k, i, j int) int,
-	nz, nxl, nyl, cx, cy, px, py int) {
+// using large Sendrecv messages (nz*edge points). face is the packing
+// scratch; every buffer MPI sees is allocated here, fresh.
+func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py int) {
 	me := c.Rank()
 	west, east := me-1, me+1
 	north, south := me-px, me+px
+	sy := nyl + 2
+	plane := (nxl + 2) * sy
 
+	// Column faces: i fixed, j = 1..nyl.
+	col := face[:nz*nyl]
 	pack := func(i int) []byte {
-		face := make([]float64, nz*nyl)
-		for k := 0; k < nz; k++ {
-			for j := 1; j <= nyl; j++ {
-				face[k*nyl+j-1] = u[idx(k, i, j)]
-			}
+		for k := range nz {
+			copy(col[k*nyl:(k+1)*nyl], u[k*plane+i*sy+1:])
 		}
-		return enc.F64Bytes(face)
+		return enc.F64Bytes(col)
 	}
 	unpack := func(b []byte, i int) {
-		face := enc.F64s(b)
-		for k := 0; k < nz; k++ {
-			for j := 1; j <= nyl; j++ {
-				u[idx(k, i, j)] = face[k*nyl+j-1]
-			}
+		enc.GetF64(b, col)
+		for k := range nz {
+			copy(u[k*plane+i*sy+1:k*plane+i*sy+1+nyl], col[k*nyl:])
 		}
 	}
 	buf := make([]byte, 8*nz*nyl)
@@ -252,20 +253,21 @@ func exchangeFaces(c *mpi.Comm, u []float64, idx func(k, i, j int) int,
 		unpack(buf, 0)
 	}
 
+	// Row faces: j fixed, i = 1..nxl.
+	row := face[:nz*nxl]
 	packR := func(j int) []byte {
-		face := make([]float64, nz*nxl)
-		for k := 0; k < nz; k++ {
-			for i := 1; i <= nxl; i++ {
-				face[k*nxl+i-1] = u[idx(k, i, j)]
+		for k := range nz {
+			for i := range nxl {
+				row[k*nxl+i] = u[k*plane+(i+1)*sy+j]
 			}
 		}
-		return enc.F64Bytes(face)
+		return enc.F64Bytes(row)
 	}
 	unpackR := func(b []byte, j int) {
-		face := enc.F64s(b)
-		for k := 0; k < nz; k++ {
-			for i := 1; i <= nxl; i++ {
-				u[idx(k, i, j)] = face[k*nxl+i-1]
+		enc.GetF64(b, row)
+		for k := range nz {
+			for i := range nxl {
+				u[k*plane+(i+1)*sy+j] = row[k*nxl+i]
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ibflow/internal/coll"
 	"ibflow/internal/enc"
 	"ibflow/internal/mpi"
 )
@@ -24,6 +23,20 @@ func mgParamsFor(class Class) mgParams {
 	default: // ClassA (real class A is 256^3)
 		return mgParams{n: 256, cycles: 4}
 	}
+}
+
+// neighbourSums writes each cell's 0.0 + west + east + north + south,
+// added in that order, into sum; the first and last columns have no west
+// and east neighbour. A +0 row for a missing north or south leaves the
+// sums as they were: a sum seeded with +0 is never -0.
+func neighbourSums(sum, x, north, south []float64) {
+	n := len(x)
+	sum, north, south = sum[:n], north[:n], south[:n]
+	sum[0] = 0.0 + x[1] + north[0] + south[0]
+	for j := 1; j < n-1; j++ {
+		sum[j] = 0.0 + x[j-1] + x[j+1] + north[j] + south[j]
+	}
+	sum[n-1] = 0.0 + x[n-2] + north[n-1] + south[n-1]
 }
 
 // mgLevel is one grid level of the V-cycle, row-partitioned across ranks.
@@ -98,28 +111,33 @@ func RunMG(c *mpi.Comm, class Class) error {
 		}
 	}
 
+	// zero stands in for the rows beyond the global boundary; sum holds
+	// one row's neighbour sums.
+	zero := make([]float64, n)
+	sum := make([]float64, n)
+	// rowSums fills sum for local row i of level l's solution.
+	rowSums := func(l *mgLevel, i int) {
+		gi := me*l.rl + i - 1
+		north, south := l.u[(i-1)*l.n:i*l.n], l.u[(i+1)*l.n:(i+2)*l.n]
+		if gi == 0 {
+			north = zero
+		}
+		if gi == l.n-1 {
+			south = zero
+		}
+		neighbourSums(sum[:l.n], l.u[i*l.n:(i+1)*l.n], north, south)
+	}
+
 	// Damped Jacobi smoother.
 	smooth := func(l *mgLevel, sweeps int) {
 		const w = 0.8
 		for s := 0; s < sweeps; s++ {
 			halo(l, l.u)
 			for i := 1; i <= l.rl; i++ {
-				gi := me*l.rl + i - 1
-				for j := 0; j < l.n; j++ {
-					sum := 0.0
-					if j > 0 {
-						sum += l.u[i*l.n+j-1]
-					}
-					if j < l.n-1 {
-						sum += l.u[i*l.n+j+1]
-					}
-					if gi > 0 {
-						sum += l.u[(i-1)*l.n+j]
-					}
-					if gi < l.n-1 {
-						sum += l.u[(i+1)*l.n+j]
-					}
-					l.r[i*l.n+j] = (1-w)*l.u[i*l.n+j] + w*(sum+l.f[i*l.n+j])/4
+				rowSums(l, i)
+				u, f, r := l.u[i*l.n:(i+1)*l.n], l.f[i*l.n:(i+1)*l.n], l.r[i*l.n:(i+1)*l.n]
+				for j, nb := range sum[:len(u)] {
+					r[j] = (1-w)*u[j] + w*(nb+f[j])/4
 				}
 			}
 			copy(l.u[l.n:(l.rl+1)*l.n], l.r[l.n:(l.rl+1)*l.n])
@@ -130,22 +148,10 @@ func RunMG(c *mpi.Comm, class Class) error {
 	residual := func(l *mgLevel) {
 		halo(l, l.u)
 		for i := 1; i <= l.rl; i++ {
-			gi := me*l.rl + i - 1
-			for j := 0; j < l.n; j++ {
-				sum := 0.0
-				if j > 0 {
-					sum += l.u[i*l.n+j-1]
-				}
-				if j < l.n-1 {
-					sum += l.u[i*l.n+j+1]
-				}
-				if gi > 0 {
-					sum += l.u[(i-1)*l.n+j]
-				}
-				if gi < l.n-1 {
-					sum += l.u[(i+1)*l.n+j]
-				}
-				l.r[i*l.n+j] = l.f[i*l.n+j] - (4*l.u[i*l.n+j] - sum)
+			rowSums(l, i)
+			u, f, r := l.u[i*l.n:(i+1)*l.n], l.f[i*l.n:(i+1)*l.n], l.r[i*l.n:(i+1)*l.n]
+			for j, nb := range sum[:len(u)] {
+				r[j] = f[j] - (4*u[j] - nb)
 			}
 		}
 		chargeFlops(c, 8*l.rl*l.n)
@@ -154,13 +160,11 @@ func RunMG(c *mpi.Comm, class Class) error {
 	resNorm := func(l *mgLevel) float64 {
 		residual(l)
 		s := 0.0
-		for i := l.n; i < (l.rl+1)*l.n; i++ {
-			s += l.r[i] * l.r[i]
+		for _, v := range l.r[l.n : (l.rl+1)*l.n] {
+			s += v * v
 		}
 		chargeFlops(c, 2*l.rl*l.n)
-		buf := enc.F64Bytes([]float64{s})
-		coll.Allreduce(c, buf, coll.SumF64)
-		return math.Sqrt(enc.F64s(buf)[0])
+		return math.Sqrt(allreduceSum(c, s))
 	}
 
 	// restrict moves the residual of level l to the RHS of level l+1
@@ -169,14 +173,13 @@ func RunMG(c *mpi.Comm, class Class) error {
 		residual(fineL)
 		for i := 1; i <= coarse.rl; i++ {
 			fi := 2*i - 1
-			for j := 0; j < coarse.n; j++ {
-				coarse.f[i*coarse.n+j] = fineL.r[fi*fineL.n+2*j]
+			cf, fr := coarse.f[i*coarse.n:(i+1)*coarse.n], fineL.r[fi*fineL.n:]
+			for j := range cf {
+				cf[j] = fr[2*j]
 			}
 			chargeFlops(c, coarse.n)
 		}
-		for i := range coarse.u {
-			coarse.u[i] = 0
-		}
+		clear(coarse.u)
 	}
 
 	// prolong adds the coarse correction back into the fine solution.
@@ -184,9 +187,9 @@ func RunMG(c *mpi.Comm, class Class) error {
 		halo(coarse, coarse.u)
 		for i := 1; i <= fineL.rl; i++ {
 			ci := (i + 1) / 2
-			for j := 0; j < fineL.n; j++ {
-				cj := j / 2
-				fineL.u[i*fineL.n+j] += coarse.u[ci*coarse.n+cj]
+			fu, cu := fineL.u[i*fineL.n:(i+1)*fineL.n], coarse.u[ci*coarse.n:]
+			for j := range fu {
+				fu[j] += cu[j/2]
 			}
 		}
 		chargeFlops(c, 2*fineL.rl*fineL.n)
@@ -212,6 +215,9 @@ func RunMG(c *mpi.Comm, class Class) error {
 			return fmt.Errorf("MG: residual grew in cycle %d: %g -> %g", cyc, prev, got)
 		}
 		prev = got
+	}
+	if observe != nil {
+		observe(c, fine.u, res0, prev)
 	}
 	if prev > 0.5*res0 {
 		return fmt.Errorf("MG: V-cycles barely converged: %g -> %g", res0, prev)

@@ -26,8 +26,9 @@ package nas
 
 import (
 	"fmt"
-	"sort"
 
+	"ibflow/internal/coll"
+	"ibflow/internal/enc"
 	"ibflow/internal/mpi"
 	"ibflow/internal/sim"
 )
@@ -81,6 +82,20 @@ func chargeFlops(c *mpi.Comm, n int) {
 		c.Compute(sim.Time(float64(n) * flopNS))
 	}
 }
+
+// allreduceSum returns v summed over every rank of c, reduced in a fresh
+// 8-byte buffer.
+func allreduceSum(c *mpi.Comm, v float64) float64 {
+	buf := enc.F64Bytes([]float64{v})
+	coll.Allreduce(c, buf, coll.SumF64)
+	var sum [1]float64
+	enc.GetF64(buf, sum[:])
+	return sum[0]
+}
+
+// observe, when set, is handed each rank's final field and verification
+// scalars as its kernel finishes. Only the kernel-digest test sets it.
+var observe func(c *mpi.Comm, field []float64, scalars ...float64)
 
 // App is one benchmark kernel.
 type App struct {
@@ -171,9 +186,4 @@ func (r *prand) float64n() float64 {
 // intn returns a pseudo-random value in [0, n).
 func (r *prand) intn(n int) int {
 	return int(r.next() % uint64(n))
-}
-
-// sortInt32 sorts keys ascending (exposed for IS verification tests).
-func sortInt32(keys []int32) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 }

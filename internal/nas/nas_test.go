@@ -1,12 +1,11 @@
 package nas
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 
 	"ibflow/internal/core"
 	"ibflow/internal/mpi"
-	"ibflow/internal/sim"
 )
 
 func runApp(t *testing.T, name string, class Class, n int, fc core.Params) *mpi.World {
@@ -85,8 +84,8 @@ func TestFFTRoundTripSerial(t *testing.T) {
 		a[i] = rng.float64n() - 0.5
 		orig[i] = a[i]
 	}
-	fft(a, n, -1)
-	fft(a, n, +1)
+	fft(a, twiddles(n, -1))
+	fft(a, twiddles(n, +1))
 	for i := range a {
 		if diff := a[i]/float64(n) - orig[i]; diff > 1e-10 || diff < -1e-10 {
 			t.Fatalf("fft round trip error %g at %d", diff, i)
@@ -159,17 +158,32 @@ func TestCGIsGentleOnBuffers(t *testing.T) {
 	}
 }
 
-func TestKernelResultsIdenticalAcrossSchemes(t *testing.T) {
-	// Flow control must never change numerics: the virtual makespan
-	// differs across schemes but verification passes identically (it
-	// did — this asserts determinism of a single scheme re-run too).
-	times := map[string]sim.Time{}
-	for _, fc := range []core.Params{core.Static(4), core.Static(4)} {
-		w := runApp(t, "IS", ClassS, 4, fc)
-		key := fmt.Sprintf("%v-%d", fc.Kind, len(times))
-		times[key] = w.Time()
-	}
-	if times["static-0"] != times["static-1"] {
-		t.Errorf("same scheme, different makespan: %v", times)
+// IS verification must catch a lost key: every rank's keys are sorted and
+// globally ordered, but one rank dropped its last one.
+func TestVerifyISCatchesLostKey(t *testing.T) {
+	const ranks, perRank = 4, 10
+	for _, drop := range []bool{false, true} {
+		errs := make([]error, ranks)
+		w := mpi.NewWorld(ranks, mpi.DefaultOptions(core.Static(4)))
+		if err := w.Run(func(c *mpi.Comm) {
+			keys := make([]int32, perRank)
+			for i := range keys {
+				keys[i] = int32(c.Rank()*perRank + i)
+			}
+			if drop && c.Rank() == 1 {
+				keys = keys[:perRank-1]
+			}
+			errs[c.Rank()] = verifyIS(c, keys, ranks*perRank)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for r, err := range errs {
+			if drop && (err == nil || !strings.Contains(err.Error(), "not conserved")) {
+				t.Errorf("rank %d: lost key gave %v, want a conservation failure", r, err)
+			}
+			if !drop && err != nil {
+				t.Errorf("rank %d: intact keys failed: %v", r, err)
+			}
+		}
 	}
 }
