@@ -48,10 +48,7 @@ func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 // over the number of rounds. Its state is pooled on both sides and the
 // buffers are reused, so one more rendezvous costs chunk refills at most —
 // measured 0.03 under both shapes (2.06 and 2.07 before the state was pooled) — and the bound is 0.25: the next &T{}
-// on the path costs 1 and fails it. These two cells run on one rail: on a
-// multi-rail port a FIN can overtake the 16 KB write it follows on the
-// same QP, the transport drops it as out of order and nothing resends it
-// (a fault of the fabric model, at the parent too; ROADMAP item 2).
+// on the path costs 1 and fails it.
 func TestScalingSteadyAllocGate(t *testing.T) {
 	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
 		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
@@ -75,7 +72,6 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 		high := cellMallocs(fc, scalingStorm(msgsHigh, size, fanout, nil))
 		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 2)
 	}
-	doc.Rails = 1
 	for _, fc := range []core.Params{core.Static(doc.Prepost), core.RDMA(doc.RingSlots, doc.SlotBytes)} {
 		low := cellMallocs(fc, rendezvousRounds(msgsLow, rndvSize, fanout))
 		high := cellMallocs(fc, rendezvousRounds(msgsHigh, rndvSize, fanout))

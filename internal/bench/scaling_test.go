@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"ibflow/internal/mpi"
 )
 
 // TestConnScalingSharedSubLinear is the tentpole's acceptance shape: as
@@ -67,6 +69,22 @@ func TestConnScalingSharedSubLinear(t *testing.T) {
 			if v != 0 {
 				t.Errorf("%s: %d RNR NAKs at %d ranks, want 0", name, v, doc.Ranks[i])
 			}
+		}
+	}
+}
+
+// TestRendezvousStormOnTwoRails runs the storm at rendezvous size on the
+// quick sweep's 2-rail fat tree under every scheme: each QP carries 16 KB
+// transfers with small control messages (CTS, FIN) posted right behind
+// them. A QP whose messages could take different rails would land a FIN
+// ahead of its data, drop it as out of order, and hang.
+func TestRendezvousStormOnTwoRails(t *testing.T) {
+	const ranks, msgs, size, fanout = 64, 6, 16 << 10, 24
+	doc := smokeDoc(fanout, 512)
+	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
+		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
+		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+			t.Errorf("%v: %v", fc.Kind, err)
 		}
 	}
 }

@@ -181,11 +181,11 @@ func (p *Plan) outageDelay(t sim.Time, src, dst int) sim.Time {
 
 // MessageDelay implements ib.FaultInjector: extra path latency for one
 // message of n wire bytes from src to dst, combining outage stalls and
-// random jitter. now is the message's undelayed wire-entry time; the
-// delayed times stay strictly monotonic per directed pair, because an RC
-// link stretches under faults but never reorders — a reordered arrival
-// would be dropped by the receiver's sequence check with no NAK to
-// trigger retransmission, turning one jittered message into a hang.
+// random jitter. now is the message's undelayed wire-entry time. A QP's
+// one path keeps its messages in order, but two jitter draws could swap
+// them, so delayed times stay strictly monotonic per directed pair: a
+// reordered arrival would be dropped by the receiver's sequence check with
+// no NAK to trigger retransmission, turning one jittered message into a hang.
 func (p *Plan) MessageDelay(now sim.Time, src, dst, n int) sim.Time {
 	var delay sim.Time
 	if d := p.outageDelay(now, src, dst); d > 0 {

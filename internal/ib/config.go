@@ -94,8 +94,9 @@ type Config struct {
 	// Rails is the number of parallel links behind every port (HCA
 	// egress/ingress and fat-tree trunk attachment points). Multi-rail
 	// adapters are how large clusters keep per-node injection bandwidth
-	// ahead of fan-in; a reservation books the earliest-free rail.
-	// 0 or 1 means the classic single-rail port.
+	// ahead of fan-in. A connection keeps the one rail Connect gives it,
+	// so rails spread traffic across QPs, never inside one. 0 or 1 means
+	// the classic single-rail port.
 	Rails int
 
 	// Tracer, when non-nil, records transport events (RNR NAKs and

@@ -14,6 +14,7 @@ type Fabric struct {
 	cfg    Config
 	hcas   []*HCA
 	leaves []*leafSwitch
+	paths  int // RC connections and UD QPs given a rail so far (see nextRail)
 
 	// Messages in flight across the fabric: inter-leaf trunk hops (see
 	// topology.go) and datagram arrivals (see ud.go), each taken when a
@@ -28,12 +29,13 @@ func NewFabric(eng *sim.Engine, cfg Config, nodes int) *Fabric {
 		panic("ib: fabric needs at least one node")
 	}
 	f := &Fabric{eng: eng, cfg: cfg}
+	rails := max(cfg.Rails, 1)
 	for i := 0; i < nodes; i++ {
 		f.hcas = append(f.hcas, &HCA{
 			fabric:  f,
 			node:    i,
-			egress:  newPort(cfg.Rails),
-			ingress: newPort(cfg.Rails),
+			egress:  make([]link, rails),
+			ingress: make([]link, rails),
 		})
 	}
 	if cfg.Topology == TopoFatTree {
@@ -43,8 +45,8 @@ func NewFabric(eng *sim.Engine, cfg Config, nodes int) *Fabric {
 		nLeaves := (nodes + cfg.LeafRadix - 1) / cfg.LeafRadix
 		for i := 0; i < nLeaves; i++ {
 			f.leaves = append(f.leaves, &leafSwitch{
-				up:   newPort(cfg.Rails),
-				down: newPort(cfg.Rails),
+				up:   make([]link, rails),
+				down: make([]link, rails),
 			})
 		}
 	}
@@ -63,7 +65,9 @@ func (f *Fabric) Nodes() int { return len(f.hcas) }
 // HCA returns the adapter at node i.
 func (f *Fabric) HCA(i int) *HCA { return f.hcas[i] }
 
-// link is a FIFO serialization point (one rail of a port direction).
+// link is a FIFO serialization point: one rail of one direction of a port.
+// A port is a rail-indexed []link, so a single-rail port is the bare
+// link. A message books its path's rail (nextRail) at every hop.
 type link struct {
 	freeAt sim.Time
 }
@@ -79,32 +83,13 @@ func (l *link) reserve(now sim.Time, d sim.Time) sim.Time {
 	return start
 }
 
-// port is one direction of an attachment point: Config.Rails parallel
-// links (rails). Reservations pick the earliest-free rail, breaking ties
-// toward the lowest index, so the schedule stays deterministic and a
-// single-rail port is byte-identical to the bare link it replaces.
-type port struct {
-	rails []link
-}
-
-// newPort allocates a port with n rails (minimum one).
-func newPort(n int) port {
-	if n < 1 {
-		n = 1
-	}
-	return port{rails: make([]link, n)}
-}
-
-// reserve books the earliest-free rail for a transmission of duration d
-// starting no earlier than now, returning the transmission start time.
-func (p *port) reserve(now sim.Time, d sim.Time) sim.Time {
-	best := 0
-	for i := 1; i < len(p.rails); i++ {
-		if p.rails[i].freeAt < p.rails[best].freeAt {
-			best = i
-		}
-	}
-	return p.rails[best].reserve(now, d)
+// nextRail is the one place a rail is chosen: round-robin, per RC
+// connection (Connect) or UD QP (NewUDQP), as a QP's address vector picks
+// its one path on InfiniBand. So a QP's messages stay in posting order.
+func (f *Fabric) nextRail() int32 {
+	r := int32(f.paths % max(f.cfg.Rails, 1))
+	f.paths++
+	return r
 }
 
 // HCAStats aggregates counters across an adapter's queue pairs.
@@ -119,14 +104,14 @@ type HCAStats struct {
 }
 
 // HCA is a host channel adapter: one egress and one ingress port (each
-// Config.Rails rails wide) plus the queue pairs and memory regions that
+// Config.Rails links wide) plus the queue pairs and memory regions that
 // live on it.
 type HCA struct {
 	fabric  *Fabric
 	node    int
-	egress  port
-	ingress port
-	nQP     int // queue pairs created so far: the next one's number
+	egress  []link // by rail
+	ingress []link // by rail
+	nQP     int    // queue pairs created so far: the next one's number
 	udqps   []*UDQP
 	srqs    []*SRQ
 	mrs     []*MR               // region id-1 -> region: ids are dense from 1
@@ -190,7 +175,7 @@ func (h *HCA) NewQPWithSRQ(sendCQ, recvCQ *CQ, srq *SRQ) *QP {
 }
 
 // Connect establishes a Reliable Connection between two queue pairs. Both
-// must be unconnected and on the same fabric.
+// must be unconnected and on the same fabric. Both keep the rail given here.
 func Connect(a, b *QP) {
 	if a.peer != nil || b.peer != nil {
 		panic("ib: QP already connected")
@@ -202,6 +187,8 @@ func Connect(a, b *QP) {
 		panic("ib: cannot connect a QP to itself")
 	}
 	a.peer, b.peer = b, a
+	a.rail = a.hca.fabric.nextRail()
+	b.rail = a.rail
 	a.registerMetrics()
 	b.registerMetrics()
 }

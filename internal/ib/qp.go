@@ -25,8 +25,8 @@ const (
 // adapter's from post to completion — retireAcked returns the box when
 // the in-order completion posts, and the next Post* on any QP of the HCA
 // takes it. Returning it at retirement is safe without reference counting
-// because per-pair delivery is FIFO (links serialize reservations in call
-// order and fault jitter preserves per-pair order), so every in-flight
+// because a QP's delivery is FIFO (its one path books the same links in
+// call order, and fault jitter preserves per-pair order), so every in-flight
 // attempt of a WQE — including stale go-back-N duplicates — has reached
 // the receiver's deliver before the ack that retires it was even sent.
 // That is a fact about the retiring QP's own stream and holds at the
@@ -68,7 +68,7 @@ func (we *wireEvent) OnEvent(stage uint64) {
 	if stage == 0 {
 		cfg := f.Config()
 		tx := cfg.TxTime(we.w.wireLen())
-		arrive := peer.hca.ingress.reserve(f.eng.Now(), tx) + tx
+		arrive := peer.hca.ingress[sender.rail].reserve(f.eng.Now(), tx) + tx
 		f.eng.AtCall(arrive+cfg.RecvOverhead, we, 1)
 		return
 	}
@@ -98,7 +98,7 @@ func (re *readEvent) OnEvent(stage uint64) {
 	if stage == 0 {
 		cfg := f.Config()
 		tx := cfg.TxTime(len(re.w.readDst))
-		arrive := sender.hca.ingress.reserve(f.eng.Now(), tx) + tx
+		arrive := sender.hca.ingress[sender.rail].reserve(f.eng.Now(), tx) + tx
 		f.eng.AtCall(arrive+cfg.RecvOverhead, re, 1)
 		return
 	}
@@ -179,6 +179,8 @@ type QP struct {
 	sendSeq  uint64 // next seq to assign
 	stalled  bool   // waiting out an RNR timer
 	failed   bool   // frozen after RNR budget exhaustion (see ResumeStalled)
+	refused  bool   // receiver: expected was RNR-NAKed since the last acceptance
+	rail     int32  // the connection's rail, fixed at Connect
 	rnrTimer *sim.Timer
 
 	// receiver state. recv owns the posted receive descriptors: the
@@ -360,8 +362,8 @@ func (qp *QP) transmit(w *sendWQE) {
 		qp.hca.stats.BytesSent += uint64(n)
 	}
 
-	start := qp.hca.egress.reserve(eng.Now()+cfg.SendOverhead, tx)
-	qp.hca.fabric.deliverTo(qp.hca, qp.peer.hca, start, tx, n, &w.wire)
+	start := qp.hca.egress[qp.rail].reserve(eng.Now()+cfg.SendOverhead, tx)
+	qp.hca.fabric.deliverTo(qp.hca, qp.peer.hca, qp.rail, start, tx, n, &w.wire)
 }
 
 // deliver processes message w arriving at the receiving QP.
@@ -371,7 +373,11 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 	cfg := qp.hca.fabric.Config()
 
 	if w.seq != qp.expected {
-		// Out-of-order arrival after a rewind: dropped on the floor.
+		// Out of order: in flight behind a message this QP RNR-NAKed, so
+		// go-back-N resends it. One path per QP allows no other drop.
+		debug.Assert(w.seq > qp.expected && qp.refused,
+			"ib: QP %d (node %d) dropped seq %d from node %d out of order, expecting %d with no RNR NAK to resend it",
+			qp.num, qp.hca.node, w.seq, sender.hca.node, qp.expected)
 		sender.stats.WastedBytes += uint64(w.wireLen())
 		sender.hca.stats.WastedBytes += uint64(w.wireLen())
 		return
@@ -391,6 +397,7 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		}
 		if !ready {
 			// Receiver not ready: NAK back to the sender.
+			qp.refused = true
 			qp.hca.stats.RNRNaks++
 			sender.stats.RNRNaks++
 			if cfg.Tracer != nil {
@@ -412,35 +419,37 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 				len(w.payload), len(r.buf)))
 		}
 		copy(r.buf, w.payload)
-		qp.expected++
-		qp.stats.Delivered++
-		qp.hca.stats.MsgsDelivered++
+		qp.accept()
 		qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvComplete, WRID: r.wrid, Len: len(w.payload), Buf: r.buf})
 		qp.ack(sender, w)
 
 	case opWrite, opWriteImm:
 		copy(w.remote.MR.Window(w.remote.Offset, len(w.payload)), w.payload)
-		qp.expected++
-		qp.stats.Delivered++
-		qp.hca.stats.MsgsDelivered++
+		qp.accept()
 		if w.kind == opWriteImm {
 			qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvImm, Len: len(w.payload), Imm: w.imm})
 		}
 		qp.ack(sender, w)
 
 	case opRead:
-		qp.expected++
-		qp.stats.Delivered++
-		qp.hca.stats.MsgsDelivered++
+		qp.accept()
 		// The read response streams back on this side's egress link. No
 		// payload snapshot is taken: the registered source region stays
 		// stable until the response lands (see readEvent).
 		n := len(w.readDst)
 		tx := cfg.TxTime(n)
-		start := qp.hca.egress.reserve(eng.Now(), tx)
+		start := qp.hca.egress[qp.rail].reserve(eng.Now(), tx)
 		w.read = readEvent{w: w, sender: sender}
 		eng.AtCall(start+cfg.SwitchLatency, &w.read, 0)
 	}
+}
+
+// accept advances the receive sequence past the message just taken in.
+func (qp *QP) accept() {
+	qp.expected++
+	qp.refused = false
+	qp.stats.Delivered++
+	qp.hca.stats.MsgsDelivered++
 }
 
 // ack schedules the sender-side retirement of w after the ack round-trip,

@@ -6,48 +6,75 @@ import (
 	"ibflow/internal/sim"
 )
 
-// TestPortSingleRailMatchesLink pins the compatibility contract: a port
-// with one rail (Rails 0 or 1) reserves exactly like the bare link it
-// replaced, so every pre-rails timing and golden stays byte-identical.
+// TestPortSingleRailMatchesLink pins the compatibility contract: with one
+// rail (Rails 0 or 1) every port is a single link and every path books
+// it, so every pre-rails timing and golden stays byte-identical.
 func TestPortSingleRailMatchesLink(t *testing.T) {
 	for _, rails := range []int{0, 1} {
-		p := newPort(rails)
-		var l link
-		for i, r := range []struct{ now, d sim.Time }{
-			{0, 10}, {5, 10}, {40, 3}, {41, 3}, {41, 3},
-		} {
-			got, want := p.reserve(r.now, r.d), l.reserve(r.now, r.d)
-			if got != want {
-				t.Fatalf("rails=%d op %d: port.reserve(%v,%v)=%v, link gives %v",
-					rails, i, r.now, r.d, got, want)
+		cfg := DefaultConfig()
+		cfg.Rails = rails
+		f := NewFabric(sim.NewEngine(), cfg, 2)
+		if len(f.HCA(0).egress) != 1 || len(f.HCA(1).ingress) != 1 {
+			t.Fatalf("rails=%d: ports of %d/%d links, want 1", rails, len(f.HCA(0).egress), len(f.HCA(1).ingress))
+		}
+		for i := 0; i < 3; i++ {
+			a, b := f.HCA(0).NewQP(f.HCA(0).NewCQ(), f.HCA(0).NewCQ()), f.HCA(1).NewQP(f.HCA(1).NewCQ(), f.HCA(1).NewCQ())
+			Connect(a, b)
+			if a.rail != 0 || b.rail != 0 {
+				t.Fatalf("rails=%d connection %d: rails %d/%d, want 0", rails, i, a.rail, b.rail)
 			}
+		}
+		if ud := f.HCA(0).NewUDQP(f.HCA(0).NewCQ(), f.HCA(0).NewCQ()); ud.rail != 0 {
+			t.Fatalf("rails=%d: UD QP on rail %d, want 0", rails, ud.rail)
 		}
 	}
 }
 
-// TestPortMultiRailInterleaves checks the earliest-free-rail policy with
-// deterministic lowest-index tie-breaks: two back-to-back transmissions
-// start together on distinct rails, the third queues behind the earlier
-// finisher.
-func TestPortMultiRailInterleaves(t *testing.T) {
-	p := newPort(2)
-	if got := p.reserve(0, 10); got != 0 {
-		t.Fatalf("first reservation starts at %v, want 0", got)
+// TestConnectionKeepsItsRail pins the path rule on a 2-rail port. A 16 KB
+// RDMA write and the 0-byte send posted behind it on one QP arrive in
+// posting order and are both accepted: a per-packet rail choice would put
+// the send on the idle rail, land it first, and the receiver would drop
+// it as out of order with nothing to resend it. And two connections
+// between the same two adapters take different rails, so multi-rail
+// bandwidth is still there, across QPs.
+func TestConnectionKeepsItsRail(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rails = 2
+	eng := sim.NewEngine()
+	f := NewFabric(eng, cfg, 2)
+	cqa, cqb := f.HCA(0).NewCQ(), f.HCA(1).NewCQ()
+	a, b := f.HCA(0).NewQP(cqa, cqa), f.HCA(1).NewQP(cqb, cqb)
+	Connect(a, b)
+	a2, b2 := f.HCA(0).NewQP(cqa, cqa), f.HCA(1).NewQP(cqb, cqb)
+	Connect(a2, b2)
+	if a.rail != b.rail || a2.rail != b2.rail {
+		t.Fatalf("the two ends of a connection disagree on its rail: %d/%d, %d/%d", a.rail, b.rail, a2.rail, b2.rail)
 	}
-	if got := p.reserve(0, 4); got != 0 {
-		t.Fatalf("second reservation should take the idle rail at 0, got %v", got)
+	if a.rail == a2.rail {
+		t.Fatalf("two connections between the same adapters share rail %d", a.rail)
 	}
-	// Rails free at 10 and 4: the next transfer takes rail 1 at 4.
-	if got := p.reserve(0, 6); got != 4 {
-		t.Fatalf("third reservation starts at %v, want 4 (earlier-free rail)", got)
+
+	mr := f.HCA(1).RegisterMemory(make([]byte, 16<<10))
+	b.PostRecv(7, make([]byte, 64))
+	a.PostWriteNotify(1, make([]byte, 16<<10), RemoteKey{MR: mr}, 99)
+	a.PostSend(2, nil)
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
 	}
-	// Both rails now free at 10: the tie breaks to rail 0.
-	if got := p.reserve(0, 1); got != 10 {
-		t.Fatalf("fourth reservation starts at %v, want 10", got)
+	var got []Opcode
+	for {
+		wc, ok := cqb.Poll()
+		if !ok {
+			break
+		}
+		got = append(got, wc.Opcode)
 	}
-	if p.rails[0].freeAt != 11 || p.rails[1].freeAt != 10 {
-		t.Fatalf("tie-break went to rail 1: freeAt = %v/%v, want 11/10",
-			p.rails[0].freeAt, p.rails[1].freeAt)
+	if len(got) != 2 || got[0] != OpRecvImm || got[1] != OpRecvComplete {
+		t.Fatalf("receiver saw %v, want [%v %v] (the write, then the send behind it)", got, OpRecvImm, OpRecvComplete)
+	}
+	if st := a.Stats(); b.Stats().Delivered != 2 || st.WastedBytes != 0 || st.Retransmits != 0 {
+		t.Fatalf("delivered %d, wasted %d B, %d retransmits: want 2 accepted and nothing dropped",
+			b.Stats().Delivered, st.WastedBytes, st.Retransmits)
 	}
 }
 

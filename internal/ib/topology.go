@@ -23,11 +23,11 @@ func (t Topology) String() string {
 	return "crossbar"
 }
 
-// leafSwitch carries the shared trunk serialization points of one leaf
-// (multi-rail ports when Config.Rails > 1).
+// leafSwitch carries the shared trunk serialization points of one leaf,
+// one link per rail.
 type leafSwitch struct {
-	up   port
-	down port
+	up   []link
+	down []link
 }
 
 // leafOf returns the leaf switch index of a node.
@@ -50,20 +50,20 @@ func (f *Fabric) trunkTx(n int) sim.Time {
 	return cfg.TxTime(n) / sim.Time(upLinks)
 }
 
-// deliverTo routes one message of wire time tx from src to dst, firing
-// h.OnEvent(0) once the message reaches the destination port — "stage 0"
-// by convention: the handler reserves the ingress link and charges the
-// receive overhead itself (see wireEvent in qp.go). start is when the
-// first bit leaves the source port.
+// deliverTo routes one message of wire time tx from src to dst on rail,
+// firing h.OnEvent(0) once the message reaches the destination port —
+// "stage 0" by convention: the handler reserves the rail's ingress link
+// and charges the receive overhead itself (see wireEvent in qp.go). start
+// is when the first bit leaves the source port.
 //
 // Crossbar and intra-leaf paths cross one switch; inter-leaf fat-tree
 // paths additionally reserve the source leaf's uplink trunk and the
-// destination leaf's downlink trunk (cut-through: trunk reservations
-// model contention, the serialization latency is charged once at the
-// destination port). Every hop schedules through a bound handler — the
-// trunk hops through a recycled trunkEvent — so the whole path is
-// allocation-free at steady state.
-func (f *Fabric) deliverTo(src, dst *HCA, start, tx sim.Time, n int, h sim.Handler) {
+// destination leaf's downlink trunk on rail (cut-through: trunk
+// reservations model contention, the serialization latency is charged
+// once at the destination port). Every hop schedules through a bound
+// handler — the trunk hops through a recycled trunkEvent — so the whole
+// path is allocation-free at steady state.
+func (f *Fabric) deliverTo(src, dst *HCA, rail int32, start, tx sim.Time, n int, h sim.Handler) {
 	eng := f.eng
 	cfg := &f.cfg
 
@@ -85,11 +85,11 @@ func (f *Fabric) deliverTo(src, dst *HCA, start, tx sim.Time, n int, h sim.Handl
 
 	te := f.trunks.Get()
 	*te = trunkEvent{
-		f:       f,
-		srcLeaf: f.leaves[f.leafOf(src.node)],
-		dstLeaf: f.leaves[f.leafOf(dst.node)],
-		ttx:     f.trunkTx(n),
-		h:       h,
+		f:    f,
+		up:   &f.leaves[f.leafOf(src.node)].up[rail],
+		down: &f.leaves[f.leafOf(dst.node)].down[rail],
+		ttx:  f.trunkTx(n),
+		h:    h,
 	}
 	eng.AtCall(start+cfg.SwitchLatency, te, 0)
 }
@@ -101,22 +101,22 @@ func (f *Fabric) deliverTo(src, dst *HCA, start, tx sim.Time, n int, h sim.Handl
 // trunkEvent is live per in-flight inter-leaf message, so returning it
 // after the final hop is safe.
 type trunkEvent struct {
-	f       *Fabric
-	srcLeaf *leafSwitch
-	dstLeaf *leafSwitch
-	ttx     sim.Time
-	h       sim.Handler
+	f    *Fabric
+	up   *link // the source leaf's uplink on the message's rail
+	down *link // the destination leaf's downlink on the message's rail
+	ttx  sim.Time
+	h    sim.Handler
 }
 
 func (te *trunkEvent) OnEvent(stage uint64) {
 	eng := te.f.eng
 	lat := te.f.cfg.SwitchLatency
 	if stage == 0 {
-		upStart := te.srcLeaf.up.reserve(eng.Now(), te.ttx)
+		upStart := te.up.reserve(eng.Now(), te.ttx)
 		eng.AtCall(upStart+lat, te, 1)
 		return
 	}
-	dnStart := te.dstLeaf.down.reserve(eng.Now(), te.ttx)
+	dnStart := te.down.reserve(eng.Now(), te.ttx)
 	eng.AtCall(dnStart+lat, te.h, 0)
 	te.h = nil // a pooled hop must not pin the message's handler
 	te.f.trunks.Put(te)

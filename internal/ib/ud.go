@@ -23,6 +23,7 @@ type UDStats struct {
 type UDQP struct {
 	hca    *HCA
 	num    int
+	rail   int32 // every datagram's rail, fixed at creation
 	sendCQ *CQ
 	recvCQ *CQ
 
@@ -52,7 +53,7 @@ const MaxUDPayload = 2048
 // NewUDQP creates a UD queue pair on this adapter. Its number addresses
 // it fabric-wide together with the node id.
 func (h *HCA) NewUDQP(sendCQ, recvCQ *CQ) *UDQP {
-	qp := &UDQP{hca: h, num: len(h.udqps), sendCQ: sendCQ, recvCQ: recvCQ}
+	qp := &UDQP{hca: h, num: len(h.udqps), rail: h.fabric.nextRail(), sendCQ: sendCQ, recvCQ: recvCQ}
 	qp.sendEv.qp = qp
 	h.udqps = append(h.udqps, qp)
 	return qp
@@ -97,14 +98,14 @@ func (qp *UDQP) SendTo(wrid uint64, dstNode, dstQPN int, payload []byte) {
 	qp.hca.stats.MsgsSent++
 	qp.hca.stats.BytesSent += uint64(len(payload) + cfg.HeaderBytes)
 
-	start := qp.hca.egress.reserve(eng.Now()+cfg.SendOverhead, tx)
+	start := qp.hca.egress[qp.rail].reserve(eng.Now()+cfg.SendOverhead, tx)
 	eng.AtCall(start+tx, &qp.sendEv, wrid)
 	// Snapshot the payload into the arrival's own staging buffer: the
 	// caller may reuse its slice the moment SendTo returns.
 	de := f.uds.Get()
-	de.f, de.dst, de.srcNode, de.tx = f, dst, qp.hca.node, tx
+	de.f, de.dst, de.srcNode, de.rail, de.tx = f, dst, qp.hca.node, qp.rail, tx
 	de.n = copy(de.buf[:], payload)
-	f.deliverTo(qp.hca, dstHCA, start, tx, len(payload), de)
+	f.deliverTo(qp.hca, dstHCA, qp.rail, start, tx, len(payload), de)
 }
 
 // udDeliverEvent walks one datagram through the destination port as a
@@ -117,7 +118,8 @@ type udDeliverEvent struct {
 	f       *Fabric
 	dst     *UDQP
 	srcNode int
-	n       int // datagram length within buf
+	rail    int32 // the sending QP's
+	n       int   // datagram length within buf
 	tx      sim.Time
 	buf     [MaxUDPayload]byte
 }
@@ -125,7 +127,7 @@ type udDeliverEvent struct {
 func (de *udDeliverEvent) OnEvent(stage uint64) {
 	if stage == 0 {
 		cfg := &de.f.cfg
-		arrive := de.dst.hca.ingress.reserve(de.f.eng.Now(), de.tx) + de.tx
+		arrive := de.dst.hca.ingress[de.rail].reserve(de.f.eng.Now(), de.tx) + de.tx
 		de.f.eng.AtCall(arrive+cfg.RecvOverhead, de, 1)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"ibflow/internal/chdev"
 	"ibflow/internal/core"
 	"ibflow/internal/fault"
+	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/runner"
 	"ibflow/internal/sim"
@@ -129,6 +130,7 @@ func TestTortureMatrix(t *testing.T) {
 		// Debug mode re-checks every credit invariant after each
 		// progress pass; any leak panics the run.
 		{"invariants", func(o *Options) { o.Chan.Debug = true }},
+		{"multirail", multiRail},
 	}
 	for _, fc := range schemes {
 		for _, v := range variants {
@@ -140,6 +142,17 @@ func TestTortureMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// multiRail puts the world on a 2-rail fat tree of two-port leaves: every
+// QP between leaves crosses the trunks, and mixed sizes on one QP must
+// arrive in order although its port has a second rail (a connection's
+// path is fixed at Connect).
+func multiRail(o *Options) {
+	o.IB.Topology = ib.TopoFatTree
+	o.IB.LeafRadix = 2
+	o.IB.Oversub = 1
+	o.IB.Rails = 2
 }
 
 // TestTortureWaitOrderIndependence posts receives before or after the
@@ -333,7 +346,16 @@ type faultCell struct {
 // the full fault mix. Each run asserts no deadlock, payload integrity with
 // per-pair FIFO matching, and the conservation audit; the sweep as a whole
 // asserts the degradation machinery actually fired (no vacuous pass).
-func TestTortureFaultSweep(t *testing.T) {
+func TestTortureFaultSweep(t *testing.T) { faultSweep(t, nil) }
+
+// TestTortureMultiRailFaultSweep is the fault sweep on the multiRail
+// fabric: jitter, outages and go-back-N rewinds on QPs whose ports have a
+// rail each connection must leave alone.
+func TestTortureMultiRailFaultSweep(t *testing.T) { faultSweep(t, multiRail) }
+
+// faultSweep runs 64 seeds per scheme through faultTortureVariant with
+// mut applied and checks every run and the sweep's aggregates.
+func faultSweep(t *testing.T, mut func(*Options)) {
 	const seeds = 64
 	schemes := []core.Params{
 		core.Hardware(2),
@@ -348,7 +370,7 @@ func TestTortureFaultSweep(t *testing.T) {
 			// The 64 seed cells are share-nothing worlds: fan them out
 			// across the worker pool, then aggregate in seed order.
 			cells := runner.Map(seeds, runner.Default(), func(i int) faultCell {
-				res, err := faultTorture(fc, uint64(i))
+				res, err := faultTortureVariant(fc, uint64(i), mut)
 				return faultCell{res: res, err: err}
 			})
 			var agg chdev.Stats
