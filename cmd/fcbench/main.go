@@ -10,7 +10,6 @@
 //	fcbench -test scaling -json > BENCH_scaling.json
 //	fcbench -test endpoints -json > BENCH_endpoints.json
 //	fcbench -test latency -scheme static -endpoints 4
-//	fcbench -diff BENCH_scaling.json new_scaling.json
 //
 // With -metrics-out the tool runs a single instrumented point (one
 // world, one metrics registry) and dumps the deterministic metric
@@ -21,13 +20,13 @@
 // runs the connection-scaling benchmark (all five schemes, Table-2
 // style); its -json form is BENCH_scaling.json. -test endpoints sweeps
 // endpoint-set sizes under a many-to-one burst (all schemes); its -json
-// form is BENCH_endpoints.json. -endpoints runs a latency/bandwidth
-// point with an N-endpoint set per rank pair. -diff compares two such
-// JSON documents cell by cell and exits nonzero when virtual time,
-// buffer memory or allocations per message regressed past 5% (see
-// runDiff); `make bench-diff` runs it against the committed baselines.
-// -pool-metrics adds the buffer pool's health gauges to a -metrics-out
-// dump (they are opt-in so the fcstats key goldens stay byte-stable).
+// form is BENCH_endpoints.json. Every number in the three documents is
+// virtual, so they repeat byte for byte at any -parallel; `make
+// bench-diff` regenerates them and compares the bytes with the committed
+// files. -endpoints runs a latency/bandwidth point with an N-endpoint
+// set per rank pair. -pool-metrics adds the buffer pool's health gauges
+// to a -metrics-out dump (they are opt-in so the fcstats key goldens
+// stay byte-stable).
 // They count host buffers in use — packets being staged, sent or
 // processed — not posted receive descriptors, which hold no buffer.
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
@@ -127,25 +126,12 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweep (scaling/endpoints only): fewer cells and messages")
 	endpoints := flag.Int("endpoints", 0, "VC/QP endpoints per rank pair (latency/bandwidth; 0 or 1 = classic single connection)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
-	diff := flag.Bool("diff", false, "compare two benchmark JSON documents: fcbench -diff old.json new.json")
 	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump (host buffers in use by packets being staged, sent or processed; posted receive descriptors hold none)")
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	if *diff {
-		for name := range set {
-			if name != "diff" {
-				fail("-%s does not apply to -diff (it only reads the two documents)", name)
-			}
-		}
-		if flag.NArg() != 2 {
-			fail("-diff needs exactly two arguments: old.json new.json")
-		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), os.Stdout, os.Stderr))
-	}
 
 	// Validate flag combinations before running anything.
 	switch *test {
@@ -257,9 +243,6 @@ func main() {
 		} else {
 			t := bench.ConnScalingTable(doc)
 			fmt.Print(t.String())
-			fmt.Println()
-			h := bench.ConnScalingHostTable(doc)
-			fmt.Print(h.String())
 		}
 		return
 	}

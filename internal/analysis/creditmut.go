@@ -18,14 +18,12 @@ import (
 // slots - (tail - headSeen)), so a stray write to either silently
 // forges or destroys ring credit. occ/occHWM are an endpoint's
 // outstanding-send occupancy (chdev keeps the high-water mark beside the
-// endpoint's queue of posted sends, mutated only via noteOut), and rr is
-// a round-robin cursor — a write from outside its owner's methods breaks
-// selection determinism.
+// endpoint's queue of posted sends, mutated only via noteOut).
 var creditFields = map[string]bool{
 	"credits": true, "owed": true, "posted": true,
 	"backlog": true, "shrinkDebt": true, "inUse": true,
 	"head": true, "tail": true, "headSeen": true, "headSent": true,
-	"occ": true, "occHWM": true, "rr": true,
+	"occ": true, "occHWM": true,
 }
 
 // CreditMut flags direct writes (assignment, ++/--, compound ops, or

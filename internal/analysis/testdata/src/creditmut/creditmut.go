@@ -173,27 +173,3 @@ func connSteal(c *conn) *int {
 func connReadsOK(c *conn) int {
 	return c.occ + c.occHWM
 }
-
-// group mirrors chdev.epGroup: the endpoint set whose round-robin
-// cursor must only move through the selection methods.
-type group struct {
-	eps []*conn
-	rr  int
-}
-
-func (g *group) pickRR() *conn {
-	c := g.eps[g.rr]
-	g.rr++
-	if g.rr == len(g.eps) {
-		g.rr = 0
-	}
-	return c
-}
-
-func (d *device) groupOutsideOwner(g *group) {
-	g.rr = 0 // want `write to credit field group\.rr outside group's methods`
-}
-
-func groupReadsOK(g *group) int {
-	return g.rr
-}

@@ -12,22 +12,27 @@ import (
 
 var quick = Opts{Quick: true}
 
-// TestScalingSerialParallelIdentical pins the parallel runner's contract
-// at the bench layer: the connection-scaling document's virtual-time
-// payload (BENCH_scaling.json minus the host-side goroutine/wall-clock
-// columns) must serialize byte-identically whatever the worker count.
-func TestScalingSerialParallelIdentical(t *testing.T) {
-	docJSON := func(workers int) string {
-		doc := StripHostMetrics(ConnScaling(Opts{Quick: true, Parallel: workers}))
-		b, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+// docJSON marshals a benchmark document exactly as `fcbench -json` emits
+// it, the bytes `make bench-diff` compares against the committed file.
+func docJSON(t *testing.T, doc any) string {
+	t.Helper()
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := docJSON(1)
+	return string(b)
+}
+
+// TestScalingSerialParallelIdentical pins the parallel runner's contract
+// at the bench layer: the connection-scaling document, as fcbench emits
+// it, must be byte-identical whatever the worker count.
+func TestScalingSerialParallelIdentical(t *testing.T) {
+	sweep := func(workers int) string {
+		return docJSON(t, ConnScaling(Opts{Quick: true, Parallel: workers}))
+	}
+	serial := sweep(1)
 	for _, workers := range []int{2, 4} {
-		if got := docJSON(workers); got != serial {
+		if got := sweep(workers); got != serial {
 			t.Errorf("workers=%d: scaling doc diverges from serial sweep:\n%s\nvs\n%s",
 				workers, got, serial)
 		}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"ibflow/internal/mpi"
 	"ibflow/internal/runner"
@@ -35,19 +33,6 @@ type EndpointSeries struct {
 	// BufBytesHWM is the per-rank receive-buffer memory high-water mark,
 	// maximized over ranks: the price of multiplying per-pair state.
 	BufBytesHWM []int `json:"buf_bytes_hwm"`
-	// Goroutines is the host goroutine count sampled while every rank
-	// was live: endpoint sets are plain data in the progress machine and
-	// must not add goroutines. Host-side: excluded from determinism
-	// digests.
-	Goroutines []int `json:"goroutines"`
-	// WallMS is the host wall-clock time per cell in milliseconds.
-	// Host-side: excluded from determinism digests.
-	WallMS []float64 `json:"wall_ms"`
-	// AllocsPerMsg is the host heap allocations per simulated message
-	// (process malloc counter differenced around the run). Only
-	// meaningful for serial runs (fcbench -parallel 1); host-side,
-	// excluded from determinism digests.
-	AllocsPerMsg []float64 `json:"allocs_per_msg"`
 }
 
 // EndpointDoc is the machine-readable endpoint-contention document
@@ -117,9 +102,6 @@ func EndpointContention(o Opts) EndpointDoc {
 		occHWM              int
 		stickySels          uint64
 		bufHWM              int
-		goroutines          int
-		wallMS              float64
-		allocsPerMsg        float64
 	}
 	ne := len(doc.Endpoints)
 	cells := runner.Map(len(schemes)*ne, o.workers(), func(k int) cell {
@@ -128,18 +110,11 @@ func EndpointContention(o Opts) EndpointDoc {
 		opts.Chan.Endpoints = eps
 		opts.TimeLimit = timeLimit
 		o.tune(&opts)
-		start := time.Now()
 		w := mpi.NewWorld(doc.Ranks, opts)
-		var goroutines int
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		err := w.Run(endpointIncast(doc.Threads, doc.Bursts, doc.MsgsPerBurst, doc.MsgSizeB, &goroutines))
+		err := w.Run(endpointIncast(doc.Threads, doc.Bursts, doc.MsgsPerBurst, doc.MsgSizeB))
 		if err != nil {
 			panic(fmt.Sprintf("bench: endpoints %s x%d: %v", fc.Kind, eps, err))
 		}
-		runtime.ReadMemStats(&msAfter)
-		wallMS := time.Since(start).Seconds() * 1e3
-		totalMsgs := (doc.Ranks - 1) * doc.Threads * doc.Bursts * doc.MsgsPerBurst
 		bufHWM := 0
 		for i := 0; i < doc.Ranks; i++ {
 			if b := w.RankStats(i).BufBytesHWM; b > bufHWM {
@@ -148,15 +123,12 @@ func EndpointContention(o Opts) EndpointDoc {
 		}
 		st, es := w.Stats(), w.EndpointStats()
 		return cell{
-			timeMS:       w.Time().Seconds() * 1e3,
-			backlogged:   st.Backlogged,
-			rnrNaks:      st.RNRNaks,
-			occHWM:       es.OccupancyHWM,
-			stickySels:   es.StickySels,
-			bufHWM:       bufHWM,
-			goroutines:   goroutines,
-			wallMS:       wallMS,
-			allocsPerMsg: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(totalMsgs),
+			timeMS:     w.Time().Seconds() * 1e3,
+			backlogged: st.Backlogged,
+			rnrNaks:    st.RNRNaks,
+			occHWM:     es.OccupancyHWM,
+			stickySels: es.StickySels,
+			bufHWM:     bufHWM,
 		}
 	})
 	for i, fc := range schemes {
@@ -169,28 +141,10 @@ func EndpointContention(o Opts) EndpointDoc {
 			s.OccupancyHWM = append(s.OccupancyHWM, c.occHWM)
 			s.StickySels = append(s.StickySels, c.stickySels)
 			s.BufBytesHWM = append(s.BufBytesHWM, c.bufHWM)
-			s.Goroutines = append(s.Goroutines, c.goroutines)
-			s.WallMS = append(s.WallMS, c.wallMS)
-			s.AllocsPerMsg = append(s.AllocsPerMsg, c.allocsPerMsg)
 		}
 		doc.Series = append(doc.Series, s)
 	}
 	return doc
-}
-
-// StripEndpointHostMetrics clears the host-side columns (goroutines,
-// wall clock) for determinism comparisons, as StripHostMetrics does for
-// the scaling document.
-func StripEndpointHostMetrics(doc EndpointDoc) EndpointDoc {
-	out := doc
-	out.Series = make([]EndpointSeries, len(doc.Series))
-	for i, s := range doc.Series {
-		s.Goroutines = nil
-		s.WallMS = nil
-		s.AllocsPerMsg = nil
-		out.Series[i] = s
-	}
-	return out
 }
 
 // endpointIncast returns an MPI main for the many-to-one burst: every
@@ -198,9 +152,8 @@ func StripEndpointHostMetrics(doc EndpointDoc) EndpointDoc {
 // msgs messages of size bytes at rank 0 per round, draining its burst
 // before the next. Each thread tags with its own id, so per-thread FIFO
 // is the only ordering the receiver relies on — exactly what the sticky
-// endpoint policy guarantees. goroutines, when non-nil, receives the
-// max runtime.NumGoroutine sampled while every rank main is live.
-func endpointIncast(threads, bursts, msgs, size int, goroutines *int) func(c *mpi.Comm) {
+// endpoint policy guarantees.
+func endpointIncast(threads, bursts, msgs, size int) func(c *mpi.Comm) {
 	return func(c *mpi.Comm) {
 		me, n := c.Rank(), c.Size()
 		if me == 0 {
@@ -219,11 +172,6 @@ func endpointIncast(threads, bursts, msgs, size int, goroutines *int) func(c *mp
 					}
 				}
 			}
-			if goroutines != nil {
-				if g := runtime.NumGoroutine(); g > *goroutines {
-					*goroutines = g
-				}
-			}
 			c.Waitall(reqs...)
 			return
 		}
@@ -238,11 +186,6 @@ func endpointIncast(threads, bursts, msgs, size int, goroutines *int) func(c *mp
 			for tid := 0; tid < threads; tid++ {
 				for m := 0; m < msgs; m++ {
 					reqs = append(reqs, views[tid].Isend(0, tid, data))
-				}
-			}
-			if goroutines != nil {
-				if g := runtime.NumGoroutine(); g > *goroutines {
-					*goroutines = g
 				}
 			}
 			c.Waitall(reqs...)

@@ -1,15 +1,13 @@
 package bench
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestEndpointContentionQuick sanity-checks the quick contention sweep:
 // full grid shape, the selection counters prove multiplexing actually
 // happened above one endpoint (and, per the byte-identity contract,
-// never at one), and the per-endpoint occupancy high-water mark relaxes
-// as the set absorbs the burst.
+// never at one), the per-endpoint occupancy high-water mark relaxes as
+// the set absorbs the burst, and the table renders one full row per
+// (scheme, endpoints) cell.
 func TestEndpointContentionQuick(t *testing.T) {
 	doc := EndpointContention(quick)
 	if len(doc.Series) != 5 {
@@ -19,11 +17,21 @@ func TestEndpointContentionQuick(t *testing.T) {
 	if ne != 4 || doc.Endpoints[0] != 1 || doc.Endpoints[ne-1] != 8 {
 		t.Fatalf("endpoint sweep = %v, want {1,2,4,8}", doc.Endpoints)
 	}
+	tab := EndpointContentionTable(doc)
+	if len(tab.Rows) != 5*ne {
+		t.Fatalf("table rows = %d, want 5 schemes x %d set sizes", len(tab.Rows), ne)
+	}
+	for _, r := range tab.Rows {
+		if len(r) != len(tab.Columns) {
+			t.Fatalf("row %v has %d cells for %d columns", r, len(r), len(tab.Columns))
+		}
+	}
 	senders := doc.Ranks - 1
 	msgs := uint64(senders * doc.Threads * doc.Bursts * doc.MsgsPerBurst)
 	for _, s := range doc.Series {
-		for _, col := range [][]float64{s.TimeMS, s.WallMS} {
-			if len(col) != ne {
+		for _, n := range []int{len(s.TimeMS), len(s.Backlogged), len(s.RNRNaks),
+			len(s.OccupancyHWM), len(s.StickySels), len(s.BufBytesHWM)} {
+			if n != ne {
 				t.Fatalf("%s: ragged series", s.Scheme)
 			}
 		}
@@ -50,20 +58,15 @@ func TestEndpointContentionQuick(t *testing.T) {
 }
 
 // TestEndpointSerialParallelIdentical pins the runner contract for the
-// contention document: its virtual-time payload must serialize
-// byte-identically whatever the worker count.
+// contention document: as fcbench emits it, it must be byte-identical
+// whatever the worker count.
 func TestEndpointSerialParallelIdentical(t *testing.T) {
-	docJSON := func(workers int) string {
-		doc := StripEndpointHostMetrics(EndpointContention(Opts{Quick: true, Parallel: workers}))
-		b, err := json.Marshal(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	sweep := func(workers int) string {
+		return docJSON(t, EndpointContention(Opts{Quick: true, Parallel: workers}))
 	}
-	serial := docJSON(1)
+	serial := sweep(1)
 	for _, workers := range []int{2, 4} {
-		if got := docJSON(workers); got != serial {
+		if got := sweep(workers); got != serial {
 			t.Errorf("workers=%d: endpoint doc diverges from serial sweep:\n%s\nvs\n%s",
 				workers, got, serial)
 		}

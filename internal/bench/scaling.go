@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"ibflow/internal/core"
 	"ibflow/internal/ib"
@@ -31,23 +29,6 @@ type ScalingSeries struct {
 	LimitEvents []uint64 `json:"limit_events"`
 	// TimeMS is the job makespan in milliseconds (virtual time).
 	TimeMS []float64 `json:"time_ms"`
-	// Goroutines is the host goroutine count sampled while every rank
-	// was live. With progress on bound CQ handlers the count is the rank
-	// mains plus a small constant — no per-device or per-connection
-	// daemons — which is what lets one process host thousand-rank worlds.
-	// Host-side measurement: excluded from determinism digests.
-	Goroutines []int `json:"goroutines"`
-	// WallMS is the host wall-clock time to simulate the cell, in
-	// milliseconds. Host-side measurement: machine-dependent, excluded
-	// from determinism digests.
-	WallMS []float64 `json:"wall_ms"`
-	// AllocsPerMsg is the host heap allocations per simulated message
-	// (process malloc counter differenced around the run, divided by the
-	// cell's total message count). Host-side measurement: the malloc
-	// counter is process-wide, so the column is only meaningful for
-	// serial runs (fcbench -parallel 1, how the committed documents are
-	// produced) and is excluded from determinism digests.
-	AllocsPerMsg []float64 `json:"allocs_per_msg"`
 }
 
 // ScalingDoc is the machine-readable connection-scaling document stored
@@ -130,11 +111,10 @@ func (doc *ScalingDoc) cellOptions(fc core.Params, n int) mpi.Options {
 // fan-in — at the price of RNR NAKs when the storm outruns watermark
 // replenishment.
 //
-// The large rows ride the goroutine-to-handler migration: progress runs
-// on bound CQ handlers, so a cell's goroutine count is its rank mains
-// plus a small constant, and 256- and 1024-rank worlds fit in one
-// process. The largest rows also switch the fabric to an oversubscribed
-// multi-rail fat tree (the interconnect such clusters actually run).
+// The largest rows switch the fabric to an oversubscribed multi-rail fat
+// tree (the interconnect such clusters actually run) and, from
+// OnDemandFrom ranks, set connections up on demand. Every column is
+// virtual, so the document is byte-identical for every worker count.
 func ConnScaling(o Opts) ScalingDoc {
 	doc := ScalingDoc{
 		Benchmark:    "connscaling",
@@ -166,30 +146,16 @@ func ConnScaling(o Opts) ScalingDoc {
 		hwm                          int
 		rnrNaks, backlogged, limitEv uint64
 		timeMS                       float64
-		goroutines                   int
-		wallMS                       float64
-		allocsPerMsg                 float64
 	}
 	nr := len(doc.Ranks)
 	cells := runner.Map(len(schemes)*nr, o.workers(), func(k int) cell {
 		fc, n := schemes[k/nr], doc.Ranks[k%nr]
 		opts := doc.cellOptions(fc, n)
 		o.tune(&opts)
-		start := time.Now()
 		w := mpi.NewWorld(n, opts)
-		var goroutines int
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		if err := w.Run(scalingStorm(doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout, &goroutines)); err != nil {
+		if err := w.Run(scalingStorm(doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout)); err != nil {
 			panic(fmt.Sprintf("bench: connscaling %s at %d ranks: %v", fc.Kind, n, err))
 		}
-		runtime.ReadMemStats(&msAfter)
-		wallMS := time.Since(start).Seconds() * 1e3
-		fan := doc.Fanout
-		if fan > n-1 {
-			fan = n - 1
-		}
-		totalMsgs := n * fan * doc.MsgsPerPeer
 		// The Table-2 quantity is per-process memory: take the
 		// worst rank, not the job-wide sum, so the row reads as
 		// "bytes a node must pin" at that cluster size.
@@ -201,14 +167,11 @@ func ConnScaling(o Opts) ScalingDoc {
 		}
 		st := w.Stats()
 		return cell{
-			hwm:          hwm,
-			rnrNaks:      st.RNRNaks,
-			backlogged:   st.Backlogged,
-			limitEv:      st.LimitEvents,
-			timeMS:       w.Time().Seconds() * 1e3,
-			goroutines:   goroutines,
-			wallMS:       wallMS,
-			allocsPerMsg: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(totalMsgs),
+			hwm:        hwm,
+			rnrNaks:    st.RNRNaks,
+			backlogged: st.Backlogged,
+			limitEv:    st.LimitEvents,
+			timeMS:     w.Time().Seconds() * 1e3,
 		}
 	})
 	for i, fc := range schemes {
@@ -220,31 +183,10 @@ func ConnScaling(o Opts) ScalingDoc {
 			s.Backlogged = append(s.Backlogged, c.backlogged)
 			s.LimitEvents = append(s.LimitEvents, c.limitEv)
 			s.TimeMS = append(s.TimeMS, c.timeMS)
-			s.Goroutines = append(s.Goroutines, c.goroutines)
-			s.WallMS = append(s.WallMS, c.wallMS)
-			s.AllocsPerMsg = append(s.AllocsPerMsg, c.allocsPerMsg)
 		}
 		doc.Series = append(doc.Series, s)
 	}
 	return doc
-}
-
-// StripHostMetrics returns a copy of doc with the host-side columns
-// (goroutine samples, wall clock) cleared. Those columns measure the
-// simulator process — they vary with the machine, the worker count and
-// the scheduler — so determinism contracts (serial == parallel, rerun
-// identity) compare the stripped view; the virtual-time payload must
-// stay byte-identical.
-func StripHostMetrics(doc ScalingDoc) ScalingDoc {
-	out := doc
-	out.Series = make([]ScalingSeries, len(doc.Series))
-	for i, s := range doc.Series {
-		s.Goroutines = nil
-		s.WallMS = nil
-		s.AllocsPerMsg = nil
-		out.Series[i] = s
-	}
-	return out
 }
 
 // scalingStorm returns an MPI main in which every rank exchanges msgs
@@ -254,13 +196,7 @@ func StripHostMetrics(doc ScalingDoc) ScalingDoc {
 // O(n*fanout) while eagerly wired worlds still pay buffer memory for
 // all n-1 connections. Receives are pre-posted so all traffic stays
 // eager and lands on the receive-buffer machinery under test.
-//
-// goroutines, when non-nil, receives the maximum runtime.NumGoroutine
-// observed at Waitall entry across ranks: the last rank to get there
-// sees every rank main live, so the sample bounds the world's true
-// footprint from below without perturbing the simulation (procs run
-// one at a time, so the write is race-free).
-func scalingStorm(msgs, size, fanout int, goroutines *int) func(c *mpi.Comm) {
+func scalingStorm(msgs, size, fanout int) func(c *mpi.Comm) {
 	return func(c *mpi.Comm) {
 		recvSrc, sendDst := stormPeers(c.Rank(), c.Size(), fanout)
 		k := len(recvSrc)
@@ -282,11 +218,6 @@ func scalingStorm(msgs, size, fanout int, goroutines *int) func(c *mpi.Comm) {
 			for m := 0; m < msgs; m++ {
 				off := (i*msgs + m) * size
 				reqs = append(reqs, c.Isend(dst, m, sendSlab[off:off+size]))
-			}
-		}
-		if goroutines != nil {
-			if g := runtime.NumGoroutine(); g > *goroutines {
-				*goroutines = g
 			}
 		}
 		c.Waitall(reqs...)
@@ -347,29 +278,6 @@ func ConnScalingTable(doc ScalingDoc) Table {
 			row = append(row, fmt.Sprint(shared.RNRNaks[i]), fmt.Sprint(shared.LimitEvents[i]))
 		} else {
 			row = append(row, "-", "-")
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-// ConnScalingHostTable renders the host-side columns of the scaling
-// document: goroutine count while every rank is live and wall-clock
-// time per cell. Flat goroutine counts (ranks + a small constant) are
-// the migration's receipt — progress engines no longer park goroutines.
-func ConnScalingHostTable(doc ScalingDoc) Table {
-	t := Table{
-		Title:   "Connection scaling: host footprint (goroutines live mid-run / wall-clock ms / heap allocs per msg per cell)",
-		Columns: []string{"ranks"},
-		Note:    "goroutines = rank mains + constant; wall clock is machine-dependent; allocs/msg differences the process malloc counter, valid only for serial (-parallel 1) runs",
-	}
-	for _, s := range doc.Series {
-		t.Columns = append(t.Columns, s.Scheme)
-	}
-	for i, n := range doc.Ranks {
-		row := []string{fmt.Sprint(n)}
-		for _, s := range doc.Series {
-			row = append(row, fmt.Sprintf("%d / %.0f / %.2f", s.Goroutines[i], s.WallMS[i], s.AllocsPerMsg[i]))
 		}
 		t.AddRow(row...)
 	}

@@ -1,17 +1,17 @@
 package bench
 
 import (
-	"os"
 	"runtime"
 	"testing"
 
 	"ibflow/internal/core"
+	"ibflow/internal/debug"
 	"ibflow/internal/mpi"
 )
 
 // smokeDoc is the quick scaling sweep's configuration (fat tree from 64
-// ranks) for the tests `make scaling-smoke` and `endpoints-smoke` run,
-// with on-demand connections from onDemandFrom ranks up.
+// ranks) for the allocation gates and the scale-cell tests, with
+// on-demand connections from onDemandFrom ranks up.
 func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 	return ScalingDoc{
 		Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
@@ -21,26 +21,27 @@ func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 	}
 }
 
-// TestScalingSteadyAllocGate is the world-level allocation gate behind
-// `make scaling-smoke`, armed via IBFLOW_ALLOC_GATE like the event-core
-// gate in internal/sim. It runs the quick sweep's 128-rank cell (static
-// scheme: the heaviest eager machinery) at two traffic volumes and
+// TestScalingSteadyAllocGate is the world-level allocation gate. It runs
+// the quick sweep's 128-rank cell at two traffic volumes and
 // differences the process malloc counter, so world setup and the first
 // pass through every pool cancel out and what remains is the marginal
-// cost of one more message in steady state.
+// cost of one more message in steady state. The counter is process-wide,
+// so no test in this package may call t.Parallel.
 //
 // The storm main slab-allocates its payloads and pre-sizes its request
 // list, the MPI layer recycles request boxes and stages unexpected eager
 // payloads through the device pool, and the transport runs on recycled
 // WQEs and bound CQ handlers — so the marginal cost of one more message
-// is amortized pool/slab refills only: measured 0.37 (static) to 0.79
-// (shared). The bound of 2 allocations per message is well over
-// that, and one extra object per message anywhere on the path — a
-// buffer, a request, a WQE, or a local whose address escapes through the
-// provisioner interface (that one read +3.1 under every scheme) — blows
-// past it. All five schemes are gated; hardware/static/dynamic/shared
-// share the send/recv eager machinery and rdma is the ring channel,
-// whose slot reserve/write/consume cycle must be just as free.
+// is amortized pool/slab refills only: measured 0.32 (static) to 0.50
+// (dynamic), the same under -race, 0.36–0.53 under -tags ibdebug. The
+// bound is 1 allocation per message, so one extra object per message
+// anywhere on the path — a buffer, a request, a WQE, or a local whose
+// address escapes through the provisioner interface (that one read +3.1
+// under every scheme) — fails it: one new(int) per eager message in
+// encodeEager reads 1.32–1.50. All five schemes are gated;
+// hardware/static/dynamic/shared share the send/recv eager machinery and
+// rdma is the ring channel, whose slot reserve/write/consume cycle must
+// be just as free.
 //
 // The rendezvous path is gated the same way, one cell per transport
 // shape (write: RTS, CTS, RDMA write, FIN; read: RTS, RDMA read, FIN): the
@@ -49,10 +50,11 @@ func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 // buffers are reused, so one more rendezvous costs chunk refills at most —
 // measured 0.03 under both shapes (2.06 and 2.07 before the state was pooled) — and the bound is 0.25: the next &T{}
 // on the path costs 1 and fails it.
+//
+// Under -tags ibdebug the assertions allocate on the rendezvous path:
+// the cells read 9.21 (write) and 1.44 (read) and are skipped there,
+// while the eager cells stay gated.
 func TestScalingSteadyAllocGate(t *testing.T) {
-	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
-		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
-	}
 	const ranks, size, rndvSize, fanout = 128, 256, 16 << 10, 24
 	const msgsLow, msgsHigh = 6, 12
 	doc := smokeDoc(fanout, 512)
@@ -68,9 +70,12 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
-		low := cellMallocs(fc, scalingStorm(msgsLow, size, fanout, nil))
-		high := cellMallocs(fc, scalingStorm(msgsHigh, size, fanout, nil))
-		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 2)
+		low := cellMallocs(fc, scalingStorm(msgsLow, size, fanout))
+		high := cellMallocs(fc, scalingStorm(msgsHigh, size, fanout))
+		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 1)
+	}
+	if debug.Enabled {
+		t.Skip("ibdebug assertions allocate 9.21 (write) and 1.44 (read) objects per rendezvous")
 	}
 	for _, fc := range []core.Params{core.Static(doc.Prepost), core.RDMA(doc.RingSlots, doc.SlotBytes)} {
 		low := cellMallocs(fc, rendezvousRounds(msgsLow, rndvSize, fanout))
@@ -109,8 +114,8 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 	}
 }
 
-// TestConnSetupBudget is the set-up twin of the steady-state gate (armed
-// and run the same way): what one connection end costs the host when it
+// TestConnSetupBudget is the set-up twin of the steady-state gate: what
+// one connection end costs the host when it
 // is established inside the run. The steady gate differences two traffic
 // volumes, so set-up cancels out of it by construction; this one runs
 // the 128-rank on-demand storm at 2 messages per peer — the repo
@@ -131,9 +136,6 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 // pool warmed outside the run), and whole-ring commits 9.7 KB / 13.8 /
 // 9.0 KB on the ring.
 func TestConnSetupBudget(t *testing.T) {
-	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
-		t.Skip("set IBFLOW_ALLOC_GATE=1 (make scaling-smoke) to arm the gate")
-	}
 	const ranks, size, fanout, msgs = 128, 256, 24, 2
 	const maxBytes, maxObjs, maxRetained = 5 << 10, 4, 4200
 	doc := smokeDoc(fanout, ranks)
@@ -143,7 +145,7 @@ func TestConnSetupBudget(t *testing.T) {
 		runtime.ReadMemStats(&base)
 		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
 		runtime.ReadMemStats(&before)
-		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
 			t.Fatalf("%v: %v", fc.Kind, err)
 		}
 		runtime.ReadMemStats(&after)
@@ -171,14 +173,15 @@ func TestConnSetupBudget(t *testing.T) {
 }
 
 // TestEndpointsSteadyAllocGate repeats the steady-state allocation gate
-// with a four-endpoint set per rank pair (armed via IBFLOW_ALLOC_GATE,
-// run by `make endpoints-smoke`). Endpoint selection sits on the send
-// hot path — sticky is an index computation, round-robin a cursor
-// bump — so the marginal cost of a message must not move when the
-// connection fans out into a set.
+// with a four-endpoint set per rank pair. Endpoint selection sits on the
+// send hot path — the sticky policy is an index computation — so the
+// marginal cost of a message must not move when the connection fans out
+// into a set: measured 0.34–0.55, bound 1 as above. Under -tags ibdebug
+// the assertions allocate 6.06–10.45 objects per message here, so that
+// build skips the gate.
 func TestEndpointsSteadyAllocGate(t *testing.T) {
-	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
-		t.Skip("set IBFLOW_ALLOC_GATE=1 (make endpoints-smoke) to arm the gate")
+	if debug.Enabled {
+		t.Skip("ibdebug assertions allocate 6.06–10.45 objects per eager message on a four-endpoint set")
 	}
 	const ranks, size, fanout = 128, 256, 24
 	doc := smokeDoc(fanout, 512)
@@ -188,7 +191,7 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 		w := mpi.NewWorld(ranks, opts)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
 			t.Fatalf("%v at %d ranks, %d msgs: %v", fc.Kind, ranks, msgs, err)
 		}
 		runtime.ReadMemStats(&after)
@@ -198,7 +201,7 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 		const msgsLow, msgsHigh = 6, 12
 		low := cellMallocs(fc, msgsLow)
 		high := cellMallocs(fc, msgsHigh)
-		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 2)
+		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 1)
 	}
 }
 

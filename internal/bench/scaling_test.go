@@ -83,7 +83,7 @@ func TestRendezvousStormOnTwoRails(t *testing.T) {
 	doc := smokeDoc(fanout, 512)
 	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
 		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
-		if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
 			t.Errorf("%v: %v", fc.Kind, err)
 		}
 	}

@@ -17,8 +17,7 @@ import (
 // six is the quick scaling sweep's volume, where the user-level schemes
 // and the ring finish with returns in flight and only the hardware and
 // shared schemes are. The 128-rank row is that sweep's fat-tree cell with
-// on-demand connections: `make scaling-smoke` audits a scale cell on
-// every push.
+// on-demand connections, so tier-1 audits a scale cell.
 func TestSettleAddsNothingWhenClean(t *testing.T) {
 	const size, fanout = 256, 24
 	doc := smokeDoc(fanout, 0)
@@ -31,7 +30,7 @@ func TestSettleAddsNothingWhenClean(t *testing.T) {
 						opts := doc.cellOptions(fc, ranks)
 						opts.Settle = settle
 						w := mpi.NewWorld(ranks, opts)
-						if err := w.Run(scalingStorm(msgs, size, fanout, nil)); err != nil {
+						if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
 							t.Fatalf("settle=%v: %v", settle, err)
 						}
 						return w

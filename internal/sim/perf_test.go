@@ -1,16 +1,14 @@
 package sim
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // Performance of the simulator itself (host ns per simulated event):
 // the experiment suite fires tens of millions of events, so the engine's
 // own overhead bounds how large a cluster we can study. All benchmarks
 // report allocations — the freelist and handler events exist precisely to
-// drive steady-state allocs/op to zero. BENCH_simcore.json at the repo
-// root records the committed numbers (see README for regeneration).
+// drive steady-state allocs/op to zero. The repo benchmark's sim.* ladder
+// rungs (sim.dispatch_ns, sim.dispatch_deep_ns, sim.proc_switch_ns,
+// sim.timer_reset_ns, sim.cancel_ns) time the same operations.
 
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEngine()
@@ -128,16 +126,12 @@ func BenchmarkCancelChurn(b *testing.B) {
 	}
 }
 
-// TestSteadyStateAllocGate is the allocation-regression gate behind
-// `make bench-simcore`: after warm-up, the handler fast path must not
-// allocate at all, BenchmarkHeapChurn's closure loop may allocate only
-// the user's closure itself (one object per event), and a process
-// parking and resuming through a Cond must not allocate either. Armed via
-// IBFLOW_ALLOC_GATE so plain `go test ./...` stays allocation-agnostic.
+// TestSteadyStateAllocGate is the event core's allocation-regression
+// gate: after warm-up, the handler fast path must not allocate at all,
+// BenchmarkHeapChurn's closure loop may allocate only the user's closure
+// itself (one object per event), and a process parking and resuming
+// through a Cond must not allocate either.
 func TestSteadyStateAllocGate(t *testing.T) {
-	if os.Getenv("IBFLOW_ALLOC_GATE") == "" {
-		t.Skip("set IBFLOW_ALLOC_GATE=1 (make bench-simcore) to arm the gate")
-	}
 	const pending, events = 1024, 8192
 	e := NewEngine()
 
