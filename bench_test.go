@@ -192,27 +192,9 @@ func BenchmarkAblationCollectives(b *testing.B) {
 	}
 }
 
-func BenchmarkExtensionUDChannel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ExtensionUDChannel(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
 func BenchmarkExtensionFatTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := bench.ExtensionFatTree(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkExtensionMiddleware(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ExtensionMiddleware(quick)
 		if i == 0 {
 			reportTable(b, t)
 		}

@@ -135,9 +135,7 @@ func main() {
 		{[]string{"shrink", "ablations"}, func() bench.Table { return bench.AblationShrink(o) }},
 		{[]string{"rdma", "extensions"}, func() bench.Table { return bench.ExtensionRDMAChannel(o) }},
 		{[]string{"collectives", "ablations"}, func() bench.Table { return bench.AblationCollectives(o) }},
-		{[]string{"ud", "extensions"}, func() bench.Table { return bench.ExtensionUDChannel(o) }},
 		{[]string{"fattree", "extensions"}, func() bench.Table { return bench.ExtensionFatTree(o) }},
-		{[]string{"middleware", "extensions"}, func() bench.Table { return bench.ExtensionMiddleware(o) }},
 		{[]string{"scaling"}, func() bench.Table { return bench.ScalingMeasured(o) }},
 		{[]string{"scaling"}, func() bench.Table { return bench.ScalingTable(o) }},
 		{[]string{"connscaling", "scaling"}, func() bench.Table { return bench.ConnScalingTable(bench.ConnScaling(o)) }},

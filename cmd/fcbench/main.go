@@ -35,6 +35,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,11 +49,93 @@ import (
 	"ibflow/internal/trace"
 )
 
-// fail prints a flag-combination error plus usage and exits nonzero.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fcbench: "+format+"\n", args...)
+// fail prints a usage error plus usage and exits nonzero.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "fcbench:", err)
 	flag.Usage()
 	os.Exit(2)
+}
+
+// flagVals are the flag values checkFlags reads besides which flags were
+// given on the command line.
+type flagVals struct {
+	metricsOut, metricsFormat string
+	endpoints, parallel       int
+	poolMetrics               bool
+}
+
+// checkFlags rejects a flag combination the chosen -test would ignore or
+// cannot honour, before anything runs. set names the flags given on the
+// command line.
+func checkFlags(test string, set map[string]bool, v flagVals) error {
+	switch test {
+	case "latency":
+		if set["window"] {
+			return errors.New("-window applies to -test bandwidth, not latency")
+		}
+		if set["reps"] {
+			return errors.New("-reps applies to -test bandwidth, not latency")
+		}
+		if v.metricsOut != "" && !set["size"] {
+			return errors.New("-metrics-out instruments a single run: pick one -size")
+		}
+	case "bandwidth":
+		if set["iters"] {
+			return errors.New("-iters applies to -test latency, not bandwidth")
+		}
+		if v.metricsOut != "" && !set["window"] {
+			return errors.New("-metrics-out instruments a single run: pick one -window")
+		}
+	case "micro":
+		if set["scheme"] {
+			return errors.New("-test micro sweeps all schemes; drop -scheme")
+		}
+		if set["window"] {
+			return errors.New("-test micro sweeps every bandwidth window; drop -window")
+		}
+		if set["metrics-out"] {
+			return errors.New("-metrics-out is not supported with -test micro (many worlds, one registry)")
+		}
+	case "scaling", "endpoints":
+		if set["scheme"] {
+			return fmt.Errorf("-test %s sweeps all schemes; drop -scheme", test)
+		}
+		if set["metrics-out"] {
+			return fmt.Errorf("-metrics-out is not supported with -test %s (many worlds, one registry)", test)
+		}
+		sweep := "ConnScaling"
+		if test == "endpoints" {
+			sweep = "EndpointContention"
+		}
+		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
+			if set[f] {
+				return fmt.Errorf("-%s does not apply to -test %s (fixed sweep; see internal/bench.%s)", f, test, sweep)
+			}
+		}
+	default:
+		return fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints)", test)
+	}
+	switch {
+	case set["quick"] && test != "scaling" && test != "endpoints":
+		return errors.New("-quick applies to -test scaling and -test endpoints only")
+	case v.endpoints < 0:
+		return errors.New("-endpoints must be >= 0")
+	case set["endpoints"] && test == "micro":
+		return errors.New("-endpoints applies to -test latency and bandwidth, not micro")
+	case v.parallel < 0:
+		return errors.New("-parallel must be >= 0")
+	case set["parallel"] && v.metricsOut != "":
+		return errors.New("-metrics-out instruments a single serial point; drop -parallel")
+	case set["metrics-format"] && v.metricsOut == "":
+		return errors.New("-metrics-format requires -metrics-out")
+	case v.poolMetrics && v.metricsOut == "":
+		return errors.New("-pool-metrics requires -metrics-out (it adds gauges to the metric dump)")
+	}
+	switch v.metricsFormat {
+	case "json", "csv", "perfetto":
+		return nil
+	}
+	return fmt.Errorf("unknown -metrics-format %q (json|csv|perfetto)", v.metricsFormat)
 }
 
 var (
@@ -133,73 +216,15 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// Validate flag combinations before running anything.
-	switch *test {
-	case "latency":
-		if set["window"] {
-			fail("-window applies to -test bandwidth, not latency")
-		}
-		if set["reps"] {
-			fail("-reps applies to -test bandwidth, not latency")
-		}
-		if *metricsOut != "" && !set["size"] {
-			fail("-metrics-out instruments a single run: pick one -size")
-		}
-	case "bandwidth":
-		if set["iters"] {
-			fail("-iters applies to -test latency, not bandwidth")
-		}
-		if *metricsOut != "" && !set["window"] {
-			fail("-metrics-out instruments a single run: pick one -window")
-		}
-	case "micro":
-		if set["scheme"] {
-			fail("-test micro sweeps all schemes; drop -scheme")
-		}
-		if set["metrics-out"] {
-			fail("-metrics-out is not supported with -test micro (many worlds, one registry)")
-		}
-	case "scaling":
-		if set["scheme"] {
-			fail("-test scaling sweeps all schemes; drop -scheme")
-		}
-		if set["metrics-out"] {
-			fail("-metrics-out is not supported with -test scaling (many worlds, one registry)")
-		}
-		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
-			if set[f] {
-				fail("-%s does not apply to -test scaling (fixed sweep; see internal/bench.ConnScaling)", f)
-			}
-		}
-	case "endpoints":
-		if set["scheme"] {
-			fail("-test endpoints sweeps all schemes; drop -scheme")
-		}
-		if set["metrics-out"] {
-			fail("-metrics-out is not supported with -test endpoints (many worlds, one registry)")
-		}
-		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
-			if set[f] {
-				fail("-%s does not apply to -test endpoints (fixed sweep; see internal/bench.EndpointContention)", f)
-			}
-		}
-	default:
-		fail("unknown -test %q (latency|bandwidth|micro|scaling|endpoints)", *test)
-	}
-	if set["quick"] && *test != "scaling" && *test != "endpoints" {
-		fail("-quick applies to -test scaling and -test endpoints only")
-	}
-	if *endpoints < 0 {
-		fail("-endpoints must be >= 0")
-	}
-	if set["endpoints"] && *test == "micro" {
-		fail("-endpoints applies to -test latency and bandwidth, not micro")
-	}
-	if *parallel < 0 {
-		fail("-parallel must be >= 0")
-	}
-	if set["parallel"] && *metricsOut != "" {
-		fail("-metrics-out instruments a single serial point; drop -parallel")
+	err := checkFlags(*test, set, flagVals{
+		metricsOut:    *metricsOut,
+		metricsFormat: *metricsFormat,
+		endpoints:     *endpoints,
+		parallel:      *parallel,
+		poolMetrics:   *poolMetrics,
+	})
+	if err != nil {
+		fail(err)
 	}
 	workers := *parallel
 	if workers == 0 {
@@ -210,23 +235,10 @@ func main() {
 		// keep it on the calling goroutine.
 		workers = 1
 	}
-	if set["metrics-format"] && *metricsOut == "" {
-		fail("-metrics-format requires -metrics-out")
-	}
-	if *poolMetrics && *metricsOut == "" {
-		fail("-pool-metrics requires -metrics-out (it adds gauges to the metric dump)")
-	}
-	switch *metricsFormat {
-	case "json", "csv", "perfetto":
-	default:
-		fail("unknown -metrics-format %q (json|csv|perfetto)", *metricsFormat)
-	}
 
 	fc, err := bench.ParseScheme(*scheme, *prepost, *dynmax, *slotbytes)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fcbench:", err)
-		flag.Usage()
-		os.Exit(2)
+		fail(err)
 	}
 
 	// Everything below is the measured run; usage errors exited above.

@@ -29,9 +29,6 @@ var AuditedPackages = []string{
 	"ibflow/internal/metrics",
 	"ibflow/internal/coll",
 	"ibflow/internal/nas",
-	"ibflow/internal/rdc",
-	"ibflow/internal/pfs",
-	"ibflow/internal/dsm",
 	// The worker-pool runner is audited under an inverted simgoroutine
 	// rule: raw concurrency is sanctioned there, importing internal/sim
 	// is the violation (see SimGoroutine).

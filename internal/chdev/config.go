@@ -26,53 +26,71 @@ type ECMFaults interface {
 	DuplicateECM(now sim.Time, rank, peer int) bool
 }
 
-// Config holds the host-side (software) parameters of the channel device.
+// The channel device's host-side (software) costs, calibrated so the full
+// MPI stack reproduces the paper's ~7.5 us small-message latency over the
+// default fabric model. They are constants: no figure, table or benchmark
+// varies them.
+const (
+	// swSend and swRecv are the per-message software overheads of the
+	// MPI library (tag matching, descriptor management) on each side.
+	// swRecvCtrl is the cheaper receive path for control packets
+	// (RTS/CTS/FIN/credit), which skip matching and payload copy-out.
+	// The receive path costs slightly more than the send path
+	// (matching, copy-out, re-post bookkeeping) — as on the real
+	// testbed, a sender can outrun a receiver, which is what
+	// exhausts pre-posted buffers and makes flow control matter.
+	swSend     = 2200 * sim.Nanosecond
+	swRecv     = 2500 * sim.Nanosecond
+	swRecvCtrl = 1800 * sim.Nanosecond
+
+	// swRecvRDMA is the receive overhead of the ring scheme's
+	// (core.KindRDMA) RDMA-write eager channel, the authors' companion
+	// ICS'03 design: the sender writes into persistent receiver-side
+	// slots, detected by memory polling (modelled as a notify
+	// completion) — cheaper than swRecv, no receive descriptor handling.
+	swRecvRDMA = 1900 * sim.Nanosecond
+
+	// memcpyBytesPerSec is the host copy bandwidth charged for staging
+	// eager payloads through the pre-pinned buffers.
+	memcpyBytesPerSec = 1.6e9
+
+	// connSetup is the one-time latency of an on-demand connection
+	// (Config.OnDemand).
+	connSetup = 40 * sim.Microsecond
+
+	// ecmSilence implements the paper's "send an explicit credit
+	// message only when there is still no message sent by the MPI
+	// layer": owed credits above the threshold are flushed in an ECM
+	// only after the connection has had no outgoing traffic for this
+	// long (piggybacking always gets the first chance).
+	ecmSilence = 50 * sim.Microsecond
+
+	// ctrlPrepost is the fixed pool of send/receive descriptors the
+	// ring scheme keeps per connection for control traffic.
+	ctrlPrepost = 8
+
+	// reissueDelay is how long a connection stays in degraded mode after
+	// the transport reports RNR budget exhaustion before the frozen
+	// stream is re-issued; new eager traffic backlogs meanwhile.
+	reissueDelay = 100 * sim.Microsecond
+)
+
+// Config holds the channel device's settings and observability hooks.
 type Config struct {
 	// BufSize is the fixed size of pre-pinned communication buffers;
 	// the paper uses 2 KB. Messages up to BufSize-HeaderSize travel
 	// eagerly; larger ones use the rendezvous protocol.
 	BufSize int
 
-	// SWSend and SWRecv are the per-message software overheads of the
-	// MPI library (tag matching, descriptor management) on each side.
-	// SWRecvCtrl is the cheaper receive path for control packets
-	// (RTS/CTS/FIN/credit), which skip matching and payload copy-out.
-	SWSend     sim.Time
-	SWRecv     sim.Time
-	SWRecvCtrl sim.Time
-
-	// MemcpyBytesPerSec is the host copy bandwidth charged for staging
-	// eager payloads through the pre-pinned buffers.
-	MemcpyBytesPerSec float64
-
 	// OnDemand delays connection (and buffer) setup until two ranks
 	// first communicate — the scalability extension discussed in the
-	// paper's related work. ConnSetup is the one-time setup latency.
-	OnDemand  bool
-	ConnSetup sim.Time
-
-	// ECMSilence implements the paper's "send an explicit credit
-	// message only when there is still no message sent by the MPI
-	// layer": owed credits above the threshold are flushed in an ECM
-	// only after the connection has had no outgoing traffic for this
-	// long (piggybacking always gets the first chance).
-	ECMSilence sim.Time
+	// paper's related work. Each setup costs connSetup.
+	OnDemand bool
 
 	// PessimisticECM subjects explicit credit messages themselves to
 	// credit flow control (the deadlock-prone design the paper's
 	// "optimistic" scheme exists to fix). Only for demonstrations.
 	PessimisticECM bool
-
-	// SWRecvRDMA is the receive overhead of the ring scheme's
-	// (core.KindRDMA) RDMA-write eager channel, the authors' companion
-	// ICS'03 design: the sender writes into persistent receiver-side
-	// slots, detected by memory polling (modelled as a notify
-	// completion) — cheaper than SWRecv, no receive descriptor handling.
-	SWRecvRDMA sim.Time
-
-	// CtrlPrepost is the fixed pool of send/receive descriptors the
-	// ring scheme keeps per connection for control traffic.
-	CtrlPrepost int
 
 	// Tracer, when non-nil, records protocol events (sends, arrivals,
 	// starvation, growth, transport retries) on the virtual timeline.
@@ -104,11 +122,6 @@ type Config struct {
 	// duplications (see internal/fault).
 	Faults ECMFaults
 
-	// ReissueDelay is how long a connection stays in degraded mode after
-	// the transport reports RNR budget exhaustion before the frozen
-	// stream is re-issued; new eager traffic backlogs meanwhile.
-	ReissueDelay sim.Time
-
 	// Endpoints is the number of independent VC/QP endpoints per rank
 	// pair (Zambre et al.'s communication endpoints for MPI+threads).
 	// Each endpoint owns its own scheme state — credits, ring, or a
@@ -120,36 +133,20 @@ type Config struct {
 	Endpoints int
 }
 
-// DefaultConfig returns host overheads calibrated so the full MPI stack
-// reproduces the paper's ~7.5 us small-message latency over the default
-// fabric model.
+// DefaultConfig returns the paper's device: 2 KB pre-pinned buffers, one
+// endpoint per rank pair, connections wired at start-up.
 func DefaultConfig() Config {
-	return Config{
-		BufSize: 2048,
-		// The receive path costs slightly more than the send path
-		// (matching, copy-out, re-post bookkeeping) — as on the real
-		// testbed, a sender can outrun a receiver, which is what
-		// exhausts pre-posted buffers and makes flow control matter.
-		SWSend:            2200 * sim.Nanosecond,
-		SWRecv:            2500 * sim.Nanosecond,
-		SWRecvCtrl:        1800 * sim.Nanosecond,
-		MemcpyBytesPerSec: 1.6e9,
-		ECMSilence:        50 * sim.Microsecond,
-		ConnSetup:         40 * sim.Microsecond,
-		SWRecvRDMA:        1900 * sim.Nanosecond,
-		CtrlPrepost:       8,
-		ReissueDelay:      100 * sim.Microsecond,
-	}
+	return Config{BufSize: 2048}
 }
 
 // EagerThreshold is the largest payload that still fits a pre-pinned
 // buffer behind the packet header.
 func (c *Config) EagerThreshold() int { return c.BufSize - HeaderSize }
 
-// CopyTime returns the virtual time charged for copying n bytes.
-func (c *Config) CopyTime(n int) sim.Time {
+// copyTime returns the virtual time charged for copying n bytes.
+func copyTime(n int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
-	return sim.Time(float64(n) / c.MemcpyBytesPerSec * 1e9)
+	return sim.Time(float64(n) / memcpyBytesPerSec * 1e9)
 }

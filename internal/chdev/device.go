@@ -138,17 +138,13 @@ type conn struct {
 	// only through noteOut.
 	occHWM int
 
-	// sel is the selection state of the endpoint set this conn belongs
-	// to, one per set; nil for a set of one, which has nothing to select.
-	sel *epSelect
-
 	// Explicit-credit-message silence gate state.
 	lastSend sim.Time   // last outgoing traffic on this connection
 	ecmTimer *sim.Timer // deferred ECM when the gate is still closed
 
 	// degraded marks a connection whose QP froze on RNR budget
 	// exhaustion: new eager traffic falls back to the backlog until the
-	// frozen stream is re-issued (Config.ReissueDelay later).
+	// frozen stream is re-issued (reissueDelay later).
 	degraded bool
 
 	// Landing regions, the provisioner's to set and use (provision.go):
@@ -164,22 +160,6 @@ func (c *conn) noteOut() {
 	if n := c.sends.Len(); n > c.occHWM {
 		c.occHWM = n
 	}
-}
-
-// epSelect is the selection state of one peer's endpoint set: logical
-// threads are pinned to its endpoints (Zambre et al.: an endpoint per
-// thread), and the pins are counted. The set itself is Config.Endpoints
-// consecutive entries of Device.live (Device.eps); each of its conns
-// points at the state.
-type epSelect struct {
-	sticky uint64
-}
-
-// pickSticky pins logical thread tid to one endpoint of the set, which
-// keeps MPI's per-pair non-overtaking order for traffic within a thread.
-func (s *epSelect) pickSticky(eps []*conn, tid int) *conn {
-	s.sticky++
-	return eps[tid%len(eps)]
 }
 
 // Stats aggregates a device's flow control and transport counters.
@@ -242,9 +222,11 @@ type Device struct {
 
 	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
 	// is the logical thread the next send is issued from, set by
-	// BindThread. Both feed the endpoint-selection seam.
-	epN    int
-	curTID int
+	// BindThread. Both feed the endpoint-selection seam, which counts its
+	// selections over sets of more than one in stickySels.
+	epN        int
+	curTID     int
+	stickySels uint64
 
 	// prov owns the transport shape (see recvProvisioner); eagerMax is the
 	// largest payload its eager channel carries.
@@ -358,11 +340,8 @@ type EPStats struct {
 
 // EndpointStats reports the device's endpoint-set counters.
 func (d *Device) EndpointStats() EPStats {
-	s := EPStats{Endpoints: d.epN, Active: len(d.live)}
+	s := EPStats{Endpoints: d.epN, Active: len(d.live), StickySels: d.stickySels}
 	for _, c := range d.live {
-		if c.ep == 0 && c.sel != nil { // once per set
-			s.StickySels += c.sel.sticky
-		}
 		if c.occHWM > s.OccupancyHWM {
 			s.OccupancyHWM = c.occHWM
 		}
@@ -420,15 +399,18 @@ func (d *Device) epAt(peer, ep int) *conn {
 	return nil
 }
 
-// selectEP multiplexes the current logical thread over an endpoint set.
-// A size-1 set short-circuits without touching the selection counters,
-// keeping the single-endpoint device byte-identical to the pre-endpoint
-// one.
+// selectEP multiplexes the current logical thread over an endpoint set:
+// each thread is pinned to one endpoint (Zambre et al.: an endpoint per
+// thread), which keeps MPI's per-pair non-overtaking order for traffic
+// within a thread, and the pins are counted. A size-1 set short-circuits
+// without touching the counter, keeping the single-endpoint device
+// byte-identical to the pre-endpoint one.
 func (d *Device) selectEP(eps []*conn) *conn {
 	if d.epN == 1 {
 		return eps[0]
 	}
-	return eps[0].sel.pickSticky(eps, d.curTID)
+	d.stickySels++
+	return eps[d.curTID%len(eps)]
 }
 
 // Wire connects a full set of devices: every pair eagerly unless OnDemand
@@ -469,12 +451,6 @@ func establish(a, b *Device) []*conn {
 			a.rank, a.epN, b.rank, b.epN))
 	}
 	ea, eb := make([]conn, a.epN), make([]conn, a.epN)
-	if a.epN > 1 {
-		sa, sb := new(epSelect), new(epSelect)
-		for ep := range ea {
-			ea[ep].sel, eb[ep].sel = sa, sb
-		}
-	}
 	for ep := range ea {
 		a.prov.initQP(&ea[ep].qp)
 		b.prov.initQP(&eb[ep].qp)
@@ -576,7 +552,7 @@ func (d *Device) Params() core.Params { return d.params }
 func (d *Device) Pool() *mem.BufPool { return d.pool }
 
 // ChargeCopy charges the virtual clock for an n-byte host copy.
-func (d *Device) ChargeCopy(p *sim.Proc, n int) { p.Sleep(d.cfg.CopyTime(n)) }
+func (d *Device) ChargeCopy(p *sim.Proc, n int) { p.Sleep(copyTime(n)) }
 
 // connect returns the endpoint set toward peer, establishing it on
 // demand. Establishment hands the fresh set straight back.
@@ -589,7 +565,7 @@ func (d *Device) connect(p *sim.Proc, peer int) []*conn {
 		if !d.cfg.OnDemand {
 			panic("chdev: devices not wired")
 		}
-		p.Sleep(d.cfg.ConnSetup)
+		p.Sleep(connSetup)
 		// Both ends — or two logical threads of this rank — can decide
 		// to connect within the same setup window; whichever wakes first
 		// establishes the whole set, the others reuse it. Without the
@@ -655,7 +631,7 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 	// keeps symmetric patterns flowing eagerly even at pre-post 1.
 	d.ProgressOnce(p)
 	c := d.conn(p, dst)
-	p.Sleep(d.cfg.SWSend)
+	p.Sleep(swSend)
 	if len(data) > d.eagerMax {
 		d.sendRndvPath(p, c, tag, comm, data, token)
 		return
@@ -705,7 +681,7 @@ func (d *Device) admitEager(p *sim.Proc, c *conn, n int, blocking bool) core.Act
 func (d *Device) SendSync(p *sim.Proc, dst, tag int, comm uint16, data []byte, token any) {
 	d.ProgressOnce(p)
 	c := d.conn(p, dst)
-	p.Sleep(d.cfg.SWSend)
+	p.Sleep(swSend)
 	d.sendRndvPath(p, c, tag, comm, data, token)
 }
 
@@ -750,7 +726,7 @@ func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []
 	}
 	h.Encode(buf)
 	copy(buf[HeaderSize:], data)
-	p.Sleep(d.cfg.CopyTime(HeaderSize + len(data)))
+	p.Sleep(copyTime(HeaderSize + len(data)))
 	return backlogEntry{buf: buf, n: HeaderSize + len(data)}
 }
 
@@ -771,7 +747,7 @@ func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
 			return did
 		}
 		did = true
-		p.Sleep(d.cfg.CopyTime(HeaderSize))
+		p.Sleep(copyTime(HeaderSize))
 		d.postPacket(c, rts, HeaderSize)
 	}
 }
@@ -834,7 +810,7 @@ func (d *Device) startRndv(p *sim.Proc, c *conn, tag int, comm uint16, data []by
 // context: prepare, charge the header copy, post.
 func (d *Device) sendRTS(p *sim.Proc, c *conn, out *rndvOut, consumed bool) {
 	buf := d.prepRTS(c, out, consumed)
-	p.Sleep(d.cfg.CopyTime(HeaderSize))
+	p.Sleep(copyTime(HeaderSize))
 	d.postPacket(c, buf, HeaderSize)
 }
 
@@ -883,7 +859,7 @@ func (d *Device) AcceptRndv(p *sim.Proc, r *RndvIn, buf []byte) {
 		p.Sleep(cost)
 	}
 	if pkt := d.prov.accepted(r, h); pkt != nil {
-		p.Sleep(d.cfg.CopyTime(HeaderSize))
+		p.Sleep(copyTime(HeaderSize))
 		d.postPacket(r.conn, pkt, HeaderSize)
 	}
 }
@@ -1001,7 +977,7 @@ func (d *Device) sendReturn(c *conn) bool {
 		d.tr(trace.ECMDropped, c.peer, int64(c.vc.Unreturned()))
 		t := d.ecmTimer(c)
 		if !t.Armed() {
-			t.Reset(d.cfg.ECMSilence)
+			t.Reset(ecmSilence)
 		}
 		return false
 	}
@@ -1074,10 +1050,10 @@ func (d *Device) ecmTimer(c *conn) *sim.Timer {
 			if !c.vc.NeedECM() {
 				return
 			}
-			if d.eng.Now()-c.lastSend >= d.cfg.ECMSilence {
+			if d.eng.Now()-c.lastSend >= ecmSilence {
 				d.sendReturn(c)
 			} else {
-				c.ecmTimer.Reset(d.cfg.ECMSilence)
+				c.ecmTimer.Reset(ecmSilence)
 			}
 		})
 	}
@@ -1085,19 +1061,18 @@ func (d *Device) ecmTimer(c *conn) *sim.Timer {
 }
 
 // maybeSendReturn is the silence gate: the explicit return message goes
-// out only if the connection has been outbound-silent for ECMSilence (no
+// out only if the connection has been outbound-silent for ecmSilence (no
 // reverse traffic carried the credits or the head); otherwise it arms a
 // timer so they still flow even if this rank stays parked (liveness: a
 // peer may be blocked waiting for exactly these credits or ring slots).
 func (d *Device) maybeSendReturn(c *conn) bool {
 	now := d.eng.Now()
-	silence := d.cfg.ECMSilence
-	if now-c.lastSend >= silence {
+	if now-c.lastSend >= ecmSilence {
 		return d.sendReturn(c)
 	}
 	t := d.ecmTimer(c)
 	if !t.Armed() {
-		t.Reset(c.lastSend + silence - now)
+		t.Reset(c.lastSend + ecmSilence - now)
 	}
 	return false
 }
@@ -1188,7 +1163,7 @@ func (d *Device) retireSend(wc ib.WC) {
 // onRetryExhausted handles the transport's typed RNR-exhaustion error:
 // graceful degradation instead of a silent stall or a crash. The frozen
 // QP kept the failed WQE (and everything behind it) queued, so re-issuing
-// is just ResumeStalled with a fresh retry budget after ReissueDelay; the
+// is just ResumeStalled with a fresh retry budget after reissueDelay; the
 // connection meanwhile runs degraded, forcing new eager traffic into the
 // backlog so nothing piles onto the frozen stream out of order. The
 // request's context stays where it is in c's sends (the pool buffer is
@@ -1198,10 +1173,10 @@ func (d *Device) onRetryExhausted(c *conn, ctx *sendCtx) {
 	c.degraded = true
 	c.vc.NoteReissue()
 	d.tr(trace.Reissued, c.peer, int64(ctx.attempts))
-	d.eng.AfterCall(d.cfg.ReissueDelay, (*reissueEvent)(c), 0)
+	d.eng.AfterCall(reissueDelay, (*reissueEvent)(c), 0)
 }
 
-// reissueEvent is a conn as the target of its re-open event, ReissueDelay
+// reissueEvent is a conn as the target of its re-open event, reissueDelay
 // after it degraded: a handler type over the same memory, so
 // RNR-exhaustion recovery schedules without a closure. The frozen QP kept
 // everything queued, so re-opening is just ResumeStalled with a fresh

@@ -223,14 +223,14 @@ func (m *progressMachine) step() {
 			m.buf = d.prov.landed(c, wc.Buf, wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
-			switch { // was: the SWRecv* sleep at the top of handlePacket
+			switch { // was: the swRecv* sleep at the top of handlePacket
 			case wc.Opcode == ib.OpRecvImm:
 				// Detected by polling memory: no descriptor handling.
-				d.eng.AfterCall(d.cfg.SWRecvRDMA, m, 0)
+				d.eng.AfterCall(swRecvRDMA, m, 0)
 			case m.hdr.Type.Control():
-				d.eng.AfterCall(d.cfg.SWRecvCtrl, m, 0)
+				d.eng.AfterCall(swRecvCtrl, m, 0)
 			default:
-				d.eng.AfterCall(d.cfg.SWRecv, m, 0)
+				d.eng.AfterCall(swRecv, m, 0)
 			}
 			return
 
@@ -257,7 +257,7 @@ func (m *progressMachine) step() {
 					m.buf[HeaderSize:HeaderSize+int(m.hdr.Len)])
 				m.pc = pcPktEagerDone
 				// was: the handler's ChargeCopy of the payload
-				d.eng.AfterCall(d.cfg.CopyTime(int(m.hdr.Len)), m, 0)
+				d.eng.AfterCall(copyTime(int(m.hdr.Len)), m, 0)
 				return
 			case PktRTS:
 				r := d.ins.Get()
@@ -325,8 +325,8 @@ func (m *progressMachine) step() {
 				continue
 			}
 			m.pc = pcAcceptPost
-			// was: the CopyTime(HeaderSize) sleep before the CTS post
-			d.eng.AfterCall(d.cfg.CopyTime(HeaderSize), m, 0)
+			// was: the copyTime(HeaderSize) sleep before the CTS post
+			d.eng.AfterCall(copyTime(HeaderSize), m, 0)
 			return
 
 		case pcAcceptPost:
@@ -353,8 +353,8 @@ func (m *progressMachine) step() {
 			m.did = true
 			m.drainRTS = rts
 			m.pc = pcDrainPost
-			// was: the CopyTime(HeaderSize) sleep in sendRTS
-			d.eng.AfterCall(d.cfg.CopyTime(HeaderSize), m, 0)
+			// was: the copyTime(HeaderSize) sleep in sendRTS
+			d.eng.AfterCall(copyTime(HeaderSize), m, 0)
 			return
 
 		case pcDrainPost:

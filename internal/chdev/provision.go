@@ -400,7 +400,7 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 // corrupting a live payload and a flow-control bug cannot hide.
 func (rp *ringProvisioner) provisionConn(c *conn) {
 	d := rp.d
-	d.prepost(c, d.cfg.CtrlPrepost)
+	d.prepost(c, ctrlPrepost)
 	d.hca.InitMR(&c.ringMR, d.params.Prepost*d.params.SlotBytes, d.params.SlotBytes)
 }
 
@@ -490,7 +490,7 @@ func (rp *ringProvisioner) fin(c *conn, id uint64) {
 }
 
 func (rp *ringProvisioner) posted() int {
-	return len(rp.d.live) * rp.d.cfg.CtrlPrepost
+	return len(rp.d.live) * ctrlPrepost
 }
 
 // postedHWMBytes counts the pinned ring slots alongside the control
@@ -498,7 +498,7 @@ func (rp *ringProvisioner) posted() int {
 // connection's lifetime, and the sum is what the scaling benchmark
 // plots. It is also the high-water mark — the ring never grows.
 func (rp *ringProvisioner) postedHWMBytes() int {
-	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + rp.d.cfg.CtrlPrepost*rp.d.cfg.BufSize)
+	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + ctrlPrepost*rp.d.cfg.BufSize)
 }
 
 func (rp *ringProvisioner) stats(s Stats) Stats {
@@ -524,7 +524,7 @@ func (rp *ringProvisioner) audit() error {
 			return fmt.Errorf("chdev audit: rank %d peer %d ep %d: %d ring arrivals unconsumed at quiescence",
 				rp.d.rank, c.peer, c.ep, int32(t-h))
 		}
-		if err := rp.d.auditPosted(c, rp.d.cfg.CtrlPrepost); err != nil {
+		if err := rp.d.auditPosted(c, ctrlPrepost); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ibflow/internal/debug"
 )
@@ -11,8 +12,9 @@ import (
 // slots that the sender writes into and the receiver consumes in order.
 // All counters are absolute (they count slots for the lifetime of the
 // connection and never reset); the slot index for a given position is
-// position mod slots. Wraparound therefore falls out of uint32 modular
-// arithmetic, and the conservation law is simply
+// position mod slots, counted apart (next). Wraparound of the counters
+// falls out of uint32 modular arithmetic, and the conservation law is
+// simply
 //
 //	head <= tail <= head + slots
 //
@@ -24,7 +26,12 @@ import (
 // Like VC, the Ring is pure bookkeeping: the channel device owns the
 // actual slot memory and the wire traffic.
 type Ring struct {
-	slots int
+	slots int32
+	// next is the slot index of position tail. It is counted, not
+	// derived as uint32(tail) mod slots: at the 2^32 wrap that jumps
+	// unless slots divides 2^32, and two slots in flight would share one
+	// index.
+	next int32
 
 	// tail counts slots produced: reserved by the sender on the
 	// outbound view, arrived (OpRecvImm notifications) on the inbound
@@ -66,18 +73,18 @@ func NewRing(slots int) *Ring {
 // makeRing is NewRing by value, for a VC that holds both directions of
 // its connection end in one object.
 func makeRing(slots int) Ring {
-	if slots < 1 {
-		panic(fmt.Sprintf("core: ring slots %d < 1", slots))
+	if slots < 1 || slots > math.MaxInt32 {
+		panic(fmt.Sprintf("core: ring slots %d outside [1, 2^31)", slots))
 	}
-	return Ring{slots: slots}
+	return Ring{slots: int32(slots)}
 }
 
 // Slots returns the fixed slot count of the ring.
-func (r *Ring) Slots() int { return r.slots }
+func (r *Ring) Slots() int { return int(r.slots) }
 
 // Free returns how many slots the sender may still write without
 // overrunning the peer's last known head.
-func (r *Ring) Free() int { return r.slots - int(r.tail-r.headSeen) }
+func (r *Ring) Free() int { return int(r.slots) - int(r.tail-r.headSeen) }
 
 // Reserve claims the next outbound slot and returns its index. The
 // caller must have checked Free() > 0.
@@ -86,13 +93,23 @@ func (r *Ring) Reserve() int {
 		panic(fmt.Sprintf("core: ring reserve with %d free (tail %d, head seen %d)",
 			r.Free(), r.tail, r.headSeen))
 	}
-	slot := int(r.tail) % r.slots
-	r.tail++
+	slot := r.produce()
 	if occ := int(r.tail - r.headSeen); occ > r.stats.OccupancyHWM {
 		r.stats.OccupancyHWM = occ
 	}
 	r.debugCheck()
 	return slot
+}
+
+// produce advances tail by one slot and returns the slot index it
+// passed.
+func (r *Ring) produce() int {
+	slot := r.next
+	if r.next++; r.next == r.slots {
+		r.next = 0
+	}
+	r.tail++
+	return int(slot)
 }
 
 // SeenHead records a peer head value carried back by a piggyback or
@@ -118,9 +135,8 @@ func (r *Ring) SeenHead(h uint32) bool {
 // Arrived counts one inbound slot written by the peer (an OpRecvImm
 // notification) and returns the slot index it must have landed in.
 func (r *Ring) Arrived() int {
-	slot := int(r.tail) % r.slots
-	r.tail++
-	if int(r.tail-r.head) > r.slots {
+	slot := r.produce()
+	if int(r.tail-r.head) > int(r.slots) {
 		panic(fmt.Sprintf("core: ring overrun: %d arrivals outstanding on %d slots",
 			r.tail-r.head, r.slots))
 	}
@@ -171,7 +187,7 @@ func (r *Ring) NeedSync() bool {
 }
 
 func (r *Ring) syncThreshold() int {
-	t := r.slots / 2
+	t := int(r.slots) / 2
 	if t < 1 {
 		t = 1
 	}
@@ -207,7 +223,7 @@ func (r *Ring) debugCheck() {
 // tests and the device's audit call it. All comparisons use signed
 // distances so the law survives uint32 wraparound.
 func (r *Ring) CheckInvariants() {
-	if d := int32(r.tail - r.head); d < 0 || int(d) > r.slots {
+	if d := int32(r.tail - r.head); d < 0 || d > r.slots {
 		panic(fmt.Sprintf("core: ring law violated: head %d, tail %d, slots %d",
 			r.head, r.tail, r.slots))
 	}

@@ -38,32 +38,42 @@ type FaultInjector interface {
 	AckDelay(now sim.Time) sim.Time
 }
 
-// Config holds the fabric timing and protocol parameters.
-type Config struct {
-	// LinkBytesPerSec is the effective point-to-point bandwidth: the
+// The fabric's timings, calibrated to the paper's 8-node testbed. They
+// are constants: no figure, table or benchmark varies them.
+const (
+	// linkBytesPerSec is the effective point-to-point bandwidth: the
 	// minimum of the 4x link rate (10 Gb/s) and the PCI-X 64/133 bus the
 	// paper's HCAs sat behind (~860 MB/s after overheads).
-	LinkBytesPerSec float64
+	linkBytesPerSec = 860e6
 
-	// HeaderBytes is the per-message wire overhead (LRH+GRH+BTH+ICRC...).
-	HeaderBytes int
+	// headerBytes is the per-message wire overhead (LRH+GRH+BTH+ICRC...).
+	headerBytes = 66
 
-	// SwitchLatency is the one-way fixed latency through the switch,
+	// switchLatency is the one-way fixed latency through the switch,
 	// including propagation.
-	SwitchLatency sim.Time
+	switchLatency = 500 * sim.Nanosecond
 
-	// SendOverhead is per-WQE processing at the sender HCA (doorbell,
+	// sendOverhead is per-WQE processing at the sender HCA (doorbell,
 	// descriptor fetch, DMA setup).
-	SendOverhead sim.Time
+	sendOverhead = 600 * sim.Nanosecond
 
-	// RecvOverhead is per-message processing at the receiver HCA
+	// recvOverhead is per-message processing at the receiver HCA
 	// (descriptor consumption, DMA into host memory, CQE write).
-	RecvOverhead sim.Time
+	recvOverhead = 700 * sim.Nanosecond
 
-	// AckLatency is the time from successful delivery until the sender
+	// ackLatency is the time from successful delivery until the sender
 	// HCA retires the WQE and posts the send completion.
-	AckLatency sim.Time
+	ackLatency = 900 * sim.Nanosecond
 
+	// registerBase and registerPerPage model memory registration
+	// (pinning) cost; pageSize is the pinning granularity.
+	registerBase    = 25 * sim.Microsecond
+	registerPerPage = 350 * sim.Nanosecond
+	pageSize        = 4096
+)
+
+// Config holds the fabric's protocol parameters and topology.
+type Config struct {
 	// RNRTimeout is how long a sender waits after a Receiver-Not-Ready
 	// NAK before retrying. Real HCAs quantize this; the paper relies on
 	// it for the hardware-based flow control scheme.
@@ -112,43 +122,28 @@ type Config struct {
 	// Faults, when non-nil, injects latency jitter, link outages, forced
 	// RNR NAKs and delayed acks into the fabric (see internal/fault).
 	Faults FaultInjector
-
-	// RegisterBase and RegisterPerPage model memory registration
-	// (pinning) cost; PageSize is the pinning granularity.
-	RegisterBase    sim.Time
-	RegisterPerPage sim.Time
-	PageSize        int
 }
 
-// DefaultConfig returns timings calibrated to the paper's 8-node testbed.
+// DefaultConfig returns the paper's protocol settings on its crossbar.
 func DefaultConfig() Config {
 	return Config{
-		LinkBytesPerSec: 860e6, // PCI-X-limited 4x InfiniBand
-		HeaderBytes:     66,
-		SwitchLatency:   500 * sim.Nanosecond,
-		SendOverhead:    600 * sim.Nanosecond,
-		RecvOverhead:    700 * sim.Nanosecond,
-		AckLatency:      900 * sim.Nanosecond,
-		RNRTimeout:      80 * sim.Microsecond,
-		RNRRetryCount:   -1,
-		SendWindow:      8,
-		RegisterBase:    25 * sim.Microsecond,
-		RegisterPerPage: 350 * sim.Nanosecond,
-		PageSize:        4096,
+		RNRTimeout:    80 * sim.Microsecond,
+		RNRRetryCount: -1,
+		SendWindow:    8,
 	}
 }
 
-// TxTime returns the wire serialization time for a payload of n bytes.
-func (c *Config) TxTime(n int) sim.Time {
-	bytes := float64(n + c.HeaderBytes)
-	return sim.Time(bytes / c.LinkBytesPerSec * 1e9)
+// txTime returns the wire serialization time for a payload of n bytes.
+func txTime(n int) sim.Time {
+	bytes := float64(n + headerBytes)
+	return sim.Time(bytes / linkBytesPerSec * 1e9)
 }
 
 // RegTime returns the cost of registering (pinning) n bytes.
-func (c *Config) RegTime(n int) sim.Time {
+func RegTime(n int) sim.Time {
 	if n <= 0 {
-		return c.RegisterBase
+		return registerBase
 	}
-	pages := (n + c.PageSize - 1) / c.PageSize
-	return c.RegisterBase + sim.Time(pages)*c.RegisterPerPage
+	pages := (n + pageSize - 1) / pageSize
+	return registerBase + sim.Time(pages)*registerPerPage
 }

@@ -56,16 +56,14 @@ func (s Status) String() string {
 
 // WC is a work completion (a completion queue entry).
 type WC struct {
-	QP      *QP   // RC queue pair the work belonged to (nil for UD)
-	UD      *UDQP // UD queue pair the work belonged to (nil for RC)
-	Opcode  Opcode
-	Status  Status
-	WRID    uint64 // caller's work-request id
-	Len     int    // payload bytes (receives and RDMA)
-	Buf     []byte // RC receives: the buffer the message landed in (posted, or committed at landing)
-	Imm     uint64 // immediate value for OpRecvImm
-	SrcNode int    // UD receives: source node of the datagram
-	Err     error  // typed detail for non-success statuses (*RNRExhaustedError)
+	QP     *QP // queue pair the work belonged to
+	Opcode Opcode
+	Status Status
+	WRID   uint64 // caller's work-request id
+	Len    int    // payload bytes (receives and RDMA)
+	Buf    []byte // receives: the buffer the message landed in (posted, or committed at landing)
+	Imm    uint64 // immediate value for OpRecvImm
+	Err    error  // typed detail for non-success statuses (*RNRExhaustedError)
 }
 
 // CQ is a completion queue. Multiple queue pairs may share one CQ; the

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/sim"
 )
@@ -139,4 +140,11 @@ func TestCQArmWithoutNotifyPanics(t *testing.T) {
 		}
 	}()
 	cq.Arm()
+}
+
+// A completion is eleven words, copied by value into and out of its CQ.
+func TestWCSize(t *testing.T) {
+	if got := unsafe.Sizeof(WC{}); got != 88 {
+		t.Errorf("unsafe.Sizeof(WC{}) = %d, want 88", got)
+	}
 }

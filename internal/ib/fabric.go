@@ -14,13 +14,11 @@ type Fabric struct {
 	cfg    Config
 	hcas   []*HCA
 	leaves []*leafSwitch
-	paths  int // RC connections and UD QPs given a rail so far (see nextRail)
+	paths  int // connections given a rail so far (see nextRail)
 
-	// Messages in flight across the fabric: inter-leaf trunk hops (see
-	// topology.go) and datagram arrivals (see ud.go), each taken when a
+	// Inter-leaf trunk hops in flight (see topology.go), each taken when a
 	// message enters the wire and returned at its last hop.
 	trunks store.Pool[trunkEvent]
-	uds    store.Pool[udDeliverEvent]
 }
 
 // NewFabric creates a fabric with nodes HCAs.
@@ -83,9 +81,8 @@ func (l *link) reserve(now sim.Time, d sim.Time) sim.Time {
 	return start
 }
 
-// nextRail is the one place a rail is chosen: round-robin, per RC
-// connection (Connect) or UD QP (NewUDQP), as a QP's address vector picks
-// its one path on InfiniBand. So a QP's messages stay in posting order.
+// nextRail is the one place a rail is chosen: round-robin, per connection
+// (Connect), as a QP's address vector picks its one path on InfiniBand. So a QP's messages stay in posting order.
 func (f *Fabric) nextRail() int32 {
 	r := int32(f.paths % max(f.cfg.Rails, 1))
 	f.paths++
@@ -112,7 +109,6 @@ type HCA struct {
 	egress  []link // by rail
 	ingress []link // by rail
 	nQP     int    // queue pairs created so far: the next one's number
-	udqps   []*UDQP
 	srqs    []*SRQ
 	mrs     []*MR               // region id-1 -> region: ids are dense from 1
 	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory)
@@ -210,7 +206,7 @@ type MR struct {
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
-// responsible for charging Config.RegTime to the virtual clock (pinning is
+// responsible for charging RegTime to the virtual clock (pinning is
 // host work, so the MPI layer accounts for it, enabling pin-down caching).
 func (h *HCA) RegisterMemory(buf []byte) *MR {
 	mr := h.ReserveMemory(len(buf), len(buf))

@@ -75,7 +75,7 @@ func TestSingleMessageLatencyMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut-through: one serialization on the path.
-	want := cfg.SendOverhead + cfg.SwitchLatency + cfg.TxTime(4) + cfg.RecvOverhead
+	want := sendOverhead + switchLatency + txTime(4) + recvOverhead
 	if deliveredAt != want {
 		t.Errorf("delivered at %v, want %v", deliveredAt, want)
 	}
@@ -287,8 +287,8 @@ func TestThroughputApproachesLinkRate(t *testing.T) {
 		t.Fatalf("send completions = %d, want %d", cq0.Len(), n)
 	}
 	bw := float64(n*size) / eng.Now().Seconds()
-	if bw < 0.85*cfg.LinkBytesPerSec || bw > 1.01*cfg.LinkBytesPerSec {
-		t.Errorf("throughput = %.0f B/s, want near %.0f", bw, cfg.LinkBytesPerSec)
+	if bw < 0.85*linkBytesPerSec || bw > 1.01*linkBytesPerSec {
+		t.Errorf("throughput = %.0f B/s, want near %.0f", bw, linkBytesPerSec)
 	}
 }
 
@@ -313,10 +313,10 @@ func TestIngressContentionHalvesPerSenderThroughput(t *testing.T) {
 	}
 	bw := float64(2*n*size) / eng.Now().Seconds()
 	// Aggregate into one port cannot exceed the link rate.
-	if bw > 1.01*cfg.LinkBytesPerSec {
-		t.Errorf("aggregate ingress %.0f B/s exceeds link rate %.0f", bw, cfg.LinkBytesPerSec)
+	if bw > 1.01*linkBytesPerSec {
+		t.Errorf("aggregate ingress %.0f B/s exceeds link rate %.0f", bw, linkBytesPerSec)
 	}
-	if bw < 0.8*cfg.LinkBytesPerSec {
+	if bw < 0.8*linkBytesPerSec {
 		t.Errorf("aggregate ingress %.0f B/s, link badly underutilized", bw)
 	}
 }
@@ -483,22 +483,21 @@ func TestConnectValidation(t *testing.T) {
 }
 
 func TestTxAndRegTime(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.TxTime(0) <= 0 {
-		t.Error("TxTime(0) should still charge header bytes")
+	if txTime(0) <= 0 {
+		t.Error("txTime(0) should still charge header bytes")
 	}
-	if cfg.TxTime(1<<20) <= cfg.TxTime(1<<10) {
-		t.Error("TxTime must grow with size")
+	if txTime(1<<20) <= txTime(1<<10) {
+		t.Error("txTime must grow with size")
 	}
-	if cfg.RegTime(0) != cfg.RegisterBase {
-		t.Errorf("RegTime(0) = %v", cfg.RegTime(0))
+	if RegTime(0) != registerBase {
+		t.Errorf("RegTime(0) = %v", RegTime(0))
 	}
-	one := cfg.RegTime(1)
-	full := cfg.RegTime(cfg.PageSize)
+	one := RegTime(1)
+	full := RegTime(pageSize)
 	if one != full {
 		t.Errorf("1 byte and one full page should pin the same: %v vs %v", one, full)
 	}
-	if cfg.RegTime(cfg.PageSize+1) != full+cfg.RegisterPerPage {
+	if RegTime(pageSize+1) != full+registerPerPage {
 		t.Error("page rounding wrong")
 	}
 }
@@ -564,7 +563,7 @@ func TestLoopbackSkipsSwitch(t *testing.T) {
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	want := cfg.SendOverhead + cfg.TxTime(4) + cfg.RecvOverhead
+	want := sendOverhead + txTime(4) + recvOverhead
 	if local != want {
 		t.Errorf("loopback delivery at %v, want %v (no switch latency)", local, want)
 	}

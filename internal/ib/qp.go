@@ -66,10 +66,9 @@ func (we *wireEvent) OnEvent(stage uint64) {
 	peer := sender.peer
 	f := sender.hca.fabric
 	if stage == 0 {
-		cfg := f.Config()
-		tx := cfg.TxTime(we.w.wireLen())
+		tx := txTime(we.w.wireLen())
 		arrive := peer.hca.ingress[sender.rail].reserve(f.eng.Now(), tx) + tx
-		f.eng.AtCall(arrive+cfg.RecvOverhead, we, 1)
+		f.eng.AtCall(arrive+recvOverhead, we, 1)
 		return
 	}
 	peer.deliver(we.w, sender)
@@ -96,10 +95,9 @@ func (re *readEvent) OnEvent(stage uint64) {
 	sender := re.sender
 	f := sender.hca.fabric
 	if stage == 0 {
-		cfg := f.Config()
-		tx := cfg.TxTime(len(re.w.readDst))
+		tx := txTime(len(re.w.readDst))
 		arrive := sender.hca.ingress[sender.rail].reserve(f.eng.Now(), tx) + tx
-		f.eng.AtCall(arrive+cfg.RecvOverhead, re, 1)
+		f.eng.AtCall(arrive+recvOverhead, re, 1)
 		return
 	}
 	w := re.w
@@ -343,7 +341,7 @@ func (qp *QP) transmit(w *sendWQE) {
 	eng := qp.hca.fabric.eng
 	cfg := qp.hca.fabric.Config()
 	n := w.wireLen()
-	tx := cfg.TxTime(n)
+	tx := txTime(n)
 
 	if w.sent {
 		qp.stats.Retransmits++
@@ -362,7 +360,7 @@ func (qp *QP) transmit(w *sendWQE) {
 		qp.hca.stats.BytesSent += uint64(n)
 	}
 
-	start := qp.hca.egress[qp.rail].reserve(eng.Now()+cfg.SendOverhead, tx)
+	start := qp.hca.egress[qp.rail].reserve(eng.Now()+sendOverhead, tx)
 	qp.hca.fabric.deliverTo(qp.hca, qp.peer.hca, qp.rail, start, tx, n, &w.wire)
 }
 
@@ -404,7 +402,7 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 				cfg.Tracer.Add(trace.Event{T: eng.Now(), Rank: qp.hca.node,
 					Peer: sender.hca.node, Kind: trace.RNRNak, Arg: int64(w.seq)})
 			}
-			eng.AfterCall(cfg.SwitchLatency, (*nakEvent)(sender), w.seq)
+			eng.AfterCall(switchLatency, (*nakEvent)(sender), w.seq)
 			return
 		}
 		if r.src != nil {
@@ -437,10 +435,10 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		// payload snapshot is taken: the registered source region stays
 		// stable until the response lands (see readEvent).
 		n := len(w.readDst)
-		tx := cfg.TxTime(n)
+		tx := txTime(n)
 		start := qp.hca.egress[qp.rail].reserve(eng.Now(), tx)
 		w.read = readEvent{w: w, sender: sender}
-		eng.AtCall(start+cfg.SwitchLatency, &w.read, 0)
+		eng.AtCall(start+switchLatency, &w.read, 0)
 	}
 }
 
@@ -457,7 +455,7 @@ func (qp *QP) accept() {
 func (qp *QP) ack(sender *QP, w *sendWQE) {
 	eng := qp.hca.fabric.eng
 	cfg := qp.hca.fabric.Config()
-	lat := cfg.AckLatency
+	lat := ackLatency
 	if cfg.Faults != nil {
 		lat += cfg.Faults.AckDelay(eng.Now())
 	}
@@ -490,7 +488,7 @@ func (qp *QP) retire(w *sendWQE) {
 // completions in FIFO order and recycling each retired WQE box, then
 // refills the in-flight window. This is where a WQE box goes back to the
 // adapter's pool: the ack that marked the head arrived a full
-// AckLatency after the last delivery of that WQE, so no wire or read
+// ackLatency after the last delivery of that WQE, so no wire or read
 // event still references the box (see sendWQE).
 func (qp *QP) retireAcked() {
 	for qp.queue.Len() > 0 && (*qp.queue.At(0)).acked {

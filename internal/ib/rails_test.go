@@ -24,9 +24,6 @@ func TestPortSingleRailMatchesLink(t *testing.T) {
 				t.Fatalf("rails=%d connection %d: rails %d/%d, want 0", rails, i, a.rail, b.rail)
 			}
 		}
-		if ud := f.HCA(0).NewUDQP(f.HCA(0).NewCQ(), f.HCA(0).NewCQ()); ud.rail != 0 {
-			t.Fatalf("rails=%d: UD QP on rail %d, want 0", rails, ud.rail)
-		}
 	}
 }
 

@@ -33,8 +33,8 @@ type recvWQE struct {
 	src  RecvSource
 }
 
-// recvQueue is the FIFO of posted receive descriptors behind a QP, an SRQ
-// or a UD QP: the one ring (store.Fifo), sized by the most descriptors
+// recvQueue is the FIFO of posted receive descriptors behind a QP or an
+// SRQ: the one ring (store.Fifo), sized by the most descriptors
 // posted at once, not by how many messages passed through, and zeroing
 // what it pops so it never pins a buffer past its consumption. The first
 // ring is the queue's own array — the usual pre-post depth costs no

@@ -47,7 +47,7 @@ func (f *Fabric) trunkTx(n int) sim.Time {
 	if upLinks < 1 {
 		upLinks = 1
 	}
-	return cfg.TxTime(n) / sim.Time(upLinks)
+	return txTime(n) / sim.Time(upLinks)
 }
 
 // deliverTo routes one message of wire time tx from src to dst on rail,
@@ -70,7 +70,7 @@ func (f *Fabric) deliverTo(src, dst *HCA, rail int32, start, tx sim.Time, n int,
 	if cfg.Faults != nil {
 		// The injector sees the wire-entry time, not the posting time, so
 		// it can keep per-pair delivery order (RC links never reorder).
-		start += cfg.Faults.MessageDelay(start, src.node, dst.node, n+cfg.HeaderBytes)
+		start += cfg.Faults.MessageDelay(start, src.node, dst.node, n+headerBytes)
 	}
 
 	if src == dst {
@@ -79,7 +79,7 @@ func (f *Fabric) deliverTo(src, dst *HCA, rail int32, start, tx sim.Time, n int,
 		return
 	}
 	if cfg.Topology != TopoFatTree || f.leafOf(src.node) == f.leafOf(dst.node) {
-		eng.AtCall(start+cfg.SwitchLatency, h, 0)
+		eng.AtCall(start+switchLatency, h, 0)
 		return
 	}
 
@@ -91,7 +91,7 @@ func (f *Fabric) deliverTo(src, dst *HCA, rail int32, start, tx sim.Time, n int,
 		ttx:  f.trunkTx(n),
 		h:    h,
 	}
-	eng.AtCall(start+cfg.SwitchLatency, te, 0)
+	eng.AtCall(start+switchLatency, te, 0)
 }
 
 // trunkEvent walks one inter-leaf message across the fat-tree trunk as a
@@ -110,7 +110,7 @@ type trunkEvent struct {
 
 func (te *trunkEvent) OnEvent(stage uint64) {
 	eng := te.f.eng
-	lat := te.f.cfg.SwitchLatency
+	lat := switchLatency
 	if stage == 0 {
 		upStart := te.up.reserve(eng.Now(), te.ttx)
 		eng.AtCall(upStart+lat, te, 1)

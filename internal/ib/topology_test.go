@@ -50,7 +50,7 @@ func TestFatTreeLatencyByLocality(t *testing.T) {
 	if intra != plain {
 		t.Errorf("intra-leaf latency %v differs from crossbar %v", intra, plain)
 	}
-	want := plain + 2*cfg.SwitchLatency // two extra hops
+	want := plain + 2*switchLatency // two extra hops
 	if inter != want {
 		t.Errorf("inter-leaf latency %v, want %v", inter, want)
 	}
@@ -83,25 +83,6 @@ func TestFatTreeOversubscriptionThrottlesTrunk(t *testing.T) {
 	quarter := run(4)
 	if float64(quarter) < 3.0*float64(full) {
 		t.Errorf("4:1 oversubscription finished in %v vs %v at 1:1; want ~4x slower", quarter, full)
-	}
-}
-
-func TestFatTreeUDRouting(t *testing.T) {
-	cfg := fatTreeCfg(2, 2)
-	eng := sim.NewEngine()
-	f := NewFabric(eng, cfg, 4)
-	cq0 := f.HCA(0).NewCQ()
-	cq3 := f.HCA(3).NewCQ()
-	tx := f.HCA(0).NewUDQP(cq0, cq0)
-	rx := f.HCA(3).NewUDQP(cq3, cq3)
-	buf := make([]byte, 16)
-	rx.PostRecv(1, buf)
-	tx.SendTo(1, 3, rx.Num(), []byte("leafhop"))
-	if err := eng.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if rx.Stats().Delivered != 1 || string(buf[:7]) != "leafhop" {
-		t.Errorf("UD across leaves failed: %+v %q", rx.Stats(), buf[:7])
 	}
 }
 

@@ -146,7 +146,7 @@ func (c *RegCache) Register(buf []byte) (*ib.MR, sim.Time) {
 	c.misses++
 	mr := c.hca.RegisterMemory(buf)
 	c.entries[key] = mr
-	return mr, c.hca.Fabric().Config().RegTime(len(buf))
+	return mr, ib.RegTime(len(buf))
 }
 
 // Hits reports cache hits.
