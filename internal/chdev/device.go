@@ -209,8 +209,9 @@ type Device struct {
 	size    int
 	handler Handler
 
-	pool *mem.BufPool
-	regs *mem.RegCache
+	pool   *mem.BufPool
+	regs   *mem.RegCache
+	blocks mem.Blocks // AllocMem's free lists
 	// live is the connection table: every established endpoint in
 	// (peer, ep) order, so a peer's endpoint set is epN consecutive entries
 	// (eps). Everything that visits connections — the send-side lookup, the
@@ -931,6 +932,58 @@ func (d *Device) finishRecv(r *RndvIn) {
 	d.handler.DeliverRndvDone(r)
 	r.UserData, r.conn, r.buf = nil, nil, nil
 	d.ins.Put(r)
+}
+
+// AllocMem returns n zeroed bytes for communication (MPI_Alloc_mem): a
+// block FreeMem returned, or a fresh one. It charges no virtual time.
+func (d *Device) AllocMem(n int) []byte { return d.blocks.Get(n) }
+
+// FreeMem ends the block buf's life as a communication buffer
+// (MPI_Free_mem): every registration inside it is deregistered, and its
+// bytes go back to AllocMem. Nothing may still be moving into or out of
+// it — under ibdebug a live rendezvous over any of its bytes panics here.
+// It charges no virtual time: no deregistration is charged.
+func (d *Device) FreeMem(buf []byte) {
+	d.debugFreeMem(buf)
+	d.regs.Invalidate(buf)
+	d.blocks.Put(buf)
+}
+
+// debugFreeMem asserts, in an ibdebug build, that no rendezvous of this
+// device still uses a byte of the block being freed: an outgoing one
+// before its FIN (its source region), an accepted incoming one before its
+// data is in (its destination).
+func (d *Device) debugFreeMem(buf []byte) {
+	if !debug.Enabled {
+		return
+	}
+	ids := make([]uint64, 0, len(d.sendRndv))
+	for id := range d.sendRndv {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		debug.Assert(!mem.Overlaps(buf, d.sendRndv[id].data),
+			"chdev: rank %d: FreeMem of a block rendezvous %d is still sending from", d.rank, id)
+	}
+	ids = ids[:0]
+	for id := range d.recvRndv {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		r := d.recvRndv[id]
+		debug.Assert(!mem.Overlaps(buf, r.buf),
+			"chdev: rank %d: FreeMem of a block rendezvous %d from rank %d is still writing into", d.rank, r.senderReq, r.Src)
+	}
+	for _, c := range d.live {
+		for i := range c.sends.Len() {
+			if s := c.sends.At(i); s.kind == ctxRndvRead {
+				debug.Assert(!mem.Overlaps(buf, s.rin.buf),
+					"chdev: rank %d: FreeMem of a block rendezvous %d from rank %d is still reading into", d.rank, s.rin.senderReq, s.rin.Src)
+			}
+		}
+	}
 }
 
 // debugLiveOut asserts, in an ibdebug build, that out is checked out of

@@ -28,12 +28,12 @@ func AlltoallBruck(c *mpi.Comm, send, recv []byte, block int) {
 			len(send), len(recv), n, block))
 	}
 	// Phase 1: local rotation so tmp[i] is the block for rank (me+i)%n.
-	tmp := make([]byte, n*block)
+	tmp := c.AllocMem(n * block)
 	for i := 0; i < n; i++ {
 		copy(tmp[i*block:(i+1)*block], send[((me+i)%n)*block:((me+i)%n+1)*block])
 	}
 	// Phase 2: log rounds of combined exchanges.
-	pack := make([]byte, n*block)
+	pack := c.AllocMem(n * block)
 	for pow := 1; pow < n; pow <<= 1 {
 		dst := (me + pow) % n
 		src := (me - pow + n) % n
@@ -44,7 +44,7 @@ func AlltoallBruck(c *mpi.Comm, send, recv []byte, block int) {
 				k++
 			}
 		}
-		in := make([]byte, k*block)
+		in := c.AllocMem(k * block)
 		c.Sendrecv(dst, tagBruck, pack[:k*block], src, tagBruck, in)
 		k = 0
 		for i := 0; i < n; i++ {
@@ -53,11 +53,14 @@ func AlltoallBruck(c *mpi.Comm, send, recv []byte, block int) {
 				k++
 			}
 		}
+		c.FreeMem(in)
 	}
+	c.FreeMem(pack)
 	// Phase 3: inverse rotation places src j's block at recv[j].
 	for i := 0; i < n; i++ {
 		copy(recv[((me-i+n)%n)*block:((me-i+n)%n+1)*block], tmp[i*block:(i+1)*block])
 	}
+	c.FreeMem(tmp)
 }
 
 // chunkRanges splits length bytes into n contiguous ranges aligned to
@@ -135,7 +138,7 @@ func AllreduceRing(c *mpi.Comm, data []byte, op ReduceOp) {
 	ranges := chunkRanges(len(data), n, 8)
 	right := (me + 1) % n
 	left := (me - 1 + n) % n
-	scratch := make([]byte, len(data))
+	scratch := c.AllocMem(len(data))
 
 	// Reduce-scatter: after n-1 steps rank i holds the full reduction
 	// of chunk (i+1)%n.
@@ -172,4 +175,5 @@ func AllreduceRing(c *mpi.Comm, data []byte, op ReduceOp) {
 		}
 		cur = next
 	}
+	c.FreeMem(scratch)
 }

@@ -2,7 +2,9 @@
 // point-to-point layer, with the classic algorithms MPICH-era stacks used:
 // dissemination barrier, binomial-tree broadcast and reduce, recursive
 // doubling allreduce and allgather, and pairwise-exchange all-to-all.
-// The NAS kernels in internal/nas are built on these.
+// The NAS kernels in internal/nas are built on these. Every scratch buffer
+// a collective hands to the point-to-point layer comes from Comm.AllocMem
+// and goes back through Comm.FreeMem when the collective is done with it.
 package coll
 
 import (
@@ -36,13 +38,13 @@ func Barrier(c *mpi.Comm) {
 		return
 	}
 	start := c.Time()
-	var tiny [1]byte
-	in := make([]byte, 1)
+	buf := c.AllocMem(2) // one byte out, one in
 	for dist := 1; dist < n; dist *= 2 {
 		to := (me + dist) % n
 		from := (me - dist + n) % n
-		c.Sendrecv(to, tagBarrier, tiny[:], from, tagBarrier, in)
+		c.Sendrecv(to, tagBarrier, buf[:1], from, tagBarrier, buf[1:])
 	}
+	c.FreeMem(buf)
 	c.World().ObserveBarrier(c.Time() - start)
 }
 
@@ -90,13 +92,13 @@ func Reduce(c *mpi.Comm, root int, data []byte, op ReduceOp) {
 		return
 	}
 	rel := (me - root + n) % n
-	tmp := make([]byte, len(data))
+	tmp := c.AllocMem(len(data))
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
 			parent := ((rel - mask) + root) % n
 			c.Send(parent, tagReduce, data)
-			return
+			break
 		}
 		peer := rel + mask
 		if peer < n {
@@ -105,6 +107,7 @@ func Reduce(c *mpi.Comm, root int, data []byte, op ReduceOp) {
 		}
 		mask *= 2
 	}
+	c.FreeMem(tmp)
 }
 
 // Allreduce combines every rank's data and leaves the result everywhere.
@@ -117,12 +120,13 @@ func Allreduce(c *mpi.Comm, data []byte, op ReduceOp) {
 	}
 	if n&(n-1) == 0 {
 		me := c.Rank()
-		tmp := make([]byte, len(data))
+		tmp := c.AllocMem(len(data))
 		for mask := 1; mask < n; mask *= 2 {
 			peer := me ^ mask
 			c.Sendrecv(peer, tagAllreduce, data, peer, tagAllreduce, tmp)
 			op(data, tmp)
 		}
+		c.FreeMem(tmp)
 		return
 	}
 	Reduce(c, 0, data, op)
@@ -238,8 +242,9 @@ func ReduceScatter(c *mpi.Comm, data []byte, recv []byte, block int, op ReduceOp
 	if len(data) != n*block || len(recv) != block {
 		panic("coll: reduce_scatter buffer sizes")
 	}
-	work := make([]byte, len(data))
+	work := c.AllocMem(len(data))
 	copy(work, data)
 	Reduce(c, 0, work, op)
 	Scatter(c, 0, work, recv, block)
+	c.FreeMem(work)
 }

@@ -17,9 +17,10 @@ func Scan(c *mpi.Comm, data []byte, op ReduceOp) {
 		return
 	}
 	if me > 0 {
-		prev := make([]byte, len(data))
+		prev := c.AllocMem(len(data))
 		c.Recv(me-1, tagScan, prev)
 		op(data, prev)
+		c.FreeMem(prev)
 	}
 	if me < n-1 {
 		c.Send(me+1, tagScan, data)
@@ -37,17 +38,19 @@ func Exscan(c *mpi.Comm, data []byte, op ReduceOp) {
 	}
 	// Compute the inclusive prefix in a scratch buffer, forwarding it,
 	// while the caller's buffer receives the exclusive value.
-	incl := make([]byte, len(data))
+	incl := c.AllocMem(len(data))
 	copy(incl, data)
 	if me > 0 {
-		prev := make([]byte, len(data))
+		prev := c.AllocMem(len(data))
 		c.Recv(me-1, tagScan, prev)
 		op(incl, prev)
 		copy(data, prev)
+		c.FreeMem(prev)
 	}
 	if me < n-1 {
 		c.Send(me+1, tagScan, incl)
 	}
+	c.FreeMem(incl)
 }
 
 // Gatherv collects variable-size blocks at root: rank i contributes

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"ibflow/internal/sim"
+)
 
 // ringAt is NewRing for a connection whose traffic has already moved
 // every counter of the ring to pos, with nothing in flight.
@@ -94,6 +98,76 @@ func FuzzRing(f *testing.F) {
 				seen = max(seen, h)
 				check(i, "SeenHead")
 			}
+		}
+	})
+}
+
+// FuzzPool drives the shared scheme's receive-pool accounting against
+// plain counters. The pool starts at 1 + prepost%16 descriptors, may grow
+// by extra%32 more, increment%6 at a time (0: never). An op byte's low
+// two bits pick Take (an arrival consumes a descriptor, if one is free),
+// Processed (one is reposted, if one is in use) or an SRQ limit event,
+// which the high bits move the clock ahead of, in microseconds. The model
+// grows by the increment clamped to max, and only once the cooldown has
+// passed since the last growth. After every operation the pool agrees with
+// the model — posted, in use, every counter — posted never exceeds max,
+// and CheckInvariants holds.
+func FuzzPool(f *testing.F) {
+	f.Add(uint8(7), uint8(5), uint8(2), []byte{0, 0, 2, 2, 42, 1, 0, 42, 42, 1, 1})
+	f.Fuzz(func(t *testing.T, prepost, extra, increment uint8, ops []byte) {
+		p := Shared(1+int(prepost%16), 0)
+		p.Max = p.Prepost + int(extra%32)
+		p.Increment = int(increment % 6)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Shared(%d, %d) with increment %d: %v", p.Prepost, p.Max, p.Increment, err)
+		}
+		pl := NewPool(&p)
+		var now sim.Time
+		lastGrowth := sim.Time(-1)
+		posted, inUse, hwm := p.Prepost, 0, p.Prepost
+		var want PoolStats
+		for i, b := range ops {
+			switch b & 3 {
+			case 0:
+				if inUse == posted {
+					continue
+				}
+				pl.Take()
+				inUse++
+				want.Taken++
+			case 1:
+				if inUse == 0 {
+					continue
+				}
+				if !pl.Processed() {
+					t.Fatalf("op %d: Processed declined to repost (the pool never shrinks)", i)
+				}
+				inUse--
+				want.Reposted++
+			default:
+				now += sim.Time(b>>2) * sim.Microsecond
+				grow := 0
+				if p.Increment > 0 && posted < p.Max && (lastGrowth < 0 || now-lastGrowth >= p.GrowthCooldown) {
+					grow = min(p.Increment, p.Max-posted)
+					lastGrowth = now
+					want.GrowthEvents++
+				}
+				if got := pl.OnLimitEvent(now); got != grow {
+					t.Fatalf("op %d: limit event at %v with %d posted grew %d, want %d", i, now, posted, got, grow)
+				}
+				posted += grow
+				hwm = max(hwm, posted)
+				want.LimitEvents++
+			}
+			want.MaxPosted = hwm
+			if pl.Posted() != posted || pl.InUse() != inUse || pl.Stats() != want {
+				t.Fatalf("op %d: posted %d in use %d stats %+v, want %d %d %+v",
+					i, pl.Posted(), pl.InUse(), pl.Stats(), posted, inUse, want)
+			}
+			if pl.Posted() > p.Max {
+				t.Fatalf("op %d: pool grew to %d past its max %d", i, pl.Posted(), p.Max)
+			}
+			pl.CheckInvariants()
 		}
 	})
 }

@@ -9,17 +9,14 @@ import (
 )
 
 // F64Bytes encodes a float64 slice into a fresh byte slice.
-func F64Bytes(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	PutF64(b, v)
-	return b
-}
+func F64Bytes(v []float64) []byte { return PutF64(make([]byte, 8*len(v)), v) }
 
-// PutF64 encodes v into b, which must hold 8*len(v) bytes.
-func PutF64(b []byte, v []float64) {
+// PutF64 encodes v into b, which must hold 8*len(v) bytes, and returns b.
+func PutF64(b []byte, v []float64) []byte {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
+	return b
 }
 
 // F64s decodes b (length a multiple of 8) into a fresh float64 slice.
@@ -37,17 +34,14 @@ func GetF64(b []byte, v []float64) {
 }
 
 // I64Bytes encodes an int64 slice into a fresh byte slice.
-func I64Bytes(v []int64) []byte {
-	b := make([]byte, 8*len(v))
-	PutI64(b, v)
-	return b
-}
+func I64Bytes(v []int64) []byte { return PutI64(make([]byte, 8*len(v)), v) }
 
-// PutI64 encodes v into b, which must hold 8*len(v) bytes.
-func PutI64(b []byte, v []int64) {
+// PutI64 encodes v into b, which must hold 8*len(v) bytes, and returns b.
+func PutI64(b []byte, v []int64) []byte {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
+	return b
 }
 
 // I64s decodes b (length a multiple of 8) into a fresh int64 slice.
@@ -65,8 +59,10 @@ func GetI64(b []byte, v []int64) {
 }
 
 // I32Bytes encodes an int32 slice into a fresh byte slice.
-func I32Bytes(v []int32) []byte {
-	b := make([]byte, 4*len(v))
+func I32Bytes(v []int32) []byte { return PutI32(make([]byte, 4*len(v)), v) }
+
+// PutI32 encodes v into b, which must hold 4*len(v) bytes, and returns b.
+func PutI32(b []byte, v []int32) []byte {
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}

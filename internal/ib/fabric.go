@@ -110,8 +110,8 @@ type HCA struct {
 	ingress []link // by rail
 	nQP     int    // queue pairs created so far: the next one's number
 	srqs    []*SRQ
-	mrs     []*MR               // region id-1 -> region: ids are dense from 1
-	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory)
+	mrs     []*MR               // region id-1 -> region, nil once deregistered: ids are dense from 1, never reused
+	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
 	wqes    store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
 	page    []byte              // rest of the current commit page (see commit)
 	stats   HCAStats
@@ -228,13 +228,28 @@ func (h *HCA) InitMR(mr *MR, n, granule int) {
 }
 
 // ReserveMemory takes a region handle from the adapter and reserves it
-// (see InitMR). Handles are carved in chunks and never given back — a
-// registration lives as long as its adapter — so a pin-down cache miss
-// costs a handle's bytes, not an allocation.
+// (see InitMR). Handles come from the adapter's pool and go back to it at
+// DeregisterMemory, so a pin-down cache miss costs a handle's bytes, not
+// an allocation.
 func (h *HCA) ReserveMemory(n, granule int) *MR {
 	mr := h.mrPool.Get()
 	h.InitMR(mr, n, granule)
 	return mr
+}
+
+// DeregisterMemory releases a region RegisterMemory or ReserveMemory
+// handed out (ibv_dereg_mr): its id stops resolving, its bytes are no
+// longer referenced and its handle goes back to the adapter's pool for
+// the next registration. Ids are never reused, so a deregistered id can
+// never name a newer region, and the ids later registrations get are the
+// ones they would have got without it. Nothing may use the region after.
+func (h *HCA) DeregisterMemory(mr *MR) {
+	if mr.hca != h || h.mrs[mr.id-1] != mr {
+		panic(fmt.Sprintf("ib: deregistering MR id %d, which node %d does not hold", mr.id, h.node))
+	}
+	h.mrs[mr.id-1] = nil
+	*mr = MR{}
+	h.mrPool.Put(mr)
 }
 
 // LookupMR resolves a region id previously handed out by RegisterMemory;
@@ -244,7 +259,11 @@ func (h *HCA) LookupMR(id int) *MR {
 	if id < 1 || id > len(h.mrs) {
 		panic(fmt.Sprintf("ib: unknown MR id %d on node %d", id, h.node))
 	}
-	return h.mrs[id-1]
+	mr := h.mrs[id-1]
+	if mr == nil {
+		panic(fmt.Sprintf("ib: MR id %d on node %d was deregistered", id, h.node))
+	}
+	return mr
 }
 
 // ID returns the region's identifier (the simulated rkey).

@@ -3,6 +3,8 @@ package ib
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -417,6 +419,40 @@ func TestRDMARead(t *testing.T) {
 	if string(dst) != "data-h" {
 		t.Errorf("dst = %q, want data-h", dst)
 	}
+}
+
+// Deregistration (ibv_dereg_mr) ends a region: its id stops resolving,
+// with its own panic, while the ids around it still resolve; the handle
+// goes back to the adapter's pool for the next registration, which still
+// gets a fresh id — ids are never reused — and a second deregistration of
+// the same handle is refused.
+func TestDeregisterMemory(t *testing.T) {
+	_, qp0, qp1, _, _ := pair(DefaultConfig())
+	hca := qp1.HCA()
+	a, b := hca.RegisterMemory(make([]byte, 8)), hca.RegisterMemory(make([]byte, 8))
+	ida := a.ID()
+	hca.DeregisterMemory(a)
+	mustPanicWith := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: panicked with %v, want %q", what, r, want)
+			}
+		}()
+		fn()
+	}
+	mustPanicWith("LookupMR of the deregistered id", fmt.Sprintf("MR id %d on node 1 was deregistered", ida),
+		func() { hca.LookupMR(ida) })
+	if hca.LookupMR(b.ID()) != b {
+		t.Error("deregistering one region unmapped its neighbour")
+	}
+	c := hca.RegisterMemory(make([]byte, 16))
+	if c != a || c.ID() != b.ID()+1 || hca.LookupMR(c.ID()) != c {
+		t.Errorf("next registration: handle reused %v, id %d (want %d)", c == a, c.ID(), b.ID()+1)
+	}
+	hca.DeregisterMemory(b)
+	mustPanicWith("second deregistration", "which node 1 does not hold", func() { hca.DeregisterMemory(b) })
+	mustPanicWith("read through a stale key", "beyond", func() { qp0.PostRead(1, make([]byte, 8), RemoteKey{MR: b}) })
 }
 
 func TestSendWindowLimitsInFlightButCompletesAll(t *testing.T) {

@@ -1,11 +1,18 @@
 // Package mem provides the host-memory management pieces of the MPI
 // implementation: the pool of pre-pinned, fixed-size communication buffers
-// used by the eager protocol, and the pin-down cache that amortizes memory
+// used by the eager protocol, the pin-down cache that amortizes memory
 // registration cost for the rendezvous protocol (Tezuka et al., IPPS'98,
-// as cited by the paper).
+// as cited by the paper), and the per-rank allocator behind
+// MPI_Alloc_mem / MPI_Free_mem. A communication buffer's registration
+// identity is its allocation: allocating it starts it, freeing it ends it
+// (Blocks, RegCache.Invalidate), so recycled bytes register exactly as
+// fresh ones would.
 package mem
 
 import (
+	"slices"
+	"unsafe"
+
 	"ibflow/internal/ib"
 	"ibflow/internal/sim"
 )
@@ -115,12 +122,73 @@ func (p *BufPool) Allocated() int { return p.alloc }
 // rather than carving a new one.
 func (p *BufPool) Recycled() int { return p.recycled }
 
+// Blocks is a rank's allocator of communication buffers (MPI_Alloc_mem):
+// a block of n bytes is handed out from the free list of blocks of exactly
+// n bytes, the one freed last first, or made fresh, and comes back zeroed
+// either way — its contents are those of a make. Whoever frees a block
+// ends its registrations first (RegCache.Invalidate), so a recycled block
+// is, to the pin-down cache, a buffer it has never seen. The zero value is
+// ready to use.
+type Blocks struct {
+	lists map[int][][]byte // block length -> freed blocks, last freed on top
+}
+
+// Get returns n zeroed bytes, nil for n <= 0.
+func (b *Blocks) Get(n int) []byte {
+	if n <= 0 {
+		return nil
+	}
+	l := b.lists[n]
+	if len(l) == 0 {
+		return make([]byte, n)
+	}
+	blk := l[len(l)-1]
+	l[len(l)-1] = nil
+	b.lists[n] = l[:len(l)-1]
+	clear(blk)
+	return blk
+}
+
+// Put frees a block Get handed out (any reslicing of it from its first
+// byte: the block is its whole capacity).
+func (b *Blocks) Put(blk []byte) {
+	n := cap(blk)
+	if n == 0 {
+		return
+	}
+	if b.lists == nil {
+		b.lists = make(map[int][][]byte)
+	}
+	b.lists[n] = append(b.lists[n], blk[:n])
+}
+
+// Overlaps reports whether b shares a byte with the block blk: blk's
+// whole capacity, b's length.
+func Overlaps(blk, b []byte) bool {
+	if cap(blk) == 0 || len(b) == 0 {
+		return false
+	}
+	lo, p := addr(&blk[:1][0]), addr(&b[0])
+	return p < lo+uintptr(cap(blk)) && lo < p+uintptr(len(b))
+}
+
+// addr is a byte's address as a number. Go's heap never moves an object,
+// and a buffer the cache keys or a rank frees has escaped to the heap, so
+// the number is stable for as long as the byte is referenced.
+func addr(p *byte) uintptr { return uintptr(unsafe.Pointer(p)) }
+
 // RegCache is a pin-down cache: it registers user buffers on first use and
 // keeps the registration so repeated rendezvous transfers from or into the
-// same buffer pay the pinning cost only once.
+// same buffer pay the pinning cost only once — until the memory is freed,
+// which ends every registration inside it (Invalidate).
 type RegCache struct {
 	hca     *ib.HCA
 	entries map[*byte]*ib.MR
+	// keys holds the entries' keys in address order, Invalidate's index.
+	// The first Invalidate builds it and every miss keeps it from then on,
+	// so a cache whose memory is never freed pays nothing for it.
+	keys    []uintptr
+	indexed bool
 	hits    uint64
 	misses  uint64
 }
@@ -139,14 +207,48 @@ func (c *RegCache) Register(buf []byte) (*ib.MR, sim.Time) {
 		panic("mem: registering empty buffer")
 	}
 	key := &buf[0]
-	if mr, ok := c.entries[key]; ok && mr.Len() >= len(buf) {
+	mr, ok := c.entries[key]
+	if ok && mr.Len() >= len(buf) {
 		c.hits++
 		return mr, 0
 	}
 	c.misses++
-	mr := c.hca.RegisterMemory(buf)
+	if !ok && c.indexed {
+		i, _ := slices.BinarySearch(c.keys, addr(key))
+		c.keys = slices.Insert(c.keys, i, addr(key))
+	}
+	mr = c.hca.RegisterMemory(buf)
 	c.entries[key] = mr
 	return mr, ib.RegTime(len(buf))
+}
+
+// Invalidate ends every registration keyed inside the block blk — its
+// whole capacity, first byte to last — as a pin-down cache does when the
+// memory is freed: each region is deregistered and its entry dropped, so a
+// buffer later carved from the same bytes misses exactly where a fresh
+// allocation would. Nothing may still be moving through those regions.
+func (c *RegCache) Invalidate(blk []byte) {
+	if cap(blk) == 0 {
+		return
+	}
+	if !c.indexed {
+		for key := range c.entries {
+			c.keys = append(c.keys, addr(key))
+		}
+		slices.Sort(c.keys)
+		c.indexed = true
+	}
+	whole := blk[:cap(blk)]
+	lo := addr(&whole[0])
+	i, _ := slices.BinarySearch(c.keys, lo)
+	j := i
+	for j < len(c.keys) && c.keys[j]-lo < uintptr(len(whole)) {
+		key := &whole[c.keys[j]-lo]
+		c.hca.DeregisterMemory(c.entries[key])
+		delete(c.entries, key)
+		j++
+	}
+	c.keys = slices.Delete(c.keys, i, j)
 }
 
 // Hits reports cache hits.

@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"ibflow/internal/ib"
@@ -188,4 +191,152 @@ func TestRegCacheGrowsCoverage(t *testing.T) {
 	if mr.Len() != len(big) {
 		t.Errorf("region length %d", mr.Len())
 	}
+}
+
+// A freed block comes back from the free list of its exact length, the
+// one freed last first, zeroed; a block of another length is not taken
+// for it, and a block freed through a shorter reslicing is freed whole.
+func TestBlocksRecycleZeroed(t *testing.T) {
+	var b Blocks
+	if b.Get(0) != nil {
+		t.Error("Get(0) returned a block")
+	}
+	x, y := b.Get(64), b.Get(64)
+	z := b.Get(100)
+	for _, blk := range [][]byte{x, y, z} {
+		for i := range blk {
+			blk[i] = 0xAB
+		}
+	}
+	b.Put(x[:10])
+	b.Put(y)
+	b.Put(z)
+	if got := b.Get(64); &got[0] != &y[0] {
+		t.Error("the block freed last did not come back first")
+	}
+	got := b.Get(64)
+	if &got[0] != &x[0] || len(got) != 64 || cap(got) != 64 {
+		t.Fatalf("the block freed through x[:10] came back as %d/%d bytes, same block %v", len(got), cap(got), &got[0] == &x[0])
+	}
+	for i, v := range got {
+		if v != 0 {
+			t.Fatalf("recycled block not zeroed at %d: %#x", i, v)
+		}
+	}
+	if fresh := b.Get(64); &fresh[0] == &x[0] || &fresh[0] == &y[0] || &fresh[0] == &z[0] {
+		t.Error("an empty free list handed out a block that is still out")
+	}
+}
+
+// regMiss registers buf and reports whether the cache missed.
+func regMiss(rc *RegCache, buf []byte) bool {
+	_, cost := rc.Register(buf)
+	return cost != 0
+}
+
+// Invalidate ends exactly the registrations keyed inside the block: at
+// its first byte, inside it and at its last byte — not those of its
+// neighbours, the byte before it and the byte after it in one backing
+// array. An ended region's id stops resolving.
+func TestInvalidateDropsExactlyTheBlock(t *testing.T) {
+	eng := sim.NewEngine()
+	f := ib.NewFabric(eng, ib.DefaultConfig(), 1)
+	hca := f.HCA(0)
+	rc := NewRegCache(hca)
+	const n = 32
+	slab := make([]byte, 3*n)
+	prev, blk, next := slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+	inside := [][]byte{blk, blk[n/2 : n/2+4], blk[n-1:]}
+	outside := [][]byte{prev[n-1:], next[:1], next}
+	var ids []int
+	for _, b := range append(append([][]byte{}, inside...), outside...) {
+		mr, _ := rc.Register(b)
+		ids = append(ids, mr.ID())
+	}
+	rc.Invalidate(blk[:1]) // a block is its whole capacity
+	for i, b := range inside {
+		if !regMiss(rc, b) {
+			t.Errorf("registration %d inside the block survived Invalidate", i)
+		}
+		id := ids[i]
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "was deregistered") {
+					t.Errorf("LookupMR of ended region %d: %v, want the deregistered panic", id, r)
+				}
+			}()
+			hca.LookupMR(id)
+		}()
+	}
+	for i, b := range outside {
+		if regMiss(rc, b) {
+			t.Errorf("registration %d outside the block was dropped", i)
+		}
+	}
+	if len(rc.keys) != len(rc.entries) || !slices.IsSorted(rc.keys) {
+		t.Errorf("address index holds %d keys (sorted %v) for %d entries", len(rc.keys), slices.IsSorted(rc.keys), len(rc.entries))
+	}
+}
+
+// FuzzRegCache checks the pin-down cache's one promise about recycled
+// memory against an oracle that never recycles. Each op byte's low two
+// bits pick AllocMem (a Blocks.Get of one of a few lengths), FreeMem
+// (Invalidate, then Blocks.Put) or a registration of a sub-slice of a live
+// block whose bounds the next two bytes pick. The oracle replays the
+// script with every allocation a make it has never seen and every free a
+// no-op. Every registration must hit or miss alike on both sides, cost
+// the same and get the same region id — what a rendezvous puts on the
+// wire — and the cache's address index, once the first free built it,
+// must track its entries.
+func FuzzRegCache(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 7, 2, 0, 7, 1, 0, 2, 0, 7})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		sizes := [...]int{1, 8, 64, 100, 4096}
+		eng := sim.NewEngine()
+		fab := ib.NewFabric(eng, ib.DefaultConfig(), 2)
+		rc, oracle := NewRegCache(fab.HCA(0)), NewRegCache(fab.HCA(1))
+		var blocks Blocks
+		var live, fresh [][]byte // live blocks, and the oracle's buffer for each
+		var seen [][]byte        // every oracle buffer, kept so no address comes back
+		for i := 0; i < len(ops); i++ {
+			b := ops[i]
+			switch {
+			case b&3 == 0 || len(live) == 0:
+				n := sizes[int(b>>2)%len(sizes)]
+				live = append(live, blocks.Get(n))
+				fresh = append(fresh, make([]byte, n))
+				seen = append(seen, fresh[len(fresh)-1])
+			case b&3 == 1:
+				k := int(b>>2) % len(live)
+				rc.Invalidate(live[k])
+				blocks.Put(live[k])
+				live = append(live[:k], live[k+1:]...)
+				fresh = append(fresh[:k], fresh[k+1:]...)
+			default:
+				k := int(b>>2) % len(live)
+				var x, y byte
+				if i+2 < len(ops) {
+					x, y = ops[i+1], ops[i+2]
+					i += 2
+				}
+				n := len(live[k])
+				off := int(x) % n
+				end := off + 1 + int(y)%(n-off)
+				mr, cost := rc.Register(live[k][off:end])
+				omr, ocost := oracle.Register(fresh[k][off:end])
+				if cost != ocost || mr.ID() != omr.ID() {
+					t.Fatalf("op %d: registering [%d,%d) of a %d-byte block: cost %v, region %d; a fresh buffer: cost %v, region %d",
+						i, off, end, n, cost, mr.ID(), ocost, omr.ID())
+				}
+			}
+			if rc.indexed && (len(rc.keys) != len(rc.entries) || !slices.IsSorted(rc.keys)) {
+				t.Fatalf("op %d: address index holds %d keys (sorted %v) for %d entries",
+					i, len(rc.keys), slices.IsSorted(rc.keys), len(rc.entries))
+			}
+		}
+		if rc.Hits() != oracle.Hits() || rc.Misses() != oracle.Misses() {
+			t.Fatalf("hits/misses %d/%d, the oracle's %d/%d", rc.Hits(), rc.Misses(), oracle.Hits(), oracle.Misses())
+		}
+		runtime.KeepAlive(seen)
+	})
 }

@@ -133,6 +133,22 @@ func (c *Comm) Compute(d sim.Time) { c.r.proc.Sleep(d) }
 // World returns the job this communicator belongs to.
 func (c *Comm) World() *World { return c.r.world }
 
+// AllocMem returns n zeroed bytes for communication (MPI_Alloc_mem) from
+// the rank's allocator: a block FreeMem returned, or a fresh one. It
+// charges no virtual time.
+func (c *Comm) AllocMem(n int) []byte { return c.r.dev.AllocMem(n) }
+
+// FreeMem returns a block AllocMem handed out (MPI_Free_mem). It ends the
+// block's registration identity: every pin-down cache entry inside it is
+// deregistered, so when AllocMem hands the bytes out again they register
+// exactly as a fresh allocation would. Every request over any of its bytes
+// must have completed; under ibdebug a posted receive or a live rendezvous
+// over it panics here. It charges no virtual time.
+func (c *Comm) FreeMem(buf []byte) {
+	c.r.debugFreeMem(buf)
+	c.r.dev.FreeMem(buf)
+}
+
 // Isend starts a non-blocking send of data to dst. The data buffer must
 // stay untouched until the request completes.
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {

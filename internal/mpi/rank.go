@@ -5,6 +5,7 @@ import (
 
 	"ibflow/internal/chdev"
 	"ibflow/internal/debug"
+	"ibflow/internal/mem"
 	"ibflow/internal/sim"
 )
 
@@ -112,6 +113,24 @@ func (r *Rank) releaseReq(q *Request) {
 	q.owner = nil
 	q.released = true
 	r.world.reqs.Put(q)
+}
+
+// debugFreeMem asserts, in an ibdebug build, that no receive the rank
+// posted and has not completed lands in the block being freed — one still
+// waiting for its message, or one whose eager copy is still being charged.
+// The device checks its own rendezvous (chdev.Device.FreeMem).
+func (r *Rank) debugFreeMem(buf []byte) {
+	if !debug.Enabled {
+		return
+	}
+	for _, q := range r.postedRecvs {
+		debug.Assert(!mem.Overlaps(buf, q.buf),
+			"mpi: rank %d: FreeMem of a block a posted receive (source %d, tag %d) lands in", r.idx, q.src, q.tag)
+	}
+	if pe := r.pending; pe.matched {
+		debug.Assert(!mem.Overlaps(buf, pe.req.buf),
+			"mpi: rank %d: FreeMem of a block an eager message from rank %d is still landing in", r.idx, pe.st.Source)
+	}
 }
 
 // pendingEager records a matched-or-queued eager message whose copy

@@ -177,10 +177,11 @@ func (s *adi) sweep(d adiDir) {
 	for ch := 0; ch < s.p.zChunks; ch++ {
 		lo := ch * cl
 		if d.coord > 0 {
-			buf := make([]byte, 8*2*cl)
+			buf := c.AllocMem(8 * 2 * cl)
 			c.Recv(d.prev, d.fwdTag+ch, buf)
 			enc.GetF64(buf[:8*cl], pc)
 			enc.GetF64(buf[8*cl:], pd)
+			c.FreeMem(buf)
 		} else {
 			clear(pc)
 			clear(pd)
@@ -194,19 +195,21 @@ func (s *adi) sweep(d adiDir) {
 		}
 		chargeFlops(c, s.p.cellFlops*d.steps*cl/2)
 		if d.coord < d.q-1 {
-			out := make([]byte, 8*2*cl)
+			out := c.AllocMem(8 * 2 * cl)
 			enc.PutF64(out, pc)
 			enc.PutF64(out[8*cl:], pd)
 			c.Send(d.next, d.fwdTag+ch, out)
+			c.FreeMem(out)
 		}
 	}
 	// Back substitution.
 	for ch := 0; ch < s.p.zChunks; ch++ {
 		lo := ch * cl
 		if d.coord < d.q-1 {
-			buf := make([]byte, 8*cl)
+			buf := c.AllocMem(8 * cl)
 			c.Recv(d.next, d.backTag+ch, buf)
 			enc.GetF64(buf, x)
+			c.FreeMem(buf)
 		} else {
 			clear(x)
 		}
@@ -219,7 +222,7 @@ func (s *adi) sweep(d adiDir) {
 		}
 		chargeFlops(c, s.p.cellFlops*d.steps*cl/2)
 		if d.coord > 0 {
-			c.Send(d.prev, d.backTag+ch, enc.F64Bytes(x))
+			sendF64(c, d.prev, d.backTag+ch, x)
 		}
 	}
 }

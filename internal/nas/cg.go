@@ -48,15 +48,15 @@ func RunCG(c *mpi.Comm, class Class) error {
 
 	// Halo rows live at x[-1] and x[rl]; flatten with 2 extra rows.
 	halo := func(x []float64) {
-		rowBytes := make([]byte, 8*n)
+		rowBytes := c.AllocMem(8 * n)
 		if me%2 == 0 {
 			if down < nprocs {
-				c.Send(down, 10, enc.F64Bytes(x[(rl)*n:(rl+1)*n]))
+				sendF64(c, down, 10, x[(rl)*n:(rl+1)*n])
 				c.Recv(down, 11, rowBytes)
 				enc.GetF64(rowBytes, x[(rl+1)*n:(rl+2)*n])
 			}
 			if up >= 0 {
-				c.Send(up, 12, enc.F64Bytes(x[n:2*n]))
+				sendF64(c, up, 12, x[n:2*n])
 				c.Recv(up, 13, rowBytes)
 				enc.GetF64(rowBytes, x[0:n])
 			}
@@ -64,14 +64,15 @@ func RunCG(c *mpi.Comm, class Class) error {
 			if up >= 0 {
 				c.Recv(up, 10, rowBytes)
 				enc.GetF64(rowBytes, x[0:n])
-				c.Send(up, 11, enc.F64Bytes(x[n:2*n]))
+				sendF64(c, up, 11, x[n:2*n])
 			}
 			if down < nprocs {
 				c.Recv(down, 12, rowBytes)
 				enc.GetF64(rowBytes, x[(rl+1)*n:(rl+2)*n])
-				c.Send(down, 13, enc.F64Bytes(x[rl*n:(rl+1)*n]))
+				sendF64(c, down, 13, x[rl*n:(rl+1)*n])
 			}
 		}
+		c.FreeMem(rowBytes)
 	}
 
 	// zero stands in for the rows beyond the global boundary: subtracting

@@ -246,8 +246,8 @@ func (f *ftPlan) fftZ(a, tw []float64) {
 // transpose redistributes a into out between the slab layout (all (x,y)
 // for nzLoc z-planes) and the column layout (all z for colsLoc (x,y)
 // columns) with one large all-to-all; forward selects the direction.
-// The all-to-all's buffers are allocated fresh; f.stage holds the packed
-// blocks on either side of it.
+// The all-to-all's buffers come from the rank's allocator and go back
+// once it is done; f.stage holds the packed blocks on either side of it.
 func (f *ftPlan) transpose(out, a []float64, forward bool) {
 	c, nx, ny, nzLoc, colsLoc := f.c, f.nx, f.ny, f.nzLoc, f.colsLoc
 	n := c.Size()
@@ -277,10 +277,12 @@ func (f *ftPlan) transpose(out, a []float64, forward bool) {
 			}
 		}
 	}
-	sb := enc.F64Bytes(stage)
-	rb := make([]byte, len(sb))
+	sb := enc.PutF64(c.AllocMem(8*len(stage)), stage)
+	rb := c.AllocMem(len(sb))
 	coll.Alltoall(c, sb, rb, block*8)
 	enc.GetF64(rb, stage)
+	c.FreeMem(sb)
+	c.FreeMem(rb)
 
 	if forward {
 		// From src i: its z-planes [i*nzLoc...) for my columns.

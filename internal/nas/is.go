@@ -43,7 +43,8 @@ func RunIS(c *mpi.Comm, class Class) error {
 		keys[i] = int32(rng.intn(int(p.maxKey)))
 	}
 
-	// Scratch reused by every iteration; what MPI sees is allocated fresh.
+	// Scratch reused by every iteration; what MPI sees comes from the
+	// rank's allocator and goes back once the collective is done with it.
 	hist := make([]int64, p.buckets)
 	ghist := make([]int64, p.buckets)
 	owner := make([]int, p.buckets)
@@ -65,9 +66,10 @@ func RunIS(c *mpi.Comm, class Class) error {
 		chargeFlops(c, 2*local)
 
 		// Global histogram so every rank knows the bucket split.
-		hbuf := enc.I64Bytes(hist)
+		hbuf := enc.PutI64(c.AllocMem(8*len(hist)), hist)
 		coll.Allreduce(c, hbuf, coll.SumI64)
 		enc.GetI64(hbuf, ghist)
+		c.FreeMem(hbuf)
 
 		// Assign contiguous bucket ranges to ranks, balancing keys.
 		perRank := int64(p.totalKeys / n)
@@ -101,10 +103,12 @@ func RunIS(c *mpi.Comm, class Class) error {
 		for i, v := range sc {
 			cnt[i] = int64(v)
 		}
-		cntBuf := enc.I64Bytes(cnt)
-		rcntBuf := make([]byte, len(cntBuf))
+		cntBuf := enc.PutI64(c.AllocMem(8*len(cnt)), cnt)
+		rcntBuf := c.AllocMem(len(cntBuf))
 		coll.Alltoall(c, cntBuf, rcntBuf, 8)
 		enc.GetI64(rcntBuf, cnt) // now the counts each rank sends here
+		c.FreeMem(cntBuf)
+		c.FreeMem(rcntBuf)
 		rtotal := 0
 		for i := 0; i < n; i++ {
 			rc[i] = int(cnt[i]) * 4
@@ -115,9 +119,10 @@ func RunIS(c *mpi.Comm, class Class) error {
 			scB[i] = sc[i] * 4
 			soB[i] = so[i] * 4
 		}
-		sendBuf := enc.I32Bytes(sendKeys)
-		recvBuf := make([]byte, rtotal)
+		sendBuf := enc.PutI32(c.AllocMem(4*len(sendKeys)), sendKeys)
+		recvBuf := c.AllocMem(rtotal)
 		coll.Alltoallv(c, sendBuf, scB, soB, recvBuf, rc, ro)
+		c.FreeMem(sendBuf)
 
 		// Full sort only on the final iteration (as NPB does).
 		if iter == p.iters-1 {
@@ -127,6 +132,7 @@ func RunIS(c *mpi.Comm, class Class) error {
 		} else {
 			chargeFlops(c, 2*(rtotal/4))
 		}
+		c.FreeMem(recvBuf)
 	}
 
 	if observe != nil {
@@ -155,19 +161,24 @@ func verifyIS(c *mpi.Comm, sorted []int32, totalKeys int) error {
 	}
 	const tag = 999
 	if me+1 < n {
-		c.Send(me+1, tag, enc.I32Bytes([]int32{myMax}))
+		sb := enc.PutI32(c.AllocMem(4), []int32{myMax})
+		c.Send(me+1, tag, sb)
+		c.FreeMem(sb)
 	}
 	if me > 0 {
-		buf := make([]byte, 4)
-		c.Recv(me-1, tag, buf)
-		leftMax := enc.I32s(buf)[0]
+		rb := c.AllocMem(4)
+		c.Recv(me-1, tag, rb)
+		leftMax := enc.I32s(rb)[0]
+		c.FreeMem(rb)
 		if len(sorted) > 0 && sorted[0] < leftMax {
 			return fmt.Errorf("IS: rank %d min %d below left max %d", me, sorted[0], leftMax)
 		}
 	}
-	cnt := enc.I64Bytes([]int64{int64(len(sorted))})
+	cnt := enc.PutI64(c.AllocMem(8), []int64{int64(len(sorted))})
 	coll.Allreduce(c, cnt, coll.SumI64)
-	if total := enc.I64s(cnt)[0]; total != int64(totalKeys) {
+	total := enc.I64s(cnt)[0]
+	c.FreeMem(cnt)
+	if total != int64(totalKeys) {
 		return fmt.Errorf("IS: key count not conserved: %d keys, want %d", total, totalKeys)
 	}
 	return nil

@@ -217,13 +217,19 @@ func relax(cur, below, above, f []float64, o, sy int) float64 {
 
 // exchangeFaces refreshes the full i and j ghost faces with neighbours
 // using large Sendrecv messages (nz*edge points). face is the packing
-// scratch; every buffer MPI sees is allocated here, fresh.
+// scratch; every buffer MPI sees comes from the rank's allocator, one per
+// message, and goes back once its Sendrecv is done.
 func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py int) {
 	me := c.Rank()
 	west, east := me-1, me+1
 	north, south := me-px, me+px
 	sy := nyl + 2
 	plane := (nxl + 2) * sy
+	// exchange sends the packed face sb, which it frees, and receives into rb.
+	exchange := func(sb []byte, to, stag, from, rtag int, rb []byte) {
+		c.Sendrecv(to, stag, sb, from, rtag, rb)
+		c.FreeMem(sb)
+	}
 
 	// Column faces: i fixed, j = 1..nyl.
 	col := face[:nz*nyl]
@@ -231,7 +237,7 @@ func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py 
 		for k := range nz {
 			copy(col[k*nyl:(k+1)*nyl], u[k*plane+i*sy+1:])
 		}
-		return enc.F64Bytes(col)
+		return enc.PutF64(c.AllocMem(8*len(col)), col)
 	}
 	unpack := func(b []byte, i int) {
 		enc.GetF64(b, col)
@@ -239,19 +245,20 @@ func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py 
 			copy(u[k*plane+i*sy+1:k*plane+i*sy+1+nyl], col[k*nyl:])
 		}
 	}
-	buf := make([]byte, 8*nz*nyl)
+	buf := c.AllocMem(8 * nz * nyl)
 	if cx > 0 && cx < px-1 {
-		c.Sendrecv(east, 5000, pack(nxl), west, 5000, buf)
+		exchange(pack(nxl), east, 5000, west, 5000, buf)
 		unpack(buf, 0)
-		c.Sendrecv(west, 5001, pack(1), east, 5001, buf)
+		exchange(pack(1), west, 5001, east, 5001, buf)
 		unpack(buf, nxl+1)
 	} else if cx == 0 && px > 1 {
-		c.Sendrecv(east, 5000, pack(nxl), east, 5001, buf)
+		exchange(pack(nxl), east, 5000, east, 5001, buf)
 		unpack(buf, nxl+1)
 	} else if cx == px-1 && px > 1 {
-		c.Sendrecv(west, 5001, pack(1), west, 5000, buf)
+		exchange(pack(1), west, 5001, west, 5000, buf)
 		unpack(buf, 0)
 	}
+	c.FreeMem(buf)
 
 	// Row faces: j fixed, i = 1..nxl.
 	row := face[:nz*nxl]
@@ -261,7 +268,7 @@ func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py 
 				row[k*nxl+i] = u[k*plane+(i+1)*sy+j]
 			}
 		}
-		return enc.F64Bytes(row)
+		return enc.PutF64(c.AllocMem(8*len(row)), row)
 	}
 	unpackR := func(b []byte, j int) {
 		enc.GetF64(b, row)
@@ -271,17 +278,18 @@ func exchangeFaces(c *mpi.Comm, u, face []float64, nz, nxl, nyl, cx, cy, px, py 
 			}
 		}
 	}
-	rbuf := make([]byte, 8*nz*nxl)
+	rbuf := c.AllocMem(8 * nz * nxl)
 	if cy > 0 && cy < py-1 {
-		c.Sendrecv(south, 5002, packR(nyl), north, 5002, rbuf)
+		exchange(packR(nyl), south, 5002, north, 5002, rbuf)
 		unpackR(rbuf, 0)
-		c.Sendrecv(north, 5003, packR(1), south, 5003, rbuf)
+		exchange(packR(1), north, 5003, south, 5003, rbuf)
 		unpackR(rbuf, nyl+1)
 	} else if cy == 0 && py > 1 {
-		c.Sendrecv(south, 5002, packR(nyl), south, 5003, rbuf)
+		exchange(packR(nyl), south, 5002, south, 5003, rbuf)
 		unpackR(rbuf, nyl+1)
 	} else if cy == py-1 && py > 1 {
-		c.Sendrecv(north, 5003, packR(1), north, 5002, rbuf)
+		exchange(packR(1), north, 5003, north, 5002, rbuf)
 		unpackR(rbuf, 0)
 	}
+	c.FreeMem(rbuf)
 }

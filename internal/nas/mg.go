@@ -85,15 +85,15 @@ func RunMG(c *mpi.Comm, class Class) error {
 
 	up, down := me-1, me+1
 	halo := func(l *mgLevel, x []float64) {
-		rowBytes := make([]byte, 8*l.n)
+		rowBytes := c.AllocMem(8 * l.n)
 		if me%2 == 0 {
 			if down < nprocs {
-				c.Send(down, 20, enc.F64Bytes(x[l.rl*l.n:(l.rl+1)*l.n]))
+				sendF64(c, down, 20, x[l.rl*l.n:(l.rl+1)*l.n])
 				c.Recv(down, 21, rowBytes)
 				enc.GetF64(rowBytes, x[(l.rl+1)*l.n:(l.rl+2)*l.n])
 			}
 			if up >= 0 {
-				c.Send(up, 22, enc.F64Bytes(x[l.n:2*l.n]))
+				sendF64(c, up, 22, x[l.n:2*l.n])
 				c.Recv(up, 23, rowBytes)
 				enc.GetF64(rowBytes, x[0:l.n])
 			}
@@ -101,14 +101,15 @@ func RunMG(c *mpi.Comm, class Class) error {
 			if up >= 0 {
 				c.Recv(up, 20, rowBytes)
 				enc.GetF64(rowBytes, x[0:l.n])
-				c.Send(up, 21, enc.F64Bytes(x[l.n:2*l.n]))
+				sendF64(c, up, 21, x[l.n:2*l.n])
 			}
 			if down < nprocs {
 				c.Recv(down, 22, rowBytes)
 				enc.GetF64(rowBytes, x[(l.rl+1)*l.n:(l.rl+2)*l.n])
-				c.Send(down, 23, enc.F64Bytes(x[l.rl*l.n:(l.rl+1)*l.n]))
+				sendF64(c, down, 23, x[l.rl*l.n:(l.rl+1)*l.n])
 			}
 		}
+		c.FreeMem(rowBytes)
 	}
 
 	// zero stands in for the rows beyond the global boundary; sum holds

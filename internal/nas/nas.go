@@ -83,14 +83,23 @@ func chargeFlops(c *mpi.Comm, n int) {
 	}
 }
 
-// allreduceSum returns v summed over every rank of c, reduced in a fresh
-// 8-byte buffer.
+// allreduceSum returns v summed over every rank of c, reduced in an
+// 8-byte buffer from the rank's allocator.
 func allreduceSum(c *mpi.Comm, v float64) float64 {
-	buf := enc.F64Bytes([]float64{v})
+	sum := [1]float64{v}
+	buf := enc.PutF64(c.AllocMem(8), sum[:])
 	coll.Allreduce(c, buf, coll.SumF64)
-	var sum [1]float64
 	enc.GetF64(buf, sum[:])
+	c.FreeMem(buf)
 	return sum[0]
+}
+
+// sendF64 sends x to rank to, packed into a buffer from the rank's
+// allocator that it frees once the send has completed.
+func sendF64(c *mpi.Comm, to, tag int, x []float64) {
+	buf := enc.PutF64(c.AllocMem(8*len(x)), x)
+	c.Send(to, tag, buf)
+	c.FreeMem(buf)
 }
 
 // observe, when set, is handed each rank's final field and verification

@@ -21,7 +21,7 @@ const (
 // message needs on its way — the engine's events, an adapter's send WQEs,
 // the fabric's trunk hops, the world's requests, the
 // device's rendezvous state — and behind registration handles (ib.MR,
-// carved and never returned). The zero value is ready to use; a pool in
+// returned at deregistration). The zero value is ready to use; a pool in
 // use points into itself and must not be copied. Get's object is zeroed. Put does not touch it — the
 // owner drops the references it holds and may leave the scalars readable,
 // as a released mpi.Request keeps its status — and an object handed out
@@ -31,32 +31,40 @@ const (
 // is used: a double Put, a foreign Put and Live on a pooled object fail at
 // once instead of aliasing the next owner's state.
 type Pool[T any] struct {
-	dbg    poolDebug[T] // empty without the ibdebug tag (not last: a trailing empty field is padded)
-	chunk  []T          // rest of the current chunk
-	free   []*T         // returned objects, reused last in first out
-	carved int          // objects ever carved: sizes the next chunk
-	free0  [chunkMin]*T // the free stack's first backing: a pool of a handful never allocates one
+	dbg   poolDebug[T] // empty without the ibdebug tag (not last: a trailing empty field is padded)
+	chunk []T          // rest of the current chunk
+	free  []*T         // returned objects, reused last in first out
+	made  int          // objects in every chunk made so far: sizes the next chunk
+	free0 [chunkMin]*T // the free stack's first backing: a pool of a handful never allocates one
 }
 
 // Get returns a zeroed object: the one most recently Put, or the next of
-// the current chunk.
+// the current chunk. It fits the compiler's inlining budget — exactly, in
+// the release build — so the free-stack pop costs its callers no call (the
+// engine's event allocation among them). That is why the popped slot is
+// left as it is (every object the stack ever held belongs to one of the
+// pool's chunks anyway) and why the ibdebug hooks sit behind a constant
+// the release build folds away.
 func (p *Pool[T]) Get() *T {
 	if n := len(p.free); n > 0 {
 		v := p.free[n-1]
-		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.dbg.reuse(v)
+		if tracking {
+			p.dbg.reuse(v)
+		}
 		var zero T
 		*v = zero
 		return v
 	}
 	if len(p.chunk) == 0 {
-		p.chunk = make([]T, min(chunkMax, max(chunkMin, p.carved)))
+		p.chunk = make([]T, min(chunkMax, max(chunkMin, p.made)))
+		p.made += len(p.chunk)
 	}
 	v := &p.chunk[0]
 	p.chunk = p.chunk[1:]
-	p.carved++
-	p.dbg.carve(v)
+	if tracking {
+		p.dbg.carve(v)
+	}
 	return v
 }
 
@@ -71,11 +79,11 @@ func (p *Pool[T]) Put(v *T) {
 		if n == 0 {
 			p.free = p.free0[:0]
 		} else {
-			p.free = append(make([]*T, 0, p.carved), p.free...)
+			p.free = append(make([]*T, 0, p.Carved()), p.free...)
 		}
 	}
 	p.free = append(p.free, v)
 }
 
 // Carved reports how many distinct objects the pool has ever made.
-func (p *Pool[T]) Carved() int { return p.carved }
+func (p *Pool[T]) Carved() int { return p.made - len(p.chunk) }
