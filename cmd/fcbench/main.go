@@ -76,6 +76,9 @@ func checkFlags(test string, set map[string]bool, v flagVals) error {
 		if set["reps"] {
 			return errors.New("-reps applies to -test bandwidth, not latency")
 		}
+		if set["blocking"] {
+			return errors.New("-blocking applies to -test bandwidth; the latency ping-pong always blocks")
+		}
 		if v.metricsOut != "" && !set["size"] {
 			return errors.New("-metrics-out instruments a single run: pick one -size")
 		}
@@ -92,6 +95,9 @@ func checkFlags(test string, set map[string]bool, v flagVals) error {
 		}
 		if set["window"] {
 			return errors.New("-test micro sweeps every bandwidth window; drop -window")
+		}
+		if set["slotbytes"] {
+			return errors.New("-test micro runs the ring at fixed 2048-byte slots; drop -slotbytes")
 		}
 		if set["metrics-out"] {
 			return errors.New("-metrics-out is not supported with -test micro (many worlds, one registry)")

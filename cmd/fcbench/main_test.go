@@ -29,11 +29,13 @@ func TestCheckFlags(t *testing.T) {
 
 		{"latency", []string{"window"}, flagVals{}, "-window applies to -test bandwidth"},
 		{"latency", []string{"reps"}, flagVals{}, "-reps applies to -test bandwidth"},
+		{"latency", []string{"blocking"}, flagVals{}, "-blocking applies to -test bandwidth"},
 		{"latency", []string{"metrics-out"}, out, "pick one -size"},
 		{"bandwidth", []string{"iters"}, flagVals{}, "-iters applies to -test latency"},
 		{"bandwidth", []string{"metrics-out"}, out, "pick one -window"},
 		{"micro", []string{"scheme"}, flagVals{}, "-test micro sweeps all schemes"},
 		{"micro", []string{"window"}, flagVals{}, "-test micro sweeps every bandwidth window"},
+		{"micro", []string{"slotbytes"}, flagVals{}, "fixed 2048-byte slots; drop -slotbytes"},
 		{"micro", []string{"metrics-out"}, out, "not supported with -test micro"},
 		{"micro", []string{"endpoints"}, flagVals{endpoints: 2}, "-endpoints applies to -test latency and bandwidth"},
 		{"scaling", []string{"scheme"}, flagVals{}, "-test scaling sweeps all schemes"},

@@ -514,7 +514,7 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 // event-context roots, and collects hotalloc sites.
 func (s *summarizer) scheduleCall(f *FuncFact, call *ast.CallExpr, kind string) {
 	switch kind {
-	case "Go", "GoDaemon":
+	case "Go":
 		// Engine-sanctioned process spawn: the body runs as a coroutine,
 		// not in event context, so it is neither a root nor an edge.
 		f.StartsGoroutine = true
@@ -652,8 +652,8 @@ func (s *summarizer) callee(call *ast.CallExpr) *types.Func {
 }
 
 // parkReason classifies stdlib calls that block the calling goroutine.
-// The simulator's own parking primitives (Proc.Sleep, Cond.Wait, ...)
-// are not listed: their implementations bottom out in the coroutine
+// The simulator's own parking primitives (Proc.Sleep, Gate.Wait) are
+// not listed: their implementations bottom out in the coroutine
 // yield (see simCoroutineYield), so the fact propagates to them.
 func parkReason(fn *types.Func) string {
 	pkg := fn.Pkg()
@@ -681,8 +681,8 @@ func parkReason(fn *types.Func) string {
 // process half of the iter.Pull pair the engine resumes processes
 // through. It is a call through a field, which the static call graph
 // cannot see, so it is named here — the one place a process hands the
-// CPU back to the engine, and therefore what makes Proc.Sleep, Cond.Wait
-// and Gate.Wait parks. The other half (Proc.next, called by
+// CPU back to the engine, and therefore what makes Proc.Sleep and
+// Gate.Wait parks. The other half (Proc.next, called by
 // Engine.dispatch under Proc.OnEvent and Gate.Release) needs no entry:
 // it runs a process inline and returns when that process yields, so the
 // event loop never stalls on it.
@@ -708,7 +708,7 @@ func simLikePath(pkgPath string) bool {
 
 // simScheduleKind classifies fn as one of the sim package's scheduling
 // entry points: an Engine method (At, After, AtCancel, AtCall,
-// AfterCall, Go, GoDaemon) or the NewTimer constructor.
+// AfterCall, Go) or the NewTimer constructor.
 func simScheduleKind(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
 	if pkg == nil || !simLikePath(pkg.Path()) {
@@ -723,7 +723,7 @@ func simScheduleKind(fn *types.Func) (string, bool) {
 			return "", false
 		}
 		switch fn.Name() {
-		case "At", "After", "AtCancel", "AtCall", "AfterCall", "Go", "GoDaemon":
+		case "At", "After", "AtCancel", "AtCall", "AfterCall", "Go":
 			return fn.Name(), true
 		}
 		return "", false

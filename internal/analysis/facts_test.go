@@ -1,6 +1,9 @@
 package analysis_test
 
 import (
+	"go/types"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -131,7 +134,9 @@ func TestFactPropagation(t *testing.T) {
 // carry Parks, derived from the coroutine yield in (*Proc).park, and the
 // engine side of the pair (the resume) must not. A tree that changes how park hands
 // the CPU back without teaching facts.go reads Parks=false everywhere
-// here, and simhotpath goes blind while fclint still says "ok".
+// here, and simhotpath goes blind while fclint still says "ok". And a
+// process parks in exactly two places: no other exported function of the
+// simulator may carry Parks.
 func TestRealSimParkFacts(t *testing.T) {
 	mod, err := analysis.LoadModule("../..", []string{"./internal/sim"})
 	if err != nil {
@@ -140,12 +145,9 @@ func TestRealSimParkFacts(t *testing.T) {
 	fs := analysis.BuildFacts(mod)
 	const sim = "ibflow/internal/sim."
 	for key, chain := range map[string]string{
-		"(*" + sim + "Proc).park":      "yields its coroutine to the engine",
-		"(*" + sim + "Proc).Sleep":     "calls (*sim.Proc).park, which yields its coroutine to the engine",
-		"(*" + sim + "Proc).Yield":     "calls (*sim.Proc).Sleep, which calls (*sim.Proc).park, which yields its coroutine to the engine",
-		"(*" + sim + "Cond).Wait":      "calls (*sim.Proc).park, which yields its coroutine to the engine",
-		"(*" + sim + "Cond).WaitUntil": "calls (*sim.Cond).Wait, which calls (*sim.Proc).park, which yields its coroutine to the engine",
-		"(*" + sim + "Gate).Wait":      "calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Proc).park":  "yields its coroutine to the engine",
+		"(*" + sim + "Proc).Sleep": "calls (*sim.Proc).park, which yields its coroutine to the engine",
+		"(*" + sim + "Gate).Wait":  "calls (*sim.Proc).park, which yields its coroutine to the engine",
 	} {
 		f := fs.Fact(key)
 		if f == nil {
@@ -165,8 +167,6 @@ func TestRealSimParkFacts(t *testing.T) {
 		"(*" + sim + "Proc).OnEvent",
 		"(*" + sim + "Engine).dispatch",
 		"(*" + sim + "Engine).Close",
-		"(*" + sim + "Cond).Signal",
-		"(*" + sim + "Cond).Broadcast",
 	} {
 		f := fs.Fact(key)
 		if f == nil {
@@ -178,6 +178,36 @@ func TestRealSimParkFacts(t *testing.T) {
 	}
 	if f := fs.Fact("(*" + sim + "Proc).OnEvent"); f != nil && f.Root != analysis.RootHandler {
 		t.Errorf("Proc.OnEvent root = %v, want RootHandler", f.Root)
+	}
+
+	var parks []string
+	for _, pkg := range mod.DepOrder {
+		if pkg.Path != "ibflow/internal/sim" {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			var funcs []*types.Func
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				funcs = append(funcs, obj)
+			case *types.TypeName:
+				if named, ok := obj.Type().(*types.Named); ok {
+					for i := 0; i < named.NumMethods(); i++ {
+						funcs = append(funcs, named.Method(i))
+					}
+				}
+			}
+			for _, fn := range funcs {
+				if f := fs.Fact(fn.FullName()); fn.Exported() && f != nil && f.Parks {
+					parks = append(parks, fn.FullName())
+				}
+			}
+		}
+	}
+	sort.Strings(parks)
+	if want := []string{"(*" + sim + "Gate).Wait", "(*" + sim + "Proc).Sleep"}; !slices.Equal(parks, want) {
+		t.Errorf("exported functions of internal/sim that park: %v, want exactly %v", parks, want)
 	}
 }
 

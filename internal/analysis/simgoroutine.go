@@ -17,7 +17,7 @@ var syncPrimitives = map[string]bool{
 
 // SimGoroutine flags raw goroutines, sync primitives and bare channel
 // operations in simulation packages. Simulated concurrency must go through
-// (*sim.Engine).Go / GoDaemon and sim.Cond, which the engine serializes;
+// (*sim.Engine).Go, sim.Gate and engine events, which the engine serializes;
 // anything else executes outside virtual time and races with the engine.
 // No file is exempt: the engine's own process machinery (internal/sim's
 // proc.go) switches runtime coroutines directly and holds neither a go
@@ -34,7 +34,7 @@ var syncPrimitives = map[string]bool{
 var SimGoroutine = &Analyzer{
 	Name: "simgoroutine",
 	Doc: "forbid raw go statements, sync.Mutex/WaitGroup and bare channels in simulation code; " +
-		"spawn with (*sim.Engine).Go and synchronize with sim.Cond so the engine serializes everything " +
+		"spawn with (*sim.Engine).Go and synchronize with sim.Gate or engine events so the engine serializes everything " +
 		"(in the sanctioned worker-pool package internal/runner the rule inverts: " +
 		"raw concurrency is legal but importing internal/sim is not)",
 	Run: runSimGoroutine,
@@ -80,40 +80,40 @@ func runSimGoroutine(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(n.Pos(),
-					"raw go statement bypasses the engine-serialized process model; use (*sim.Engine).Go or GoDaemon")
+					"raw go statement bypasses the engine-serialized process model; use (*sim.Engine).Go")
 			case *ast.SelectorExpr:
 				if pkgNameOf(pass.TypesInfo, n.X) == "sync" && syncPrimitives[n.Sel.Name] {
 					pass.Reportf(n.Pos(),
-						"sync.%s in simulation code; the engine already serializes processes — use sim.Cond for waiting",
+						"sync.%s in simulation code; the engine already serializes processes — use sim.Gate for waiting",
 						n.Sel.Name)
 				}
 			case *ast.ChanType:
 				pass.Reportf(n.Pos(),
-					"bare channel bypasses the engine-serialized process model; use sim.Cond or engine events")
+					"bare channel bypasses the engine-serialized process model; use sim.Gate or engine events")
 				return false // don't re-flag the element type
 			case *ast.SendStmt:
 				pass.Reportf(n.Pos(),
-					"channel send executes outside virtual time; use sim.Cond.Signal/Broadcast or engine events")
+					"channel send executes outside virtual time; use sim.Gate.Release or engine events")
 			case *ast.UnaryExpr:
 				if n.Op.String() == "<-" {
 					pass.Reportf(n.Pos(),
-						"channel receive executes outside virtual time; use sim.Cond.Wait or engine events")
+						"channel receive executes outside virtual time; use sim.Gate.Wait or engine events")
 				}
 			case *ast.SelectStmt:
 				pass.Reportf(n.Pos(),
-					"select statement implies real concurrency; simulated processes wait with sim.Cond")
+					"select statement implies real concurrency; simulated processes wait with sim.Gate or Proc.Sleep")
 			case *ast.RangeStmt:
 				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Chan); ok {
 						pass.Reportf(n.Pos(),
-							"range over channel executes outside virtual time; use sim.Cond or engine events")
+							"range over channel executes outside virtual time; use sim.Gate or engine events")
 					}
 				}
 			case *ast.CallExpr:
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "close" {
 					if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" {
 						pass.Reportf(n.Pos(),
-							"close of a bare channel executes outside virtual time; wake waiters with sim.Cond.Broadcast or engine events")
+							"close of a bare channel executes outside virtual time; wake the waiter with sim.Gate.Release or engine events")
 					}
 				}
 			}

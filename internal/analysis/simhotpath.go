@@ -5,7 +5,7 @@ import "sort"
 // SimHotpath flags functions that execute in event context yet park the
 // calling goroutine. Event context is the engine's Run loop: a parked
 // handler parks the whole simulation, and even a handler that merely
-// waits on a sim.Cond is wrong — handlers are not processes and have no
+// waits on a sim.Gate is wrong — handlers are not processes and have no
 // coroutine to yield. Three kinds of function are event-context roots:
 //
 //   - OnEvent(uint64) methods (sim.Handler implementations),
@@ -17,13 +17,12 @@ import "sort"
 // Parking is detected bottom-up through cross-package facts (see
 // facts.go): channel operations, select, sync lock acquisition,
 // time.Sleep and the sim package's coroutine yield are direct parks, and
-// the fact propagates through static calls — so Proc.Sleep, Cond.Wait and
-// Gate.Wait count because their implementations bottom out in that
-// yield. A park two call hops away in another package is still flagged at
+// the fact propagates through static calls — so Proc.Sleep and Gate.Wait
+// count because their implementations bottom out in that yield. A park two call hops away in another package is still flagged at
 // the handler.
 var SimHotpath = &Analyzer{
 	Name: "simhotpath",
-	Doc: "forbid parking (channel ops, select, sync locks, Proc/Cond waits, time.Sleep) in functions " +
+	Doc: "forbid parking (channel ops, select, sync locks, Proc.Sleep/Gate.Wait, time.Sleep) in functions " +
 		"reachable from sim.Handler.OnEvent implementations, event-scheduled closures, or " +
 		"//fclint:hotpath-annotated functions: handlers run inside the engine's event loop and " +
 		"must run to completion",

@@ -39,6 +39,50 @@ func TestScalingSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestParseScheme runs the tools' -scheme parsing: a combination the
+// channel device would refuse is a usage error, and a valid one comes
+// back exactly as its constructor builds it — validating must not fill
+// in the shared pool's watermark.
+func TestParseScheme(t *testing.T) {
+	for _, c := range []struct {
+		name                       string
+		prepost, dynMax, slotBytes int
+		want                       core.Params
+	}{
+		{"hardware", 10, 0, 0, core.Hardware(10)},
+		{"static", 1, 0, 0, core.Static(1)},
+		{"dynamic", 10, 300, 0, core.Dynamic(10, 300)},
+		{"shared", 100, 300, 0, core.Shared(100, 300)},
+		{"rdma", 8, 0, 0, core.RDMA(8, 1024)},
+		{"rdma", 8, 0, 2048, core.RDMA(8, 2048)},
+	} {
+		got, err := ParseScheme(c.name, c.prepost, c.dynMax, c.slotBytes)
+		if err != nil || got != c.want {
+			t.Errorf("ParseScheme(%q, %d, %d, %d) = %+v, %v; want %+v", c.name, c.prepost, c.dynMax, c.slotBytes, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		name                       string
+		prepost, dynMax, slotBytes int
+		want                       string
+	}{
+		{"static", 0, 300, 0, "prepost 0 < 1"},
+		{"hardware", 0, 300, 0, "prepost 0 < 1"},
+		{"dynamic", 0, 300, 0, "prepost 0 < 1"},
+		{"shared", 0, 300, 0, "prepost 0 < 1"},
+		{"rdma", 0, 300, 0, "prepost 0 < 1"},
+		{"rdma", 8, 300, 32, "rdma slot size 32 < 64"},
+		{"dynamic", 10, 5, 0, "max 5 < initial prepost 10"},
+		{"static", 10, 300, 64, "-slotbytes applies to -scheme rdma only"},
+		{"nosuch", 10, 300, 0, `unknown scheme "nosuch"`},
+	} {
+		_, err := ParseScheme(c.name, c.prepost, c.dynMax, c.slotBytes)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseScheme(%q, %d, %d, %d) error = %v, want %q", c.name, c.prepost, c.dynMax, c.slotBytes, err, c.want)
+		}
+	}
+}
+
 func TestSchemesTrio(t *testing.T) {
 	s := Schemes(10, 100)
 	if len(s) != 3 || s[0].Kind != core.KindHardware || s[1].Kind != core.KindStatic ||

@@ -27,27 +27,37 @@ func Schemes(prepost, dynMax int) []core.Params {
 // control parameters. prepost is the per-connection pre-post (the shared
 // pool's starting size; the ring's slot count per connection direction).
 // slotBytes is the ring slot size: 0 selects the 1024-byte default, and
-// any other value is rejected for a scheme that has no slots.
+// any other value is rejected for a scheme that has no slots. So is any
+// combination the channel device would refuse: a usage error, not a panic.
 func ParseScheme(name string, prepost, dynMax, slotBytes int) (core.Params, error) {
 	if slotBytes != 0 && name != "rdma" {
 		return core.Params{}, fmt.Errorf("-slotbytes applies to -scheme rdma only, not %q", name)
 	}
+	var fc core.Params
 	switch name {
 	case "hardware":
-		return core.Hardware(prepost), nil
+		fc = core.Hardware(prepost)
 	case "static":
-		return core.Static(prepost), nil
+		fc = core.Static(prepost)
 	case "dynamic":
-		return core.Dynamic(prepost, dynMax), nil
+		fc = core.Dynamic(prepost, dynMax)
 	case "shared":
-		return core.Shared(prepost, dynMax), nil
+		fc = core.Shared(prepost, dynMax)
 	case "rdma":
 		if slotBytes == 0 {
 			slotBytes = 1024
 		}
-		return core.RDMA(prepost, slotBytes), nil
+		fc = core.RDMA(prepost, slotBytes)
+	default:
+		return core.Params{}, fmt.Errorf("unknown scheme %q (hardware|static|dynamic|shared|rdma)", name)
 	}
-	return core.Params{}, fmt.Errorf("unknown scheme %q (hardware|static|dynamic|shared|rdma)", name)
+	// Validate a copy: it fills in defaults (the shared pool's watermark)
+	// that the returned parameters must leave to the device.
+	check := fc
+	if err := check.Validate(); err != nil {
+		return core.Params{}, err
+	}
+	return fc, nil
 }
 
 // Latency measures the one-way small-message latency (the paper's
@@ -65,24 +75,6 @@ func Latency(fc core.Params, size, iters int) float64 {
 // The result is MB/s (10^6 bytes per second, as the paper plots).
 func Bandwidth(fc core.Params, size, window, reps int, blocking bool) float64 {
 	return BandwidthOpts(fc, size, window, reps, blocking, nil)
-}
-
-// LatencySweep runs Latency across message sizes.
-func LatencySweep(fc core.Params, sizes []int, iters int) []float64 {
-	out := make([]float64, len(sizes))
-	for i, s := range sizes {
-		out[i] = Latency(fc, s, iters)
-	}
-	return out
-}
-
-// BandwidthSweep runs Bandwidth across window sizes.
-func BandwidthSweep(fc core.Params, size int, windows []int, reps int, blocking bool) []float64 {
-	out := make([]float64, len(windows))
-	for i, w := range windows {
-		out[i] = Bandwidth(fc, size, w, reps, blocking)
-	}
-	return out
 }
 
 // timeLimit guards against pathological configurations in sweeps.

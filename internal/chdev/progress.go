@@ -9,19 +9,18 @@ import (
 )
 
 // This file is the channel device's progress engine as a bound event
-// handler: the goroutine-to-handler conversion of what used to be the
-// ProgressOnce/WaitProgress coroutine loops. Steady-state traffic —
-// completions, software receive overheads, backlog drains, rendezvous
-// control — runs entirely in event context on this one machine; the
-// rank's process parks at most once per MPI-level progress call and is
-// resumed synchronously through a sim.Gate when its request is done.
+// handler. Steady-state traffic — completions, software receive
+// overheads, backlog drains, rendezvous control — runs entirely in event
+// context on this one machine, which learns of completions by polling
+// its CQ or from the CQ's armed notify. The rank's process parks at most
+// once per MPI-level progress call and is resumed synchronously through
+// a sim.Gate (an inline dispatch, no event) when its request is done.
 //
-// The conversion is semantics-preserving to the event: every p.Sleep(d)
-// of the old coroutine corresponds to exactly one AfterCall(d, m, 0)
-// staged at the same execution point, and the final wakeup is an inline
-// dispatch (no event at all) exactly as the old code resumed inside the
-// completion's own wake event. The semantic-preservation goldens in
-// internal/mpi and internal/bench pin this byte-for-byte.
+// The machine spends virtual time only by staging AfterCall(d, m, 0) and
+// returning. Each "charge:" comment in step marks one of the five sites:
+// receive overhead, payload copy, registration, reply header, RTS header.
+// Removing or moving one changes the schedule, which the semantic goldens
+// in internal/mpi and internal/bench pin byte for byte.
 
 // pstate is the machine's continuation point. States marked "staged"
 // are entered from an AfterCall after a virtual-time charge; the rest
@@ -65,8 +64,8 @@ type progressMachine struct {
 
 	active bool
 	pc     pstate
-	// did reports whether the current pass accomplished anything — the
-	// old ProgressOnce return value.
+	// did reports whether the current pass accomplished anything —
+	// ProgressOnce's return value.
 	did bool
 	// pred, when non-nil, makes the session a WaitProgress loop: passes
 	// repeat (blocking on the armed CQ when idle) until pred holds. A
@@ -95,8 +94,8 @@ type progressMachine struct {
 }
 
 // progressSession runs one machine session on the calling process: a
-// single pass (pred == nil, the old ProgressOnce) or a wait-for-pred
-// loop (the old WaitProgress). The first segment runs inline on the
+// single pass (pred == nil, ProgressOnce) or a wait-for-pred loop
+// (WaitProgress). The first segment runs inline on the
 // process's own stack; if any stage charges virtual time — or the
 // session must block on the CQ — the machine takes over in event
 // context and the process parks in the gate until the session ends.
@@ -173,8 +172,7 @@ func (m *progressMachine) startDrain(c *conn, after pstate) {
 
 // step runs the machine until it either stages a virtual-time charge
 // (AfterCall and return), goes idle on an armed CQ, or finishes the
-// session. It is the flattened form of the old coroutine loops; the
-// comments name the p.Sleep each staged AfterCall replaces.
+// session.
 func (m *progressMachine) step() {
 	d := m.d
 	for {
@@ -185,9 +183,8 @@ func (m *progressMachine) step() {
 				// ended before the event fired. Nothing to do.
 				return
 			}
-			// A completion arrived while blocked: re-check the
-			// predicate (as the old loop's `for !done()` did after
-			// cq.Wait returned), then run a pass.
+			// A completion arrived while idle: re-check the
+			// predicate, then run a pass.
 			if m.pred() {
 				m.finish()
 				return
@@ -223,7 +220,7 @@ func (m *progressMachine) step() {
 			m.buf = d.prov.landed(c, wc.Buf, wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
-			switch { // was: the swRecv* sleep at the top of handlePacket
+			switch { // charge: the software receive overhead of the arrival
 			case wc.Opcode == ib.OpRecvImm:
 				// Detected by polling memory: no descriptor handling.
 				d.eng.AfterCall(swRecvRDMA, m, 0)
@@ -256,7 +253,7 @@ func (m *progressMachine) step() {
 				d.handler.DeliverEagerStart(int(m.hdr.Src), int(m.hdr.Tag), m.hdr.Comm,
 					m.buf[HeaderSize:HeaderSize+int(m.hdr.Len)])
 				m.pc = pcPktEagerDone
-				// was: the handler's ChargeCopy of the payload
+				// charge: copying the payload out, copyTime(len)
 				d.eng.AfterCall(copyTime(int(m.hdr.Len)), m, 0)
 				return
 			case PktRTS:
@@ -279,7 +276,7 @@ func (m *progressMachine) step() {
 				m.acceptR, m.acceptHdr = r, h
 				m.pc = pcAccepted
 				if reg {
-					// was: the registration-cost sleep in AcceptRndv
+					// charge: registering the receive buffer (the pin-down cache's cost)
 					d.eng.AfterCall(cost, m, 0)
 					return
 				}
@@ -325,7 +322,7 @@ func (m *progressMachine) step() {
 				continue
 			}
 			m.pc = pcAcceptPost
-			// was: the copyTime(HeaderSize) sleep before the CTS post
+			// charge: building the reply's header, copyTime(HeaderSize)
 			d.eng.AfterCall(copyTime(HeaderSize), m, 0)
 			return
 
@@ -353,7 +350,7 @@ func (m *progressMachine) step() {
 			m.did = true
 			m.drainRTS = rts
 			m.pc = pcDrainPost
-			// was: the copyTime(HeaderSize) sleep in sendRTS
+			// charge: building the drained RTS's header, copyTime(HeaderSize)
 			d.eng.AfterCall(copyTime(HeaderSize), m, 0)
 			return
 
@@ -369,7 +366,7 @@ func (m *progressMachine) step() {
 				m.startDrain(d.live[m.connIdx], pcConnsCheck)
 				continue
 			}
-			// End of pass: the old loop's post-ProgressOnce decisions.
+			// End of pass: finish, run another pass, or go idle.
 			if m.pred == nil {
 				m.finish() // single pass: ProgressOnce semantics
 				return
@@ -394,8 +391,8 @@ func (m *progressMachine) step() {
 				m.startPass()
 				continue
 			}
-			// Nothing to do: block on the CQ — was cq.Wait(p); now the
-			// armed notify wakes the machine, not the process.
+			// Nothing to do: arm the CQ and go idle; the notify wakes
+			// the machine, not the process.
 			d.cq.Arm()
 			m.pc = pcIdle
 			return

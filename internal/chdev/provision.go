@@ -364,9 +364,7 @@ func (pp *poolProvisioner) audit() error {
 // keep the books.
 type ringProvisioner struct {
 	connProvisioner
-	// readBytes counts payload bytes pulled by the RDMA-read rendezvous
-	// (nil-safe); readTotal mirrors it for Stats even without a registry.
-	readBytes *metrics.Counter
+	// readTotal counts payload bytes pulled by the RDMA-read rendezvous.
 	readTotal uint64
 }
 
@@ -380,7 +378,7 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 	rp := &ringProvisioner{connProvisioner: connProvisioner{d}}
 	if r := d.cfg.Metrics; r != nil {
 		rank := metrics.RankLabel(d.rank)
-		rp.readBytes = r.Counter("chdev_rndv_read_bytes", rank)
+		r.CounterFunc("chdev_rndv_read_bytes", func() uint64 { return rp.readTotal }, rank)
 		r.GaugeFunc("chdev_ring_occupancy_hwm",
 			func() int64 { return int64(d.Stats().RingOccupancyHWM) }, rank)
 		r.CounterFunc("chdev_ring_syncs",
@@ -472,7 +470,6 @@ func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
 	c.qp.PostRead(d.track(c, sendCtx{kind: ctxRndvRead, rin: r}), r.buf[:r.Len], ib.RemoteKey{MR: mr})
 	c.lastSend = d.eng.Now()
-	rp.readBytes.Add(uint64(r.Len))
 	rp.readTotal += uint64(r.Len)
 	d.tr(trace.SendRDMARead, c.peer, int64(r.Len))
 	return nil

@@ -72,22 +72,19 @@ type CQ struct {
 	eng     *sim.Engine
 	entries []WC
 	head    int
-	cond    *sim.Cond
 	notify  sim.Handler
 	armed   bool
 }
 
-// push appends a completion and wakes pollers: an armed notify handler
-// fires as an event at the current time (one-shot, exactly where a
-// Broadcast would have resumed a waiting process), and any parked
-// cond-waiters are woken as before.
+// push appends a completion and, if the CQ is armed, fires its notify
+// handler as an event at the current time (one-shot). A consumer learns
+// of completions only this way or by polling.
 func (cq *CQ) push(wc WC) {
 	cq.entries = append(cq.entries, wc)
 	if cq.armed {
 		cq.armed = false
 		cq.eng.AtCall(cq.eng.Now(), cq.notify, 0)
 	}
-	cq.cond.Broadcast()
 }
 
 // SetNotify registers h as the CQ's completion-notify handler. The
@@ -111,11 +108,6 @@ func (cq *CQ) Arm() {
 	cq.armed = true
 }
 
-// Disarm cancels a pending arm. A notification already fired (or firing
-// as an in-flight event) is not recalled; Disarm only stops future
-// pushes from notifying.
-func (cq *CQ) Disarm() { cq.armed = false }
-
 // Armed reports whether a notification is pending.
 func (cq *CQ) Armed() bool { return cq.armed }
 
@@ -135,19 +127,3 @@ func (cq *CQ) Poll() (WC, bool) {
 
 // Len reports how many completions are waiting.
 func (cq *CQ) Len() int { return len(cq.entries) - cq.head }
-
-// WaitPoll blocks the calling process until a completion is available and
-// returns it. This models a blocking CQ read (event-based progress).
-func (cq *CQ) WaitPoll(p *sim.Proc) WC {
-	for {
-		if wc, ok := cq.Poll(); ok {
-			return wc
-		}
-		cq.cond.Wait(p)
-	}
-}
-
-// Wait blocks until the CQ is non-empty without consuming an entry.
-func (cq *CQ) Wait(p *sim.Proc) {
-	cq.cond.WaitUntil(p, func() bool { return cq.Len() > 0 })
-}

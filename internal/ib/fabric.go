@@ -89,17 +89,6 @@ func (f *Fabric) nextRail() int32 {
 	return r
 }
 
-// HCAStats aggregates counters across an adapter's queue pairs.
-type HCAStats struct {
-	MsgsSent      uint64
-	MsgsDelivered uint64
-	BytesSent     uint64
-	RNRNaks       uint64
-	Retransmits   uint64
-	WastedBytes   uint64 // bytes of go-back-N retransmissions
-	RNRExhausted  uint64 // WQEs that ran out of RNR retry budget
-}
-
 // HCA is a host channel adapter: one egress and one ingress port (each
 // Config.Rails links wide) plus the queue pairs and memory regions that
 // live on it.
@@ -114,21 +103,17 @@ type HCA struct {
 	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
 	wqes    store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
 	page    []byte              // rest of the current commit page (see commit)
-	stats   HCAStats
 }
 
 // Node returns the node index this HCA is attached to.
 func (h *HCA) Node() int { return h.node }
-
-// Stats returns a copy of the adapter's aggregate counters.
-func (h *HCA) Stats() HCAStats { return h.stats }
 
 // Fabric returns the fabric this HCA belongs to.
 func (h *HCA) Fabric() *Fabric { return h.fabric }
 
 // NewCQ creates a completion queue on this adapter.
 func (h *HCA) NewCQ() *CQ {
-	return &CQ{eng: h.fabric.eng, cond: sim.NewCond(h.fabric.eng)}
+	return &CQ{eng: h.fabric.eng}
 }
 
 // InitQP makes *qp a queue pair on this adapter using the given

@@ -68,8 +68,9 @@ func TestSingleMessageLatencyMatchesModel(t *testing.T) {
 	eng, qp0, qp1, _, cq1 := pair(cfg)
 	qp1.PostRecv(1, make([]byte, 64))
 	var deliveredAt sim.Time = -1
+	rx := newCQWaiter(eng, cq1)
 	eng.Go("rx", func(p *sim.Proc) {
-		cq1.Wait(p)
+		rx.wait(p)
 		deliveredAt = p.Now()
 	})
 	qp0.PostSend(1, make([]byte, 4))
@@ -591,8 +592,9 @@ func TestLoopbackSkipsSwitch(t *testing.T) {
 	Connect(qa, qb)
 	qb.PostRecv(1, make([]byte, 8))
 	var local sim.Time
+	rx := newCQWaiter(eng, cq)
 	eng.Go("rx", func(p *sim.Proc) {
-		cq.Wait(p)
+		rx.wait(p)
 		local = p.Now()
 	})
 	qa.PostSend(1, make([]byte, 4))
@@ -627,19 +629,29 @@ func TestMaxQueueLenAndEventCounters(t *testing.T) {
 	}
 }
 
-func TestCQWaitPollBlocksUntilEntry(t *testing.T) {
+// TestCQArmedWaitBlocksUntilEntry: a process that arms an empty CQ and
+// parks on a gate resumes at the completion's own time and polls it.
+func TestCQArmedWaitBlocksUntilEntry(t *testing.T) {
 	eng, qp0, qp1, _, cq1 := pair(DefaultConfig())
 	qp1.PostRecv(1, make([]byte, 8))
 	var got WC
+	var at sim.Time
+	rx := newCQWaiter(eng, cq1)
 	eng.Go("poller", func(p *sim.Proc) {
-		got = cq1.WaitPoll(p)
+		rx.wait(p)
+		at = p.Now()
+		got, _ = cq1.Poll()
 	})
-	eng.At(30*sim.Microsecond, func() { qp0.PostSend(7, []byte("hi")) })
+	const postAt = 30 * sim.Microsecond
+	eng.At(postAt, func() { qp0.PostSend(7, []byte("hi")) })
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
 	if got.Opcode != OpRecvComplete || got.WRID != 1 {
-		t.Errorf("WaitPoll = %+v", got)
+		t.Errorf("polled %+v, want the receive of WRID 1", got)
+	}
+	if want := postAt + sendOverhead + switchLatency + txTime(2) + recvOverhead; at != want {
+		t.Errorf("woke at %v, want the completion's time %v", at, want)
 	}
 }
 

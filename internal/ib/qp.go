@@ -345,9 +345,7 @@ func (qp *QP) transmit(w *sendWQE) {
 
 	if w.sent {
 		qp.stats.Retransmits++
-		qp.hca.stats.Retransmits++
 		qp.stats.WastedBytes += uint64(n)
-		qp.hca.stats.WastedBytes += uint64(n)
 		if cfg.Tracer != nil {
 			cfg.Tracer.Add(trace.Event{T: eng.Now(), Rank: qp.hca.node,
 				Peer: qp.peer.hca.node, Kind: trace.Retransmit, Arg: int64(n)})
@@ -355,9 +353,7 @@ func (qp *QP) transmit(w *sendWQE) {
 	} else {
 		w.sent = true
 		qp.stats.MsgsSent++
-		qp.hca.stats.MsgsSent++
 		qp.stats.BytesSent += uint64(n)
-		qp.hca.stats.BytesSent += uint64(n)
 	}
 
 	start := qp.hca.egress[qp.rail].reserve(eng.Now()+sendOverhead, tx)
@@ -377,7 +373,6 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 			"ib: QP %d (node %d) dropped seq %d from node %d out of order, expecting %d with no RNR NAK to resend it",
 			qp.num, qp.hca.node, w.seq, sender.hca.node, qp.expected)
 		sender.stats.WastedBytes += uint64(w.wireLen())
-		sender.hca.stats.WastedBytes += uint64(w.wireLen())
 		return
 	}
 
@@ -396,7 +391,6 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		if !ready {
 			// Receiver not ready: NAK back to the sender.
 			qp.refused = true
-			qp.hca.stats.RNRNaks++
 			sender.stats.RNRNaks++
 			if cfg.Tracer != nil {
 				cfg.Tracer.Add(trace.Event{T: eng.Now(), Rank: qp.hca.node,
@@ -447,7 +441,6 @@ func (qp *QP) accept() {
 	qp.expected++
 	qp.refused = false
 	qp.stats.Delivered++
-	qp.hca.stats.MsgsDelivered++
 }
 
 // ack schedules the sender-side retirement of w after the ack round-trip,
@@ -535,7 +528,6 @@ func (qp *QP) onRNRNak(seq uint64) {
 		qp.failed = true
 		qp.next = idx
 		qp.stats.RNRExhausted++
-		qp.hca.stats.RNRExhausted++
 		qp.debugCheckQueue()
 		if cfg.Tracer != nil {
 			cfg.Tracer.Add(trace.Event{T: qp.hca.fabric.eng.Now(), Rank: qp.hca.node,

@@ -96,9 +96,10 @@ func TestMultiRailRelievesIngressContention(t *testing.T) {
 			senders = append(senders, qs)
 		}
 		var last sim.Time
+		rx := newCQWaiter(eng, cqr)
 		eng.Go("rx", func(p *sim.Proc) {
 			for got := 0; got < 2; {
-				cqr.Wait(p)
+				rx.wait(p)
 				for {
 					wc, ok := cqr.Poll()
 					if !ok {

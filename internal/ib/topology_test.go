@@ -31,8 +31,9 @@ func oneWay(t *testing.T, cfg Config, nodes, a, b int) sim.Time {
 	eng, _, qa, qb, cqb := fabricPair(cfg, nodes, a, b)
 	qb.PostRecv(1, make([]byte, 64))
 	var at sim.Time
+	rx := newCQWaiter(eng, cqb)
 	eng.Go("rx", func(p *sim.Proc) {
-		cqb.Wait(p)
+		rx.wait(p)
 		at = p.Now()
 	})
 	qa.PostSend(1, make([]byte, 4))

@@ -12,14 +12,15 @@
 //     registration order (itself deterministic) and exported sorted by
 //     canonical key.
 //
-//   - Nil safety. Every Registry and instrument method is safe on a nil
+//   - Nil safety. Every Registry and Histogram method is safe on a nil
 //     receiver and does nothing, so instrumented code never checks for
 //     an attached registry and the zero-config path stays fast.
 //
-//   - No double-tracking. Existing statistics (core.VC stats, ib.QP
-//     stats) are folded in through CounterFunc/GaugeFunc reader
-//     closures; hot paths keep mutating their own fields and the
-//     registry reads them only at sampling/export instants.
+//   - No double-tracking. A counter or gauge is a CounterFunc/GaugeFunc
+//     reader over its owner's own field (core.VC stats, ib.QP stats, a
+//     device's totals); hot paths keep mutating those fields and the
+//     registry reads them only at sampling/export instants. Only
+//     histograms are pushed into: their buckets have no other owner.
 package metrics
 
 import (
@@ -84,54 +85,6 @@ func (k Kind) String() string {
 		return "histogram"
 	}
 	return "Kind(" + strconv.Itoa(int(k)) + ")"
-}
-
-// Counter is a monotonically increasing count owned by the registry.
-// All methods are nil-safe.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous level owned by the registry. All methods are
-// nil-safe.
-type Gauge struct{ v int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the level by d (which may be negative).
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value reports the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram counts observations into fixed buckets. Bounds are inclusive
@@ -207,11 +160,9 @@ type metric struct {
 	key    string
 
 	// Exactly one of these backs the value.
-	counter *Counter
-	gauge   *Gauge
-	readC   func() uint64
-	readG   func() int64
-	hist    *Histogram
+	readC func() uint64
+	readG func() int64
+	hist  *Histogram
 
 	first  int // index into the registry's sample times of this metric's first sample
 	series []int64
@@ -221,10 +172,6 @@ type metric struct {
 // observation count, so sampled histogram series show event rates.
 func (m *metric) value() int64 {
 	switch {
-	case m.counter != nil:
-		return int64(m.counter.v)
-	case m.gauge != nil:
-		return m.gauge.v
 	case m.readC != nil:
 		return int64(m.readC())
 	case m.readG != nil:
@@ -237,8 +184,8 @@ func (m *metric) value() int64 {
 
 // Registry holds a job's metrics and their sampled time series. The zero
 // value is not usable; create one with New. A nil *Registry is a valid
-// no-op handle: registration returns nil instruments (whose methods are
-// nil-safe) and sampling does nothing.
+// no-op handle: registration records nothing (Histogram returns a nil,
+// no-op histogram) and sampling does nothing.
 //
 // A Registry belongs to exactly one simulated world: instruments read
 // that world's state, and sample times come from its clock. Registering
@@ -303,27 +250,6 @@ func (r *Registry) register(name string, labels []Label, kind Kind) *metric {
 	r.byKey[m.key] = m
 	r.order = append(r.order, m)
 	return m
-}
-
-// Counter registers and returns an owned counter. Nil-safe: a nil
-// registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	m := r.register(name, labels, KindCounter)
-	m.counter = &Counter{}
-	return m.counter
-}
-
-// Gauge registers and returns an owned gauge. Nil-safe.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.register(name, labels, KindGauge)
-	m.gauge = &Gauge{}
-	return m.gauge
 }
 
 // CounterFunc registers a counter backed by a reader closure — the hook

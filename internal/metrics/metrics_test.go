@@ -12,19 +12,13 @@ import (
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h", TimeBuckets)
 	r.CounterFunc("cf", func() uint64 { return 1 })
 	r.GaugeFunc("gf", func() int64 { return 1 })
-	c.Inc()
-	c.Add(3)
-	g.Set(7)
-	g.Add(-2)
 	h.Observe(5)
 	h.ObserveTime(3 * sim.Microsecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil instruments must read as zero")
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("a nil histogram must read as zero")
 	}
 	r.Sample(10)
 	if r.SampleCount() != 0 || r.Len() != 0 {
@@ -53,8 +47,9 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 func TestKeyCanonicalization(t *testing.T) {
 	r := New()
+	zero := func() uint64 { return 0 }
 	// Labels in any order land on the same sorted key.
-	r.Counter("fc_msgs", L("rank", "0"), L("peer", "1"))
+	r.CounterFunc("fc_msgs", zero, L("rank", "0"), L("peer", "1"))
 	got := r.order[0].key
 	if got != "fc_msgs{peer=1,rank=0}" {
 		t.Fatalf("key = %q", got)
@@ -64,16 +59,17 @@ func TestKeyCanonicalization(t *testing.T) {
 			t.Fatal("duplicate registration must panic")
 		}
 	}()
-	r.Counter("fc_msgs", L("peer", "1"), L("rank", "0"))
+	r.CounterFunc("fc_msgs", zero, L("peer", "1"), L("rank", "0"))
 }
 
 func TestReservedCharactersPanic(t *testing.T) {
 	r := New()
+	zero := func() uint64 { return 0 }
 	for _, bad := range []func(){
-		func() { r.Counter("a{b") },
-		func() { r.Counter("") },
-		func() { r.Counter("ok", L("k=", "v")) },
-		func() { r.Counter("ok", L("k", "v,w")) },
+		func() { r.CounterFunc("a{b", zero) },
+		func() { r.CounterFunc("", zero) },
+		func() { r.CounterFunc("ok", zero, L("k=", "v")) },
+		func() { r.CounterFunc("ok", zero, L("k", "v,w")) },
 	} {
 		func() {
 			defer func() {
@@ -113,14 +109,15 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSamplingAndMidRunRegistration(t *testing.T) {
 	r := New()
-	g := r.Gauge("depth")
+	var depth, late int64
+	r.GaugeFunc("depth", func() int64 { return depth })
 	r.Sample(0)
-	g.Set(3)
+	depth = 3
 	r.Sample(100)
 	// A connection established mid-run registers late: its series must
 	// stay aligned via FirstSample.
-	late := r.Gauge("late", RankLabel(1))
-	late.Set(9)
+	r.GaugeFunc("late", func() int64 { return late }, RankLabel(1))
+	late = 9
 	r.Sample(200)
 	d := r.Snapshot()
 	byKey := map[string]DumpMetric{}
@@ -136,7 +133,7 @@ func TestSamplingAndMidRunRegistration(t *testing.T) {
 		t.Fatalf("late = %+v", lm)
 	}
 	// Re-sampling at the same instant refreshes in place.
-	g.Set(4)
+	depth = 4
 	r.Sample(200)
 	if got := r.Snapshot(); got.Metrics[0].Series[2] != 4 || len(got.SampleNS) != 3 {
 		t.Fatalf("same-instant refresh failed: %+v", got.Metrics[0])
@@ -146,14 +143,15 @@ func TestSamplingAndMidRunRegistration(t *testing.T) {
 func TestSamplerStopsWithWorkload(t *testing.T) {
 	eng := sim.NewEngine()
 	r := New()
-	c := r.Counter("events")
+	var events uint64
+	r.CounterFunc("events", func() uint64 { return events })
 	var s *Sampler
 	for _, at := range []sim.Time{10, 20} {
-		eng.At(at, func() { c.Inc() })
+		eng.At(at, func() { events++ })
 	}
 	// The workload stops the sampler when it completes — the mpi.World
 	// pattern — which cancels the armed tick at 300 before it can fire.
-	eng.At(250, func() { c.Inc(); s.Stop() })
+	eng.At(250, func() { events++; s.Stop() })
 	s = r.StartSampler(eng, 100)
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
@@ -199,11 +197,12 @@ func TestSamplerDoesNotKeepEngineAlive(t *testing.T) {
 func TestJSONDeterminismAndRoundTrip(t *testing.T) {
 	build := func() *bytes.Buffer {
 		r := New()
-		c := r.Counter("c", ConnLabels(0, 1)...)
+		var c uint64
+		r.CounterFunc("c", func() uint64 { return c }, ConnLabels(0, 1)...)
 		h := r.Histogram("h_ns", TimeBuckets, RankLabel(0))
 		r.GaugeFunc("gf", func() int64 { return 42 })
 		r.Sample(0)
-		c.Add(2)
+		c += 2
 		h.ObserveTime(5 * sim.Microsecond)
 		r.Sample(1000)
 		var buf bytes.Buffer
@@ -246,11 +245,12 @@ func TestDecodeDumpRejectsBadVersion(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	r := New()
-	g := r.Gauge("a")
+	var a, b int64
+	r.GaugeFunc("a", func() int64 { return a })
 	r.Sample(0)
-	g.Set(1)
-	b := r.Gauge("b", ConnLabels(0, 1)...)
-	b.Set(5)
+	a = 1
+	r.GaugeFunc("b", func() int64 { return b }, ConnLabels(0, 1)...)
+	b = 5
 	r.Sample(10)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
@@ -264,9 +264,10 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWritePerfetto(t *testing.T) {
 	r := New()
-	g := r.Gauge("fc_credits", ConnLabels(1, 0)...)
+	var credits int64
+	r.GaugeFunc("fc_credits", func() int64 { return credits }, ConnLabels(1, 0)...)
 	r.Sample(0)
-	g.Set(7)
+	credits = 7
 	r.Sample(2500)
 	events := []trace.Event{
 		{T: 1200, Rank: 0, Peer: 1, Kind: trace.SendEager, Arg: 64},

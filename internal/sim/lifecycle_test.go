@@ -25,22 +25,19 @@ import (
 func TestCloseUnwindsParkedAndUnstarted(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	c := NewCond(e)
 	var unwound []string
 	e.Go("rank", func(p *Proc) {
 		defer func() { unwound = append(unwound, "rank:outer") }()
 		// A deferred function that blocks again must keep unwinding.
 		defer p.Sleep(1)
 		defer func() { unwound = append(unwound, "rank:inner") }()
-		c.Wait(p)
+		parkForever(p)
 		t.Error("rank resumed after Close")
 	})
-	e.GoDaemon("daemon", func(p *Proc) {
-		defer func() { unwound = append(unwound, "daemon") }()
-		for {
-			p.Sleep(10)
-			c.Wait(p)
-		}
+	e.Go("late-parker", func(p *Proc) {
+		defer func() { unwound = append(unwound, "late-parker") }()
+		p.Sleep(10)
+		parkForever(p)
 	})
 	var de *DeadlockError
 	if err := e.Run(MaxTime); !errors.As(err, &de) {
@@ -52,7 +49,7 @@ func TestCloseUnwindsParkedAndUnstarted(t *testing.T) {
 		defer func() { unwound = append(unwound, "unstarted") }()
 	})
 	e.Close()
-	if want := []string{"rank:inner", "rank:outer", "daemon"}; !slices.Equal(unwound, want) {
+	if want := []string{"rank:inner", "rank:outer", "late-parker"}; !slices.Equal(unwound, want) {
 		t.Errorf("deferred functions ran as %v, want %v", unwound, want)
 	}
 	if started || late.Dispatches() != 0 {
@@ -70,12 +67,11 @@ func TestCloseUnwindsParkedAndUnstarted(t *testing.T) {
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	c := NewCond(e)
 	boom := errors.New("rank 1: boom")
 	bystanderUnwound, badUnwound := false, false
 	e.Go("bystander", func(p *Proc) {
 		defer func() { bystanderUnwound = true }()
-		c.Wait(p)
+		parkForever(p)
 	})
 	e.Go("bad", func(p *Proc) {
 		defer func() { badUnwound = true }()
@@ -117,12 +113,13 @@ func TestCloseFromInsideProcessPanics(t *testing.T) {
 		e.Close()
 	})
 	unwound := false
-	e.GoDaemon("parked", func(p *Proc) {
+	e.Go("parked", func(p *Proc) {
 		defer func() { unwound = true }()
-		NewCond(e).Wait(p)
+		parkForever(p)
 	})
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatal(err)
+	var de *DeadlockError
+	if err := e.Run(MaxTime); !errors.As(err, &de) || !slices.Equal(de.Blocked, []string{"parked"}) {
+		t.Fatalf("Run = %v, want a deadlock naming only the parked process", err)
 	}
 	if want := `sim: Close called from inside running process "self"`; msg != want {
 		t.Errorf("Close inside a process panicked with %q, want %q", msg, want)
@@ -225,20 +222,18 @@ func TestNestedPanicSurfacesFromRun(t *testing.T) {
 	e.Close()
 }
 
-// TestDeadlockErrorText pins the full report for a parked rank plus a
-// parked daemon: torture-run triage reads this line.
+// TestDeadlockErrorText pins the full report for two parked ranks:
+// torture-run triage reads this line.
 func TestDeadlockErrorText(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
-	c := NewCond(e)
 	e.Go("rank1", func(p *Proc) {
 		p.Sleep(5)
-		c.Wait(p)
+		parkForever(p)
 	})
-	e.Go("rank0", func(p *Proc) { c.Wait(p) })
-	e.GoDaemon("driver", func(p *Proc) { c.Wait(p) })
+	e.Go("rank0", parkForever)
 	err := e.Run(MaxTime)
-	want := "sim: deadlock at 5ns after 4 event(s): 2 process(es) blocked forever: [rank0 rank1] (daemons parked: [driver])"
+	want := "sim: deadlock at 5ns after 3 event(s): 2 process(es) blocked forever: [rank0 rank1]"
 	if err == nil || err.Error() != want {
 		t.Errorf("Run = %v\nwant %s", err, want)
 	}

@@ -130,7 +130,7 @@ func BenchmarkCancelChurn(b *testing.B) {
 // gate: after warm-up, the handler fast path must not allocate at all,
 // BenchmarkHeapChurn's closure loop may allocate only the user's closure
 // itself (one object per event), and a process parking and resuming
-// through a Cond must not allocate either.
+// through Sleep must not allocate either.
 func TestSteadyStateAllocGate(t *testing.T) {
 	const pending, events = 1024, 8192
 	e := NewEngine()
@@ -182,54 +182,38 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		t.Errorf("closure churn: %.3f allocs/event, want <= 1 closure per scheduled event", got)
 	}
 
-	// Process path (BenchmarkProcContextSwitch's loop): a park, a wakeup
-	// event and a resume per switch, none of which may allocate. The two
-	// processes never finish; Close unwinds them.
+	// Process path (BenchmarkProcContextSwitch's loop, the repo
+	// benchmark's sim.proc_switch_ns rung): a wakeup event, a resume and a
+	// park per Sleep, none of which may allocate. The process never
+	// finishes; Close unwinds it.
 	pe := NewEngine()
 	defer pe.Close()
-	c1, c2 := NewCond(pe), NewCond(pe)
-	pe.GoDaemon("b", func(p *Proc) {
+	pe.Go("sleeper", func(p *Proc) {
 		for {
-			c2.Wait(p)
-			c1.Signal()
+			p.Sleep(1)
 		}
 	})
-	pe.GoDaemon("a", func(p *Proc) {
-		for {
-			c2.Signal()
-			c1.Wait(p)
-		}
-	})
-	const rounds = 1024
-	pingpong := func() {
-		if ran := pe.Steps(2 * rounds); ran != 2*rounds {
-			t.Fatalf("cond ping-pong ran %d events, want %d", ran, 2*rounds)
+	const switches = 1024
+	sleep := func() {
+		if ran := pe.Steps(switches); ran != switches {
+			t.Fatalf("sleep loop ran %d events, want %d", ran, switches)
 		}
 	}
-	pingpong()
-	if got := testing.AllocsPerRun(3, pingpong) / rounds; got > 0.01 {
-		t.Errorf("cond ping-pong: %.3f allocs/round, want 0", got)
+	sleep()
+	if got := testing.AllocsPerRun(3, sleep) / switches; got > 0.01 {
+		t.Errorf("sleep loop: %.3f allocs/switch, want 0", got)
 	}
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
-	// Two processes ping-ponging through a Cond measures the coroutine
-	// dispatch cost: one next() into the process and one yield() back per
-	// switch, plus the wakeup event.
+	// One process sleeping 1 ns at a time measures the coroutine switch
+	// the repo benchmark's sim.proc_switch_ns rung times: the wakeup event,
+	// one next() into the process and one yield() back per Sleep.
 	e := NewEngine()
-	c1, c2 := NewCond(e), NewCond(e)
-	rounds := b.N
-	// b spawns first so it is already waiting when a's first signal fires.
-	e.Go("b", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			c2.Wait(p)
-			c1.Signal()
-		}
-	})
-	e.Go("a", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			c2.Signal()
-			c1.Wait(p)
+	n := b.N
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(1)
 		}
 	})
 	b.ReportAllocs()

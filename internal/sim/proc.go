@@ -3,12 +3,11 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"slices"
 )
 
 // Proc is a simulated process: a runtime coroutine (iter.Pull) that the
 // engine resumes and that yields back when it blocks. A process runs until
-// it blocks (Sleep, Cond.Wait, ...) or returns; only then does the engine
+// it blocks (Sleep or Gate.Wait) or returns; only then does the engine
 // continue with other events. The switch in either direction is a direct
 // hand-over between two goroutines that never enters the Go scheduler, so
 // processes never race with one another or with event callbacks.
@@ -21,7 +20,6 @@ type Proc struct {
 	stop       func()                  // engine -> proc: unwind (Engine.Close)
 	yield      func(struct{}) bool     // proc -> engine: I parked; false means unwind
 	finished   bool
-	daemon     bool
 	dispatches uint64
 }
 
@@ -33,29 +31,14 @@ type unwind struct{}
 // Go spawns a new process running fn. The process starts at the current
 // virtual time (as a scheduled event). The name is used in deadlock reports.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, fn, false)
-}
-
-// GoDaemon spawns a background service process: it may stay parked forever
-// without counting as a deadlock (protocol drivers, pollers). The
-// simulation is considered finished when only daemons remain.
-func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, fn, true)
-}
-
-func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{eng: e, name: name, daemon: daemon}
+	p := &Proc{eng: e, name: name}
 	e.procs = append(e.procs, p)
-	if !daemon {
-		e.nlive++
-	}
+	e.nlive++
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
 			p.finished = true
-			if !daemon {
-				e.nlive--
-			}
+			e.nlive--
 			// A real panic (or a goroutine exit such as t.FailNow, which
 			// recover does not see) propagates through iter.Pull to
 			// whoever called next or stop.
@@ -122,70 +105,13 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield lets all other events scheduled at the current time run, then
-// resumes. Equivalent to Sleep(0).
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Cond is a condition variable for processes. Unlike sync.Cond it needs no
-// lock: the engine already serializes everything.
-//
-// The zero value is NOT usable; create with NewCond so the Cond knows its
-// engine.
-type Cond struct {
-	eng     *Engine
-	waiters []*Proc
-}
-
-// NewCond creates a condition variable on engine e.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
-
-// Wait parks p until another process or event calls Signal or Broadcast.
-// As with sync.Cond, callers should re-check their predicate in a loop.
-func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park()
-}
-
-// Waiting reports how many processes are parked on c.
-func (c *Cond) Waiting() int { return len(c.waiters) }
-
-// Broadcast wakes every waiter. Each is resumed as a separate event at the
-// current virtual time, in the order they began waiting.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		c.eng.AtCall(c.eng.now, w, 0)
-	}
-}
-
-// Signal wakes the longest-waiting process, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	// Shift down rather than reslice: waiters[1:] gives capacity away at
-	// the front, so a signal/wait ping-pong would reallocate every round.
-	c.waiters = slices.Delete(c.waiters, 0, 1)
-	c.eng.AtCall(c.eng.now, w, 0)
-}
-
-// WaitUntil parks p on c until pred() is true, re-checking after every
-// wakeup. pred must be a pure function of simulation state.
-func (c *Cond) WaitUntil(p *Proc, pred func() bool) {
-	for !pred() {
-		c.Wait(p)
-	}
-}
-
 // Gate parks at most one process until an event handler releases it. It is
 // the bridge between a handler-based progress engine and the process that
 // asked it for work: the process parks once per request, and the handler —
 // having finished the request entirely in event context — resumes it
 // synchronously, with no wakeup event and no change to the event order.
 //
-// Unlike Cond.Broadcast (which schedules the waiter as a fresh event),
+// Unlike a Sleep's wakeup (a fresh event that resumes the process),
 // Release hands the CPU over inline, exactly as if the waiting process had
 // been the current event's handler itself. Like Proc.OnEvent it resumes a
 // process and returns when that process yields, so it is legal in event

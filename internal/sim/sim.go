@@ -103,8 +103,8 @@ type Engine struct {
 // NewEngine creates an empty engine at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// Close unwinds every unfinished process (daemons, deadlocked ranks, ranks
-// never dispatched) so a discarded engine leaks nothing: a parked process
+// Close unwinds every unfinished process (deadlocked ranks, ranks never
+// dispatched) so a discarded engine leaks nothing: a parked process
 // runs its deferred functions and exits, one that never started exits
 // without running. It returns once they are all gone. The engine must not
 // be used afterwards. Close panics when called from inside a process: a
@@ -229,18 +229,13 @@ func (e *Engine) AtCancel(t Time, fn func()) Scheduled {
 // processes are still parked: nothing can ever wake them again.
 type DeadlockError struct {
 	Time    Time
-	Blocked []string // names of parked non-daemon processes, sorted
-	Daemons []string // daemon processes also left parked, sorted
+	Blocked []string // names of parked processes, sorted
 	Fired   uint64   // events executed before the queue drained
 }
 
 func (e *DeadlockError) Error() string {
-	msg := fmt.Sprintf("sim: deadlock at %v after %d event(s): %d process(es) blocked forever: %v",
+	return fmt.Sprintf("sim: deadlock at %v after %d event(s): %d process(es) blocked forever: %v",
 		e.Time, e.Fired, len(e.Blocked), e.Blocked)
-	if len(e.Daemons) > 0 {
-		msg += fmt.Sprintf(" (daemons parked: %v)", e.Daemons)
-	}
-	return msg
 }
 
 // Run executes events until the queue is empty or until virtual time would
@@ -253,20 +248,14 @@ func (e *Engine) Run(limit Time) error {
 		return nil
 	}
 	if e.nlive > 0 {
-		var blocked, daemons []string
+		var blocked []string
 		for _, p := range e.procs {
-			if p.finished {
-				continue
-			}
-			if p.daemon {
-				daemons = append(daemons, p.name)
-			} else {
+			if !p.finished {
 				blocked = append(blocked, p.name)
 			}
 		}
 		sort.Strings(blocked)
-		sort.Strings(daemons)
-		return &DeadlockError{Time: e.now, Blocked: blocked, Daemons: daemons, Fired: e.fired}
+		return &DeadlockError{Time: e.now, Blocked: blocked, Fired: e.fired}
 	}
 	return nil
 }

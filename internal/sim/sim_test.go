@@ -186,58 +186,14 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestCondSignalAndBroadcast(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	woken := make(map[string]Time)
-	for _, name := range []string{"w1", "w2", "w3"} {
-		name := name
-		e.Go(name, func(p *Proc) {
-			c.Wait(p)
-			woken[name] = p.Now()
-		})
-	}
-	e.At(100, func() { c.Signal() })
-	e.At(200, func() { c.Broadcast() })
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if woken["w1"] != 100 {
-		t.Errorf("w1 woke at %v, want 100 (Signal wakes longest waiter)", woken["w1"])
-	}
-	if woken["w2"] != 200 || woken["w3"] != 200 {
-		t.Errorf("broadcast wakes = %v %v, want 200 200", woken["w2"], woken["w3"])
-	}
-}
-
-func TestCondWaitUntil(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	ready := false
-	var seen Time
-	e.Go("waiter", func(p *Proc) {
-		c.WaitUntil(p, func() bool { return ready })
-		seen = p.Now()
-	})
-	// Spurious wakeup at t=50 must not release the waiter.
-	e.At(50, func() { c.Broadcast() })
-	e.At(70, func() {
-		ready = true
-		c.Broadcast()
-	})
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 70 {
-		t.Errorf("WaitUntil released at %v, want 70", seen)
-	}
-}
+// parkForever parks p on a gate nobody releases: the one way a process
+// stays parked for good.
+func parkForever(p *Proc) { NewGate(p.Engine()).Wait(p) }
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
-	e.Go("stuck-b", func(p *Proc) { c.Wait(p) })
-	e.Go("stuck-a", func(p *Proc) { c.Wait(p) })
+	e.Go("stuck-b", parkForever)
+	e.Go("stuck-a", parkForever)
 	err := e.Run(MaxTime)
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -246,21 +202,16 @@ func TestDeadlockDetection(t *testing.T) {
 	if len(de.Blocked) != 2 || de.Blocked[0] != "stuck-a" || de.Blocked[1] != "stuck-b" {
 		t.Errorf("Blocked = %v, want sorted [stuck-a stuck-b]", de.Blocked)
 	}
-	if len(de.Daemons) != 0 {
-		t.Errorf("Daemons = %v, want none", de.Daemons)
-	}
 }
 
 // The error message must name the blocked processes and the event count so
 // a failing torture run is diagnosable from the message alone.
 func TestDeadlockErrorMessage(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
 	e.Go("consumer", func(p *Proc) {
 		p.Sleep(5)
-		c.Wait(p)
+		parkForever(p)
 	})
-	e.GoDaemon("driver", func(p *Proc) { c.Wait(p) })
 	err := e.Run(MaxTime)
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -271,7 +222,6 @@ func TestDeadlockErrorMessage(t *testing.T) {
 		"deadlock at 5ns",
 		"1 process(es) blocked forever",
 		"[consumer]",
-		"daemons parked: [driver]",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("message %q missing %q", msg, want)
@@ -287,23 +237,25 @@ func TestDeadlockErrorMessage(t *testing.T) {
 
 func TestNoDeadlockWhenAllFinish(t *testing.T) {
 	e := NewEngine()
-	c := NewCond(e)
-	e.Go("waiter", func(p *Proc) { c.Wait(p) })
+	g := NewGate(e)
+	e.Go("waiter", g.Wait)
 	e.Go("waker", func(p *Proc) {
 		p.Sleep(10)
-		c.Broadcast()
+		g.Release()
 	})
 	if err := e.Run(MaxTime); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
 	}
 }
 
+// A zero Sleep yields: events already scheduled for the current time run
+// before the process resumes.
 func TestYieldLetsSameTimeEventsRun(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Go("p", func(p *Proc) {
 		order = append(order, "p1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "p2")
 	})
 	e.At(0, func() { order = append(order, "ev") })
@@ -450,12 +402,11 @@ func TestPropertyProcsAllFinish(t *testing.T) {
 func TestCloseReleasesParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
-	c := NewCond(e)
 	for i := 0; i < 8; i++ {
-		e.GoDaemon("daemon", func(p *Proc) { c.Wait(p) })
+		e.Go("parked", parkForever)
 	}
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatal(err) // daemons alone are not a deadlock
+	if _, ok := e.Run(MaxTime).(*DeadlockError); !ok {
+		t.Fatal("Run with every process parked for good must report a deadlock")
 	}
 	e.Close()
 	e.Close() // idempotent
@@ -477,28 +428,4 @@ func goroutinesDrainTo(n int) bool {
 		time.Sleep(time.Millisecond) //fclint:allow simwallclock bounded retry must really sleep to let released goroutines exit
 	}
 	return runtime.NumGoroutine() <= n
-}
-
-func TestDaemonsDoNotDeadlock(t *testing.T) {
-	e := NewEngine()
-	defer e.Close()
-	c := NewCond(e)
-	e.GoDaemon("svc", func(p *Proc) {
-		for {
-			c.Wait(p)
-		}
-	})
-	done := false
-	e.Go("worker", func(p *Proc) {
-		p.Sleep(10)
-		c.Broadcast()
-		p.Sleep(10)
-		done = true
-	})
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatalf("daemon counted as deadlock: %v", err)
-	}
-	if !done {
-		t.Error("worker did not finish")
-	}
 }
