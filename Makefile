@@ -82,6 +82,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPool$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzHeader$$' -fuzztime $(FUZZTIME) ./internal/chdev
 	$(GO) test -run '^$$' -fuzz '^FuzzRegCache$$' -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzBufPool$$' -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzRecvQueue$$' -fuzztime $(FUZZTIME) ./internal/ib
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -100,15 +102,20 @@ BENCHTIME ?= 1s
 bench-nas:
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -benchtime $(BENCHTIME) ./internal/nas
 
-# bench-diff regenerates the three checked-in benchmark documents at the
-# default worker count and compares them byte for byte with the committed
-# files. Every number in them is virtual, so any difference is a change in
-# simulated behaviour: fix it, or re-pin the file on purpose.
+# bench-diff regenerates the four checked-in benchmark documents — three
+# fcbench sweeps at the default worker count, and the paper's figures 9-10
+# and tables 1-2 (BENCH_paper.json, experiments at class A) — and compares
+# them byte for byte with the committed files. Every number in them is
+# virtual, so any difference is a change in simulated behaviour: fix it,
+# or re-pin the file on purpose.
 bench-diff:
 	st=0; for t in micro scaling endpoints; do \
 		$(GO) run ./cmd/fcbench -test $$t -json > /tmp/ibflow-$$t.json || exit 1; \
 		diff -u BENCH_$$t.json /tmp/ibflow-$$t.json || st=1; \
-	done; exit $$st
+	done; \
+	$(GO) run ./cmd/experiments -only fig9,fig10,table1,table2 -json -parallel 1 > /tmp/ibflow-paper.json || exit 1; \
+	diff -u BENCH_paper.json /tmp/ibflow-paper.json || st=1; \
+	exit $$st
 
 # metrics-smoke mirrors the CI step: an instrumented run must produce a
 # parseable dump whose key set matches the checked-in golden inventory,

@@ -126,18 +126,23 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 // same reading before NewWorld, which is the quantity the benchmark
 // reports as live_heap_mb. An end is one object (DESIGN.md, provisioning
 // seam): its conn, holding VC, QP, both queues' first rings and the
-// landing region by value; a posted receive is a descriptor, a ring slot
-// commits when it is first written, and an on-demand device's buffer pool
-// grows with what lands. Measured, allocated B / objects / retained B per
-// end: 4.4 KB / 2.7 / 3.7 KB (hardware, static, dynamic), 3.8 KB / 3.3 /
-// 3.2 KB (shared), 4.1 KB / 3.4 / 3.3 KB (rdma); the gates are the worst
-// of those plus ~15 %. Eight objects per end and a warmed 128 KB pool per
-// device read 5.4 KB / 11.1 / 4.7 KB (shared 2.2 KB / 9.7 / 4.3 KB, its
-// pool warmed outside the run), and whole-ring commits 9.7 KB / 13.8 /
-// 9.0 KB on the ring.
+// landing region by value, 952 B in the 1 024-byte size class
+// (TestConnSize); a posted receive is a descriptor, and descriptors
+// posted alike are one run of the receive queue; a ring slot commits when
+// it is first written; and an on-demand device's buffer pool grows with
+// what lands, in size classes, so a 304-byte packet holds 512 B. Measured,
+// allocated B / objects / retained B per end: 2.56 KB / 2.1 / 1.94 KB
+// (hardware, static, dynamic), 2.40 KB / 2.6 / 1.83 KB (shared), 3.42 KB /
+// 2.9 / 2.80 KB (rdma; 3.57 KB / 3.0 / 2.88 KB under -tags ibdebug); the
+// byte gates are the worst release reading plus ~10 %. With every packet
+// in a BufSize buffer and eight descriptors inline in each QP, the same
+// ends read 4.15 KB / 2.3 / 3.49 KB (static) and 3.82 KB / 3.0 / 3.17 KB
+// (rdma); eight objects per end and a warmed 128 KB pool per device read
+// 5.4 KB / 11.1 / 4.7 KB, and whole-ring commits 9.7 KB / 13.8 / 9.0 KB
+// on the ring.
 func TestConnSetupBudget(t *testing.T) {
 	const ranks, size, fanout, msgs = 128, 256, 24, 2
-	const maxBytes, maxObjs, maxRetained = 5 << 10, 4, 4200
+	const maxBytes, maxObjs, maxRetained = 3800, 4, 3100
 	doc := smokeDoc(fanout, ranks)
 	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
 		var base, before, after, settled runtime.MemStats

@@ -126,10 +126,11 @@ type conn struct {
 	// sends holds the context of every work request posted on qp and not
 	// yet completed, in post order — the order a QP retires them in, so a
 	// successful completion's context is the head (retireSend). sends0 is
-	// its first ring: the few sends a connection usually has in flight
-	// cost nothing.
+	// its first ring: the send or two a connection usually has in flight
+	// cost nothing, and the conn stays in the 1 024-byte size class
+	// (TestConnSize).
 	sends   store.Fifo[sendCtx]
-	sends0  [4]sendCtx
+	sends0  [2]sendCtx
 	sendSeq uint64 // work requests ever posted: the next one's id
 
 	// occHWM is the high-water mark of this endpoint's outstanding work
@@ -704,14 +705,14 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 	d.sendRTS(p, c, out, consumed)
 }
 
-// encodeEager builds an eager data packet in a fresh pool buffer and
-// charges the header+payload copy. A direct send (starved false) carries
-// the owed credits now; a backlogged one is flagged as the dynamic
-// scheme's growth feedback and takes its piggyback at drain time. The
-// flags mean something to a receiver whose scheme has credits and are
-// ignored by the others.
+// encodeEager builds an eager data packet in a pool buffer of the
+// packet's size and charges the header+payload copy. A direct send
+// (starved false) carries the owed credits now; a backlogged one is
+// flagged as the dynamic scheme's growth feedback and takes its piggyback
+// at drain time. The flags mean something to a receiver whose scheme has
+// credits and are ignored by the others.
 func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []byte, starved bool) backlogEntry {
-	buf := d.pool.Get()
+	buf := d.pool.GetN(HeaderSize + len(data))
 	h := Header{
 		Type:  PktEager,
 		Flags: FlagCredit,
@@ -822,7 +823,7 @@ func (d *Device) sendRTS(p *sim.Proc, c *conn, out *rndvOut, consumed bool) {
 // region, so a receiver that pulls needs no CTS round. The caller charges
 // the header copy before posting the returned packet.
 func (d *Device) prepRTS(c *conn, out *rndvOut, consumed bool) []byte {
-	buf := d.pool.Get()
+	buf := d.pool.GetN(HeaderSize)
 	flags := uint8(0)
 	if out.starved {
 		flags |= FlagStarved
@@ -890,7 +891,7 @@ func (d *Device) acceptStart(r *RndvIn, buf []byte) (h Header, cost sim.Time, re
 // postCtrl encodes and posts a header-only control packet from event
 // context: no copy charge, no process time.
 func (d *Device) postCtrl(c *conn, h Header) {
-	buf := d.pool.Get()
+	buf := d.pool.GetN(HeaderSize)
 	h.Encode(buf)
 	d.postPacket(c, buf, HeaderSize)
 }

@@ -3,6 +3,7 @@ package chdev
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/core"
 	"ibflow/internal/ib"
@@ -203,5 +204,21 @@ func TestDeviceStatsAccounting(t *testing.T) {
 	rt := d1.Stats()
 	if rt.SumPosted < 2 || rt.BufBytesInUse != rt.SumPosted*d1.Config().BufSize {
 		t.Errorf("receiver stats = %+v", rt)
+	}
+}
+
+// A connection end is one object (establish), so its size is the host
+// cost of every end: 952 B, in the allocator's 1 024-byte size class. The
+// QP is 360 B of it: its receive queue keeps descriptors as runs, one of
+// them inline. A field that pushes the conn past 1 024 B
+// costs the next size class, 128 B more per end (6 MB on a 1 024-rank
+// storm), and fails here by name: shrink something, or say why the end is
+// worth it and move the bound.
+func TestConnSize(t *testing.T) {
+	if got := unsafe.Sizeof(conn{}); got > 1024 {
+		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 1024 (the 1 024-byte size class)", got)
+	}
+	if got := unsafe.Sizeof(ib.QP{}); got != 360 {
+		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 360", got)
 	}
 }

@@ -29,8 +29,9 @@ import (
 // What a shape posts is a descriptor (ib.QP.PostRecvFrom): a count the
 // scheme accounts for, naming the device's buffer pool. The host bytes
 // exist only from the landing of a message to the end of its processing
-// — the transport takes a buffer when it accepts the message, processed
-// returns it.
+// — the transport takes a buffer of the message's size class when it
+// accepts the message, processed returns it — while what the scheme
+// accounts for is a Config.BufSize buffer per descriptor.
 //
 // Arguments cross this interface by value, or as pointers to what already
 // lives on the heap (a conn, the progress machine's header): a pointer to
@@ -176,7 +177,7 @@ func (cp *connProvisioner) accept(r *RndvIn, mr *ib.MR) Header {
 }
 
 func (cp *connProvisioner) accepted(r *RndvIn, h Header) []byte {
-	pkt := cp.d.pool.Get()
+	pkt := cp.d.pool.GetN(HeaderSize)
 	h.Encode(pkt)
 	return pkt
 }

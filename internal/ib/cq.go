@@ -1,6 +1,9 @@
 package ib
 
-import "ibflow/internal/sim"
+import (
+	"ibflow/internal/sim"
+	"ibflow/internal/store"
+)
 
 // Opcode identifies the kind of completed work.
 type Opcode int
@@ -67,20 +70,29 @@ type WC struct {
 }
 
 // CQ is a completion queue. Multiple queue pairs may share one CQ; the
-// paper's MPI attaches every connection of a process to a single CQ.
+// paper's MPI attaches every connection of a process to a single CQ. Its
+// entries are the one ring (store.Fifo), sized by the completions pending
+// at once and zeroing what it pops, so a polled completion pins no
+// buffer; the first ring is the CQ's own array — what a consumer that
+// polls as it goes leaves pending costs no allocation — so a CQ must not
+// be copied.
 type CQ struct {
-	eng     *sim.Engine
-	entries []WC
-	head    int
-	notify  sim.Handler
-	armed   bool
+	eng    *sim.Engine
+	q      store.Fifo[WC]
+	first  [cqMinCap]WC
+	notify sim.Handler
+	armed  bool
 }
+
+// cqMinCap is the first ring's size: a power of two, what a consumer
+// that polls as it goes has pending (a ping-pong has one).
+const cqMinCap = 2
 
 // push appends a completion and, if the CQ is armed, fires its notify
 // handler as an event at the current time (one-shot). A consumer learns
 // of completions only this way or by polling.
 func (cq *CQ) push(wc WC) {
-	cq.entries = append(cq.entries, wc)
+	cq.q.Push(wc)
 	if cq.armed {
 		cq.armed = false
 		cq.eng.AtCall(cq.eng.Now(), cq.notify, 0)
@@ -111,19 +123,16 @@ func (cq *CQ) Arm() {
 // Armed reports whether a notification is pending.
 func (cq *CQ) Armed() bool { return cq.armed }
 
-// Poll removes and returns the oldest completion, if any.
-func (cq *CQ) Poll() (WC, bool) {
-	if cq.head >= len(cq.entries) {
-		if len(cq.entries) > 0 {
-			cq.entries = cq.entries[:0]
-			cq.head = 0
-		}
-		return WC{}, false
+// Poll removes and returns the oldest completion, if any. A WC is eleven
+// words, so it is copied out of the ring once, straight into the result
+// (At, then Drop), not through Pop's.
+func (cq *CQ) Poll() (wc WC, ok bool) {
+	if ok = cq.q.Len() > 0; ok {
+		wc = *cq.q.At(0)
+		cq.q.Drop()
 	}
-	wc := cq.entries[cq.head]
-	cq.head++
-	return wc, true
+	return
 }
 
 // Len reports how many completions are waiting.
-func (cq *CQ) Len() int { return len(cq.entries) - cq.head }
+func (cq *CQ) Len() int { return cq.q.Len() }

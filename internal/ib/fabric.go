@@ -113,7 +113,9 @@ func (h *HCA) Fabric() *Fabric { return h.fabric }
 
 // NewCQ creates a completion queue on this adapter.
 func (h *HCA) NewCQ() *CQ {
-	return &CQ{eng: h.fabric.eng}
+	cq := &CQ{eng: h.fabric.eng}
+	cq.q.Seed(cq.first[:])
+	return cq
 }
 
 // InitQP makes *qp a queue pair on this adapter using the given

@@ -10,16 +10,18 @@ import (
 	"ibflow/internal/sim"
 )
 
-// countingSource is a RecvSource that hands out fresh size-byte buffers
-// and remembers each one, so a test can count commits and identify the
-// buffer a completion carries.
+// countingSource is a RecvSource of size-byte descriptors that hands out
+// fresh buffers of the landing length and remembers each one, so a test
+// can count commits and identify the buffer a completion carries.
 type countingSource struct {
 	size int
 	bufs [][]byte
 }
 
-func (s *countingSource) Get() []byte {
-	b := make([]byte, s.size)
+func (s *countingSource) BufSize() int { return s.size }
+
+func (s *countingSource) GetN(n int) []byte {
+	b := make([]byte, n)
 	s.bufs = append(s.bufs, b)
 	return b
 }

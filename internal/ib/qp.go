@@ -237,6 +237,7 @@ func (qp *QP) PostRecv(wrid uint64, buf []byte) {
 // PostRecvFrom posts a descriptor-only receive: the descriptor counts as
 // posted like any other, but its bytes are taken from src only when a
 // message is accepted into it (see RecvSource) and come back in WC.Buf.
+// Consecutive posts with the same wrid and src cost the queue one run.
 func (qp *QP) PostRecvFrom(wrid uint64, src RecvSource) {
 	qp.postRecv(recvWQE{wrid: wrid, src: src})
 }
@@ -399,16 +400,21 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 			eng.AfterCall(switchLatency, (*nakEvent)(sender), w.seq)
 			return
 		}
+		limit := len(r.buf)
+		if r.src != nil {
+			limit = r.src.BufSize()
+		}
+		if len(w.payload) > limit {
+			panic(fmt.Sprintf("ib: message of %d bytes into %d-byte receive buffer",
+				len(w.payload), limit))
+		}
 		if r.src != nil {
 			// Commit at landing: a descriptor-only post owes its bytes
-			// until a message is accepted into it. Every exit that
-			// refuses the message is above, so the source is asked once
-			// per accepted message and never for a NAKed or dropped one.
-			r.buf = r.src.Get()
-		}
-		if len(w.payload) > len(r.buf) {
-			panic(fmt.Sprintf("ib: message of %d bytes into %d-byte receive buffer",
-				len(w.payload), len(r.buf)))
+			// until a message is accepted into it, and then owes exactly
+			// the message's. Every exit that refuses the message is above,
+			// so the source is asked once per accepted message and never
+			// for a NAKed or dropped one.
+			r.buf = r.src.GetN(len(w.payload))
 		}
 		copy(r.buf, w.payload)
 		qp.accept()

@@ -1,6 +1,6 @@
 // Package mem provides the host-memory management pieces of the MPI
-// implementation: the pool of pre-pinned, fixed-size communication buffers
-// used by the eager protocol, the pin-down cache that amortizes memory
+// implementation: the pool of pre-pinned communication buffers used by the
+// eager protocol, the pin-down cache that amortizes memory
 // registration cost for the rendezvous protocol (Tezuka et al., IPPS'98,
 // as cited by the paper), and the per-rank allocator behind
 // MPI_Alloc_mem / MPI_Free_mem. A communication buffer's registration
@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -17,61 +18,115 @@ import (
 	"ibflow/internal/sim"
 )
 
-// slabBufs is the most buffers a pool carves out of one backing slab
-// allocation, and what Warm provisions up front: at that size growth costs
-// one allocation per slabBufs cache misses instead of one per buffer.
+// slabBufs is the most full-size buffers a pool carves out of one backing
+// slab allocation, and what Warm provisions up front: at that size growth
+// costs one allocation per slabBufs cache misses instead of one per buffer.
 const slabBufs = 64
 
 // slabStep sets how a pool that nobody warmed follows its demand: the
-// next slab holds a 1/slabStep of the buffers carved so far, at least
-// slabStep and at most slabBufs of them. A pool whose demand peaks at k
-// buffers therefore holds at most k + max(slabStep, k/slabStep) of them —
-// a quarter over, where a fixed slab held 64 for a demand of 3 — and
-// growing still allocates less than once per slabStep carves at worst,
-// once per slabBufs from 256 buffers on.
+// next slab holds a 1/slabStep of the bytes carved so far, at least
+// slabStep and at most slabBufs full-size buffers' worth. What a pool
+// holds is therefore what it carved plus a quarter at most — where a
+// fixed slab held 64 buffers for a demand of 3 — and the end of a slab
+// too short for the next class asked for; growing allocates less than
+// once per slabStep full-size carves at worst, once per slabBufs from 256
+// of them on.
 const slabStep = 4
 
-// BufPool hands out fixed-size pre-pinned buffers. The pool grows on
-// demand (host memory is plentiful; the scarce resource the paper studies
-// is the *pre-posted* buffers on each connection) and recycles returned
-// buffers. Growth is slab-based: buffers are carved in batches from a
-// single backing allocation sized by the demand seen so far (slabStep).
+// The smallest size class, minClass = 1<<minClassShift bytes, holds a
+// header-only control packet.
+const (
+	minClassShift = 6
+	minClass      = 1 << minClassShift
+)
+
+// freeSeed is how many buffers each class's free list holds before it
+// first grows. The lists share one backing array made with the pool, so
+// the first returns of every class allocate nothing where the pool is
+// used; two cover a 2-rank ping-pong, and a deeper seed is bytes every
+// device of a 1024-rank world pays at set-up, where each deep list grows
+// past any seed anyway.
+const freeSeed = 2
+
+// BufPool hands out pre-pinned buffers of up to BufSize bytes. The pool
+// grows on demand (host memory is plentiful; the scarce resource the paper
+// studies is the *pre-posted* buffers on each connection) and recycles
+// returned buffers. A buffer's host bytes follow what it carries: its
+// capacity is its size class — a power of two from minClass up, the
+// largest class being BufSize itself — so a 48-byte control packet does
+// not hold a BufSize buffer. What the paper accounts for, BufSize bytes
+// per posted buffer, is the caller's to count. Growth is slab-based:
+// buffers of every class are carved from one backing allocation at a
+// time, sized by the demand seen so far (slabStep), and a returned buffer
+// waits on its class's free list.
 type BufPool struct {
 	size     int
-	free     [][]byte
-	slab     []byte // remainder of the current growth slab
-	alloc    int    // total buffers ever carved
-	out      int    // currently checked out
+	free     [][][]byte // by class: returned buffers of that capacity, last returned on top
+	slab     []byte     // remainder of the current growth slab
+	carved   int        // bytes ever carved
+	alloc    int        // total buffers ever carved
+	out      int        // currently checked out
 	maxOut   int
-	recycled int // Gets served from the freelist instead of a carve
+	recycled int // Gets served from a free list instead of a carve
 	dbg      poolDebug
 }
 
-// NewBufPool creates a pool of bufSize-byte buffers.
+// NewBufPool creates a pool of buffers of up to bufSize bytes, with every
+// class's free list seeded.
 func NewBufPool(bufSize int) *BufPool {
 	if bufSize <= 0 {
 		panic("mem: non-positive buffer size")
 	}
-	return &BufPool{size: bufSize}
+	classes := 1
+	for minClass<<(classes-1) < bufSize {
+		classes++
+	}
+	p := &BufPool{size: bufSize, free: make([][][]byte, classes)}
+	seed := make([][]byte, classes*freeSeed)
+	for c := range p.free {
+		p.free[c] = seed[c*freeSeed : c*freeSeed : (c+1)*freeSeed]
+	}
+	return p
 }
 
-// BufSize returns the fixed buffer size.
+// BufSize returns the largest buffer the pool hands out.
 func (p *BufPool) BufSize() int { return p.size }
 
-// Get returns a buffer of the pool's fixed size.
-func (p *BufPool) Get() []byte {
+// class returns the size class of an n-byte buffer, 0 <= n <= BufSize.
+func (p *BufPool) class(n int) int {
+	if n <= minClass {
+		return 0
+	}
+	return min(bits.Len(uint(n-1))-minClassShift, len(p.free)-1)
+}
+
+// classCap is the capacity of class c's buffers.
+func (p *BufPool) classCap(c int) int { return min(minClass<<c, p.size) }
+
+// Get returns a buffer of BufSize bytes.
+func (p *BufPool) Get() []byte { return p.GetN(p.size) }
+
+// GetN returns an n-byte buffer, 0 <= n <= BufSize, whose capacity is n's
+// class.
+func (p *BufPool) GetN(n int) []byte {
+	if n < 0 || n > p.size {
+		panic("mem: buffer length outside the pool's 0..BufSize")
+	}
+	c := p.class(n)
 	var b []byte
-	if n := len(p.free); n > 0 {
-		b = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if l := p.free[c]; len(l) > 0 {
+		b = l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[c] = l[:len(l)-1]
 		p.recycled++
 	} else {
-		if len(p.slab) < p.size {
-			p.slab = make([]byte, p.size*min(slabBufs, max(slabStep, p.alloc/slabStep)))
+		sz := p.classCap(c)
+		if len(p.slab) < sz {
+			p.slab = make([]byte, p.size*min(slabBufs, max(slabStep, p.carved/(p.size*slabStep))))
 		}
-		b = p.slab[:p.size:p.size]
-		p.slab = p.slab[p.size:]
+		b = p.slab[:sz:sz]
+		p.slab = p.slab[sz:]
+		p.carved += sz
 		p.alloc++
 		p.debugCarve(b)
 	}
@@ -80,7 +135,7 @@ func (p *BufPool) Get() []byte {
 		p.maxOut = p.out
 	}
 	p.debugGet(b)
-	return b
+	return b[:n]
 }
 
 // Warm allocates a full first slab if nothing was ever carved, and carves
@@ -96,17 +151,21 @@ func (p *BufPool) Warm() {
 	}
 }
 
-// Put returns a buffer to the pool.
+// Put returns a buffer GetN handed out — any reslicing of it from its
+// first byte: it is filed by its capacity, its class's.
 func (p *BufPool) Put(b []byte) {
-	if len(b) != p.size {
+	n := cap(b)
+	c := p.class(n)
+	if p.classCap(c) != n {
 		panic("mem: foreign buffer returned to pool")
 	}
+	b = b[:n]
 	p.debugPut(b)
 	p.out--
 	if p.out < 0 {
 		panic("mem: more buffers returned than taken")
 	}
-	p.free = append(p.free, b)
+	p.free[c] = append(p.free[c], b)
 }
 
 // Outstanding reports buffers currently checked out.
@@ -115,11 +174,11 @@ func (p *BufPool) Outstanding() int { return p.out }
 // MaxOutstanding reports the checkout high-water mark.
 func (p *BufPool) MaxOutstanding() int { return p.maxOut }
 
-// Allocated reports how many buffers were ever created.
+// Allocated reports how many buffers, of every class, were ever created.
 func (p *BufPool) Allocated() int { return p.alloc }
 
-// Recycled reports how many Gets were served by recycling a freed buffer
-// rather than carving a new one.
+// Recycled reports how many Gets and GetNs were served by recycling a
+// freed buffer rather than carving a new one.
 func (p *BufPool) Recycled() int { return p.recycled }
 
 // Blocks is a rank's allocator of communication buffers (MPI_Alloc_mem):

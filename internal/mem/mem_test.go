@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/ib"
 	"ibflow/internal/sim"
@@ -150,6 +151,103 @@ func TestBufPoolPanicsOnMisuse(t *testing.T) {
 		}()
 		p.Put(make([]byte, 32))
 	}()
+}
+
+// FuzzBufPool drives the pool with an op per input byte against a counted
+// model. The first byte picks BufSize: 16 (one class, smaller than the
+// smallest), 100, 2048 (the device default) or 3000 (a top class that is
+// not a power of two). Then a byte's low two bits pick Get, GetN of a
+// length the next two bytes give, a Put of one of the buffers out (the
+// high bits pick which), or a Put of a capacity no class has, which must
+// panic and change nothing. A buffer must be n bytes long with its class's
+// capacity — the smallest power of two from 64 that holds n, capped at
+// BufSize — overlap no other buffer out across its whole capacity, and be
+// the one of its class most recently returned whenever there is one;
+// Outstanding, MaxOutstanding, Allocated and Recycled must count what the
+// model counts.
+func FuzzBufPool(f *testing.F) {
+	f.Add([]byte{2, 1, 0, 48, 1, 1, 0, 0, 2, 0, 1, 7, 208, 3, 2, 1, 0, 48})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		size := [...]int{16, 100, 2048, 3000}[ops[0]&3]
+		p := NewBufPool(size)
+		classCap := func(n int) int {
+			c := 64
+			for c < n {
+				c *= 2
+			}
+			return min(c, size)
+		}
+		var out [][]byte
+		free := map[int][][]byte{} // by capacity, last returned on top
+		carved, recycled, maxOut := 0, 0, 0
+		get := func(i, n int, b []byte) {
+			if len(b) != n || cap(b) != classCap(n) {
+				t.Fatalf("op %d: a %d-byte buffer is %d/%d bytes, want capacity %d", i, n, len(b), cap(b), classCap(n))
+			}
+			if l := free[cap(b)]; len(l) > 0 {
+				if unsafe.SliceData(b) != unsafe.SliceData(l[len(l)-1]) {
+					t.Fatalf("op %d: a %d-byte buffer is not the one of its class returned last", i, n)
+				}
+				free[cap(b)] = l[:len(l)-1]
+				recycled++
+			} else {
+				carved++
+			}
+			for _, o := range out {
+				if Overlaps(o, b[:cap(b)]) {
+					t.Fatalf("op %d: a %d-byte buffer overlaps one still out", i, n)
+				}
+			}
+			out = append(out, b)
+			maxOut = max(maxOut, len(out))
+		}
+		for i := 1; i < len(ops); i++ {
+			switch op := ops[i]; {
+			case op&3 == 0:
+				get(i, size, p.Get())
+			case op&3 == 1:
+				var x, y byte
+				if i+2 < len(ops) {
+					x, y = ops[i+1], ops[i+2]
+					i += 2
+				}
+				n := (int(x)<<8 | int(y)) % (size + 1)
+				get(i, n, p.GetN(n))
+			case op&3 == 2 && len(out) > 0:
+				k := int(op>>2) % len(out)
+				b := out[k]
+				out = append(out[:k], out[k+1:]...)
+				p.Put(b)
+				free[cap(b)] = append(free[cap(b)], b)
+			default:
+				n := int(op>>2) * 53 % (size + 64)
+				if n > 0 && n == classCap(n) {
+					n++
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("op %d: Put of a %d-byte capacity, no class's, did not panic", i, n)
+						}
+					}()
+					p.Put(make([]byte, n))
+				}()
+			}
+			if p.Outstanding() != len(out) || p.MaxOutstanding() != maxOut || p.Allocated() != carved || p.Recycled() != recycled {
+				t.Fatalf("op %d: pool counts out %d (max %d), carved %d, recycled %d; the model %d (%d), %d, %d", i,
+					p.Outstanding(), p.MaxOutstanding(), p.Allocated(), p.Recycled(), len(out), maxOut, carved, recycled)
+			}
+		}
+		for _, b := range out {
+			p.Put(b)
+		}
+		if p.Outstanding() != 0 {
+			t.Fatalf("%d buffers out after every one came back", p.Outstanding())
+		}
+	})
 }
 
 func TestRegCacheHitsAndMisses(t *testing.T) {

@@ -7,10 +7,15 @@ package mem
 // misuses at the moment they happen instead of as downstream corruption:
 //
 //   - double Put:       returning a buffer that is already on the freelist
-//   - foreign Put:      returning a right-sized buffer the pool never carved
+//   - foreign Put:      returning a buffer of a class's capacity the pool
+//     never carved
 //   - use after Put:    writing through a stale reference while the buffer
 //     sits on the freelist (detected by poisoning freed
 //     buffers and verifying the poison on recycle)
+//
+// Every hook sees the buffer's whole capacity, its class's: a holder of
+// an n-byte buffer may write nothing past n, but a stale write anywhere in
+// the class breaks the poison all the same.
 //
 // The release build compiles all hooks to empty functions, so the hot path
 // pays nothing.

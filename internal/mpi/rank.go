@@ -179,14 +179,15 @@ func (r *Rank) DeliverEagerStart(src, tag int, comm uint16, data []byte) {
 }
 
 // stageUnex copies an unmatched eager payload into library-owned storage:
-// a pooled wire-size buffer when it fits (recycled when the matching
-// receive consumes the entry), or a dedicated allocation for oversized
-// self-sends, which bypass the wire and its size limit.
+// a pooled buffer of the payload's size class when it fits (recycled when
+// the matching receive consumes the entry), or a dedicated allocation for
+// oversized self-sends, which bypass the wire and its size limit.
 func (r *Rank) stageUnex(data []byte) []byte {
 	pool := r.dev.Pool()
 	if len(data) <= pool.BufSize() {
-		buf := pool.Get()
-		return buf[:copy(buf, data)]
+		buf := pool.GetN(len(data))
+		copy(buf, data)
+		return buf
 	}
 	owned := make([]byte, len(data))
 	copy(owned, data)
@@ -194,12 +195,12 @@ func (r *Rank) stageUnex(data []byte) []byte {
 }
 
 // unstageUnex recycles a consumed unexpected-eager payload. Pooled
-// stagings are recognizable by their exact wire-size capacity (an
+// stagings are recognizable by their capacity, at most the wire size (an
 // oversized fallback is always strictly larger).
 func (r *Rank) unstageUnex(data []byte) {
 	pool := r.dev.Pool()
-	if cap(data) == pool.BufSize() {
-		pool.Put(data[:cap(data)])
+	if cap(data) <= pool.BufSize() {
+		pool.Put(data)
 	}
 }
 

@@ -60,11 +60,18 @@ func (q *Fifo[T]) At(i int) *T { return &q.ring[(int(q.start)+i)&(len(q.ring)-1)
 // and never shrinks back below fifoMinCap.
 func (q *Fifo[T]) Seed(ring []T) { q.ring = ring }
 
-// Pop removes and returns the head, zeroing its slot and shrinking the
-// ring once occupancy has stayed under a quarter of capacity for
-// shrinkSettle consecutive pops.
+// Pop removes and returns the head (see Drop).
 func (q *Fifo[T]) Pop() T {
 	v := q.ring[q.start]
+	q.Drop()
+	return v
+}
+
+// Drop removes the head, zeroing its slot and shrinking the ring once
+// occupancy has stayed under a quarter of capacity for shrinkSettle
+// consecutive pops. With At(0) it is Pop without the copy out, for an
+// owner whose entries are large.
+func (q *Fifo[T]) Drop() {
 	var zero T
 	q.ring[q.start] = zero
 	q.start = (q.start + 1) & int32(len(q.ring)-1)
@@ -77,7 +84,6 @@ func (q *Fifo[T]) Pop() T {
 	} else {
 		q.quiet = 0
 	}
-	return v
 }
 
 // resize moves the queue, compacted to the front, onto a fresh ring of n
