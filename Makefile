@@ -103,17 +103,17 @@ bench-nas:
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -benchtime $(BENCHTIME) ./internal/nas
 
 # bench-diff regenerates the four checked-in benchmark documents — three
-# fcbench sweeps at the default worker count, and the paper's figures 9-10
-# and tables 1-2 (BENCH_paper.json, experiments at class A) — and compares
-# them byte for byte with the committed files. Every number in them is
-# virtual, so any difference is a change in simulated behaviour: fix it,
-# or re-pin the file on purpose.
+# fcbench sweeps at the default worker count, and the paper's evaluation
+# (BENCH_paper.json: the whole experiments suite, figures 2-10 and tables
+# 1-2 at class A) — and compares them byte for byte with the committed
+# files. Every number in them is virtual, so any difference is a change in
+# simulated behaviour: fix it, or re-pin the file on purpose.
 bench-diff:
 	st=0; for t in micro scaling endpoints; do \
 		$(GO) run ./cmd/fcbench -test $$t -json > /tmp/ibflow-$$t.json || exit 1; \
 		diff -u BENCH_$$t.json /tmp/ibflow-$$t.json || st=1; \
 	done; \
-	$(GO) run ./cmd/experiments -only fig9,fig10,table1,table2 -json -parallel 1 > /tmp/ibflow-paper.json || exit 1; \
+	$(GO) run ./cmd/experiments -json -parallel 1 > /tmp/ibflow-paper.json || exit 1; \
 	diff -u BENCH_paper.json /tmp/ibflow-paper.json || st=1; \
 	exit $$st
 

@@ -25,7 +25,7 @@ func BenchmarkFigure2Latency(b *testing.B) {
 			reportTable(b, t)
 		}
 	}
-	b.ReportMetric(bench.Latency(Static(100), 4, 200), "us/4B-oneway")
+	b.ReportMetric(bench.Latency(Static(100), 4, 200, nil), "us/4B-oneway")
 }
 
 func BenchmarkFigure3BandwidthSmallPre100Blocking(b *testing.B) {
@@ -112,107 +112,6 @@ func BenchmarkTable1ExplicitCreditMessages(b *testing.B) {
 func BenchmarkTable2MaxPostedBuffers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := bench.Table2(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-// Ablations for the design decisions called out in DESIGN.md.
-
-func BenchmarkAblationDemotionPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationDemotion(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationGrowthPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationGrowth(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationECMThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationECMThreshold(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationRNRTimeout(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationRNRTimeout(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationEagerThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationEagerThreshold(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationShrink(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationShrink(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkExtensionRDMAChannel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ExtensionRDMAChannel(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkAblationCollectives(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.AblationCollectives(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkExtensionFatTree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ExtensionFatTree(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkScalingMeasured(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ScalingMeasured(quick)
-		if i == 0 {
-			reportTable(b, t)
-		}
-	}
-}
-
-func BenchmarkScalingProjection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.ScalingTable(quick)
 		if i == 0 {
 			reportTable(b, t)
 		}

@@ -1,10 +1,12 @@
-// Command experiments regenerates every table and figure of the paper's
-// evaluation section (Figures 2-10, Tables 1-2), plus the ablations and
-// the scalability projection described in DESIGN.md.
+// Command experiments regenerates the paper's evaluation section: the
+// eleven tables of Figures 2-10 and Tables 1-2, in that order. Its
+// `-json -parallel 1` output is the committed BENCH_paper.json, which
+// `make bench-diff` compares byte for byte and TestPaperClaims
+// (internal/bench) holds to the shapes the paper reports.
 //
-//	experiments            # full suite (NAS class A) — takes a while
+//	experiments            # full suite (NAS class A), about 7 s on 2 CPUs
 //	experiments -quick     # class W, reduced sweeps
-//	experiments -only fig9 # one experiment
+//	experiments -only fig9 # one experiment; also micro (Figures 2-8) or nas (9-10, Tables 1-2)
 //	experiments -quick -only fig2 -json          # machine-readable tables
 //	experiments -quick -only fig2 -metrics-out m # per-world metric dumps m-000.json, ...
 //	experiments -quick -only fig9 -cpuprofile cpu.prof -memprofile mem.prof
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 
 	"ibflow/internal/bench"
@@ -55,9 +58,70 @@ func (s *metricsSink) flush() error {
 	return nil
 }
 
+// experiment is one table of the paper: keys name it for -only (its own
+// key, then the group it belongs to), run builds it.
+type experiment struct {
+	keys []string
+	run  func(bench.Opts) bench.Table
+}
+
+// experiments lists the paper's tables in print order.
+var experiments = []experiment{
+	{[]string{"fig2", "micro"}, bench.Figure2},
+	{[]string{"fig3", "micro"}, bench.Figure3},
+	{[]string{"fig4", "micro"}, bench.Figure4},
+	{[]string{"fig5", "micro"}, bench.Figure5},
+	{[]string{"fig6", "micro"}, bench.Figure6},
+	{[]string{"fig7", "micro"}, bench.Figure7},
+	{[]string{"fig8", "micro"}, bench.Figure8},
+	{[]string{"fig9", "nas"}, func(o bench.Opts) bench.Table { t, _ := bench.Figure9(o); return t }},
+	{[]string{"fig10", "nas"}, func(o bench.Opts) bench.Table { t, _ := bench.Figure10(o); return t }},
+	{[]string{"table1", "nas"}, bench.Table1},
+	{[]string{"table2", "nas"}, bench.Table2},
+}
+
+// selectExperiments returns the experiments a comma-separated -only list
+// names, in print order; an empty list selects all of them. Keys are
+// case-insensitive. A key that names no experiment is an error.
+func selectExperiments(only string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, k := range strings.Split(only, ",") {
+		if k = strings.ToLower(strings.TrimSpace(k)); k != "" {
+			want[k] = true
+		}
+	}
+	if len(want) == 0 {
+		return experiments, nil
+	}
+	known := map[string]bool{}
+	var sel []experiment
+	for _, e := range experiments {
+		hit := false
+		for _, k := range e.keys {
+			known[k] = true
+			hit = hit || want[k]
+		}
+		if hit {
+			sel = append(sel, e)
+		}
+	}
+	var bad []string
+	for k := range want {
+		if !known[k] {
+			bad = append(bad, k)
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		return nil, fmt.Errorf("-only names no experiment: %s (keys: fig2 ... fig10, table1, table2, micro, nas)",
+			strings.Join(bad, ", "))
+	}
+	return sel, nil
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "class W and reduced sweep points")
-	only := flag.String("only", "", "comma-separated subset, e.g. fig2,fig9,table1,ablations,scaling")
+	only := flag.String("only", "", "comma-separated subset: fig2 ... fig10, table1, table2, micro (Figures 2-8), nas (Figures 9-10, Tables 1-2)")
 	csv := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
 	jsonOut := flag.Bool("json", false, "emit tables as one JSON document instead of aligned text")
 	metricsOut := flag.String("metrics-out", "", "dump each world's metrics to <prefix>-NNN.json")
@@ -82,6 +146,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	o := bench.Opts{Quick: *quick, Parallel: *parallel}
 	var sink *metricsSink
@@ -93,53 +163,6 @@ func main() {
 		// one at a time.
 		o.Parallel = 1
 	}
-	want := map[string]bool{}
-	for _, k := range strings.Split(*only, ",") {
-		if k != "" {
-			want[strings.ToLower(strings.TrimSpace(k))] = true
-		}
-	}
-	sel := func(keys ...string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, k := range keys {
-			if want[k] {
-				return true
-			}
-		}
-		return false
-	}
-
-	type exp struct {
-		keys []string
-		run  func() bench.Table
-	}
-	experiments := []exp{
-		{[]string{"fig2", "micro"}, func() bench.Table { return bench.Figure2(o) }},
-		{[]string{"fig3", "micro"}, func() bench.Table { return bench.Figure3(o) }},
-		{[]string{"fig4", "micro"}, func() bench.Table { return bench.Figure4(o) }},
-		{[]string{"fig5", "micro"}, func() bench.Table { return bench.Figure5(o) }},
-		{[]string{"fig6", "micro"}, func() bench.Table { return bench.Figure6(o) }},
-		{[]string{"fig7", "micro"}, func() bench.Table { return bench.Figure7(o) }},
-		{[]string{"fig8", "micro"}, func() bench.Table { return bench.Figure8(o) }},
-		{[]string{"fig9", "nas"}, func() bench.Table { t, _ := bench.Figure9(o); return t }},
-		{[]string{"fig10", "nas"}, func() bench.Table { t, _ := bench.Figure10(o); return t }},
-		{[]string{"table1", "nas"}, func() bench.Table { return bench.Table1(o) }},
-		{[]string{"table2", "nas"}, func() bench.Table { return bench.Table2(o) }},
-		{[]string{"demotion", "ablations"}, func() bench.Table { return bench.AblationDemotion(o) }},
-		{[]string{"growth", "ablations"}, func() bench.Table { return bench.AblationGrowth(o) }},
-		{[]string{"ecm", "ablations"}, func() bench.Table { return bench.AblationECMThreshold(o) }},
-		{[]string{"rnr", "ablations"}, func() bench.Table { return bench.AblationRNRTimeout(o) }},
-		{[]string{"eager", "ablations"}, func() bench.Table { return bench.AblationEagerThreshold(o) }},
-		{[]string{"shrink", "ablations"}, func() bench.Table { return bench.AblationShrink(o) }},
-		{[]string{"rdma", "extensions"}, func() bench.Table { return bench.ExtensionRDMAChannel(o) }},
-		{[]string{"collectives", "ablations"}, func() bench.Table { return bench.AblationCollectives(o) }},
-		{[]string{"fattree", "extensions"}, func() bench.Table { return bench.ExtensionFatTree(o) }},
-		{[]string{"scaling"}, func() bench.Table { return bench.ScalingMeasured(o) }},
-		{[]string{"scaling"}, func() bench.Table { return bench.ScalingTable(o) }},
-		{[]string{"connscaling", "scaling"}, func() bench.Table { return bench.ConnScalingTable(bench.ConnScaling(o)) }},
-	}
 
 	mode := "full (class A)"
 	if *quick {
@@ -148,14 +171,10 @@ func main() {
 	if !*jsonOut {
 		fmt.Printf("# ibflow experiment suite — %s\n\n", mode)
 	}
-	ran := 0
 	var tables []json.RawMessage
 	stopProfiles := profiles.Start("experiments")
-	for _, e := range experiments {
-		if !sel(e.keys...) {
-			continue
-		}
-		t := e.run()
+	for _, e := range selected {
+		t := e.run(o)
 		switch {
 		case *jsonOut:
 			tables = append(tables, json.RawMessage(t.JSON()))
@@ -164,13 +183,8 @@ func main() {
 		default:
 			fmt.Println(t.String())
 		}
-		ran++
 	}
 	stopProfiles()
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched -only=%s\n", *only)
-		os.Exit(2)
-	}
 	if *jsonOut {
 		doc := struct {
 			Mode   string            `json:"mode"`

@@ -300,7 +300,7 @@ func main() {
 			sizes = []int{*size}
 		}
 		points := runner.Map(len(sizes), workers, func(i int) latPoint {
-			return latPoint{sizes[i], bench.LatencyOpts(fc, sizes[i], *iters, tune)}
+			return latPoint{sizes[i], bench.Latency(fc, sizes[i], *iters, tune)}
 		})
 		if *jsonOut {
 			emitJSON(struct {
@@ -323,7 +323,7 @@ func main() {
 			windows = []int{*window}
 		}
 		points := runner.Map(len(windows), workers, func(i int) bwPoint {
-			return bwPoint{windows[i], bench.BandwidthOpts(fc, *size, windows[i], *reps, *blocking, tune)}
+			return bwPoint{windows[i], bench.Bandwidth(fc, *size, windows[i], *reps, *blocking, tune)}
 		})
 		if *jsonOut {
 			emitJSON(struct {
@@ -360,14 +360,14 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, jsonOut
 	// Each (scheme, point) cell is an independent world: sweep the grids
 	// through the worker pool and reassemble series in cell-index order.
 	latVals := runner.Map(len(schemes)*len(latSizes), workers, func(k int) float64 {
-		return bench.Latency(schemes[k/len(latSizes)], latSizes[k%len(latSizes)], iters)
+		return bench.Latency(schemes[k/len(latSizes)], latSizes[k%len(latSizes)], iters, nil)
 	})
 	lat := make([]series, len(schemes))
 	for i := range schemes {
 		lat[i] = series{schemes[i].Kind.String(), latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
 	}
 	bwVals := runner.Map(len(schemes)*len(bwWindows), workers, func(k int) float64 {
-		return bench.Bandwidth(schemes[k/len(bwWindows)], size, bwWindows[k%len(bwWindows)], reps, blocking)
+		return bench.Bandwidth(schemes[k/len(bwWindows)], size, bwWindows[k%len(bwWindows)], reps, blocking, nil)
 	})
 	bw := make([]series, len(schemes))
 	for i := range schemes {

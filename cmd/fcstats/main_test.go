@@ -16,7 +16,7 @@ import (
 // fcbench -test latency -size 64 -iters 50 -scheme static -metrics-out.
 func instrumentedLatencyDump() metrics.Dump {
 	reg := metrics.New()
-	bench.LatencyOpts(core.Static(100), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(core.Static(100), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
 	return reg.Snapshot()
 }
 
@@ -54,7 +54,7 @@ func TestKeyListMatchesGolden(t *testing.T) {
 // scheme (fcbench -scheme rdma).
 func instrumentedRingDump() metrics.Dump {
 	reg := metrics.New()
-	bench.LatencyOpts(core.RDMA(8, 1024), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(core.RDMA(8, 1024), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
 	return reg.Snapshot()
 }
 

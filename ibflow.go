@@ -155,13 +155,13 @@ func (cl *Cluster) Size() int { return cl.world.Size() }
 // Latency measures one-way MPI latency (microseconds) for size-byte
 // messages under a scheme — the paper's Figure 2 micro-benchmark.
 func Latency(scheme Scheme, size, iters int) float64 {
-	return bench.Latency(scheme, size, iters)
+	return bench.Latency(scheme, size, iters, nil)
 }
 
 // Bandwidth measures the paper's window-based bandwidth test in MB/s
 // (Figures 3-8).
 func Bandwidth(scheme Scheme, size, window, reps int, blocking bool) float64 {
-	return bench.Bandwidth(scheme, size, window, reps, blocking)
+	return bench.Bandwidth(scheme, size, window, reps, blocking, nil)
 }
 
 // RunNAS executes a NAS kernel (IS, FT, LU, CG, MG, BT, SP) under a

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -98,14 +97,14 @@ func TestSchemesTrio(t *testing.T) {
 
 func TestLatencyCalibration(t *testing.T) {
 	for _, fc := range Schemes(100, 300) {
-		lat := Latency(fc, 4, 100)
+		lat := Latency(fc, 4, 100, nil)
 		if lat < 5 || lat > 11 {
 			t.Errorf("%v: 4B latency = %.2f us, want 5-11 (paper ~7.5)", fc.Kind, lat)
 		}
 	}
 	// Latency grows with size, and 16KB (rendezvous) is well above 4B.
-	lat4 := Latency(core.Static(100), 4, 50)
-	lat16k := Latency(core.Static(100), 16384, 50)
+	lat4 := Latency(core.Static(100), 4, 50, nil)
+	lat16k := Latency(core.Static(100), 16384, 50, nil)
 	if lat16k < 2*lat4 {
 		t.Errorf("16KB latency %.2f not well above 4B %.2f", lat16k, lat4)
 	}
@@ -115,7 +114,7 @@ func TestBandwidthShapes(t *testing.T) {
 	// Figure 3/4 regime: window below pre-post, all schemes comparable.
 	var vals []float64
 	for _, fc := range Schemes(100, 300) {
-		vals = append(vals, Bandwidth(fc, 4, 32, 4, false))
+		vals = append(vals, Bandwidth(fc, 4, 32, 4, false, nil))
 	}
 	for i := 1; i < len(vals); i++ {
 		ratio := vals[i] / vals[0]
@@ -126,22 +125,22 @@ func TestBandwidthShapes(t *testing.T) {
 
 	// Figure 5/6 regime: window 100 over pre-post 10 — dynamic must beat
 	// static clearly (it adapts; static stalls in demoted handshakes).
-	dyn := Bandwidth(core.Dynamic(10, 300), 4, 100, 4, false)
-	sta := Bandwidth(core.Static(10), 4, 100, 4, false)
+	dyn := Bandwidth(core.Dynamic(10, 300), 4, 100, 4, false, nil)
+	sta := Bandwidth(core.Static(10), 4, 100, 4, false, nil)
 	if dyn <= 1.2*sta {
 		t.Errorf("dynamic %.2f MB/s should clearly beat static %.2f at window >> pre-post", dyn, sta)
 	}
 
 	// Blocking beats non-blocking for the static scheme past the credit
 	// limit (the paper's rendezvous-handshake explanation).
-	staBlk := Bandwidth(core.Static(10), 4, 100, 4, true)
+	staBlk := Bandwidth(core.Static(10), 4, 100, 4, true, nil)
 	if staBlk <= sta {
 		t.Errorf("static blocking %.2f should beat non-blocking %.2f", staBlk, sta)
 	}
 
 	// Figure 7/8 regime: large messages, all schemes near link rate.
 	for _, fc := range Schemes(10, 300) {
-		bw := Bandwidth(fc, 32*1024, 32, 3, false)
+		bw := Bandwidth(fc, 32*1024, 32, 3, false, nil)
 		if bw < 500 {
 			t.Errorf("%v: 32KB bandwidth %.1f MB/s, want near-wire (>500)", fc.Kind, bw)
 		}
@@ -267,48 +266,4 @@ func TestTable2LUDemand(t *testing.T) {
 		t.Errorf("LU max posted %d should dwarf CG's %d (paper: 63 vs 3)",
 			res.MaxPosted, cg.MaxPosted)
 	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation sweep")
-	}
-	for name, fn := range map[string]func(Opts) Table{
-		"demotion": AblationDemotion,
-		"growth":   AblationGrowth,
-		"ecm":      AblationECMThreshold,
-		"rnr":      AblationRNRTimeout,
-		"eager":    AblationEagerThreshold,
-		"shrink":   AblationShrink,
-		"scaling":  ScalingTable,
-	} {
-		tab := fn(quick)
-		if len(tab.Rows) == 0 {
-			t.Errorf("ablation %s produced no rows", name)
-		}
-	}
-}
-
-func TestShrinkAblationActuallyShrinks(t *testing.T) {
-	tab := AblationShrink(quick)
-	if len(tab.Rows) != 2 {
-		t.Fatal("want 2 rows")
-	}
-	// Row 0: shrink off; row 1: shrink on. Final posted sum must drop.
-	var off, on int
-	if _, err := fmtSscan(tab.Rows[0][2], &off); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fmtSscan(tab.Rows[1][2], &on); err != nil {
-		t.Fatal(err)
-	}
-	if on >= off {
-		t.Errorf("shrink on kept %d buffers vs %d off", on, off)
-	}
-}
-
-// fmtSscan wraps fmt.Sscan for the tests above.
-func fmtSscan(s string, v *int) (int, error) {
-	n, err := fmt.Sscan(s, v)
-	return n, err
 }

@@ -1,0 +1,263 @@
+package bench
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// paperTable is one table of BENCH_paper.json, the committed output of
+// `experiments -json -parallel 1` (class A).
+type paperTable struct {
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+}
+
+// loadPaperDoc reads the committed document and keys its tables by the
+// part of the title before the colon ("Figure 2", "Table 1", ...).
+func loadPaperDoc(t *testing.T) map[string]paperTable {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_paper.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Tables []paperTable `json:"tables"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]paperTable{}
+	for _, tab := range doc.Tables {
+		name, _, _ := strings.Cut(tab.Title, ":")
+		byName[name] = tab
+	}
+	return byName
+}
+
+// labels returns the row labels (message sizes, windows, applications)
+// in document order.
+func (tab paperTable) labels() []string {
+	var out []string
+	for _, r := range tab.Rows {
+		out = append(out, r[0])
+	}
+	return out
+}
+
+// at reads the cell in row label and column col as a number; a
+// percentage reads without its sign.
+func (tab paperTable) at(t *testing.T, label, col string) float64 {
+	t.Helper()
+	j := slices.Index(tab.Columns, col)
+	for _, r := range tab.Rows {
+		if r[0] == label && j > 0 {
+			v, err := strconv.ParseFloat(strings.TrimSuffix(r[j], "%"), 64)
+			if err != nil {
+				t.Fatalf("%s, %s/%s: %v", tab.Title, label, col, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s has no cell %s/%s", tab.Title, label, col)
+	return 0
+}
+
+// spread is the largest scheme's value over the smallest's in one row.
+func (tab paperTable) spread(t *testing.T, label string) float64 {
+	t.Helper()
+	lo, hi := tab.at(t, label, schemeNames[0]), tab.at(t, label, schemeNames[0])
+	for _, s := range schemeNames[1:] {
+		v := tab.at(t, label, s)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return hi / lo
+}
+
+// window reads a bandwidth figure's row label as its window size.
+func window(t *testing.T, label string) int {
+	t.Helper()
+	w, err := strconv.Atoi(label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestPaperClaims holds the committed paper document to the shapes the
+// paper reports (PAPER.md: which scheme wins, by roughly what factor, and
+// where the crossovers are), one subtest per claim. Each claim states the
+// paper's finding — in quotation marks where the words are the paper's —
+// and an explicit threshold. It reads the document and simulates nothing:
+// `make bench-diff` keeps the document equal to what the code produces,
+// and this test keeps the document saying what the paper says.
+func TestPaperClaims(t *testing.T) {
+	doc := loadPaperDoc(t)
+	if len(doc) != 11 {
+		t.Fatalf("BENCH_paper.json holds %d tables, want the paper's 11 (Figures 2-10, Tables 1-2)", len(doc))
+	}
+
+	// "Bookkeeping overhead is negligible; all three schemes perform
+	// comparably" at ~7.5 us for small messages.
+	t.Run("fig2", func(t *testing.T) {
+		fig := doc["Figure 2"]
+		for _, size := range fig.labels() {
+			if s := fig.spread(t, size); s > 1.01 {
+				t.Errorf("%s B: schemes differ by %.1f %%, want within 1 %%", size, (s-1)*100)
+			}
+		}
+		for _, s := range schemeNames {
+			if lat := fig.at(t, "4", s); lat < 5 || lat > 11 {
+				t.Errorf("%s: 4 B latency %.2f us, want 5-11 (paper ~7.5)", s, lat)
+			}
+		}
+	})
+
+	// With pre-post 100, more buffers than any window, all three schemes
+	// perform comparably, blocking and non-blocking.
+	t.Run("fig3-4", func(t *testing.T) {
+		for _, name := range []string{"Figure 3", "Figure 4"} {
+			fig := doc[name]
+			for _, w := range fig.labels() {
+				if s := fig.spread(t, w); s > 1.05 {
+					t.Errorf("%s, window %s: schemes differ by %.1f %%, want within 5 %%", name, w, (s-1)*100)
+				}
+			}
+		}
+	})
+
+	// With pre-post 10, the schemes agree while the window fits the
+	// buffers; past them the dynamic scheme adapts and performs best,
+	// while under static "communication is stalled when there are not
+	// enough credits".
+	t.Run("fig5-6", func(t *testing.T) {
+		for _, name := range []string{"Figure 5", "Figure 6"} {
+			fig := doc[name]
+			for _, w := range fig.labels() {
+				if window(t, w) <= 8 {
+					if s := fig.spread(t, w); s > 1.05 {
+						t.Errorf("%s, window %s: schemes differ by %.1f %%, want within 5 %%", name, w, (s-1)*100)
+					}
+					continue
+				}
+				if window(t, w) < 16 {
+					continue
+				}
+				dyn, sta := fig.at(t, w, "dynamic"), fig.at(t, w, "static")
+				if dyn <= sta {
+					t.Errorf("%s, window %s: dynamic %.1f MB/s does not beat static %.1f", name, w, dyn, sta)
+				}
+			}
+			if dyn, sta := fig.at(t, "100", "dynamic"), fig.at(t, "100", "static"); dyn < 1.3*sta {
+				t.Errorf("%s, window 100: dynamic %.1f MB/s is %.2fx static %.1f, want >= 1.3x", name, dyn, dyn/sta, sta)
+			}
+		}
+	})
+
+	// For the user-level static scheme the blocking test beats the
+	// non-blocking one past the credit limit: a starved blocking send
+	// is demoted to rendezvous ("when there are no credits, only
+	// Rendezvous protocol is used") and its handshake returns credits.
+	t.Run("fig5-vs-6", func(t *testing.T) {
+		blk, nb := doc["Figure 5"], doc["Figure 6"]
+		for _, w := range blk.labels() {
+			if window(t, w) < 16 {
+				continue
+			}
+			if b, n := blk.at(t, w, "static"), nb.at(t, w, "static"); b <= n {
+				t.Errorf("window %s: static blocking %.1f MB/s does not beat non-blocking %.1f", w, b, n)
+			}
+		}
+	})
+
+	// 32 KB messages go by rendezvous, which regulates itself: "all three
+	// schemes are able to perform well even with less number of
+	// buffers", and the non-blocking test wins through overlap. Hardware
+	// is exempt from the second half: its Figure 8 sag at windows >= 16
+	// is a documented artifact of the message-granular wire
+	// (EXPERIMENTS.md, Figures 7-8).
+	t.Run("fig7-8", func(t *testing.T) {
+		blk, nb := doc["Figure 7"], doc["Figure 8"]
+		for _, fig := range []paperTable{blk, nb} {
+			for _, w := range fig.labels() {
+				for _, s := range schemeNames {
+					if bw := fig.at(t, w, s); bw < 500 {
+						t.Errorf("%s, window %s, %s: %.1f MB/s, want >= 500", fig.Title, w, s, bw)
+					}
+				}
+			}
+		}
+		for _, w := range blk.labels() {
+			for _, s := range []string{"static", "dynamic"} {
+				if b, n := blk.at(t, w, s), nb.at(t, w, s); n < b {
+					t.Errorf("window %s, %s: non-blocking %.1f MB/s below blocking %.1f", w, s, n, b)
+				}
+			}
+		}
+	})
+
+	// With 100 pre-posted buffers the schemes are within 2-3 % on every
+	// application; only on LU does the hardware scheme win, because the
+	// user-level schemes send explicit credit messages.
+	t.Run("fig9", func(t *testing.T) {
+		fig := doc["Figure 9"]
+		for _, app := range fig.labels() {
+			if s := fig.spread(t, app); s > 1.03 {
+				t.Errorf("%s: schemes differ by %.1f %%, want within 3 %%", app, (s-1)*100)
+			}
+		}
+		hw := fig.at(t, "LU", "hardware")
+		for _, s := range []string{"static", "dynamic"} {
+			if v := fig.at(t, "LU", s); hw >= v {
+				t.Errorf("LU: hardware %.4f s is not faster than %s %.4f", hw, s, v)
+			}
+		}
+	})
+
+	// From pre-post 100 to 1 the hardware scheme collapses on LU
+	// (timeout and retransmission storms) while the dynamic scheme shows
+	// almost no degradation anywhere.
+	t.Run("fig10", func(t *testing.T) {
+		fig := doc["Figure 10"]
+		if d := fig.at(t, "LU", "hardware"); d < 50 {
+			t.Errorf("LU: hardware degrades %.1f %%, want >= 50 %%", d)
+		}
+		for _, app := range fig.labels() {
+			if d := fig.at(t, app, "dynamic"); d > 5 {
+				t.Errorf("%s: dynamic degrades %.1f %%, want <= 5 %%", app, d)
+			}
+		}
+	})
+
+	// LU's explicit credit messages are a material share of its traffic
+	// (~18 % in the paper); every other application sends almost none.
+	t.Run("table1", func(t *testing.T) {
+		tab := doc["Table 1"]
+		for _, app := range tab.labels() {
+			share := tab.at(t, app, "ECM share")
+			switch {
+			case app == "LU" && share < 5:
+				t.Errorf("LU: ECM share %.1f %%, want >= 5 %%", share)
+			case app != "LU" && share >= 3:
+				t.Errorf("%s: ECM share %.1f %%, want < 3 %%", app, share)
+			}
+		}
+	})
+
+	// "For all applications except LU, only a very small number of
+	// buffers are needed" (paper: LU 63, the others 3-7).
+	t.Run("table2", func(t *testing.T) {
+		tab := doc["Table 2"]
+		lu := tab.at(t, "LU", "max #buffers")
+		for _, app := range tab.labels() {
+			if n := tab.at(t, app, "max #buffers"); app != "LU" && lu < 3*n {
+				t.Errorf("LU's %.0f buffers are under 3x %s's %.0f", lu, app, n)
+			}
+		}
+	})
+}

@@ -26,9 +26,9 @@ type Opts struct {
 
 	// Tune, when non-nil, is applied to every simulated world's options
 	// just before construction — the hook cmd/experiments uses to attach
-	// a fresh metrics registry (and tracer) per world. Experiments with
-	// their own option tweaks compose: the site's tweak runs first, Tune
-	// last.
+	// a fresh metrics registry (and tracer) per world. A sweep that sets
+	// options of its own (the scaling and endpoint documents) sets them
+	// first and applies Tune last.
 	Tune func(*mpi.Options)
 }
 
@@ -44,17 +44,6 @@ func (o Opts) workers() int {
 func (o Opts) tune(opts *mpi.Options) {
 	if o.Tune != nil {
 		o.Tune(opts)
-	}
-}
-
-// composeTune chains option hooks left to right, skipping nil ones.
-func composeTune(hooks ...func(*mpi.Options)) func(*mpi.Options) {
-	return func(opts *mpi.Options) {
-		for _, h := range hooks {
-			if h != nil {
-				h(opts)
-			}
-		}
 	}
 }
 
@@ -109,7 +98,7 @@ func Figure2(o Opts) Table {
 	sizes := o.latSizes()
 	schemes := Schemes(100, dynMax)
 	vals := runner.Map(len(sizes)*len(schemes), o.workers(), func(k int) float64 {
-		return LatencyOpts(schemes[k%len(schemes)], sizes[k/len(schemes)], o.latIters(), o.Tune)
+		return Latency(schemes[k%len(schemes)], sizes[k/len(schemes)], o.latIters(), o.Tune)
 	})
 	for i, size := range sizes {
 		row := []string{fmt.Sprint(size)}
@@ -131,7 +120,7 @@ func bwFigure(o Opts, title, note string, size, prepost int, blocking bool) Tabl
 	wins := o.windows()
 	schemes := Schemes(prepost, dynMax)
 	vals := runner.Map(len(wins)*len(schemes), o.workers(), func(k int) float64 {
-		return BandwidthOpts(schemes[k%len(schemes)], size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
+		return Bandwidth(schemes[k%len(schemes)], size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
 	})
 	for i, win := range wins {
 		row := []string{fmt.Sprint(win)}

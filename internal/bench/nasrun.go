@@ -43,8 +43,8 @@ func RunNAS(appName string, class nas.Class, procs int, fc core.Params) (NASResu
 	return RunNASOpts(appName, class, procs, fc, nil)
 }
 
-// RunNASOpts is RunNAS with an options hook for ablations that tune the
-// fabric or channel device (RNR timeout, eager threshold, ...).
+// RunNASOpts is RunNAS with an options hook, through which the figures
+// and cmd/nasrun attach metrics registries and tracers.
 func RunNASOpts(appName string, class nas.Class, procs int, fc core.Params,
 	tune func(*mpi.Options)) (NASResult, error) {
 	app, err := nas.Get(appName)

@@ -14,9 +14,10 @@ import (
 )
 
 // The figure-suite semantic goldens pin benchmark outputs across the
-// goroutine-to-handler migration: the rendered latency figure and the
-// all-to-all storm's virtual-time results must stay byte-identical for
-// every scheme. Host-side quantities (wall clock, heap, goroutines) are
+// goroutine-to-handler migration: the all-to-all storm's virtual-time
+// results must stay byte-identical for every scheme. (The figures
+// themselves are gated at class A by BENCH_paper.json and make
+// bench-diff.) Host-side quantities (wall clock, heap, goroutines) are
 // deliberately absent — they are measurements about the simulator, not
 // of the simulated machine, and are not deterministic.
 //
@@ -25,7 +26,6 @@ import (
 //	IBFLOW_UPDATE_GOLDENS=1 go test -run TestFigureGoldens ./internal/bench
 
 type figureGolden struct {
-	Figure2 string `json:"figure2_digest"`
 	// Storm maps scheme name to "makespanNS/maxHWM/stats" digests of an
 	// 8-rank all-to-all storm — the scaling benchmark's cell shape.
 	Storm map[string]string `json:"storm"`
@@ -87,11 +87,7 @@ func stormDigest(t *testing.T, fc core.Params) string {
 
 func TestFigureGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "figure_goldens.json")
-	fig2 := Figure2(Opts{Quick: true})
-	got := figureGolden{
-		Figure2: sha(fig2.String()),
-		Storm:   map[string]string{},
-	}
+	got := figureGolden{Storm: map[string]string{}}
 	for _, fc := range connScalingSchemes(8, 64, 16, 96, 8, 1024) {
 		got.Storm[fc.Kind.String()] = stormDigest(t, fc)
 	}
@@ -116,10 +112,6 @@ func TestFigureGoldens(t *testing.T) {
 	var want figureGolden
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
-	}
-	if got.Figure2 != want.Figure2 {
-		t.Errorf("Figure 2 output drifted across the progress engine (digest %s != %s)",
-			got.Figure2, want.Figure2)
 	}
 	for scheme, d := range got.Storm {
 		if w, ok := want.Storm[scheme]; !ok {

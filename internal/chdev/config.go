@@ -73,15 +73,19 @@ const (
 	// the transport reports RNR budget exhaustion before the frozen
 	// stream is re-issued; new eager traffic backlogs meanwhile.
 	reissueDelay = 100 * sim.Microsecond
+
+	// bufSize is the size of a pre-pinned communication buffer, the
+	// paper's 2 KB: every posted receive is charged bufSize bytes.
+	bufSize = 2048
+
+	// eagerThreshold is the largest payload that still fits a pre-pinned
+	// buffer behind the packet header; larger messages use the
+	// rendezvous protocol.
+	eagerThreshold = bufSize - HeaderSize
 )
 
 // Config holds the channel device's settings and observability hooks.
 type Config struct {
-	// BufSize is the fixed size of pre-pinned communication buffers;
-	// the paper uses 2 KB. Messages up to BufSize-HeaderSize travel
-	// eagerly; larger ones use the rendezvous protocol.
-	BufSize int
-
 	// OnDemand delays connection (and buffer) setup until two ranks
 	// first communicate — the scalability extension discussed in the
 	// paper's related work. Each setup costs connSetup.
@@ -133,15 +137,11 @@ type Config struct {
 	Endpoints int
 }
 
-// DefaultConfig returns the paper's device: 2 KB pre-pinned buffers, one
-// endpoint per rank pair, connections wired at start-up.
+// DefaultConfig returns the paper's device: one endpoint per rank pair,
+// connections wired at start-up.
 func DefaultConfig() Config {
-	return Config{BufSize: 2048}
+	return Config{}
 }
-
-// EagerThreshold is the largest payload that still fits a pre-pinned
-// buffer behind the packet header.
-func (c *Config) EagerThreshold() int { return c.BufSize - HeaderSize }
 
 // copyTime returns the virtual time charged for copying n bytes.
 func copyTime(n int) sim.Time {

@@ -263,9 +263,6 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.BufSize <= HeaderSize {
-		panic(fmt.Sprintf("chdev: buffer size %d below header size %d", cfg.BufSize, HeaderSize))
-	}
 	if cfg.Endpoints < 0 {
 		panic(fmt.Sprintf("chdev: negative endpoint count %d", cfg.Endpoints))
 	}
@@ -278,7 +275,7 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		rank:     rank,
 		size:     size,
 		handler:  h,
-		pool:     mem.NewBufPool(cfg.BufSize),
+		pool:     mem.NewBufPool(bufSize),
 		regs:     mem.NewRegCache(hca),
 		sendRndv: make(map[uint64]*rndvOut),
 		recvRndv: make(map[uint64]*RndvIn),
@@ -1267,7 +1264,7 @@ func (d *Device) Stats() Stats {
 		s.RNRExhausted += qs.RNRExhausted
 	}
 	s.SumPosted = d.prov.posted()
-	s.BufBytesInUse = s.SumPosted * d.cfg.BufSize
+	s.BufBytesInUse = s.SumPosted * bufSize
 	s.BufBytesHWM = d.prov.postedHWMBytes()
 	return d.prov.stats(s)
 }

@@ -50,7 +50,6 @@ func sendOneSettled(t *testing.T, eng *sim.Engine, devs []*Device, h1 *fakeHandl
 // schemes count — posted descriptors, pinned buffer memory — is there in
 // full from establishment, and is what it always was.
 func TestIdleConnectionCommitsNothing(t *testing.T) {
-	bufSize := DefaultConfig().BufSize
 	t.Run("static", func(t *testing.T) {
 		eng, devs, hs := devTrio(t, core.Static(8))
 		for _, d := range devs {

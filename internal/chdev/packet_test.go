@@ -84,9 +84,8 @@ func TestPropertyHeaderRoundTrip(t *testing.T) {
 }
 
 func TestConfigThresholdAndCopy(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.EagerThreshold() != cfg.BufSize-HeaderSize {
-		t.Errorf("eager threshold = %d", cfg.EagerThreshold())
+	if bufSize != 2048 || eagerThreshold != bufSize-HeaderSize {
+		t.Errorf("buffer %d B, eager threshold %d B: want the paper's 2 KB buffer behind the header", bufSize, eagerThreshold)
 	}
 	if copyTime(0) != 0 || copyTime(-1) != 0 {
 		t.Error("zero/negative copy must be free")

@@ -31,7 +31,7 @@ import (
 // exist only from the landing of a message to the end of its processing
 // — the transport takes a buffer of the message's size class when it
 // accepts the message, processed returns it — while what the scheme
-// accounts for is a Config.BufSize buffer per descriptor.
+// accounts for is a bufSize buffer per descriptor.
 //
 // Arguments cross this interface by value, or as pointers to what already
 // lives on the heap (a conn, the progress machine's header): a pointer to
@@ -93,11 +93,11 @@ type recvProvisioner interface {
 func newProvisioner(d *Device) (recvProvisioner, int) {
 	switch d.params.Kind {
 	case core.KindShared:
-		return newPoolProvisioner(d), d.cfg.EagerThreshold()
+		return newPoolProvisioner(d), eagerThreshold
 	case core.KindRDMA:
 		return newRingProvisioner(d), d.params.SlotBytes - HeaderSize
 	}
-	return &connProvisioner{d: d}, d.cfg.EagerThreshold()
+	return &connProvisioner{d: d}, eagerThreshold
 }
 
 // connProvisioner is the classic shape: each connection owns a private
@@ -208,7 +208,7 @@ func (cp *connProvisioner) postedHWMBytes() int {
 	for _, c := range cp.d.live {
 		n += c.vc.Stats().MaxPosted
 	}
-	return n * cp.d.cfg.BufSize
+	return n * bufSize
 }
 
 func (cp *connProvisioner) stats(s Stats) Stats { return s }
@@ -320,7 +320,7 @@ func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 func (pp *poolProvisioner) posted() int { return pp.pool.Posted() }
 
 func (pp *poolProvisioner) postedHWMBytes() int {
-	return pp.pool.Stats().MaxPosted * pp.d.cfg.BufSize
+	return pp.pool.Stats().MaxPosted * bufSize
 }
 
 // stats: the pool's accounting replaces the per-VC receiver-side numbers,
@@ -373,8 +373,8 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 	if d.params.SlotBytes <= HeaderSize {
 		panic(fmt.Sprintf("chdev: ring slot size %d below header size %d", d.params.SlotBytes, HeaderSize))
 	}
-	if d.params.SlotBytes > d.cfg.BufSize {
-		panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", d.params.SlotBytes, d.cfg.BufSize))
+	if d.params.SlotBytes > bufSize {
+		panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", d.params.SlotBytes, bufSize))
 	}
 	rp := &ringProvisioner{connProvisioner: connProvisioner{d}}
 	if r := d.cfg.Metrics; r != nil {
@@ -496,7 +496,7 @@ func (rp *ringProvisioner) posted() int {
 // connection's lifetime, and the sum is what the scaling benchmark
 // plots. It is also the high-water mark — the ring never grows.
 func (rp *ringProvisioner) postedHWMBytes() int {
-	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + ctrlPrepost*rp.d.cfg.BufSize)
+	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + ctrlPrepost*bufSize)
 }
 
 func (rp *ringProvisioner) stats(s Stats) Stats {

@@ -341,3 +341,30 @@ func TestPropertyAllreduceMatchesSerialSum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCollectivesOnSubcommunicators(t *testing.T) {
+	runN(t, 8, func(c *mpi.Comm) {
+		row := c.Split(c.Rank()/4, c.Rank()) // two rows of 4
+		buf := enc.F64Bytes([]float64{float64(c.Rank())})
+		Allreduce(row, buf, SumF64)
+		want := 0.0
+		base := (c.Rank() / 4) * 4
+		for i := 0; i < 4; i++ {
+			want += float64(base + i)
+		}
+		if got := enc.F64s(buf)[0]; got != want {
+			c.Abort(fmt.Sprintf("row allreduce got %v want %v", got, want))
+		}
+		// Broadcast within the row from row-rank 2.
+		data := make([]byte, 32)
+		if row.Rank() == 2 {
+			for i := range data {
+				data[i] = byte(base + i)
+			}
+		}
+		Bcast(row, 2, data)
+		if data[1] != byte(base+1) {
+			c.Abort("row bcast wrong")
+		}
+	})
+}

@@ -18,12 +18,11 @@ func TestConstructorsValidate(t *testing.T) {
 
 func TestValidateRejectsBadParams(t *testing.T) {
 	cases := []Params{
-		{Kind: KindStatic, Prepost: 0, ECMThreshold: 5},
-		{Kind: KindStatic, Prepost: 10, ECMThreshold: 0},
-		{Kind: KindDynamic, Prepost: 10, ECMThreshold: 5, Max: 5, Increment: 1},
-		{Kind: KindDynamic, Prepost: 1, ECMThreshold: 5, Max: 10, Increment: 0, Growth: GrowLinear},
+		{Kind: KindStatic, Prepost: 0},
+		{Kind: KindDynamic, Prepost: 10, Max: 5, Increment: 1},
+		{Kind: KindDynamic, Prepost: 1, Max: 10, Increment: 0},
 		{Kind: Kind(99), Prepost: 1},
-		{Kind: KindStatic, Prepost: 1, ECMThreshold: 1, ShrinkIdle: sim.Second, ShrinkFloor: 0},
+		{Kind: KindStatic, Prepost: 1, ShrinkIdle: sim.Second, ShrinkFloor: 0},
 	}
 	for i, p := range cases {
 		p := p
@@ -37,9 +36,6 @@ func TestKindStrings(t *testing.T) {
 	if KindHardware.String() != "hardware" || KindStatic.String() != "static" ||
 		KindDynamic.String() != "dynamic" || KindShared.String() != "shared" {
 		t.Error("kind strings wrong")
-	}
-	if GrowLinear.String() != "linear" || GrowExponential.String() != "exponential" {
-		t.Error("growth strings wrong")
 	}
 	if DemoteToRendezvous.String() != "demote" || PureBacklog.String() != "backlog" {
 		t.Error("policy strings wrong")
@@ -199,19 +195,6 @@ func TestDynamicGrowthLinear(t *testing.T) {
 	}
 	if vc.Stats().MaxPosted != 10 {
 		t.Errorf("MaxPosted = %d", vc.Stats().MaxPosted)
-	}
-}
-
-func TestDynamicGrowthExponential(t *testing.T) {
-	p := Dynamic(1, 100)
-	p.Growth = GrowExponential
-	vc := NewVC(&p)
-	want := []int{2, 4, 8, 16, 32, 64, 100, 100}
-	for i, w := range want {
-		vc.OnStarvedFeedback(0)
-		if vc.Posted() != w {
-			t.Fatalf("step %d: posted = %d, want %d", i, vc.Posted(), w)
-		}
 	}
 }
 

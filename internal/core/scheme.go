@@ -88,24 +88,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Growth selects how the dynamic scheme increases the pre-post count.
-type Growth int
-
-const (
-	// GrowLinear adds Increment buffers per feedback event (the paper's
-	// implementation).
-	GrowLinear Growth = iota
-	// GrowExponential doubles the pre-post count per feedback event,
-	// bounded by Max (mentioned as an alternative in the paper).
-	GrowExponential
-)
-
-func (g Growth) String() string {
-	if g == GrowExponential {
-		return "exponential"
-	}
-	return "linear"
-}
+// ecmThreshold is the accumulated-credit count that triggers an explicit
+// credit message when piggybacking has no traffic to ride on; the paper
+// uses 5. The effective threshold is capped at the current pre-post
+// count, otherwise a pre-post of 1 could never return its only credit and
+// the job would deadlock.
+const ecmThreshold = 5
 
 // ZeroCreditPolicy selects what a user-level scheme does with a small send
 // that finds no credits.
@@ -119,7 +107,7 @@ const (
 	// Rendezvous protocol is used" (see DESIGN.md).
 	DemoteToRendezvous ZeroCreditPolicy = iota
 	// PureBacklog queues the send until credits return (the MVICH
-	// behaviour); kept for the ablation study.
+	// behaviour); kept for the tests that contrast it with demotion.
 	PureBacklog
 )
 
@@ -138,24 +126,14 @@ type Params struct {
 	// hardware and static schemes, the starting point for dynamic.
 	Prepost int
 
-	// ECMThreshold is the accumulated-credit count that triggers an
-	// explicit credit message when piggybacking has no traffic to ride
-	// on. The paper uses 5. The effective threshold is capped at the
-	// current pre-post count, otherwise a pre-post of 1 could never
-	// return its only credit and the job would deadlock.
-	ECMThreshold int
-
 	// ZeroCredit selects the no-credit behaviour for small sends.
 	ZeroCredit ZeroCreditPolicy
 
-	// Growth, Increment and Max control dynamic growth. Increment is
-	// the linear step (buffers per feedback event). GrowthCooldown
-	// paces growth: starvation feedback arriving within the cooldown
-	// of the previous increase is ignored, so a single burst does not
-	// trigger one increase per message (important on the RDMA channel,
-	// where every increase costs an explicit slot-announcement
-	// message).
-	Growth         Growth
+	// Increment and Max control dynamic growth: each feedback event adds
+	// Increment buffers (the paper's linear growth), up to Max.
+	// GrowthCooldown paces growth: starvation feedback arriving within
+	// the cooldown of the previous increase is ignored, so a single
+	// burst does not trigger one increase per message.
 	Increment      int
 	Max            int
 	GrowthCooldown sim.Time
@@ -185,13 +163,12 @@ func Hardware(prepost int) Params {
 }
 
 // Static returns parameters for the user-level static scheme with the
-// paper's defaults (ECM threshold 5, demotion on zero credits).
+// paper's demotion on zero credits.
 func Static(prepost int) Params {
 	return Params{
-		Kind:         KindStatic,
-		Prepost:      prepost,
-		ECMThreshold: 5,
-		ZeroCredit:   DemoteToRendezvous,
+		Kind:       KindStatic,
+		Prepost:    prepost,
+		ZeroCredit: DemoteToRendezvous,
 	}
 }
 
@@ -201,9 +178,7 @@ func Dynamic(prepost, max int) Params {
 	return Params{
 		Kind:           KindDynamic,
 		Prepost:        prepost,
-		ECMThreshold:   5,
 		ZeroCredit:     DemoteToRendezvous,
-		Growth:         GrowLinear,
 		Increment:      2,
 		Max:            max,
 		GrowthCooldown: 10 * sim.Microsecond,
@@ -222,7 +197,6 @@ func Shared(prepost, max int) Params {
 	return Params{
 		Kind:           KindShared,
 		Prepost:        prepost,
-		Growth:         GrowLinear,
 		Increment:      inc,
 		Max:            max,
 		GrowthCooldown: 10 * sim.Microsecond,
@@ -270,20 +244,16 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("core: rdma ring does not support shrinking")
 		}
 		return nil
-	case KindStatic, KindDynamic:
-		if p.ECMThreshold < 1 {
-			return fmt.Errorf("core: ECM threshold %d < 1", p.ECMThreshold)
-		}
-	default:
-		return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
-	}
-	if p.Kind == KindDynamic {
-		if p.Increment < 1 && p.Growth == GrowLinear {
-			return fmt.Errorf("core: linear growth needs increment >= 1, got %d", p.Increment)
+	case KindStatic:
+	case KindDynamic:
+		if p.Increment < 1 {
+			return fmt.Errorf("core: dynamic growth needs increment >= 1, got %d", p.Increment)
 		}
 		if p.Max < p.Prepost {
 			return fmt.Errorf("core: max %d < initial prepost %d", p.Max, p.Prepost)
 		}
+	default:
+		return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
 	}
 	if p.ShrinkIdle > 0 && p.ShrinkFloor < 1 {
 		return fmt.Errorf("core: shrink floor %d < 1", p.ShrinkFloor)

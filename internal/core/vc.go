@@ -366,10 +366,10 @@ func (vc *VC) TakePiggyback() int {
 	return n
 }
 
-// effECMThreshold caps the configured threshold at the pre-post count so
-// small pre-posts can still return credits.
+// effECMThreshold caps ecmThreshold at the pre-post count so small
+// pre-posts can still return credits.
 func (vc *VC) effECMThreshold() int {
-	t := vc.params.ECMThreshold
+	t := ecmThreshold
 	if t > vc.posted {
 		t = vc.posted
 	}
@@ -438,13 +438,7 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 		return 0
 	}
 	vc.lastGrowth = now
-	grow := 0
-	switch vc.params.Growth {
-	case GrowLinear:
-		grow = vc.params.Increment
-	case GrowExponential:
-		grow = vc.posted
-	}
+	grow := vc.params.Increment
 	if vc.posted+grow > vc.params.Max {
 		grow = vc.params.Max - vc.posted
 	}
