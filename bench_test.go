@@ -25,7 +25,7 @@ func BenchmarkFigure2Latency(b *testing.B) {
 			reportTable(b, t)
 		}
 	}
-	b.ReportMetric(bench.Latency(Static(100), 4, 200, nil), "us/4B-oneway")
+	b.ReportMetric(Latency(Static(100), 4, 200), "us/4B-oneway")
 }
 
 func BenchmarkFigure3BandwidthSmallPre100Blocking(b *testing.B) {

@@ -3,14 +3,16 @@
 //
 // Examples:
 //
-//	fcbench -test latency -scheme static -prepost 100
-//	fcbench -test bandwidth -scheme dynamic -prepost 10 -size 4 -blocking=false
+//	fcbench -test latency -spec 'ranks=2 scheme=static(100)'
+//	fcbench -test bandwidth -spec 'ranks=2 scheme=dynamic(10,300)' -size 4 -blocking=false
 //	fcbench -test latency -size 64 -metrics-out lat.json
 //	fcbench -test micro -json > BENCH_micro.json
 //	fcbench -test scaling -json > BENCH_scaling.json
 //	fcbench -test endpoints -json > BENCH_endpoints.json
-//	fcbench -test latency -scheme static -endpoints 4
+//	fcbench -test latency -spec 'ranks=2 scheme=static(100) eps=4'
 //
+// -spec is the two-rank world a latency or bandwidth run measures, in
+// mpi.Spec's text form (scheme, pre-post, endpoints per rank pair, ...).
 // With -metrics-out the tool runs a single instrumented point (one
 // world, one metrics registry) and dumps the deterministic metric
 // series in the chosen -metrics-format; "perfetto" output opens in
@@ -20,13 +22,12 @@
 // runs the connection-scaling benchmark (all five schemes, Table-2
 // style); its -json form is BENCH_scaling.json. -test endpoints sweeps
 // endpoint-set sizes under a many-to-one burst (all schemes); its -json
-// form is BENCH_endpoints.json. Every number in the three documents is
-// virtual, so they repeat byte for byte at any -parallel; `make
-// bench-diff` regenerates them and compares the bytes with the committed
-// files. -endpoints runs a latency/bandwidth point with an N-endpoint
-// set per rank pair. -pool-metrics adds the buffer pool's health gauges
-// to a -metrics-out dump (they are opt-in so the fcstats key goldens
-// stay byte-stable).
+// form is BENCH_endpoints.json. The three sweeps build their own worlds
+// and take no -spec. Every number in the three documents is virtual, so
+// they repeat byte for byte at any -parallel; `make bench-diff`
+// regenerates them and compares the bytes with the committed files.
+// -pool-metrics adds the buffer pool's health gauges to a -metrics-out
+// dump (they are opt-in so the fcstats key goldens stay byte-stable).
 // They count host buffers in use — packets being staged, sent or
 // processed — not posted receive descriptors, which hold no buffer.
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
@@ -59,89 +60,87 @@ func fail(err error) {
 // flagVals are the flag values checkFlags reads besides which flags were
 // given on the command line.
 type flagVals struct {
-	metricsOut, metricsFormat string
-	endpoints, parallel       int
-	poolMetrics               bool
+	spec, metricsOut, metricsFormat string
+	parallel                        int
+	poolMetrics                     bool
 }
 
 // checkFlags rejects a flag combination the chosen -test would ignore or
-// cannot honour, before anything runs. set names the flags given on the
-// command line.
-func checkFlags(test string, set map[string]bool, v flagVals) error {
+// cannot honour, before anything runs, and returns the world a latency or
+// bandwidth run measures. set names the flags given on the command line.
+func checkFlags(test string, set map[string]bool, v flagVals) (spec mpi.Spec, err error) {
+	if test == "latency" || test == "bandwidth" {
+		if spec, err = mpi.ParseSpec(v.spec); err != nil {
+			return spec, err
+		}
+		if spec.Ranks != 2 {
+			return spec, fmt.Errorf("-test %s measures two ranks; -spec %q has %d", test, v.spec, spec.Ranks)
+		}
+	}
 	switch test {
 	case "latency":
 		if set["window"] {
-			return errors.New("-window applies to -test bandwidth, not latency")
+			return spec, errors.New("-window applies to -test bandwidth, not latency")
 		}
 		if set["reps"] {
-			return errors.New("-reps applies to -test bandwidth, not latency")
+			return spec, errors.New("-reps applies to -test bandwidth, not latency")
 		}
 		if set["blocking"] {
-			return errors.New("-blocking applies to -test bandwidth; the latency ping-pong always blocks")
+			return spec, errors.New("-blocking applies to -test bandwidth; the latency ping-pong always blocks")
 		}
 		if v.metricsOut != "" && !set["size"] {
-			return errors.New("-metrics-out instruments a single run: pick one -size")
+			return spec, errors.New("-metrics-out instruments a single run: pick one -size")
 		}
 	case "bandwidth":
 		if set["iters"] {
-			return errors.New("-iters applies to -test latency, not bandwidth")
+			return spec, errors.New("-iters applies to -test latency, not bandwidth")
 		}
 		if v.metricsOut != "" && !set["window"] {
-			return errors.New("-metrics-out instruments a single run: pick one -window")
+			return spec, errors.New("-metrics-out instruments a single run: pick one -window")
 		}
 	case "micro":
-		if set["scheme"] {
-			return errors.New("-test micro sweeps all schemes; drop -scheme")
+		if set["spec"] {
+			return spec, errors.New("-test micro sweeps all schemes at fixed pre-posts; drop -spec")
 		}
 		if set["window"] {
-			return errors.New("-test micro sweeps every bandwidth window; drop -window")
-		}
-		if set["slotbytes"] {
-			return errors.New("-test micro runs the ring at fixed 2048-byte slots; drop -slotbytes")
+			return spec, errors.New("-test micro sweeps every bandwidth window; drop -window")
 		}
 		if set["metrics-out"] {
-			return errors.New("-metrics-out is not supported with -test micro (many worlds, one registry)")
+			return spec, errors.New("-metrics-out is not supported with -test micro (many worlds, one registry)")
 		}
 	case "scaling", "endpoints":
-		if set["scheme"] {
-			return fmt.Errorf("-test %s sweeps all schemes; drop -scheme", test)
-		}
 		if set["metrics-out"] {
-			return fmt.Errorf("-metrics-out is not supported with -test %s (many worlds, one registry)", test)
+			return spec, fmt.Errorf("-metrics-out is not supported with -test %s (many worlds, one registry)", test)
 		}
 		sweep := "ConnScaling"
 		if test == "endpoints" {
 			sweep = "EndpointContention"
 		}
-		for _, f := range []string{"prepost", "dynmax", "slotbytes", "size", "window", "reps", "iters", "blocking", "endpoints"} {
+		for _, f := range []string{"spec", "size", "window", "reps", "iters", "blocking"} {
 			if set[f] {
-				return fmt.Errorf("-%s does not apply to -test %s (fixed sweep; see internal/bench.%s)", f, test, sweep)
+				return spec, fmt.Errorf("-%s does not apply to -test %s (fixed sweep; see internal/bench.%s)", f, test, sweep)
 			}
 		}
 	default:
-		return fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints)", test)
+		return spec, fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints)", test)
 	}
 	switch {
 	case set["quick"] && test != "scaling" && test != "endpoints":
-		return errors.New("-quick applies to -test scaling and -test endpoints only")
-	case v.endpoints < 0:
-		return errors.New("-endpoints must be >= 0")
-	case set["endpoints"] && test == "micro":
-		return errors.New("-endpoints applies to -test latency and bandwidth, not micro")
+		return spec, errors.New("-quick applies to -test scaling and -test endpoints only")
 	case v.parallel < 0:
-		return errors.New("-parallel must be >= 0")
+		return spec, errors.New("-parallel must be >= 0")
 	case set["parallel"] && v.metricsOut != "":
-		return errors.New("-metrics-out instruments a single serial point; drop -parallel")
+		return spec, errors.New("-metrics-out instruments a single serial point; drop -parallel")
 	case set["metrics-format"] && v.metricsOut == "":
-		return errors.New("-metrics-format requires -metrics-out")
+		return spec, errors.New("-metrics-format requires -metrics-out")
 	case v.poolMetrics && v.metricsOut == "":
-		return errors.New("-pool-metrics requires -metrics-out (it adds gauges to the metric dump)")
+		return spec, errors.New("-pool-metrics requires -metrics-out (it adds gauges to the metric dump)")
 	}
 	switch v.metricsFormat {
 	case "json", "csv", "perfetto":
-		return nil
+		return spec, nil
 	}
-	return fmt.Errorf("unknown -metrics-format %q (json|csv|perfetto)", v.metricsFormat)
+	return spec, fmt.Errorf("unknown -metrics-format %q (json|csv|perfetto)", v.metricsFormat)
 }
 
 var (
@@ -200,10 +199,7 @@ func writeMetrics(reg *metrics.Registry, ring *trace.Buffer, path, format string
 
 func main() {
 	test := flag.String("test", "latency", "benchmark: latency, bandwidth, micro (all schemes), scaling (connection scaling, all schemes), or endpoints (endpoint-set contention, all schemes)")
-	scheme := flag.String("scheme", "static", "flow control scheme: hardware, static, dynamic, shared, rdma")
-	prepost := flag.Int("prepost", 100, "pre-posted buffers per connection (ring slots for -scheme rdma)")
-	dynmax := flag.Int("dynmax", 300, "dynamic scheme growth cap")
-	slotbytes := flag.Int("slotbytes", 0, "ring slot size in bytes (-scheme rdma only; default 1024)")
+	specText := flag.String("spec", "ranks=2 scheme=static(100)", "the two-rank world of -test latency or bandwidth (mpi.Spec: e.g. 'ranks=2 scheme=rdma(8,1024) eps=2')")
 	size := flag.Int("size", 4, "message size in bytes (bandwidth; latency sweeps unless set)")
 	window := flag.Int("window", 0, "bandwidth window size (0 = sweep)")
 	reps := flag.Int("reps", 10, "bandwidth repetitions")
@@ -213,7 +209,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the run's metric dump to this file (single point only)")
 	metricsFormat := flag.String("metrics-format", "json", "metric dump format: json, csv, or perfetto")
 	quick := flag.Bool("quick", false, "smaller sweep (scaling/endpoints only): fewer cells and messages")
-	endpoints := flag.Int("endpoints", 0, "VC/QP endpoints per rank pair (latency/bandwidth; 0 or 1 = classic single connection)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
 	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump (host buffers in use by packets being staged, sent or processed; posted receive descriptors hold none)")
 	profiles := prof.Register(flag.CommandLine)
@@ -222,10 +217,10 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	err := checkFlags(*test, set, flagVals{
+	spec, err := checkFlags(*test, set, flagVals{
+		spec:          *specText,
 		metricsOut:    *metricsOut,
 		metricsFormat: *metricsFormat,
-		endpoints:     *endpoints,
 		parallel:      *parallel,
 		poolMetrics:   *poolMetrics,
 	})
@@ -242,16 +237,11 @@ func main() {
 		workers = 1
 	}
 
-	fc, err := bench.ParseScheme(*scheme, *prepost, *dynmax, *slotbytes)
-	if err != nil {
-		fail(err)
-	}
-
 	// Everything below is the measured run; usage errors exited above.
 	defer profiles.Start("fcbench")()
 
 	if *test == "micro" {
-		runMicro(*prepost, *dynmax, *size, *iters, *reps, workers, *blocking, *jsonOut)
+		runMicro(*size, *iters, *reps, workers, *blocking, *jsonOut)
 		return
 	}
 	if *test == "scaling" {
@@ -284,7 +274,6 @@ func main() {
 		ring = trace.NewBuffer(1 << 14)
 	}
 	tune := func(o *mpi.Options) {
-		o.Chan.Endpoints = *endpoints
 		o.Chan.PoolMetrics = *poolMetrics
 		if reg != nil {
 			o.Metrics = reg
@@ -300,18 +289,17 @@ func main() {
 			sizes = []int{*size}
 		}
 		points := runner.Map(len(sizes), workers, func(i int) latPoint {
-			return latPoint{sizes[i], bench.Latency(fc, sizes[i], *iters, tune)}
+			return latPoint{sizes[i], bench.Latency(spec, sizes[i], *iters, tune)}
 		})
 		if *jsonOut {
 			emitJSON(struct {
-				Test    string     `json:"test"`
-				Scheme  string     `json:"scheme"`
-				Prepost int        `json:"prepost"`
-				Iters   int        `json:"iters"`
-				Points  []latPoint `json:"points"`
-			}{"latency", *scheme, *prepost, *iters, points})
+				Test   string     `json:"test"`
+				Spec   string     `json:"spec"`
+				Iters  int        `json:"iters"`
+				Points []latPoint `json:"points"`
+			}{"latency", spec.String(), *iters, points})
 		} else {
-			fmt.Printf("# one-way latency, scheme=%s prepost=%d\n", *scheme, *prepost)
+			fmt.Printf("# one-way latency, %v\n", spec)
 			fmt.Printf("%-10s %s\n", "size(B)", "latency(us)")
 			for _, p := range points {
 				fmt.Printf("%-10d %.2f\n", p.SizeB, p.US)
@@ -323,21 +311,19 @@ func main() {
 			windows = []int{*window}
 		}
 		points := runner.Map(len(windows), workers, func(i int) bwPoint {
-			return bwPoint{windows[i], bench.Bandwidth(fc, *size, windows[i], *reps, *blocking, tune)}
+			return bwPoint{windows[i], bench.Bandwidth(spec, *size, windows[i], *reps, *blocking, tune)}
 		})
 		if *jsonOut {
 			emitJSON(struct {
 				Test     string    `json:"test"`
-				Scheme   string    `json:"scheme"`
-				Prepost  int       `json:"prepost"`
+				Spec     string    `json:"spec"`
 				SizeB    int       `json:"size_b"`
 				Reps     int       `json:"reps"`
 				Blocking bool      `json:"blocking"`
 				Points   []bwPoint `json:"points"`
-			}{"bandwidth", *scheme, *prepost, *size, *reps, *blocking, points})
+			}{"bandwidth", spec.String(), *size, *reps, *blocking, points})
 		} else {
-			fmt.Printf("# bandwidth MB/s, scheme=%s prepost=%d size=%dB blocking=%v\n",
-				*scheme, *prepost, *size, *blocking)
+			fmt.Printf("# bandwidth MB/s, %v, size=%dB blocking=%v\n", spec, *size, *blocking)
 			fmt.Printf("%-10s %s\n", "window", "MB/s")
 			for _, p := range points {
 				fmt.Printf("%-10d %.1f\n", p.Window, p.MBs)
@@ -350,24 +336,29 @@ func main() {
 	}
 }
 
+// The micro suite's provisioning, which its document records: every
+// scheme pre-posts microPrepost (the ring has as many 2048-byte slots),
+// and the dynamic and shared schemes grow to microDynMax.
+const microPrepost, microDynMax = 100, 300
+
 // runMicro sweeps all five schemes through the latency and bandwidth
-// micro-benchmarks (the ring at prepost slots of 2048 bytes); its -json
-// form is the BENCH_micro.json document.
-func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, jsonOut bool) {
-	schemes := append(bench.Schemes(prepost, dynmax),
-		core.Shared(prepost, dynmax), core.RDMA(prepost, 2048))
+// micro-benchmarks between two ranks; its -json form is the
+// BENCH_micro.json document.
+func runMicro(size, iters, reps, workers int, blocking, jsonOut bool) {
+	schemes := append(bench.Schemes(microPrepost, microDynMax),
+		core.Shared(microPrepost, microDynMax), core.RDMA(microPrepost, 2048))
 
 	// Each (scheme, point) cell is an independent world: sweep the grids
 	// through the worker pool and reassemble series in cell-index order.
 	latVals := runner.Map(len(schemes)*len(latSizes), workers, func(k int) float64 {
-		return bench.Latency(schemes[k/len(latSizes)], latSizes[k%len(latSizes)], iters, nil)
+		return bench.Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(latSizes)]}, latSizes[k%len(latSizes)], iters, nil)
 	})
 	lat := make([]series, len(schemes))
 	for i := range schemes {
 		lat[i] = series{schemes[i].Kind.String(), latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
 	}
 	bwVals := runner.Map(len(schemes)*len(bwWindows), workers, func(k int) float64 {
-		return bench.Bandwidth(schemes[k/len(bwWindows)], size, bwWindows[k%len(bwWindows)], reps, blocking, nil)
+		return bench.Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(bwWindows)]}, size, bwWindows[k%len(bwWindows)], reps, blocking, nil)
 	})
 	bw := make([]series, len(schemes))
 	for i := range schemes {
@@ -393,7 +384,7 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, jsonOut
 				Windows  []int    `json:"windows"`
 				Series   []series `json:"series"`
 			} `json:"bandwidth"`
-		}{Benchmark: "micro", Prepost: prepost, DynMax: dynmax}
+		}{Benchmark: "micro", Prepost: microPrepost, DynMax: microDynMax}
 		doc.Latency.Unit = "us"
 		doc.Latency.Iters = iters
 		doc.Latency.Sizes = latSizes
@@ -408,7 +399,7 @@ func runMicro(prepost, dynmax, size, iters, reps, workers int, blocking, jsonOut
 		return
 	}
 
-	fmt.Printf("# micro suite, prepost=%d dynmax=%d\n", prepost, dynmax)
+	fmt.Printf("# micro suite, prepost=%d dynmax=%d\n", microPrepost, microDynMax)
 	fmt.Printf("\n## one-way latency (us)\n%-10s", "size(B)")
 	for _, s := range lat {
 		fmt.Printf(" %10s", s.Scheme)

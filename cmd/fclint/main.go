@@ -7,9 +7,9 @@
 //
 // It audits the simulation packages listed in analysis.AuditedPackages —
 // test files included — with cross-package function facts computed
-// bottom-up over the whole module, and exits nonzero if any unsuppressed,
-// unbaselined finding remains. A finding is suppressed by a comment on its
-// line (or the line above):
+// bottom-up over the whole module, and exits nonzero if any unsuppressed
+// finding remains. A finding is suppressed by a comment on its line (or
+// the line above):
 //
 //	//fclint:allow <analyzer> <reason>
 //
@@ -22,16 +22,9 @@
 //	-json            emit findings as a JSON array on stdout (byte-stable:
 //	                 sorted by file, line, column, analyzer, message, with
 //	                 module-relative paths)
-//	-baseline FILE   ratchet against FILE: findings recorded there are
-//	                 reported but tolerated; only NEW findings fail
-//	-write-baseline  rewrite the -baseline file from the current findings
 //	-fix             delete stale fclint:allow comments in place
 //	-parallel N      analyze packages with N workers (0 = GOMAXPROCS);
 //	                 output is byte-identical for any worker count
-//
-// The baseline records one finding per line as
-// "file<TAB>analyzer<TAB>message" — no line numbers, so it survives
-// unrelated edits; analyzer messages are position-free by design.
 package main
 
 import (
@@ -54,18 +47,11 @@ func main() {
 
 // finding is one diagnostic resolved to a module-relative position.
 type finding struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Analyzer  string `json:"analyzer"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
-}
-
-// key is the baseline identity of a finding: positions are deliberately
-// excluded so the ratchet survives line drift from unrelated edits.
-func (f finding) key() string {
-	return f.File + "\t" + f.Analyzer + "\t" + f.Message
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // run is the testable entry point: analyze the module rooted at dir and
@@ -74,11 +60,9 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("fclint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	var (
-		asJSON        = flags.Bool("json", false, "emit findings as a JSON array on stdout")
-		baselinePath  = flags.String("baseline", "", "tolerate findings recorded in this file; only new ones fail")
-		writeBaseline = flags.Bool("write-baseline", false, "rewrite the -baseline file from the current findings")
-		fix           = flags.Bool("fix", false, "delete stale fclint:allow comments in place")
-		parallel      = flags.Int("parallel", 0, "analyzer workers (0 = GOMAXPROCS)")
+		asJSON   = flags.Bool("json", false, "emit findings as a JSON array on stdout")
+		fix      = flags.Bool("fix", false, "delete stale fclint:allow comments in place")
+		parallel = flags.Int("parallel", 0, "analyzer workers (0 = GOMAXPROCS)")
 	)
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -87,11 +71,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "fclint: -write-baseline requires -baseline")
-		return 2
-	}
-
 	mod, err := analysis.LoadModule(dir, patterns)
 	if err != nil {
 		fmt.Fprintln(stderr, "fclint:", err)
@@ -202,35 +181,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		return a.Message < b.Message
 	})
 
-	// Baseline ratchet: each baseline entry absorbs one matching finding
-	// (multiset semantics — two identical offenses need two entries).
-	var retired int
-	if *baselinePath != "" && !*writeBaseline {
-		base, err := readBaseline(filepath.Join(dir, *baselinePath))
-		if err != nil {
-			fmt.Fprintln(stderr, "fclint:", err)
-			return 2
-		}
-		for i := range findings {
-			if base[findings[i].key()] > 0 {
-				base[findings[i].key()]--
-				findings[i].Baselined = true
-			}
-		}
-		for _, n := range base {
-			retired += n
-		}
-	}
-
-	if *writeBaseline {
-		if err := writeBaselineFile(filepath.Join(dir, *baselinePath), findings); err != nil {
-			fmt.Fprintln(stderr, "fclint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "fclint: wrote %d finding(s) to %s\n", len(findings), *baselinePath)
-		return 0
-	}
-
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "\t")
@@ -241,83 +191,28 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fclint:", err)
 			return 2
 		}
-	}
-
-	var fresh, baselined int
-	for _, f := range findings {
-		if f.Baselined {
-			baselined++
-			continue
-		}
-		fresh++
-		if !*asJSON {
+	} else {
+		for _, f := range findings {
 			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
-	if retired > 0 {
-		fmt.Fprintf(stderr, "fclint: %d baseline entr(ies) no longer occur — tighten the baseline with -write-baseline\n", retired)
-	}
-	if fresh > 0 {
-		fmt.Fprintf(stderr, "fclint: %d new finding(s) in %d audited package(s) (%d baselined)\n",
-			fresh, len(audited), baselined)
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "fclint: %d finding(s) in %d audited package(s)\n", len(findings), len(audited))
 		return 1
 	}
 	if !*asJSON {
-		fmt.Fprintf(stdout, "fclint: ok (%d audited packages, %d baselined finding(s))\n", len(audited), baselined)
+		fmt.Fprintf(stdout, "fclint: ok (%d audited packages)\n", len(audited))
 	}
 	return 0
 }
 
 // relPath renders file relative to the module root with forward slashes,
-// so baselines and JSON output are machine-independent.
+// so JSON output is machine-independent.
 func relPath(modDir, file string) string {
 	if rel, err := filepath.Rel(modDir, file); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(file)
-}
-
-// readBaseline parses a baseline file into a multiset of finding keys.
-// A missing file is an empty baseline, so bootstrapping is one
-// -write-baseline away.
-func readBaseline(path string) (map[string]int, error) {
-	base := map[string]int{}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return base, nil
-		}
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimRight(line, "\r")
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Count(line, "\t") != 2 {
-			return nil, fmt.Errorf("baseline %s:%d: want file<TAB>analyzer<TAB>message, got %q", path, i+1, line)
-		}
-		base[line]++
-	}
-	return base, nil
-}
-
-// writeBaselineFile records the current findings, one key per line, in
-// the findings' (already deterministic) sort order.
-func writeBaselineFile(path string, findings []finding) error {
-	var b strings.Builder
-	b.WriteString("# fclint baseline: tolerated pre-existing findings, one per line as\n")
-	b.WriteString("# file<TAB>analyzer<TAB>message. Regenerate with: go run ./cmd/fclint -baseline <file> -write-baseline ./...\n")
-	keys := make([]string, 0, len(findings))
-	for _, f := range findings {
-		keys = append(keys, f.key())
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\n')
-	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
 // deleteAllows removes each stale allow's comment from its source file: a

@@ -138,74 +138,6 @@ func TestFindingsAndJSONStability(t *testing.T) {
 	}
 }
 
-func TestBaselineRatchet(t *testing.T) {
-	dir := writeTestModule(t)
-	if code, _, stderr := runFclint(t, dir, "-baseline", "fclint.baseline", "-write-baseline", "./..."); code != 0 {
-		t.Fatalf("-write-baseline exit = %d, stderr:\n%s", code, stderr)
-	}
-	if code, stdout, stderr := runFclint(t, dir, "-baseline", "fclint.baseline", "./..."); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-
-	// A fresh contract violation — a channel send in an OnEvent body —
-	// must fail even with every pre-existing finding baselined.
-	src := `package ib
-
-type spiker struct{ ch chan int }
-
-func (s *spiker) OnEvent(arg uint64) { s.ch <- int(arg) }
-`
-	if err := os.WriteFile(filepath.Join(dir, "internal/ib/spike.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runFclint(t, dir, "-baseline", "fclint.baseline", "./...")
-	if code != 1 {
-		t.Fatalf("run with new violation exit = %d, want 1\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "spike.go") || !strings.Contains(stderr, "new finding") {
-		t.Errorf("new-violation output does not name spike.go:\nstdout:\n%s\nstderr:\n%s", stdout, stderr)
-	}
-	for _, f := range strings.Split(strings.TrimSpace(stdout), "\n") {
-		if !strings.Contains(f, "spike.go") {
-			t.Errorf("baselined finding leaked into text output: %q", f)
-		}
-	}
-
-	// Removing the violation: the run is clean again and reports the
-	// retired baseline entries.
-	if err := os.Remove(filepath.Join(dir, "internal/ib/spike.go")); err != nil {
-		t.Fatal(err)
-	}
-	fixed := `package ib
-
-import "ibflow/internal/sim"
-
-type pump struct {
-	e *sim.Engine
-	p *sim.Proc
-}
-
-func (h *pump) OnEvent(arg uint64) { _ = arg }
-`
-	if err := os.WriteFile(filepath.Join(dir, "internal/ib/ib.go"), []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runFclint(t, dir, "-baseline", "fclint.baseline", "./...")
-	if code != 0 {
-		t.Fatalf("burned-down run exit = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "no longer occur") {
-		t.Errorf("burned-down run should nudge toward -write-baseline, stderr:\n%s", stderr)
-	}
-}
-
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	dir := writeTestModule(t)
-	if code, _, _ := runFclint(t, dir, "-write-baseline", "./..."); code != 2 {
-		t.Error("-write-baseline without -baseline should be an operational error")
-	}
-}
-
 func TestFixDeletesStaleAllows(t *testing.T) {
 	dir := writeTestModule(t)
 	code, _, stderr := runFclint(t, dir, "-fix", "./...")

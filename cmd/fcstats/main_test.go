@@ -13,10 +13,11 @@ import (
 )
 
 // instrumentedLatencyDump mirrors the CI metrics smoke invocation:
-// fcbench -test latency -size 64 -iters 50 -scheme static -metrics-out.
+// fcbench -test latency -size 64 -iters 50 -metrics-out, at the default
+// -spec 'ranks=2 scheme=static(100)'.
 func instrumentedLatencyDump() metrics.Dump {
 	reg := metrics.New()
-	bench.Latency(core.Static(100), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.Static(100)}, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
 	return reg.Snapshot()
 }
 
@@ -51,10 +52,10 @@ func TestKeyListMatchesGolden(t *testing.T) {
 }
 
 // instrumentedRingDump runs the same latency point under the ring
-// scheme (fcbench -scheme rdma).
+// scheme (fcbench -spec 'ranks=2 scheme=rdma(8,1024)').
 func instrumentedRingDump() metrics.Dump {
 	reg := metrics.New()
-	bench.Latency(core.RDMA(8, 1024), 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.RDMA(8, 1024)}, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
 	return reg.Snapshot()
 }
 

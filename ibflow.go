@@ -155,19 +155,20 @@ func (cl *Cluster) Size() int { return cl.world.Size() }
 // Latency measures one-way MPI latency (microseconds) for size-byte
 // messages under a scheme — the paper's Figure 2 micro-benchmark.
 func Latency(scheme Scheme, size, iters int) float64 {
-	return bench.Latency(scheme, size, iters, nil)
+	return bench.Latency(mpi.Spec{Ranks: 2, Scheme: scheme}, size, iters, nil)
 }
 
 // Bandwidth measures the paper's window-based bandwidth test in MB/s
 // (Figures 3-8).
 func Bandwidth(scheme Scheme, size, window, reps int, blocking bool) float64 {
-	return bench.Bandwidth(scheme, size, window, reps, blocking, nil)
+	return bench.Bandwidth(mpi.Spec{Ranks: 2, Scheme: scheme}, size, window, reps, blocking, nil)
 }
 
-// RunNAS executes a NAS kernel (IS, FT, LU, CG, MG, BT, SP) under a
-// scheme and returns its virtual runtime and flow control statistics.
+// RunNAS executes a NAS kernel (IS, FT, LU, CG, MG, BT, SP) on procs
+// ranks, one per node, under a scheme and returns its virtual runtime and
+// flow control statistics.
 func RunNAS(app string, class Class, procs int, scheme Scheme) (NASResult, error) {
-	return bench.RunNAS(app, class, procs, scheme)
+	return bench.RunNAS(app, class, mpi.Spec{Ranks: procs, Scheme: scheme}, nil)
 }
 
 // NASApps lists the available kernel names in the paper's order.

@@ -6,10 +6,14 @@ import (
 	"testing"
 
 	"ibflow/internal/core"
+	"ibflow/internal/mpi"
 	"ibflow/internal/nas"
 )
 
 var quick = Opts{Quick: true}
+
+// pair is the micro-benchmarks' world: two ranks under fc.
+func pair(fc core.Params) mpi.Spec { return mpi.Spec{Ranks: 2, Scheme: fc} }
 
 // docJSON marshals a benchmark document exactly as `fcbench -json` emits
 // it, the bytes `make bench-diff` compares against the committed file.
@@ -38,50 +42,6 @@ func TestScalingSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestParseScheme runs the tools' -scheme parsing: a combination the
-// channel device would refuse is a usage error, and a valid one comes
-// back exactly as its constructor builds it — validating must not fill
-// in the shared pool's watermark.
-func TestParseScheme(t *testing.T) {
-	for _, c := range []struct {
-		name                       string
-		prepost, dynMax, slotBytes int
-		want                       core.Params
-	}{
-		{"hardware", 10, 0, 0, core.Hardware(10)},
-		{"static", 1, 0, 0, core.Static(1)},
-		{"dynamic", 10, 300, 0, core.Dynamic(10, 300)},
-		{"shared", 100, 300, 0, core.Shared(100, 300)},
-		{"rdma", 8, 0, 0, core.RDMA(8, 1024)},
-		{"rdma", 8, 0, 2048, core.RDMA(8, 2048)},
-	} {
-		got, err := ParseScheme(c.name, c.prepost, c.dynMax, c.slotBytes)
-		if err != nil || got != c.want {
-			t.Errorf("ParseScheme(%q, %d, %d, %d) = %+v, %v; want %+v", c.name, c.prepost, c.dynMax, c.slotBytes, got, err, c.want)
-		}
-	}
-	for _, c := range []struct {
-		name                       string
-		prepost, dynMax, slotBytes int
-		want                       string
-	}{
-		{"static", 0, 300, 0, "prepost 0 < 1"},
-		{"hardware", 0, 300, 0, "prepost 0 < 1"},
-		{"dynamic", 0, 300, 0, "prepost 0 < 1"},
-		{"shared", 0, 300, 0, "prepost 0 < 1"},
-		{"rdma", 0, 300, 0, "prepost 0 < 1"},
-		{"rdma", 8, 300, 32, "rdma slot size 32 < 64"},
-		{"dynamic", 10, 5, 0, "max 5 < initial prepost 10"},
-		{"static", 10, 300, 64, "-slotbytes applies to -scheme rdma only"},
-		{"nosuch", 10, 300, 0, `unknown scheme "nosuch"`},
-	} {
-		_, err := ParseScheme(c.name, c.prepost, c.dynMax, c.slotBytes)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("ParseScheme(%q, %d, %d, %d) error = %v, want %q", c.name, c.prepost, c.dynMax, c.slotBytes, err, c.want)
-		}
-	}
-}
-
 func TestSchemesTrio(t *testing.T) {
 	s := Schemes(10, 100)
 	if len(s) != 3 || s[0].Kind != core.KindHardware || s[1].Kind != core.KindStatic ||
@@ -97,14 +57,14 @@ func TestSchemesTrio(t *testing.T) {
 
 func TestLatencyCalibration(t *testing.T) {
 	for _, fc := range Schemes(100, 300) {
-		lat := Latency(fc, 4, 100, nil)
+		lat := Latency(pair(fc), 4, 100, nil)
 		if lat < 5 || lat > 11 {
 			t.Errorf("%v: 4B latency = %.2f us, want 5-11 (paper ~7.5)", fc.Kind, lat)
 		}
 	}
 	// Latency grows with size, and 16KB (rendezvous) is well above 4B.
-	lat4 := Latency(core.Static(100), 4, 50, nil)
-	lat16k := Latency(core.Static(100), 16384, 50, nil)
+	lat4 := Latency(pair(core.Static(100)), 4, 50, nil)
+	lat16k := Latency(pair(core.Static(100)), 16384, 50, nil)
 	if lat16k < 2*lat4 {
 		t.Errorf("16KB latency %.2f not well above 4B %.2f", lat16k, lat4)
 	}
@@ -114,7 +74,7 @@ func TestBandwidthShapes(t *testing.T) {
 	// Figure 3/4 regime: window below pre-post, all schemes comparable.
 	var vals []float64
 	for _, fc := range Schemes(100, 300) {
-		vals = append(vals, Bandwidth(fc, 4, 32, 4, false, nil))
+		vals = append(vals, Bandwidth(pair(fc), 4, 32, 4, false, nil))
 	}
 	for i := 1; i < len(vals); i++ {
 		ratio := vals[i] / vals[0]
@@ -125,22 +85,22 @@ func TestBandwidthShapes(t *testing.T) {
 
 	// Figure 5/6 regime: window 100 over pre-post 10 — dynamic must beat
 	// static clearly (it adapts; static stalls in demoted handshakes).
-	dyn := Bandwidth(core.Dynamic(10, 300), 4, 100, 4, false, nil)
-	sta := Bandwidth(core.Static(10), 4, 100, 4, false, nil)
+	dyn := Bandwidth(pair(core.Dynamic(10, 300)), 4, 100, 4, false, nil)
+	sta := Bandwidth(pair(core.Static(10)), 4, 100, 4, false, nil)
 	if dyn <= 1.2*sta {
 		t.Errorf("dynamic %.2f MB/s should clearly beat static %.2f at window >> pre-post", dyn, sta)
 	}
 
 	// Blocking beats non-blocking for the static scheme past the credit
 	// limit (the paper's rendezvous-handshake explanation).
-	staBlk := Bandwidth(core.Static(10), 4, 100, 4, true, nil)
+	staBlk := Bandwidth(pair(core.Static(10)), 4, 100, 4, true, nil)
 	if staBlk <= sta {
 		t.Errorf("static blocking %.2f should beat non-blocking %.2f", staBlk, sta)
 	}
 
 	// Figure 7/8 regime: large messages, all schemes near link rate.
 	for _, fc := range Schemes(10, 300) {
-		bw := Bandwidth(fc, 32*1024, 32, 3, false, nil)
+		bw := Bandwidth(pair(fc), 32*1024, 32, 3, false, nil)
 		if bw < 500 {
 			t.Errorf("%v: 32KB bandwidth %.1f MB/s, want near-wire (>500)", fc.Kind, bw)
 		}
@@ -148,21 +108,26 @@ func TestBandwidthShapes(t *testing.T) {
 }
 
 func TestRunNASBasics(t *testing.T) {
-	res, err := RunNAS("IS", nas.ClassS, 4, core.Static(10))
+	res, err := RunNAS("IS", nas.ClassS, mpi.Spec{Ranks: 4, Scheme: core.Static(10)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Verified || res.Time <= 0 || res.TotalMsgs == 0 {
+	if !res.Verified || res.Time <= 0 || res.Stats.MsgsSent == 0 {
 		t.Errorf("result = %+v", res)
 	}
-	if _, err := RunNAS("XX", nas.ClassS, 4, core.Static(10)); err == nil {
+	if _, err := RunNAS("XX", nas.ClassS, mpi.Spec{Ranks: 4, Scheme: core.Static(10)}, nil); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := RunNAS("BT", nas.ClassS, 8, core.Static(10)); err == nil {
+	if _, err := RunNAS("BT", nas.ClassS, mpi.Spec{Ranks: 8, Scheme: core.Static(10)}, nil); err == nil {
 		t.Error("BT on non-square count accepted")
 	}
-	if ProcsFor("BT") != 16 || ProcsFor("IS") != 8 {
-		t.Error("ProcsFor wrong")
+	for app, want := range map[string]string{
+		"IS": "ranks=8 scheme=static(1)",
+		"BT": "ranks=16 pernode=2 scheme=static(1)",
+	} {
+		if got := PaperSpec(app, core.Static(1)).String(); got != want {
+			t.Errorf("PaperSpec(%s) = %s, want %s", app, got, want)
+		}
 	}
 }
 
@@ -199,7 +164,7 @@ func TestFigures9And10AndTables(t *testing.T) {
 	}
 	for _, r := range res9 {
 		if !r.Verified {
-			t.Errorf("%s/%v failed verification", r.App, r.Scheme)
+			t.Errorf("%s in %v failed verification", r.App, r.Spec)
 		}
 	}
 
@@ -214,14 +179,14 @@ func TestFigures9And10AndTables(t *testing.T) {
 		if byApp[r.App] == nil {
 			byApp[r.App] = map[core.Kind]NASResult{}
 		}
-		byApp[r.App][r.Scheme] = r
+		byApp[r.App][r.Spec.Scheme.Kind] = r
 	}
 	base9 := map[string]map[core.Kind]float64{}
 	for _, r := range res9 {
 		if base9[r.App] == nil {
 			base9[r.App] = map[core.Kind]float64{}
 		}
-		base9[r.App][r.Scheme] = r.Time.Seconds()
+		base9[r.App][r.Spec.Scheme.Kind] = r.Time.Seconds()
 	}
 	luHW := byApp["LU"][core.KindHardware].Time.Seconds()/base9["LU"][core.KindHardware] - 1
 	luSta := byApp["LU"][core.KindStatic].Time.Seconds()/base9["LU"][core.KindStatic] - 1
@@ -254,16 +219,16 @@ func TestTable2LUDemand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NAS run")
 	}
-	res, err := RunNAS("LU", nas.ClassW, 8, core.Dynamic(1, 300))
+	res, err := RunNAS("LU", nas.ClassW, PaperSpec("LU", core.Dynamic(1, 300)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := RunNAS("CG", nas.ClassW, 8, core.Dynamic(1, 300))
+	cg, err := RunNAS("CG", nas.ClassW, PaperSpec("CG", core.Dynamic(1, 300)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MaxPosted <= 2*cg.MaxPosted {
+	if res.Stats.MaxPosted <= 2*cg.Stats.MaxPosted {
 		t.Errorf("LU max posted %d should dwarf CG's %d (paper: 63 vs 3)",
-			res.MaxPosted, cg.MaxPosted)
+			res.Stats.MaxPosted, cg.Stats.MaxPosted)
 	}
 }

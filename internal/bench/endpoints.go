@@ -51,16 +51,11 @@ type EndpointDoc struct {
 	// Bursts and MsgsPerBurst shape the traffic: each thread fires
 	// MsgsPerBurst back-to-back messages per burst and the sender drains
 	// the whole burst before the next — bursty, not pipelined.
-	Bursts       int              `json:"bursts"`
-	MsgsPerBurst int              `json:"msgs_per_burst"`
-	MsgSizeB     int              `json:"msg_size_b"`
-	Prepost      int              `json:"prepost"`
-	DynMax       int              `json:"dynmax"`
-	PoolPrepost  int              `json:"pool_prepost"`
-	PoolMax      int              `json:"pool_max"`
-	RingSlots    int              `json:"ring_slots"`
-	SlotBytes    int              `json:"slot_bytes"`
-	Series       []EndpointSeries `json:"series"`
+	Bursts       int `json:"bursts"`
+	MsgsPerBurst int `json:"msgs_per_burst"`
+	MsgSizeB     int `json:"msg_size_b"`
+	Provision
+	Series []EndpointSeries `json:"series"`
 }
 
 // EndpointContention measures what an endpoint set buys under
@@ -83,19 +78,16 @@ func EndpointContention(o Opts) EndpointDoc {
 		Bursts:       4,
 		MsgsPerBurst: 4,
 		MsgSizeB:     256,
-		Prepost:      4,
-		DynMax:       64,
-		PoolPrepost:  16,
-		PoolMax:      96,
-		RingSlots:    8,
-		SlotBytes:    1024,
+		Provision: Provision{
+			Prepost: 4, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
+			RingSlots: 8, SlotBytes: 1024,
+		},
 	}
 	if o.Quick {
 		doc.Ranks = 8
 		doc.Bursts = 2
 	}
-	schemes := connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax,
-		doc.RingSlots, doc.SlotBytes)
+	schemes := doc.Schemes()
 	type cell struct {
 		timeMS              float64
 		backlogged, rnrNaks uint64
@@ -105,15 +97,11 @@ func EndpointContention(o Opts) EndpointDoc {
 	}
 	ne := len(doc.Endpoints)
 	cells := runner.Map(len(schemes)*ne, o.workers(), func(k int) cell {
-		fc, eps := schemes[k/ne], doc.Endpoints[k%ne]
-		opts := mpi.DefaultOptions(fc)
-		opts.Chan.Endpoints = eps
-		opts.TimeLimit = timeLimit
-		o.tune(&opts)
-		w := mpi.NewWorld(doc.Ranks, opts)
+		s := mpi.Spec{Ranks: doc.Ranks, Scheme: schemes[k/ne], Endpoints: doc.Endpoints[k%ne]}
+		w := newWorld(s, nil)
 		err := w.Run(endpointIncast(doc.Threads, doc.Bursts, doc.MsgsPerBurst, doc.MsgSizeB))
 		if err != nil {
-			panic(fmt.Sprintf("bench: endpoints %s x%d: %v", fc.Kind, eps, err))
+			panic(fmt.Sprintf("bench: endpoints %v: %v", s, err))
 		}
 		bufHWM := 0
 		for i := 0; i < doc.Ranks; i++ {

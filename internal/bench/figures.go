@@ -24,11 +24,11 @@ type Opts struct {
 	// accumulates state).
 	Parallel int
 
-	// Tune, when non-nil, is applied to every simulated world's options
-	// just before construction — the hook cmd/experiments uses to attach
-	// a fresh metrics registry (and tracer) per world. A sweep that sets
-	// options of its own (the scaling and endpoint documents) sets them
-	// first and applies Tune last.
+	// Tune, when non-nil, is applied to the options of every world the
+	// figures and tables build, just before construction — the hook
+	// cmd/experiments uses to attach a fresh metrics registry (and tracer)
+	// per world. ConnScaling and EndpointContention read only Quick and
+	// Parallel.
 	Tune func(*mpi.Options)
 }
 
@@ -38,13 +38,6 @@ func (o Opts) workers() int {
 		return runner.Default()
 	}
 	return o.Parallel
-}
-
-// tune applies the Opts-level hook, if any.
-func (o Opts) tune(opts *mpi.Options) {
-	if o.Tune != nil {
-		o.Tune(opts)
-	}
 }
 
 func (o Opts) class() nas.Class {
@@ -98,7 +91,7 @@ func Figure2(o Opts) Table {
 	sizes := o.latSizes()
 	schemes := Schemes(100, dynMax)
 	vals := runner.Map(len(sizes)*len(schemes), o.workers(), func(k int) float64 {
-		return Latency(schemes[k%len(schemes)], sizes[k/len(schemes)], o.latIters(), o.Tune)
+		return Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, sizes[k/len(schemes)], o.latIters(), o.Tune)
 	})
 	for i, size := range sizes {
 		row := []string{fmt.Sprint(size)}
@@ -120,7 +113,7 @@ func bwFigure(o Opts, title, note string, size, prepost int, blocking bool) Tabl
 	wins := o.windows()
 	schemes := Schemes(prepost, dynMax)
 	vals := runner.Map(len(wins)*len(schemes), o.workers(), func(k int) float64 {
-		return Bandwidth(schemes[k%len(schemes)], size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
+		return Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
 	})
 	for i, win := range wins {
 		row := []string{fmt.Sprint(win)}
@@ -182,7 +175,7 @@ func Figure9(o Opts) (Table, []NASResult) {
 	ns := len(schemes)
 	results := runner.Map(len(nasApps)*ns, o.workers(), func(k int) NASResult {
 		app := nasApps[k/ns]
-		res, err := RunNASOpts(app, o.class(), ProcsFor(app), schemes[k%ns], o.Tune)
+		res, err := RunNAS(app, o.class(), PaperSpec(app, schemes[k%ns]), o.Tune)
 		if err != nil {
 			panic(err)
 		}
@@ -225,7 +218,7 @@ func Figure10(o Opts) (Table, []NASResult) {
 		if phase == 1 {
 			fc = degSchemes[scheme]
 		}
-		res, err := RunNASOpts(app, o.class(), ProcsFor(app), fc, o.Tune)
+		res, err := RunNAS(app, o.class(), PaperSpec(app, fc), o.Tune)
 		if err != nil {
 			panic(err)
 		}
@@ -257,14 +250,15 @@ func Table1(o Opts) Table {
 		Note:    "paper: LU ~18% ECMs; all other applications near zero",
 	}
 	for _, app := range nasApps {
-		res, err := RunNASOpts(app, o.class(), ProcsFor(app), core.Static(100), o.Tune)
+		res, err := RunNAS(app, o.class(), PaperSpec(app, core.Static(100)), o.Tune)
 		if err != nil {
 			panic(err)
 		}
-		totalPerConn := float64(res.TotalMsgs) / float64(res.Stats.Conns)
+		total := res.Stats.MsgsSent // all messages, data and control
+		totalPerConn := float64(total) / float64(res.Stats.Conns)
 		share := 0.0
-		if res.TotalMsgs > 0 {
-			share = float64(res.Stats.ECMsSent) / float64(res.TotalMsgs) * 100
+		if total > 0 {
+			share = float64(res.Stats.ECMsSent) / float64(total) * 100
 		}
 		t.AddRow(app, f1(res.ECMPerConn), f1(totalPerConn), pct(share))
 	}
@@ -280,11 +274,11 @@ func Table2(o Opts) Table {
 		Note:    "paper: IS 4, FT 4, LU 63, CG 3, MG 6, BT 7, SP 7",
 	}
 	for _, app := range nasApps {
-		res, err := RunNASOpts(app, o.class(), ProcsFor(app), core.Dynamic(1, dynMax), o.Tune)
+		res, err := RunNAS(app, o.class(), PaperSpec(app, core.Dynamic(1, dynMax)), o.Tune)
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(app, fmt.Sprint(res.MaxPosted), fmt.Sprint(res.Stats.GrowthEvents))
+		t.AddRow(app, fmt.Sprint(res.Stats.MaxPosted), fmt.Sprint(res.Stats.GrowthEvents))
 	}
 	return t
 }

@@ -26,52 +26,22 @@ func Schemes(prepost, dynMax int) []core.Params {
 	}
 }
 
-// ParseScheme maps a tool's -scheme name and sizing flags to flow
-// control parameters. prepost is the per-connection pre-post (the shared
-// pool's starting size; the ring's slot count per connection direction).
-// slotBytes is the ring slot size: 0 selects the 1024-byte default, and
-// any other value is rejected for a scheme that has no slots. So is any
-// combination the channel device would refuse: a usage error, not a panic.
-func ParseScheme(name string, prepost, dynMax, slotBytes int) (core.Params, error) {
-	if slotBytes != 0 && name != "rdma" {
-		return core.Params{}, fmt.Errorf("-slotbytes applies to -scheme rdma only, not %q", name)
-	}
-	var fc core.Params
-	switch name {
-	case "hardware":
-		fc = core.Hardware(prepost)
-	case "static":
-		fc = core.Static(prepost)
-	case "dynamic":
-		fc = core.Dynamic(prepost, dynMax)
-	case "shared":
-		fc = core.Shared(prepost, dynMax)
-	case "rdma":
-		if slotBytes == 0 {
-			slotBytes = 1024
-		}
-		fc = core.RDMA(prepost, slotBytes)
-	default:
-		return core.Params{}, fmt.Errorf("unknown scheme %q (hardware|static|dynamic|shared|rdma)", name)
-	}
-	// Validate a copy: it fills in defaults (the shared pool's watermark)
-	// that the returned parameters must leave to the device.
-	check := fc
-	if err := check.Validate(); err != nil {
-		return core.Params{}, err
-	}
-	return fc, nil
-}
-
-// Latency measures the one-way small-message latency (the paper's
-// ping-pong test, Figure 2) in microseconds for one message size. tune,
-// when non-nil, edits the world's options before it is built.
-func Latency(fc core.Params, size, iters int, tune func(*mpi.Options)) float64 {
-	opts := mpi.DefaultOptions(fc)
+// newWorld builds the world s describes under the sweeps' time limit.
+// tune, when non-nil, edits its options last.
+func newWorld(s mpi.Spec, tune func(*mpi.Options)) *mpi.World {
+	opts := s.Options()
+	opts.TimeLimit = timeLimit
 	if tune != nil {
 		tune(&opts)
 	}
-	w := mpi.NewWorld(2, opts)
+	return mpi.NewWorld(s.Ranks, opts)
+}
+
+// Latency measures the one-way small-message latency (the paper's
+// ping-pong test, Figure 2) in microseconds for one message size in the
+// two-rank world s. tune, when non-nil, edits its options.
+func Latency(s mpi.Spec, size, iters int, tune func(*mpi.Options)) float64 {
+	w := newWorld(s, tune)
 	err := w.Run(func(c *mpi.Comm) {
 		buf := make([]byte, size)
 		for i := 0; i < iters; i++ {
@@ -96,16 +66,12 @@ func Latency(fc core.Params, size, iters int, tune func(*mpi.Options)) float64 {
 // after six untimed warm-up rounds (pin-down caches fill, the dynamic
 // scheme adapts — the steady state is what the paper's long-running test
 // loops measured). Blocking selects MPI_Send/Recv vs MPI_Isend/Irecv.
-// The result is MB/s (10^6 bytes per second, as the paper plots). tune,
-// when non-nil, edits the world's options before it is built.
-func Bandwidth(fc core.Params, size, window, reps int, blocking bool, tune func(*mpi.Options)) float64 {
+// The result is MB/s (10^6 bytes per second, as the paper plots) in the
+// two-rank world s. tune, when non-nil, edits its options.
+func Bandwidth(s mpi.Spec, size, window, reps int, blocking bool, tune func(*mpi.Options)) float64 {
 	const warmup = 6
 	var start sim.Time
-	opts := mpi.DefaultOptions(fc)
-	if tune != nil {
-		tune(&opts)
-	}
-	w := mpi.NewWorld(2, opts)
+	w := newWorld(s, tune)
 	const tag, ackTag = 1, 2
 	err := w.Run(func(c *mpi.Comm) {
 		ack := make([]byte, 4)

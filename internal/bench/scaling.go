@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"ibflow/internal/core"
-	"ibflow/internal/ib"
 	"ibflow/internal/mpi"
 	"ibflow/internal/runner"
 )
@@ -38,12 +37,7 @@ type ScalingDoc struct {
 	Ranks       []int  `json:"ranks"`
 	MsgsPerPeer int    `json:"msgs_per_peer"`
 	MsgSizeB    int    `json:"msg_size_b"`
-	Prepost     int    `json:"prepost"`
-	DynMax      int    `json:"dynmax"`
-	PoolPrepost int    `json:"pool_prepost"`
-	PoolMax     int    `json:"pool_max"`
-	RingSlots   int    `json:"ring_slots"`
-	SlotBytes   int    `json:"slot_bytes"`
+	Provision
 	// Fanout caps how many peers each rank exchanges traffic with (the
 	// storm stays all-to-all while n-1 <= Fanout). Eagerly wired worlds
 	// still provision buffers for all n-1 connections, so the memory
@@ -67,38 +61,39 @@ type ScalingDoc struct {
 	Series       []ScalingSeries `json:"series"`
 }
 
-// connScalingSchemes returns the five schemes the scaling benchmark
-// compares. The per-connection schemes pre-post `prepost` buffers per
-// peer; the shared scheme provisions one pool per rank, sized
-// independently of the peer count; the ring scheme pins a fixed
-// slots x slotBytes eager ring per connection direction.
-func connScalingSchemes(prepost, dynMax, poolPrepost, poolMax, ringSlots, slotBytes int) []core.Params {
+// Provision sizes the five schemes a sweep compares: the per-connection
+// schemes pre-post Prepost buffers per peer (dynamic grows to DynMax), the
+// shared pool starts at PoolPrepost per rank and grows to PoolMax, and
+// the ring pins RingSlots x SlotBytes per connection direction.
+type Provision struct {
+	Prepost     int `json:"prepost"`
+	DynMax      int `json:"dynmax"`
+	PoolPrepost int `json:"pool_prepost"`
+	PoolMax     int `json:"pool_max"`
+	RingSlots   int `json:"ring_slots"`
+	SlotBytes   int `json:"slot_bytes"`
+}
+
+// Schemes returns the five schemes p sizes.
+func (p Provision) Schemes() []core.Params {
 	return []core.Params{
-		core.Hardware(prepost),
-		core.Static(prepost),
-		core.Dynamic(prepost, dynMax),
-		core.Shared(poolPrepost, poolMax),
-		core.RDMA(ringSlots, slotBytes),
+		core.Hardware(p.Prepost),
+		core.Static(p.Prepost),
+		core.Dynamic(p.Prepost, p.DynMax),
+		core.Shared(p.PoolPrepost, p.PoolMax),
+		core.RDMA(p.RingSlots, p.SlotBytes),
 	}
 }
 
-// cellOptions builds the world options for one (scheme, rank-count)
-// cell: the calibrated crossbar testbed at paper scale, the fat-tree
-// large-cluster configuration from FatTreeFrom ranks up, and on-demand
-// connection establishment from OnDemandFrom ranks up.
-func (doc *ScalingDoc) cellOptions(fc core.Params, n int) mpi.Options {
-	opts := mpi.DefaultOptions(fc)
+// spec is the world of one (scheme, rank-count) cell: the paper's
+// crossbar testbed, the fat tree from FatTreeFrom ranks up, and on-demand
+// connections from OnDemandFrom ranks up.
+func (doc *ScalingDoc) spec(fc core.Params, n int) mpi.Spec {
+	s := mpi.Spec{Ranks: n, Scheme: fc, OnDemand: n >= doc.OnDemandFrom}
 	if n >= doc.FatTreeFrom {
-		opts.IB.Topology = ib.TopoFatTree
-		opts.IB.LeafRadix = doc.LeafRadix
-		opts.IB.Oversub = doc.Oversub
-		opts.IB.Rails = doc.Rails
+		s.LeafRadix, s.Oversub, s.Rails = doc.LeafRadix, doc.Oversub, doc.Rails
 	}
-	if n >= doc.OnDemandFrom {
-		opts.Chan.OnDemand = true
-	}
-	opts.TimeLimit = timeLimit
-	return opts
+	return s
 }
 
 // ConnScaling measures how receive-buffer memory and flow-control
@@ -117,16 +112,14 @@ func (doc *ScalingDoc) cellOptions(fc core.Params, n int) mpi.Options {
 // virtual, so the document is byte-identical for every worker count.
 func ConnScaling(o Opts) ScalingDoc {
 	doc := ScalingDoc{
-		Benchmark:    "connscaling",
-		Ranks:        []int{2, 4, 8, 16, 24, 64, 256, 1024},
-		MsgsPerPeer:  12,
-		MsgSizeB:     256,
-		Prepost:      8,
-		DynMax:       64,
-		PoolPrepost:  16,
-		PoolMax:      96,
-		RingSlots:    8,
-		SlotBytes:    1024,
+		Benchmark:   "connscaling",
+		Ranks:       []int{2, 4, 8, 16, 24, 64, 256, 1024},
+		MsgsPerPeer: 12,
+		MsgSizeB:    256,
+		Provision: Provision{
+			Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
+			RingSlots: 8, SlotBytes: 1024,
+		},
 		Fanout:       24,
 		FatTreeFrom:  64,
 		LeafRadix:    32,
@@ -138,8 +131,7 @@ func ConnScaling(o Opts) ScalingDoc {
 		doc.Ranks = []int{2, 4, 8, 128}
 		doc.MsgsPerPeer = 6
 	}
-	schemes := connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax,
-		doc.RingSlots, doc.SlotBytes)
+	schemes := doc.Schemes()
 	// Each (scheme, rank-count) cell is a share-nothing world: fan the
 	// grid out across the worker pool and reassemble series in cell order.
 	type cell struct {
@@ -149,18 +141,16 @@ func ConnScaling(o Opts) ScalingDoc {
 	}
 	nr := len(doc.Ranks)
 	cells := runner.Map(len(schemes)*nr, o.workers(), func(k int) cell {
-		fc, n := schemes[k/nr], doc.Ranks[k%nr]
-		opts := doc.cellOptions(fc, n)
-		o.tune(&opts)
-		w := mpi.NewWorld(n, opts)
+		s := doc.spec(schemes[k/nr], doc.Ranks[k%nr])
+		w := newWorld(s, nil)
 		if err := w.Run(scalingStorm(doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout)); err != nil {
-			panic(fmt.Sprintf("bench: connscaling %s at %d ranks: %v", fc.Kind, n, err))
+			panic(fmt.Sprintf("bench: connscaling %v: %v", s, err))
 		}
 		// The Table-2 quantity is per-process memory: take the
 		// worst rank, not the job-wide sum, so the row reads as
 		// "bytes a node must pin" at that cluster size.
 		hwm := 0
-		for i := 0; i < n; i++ {
+		for i := 0; i < s.Ranks; i++ {
 			if b := w.RankStats(i).BufBytesHWM; b > hwm {
 				hwm = b
 			}

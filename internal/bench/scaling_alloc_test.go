@@ -14,8 +14,10 @@ import (
 // on-demand connections from onDemandFrom ranks up.
 func smokeDoc(fanout, onDemandFrom int) ScalingDoc {
 	return ScalingDoc{
-		Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
-		RingSlots: 8, SlotBytes: 1024,
+		Provision: Provision{
+			Prepost: 8, DynMax: 64, PoolPrepost: 16, PoolMax: 96,
+			RingSlots: 8, SlotBytes: 1024,
+		},
 		Fanout: fanout, FatTreeFrom: 64, LeafRadix: 32, Oversub: 2, Rails: 2,
 		OnDemandFrom: onDemandFrom,
 	}
@@ -59,17 +61,17 @@ func TestScalingSteadyAllocGate(t *testing.T) {
 	const msgsLow, msgsHigh = 6, 12
 	doc := smokeDoc(fanout, 512)
 	cellMallocs := func(fc core.Params, main func(c *mpi.Comm)) uint64 {
-		opts := doc.cellOptions(fc, ranks)
-		w := mpi.NewWorld(ranks, opts)
+		s := doc.spec(fc, ranks)
+		w := newWorld(s, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := w.Run(main); err != nil {
-			t.Fatalf("%v at %d ranks: %v", fc.Kind, ranks, err)
+			t.Fatalf("%v: %v", s, err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
+	for _, fc := range doc.Schemes() {
 		low := cellMallocs(fc, scalingStorm(msgsLow, size, fanout))
 		high := cellMallocs(fc, scalingStorm(msgsHigh, size, fanout))
 		checkPerMsg(t, "eager", fc, low, high, msgsLow, msgsHigh, ranks*fanout, 1)
@@ -144,14 +146,15 @@ func TestConnSetupBudget(t *testing.T) {
 	const ranks, size, fanout, msgs = 128, 256, 24, 2
 	const maxBytes, maxObjs, maxRetained = 3800, 4, 3100
 	doc := smokeDoc(fanout, ranks)
-	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
+	for _, fc := range doc.Schemes() {
 		var base, before, after, settled runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&base)
-		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
+		s := doc.spec(fc, ranks)
+		w := newWorld(s, nil)
 		runtime.ReadMemStats(&before)
 		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
-			t.Fatalf("%v: %v", fc.Kind, err)
+			t.Fatalf("%v: %v", s, err)
 		}
 		runtime.ReadMemStats(&after)
 		runtime.GC()
@@ -191,18 +194,18 @@ func TestEndpointsSteadyAllocGate(t *testing.T) {
 	const ranks, size, fanout = 128, 256, 24
 	doc := smokeDoc(fanout, 512)
 	cellMallocs := func(fc core.Params, msgs int) uint64 {
-		opts := doc.cellOptions(fc, ranks)
-		opts.Chan.Endpoints = 4
-		w := mpi.NewWorld(ranks, opts)
+		s := doc.spec(fc, ranks)
+		s.Endpoints = 4
+		w := newWorld(s, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
-			t.Fatalf("%v at %d ranks, %d msgs: %v", fc.Kind, ranks, msgs, err)
+			t.Fatalf("%v, %d msgs: %v", s, msgs, err)
 		}
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
+	for _, fc := range doc.Schemes() {
 		const msgsLow, msgsHigh = 6, 12
 		low := cellMallocs(fc, msgsLow)
 		high := cellMallocs(fc, msgsHigh)

@@ -3,8 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"ibflow/internal/mpi"
 )
 
 // TestConnScalingSharedSubLinear is the tentpole's acceptance shape: as
@@ -81,10 +79,10 @@ func TestConnScalingSharedSubLinear(t *testing.T) {
 func TestRendezvousStormOnTwoRails(t *testing.T) {
 	const ranks, msgs, size, fanout = 64, 6, 16 << 10, 24
 	doc := smokeDoc(fanout, 512)
-	for _, fc := range connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes) {
-		w := mpi.NewWorld(ranks, doc.cellOptions(fc, ranks))
-		if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
-			t.Errorf("%v: %v", fc.Kind, err)
+	for _, fc := range doc.Schemes() {
+		s := doc.spec(fc, ranks)
+		if err := newWorld(s, nil).Run(scalingStorm(msgs, size, fanout)); err != nil {
+			t.Errorf("%v: %v", s, err)
 		}
 	}
 }

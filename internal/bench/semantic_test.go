@@ -70,11 +70,10 @@ func allToAllStorm(msgs, size int) func(c *mpi.Comm) {
 func stormDigest(t *testing.T, fc core.Params) string {
 	t.Helper()
 	const ranks, msgs, size = 8, 6, 256
-	opts := mpi.DefaultOptions(fc)
-	opts.TimeLimit = timeLimit
-	w := mpi.NewWorld(ranks, opts)
+	s := mpi.Spec{Ranks: ranks, Scheme: fc}
+	w := newWorld(s, nil)
 	if err := w.Run(allToAllStorm(msgs, size)); err != nil {
-		t.Fatalf("storm %v: %v", fc.Kind, err)
+		t.Fatalf("storm %v: %v", s, err)
 	}
 	var b []byte
 	b = fmt.Appendf(b, "makespan %d\n", int64(w.Time()))
@@ -88,7 +87,7 @@ func stormDigest(t *testing.T, fc core.Params) string {
 func TestFigureGoldens(t *testing.T) {
 	path := filepath.Join("testdata", "figure_goldens.json")
 	got := figureGolden{Storm: map[string]string{}}
-	for _, fc := range connScalingSchemes(8, 64, 16, 96, 8, 1024) {
+	for _, fc := range smokeDoc(0, 0).Schemes() {
 		got.Storm[fc.Kind.String()] = stormDigest(t, fc)
 	}
 	if os.Getenv("IBFLOW_UPDATE_GOLDENS") != "" {

@@ -21,15 +21,13 @@ import (
 func TestSettleAddsNothingWhenClean(t *testing.T) {
 	const size, fanout = 256, 24
 	doc := smokeDoc(fanout, 0)
-	schemes := connScalingSchemes(doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes)
+	schemes := doc.Schemes()
 	for _, msgs := range []int{3, 6} {
 		for _, ranks := range []int{16, 128} {
 			for _, fc := range schemes {
 				t.Run(fmt.Sprintf("%v-%dx%d", fc.Kind, ranks, msgs), func(t *testing.T) {
 					run := func(settle bool) *mpi.World {
-						opts := doc.cellOptions(fc, ranks)
-						opts.Settle = settle
-						w := mpi.NewWorld(ranks, opts)
+						w := newWorld(doc.spec(fc, ranks), func(o *mpi.Options) { o.Settle = settle })
 						if err := w.Run(scalingStorm(msgs, size, fanout)); err != nil {
 							t.Fatalf("settle=%v: %v", settle, err)
 						}

@@ -369,12 +369,21 @@ type ringProvisioner struct {
 	readTotal uint64
 }
 
-func newRingProvisioner(d *Device) *ringProvisioner {
-	if d.params.SlotBytes <= HeaderSize {
-		panic(fmt.Sprintf("chdev: ring slot size %d below header size %d", d.params.SlotBytes, HeaderSize))
+// CheckSlotBytes rejects a ring slot that cannot hold a header and some
+// payload, or that overflows the staging buffer its contents pass through.
+func CheckSlotBytes(n int) error {
+	if n <= HeaderSize {
+		return fmt.Errorf("chdev: ring slot size %d below header size %d", n, HeaderSize)
 	}
-	if d.params.SlotBytes > bufSize {
-		panic(fmt.Sprintf("chdev: ring slot size %d exceeds staging buffer size %d", d.params.SlotBytes, bufSize))
+	if n > bufSize {
+		return fmt.Errorf("chdev: ring slot size %d exceeds staging buffer size %d", n, bufSize)
+	}
+	return nil
+}
+
+func newRingProvisioner(d *Device) *ringProvisioner {
+	if err := CheckSlotBytes(d.params.SlotBytes); err != nil {
+		panic(err)
 	}
 	rp := &ringProvisioner{connProvisioner: connProvisioner{d}}
 	if r := d.cfg.Metrics; r != nil {

@@ -39,41 +39,33 @@ type semanticGolden struct {
 	MetricKeys string `json:"metric_keys_digest"`
 }
 
-// semanticCell is one pinned world.
+// semanticCell is one pinned world. A settled cell is audited; its
+// Settle-off twin is the same faulty world ending at MPI_Finalize,
+// unaudited, and pins what a change to the settlement mechanism must not
+// move — everything up to finalize.
 type semanticCell struct {
-	name string
-	fc   core.Params
-	mut  func(*Options)
+	name   string
+	spec   Spec
+	settle bool
 }
 
-// semanticCells enumerates the pinned worlds: all five schemes (the ring
-// scheme is the RDMA eager channel) and the on-demand connection path.
-// One fixed seed per cell — determinism of
-// the engine (same world, same bytes) is already pinned by the torture
-// rerun tests; this file pins identity across the migration. Every cell
-// settles and is audited; TestSemanticGoldens also pins each one's
-// Settle-off twin.
+// semanticCells enumerates the pinned settled worlds: the five torture
+// schemes (the ring scheme is the RDMA eager channel) and the on-demand
+// connection path. One fixed seed per cell — determinism of the engine
+// (same world, same bytes) is already pinned by the torture rerun tests;
+// this file pins identity across the migration. TestSemanticGoldens also
+// pins each one's Settle-off twin.
 func semanticCells() []semanticCell {
-	return []semanticCell{
-		{"hardware", core.Hardware(2), nil},
-		{"static", core.Static(2), nil},
-		{"dynamic", core.Dynamic(1, 64), nil},
-		{"shared", core.Shared(4, 64), nil},
-		{"rdma", core.RDMA(4, 1024), nil},
-		{"dynamic-ondemand", core.Dynamic(1, 64), func(o *Options) { o.Chan.OnDemand = true }},
+	var cells []semanticCell
+	for _, fc := range tortureSchemes {
+		cells = append(cells, semanticCell{fc.Kind.String(), Spec{Ranks: 4, Scheme: fc}, true})
 	}
+	return append(cells, semanticCell{"dynamic-ondemand", Spec{Ranks: 4, Scheme: core.Dynamic(1, 64), OnDemand: true}, true})
 }
 
-// noSettle is the cell's Settle-off twin: the same faulty world ending
-// at MPI_Finalize, unaudited. The twins pin what a change to the
-// settlement mechanism must not move — everything up to finalize.
+// noSettle is the cell's Settle-off twin.
 func (c semanticCell) noSettle() semanticCell {
-	return semanticCell{c.name + "-nosettle", c.fc, func(o *Options) {
-		if c.mut != nil {
-			c.mut(o)
-		}
-		o.Settle = false
-	}}
+	return semanticCell{c.name + "-nosettle", c.spec, false}
 }
 
 // digestFaultRun folds everything a migration must preserve into one
@@ -120,7 +112,7 @@ func TestSemanticGoldens(t *testing.T) {
 		cells = append(cells, cell.noSettle())
 	}
 	for _, cell := range cells {
-		res, err := faultTortureVariant(cell.fc, seed, cell.mut)
+		res, err := faultTorture(cell.spec, seed, cell.settle)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}

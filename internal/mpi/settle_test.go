@@ -44,11 +44,11 @@ func TestSettleReportsDeadlock(t *testing.T) {
 func TestSettleLeavesFinalizePrefixAlone(t *testing.T) {
 	const seed = 0x5eed7
 	for _, cell := range semanticCells() {
-		on, err := faultTortureVariant(cell.fc, seed, cell.mut)
+		on, err := faultTorture(cell.spec, seed, true)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
-		off, err := faultTortureVariant(cell.fc, seed, cell.noSettle().mut)
+		off, err := faultTorture(cell.spec, seed, false)
 		if err != nil {
 			t.Fatalf("%s-nosettle: %v", cell.name, err)
 		}

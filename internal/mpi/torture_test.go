@@ -8,7 +8,6 @@ import (
 	"ibflow/internal/chdev"
 	"ibflow/internal/core"
 	"ibflow/internal/fault"
-	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/runner"
 	"ibflow/internal/sim"
@@ -59,13 +58,33 @@ func checkPattern(buf []byte, seed byte) bool {
 	return true
 }
 
-// runTorture executes the schedule: every rank posts receives for its
-// inbound messages in schedule order (per source, order must hold) and
-// fires its sends in schedule order, then verifies every payload.
-func runTorture(t *testing.T, opts Options, n, count int, seed uint64) {
+// tortureSchemes are the five schemes every torture row runs, at
+// pre-posts small enough that every credit path fires.
+var tortureSchemes = []core.Params{
+	core.Hardware(2),
+	core.Static(2),
+	core.Dynamic(1, 64),
+	core.Shared(4, 64),
+	core.RDMA(4, 1024),
+}
+
+// multiRail is the torture world on a 2-rail fat tree of two-port leaves:
+// every QP between leaves crosses the trunks, and mixed sizes on one QP
+// must arrive in order although its port has a second rail (a
+// connection's path is fixed at Connect). Each row sets the scheme.
+var multiRail = Spec{Ranks: 4, LeafRadix: 2, Oversub: 1, Rails: 2}
+
+// runTorture executes the schedule in the world s describes: every rank
+// posts receives for its inbound messages in schedule order (per source,
+// order must hold) and fires its sends in schedule order, then verifies
+// every payload. Debug mode re-checks every credit invariant after each
+// progress pass, so a leak panics the run.
+func runTorture(t *testing.T, s Spec, count int, seed uint64) {
 	t.Helper()
-	sched := tortureSchedule(n, count, seed)
-	w := NewWorld(n, opts)
+	sched := tortureSchedule(s.Ranks, count, seed)
+	opts := s.Options()
+	opts.Chan.Debug = true
+	w := NewWorld(s.Ranks, opts)
 	err := w.Run(func(c *Comm) {
 		me := c.Rank()
 		var reqs []*Request
@@ -100,59 +119,38 @@ func runTorture(t *testing.T, opts Options, n, count int, seed uint64) {
 		}
 	})
 	if err != nil {
-		t.Fatalf("torture(%d ranks, %d msgs): %v", n, count, err)
+		t.Fatalf("torture %v, %d msgs: %v", s, count, err)
 	}
 }
 
 // TestTortureMatrix runs the mixed workload across every scheme (both
-// eager channels), SMP placement and tiny pre-posts. Any mis-ordered
-// match, credit leak or slot corruption fails payload verification or
-// deadlocks.
+// eager channels), SMP placement, on-demand connections, endpoint sets
+// and the multi-rail fat tree, at tiny pre-posts. Any mis-ordered match,
+// credit leak or slot corruption fails payload verification, an
+// invariant check, or deadlocks. A row is named for its scheme and
+// variant, and its one subtest for its spec.
 func TestTortureMatrix(t *testing.T) {
-	type cfg struct {
+	variants := []struct {
 		name string
-		mut  func(*Options)
-	}
-	schemes := []core.Params{
-		core.Hardware(2),
-		core.Static(2),
-		core.Dynamic(1, 64),
-		core.Shared(4, 64),
-		core.RDMA(4, 1024),
-	}
-	variants := []cfg{
-		{"sendrecv", func(o *Options) {}},
-		{"smp", func(o *Options) { o.RanksPerNode = 2 }},
-		{"ondemand", func(o *Options) { o.Chan.OnDemand = true }},
+		spec Spec // each row sets the scheme
+	}{
+		{"sendrecv", Spec{Ranks: 4}},
+		{"smp", Spec{Ranks: 4, PerNode: 2}},
+		{"ondemand", Spec{Ranks: 4, OnDemand: true}},
 		// Two endpoints per rank pair; the tag-keyed worker threads in
 		// runTorture multiplex the schedule over both.
-		{"endpoints", func(o *Options) { o.Chan.Endpoints = 2 }},
-		// Debug mode re-checks every credit invariant after each
-		// progress pass; any leak panics the run.
-		{"invariants", func(o *Options) { o.Chan.Debug = true }},
+		{"endpoints", Spec{Ranks: 4, Endpoints: 2}},
 		{"multirail", multiRail},
 	}
-	for _, fc := range schemes {
+	for _, fc := range tortureSchemes {
 		for _, v := range variants {
-			fc, v := fc, v
+			s := v.spec
+			s.Scheme = fc
 			t.Run(fc.Kind.String()+"-"+v.name, func(t *testing.T) {
-				opts := DefaultOptions(fc)
-				v.mut(&opts)
-				runTorture(t, opts, 4, 120, 0xfeed)
+				t.Run(s.String(), func(t *testing.T) { runTorture(t, s, 120, 0xfeed) })
 			})
 		}
 	}
-}
-
-// multiRail puts the world on a 2-rail fat tree of two-port leaves: every
-// QP between leaves crosses the trunks, and mixed sizes on one QP must
-// arrive in order although its port has a second rail (a connection's
-// path is fixed at Connect).
-func multiRail(o *Options) {
-	o.IB.Topology = ib.TopoFatTree
-	o.IB.LeafRadix = 2
-	o.IB.Oversub = 1
-	o.IB.Rails = 2
 }
 
 // TestTortureWaitOrderIndependence posts receives before or after the
@@ -198,11 +196,11 @@ func TestTortureDelayedReceivers(t *testing.T) {
 	}
 }
 
-// faultTortureOpts builds an aggressively faulty job configuration: a
-// finite RNR budget with geometric backoff, every fault hook armed, full
-// invariant checking, and the settlement phase the end-of-run audit needs.
-func faultTortureOpts(fc core.Params, seed uint64, tracer *trace.Buffer) Options {
-	opts := DefaultOptions(fc)
+// faultTortureOpts builds an aggressively faulty job configuration of the
+// world s describes: a finite RNR budget with geometric backoff, every
+// fault hook armed and full invariant checking.
+func faultTortureOpts(s Spec, seed uint64, tracer *trace.Buffer) Options {
+	opts := s.Options()
 	opts.IB.RNRTimeout = 20 * sim.Microsecond
 	opts.IB.RNRRetryCount = 3
 	opts.IB.RNRBackoffFactor = 2
@@ -210,7 +208,6 @@ func faultTortureOpts(fc core.Params, seed uint64, tracer *trace.Buffer) Options
 	opts.IB.Tracer = tracer
 	opts.Chan.Debug = true
 	opts.Chan.Tracer = tracer
-	opts.Settle = true
 	// Instrumentation rides along under the full fault mix: the metric
 	// dump is part of the bit-identical rerun contract below.
 	opts.Metrics = metrics.New()
@@ -218,7 +215,7 @@ func faultTortureOpts(fc core.Params, seed uint64, tracer *trace.Buffer) Options
 	opts.TimeLimit = 2 * sim.Second
 	opts.Faults = fault.New(fault.Config{
 		Seed:         seed,
-		Nodes:        4,
+		Nodes:        s.Ranks, // one rank per node in every fault row
 		JitterProb:   0.2,
 		JitterMax:    30 * sim.Microsecond,
 		OutageCount:  2,
@@ -244,30 +241,21 @@ type faultRunResult struct {
 	metricsJSON []byte
 }
 
-// faultTorture executes one seeded faulty run and checks the per-run
-// invariants: no deadlock, every payload intact and FIFO-matched, and the
-// end-of-run audit (zero credit leak, message conservation, nothing
-// stranded). It returns the run's observable state for rerun comparison.
-// It builds a private world and touches nothing shared, so distinct
-// (fc, seed) cells may run on parallel workers (see runner.Map).
-func faultTorture(fc core.Params, seed uint64) (faultRunResult, error) {
-	return faultTortureVariant(fc, seed, nil)
-}
-
-// faultTortureVariant is faultTorture with an Options mutator applied on
-// top of the fault configuration, so channel variants (endpoint sets,
-// on-demand connections) run under the identical fault mix. A variant
-// that turns Settle off is not audited: an unsettled job may still have
-// credits in flight.
-func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (faultRunResult, error) {
-	const n, count = 4, 40
+// faultTorture executes one seeded faulty run in the world s describes
+// and checks the per-run invariants: no deadlock, every payload intact
+// and FIFO-matched, and — when the run settles — the end-of-run audit
+// (zero credit leak, message conservation, nothing stranded; an
+// unsettled job may still have credits in flight). It returns the run's
+// observable state for rerun comparison. It builds a private world and
+// touches nothing shared, so distinct cells may run on parallel workers
+// (see runner.Map).
+func faultTorture(s Spec, seed uint64, settle bool) (faultRunResult, error) {
+	const count = 40
 	tracer := trace.NewBuffer(1 << 14)
-	opts := faultTortureOpts(fc, seed, tracer)
-	if mut != nil {
-		mut(&opts)
-	}
-	sched := tortureSchedule(n, count, seed^0xf001)
-	w := NewWorld(n, opts)
+	opts := faultTortureOpts(s, seed, tracer)
+	opts.Settle = settle
+	sched := tortureSchedule(s.Ranks, count, seed^0xf001)
+	w := NewWorld(s.Ranks, opts)
 	firstExit := sim.MaxTime
 	err := w.Run(func(c *Comm) {
 		me := c.Rank()
@@ -304,16 +292,16 @@ func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (fault
 		firstExit = min(firstExit, c.Time())
 	})
 	if err != nil {
-		return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", fc.Kind, seed, err)
+		return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", s, seed, err)
 	}
-	if opts.Settle {
+	if settle {
 		if err := w.Audit(); err != nil {
-			return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", fc.Kind, seed, err)
+			return faultRunResult{}, fmt.Errorf("%v seed %#x: %w", s, seed, err)
 		}
 	}
 	var mbuf bytes.Buffer
 	if err := w.Metrics().WriteJSON(&mbuf); err != nil {
-		return faultRunResult{}, fmt.Errorf("%v seed %#x: metrics dump: %w", fc.Kind, seed, err)
+		return faultRunResult{}, fmt.Errorf("%v seed %#x: metrics dump: %w", s, seed, err)
 	}
 	return faultRunResult{
 		makespan:    w.Time(),
@@ -325,16 +313,6 @@ func faultTortureVariant(fc core.Params, seed uint64, mut func(*Options)) (fault
 	}, nil
 }
 
-// runFaultTorture is the single-run test-helper form of faultTorture.
-func runFaultTorture(t *testing.T, fc core.Params, seed uint64) faultRunResult {
-	t.Helper()
-	res, err := faultTorture(fc, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
 // faultCell pairs one sweep cell's result with its error for collection
 // across the worker pool (worker goroutines must not call t.Fatal).
 type faultCell struct {
@@ -342,278 +320,160 @@ type faultCell struct {
 	err error
 }
 
+// faultCells runs seeds settled faulty runs of s on workers, in seed order.
+func faultCells(s Spec, seeds, workers int) []faultCell {
+	return runner.Map(seeds, workers, func(i int) faultCell {
+		res, err := faultTorture(s, uint64(i), true)
+		return faultCell{res, err}
+	})
+}
+
+// checkSameRun demands that b reproduce a bit for bit — makespan, device
+// and fault stats, metrics dump and trace sequence; what names the pair
+// in a failure.
+func checkSameRun(t *testing.T, what string, a, b faultCell) {
+	t.Helper()
+	if a.err != nil || b.err != nil {
+		t.Fatalf("%s: %v / %v", what, a.err, b.err)
+	}
+	ra, rb := a.res, b.res
+	if ra.makespan != rb.makespan {
+		t.Errorf("%s: makespan %v != %v", what, ra.makespan, rb.makespan)
+	}
+	if ra.stats != rb.stats {
+		t.Errorf("%s: device stats diverge:\n%+v\n%+v", what, ra.stats, rb.stats)
+	}
+	if ra.fstats != rb.fstats {
+		t.Errorf("%s: fault stats diverge:\n%+v\n%+v", what, ra.fstats, rb.fstats)
+	}
+	if !bytes.Equal(ra.metricsJSON, rb.metricsJSON) {
+		t.Errorf("%s: metric dumps diverge", what)
+	}
+	if len(ra.events) != len(rb.events) {
+		t.Errorf("%s: %d trace events vs %d", what, len(ra.events), len(rb.events))
+		return
+	}
+	for i := range ra.events {
+		if ra.events[i] != rb.events[i] {
+			t.Errorf("%s: trace diverges at %d: %v != %v", what, i, ra.events[i], rb.events[i])
+			return
+		}
+	}
+}
+
 // TestTortureFaultSweep sweeps 64 seeds per flow control scheme through
 // the full fault mix. Each run asserts no deadlock, payload integrity with
 // per-pair FIFO matching, and the conservation audit; the sweep as a whole
 // asserts the degradation machinery actually fired (no vacuous pass).
-func TestTortureFaultSweep(t *testing.T) { faultSweep(t, nil) }
+func TestTortureFaultSweep(t *testing.T) { faultSweep(t, Spec{Ranks: 4}) }
 
 // TestTortureMultiRailFaultSweep is the fault sweep on the multiRail
 // fabric: jitter, outages and go-back-N rewinds on QPs whose ports have a
 // rail each connection must leave alone.
 func TestTortureMultiRailFaultSweep(t *testing.T) { faultSweep(t, multiRail) }
 
-// faultSweep runs 64 seeds per scheme through faultTortureVariant with
-// mut applied and checks every run and the sweep's aggregates.
-func faultSweep(t *testing.T, mut func(*Options)) {
+// faultSweep runs 64 seeds of world under each scheme (its subtests are
+// named for the scheme, and each one's subtest for its spec) and checks
+// every run and the sweep's aggregates.
+func faultSweep(t *testing.T, world Spec) {
 	const seeds = 64
-	schemes := []core.Params{
-		core.Hardware(2),
-		core.Static(2),
-		core.Dynamic(1, 64),
-		core.Shared(4, 64),
-		core.RDMA(4, 1024),
-	}
-	for _, fc := range schemes {
-		fc := fc
+	for _, fc := range tortureSchemes {
+		s := world
+		s.Scheme = fc
 		t.Run(fc.Kind.String(), func(t *testing.T) {
-			// The 64 seed cells are share-nothing worlds: fan them out
-			// across the worker pool, then aggregate in seed order.
-			cells := runner.Map(seeds, runner.Default(), func(i int) faultCell {
-				res, err := faultTortureVariant(fc, uint64(i), mut)
-				return faultCell{res: res, err: err}
-			})
-			var agg chdev.Stats
-			var fagg fault.Stats
-			for _, cell := range cells {
-				if cell.err != nil {
-					t.Fatal(cell.err)
+			t.Run(s.String(), func(t *testing.T) {
+				var agg chdev.Stats
+				var fagg fault.Stats
+				for _, cell := range faultCells(s, seeds, runner.Default()) {
+					if cell.err != nil {
+						t.Fatal(cell.err)
+					}
+					res := cell.res
+					agg.RNRExhausted += res.stats.RNRExhausted
+					agg.Reissues += res.stats.Reissues
+					agg.ECMsDropped += res.stats.ECMsDropped
+					agg.ECMsDuplicated += res.stats.ECMsDuplicated
+					fagg.Jitters += res.fstats.Jitters
+					fagg.OutageDelays += res.fstats.OutageDelays
+					fagg.ForcedRNRs += res.fstats.ForcedRNRs
+					fagg.AckDelays += res.fstats.AckDelays
 				}
-				res := cell.res
-				agg.RNRExhausted += res.stats.RNRExhausted
-				agg.Reissues += res.stats.Reissues
-				agg.ECMsDropped += res.stats.ECMsDropped
-				agg.ECMsDuplicated += res.stats.ECMsDuplicated
-				fagg.Jitters += res.fstats.Jitters
-				fagg.OutageDelays += res.fstats.OutageDelays
-				fagg.ForcedRNRs += res.fstats.ForcedRNRs
-				fagg.AckDelays += res.fstats.AckDelays
-			}
-			if fagg.Jitters == 0 || fagg.OutageDelays == 0 ||
-				fagg.ForcedRNRs == 0 || fagg.AckDelays == 0 {
-				t.Errorf("a fabric fault hook never fired across the sweep: %+v", fagg)
-			}
-			if agg.RNRExhausted == 0 || agg.Reissues == 0 {
-				t.Errorf("retry-exhaustion path never exercised: %+v", agg)
-			}
-			if fc.UserLevel() && agg.ECMsDropped == 0 {
-				t.Errorf("ECM drop path never exercised under %v", fc.Kind)
-			}
-			t.Logf("%v: %d seeds: jitters=%d outageDelays=%d forcedRNRs=%d ackDelays=%d "+
-				"rnrExhausted=%d reissues=%d ecmDrops=%d ecmDups=%d",
-				fc.Kind, seeds, fagg.Jitters, fagg.OutageDelays, fagg.ForcedRNRs, fagg.AckDelays,
-				agg.RNRExhausted, agg.Reissues, agg.ECMsDropped, agg.ECMsDuplicated)
+				if fagg.Jitters == 0 || fagg.OutageDelays == 0 ||
+					fagg.ForcedRNRs == 0 || fagg.AckDelays == 0 {
+					t.Errorf("%v: a fabric fault hook never fired across the sweep: %+v", s, fagg)
+				}
+				if agg.RNRExhausted == 0 || agg.Reissues == 0 {
+					t.Errorf("%v: retry-exhaustion path never exercised: %+v", s, agg)
+				}
+				if fc.UserLevel() && agg.ECMsDropped == 0 {
+					t.Errorf("%v: ECM drop path never exercised", s)
+				}
+				t.Logf("%v: %d seeds: jitters=%d outageDelays=%d forcedRNRs=%d ackDelays=%d "+
+					"rnrExhausted=%d reissues=%d ecmDrops=%d ecmDups=%d",
+					s, seeds, fagg.Jitters, fagg.OutageDelays, fagg.ForcedRNRs, fagg.AckDelays,
+					agg.RNRExhausted, agg.Reissues, agg.ECMsDropped, agg.ECMsDuplicated)
+			})
 		})
 	}
 }
 
 // TestTortureFaultDeterminism reruns representative faulty seeds and
-// demands bit-identical results: same makespan, same device and fault
-// stats, and the same trace event sequence.
+// demands bit-identical results (checkSameRun).
 func TestTortureFaultDeterminism(t *testing.T) {
-	schemes := []core.Params{
-		core.Hardware(2),
-		core.Static(2),
-		core.Dynamic(1, 64),
-		core.Shared(4, 64),
-		core.RDMA(4, 1024),
-	}
-	for _, fc := range schemes {
+	for _, fc := range tortureSchemes {
+		s := Spec{Ranks: 4, Scheme: fc}
 		for _, seed := range []uint64{3, 17, 42} {
-			a := runFaultTorture(t, fc, seed)
-			b := runFaultTorture(t, fc, seed)
-			if a.makespan != b.makespan {
-				t.Errorf("%v seed %#x: makespan %v != %v", fc.Kind, seed, a.makespan, b.makespan)
+			run := func() faultCell {
+				res, err := faultTorture(s, seed, true)
+				return faultCell{res, err}
 			}
-			if a.stats != b.stats {
-				t.Errorf("%v seed %#x: device stats diverge:\n%+v\n%+v", fc.Kind, seed, a.stats, b.stats)
-			}
-			if a.fstats != b.fstats {
-				t.Errorf("%v seed %#x: fault stats diverge:\n%+v\n%+v", fc.Kind, seed, a.fstats, b.fstats)
-			}
-			if !bytes.Equal(a.metricsJSON, b.metricsJSON) {
-				t.Errorf("%v seed %#x: metric dumps diverge between identical runs", fc.Kind, seed)
-			}
-			if len(a.events) != len(b.events) {
-				t.Errorf("%v seed %#x: %d trace events vs %d", fc.Kind, seed, len(a.events), len(b.events))
-				continue
-			}
-			for i := range a.events {
-				if a.events[i] != b.events[i] {
-					t.Errorf("%v seed %#x: trace diverges at %d: %v != %v",
-						fc.Kind, seed, i, a.events[i], b.events[i])
-					break
-				}
-			}
+			checkSameRun(t, fmt.Sprintf("%v seed %#x", s, seed), run(), run())
 		}
 	}
 }
 
 // TestTortureRDMARerunAllSeeds reruns every fault-sweep seed for the
-// ring scheme and demands bit-identical results: same makespan, same
-// device and fault stats, same metrics dump, same trace event sequence.
-// The new channel shape must be exactly as deterministic as the four it
-// joins — all 64 seeds, not a sample.
+// ring scheme and demands bit-identical results (checkSameRun). The new
+// channel shape must be exactly as deterministic as the four it joins —
+// all 64 seeds, not a sample.
 func TestTortureRDMARerunAllSeeds(t *testing.T) {
-	const seeds = 64
-	fc := core.RDMA(4, 1024)
-	type rerunCell struct{ a, b faultCell }
-	cells := runner.Map(seeds, runner.Default(), func(i int) rerunCell {
-		ra, ea := faultTorture(fc, uint64(i))
-		rb, eb := faultTorture(fc, uint64(i))
-		return rerunCell{faultCell{ra, ea}, faultCell{rb, eb}}
-	})
-	for seed, cell := range cells {
-		if cell.a.err != nil {
-			t.Fatalf("seed %d: %v", seed, cell.a.err)
-		}
-		if cell.b.err != nil {
-			t.Fatalf("seed %d rerun: %v", seed, cell.b.err)
-		}
-		a, b := cell.a.res, cell.b.res
-		if a.makespan != b.makespan {
-			t.Errorf("seed %d: makespan %v != %v", seed, a.makespan, b.makespan)
-		}
-		if a.stats != b.stats {
-			t.Errorf("seed %d: device stats diverge:\n%+v\n%+v", seed, a.stats, b.stats)
-		}
-		if a.fstats != b.fstats {
-			t.Errorf("seed %d: fault stats diverge:\n%+v\n%+v", seed, a.fstats, b.fstats)
-		}
-		if !bytes.Equal(a.metricsJSON, b.metricsJSON) {
-			t.Errorf("seed %d: metric dumps diverge between identical runs", seed)
-		}
-		if len(a.events) != len(b.events) {
-			t.Errorf("seed %d: %d trace events vs %d", seed, len(a.events), len(b.events))
-			continue
-		}
-		for i := range a.events {
-			if a.events[i] != b.events[i] {
-				t.Errorf("seed %d: trace diverges at %d: %v != %v",
-					seed, i, a.events[i], b.events[i])
-				break
-			}
-		}
-	}
+	rerunAllSeeds(t, Spec{Ranks: 4, Scheme: core.RDMA(4, 1024)})
 }
 
 // TestTortureEndpointsRerunAllSeeds is the endpoint-set analogue of the
 // ring rerun sweep: every fault-sweep seed runs the full fault mix over
 // a two-endpoint set (tag-keyed worker threads multiplexing the
-// schedule) twice, and the two runs must be bit-identical — same
-// makespan, device and fault stats, metrics dump, and trace sequence.
-// Endpoint selection must be exactly as deterministic as the single
-// connection it generalizes.
+// schedule) twice, and the two runs must be bit-identical. Endpoint
+// selection must be exactly as deterministic as the single connection it
+// generalizes.
 func TestTortureEndpointsRerunAllSeeds(t *testing.T) {
+	rerunAllSeeds(t, Spec{Ranks: 4, Scheme: core.Dynamic(1, 64), Endpoints: 2})
+}
+
+// rerunAllSeeds runs the 64 fault-sweep seeds of s twice and compares
+// each pair.
+func rerunAllSeeds(t *testing.T, s Spec) {
 	const seeds = 64
-	fc := core.Dynamic(1, 64)
-	endpoints := func(o *Options) { o.Chan.Endpoints = 2 }
-	type rerunCell struct{ a, b faultCell }
-	cells := runner.Map(seeds, runner.Default(), func(i int) rerunCell {
-		ra, ea := faultTortureVariant(fc, uint64(i), endpoints)
-		rb, eb := faultTortureVariant(fc, uint64(i), endpoints)
-		return rerunCell{faultCell{ra, ea}, faultCell{rb, eb}}
-	})
-	for seed, cell := range cells {
-		if cell.a.err != nil {
-			t.Fatalf("seed %d: %v", seed, cell.a.err)
-		}
-		if cell.b.err != nil {
-			t.Fatalf("seed %d rerun: %v", seed, cell.b.err)
-		}
-		a, b := cell.a.res, cell.b.res
-		if a.makespan != b.makespan {
-			t.Errorf("seed %d: makespan %v != %v", seed, a.makespan, b.makespan)
-		}
-		if a.stats != b.stats {
-			t.Errorf("seed %d: device stats diverge:\n%+v\n%+v", seed, a.stats, b.stats)
-		}
-		if a.fstats != b.fstats {
-			t.Errorf("seed %d: fault stats diverge:\n%+v\n%+v", seed, a.fstats, b.fstats)
-		}
-		if !bytes.Equal(a.metricsJSON, b.metricsJSON) {
-			t.Errorf("seed %d: metric dumps diverge between identical runs", seed)
-		}
-		if len(a.events) != len(b.events) {
-			t.Errorf("seed %d: %d trace events vs %d", seed, len(a.events), len(b.events))
-			continue
-		}
-		for i := range a.events {
-			if a.events[i] != b.events[i] {
-				t.Errorf("seed %d: trace diverges at %d: %v != %v",
-					seed, i, a.events[i], b.events[i])
-				break
-			}
-		}
+	a, b := faultCells(s, seeds, runner.Default()), faultCells(s, seeds, runner.Default())
+	for seed := range a {
+		checkSameRun(t, fmt.Sprintf("%v seed %d", s, seed), a[seed], b[seed])
 	}
 }
 
 // TestTortureSerialParallelIdentical is the parallel runner's determinism
 // contract end to end: sweeping the faulty torture workload with worker
-// pools of several sizes must reproduce the serial sweep byte for byte —
-// same makespans, same device and fault stats, same trace event
-// sequences, same metrics JSON — for every flow control scheme. Worlds
-// are share-nothing, so worker count may only change wall-clock time,
-// never a result.
+// pools of several sizes must reproduce the serial sweep byte for byte
+// (checkSameRun) for every flow control scheme. Worlds are share-nothing,
+// so worker count may only change wall-clock time, never a result.
 func TestTortureSerialParallelIdentical(t *testing.T) {
 	const seeds = 8
-	schemes := []core.Params{
-		core.Hardware(2),
-		core.Static(2),
-		core.Dynamic(1, 64),
-		core.Shared(4, 64),
-		core.RDMA(4, 1024),
-	}
-	for _, fc := range schemes {
-		fc := fc
+	for _, fc := range tortureSchemes {
+		s := Spec{Ranks: 4, Scheme: fc}
 		t.Run(fc.Kind.String(), func(t *testing.T) {
-			sweep := func(workers int) []faultCell {
-				return runner.Map(seeds, workers, func(i int) faultCell {
-					res, err := faultTorture(fc, uint64(i))
-					return faultCell{res: res, err: err}
-				})
-			}
-			serial := sweep(1)
-			for _, cell := range serial {
-				if cell.err != nil {
-					t.Fatal(cell.err)
-				}
-			}
+			serial := faultCells(s, seeds, 1)
 			for _, workers := range []int{2, 4} {
-				par := sweep(workers)
-				for i := range serial {
-					a, b := serial[i], par[i]
-					if b.err != nil {
-						t.Fatalf("workers=%d seed %d: %v", workers, i, b.err)
-					}
-					if a.res.makespan != b.res.makespan {
-						t.Errorf("workers=%d seed %d: makespan %v != %v",
-							workers, i, b.res.makespan, a.res.makespan)
-					}
-					if a.res.stats != b.res.stats {
-						t.Errorf("workers=%d seed %d: device stats diverge:\n%+v\n%+v",
-							workers, i, b.res.stats, a.res.stats)
-					}
-					if a.res.fstats != b.res.fstats {
-						t.Errorf("workers=%d seed %d: fault stats diverge:\n%+v\n%+v",
-							workers, i, b.res.fstats, a.res.fstats)
-					}
-					if !bytes.Equal(a.res.metricsJSON, b.res.metricsJSON) {
-						t.Errorf("workers=%d seed %d: metrics JSON diverges from serial sweep",
-							workers, i)
-					}
-					if len(a.res.events) != len(b.res.events) {
-						t.Errorf("workers=%d seed %d: %d trace events vs %d",
-							workers, i, len(b.res.events), len(a.res.events))
-						continue
-					}
-					for j := range a.res.events {
-						if a.res.events[j] != b.res.events[j] {
-							t.Errorf("workers=%d seed %d: trace diverges at %d: %v != %v",
-								workers, i, j, b.res.events[j], a.res.events[j])
-							break
-						}
-					}
+				for i, cell := range faultCells(s, seeds, workers) {
+					checkSameRun(t, fmt.Sprintf("%v seed %d, %d workers", s, i, workers), serial[i], cell)
 				}
 			}
 		})
