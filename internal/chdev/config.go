@@ -91,11 +91,6 @@ type Config struct {
 	// paper's related work. Each setup costs connSetup.
 	OnDemand bool
 
-	// PessimisticECM subjects explicit credit messages themselves to
-	// credit flow control (the deadlock-prone design the paper's
-	// "optimistic" scheme exists to fix). Only for demonstrations.
-	PessimisticECM bool
-
 	// Tracer, when non-nil, records protocol events (sends, arrivals,
 	// starvation, growth, transport retries) on the virtual timeline.
 	// All devices of a job share one buffer.

@@ -1032,10 +1032,7 @@ func (d *Device) sendReturn(c *conn) bool {
 		}
 		return false
 	}
-	h, ok := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
-	if !ok {
-		return false
-	}
+	h := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
 	d.postCtrl(c, h)
 	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
 		c.vc.NoteECMDuplicated()

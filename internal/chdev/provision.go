@@ -58,9 +58,8 @@ type recvProvisioner interface {
 	// run the receiver-side accounting, repost the descriptor or let it
 	// lapse. Runs in event context on the progress machine.
 	processed(c *conn, buf []byte, hdr *Header)
-	// fillReturn completes the explicit return message — c's VC said one
-	// is due — or reports that it cannot be sent now.
-	fillReturn(c *conn, h Header) (Header, bool)
+	// fillReturn completes the explicit return message c's VC said is due.
+	fillReturn(c *conn, h Header) Header
 
 	// accept is the first phase of accepting a rendezvous into r.buf
 	// (registered as mr; nil for a zero-length transfer): whatever must be
@@ -135,22 +134,14 @@ func (cp *connProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	}
 }
 
-// fillReturn makes the message an explicit credit message (ECM). Under
-// the optimistic policy it bypasses user-level flow control entirely;
-// under the pessimistic policy (for the deadlock demonstration) it needs
-// a credit like any other send.
-func (cp *connProvisioner) fillReturn(c *conn, h Header) (Header, bool) {
-	if cp.d.cfg.PessimisticECM {
-		if c.vc.Credits() == 0 || c.vc.BacklogLen() > 0 {
-			return h, false // cannot send: this is how deadlock happens
-		}
-		if c.vc.DecideEager(false) != core.ActionSend {
-			return h, false
-		}
-		h.Flags = FlagCredit
-	}
+// fillReturn makes the message an explicit credit message (ECM). It is
+// optimistic: it bypasses user-level flow control entirely, as CTS, FIN
+// and a demoted RTS do. An ECM that needed a credit could deadlock two
+// mutually starved ranks; the model check in internal/core finds that
+// deadlock (TestModelPessimisticRuleDeadlocks).
+func (cp *connProvisioner) fillReturn(c *conn, h Header) Header {
 	h.Piggyback = uint32(c.vc.TakeECM())
-	return h, true
+	return h
 }
 
 // accept names the transfer for the sender's FIN and builds the CTS
@@ -459,10 +450,10 @@ func (rp *ringProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 }
 
 // fillReturn makes the message a head sync, the ring's analogue of an ECM.
-func (rp *ringProvisioner) fillReturn(c *conn, h Header) (Header, bool) {
+func (rp *ringProvisioner) fillReturn(c *conn, h Header) Header {
 	h.Type = PktRingSync
 	h.RingHead = c.vc.RingIn().TakeHead(false)
-	return h, true
+	return h
 }
 
 func (rp *ringProvisioner) accept(r *RndvIn, mr *ib.MR) Header { return Header{} }

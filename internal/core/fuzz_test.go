@@ -147,7 +147,7 @@ func FuzzPool(f *testing.F) {
 			default:
 				now += sim.Time(b>>2) * sim.Microsecond
 				grow := 0
-				if p.Increment > 0 && posted < p.Max && (lastGrowth < 0 || now-lastGrowth >= p.GrowthCooldown) {
+				if p.Increment > 0 && posted < p.Max && (lastGrowth < 0 || now-lastGrowth >= growthCooldown) {
 					grow = min(p.Increment, p.Max-posted)
 					lastGrowth = now
 					want.GrowthEvents++

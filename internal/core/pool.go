@@ -90,10 +90,10 @@ func (pl *Pool) Processed() (repost bool) {
 
 // OnLimitEvent handles the SRQ's low-watermark limit event: the free
 // descriptor count dipped below the watermark, so grow the pool by
-// Increment up to Max, paced by GrowthCooldown (a burst of arrivals
-// crossing the watermark repeatedly must not compound the growth). It
-// returns how many extra buffers the device must post into the SRQ; the
-// pool-size target has already been raised by that amount.
+// Increment up to Max, at most once per growthCooldown (a burst of
+// arrivals crossing the watermark repeatedly must not compound the
+// growth). It returns how many extra buffers the device must post into
+// the SRQ; the pool-size target has already been raised by that amount.
 func (pl *Pool) OnLimitEvent(now sim.Time) int {
 	if debug.Enabled {
 		defer pl.debugCheck()
@@ -103,7 +103,7 @@ func (pl *Pool) OnLimitEvent(now sim.Time) int {
 	if p.Increment <= 0 || pl.posted >= p.Max {
 		return 0
 	}
-	if p.GrowthCooldown > 0 && pl.lastGrowth >= 0 && now-pl.lastGrowth < p.GrowthCooldown {
+	if pl.lastGrowth >= 0 && now-pl.lastGrowth < growthCooldown {
 		return 0
 	}
 	pl.lastGrowth = now

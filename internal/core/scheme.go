@@ -95,28 +95,11 @@ func (k Kind) String() string {
 // the job would deadlock.
 const ecmThreshold = 5
 
-// ZeroCreditPolicy selects what a user-level scheme does with a small send
-// that finds no credits.
-type ZeroCreditPolicy int
-
-const (
-	// DemoteToRendezvous converts the send to the rendezvous protocol
-	// whose control messages are optimistic; the handshake both moves
-	// the data (zero-copy) and carries piggybacked credits back. This is
-	// our reading of the paper's "when there are no credits, only
-	// Rendezvous protocol is used" (see DESIGN.md).
-	DemoteToRendezvous ZeroCreditPolicy = iota
-	// PureBacklog queues the send until credits return (the MVICH
-	// behaviour); kept for the tests that contrast it with demotion.
-	PureBacklog
-)
-
-func (z ZeroCreditPolicy) String() string {
-	if z == PureBacklog {
-		return "backlog"
-	}
-	return "demote"
-}
+// growthCooldown paces growth, of a dynamic VC and of the shared pool
+// alike: starvation feedback or a limit event arriving within the
+// cooldown of the previous increase is ignored, so a single burst does
+// not trigger one increase per message.
+const growthCooldown = 10 * sim.Microsecond
 
 // Params configures a flow control scheme for every connection of a job.
 type Params struct {
@@ -126,29 +109,24 @@ type Params struct {
 	// hardware and static schemes, the starting point for dynamic.
 	Prepost int
 
-	// ZeroCredit selects the no-credit behaviour for small sends.
-	ZeroCredit ZeroCreditPolicy
-
 	// Increment and Max control dynamic growth: each feedback event adds
-	// Increment buffers (the paper's linear growth), up to Max.
-	// GrowthCooldown paces growth: starvation feedback arriving within
-	// the cooldown of the previous increase is ignored, so a single
-	// burst does not trigger one increase per message.
-	Increment      int
-	Max            int
-	GrowthCooldown sim.Time
+	// Increment buffers (the paper's linear growth), up to Max, at most
+	// once per growthCooldown.
+	Increment int
+	Max       int
 
-	// ShrinkIdle enables the paper's future-work credit decrease: after
-	// a connection has seen no buffer pressure for this long, the
-	// receiver lets the pre-post count decay to ShrinkFloor by not
-	// reposting processed buffers. Zero disables shrinking.
+	// ShrinkIdle enables the paper's future-work credit decrease on the
+	// dynamic scheme: after a connection has seen no buffer pressure for
+	// this long, the receiver lets the pre-post count decay to
+	// ShrinkFloor by not reposting processed buffers. Zero disables
+	// shrinking; no other scheme accepts it.
 	ShrinkIdle  sim.Time
 	ShrinkFloor int
 
 	// PoolWatermark is the shared scheme's low-water threshold: when the
 	// free descriptor count of the shared receive pool dips below it, the
 	// SRQ limit event fires and the pool grows by Increment (up to Max,
-	// paced by GrowthCooldown). Defaults to Prepost/4, at least 1.
+	// paced by growthCooldown). Defaults to Prepost/4, at least 1.
 	PoolWatermark int
 
 	// SlotBytes is the RDMA ring scheme's per-slot buffer size: the
@@ -162,27 +140,15 @@ func Hardware(prepost int) Params {
 	return Params{Kind: KindHardware, Prepost: prepost}
 }
 
-// Static returns parameters for the user-level static scheme with the
-// paper's demotion on zero credits.
+// Static returns parameters for the user-level static scheme.
 func Static(prepost int) Params {
-	return Params{
-		Kind:       KindStatic,
-		Prepost:    prepost,
-		ZeroCredit: DemoteToRendezvous,
-	}
+	return Params{Kind: KindStatic, Prepost: prepost}
 }
 
 // Dynamic returns parameters for the user-level dynamic scheme starting at
 // prepost buffers, growing linearly by 2 up to max.
 func Dynamic(prepost, max int) Params {
-	return Params{
-		Kind:           KindDynamic,
-		Prepost:        prepost,
-		ZeroCredit:     DemoteToRendezvous,
-		Increment:      2,
-		Max:            max,
-		GrowthCooldown: 10 * sim.Microsecond,
-	}
+	return Params{Kind: KindDynamic, Prepost: prepost, Increment: 2, Max: max}
 }
 
 // Shared returns parameters for the shared-pool scheme: a pool of
@@ -194,13 +160,7 @@ func Shared(prepost, max int) Params {
 	if inc < 1 {
 		inc = 1
 	}
-	return Params{
-		Kind:           KindShared,
-		Prepost:        prepost,
-		Increment:      inc,
-		Max:            max,
-		GrowthCooldown: 10 * sim.Microsecond,
-	}
+	return Params{Kind: KindShared, Prepost: prepost, Increment: inc, Max: max}
 }
 
 // RDMA returns parameters for the RDMA-write eager ring scheme: slots
@@ -216,8 +176,11 @@ func (p *Params) Validate() error {
 	if p.Prepost < 1 {
 		return fmt.Errorf("core: prepost %d < 1", p.Prepost)
 	}
+	if p.ShrinkIdle > 0 && p.Kind != KindDynamic {
+		return fmt.Errorf("core: %v scheme does not shrink; ShrinkIdle needs dynamic", p.Kind)
+	}
 	switch p.Kind {
-	case KindHardware:
+	case KindHardware, KindStatic:
 		return nil
 	case KindShared:
 		if p.PoolWatermark == 0 {
@@ -232,19 +195,12 @@ func (p *Params) Validate() error {
 		if p.Increment > 0 && p.Max < p.Prepost {
 			return fmt.Errorf("core: shared pool max %d < initial prepost %d", p.Max, p.Prepost)
 		}
-		if p.ShrinkIdle > 0 {
-			return fmt.Errorf("core: shared pool does not support shrinking")
-		}
 		return nil
 	case KindRDMA:
 		if p.SlotBytes < 64 {
 			return fmt.Errorf("core: rdma slot size %d < 64", p.SlotBytes)
 		}
-		if p.ShrinkIdle > 0 {
-			return fmt.Errorf("core: rdma ring does not support shrinking")
-		}
 		return nil
-	case KindStatic:
 	case KindDynamic:
 		if p.Increment < 1 {
 			return fmt.Errorf("core: dynamic growth needs increment >= 1, got %d", p.Increment)
@@ -252,13 +208,12 @@ func (p *Params) Validate() error {
 		if p.Max < p.Prepost {
 			return fmt.Errorf("core: max %d < initial prepost %d", p.Max, p.Prepost)
 		}
-	default:
-		return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
+		if p.ShrinkIdle > 0 && p.ShrinkFloor < 1 {
+			return fmt.Errorf("core: shrink floor %d < 1", p.ShrinkFloor)
+		}
+		return nil
 	}
-	if p.ShrinkIdle > 0 && p.ShrinkFloor < 1 {
-		return fmt.Errorf("core: shrink floor %d < 1", p.ShrinkFloor)
-	}
-	return nil
+	return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
 }
 
 // UserLevel reports whether the scheme tracks per-channel credits at the

@@ -195,7 +195,7 @@ func (vc *VC) DecideEager(blocking bool) Action {
 		vc.credits--
 		vc.stats.EagerSent++
 		return ActionSend
-	case vc.params.ZeroCredit == DemoteToRendezvous && blocking && vc.backlog == 0:
+	case blocking && vc.backlog == 0:
 		vc.stats.Demoted++
 		return ActionDemote
 	}
@@ -433,8 +433,7 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 	if vc.params.Kind != KindDynamic {
 		return 0
 	}
-	if vc.params.GrowthCooldown > 0 && vc.lastGrowth > 0 &&
-		now-vc.lastGrowth < vc.params.GrowthCooldown {
+	if vc.lastGrowth > 0 && now-vc.lastGrowth < growthCooldown {
 		return 0
 	}
 	vc.lastGrowth = now
@@ -477,7 +476,7 @@ func (vc *VC) MaybeShrink(now sim.Time) {
 // owed <= posted is deliberately NOT asserted: shrink retires buffers
 // while earlier owed credits still await their ride back, so owed may
 // transiently exceed posted. The cross-endpoint conservation law is
-// checked by TestPropertyCreditConservation instead.
+// the model check's (model_test.go) instead.
 func (vc *VC) debugCheck() {
 	if debug.Enabled {
 		vc.CheckInvariants()
