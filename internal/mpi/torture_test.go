@@ -197,14 +197,11 @@ func TestTortureDelayedReceivers(t *testing.T) {
 }
 
 // faultTortureOpts builds an aggressively faulty job configuration of the
-// world s describes: a finite RNR budget with geometric backoff, every
-// fault hook armed and full invariant checking.
+// world s describes: a finite RNR budget on the fabric's own RNR timer,
+// every fault hook armed and full invariant checking.
 func faultTortureOpts(s Spec, seed uint64, tracer *trace.Buffer) Options {
 	opts := s.Options()
-	opts.IB.RNRTimeout = 20 * sim.Microsecond
 	opts.IB.RNRRetryCount = 3
-	opts.IB.RNRBackoffFactor = 2
-	opts.IB.RNRBackoffMax = 160 * sim.Microsecond
 	opts.IB.Tracer = tracer
 	opts.Chan.Debug = true
 	opts.Chan.Tracer = tracer
