@@ -1167,29 +1167,24 @@ func (d *Device) PendingCompletions() int { return d.cq.Len() }
 // retireSend dispatches a send or RDMA-write completion: release the
 // pool buffer, or finish the rendezvous whose payload write completed.
 // The completion names its QP, the QP its connection, and the work
-// request's id its place in the connection's sends: a QP retires in post
-// order, so a successful completion is the head, and only an RNR-exhausted
-// one — whose predecessors' acks may still be in flight — can name an
-// entry behind it. Runs in event context; charges no time.
+// request's id its place in the connection's sends: a QP completes in
+// post order, an RNR-exhausted WQE included, so every completion is the
+// head. Runs in event context; charges no time.
 func (d *Device) retireSend(wc ib.WC) {
 	c, ok := wc.QP.Owner().(*conn)
 	if !ok {
 		panic("chdev: send completion on unknown QP")
 	}
-	i := wc.WRID - (c.sendSeq - uint64(c.sends.Len()))
-	if i >= uint64(c.sends.Len()) {
-		panic("chdev: unknown send completion")
+	if head := c.sendSeq - uint64(c.sends.Len()); c.sends.Len() == 0 || wc.WRID != head {
+		panic(fmt.Sprintf("chdev: rank %d -> %d: send completion %d is not the head of %d outstanding",
+			d.rank, c.peer, wc.WRID, c.sends.Len()))
 	}
 	if wc.Status == ib.StatusRNRRetryExceeded {
-		d.onRetryExhausted(c, c.sends.At(int(i)))
+		d.onRetryExhausted(c, c.sends.At(0))
 		return
 	}
 	if wc.Status != ib.StatusSuccess {
 		panic(fmt.Sprintf("chdev: transport error %v on rank %d", wc.Status, d.rank))
-	}
-	if i != 0 {
-		panic(fmt.Sprintf("chdev: rank %d -> %d: send completion %d overtook %d predecessors",
-			d.rank, c.peer, wc.WRID, i))
 	}
 	ctx := c.sends.Pop()
 	switch ctx.kind {
