@@ -198,8 +198,8 @@ func TestDeviceStatsAccounting(t *testing.T) {
 }
 
 // A connection end is one object (establish), so its size is the host
-// cost of every end: 952 B, in the allocator's 1 024-byte size class. The
-// QP is 360 B of it: its receive queue keeps descriptors as runs, one of
+// cost of every end: 944 B, in the allocator's 1 024-byte size class. The
+// QP is 352 B of it: its receive queue keeps descriptors as runs, one of
 // them inline. A field that pushes the conn past 1 024 B
 // costs the next size class, 128 B more per end (6 MB on a 1 024-rank
 // storm), and fails here by name: shrink something, or say why the end is
@@ -208,7 +208,7 @@ func TestConnSize(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 1024 {
 		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 1024 (the 1 024-byte size class)", got)
 	}
-	if got := unsafe.Sizeof(ib.QP{}); got != 360 {
-		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 360", got)
+	if got := unsafe.Sizeof(ib.QP{}); got != 352 {
+		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 352", got)
 	}
 }

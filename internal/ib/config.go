@@ -65,6 +65,16 @@ const (
 	// HCA retires the WQE and posts the send completion.
 	ackLatency = 900 * sim.Nanosecond
 
+	// rnrTimeout is how long a sender waits after a Receiver-Not-Ready
+	// NAK before retrying, the same for every retry. Real HCAs quantize
+	// it; the paper relies on it for the hardware-based flow control
+	// scheme.
+	rnrTimeout = 80 * sim.Microsecond
+
+	// sendWindow is the most unacknowledged messages a queue pair keeps
+	// in flight (the packet window / send queue depth).
+	sendWindow = 8
+
 	// registerBase and registerPerPage model memory registration
 	// (pinning) cost; pageSize is the pinning granularity.
 	registerBase    = 25 * sim.Microsecond
@@ -74,24 +84,9 @@ const (
 
 // Config holds the fabric's protocol parameters and topology.
 type Config struct {
-	// RNRTimeout is how long a sender waits after a Receiver-Not-Ready
-	// NAK before retrying. Real HCAs quantize this; the paper relies on
-	// it for the hardware-based flow control scheme.
-	RNRTimeout sim.Time
-
 	// RNRRetryCount limits RNR retries per WQE; negative means infinite
 	// (the paper sets it to infinite so the MPI level stays reliable).
 	RNRRetryCount int
-
-	// RNRBackoffFactor, when > 1, grows the RNR wait geometrically:
-	// attempt k waits RNRTimeout * Factor^(k-1), capped at RNRBackoffMax
-	// (if positive). A factor <= 1 keeps the classic fixed timeout.
-	RNRBackoffFactor int
-	RNRBackoffMax    sim.Time
-
-	// SendWindow is the maximum number of unacknowledged messages a
-	// queue pair keeps in flight (models the packet window / SQ depth).
-	SendWindow int
 
 	// Topology, LeafRadix and Oversub select the interconnect model:
 	// the default crossbar (the paper's single switch), or a two-level
@@ -126,11 +121,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's protocol settings on its crossbar.
 func DefaultConfig() Config {
-	return Config{
-		RNRTimeout:    80 * sim.Microsecond,
-		RNRRetryCount: -1,
-		SendWindow:    8,
-	}
+	return Config{RNRRetryCount: -1}
 }
 
 // txTime returns the wire serialization time for a payload of n bytes.

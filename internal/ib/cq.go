@@ -66,7 +66,6 @@ type WC struct {
 	Len    int    // payload bytes (receives and RDMA)
 	Buf    []byte // receives: the buffer the message landed in (posted, or committed at landing)
 	Imm    uint64 // immediate value for OpRecvImm
-	Err    error  // typed detail for non-success statuses (*RNRExhaustedError)
 }
 
 // CQ is a completion queue. Multiple queue pairs may share one CQ; the
@@ -123,7 +122,7 @@ func (cq *CQ) Arm() {
 // Armed reports whether a notification is pending.
 func (cq *CQ) Armed() bool { return cq.armed }
 
-// Poll removes and returns the oldest completion, if any. A WC is eleven
+// Poll removes and returns the oldest completion, if any. A WC is nine
 // words, so it is copied out of the ring once, straight into the result
 // (At, then Drop), not through Pop's.
 func (cq *CQ) Poll() (wc WC, ok bool) {

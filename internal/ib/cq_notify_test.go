@@ -101,16 +101,14 @@ func TestCQNotifyCompletionBeforeArm(t *testing.T) {
 // cycle (no completion exists yet) and fire exactly once when the
 // retried send finally lands in a posted buffer.
 func TestCQNotifyRNRRearm(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RNRTimeout = 50 * sim.Microsecond
-	eng, qp0, qp1, _, cq1 := pair(cfg)
+	eng, qp0, qp1, _, cq1 := pair(DefaultConfig())
 	rec := &notifyRec{eng: eng}
 	cq1.SetNotify(rec)
 	cq1.Arm()
 	// No receive posted: the send NAKs and retries on the RNR clock.
 	qp0.PostSend(1, []byte("late"))
-	// Post the buffer after a few backoff rounds.
-	const postAt = 180 * sim.Microsecond
+	// Post the buffer after two retry rounds.
+	const postAt = 2*rnrTimeout + 20*sim.Microsecond
 	eng.At(postAt, func() {
 		if len(rec.times) != 0 {
 			t.Errorf("notify fired during RNR backoff: %v", rec.times)
@@ -144,9 +142,9 @@ func TestCQArmWithoutNotifyPanics(t *testing.T) {
 	cq.Arm()
 }
 
-// A completion is eleven words, copied by value into and out of its CQ.
+// A completion is nine words, copied by value into and out of its CQ.
 func TestWCSize(t *testing.T) {
-	if got := unsafe.Sizeof(WC{}); got != 88 {
-		t.Errorf("unsafe.Sizeof(WC{}) = %d, want 88", got)
+	if got := unsafe.Sizeof(WC{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(WC{}) = %d, want 72", got)
 	}
 }

@@ -127,7 +127,7 @@ func TestRefusedMessageCommitsNothing(t *testing.T) {
 		eng, qp0, qp1, _, _ := pair(cfg)
 		src := &countingSource{size: 16}
 		qp0.PostSend(7, []byte("late"))
-		eng.At(3*cfg.RNRTimeout+cfg.RNRTimeout/2, func() {
+		eng.At(3*rnrTimeout+rnrTimeout/2, func() {
 			if len(src.bufs) != 0 {
 				t.Errorf("%d commits while every attempt was NAKed", len(src.bufs))
 			}
@@ -150,7 +150,7 @@ func TestRefusedMessageCommitsNothing(t *testing.T) {
 		src := &countingSource{size: 16}
 		qp1.PostRecvFrom(1, src)
 		qp0.PostSend(1, []byte("x"))
-		eng.At(cfg.RNRTimeout, func() {
+		eng.At(rnrTimeout, func() {
 			if len(src.bufs) != 0 {
 				t.Errorf("%d commits for a ForceRNR-refused message", len(src.bufs))
 			}
@@ -186,7 +186,7 @@ func TestRefusedMessageCommitsNothing(t *testing.T) {
 				qp1.PostRecvFrom(uint64(i), src)
 			}
 			wasted := qp0.Stats().WastedBytes
-			p.Sleep(cfg.RNRTimeout / 2)
+			p.Sleep(rnrTimeout / 2)
 			if len(src.bufs) != 0 || qp0.Stats().WastedBytes == wasted {
 				t.Errorf("before the rewind: %d commits, %d bytes dropped past posted descriptors; want 0 commits and drops",
 					len(src.bufs), qp0.Stats().WastedBytes-wasted)
@@ -425,7 +425,7 @@ func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 		}
 		// Past the first retirement, inside a's RNR back-off: b posts
 		// with whatever a's stream has freed.
-		if err := eng.Run(eng.Now() + cfg.RNRTimeout/2); err != nil {
+		if err := eng.Run(eng.Now() + rnrTimeout/2); err != nil {
 			t.Fatal(err)
 		}
 		if !a.stalled || a.QueuedSends() != burst-1 {
@@ -437,7 +437,7 @@ func TestWQEBoxesRecycleAcrossQPs(t *testing.T) {
 		for k := 1; k < burst; k++ {
 			ra.PostRecv(uint64(r*burst+k), recvA[r*burst+k])
 		}
-		if err := eng.Run(eng.Now() + 2*cfg.RNRTimeout); err != nil {
+		if err := eng.Run(eng.Now() + 2*rnrTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}

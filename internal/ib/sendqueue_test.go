@@ -111,7 +111,4 @@ func TestSendQueueRingNeverDrains(t *testing.T) {
 	if posted < 10_000 {
 		t.Fatalf("only %d posts went through", posted)
 	}
-	if qp0.Stats().MaxQueueLen != 12 {
-		t.Errorf("queue depth peaked at %d, want 12", qp0.Stats().MaxQueueLen)
-	}
 }

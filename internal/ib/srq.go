@@ -11,7 +11,6 @@ type SRQStats struct {
 	PostedTotal uint64 // descriptors ever posted
 	Taken       uint64 // descriptors consumed by arrivals
 	LimitEvents uint64 // low-watermark crossings reported to the owner
-	MinFree     int    // low-water mark of the free descriptor count (-1 until a take)
 }
 
 // SRQ is a shared receive queue: one FIFO pool of receive descriptors
@@ -41,7 +40,6 @@ type SRQ struct {
 // NewSRQ creates a shared receive queue on this adapter.
 func (h *HCA) NewSRQ() *SRQ {
 	s := &SRQ{hca: h, num: len(h.srqs)}
-	s.stats.MinFree = -1
 	h.srqs = append(h.srqs, s)
 	s.registerMetrics()
 	return s
@@ -101,11 +99,7 @@ func (s *SRQ) take() (recvWQE, bool) {
 		return recvWQE{}, false
 	}
 	s.stats.Taken++
-	free := s.q.posted()
-	if s.stats.MinFree < 0 || free < s.stats.MinFree {
-		s.stats.MinFree = free
-	}
-	if s.armed && free < s.limit {
+	if s.armed && s.q.posted() < s.limit {
 		s.armed = false
 		s.stats.LimitEvents++
 		s.onLimit()

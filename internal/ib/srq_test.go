@@ -77,7 +77,7 @@ func TestSRQEmptyPoolTriggersRNRNak(t *testing.T) {
 	eng, qp0, _, _, cq1, srq := srqPair(cfg)
 	qp0.PostSend(7, []byte("late"))
 	buf := make([]byte, 16)
-	eng.At(3*cfg.RNRTimeout+cfg.RNRTimeout/2, func() { srq.PostRecv(9, buf) })
+	eng.At(3*rnrTimeout+rnrTimeout/2, func() { srq.PostRecv(9, buf) })
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSRQExhaustionFreezesSender(t *testing.T) {
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if !qp0.Failed() {
+	if !qp0.failed {
 		t.Fatal("QP not frozen after budget exhaustion against an empty SRQ")
 	}
 	wc, ok := cq0.Poll()
@@ -149,8 +149,8 @@ func TestSRQLimitEventHysteresis(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("limit events after second dip = %d, want 2", fired)
 	}
-	if st := srq.Stats(); st.LimitEvents != 2 || st.MinFree != 0 {
-		t.Errorf("stats = %+v, want LimitEvents 2, MinFree 0", st)
+	if st := srq.Stats(); st.LimitEvents != 2 || st.Taken != 6 {
+		t.Errorf("stats = %+v, want LimitEvents 2, Taken 6", st)
 	}
 }
 

@@ -5,11 +5,10 @@ import (
 	"ibflow/internal/sim"
 )
 
-// DefaultMetricsInterval is the sampling period used when
-// Options.Metrics is set but Options.MetricsInterval is not: fine
+// metricsInterval is the sampling period of Options.Metrics: fine
 // enough to resolve credit dynamics at eager-message granularity
 // (~7.5us round trips) without dominating the event count.
-const DefaultMetricsInterval = 20 * sim.Microsecond
+const metricsInterval = 20 * sim.Microsecond
 
 // registerMetrics registers the job-level instruments on the attached
 // registry; connection- and transport-level metrics register themselves
@@ -32,11 +31,7 @@ func (w *World) registerMetrics() {
 // startSampler begins periodic sampling for Run. Nil-safe: without a
 // registry it returns a nil (no-op) sampler.
 func (w *World) startSampler() *metrics.Sampler {
-	iv := w.opts.MetricsInterval
-	if iv <= 0 {
-		iv = DefaultMetricsInterval
-	}
-	return w.opts.Metrics.StartSampler(w.eng, iv)
+	return w.opts.Metrics.StartSampler(w.eng, metricsInterval)
 }
 
 // ObserveBarrier records one rank's barrier participation time in the

@@ -46,14 +46,12 @@ type Options struct {
 	Settle bool
 	// Metrics, when non-nil, attaches the deterministic metrics registry
 	// to the whole job: NewWorld wires it into Chan.Metrics and
-	// IB.Metrics, and Run samples it on the sim clock every
-	// MetricsInterval. Instrumentation never changes what the simulation
-	// computes — an instrumented run has the same makespan and stats as
-	// an uninstrumented one. A registry belongs to exactly one world.
+	// IB.Metrics, and Run samples it on the sim clock every 20 us
+	// (metricsInterval). Instrumentation never changes what the
+	// simulation computes — an instrumented run has the same makespan and
+	// stats as an uninstrumented one. A registry belongs to exactly one
+	// world.
 	Metrics *metrics.Registry
-	// MetricsInterval is the sampling period for Metrics
-	// (default DefaultMetricsInterval).
-	MetricsInterval sim.Time
 }
 
 // DefaultOptions returns the calibrated testbed configuration under the
