@@ -4,7 +4,7 @@ GO ?= go
 # Raise it when coverage improves; never lower it to make a change pass.
 COVER_FLOOR ?= 75.0
 
-.PHONY: all build vet lint lint-json lint-fix test debug race cover fuzz bench bench-simcore bench-nas bench-diff fmt metrics-smoke loc
+.PHONY: all build vet lint lint-json lint-fix test debug race cover fuzz bench bench-simcore bench-chdev bench-nas bench-diff fmt metrics-smoke loc
 
 all: build vet lint test
 
@@ -84,6 +84,12 @@ bench:
 # The event core's allocation gate is TestSteadyStateAllocGate in tier-1.
 bench-simcore:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
+
+# bench-chdev runs BenchmarkProgressPass once per size (a progress pass
+# on a device with 1, 48 and 1024 idle connections), so it does not rot:
+# the channel device's own per-call cost, which no ladder rung shows.
+bench-chdev:
+	$(GO) test -run '^$$' -bench BenchmarkProgressPass -benchtime 1x ./internal/chdev
 
 # bench-nas times every NAS kernel at the repo benchmark's nas_mix
 # geometry (class A, Static(1), 8 ranks, 16 for BT/SP at two per node),

@@ -215,12 +215,16 @@ type Device struct {
 	blocks mem.Blocks // AllocMem's free lists
 	// live is the connection table: every established endpoint in
 	// (peer, ep) order, so a peer's endpoint set is epN consecutive entries
-	// (eps). Everything that visits connections — the send-side lookup, the
-	// progress sweep, credit flush, stats, audit — goes through it, so the
-	// device's cost follows the connections that exist, not the job size.
-	// addConn is its only writer.
-	live  []*conn
-	peers []*Device
+	// (eps). The send-side lookup, credit flush, stats and audit walk it,
+	// so the device's cost follows the connections that exist, not the
+	// job size. addConn is its only writer.
+	live []*conn
+	// backlogged is the live connections whose backlog is non-empty, in
+	// (peer, ep) order: the progress sweep walks it, so a pass costs the
+	// connections with work. pushBacklog and popBacklog are its only
+	// writers.
+	backlogged []*conn
+	peers      []*Device
 
 	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
 	// is the logical thread the next send is issued from, set by
@@ -360,19 +364,33 @@ func (d *Device) BindThread(tid int) {
 }
 
 // addConn enters a freshly established endpoint into the live list at
-// its (peer, ep) position; static wiring only ever appends. A peer's
-// establish can land here while this device's sweep is parked on a
-// staged charge, so the sweep cursor moves with the connection it names:
-// an endpoint inserted at or before the cursor is skipped this pass, one
-// after it is still visited — the order a peer-major index space gives.
+// its (peer, ep) position; static wiring only ever appends.
 func (d *Device) addConn(c *conn) {
 	i, _ := slices.BinarySearchFunc(d.live, c, func(l, c *conn) int {
 		return cmp.Or(cmp.Compare(l.peer, c.peer), cmp.Compare(l.ep, c.ep))
 	})
 	d.live = slices.Insert(d.live, i, c)
-	if i <= d.progress.connIdx {
-		d.progress.connIdx++
+}
+
+// key is c's place in (peer, ep) order, the order of the live list and
+// the backlog list.
+func (d *Device) key(c *conn) int { return c.peer*d.epN + c.ep }
+
+// backlogAbove returns the index of the first backlogged connection
+// whose key is above k, or len(d.backlogged). Every pass's sweep calls
+// it, so the binary search is written out: slices.BinarySearchFunc is
+// not inlined into step, and makes each probe an indirect call.
+func (d *Device) backlogAbove(k int) int {
+	lo, hi := 0, len(d.backlogged)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if d.key(d.backlogged[m]) <= k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo
 }
 
 // eps returns the endpoint set toward peer — epN consecutive entries of
@@ -492,16 +510,26 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 	}
 }
 
-// pushBacklog appends a held-back send to the connection's backlog queue.
-// The queue and the VC's backlog counter move together; fclint's creditmut
-// analyzer keeps all other code out of the field.
-func (c *conn) pushBacklog(e backlogEntry) {
+// pushBacklog appends a held-back send to c's backlog queue; the first
+// entry lists c in backlogged. The queue and the VC's backlog counter
+// move together; fclint's creditmut analyzer keeps all other code out of
+// the field.
+func (d *Device) pushBacklog(c *conn, e backlogEntry) {
 	c.backlog.Push(e)
+	if c.backlog.Len() == 1 {
+		d.backlogged = slices.Insert(d.backlogged, d.backlogAbove(d.key(c)), c)
+	}
 }
 
-// popBacklog removes and returns the backlog head.
-func (c *conn) popBacklog() backlogEntry {
-	return c.backlog.Pop()
+// popBacklog removes and returns c's backlog head; the last entry takes c
+// off backlogged.
+func (d *Device) popBacklog(c *conn) backlogEntry {
+	e := c.backlog.Pop()
+	if c.backlog.Len() == 0 {
+		i := d.backlogAbove(d.key(c)) - 1
+		d.backlogged = slices.Delete(d.backlogged, i, i+1)
+	}
+	return e
 }
 
 // tr records a trace event if tracing is enabled.
@@ -647,7 +675,7 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 		// The user buffer is copied out and immediately reusable, so
 		// SendDone fires now. drainBacklog refuses a degraded connection.
 		d.tr(trace.Backlogged, c.peer, int64(len(data)))
-		c.pushBacklog(d.encodeEager(p, c, tag, comm, data, true))
+		d.pushBacklog(c, d.encodeEager(p, c, tag, comm, data, true))
 		d.handler.SendDone(token)
 		d.drainBacklog(p, c)
 	}
@@ -695,7 +723,7 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 	consumed, queue := c.vc.DecideRTS()
 	if queue {
 		out.starved = true
-		c.pushBacklog(backlogEntry{rndv: out})
+		d.pushBacklog(c, backlogEntry{rndv: out})
 		d.drainBacklog(p, c)
 		return
 	}
@@ -766,14 +794,14 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 			if !ok {
 				return nil, did
 			}
-			c.popBacklog()
+			d.popBacklog(c)
 			d.tr(trace.Drained, c.peer, 0)
 			return d.prepRTS(c, e.rndv, consumed), did
 		}
 		if !c.vc.CanDrainBacklog() {
 			return nil, did
 		}
-		c.popBacklog()
+		d.popBacklog(c)
 		d.tr(trace.Drained, c.peer, int64(e.n))
 		binary.LittleEndian.PutUint32(e.buf[16:], uint32(c.vc.TakePiggyback()))
 		d.prov.postEager(c, e.buf, e.n)
@@ -1056,15 +1084,38 @@ func (d *Device) ProgressOnce(p *sim.Proc) bool {
 	return d.progressSession(p, nil)
 }
 
-// debugCheckConn validates a connection's credit state: the VC's own
-// invariants plus agreement between the queued backlog entries and the
-// VC's backlog counter, which pushBacklog/popBacklog and the VC's
-// decision calls must keep in lockstep. It runs under the
+// debugCheckSweep runs at the end of every progress pass under the
 // per-run Debug switch or an ibdebug build, and compiles away otherwise.
-func (d *Device) debugCheckConn(c *conn) {
+// It checks every live connection (debugCheckConn) and the backlog
+// list's law: backlogged is exactly the live connections whose backlog
+// is non-empty, in the same order.
+func (d *Device) debugCheckSweep() {
 	if !debug.Enabled && !d.cfg.Debug {
 		return
 	}
+	n := 0
+	for _, c := range d.live {
+		d.debugCheckConn(c)
+		if c.backlog.Len() == 0 {
+			continue
+		}
+		if n == len(d.backlogged) || d.backlogged[n] != c {
+			panic(fmt.Sprintf("chdev: rank %d: peer %d ep %d has a backlog but is not backlog-list entry %d",
+				d.rank, c.peer, c.ep, n))
+		}
+		n++
+	}
+	if n != len(d.backlogged) {
+		panic(fmt.Sprintf("chdev: rank %d: backlog list has %d entries, %d live connections have a backlog",
+			d.rank, len(d.backlogged), n))
+	}
+}
+
+// debugCheckConn validates a connection's credit state: the VC's own
+// invariants plus agreement between the queued backlog entries and the
+// VC's backlog counter, which pushBacklog/popBacklog and the VC's
+// decision calls must keep in lockstep.
+func (d *Device) debugCheckConn(c *conn) {
 	c.vc.CheckInvariants()
 	if got, want := c.backlog.Len(), c.vc.BacklogLen(); got != want {
 		panic(fmt.Sprintf("chdev: rank %d peer %d: backlog queue has %d entries but VC counter says %d",

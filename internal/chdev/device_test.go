@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"ibflow/internal/core"
+	"ibflow/internal/debug"
 	"ibflow/internal/ib"
 	"ibflow/internal/sim"
 )
@@ -210,5 +211,19 @@ func TestConnSize(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(ib.QP{}); got != 352 {
 		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 352", got)
+	}
+}
+
+// A Device is one object per rank. An object over 512 B that holds
+// pointers carries an 8-byte allocation header, so the 768-byte size
+// class takes a Device of at most 760 B; one word more costs the 896-byte
+// class, 128 KB on a 1 024-rank storm (live_heap_mb). The bound is the
+// product build's: under ibdebug its two pools carry liveness books.
+func TestDeviceSize(t *testing.T) {
+	if debug.Enabled {
+		t.Skip("ibdebug builds carry the pools' liveness books")
+	}
+	if got := unsafe.Sizeof(Device{}); got > 760 {
+		t.Errorf("unsafe.Sizeof(Device{}) = %d, want <= 760 (the 768-byte size class, less its header)", got)
 	}
 }

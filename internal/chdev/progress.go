@@ -51,10 +51,9 @@ const (
 	pcDrain
 	// pcDrainPost (staged: header copy): post a drained RTS.
 	pcDrainPost
-	// pcConns: end-of-pass sweep draining every connection's backlog.
+	// pcConns: end-of-pass sweep draining the backlogged connections,
+	// one per visit, in (peer, ep) order.
 	pcConns
-	// pcConnsCheck: debug-check the swept connection, advance the sweep.
-	pcConnsCheck
 )
 
 // progressMachine is the device's progress engine. One machine per
@@ -88,9 +87,12 @@ type progressMachine struct {
 	drainRTS   []byte
 	afterDrain pstate
 
-	// Conn-sweep cursor into Device.live (pcConns/pcConnsCheck); addConn
-	// keeps it on the same connection across an insertion.
-	connIdx int
+	// Conn-sweep cursor (pcConns): the key of the last connection
+	// visited, -1 before the first. Each visit goes to the first
+	// backlogged connection above it, so one listed during a parked sweep
+	// is visited this pass if its key is above the cursor and the next
+	// pass if below — no list change moves it.
+	cursor int
 }
 
 // progressSession runs one machine session on the calling process: a
@@ -141,7 +143,6 @@ func (m *progressMachine) OnEvent(uint64) { m.step() }
 // startPass begins a fresh CQ-drain + conn-sweep pass.
 func (m *progressMachine) startPass() {
 	m.did = false
-	m.connIdx = 0
 	m.pc = pcPoll
 }
 
@@ -159,7 +160,7 @@ func (m *progressMachine) finish() {
 // startDrain points the machine at c's backlog; it continues at `after`
 // once the drain can make no more progress. A degraded connection holds
 // its backlog until the frozen QP stream has been re-issued (checked
-// once per drain, as the coroutine's drainBacklog did at entry).
+// once per drain, at its start, as drainBacklog checks).
 func (m *progressMachine) startDrain(c *conn, after pstate) {
 	if c.degraded {
 		m.pc = after
@@ -194,7 +195,7 @@ func (m *progressMachine) step() {
 		case pcPoll:
 			wc, ok := d.cq.Poll()
 			if !ok {
-				m.connIdx = 0
+				m.cursor = -1
 				m.pc = pcConns
 				continue
 			}
@@ -360,12 +361,15 @@ func (m *progressMachine) step() {
 			m.pc = pcDrain
 
 		case pcConns:
-			// The sweep walks the live list: only the connections that
-			// exist, in (peer, ep) order.
-			if m.connIdx < len(d.live) {
-				m.startDrain(d.live[m.connIdx], pcConnsCheck)
+			// The sweep walks the backlog list: only the connections
+			// with work, in (peer, ep) order.
+			if i := d.backlogAbove(m.cursor); i < len(d.backlogged) {
+				c := d.backlogged[i]
+				m.cursor = d.key(c)
+				m.startDrain(c, pcConns)
 				continue
 			}
+			d.debugCheckSweep()
 			// End of pass: finish, run another pass, or go idle.
 			if m.pred == nil {
 				m.finish() // single pass: ProgressOnce semantics
@@ -396,11 +400,6 @@ func (m *progressMachine) step() {
 			d.cq.Arm()
 			m.pc = pcIdle
 			return
-
-		case pcConnsCheck:
-			d.debugCheckConn(d.live[m.connIdx])
-			m.connIdx++
-			m.pc = pcConns
 		}
 	}
 }
