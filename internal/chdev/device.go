@@ -366,31 +366,20 @@ func (d *Device) BindThread(tid int) {
 // addConn enters a freshly established endpoint into the live list at
 // its (peer, ep) position; static wiring only ever appends.
 func (d *Device) addConn(c *conn) {
-	i, _ := slices.BinarySearchFunc(d.live, c, func(l, c *conn) int {
-		return cmp.Or(cmp.Compare(l.peer, c.peer), cmp.Compare(l.ep, c.ep))
-	})
-	d.live = slices.Insert(d.live, i, c)
+	d.live = slices.Insert(d.live, d.above(d.live, d.key(c)), c)
 }
 
 // key is c's place in (peer, ep) order, the order of the live list and
 // the backlog list.
 func (d *Device) key(c *conn) int { return c.peer*d.epN + c.ep }
 
-// backlogAbove returns the index of the first backlogged connection
-// whose key is above k, or len(d.backlogged). Every pass's sweep calls
-// it, so the binary search is written out: slices.BinarySearchFunc is
-// not inlined into step, and makes each probe an indirect call.
-func (d *Device) backlogAbove(k int) int {
-	lo, hi := 0, len(d.backlogged)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if d.key(d.backlogged[m]) <= k {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
+// above returns the index of the first connection in list, which is in
+// (peer, ep) order, whose key is above k, or len(list).
+func (d *Device) above(list []*conn, k int) int {
+	i, _ := slices.BinarySearchFunc(list, k+1, func(c *conn, k int) int {
+		return cmp.Compare(d.key(c), k)
+	})
+	return i
 }
 
 // eps returns the endpoint set toward peer — epN consecutive entries of
@@ -517,7 +506,7 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 func (d *Device) pushBacklog(c *conn, e backlogEntry) {
 	c.backlog.Push(e)
 	if c.backlog.Len() == 1 {
-		d.backlogged = slices.Insert(d.backlogged, d.backlogAbove(d.key(c)), c)
+		d.backlogged = slices.Insert(d.backlogged, d.above(d.backlogged, d.key(c)), c)
 	}
 }
 
@@ -526,7 +515,11 @@ func (d *Device) pushBacklog(c *conn, e backlogEntry) {
 func (d *Device) popBacklog(c *conn) backlogEntry {
 	e := c.backlog.Pop()
 	if c.backlog.Len() == 0 {
-		i := d.backlogAbove(d.key(c)) - 1
+		i := d.above(d.backlogged, d.key(c)) - 1
+		if i < 0 || d.backlogged[i] != c {
+			panic(fmt.Sprintf("chdev: rank %d: peer %d ep %d emptied its backlog but is not on the backlog list",
+				d.rank, c.peer, c.ep))
+		}
 		d.backlogged = slices.Delete(d.backlogged, i, i+1)
 	}
 	return e

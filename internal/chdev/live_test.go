@@ -86,6 +86,9 @@ func TestEstablishIntoParkedSweep(t *testing.T) {
 	// never touches the process.
 	establish(d0, d1)
 	c0 := d1.epAt(0, 0)
+	if !slices.Equal(d1.live, []*conn{c0, c2, c3, c4}) {
+		t.Fatalf("live list out of (peer, ep) order after a mid-run establish")
+	}
 	for _, c := range []*conn{c0, c4} {
 		out := d1.newRndvOut(nil, c, 3, 0, nil, nil, false)
 		out.starved = true
@@ -138,7 +141,8 @@ func TestEstablishIntoParkedSweep(t *testing.T) {
 // The sweep drains them in (peer, ep) order; the degraded one stays
 // listed and drains after it re-opens, and the ones whose backlog empties
 // during their own drain leave the list. Under Debug, a list that
-// disagrees with the backlogs panics at the end of the pass.
+// disagrees with the backlogs panics at the end of the pass; emptying a
+// backlog that is not listed panics in any build.
 func TestSweepWalksBacklogList(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Endpoints = 2
@@ -212,6 +216,17 @@ func TestSweepWalksBacklogList(t *testing.T) {
 	c11.backlog.Push(backlogEntry{})
 	if msg, want := panicOf(d.debugCheckSweep), "rank 0: peer 1 ep 1 has a backlog but is not backlog-list entry 0"; msg != "chdev: "+want {
 		t.Errorf("an unlisted backlog panicked with %q, want %q", msg, want)
+	}
+
+	// Emptying an unlisted backlog panics at once, in any build, rather
+	// than taking the listed neighbour below it off the list.
+	c10 := d.epAt(1, 0)
+	d.backlogged = []*conn{c10}
+	if msg, want := panicOf(func() { d.popBacklog(c11) }), "rank 0: peer 1 ep 1 emptied its backlog but is not on the backlog list"; msg != "chdev: "+want {
+		t.Errorf("emptying an unlisted backlog panicked with %q, want %q", msg, want)
+	}
+	if !slices.Equal(d.backlogged, []*conn{c10}) {
+		t.Error("emptying an unlisted backlog changed the backlog list")
 	}
 }
 

@@ -363,7 +363,7 @@ func (m *progressMachine) step() {
 		case pcConns:
 			// The sweep walks the backlog list: only the connections
 			// with work, in (peer, ep) order.
-			if i := d.backlogAbove(m.cursor); i < len(d.backlogged) {
+			if i := d.above(d.backlogged, m.cursor); i < len(d.backlogged) {
 				c := d.backlogged[i]
 				m.cursor = d.key(c)
 				m.startDrain(c, pcConns)
