@@ -21,8 +21,7 @@ type ScalingSeries struct {
 	// and shared schemes lean on the HCA backstop; user-level schemes
 	// must stay at zero).
 	RNRNaks []uint64 `json:"rnr_naks"`
-	// Backlogged counts sends parked for lack of credits or degraded
-	// connections.
+	// Backlogged counts sends parked for lack of credits or ring slots.
 	Backlogged []uint64 `json:"backlogged"`
 	// LimitEvents counts SRQ low-watermark events (shared scheme only).
 	LimitEvents []uint64 `json:"limit_events"`

@@ -69,9 +69,9 @@ const (
 	// ring scheme keeps per connection for control traffic.
 	ctrlPrepost = 8
 
-	// reissueDelay is how long a connection stays in degraded mode after
-	// the transport reports RNR budget exhaustion before the frozen
-	// stream is re-issued; new eager traffic backlogs meanwhile.
+	// reissueDelay is how long a QP stays frozen after the transport
+	// reports RNR budget exhaustion before its stream is re-issued; sends
+	// posted meanwhile queue on the QP behind the failed one.
 	reissueDelay = 100 * sim.Microsecond
 
 	// bufSize is the size of a pre-pinned communication buffer, the

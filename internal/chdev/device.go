@@ -143,11 +143,6 @@ type conn struct {
 	lastSend sim.Time   // last outgoing traffic on this connection
 	ecmTimer *sim.Timer // deferred ECM when the gate is still closed
 
-	// degraded marks a connection whose QP froze on RNR budget
-	// exhaustion: new eager traffic falls back to the backlog until the
-	// frozen stream is re-issued (reissueDelay later).
-	degraded bool
-
 	// Landing regions, the provisioner's to set and use (provision.go):
 	// where the peer writes this end's eager arrivals, and this end's
 	// write target at the peer. Unset for a shape whose arrivals all land
@@ -218,13 +213,8 @@ type Device struct {
 	// (eps). The send-side lookup, credit flush, stats and audit walk it,
 	// so the device's cost follows the connections that exist, not the
 	// job size. addConn is its only writer.
-	live []*conn
-	// backlogged is the live connections whose backlog is non-empty, in
-	// (peer, ep) order: the progress sweep walks it, so a pass costs the
-	// connections with work. pushBacklog and popBacklog are its only
-	// writers.
-	backlogged []*conn
-	peers      []*Device
+	live  []*conn
+	peers []*Device
 
 	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
 	// is the logical thread the next send is issued from, set by
@@ -366,20 +356,11 @@ func (d *Device) BindThread(tid int) {
 // addConn enters a freshly established endpoint into the live list at
 // its (peer, ep) position; static wiring only ever appends.
 func (d *Device) addConn(c *conn) {
-	d.live = slices.Insert(d.live, d.above(d.live, d.key(c)), c)
-}
-
-// key is c's place in (peer, ep) order, the order of the live list and
-// the backlog list.
-func (d *Device) key(c *conn) int { return c.peer*d.epN + c.ep }
-
-// above returns the index of the first connection in list, which is in
-// (peer, ep) order, whose key is above k, or len(list).
-func (d *Device) above(list []*conn, k int) int {
-	i, _ := slices.BinarySearchFunc(list, k+1, func(c *conn, k int) int {
-		return cmp.Compare(d.key(c), k)
+	key := func(c *conn) int { return c.peer*d.epN + c.ep }
+	i, _ := slices.BinarySearchFunc(d.live, key(c), func(e *conn, k int) int {
+		return cmp.Compare(key(e), k)
 	})
-	return i
+	d.live = slices.Insert(d.live, i, c)
 }
 
 // eps returns the endpoint set toward peer — epN consecutive entries of
@@ -499,32 +480,6 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 	}
 }
 
-// pushBacklog appends a held-back send to c's backlog queue; the first
-// entry lists c in backlogged. The queue and the VC's backlog counter
-// move together; fclint's creditmut analyzer keeps all other code out of
-// the field.
-func (d *Device) pushBacklog(c *conn, e backlogEntry) {
-	c.backlog.Push(e)
-	if c.backlog.Len() == 1 {
-		d.backlogged = slices.Insert(d.backlogged, d.above(d.backlogged, d.key(c)), c)
-	}
-}
-
-// popBacklog removes and returns c's backlog head; the last entry takes c
-// off backlogged.
-func (d *Device) popBacklog(c *conn) backlogEntry {
-	e := c.backlog.Pop()
-	if c.backlog.Len() == 0 {
-		i := d.above(d.backlogged, d.key(c)) - 1
-		if i < 0 || d.backlogged[i] != c {
-			panic(fmt.Sprintf("chdev: rank %d: peer %d ep %d emptied its backlog but is not on the backlog list",
-				d.rank, c.peer, c.ep))
-		}
-		d.backlogged = slices.Delete(d.backlogged, i, i+1)
-	}
-	return e
-}
-
 // tr records a trace event if tracing is enabled.
 func (d *Device) tr(kind trace.Kind, peer int, arg int64) {
 	if d.cfg.Tracer != nil {
@@ -553,18 +508,6 @@ func pktKind(t PktType) trace.Kind {
 
 // Rank returns the device's rank.
 func (d *Device) Rank() int { return d.rank }
-
-// Size returns the job size.
-func (d *Device) Size() int { return d.size }
-
-// Engine returns the simulation engine.
-func (d *Device) Engine() *sim.Engine { return d.eng }
-
-// Config returns the device configuration.
-func (d *Device) Config() *Config { return d.cfg }
-
-// Params returns the flow control parameters.
-func (d *Device) Params() core.Params { return d.params }
 
 // Pool returns the device's pre-pinned wire-buffer pool. The MPI layer
 // stages unexpected eager payloads through it so matching a late receive
@@ -666,33 +609,26 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 		d.startRndv(p, c, tag, comm, data, token, true)
 	case core.ActionBacklog:
 		// The user buffer is copied out and immediately reusable, so
-		// SendDone fires now. drainBacklog refuses a degraded connection.
+		// SendDone fires now.
 		d.tr(trace.Backlogged, c.peer, int64(len(data)))
-		d.pushBacklog(c, d.encodeEager(p, c, tag, comm, data, true))
+		c.backlog.Push(d.encodeEager(p, c, tag, comm, data, true))
 		d.handler.SendDone(token)
 		d.drainBacklog(p, c)
 	}
 }
 
-// admitEager asks c's VC what to do with an n-byte eager send. A degraded
-// connection — its QP frozen on RNR exhaustion — forces the backlog
-// whatever the VC would say (the credit, if the scheme uses one, is
-// consumed at drain time: net accounting is identical to a starved
-// backlog). On ActionWait the rank's own process parks on the progress
-// engine — backpressure, never a handler — until the channel reopens or
-// degrades, then asks again without the option to wait.
+// admitEager asks c's VC what to do with an n-byte eager send. On
+// ActionWait the rank's own process parks on the progress engine —
+// backpressure, never a handler — until the channel reopens, then asks
+// again without the option to wait.
 func (d *Device) admitEager(p *sim.Proc, c *conn, n int, blocking bool) core.Action {
-	for !c.degraded {
-		a := c.vc.DecideEager(blocking)
-		if a != core.ActionWait {
-			return a
-		}
+	a := c.vc.DecideEager(blocking)
+	if a == core.ActionWait {
 		d.tr(trace.Backlogged, c.peer, int64(n))
-		d.WaitProgress(p, func() bool { return c.degraded || c.vc.SendReady() })
-		blocking = false
+		d.WaitProgress(p, c.vc.SendReady)
+		a = c.vc.DecideEager(false)
 	}
-	c.vc.QueueFree()
-	return core.ActionBacklog
+	return a
 }
 
 // SendSync transmits data with synchronous-mode semantics (MPI_Ssend):
@@ -716,7 +652,7 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 	consumed, queue := c.vc.DecideRTS()
 	if queue {
 		out.starved = true
-		d.pushBacklog(c, backlogEntry{rndv: out})
+		c.backlog.Push(backlogEntry{rndv: out})
 		d.drainBacklog(p, c)
 		return
 	}
@@ -751,12 +687,7 @@ func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []
 }
 
 // drainBacklog sends backlogged messages in FIFO order while credits last.
-// A degraded connection holds its backlog until the frozen QP stream has
-// been re-issued.
 func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
-	if c.degraded {
-		return false
-	}
 	did := false
 	for {
 		rts, more := d.drainAdvance(c)
@@ -777,7 +708,7 @@ func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
 // was paid at enqueue), while an RTS entry is prepared and returned for
 // the caller — process or progress machine — to charge the header copy
 // and post. It reports whether it accomplished anything beyond the
-// returned RTS. Callers gate on c.degraded before starting a drain.
+// returned RTS.
 func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	did := false
 	for c.backlog.Len() > 0 {
@@ -787,14 +718,14 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 			if !ok {
 				return nil, did
 			}
-			d.popBacklog(c)
+			c.backlog.Pop()
 			d.tr(trace.Drained, c.peer, 0)
 			return d.prepRTS(c, e.rndv, consumed), did
 		}
 		if !c.vc.CanDrainBacklog() {
 			return nil, did
 		}
-		d.popBacklog(c)
+		c.backlog.Pop()
 		d.tr(trace.Drained, c.peer, int64(e.n))
 		binary.LittleEndian.PutUint32(e.buf[16:], uint32(c.vc.TakePiggyback()))
 		d.prov.postEager(c, e.buf, e.n)
@@ -1069,7 +1000,7 @@ func (d *Device) sendReturn(c *conn) bool {
 }
 
 // ProgressOnce runs one pass of the progress engine: drain the
-// completion queue, the backlogs and any due explicit credit messages.
+// completion queue and the backlogs its arrivals reopen.
 // It reports whether it accomplished anything. The pass runs on the
 // bound progress machine; the calling process parks only if the pass
 // charges virtual time.
@@ -1077,36 +1008,39 @@ func (d *Device) ProgressOnce(p *sim.Proc) bool {
 	return d.progressSession(p, nil)
 }
 
-// debugCheckSweep runs at the end of every progress pass under the
+// debugCheckPass runs at the end of every progress pass under the
 // per-run Debug switch or an ibdebug build, and compiles away otherwise.
-// It checks every live connection (debugCheckConn) and the backlog
-// list's law: backlogged is exactly the live connections whose backlog
-// is non-empty, in the same order.
-func (d *Device) debugCheckSweep() {
+// It checks every live connection (debugCheckConn) and the pass-end law:
+// no backlog head is drainable. A backlog reopens only where an arrival
+// returns a credit or a ring head, and the pass drains it right there
+// (pcPktCredits), so a head the VC would let go now is a drain that was
+// missed. The drain's own gates answer, asked of a copy of the VC.
+func (d *Device) debugCheckPass() {
 	if !debug.Enabled && !d.cfg.Debug {
 		return
 	}
-	n := 0
 	for _, c := range d.live {
 		d.debugCheckConn(c)
 		if c.backlog.Len() == 0 {
 			continue
 		}
-		if n == len(d.backlogged) || d.backlogged[n] != c {
-			panic(fmt.Sprintf("chdev: rank %d: peer %d ep %d has a backlog but is not backlog-list entry %d",
-				d.rank, c.peer, c.ep, n))
+		vc := c.vc
+		ok := false
+		if c.backlog.At(0).rndv != nil {
+			_, ok = vc.DrainRTS()
+		} else {
+			ok = vc.CanDrainBacklog()
 		}
-		n++
-	}
-	if n != len(d.backlogged) {
-		panic(fmt.Sprintf("chdev: rank %d: backlog list has %d entries, %d live connections have a backlog",
-			d.rank, len(d.backlogged), n))
+		if ok {
+			panic(fmt.Sprintf("chdev: rank %d: peer %d ep %d ends a pass with a drainable backlog of %d",
+				d.rank, c.peer, c.ep, c.backlog.Len()))
+		}
 	}
 }
 
 // debugCheckConn validates a connection's credit state: the VC's own
 // invariants plus agreement between the queued backlog entries and the
-// VC's backlog counter, which pushBacklog/popBacklog and the VC's
+// VC's backlog counter, which the backlog's pushes and pops and the VC's
 // decision calls must keep in lockstep.
 func (d *Device) debugCheckConn(c *conn) {
 	c.vc.CheckInvariants()
@@ -1250,30 +1184,25 @@ func (d *Device) retireSend(wc ib.WC) {
 // onRetryExhausted handles the transport's typed RNR-exhaustion error:
 // graceful degradation instead of a silent stall or a crash. The frozen
 // QP kept the failed WQE (and everything behind it) queued, so re-issuing
-// is just ResumeStalled with a fresh retry budget after reissueDelay; the
-// connection meanwhile runs degraded, forcing new eager traffic into the
-// backlog so nothing piles onto the frozen stream out of order. The
-// request's context stays where it is in c's sends (the pool buffer is
-// still pinned under it), with the bumped count.
+// is just ResumeStalled with a fresh retry budget after reissueDelay;
+// sends posted meanwhile queue on the frozen QP behind it, in post order.
+// The request's context stays where it is in c's sends (the pool buffer
+// is still pinned under it), with the bumped count.
 func (d *Device) onRetryExhausted(c *conn, ctx *sendCtx) {
 	ctx.attempts++
-	c.degraded = true
 	c.vc.NoteReissue()
 	d.tr(trace.Reissued, c.peer, int64(ctx.attempts))
 	d.eng.AfterCall(reissueDelay, (*reissueEvent)(c), 0)
 }
 
-// reissueEvent is a conn as the target of its re-open event, reissueDelay
-// after it degraded: a handler type over the same memory, so
+// reissueEvent is a conn as the target of its re-issue event, reissueDelay
+// after its QP froze: a handler type over the same memory, so
 // RNR-exhaustion recovery schedules without a closure. The frozen QP kept
-// everything queued, so re-opening is just ResumeStalled with a fresh
+// everything queued, so re-issuing is just ResumeStalled with a fresh
 // retry budget.
 type reissueEvent conn
 
-func (re *reissueEvent) OnEvent(uint64) {
-	re.degraded = false
-	re.qp.ResumeStalled()
-}
+func (re *reissueEvent) OnEvent(uint64) { re.qp.ResumeStalled() }
 
 // Stats aggregates the device's counters.
 func (d *Device) Stats() Stats {

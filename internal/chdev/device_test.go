@@ -199,7 +199,7 @@ func TestDeviceStatsAccounting(t *testing.T) {
 }
 
 // A connection end is one object (establish), so its size is the host
-// cost of every end: 944 B, in the allocator's 1 024-byte size class. The
+// cost of every end: 936 B, in the allocator's 1 024-byte size class. The
 // QP is 352 B of it: its receive queue keeps descriptors as runs, one of
 // them inline. A field that pushes the conn past 1 024 B
 // costs the next size class, 128 B more per end (6 MB on a 1 024-rank

@@ -31,7 +31,7 @@ const (
 	// pcIdle: no pass is running. During a waiting session the CQ
 	// notify is armed and the next completion wakes the machine here.
 	pcIdle pstate = iota
-	// pcPoll: pop the next completion (or move to the conn sweep).
+	// pcPoll: pop the next completion, or end the pass.
 	pcPoll
 	// pcPktCredits (staged: SW receive overhead): apply what the packet
 	// returns, then drain the backlog it may have opened.
@@ -47,13 +47,10 @@ const (
 	pcAcceptPost
 	// pcPktTail: trace, buffer release, descriptor re-post, next completion.
 	pcPktTail
-	// pcDrain: advance the current connection's backlog.
+	// pcDrain: advance the backlog the packet reopened.
 	pcDrain
 	// pcDrainPost (staged: header copy): post a drained RTS.
 	pcDrainPost
-	// pcConns: end-of-pass sweep draining the backlogged connections,
-	// one per visit, in (peer, ep) order.
-	pcConns
 )
 
 // progressMachine is the device's progress engine. One machine per
@@ -71,7 +68,8 @@ type progressMachine struct {
 	// detached session's pred never holds.
 	pred func() bool
 
-	// In-flight packet, valid from pcPktCredits through pcPktTail.
+	// In-flight packet, valid from pcPktCredits through pcPktTail; c's
+	// backlog is the one pcDrain advances.
 	c   *conn
 	buf []byte
 	hdr Header
@@ -81,18 +79,8 @@ type progressMachine struct {
 	acceptHdr Header
 	acceptPkt []byte
 
-	// Backlog-drain staging: the connection being drained and where to
-	// continue once it can make no more progress.
-	drainC     *conn
-	drainRTS   []byte
-	afterDrain pstate
-
-	// Conn-sweep cursor (pcConns): the key of the last connection
-	// visited, -1 before the first. Each visit goes to the first
-	// backlogged connection above it, so one listed during a parked sweep
-	// is visited this pass if its key is above the cursor and the next
-	// pass if below — no list change moves it.
-	cursor int
+	// drainRTS is a drained RTS staged for pcDrainPost.
+	drainRTS []byte
 }
 
 // progressSession runs one machine session on the calling process: a
@@ -140,7 +128,7 @@ func (d *Device) Detach() {
 // notification re-enters the machine here.
 func (m *progressMachine) OnEvent(uint64) { m.step() }
 
-// startPass begins a fresh CQ-drain + conn-sweep pass.
+// startPass begins a fresh pass over the CQ.
 func (m *progressMachine) startPass() {
 	m.did = false
 	m.pc = pcPoll
@@ -155,20 +143,6 @@ func (m *progressMachine) finish() {
 	if m.d.gate.Waiting() {
 		m.d.gate.Release()
 	}
-}
-
-// startDrain points the machine at c's backlog; it continues at `after`
-// once the drain can make no more progress. A degraded connection holds
-// its backlog until the frozen QP stream has been re-issued (checked
-// once per drain, at its start, as drainBacklog checks).
-func (m *progressMachine) startDrain(c *conn, after pstate) {
-	if c.degraded {
-		m.pc = after
-		return
-	}
-	m.drainC = c
-	m.afterDrain = after
-	m.pc = pcDrain
 }
 
 // step runs the machine until it either stages a virtual-time charge
@@ -195,8 +169,26 @@ func (m *progressMachine) step() {
 		case pcPoll:
 			wc, ok := d.cq.Poll()
 			if !ok {
-				m.cursor = -1
-				m.pc = pcConns
+				// End of pass: finish, run another pass, or go idle.
+				d.debugCheckPass()
+				if m.pred == nil || m.pred() {
+					m.finish() // pred == nil: single pass, ProgressOnce semantics
+					return
+				}
+				if !m.did {
+					if !d.flushCredits() {
+						// Nothing to do: arm the CQ and go idle; the
+						// notify wakes the machine, not the process.
+						d.cq.Arm()
+						m.pc = pcIdle
+						return
+					}
+					if m.pred() {
+						m.finish()
+						return
+					}
+				}
+				m.startPass()
 				continue
 			}
 			m.did = true
@@ -235,12 +227,11 @@ func (m *progressMachine) step() {
 		case pcPktCredits:
 			// Every inbound packet piggybacks what the peer can give
 			// back — credits, its receive head; either may unblock the
-			// backlog.
-			if m.c.vc.Returned(int(m.hdr.Piggyback), m.hdr.RingHead) {
-				m.startDrain(m.c, pcPktBody)
-				continue
-			}
+			// backlog, and this is the only place one reopens.
 			m.pc = pcPktBody
+			if m.c.vc.Returned(int(m.hdr.Piggyback), m.hdr.RingHead) {
+				m.pc = pcDrain
+			}
 
 		case pcPktBody:
 			if m.hdr.Flags&FlagStarved != 0 {
@@ -339,13 +330,12 @@ func (m *progressMachine) step() {
 			m.pc = pcPoll
 
 		case pcDrain:
-			rts, more := d.drainAdvance(m.drainC)
+			rts, more := d.drainAdvance(m.c)
 			if more {
 				m.did = true
 			}
 			if rts == nil {
-				m.pc = m.afterDrain
-				m.drainC = nil
+				m.pc = pcPktBody
 				continue
 			}
 			m.did = true
@@ -356,50 +346,9 @@ func (m *progressMachine) step() {
 			return
 
 		case pcDrainPost:
-			d.postPacket(m.drainC, m.drainRTS, HeaderSize)
+			d.postPacket(m.c, m.drainRTS, HeaderSize)
 			m.drainRTS = nil
 			m.pc = pcDrain
-
-		case pcConns:
-			// The sweep walks the backlog list: only the connections
-			// with work, in (peer, ep) order.
-			if i := d.above(d.backlogged, m.cursor); i < len(d.backlogged) {
-				c := d.backlogged[i]
-				m.cursor = d.key(c)
-				m.startDrain(c, pcConns)
-				continue
-			}
-			d.debugCheckSweep()
-			// End of pass: finish, run another pass, or go idle.
-			if m.pred == nil {
-				m.finish() // single pass: ProgressOnce semantics
-				return
-			}
-			if m.did {
-				if m.pred() {
-					m.finish()
-					return
-				}
-				m.startPass()
-				continue
-			}
-			if m.pred() {
-				m.finish()
-				return
-			}
-			if d.flushCredits() {
-				if m.pred() {
-					m.finish()
-					return
-				}
-				m.startPass()
-				continue
-			}
-			// Nothing to do: arm the CQ and go idle; the notify wakes
-			// the machine, not the process.
-			d.cq.Arm()
-			m.pc = pcIdle
-			return
 		}
 	}
 }

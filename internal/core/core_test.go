@@ -319,12 +319,6 @@ func TestRingVCDecisions(t *testing.T) {
 			consumed, ok := vc.DrainRTS()
 			return !consumed && ok && vc.RingOut().Free() == 0 && vc.BacklogLen() == 1
 		}, Stats{EagerSent: 3, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
-		{"degraded mode queues past a free slot", func() bool {
-			ok := vc.Returned(0, 3) && vc.CanDrainBacklog() && vc.SendReady()
-			send()
-			vc.QueueFree()
-			return ok && vc.BacklogLen() == 1 && !vc.SendReady()
-		}, Stats{EagerSent: 4, Backlogged: 4, MaxBacklogLen: 3, MaxPosted: 2}},
 	}
 	for _, st := range steps {
 		if !st.do() {
@@ -341,33 +335,47 @@ func TestRingVCDecisions(t *testing.T) {
 }
 
 // TestDrainRTSPerKind pins what draining a backlogged RTS costs and
-// counts under each scheme: a credit only where there are credits, and an
-// EagerSent everywhere but on the ring (the send/recv schemes drain an
-// RTS through the eager gate; Table 1's eager column has always included
-// it).
+// counts under each scheme that backlogs: a credit only where there are
+// credits, and an EagerSent everywhere but on the ring (the send/recv
+// schemes drain an RTS through the eager gate; Table 1's eager column has
+// always included it). The schemes with neither credits nor a ring never
+// backlog, so an RTS never waits there.
 func TestDrainRTSPerKind(t *testing.T) {
 	for _, tc := range []struct {
 		p         Params
+		piggyback int    // what the peer returns: credits...
+		head      uint32 // ...or its ring head
 		consumed  bool
 		eagerSent uint64
 	}{
-		{Hardware(4), false, 1},
-		{Static(4), true, 1},
-		{Dynamic(4, 16), true, 1},
-		{Shared(4, 16), false, 1},
-		{RDMA(4, 1024), false, 0},
+		{Static(4), 2, 0, true, 1},
+		{Dynamic(4, 16), 2, 0, true, 1},
+		{RDMA(4, 1024), 0, 1, false, 0},
 	} {
 		if err := tc.p.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		vc := NewVC(&tc.p)
-		vc.QueueFree() // an eager send held by degraded mode...
+		send := func() { // what the device does on ActionSend or a drain
+			if tc.p.RingChannel() {
+				vc.RingOut().Reserve()
+			}
+		}
+		// Spend every credit or slot, so that an eager send queues...
+		for vc.DecideEager(false) == ActionSend {
+			send()
+		}
 		if _, queue := vc.DecideRTS(); !queue {
 			t.Fatalf("%v: RTS overtook the backlog", tc.p.Kind)
 		}
-		if !vc.CanDrainBacklog() { // ...drains first
+		if vc.CanDrainBacklog() {
+			t.Fatalf("%v: eager entry drained with nothing returned", tc.p.Kind)
+		}
+		// ...and drains first once the peer gives something back.
+		if !vc.Returned(tc.piggyback, tc.head) || !vc.CanDrainBacklog() {
 			t.Fatalf("%v: eager entry did not drain", tc.p.Kind)
 		}
+		send()
 		before := vc.Stats().EagerSent
 		consumed, ok := vc.DrainRTS()
 		if !ok || consumed != tc.consumed {
@@ -378,6 +386,18 @@ func TestDrainRTSPerKind(t *testing.T) {
 		}
 		if vc.BacklogLen() != 0 {
 			t.Errorf("%v: backlog %d after draining both entries", tc.p.Kind, vc.BacklogLen())
+		}
+	}
+	for _, p := range []Params{Hardware(4), Shared(4, 16)} {
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		vc := NewVC(&p)
+		if a := vc.DecideEager(false); a != ActionSend {
+			t.Errorf("%v: a non-blocking eager send got %v, want send", p.Kind, a)
+		}
+		if _, queue := vc.DecideRTS(); queue {
+			t.Errorf("%v: an RTS queued", p.Kind)
 		}
 	}
 	// At zero credits a user-level RTS stays queued.

@@ -48,9 +48,6 @@ func NewPool(p *Params) *Pool {
 	return pl
 }
 
-// Params returns the scheme parameters.
-func (pl *Pool) Params() *Params { return pl.params }
-
 // Posted returns the current pool-size target: how many descriptors the
 // device should have provisioned in the SRQ, counting those in flight
 // through packet processing.

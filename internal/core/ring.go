@@ -79,9 +79,6 @@ func makeRing(slots int) Ring {
 	return Ring{slots: int32(slots)}
 }
 
-// Slots returns the fixed slot count of the ring.
-func (r *Ring) Slots() int { return int(r.slots) }
-
 // Free returns how many slots the sender may still write without
 // overrunning the peer's last known head.
 func (r *Ring) Free() int { return int(r.slots) - int(r.tail-r.headSeen) }

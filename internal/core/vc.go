@@ -132,9 +132,6 @@ func (vc *VC) RingOut() *Ring { return &vc.ring.out }
 // reports arrivals and consumed slots.
 func (vc *VC) RingIn() *Ring { return &vc.ring.in }
 
-// Params returns the scheme parameters.
-func (vc *VC) Params() *Params { return vc.params }
-
 // Credits returns the sender-side credit count (0 for hardware scheme).
 func (vc *VC) Credits() int { return vc.credits }
 
@@ -236,10 +233,10 @@ func (vc *VC) DecideRTS() (consumed, queue bool) {
 		if vc.backlog == 0 {
 			return false, false
 		}
-		// Without credits an RTS waits only for order: it must not
-		// overtake queued traffic — a degraded connection's (after RNR
-		// budget exhaustion) or, on the ring, eager sends waiting for a
-		// slot while control traffic rides the descriptor pool.
+		// Without credits an RTS waits only for order: on the ring it
+		// must not overtake eager sends waiting for a slot while control
+		// traffic rides the descriptor pool. No other scheme without
+		// credits ever backlogs.
 		vc.queue()
 		return false, true
 	}
@@ -251,22 +248,13 @@ func (vc *VC) DecideRTS() (consumed, queue bool) {
 	return false, true
 }
 
-// QueueFree enqueues an eager send without asking for a credit or a slot:
-// the device's degraded mode (a QP frozen on RNR exhaustion) holds new
-// traffic in the backlog whatever the scheme would have said, and the
-// credit, if the scheme uses one, is consumed at drain time.
-func (vc *VC) QueueFree() {
-	vc.queue()
-	vc.debugCheck()
-}
-
 // CanDrainBacklog reports whether the device may send the next backlogged
 // eager message (consuming the credit if so; the ring's free slot is taken
 // by the device's Reserve). Progress is guaranteed because credits and
 // heads always return eventually (piggybacked on handshakes or via an
-// optimistic ECM or head sync before the peer blocks). Without credits or
-// a ring there is no gate: such a backlog exists only while the device is
-// degraded, so it drains unconditionally.
+// optimistic ECM or head sync before the peer blocks). Without credits the
+// ring's free slot is the only gate: a backlog without credits exists only
+// on the ring.
 func (vc *VC) CanDrainBacklog() bool {
 	if vc.backlog == 0 || vc.onRing() && vc.ring.out.Free() == 0 {
 		return false

@@ -51,14 +51,8 @@ func NewFabric(eng *sim.Engine, cfg Config, nodes int) *Fabric {
 	return f
 }
 
-// Engine returns the simulation engine.
-func (f *Fabric) Engine() *sim.Engine { return f.eng }
-
 // Config returns the fabric configuration.
 func (f *Fabric) Config() *Config { return &f.cfg }
-
-// Nodes reports the number of HCAs.
-func (f *Fabric) Nodes() int { return len(f.hcas) }
 
 // HCA returns the adapter at node i.
 func (f *Fabric) HCA(i int) *HCA { return f.hcas[i] }
@@ -107,9 +101,6 @@ type HCA struct {
 
 // Node returns the node index this HCA is attached to.
 func (h *HCA) Node() int { return h.node }
-
-// Fabric returns the fabric this HCA belongs to.
-func (h *HCA) Fabric() *Fabric { return h.fabric }
 
 // NewCQ creates a completion queue on this adapter.
 func (h *HCA) NewCQ() *CQ {

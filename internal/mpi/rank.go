@@ -47,7 +47,6 @@ type Rank struct {
 	detached    sim.Time   // Options.Settle: when the rank left finalize and detached its device
 	postedRecvs []*Request // posted receives, in post order
 	unex        []unexEntry
-	maxUnex     int
 	nextCommID  uint16 // context ids handed out by Split
 
 	// pending is the eager delivery in flight between DeliverEagerStart
@@ -212,7 +211,7 @@ func (r *Rank) DeliverEagerDone() {
 		pe.req.complete(pe.st)
 		return
 	}
-	r.pushUnex(pe.entry)
+	r.unex = append(r.unex, pe.entry)
 }
 
 // DeliverRndvStart implements chdev.Handler: accept in-band when a
@@ -227,7 +226,7 @@ func (r *Rank) DeliverRndvStart(in *chdev.RndvIn) ([]byte, bool) {
 		in.UserData = req
 		return req.buf, true
 	}
-	r.pushUnex(unexEntry{kind: unexRndv, src: in.Src, tag: in.Tag, comm: in.Comm, rndv: in})
+	r.unex = append(r.unex, unexEntry{kind: unexRndv, src: in.Src, tag: in.Tag, comm: in.Comm, rndv: in})
 	return nil, false
 }
 
@@ -240,13 +239,6 @@ func (r *Rank) DeliverRndvDone(in *chdev.RndvIn) {
 // SendDone implements chdev.Handler.
 func (r *Rank) SendDone(token any) {
 	token.(*Request).complete(Status{})
-}
-
-func (r *Rank) pushUnex(e unexEntry) {
-	r.unex = append(r.unex, e)
-	if len(r.unex) > r.maxUnex {
-		r.maxUnex = len(r.unex)
-	}
 }
 
 // matchUnex scans the unexpected queue for (src, tag) and attaches the
@@ -296,6 +288,3 @@ func (r *Rank) probeUnex(src, tag int, comm uint16) (Status, bool) {
 	}
 	return Status{}, false
 }
-
-// MaxUnexpected reports the high-water mark of the unexpected queue.
-func (r *Rank) MaxUnexpected() int { return r.maxUnex }

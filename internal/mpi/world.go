@@ -198,9 +198,6 @@ func (w *World) Time() sim.Time { return w.eng.Now() }
 // RankStats returns the channel device statistics of rank i.
 func (w *World) RankStats(i int) chdev.Stats { return w.ranks[i].dev.Stats() }
 
-// RankEndpointStats returns the endpoint-set counters of rank i's device.
-func (w *World) RankEndpointStats(i int) chdev.EPStats { return w.ranks[i].dev.EndpointStats() }
-
 // EndpointStats aggregates endpoint-set counters across all ranks:
 // selection counts and live endpoints sum, the occupancy high-water
 // mark is the worst endpoint anywhere in the job.
