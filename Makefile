@@ -75,13 +75,16 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvQueue$$' -fuzztime $(FUZZTIME) ./internal/ib
 	$(GO) test -run '^$$' -fuzz '^FuzzQP$$' -fuzztime $(FUZZTIME) ./internal/ib
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzInlineWake$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-simcore runs every event-core benchmark once, so none of them
-# rots; the repo benchmark's sim.* ladder rungs report their host cost.
-# The event core's allocation gate is TestSteadyStateAllocGate in tier-1.
+# rots — among them BenchmarkProcContextSwitch (a wake that must switch)
+# and BenchmarkProcSleepInline (a wake taken in place); the repo
+# benchmark's sim.* ladder rungs report their host cost. The event core's
+# allocation gate is TestSteadyStateAllocGate in tier-1.
 bench-simcore:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 

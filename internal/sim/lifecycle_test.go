@@ -179,11 +179,15 @@ func TestGateReleaseNestsInsideProcess(t *testing.T) {
 	if got := strings.Join(log, " "); got != want {
 		t.Errorf("nested release order:\n got %s\nwant %s", got, want)
 	}
-	// Spawn + one resume per Sleep for A; spawn + one resume per Release
-	// for B and C: nested resumes are dispatches, not events.
-	for _, p := range []*Proc{pA, pB, pC} {
-		if p.Dispatches() != 3 {
-			t.Errorf("%s: %d dispatches, want 3", p.Name(), p.Dispatches())
+	// A: its spawn only — nothing else is due before either of its wakes,
+	// so both sleeps wake in place. B and C: spawn + one resume per
+	// Release: nested resumes are dispatches, not events.
+	for _, c := range []struct {
+		p    *Proc
+		want uint64
+	}{{pA, 1}, {pB, 3}, {pC, 3}} {
+		if got := c.p.Dispatches(); got != c.want {
+			t.Errorf("%s: %d dispatches, want %d", c.p.Name(), got, c.want)
 		}
 	}
 	if e.EventsFired() != 5 {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Performance of the simulator itself (host ns per simulated event):
 // the experiment suite fires tens of millions of events, so the engine's
@@ -8,7 +11,9 @@ import "testing"
 // report allocations — the freelist and handler events exist precisely to
 // drive steady-state allocs/op to zero. The repo benchmark's sim.* ladder
 // rungs (sim.dispatch_ns, sim.dispatch_deep_ns, sim.proc_switch_ns,
-// sim.timer_reset_ns, sim.cancel_ns) time the same operations.
+// sim.timer_reset_ns, sim.cancel_ns) time the same operations; the
+// sim.proc_switch_ns rung is a lone sleeper, which BenchmarkProcSleepInline
+// times, not BenchmarkProcContextSwitch.
 
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEngine()
@@ -129,8 +134,8 @@ func BenchmarkCancelChurn(b *testing.B) {
 // TestSteadyStateAllocGate is the event core's allocation-regression
 // gate: after warm-up, the handler fast path must not allocate at all,
 // BenchmarkHeapChurn's closure loop may allocate only the user's closure
-// itself (one object per event), and a process parking and resuming
-// through Sleep must not allocate either.
+// itself (one object per event), and a process sleeping must not allocate
+// either — neither when it parks and resumes nor when it wakes in place.
 func TestSteadyStateAllocGate(t *testing.T) {
 	const pending, events = 1024, 8192
 	e := NewEngine()
@@ -182,14 +187,18 @@ func TestSteadyStateAllocGate(t *testing.T) {
 		t.Errorf("closure churn: %.3f allocs/event, want <= 1 closure per scheduled event", got)
 	}
 
-	// Process path (BenchmarkProcContextSwitch's loop, the repo
-	// benchmark's sim.proc_switch_ns rung): a wakeup event, a resume and a
-	// park per Sleep, none of which may allocate. The process never
+	// Process path: a wakeup event, a resume and a park per Sleep, none
+	// of which may allocate. Steps never wakes a sleeper in place, so this
+	// lone sleeper still switches on every wake: it gates the parking
+	// path that BenchmarkProcContextSwitch times. The process never
 	// finishes; Close unwinds it.
 	pe := NewEngine()
 	defer pe.Close()
+	runTo := MaxTime // the inline check's Run limit
 	pe.Go("sleeper", func(p *Proc) {
-		for {
+		// A wake past Run's limit is a bug: ending there fails the inline
+		// check's event count instead of sleeping in place forever.
+		for p.Now() <= runTo {
 			p.Sleep(1)
 		}
 	})
@@ -203,16 +212,54 @@ func TestSteadyStateAllocGate(t *testing.T) {
 	if got := testing.AllocsPerRun(3, sleep) / switches; got > 0.01 {
 		t.Errorf("sleep loop: %.3f allocs/switch, want 0", got)
 	}
+
+	// Inline path (BenchmarkProcSleepInline's loop, the repo benchmark's
+	// sim.proc_switch_ns rung): the same lone sleeper under Run wakes in
+	// place, except for the one wake per call that Run's limit queues.
+	inline := func() {
+		fired := pe.EventsFired()
+		runTo = pe.Now() + switches
+		if err := pe.Run(runTo); err != nil {
+			t.Fatal(err)
+		}
+		if ran := pe.EventsFired() - fired; ran != switches {
+			t.Fatalf("inline sleep loop ran %d events, want %d", ran, switches)
+		}
+	}
+	inline()
+	if got := testing.AllocsPerRun(3, inline) / switches; got > 0.01 {
+		t.Errorf("inline sleep loop: %.3f allocs/wake, want 0", got)
+	}
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
-	// One process sleeping 1 ns at a time measures the coroutine switch
-	// the repo benchmark's sim.proc_switch_ns rung times: the wakeup event,
-	// one next() into the process and one yield() back per Sleep.
+	// Two processes sleeping 1 ns at a time in lockstep measure the
+	// coroutine switch: each wake finds the other's wake due first, so it
+	// cannot be taken in place and costs the wakeup event, one next() into
+	// the process and one yield() back. b.N sleeps in all.
+	e := NewEngine()
+	for i, n := range []int{b.N / 2, b.N - b.N/2} {
+		e.Go(fmt.Sprint("sleeper", i), func(p *Proc) {
+			for range n {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(MaxTime); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkProcSleepInline(b *testing.B) {
+	// One process sleeping 1 ns at a time, the loop the repo benchmark's
+	// sim.proc_switch_ns rung runs: nothing else is ever due, so every
+	// wake is taken in place, with no queue and no switch.
 	e := NewEngine()
 	n := b.N
 	e.Go("sleeper", func(p *Proc) {
-		for i := 0; i < n; i++ {
+		for range n {
 			p.Sleep(1)
 		}
 	})

@@ -20,6 +20,7 @@ type Proc struct {
 	stop       func()                  // engine -> proc: unwind (Engine.Close)
 	yield      func(struct{}) bool     // proc -> engine: I parked; false means unwind
 	finished   bool
+	direct     bool // last dispatched from the engine's stack: no process lies between it and the run loop
 	dispatches uint64
 }
 
@@ -64,9 +65,13 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.finished {
 		panic(fmt.Sprintf("sim: dispatch of finished process %q", p.name))
 	}
+	if e.inlined && e.cur == nil {
+		panic(tailContract)
+	}
 	p.dispatches++
 	prev := e.cur
 	e.cur = p
+	p.direct = prev == nil
 	defer func() { e.cur = prev }()
 	p.next()
 }
@@ -84,7 +89,8 @@ func (p *Proc) park() {
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Dispatches reports how many times the engine has handed the CPU to this
-// process — the coroutine context-switch count. Handler-based progress
+// process — the coroutine context-switch count. A wake a Sleep takes in
+// place is not a switch and does not count. Handler-based progress
 // engines exist to keep this flat: steady-state traffic must not grow it.
 func (p *Proc) Dispatches() uint64 { return p.dispatches }
 
@@ -94,14 +100,31 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Sleep advances the process by d of virtual time. Other events and
-// processes run in the meantime. Sleeping a non-positive duration still
-// yields, giving already-scheduled same-time events a chance to run first.
+// Sleep advances the process by d of virtual time (saturated to [now,
+// MaxTime]). Other events and processes run in the meantime: the wake is
+// an event queued behind every event already due at or before it, so a
+// non-positive sleep yields only when a same-time event is pending.
+//
+// When nothing can run before the wake, the sleep wakes in place: it
+// takes the wake's sequence number, sets the clock and counts the event
+// exactly as firing the queued wake would, but pushes nothing and
+// switches neither way. All four must hold: Run (never Steps) is firing;
+// the wake is within Run's limit; the queue is empty or its head is
+// strictly later than the wake; and p is the only process between the
+// run loop and this frame (dispatched by its own wake, or by a Release
+// that ends its handler — see Gate.Release). A process resumed by a
+// Release on another process's stack always parks.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
+	e := p.eng
+	t := e.deadline(d)
+	if p.direct && t <= e.limit && (e.q.size == 0 || e.q.peek().at > t) {
+		e.seq++
+		e.now = t
+		e.fired++
+		e.inlined = true
+		return
 	}
-	p.eng.AfterCall(d, p, 0)
+	e.AtCall(t, p, 0)
 	p.park()
 }
 
@@ -111,12 +134,13 @@ func (p *Proc) Sleep(d Time) {
 // having finished the request entirely in event context — resumes it
 // synchronously, with no wakeup event and no change to the event order.
 //
-// Unlike a Sleep's wakeup (a fresh event that resumes the process),
-// Release hands the CPU over inline, exactly as if the waiting process had
-// been the current event's handler itself. Like Proc.OnEvent it resumes a
-// process and returns when that process yields, so it is legal in event
-// context: the hot-path contract (see internal/analysis) forbids handlers
-// to park, and only the process side of the pair — Wait — parks.
+// Unlike a Sleep's wakeup (a queued event that resumes the process,
+// unless the sleep wakes in place), Release hands the CPU over inline,
+// exactly as if the waiting process had been the current event's handler
+// itself. Like Proc.OnEvent it resumes a process and returns when that
+// process yields, so it is legal in event context: the hot-path contract
+// (see internal/analysis) forbids handlers to park, and only the process
+// side of the pair — Wait — parks.
 //
 // The zero value is NOT usable; create with NewGate.
 type Gate struct {
@@ -141,6 +165,13 @@ func (g *Gate) Wait(p *Proc) {
 // parks again or finishes. Must be called inside an event — which may
 // itself be running on another process's stack, when that process steps a
 // progress machine inline; panics if no process is waiting.
+//
+// On the engine's stack, Release must be the last act of its handler (the
+// tail contract): the released process is then the only one between the
+// run loop and its frame, so its Sleeps may wake in place and run it past
+// the handler's instant. Once it has, any schedule or resume before the
+// handler returns panics, naming the contract. On a process's stack there
+// is no such rule: the released process parks at its next Sleep.
 func (g *Gate) Release() {
 	p := g.p
 	if p == nil {

@@ -98,10 +98,18 @@ type Engine struct {
 	cur    *Proc   // currently executing process, if any
 	fired  uint64  // total events executed, for stats/limits
 	closed bool
+	// inlined is set when a process woke in place under the event now
+	// firing; schedule and dispatch from the engine's stack then break
+	// the Release tail contract (see Gate.Release).
+	inlined bool
+	// limit is Run's time limit while Run fires and -1 otherwise, so one
+	// comparison asks a Sleep both questions: is Run firing, and is the
+	// wake within its limit (see Proc.Sleep).
+	limit Time
 }
 
 // NewEngine creates an empty engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{limit: -1} }
 
 // Close unwinds every unfinished process (deadlocked ranks, ranks never
 // dispatched) so a discarded engine leaks nothing: a parked process
@@ -127,12 +135,33 @@ func (e *Engine) Close() {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// EventsFired reports how many events the engine has executed.
+// EventsFired reports how many events the engine has executed. A wake a
+// Sleep takes in place counts: it is the event the sleep would have
+// queued, fired without the queue.
 func (e *Engine) EventsFired() uint64 { return e.fired }
+
+// deadline is the virtual time d from now, saturated to [now, MaxTime]:
+// a non-positive d is now, and a d past the end of time is MaxTime.
+func (e *Engine) deadline(d Time) Time {
+	if d <= 0 {
+		return e.now
+	}
+	if d > MaxTime-e.now {
+		return MaxTime
+	}
+	return e.now + d
+}
+
+// tailContract is the panic for work done on the engine's stack after a
+// Gate.Release whose process woke in place.
+const tailContract = "sim: Release tail contract broken: a handler scheduled or resumed work after a Gate.Release whose process woke in place; Release must be the last act of its handler"
 
 // schedule queues h.OnEvent(arg) at t (clamped to the present) under the
 // next insertion sequence.
 func (e *Engine) schedule(t Time, h Handler, arg uint64) *event {
+	if e.inlined && e.cur == nil {
+		panic(tailContract)
+	}
 	if t < e.now {
 		t = e.now
 	}
@@ -167,6 +196,7 @@ func (e *Engine) run(limit Time, n int) int {
 		e.now = at
 		e.fired++
 		h.OnEvent(arg)
+		e.inlined = false
 		ran++
 	}
 	return ran
@@ -177,7 +207,7 @@ func (e *Engine) run(limit Time, n int) int {
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, funcHandler(fn), 0) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+max(d, 0), fn) }
+func (e *Engine) After(d Time, fn func()) { e.At(e.deadline(d), fn) }
 
 // AtCall schedules h.OnEvent(arg) at absolute virtual time t. The handler
 // is a long-lived object and the argument rides in the event itself, so
@@ -191,7 +221,7 @@ func (e *Engine) AtCall(t Time, h Handler, arg uint64) {
 }
 
 // AfterCall schedules h.OnEvent(arg) d nanoseconds from now.
-func (e *Engine) AfterCall(d Time, h Handler, arg uint64) { e.AtCall(e.now+max(d, 0), h, arg) }
+func (e *Engine) AfterCall(d Time, h Handler, arg uint64) { e.AtCall(e.deadline(d), h, arg) }
 
 // Scheduled is a handle to an event scheduled with AtCancel. The zero
 // value is a no-op handle.
@@ -241,8 +271,12 @@ func (e *DeadlockError) Error() string {
 // Run executes events until the queue is empty or until virtual time would
 // exceed limit (use MaxTime for no limit). It returns a *DeadlockError if
 // the queue drains while spawned processes are still parked. Run may be
-// called repeatedly; it resumes from the current virtual time.
+// called repeatedly; it resumes from the current virtual time. While Run
+// fires, a Sleep whose wake is provably the next event wakes in place
+// (see Proc.Sleep).
 func (e *Engine) Run(limit Time) error {
+	e.limit = limit
+	defer func() { e.limit = -1 }()
 	e.run(limit, math.MaxInt)
 	if e.q.size > 0 {
 		return nil
@@ -262,6 +296,8 @@ func (e *Engine) Run(limit Time) error {
 
 // Steps runs at most n events (useful for tests that single-step); a
 // cancelled event is not a step. It reports how many events actually ran.
+// Steps never wakes a sleeper in place, so every wake is a step of its
+// own and a switch into the process.
 func (e *Engine) Steps(n int) int { return e.run(MaxTime, n) }
 
 // Pending reports how many events are queued.

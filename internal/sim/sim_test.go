@@ -250,23 +250,29 @@ func TestNoDeadlockWhenAllFinish(t *testing.T) {
 
 // A zero Sleep yields: events already scheduled for the current time run
 // before the process resumes.
+// TestYieldLetsSameTimeEventsRun: a pending same-time event still runs
+// before a Sleep(0) returns — the wake would queue behind it — and a
+// Sleep(0) with nothing due wakes in place, counting its event.
 func TestYieldLetsSameTimeEventsRun(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.Go("p", func(p *Proc) {
+	proc := e.Go("p", func(p *Proc) {
 		order = append(order, "p1")
-		p.Sleep(0)
+		p.Sleep(0) // ev is due at this instant: park behind it
 		order = append(order, "p2")
+		p.Sleep(0) // nothing due: wake in place
+		order = append(order, "p3")
 	})
 	e.At(0, func() { order = append(order, "ev") })
 	if err := e.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p1", "ev", "p2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if got := strings.Join(order, " "); got != "p1 ev p2 p3" {
+		t.Errorf("order = %s, want p1 ev p2 p3", got)
+	}
+	if proc.Dispatches() != 2 || e.EventsFired() != 4 || e.Now() != 0 {
+		t.Errorf("dispatches=%d fired=%d now=%v, want 2, 4 (spawn, ev, 2 wakes), 0ns",
+			proc.Dispatches(), e.EventsFired(), e.Now())
 	}
 }
 

@@ -17,13 +17,13 @@ func NewTimer(e *Engine, fn func()) *Timer {
 	return &Timer{eng: e, fn: fn}
 }
 
-// Reset (re-)arms the timer to fire d from now, cancelling any pending
-// firing.
+// Reset (re-)arms the timer to fire d from now (saturated to [now,
+// MaxTime]), cancelling any pending firing.
 func (t *Timer) Reset(d Time) {
 	t.gen++
 	t.set = true
-	t.at = t.eng.now + d
-	t.eng.AfterCall(d, t, t.gen)
+	t.at = t.eng.deadline(d)
+	t.eng.AtCall(t.at, t, t.gen)
 }
 
 // OnEvent implements Handler: the timer fires if the armed generation in
