@@ -81,10 +81,13 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # bench-simcore runs every event-core benchmark once, so none of them
-# rots — among them BenchmarkProcContextSwitch (a wake that must switch)
-# and BenchmarkProcSleepInline (a wake taken in place); the repo
-# benchmark's sim.* ladder rungs report their host cost. The event core's
-# allocation gate is TestSteadyStateAllocGate in tier-1.
+# rots — among them BenchmarkProcContextSwitch (a wake that must switch),
+# BenchmarkProcSleepInline (a wake taken in place) and
+# BenchmarkHandlerChurn's pending=3, 80, 1024 and 3072 (a dispatch from
+# the event heap at the depths pingpong, nas_mix and storm_1024 reach,
+# and at 1 024); the repo benchmark's sim.* ladder rungs report their
+# host cost. The event core's allocation gate is TestSteadyStateAllocGate
+# in tier-1.
 bench-simcore:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 

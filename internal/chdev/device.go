@@ -613,7 +613,6 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 		d.tr(trace.Backlogged, c.peer, int64(len(data)))
 		c.backlog.Push(d.encodeEager(p, c, tag, comm, data, true))
 		d.handler.SendDone(token)
-		d.drainBacklog(p, c)
 	}
 }
 
@@ -653,7 +652,6 @@ func (d *Device) sendRndvPath(p *sim.Proc, c *conn, tag int, comm uint16, data [
 	if queue {
 		out.starved = true
 		c.backlog.Push(backlogEntry{rndv: out})
-		d.drainBacklog(p, c)
 		return
 	}
 	d.sendRTS(p, c, out, consumed)
@@ -686,29 +684,14 @@ func (d *Device) encodeEager(p *sim.Proc, c *conn, tag int, comm uint16, data []
 	return backlogEntry{buf: buf, n: HeaderSize + len(data)}
 }
 
-// drainBacklog sends backlogged messages in FIFO order while credits last.
-func (d *Device) drainBacklog(p *sim.Proc, c *conn) bool {
-	did := false
-	for {
-		rts, more := d.drainAdvance(c)
-		if more {
-			did = true
-		}
-		if rts == nil {
-			return did
-		}
-		did = true
-		p.Sleep(copyTime(HeaderSize))
-		d.postPacket(c, rts, HeaderSize)
-	}
-}
-
 // drainAdvance advances c's backlog as far as the VC lets it without
 // charging virtual time: eager entries post inline (their payload copy
 // was paid at enqueue), while an RTS entry is prepared and returned for
-// the caller — process or progress machine — to charge the header copy
-// and post. It reports whether it accomplished anything beyond the
-// returned RTS.
+// the progress machine (pcDrain) to charge the header copy and post. It
+// reports whether it accomplished anything beyond the returned RTS.
+// Only a pass drains: a backlog reopens only where an arrival returns a
+// credit or a ring head (pcPktCredits), and no pass runs between a
+// send's decision to backlog and its push.
 func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 	did := false
 	for c.backlog.Len() > 0 {

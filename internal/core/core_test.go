@@ -117,9 +117,6 @@ func TestNonBlockingSendsQueueFIFO(t *testing.T) {
 	if vc.BacklogLen() != 1 {
 		t.Fatalf("backlog = %d, want 1", vc.BacklogLen())
 	}
-	if vc.Stats().MaxBacklogLen != 3 {
-		t.Errorf("MaxBacklogLen = %d, want 3", vc.Stats().MaxBacklogLen)
-	}
 }
 
 func TestBacklogForcesOrderEvenWithDemotion(t *testing.T) {
@@ -302,23 +299,23 @@ func TestRingVCDecisions(t *testing.T) {
 		}, Stats{EagerSent: 2, MaxPosted: 2}},
 		{"a non-blocking sender queues", func() bool {
 			return vc.DecideEager(false) == ActionBacklog && vc.BacklogLen() == 1
-		}, Stats{EagerSent: 2, Backlogged: 1, MaxBacklogLen: 1, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 1, MaxPosted: 2}},
 		{"behind a backlog everything queues, blocking or not, RTS too", func() bool {
 			_, queue := vc.DecideRTS()
 			return vc.DecideEager(true) == ActionBacklog && queue && vc.BacklogLen() == 3
-		}, Stats{EagerSent: 2, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 3, MaxPosted: 2}},
 		{"no drain at Free() == 0, nor for a stale head", func() bool {
 			return !vc.CanDrainBacklog() && !vc.Returned(0, 0) && !vc.CanDrainBacklog()
-		}, Stats{EagerSent: 2, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 3, MaxPosted: 2}},
 		{"a returned head reopens the drain", func() bool {
 			ok := vc.Returned(0, 1) && vc.CanDrainBacklog()
 			send()
 			return ok && !vc.CanDrainBacklog() && vc.BacklogLen() == 2
-		}, Stats{EagerSent: 3, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 3, Backlogged: 3, MaxPosted: 2}},
 		{"a queued RTS drains without a slot and is not an eager send", func() bool {
 			consumed, ok := vc.DrainRTS()
 			return !consumed && ok && vc.RingOut().Free() == 0 && vc.BacklogLen() == 1
-		}, Stats{EagerSent: 3, Backlogged: 3, MaxBacklogLen: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 3, Backlogged: 3, MaxPosted: 2}},
 	}
 	for _, st := range steps {
 		if !st.do() {

@@ -43,17 +43,16 @@ func (a Action) String() string {
 // Stats counts flow control events on one virtual channel (one direction of
 // one connection). These feed the paper's Tables 1 and 2.
 type Stats struct {
-	EagerSent     uint64 // eager data messages sent with a credit
-	Demoted       uint64 // small sends demoted to rendezvous (starved)
-	Backlogged    uint64 // sends that waited in the backlog
-	ECMsSent      uint64 // explicit credit messages sent
-	MsgsSent      uint64 // all messages sent (data + control), for Table 1
-	CreditsPiggy  uint64 // credits returned by piggybacking
-	CreditsByECM  uint64 // credits returned by explicit messages
-	GrowthEvents  uint64 // dynamic-scheme increases
-	ShrinkEvents  uint64 // dynamic-scheme decreases (extension)
-	MaxPosted     int    // high-water mark of the pre-post count (Table 2)
-	MaxBacklogLen int    // high-water mark of the backlog queue
+	EagerSent    uint64 // eager data messages sent with a credit
+	Demoted      uint64 // small sends demoted to rendezvous (starved)
+	Backlogged   uint64 // sends that waited in the backlog
+	ECMsSent     uint64 // explicit credit messages sent
+	MsgsSent     uint64 // all messages sent (data + control), for Table 1
+	CreditsPiggy uint64 // credits returned by piggybacking
+	CreditsByECM uint64 // credits returned by explicit messages
+	GrowthEvents uint64 // dynamic-scheme increases
+	ShrinkEvents uint64 // dynamic-scheme decreases (extension)
+	MaxPosted    int    // high-water mark of the pre-post count (Table 2)
 
 	// Graceful-degradation counters (fault handling; see internal/fault).
 	Reissues       uint64 // sends re-issued after RNR budget exhaustion
@@ -213,9 +212,6 @@ func (vc *VC) SendReady() bool {
 func (vc *VC) queue() {
 	vc.backlog++
 	vc.stats.Backlogged++
-	if vc.backlog > vc.stats.MaxBacklogLen {
-		vc.stats.MaxBacklogLen = vc.backlog
-	}
 }
 
 // DecideRTS decides the fate of an outgoing rendezvous-start control

@@ -227,7 +227,7 @@ func FuzzInlineWake(f *testing.F) {
 const (
 	opSleep0     = iota
 	opSleepShort // 1–16 ns
-	opSleepLong  // arg × 4 µs: up to ~1 ms, past the bucketed span
+	opSleepLong  // arg × 4 µs: up to ~1 ms
 	opSleepMax
 	opWait    // on the process's own gate
 	opPost    // a handler event; the argument is its action

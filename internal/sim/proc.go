@@ -117,7 +117,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 func (p *Proc) Sleep(d Time) {
 	e := p.eng
 	t := e.deadline(d)
-	if p.direct && t <= e.limit && (e.q.size == 0 || e.q.peek().at > t) {
+	if p.direct && t <= e.limit && (len(e.q) == 0 || e.q.peek().at > t) {
 		e.seq++
 		e.now = t
 		e.fired++

@@ -5,16 +5,25 @@ import (
 	"testing"
 )
 
-// The bucketed queue must be observationally identical to a plain sorted
-// (at, seq) list: same pop order for every workload shape. These tests
-// drive it with adversarial patterns — randomized interleaved push/pop,
-// heavy ties, far-future horizon jumps, MaxTime overflow — and compare
+// The heap must be observationally identical to a plain sorted (at, seq)
+// list: same pop order for every workload shape. These tests drive it
+// with adversarial patterns — randomized interleaved push/pop, heavy ties,
+// times from nanoseconds to centuries, MaxTime itself — and compare
 // against a reference sort.
 
-// refOrder sorts a copy of evs by the canonical (at, seq) total order.
+// refLess is the canonical (at, seq) total order, written apart from the
+// queue's own comparison.
+func refLess(x, y *event) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.seq < y.seq
+}
+
+// refOrder sorts a copy of evs by refLess.
 func refOrder(evs []*event) []*event {
 	ref := append([]*event(nil), evs...)
-	sort.Slice(ref, func(i, j int) bool { return eventLess(ref[i], ref[j]) })
+	sort.Slice(ref, func(i, j int) bool { return refLess(ref[i], ref[j]) })
 	return ref
 }
 
@@ -34,13 +43,13 @@ func drain(t *testing.T, q *eventQueue, ref []*event) {
 	if q.pop() != nil {
 		t.Fatalf("queue not empty after draining %d events", len(ref))
 	}
-	if q.size != 0 {
-		t.Fatalf("size = %d after drain, want 0", q.size)
+	if len(*q) != 0 {
+		t.Fatalf("size = %d after drain, want 0", len(*q))
 	}
 }
 
 func TestQueueRandomizedOrderEquivalence(t *testing.T) {
-	// Several deterministic seeds, each mixing near/bucket/far time scales.
+	// Several deterministic seeds, each mixing four time scales.
 	for _, seed := range []uint64{1, 7, 42, 1234} {
 		r := NewRand(seed)
 		q := &eventQueue{}
@@ -49,13 +58,13 @@ func TestQueueRandomizedOrderEquivalence(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			var at Time
 			switch r.Intn(4) {
-			case 0: // near/current-bucket scale
+			case 0: // a couple of microseconds: heavy near-ties
 				at = Time(r.Intn(2000))
-			case 1: // within the bucketed span
-				at = Time(r.Intn(int(span)))
-			case 2: // far list
-				at = span + Time(r.Intn(1<<30))
-			case 3: // very far
+			case 1: // a quarter millisecond
+				at = Time(r.Intn(1 << 18))
+			case 2: // up to a second past that
+				at = 1<<18 + Time(r.Intn(1<<30))
+			case 3: // anywhere up to a quarter of MaxTime
 				at = Time(r.Uint64() >> 2)
 			}
 			seq++
@@ -90,7 +99,7 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 		push(Time(r.Intn(100000)))
 	}
 	for i := 0; i < 20000; i++ {
-		if r.Intn(3) != 0 || q.size == 0 {
+		if r.Intn(3) != 0 || len(*q) == 0 {
 			// Schedule relative to now, mimicking After(d) at mixed scales.
 			d := Time(r.Intn(1 << uint(4+r.Intn(26))))
 			push(now + d)
@@ -126,7 +135,7 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 		t.Fatalf("%d events lost by the queue", len(live))
 	}
 	for i := 1; i < len(popped); i++ {
-		if eventLess(popped[i], popped[i-1]) {
+		if refLess(popped[i], popped[i-1]) {
 			t.Fatalf("pop order violated at %d: (%d,%d) after (%d,%d)",
 				i, popped[i].at, popped[i].seq, popped[i-1].at, popped[i-1].seq)
 		}
@@ -134,9 +143,9 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 }
 
 func TestQueueTieBreakBySeq(t *testing.T) {
-	// Many events at identical times must pop in insertion order, across
-	// all three tiers (near, bucket, far).
-	for _, base := range []Time{0, span / 2, span * 3} {
+	// Many events at identical times must pop in insertion order, at any
+	// base time.
+	for _, base := range []Time{0, 1 << 17, 3 << 18, MaxTime} {
 		q := &eventQueue{}
 		var all []*event
 		var seq uint64
@@ -150,38 +159,22 @@ func TestQueueTieBreakBySeq(t *testing.T) {
 	}
 }
 
-func TestQueueHorizonJump(t *testing.T) {
-	// A lone event far in the future must be reachable without walking
-	// intermediate buckets, and ordering must survive the jump.
-	q := &eventQueue{}
-	evs := []*event{
-		{at: 10, seq: 1},
-		{at: 100 * span, seq: 2},
-		{at: 100*span + 1, seq: 3},
-		{at: 200 * span, seq: 4},
-	}
-	for _, ev := range evs {
-		q.push(ev)
-	}
-	drain(t, q, refOrder(evs))
-}
-
 func TestQueueNearMaxTime(t *testing.T) {
-	// Events at and around MaxTime exercise the overflow collapse; the
-	// horizon math must not wrap int64.
+	// Events at and around MaxTime must order like any others: no key
+	// arithmetic may wrap int64.
 	q := &eventQueue{}
 	evs := []*event{
 		{at: 5, seq: 1},
 		{at: MaxTime, seq: 2},
 		{at: MaxTime - 1, seq: 3},
-		{at: horizonCap + 1, seq: 4},
+		{at: MaxTime - 1<<20 + 1, seq: 4},
 		{at: MaxTime, seq: 5},
 	}
 	for _, ev := range evs {
 		q.push(ev)
 	}
-	// After the collapse, new pushes (>= last pop) must still be accepted
-	// and ordered.
+	// Pushes after a pop (>= the popped time) must still be accepted and
+	// ordered.
 	ref := refOrder(evs)
 	got := q.pop()
 	if got != ref[0] {
@@ -264,57 +257,3 @@ func TestAtCallOrderMatchesAt(t *testing.T) {
 type recorder struct{ out *[]int }
 
 func (r *recorder) OnEvent(arg uint64) { *r.out = append(*r.out, int(arg)) }
-
-// A bucket's backing is the queue's, not the bucket's: the first capacity
-// a filling bucket needs is carved from a chunk, eight slots of 512, and a
-// drained bucket hands its backing to the next one that fills. A world
-// touches every bucket within its first quarter millisecond; that burst —
-// here eight events in each of the 256 buckets — costs four chunk
-// allocations where growing every bucket 1→2→4→8 by append cost 1 024,
-// the same burst one span later costs none, and the total order is the
-// reference's throughout.
-func TestQueueBurstOverAllBucketsCarves(t *testing.T) {
-	var seq uint64
-	burst := func(base Time) []*event {
-		evs := make([]*event, 0, numBuckets*bucketSeed)
-		for j := 0; j < bucketSeed; j++ {
-			for k := 0; k < numBuckets; k++ {
-				seq++
-				evs = append(evs, &event{at: base + Time(k)*bucketWidth + Time(j), seq: seq})
-			}
-		}
-		return evs
-	}
-	// AllocsPerRun counts with the process held to one thread — a bare
-	// MemStats diff also counted whatever other tests' coroutines were
-	// still unwinding — and runs its function twice, so there are two
-	// queues: the warm-up run fills one, the measured run the other.
-	qs := [2]*eventQueue{{}, {}}
-	push := func(evs []*event) float64 {
-		i := 0
-		return testing.AllocsPerRun(1, func() {
-			for _, ev := range evs {
-				qs[i].push(ev)
-			}
-			i++
-		})
-	}
-	first := burst(0)
-	if n := push(first); n > 8 {
-		t.Errorf("a burst over all %d buckets allocated %.0f times, want <= 8 (%d slots carved in chunks of %d)",
-			numBuckets, n, numBuckets*bucketSeed, bucketChunk)
-	}
-	for _, q := range qs {
-		if q.nbucketed != len(first) {
-			t.Fatalf("%d of %d events bucketed", q.nbucketed, len(first))
-		}
-		drain(t, q, refOrder(first))
-	}
-	second := burst(qs[0].horizon)
-	if n := push(second); n != 0 {
-		t.Errorf("the same burst one lap later allocated %.0f times, want 0: drained backings are reused", n)
-	}
-	for _, q := range qs {
-		drain(t, q, refOrder(second))
-	}
-}

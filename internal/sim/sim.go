@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation core.
 //
-// The engine maintains a virtual clock and a hierarchical bucketed event
-// queue (see queue.go). Simulated processes (see Proc) run as runtime
-// coroutines that the engine resumes one at a time: at most one process
-// executes, and it runs to its next blocking point before the engine
-// continues.
+// The engine maintains a virtual clock and an event queue, a binary heap
+// ordered by (time, seq) (see queue.go). Simulated processes (see Proc)
+// run as runtime coroutines that the engine resumes one at a time: at
+// most one process executes, and it runs to its next blocking point
+// before the engine continues.
 // Event ties are broken by insertion order, so a simulation is fully
 // deterministic: the same inputs always produce the same virtual-time
 // trace.
@@ -181,7 +181,7 @@ func (e *Engine) schedule(t Time, h Handler, arg uint64) *event {
 // this very struct.
 func (e *Engine) run(limit Time, n int) int {
 	ran := 0
-	for ran < n && e.q.size > 0 {
+	for ran < n && len(e.q) > 0 {
 		ev := e.q.peek()
 		at, h, arg := ev.at, ev.h, ev.harg
 		if h != nil && at > limit {
@@ -278,7 +278,7 @@ func (e *Engine) Run(limit Time) error {
 	e.limit = limit
 	defer func() { e.limit = -1 }()
 	e.run(limit, math.MaxInt)
-	if e.q.size > 0 {
+	if len(e.q) > 0 {
 		return nil
 	}
 	if e.nlive > 0 {
@@ -301,4 +301,4 @@ func (e *Engine) Run(limit Time) error {
 func (e *Engine) Steps(n int) int { return e.run(MaxTime, n) }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return e.q.size }
+func (e *Engine) Pending() int { return len(e.q) }
