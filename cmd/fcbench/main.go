@@ -26,10 +26,6 @@
 // and take no -spec. Every number in the three documents is virtual, so
 // they repeat byte for byte at any -parallel; `make bench-diff`
 // regenerates them and compares the bytes with the committed files.
-// -pool-metrics adds the buffer pool's health gauges to a -metrics-out
-// dump (they are opt-in so the fcstats key goldens stay byte-stable).
-// They count host buffers in use — packets being staged, sent or
-// processed — not posted receive descriptors, which hold no buffer.
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
 // the run (any -test); both are off unless given.
 package main
@@ -62,7 +58,6 @@ func fail(err error) {
 type flagVals struct {
 	spec, metricsOut, metricsFormat string
 	parallel                        int
-	poolMetrics                     bool
 }
 
 // checkFlags rejects a flag combination the chosen -test would ignore or
@@ -133,8 +128,6 @@ func checkFlags(test string, set map[string]bool, v flagVals) (spec mpi.Spec, er
 		return spec, errors.New("-metrics-out instruments a single serial point; drop -parallel")
 	case set["metrics-format"] && v.metricsOut == "":
 		return spec, errors.New("-metrics-format requires -metrics-out")
-	case v.poolMetrics && v.metricsOut == "":
-		return spec, errors.New("-pool-metrics requires -metrics-out (it adds gauges to the metric dump)")
 	}
 	switch v.metricsFormat {
 	case "json", "csv", "perfetto":
@@ -210,7 +203,6 @@ func main() {
 	metricsFormat := flag.String("metrics-format", "json", "metric dump format: json, csv, or perfetto")
 	quick := flag.Bool("quick", false, "smaller sweep (scaling/endpoints only): fewer cells and messages")
 	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
-	poolMetrics := flag.Bool("pool-metrics", false, "include the buffer pool's health gauges in the -metrics-out dump (host buffers in use by packets being staged, sent or processed; posted receive descriptors hold none)")
 	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -222,7 +214,6 @@ func main() {
 		metricsOut:    *metricsOut,
 		metricsFormat: *metricsFormat,
 		parallel:      *parallel,
-		poolMetrics:   *poolMetrics,
 	})
 	if err != nil {
 		fail(err)
@@ -274,7 +265,6 @@ func main() {
 		ring = trace.NewBuffer(1 << 14)
 	}
 	tune := func(o *mpi.Options) {
-		o.Chan.PoolMetrics = *poolMetrics
 		if reg != nil {
 			o.Metrics = reg
 			o.Chan.Tracer = ring

@@ -53,7 +53,6 @@ func TestCheckFlags(t *testing.T) {
 		{"latency", []string{"parallel"}, flagVals{parallel: -1}, "-parallel must be >= 0"},
 		{"latency", []string{"size", "metrics-out", "parallel"}, flagVals{metricsOut: "m", parallel: 1}, "drop -parallel"},
 		{"latency", []string{"metrics-format"}, flagVals{metricsFormat: "csv"}, "-metrics-format requires -metrics-out"},
-		{"latency", []string{"pool-metrics"}, flagVals{poolMetrics: true}, "-pool-metrics requires -metrics-out"},
 		{"latency", []string{"size", "metrics-out", "metrics-format"}, flagVals{metricsOut: "m", metricsFormat: "xml"}, `unknown -metrics-format "xml"`},
 	}
 	// Every flag a fixed sweep ignores is rejected by both sweeps.

@@ -76,6 +76,25 @@ func TestRingKeyListMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestEndpointKeyListMatchesGolden pins the endpoint-set inventory of
+// fcbench -spec 'ranks=2 scheme=static(100) eps=2', and checks what
+// fcstats -allow-new-keys accepts of it against the classic run: every
+// classic key is still there, and the set adds keys of its own.
+func TestEndpointKeyListMatchesGolden(t *testing.T) {
+	reg := metrics.New()
+	spec := mpi.Spec{Ranks: 2, Scheme: core.Static(100), Endpoints: 2}
+	bench.Latency(spec, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	d := reg.Snapshot()
+	checkKeyGolden(t, d, "endpoints_metrics_keys.golden")
+	onlyClassic, onlyEndpoints := keyDivergence(instrumentedLatencyDump(), d)
+	if len(onlyClassic) != 0 {
+		t.Errorf("endpoint run lost classic keys: %v", onlyClassic)
+	}
+	if len(onlyEndpoints) == 0 {
+		t.Error("endpoint run added no keys to the classic inventory")
+	}
+}
+
 func TestSummaryTable(t *testing.T) {
 	d := instrumentedLatencyDump()
 	tab := summaryTable(d)

@@ -3,8 +3,8 @@
 // bursts of small messages at a slow consumer; with one pre-posted
 // buffer the hardware scheme drowns in RNR retries, the static scheme
 // crawls through demoted handshakes, and the dynamic scheme measures the
-// burst and provisions for it — then (with the shrink extension enabled)
-// gives the memory back when the bursts stop.
+// burst and provisions for it. Like the paper's, the dynamic scheme only
+// grows: the buffers a burst earned stay posted after the bursts stop.
 package main
 
 import (
@@ -60,8 +60,4 @@ func main() {
 	run("hardware", ibflow.Hardware(1))
 	run("static", ibflow.Static(1))
 	run("dynamic", ibflow.Dynamic(1, 128))
-	shrink := ibflow.Dynamic(1, 128)
-	shrink.ShrinkIdle = 400 * 1000 // 400 us of quiet
-	shrink.ShrinkFloor = 2
-	run("dynamic+shrink", shrink)
 }

@@ -9,7 +9,9 @@
 // SRQ-backed shared-pool fourth and a persistent RDMA-write ring
 // channel fifth (with RDMA-read rendezvous), the NAS Parallel Benchmark
 // communication kernels, and a harness that regenerates every figure
-// and table of the paper's evaluation.
+// and table of the paper's evaluation. A scheme is exactly its
+// constructor's arguments (Hardware, Static, Dynamic, Shared, RDMA);
+// like the paper's, the dynamic scheme and the shared pool only grow.
 //
 // Quick start:
 //
@@ -50,7 +52,8 @@ type (
 	Status = mpi.Status
 	// Options configures the fabric, channel device and flow control.
 	Options = mpi.Options
-	// Scheme selects and parameterizes a flow control scheme.
+	// Scheme selects and parameterizes a flow control scheme; build one
+	// with a constructor below.
 	Scheme = core.Params
 	// SchemeKind is the flow control scheme family.
 	SchemeKind = core.Kind

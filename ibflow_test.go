@@ -39,7 +39,7 @@ func TestSchemeConstructors(t *testing.T) {
 		t.Error("prepost not carried")
 	}
 	d := Dynamic(1, 64)
-	if d.Max != 64 || d.Increment < 1 {
+	if d.Max != 64 || d.Validate() != nil {
 		t.Errorf("dynamic = %+v", d)
 	}
 }

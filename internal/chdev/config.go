@@ -97,22 +97,10 @@ type Config struct {
 	Tracer *trace.Buffer
 
 	// Metrics, when non-nil, receives per-connection flow control
-	// gauges/counters (registered as connections are established) and
-	// per-rank rendezvous latency histograms (see internal/metrics).
-	// All devices of a job share one registry.
+	// gauges/counters (registered as connections are established),
+	// per-rank buffer-pool gauges and rendezvous latency histograms (see
+	// internal/metrics). All devices of a job share one registry.
 	Metrics *metrics.Registry
-
-	// PoolMetrics additionally registers the pre-pinned buffer pool's
-	// health gauges (chdev_pool_outstanding / chdev_pool_out_hwm /
-	// chdev_pool_allocated / chdev_pool_recycled) in Metrics. Opt-in,
-	// mirroring the endpoint-metrics gate: the fcstats key goldens pin
-	// the classic inventories byte-identically, so new keys only appear
-	// when explicitly requested (fcstats -allow-new-keys accepts the
-	// strict superset). The gauges count host buffers, not descriptors:
-	// a posted receive holds no buffer, so outstanding / out_hwm read
-	// the packets being staged, sent or processed at once (zero at
-	// quiescence) and allocated the most that ever coexisted.
-	PoolMetrics bool
 
 	// Debug enables per-progress invariant checking.
 	Debug bool

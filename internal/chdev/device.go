@@ -168,7 +168,6 @@ type Stats struct {
 	Backlogged    uint64
 	ECMsSent      uint64 // explicit credit messages, Table 1
 	GrowthEvents  uint64
-	ShrinkEvents  uint64
 	MaxPosted     int // max pre-post over connections, Table 2
 	SumPosted     int // current pre-post total (buffer memory proxy)
 	RNRNaks       uint64
@@ -299,14 +298,14 @@ func (d *Device) registerMetrics() {
 	}
 	rank := metrics.RankLabel(d.rank)
 	r.GaugeFunc("chdev_buf_bytes_hwm", func() int64 { return int64(d.prov.postedHWMBytes()) }, rank)
-	if d.cfg.PoolMetrics {
-		// Buffer-pool health, registered only on request so the classic
-		// fcstats key inventories stay byte-identical (see Config).
-		r.GaugeFunc("chdev_pool_outstanding", func() int64 { return int64(d.pool.Outstanding()) }, rank)
-		r.GaugeFunc("chdev_pool_out_hwm", func() int64 { return int64(d.pool.MaxOutstanding()) }, rank)
-		r.GaugeFunc("chdev_pool_allocated", func() int64 { return int64(d.pool.Allocated()) }, rank)
-		r.GaugeFunc("chdev_pool_recycled", func() int64 { return int64(d.pool.Recycled()) }, rank)
-	}
+	// Buffer-pool health. The gauges count host buffers, not descriptors:
+	// a posted receive holds no buffer, so outstanding and out_hwm read
+	// the packets being staged, sent or processed at once (zero at
+	// quiescence) and allocated the most that ever coexisted.
+	r.GaugeFunc("chdev_pool_outstanding", func() int64 { return int64(d.pool.Outstanding()) }, rank)
+	r.GaugeFunc("chdev_pool_out_hwm", func() int64 { return int64(d.pool.MaxOutstanding()) }, rank)
+	r.GaugeFunc("chdev_pool_allocated", func() int64 { return int64(d.pool.Allocated()) }, rank)
+	r.GaugeFunc("chdev_pool_recycled", func() int64 { return int64(d.pool.Recycled()) }, rank)
 	if d.epN > 1 {
 		// Endpoint-set observability, registered only for true sets: a
 		// size-1 device keeps exactly the pre-endpoint metric inventory
@@ -1041,7 +1040,6 @@ func (d *Device) debugCheckConn(c *conn) {
 func (d *Device) flushCredits() bool {
 	did := false
 	for _, c := range d.live {
-		c.vc.MaybeShrink(d.eng.Now())
 		if c.vc.NeedECM() && d.maybeSendReturn(c) {
 			did = true
 		}
@@ -1198,7 +1196,6 @@ func (d *Device) Stats() Stats {
 		s.Backlogged += vs.Backlogged
 		s.ECMsSent += vs.ECMsSent
 		s.GrowthEvents += vs.GrowthEvents
-		s.ShrinkEvents += vs.ShrinkEvents
 		if vs.MaxPosted > s.MaxPosted {
 			s.MaxPosted = vs.MaxPosted
 		}

@@ -101,9 +101,9 @@ func newProvisioner(d *Device) (recvProvisioner, int) {
 
 // connProvisioner is the classic shape: each connection owns a private
 // receive queue pre-posted to the VC's target, and processed buffers
-// repost onto the same connection (or retire, when the dynamic scheme's
-// shrink is paying down debt). Eager packets are sends, explicit returns
-// are credit messages, and a rendezvous is RTS, CTS, RDMA write, FIN.
+// repost onto the same connection. Eager packets are sends, explicit
+// returns are credit messages, and a rendezvous is RTS, CTS, RDMA write,
+// FIN.
 type connProvisioner struct {
 	d *Device
 }
@@ -127,11 +127,8 @@ func (cp *connProvisioner) landed(c *conn, buf []byte, imm uint64) []byte { retu
 func (cp *connProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	d := cp.d
 	d.pool.Put(buf)
-	if c.vc.BufferProcessed(hdr.Flags&FlagCredit != 0, d.eng.Now()) {
-		c.qp.PostRecvFrom(0, d.pool)
-	} else {
-		d.tr(trace.Shrank, c.peer, int64(c.vc.Posted()))
-	}
+	c.vc.BufferProcessed(hdr.Flags&FlagCredit != 0, d.eng.Now())
+	c.qp.PostRecvFrom(0, d.pool)
 }
 
 // fillReturn makes the message an explicit credit message (ECM). It is
@@ -219,8 +216,8 @@ func (cp *connProvisioner) audit() error {
 // auditPair checks the conservation law of the credit-based schemes on
 // the c -> rc direction: every credit rc ever granted is back in c's
 // sender-side pool or still owed at rc. It holds through dynamic growth
-// (new buffers mint owed credit) and shrink (buffer and credit destroyed
-// together); a scheme without sender credits has no such law.
+// (new buffers mint owed credit); a scheme without sender credits has no
+// such law.
 func (cp *connProvisioner) auditPair(c, rc *conn) error {
 	if !cp.d.params.UserLevel() {
 		return nil
@@ -303,9 +300,8 @@ func (pp *poolProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
 
 func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	pp.d.pool.Put(buf)
-	if pp.pool.Processed() {
-		pp.post(1)
-	}
+	pp.pool.Processed()
+	pp.post(1)
 }
 
 func (pp *poolProvisioner) posted() int { return pp.pool.Posted() }

@@ -55,11 +55,7 @@ func TestSharedPoolEagerDelivery(t *testing.T) {
 // below the watermark must fire the limit event and grow the pool,
 // visible in device stats as LimitEvents/GrowthEvents and a raised HWM.
 func TestSharedPoolGrowsOnLimitEvent(t *testing.T) {
-	fc := core.Shared(4, 32)
-	// Arm the limit at the full pool depth so the very first take dips
-	// below it: one sender on a fast link can't otherwise outpace the
-	// receiver's repost loop deterministically.
-	fc.PoolWatermark = 4
+	fc := core.Shared(4, 32) // watermark and step 1
 	eng, d0, d1, _, h1 := devPair(t, DefaultConfig(), fc)
 	const n = 24
 	eng.Go("sender", func(p *sim.Proc) {

@@ -18,15 +18,17 @@ func TestConstructorsValidate(t *testing.T) {
 func TestValidateRejectsBadParams(t *testing.T) {
 	cases := []Params{
 		{Kind: KindStatic, Prepost: 0},
-		{Kind: KindDynamic, Prepost: 10, Max: 5, Increment: 1},
-		{Kind: KindDynamic, Prepost: 1, Max: 10, Increment: 0},
+		{Kind: KindDynamic, Prepost: 10, Max: 5},
+		{Kind: KindDynamic, Prepost: 1},
 		{Kind: Kind(99), Prepost: 1},
-		{Kind: KindStatic, Prepost: 1, ShrinkIdle: sim.Second, ShrinkFloor: 0},
-		{Kind: KindDynamic, Prepost: 1, Max: 10, Increment: 2, ShrinkIdle: sim.Second, ShrinkFloor: 0},
-		// Only the dynamic scheme shrinks: ShrinkIdle anywhere else would
-		// validate and never act.
-		{Kind: KindHardware, Prepost: 4, ShrinkIdle: sim.Second, ShrinkFloor: 1},
-		{Kind: KindStatic, Prepost: 4, ShrinkIdle: sim.Second, ShrinkFloor: 1},
+		// A field the kind does not read would validate and never act,
+		// and the spec could not print it.
+		{Kind: KindHardware, Prepost: 4, Max: 9},
+		{Kind: KindStatic, Prepost: 4, Max: 9},
+		{Kind: KindRDMA, Prepost: 4, Max: 9, SlotBytes: 1024},
+		{Kind: KindStatic, Prepost: 4, SlotBytes: 1024},
+		{Kind: KindDynamic, Prepost: 1, Max: 10, SlotBytes: 1024},
+		{Kind: KindShared, Prepost: 4, Max: 16, SlotBytes: 1024},
 	}
 	for i, p := range cases {
 		p := p
@@ -59,8 +61,9 @@ func TestHardwareNeverBlocks(t *testing.T) {
 	if vc.NeedECM() {
 		t.Error("hardware scheme must never want an ECM")
 	}
-	if !vc.BufferProcessed(true, 0) {
-		t.Error("hardware scheme always reposts")
+	vc.BufferProcessed(true, 0)
+	if vc.Owed() != 0 {
+		t.Errorf("hardware scheme owes %d credits", vc.Owed())
 	}
 }
 
@@ -230,46 +233,31 @@ func TestStaticNeverGrows(t *testing.T) {
 	}
 }
 
-func TestShrinkRetiresBuffersAfterIdle(t *testing.T) {
-	p := Dynamic(1, 50)
-	p.ShrinkIdle = 100 * sim.Microsecond
-	p.ShrinkFloor = 2
-	vc := NewVC(&p)
-	vc.OnStarvedFeedback(10 * sim.Microsecond) // posted 3
-	vc.OnStarvedFeedback(30 * sim.Microsecond) // posted 5 (past the cooldown)
-	if vc.Posted() != 5 {
-		t.Fatalf("posted = %d", vc.Posted())
-	}
-	vc.MaybeShrink(50 * sim.Microsecond) // too soon
-	if !vc.BufferProcessed(true, 0) {
-		t.Fatal("retired a buffer before idle period")
-	}
-	vc.MaybeShrink(500 * sim.Microsecond)
-	retired := 0
-	for i := 0; i < 10; i++ {
-		if !vc.BufferProcessed(true, 0) {
-			retired++
-		}
-	}
-	if retired != 3 || vc.Posted() != 2 {
-		t.Errorf("retired = %d posted = %d, want 3 and 2", retired, vc.Posted())
-	}
-	if vc.Stats().ShrinkEvents != 3 {
-		t.Errorf("ShrinkEvents = %d", vc.Stats().ShrinkEvents)
-	}
-}
-
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	p := Static(2)
-	vc := NewVC(&p)
-	vc.CheckInvariants() // healthy
-	vc.credits = -1      //fclint:allow creditmut deliberate corruption to prove CheckInvariants catches it
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on negative credits")
-		}
-	}()
-	vc.CheckInvariants()
+	for _, tc := range []struct {
+		name    string
+		corrupt func(vc *VC)
+	}{
+		{"negative credits", func(vc *VC) {
+			vc.credits = -1 //fclint:allow creditmut deliberate corruption to prove CheckInvariants catches it
+		}},
+		{"owed beyond posted", func(vc *VC) {
+			vc.owed = vc.posted + 1 //fclint:allow creditmut deliberate corruption to prove CheckInvariants catches it
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vc := NewVC(&p)
+			vc.CheckInvariants() // healthy
+			tc.corrupt(vc)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on %s", tc.name)
+				}
+			}()
+			vc.CheckInvariants()
+		})
+	}
 }
 
 // TestRingVCDecisions walks a ring VC through the decision calls the

@@ -42,7 +42,6 @@ func (vc *VC) registerMetrics(r *metrics.Registry, ls []metrics.Label) {
 	r.CounterFunc("fc_credits_piggy", func() uint64 { return vc.stats.CreditsPiggy }, ls...)
 	r.CounterFunc("fc_credits_ecm", func() uint64 { return vc.stats.CreditsByECM }, ls...)
 	r.CounterFunc("fc_growth_events", func() uint64 { return vc.stats.GrowthEvents }, ls...)
-	r.CounterFunc("fc_shrink_events", func() uint64 { return vc.stats.ShrinkEvents }, ls...)
 	r.CounterFunc("fc_reissues", func() uint64 { return vc.stats.Reissues }, ls...)
 }
 

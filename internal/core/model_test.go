@@ -472,18 +472,16 @@ func (m *model) play(s *mstate, mv mmove) bool {
 			vc.RingIn().Consumed()
 			sd.slots[p.slot] = 0
 		case m.shared():
-			if sd.pool.Processed() {
-				sd.free++
-			}
+			sd.pool.Processed()
+			sd.free++
 			if sd.free >= sd.pool.Watermark() {
 				sd.armed = true
 			}
 		case m.ring():
 			sd.free++ // the control quota recycles 1:1
 		default:
-			if vc.BufferProcessed(p.credit, 0) {
-				sd.free++
-			}
+			vc.BufferProcessed(p.credit, 0)
+			sd.free++
 		}
 	case stReturn:
 		p := mpkt{kind: mECM}
@@ -587,9 +585,9 @@ func (s *mstate) quiescent() bool {
 }
 
 // key hashes what decides s's future: every field of both VCs but their
-// Stats and lastPressure (only shrink, off here, reads it), the clocks as
-// whether a growth happened, and the model's own state. Two reductions
-// keep the search small, each an exact symmetry of the protocol:
+// Stats, the clocks as whether a growth happened, and the model's own
+// state. Two reductions keep the search small, each an exact symmetry of
+// the protocol:
 //
 //   - history: absolute counters — message ids, the ring's head and tail
 //     positions — enter only as differences (a ring's occupancy, a
@@ -638,8 +636,8 @@ func (sd *mside) hash(peer *mside) uint64 {
 	v := &sd.vc
 	out, in := &v.ring.out, &v.ring.in
 	var h mhash
-	h.add(pack(byte(v.credits), byte(v.backlog), byte(v.posted), byte(v.owed), byte(v.shrinkDebt),
-		bit(v.lastGrowth > 0), byte(sd.pool.posted), byte(sd.pool.inUse)))
+	h.add(pack(byte(v.credits), byte(v.backlog), byte(v.posted), byte(v.owed),
+		bit(v.lastGrowth > 0), byte(sd.pool.posted), byte(sd.pool.inUse), 0))
 	h.add(pack(byte(out.slots), byte(out.next), byte(out.tail-out.head), byte(out.tail-out.headSeen),
 		byte(in.next), byte(in.tail-in.head), byte(in.head-in.headSent), bit(sd.pool.lastGrowth >= 0)))
 	h.add(pack(byte(sd.free), bit(sd.armed), bit(sd.waiting), sd.sent-peer.nextID, peer.sent-sd.got,
@@ -678,7 +676,7 @@ func TestModelKeyCoversVC(t *testing.T) {
 		v    any
 		want string
 	}{
-		{VC{}, "params credits backlog posted owed shrinkDebt lastPressure lastGrowth ring stats"},
+		{VC{}, "params credits backlog posted owed lastGrowth ring stats"},
 		{ringPair{}, "out in"},
 		{Ring{}, "slots next tail head headSeen headSent stats"},
 		{Pool{}, "params posted inUse lastGrowth stats"},
@@ -707,7 +705,7 @@ func (s *mstate) snapshot(b []byte) []byte {
 	for i := range s.side {
 		sd := &s.side[i]
 		v := &sd.vc
-		b = append(b, byte(v.credits), byte(v.backlog), byte(v.posted), byte(v.owed), byte(v.shrinkDebt), bit(v.lastGrowth > 0))
+		b = append(b, byte(v.credits), byte(v.backlog), byte(v.posted), byte(v.owed), bit(v.lastGrowth > 0))
 		for _, r := range [2]*Ring{&v.ring.out, &v.ring.in} {
 			b = append(b, byte(r.next), u8(r.tail), u8(r.head), u8(r.headSeen), u8(r.headSent))
 		}
@@ -729,7 +727,7 @@ func (s *mstate) snapshot(b []byte) []byte {
 }
 
 // restore rebuilds a snapshot: the state it was taken of, but for what
-// no decision reads — Stats, lastPressure, and the time of the last
+// no decision reads — Stats, and the time of the last
 // growth, which only the clock branch (modelT0, or nothing yet) decides.
 func (m *model) restore(b []byte) (s mstate) {
 	next := func() byte {
@@ -747,7 +745,7 @@ func (m *model) restore(b []byte) (s mstate) {
 	s.budget = next()
 	for i := range s.side {
 		sd := &s.side[i]
-		sd.vc = VC{params: &m.p, credits: num(), backlog: num(), posted: num(), owed: num(), shrinkDebt: num(),
+		sd.vc = VC{params: &m.p, credits: num(), backlog: num(), posted: num(), owed: num(),
 			lastGrowth: grew(0)}
 		for _, r := range [2]*Ring{&sd.vc.ring.out, &sd.vc.ring.in} {
 			*r = Ring{next: int32(next()), tail: uint32(next()), head: uint32(next()),
@@ -784,7 +782,6 @@ func (s mstate) normalized() mstate {
 	for i := range s.side {
 		v, pl := &s.side[i].vc, &s.side[i].pool
 		v.stats, v.ring.out.stats, v.ring.in.stats, pl.stats = Stats{}, RingStats{}, RingStats{}, PoolStats{}
-		v.lastPressure = 0
 		if v.lastGrowth > 0 {
 			v.lastGrowth = modelT0
 		}

@@ -57,8 +57,8 @@ func (pl *Pool) Posted() int { return pl.posted }
 func (pl *Pool) InUse() int { return pl.inUse }
 
 // Watermark returns the low-water threshold the SRQ limit event is
-// armed at.
-func (pl *Pool) Watermark() int { return pl.params.PoolWatermark }
+// armed at: the growth step, Prepost/4 (at least 1).
+func (pl *Pool) Watermark() int { return pl.params.step() }
 
 // Stats returns a copy of the pool's counters.
 func (pl *Pool) Stats() PoolStats { return pl.stats }
@@ -71,23 +71,20 @@ func (pl *Pool) Take() {
 }
 
 // Processed records that the device finished processing a message that
-// occupied a pooled buffer. It returns true if the buffer should be
-// reposted into the SRQ (always, today: the shared pool never shrinks —
-// growth is one-way, like the paper's dynamic scheme without the
-// future-work decrease).
-func (pl *Pool) Processed() (repost bool) {
+// occupied a pooled buffer; the device reposts it into the SRQ (growth is
+// one-way, as in the paper's dynamic scheme).
+func (pl *Pool) Processed() {
 	if pl.inUse <= 0 {
 		panic("core: Processed with no pooled buffer in use")
 	}
 	pl.inUse--
 	pl.stats.Reposted++
 	pl.debugCheck()
-	return true
 }
 
 // OnLimitEvent handles the SRQ's low-watermark limit event: the free
-// descriptor count dipped below the watermark, so grow the pool by
-// Increment up to Max, at most once per growthCooldown (a burst of
+// descriptor count dipped below the watermark, so grow the pool by one
+// step up to Max, at most once per growthCooldown (a burst of
 // arrivals crossing the watermark repeatedly must not compound the
 // growth). It returns how many extra buffers the device must post into
 // the SRQ; the pool-size target has already been raised by that amount.
@@ -97,17 +94,14 @@ func (pl *Pool) OnLimitEvent(now sim.Time) int {
 	}
 	pl.stats.LimitEvents++
 	p := pl.params
-	if p.Increment <= 0 || pl.posted >= p.Max {
+	if pl.posted >= p.Max {
 		return 0
 	}
 	if pl.lastGrowth >= 0 && now-pl.lastGrowth < growthCooldown {
 		return 0
 	}
 	pl.lastGrowth = now
-	grow := p.Increment
-	if pl.posted+grow > p.Max {
-		grow = p.Max - pl.posted
-	}
+	grow := min(p.step(), p.Max-pl.posted)
 	pl.posted += grow
 	pl.stats.GrowthEvents++
 	if pl.posted > pl.stats.MaxPosted {
@@ -136,7 +130,7 @@ func (pl *Pool) CheckInvariants() {
 	if pl.inUse > pl.posted {
 		panic(fmt.Sprintf("core: pool has %d buffers in use but only %d provisioned", pl.inUse, pl.posted))
 	}
-	if pl.params.Max > 0 && pl.posted > pl.params.Max {
+	if pl.posted > pl.params.Max {
 		panic(fmt.Sprintf("core: pool posted %d beyond max %d", pl.posted, pl.params.Max))
 	}
 }

@@ -11,8 +11,8 @@ func TestSharedConstructorValidates(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != KindShared || p.Increment != 4 || p.PoolWatermark != 4 {
-		t.Errorf("Shared(16, 96) = %+v", p)
+	if pl := NewPool(&p); p.Kind != KindShared || p.step() != 4 || pl.Watermark() != 4 {
+		t.Errorf("Shared(16, 96) = %+v: step %d, watermark %d", p, p.step(), pl.Watermark())
 	}
 	if p.UserLevel() {
 		t.Error("shared scheme must not be user-level (senders stay optimistic)")
@@ -21,41 +21,22 @@ func TestSharedConstructorValidates(t *testing.T) {
 		t.Error("SharedPool() false for KindShared")
 	}
 	small := Shared(1, 8)
-	if small.Increment != 1 {
-		t.Errorf("Shared(1, 8).Increment = %d, want floor of 1", small.Increment)
+	if small.step() != 1 {
+		t.Errorf("Shared(1, 8) steps by %d, want floor of 1", small.step())
 	}
 }
 
 func TestValidateRejectsBadSharedParams(t *testing.T) {
 	cases := []Params{
-		{Kind: KindShared, Prepost: 4, PoolWatermark: 5},       // watermark above prepost
-		{Kind: KindShared, Prepost: 4, PoolWatermark: -1},      // negative watermark
-		{Kind: KindShared, Prepost: 8, Increment: 2, Max: 4},   // growth cap below start
-		{Kind: KindShared, Prepost: 4, ShrinkIdle: sim.Second}, // pool never shrinks
-		{Kind: KindShared, Prepost: 0},                         // no buffers at all
+		{Kind: KindShared, Prepost: 8, Max: 4},  // growth cap below start
+		{Kind: KindShared, Prepost: 4},          // no cap at all
+		{Kind: KindShared, Prepost: 0, Max: 16}, // no buffers at all
 	}
 	for i, p := range cases {
 		p := p
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, p)
 		}
-	}
-}
-
-func TestValidateFillsPoolWatermarkDefault(t *testing.T) {
-	p := Params{Kind: KindShared, Prepost: 16, Increment: 4, Max: 64}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if p.PoolWatermark != 4 {
-		t.Errorf("defaulted watermark = %d, want prepost/4 = 4", p.PoolWatermark)
-	}
-	tiny := Params{Kind: KindShared, Prepost: 2}
-	if err := tiny.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tiny.PoolWatermark != 1 {
-		t.Errorf("tiny watermark = %d, want floor of 1", tiny.PoolWatermark)
 	}
 }
 
@@ -78,12 +59,8 @@ func TestPoolTakeProcessedRoundTrip(t *testing.T) {
 	if pl.InUse() != 2 {
 		t.Fatalf("in-use after 2 takes = %d", pl.InUse())
 	}
-	if !pl.Processed() {
-		t.Error("Processed must request a repost (the pool never shrinks)")
-	}
-	if !pl.Processed() {
-		t.Error("Processed must request a repost (the pool never shrinks)")
-	}
+	pl.Processed()
+	pl.Processed()
 	if pl.InUse() != 0 {
 		t.Fatalf("in-use after round trip = %d", pl.InUse())
 	}
@@ -105,7 +82,7 @@ func TestPoolProcessedWithoutTakePanics(t *testing.T) {
 }
 
 func TestPoolGrowthClampedAndPaced(t *testing.T) {
-	p := Shared(8, 13) // increment 2, cooldown 10us
+	p := Shared(8, 13) // step 2, cooldown 10us
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,23 +108,6 @@ func TestPoolGrowthClampedAndPaced(t *testing.T) {
 	st := pl.Stats()
 	if st.LimitEvents != 5 || st.GrowthEvents != 3 || st.MaxPosted != 13 {
 		t.Errorf("stats = %+v, want LimitEvents 5, GrowthEvents 3, MaxPosted 13", st)
-	}
-}
-
-func TestPoolZeroIncrementNeverGrows(t *testing.T) {
-	p := Shared(4, 16)
-	p.Increment = 0
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pl := NewPool(&p)
-	for i := 0; i < 5; i++ {
-		if grow := pl.OnLimitEvent(sim.Time(i) * sim.Millisecond); grow != 0 {
-			t.Fatalf("fixed-size pool grew %d", grow)
-		}
-	}
-	if pl.Posted() != 4 {
-		t.Errorf("posted = %d, want 4", pl.Posted())
 	}
 }
 

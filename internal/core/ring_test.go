@@ -173,9 +173,4 @@ func TestRDMAParamsValidate(t *testing.T) {
 	if err := none.Validate(); err == nil {
 		t.Fatal("RDMA(0, 1024) validated; zero slots must fail")
 	}
-	shrink := RDMA(8, 1024)
-	shrink.ShrinkIdle = 1
-	if err := shrink.Validate(); err == nil {
-		t.Fatal("rdma with ShrinkIdle validated; shrinking unsupported")
-	}
 }

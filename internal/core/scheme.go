@@ -102,36 +102,25 @@ const ecmThreshold = 5
 const growthCooldown = 10 * sim.Microsecond
 
 // Params configures a flow control scheme for every connection of a job.
+// A scheme is what its constructor and its spec text say: every field a
+// kind reads is an argument of that kind's constructor, and Validate
+// rejects a field the kind does not read.
 type Params struct {
 	Kind Kind
 
 	// Prepost is the per-connection receive buffer count: fixed for the
-	// hardware and static schemes, the starting point for dynamic.
+	// hardware and static schemes, the starting point for dynamic, the
+	// pool's starting size for shared and the slot count per direction
+	// for rdma.
 	Prepost int
 
-	// Increment and Max control dynamic growth: each feedback event adds
-	// Increment buffers (the paper's linear growth), up to Max, at most
-	// once per growthCooldown.
-	Increment int
-	Max       int
-
-	// ShrinkIdle enables the paper's future-work credit decrease on the
-	// dynamic scheme: after a connection has seen no buffer pressure for
-	// this long, the receiver lets the pre-post count decay to
-	// ShrinkFloor by not reposting processed buffers. Zero disables
-	// shrinking; no other scheme accepts it.
-	ShrinkIdle  sim.Time
-	ShrinkFloor int
-
-	// PoolWatermark is the shared scheme's low-water threshold: when the
-	// free descriptor count of the shared receive pool dips below it, the
-	// SRQ limit event fires and the pool grows by Increment (up to Max,
-	// paced by growthCooldown). Defaults to Prepost/4, at least 1.
-	PoolWatermark int
+	// Max caps growth, of a dynamic VC's pre-post count or of the shared
+	// pool (dynamic and shared only).
+	Max int
 
 	// SlotBytes is the RDMA ring scheme's per-slot buffer size: the
 	// eager threshold on that channel is SlotBytes minus the packet
-	// header. Prepost doubles as the slot count per direction.
+	// header (rdma only).
 	SlotBytes int
 }
 
@@ -148,19 +137,15 @@ func Static(prepost int) Params {
 // Dynamic returns parameters for the user-level dynamic scheme starting at
 // prepost buffers, growing linearly by 2 up to max.
 func Dynamic(prepost, max int) Params {
-	return Params{Kind: KindDynamic, Prepost: prepost, Increment: 2, Max: max}
+	return Params{Kind: KindDynamic, Prepost: prepost, Max: max}
 }
 
 // Shared returns parameters for the shared-pool scheme: a pool of
 // prepost buffers serving every connection from one SRQ, replenished by
-// Prepost/4-sized increments (at least 1) whenever the free count dips
-// below the Prepost/4 watermark, up to max buffers total.
+// Prepost/4-sized steps (at least 1) whenever the free count dips below
+// the Prepost/4 watermark, up to max buffers total.
 func Shared(prepost, max int) Params {
-	inc := prepost / 4
-	if inc < 1 {
-		inc = 1
-	}
-	return Params{Kind: KindShared, Prepost: prepost, Increment: inc, Max: max}
+	return Params{Kind: KindShared, Prepost: prepost, Max: max}
 }
 
 // RDMA returns parameters for the RDMA-write eager ring scheme: slots
@@ -171,49 +156,43 @@ func RDMA(slots, slotBytes int) Params {
 	return Params{Kind: KindRDMA, Prepost: slots, SlotBytes: slotBytes}
 }
 
-// Validate checks the parameter combination and fills defaulted fields.
-func (p *Params) Validate() error {
+// step is how many buffers one growth adds, derived from the kind alone:
+// 2 for dynamic (the paper's linear growth); for the shared pool
+// Prepost/4, at least 1, which is also the pool's low watermark
+// (Pool.Watermark). The fixed-size schemes never grow.
+func (p *Params) step() int {
+	switch p.Kind {
+	case KindDynamic:
+		return 2
+	case KindShared:
+		return max(1, p.Prepost/4)
+	}
+	return 0
+}
+
+// Validate checks the parameter combination. It fills in nothing: a
+// Params that validates is used as it stands.
+func (p Params) Validate() error {
 	if p.Prepost < 1 {
 		return fmt.Errorf("core: prepost %d < 1", p.Prepost)
 	}
-	if p.ShrinkIdle > 0 && p.Kind != KindDynamic {
-		return fmt.Errorf("core: %v scheme does not shrink; ShrinkIdle needs dynamic", p.Kind)
-	}
 	switch p.Kind {
-	case KindHardware, KindStatic:
-		return nil
-	case KindShared:
-		if p.PoolWatermark == 0 {
-			p.PoolWatermark = p.Prepost / 4
-			if p.PoolWatermark < 1 {
-				p.PoolWatermark = 1
-			}
-		}
-		if p.PoolWatermark < 0 || p.PoolWatermark > p.Prepost {
-			return fmt.Errorf("core: pool watermark %d outside [1, prepost %d]", p.PoolWatermark, p.Prepost)
-		}
-		if p.Increment > 0 && p.Max < p.Prepost {
-			return fmt.Errorf("core: shared pool max %d < initial prepost %d", p.Max, p.Prepost)
-		}
-		return nil
-	case KindRDMA:
-		if p.SlotBytes < 64 {
-			return fmt.Errorf("core: rdma slot size %d < 64", p.SlotBytes)
-		}
-		return nil
-	case KindDynamic:
-		if p.Increment < 1 {
-			return fmt.Errorf("core: dynamic growth needs increment >= 1, got %d", p.Increment)
-		}
-		if p.Max < p.Prepost {
-			return fmt.Errorf("core: max %d < initial prepost %d", p.Max, p.Prepost)
-		}
-		if p.ShrinkIdle > 0 && p.ShrinkFloor < 1 {
-			return fmt.Errorf("core: shrink floor %d < 1", p.ShrinkFloor)
-		}
-		return nil
+	case KindHardware, KindStatic, KindDynamic, KindShared, KindRDMA:
+	default:
+		return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
 	}
-	return fmt.Errorf("core: unknown scheme kind %d", int(p.Kind))
+	grows := p.Kind == KindDynamic || p.Kind == KindShared
+	switch {
+	case grows && p.Max < p.Prepost:
+		return fmt.Errorf("core: %v max %d < initial prepost %d", p.Kind, p.Max, p.Prepost)
+	case !grows && p.Max != 0:
+		return fmt.Errorf("core: %v scheme does not grow; max %d needs dynamic or shared", p.Kind, p.Max)
+	case p.Kind == KindRDMA && p.SlotBytes < 64:
+		return fmt.Errorf("core: rdma slot size %d < 64", p.SlotBytes)
+	case p.Kind != KindRDMA && p.SlotBytes != 0:
+		return fmt.Errorf("core: %v scheme has no ring; slot size %d needs rdma", p.Kind, p.SlotBytes)
+	}
+	return nil
 }
 
 // UserLevel reports whether the scheme tracks per-channel credits at the

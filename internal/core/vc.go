@@ -51,7 +51,6 @@ type Stats struct {
 	CreditsPiggy uint64 // credits returned by piggybacking
 	CreditsByECM uint64 // credits returned by explicit messages
 	GrowthEvents uint64 // dynamic-scheme increases
-	ShrinkEvents uint64 // dynamic-scheme decreases (extension)
 	MaxPosted    int    // high-water mark of the pre-post count (Table 2)
 
 	// Graceful-degradation counters (fault handling; see internal/fault).
@@ -74,11 +73,9 @@ type VC struct {
 	backlog int // messages the device is holding for us
 
 	// Receiver side: buffers for messages the peer sends us.
-	posted       int // current pre-post target
-	owed         int // processed-buffer credits not yet returned
-	shrinkDebt   int // buffers to retire instead of reposting
-	lastPressure sim.Time
-	lastGrowth   sim.Time
+	posted     int // current pre-post target
+	owed       int // processed-buffer credits not yet returned
+	lastGrowth sim.Time
 
 	// ring is both directions of the ring channel's bookkeeping, held by
 	// value so a connection end stays one object; zero (no slots) off
@@ -316,27 +313,13 @@ func (vc *VC) Returned(piggyback int, ringHead uint32) bool {
 // BufferProcessed records that the device finished processing an incoming
 // message that occupied a pre-posted buffer. consumedCredit says whether
 // the sender spent a user-level credit on it (data) or sent it
-// optimistically (control). It returns true if the buffer should be
-// re-posted, false if it should be retired (shrinking).
-func (vc *VC) BufferProcessed(consumedCredit bool, now sim.Time) (repost bool) {
-	if debug.Enabled {
-		defer vc.debugCheck()
-	}
-	if !vc.params.UserLevel() {
-		return true
-	}
-	if vc.shrinkDebt > 0 && vc.posted > 1 {
-		vc.shrinkDebt--
-		vc.posted--
-		vc.stats.ShrinkEvents++
-		// The credit is destroyed along with the buffer: the peer's
-		// view shrinks as its credits are not replenished.
-		return false
-	}
-	if consumedCredit {
+// optimistically (control). The device reposts the buffer either way.
+// now is unread; the benchmark's ladder still passes it.
+func (vc *VC) BufferProcessed(consumedCredit bool, now sim.Time) {
+	if consumedCredit && vc.params.UserLevel() {
 		vc.owed++
+		vc.debugCheck()
 	}
-	return true
 }
 
 // TakePiggyback returns and clears the owed credits, to ride on an
@@ -402,7 +385,7 @@ func (vc *VC) TakeECM() int {
 	return n
 }
 
-// --- Dynamic growth and shrink -------------------------------------------
+// --- Dynamic growth -------------------------------------------------------
 
 // OnStarvedFeedback handles an incoming message flagged as starved or
 // backlogged at the sender. For the dynamic scheme it returns how many
@@ -413,7 +396,6 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 	if debug.Enabled {
 		defer vc.debugCheck()
 	}
-	vc.lastPressure = now
 	if vc.params.Kind != KindDynamic {
 		return 0
 	}
@@ -421,10 +403,7 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 		return 0
 	}
 	vc.lastGrowth = now
-	grow := vc.params.Increment
-	if vc.posted+grow > vc.params.Max {
-		grow = vc.params.Max - vc.posted
-	}
+	grow := min(vc.params.step(), vc.params.Max-vc.posted)
 	if grow <= 0 {
 		return 0
 	}
@@ -437,38 +416,13 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 	return grow
 }
 
-// MaybeShrink arms buffer retirement when the channel has been idle of
-// pressure long enough (extension; disabled when ShrinkIdle is 0). The
-// device calls this periodically from its progress engine.
-func (vc *VC) MaybeShrink(now sim.Time) {
-	p := vc.params
-	if p.Kind != KindDynamic || p.ShrinkIdle == 0 {
-		return
-	}
-	if vc.posted <= p.ShrinkFloor || vc.shrinkDebt > 0 {
-		return
-	}
-	if vc.lastPressure == 0 || now-vc.lastPressure < p.ShrinkIdle {
-		return
-	}
-	vc.shrinkDebt = vc.posted - p.ShrinkFloor
-	vc.lastPressure = now
-}
-
 // debugCheck re-verifies the invariants after every credit mutation when
-// built with the ibdebug tag; otherwise it compiles to nothing. Note that
-// owed <= posted is deliberately NOT asserted: shrink retires buffers
-// while earlier owed credits still await their ride back, so owed may
-// transiently exceed posted. The cross-endpoint conservation law is
-// the model check's (model_test.go) instead.
+// built with the ibdebug tag; otherwise it compiles to nothing. The
+// cross-endpoint conservation law is the model check's (model_test.go).
 func (vc *VC) debugCheck() {
 	if debug.Enabled {
 		vc.CheckInvariants()
-		debug.Assert(vc.shrinkDebt >= 0,
-			"negative shrink debt %d", vc.shrinkDebt)
 		if vc.params.Kind != KindDynamic {
-			debug.Assert(vc.shrinkDebt == 0,
-				"shrink debt %d on non-dynamic scheme", vc.shrinkDebt)
 			debug.Assert(vc.posted == vc.params.Prepost,
 				"posted %d drifted from fixed pre-post %d", vc.posted, vc.params.Prepost)
 		}
@@ -489,6 +443,11 @@ func (vc *VC) CheckInvariants() {
 	}
 	if vc.posted < 1 {
 		panic(fmt.Sprintf("core: posted %d < 1", vc.posted))
+	}
+	if vc.owed > vc.posted {
+		// Every owed credit is a processed buffer the peer may refill,
+		// and every buffer is posted: more owed than posted mints credit.
+		panic(fmt.Sprintf("core: owed %d beyond posted %d", vc.owed, vc.posted))
 	}
 	if vc.params.Kind == KindDynamic && vc.posted > vc.params.Max {
 		panic(fmt.Sprintf("core: posted %d beyond max %d", vc.posted, vc.params.Max))

@@ -174,40 +174,28 @@ func TestMetricsUnderSettle(t *testing.T) {
 	}
 }
 
-// TestPoolHealthMetricsAreGated: the buffer-pool health gauges appear
-// only when Config.PoolMetrics opts in (the classic fcstats key goldens
-// pin the default inventory), and when they do, they show the pool
-// recycling buffers rather than growing without bound.
+// TestPoolHealthMetricsAreGated: the buffer-pool health gauges are gated
+// on the metrics registry alone — every instrumented run carries all
+// four — and they show the pool recycling buffers rather than growing
+// without bound.
 func TestPoolHealthMetricsAreGated(t *testing.T) {
-	poolKeys := func(w *World) map[string]int64 {
-		keys := make(map[string]int64)
-		d := w.Metrics().Snapshot()
-		for i := range d.Metrics {
-			m := &d.Metrics[i]
-			if len(m.Series) == 0 {
-				continue
-			}
-			switch m.Name {
-			case "chdev_pool_outstanding", "chdev_pool_out_hwm",
-				"chdev_pool_allocated", "chdev_pool_recycled":
-				keys[m.Name] += m.Series[len(m.Series)-1]
-			}
-		}
-		return keys
-	}
-
 	opts := DefaultOptions(core.Static(4))
 	opts.Metrics = metrics.New()
-	if got := poolKeys(runInstrumented(t, opts, 3)); len(got) != 0 {
-		t.Fatalf("pool metrics leaked into the default inventory: %v", got)
+	d := runInstrumented(t, opts, 3).Metrics().Snapshot()
+	got := make(map[string]int64)
+	for i := range d.Metrics {
+		m := &d.Metrics[i]
+		if len(m.Series) == 0 {
+			continue
+		}
+		switch m.Name {
+		case "chdev_pool_outstanding", "chdev_pool_out_hwm",
+			"chdev_pool_allocated", "chdev_pool_recycled":
+			got[m.Name] += m.Series[len(m.Series)-1]
+		}
 	}
-
-	opts = DefaultOptions(core.Static(4))
-	opts.Metrics = metrics.New()
-	opts.Chan.PoolMetrics = true
-	got := poolKeys(runInstrumented(t, opts, 3))
 	if len(got) != 4 {
-		t.Fatalf("opt-in run exposed %d pool metric names, want 4: %v", len(got), got)
+		t.Fatalf("instrumented run exposed %d pool metric names, want 4: %v", len(got), got)
 	}
 	if got["chdev_pool_recycled"] == 0 {
 		t.Error("steady-state traffic recycled no pool buffers")

@@ -405,52 +405,6 @@ func TestDynamicGrowsOnlyUnderPressure(t *testing.T) {
 	}
 }
 
-// TestShrinkIdleReturnsBuffers runs the paper's future-work credit
-// decrease end to end: a one-way burst grows the dynamic scheme's
-// buffers, then a quiet ping-pong phase follows. With ShrinkIdle set the
-// grown buffers decay toward ShrinkFloor, so the world ends holding fewer
-// posted buffers than the same run without it.
-func TestShrinkIdleReturnsBuffers(t *testing.T) {
-	twoPhase := func(c *Comm) {
-		const burst = 60
-		if c.Rank() == 0 {
-			var reqs []*Request
-			for i := 0; i < burst; i++ {
-				reqs = append(reqs, c.Isend(1, 1, make([]byte, 512)))
-			}
-			c.Waitall(reqs...)
-		} else {
-			c.Compute(300 * sim.Microsecond)
-			buf := make([]byte, 512)
-			for i := 0; i < burst; i++ {
-				c.Recv(0, 1, buf)
-			}
-		}
-		buf := make([]byte, 64)
-		for i := 0; i < 40; i++ {
-			if c.Rank() == 0 {
-				c.Send(1, 2, buf)
-				c.Recv(1, 2, buf)
-			} else {
-				c.Recv(0, 2, buf)
-				c.Send(0, 2, buf)
-			}
-			c.Compute(200 * sim.Microsecond)
-		}
-	}
-	off := run(t, 2, core.Dynamic(1, 300), twoPhase).Stats()
-	fc := core.Dynamic(1, 300)
-	fc.ShrinkIdle = 2 * sim.Millisecond
-	fc.ShrinkFloor = 2
-	on := run(t, 2, fc, twoPhase).Stats()
-	if off.GrowthEvents == 0 {
-		t.Fatalf("the burst grew nothing: %+v", off)
-	}
-	if on.SumPosted >= off.SumPosted {
-		t.Errorf("shrink on ends with %d posted buffers, shrink off with %d", on.SumPosted, off.SumPosted)
-	}
-}
-
 func TestOnDemandConnections(t *testing.T) {
 	opts := DefaultOptions(core.Static(10))
 	opts.Chan.OnDemand = true

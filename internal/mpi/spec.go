@@ -98,10 +98,7 @@ func parseSpec(text string) (s Spec, err error) {
 	if s.Ranks == 0 || s.Scheme.Prepost == 0 {
 		return s, fmt.Errorf("ranks= and scheme= are required")
 	}
-	// Validate a copy: it fills in defaults (the shared pool's watermark)
-	// that the device derives itself.
-	check := s.Scheme
-	if err := check.Validate(); err != nil || !s.Scheme.RingChannel() {
+	if err := s.Scheme.Validate(); err != nil || !s.Scheme.RingChannel() {
 		return s, err
 	}
 	return s, chdev.CheckSlotBytes(s.Scheme.SlotBytes)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibflow/internal/chdev"
 	"ibflow/internal/core"
 )
 
@@ -96,6 +97,37 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseSpec(%q) error = %v, want %q", c.text, err, c.want)
 		}
+	}
+}
+
+// TestSchemeRoundTripsThroughSpec: a scheme is what its spec prints. Over
+// a grid of every kind and of each field at zero, at the edges Validate
+// and chdev.CheckSlotBytes draw and at maxSpecNum, every Params those
+// two accept reads back from its text form equal to itself — a field the
+// grammar cannot print is one Validate rejects.
+func TestSchemeRoundTripsThroughSpec(t *testing.T) {
+	nums := []int{0, 1, 2, 3, chdev.HeaderSize, chdev.HeaderSize + 1, 64, 100, 2048, 2049, maxSpecNum}
+	accepted := 0
+	for k := core.KindHardware - 1; k <= core.KindRDMA+1; k++ {
+		for _, prepost := range nums {
+			for _, limit := range nums {
+				for _, slot := range nums {
+					p := core.Params{Kind: k, Prepost: prepost, Max: limit, SlotBytes: slot}
+					if p.Validate() != nil || p.RingChannel() && chdev.CheckSlotBytes(slot) != nil {
+						continue
+					}
+					accepted++
+					text := Spec{Ranks: 2, Scheme: p}.String()
+					s, err := ParseSpec(text)
+					if err != nil || s.Scheme != p {
+						t.Errorf("%+v prints as %q, which parses to %+v, %v", p, text, s.Scheme, err)
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no scheme on the grid validated")
 	}
 }
 

@@ -228,7 +228,6 @@ func (w *World) Stats() chdev.Stats {
 		s.Backlogged += rs.Backlogged
 		s.ECMsSent += rs.ECMsSent
 		s.GrowthEvents += rs.GrowthEvents
-		s.ShrinkEvents += rs.ShrinkEvents
 		if rs.MaxPosted > s.MaxPosted {
 			s.MaxPosted = rs.MaxPosted
 		}

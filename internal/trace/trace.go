@@ -29,7 +29,6 @@ const (
 	Backlogged
 	Drained
 	Grew
-	Shrank
 	RNRNak
 	Retransmit
 	FaultDelay
@@ -58,7 +57,6 @@ var kindNames = map[Kind]string{
 	Backlogged:     "backlogged",
 	Drained:        "drained",
 	Grew:           "grew",
-	Shrank:         "shrank",
 	RNRNak:         "rnr-nak",
 	Retransmit:     "retransmit",
 	FaultDelay:     "fault-delay",
