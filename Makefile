@@ -91,11 +91,13 @@ bench:
 bench-simcore:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 
-# bench-chdev runs BenchmarkProgressPass once per size (a progress pass
-# on a device with 1, 48 and 1024 idle connections), so it does not rot:
-# the channel device's own per-call cost, which no ladder rung shows.
+# bench-chdev runs the channel device's own benchmarks once each, so they
+# do not rot: BenchmarkProgressPass (a progress pass on a device with 1,
+# 48 and 1024 idle connections) and BenchmarkEstablish (one rank pair's
+# establishment, static and rdma, at 1 and 4 endpoints) — per-call costs
+# no ladder rung shows.
 bench-chdev:
-	$(GO) test -run '^$$' -bench BenchmarkProgressPass -benchtime 1x ./internal/chdev
+	$(GO) test -run '^$$' -bench 'BenchmarkProgressPass|BenchmarkEstablish' -benchtime 1x ./internal/chdev
 
 # bench-nas times every NAS kernel at the repo benchmark's nas_mix
 # geometry (class A, Static(1), 8 ranks, 16 for BT/SP at two per node),

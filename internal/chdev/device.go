@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"ibflow/internal/core"
 	"ibflow/internal/debug"
@@ -110,12 +111,12 @@ type backlogEntry struct {
 // conn is one endpoint (virtual channel + queue pair) toward a peer
 // rank. A rank pair owns an endpoint set of Config.Endpoints conns,
 // each with independent scheme state; the classic device is the
-// single-endpoint special case. An end is one object: its VC, its QP
-// (with both queues' first rings) and its landing region live in the conn
-// by value, and a set's conns are one slice that establish sizes once and
-// never grows — everything here that points into a conn (the QP's owner
-// and bound events, the live list, the peer's write target) relies on it
-// staying where it is.
+// single-endpoint special case. An end holds its VC, its QP (with both
+// queues' first rings) and its landing region by value, and is carved
+// from the world's end slab (endSlab), which hands each end out once and
+// never moves it — everything here that points into a conn (the QP's
+// owner and bound events, the live list, the peer's write target) relies
+// on it staying where it is.
 type conn struct {
 	peer    int
 	ep      int // index within the peer's endpoint set
@@ -127,7 +128,7 @@ type conn struct {
 	// yet completed, in post order — the order a QP retires them in, so a
 	// successful completion's context is the head (retireSend). sends0 is
 	// its first ring: the send or two a connection usually has in flight
-	// cost nothing, and the conn stays in the 1 024-byte size class
+	// cost nothing, and the conn stays at 904 B, 36 to a 32 KB end slab
 	// (TestConnSize).
 	sends   store.Fifo[sendCtx]
 	sends0  [2]sendCtx
@@ -214,6 +215,7 @@ type Device struct {
 	// job size. addConn is its only writer.
 	live  []*conn
 	peers []*Device
+	ends  *endSlab // the world's, shared by every device Wire connects
 
 	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
 	// is the logical thread the next send is issued from, set by
@@ -405,8 +407,10 @@ func (d *Device) selectEP(eps []*conn) *conn {
 // pool's first slab here with its connections, so that the job's first
 // messages land in set-up memory (mem.BufPool.Warm).
 func Wire(devs []*Device) {
+	n := len(devs)
+	ends := &endSlab{left: n * (n - 1) * devs[0].epN}
 	for _, d := range devs {
-		d.peers = devs
+		d.peers, d.ends = devs, ends
 	}
 	if devs[0].cfg.OnDemand {
 		return
@@ -421,10 +425,43 @@ func Wire(devs []*Device) {
 	}
 }
 
+// endSlabBytes is how much host memory a world takes at a time for its
+// connection ends: the largest small-object size class, so a slab is one
+// allocation of ends with no size-class slack beyond a part of one end.
+const endSlabBytes = 32 << 10
+
+// endSlab carves the connection ends of one world, as HCA.commit carves
+// ring slots from pages: a pair's two endpoint sets are adjacent in it, a
+// slab holds whole pair-sets, and no end is handed out twice or moved.
+// A new slab holds what the world can still establish, if that is less
+// than endSlabBytes' worth, so a statically wired world gets exactly the
+// ends it uses and any world leaves at most one slab partly unused. The
+// devices of a world share it; the engine serializes them.
+type endSlab struct {
+	free []conn // the rest of the current slab
+	left int    // ends the world has yet to establish
+}
+
+// take returns n adjacent fresh ends, n being one pair's two sets.
+func (s *endSlab) take(n int) []conn {
+	if n > s.left {
+		panic(fmt.Sprintf("chdev: establishing %d more ends in a world that has %d left", n, s.left))
+	}
+	if len(s.free) < n {
+		per := max(n, int(endSlabBytes/unsafe.Sizeof(conn{}))/n*n)
+		s.free = make([]conn, min(per, s.left))
+	}
+	set := s.free[:n:n]
+	s.free = s.free[n:]
+	s.left -= n
+	return set
+}
+
 // establish creates the endpoint set — Config.Endpoints QP pairs and
-// virtual channels — between two devices and returns a's. Each side's set
-// is one allocation, sized here for good: the conns hold their QP, VC and
-// landing region by value and are pointed into from all sides. All QPs
+// virtual channels — between two devices and returns a's. The two sets
+// are 2·epN adjacent ends of the world's slab, a's then b's: the conns
+// hold their QP, VC and landing region by value and are pointed into
+// from all sides, and the slab never moves them. All QPs
 // are made first (a's then b's per endpoint: queue pair numbers follow)
 // and connected in index order, then each endpoint's channel state is
 // built — at set size 1 the sequence is exactly the pre-endpoint
@@ -436,7 +473,8 @@ func establish(a, b *Device) []*conn {
 		panic(fmt.Sprintf("chdev: endpoint-set size mismatch: rank %d has %d, rank %d has %d",
 			a.rank, a.epN, b.rank, b.epN))
 	}
-	ea, eb := make([]conn, a.epN), make([]conn, a.epN)
+	pair := a.ends.take(2 * a.epN)
+	ea, eb := pair[:a.epN:a.epN], pair[a.epN:]
 	for ep := range ea {
 		a.prov.initQP(&ea[ep].qp)
 		b.prov.initQP(&eb[ep].qp)

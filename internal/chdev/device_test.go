@@ -198,13 +198,12 @@ func TestDeviceStatsAccounting(t *testing.T) {
 	}
 }
 
-// A connection end is one object (establish), so its size is the host
-// cost of every end: 904 B, in the allocator's 1 024-byte size class. The
-// QP is 352 B of it: its receive queue keeps descriptors as runs, one of
-// them inline. A field that pushes the conn past 1 024 B
-// costs the next size class, 128 B more per end (6 MB on a 1 024-rank
-// storm), and fails here by name: shrink something, or say why the end is
-// worth it and move the bound.
+// A connection end is carved from its world's end slab (endSlab), so it
+// costs exactly its size of a slab: 904 B, 36 to a 32 KB slab, where an
+// end of its own took the allocator's 1 024-byte size class. The QP is
+// 352 B of it: its receive queue keeps descriptors as runs, one of them
+// inline. A field that pushes the conn past 1 024 B fails here by name:
+// shrink something, or say why the end is worth it and move the bound.
 func TestConnSize(t *testing.T) {
 	if got := unsafe.Sizeof(conn{}); got > 1024 {
 		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 1024 (the 1 024-byte size class)", got)

@@ -87,16 +87,18 @@ func (f *Fabric) nextRail() int32 {
 // Config.Rails links wide) plus the queue pairs and memory regions that
 // live on it.
 type HCA struct {
-	fabric  *Fabric
-	node    int
-	egress  []link // by rail
-	ingress []link // by rail
-	nQP     int    // queue pairs created so far: the next one's number
-	srqs    []*SRQ
-	mrs     []*MR               // region id-1 -> region, nil once deregistered: ids are dense from 1, never reused
-	mrPool  store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
-	wqes    store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
-	page    []byte              // rest of the current commit page (see commit)
+	fabric   *Fabric
+	node     int
+	egress   []link // by rail
+	ingress  []link // by rail
+	nQP      int    // queue pairs created so far: the next one's number
+	srqs     []*SRQ
+	mrs      []*MR               // region id-1 -> region, nil once deregistered: ids are dense from 1, never reused
+	mrPool   store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
+	wqes     store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
+	page     []byte              // rest of the current commit page (see commit)
+	tables   [][]byte            // rest of the current granule-table slab (see carveTable)
+	tableDue int                 // table entries the untouched multi-granule regions here may still take
 }
 
 // Node returns the node index this HCA is attached to.
@@ -180,7 +182,7 @@ type MR struct {
 	n       int
 	granule int      // commit unit; == n for a region committed whole
 	buf     []byte   // the one granule of a whole-commit region (nil until committed)
-	grans   [][]byte // granule table of a multi-granule region, made at the first commit
+	grans   [][]byte // granule table of a multi-granule region, carved from the adapter's table slab at the first commit
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
@@ -203,6 +205,7 @@ func (h *HCA) InitMR(mr *MR, n, granule int) {
 	}
 	h.mrs = append(h.mrs, mr)
 	*mr = MR{hca: h, id: len(h.mrs), n: n, granule: granule}
+	h.tableDue += mr.tableLen()
 }
 
 // ReserveMemory takes a region handle from the adapter and reserves it
@@ -226,6 +229,9 @@ func (h *HCA) DeregisterMemory(mr *MR) {
 		panic(fmt.Sprintf("ib: deregistering MR id %d, which node %d does not hold", mr.id, h.node))
 	}
 	h.mrs[mr.id-1] = nil
+	if mr.grans == nil {
+		h.tableDue -= mr.tableLen()
+	}
 	*mr = MR{}
 	h.mrPool.Put(mr)
 }
@@ -249,6 +255,16 @@ func (m *MR) ID() int { return m.id }
 
 // Len returns the region's length in bytes.
 func (m *MR) Len() int { return m.n }
+
+// tableLen is the length of the region's granule table: its granule
+// count if it commits in more than one granule, else 0 — a region
+// committed whole keeps its one granule in buf.
+func (m *MR) tableLen() int {
+	if m.granule == m.n {
+		return 0
+	}
+	return (m.n + m.granule - 1) / m.granule
+}
 
 // Committed reports how many of the region's bytes have host memory
 // behind them: whole granules, so 0 for a reservation nothing has touched
@@ -281,7 +297,7 @@ func (m *MR) Window(off, n int) []byte {
 	g := &m.buf
 	if m.granule < m.n {
 		if m.grans == nil {
-			m.grans = make([][]byte, (m.n+m.granule-1)/m.granule)
+			m.grans = m.hca.carveTable(m.tableLen())
 		}
 		g = &m.grans[i]
 	}
@@ -312,6 +328,33 @@ func (h *HCA) commit(n int) []byte {
 	fresh := make([]byte, max(n, commitPage))
 	if n < commitPage {
 		h.page = fresh[n:]
+	}
+	return fresh[:n:n]
+}
+
+// tableSlab is the most granule-table entries the adapter takes at a
+// time: a slab holds the tables of several small rings, so each costs a
+// share of one allocation rather than one of its own.
+const tableSlab = 64
+
+// carveTable returns a zeroed granule table of n entries, capped at n, for
+// a multi-granule region's first commit. A table that does not fit what
+// is left of the slab starts the next one, sized to what the untouched
+// regions here may still take (this one's included) up to tableSlab, so
+// an adapter with one ring carves exactly its table; a table of tableSlab
+// entries or more gets an allocation of its own. Nothing carved is ever
+// handed out again.
+func (h *HCA) carveTable(n int) [][]byte {
+	due := h.tableDue
+	h.tableDue -= n
+	if n <= len(h.tables) {
+		t := h.tables[:n:n]
+		h.tables = h.tables[n:]
+		return t
+	}
+	fresh := make([][]byte, max(n, min(due, tableSlab)))
+	if n < tableSlab {
+		h.tables = fresh[n:]
 	}
 	return fresh[:n:n]
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/debug"
 	"ibflow/internal/sim"
@@ -373,6 +374,70 @@ func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
 	}
 	if reg := h.RegisterMemory(make([]byte, 8)); reg.Committed() != 8 || reg.Len() != 8 {
 		t.Errorf("registered region: committed=%d len=%d", reg.Committed(), reg.Len())
+	}
+}
+
+// Two rings' granule tables are carved from one adapter slab, side by
+// side, and never alias: a slot committed in one ring is not committed,
+// and reads as zeroes, in the other, and a table is capped at its own
+// length, so nothing appended to it lands in its neighbour.
+func TestGranuleTablesNeverAlias(t *testing.T) {
+	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
+	a, b, c := h.ReserveMemory(4*16, 16), h.ReserveMemory(4*16, 16), h.ReserveMemory(4*16, 16)
+	copy(a.Window(16, 16), "ring a, slot 1")
+	copy(b.Window(32, 16), "ring b, slot 2")
+	c.Window(0, 16)
+	next := unsafe.Add(unsafe.Pointer(&a.grans[0]), 4*unsafe.Sizeof(a.grans[0]))
+	if next != unsafe.Pointer(&b.grans[0]) {
+		t.Fatal("the second ring's table is not carved next to the first's: not one slab")
+	}
+	if cap(a.grans) != 4 || cap(b.grans) != 4 || cap(c.grans) != 4 {
+		t.Errorf("tables hold %d, %d and %d entries, want 4 each", cap(a.grans), cap(b.grans), cap(c.grans))
+	}
+	if a.Committed() != 16 || b.Committed() != 16 {
+		t.Errorf("committed %d and %d bytes after one slot each, want 16 and 16", a.Committed(), b.Committed())
+	}
+	if !bytes.Equal(b.Window(16, 16), make([]byte, 16)) || !bytes.Equal(a.Window(32, 16), make([]byte, 16)) {
+		t.Error("a slot committed in one ring shows in the other")
+	}
+	if got := string(a.Window(16, 14)); got != "ring a, slot 1" {
+		t.Errorf("ring a slot 1 = %q after ring b committed its slots", got)
+	}
+}
+
+// The table slab is sized to what the adapter's untouched multi-granule
+// regions can still ask for: an adapter with one 8-slot ring carves
+// exactly 8 entries, and a region committed whole asks for none.
+func TestOneRingCarvesItsTable(t *testing.T) {
+	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
+	h.RegisterMemory(make([]byte, 64))
+	h.ReserveMemory(64, 64).Window(0, 8)
+	ring := h.ReserveMemory(8*16, 16)
+	ring.Window(0, 16)
+	if len(ring.grans) != 8 || cap(h.tables) != 0 || h.tableDue != 0 {
+		t.Errorf("one 8-slot ring: table %d entries, %d spare in the slab, %d still due; want 8, 0, 0",
+			len(ring.grans), cap(h.tables), h.tableDue)
+	}
+}
+
+// DeregisterMemory of a ring nothing touched takes its entries off what
+// the slab may hold, so the next slab is not sized for it.
+func TestDeregisterUntouchedRingFreesItsEntries(t *testing.T) {
+	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
+	kept, dropped := h.ReserveMemory(8*16, 16), h.ReserveMemory(8*16, 16)
+	if h.tableDue != 16 {
+		t.Fatalf("two untouched 8-slot rings owe %d entries, want 16", h.tableDue)
+	}
+	h.DeregisterMemory(dropped)
+	kept.Window(0, 16)
+	if cap(h.tables) != 0 || h.tableDue != 0 {
+		t.Errorf("after dropping an untouched ring: %d spare entries in the slab, %d still due; want 0, 0",
+			cap(h.tables), h.tableDue)
+	}
+	// A touched ring already has its table: dropping it owes nothing back.
+	h.DeregisterMemory(kept)
+	if h.tableDue != 0 {
+		t.Errorf("deregistering a touched ring moved the due count to %d", h.tableDue)
 	}
 }
 
