@@ -11,8 +11,11 @@ all: build vet lint test
 build:
 	$(GO) build ./...
 
+# vet runs twice: the ibdebug-only files (the pool and store debug
+# hooks, internal/debug's assertions) exist only under that tag.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags ibdebug ./...
 
 # fclint enforces the determinism, credit-accounting and hot-path
 # contracts (DESIGN.md, "Determinism contract & static enforcement"):

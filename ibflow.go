@@ -57,7 +57,9 @@ type (
 	Scheme = core.Params
 	// SchemeKind is the flow control scheme family.
 	SchemeKind = core.Kind
-	// Stats aggregates per-device flow control counters.
+	// Stats holds a device's flow control, transport, endpoint-set and
+	// connection set-up counters; Cluster.Stats merges every rank's
+	// with Stats.Add (counters sum, high-water marks take the max).
 	Stats = chdev.Stats
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time

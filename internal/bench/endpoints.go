@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"ibflow/internal/chdev"
 	"ibflow/internal/mpi"
 	"ibflow/internal/runner"
 )
@@ -89,11 +90,8 @@ func EndpointContention(o Opts) EndpointDoc {
 	}
 	schemes := doc.Schemes()
 	type cell struct {
-		timeMS              float64
-		backlogged, rnrNaks uint64
-		occHWM              int
-		stickySels          uint64
-		bufHWM              int
+		st     chdev.Stats
+		timeMS float64
 	}
 	ne := len(doc.Endpoints)
 	cells := runner.Map(len(schemes)*ne, o.workers(), func(k int) cell {
@@ -103,32 +101,18 @@ func EndpointContention(o Opts) EndpointDoc {
 		if err != nil {
 			panic(fmt.Sprintf("bench: endpoints %v: %v", s, err))
 		}
-		bufHWM := 0
-		for i := 0; i < doc.Ranks; i++ {
-			if b := w.RankStats(i).BufBytesHWM; b > bufHWM {
-				bufHWM = b
-			}
-		}
-		st, es := w.Stats(), w.EndpointStats()
-		return cell{
-			timeMS:     w.Time().Seconds() * 1e3,
-			backlogged: st.Backlogged,
-			rnrNaks:    st.RNRNaks,
-			occHWM:     es.OccupancyHWM,
-			stickySels: es.StickySels,
-			bufHWM:     bufHWM,
-		}
+		return cell{w.Stats(), w.Time().Seconds() * 1e3}
 	})
 	for i, fc := range schemes {
 		s := EndpointSeries{Scheme: fc.Kind.String()}
 		for j := range doc.Endpoints {
 			c := cells[i*ne+j]
 			s.TimeMS = append(s.TimeMS, c.timeMS)
-			s.Backlogged = append(s.Backlogged, c.backlogged)
-			s.RNRNaks = append(s.RNRNaks, c.rnrNaks)
-			s.OccupancyHWM = append(s.OccupancyHWM, c.occHWM)
-			s.StickySels = append(s.StickySels, c.stickySels)
-			s.BufBytesHWM = append(s.BufBytesHWM, c.bufHWM)
+			s.Backlogged = append(s.Backlogged, c.st.Backlogged)
+			s.RNRNaks = append(s.RNRNaks, c.st.RNRNaks)
+			s.OccupancyHWM = append(s.OccupancyHWM, c.st.OccupancyHWM)
+			s.StickySels = append(s.StickySels, c.st.StickySels)
+			s.BufBytesHWM = append(s.BufBytesHWM, c.st.BufBytesHWM)
 		}
 		doc.Series = append(doc.Series, s)
 	}

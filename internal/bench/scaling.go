@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ibflow/internal/chdev"
 	"ibflow/internal/core"
 	"ibflow/internal/mpi"
 	"ibflow/internal/runner"
@@ -134,9 +135,8 @@ func ConnScaling(o Opts) ScalingDoc {
 	// Each (scheme, rank-count) cell is a share-nothing world: fan the
 	// grid out across the worker pool and reassemble series in cell order.
 	type cell struct {
-		hwm                          int
-		rnrNaks, backlogged, limitEv uint64
-		timeMS                       float64
+		st     chdev.Stats
+		timeMS float64
 	}
 	nr := len(doc.Ranks)
 	cells := runner.Map(len(schemes)*nr, o.workers(), func(k int) cell {
@@ -145,32 +145,19 @@ func ConnScaling(o Opts) ScalingDoc {
 		if err := w.Run(scalingStorm(doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout)); err != nil {
 			panic(fmt.Sprintf("bench: connscaling %v: %v", s, err))
 		}
-		// The Table-2 quantity is per-process memory: take the
-		// worst rank, not the job-wide sum, so the row reads as
-		// "bytes a node must pin" at that cluster size.
-		hwm := 0
-		for i := 0; i < s.Ranks; i++ {
-			if b := w.RankStats(i).BufBytesHWM; b > hwm {
-				hwm = b
-			}
-		}
-		st := w.Stats()
-		return cell{
-			hwm:        hwm,
-			rnrNaks:    st.RNRNaks,
-			backlogged: st.Backlogged,
-			limitEv:    st.LimitEvents,
-			timeMS:     w.Time().Seconds() * 1e3,
-		}
+		// The Table-2 quantity is per-process memory: World.Stats
+		// takes the worst rank, not the job-wide sum, so the row reads
+		// as "bytes a node must pin" at that cluster size.
+		return cell{w.Stats(), w.Time().Seconds() * 1e3}
 	})
 	for i, fc := range schemes {
 		s := ScalingSeries{Scheme: fc.Kind.String()}
 		for j := range doc.Ranks {
 			c := cells[i*nr+j]
-			s.BufBytesHWM = append(s.BufBytesHWM, c.hwm)
-			s.RNRNaks = append(s.RNRNaks, c.rnrNaks)
-			s.Backlogged = append(s.Backlogged, c.backlogged)
-			s.LimitEvents = append(s.LimitEvents, c.limitEv)
+			s.BufBytesHWM = append(s.BufBytesHWM, c.st.BufBytesHWM)
+			s.RNRNaks = append(s.RNRNaks, c.st.RNRNaks)
+			s.Backlogged = append(s.Backlogged, c.st.Backlogged)
+			s.LimitEvents = append(s.LimitEvents, c.st.LimitEvents)
 			s.TimeMS = append(s.TimeMS, c.timeMS)
 		}
 		doc.Series = append(doc.Series, s)

@@ -192,6 +192,45 @@ type Stats struct {
 	Reissues       uint64 // frozen streams re-issued after degradation
 	ECMsDropped    uint64 // explicit credit messages lost before the wire
 	ECMsDuplicated uint64 // spurious duplicate ECMs injected
+
+	// Endpoint-set and connection set-up counters.
+	OccupancyHWM int    // max outstanding work requests on any endpoint
+	StickySels   uint64 // sends routed over a set, each pinned by its thread
+	ConnSetups   int    // on-demand connection establishments initiated
+}
+
+// Add folds o into s. It is the one merge rule of every field, used at
+// both levels — Device.Stats adds each live end's counters, World.Stats
+// each device's: counters and live totals sum, high-water marks
+// (MaxPosted and the *HWM fields) take the max, and Rank is left alone.
+func (s *Stats) Add(o Stats) {
+	s.Conns += o.Conns
+	s.MsgsSent += o.MsgsSent
+	s.EagerSent += o.EagerSent
+	s.Demoted += o.Demoted
+	s.Backlogged += o.Backlogged
+	s.ECMsSent += o.ECMsSent
+	s.GrowthEvents += o.GrowthEvents
+	s.MaxPosted = max(s.MaxPosted, o.MaxPosted)
+	s.SumPosted += o.SumPosted
+	s.RNRNaks += o.RNRNaks
+	s.Retransmits += o.Retransmits
+	s.WastedBytes += o.WastedBytes
+	s.RegHits += o.RegHits
+	s.RegMisses += o.RegMisses
+	s.BufBytesInUse += o.BufBytesInUse
+	s.BufBytesHWM = max(s.BufBytesHWM, o.BufBytesHWM)
+	s.LimitEvents += o.LimitEvents
+	s.RingSyncs += o.RingSyncs
+	s.RingOccupancyHWM = max(s.RingOccupancyHWM, o.RingOccupancyHWM)
+	s.RndvReadBytes += o.RndvReadBytes
+	s.RNRExhausted += o.RNRExhausted
+	s.Reissues += o.Reissues
+	s.ECMsDropped += o.ECMsDropped
+	s.ECMsDuplicated += o.ECMsDuplicated
+	s.OccupancyHWM = max(s.OccupancyHWM, o.OccupancyHWM)
+	s.StickySels += o.StickySels
+	s.ConnSetups += o.ConnSetups
 }
 
 // Device is one rank's channel device.
@@ -299,7 +338,7 @@ func (d *Device) registerMetrics() {
 		return
 	}
 	rank := metrics.RankLabel(d.rank)
-	r.GaugeFunc("chdev_buf_bytes_hwm", func() int64 { return int64(d.prov.postedHWMBytes()) }, rank)
+	r.GaugeFunc("chdev_buf_bytes_hwm", func() int64 { return int64(d.Stats().BufBytesHWM) }, rank)
 	// Buffer-pool health. The gauges count host buffers, not descriptors:
 	// a posted receive holds no buffer, so outstanding and out_hwm read
 	// the packets being staged, sent or processed at once (zero at
@@ -314,33 +353,12 @@ func (d *Device) registerMetrics() {
 		// (the fcstats key goldens and the semantic goldens' key digest
 		// pin it). An endpoint-set dump is then a strict superset of the
 		// classic dump — endpoint 0 keeps the classic per-connection
-		// labels (see establish) — so fcstats -allow-new-keys diffs the
-		// two cleanly.
-		r.GaugeFunc("chdev_endpoints_active", func() int64 { return int64(d.EndpointStats().Active) }, rank)
-		r.GaugeFunc("chdev_ep_occupancy_hwm", func() int64 { return int64(d.EndpointStats().OccupancyHWM) }, rank)
-		r.CounterFunc("chdev_ep_sel_sticky", func() uint64 { return d.EndpointStats().StickySels }, rank)
+		// labels (metrics.ConnLabels) — so fcstats -allow-new-keys
+		// diffs the two cleanly.
+		r.GaugeFunc("chdev_endpoints_active", func() int64 { return int64(d.Stats().Conns) }, rank)
+		r.GaugeFunc("chdev_ep_occupancy_hwm", func() int64 { return int64(d.Stats().OccupancyHWM) }, rank)
+		r.CounterFunc("chdev_ep_sel_sticky", func() uint64 { return d.Stats().StickySels }, rank)
 	}
-}
-
-// EPStats summarizes a device's endpoint-set state. It is a separate
-// accessor rather than new Stats fields so the pre-endpoint Stats
-// shape — hashed verbatim by the semantic goldens — never changes.
-type EPStats struct {
-	Endpoints    int    // configured endpoints per rank pair
-	Active       int    // endpoints established across all peers
-	OccupancyHWM int    // worst outstanding-WQE count any endpoint saw
-	StickySels   uint64 // sends routed over a set, each pinned by its thread
-}
-
-// EndpointStats reports the device's endpoint-set counters.
-func (d *Device) EndpointStats() EPStats {
-	s := EPStats{Endpoints: d.epN, Active: len(d.live), StickySels: d.stickySels}
-	for _, c := range d.live {
-		if c.occHWM > s.OccupancyHWM {
-			s.OccupancyHWM = c.occHWM
-		}
-	}
-	return s
 }
 
 // BindThread declares the logical worker thread issuing the rank's
@@ -505,16 +523,8 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 	c.qp.SetOwner(c)
 	// Each direction of each endpoint is a distinct metric series; with
 	// on-demand wiring this runs mid-job and the series align via the
-	// registry's first-sample offsets. Endpoint 0 keeps the pre-endpoint
-	// key shape (no ep label) at every set size, so a size-1 set
-	// reproduces the classic inventory byte for byte and a larger set's
-	// dump is a strict superset of it — additional endpoints' series carry
-	// the ep label, and fcstats -allow-new-keys accepts the growth.
-	if ep == 0 {
-		c.vc.RegisterMetrics(d.cfg.Metrics, d.rank, peer)
-	} else {
-		c.vc.RegisterMetricsEP(d.cfg.Metrics, d.rank, peer, ep)
-	}
+	// registry's first-sample offsets.
+	c.vc.RegisterMetrics(d.cfg.Metrics, d.rank, peer, ep)
 }
 
 // tr records a trace event if tracing is enabled.
@@ -1223,34 +1233,37 @@ type reissueEvent conn
 
 func (re *reissueEvent) OnEvent(uint64) { re.qp.ResumeStalled() }
 
-// Stats aggregates the device's counters.
+// Stats aggregates the device's counters: its own, one Stats per live
+// end, then what its provisioning shape reports.
 func (d *Device) Stats() Stats {
-	s := Stats{Rank: d.rank, Conns: len(d.live), RegHits: d.regs.Hits(), RegMisses: d.regs.Misses()}
+	s := Stats{Rank: d.rank, RegHits: d.regs.Hits(), RegMisses: d.regs.Misses(),
+		StickySels: d.stickySels, ConnSetups: d.setups}
 	for _, c := range d.live {
-		vs := c.vc.Stats()
-		s.MsgsSent += vs.MsgsSent
-		s.EagerSent += vs.EagerSent
-		s.Demoted += vs.Demoted
-		s.Backlogged += vs.Backlogged
-		s.ECMsSent += vs.ECMsSent
-		s.GrowthEvents += vs.GrowthEvents
-		if vs.MaxPosted > s.MaxPosted {
-			s.MaxPosted = vs.MaxPosted
-		}
-		s.Reissues += vs.Reissues
-		s.ECMsDropped += vs.ECMsDropped
-		s.ECMsDuplicated += vs.ECMsDuplicated
-		qs := c.qp.Stats()
-		s.RNRNaks += qs.RNRNaks
-		s.Retransmits += qs.Retransmits
-		s.WastedBytes += qs.WastedBytes
-		s.RNRExhausted += qs.RNRExhausted
+		s.Add(c.stats())
 	}
-	s.SumPosted = d.prov.posted()
-	s.BufBytesInUse = s.SumPosted * bufSize
-	s.BufBytesHWM = d.prov.postedHWMBytes()
 	return d.prov.stats(s)
 }
 
-// ConnSetups reports on-demand connection establishments initiated here.
-func (d *Device) ConnSetups() int { return d.setups }
+// stats reports one live end's counters: its VC's, its QP's and its
+// occupancy mark.
+func (c *conn) stats() Stats {
+	vs, qs := c.vc.Stats(), c.qp.Stats()
+	return Stats{
+		Conns:          1,
+		MsgsSent:       vs.MsgsSent,
+		EagerSent:      vs.EagerSent,
+		Demoted:        vs.Demoted,
+		Backlogged:     vs.Backlogged,
+		ECMsSent:       vs.ECMsSent,
+		GrowthEvents:   vs.GrowthEvents,
+		MaxPosted:      vs.MaxPosted,
+		RNRNaks:        qs.RNRNaks,
+		Retransmits:    qs.Retransmits,
+		WastedBytes:    qs.WastedBytes,
+		RNRExhausted:   qs.RNRExhausted,
+		Reissues:       vs.Reissues,
+		ECMsDropped:    vs.ECMsDropped,
+		ECMsDuplicated: vs.ECMsDuplicated,
+		OccupancyHWM:   c.occHWM,
+	}
+}

@@ -34,23 +34,19 @@ func ownedQPs(d *Device) int {
 }
 
 // TestEndpointSetEstablish: wiring a pair with Endpoints=4 builds four
-// independent QP/VC endpoints, all visible through the stats accessors,
-// with per-endpoint receive provisioning.
+// independent QP/VC endpoints, all counted in Stats, with per-endpoint
+// receive provisioning.
 func TestEndpointSetEstablish(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Endpoints = 4
 	_, d0, d1, _, _ := devPairEP(t, cfg, core.Static(4))
 	for _, d := range []*Device{d0, d1} {
-		es := d.EndpointStats()
-		if es.Endpoints != 4 || es.Active != 4 {
-			t.Fatalf("rank %d endpoint stats = %+v, want Endpoints 4 Active 4", d.Rank(), es)
+		st := d.Stats()
+		if st.Conns != 4 {
+			t.Fatalf("rank %d Stats.Conns = %d, want 4 endpoints", d.Rank(), st.Conns)
 		}
 		if n := ownedQPs(d); n != 4 {
 			t.Fatalf("rank %d has %d QPs, want 4", d.Rank(), n)
-		}
-		st := d.Stats()
-		if st.Conns != 4 {
-			t.Errorf("rank %d Stats.Conns = %d, want 4 endpoints", d.Rank(), st.Conns)
 		}
 		if want := 4 * 4; st.SumPosted != want {
 			t.Errorf("rank %d SumPosted = %d, want %d (4 endpoints x prepost 4)", d.Rank(), st.SumPosted, want)
@@ -99,17 +95,17 @@ func TestEndpointStickySelection(t *testing.T) {
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	es := d0.EndpointStats()
-	if es.StickySels != 4 {
-		t.Fatalf("selection counters = %+v, want 4 sticky", es)
+	st := d0.Stats()
+	if st.StickySels != 4 {
+		t.Fatalf("StickySels = %d, want 4", st.StickySels)
 	}
 	for ep := 0; ep < 2; ep++ {
 		if got := d0.epAt(1, ep).vc.Stats().EagerSent; got != 2 {
 			t.Errorf("endpoint %d carried %d eager sends, want 2 (tids %d and %d)", ep, got, ep, ep+2)
 		}
 	}
-	if es.OccupancyHWM < 1 {
-		t.Errorf("occupancy HWM = %d, want >= 1", es.OccupancyHWM)
+	if st.OccupancyHWM < 1 {
+		t.Errorf("occupancy HWM = %d, want >= 1", st.OccupancyHWM)
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
 		t.Errorf("audit: %v", err)
@@ -209,7 +205,7 @@ func TestEndpointOnDemandBothEnds(t *testing.T) {
 			d1 := New(eng, f.HCA(1), cfg, core.Static(8), 1, 2, h1)
 			h0.dev, h1.dev = d0, d1
 			Wire([]*Device{d0, d1})
-			if d0.EndpointStats().Active != 0 {
+			if d0.Stats().Conns != 0 {
 				t.Fatal("on-demand wiring established eagerly")
 			}
 			eng.Go("rank0", func(p *sim.Proc) {
@@ -223,11 +219,11 @@ func TestEndpointOnDemandBothEnds(t *testing.T) {
 			if err := eng.Run(sim.MaxTime); err != nil {
 				t.Fatal(err)
 			}
-			if got := d0.ConnSetups() + d1.ConnSetups(); got != 1 {
+			if got := d0.Stats().ConnSetups + d1.Stats().ConnSetups; got != 1 {
 				t.Errorf("%d establishments for one pair, want 1", got)
 			}
 			for _, d := range []*Device{d0, d1} {
-				if got := d.EndpointStats().Active; got != epN {
+				if got := d.Stats().Conns; got != epN {
 					t.Errorf("rank %d has %d endpoints, want %d", d.Rank(), got, epN)
 				}
 				if n := ownedQPs(d); n != epN {

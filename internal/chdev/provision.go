@@ -73,13 +73,10 @@ type recvProvisioner interface {
 	// fin handles an arrived FIN naming rendezvous id.
 	fin(c *conn, id uint64)
 
-	// posted reports receive descriptors currently provisioned
-	// (Stats.SumPosted, the live buffer-memory proxy).
-	posted() int
-	// postedHWMBytes is the high-water mark of receive-buffer memory,
-	// the number the connection-scaling benchmark plots against peers.
-	postedHWMBytes() int
-	// stats adds the shape's own counters to the device's.
+	// stats completes the device's counters with what the shape owns:
+	// the receive memory it provisions (SumPosted, BufBytesInUse and
+	// BufBytesHWM, the number the connection-scaling benchmark plots
+	// against peers) and its own counters.
 	stats(s Stats) Stats
 	// audit checks this shape's conservation law at quiescence;
 	// auditPair the law that spans both ends of one connection.
@@ -183,23 +180,18 @@ func (cp *connProvisioner) fin(c *conn, id uint64) {
 	d.finishRecv(r)
 }
 
-func (cp *connProvisioner) posted() int {
-	n := 0
+// stats: each connection's receive memory is its own pre-post, so the
+// device's is their sum, and its mark the sum of theirs.
+func (cp *connProvisioner) stats(s Stats) Stats {
+	hwm := 0
 	for _, c := range cp.d.live {
-		n += c.vc.Posted()
+		s.SumPosted += c.vc.Posted()
+		hwm += c.vc.Stats().MaxPosted
 	}
-	return n
+	s.BufBytesInUse = s.SumPosted * bufSize
+	s.BufBytesHWM = hwm * bufSize
+	return s
 }
-
-func (cp *connProvisioner) postedHWMBytes() int {
-	n := 0
-	for _, c := range cp.d.live {
-		n += c.vc.Stats().MaxPosted
-	}
-	return n * bufSize
-}
-
-func (cp *connProvisioner) stats(s Stats) Stats { return s }
 
 // audit checks descriptor conservation, the twin of the shared shape's
 // SRQ law: at quiescence every descriptor the VC accounts for is posted
@@ -304,17 +296,14 @@ func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	pp.post(1)
 }
 
-func (pp *poolProvisioner) posted() int { return pp.pool.Posted() }
-
-func (pp *poolProvisioner) postedHWMBytes() int {
-	return pp.pool.Stats().MaxPosted * bufSize
-}
-
 // stats: the pool's accounting replaces the per-VC receiver-side numbers,
 // which are vestigial under this scheme.
 func (pp *poolProvisioner) stats(s Stats) Stats {
 	ps := pp.pool.Stats()
 	s.MaxPosted = ps.MaxPosted
+	s.SumPosted = pp.pool.Posted()
+	s.BufBytesInUse = s.SumPosted * bufSize
+	s.BufBytesHWM = ps.MaxPosted * bufSize
 	s.LimitEvents = ps.LimitEvents
 	s.GrowthEvents += ps.GrowthEvents
 	return s
@@ -483,28 +472,19 @@ func (rp *ringProvisioner) fin(c *conn, id uint64) {
 	rp.d.finishSend(out)
 }
 
-func (rp *ringProvisioner) posted() int {
-	return len(rp.d.live) * ctrlPrepost
-}
-
-// postedHWMBytes counts the pinned ring slots alongside the control
-// receives: both are per-connection receive memory held for the
-// connection's lifetime, and the sum is what the scaling benchmark
-// plots. It is also the high-water mark — the ring never grows.
-func (rp *ringProvisioner) postedHWMBytes() int {
-	return len(rp.d.live) * (rp.d.params.Prepost*rp.d.params.SlotBytes + ctrlPrepost*bufSize)
-}
-
+// stats counts the pinned ring slots alongside the control receives:
+// both are per-connection receive memory held for the connection's
+// lifetime, even though nothing is "posted" for a slot. The sum is also
+// the high-water mark — the ring never grows.
 func (rp *ringProvisioner) stats(s Stats) Stats {
 	for _, c := range rp.d.live {
-		in := c.vc.RingIn().Stats()
-		s.RingSyncs += uint64(in.Syncs)
-		s.RingOccupancyHWM = max(s.RingOccupancyHWM, in.OccupancyHWM, c.vc.RingOut().Stats().OccupancyHWM)
+		in, out := c.vc.RingIn().Stats(), c.vc.RingOut().Stats()
+		s.Add(Stats{RingSyncs: uint64(in.Syncs), RingOccupancyHWM: max(in.OccupancyHWM, out.OccupancyHWM)})
 	}
 	s.RndvReadBytes = rp.readTotal
-	// The ring slots are pinned for the connection's lifetime; they are
-	// receive memory even though nothing is "posted" for them.
-	s.BufBytesInUse += s.Conns * rp.d.params.Prepost * rp.d.params.SlotBytes
+	s.SumPosted = s.Conns * ctrlPrepost
+	s.BufBytesInUse = s.SumPosted*bufSize + s.Conns*rp.d.params.Prepost*rp.d.params.SlotBytes
+	s.BufBytesHWM = s.BufBytesInUse
 	return s
 }
 

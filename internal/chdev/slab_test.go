@@ -125,7 +125,7 @@ func TestEndpointSetsDoNotStraddleSlabs(t *testing.T) {
 	if s := devs[0].ends; s.left != 0 || cap(s.free) != 0 {
 		t.Errorf("%d ends still to establish, %d spare in the slab; want 0, 0", s.left, cap(s.free))
 	}
-	if got := devs[3].EndpointStats().Active; got != (n-1)*epN {
+	if got := devs[3].Stats().Conns; got != (n-1)*epN {
 		t.Errorf("rank 3 has %d endpoints, want %d", got, (n-1)*epN)
 	}
 }

@@ -7,27 +7,13 @@ import "ibflow/internal/metrics"
 // Stats counters as counter readers. Everything is closure-backed — the
 // registry reads the VC's own fields at sampling instants, so the hot
 // path keeps its single set of counters and nothing is double-tracked.
+// ep is the endpoint's index in its rank pair's set (metrics.ConnLabels).
 // Nil-safe: a nil registry registers nothing.
-func (vc *VC) RegisterMetrics(r *metrics.Registry, rank, peer int) {
+func (vc *VC) RegisterMetrics(r *metrics.Registry, rank, peer, ep int) {
 	if r == nil {
 		return
 	}
-	vc.registerMetrics(r, metrics.ConnLabels(rank, peer))
-}
-
-// RegisterMetricsEP registers the same series for one endpoint of a
-// rank pair's endpoint set, distinguished by the ep label. Endpoint 0
-// of every set uses RegisterMetrics instead, so single-endpoint runs
-// keep the pre-endpoint metric keys and a larger set's key inventory
-// strictly grows the classic one (fcstats -allow-new-keys clean).
-func (vc *VC) RegisterMetricsEP(r *metrics.Registry, rank, peer, ep int) {
-	if r == nil {
-		return
-	}
-	vc.registerMetrics(r, metrics.EndpointLabels(rank, peer, ep))
-}
-
-func (vc *VC) registerMetrics(r *metrics.Registry, ls []metrics.Label) {
+	ls := metrics.ConnLabels(rank, peer, ep)
 	r.GaugeFunc("fc_credits", func() int64 { return int64(vc.Credits()) }, ls...)
 	r.GaugeFunc("fc_backlog", func() int64 { return int64(vc.BacklogLen()) }, ls...)
 	r.GaugeFunc("fc_posted", func() int64 { return int64(vc.Posted()) }, ls...)

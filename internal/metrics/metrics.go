@@ -43,26 +43,21 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 // RankLabel labels a metric with the owning MPI rank.
 func RankLabel(rank int) Label { return Label{Key: "rank", Value: strconv.Itoa(rank)} }
 
-// ConnLabels labels a per-connection metric with its owning rank and the
-// peer it talks to. Each direction of a connection is a distinct metric.
-func ConnLabels(rank, peer int) []Label {
-	return []Label{
+// ConnLabels labels a per-connection metric with its owning rank, the
+// peer it talks to and, for an endpoint beyond the first of the rank
+// pair's set, its index ep. Each direction of a connection is a distinct
+// metric. Endpoint 0 carries no ep label at any set size, so a
+// single-endpoint run keeps the pre-endpoint key inventory and an
+// endpoint-set dump strictly grows it (fcstats -allow-new-keys).
+func ConnLabels(rank, peer, ep int) []Label {
+	ls := []Label{
 		{Key: "peer", Value: strconv.Itoa(peer)},
 		{Key: "rank", Value: strconv.Itoa(rank)},
 	}
-}
-
-// EndpointLabels labels a per-endpoint metric: ConnLabels plus the
-// endpoint's index within the rank pair's endpoint set. Used only for
-// endpoints beyond the first — endpoint 0 keeps the plain ConnLabels —
-// so single-endpoint runs keep the pre-endpoint key inventory and an
-// endpoint-set dump strictly grows it.
-func EndpointLabels(rank, peer, ep int) []Label {
-	return []Label{
-		{Key: "ep", Value: strconv.Itoa(ep)},
-		{Key: "peer", Value: strconv.Itoa(peer)},
-		{Key: "rank", Value: strconv.Itoa(rank)},
+	if ep > 0 {
+		ls = append(ls, Label{Key: "ep", Value: strconv.Itoa(ep)})
 	}
+	return ls
 }
 
 // Kind classifies a metric.

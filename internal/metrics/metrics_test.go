@@ -198,7 +198,7 @@ func TestJSONDeterminismAndRoundTrip(t *testing.T) {
 	build := func() *bytes.Buffer {
 		r := New()
 		var c uint64
-		r.CounterFunc("c", func() uint64 { return c }, ConnLabels(0, 1)...)
+		r.CounterFunc("c", func() uint64 { return c }, ConnLabels(0, 1, 0)...)
 		h := r.Histogram("h_ns", TimeBuckets, RankLabel(0))
 		r.GaugeFunc("gf", func() int64 { return 42 })
 		r.Sample(0)
@@ -249,7 +249,7 @@ func TestWriteCSV(t *testing.T) {
 	r.GaugeFunc("a", func() int64 { return a })
 	r.Sample(0)
 	a = 1
-	r.GaugeFunc("b", func() int64 { return b }, ConnLabels(0, 1)...)
+	r.GaugeFunc("b", func() int64 { return b }, ConnLabels(0, 1, 0)...)
 	b = 5
 	r.Sample(10)
 	var buf bytes.Buffer
@@ -265,7 +265,7 @@ func TestWriteCSV(t *testing.T) {
 func TestWritePerfetto(t *testing.T) {
 	r := New()
 	var credits int64
-	r.GaugeFunc("fc_credits", func() int64 { return credits }, ConnLabels(1, 0)...)
+	r.GaugeFunc("fc_credits", func() int64 { return credits }, ConnLabels(1, 0, 0)...)
 	r.Sample(0)
 	credits = 7
 	r.Sample(2500)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ibflow/internal/chdev"
 	"ibflow/internal/core"
 )
 
@@ -86,15 +87,12 @@ func TestEndpointThreadsShareOneSetup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			setups := 0
-			for _, r := range w.ranks {
-				setups += r.dev.ConnSetups()
-				es := r.dev.EndpointStats()
-				if es.Active != epN {
-					t.Errorf("rank %d has %d live endpoints, want %d", r.idx, es.Active, epN)
+			for i := range w.ranks {
+				if got := w.RankStats(i).Conns; got != epN {
+					t.Errorf("rank %d has %d live endpoints, want %d", i, got, epN)
 				}
 			}
-			if setups != 1 {
+			if setups := w.Stats().ConnSetups; setups != 1 {
 				t.Errorf("%d establishments for one rank pair, want 1", setups)
 			}
 			if err := w.Audit(); err != nil {
@@ -126,16 +124,12 @@ func TestEndpointOnDemandLargeWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setups, active := 0, 0
-	for _, r := range w.ranks {
-		setups += r.dev.ConnSetups()
-		active += r.dev.EndpointStats().Active
+	st := w.Stats()
+	if st.ConnSetups != n {
+		t.Errorf("%d establishments, want %d (one per ring link)", st.ConnSetups, n)
 	}
-	if setups != n {
-		t.Errorf("%d establishments, want %d (one per ring link)", setups, n)
-	}
-	if want := n * 2 * 2; active != want {
-		t.Errorf("%d live endpoints, want %d (2 links/rank x 2 endpoints)", active, want)
+	if want := n * 2 * 2; st.Conns != want {
+		t.Errorf("%d live endpoints, want %d (2 links/rank x 2 endpoints)", st.Conns, want)
 	}
 	if err := w.Audit(); err != nil {
 		t.Errorf("audit: %v", err)
@@ -182,18 +176,62 @@ func TestEndpointMultiplexAllSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range w.ranks {
-				es := r.dev.EndpointStats()
-				if es.Active != 4 {
-					t.Errorf("rank %d endpoints = %d, want 4", r.idx, es.Active)
+			for i := range w.ranks {
+				st := w.RankStats(i)
+				if st.Conns != 4 {
+					t.Errorf("rank %d endpoints = %d, want 4", i, st.Conns)
 				}
-				if es.StickySels == 0 {
-					t.Errorf("rank %d made no sticky selections", r.idx)
+				if st.StickySels == 0 {
+					t.Errorf("rank %d made no sticky selections", i)
 				}
 			}
 			if err := w.Audit(); err != nil {
 				t.Errorf("audit: %v", err)
 			}
 		})
+	}
+}
+
+// TestWorldStatsFoldsRanks: World.Stats is the Stats.Add fold of every
+// rank's Stats, and on a 4-rank on-demand world over 2-endpoint sets the
+// endpoint and set-up counters keep the values the separate endpoint
+// accessors reported before they were folded into Stats.
+func TestWorldStatsFoldsRanks(t *testing.T) {
+	s := Spec{Ranks: 4, Scheme: core.Static(4), Endpoints: 2, OnDemand: true}
+	w := NewWorld(s.Ranks, s.Options())
+	err := w.Run(func(c *Comm) {
+		// Each rank sends three messages from each of two threads to
+		// its neighbours at distance 1 and 2, and receives their twins.
+		n := c.Size()
+		var reqs []*Request
+		for k := 1; k <= 2; k++ {
+			to, from := (c.Rank()+k)%n, (c.Rank()+n-k)%n
+			for tid := 0; tid < 2; tid++ {
+				for i := 0; i < 3; i++ {
+					tag := (k*2+tid)*3 + i
+					reqs = append(reqs, c.Thread(tid).Isend(to, tag, []byte("payload")),
+						c.Irecv(from, tag, make([]byte, 8)))
+				}
+			}
+		}
+		c.Waitall(reqs...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := chdev.Stats{Rank: -1}
+	for i := 0; i < s.Ranks; i++ {
+		fold.Add(w.RankStats(i))
+	}
+	st := w.Stats()
+	if st != fold {
+		t.Errorf("World.Stats = %+v\nwant the fold of RankStats %+v", st, fold)
+	}
+	// Six rank pairs (distance 1 and 2 on a ring of 4), each a set of
+	// two endpoints at both ends, one establishment each; 12 sends per
+	// rank, each pinned to an endpoint by its thread.
+	got := [4]int{st.Conns, int(st.StickySels), st.ConnSetups, st.OccupancyHWM}
+	if want := [4]int{24, 48, 6, 2}; got != want {
+		t.Errorf("Conns, StickySels, ConnSetups, OccupancyHWM = %v, want %v", got, want)
 	}
 }

@@ -386,10 +386,7 @@ func faultSweep(t *testing.T, world Spec) {
 						t.Fatal(cell.err)
 					}
 					res := cell.res
-					agg.RNRExhausted += res.stats.RNRExhausted
-					agg.Reissues += res.stats.Reissues
-					agg.ECMsDropped += res.stats.ECMsDropped
-					agg.ECMsDuplicated += res.stats.ECMsDuplicated
+					agg.Add(res.stats)
 					fagg.Jitters += res.fstats.Jitters
 					fagg.OutageDelays += res.fstats.OutageDelays
 					fagg.ForcedRNRs += res.fstats.ForcedRNRs

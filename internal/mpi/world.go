@@ -198,59 +198,11 @@ func (w *World) Time() sim.Time { return w.eng.Now() }
 // RankStats returns the channel device statistics of rank i.
 func (w *World) RankStats(i int) chdev.Stats { return w.ranks[i].dev.Stats() }
 
-// EndpointStats aggregates endpoint-set counters across all ranks:
-// selection counts and live endpoints sum, the occupancy high-water
-// mark is the worst endpoint anywhere in the job.
-func (w *World) EndpointStats() chdev.EPStats {
-	var es chdev.EPStats
-	for _, r := range w.ranks {
-		rs := r.dev.EndpointStats()
-		es.Endpoints = rs.Endpoints
-		es.Active += rs.Active
-		if rs.OccupancyHWM > es.OccupancyHWM {
-			es.OccupancyHWM = rs.OccupancyHWM
-		}
-		es.StickySels += rs.StickySels
-	}
-	return es
-}
-
-// Stats aggregates device statistics across all ranks.
+// Stats aggregates device statistics across all ranks (Stats.Add).
 func (w *World) Stats() chdev.Stats {
-	var s chdev.Stats
-	s.Rank = -1
+	s := chdev.Stats{Rank: -1}
 	for _, r := range w.ranks {
-		rs := r.dev.Stats()
-		s.Conns += rs.Conns
-		s.MsgsSent += rs.MsgsSent
-		s.EagerSent += rs.EagerSent
-		s.Demoted += rs.Demoted
-		s.Backlogged += rs.Backlogged
-		s.ECMsSent += rs.ECMsSent
-		s.GrowthEvents += rs.GrowthEvents
-		if rs.MaxPosted > s.MaxPosted {
-			s.MaxPosted = rs.MaxPosted
-		}
-		s.SumPosted += rs.SumPosted
-		s.RNRNaks += rs.RNRNaks
-		s.Retransmits += rs.Retransmits
-		s.WastedBytes += rs.WastedBytes
-		s.RegHits += rs.RegHits
-		s.RegMisses += rs.RegMisses
-		s.BufBytesInUse += rs.BufBytesInUse
-		if rs.BufBytesHWM > s.BufBytesHWM {
-			s.BufBytesHWM = rs.BufBytesHWM
-		}
-		s.LimitEvents += rs.LimitEvents
-		s.RNRExhausted += rs.RNRExhausted
-		s.Reissues += rs.Reissues
-		s.ECMsDropped += rs.ECMsDropped
-		s.ECMsDuplicated += rs.ECMsDuplicated
-		s.RingSyncs += rs.RingSyncs
-		if rs.RingOccupancyHWM > s.RingOccupancyHWM {
-			s.RingOccupancyHWM = rs.RingOccupancyHWM
-		}
-		s.RndvReadBytes += rs.RndvReadBytes
+		s.Add(r.dev.Stats())
 	}
 	return s
 }
