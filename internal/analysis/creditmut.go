@@ -17,11 +17,11 @@ import (
 // ring's head/tail counters ARE its credit state (free slots =
 // slots - (tail - headSeen)), so a stray write to either silently
 // forges or destroys ring credit. occ/occHWM are an endpoint's
-// outstanding-send occupancy (chdev keeps the high-water mark beside the
-// endpoint's queue of posted sends, mutated only via noteOut).
+// outstanding-send occupancy and its high-water mark (chdev mutates them
+// only via noteOut and noteRetired).
 var creditFields = map[string]bool{
 	"credits": true, "owed": true, "posted": true,
-	"backlog": true, "shrinkDebt": true, "inUse": true,
+	"backlog": true, "inUse": true,
 	"head": true, "tail": true, "headSeen": true, "headSent": true,
 	"occ": true, "occHWM": true,
 }

@@ -36,15 +36,17 @@ func Audit(devs []*Device) error {
 		}
 	}
 	for _, d := range devs {
+		// A rendezvous holds a device busy, so it is named first: every
+		// accepted one is in recvRndv until its data is in, pulled or not.
+		if len(d.sendRndv) > 0 || len(d.recvRndv) > 0 {
+			return fmt.Errorf("chdev audit: rank %d: rendezvous still in flight (%d out, %d in)",
+				d.rank, len(d.sendRndv), len(d.recvRndv))
+		}
 		if !d.Quiescent() {
 			return fmt.Errorf("chdev audit: rank %d not quiescent", d.rank)
 		}
 		if n := d.PendingCompletions(); n > 0 {
 			return fmt.Errorf("chdev audit: rank %d has %d unpolled completions", d.rank, n)
-		}
-		if len(d.sendRndv) > 0 || len(d.recvRndv) > 0 {
-			return fmt.Errorf("chdev audit: rank %d: rendezvous still in flight (%d out, %d in)",
-				d.rank, len(d.sendRndv), len(d.recvRndv))
 		}
 		if err := d.prov.audit(); err != nil {
 			return err

@@ -2,7 +2,6 @@ package chdev
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -62,6 +61,7 @@ type RndvIn struct {
 	senderMR  uint32 // source region id from the RTS, for a receiver that pulls
 	myReq     uint64
 	accepted  bool
+	pulled    bool // the receiver reads the payload (the ring shape's RDMA read)
 	buf       []byte
 }
 
@@ -78,25 +78,6 @@ type rndvOut struct {
 	token   any
 	peerReq uint64
 	start   sim.Time // when the rendezvous began, for the latency histogram
-}
-
-// ctxKind classifies outstanding work requests.
-type ctxKind uint8
-
-const (
-	ctxBuf      ctxKind = iota // pool buffer to release on completion
-	ctxRndvData                // RDMA write of rendezvous payload
-	ctxRndvRead                // RDMA read pulling rendezvous payload
-)
-
-// sendCtx is what the device remembers about a work request it posted, in
-// the posting connection's sends queue until the completion comes back.
-type sendCtx struct {
-	kind     ctxKind
-	attempts int32 // times re-issued after RNR budget exhaustion
-	buf      []byte
-	out      *rndvOut
-	rin      *RndvIn // ctxRndvRead: the accepted rendezvous being pulled
 }
 
 // backlogEntry is a send held back by user-level flow control: either a
@@ -124,21 +105,17 @@ type conn struct {
 	vc      core.VC
 	backlog store.Fifo[backlogEntry]
 
-	// sends holds the context of every work request posted on qp and not
-	// yet completed, in post order — the order a QP retires them in, so a
-	// successful completion's context is the head (retireSend). sends0 is
-	// its first ring: the send or two a connection usually has in flight
-	// cost nothing, and the conn stays at 904 B, 36 to a 32 KB end slab
-	// (TestConnSize).
-	sends   store.Fifo[sendCtx]
-	sends0  [2]sendCtx
-	sendSeq uint64 // work requests ever posted: the next one's id
-
-	// occHWM is the high-water mark of this endpoint's outstanding work
-	// requests (the length of sends), the per-endpoint occupancy the
-	// contention benchmark plots. Guarded by fclint's creditmut: mutation
-	// only through noteOut.
-	occHWM int
+	// occ counts the work requests posted on qp and not yet retired —
+	// what qp holds whenever the CQ is empty (debugCheckConn) — and occHWM
+	// is its high-water mark, the per-endpoint occupancy the contention
+	// benchmark plots. Guarded by fclint's creditmut: mutation only
+	// through noteOut and noteRetired. A completion names what it retires
+	// (retireSend), so the end keeps no record per request.
+	occ, occHWM int
+	// reissues counts the re-issues of the request heading qp: a QP
+	// completes in post order and fails only its head, so the count is
+	// that request's until a success resets it.
+	reissues int
 
 	// Explicit-credit-message silence gate state.
 	lastSend sim.Time   // last outgoing traffic on this connection
@@ -152,11 +129,16 @@ type conn struct {
 	peerMR *ib.MR
 }
 
-// noteOut records that a work request joined sends.
+// noteOut records that a work request was posted on qp.
 func (c *conn) noteOut() {
-	if n := c.sends.Len(); n > c.occHWM {
-		c.occHWM = n
-	}
+	c.occ++
+	c.occHWM = max(c.occHWM, c.occ)
+}
+
+// noteRetired records that the request heading qp completed successfully.
+func (c *conn) noteRetired() {
+	c.occ--
+	c.reissues = 0
 }
 
 // Stats aggregates a device's flow control and transport counters.
@@ -517,7 +499,6 @@ func establish(a, b *Device) []*conn {
 func (d *Device) initConn(c *conn, peer, ep int) {
 	c.peer, c.ep = peer, ep
 	c.vc.Init(&d.params)
-	c.sends.Seed(c.sends0[:])
 	d.addConn(c)
 	// A completion names its QP, and the QP its connection.
 	c.qp.SetOwner(c)
@@ -606,17 +587,14 @@ func (d *Device) prepost(c *conn, n int) {
 	}
 }
 
-// track enters a work request about to be posted on c in the books — its
-// context at the tail of c's sends, the occupancy that makes, the message
-// total — and returns the id to post it under: its number in c's post
-// order, which is where its completion finds the context again.
-func (d *Device) track(c *conn, ctx sendCtx) uint64 {
-	c.sends.Push(ctx)
+// track enters a work request about to be posted on c in the books: the
+// occupancy it makes and the message total. The id it is posted under
+// names what its completion retires (retireSend): 0 for a pool buffer,
+// which the completion hands back, or the rendezvous whose payload it
+// moves.
+func (d *Device) track(c *conn) {
 	c.noteOut()
 	c.vc.CountMsg()
-	id := c.sendSeq
-	c.sendSeq++
-	return id
 }
 
 // postPacket posts an encoded packet of n bytes from a pool buffer. Every
@@ -624,8 +602,9 @@ func (d *Device) track(c *conn, ctx sendCtx) uint64 {
 // post-encode so even backlogged or pre-built packets return the freshest
 // value.
 func (d *Device) postPacket(c *conn, buf []byte, n int) {
-	binary.LittleEndian.PutUint32(buf[44:], c.vc.PiggybackHead())
-	c.qp.PostSend(d.track(c, sendCtx{kind: ctxBuf, buf: buf}), buf[:n])
+	stampRingHead(buf, c.vc.PiggybackHead())
+	d.track(c)
+	c.qp.PostSend(0, buf[:n])
 	c.lastSend = d.eng.Now()
 	d.tr(pktKind(PktType(buf[0])), c.peer, int64(n))
 }
@@ -757,7 +736,7 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 		}
 		c.backlog.Pop()
 		d.tr(trace.Drained, c.peer, int64(e.n))
-		binary.LittleEndian.PutUint32(e.buf[16:], uint32(c.vc.TakePiggyback()))
+		stampPiggyback(e.buf, uint32(c.vc.TakePiggyback()))
 		d.prov.postEager(c, e.buf, e.n)
 		did = true
 	}
@@ -887,6 +866,32 @@ func (d *Device) sendFin(c *conn, peerReq uint64) {
 	})
 }
 
+// sendRndvOn returns c's outgoing rendezvous id, which a packet or a
+// completion (what) names; an unknown id, or one of another connection,
+// panics.
+func (d *Device) sendRndvOn(c *conn, id uint64, what string) *rndvOut {
+	out, ok := d.sendRndv[id]
+	if !ok || out.conn != c {
+		panic(fmt.Sprintf("chdev: rank %d -> %d: %s for unknown rendezvous %d", d.rank, c.peer, what, id))
+	}
+	d.debugLiveOut(out, id)
+	return out
+}
+
+// takeRecvRndv takes c's accepted rendezvous id out of recvRndv — its data
+// is in, as a FIN or a read completion (what) says; an unknown id, or one
+// of another connection, panics.
+func (d *Device) takeRecvRndv(c *conn, id uint64, what string) *RndvIn {
+	r, ok := d.recvRndv[id]
+	if !ok || r.conn != c {
+		panic(fmt.Sprintf("chdev: rank %d -> %d: %s for unknown rendezvous %d", d.rank, c.peer, what, id))
+	}
+	debug.Assert(r.myReq == id, "chdev: rank %d: rendezvous table entry %d holds a recycled object (now %d)",
+		d.rank, id, r.myReq)
+	delete(d.recvRndv, id)
+	return r
+}
+
 // finishSend completes an outgoing rendezvous: the peer has the payload,
 // the user buffer is reusable, and the state goes back to the pool — after
 // the upcall, with its references dropped.
@@ -953,16 +958,12 @@ func (d *Device) debugFreeMem(buf []byte) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		r := d.recvRndv[id]
-		debug.Assert(!mem.Overlaps(buf, r.buf),
-			"chdev: rank %d: FreeMem of a block rendezvous %d from rank %d is still writing into", d.rank, r.senderReq, r.Src)
-	}
-	for _, c := range d.live {
-		for i := range c.sends.Len() {
-			if s := c.sends.At(i); s.kind == ctxRndvRead {
-				debug.Assert(!mem.Overlaps(buf, s.rin.buf),
-					"chdev: rank %d: FreeMem of a block rendezvous %d from rank %d is still reading into", d.rank, s.rin.senderReq, s.rin.Src)
-			}
+		how := "writing into"
+		if r.pulled {
+			how = "reading into"
 		}
+		debug.Assert(!mem.Overlaps(buf, r.buf),
+			"chdev: rank %d: FreeMem of a block rendezvous %d from rank %d is still %s", d.rank, r.senderReq, r.Src, how)
 	}
 }
 
@@ -1068,15 +1069,21 @@ func (d *Device) debugCheckPass() {
 	}
 }
 
-// debugCheckConn validates a connection's credit state: the VC's own
-// invariants plus agreement between the queued backlog entries and the
-// VC's backlog counter, which the backlog's pushes and pops and the VC's
-// decision calls must keep in lockstep.
+// debugCheckConn validates a connection's books at a pass end, where the
+// CQ is empty: the VC's own invariants, agreement between the queued
+// backlog entries and the VC's backlog counter, which the backlog's
+// pushes and pops and the VC's decision calls must keep in lockstep, and
+// between the requests the end counts outstanding and those its QP holds
+// — a completion lost or retired twice shows here.
 func (d *Device) debugCheckConn(c *conn) {
 	c.vc.CheckInvariants()
 	if got, want := c.backlog.Len(), c.vc.BacklogLen(); got != want {
 		panic(fmt.Sprintf("chdev: rank %d peer %d: backlog queue has %d entries but VC counter says %d",
 			d.rank, c.peer, got, want))
+	}
+	if got, want := c.occ, c.qp.QueuedSends(); got != want {
+		panic(fmt.Sprintf("chdev: rank %d peer %d ep %d: %d work requests outstanding but the QP holds %d",
+			d.rank, c.peer, c.ep, got, want))
 	}
 }
 
@@ -1153,7 +1160,7 @@ func (d *Device) Quiescent() bool {
 		return false
 	}
 	for _, c := range d.live {
-		if c.sends.Len() > 0 || c.backlog.Len() > 0 {
+		if c.occ > 0 || c.backlog.Len() > 0 {
 			return false
 		}
 	}
@@ -1171,56 +1178,53 @@ func (d *Device) Poke(p *sim.Proc) {
 // (at the end of a settled run the audit expects none).
 func (d *Device) PendingCompletions() int { return d.cq.Len() }
 
-// retireSend dispatches a send or RDMA-write completion: release the
-// pool buffer, or finish the rendezvous whose payload write completed.
-// The completion names its QP, the QP its connection, and the work
-// request's id its place in the connection's sends: a QP completes in
-// post order, an RNR-exhausted WQE included, so every completion is the
-// head. Runs in event context; charges no time.
+// retireSend dispatches a send-side completion. The completion names its
+// QP, the QP its connection, and the work request's id what it retires:
+// id 0 a pool buffer, which comes back as the completion's Buf; any other
+// id the rendezvous whose payload moved — an RDMA write's in sendRndv,
+// whose FIN goes out and whose send finishes, an RDMA read's in recvRndv,
+// pulled into the accepted buffer, whose FIN goes out and whose receive
+// finishes. Runs in event context; charges no time.
 func (d *Device) retireSend(wc ib.WC) {
 	c, ok := wc.QP.Owner().(*conn)
 	if !ok {
 		panic("chdev: send completion on unknown QP")
 	}
-	if head := c.sendSeq - uint64(c.sends.Len()); c.sends.Len() == 0 || wc.WRID != head {
-		panic(fmt.Sprintf("chdev: rank %d -> %d: send completion %d is not the head of %d outstanding",
-			d.rank, c.peer, wc.WRID, c.sends.Len()))
-	}
 	if wc.Status == ib.StatusRNRRetryExceeded {
-		d.onRetryExhausted(c, c.sends.At(0))
+		d.onRetryExhausted(c)
 		return
 	}
 	if wc.Status != ib.StatusSuccess {
 		panic(fmt.Sprintf("chdev: transport error %v on rank %d", wc.Status, d.rank))
 	}
-	ctx := c.sends.Pop()
-	switch ctx.kind {
-	case ctxBuf:
-		d.pool.Put(ctx.buf)
-	case ctxRndvData:
-		d.debugLiveOut(ctx.out, ctx.out.id)
-		d.sendFin(c, ctx.out.peerReq)
-		d.finishSend(ctx.out)
-	case ctxRndvRead:
-		// The RDMA read pulled the payload into the accepted buffer:
-		// FIN the sender and complete at the receiver.
-		d.debugLiveIn(ctx.rin)
-		d.sendFin(c, ctx.rin.senderReq)
-		d.finishRecv(ctx.rin)
+	c.noteRetired()
+	switch {
+	case wc.WRID == 0:
+		d.pool.Put(wc.Buf)
+	case wc.Opcode == ib.OpWriteComplete:
+		out := d.sendRndvOn(c, wc.WRID, "write completion")
+		d.sendFin(c, out.peerReq)
+		d.finishSend(out)
+	case wc.Opcode == ib.OpReadComplete:
+		r := d.takeRecvRndv(c, wc.WRID, "read completion")
+		d.sendFin(c, r.senderReq)
+		d.finishRecv(r)
+	default:
+		panic(fmt.Sprintf("chdev: rank %d -> %d: %v completion under rendezvous id %d", d.rank, c.peer, wc.Opcode, wc.WRID))
 	}
 }
 
 // onRetryExhausted handles the transport's typed RNR-exhaustion error:
 // graceful degradation instead of a silent stall or a crash. The frozen
-// QP kept the failed WQE (and everything behind it) queued, so re-issuing
-// is just ResumeStalled with a fresh retry budget after reissueDelay;
-// sends posted meanwhile queue on the frozen QP behind it, in post order.
-// The request's context stays where it is in c's sends (the pool buffer
-// is still pinned under it), with the bumped count.
-func (d *Device) onRetryExhausted(c *conn, ctx *sendCtx) {
-	ctx.attempts++
+// QP kept the failed WQE (and everything behind it, the pool buffer under
+// it included) queued, so re-issuing is just ResumeStalled with a fresh
+// retry budget after reissueDelay; sends posted meanwhile queue on the
+// frozen QP behind it, in post order. The trace counts the head's
+// re-issues from 1.
+func (d *Device) onRetryExhausted(c *conn) {
+	c.reissues++
 	c.vc.NoteReissue()
-	d.tr(trace.Reissued, c.peer, int64(ctx.attempts))
+	d.tr(trace.Reissued, c.peer, int64(c.reissues))
 	d.eng.AfterCall(reissueDelay, (*reissueEvent)(c), 0)
 }
 

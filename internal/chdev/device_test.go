@@ -199,14 +199,15 @@ func TestDeviceStatsAccounting(t *testing.T) {
 }
 
 // A connection end is carved from its world's end slab (endSlab), so it
-// costs exactly its size of a slab: 904 B, 36 to a 32 KB slab, where an
-// end of its own took the allocator's 1 024-byte size class. The QP is
+// costs exactly its size of a slab: 776 B, 42 to a 32 KB slab. The QP is
 // 352 B of it: its receive queue keeps descriptors as runs, one of them
-// inline. A field that pushes the conn past 1 024 B fails here by name:
-// shrink something, or say why the end is worth it and move the bound.
+// inline. The end keeps no record per work request — a completion names
+// what it retires — and a field that pushes the conn past 780 B, so that
+// 42 no longer fit, fails here by name: shrink something, or say why the
+// end is worth it and move the bound.
 func TestConnSize(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 1024 {
-		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 1024 (the 1 024-byte size class)", got)
+	if got := unsafe.Sizeof(conn{}); got > 780 {
+		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 780 (42 ends to a 32 KB slab)", got)
 	}
 	if got := unsafe.Sizeof(ib.QP{}); got != 352 {
 		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 352", got)

@@ -91,13 +91,21 @@ func (h *Header) Encode(b []byte) {
 	binary.LittleEndian.PutUint32(b[4:], uint32(h.Src))
 	binary.LittleEndian.PutUint32(b[8:], uint32(h.Tag))
 	binary.LittleEndian.PutUint32(b[12:], h.Len)
-	binary.LittleEndian.PutUint32(b[16:], h.Piggyback)
+	stampPiggyback(b, h.Piggyback)
 	binary.LittleEndian.PutUint32(b[20:], h.MRID)
 	binary.LittleEndian.PutUint32(b[24:], h.MROffset)
 	binary.LittleEndian.PutUint64(b[28:], h.ReqID)
 	binary.LittleEndian.PutUint64(b[36:], h.PeerReqID)
-	binary.LittleEndian.PutUint32(b[44:], h.RingHead)
+	stampRingHead(b, h.RingHead)
 }
+
+// stampPiggyback overwrites the credits an encoded packet in b returns:
+// a backlogged packet takes its piggyback when it drains.
+func stampPiggyback(b []byte, credits uint32) { binary.LittleEndian.PutUint32(b[16:], credits) }
+
+// stampRingHead overwrites the ring head an encoded packet in b carries:
+// every packet takes the freshest head as it is posted.
+func stampRingHead(b []byte, head uint32) { binary.LittleEndian.PutUint32(b[44:], head) }
 
 // DecodeHeader reads a header from b[:HeaderSize].
 func DecodeHeader(b []byte) Header {

@@ -96,12 +96,13 @@ func TestConfigThresholdAndCopy(t *testing.T) {
 }
 
 // FuzzHeader checks the codec against a naive reference: a decoder that
-// assembles each field byte by byte from the offsets the device also
-// writes directly (the piggyback at 16, the ring head at 44). For any 48
-// bytes, DecodeHeader agrees with the reference and Encode gives the same
-// bytes back; the reference decodes every possible header, so
-// DecodeHeader(Encode(h)) == h for any header too. A shorter input is
-// zero-padded. The seed corpus has a header of every packet type and of
+// assembles each field byte by byte from its offset. For any 48 bytes,
+// DecodeHeader agrees with the reference and Encode gives the same bytes
+// back; the reference decodes every possible header, so
+// DecodeHeader(Encode(h)) == h for any header too. The two stamps the
+// device makes in place on an encoded packet, the piggyback at 16 and the
+// ring head at 44 (stampPiggyback, stampRingHead, which Encode uses too),
+// change their field and no other. A shorter input is zero-padded. The seed corpus has a header of every packet type and of
 // the reserved wire value 6.
 func FuzzHeader(f *testing.F) {
 	f.Add(make([]byte, HeaderSize))
@@ -140,6 +141,12 @@ func FuzzHeader(f *testing.F) {
 		}
 		if got := DecodeHeader(out); got != want {
 			t.Fatalf("DecodeHeader(Encode(h))\n got %+v\nwant %+v", got, want)
+		}
+		stampPiggyback(out, ^want.Piggyback)
+		stampRingHead(out, ^want.RingHead)
+		want.Piggyback, want.RingHead = ^want.Piggyback, ^want.RingHead
+		if got := DecodeHeader(out); got != want {
+			t.Fatalf("DecodeHeader after both stamps\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

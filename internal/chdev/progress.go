@@ -274,11 +274,7 @@ func (m *progressMachine) step() {
 				}
 				continue
 			case PktCTS:
-				out, ok := d.sendRndv[m.hdr.ReqID]
-				if !ok || out.conn != m.c {
-					panic("chdev: CTS for unknown rendezvous")
-				}
-				d.debugLiveOut(out, m.hdr.ReqID)
+				out := d.sendRndvOn(m.c, m.hdr.ReqID, "CTS")
 				out.peerReq = m.hdr.PeerReqID
 				if len(out.data) == 0 {
 					d.sendFin(m.c, out.peerReq)
@@ -287,7 +283,8 @@ func (m *progressMachine) step() {
 					// The one post that leaves lastSend alone: the silence
 					// gate has never counted the payload write as traffic.
 					mr := m.c.qp.Peer().HCA().LookupMR(int(m.hdr.MRID))
-					m.c.qp.PostWrite(d.track(m.c, sendCtx{kind: ctxRndvData, out: out}), out.data, ib.RemoteKey{MR: mr})
+					d.track(m.c)
+					m.c.qp.PostWrite(out.id, out.data, ib.RemoteKey{MR: mr})
 					d.tr(trace.SendRDMAData, m.c.peer, int64(len(out.data)))
 				}
 				m.pc = pcPktTail

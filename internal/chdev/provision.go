@@ -1,11 +1,9 @@
 package chdev
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ibflow/internal/core"
-	"ibflow/internal/debug"
 	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/trace"
@@ -169,15 +167,7 @@ func (cp *connProvisioner) accepted(r *RndvIn, h Header) []byte {
 
 // fin: the sender's RDMA write completed, the data is in the buffer.
 func (cp *connProvisioner) fin(c *conn, id uint64) {
-	d := cp.d
-	r, ok := d.recvRndv[id]
-	if !ok || r.conn != c {
-		panic("chdev: FIN for unknown rendezvous")
-	}
-	debug.Assert(r.myReq == id, "chdev: rank %d: rendezvous table entry %d holds a recycled object (now %d)",
-		d.rank, id, r.myReq)
-	delete(d.recvRndv, id)
-	d.finishRecv(r)
+	cp.d.finishRecv(cp.d.takeRecvRndv(c, id, "FIN"))
 }
 
 // stats: each connection's receive memory is its own pre-post, so the
@@ -398,9 +388,9 @@ func (rp *ringProvisioner) adopt(c, remote *conn) { c.peerMR = &remote.ringMR }
 func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
 	d := rp.d
 	slot := c.vc.RingOut().Reserve()
-	binary.LittleEndian.PutUint32(buf[44:], c.vc.PiggybackHead())
-	c.qp.PostWriteNotify(d.track(c, sendCtx{kind: ctxBuf, buf: buf}), buf[:n],
-		ib.RemoteKey{MR: c.peerMR, Offset: slot * d.params.SlotBytes}, uint64(slot))
+	stampRingHead(buf, c.vc.PiggybackHead())
+	d.track(c)
+	c.qp.PostWriteNotify(0, buf[:n], ib.RemoteKey{MR: c.peerMR, Offset: slot * d.params.SlotBytes}, uint64(slot))
 	c.lastSend = d.eng.Now()
 	d.tr(trace.SendEager, c.peer, int64(n))
 }
@@ -444,8 +434,10 @@ func (rp *ringProvisioner) fillReturn(c *conn, h Header) Header {
 func (rp *ringProvisioner) accept(r *RndvIn, mr *ib.MR) Header { return Header{} }
 
 // accepted pulls the payload from the source region the RTS named with an
-// RDMA read; its completion (ctxRndvRead) sends the FIN and delivers. A
-// zero-length transfer has nothing to pull and finishes here.
+// RDMA read, posted under the rendezvous's own id and entered in recvRndv
+// as the write shape's accept enters it; the read's completion sends the
+// FIN and delivers (retireSend). A zero-length transfer has nothing to
+// pull and finishes here.
 func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 	d, c := rp.d, r.conn
 	if r.Len == 0 {
@@ -453,8 +445,12 @@ func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 		d.finishRecv(r)
 		return nil
 	}
+	d.rndvSeq++
+	r.myReq, r.pulled = d.rndvSeq, true
+	d.recvRndv[r.myReq] = r
 	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
-	c.qp.PostRead(d.track(c, sendCtx{kind: ctxRndvRead, rin: r}), r.buf[:r.Len], ib.RemoteKey{MR: mr})
+	d.track(c)
+	c.qp.PostRead(r.myReq, r.buf[:r.Len], ib.RemoteKey{MR: mr})
 	c.lastSend = d.eng.Now()
 	rp.readTotal += uint64(r.Len)
 	d.tr(trace.SendRDMARead, c.peer, int64(r.Len))
@@ -464,12 +460,7 @@ func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 // fin: the ring rendezvous FIN travels receiver -> sender — the RDMA read
 // finished, the source buffer is free.
 func (rp *ringProvisioner) fin(c *conn, id uint64) {
-	out, ok := rp.d.sendRndv[id]
-	if !ok || out.conn != c {
-		panic("chdev: FIN for unknown rendezvous")
-	}
-	rp.d.debugLiveOut(out, id)
-	rp.d.finishSend(out)
+	rp.d.finishSend(rp.d.sendRndvOn(c, id, "FIN"))
 }
 
 // stats counts the pinned ring slots alongside the control receives:

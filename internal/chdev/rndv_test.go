@@ -165,3 +165,38 @@ func TestDoubleFinishSendIsCaught(t *testing.T) {
 		}
 	}
 }
+
+// An accepted rendezvous is in recvRndv until its data is in, under
+// either shape: a pull the receiver has posted and not yet retired is
+// there, marked as pulled, and Audit reports it in flight; its read's
+// completion takes it out.
+func TestPullInFlightIsInRecvRndv(t *testing.T) {
+	const size = 16 << 10
+	eng, d0, d1, h0, _ := rndvPair(t, core.RDMA(8, 1024), size)
+	h0.buf = make([]byte, size)
+	var r *RndvIn
+	var auditErr error
+	eng.Go("sender", func(p *sim.Proc) {
+		d1.Send(p, 0, 0, 0, make([]byte, size), nil, true)
+		d1.WaitProgress(p, d1.Quiescent)
+	})
+	eng.Go("receiver", func(p *sim.Proc) {
+		d0.WaitProgress(p, func() bool { return len(d0.recvRndv) > 0 })
+		r = d0.recvRndv[d0.rndvSeq] // the id the pull drew
+		auditErr = Audit([]*Device{d0, d1})
+		d0.WaitProgress(p, func() bool { return h0.rndvDone == 1 && d0.Quiescent() })
+	})
+	if err := eng.Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if r == nil || !r.pulled || r.myReq == 0 {
+		t.Fatalf("pull in flight: recvRndv entry %+v, want one pulled under its own id", r)
+	}
+	want := "rank 0: rendezvous still in flight (0 out, 1 in)"
+	if auditErr == nil || !strings.Contains(auditErr.Error(), want) {
+		t.Errorf("Audit with a pull in flight = %v, want %q", auditErr, want)
+	}
+	if len(d0.recvRndv) != 0 {
+		t.Errorf("%d rendezvous left in recvRndv after the read completed", len(d0.recvRndv))
+	}
+}

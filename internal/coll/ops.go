@@ -25,33 +25,11 @@ func MaxF64(dst, src []byte) {
 	}
 }
 
-// MinF64 element-wise minimizes little-endian float64 payloads.
-func MinF64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		if b < a {
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(b))
-		}
-	}
-}
-
 // SumI64 element-wise adds little-endian int64 payloads.
 func SumI64(dst, src []byte) {
 	for i := 0; i+8 <= len(dst); i += 8 {
 		a := int64(binary.LittleEndian.Uint64(dst[i:]))
 		b := int64(binary.LittleEndian.Uint64(src[i:]))
 		binary.LittleEndian.PutUint64(dst[i:], uint64(a+b))
-	}
-}
-
-// MaxI64 element-wise maximizes little-endian int64 payloads.
-func MaxI64(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		if b > a {
-			binary.LittleEndian.PutUint64(dst[i:], uint64(b))
-		}
 	}
 }

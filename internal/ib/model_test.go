@@ -33,7 +33,9 @@ import (
 //     immediate, a write's bytes are in its target as it lands;
 //  2. send completions: every work request completes exactly once, in
 //     post order, after it landed — a read after its response did, with
-//     the source's bytes in its destination;
+//     the source's bytes in its destination — and names what was posted:
+//     a send's or write's Buf is its payload (the same bytes, not a
+//     copy), a read's is nil;
 //  3. window: no more than sendWindow work requests are on the wire
 //     (sent at least once, not completed), and a stream with no NAK
 //     outstanding keeps the window as full as its queue allows;
@@ -655,6 +657,10 @@ func (m *qpModel) checkSendWC(q *mqp, wc WC) {
 		m.fail(2, "%s: work request %d completed before it landed", q.name, k)
 	case w.kind == opRead && !bytes.Equal(w.dst, w.payload):
 		m.fail(2, "%s: read %d completed with %x, the source holds %x", q.name, k, w.dst, w.payload)
+	case w.kind == opRead && wc.Buf != nil:
+		m.fail(2, "%s: read %d completed with a %d-byte Buf, want nil", q.name, k, len(wc.Buf))
+	case w.kind != opRead && (unsafe.SliceData(wc.Buf) != unsafe.SliceData(w.payload) || len(wc.Buf) != len(w.payload)):
+		m.fail(2, "%s: work request %d completed with a %d-byte Buf that is not its %d-byte payload", q.name, k, len(wc.Buf), len(w.payload))
 	}
 	q.done++
 }

@@ -471,8 +471,10 @@ func (qp *QP) retireAcked() {
 		case opRead:
 			op = OpReadComplete
 		}
-		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: head.wireLen()}
-		head.payload, head.readDst, head.remote = nil, nil, RemoteKey{} // a pooled box pins no buffer
+		// The completion names what was posted (a read's payload is nil),
+		// so a consumer needs no record of its own; the box pins nothing.
+		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: head.wireLen(), Buf: head.payload}
+		head.payload, head.readDst, head.remote = nil, nil, RemoteKey{}
 		qp.hca.wqes.Put(head)
 		qp.sendCQ.push(wc)
 	}

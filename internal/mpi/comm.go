@@ -226,7 +226,7 @@ func (c *Comm) Issend(dst, tag int, data []byte) *Request {
 func (c *Comm) Bsend(dst, tag int, data []byte) {
 	owned := make([]byte, len(data))
 	copy(owned, data)
-	c.Compute(sim.Time(float64(len(data)) / 1.6e9 * 1e9)) // the buffering copy
+	c.r.dev.ChargeCopy(c.r.proc, len(data)) // the buffering copy
 	c.isend(dst, tag, owned, false)
 }
 
@@ -302,17 +302,6 @@ func (c *Comm) Probe(src, tag int) Status {
 	})
 	st.Source = c.localRank(st.Source)
 	return st
-}
-
-// Iprobe polls (with one progress pass) for a matching message without
-// receiving it.
-func (c *Comm) Iprobe(src, tag int) (Status, bool) {
-	c.r.dev.Poke(c.r.proc)
-	st, ok := c.r.probeUnex(c.worldRank(src), tag, c.id)
-	if ok {
-		st.Source = c.localRank(st.Source)
-	}
-	return st, ok
 }
 
 // Abort panics the simulation with a rank-stamped message (MPI_Abort).
