@@ -147,20 +147,15 @@ metrics-smoke:
 # `make loc BASE=<rev>` prints, per package, the lines at <rev>, the
 # lines now and the delta, then the same for the total.
 loc:
-ifeq ($(BASE),)
-	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs wc -l | awk '$$2 != "total" { \
-		d = $$2; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; pkg[d] += $$1; t += $$1 } \
-		END { for (d in pkg) printf "%7d  %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); \
-		printf "%7d  total\n", t }'
-else
-	@{ git grep -c '' '$(BASE)' -- '*.go' ':!*_test.go' | sed 's/^[^:]*:/B /'; \
-		git grep -c '' -- '*.go' ':!*_test.go' | sed 's/^/N /'; } | awk '{ \
+	@{ $(if $(BASE),git grep -c '' '$(BASE)' -- '*.go' ':!*_test.go' | sed 's/^[^:]*:/B /';) \
+		git grep -c '' -- '*.go' ':!*_test.go' | sed 's/^/N /'; } | awk -v base='$(BASE)' '{ \
 		n = $$2; sub(/.*:/, "", n); d = $$2; sub(/:[^:]*$$/, "", d); if (!sub(/\/[^\/]*$$/, "", d)) d = "."; \
 		seen[d] = 1; if ($$1 == "B") { b[d] += n; tb += n } else { c[d] += n; tc += n } } \
-		END { printf "%7s %7s %7s  %s\n", "base", "now", "delta", "package"; \
+		END { if (base == "") { for (d in seen) printf "%7d  %s\n", c[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d  total\n", tc; exit } \
+		printf "%7s %7s %7s  %s\n", "base", "now", "delta", "package"; \
 		for (d in seen) printf "%7d %7d %+7d  %s\n", b[d], c[d], c[d] - b[d], d | "sort -k4"; close("sort -k4"); \
 		printf "%7d %7d %+7d  total\n", tb, tc, tc - tb }'
-endif
 
 fmt:
 	gofmt -w .

@@ -64,7 +64,7 @@ type WC struct {
 	Status Status
 	WRID   uint64 // caller's work-request id
 	Len    int    // payload bytes (receives and RDMA)
-	Buf    []byte // receives: where the message landed (posted, or committed at landing); successful sends and writes: the posted payload; reads: nil
+	Buf    []byte // receives: where the message landed (posted, or committed at landing); successful sends and writes: the posted payload; reads and error completions: nil
 	Imm    uint64 // immediate value for OpRecvImm
 }
 

@@ -67,6 +67,36 @@ func TestBsendBufferImmediatelyReusable(t *testing.T) {
 	})
 }
 
+// TestBsendChargesOneCopy pins what Bsend costs: the same virtual time
+// and the same engine events as charging a 1.6 GB/s copy with Compute and
+// then sending the copy. A zero-length Bsend still sleeps for zero time,
+// so it fires the same event as Compute(0).
+func TestBsendChargesOneCopy(t *testing.T) {
+	for _, n := range []int{0, 5, 4096} {
+		send := func(bsend bool) (sim.Time, uint64) {
+			w := run(t, 2, core.Static(4), func(c *Comm) {
+				data := make([]byte, n)
+				if c.Rank() == 1 {
+					c.Recv(0, 0, data)
+					return
+				}
+				if bsend {
+					c.Bsend(1, 0, data)
+				} else {
+					c.Compute(sim.Time(float64(n) / 1.6e9 * 1e9))
+					c.isend(1, 0, append([]byte(nil), data...), false)
+				}
+			})
+			return w.Engine().Now(), w.Engine().EventsFired()
+		}
+		gotT, gotE := send(true)
+		wantT, wantE := send(false)
+		if gotT != wantT || gotE != wantE {
+			t.Errorf("Bsend of %d bytes ends at %v after %d events; copy then send ends at %v after %d", n, gotT, gotE, wantT, wantE)
+		}
+	}
+}
+
 func TestRsendBehavesAsStandard(t *testing.T) {
 	run(t, 2, core.Static(10), func(c *Comm) {
 		if c.Rank() == 1 {
