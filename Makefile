@@ -110,36 +110,32 @@ BENCHTIME ?= 1s
 bench-nas:
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -benchtime $(BENCHTIME) ./internal/nas
 
-# bench-diff regenerates the four checked-in benchmark documents — three
-# fcbench sweeps at the default worker count, and the paper's evaluation
-# (BENCH_paper.json: the whole experiments suite, figures 2-10 and tables
-# 1-2 at class A) — and compares them byte for byte with the committed
-# files. Every number in them is virtual, so any difference is a change in
-# simulated behaviour: fix it, or re-pin the file on purpose.
+# bench-diff regenerates the four checked-in benchmark documents at the
+# default worker count — three fcbench sweeps and the paper's evaluation
+# (BENCH_paper.json: figures 2-10 and tables 1-2 at class A) — and
+# compares them byte for byte with the committed files. Every number in
+# them is virtual, so any difference is a change in simulated behaviour:
+# fix it, or re-pin the file on purpose.
 bench-diff:
-	st=0; for t in micro scaling endpoints; do \
+	st=0; for t in micro scaling endpoints paper; do \
 		$(GO) run ./cmd/fcbench -test $$t -json > /tmp/ibflow-$$t.json || exit 1; \
 		diff -u BENCH_$$t.json /tmp/ibflow-$$t.json || st=1; \
 	done; \
-	$(GO) run ./cmd/experiments -json -parallel 1 > /tmp/ibflow-paper.json || exit 1; \
-	diff -u BENCH_paper.json /tmp/ibflow-paper.json || st=1; \
 	exit $$st
 
 # metrics-smoke mirrors the CI step: an instrumented run must produce a
 # parseable dump whose key set matches the checked-in golden inventory,
-# for the classic device, the ring and an endpoint set. Endpoint 0 keeps
+# for the classic device, the ring and an endpoint set (each entry is
+# golden:dump-suffix:scheme). Endpoint 0 keeps
 # the classic per-connection labels, so the endpoint inventory must
 # strictly grow the classic one (-allow-new-keys).
 metrics-smoke:
-	$(GO) run ./cmd/fcbench -test latency -size 64 -iters 50 -spec 'ranks=2 scheme=static(100)' -metrics-out /tmp/ibflow-metrics.json
-	$(GO) run ./cmd/fcstats /tmp/ibflow-metrics.json > /dev/null
-	$(GO) run ./cmd/fcstats -keys /tmp/ibflow-metrics.json | diff - cmd/fcstats/testdata/latency_metrics_keys.golden
-	$(GO) run ./cmd/fcbench -test latency -size 64 -iters 50 -spec 'ranks=2 scheme=rdma(8,1024)' -metrics-out /tmp/ibflow-metrics-rdma.json
-	$(GO) run ./cmd/fcstats /tmp/ibflow-metrics-rdma.json > /dev/null
-	$(GO) run ./cmd/fcstats -keys /tmp/ibflow-metrics-rdma.json | diff - cmd/fcstats/testdata/rdma_metrics_keys.golden
-	$(GO) run ./cmd/fcbench -test latency -size 64 -iters 50 -spec 'ranks=2 scheme=static(100) eps=2' -metrics-out /tmp/ibflow-metrics-ep.json
-	$(GO) run ./cmd/fcstats /tmp/ibflow-metrics-ep.json > /dev/null
-	$(GO) run ./cmd/fcstats -keys /tmp/ibflow-metrics-ep.json | diff - cmd/fcstats/testdata/endpoints_metrics_keys.golden
+	for p in 'latency::static(100)' 'rdma:-rdma:rdma(8,1024)' 'endpoints:-ep:static(100) eps=2'; do \
+		golden=$${p%%:*}; rest=$${p#*:}; out=/tmp/ibflow-metrics$${rest%%:*}.json; scheme=$${rest#*:}; \
+		$(GO) run ./cmd/fcbench -test latency -size 64 -iters 50 -spec "ranks=2 scheme=$$scheme" -metrics-out $$out || exit 1; \
+		$(GO) run ./cmd/fcstats $$out > /dev/null || exit 1; \
+		$(GO) run ./cmd/fcstats -keys $$out | diff - cmd/fcstats/testdata/$${golden}_metrics_keys.golden || exit 1; \
+	done
 	$(GO) run ./cmd/fcstats -allow-new-keys /tmp/ibflow-metrics.json /tmp/ibflow-metrics-ep.json
 
 # loc reports the size metric ROADMAP aim 2 asks every PR to quote:

@@ -8,8 +8,8 @@ import (
 
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (see DESIGN.md for the per-experiment index). They run the
-// quick variant (NAS class W, reduced sweep points); `cmd/experiments`
-// runs the full class A suite and prints the tables.
+// quick variant (NAS class W, reduced sweep points); `fcbench -test
+// paper` runs the full class A suite and prints the tables.
 
 var quick = bench.Opts{Quick: true}
 

@@ -1,33 +1,48 @@
-// Command fcbench runs the paper's micro-benchmarks (latency and
-// window-based bandwidth) on the simulated InfiniBand cluster.
+// Command fcbench is the front end of the simulated InfiniBand cluster:
+// the paper's micro-benchmarks (latency and window-based bandwidth), one
+// NAS kernel, the paper's whole evaluation section, and the sweeps behind
+// the committed benchmark documents.
 //
 // Examples:
 //
 //	fcbench -test latency -spec 'ranks=2 scheme=static(100)'
 //	fcbench -test bandwidth -spec 'ranks=2 scheme=dynamic(10,300)' -size 4 -blocking=false
 //	fcbench -test latency -size 64 -metrics-out lat.json
+//	fcbench -test latency -spec 'ranks=2 scheme=static(100) eps=4'
+//	fcbench -test nas -app LU -class A -spec 'ranks=8 scheme=dynamic(1,300)'
+//	fcbench -test paper -quick -only fig9
 //	fcbench -test micro -json > BENCH_micro.json
 //	fcbench -test scaling -json > BENCH_scaling.json
 //	fcbench -test endpoints -json > BENCH_endpoints.json
-//	fcbench -test latency -spec 'ranks=2 scheme=static(100) eps=4'
+//	fcbench -test paper -json > BENCH_paper.json
 //
-// -spec is the two-rank world a latency or bandwidth run measures, in
-// mpi.Spec's text form (scheme, pre-post, endpoints per rank pair, ...).
-// With -metrics-out the tool runs a single instrumented point (one
-// world, one metrics registry) and dumps the deterministic metric
-// series in the chosen -metrics-format; "perfetto" output opens in
-// ui.perfetto.dev. -test micro sweeps all five schemes through the
-// latency and bandwidth tests; with -json it emits the machine-readable
-// document stored as BENCH_micro.json at the repo root. -test scaling
-// runs the connection-scaling benchmark (all five schemes, Table-2
-// style); its -json form is BENCH_scaling.json. -test endpoints sweeps
-// endpoint-set sizes under a many-to-one burst (all schemes); its -json
-// form is BENCH_endpoints.json. The three sweeps build their own worlds
-// and take no -spec. Every number in the three documents is virtual, so
-// they repeat byte for byte at any -parallel; `make bench-diff`
-// regenerates them and compares the bytes with the committed files.
-// -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
-// the run (any -test); both are off unless given.
+// -spec is the world a run measures, in mpi.Spec's text form (scheme,
+// pre-post, endpoints per rank pair, ...): two ranks for -test latency or
+// bandwidth; -test nas without it runs the paper's world for -app under
+// static(100). -test paper builds the eleven tables of Figures 2-10 and
+// Tables 1-2 (NAS class A, or class W with fewer points under -quick);
+// -only picks some of them. -test micro sweeps all five schemes through
+// the latency and bandwidth tests, -test scaling runs the
+// connection-scaling benchmark (Table-2 style) and -test endpoints sweeps
+// endpoint-set sizes under a many-to-one burst. The fixed sweeps build
+// their own worlds and take no -spec. The -json forms of micro, scaling,
+// endpoints and paper are the BENCH_<test>.json documents at the repo
+// root; every number in them is virtual, so they repeat byte for byte at
+// any -parallel, and `make bench-diff` regenerates them and compares the
+// bytes with the committed files.
+//
+// -metrics-out gives every world the run builds its own metrics registry
+// and, after the run, dumps the deterministic metric series in
+// -metrics-format: to the path as given when the run built one world, to
+// <prefix>-NNN.<ext> in construction order when it built more. Worlds are
+// then built one at a time. "perfetto" output carries each world's trace
+// ring and opens in ui.perfetto.dev. -cpuprofile FILE and -memprofile FILE
+// write runtime/pprof profiles of the run (any -test); both are off unless
+// given.
+//
+// The exit status is 0 for a finished run, 1 for a failed one (a NAS
+// kernel that does not verify, a file that cannot be written) and 2 for a
+// usage error.
 package main
 
 import (
@@ -35,383 +50,360 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 
 	"ibflow/internal/bench"
 	"ibflow/internal/core"
 	"ibflow/internal/metrics"
 	"ibflow/internal/mpi"
-	"ibflow/internal/prof"
+	"ibflow/internal/nas"
 	"ibflow/internal/runner"
 	"ibflow/internal/trace"
 )
 
-// fail prints a usage error plus usage and exits nonzero.
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "fcbench:", err)
-	flag.Usage()
-	os.Exit(2)
+// flagVals are the parsed flag values, all but -test.
+type flagVals struct {
+	spec, metricsOut, metricsFormat, only, app, class, cpuprofile, memprofile string
+	size, window, reps, iters, parallel, trace                                int
+	blocking, json, quick, csv                                                bool
 }
 
-// flagVals are the flag values checkFlags reads besides which flags were
-// given on the command line.
-type flagVals struct {
-	spec, metricsOut, metricsFormat string
-	parallel                        int
+// plan is what checkFlags resolves for the run: the world a latency,
+// bandwidth or nas run measures, the nas problem class and the paper
+// tables to build.
+type plan struct {
+	spec   mpi.Spec
+	class  nas.Class
+	tables []experiment
 }
 
 // checkFlags rejects a flag combination the chosen -test would ignore or
-// cannot honour, before anything runs, and returns the world a latency or
-// bandwidth run measures. set names the flags given on the command line.
-func checkFlags(test string, set map[string]bool, v flagVals) (spec mpi.Spec, err error) {
+// cannot honour, before anything runs, and resolves the run's plan. set
+// names the flags given on the command line.
+func checkFlags(test string, set map[string]bool, v flagVals) (p plan, err error) {
 	if test == "latency" || test == "bandwidth" {
-		if spec, err = mpi.ParseSpec(v.spec); err != nil {
-			return spec, err
+		if p.spec, err = mpi.ParseSpec(v.spec); err != nil {
+			return p, err
 		}
-		if spec.Ranks != 2 {
-			return spec, fmt.Errorf("-test %s measures two ranks; -spec %q has %d", test, v.spec, spec.Ranks)
+		if p.spec.Ranks != 2 {
+			return p, fmt.Errorf("-test %s measures two ranks; -spec %q has %d", test, v.spec, p.spec.Ranks)
 		}
 	}
 	switch test {
 	case "latency":
 		if set["window"] {
-			return spec, errors.New("-window applies to -test bandwidth, not latency")
+			return p, errors.New("-window applies to -test bandwidth, not latency")
 		}
 		if set["reps"] {
-			return spec, errors.New("-reps applies to -test bandwidth, not latency")
+			return p, errors.New("-reps applies to -test bandwidth, not latency")
 		}
 		if set["blocking"] {
-			return spec, errors.New("-blocking applies to -test bandwidth; the latency ping-pong always blocks")
-		}
-		if v.metricsOut != "" && !set["size"] {
-			return spec, errors.New("-metrics-out instruments a single run: pick one -size")
+			return p, errors.New("-blocking applies to -test bandwidth; the latency ping-pong always blocks")
 		}
 	case "bandwidth":
 		if set["iters"] {
-			return spec, errors.New("-iters applies to -test latency, not bandwidth")
-		}
-		if v.metricsOut != "" && !set["window"] {
-			return spec, errors.New("-metrics-out instruments a single run: pick one -window")
+			return p, errors.New("-iters applies to -test latency, not bandwidth")
 		}
 	case "micro":
 		if set["spec"] {
-			return spec, errors.New("-test micro sweeps all schemes at fixed pre-posts; drop -spec")
+			return p, errors.New("-test micro sweeps all schemes at fixed pre-posts; drop -spec")
 		}
 		if set["window"] {
-			return spec, errors.New("-test micro sweeps every bandwidth window; drop -window")
+			return p, errors.New("-test micro sweeps every bandwidth window; drop -window")
 		}
-		if set["metrics-out"] {
-			return spec, errors.New("-metrics-out is not supported with -test micro (many worlds, one registry)")
-		}
-	case "scaling", "endpoints":
-		if set["metrics-out"] {
-			return spec, fmt.Errorf("-metrics-out is not supported with -test %s (many worlds, one registry)", test)
-		}
-		sweep := "ConnScaling"
-		if test == "endpoints" {
-			sweep = "EndpointContention"
+	case "scaling", "endpoints", "paper":
+		sweep := map[string]string{"scaling": "ConnScaling", "endpoints": "EndpointContention", "paper": "Figure2 ... Table2"}[test]
+		if set["metrics-out"] && test != "paper" {
+			return p, fmt.Errorf("-metrics-out is not supported with -test %s (internal/bench.%s takes no Tune hook)", test, sweep)
 		}
 		for _, f := range []string{"spec", "size", "window", "reps", "iters", "blocking"} {
 			if set[f] {
-				return spec, fmt.Errorf("-%s does not apply to -test %s (fixed sweep; see internal/bench.%s)", f, test, sweep)
+				return p, fmt.Errorf("-%s does not apply to -test %s (fixed sweep; see internal/bench.%s)", f, test, sweep)
+			}
+		}
+		if test == "paper" {
+			if p.tables, err = selectExperiments(v.only); err != nil {
+				return p, err
+			}
+		}
+	case "nas":
+		for _, f := range []string{"size", "window", "reps", "iters", "blocking", "json"} {
+			if set[f] {
+				return p, fmt.Errorf("-%s does not apply to -test nas (one kernel, one text report)", f)
+			}
+		}
+		if set["trace"] && v.metricsFormat == "perfetto" {
+			return p, errors.New("-trace and -metrics-format perfetto both take the world's tracer; pick one")
+		}
+		if p.class, err = nas.ParseClass(v.class); err != nil {
+			return p, err
+		}
+		p.spec = bench.PaperSpec(v.app, core.Static(100))
+		if set["spec"] {
+			if p.spec, err = mpi.ParseSpec(v.spec); err != nil {
+				return p, err
 			}
 		}
 	default:
-		return spec, fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints)", test)
+		return p, fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints|paper|nas)", test)
+	}
+	for _, f := range []string{"only", "csv"} {
+		if set[f] && test != "paper" {
+			return p, fmt.Errorf("-%s applies to -test paper only", f)
+		}
+	}
+	for _, f := range []string{"app", "class", "trace"} {
+		if set[f] && test != "nas" {
+			return p, fmt.Errorf("-%s applies to -test nas only", f)
+		}
 	}
 	switch {
-	case set["quick"] && test != "scaling" && test != "endpoints":
-		return spec, errors.New("-quick applies to -test scaling and -test endpoints only")
+	case v.csv && v.json:
+		return p, errors.New("-csv and -json are mutually exclusive")
+	case set["quick"] && test != "scaling" && test != "endpoints" && test != "paper":
+		return p, errors.New("-quick applies to -test scaling, endpoints and paper only")
 	case v.parallel < 0:
-		return spec, errors.New("-parallel must be >= 0")
-	case set["parallel"] && v.metricsOut != "":
-		return spec, errors.New("-metrics-out instruments a single serial point; drop -parallel")
+		return p, errors.New("-parallel must be >= 0")
+	case set["parallel"] && v.parallel != 1 && v.metricsOut != "":
+		return p, errors.New("-metrics-out numbers dumps in world-construction order and needs the serial sweep; drop -parallel or pass -parallel 1")
 	case set["metrics-format"] && v.metricsOut == "":
-		return spec, errors.New("-metrics-format requires -metrics-out")
+		return p, errors.New("-metrics-format requires -metrics-out")
 	}
 	switch v.metricsFormat {
 	case "json", "csv", "perfetto":
-		return spec, nil
+		return p, nil
 	}
-	return spec, fmt.Errorf("unknown -metrics-format %q (json|csv|perfetto)", v.metricsFormat)
+	return p, fmt.Errorf("unknown -metrics-format %q (json|csv|perfetto)", v.metricsFormat)
 }
 
-var (
-	latSizes  = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-	bwWindows = []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 80, 100}
-)
-
-type latPoint struct {
-	SizeB int     `json:"size_b"`
-	US    float64 `json:"us"`
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-type bwPoint struct {
-	Window int     `json:"window"`
-	MBs    float64 `json:"mb_s"`
+// run is fcbench on its arguments and output streams; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var v flagVals
+	fs := flag.NewFlagSet("fcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	test := fs.String("test", "latency", "benchmark: latency, bandwidth, micro (all schemes), scaling (connection scaling, all schemes), endpoints (endpoint-set contention, all schemes), paper (the paper's eleven tables) or nas (one NAS kernel)")
+	fs.StringVar(&v.spec, "spec", "ranks=2 scheme=static(100)", "the world of -test latency or bandwidth (two ranks) or nas (mpi.Spec: e.g. 'ranks=2 scheme=rdma(8,1024) eps=2'); -test nas defaults to the paper's world for -app under scheme=static(100)")
+	fs.IntVar(&v.size, "size", 4, "message size in bytes (bandwidth; latency sweeps unless set)")
+	fs.IntVar(&v.window, "window", 0, "bandwidth window size (0 = sweep)")
+	fs.IntVar(&v.reps, "reps", 10, "bandwidth repetitions")
+	fs.IntVar(&v.iters, "iters", 200, "latency ping-pong iterations")
+	fs.BoolVar(&v.blocking, "blocking", true, "use blocking MPI_Send/Recv")
+	fs.BoolVar(&v.json, "json", false, "emit machine-readable JSON instead of text")
+	fs.StringVar(&v.metricsOut, "metrics-out", "", "dump each world's metrics: to this file for one world, to <prefix>-NNN.<ext> for more (worlds are then built one at a time)")
+	fs.StringVar(&v.metricsFormat, "metrics-format", "json", "metric dump format: json, csv, or perfetto")
+	fs.BoolVar(&v.quick, "quick", false, "smaller sweep (scaling, endpoints, paper): fewer cells and messages, class W for paper")
+	fs.IntVar(&v.parallel, "parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
+	fs.StringVar(&v.only, "only", "", "-test paper: comma-separated subset: fig2 ... fig10, table1, table2, micro (Figures 2-8), nas (Figures 9-10, Tables 1-2)")
+	fs.BoolVar(&v.csv, "csv", false, "-test paper: emit tables as CSV instead of aligned text")
+	fs.StringVar(&v.app, "app", "IS", "-test nas kernel: IS, FT, LU, CG, MG, BT, SP")
+	fs.StringVar(&v.class, "class", "W", "-test nas problem class: S, W, A")
+	fs.IntVar(&v.trace, "trace", 0, "-test nas: print the last N protocol trace events")
+	fs.StringVar(&v.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&v.memprofile, "memprofile", "", "write an allocation profile of the run to this file, every allocation sampled (go tool pprof -sample_index=alloc_objects)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	p, err := checkFlags(*test, set, v)
+	if err != nil {
+		fmt.Fprintln(stderr, "fcbench:", err)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fcbench:", err)
+		return 1
+	}
+
+	if v.parallel == 0 {
+		v.parallel = runner.Default()
+	}
+	var sink *metricsSink
+	var tune func(*mpi.Options)
+	if v.metricsOut != "" {
+		sink = &metricsSink{path: v.metricsOut, format: v.metricsFormat}
+		tune = sink.attach
+		// The sink appends registries as worlds are built: that order is
+		// only meaningful (and the append only safe) when worlds are built
+		// one at a time.
+		v.parallel = 1
+	}
+
+	// Everything below is the measured run; usage errors returned above.
+	stop, err := startProfiles(v.cpuprofile, v.memprofile)
+	if err != nil {
+		return fail(err)
+	}
+	code := 0
+	switch *test {
+	case "latency":
+		runLatency(stdout, p.spec, set["size"], v, tune)
+	case "bandwidth":
+		runBandwidth(stdout, p.spec, v, tune)
+	case "micro":
+		runMicro(stdout, v, tune)
+	case "scaling":
+		doc := bench.ConnScaling(bench.Opts{Quick: v.quick, Parallel: v.parallel})
+		if v.json {
+			emitJSON(stdout, doc)
+		} else {
+			t := bench.ConnScalingTable(doc)
+			fmt.Fprint(stdout, t.String())
+		}
+	case "endpoints":
+		doc := bench.EndpointContention(bench.Opts{Quick: v.quick, Parallel: v.parallel})
+		if v.json {
+			emitJSON(stdout, doc)
+		} else {
+			t := bench.EndpointContentionTable(doc)
+			fmt.Fprint(stdout, t.String())
+		}
+	case "paper":
+		runPaper(stdout, p.tables, v, tune)
+	case "nas":
+		code = runNAS(stdout, stderr, p, v, tune)
+	}
+	if err := stop(); err != nil {
+		return fail(err)
+	}
+	if sink != nil {
+		if err := sink.flush(stderr); err != nil {
+			return fail(err)
+		}
+	}
+	return code
 }
 
-// series is one scheme's sweep in the micro document.
-type series struct {
-	Scheme string    `json:"scheme"`
-	Values []float64 `json:"values"`
-}
-
-func emitJSON(v any) {
+func emitJSON(w io.Writer, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		panic(err) // plain structs of ints/floats/strings: cannot fail
 	}
-	os.Stdout.Write(append(b, '\n'))
+	w.Write(append(b, '\n'))
 }
 
-// writeMetrics dumps the registry (and, for perfetto, the trace ring)
-// to path in the requested format.
-func writeMetrics(reg *metrics.Registry, ring *trace.Buffer, path, format string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fcbench: %v\n", err)
-		os.Exit(1)
-	}
-	switch format {
-	case "json":
-		err = reg.WriteJSON(f)
-	case "csv":
-		err = reg.WriteCSV(f)
-	case "perfetto":
-		err = reg.WritePerfetto(f, ring.Events())
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fcbench: writing %s: %v\n", path, err)
-		os.Exit(1)
+// metricsSink hands every world the run builds a fresh registry (a
+// registry belongs to exactly one world) and, for the perfetto format,
+// the only one that reads it, a trace ring; flush writes the dumps out
+// afterwards.
+type metricsSink struct {
+	path, format string
+	regs         []*metrics.Registry
+	rings        []*trace.Buffer
+}
+
+func (s *metricsSink) attach(o *mpi.Options) {
+	r := metrics.New()
+	o.Metrics = r
+	s.regs = append(s.regs, r)
+	if s.format == "perfetto" {
+		ring := trace.NewBuffer(1 << 14)
+		o.Chan.Tracer = ring
+		o.IB.Tracer = ring
+		s.rings = append(s.rings, ring)
 	}
 }
 
-func main() {
-	test := flag.String("test", "latency", "benchmark: latency, bandwidth, micro (all schemes), scaling (connection scaling, all schemes), or endpoints (endpoint-set contention, all schemes)")
-	specText := flag.String("spec", "ranks=2 scheme=static(100)", "the two-rank world of -test latency or bandwidth (mpi.Spec: e.g. 'ranks=2 scheme=rdma(8,1024) eps=2')")
-	size := flag.Int("size", 4, "message size in bytes (bandwidth; latency sweeps unless set)")
-	window := flag.Int("window", 0, "bandwidth window size (0 = sweep)")
-	reps := flag.Int("reps", 10, "bandwidth repetitions")
-	iters := flag.Int("iters", 200, "latency ping-pong iterations")
-	blocking := flag.Bool("blocking", true, "use blocking MPI_Send/Recv")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text")
-	metricsOut := flag.String("metrics-out", "", "write the run's metric dump to this file (single point only)")
-	metricsFormat := flag.String("metrics-format", "json", "metric dump format: json, csv, or perfetto")
-	quick := flag.Bool("quick", false, "smaller sweep (scaling/endpoints only): fewer cells and messages")
-	parallel := flag.Int("parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
-	profiles := prof.Register(flag.CommandLine)
-	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	spec, err := checkFlags(*test, set, flagVals{
-		spec:          *specText,
-		metricsOut:    *metricsOut,
-		metricsFormat: *metricsFormat,
-		parallel:      *parallel,
-	})
-	if err != nil {
-		fail(err)
+// flush writes one dump per world: to the path as given when the run
+// built one world, else to <prefix>-NNN.<ext> numbered in construction
+// order, prefix being the path less that extension.
+func (s *metricsSink) flush(stderr io.Writer) error {
+	ext := ".json" // perfetto's trace-event format is JSON too
+	if s.format == "csv" {
+		ext = ".csv"
 	}
-	workers := *parallel
-	if workers == 0 {
-		workers = runner.Default()
-	}
-	if *metricsOut != "" {
-		// A single instrumented point shares one registry and trace ring:
-		// keep it on the calling goroutine.
-		workers = 1
-	}
-
-	// Everything below is the measured run; usage errors exited above.
-	defer profiles.Start("fcbench")()
-
-	if *test == "micro" {
-		runMicro(*size, *iters, *reps, workers, *blocking, *jsonOut)
-		return
-	}
-	if *test == "scaling" {
-		doc := bench.ConnScaling(bench.Opts{Quick: *quick, Parallel: workers})
-		if *jsonOut {
-			emitJSON(doc)
-		} else {
-			t := bench.ConnScalingTable(doc)
-			fmt.Print(t.String())
+	prefix := strings.TrimSuffix(s.path, ext)
+	for i, r := range s.regs {
+		path := s.path
+		if len(s.regs) > 1 {
+			path = fmt.Sprintf("%s-%03d%s", prefix, i, ext)
 		}
-		return
-	}
-	if *test == "endpoints" {
-		doc := bench.EndpointContention(bench.Opts{Quick: *quick, Parallel: workers})
-		if *jsonOut {
-			emitJSON(doc)
-		} else {
-			t := bench.EndpointContentionTable(doc)
-			fmt.Print(t.String())
+		f, err := os.Create(path)
+		if err != nil {
+			return err
 		}
-		return
-	}
-
-	// One registry + trace ring per process; only ever attached when the
-	// run is a single instrumented point (validated above).
-	var reg *metrics.Registry
-	var ring *trace.Buffer
-	if *metricsOut != "" {
-		reg = metrics.New()
-		ring = trace.NewBuffer(1 << 14)
-	}
-	tune := func(o *mpi.Options) {
-		if reg != nil {
-			o.Metrics = reg
-			o.Chan.Tracer = ring
-			o.IB.Tracer = ring
+		switch s.format {
+		case "json":
+			err = r.WriteJSON(f)
+		case "csv":
+			err = r.WriteCSV(f)
+		case "perfetto":
+			err = r.WritePerfetto(f, s.rings[i].Events())
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", path, err)
 		}
 	}
+	if len(s.regs) > 1 {
+		fmt.Fprintf(stderr, "wrote %d metric dumps to %s-*%s\n", len(s.regs), prefix, ext)
+	}
+	return nil
+}
 
-	switch *test {
-	case "latency":
-		sizes := latSizes
-		if set["size"] {
-			sizes = []int{*size}
+// startProfiles begins the measured region — after usage errors, before
+// the first world is built — and returns the function that ends it: it
+// stops the CPU profile and writes the allocation profile, after a GC so
+// the in-use numbers are current. With a memPath the runtime records every
+// allocation in the region (MemProfileRate 1), so alloc_objects counts are
+// exact and a site's count can be compared between two commits. An empty
+// path turns that profile off. Read the files with `go tool pprof -top
+// FILE`.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
 		}
-		points := runner.Map(len(sizes), workers, func(i int) latPoint {
-			return latPoint{sizes[i], bench.Latency(spec, sizes[i], *iters, tune)}
-		})
-		if *jsonOut {
-			emitJSON(struct {
-				Test   string     `json:"test"`
-				Spec   string     `json:"spec"`
-				Iters  int        `json:"iters"`
-				Points []latPoint `json:"points"`
-			}{"latency", spec.String(), *iters, points})
-		} else {
-			fmt.Printf("# one-way latency, %v\n", spec)
-			fmt.Printf("%-10s %s\n", "size(B)", "latency(us)")
-			for _, p := range points {
-				fmt.Printf("%-10d %.2f\n", p.SizeB, p.US)
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	rate := runtime.MemProfileRate
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
 			}
 		}
-	case "bandwidth":
-		windows := bwWindows
-		if *window > 0 {
-			windows = []int{*window}
+		if memPath == "" {
+			return nil
 		}
-		points := runner.Map(len(windows), workers, func(i int) bwPoint {
-			return bwPoint{windows[i], bench.Bandwidth(spec, *size, windows[i], *reps, *blocking, tune)}
-		})
-		if *jsonOut {
-			emitJSON(struct {
-				Test     string    `json:"test"`
-				Spec     string    `json:"spec"`
-				SizeB    int       `json:"size_b"`
-				Reps     int       `json:"reps"`
-				Blocking bool      `json:"blocking"`
-				Points   []bwPoint `json:"points"`
-			}{"bandwidth", spec.String(), *size, *reps, *blocking, points})
-		} else {
-			fmt.Printf("# bandwidth MB/s, %v, size=%dB blocking=%v\n", spec, *size, *blocking)
-			fmt.Printf("%-10s %s\n", "window", "MB/s")
-			for _, p := range points {
-				fmt.Printf("%-10d %.1f\n", p.Window, p.MBs)
-			}
+		// The profile scales its samples by the current rate: restore it
+		// only once the profile is written.
+		defer func() { runtime.MemProfileRate = rate }()
+		out, err := os.Create(memPath)
+		if err != nil {
+			return err
 		}
-	}
-
-	if reg != nil {
-		writeMetrics(reg, ring, *metricsOut, *metricsFormat)
-	}
-}
-
-// The micro suite's provisioning, which its document records: every
-// scheme pre-posts microPrepost (the ring has as many 2048-byte slots),
-// and the dynamic and shared schemes grow to microDynMax.
-const microPrepost, microDynMax = 100, 300
-
-// runMicro sweeps all five schemes through the latency and bandwidth
-// micro-benchmarks between two ranks; its -json form is the
-// BENCH_micro.json document.
-func runMicro(size, iters, reps, workers int, blocking, jsonOut bool) {
-	schemes := append(bench.Schemes(microPrepost, microDynMax),
-		core.Shared(microPrepost, microDynMax), core.RDMA(microPrepost, 2048))
-
-	// Each (scheme, point) cell is an independent world: sweep the grids
-	// through the worker pool and reassemble series in cell-index order.
-	latVals := runner.Map(len(schemes)*len(latSizes), workers, func(k int) float64 {
-		return bench.Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(latSizes)]}, latSizes[k%len(latSizes)], iters, nil)
-	})
-	lat := make([]series, len(schemes))
-	for i := range schemes {
-		lat[i] = series{schemes[i].Kind.String(), latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
-	}
-	bwVals := runner.Map(len(schemes)*len(bwWindows), workers, func(k int) float64 {
-		return bench.Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(bwWindows)]}, size, bwWindows[k%len(bwWindows)], reps, blocking, nil)
-	})
-	bw := make([]series, len(schemes))
-	for i := range schemes {
-		bw[i] = series{schemes[i].Kind.String(), bwVals[i*len(bwWindows) : (i+1)*len(bwWindows)]}
-	}
-
-	if jsonOut {
-		doc := struct {
-			Benchmark string `json:"benchmark"`
-			Prepost   int    `json:"prepost"`
-			DynMax    int    `json:"dynmax"`
-			Latency   struct {
-				Unit   string   `json:"unit"`
-				Iters  int      `json:"iters"`
-				Sizes  []int    `json:"sizes_b"`
-				Series []series `json:"series"`
-			} `json:"latency"`
-			Bandwidth struct {
-				Unit     string   `json:"unit"`
-				SizeB    int      `json:"size_b"`
-				Reps     int      `json:"reps"`
-				Blocking bool     `json:"blocking"`
-				Windows  []int    `json:"windows"`
-				Series   []series `json:"series"`
-			} `json:"bandwidth"`
-		}{Benchmark: "micro", Prepost: microPrepost, DynMax: microDynMax}
-		doc.Latency.Unit = "us"
-		doc.Latency.Iters = iters
-		doc.Latency.Sizes = latSizes
-		doc.Latency.Series = lat
-		doc.Bandwidth.Unit = "MB/s"
-		doc.Bandwidth.SizeB = size
-		doc.Bandwidth.Reps = reps
-		doc.Bandwidth.Blocking = blocking
-		doc.Bandwidth.Windows = bwWindows
-		doc.Bandwidth.Series = bw
-		emitJSON(doc)
-		return
-	}
-
-	fmt.Printf("# micro suite, prepost=%d dynmax=%d\n", microPrepost, microDynMax)
-	fmt.Printf("\n## one-way latency (us)\n%-10s", "size(B)")
-	for _, s := range lat {
-		fmt.Printf(" %10s", s.Scheme)
-	}
-	fmt.Println()
-	for j, s := range latSizes {
-		fmt.Printf("%-10d", s)
-		for i := range lat {
-			fmt.Printf(" %10.2f", lat[i].Values[j])
+		runtime.GC()
+		err = pprof.Lookup("allocs").WriteTo(out, 0)
+		if cerr := out.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Println()
-	}
-	fmt.Printf("\n## bandwidth MB/s (%dB, blocking=%v)\n%-10s", size, blocking, "window")
-	for _, s := range bw {
-		fmt.Printf(" %10s", s.Scheme)
-	}
-	fmt.Println()
-	for j, w := range bwWindows {
-		fmt.Printf("%-10d", w)
-		for i := range bw {
-			fmt.Printf(" %10.1f", bw[i].Values[j])
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", memPath, err)
 		}
-		fmt.Println()
-	}
+		return nil
+	}, nil
 }

@@ -1,5 +1,5 @@
 // Command fcstats inspects deterministic metric dumps written by
-// fcbench/experiments -metrics-out.
+// fcbench -metrics-out.
 //
 //	fcstats dump.json            # per-metric summary table
 //	fcstats old.json new.json    # diff/regression table

@@ -42,6 +42,26 @@ func TestScalingSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// TestPaperSerialParallelIdentical is the same contract for the paper's
+// tables, which `fcbench -test paper -json` writes at the default worker
+// count as BENCH_paper.json: a bandwidth figure and a NAS table must be
+// byte-identical whatever the worker count.
+func TestPaperSerialParallelIdentical(t *testing.T) {
+	tables := func(workers int) string {
+		o := Opts{Quick: true, Parallel: workers}
+		fig5 := Figure5(o)
+		fig10, _ := Figure10(o)
+		return fig5.JSON() + fig10.JSON()
+	}
+	serial := tables(1)
+	for _, workers := range []int{2, 4} {
+		if got := tables(workers); got != serial {
+			t.Errorf("workers=%d: Figure 5 and Figure 10 diverge from the serial sweep:\n%s\nvs\n%s",
+				workers, got, serial)
+		}
+	}
+}
+
 func TestSchemesTrio(t *testing.T) {
 	s := Schemes(10, 100)
 	if len(s) != 3 || s[0].Kind != core.KindHardware || s[1].Kind != core.KindStatic ||

@@ -11,7 +11,7 @@ import (
 )
 
 // paperTable is one table of BENCH_paper.json, the committed output of
-// `experiments -json -parallel 1` (class A).
+// `fcbench -test paper -json` (class A).
 type paperTable struct {
 	Title   string     `json:"title"`
 	Columns []string   `json:"columns"`

@@ -20,14 +20,14 @@ type Opts struct {
 	// the classic serial loop. Worlds are share-nothing, so results are
 	// byte-identical for every value — only wall-clock time changes.
 	// When Parallel != 1, Tune must be safe to call from concurrent
-	// goroutines (cmd/experiments pins Parallel to 1 when its Tune
-	// accumulates state).
+	// goroutines (fcbench pins Parallel to 1 when its Tune accumulates
+	// state).
 	Parallel int
 
 	// Tune, when non-nil, is applied to the options of every world the
 	// figures and tables build, just before construction — the hook
-	// cmd/experiments uses to attach a fresh metrics registry (and tracer)
-	// per world. ConnScaling and EndpointContention read only Quick and
+	// fcbench's -metrics-out uses to attach a fresh metrics registry (and,
+	// for a perfetto dump, a trace ring) per world. ConnScaling and EndpointContention read only Quick and
 	// Parallel.
 	Tune func(*mpi.Options)
 }

@@ -3,8 +3,8 @@
 // under each flow control scheme and formats the tables and figures the
 // paper reports (Figures 2-10, Tables 1-2). TestPaperClaims holds the
 // committed BENCH_paper.json to the shapes the paper describes. The
-// package also builds the three fcbench documents: the five-scheme
-// micro sweep, connection scaling and endpoint contention.
+// package also builds the other three documents fcbench writes: the
+// five-scheme micro sweep, connection scaling and endpoint contention.
 package bench
 
 import (

@@ -8,8 +8,8 @@ import (
 	"ibflow/internal/core"
 )
 
-// specsRun are the specs the repository runs, one of each shape: the
-// fcbench and nasrun defaults, the metric-smoke points, the micro,
+// specsRun are the specs the repository runs, one of each shape:
+// fcbench's latency and nas defaults, the metric-smoke points, the micro,
 // scaling and endpoint document cells, the paper's NAS worlds and the
 // torture rows. FuzzSpec's seed corpus (testdata/fuzz/FuzzSpec) holds
 // every torture row, the tool defaults and each scheme's BENCH cells at
