@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzQP$$' -fuzztime $(FUZZTIME) ./internal/ib
 	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzInlineWake$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMRWindow$$' -fuzztime $(FUZZTIME) ./internal/ib
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -128,26 +128,29 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 // same reading before NewWorld, which is the quantity the benchmark
 // reports as live_heap_mb. An end is its conn (DESIGN.md, provisioning
 // seam), holding VC, QP, both queues' first rings and the landing region
-// by value, 904 B carved from the world's 32 KB end slab (TestConnSize),
-// so it costs a 36th of an allocation; a ring's granule table is carved
+// by value, 776 B carved from the world's 32 KB end slab (TestConnSize),
+// so it costs a 42nd of an allocation; a ring's granule table is carved
 // from its adapter's table slab; a posted receive is a descriptor, and
 // descriptors posted alike are one run of the receive queue; a ring slot
-// commits when it is first written; and an on-demand device's buffer
-// pool grows with what lands, in size classes, so a 304-byte packet holds
-// 512 B. Measured, allocated B / objects / retained B per end: 2.41 KB /
-// 1.1 / 1.81 KB (hardware, static, dynamic), 2.26 KB / 1.6 / 1.70 KB
-// (shared), 3.28 KB / 1.4 / 2.67 KB (rdma; 3.44 KB / 1.5 / 2.76 KB under
-// -tags ibdebug); the byte gates are the worst release reading of an end that
-// was one allocation, plus ~10 %. With an allocation per endpoint set and
-// a granule table per ring the same ends read 2.52 KB / 2.1 / 1.92 KB,
-// 2.37 KB / 2.6 / 1.81 KB and 3.37 KB / 2.8 / 2.76 KB; with every packet
-// in a BufSize buffer and eight descriptors inline in each QP, 4.15 KB /
-// 2.3 / 3.49 KB (static) and 3.82 KB / 3.0 / 3.17 KB (rdma); eight objects
-// per end and a warmed 128 KB pool per device read 5.4 KB / 11.1 / 4.7
-// KB, and whole-ring commits 9.7 KB / 13.8 / 9.0 KB on the ring.
+// commits the bytes that land in it, 320 B for a 304-byte packet; and an
+// on-demand device's buffer pool grows with what lands, in size classes,
+// so a 304-byte packet holds 512 B. Measured, allocated B / objects /
+// retained B per end: 2.29 KB / 1.1 / 1.68 KB (hardware, static,
+// dynamic), 2.13 KB / 1.6 / 1.57 KB (shared), 2.47 KB / 1.3 / 1.86 KB
+// (rdma; 2.63 KB / 1.4 / 1.95 KB under -tags ibdebug); the gates are the
+// worst release reading, the ring's, plus ~10 %. Committing each written
+// ring slot whole read 3.15 KB / 1.4 / 2.54 KB on the ring (3.31 KB /
+// 1.5 / 2.63 KB under ibdebug), and a 904-B end ~0.13 KB more on every
+// scheme. With an allocation per endpoint set and a granule table per
+// ring the ends read 2.52 KB / 2.1 / 1.92 KB, 2.37 KB / 2.6 / 1.81 KB and
+// 3.37 KB / 2.8 / 2.76 KB; with every packet in a BufSize buffer and
+// eight descriptors inline in each QP, 4.15 KB / 2.3 / 3.49 KB (static)
+// and 3.82 KB / 3.0 / 3.17 KB (rdma); eight objects per end and a warmed
+// 128 KB pool per device read 5.4 KB / 11.1 / 4.7 KB, and whole-ring
+// commits 9.7 KB / 13.8 / 9.0 KB on the ring.
 func TestConnSetupBudget(t *testing.T) {
 	const ranks, size, fanout, msgs = 128, 256, 24, 2
-	const maxBytes, maxObjs, maxRetained = 3800, 2, 3100
+	const maxBytes, maxObjs, maxRetained = 2700, 2, 2050
 	doc := smokeDoc(fanout, ranks)
 	for _, fc := range doc.Schemes() {
 		var base, before, after, settled runtime.MemStats

@@ -97,10 +97,10 @@ func TestIdleConnectionCommitsNothing(t *testing.T) {
 			for _, c := range d.live {
 				want := 0
 				if d.rank == 1 && c.peer == 0 {
-					want = 1024
+					want = 64 // the 51-byte packet, rounded up to the 64-B extent unit
 				}
 				if got := c.ringMR.Committed(); got != want {
-					t.Errorf("rank %d ring from %d: %d bytes committed, want %d (the one written slot of the one written ring)",
+					t.Errorf("rank %d ring from %d: %d bytes committed, want %d (what landed in the one written slot of the one written ring)",
 						d.rank, c.peer, got, want)
 				}
 			}
@@ -149,10 +149,12 @@ func ringDevPair(t *testing.T, slots int) (*sim.Engine, *Device, *Device, *alias
 }
 
 // Ring memory is persistent: a slot's host bytes are committed by the
-// first write into it and are the same bytes on every lap of the ring —
+// first write into it, as far as that write reaches, and are the same
+// bytes on every lap of the ring until a longer write grows them —
 // never pool-served, never recycled. That is what makes a flow-control
 // bug visible: a write that overruns an unconsumed slot lands in the live
-// payload, and the receiver delivers the damage.
+// payload, and the receiver delivers the damage, whether the overrun is
+// shorter than what landed or long enough to grow the slot's extent.
 func TestRingSlotsKeepTheirBytes(t *testing.T) {
 	const slots, laps = 4, 3
 	t.Run("same bytes every lap", func(t *testing.T) {
@@ -187,17 +189,22 @@ func TestRingSlotsKeepTheirBytes(t *testing.T) {
 				}
 			}
 		}
-		if got := d1.epAt(0, 0).ringMR.Committed(); got != slots*1024 {
-			t.Errorf("%d ring bytes committed after %d laps, want %d: one commit per slot", got, laps, slots*1024)
+		// Every packet is 49 bytes: each slot commits one 64-B extent on
+		// lap 0 and nothing after.
+		if got := d1.epAt(0, 0).ringMR.Committed(); got != slots*64 {
+			t.Errorf("%d ring bytes committed after %d laps, want %d: one 64-B extent per slot", got, laps, slots*64)
 		}
 		if err := Audit([]*Device{d0, d1}); err != nil {
 			t.Errorf("audit: %v", err)
 		}
 	})
-	t.Run("an overrun corrupts a live payload", func(t *testing.T) {
+	// One message lands in slot 0 and stays unconsumed — the receiver's
+	// software has not run yet — while a sender that ignored the ring's
+	// head writes the slot again: bare verbs, outside the device's flow
+	// control.
+	overrun := func(t *testing.T, rogue []byte) string {
+		t.Helper()
 		eng, d0, d1, h1 := ringDevPair(t, slots)
-		// One message lands in slot 0 and stays unconsumed: the receiver's
-		// software has not run yet.
 		eng.Go("sender", func(p *sim.Proc) {
 			d0.Send(p, 1, 0, 0, []byte("intact!"), nil, true)
 			d0.WaitProgress(p, d0.Quiescent)
@@ -205,12 +212,10 @@ func TestRingSlotsKeepTheirBytes(t *testing.T) {
 		if err := eng.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
-		// What a sender that ignored the ring's head would do: write the
-		// slot again. Bare verbs, outside the device's flow control.
 		cq0, cq1 := d0.hca.NewCQ(), d1.hca.NewCQ()
-		rogue, sink := d0.hca.NewQP(cq0, cq0), d1.hca.NewQP(cq1, cq1)
-		ib.Connect(rogue, sink)
-		rogue.PostWrite(1, []byte("damaged"), ib.RemoteKey{MR: &d1.epAt(0, 0).ringMR, Offset: HeaderSize})
+		qp, sink := d0.hca.NewQP(cq0, cq0), d1.hca.NewQP(cq1, cq1)
+		ib.Connect(qp, sink)
+		qp.PostWrite(1, rogue, ib.RemoteKey{MR: &d1.epAt(0, 0).ringMR, Offset: HeaderSize})
 		if err := eng.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
@@ -220,8 +225,19 @@ func TestRingSlotsKeepTheirBytes(t *testing.T) {
 		if err := eng.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
-		if got := string(h1.eager[0]); got != "damaged" {
+		return string(h1.eager[0])
+	}
+	t.Run("an overrun corrupts a live payload", func(t *testing.T) {
+		if got := overrun(t, []byte("damaged")); got != "damaged" {
 			t.Errorf("delivered %q: the overrun did not reach the bytes the arrival landed in", got)
+		}
+	})
+	t.Run("a longer overrun corrupts a live payload", func(t *testing.T) {
+		// 48 + 7 bytes landed and committed 64; the rogue write reaches
+		// byte 48 + 200, so it re-commits the slot before it lands.
+		rogue := append([]byte("damaged"), make([]byte, 193)...)
+		if got := overrun(t, rogue); got != "damaged" {
+			t.Errorf("delivered %q: the overrun that grew the slot did not reach the payload", got)
 		}
 	})
 }

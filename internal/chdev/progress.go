@@ -210,7 +210,7 @@ func (m *progressMachine) step() {
 			// Where it landed is the provisioner's to say: the buffer the
 			// transport committed for its descriptor, or memory the peer
 			// wrote directly. Either way it is released at pcPktTail.
-			m.buf = d.prov.landed(c, wc.Buf, wc.Imm)
+			m.buf = d.prov.landed(c, wc.Buf, wc.Len, wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
 			switch { // charge: the software receive overhead of the arrival

@@ -48,10 +48,10 @@ type recvProvisioner interface {
 
 	// postEager ships an encoded eager packet the VC admitted.
 	postEager(c *conn, buf []byte, n int)
-	// landed accounts for an arrival on c and returns the bytes it landed
-	// in: buf, the buffer its receive descriptor committed, or — when the
-	// arrival consumed none — wherever imm says the peer wrote it.
-	landed(c *conn, buf []byte, imm uint64) []byte
+	// landed accounts for an arrival of n bytes on c and returns the bytes
+	// it landed in: buf, the buffer its receive descriptor committed, or —
+	// when the arrival consumed none — wherever imm says the peer wrote it.
+	landed(c *conn, buf []byte, n int, imm uint64) []byte
 	// processed finishes with an arrival: release what landed returned,
 	// run the receiver-side accounting, repost the descriptor or let it
 	// lapse. Runs in event context on the progress machine.
@@ -117,7 +117,7 @@ func (cp *connProvisioner) postEager(c *conn, buf []byte, n int) {
 	cp.d.postPacket(c, buf, n)
 }
 
-func (cp *connProvisioner) landed(c *conn, buf []byte, imm uint64) []byte { return buf }
+func (cp *connProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte { return buf }
 
 func (cp *connProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	d := cp.d
@@ -275,7 +275,7 @@ func (pp *poolProvisioner) initQP(qp *ib.QP) {
 
 func (pp *poolProvisioner) provisionConn(c *conn) {}
 
-func (pp *poolProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
+func (pp *poolProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte {
 	pp.pool.Take()
 	return buf
 }
@@ -365,13 +365,14 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 
 // provisionConn posts the control quota and reserves this end's inbound
 // slot ring. The region is pinned for the connection's lifetime on the
-// virtual clock (Stats counts it from here on); its host bytes are
-// committed slot by slot — the slot is the region's commit granule, this
-// shape's choice — by the first write that lands in each
-// (ib.MR.Window). Ring memory is never served from the buffer pool: a
-// slot's host bytes, once committed, are the same bytes for the
-// connection's lifetime and are never recycled, so an overrun keeps
-// corrupting a live payload and a flow-control bug cannot hide.
+// virtual clock (Stats counts it from here on, Prepost × SlotBytes); its
+// host bytes are committed slot by slot — the slot is the region's
+// commit granule, this shape's choice — and within a slot only as far
+// as the packets written into it have reached (ib.MR.Window). Ring
+// memory is never served from the buffer pool: a slot's host bytes are
+// the same bytes on every lap until a longer packet grows them, and the
+// re-commit that grows them poisons the bytes it leaves, so an overrun
+// keeps corrupting a live payload and a flow-control bug cannot hide.
 func (rp *ringProvisioner) provisionConn(c *conn) {
 	d := rp.d
 	d.prepost(c, ctrlPrepost)
@@ -398,8 +399,10 @@ func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
 // landed: a control packet arrives in a descriptor's buffer; an eager one
 // was written into a slot and detected there (the notify completion
 // models memory polling). Ring arrivals are in order, so the slot is
-// determined by the ring tail; the immediate value must agree.
-func (rp *ringProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
+// determined by the ring tail; the immediate value must agree. The
+// window is the n bytes the write landed, not the whole slot, so it
+// stays inside what that write committed.
+func (rp *ringProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte {
 	if buf != nil {
 		return buf
 	}
@@ -407,8 +410,7 @@ func (rp *ringProvisioner) landed(c *conn, buf []byte, imm uint64) []byte {
 	if slot != int(imm) {
 		panic(fmt.Sprintf("chdev: ring arrival in slot %d, expected %d", imm, slot))
 	}
-	sz := rp.d.params.SlotBytes
-	return c.ringMR.Window(slot*sz, sz)
+	return c.ringMR.Window(slot*rp.d.params.SlotBytes, n)
 }
 
 // processed: consuming an eager packet's slot advances the head, which

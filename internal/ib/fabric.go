@@ -173,16 +173,17 @@ func Connect(a, b *QP) {
 // as (MR, offset); registration is the unit the pin-down cache manages.
 // A region has its id, its length and its bounds from registration on; its
 // host bytes exist per commit granule. RegisterMemory's region is one
-// granule, the caller's buffer. A region the adapter owns (ReserveMemory)
-// names its granule, and a granule gets host bytes — zeroed, its own for
-// the region's lifetime, never recycled — when a window first opens on it.
+// granule, the caller's buffer, committed whole. A region the adapter owns
+// (ReserveMemory) names its granule, and a granule's host bytes are its
+// committed extent: zeroed, never recycled, and only as long as the
+// windows opened on it have reached (see Window).
 type MR struct {
 	hca     *HCA
 	id      int
 	n       int
 	granule int      // commit unit; == n for a region committed whole
-	buf     []byte   // the one granule of a whole-commit region (nil until committed)
-	grans   [][]byte // granule table of a multi-granule region, carved from the adapter's table slab at the first commit
+	buf     []byte   // the committed extent of a whole-commit region (nil until committed)
+	grans   [][]byte // committed extents of a multi-granule region's granules; the table is carved from the adapter's table slab at the first commit
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
@@ -267,8 +268,8 @@ func (m *MR) tableLen() int {
 }
 
 // Committed reports how many of the region's bytes have host memory
-// behind them: whole granules, so 0 for a reservation nothing has touched
-// and Len for a registered buffer.
+// behind them: the sum of the granules' committed extents, so 0 for a
+// reservation nothing has touched and Len for a registered buffer.
 func (m *MR) Committed() int {
 	total := len(m.buf)
 	for _, g := range m.grans {
@@ -277,11 +278,26 @@ func (m *MR) Committed() int {
 	return total
 }
 
-// Window returns the n bytes at offset off, committing the granule behind
-// them if this is its first access — that granule and no other. It is the
-// one way to the region's bytes: both RDMA landings go through it, and so
-// does whoever consumes what landed. A window may not straddle a granule;
-// an RDMA operation on a multi-granule region addresses one slot.
+// extentAlign is the unit a granule's committed extent grows in.
+const extentAlign = 64
+
+// poison is what the bytes a re-commit leaves behind read from then on.
+const poison = 0xA5
+
+// Window returns the n bytes at offset off. It is the one way to the
+// region's bytes: both RDMA landings go through it, and so does whoever
+// consumes what landed. A window may not straddle a granule; an RDMA
+// operation on a multi-granule region addresses one slot.
+//
+// A granule's host bytes cover its committed extent, from the granule's
+// start to the farthest byte a window has reached, rounded up to
+// extentAlign and capped at the granule and the region's end. The first
+// window on a granule commits that extent; a later one within it commits
+// nothing and sees the same bytes. A window that reaches past it
+// re-commits: fresh bytes from the adapter, the old extent copied in,
+// and the old bytes filled with poison, so whoever still holds a slice
+// of them reads visible damage instead of a stale, clean copy. A
+// registered region is committed whole and never re-commits.
 func (m *MR) Window(off, n int) []byte {
 	if off < 0 || n < 0 || off+n > m.n {
 		panic(fmt.Sprintf("ib: window [%d,%d) beyond %d-byte region", off, off+n, m.n))
@@ -301,30 +317,36 @@ func (m *MR) Window(off, n int) []byte {
 		}
 		g = &m.grans[i]
 	}
-	if *g == nil {
-		*g = m.hca.commit(min(m.granule, m.n-base))
+	if end := off - base + n; end > len(*g) {
+		old := *g
+		*g = m.hca.commit(min((end+extentAlign-1)/extentAlign*extentAlign, m.granule, m.n-base))
+		copy(*g, old)
+		for j := range old {
+			old[j] = poison
+		}
 	}
 	return (*g)[off-base : off-base+n]
 }
 
 // commitPage is how much host memory the adapter takes at a time for the
-// granules of the regions it owns: small granules are carved from a
-// shared page, so committing ring slots one at a time costs one
+// granule extents of the regions it owns: small extents are carved from
+// a shared page, so committing ring slots one at a time costs one
 // allocation per page of them, not one each.
 const commitPage = 4 << 10
 
-// commit returns n zeroed bytes of adapter-owned memory, capped at n so a
-// write past a granule cannot spill into its neighbour unnoticed. A
-// granule that does not fit what is left of the page starts the next one
-// (a page or more gets an allocation of its own); nothing carved is ever
-// handed out again.
+// commit returns n zeroed bytes of adapter-owned memory for a granule's
+// extent (see MR.Window), capped at n so a write past the extent cannot
+// spill into its neighbour unnoticed. An extent that does not fit what is
+// left of the page starts the next one (a page or more gets an allocation
+// of its own); nothing carved is ever handed out again, not even the
+// extent a re-commit leaves behind.
 func (h *HCA) commit(n int) []byte {
 	if n <= len(h.page) {
 		g := h.page[:n:n]
 		h.page = h.page[n:]
 		return g
 	}
-	//fclint:allow hotalloc one allocation per commitPage bytes of granules, each committed once, at its first access; it replaces the make at reservation
+	//fclint:allow hotalloc one allocation per commitPage bytes of granule extents, each committed at a first access or a growth; it replaces the make at reservation
 	fresh := make([]byte, max(n, commitPage))
 	if n < commitPage {
 		h.page = fresh[n:]

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 
@@ -106,5 +107,98 @@ func FuzzRecvQueue(f *testing.F) {
 				check(i, s)
 			}
 		}
+	})
+}
+
+// FuzzMRWindow runs a script of windows on a reserved region against a
+// flat byte array, the reference the region's committed extents must be
+// indistinguishable from. The first two bytes pick the geometry: a
+// granule of 1–256 bytes, 1–6 granules (one commits the region whole),
+// and a tail granule up to a granule short. Every four bytes after are a
+// window: bit 0 of the first picks a write or a read, the other three the
+// granule, the offset in it and the length. Every read must equal the
+// reference, zeroes where nothing was written; each granule's extent must
+// be its farthest reach rounded up to 64 B and capped at the granule, and
+// Committed their sum; no extent may share a byte with another granule's
+// or have room to grow into one; and a window that re-commits a granule
+// must leave the old extent, which a consumer may still hold, reading
+// poison. A closing read of every granule must equal the reference.
+func FuzzMRWindow(f *testing.F) {
+	f.Add([]byte{199, 3, 0, 0, 0, 9, 0, 0, 100, 49, 1, 0, 0, 199, 1, 3, 5, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) < 2 {
+			return
+		}
+		granule, count := 1+int(script[0]), 1+int(script[1])%6
+		n := count * granule
+		if count > 1 {
+			n -= int(script[1]/6) % granule
+		}
+		m := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0).ReserveMemory(n, granule)
+		ref := make([]byte, n)
+		reach := make([]int, count) // farthest byte a window reached, per granule
+		glen := func(i int) int { return min(granule, n-i*granule) }
+		extent := func(i int) []byte {
+			if count == 1 {
+				return m.buf
+			}
+			if m.grans == nil {
+				return nil
+			}
+			return m.grans[i]
+		}
+		check := func(k int) {
+			want := 0
+			for i, r := range reach {
+				e := extent(i)
+				if w := min((r+63)/64*64, glen(i)); len(e) != w || cap(e) != w {
+					t.Fatalf("op %d: granule %d extent has len %d cap %d after a reach of %d, want %d", k, i, len(e), cap(e), r, w)
+				}
+				want += len(e)
+				for j := range i {
+					o := extent(j)
+					if len(e) == 0 || len(o) == 0 {
+						continue
+					}
+					p, q := uintptr(unsafe.Pointer(&e[0])), uintptr(unsafe.Pointer(&o[0]))
+					if p < q+uintptr(len(o)) && q < p+uintptr(len(e)) {
+						t.Fatalf("op %d: granules %d and %d share host bytes", k, i, j)
+					}
+				}
+			}
+			if got := m.Committed(); got != want {
+				t.Fatalf("op %d: Committed() = %d, the extents sum to %d", k, got, want)
+			}
+		}
+		k := 0
+		for ops := script[2:]; len(ops) >= 4; ops = ops[4:] {
+			i := int(ops[1]) % count
+			base, gl := i*granule, glen(i)
+			off := int(ops[2]) % gl
+			ln := 1 + int(ops[3])%(gl-off)
+			old := extent(i)
+			w := m.Window(base+off, ln)
+			if ops[0]&1 == 0 {
+				for j := range w {
+					w[j] = byte(k + j + 1)
+				}
+				copy(ref[base+off:], w)
+			} else if !bytes.Equal(w, ref[base+off:base+off+ln]) {
+				t.Fatalf("op %d: window [%d,%d) reads %v, the reference %v", k, base+off, base+off+ln, w, ref[base+off:base+off+ln])
+			}
+			reach[i] = max(reach[i], off+ln)
+			if e := extent(i); len(old) > 0 && &e[0] != &old[0] && !bytes.Equal(old, bytes.Repeat([]byte{poison}, len(old))) {
+				t.Fatalf("op %d: granule %d re-committed, but its old extent reads %v, not poison", k, i, old)
+			}
+			check(k)
+			k++
+		}
+		for i := range count {
+			if got, want := m.Window(i*granule, glen(i)), ref[i*granule:i*granule+glen(i)]; !bytes.Equal(got, want) {
+				t.Fatalf("granule %d reads %v at the end, the reference %v", i, got, want)
+			}
+			reach[i] = glen(i)
+		}
+		check(k)
 	})
 }

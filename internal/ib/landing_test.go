@@ -299,8 +299,8 @@ func TestSRQCommitsAtLanding(t *testing.T) {
 }
 
 // A reserved region has its id, length and bounds from the start and no
-// host bytes until its first write or read — and then only the commit
-// granule that access touched.
+// host bytes until its first write or read — and then only within the
+// commit granule that access touched.
 func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
 	eng, qp0, qp1, _, _ := pair(DefaultConfig())
 	h := qp1.HCA()
@@ -374,6 +374,67 @@ func TestReservedRegionCommitsAtFirstAccess(t *testing.T) {
 	}
 	if reg := h.RegisterMemory(make([]byte, 8)); reg.Committed() != 8 || reg.Len() != 8 {
 		t.Errorf("registered region: committed=%d len=%d", reg.Committed(), reg.Len())
+	}
+}
+
+// A granule commits the bytes windows reach, not the whole granule: the
+// first window commits its extent rounded up to 64 B and capped at the
+// granule and the region's end; a shorter window commits nothing and sees
+// the same bytes; a longer one re-commits, keeping the old extent's bytes
+// and poisoning the bytes it leaves, so a slice held across the growth
+// reads damage. A registered region never re-commits.
+func TestWindowCommitsWhatLands(t *testing.T) {
+	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
+	// Granules [0,100), [100,200) and the 50-byte tail [200,250).
+	ring := h.ReserveMemory(250, 100)
+	steps := []struct {
+		name      string
+		off, n    int
+		committed int
+	}{
+		{"10 bytes round up to 64", 0, 10, 64},
+		{"80 bytes round up to 128, capped at the 100-byte granule", 170, 10, 64 + 100},
+		{"1 byte rounds up to 64, capped at the region's 50-byte end", 200, 1, 64 + 100 + 50},
+	}
+	for _, s := range steps {
+		ring.Window(s.off, s.n)
+		if got := ring.Committed(); got != s.committed {
+			t.Fatalf("%s: committed %d, want %d", s.name, got, s.committed)
+		}
+	}
+
+	copy(ring.Window(0, 6), "prefix")
+	held := ring.Window(0, 64)
+	if again := ring.Window(2, 30); &again[0] != &held[2] || ring.Committed() != 214 {
+		t.Errorf("a window inside the extent moved its bytes or committed %d, want 214", ring.Committed())
+	}
+	grown := ring.Window(0, 90)
+	if got := ring.Committed(); got != 100+100+50 {
+		t.Errorf("after growing granule 0 to 90 bytes: committed %d, want 250", got)
+	}
+	if &grown[0] == &held[0] {
+		t.Fatal("a window past the extent did not re-commit")
+	}
+	if string(grown[:6]) != "prefix" || !bytes.Equal(grown[6:], make([]byte, 84)) {
+		t.Errorf("re-committed granule = %q, want the old prefix and zeroes", grown)
+	}
+	if !bytes.Equal(held, bytes.Repeat([]byte{poison}, 64)) {
+		t.Errorf("a slice held across the re-commit reads %q, want poison", held)
+	}
+	if cap(grown) != 100 {
+		t.Errorf("grown granule has capacity %d: a write past it could spill into its neighbour", cap(grown))
+	}
+
+	whole := h.ReserveMemory(1000, 1000)
+	whole.Window(500, 10)
+	if got := whole.Committed(); got != 512 {
+		t.Errorf("a region committed whole: %d bytes after a window to byte 510, want 512", got)
+	}
+
+	buf := make([]byte, 100)
+	reg := h.RegisterMemory(buf)
+	if w := reg.Window(90, 10); &w[0] != &buf[90] || reg.Committed() != 100 {
+		t.Errorf("registered region: window not in the caller's buffer or committed %d, want 100", reg.Committed())
 	}
 }
 
