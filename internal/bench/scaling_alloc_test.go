@@ -128,29 +128,31 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 // same reading before NewWorld, which is the quantity the benchmark
 // reports as live_heap_mb. An end is its conn (DESIGN.md, provisioning
 // seam), holding VC, QP, both queues' first rings and the landing region
-// by value, 776 B carved from the world's 32 KB end slab (TestConnSize),
-// so it costs a 42nd of an allocation; a ring's granule table is carved
+// by value, 680 B carved from the world's 32 KB end slab (TestConnSize),
+// so it costs a 48th of an allocation; a ring's granule table is carved
 // from its adapter's table slab; a posted receive is a descriptor, and
 // descriptors posted alike are one run of the receive queue; a ring slot
 // commits the bytes that land in it, 320 B for a 304-byte packet; and an
 // on-demand device's buffer pool grows with what lands, in size classes,
 // so a 304-byte packet holds 512 B. Measured, allocated B / objects /
-// retained B per end: 2.29 KB / 1.1 / 1.68 KB (hardware, static,
-// dynamic), 2.13 KB / 1.6 / 1.57 KB (shared), 2.47 KB / 1.3 / 1.86 KB
-// (rdma; 2.63 KB / 1.4 / 1.95 KB under -tags ibdebug); the gates are the
-// worst release reading, the ring's, plus ~10 %. Committing each written
-// ring slot whole read 3.15 KB / 1.4 / 2.54 KB on the ring (3.31 KB /
-// 1.5 / 2.63 KB under ibdebug), and a 904-B end ~0.13 KB more on every
-// scheme. With an allocation per endpoint set and a granule table per
-// ring the ends read 2.52 KB / 2.1 / 1.92 KB, 2.37 KB / 2.6 / 1.81 KB and
-// 3.37 KB / 2.8 / 2.76 KB; with every packet in a BufSize buffer and
-// eight descriptors inline in each QP, 4.15 KB / 2.3 / 3.49 KB (static)
-// and 3.82 KB / 3.0 / 3.17 KB (rdma); eight objects per end and a warmed
-// 128 KB pool per device read 5.4 KB / 11.1 / 4.7 KB, and whole-ring
-// commits 9.7 KB / 13.8 / 9.0 KB on the ring.
+// retained B per end: 2.10 KB / 1.1 / 1.51 KB (hardware, static,
+// dynamic), 1.95 KB / 1.6 / 1.40 KB (shared), 2.28 KB / 1.3 / 1.69 KB
+// (rdma; 2.44 KB / 1.4 / 1.78 KB under -tags ibdebug); the gates are the
+// worst release reading, the ring's, plus ~10 %. The 776-B end (42 to a
+// slab) with 96-B requests read 2.29 KB / 1.1 / 1.68 KB, 2.13 KB / 1.6 /
+// 1.57 KB and 2.47 KB / 1.3 / 1.86 KB, gated at 2.70 KB / 2 / 2.05 KB.
+// Committing each written ring slot whole read 3.15 KB / 1.4 / 2.54 KB on
+// the ring (3.31 KB / 1.5 / 2.63 KB under ibdebug), and a 904-B end
+// ~0.13 KB more on every scheme. With an allocation per endpoint set and
+// a granule table per ring the ends read 2.52 KB / 2.1 / 1.92 KB, 2.37 KB
+// / 2.6 / 1.81 KB and 3.37 KB / 2.8 / 2.76 KB; with every packet in a
+// BufSize buffer and eight descriptors inline in each QP, 4.15 KB / 2.3 /
+// 3.49 KB (static) and 3.82 KB / 3.0 / 3.17 KB (rdma); eight objects per
+// end and a warmed 128 KB pool per device read 5.4 KB / 11.1 / 4.7 KB,
+// and whole-ring commits 9.7 KB / 13.8 / 9.0 KB on the ring.
 func TestConnSetupBudget(t *testing.T) {
 	const ranks, size, fanout, msgs = 128, 256, 24, 2
-	const maxBytes, maxObjs, maxRetained = 2700, 2, 2050
+	const maxBytes, maxObjs, maxRetained = 2500, 2, 1850
 	doc := smokeDoc(fanout, ranks)
 	for _, fc := range doc.Schemes() {
 		var base, before, after, settled runtime.MemStats

@@ -68,7 +68,7 @@ func Audit(devs []*Device) error {
 			// ep of A's set toward B converses only with endpoint ep
 			// of B's set toward A.
 			rd := devs[c.peer]
-			rc := rd.epAt(d.rank, c.ep)
+			rc := rd.epAt(d.rank, int(c.ep))
 			if rc == nil {
 				return fmt.Errorf("chdev audit: rank %d -> %d connected only one way", d.rank, c.peer)
 			}

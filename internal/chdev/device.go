@@ -96,14 +96,11 @@ type backlogEntry struct {
 // queues' first rings) and its landing region by value, and is carved
 // from the world's end slab (endSlab), which hands each end out once and
 // never moves it — everything here that points into a conn (the QP's
-// owner and bound events, the live list, the peer's write target) relies
-// on it staying where it is.
+// owner and bound events, the peer QP, the live list) relies on it
+// staying where it is.
 type conn struct {
-	peer    int
-	ep      int // index within the peer's endpoint set
-	qp      ib.QP
-	vc      core.VC
-	backlog store.Fifo[backlogEntry]
+	peer int32 // the peer's world rank
+	ep   int32 // index within the peer's endpoint set
 
 	// occ counts the work requests posted on qp and not yet retired —
 	// what qp holds whenever the CQ is empty (debugCheckConn) — and occHWM
@@ -111,23 +108,30 @@ type conn struct {
 	// benchmark plots. Guarded by fclint's creditmut: mutation only
 	// through noteOut and noteRetired. A completion names what it retires
 	// (retireSend), so the end keeps no record per request.
-	occ, occHWM int
+	occ, occHWM int32
 	// reissues counts the re-issues of the request heading qp: a QP
 	// completes in post order and fails only its head, so the count is
 	// that request's until a success resets it.
-	reissues int
+	reissues int32
+
+	qp      ib.QP
+	vc      core.VC
+	backlog store.Fifo[backlogEntry]
 
 	// Explicit-credit-message silence gate state.
 	lastSend sim.Time   // last outgoing traffic on this connection
 	ecmTimer *sim.Timer // deferred ECM when the gate is still closed
 
-	// Landing regions, the provisioner's to set and use (provision.go):
-	// where the peer writes this end's eager arrivals, and this end's
-	// write target at the peer. Unset for a shape whose arrivals all land
-	// in receive descriptors.
+	// ringMR is where the peer writes this end's eager arrivals, the
+	// provisioner's to set and use (provision.go); this end's write
+	// target is the peer end's, reached through the QP (peerEnd). Unset
+	// for a shape whose arrivals all land in receive descriptors.
 	ringMR ib.MR
-	peerMR *ib.MR
 }
+
+// peerEnd returns the connection's other end: the owner of the QP this
+// end's QP is connected to.
+func (c *conn) peerEnd() *conn { return c.qp.Peer().Owner().(*conn) }
 
 // noteOut records that a work request was posted on qp.
 func (c *conn) noteOut() {
@@ -357,7 +361,7 @@ func (d *Device) BindThread(tid int) {
 // addConn enters a freshly established endpoint into the live list at
 // its (peer, ep) position; static wiring only ever appends.
 func (d *Device) addConn(c *conn) {
-	key := func(c *conn) int { return c.peer*d.epN + c.ep }
+	key := func(c *conn) int { return int(c.peer)*d.epN + int(c.ep) }
 	i, _ := slices.BinarySearchFunc(d.live, key(c), func(e *conn, k int) int {
 		return cmp.Compare(key(e), k)
 	})
@@ -370,7 +374,7 @@ func (d *Device) addConn(c *conn) {
 // indexed by rank cost every device the job size.
 func (d *Device) eps(peer int) []*conn {
 	i, ok := slices.BinarySearchFunc(d.live, peer, func(c *conn, peer int) int {
-		return cmp.Compare(c.peer, peer)
+		return cmp.Compare(int(c.peer), peer)
 	})
 	if !ok {
 		return nil
@@ -467,7 +471,7 @@ func (s *endSlab) take(n int) []conn {
 // built — at set size 1 the sequence is exactly the pre-endpoint
 // establishment. Each end's provisioner sets up its receive resources (a
 // before b: regions are numbered in reservation order, and two ranks may
-// share an HCA), then adopts what set-up hands over from the other.
+// share an HCA).
 func establish(a, b *Device) []*conn {
 	if a.epN != b.epN {
 		panic(fmt.Sprintf("chdev: endpoint-set size mismatch: rank %d has %d, rank %d has %d",
@@ -488,8 +492,6 @@ func establish(a, b *Device) []*conn {
 		b.initConn(cb, a.rank, ep)
 		a.prov.provisionConn(ca)
 		b.prov.provisionConn(cb)
-		a.prov.adopt(ca, cb)
-		b.prov.adopt(cb, ca)
 	}
 	return a.eps(b.rank)
 }
@@ -497,7 +499,7 @@ func establish(a, b *Device) []*conn {
 // initConn builds endpoint ep toward peer in c, whose QP is connected,
 // and enters it into the device's books.
 func (d *Device) initConn(c *conn, peer, ep int) {
-	c.peer, c.ep = peer, ep
+	c.peer, c.ep = int32(peer), int32(ep)
 	c.vc.Init(&d.params)
 	d.addConn(c)
 	// A completion names its QP, and the QP its connection.
@@ -606,7 +608,7 @@ func (d *Device) postPacket(c *conn, buf []byte, n int) {
 	d.track(c)
 	c.qp.PostSend(0, buf[:n])
 	c.lastSend = d.eng.Now()
-	d.tr(pktKind(PktType(buf[0])), c.peer, int64(n))
+	d.tr(pktKind(PktType(buf[0])), int(c.peer), int64(n))
 }
 
 // Send transmits data to rank dst with the given tag. token is handed back
@@ -631,12 +633,12 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 		d.prov.postEager(c, e.buf, e.n)
 		d.handler.SendDone(token)
 	case core.ActionDemote:
-		d.tr(trace.Demoted, c.peer, int64(len(data)))
+		d.tr(trace.Demoted, int(c.peer), int64(len(data)))
 		d.startRndv(p, c, tag, comm, data, token, true)
 	case core.ActionBacklog:
 		// The user buffer is copied out and immediately reusable, so
 		// SendDone fires now.
-		d.tr(trace.Backlogged, c.peer, int64(len(data)))
+		d.tr(trace.Backlogged, int(c.peer), int64(len(data)))
 		c.backlog.Push(d.encodeEager(p, c, tag, comm, data, true))
 		d.handler.SendDone(token)
 	}
@@ -649,7 +651,7 @@ func (d *Device) Send(p *sim.Proc, dst, tag int, comm uint16, data []byte, token
 func (d *Device) admitEager(p *sim.Proc, c *conn, n int, blocking bool) core.Action {
 	a := c.vc.DecideEager(blocking)
 	if a == core.ActionWait {
-		d.tr(trace.Backlogged, c.peer, int64(n))
+		d.tr(trace.Backlogged, int(c.peer), int64(n))
 		d.WaitProgress(p, c.vc.SendReady)
 		a = c.vc.DecideEager(false)
 	}
@@ -728,14 +730,14 @@ func (d *Device) drainAdvance(c *conn) ([]byte, bool) {
 				return nil, did
 			}
 			c.backlog.Pop()
-			d.tr(trace.Drained, c.peer, 0)
+			d.tr(trace.Drained, int(c.peer), 0)
 			return d.prepRTS(c, e.rndv, consumed), did
 		}
 		if !c.vc.CanDrainBacklog() {
 			return nil, did
 		}
 		c.backlog.Pop()
-		d.tr(trace.Drained, c.peer, int64(e.n))
+		d.tr(trace.Drained, int(c.peer), int64(e.n))
 		stampPiggyback(e.buf, uint32(c.vc.TakePiggyback()))
 		d.prov.postEager(c, e.buf, e.n)
 		did = true
@@ -1006,9 +1008,9 @@ func (d *Device) debugLiveIn(r *RndvIn) {
 // the receiver.
 func (d *Device) sendReturn(c *conn) bool {
 	now := d.eng.Now()
-	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, c.peer) {
+	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, int(c.peer)) {
 		c.vc.NoteECMDropped()
-		d.tr(trace.ECMDropped, c.peer, int64(c.vc.Unreturned()))
+		d.tr(trace.ECMDropped, int(c.peer), int64(c.vc.Unreturned()))
 		t := d.ecmTimer(c)
 		if !t.Armed() {
 			t.Reset(ecmSilence)
@@ -1017,9 +1019,9 @@ func (d *Device) sendReturn(c *conn) bool {
 	}
 	h := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
 	d.postCtrl(c, h)
-	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, c.peer) {
+	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, int(c.peer)) {
 		c.vc.NoteECMDuplicated()
-		d.tr(trace.ECMDuplicated, c.peer, 0)
+		d.tr(trace.ECMDuplicated, int(c.peer), 0)
 		// The original took everything owed, so the duplicate carries zero
 		// credits — double-applying it cannot mint credit at the peer —
 		// or repeats the same absolute ring head, which the peer treats as
@@ -1081,7 +1083,7 @@ func (d *Device) debugCheckConn(c *conn) {
 		panic(fmt.Sprintf("chdev: rank %d peer %d: backlog queue has %d entries but VC counter says %d",
 			d.rank, c.peer, got, want))
 	}
-	if got, want := c.occ, c.qp.QueuedSends(); got != want {
+	if got, want := int(c.occ), c.qp.QueuedSends(); got != want {
 		panic(fmt.Sprintf("chdev: rank %d peer %d ep %d: %d work requests outstanding but the QP holds %d",
 			d.rank, c.peer, c.ep, got, want))
 	}
@@ -1224,7 +1226,7 @@ func (d *Device) retireSend(wc ib.WC) {
 func (d *Device) onRetryExhausted(c *conn) {
 	c.reissues++
 	c.vc.NoteReissue()
-	d.tr(trace.Reissued, c.peer, int64(c.reissues))
+	d.tr(trace.Reissued, int(c.peer), int64(c.reissues))
 	d.eng.AfterCall(reissueDelay, (*reissueEvent)(c), 0)
 }
 
@@ -1249,7 +1251,9 @@ func (d *Device) Stats() Stats {
 }
 
 // stats reports one live end's counters: its VC's, its QP's and its
-// occupancy mark.
+// occupancy mark. Its pre-post is both its share of SumPosted and its
+// mark (it never shrinks); a shape whose receive memory is not per
+// connection replaces the sum (recvProvisioner.stats).
 func (c *conn) stats() Stats {
 	vs, qs := c.vc.Stats(), c.qp.Stats()
 	return Stats{
@@ -1260,7 +1264,8 @@ func (c *conn) stats() Stats {
 		Backlogged:     vs.Backlogged,
 		ECMsSent:       vs.ECMsSent,
 		GrowthEvents:   vs.GrowthEvents,
-		MaxPosted:      vs.MaxPosted,
+		MaxPosted:      c.vc.Posted(),
+		SumPosted:      c.vc.Posted(),
 		RNRNaks:        qs.RNRNaks,
 		Retransmits:    qs.Retransmits,
 		WastedBytes:    qs.WastedBytes,
@@ -1268,6 +1273,6 @@ func (c *conn) stats() Stats {
 		Reissues:       vs.Reissues,
 		ECMsDropped:    vs.ECMsDropped,
 		ECMsDuplicated: vs.ECMsDuplicated,
-		OccupancyHWM:   c.occHWM,
+		OccupancyHWM:   int(c.occHWM),
 	}
 }

@@ -57,7 +57,7 @@ func TestEndpointSetEstablish(t *testing.T) {
 			if c == nil {
 				t.Fatalf("rank %d endpoint %d missing", d.Rank(), ep)
 			}
-			if c.ep != ep {
+			if int(c.ep) != ep {
 				t.Fatalf("rank %d endpoint %d self-index = %d", d.Rank(), ep, c.ep)
 			}
 			if seen[&c.qp] {

@@ -210,7 +210,7 @@ func (m *progressMachine) step() {
 			// Where it landed is the provisioner's to say: the buffer the
 			// transport committed for its descriptor, or memory the peer
 			// wrote directly. Either way it is released at pcPktTail.
-			m.buf = d.prov.landed(c, wc.Buf, wc.Len, wc.Imm)
+			m.buf = d.prov.landed(c, wc.Buf, int(wc.Len), wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
 			m.pc = pcPktCredits
 			switch { // charge: the software receive overhead of the arrival
@@ -236,7 +236,7 @@ func (m *progressMachine) step() {
 		case pcPktBody:
 			if m.hdr.Flags&FlagStarved != 0 {
 				if grow := m.c.vc.OnStarvedFeedback(d.eng.Now()); grow > 0 {
-					d.tr(trace.Grew, m.c.peer, int64(m.c.vc.Posted()))
+					d.tr(trace.Grew, int(m.c.peer), int64(m.c.vc.Posted()))
 					d.prepost(m.c, grow)
 				}
 			}
@@ -285,7 +285,7 @@ func (m *progressMachine) step() {
 					mr := m.c.qp.Peer().HCA().LookupMR(int(m.hdr.MRID))
 					d.track(m.c)
 					m.c.qp.PostWrite(out.id, out.data, ib.RemoteKey{MR: mr})
-					d.tr(trace.SendRDMAData, m.c.peer, int64(len(out.data)))
+					d.tr(trace.SendRDMAData, int(m.c.peer), int64(len(out.data)))
 				}
 				m.pc = pcPktTail
 			case PktFin:
@@ -321,7 +321,7 @@ func (m *progressMachine) step() {
 			m.pc = pcPktTail
 
 		case pcPktTail:
-			d.tr(trace.Recv, m.c.peer, int64(m.hdr.Type))
+			d.tr(trace.Recv, int(m.c.peer), int64(m.hdr.Type))
 			d.prov.processed(m.c, m.buf, &m.hdr)
 			m.c, m.buf = nil, nil
 			m.pc = pcPoll

@@ -42,16 +42,13 @@ type recvProvisioner interface {
 	// provisionConn sets up this end's receive resources for a newly
 	// established connection: pre-posted descriptors, reserved regions.
 	provisionConn(c *conn)
-	// adopt installs what connection set-up hands over from the remote
-	// end; it runs once both ends are provisioned.
-	adopt(c, remote *conn)
 
 	// postEager ships an encoded eager packet the VC admitted.
 	postEager(c *conn, buf []byte, n int)
 	// landed accounts for an arrival of n bytes on c and returns the bytes
 	// it landed in: buf, the buffer its receive descriptor committed, or —
 	// when the arrival consumed none — wherever imm says the peer wrote it.
-	landed(c *conn, buf []byte, n int, imm uint64) []byte
+	landed(c *conn, buf []byte, n int, imm uint32) []byte
 	// processed finishes with an arrival: release what landed returned,
 	// run the receiver-side accounting, repost the descriptor or let it
 	// lapse. Runs in event context on the progress machine.
@@ -111,13 +108,11 @@ func (cp *connProvisioner) provisionConn(c *conn) {
 	cp.d.prepost(c, c.vc.Posted())
 }
 
-func (cp *connProvisioner) adopt(c, remote *conn) {}
-
 func (cp *connProvisioner) postEager(c *conn, buf []byte, n int) {
 	cp.d.postPacket(c, buf, n)
 }
 
-func (cp *connProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte { return buf }
+func (cp *connProvisioner) landed(c *conn, buf []byte, n int, imm uint32) []byte { return buf }
 
 func (cp *connProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 	d := cp.d
@@ -171,15 +166,11 @@ func (cp *connProvisioner) fin(c *conn, id uint64) {
 }
 
 // stats: each connection's receive memory is its own pre-post, so the
-// device's is their sum, and its mark the sum of theirs.
+// device's is their sum (SumPosted, which the ends report), and a
+// pre-post never shrinks, so that is also its mark.
 func (cp *connProvisioner) stats(s Stats) Stats {
-	hwm := 0
-	for _, c := range cp.d.live {
-		s.SumPosted += c.vc.Posted()
-		hwm += c.vc.Stats().MaxPosted
-	}
 	s.BufBytesInUse = s.SumPosted * bufSize
-	s.BufBytesHWM = hwm * bufSize
+	s.BufBytesHWM = s.BufBytesInUse
 	return s
 }
 
@@ -275,7 +266,7 @@ func (pp *poolProvisioner) initQP(qp *ib.QP) {
 
 func (pp *poolProvisioner) provisionConn(c *conn) {}
 
-func (pp *poolProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte {
+func (pp *poolProvisioner) landed(c *conn, buf []byte, n int, imm uint32) []byte {
 	pp.pool.Take()
 	return buf
 }
@@ -287,13 +278,14 @@ func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 }
 
 // stats: the pool's accounting replaces the per-VC receiver-side numbers,
-// which are vestigial under this scheme.
+// which are vestigial under this scheme. The pool never shrinks, so its
+// size is also its mark.
 func (pp *poolProvisioner) stats(s Stats) Stats {
 	ps := pp.pool.Stats()
-	s.MaxPosted = ps.MaxPosted
+	s.MaxPosted = pp.pool.Posted()
 	s.SumPosted = pp.pool.Posted()
 	s.BufBytesInUse = s.SumPosted * bufSize
-	s.BufBytesHWM = ps.MaxPosted * bufSize
+	s.BufBytesHWM = s.BufBytesInUse
 	s.LimitEvents = ps.LimitEvents
 	s.GrowthEvents += ps.GrowthEvents
 	return s
@@ -320,8 +312,8 @@ func (pp *poolProvisioner) audit() error {
 
 // ringProvisioner is the ring shape (core.KindRDMA), the persistent-slot
 // design where flow control IS the ring geometry. Each end reserves an
-// inbound region of Prepost slots of SlotBytes (conn.ringMR) and learns
-// the peer's (conn.peerMR) at set-up; position mod slots is the slot, so
+// inbound region of Prepost slots of SlotBytes (conn.ringMR) and writes
+// into the peer end's; position mod slots is the slot, so
 // there are no free/used lists and a slot's address is arithmetic on its
 // region. Eager data is RDMA-written into the slots and consumes no
 // receive descriptor; the only posted receives are a small fixed control
@@ -379,21 +371,18 @@ func (rp *ringProvisioner) provisionConn(c *conn) {
 	d.hca.InitMR(&c.ringMR, d.params.Prepost*d.params.SlotBytes, d.params.SlotBytes)
 }
 
-// adopt makes the peer's inbound ring this end's write target. Its
-// geometry is this end's own: configuration is uniform across the job.
-func (rp *ringProvisioner) adopt(c, remote *conn) { c.peerMR = &remote.ringMR }
-
-// postEager writes the packet into the next ring position. The VC saw a
-// free slot before admitting it, so Reserve cannot overrun the peer's
-// last announced head.
+// postEager writes the packet into the next ring position of the peer
+// end's inbound ring, whose geometry is this end's own: configuration
+// is uniform across the job. The VC saw a free slot before admitting
+// it, so Reserve cannot overrun the peer's last announced head.
 func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
 	d := rp.d
 	slot := c.vc.RingOut().Reserve()
 	stampRingHead(buf, c.vc.PiggybackHead())
 	d.track(c)
-	c.qp.PostWriteNotify(0, buf[:n], ib.RemoteKey{MR: c.peerMR, Offset: slot * d.params.SlotBytes}, uint64(slot))
+	c.qp.PostWriteNotify(0, buf[:n], ib.RemoteKey{MR: &c.peerEnd().ringMR, Offset: slot * d.params.SlotBytes}, uint32(slot))
 	c.lastSend = d.eng.Now()
-	d.tr(trace.SendEager, c.peer, int64(n))
+	d.tr(trace.SendEager, int(c.peer), int64(n))
 }
 
 // landed: a control packet arrives in a descriptor's buffer; an eager one
@@ -402,7 +391,7 @@ func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
 // determined by the ring tail; the immediate value must agree. The
 // window is the n bytes the write landed, not the whole slot, so it
 // stays inside what that write committed.
-func (rp *ringProvisioner) landed(c *conn, buf []byte, n int, imm uint64) []byte {
+func (rp *ringProvisioner) landed(c *conn, buf []byte, n int, imm uint32) []byte {
 	if buf != nil {
 		return buf
 	}
@@ -455,7 +444,7 @@ func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 	c.qp.PostRead(r.myReq, r.buf[:r.Len], ib.RemoteKey{MR: mr})
 	c.lastSend = d.eng.Now()
 	rp.readTotal += uint64(r.Len)
-	d.tr(trace.SendRDMARead, c.peer, int64(r.Len))
+	d.tr(trace.SendRDMARead, int(c.peer), int64(r.Len))
 	return nil
 }
 
@@ -472,7 +461,7 @@ func (rp *ringProvisioner) fin(c *conn, id uint64) {
 func (rp *ringProvisioner) stats(s Stats) Stats {
 	for _, c := range rp.d.live {
 		in, out := c.vc.RingIn().Stats(), c.vc.RingOut().Stats()
-		s.Add(Stats{RingSyncs: uint64(in.Syncs), RingOccupancyHWM: max(in.OccupancyHWM, out.OccupancyHWM)})
+		s.Add(Stats{RingSyncs: uint64(in.Syncs), RingOccupancyHWM: int(max(in.OccupancyHWM, out.OccupancyHWM))})
 	}
 	s.RndvReadBytes = rp.readTotal
 	s.SumPosted = s.Conns * ctrlPrepost

@@ -40,7 +40,7 @@ func TestSharedPoolEagerDelivery(t *testing.T) {
 	if st.SumPosted != rpool.Posted() {
 		t.Errorf("SumPosted = %d, want pool size %d", st.SumPosted, rpool.Posted())
 	}
-	if want := rpool.Stats().MaxPosted * bufSize; st.BufBytesHWM != want {
+	if want := rpool.Posted() * bufSize; st.BufBytesHWM != want {
 		t.Errorf("BufBytesHWM = %d, want %d", st.BufBytesHWM, want)
 	}
 	if ps := rpool.Stats(); ps.Taken != 4 || ps.Reposted != 4 {

@@ -22,9 +22,9 @@ func wiredWorld(n int, cfg Config, params core.Params) []*Device {
 }
 
 // checkEndsInPlace asserts that every end of the world is where
-// establishment pointed at it: its QP's owner, and (on the ring) its
-// peer's write target — pointers taken when its pair was established,
-// before the pairs after it.
+// establishment pointed at it: its QP's owner, and its peer end's other
+// end, whose ring that peer writes into — pointers taken when its pair
+// was established, before the pairs after it.
 func checkEndsInPlace(t *testing.T, devs []*Device) {
 	t.Helper()
 	for _, d := range devs {
@@ -32,8 +32,8 @@ func checkEndsInPlace(t *testing.T, devs []*Device) {
 			if c.qp.Owner() != c {
 				t.Fatalf("rank %d: the end toward %d (ep %d) is not its QP's owner: it moved", d.rank, c.peer, c.ep)
 			}
-			if remote := devs[c.peer].epAt(d.rank, c.ep); remote.peerMR != &c.ringMR {
-				t.Fatalf("rank %d: the end toward %d (ep %d) is not its peer's write target: it moved", d.rank, c.peer, c.ep)
+			if remote := devs[c.peer].epAt(d.rank, int(c.ep)); remote.peerEnd() != c {
+				t.Fatalf("rank %d: the end toward %d (ep %d) is not its peer's other end: it moved", d.rank, c.peer, c.ep)
 			}
 		}
 	}

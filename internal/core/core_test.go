@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/sim"
 )
@@ -16,6 +18,8 @@ func TestConstructorsValidate(t *testing.T) {
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
+	over := math.MaxInt32
+	over++ // a VC holds its counts in 32 bits (wraps negative where int is 32 bits)
 	cases := []Params{
 		{Kind: KindStatic, Prepost: 0},
 		{Kind: KindDynamic, Prepost: 10, Max: 5},
@@ -29,6 +33,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{Kind: KindStatic, Prepost: 4, SlotBytes: 1024},
 		{Kind: KindDynamic, Prepost: 1, Max: 10, SlotBytes: 1024},
 		{Kind: KindShared, Prepost: 4, Max: 16, SlotBytes: 1024},
+		{Kind: KindStatic, Prepost: over},
+		{Kind: KindDynamic, Prepost: 1, Max: over},
 	}
 	for i, p := range cases {
 		p := p
@@ -200,9 +206,6 @@ func TestDynamicGrowthLinear(t *testing.T) {
 	if g := vc.OnStarvedFeedback(0); g != 0 {
 		t.Fatalf("grow at cap = %d, want 0", g)
 	}
-	if vc.Stats().MaxPosted != 10 {
-		t.Errorf("MaxPosted = %d", vc.Stats().MaxPosted)
-	}
 }
 
 func TestCooldownPacesGrowth(t *testing.T) {
@@ -276,34 +279,34 @@ func TestRingVCDecisions(t *testing.T) {
 			ok := vc.DecideEager(true) == ActionSend
 			send()
 			return ok && vc.DecideEager(false) == ActionSend
-		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		}, Stats{EagerSent: 2}},
 		{"a blocking sender waits on a full ring and moves no counter", func() bool {
 			send()
 			return !vc.SendReady() && vc.DecideEager(true) == ActionWait && vc.BacklogLen() == 0
-		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		}, Stats{EagerSent: 2}},
 		{"an RTS in front of an empty backlog goes out, full ring or not", func() bool {
 			consumed, queue := vc.DecideRTS()
 			return !consumed && !queue
-		}, Stats{EagerSent: 2, MaxPosted: 2}},
+		}, Stats{EagerSent: 2}},
 		{"a non-blocking sender queues", func() bool {
 			return vc.DecideEager(false) == ActionBacklog && vc.BacklogLen() == 1
-		}, Stats{EagerSent: 2, Backlogged: 1, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 1}},
 		{"behind a backlog everything queues, blocking or not, RTS too", func() bool {
 			_, queue := vc.DecideRTS()
 			return vc.DecideEager(true) == ActionBacklog && queue && vc.BacklogLen() == 3
-		}, Stats{EagerSent: 2, Backlogged: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 3}},
 		{"no drain at Free() == 0, nor for a stale head", func() bool {
 			return !vc.CanDrainBacklog() && !vc.Returned(0, 0) && !vc.CanDrainBacklog()
-		}, Stats{EagerSent: 2, Backlogged: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 2, Backlogged: 3}},
 		{"a returned head reopens the drain", func() bool {
 			ok := vc.Returned(0, 1) && vc.CanDrainBacklog()
 			send()
 			return ok && !vc.CanDrainBacklog() && vc.BacklogLen() == 2
-		}, Stats{EagerSent: 3, Backlogged: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 3, Backlogged: 3}},
 		{"a queued RTS drains without a slot and is not an eager send", func() bool {
 			consumed, ok := vc.DrainRTS()
 			return !consumed && ok && vc.RingOut().Free() == 0 && vc.BacklogLen() == 1
-		}, Stats{EagerSent: 3, Backlogged: 3, MaxPosted: 2}},
+		}, Stats{EagerSent: 3, Backlogged: 3}},
 	}
 	for _, st := range steps {
 		if !st.do() {
@@ -445,4 +448,13 @@ func TestNewVCKeepsRingSlotCheck(t *testing.T) {
 		}
 	}()
 	NewVC(&Params{Kind: KindRDMA, SlotBytes: 1024})
+}
+
+// A VC is 192 B of every connection end: its credit and buffer counts
+// are 32 bits, Posted is its own high-water mark, and each ring's
+// counters are 32 bits. A field that grows it fails here by name.
+func TestVCSize(t *testing.T) {
+	if got := unsafe.Sizeof(VC{}); got != 192 {
+		t.Errorf("unsafe.Sizeof(VC{}) = %d, want 192", got)
+	}
 }

@@ -745,7 +745,8 @@ func (m *model) restore(b []byte) (s mstate) {
 	s.budget = next()
 	for i := range s.side {
 		sd := &s.side[i]
-		sd.vc = VC{params: &m.p, credits: num(), backlog: num(), posted: num(), owed: num(),
+		sd.vc = VC{params: &m.p, credits: int32(next()), backlog: int32(next()),
+			posted: int32(next()), owed: int32(next()),
 			lastGrowth: grew(0)}
 		for _, r := range [2]*Ring{&sd.vc.ring.out, &sd.vc.ring.in} {
 			*r = Ring{next: int32(next()), tail: uint32(next()), head: uint32(next()),

@@ -14,7 +14,6 @@ type PoolStats struct {
 	Reposted     uint64 // descriptors returned to the pool after processing
 	LimitEvents  uint64 // SRQ low-watermark events handled
 	GrowthEvents uint64 // pool-size increases
-	MaxPosted    int    // high-water mark of the pool size (Table-2 analogue)
 }
 
 // Pool is the receiver-side accounting for the shared scheme: the
@@ -43,14 +42,13 @@ func NewPool(p *Params) *Pool {
 	if !p.SharedPool() {
 		panic(fmt.Sprintf("core: NewPool on %v scheme", p.Kind))
 	}
-	pl := &Pool{params: p, posted: p.Prepost, lastGrowth: -1}
-	pl.stats.MaxPosted = pl.posted
-	return pl
+	return &Pool{params: p, posted: p.Prepost, lastGrowth: -1}
 }
 
 // Posted returns the current pool-size target: how many descriptors the
 // device should have provisioned in the SRQ, counting those in flight
-// through packet processing.
+// through packet processing. The pool never shrinks, so it is also its
+// high-water mark (the Table-2 analogue).
 func (pl *Pool) Posted() int { return pl.posted }
 
 // InUse returns descriptors consumed by arrivals and not yet reposted.
@@ -104,9 +102,6 @@ func (pl *Pool) OnLimitEvent(now sim.Time) int {
 	grow := min(p.step(), p.Max-pl.posted)
 	pl.posted += grow
 	pl.stats.GrowthEvents++
-	if pl.posted > pl.stats.MaxPosted {
-		pl.stats.MaxPosted = pl.posted
-	}
 	return grow
 }
 

@@ -51,17 +51,21 @@ type Ring struct {
 	stats RingStats
 }
 
-// RingStats counts ring activity for one direction.
+// RingStats counts ring activity for one direction, in 32 bits like the
+// ring's own counters: a connection end holds two, and the storm
+// benchmark a hundred thousand ends.
 type RingStats struct {
 	// OccupancyHWM is the high-water mark of in-flight slots
-	// (tail - head on the inbound view, tail - headSeen outbound).
-	OccupancyHWM int
+	// (tail - head on the inbound view, tail - headSeen outbound); it
+	// never exceeds slots.
+	OccupancyHWM int32
 	// Syncs counts explicit credit-sync messages sent because the
-	// reverse path was idle.
-	Syncs int
+	// reverse path was idle. Only the inbound view sends heads, so the
+	// outbound view's two counters stay zero.
+	Syncs uint32
 	// HeadsPiggybacked counts head updates that rode on reverse
 	// traffic for free.
-	HeadsPiggybacked int
+	HeadsPiggybacked uint32
 }
 
 // NewRing returns the bookkeeping for one ring direction of slots slots.
@@ -91,7 +95,7 @@ func (r *Ring) Reserve() int {
 			r.Free(), r.tail, r.headSeen))
 	}
 	slot := r.produce()
-	if occ := int(r.tail - r.headSeen); occ > r.stats.OccupancyHWM {
+	if occ := int32(r.tail - r.headSeen); occ > r.stats.OccupancyHWM {
 		r.stats.OccupancyHWM = occ
 	}
 	r.debugCheck()
@@ -137,7 +141,7 @@ func (r *Ring) Arrived() int {
 		panic(fmt.Sprintf("core: ring overrun: %d arrivals outstanding on %d slots",
 			r.tail-r.head, r.slots))
 	}
-	if occ := int(r.tail - r.head); occ > r.stats.OccupancyHWM {
+	if occ := int32(r.tail - r.head); occ > r.stats.OccupancyHWM {
 		r.stats.OccupancyHWM = occ
 	}
 	r.debugCheck()

@@ -38,6 +38,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ibflow/internal/sim"
 )
@@ -175,6 +176,10 @@ func (p *Params) step() int {
 func (p Params) Validate() error {
 	if p.Prepost < 1 {
 		return fmt.Errorf("core: prepost %d < 1", p.Prepost)
+	}
+	if p.Prepost > math.MaxInt32 || p.Max > math.MaxInt32 {
+		// A VC holds its credits, pre-post and owed count in 32 bits.
+		return fmt.Errorf("core: prepost %d or max %d beyond 2^31-1", p.Prepost, p.Max)
 	}
 	switch p.Kind {
 	case KindHardware, KindStatic, KindDynamic, KindShared, KindRDMA:

@@ -51,7 +51,6 @@ type Stats struct {
 	CreditsPiggy uint64 // credits returned by piggybacking
 	CreditsByECM uint64 // credits returned by explicit messages
 	GrowthEvents uint64 // dynamic-scheme increases
-	MaxPosted    int    // high-water mark of the pre-post count (Table 2)
 
 	// Graceful-degradation counters (fault handling; see internal/fault).
 	Reissues       uint64 // sends re-issued after RNR budget exhaustion
@@ -69,12 +68,13 @@ type VC struct {
 	params *Params
 
 	// Sender side: credits for messages we send to the peer.
-	credits int
-	backlog int // messages the device is holding for us
+	credits int32
+	backlog int32 // messages the device is holding for us
 
-	// Receiver side: buffers for messages the peer sends us.
-	posted     int // current pre-post target
-	owed       int // processed-buffer credits not yet returned
+	// Receiver side: buffers for messages the peer sends us. posted only
+	// ever grows, so it is its own high-water mark (Table 2).
+	posted     int32 // current pre-post target
+	owed       int32 // processed-buffer credits not yet returned
 	lastGrowth sim.Time
 
 	// ring is both directions of the ring channel's bookkeeping, held by
@@ -98,13 +98,12 @@ func (vc *VC) onRing() bool { return vc.ring.out.slots != 0 }
 // storage the caller owns (the channel device keeps one record per end
 // and embeds its VC). Params must have been validated.
 func (vc *VC) Init(p *Params) {
-	*vc = VC{params: p, posted: p.Prepost}
+	*vc = VC{params: p, posted: int32(p.Prepost)}
 	if p.UserLevel() {
 		// Initial credits equal the peer's initial pre-post count;
 		// configuration is uniform across the job, as in the paper.
-		vc.credits = p.Prepost
+		vc.credits = vc.posted
 	}
-	vc.stats.MaxPosted = vc.posted
 	if p.RingChannel() {
 		// Prepost doubles as the slot count, uniform across the job like
 		// the initial credits above.
@@ -129,13 +128,14 @@ func (vc *VC) RingOut() *Ring { return &vc.ring.out }
 func (vc *VC) RingIn() *Ring { return &vc.ring.in }
 
 // Credits returns the sender-side credit count (0 for hardware scheme).
-func (vc *VC) Credits() int { return vc.credits }
+func (vc *VC) Credits() int { return int(vc.credits) }
 
 // Owed returns the receiver-side credits waiting to be returned.
-func (vc *VC) Owed() int { return vc.owed }
+func (vc *VC) Owed() int { return int(vc.owed) }
 
-// Posted returns the receiver-side pre-post target for this channel.
-func (vc *VC) Posted() int { return vc.posted }
+// Posted returns the receiver-side pre-post target for this channel. It
+// never shrinks, so it is also the channel's high-water mark (Table 2).
+func (vc *VC) Posted() int { return int(vc.posted) }
 
 // Stats returns a copy of the channel's counters.
 func (vc *VC) Stats() Stats { return vc.stats }
@@ -283,14 +283,14 @@ func (vc *VC) DrainRTS() (consumed, ok bool) {
 }
 
 // BacklogLen returns how many messages the device is holding.
-func (vc *VC) BacklogLen() int { return vc.backlog }
+func (vc *VC) BacklogLen() int { return int(vc.backlog) }
 
 // AddCredits adds credits returned by the peer (piggybacked or explicit).
 func (vc *VC) AddCredits(n int) {
 	if n < 0 {
 		panic("core: negative credit return")
 	}
-	vc.credits += n
+	vc.credits += int32(n)
 	vc.debugCheck()
 }
 
@@ -330,15 +330,15 @@ func (vc *VC) TakePiggyback() int {
 	if n > 0 {
 		vc.stats.CreditsPiggy += uint64(n)
 	}
-	return n
+	return int(n)
 }
 
 // effECMThreshold caps ecmThreshold at the pre-post count so small
 // pre-posts can still return credits.
 func (vc *VC) effECMThreshold() int {
 	t := ecmThreshold
-	if t > vc.posted {
-		t = vc.posted
+	if t > vc.Posted() {
+		t = vc.Posted()
 	}
 	if t < 1 {
 		t = 1
@@ -354,7 +354,7 @@ func (vc *VC) NeedECM() bool {
 	if vc.onRing() {
 		return vc.ring.in.NeedSync()
 	}
-	return vc.params.UserLevel() && vc.owed >= vc.effECMThreshold()
+	return vc.params.UserLevel() && vc.Owed() >= vc.effECMThreshold()
 }
 
 // Unreturned is how much the peer has not been told it may reuse: owed
@@ -363,7 +363,7 @@ func (vc *VC) Unreturned() int {
 	if vc.onRing() {
 		return vc.ring.in.Unsynced()
 	}
-	return vc.owed
+	return vc.Owed()
 }
 
 // PiggybackHead returns the ring head every outgoing packet carries back
@@ -382,7 +382,7 @@ func (vc *VC) TakeECM() int {
 	vc.owed = 0
 	vc.stats.ECMsSent++
 	vc.stats.CreditsByECM += uint64(n)
-	return n
+	return int(n)
 }
 
 // --- Dynamic growth -------------------------------------------------------
@@ -403,16 +403,13 @@ func (vc *VC) OnStarvedFeedback(now sim.Time) int {
 		return 0
 	}
 	vc.lastGrowth = now
-	grow := min(vc.params.step(), vc.params.Max-vc.posted)
+	grow := min(vc.params.step(), vc.params.Max-vc.Posted())
 	if grow <= 0 {
 		return 0
 	}
-	vc.posted += grow
-	vc.owed += grow
+	vc.posted += int32(grow)
+	vc.owed += int32(grow)
 	vc.stats.GrowthEvents++
-	if vc.posted > vc.stats.MaxPosted {
-		vc.stats.MaxPosted = vc.posted
-	}
 	return grow
 }
 
@@ -423,7 +420,7 @@ func (vc *VC) debugCheck() {
 	if debug.Enabled {
 		vc.CheckInvariants()
 		if vc.params.Kind != KindDynamic {
-			debug.Assert(vc.posted == vc.params.Prepost,
+			debug.Assert(vc.Posted() == vc.params.Prepost,
 				"posted %d drifted from fixed pre-post %d", vc.posted, vc.params.Prepost)
 		}
 	}
@@ -449,7 +446,7 @@ func (vc *VC) CheckInvariants() {
 		// and every buffer is posted: more owed than posted mints credit.
 		panic(fmt.Sprintf("core: owed %d beyond posted %d", vc.owed, vc.posted))
 	}
-	if vc.params.Kind == KindDynamic && vc.posted > vc.params.Max {
+	if vc.params.Kind == KindDynamic && vc.Posted() > vc.params.Max {
 		panic(fmt.Sprintf("core: posted %d beyond max %d", vc.posted, vc.params.Max))
 	}
 	if vc.onRing() {

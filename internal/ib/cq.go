@@ -6,7 +6,7 @@ import (
 )
 
 // Opcode identifies the kind of completed work.
-type Opcode int
+type Opcode int32
 
 const (
 	// OpSendComplete retires a send WQE at the sender.
@@ -40,7 +40,7 @@ func (o Opcode) String() string {
 }
 
 // Status is the completion status of a work request.
-type Status int
+type Status int32
 
 const (
 	// StatusSuccess is a successful completion.
@@ -57,15 +57,19 @@ func (s Status) String() string {
 	return "RNR_RETRY_EXCEEDED"
 }
 
-// WC is a work completion (a completion queue entry).
+// WC is a work completion (a completion queue entry). Its byte count
+// and immediate value are 32 bits wide, as verbs' byte_len and imm_data
+// are: a post refuses a payload that does not fit Len, and a region is
+// shorter than 2^31 bytes (HCA.InitMR). Seven words: a CQ ring holds one
+// per pending completion.
 type WC struct {
 	QP     *QP // queue pair the work belonged to
 	Opcode Opcode
 	Status Status
 	WRID   uint64 // caller's work-request id
-	Len    int    // payload bytes (receives and RDMA)
+	Len    int32  // payload bytes (receives and RDMA)
+	Imm    uint32 // immediate value for OpRecvImm
 	Buf    []byte // receives: where the message landed (posted, or committed at landing); successful sends and writes: the posted payload; reads and error completions: nil
-	Imm    uint64 // immediate value for OpRecvImm
 }
 
 // CQ is a completion queue. Multiple queue pairs may share one CQ; the
@@ -122,7 +126,7 @@ func (cq *CQ) Arm() {
 // Armed reports whether a notification is pending.
 func (cq *CQ) Armed() bool { return cq.armed }
 
-// Poll removes and returns the oldest completion, if any. A WC is nine
+// Poll removes and returns the oldest completion, if any. A WC is seven
 // words, so it is copied out of the ring once, straight into the result
 // (At, then Drop), not through Pop's.
 func (cq *CQ) Poll() (wc WC, ok bool) {

@@ -142,9 +142,10 @@ func TestCQArmWithoutNotifyPanics(t *testing.T) {
 	cq.Arm()
 }
 
-// A completion is nine words, copied by value into and out of its CQ.
+// A completion is seven words, copied by value into and out of its CQ:
+// its length and immediate value are 32 bits, as verbs' are.
 func TestWCSize(t *testing.T) {
-	if got := unsafe.Sizeof(WC{}); got != 72 {
-		t.Errorf("unsafe.Sizeof(WC{}) = %d, want 72", got)
+	if got := unsafe.Sizeof(WC{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(WC{}) = %d, want 56", got)
 	}
 }

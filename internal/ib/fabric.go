@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"math"
 
 	"ibflow/internal/sim"
 	"ibflow/internal/store"
@@ -91,7 +92,7 @@ type HCA struct {
 	node     int
 	egress   []link // by rail
 	ingress  []link // by rail
-	nQP      int    // queue pairs created so far: the next one's number
+	nQP      int32  // queue pairs created so far: the next one's number
 	srqs     []*SRQ
 	mrs      []*MR               // region id-1 -> region, nil once deregistered: ids are dense from 1, never reused
 	mrPool   store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
@@ -123,12 +124,8 @@ func (h *HCA) InitQP(qp *QP, sendCQ, recvCQ *CQ, srq *SRQ) {
 	if srq != nil && srq.hca != h {
 		panic("ib: SRQ and QP on different HCAs")
 	}
-	*qp = QP{hca: h, num: h.nQP, sendCQ: sendCQ, recvCQ: recvCQ}
+	*qp = QP{hca: h, num: h.nQP, sendCQ: sendCQ, recvCQ: recvCQ, srq: srq}
 	h.nQP++
-	qp.recv = &qp.rq
-	if srq != nil {
-		qp.recv = srq
-	}
 	qp.queue.Seed(qp.queue0[:])
 }
 
@@ -179,9 +176,9 @@ func Connect(a, b *QP) {
 // windows opened on it have reached (see Window).
 type MR struct {
 	hca     *HCA
-	id      int
-	n       int
-	granule int      // commit unit; == n for a region committed whole
+	id      int32
+	n       int32
+	granule int32    // commit unit; == n for a region committed whole
 	buf     []byte   // the committed extent of a whole-commit region (nil until committed)
 	grans   [][]byte // committed extents of a multi-granule region's granules; the table is carved from the adapter's table slab at the first commit
 }
@@ -199,13 +196,14 @@ func (h *HCA) RegisterMemory(buf []byte) *MR {
 // storage the caller owns, without backing it: what nothing touches costs
 // no host memory. granule is the unit in which it commits (see
 // MR.Window): n for a region that is all-or-nothing, the slot size for a
-// ring whose slots fill one at a time.
+// ring whose slots fill one at a time. A region is shorter than 2^31
+// bytes, as a verbs completion's byte count is 32 bits (WC.Len).
 func (h *HCA) InitMR(mr *MR, n, granule int) {
-	if n < 0 || granule < 0 || granule > n || n > 0 && granule == 0 {
+	if n < 0 || n > math.MaxInt32 || granule < 0 || granule > n || n > 0 && granule == 0 {
 		panic(fmt.Sprintf("ib: reserving %d bytes in granules of %d", n, granule))
 	}
 	h.mrs = append(h.mrs, mr)
-	*mr = MR{hca: h, id: len(h.mrs), n: n, granule: granule}
+	*mr = MR{hca: h, id: int32(len(h.mrs)), n: int32(n), granule: int32(granule)}
 	h.tableDue += mr.tableLen()
 }
 
@@ -252,10 +250,10 @@ func (h *HCA) LookupMR(id int) *MR {
 }
 
 // ID returns the region's identifier (the simulated rkey).
-func (m *MR) ID() int { return m.id }
+func (m *MR) ID() int { return int(m.id) }
 
 // Len returns the region's length in bytes.
-func (m *MR) Len() int { return m.n }
+func (m *MR) Len() int { return int(m.n) }
 
 // tableLen is the length of the region's granule table: its granule
 // count if it commits in more than one granule, else 0 — a region
@@ -264,7 +262,8 @@ func (m *MR) tableLen() int {
 	if m.granule == m.n {
 		return 0
 	}
-	return (m.n + m.granule - 1) / m.granule
+	n, g := int(m.n), int(m.granule) // their int32 sum may overflow
+	return (n + g - 1) / g
 }
 
 // Committed reports how many of the region's bytes have host memory
@@ -299,19 +298,20 @@ const poison = 0xA5
 // of them reads visible damage instead of a stale, clean copy. A
 // registered region is committed whole and never re-commits.
 func (m *MR) Window(off, n int) []byte {
-	if off < 0 || n < 0 || off+n > m.n {
-		panic(fmt.Sprintf("ib: window [%d,%d) beyond %d-byte region", off, off+n, m.n))
+	size, gran := int(m.n), int(m.granule)
+	if off < 0 || n < 0 || off+n > size {
+		panic(fmt.Sprintf("ib: window [%d,%d) beyond %d-byte region", off, off+n, size))
 	}
 	if n == 0 {
 		return nil
 	}
-	i := off / m.granule
-	base := i * m.granule
-	if off+n > base+m.granule {
-		panic(fmt.Sprintf("ib: window [%d,%d) straddles a %d-byte commit granule", off, off+n, m.granule))
+	i := off / gran
+	base := i * gran
+	if off+n > base+gran {
+		panic(fmt.Sprintf("ib: window [%d,%d) straddles a %d-byte commit granule", off, off+n, gran))
 	}
 	g := &m.buf
-	if m.granule < m.n {
+	if gran < size {
 		if m.grans == nil {
 			m.grans = m.hca.carveTable(m.tableLen())
 		}
@@ -319,7 +319,7 @@ func (m *MR) Window(off, n int) []byte {
 	}
 	if end := off - base + n; end > len(*g) {
 		old := *g
-		*g = m.hca.commit(min((end+extentAlign-1)/extentAlign*extentAlign, m.granule, m.n-base))
+		*g = m.hca.commit(min((end+extentAlign-1)/extentAlign*extentAlign, gran, size-base))
 		copy(*g, old)
 		for j := range old {
 			old[j] = poison

@@ -32,17 +32,18 @@ func FuzzRecvQueue(f *testing.F) {
 			name     string
 			postRecv func(uint64, []byte)
 			postFrom func(uint64, RecvSource)
-			prov     recvProvisioner
+			take     func() (recvWQE, bool)
+			posted   func() int
 			q        *recvQueue
 			ref      []recvWQE
 		}
 		sides := [2]*side{
-			{name: "QP", postRecv: qp.PostRecv, postFrom: qp.PostRecvFrom, prov: qp.recv, q: &qp.rq},
-			{name: "SRQ", postRecv: srq.PostRecv, postFrom: srq.PostRecvFrom, prov: srq, q: &srq.q},
+			{name: "QP", postRecv: qp.PostRecv, postFrom: qp.PostRecvFrom, take: qp.takeRecv, posted: qp.PostedRecvs, q: &qp.rq},
+			{name: "SRQ", postRecv: srq.PostRecv, postFrom: srq.PostRecvFrom, take: srq.take, posted: srq.posted, q: &srq.q},
 		}
 		var posted, taken uint64 // the SRQ's, as the reference counts them
 		take := func(i int, s *side) {
-			got, ok := s.prov.take()
+			got, ok := s.take()
 			if !ok {
 				t.Fatalf("op %d: %s take found nothing with %d posted", i, s.name, len(s.ref))
 			}
@@ -58,7 +59,7 @@ func FuzzRecvQueue(f *testing.F) {
 			}
 		}
 		check := func(i int, s *side) {
-			if got := s.prov.posted(); got != len(s.ref) {
+			if got := s.posted(); got != len(s.ref) {
 				t.Fatalf("op %d: %s posted() = %d, the reference holds %d", i, s.name, got, len(s.ref))
 			}
 			runs := 0
@@ -77,7 +78,7 @@ func FuzzRecvQueue(f *testing.F) {
 			if kind := op >> 1 & 3; kind == 3 {
 				if len(s.ref) > 0 {
 					take(i, s)
-				} else if _, ok := s.prov.take(); ok {
+				} else if _, ok := s.take(); ok {
 					t.Fatalf("op %d: %s take on an empty queue succeeded", i, s.name)
 				}
 			} else {

@@ -40,7 +40,7 @@ func TestSendDeliversPayloadInOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing recv completion %d", i)
 		}
-		if wc.Opcode != OpRecvComplete || wc.WRID != uint64(100+i) || wc.Len != len(msgs[i]) {
+		if wc.Opcode != OpRecvComplete || wc.WRID != uint64(100+i) || int(wc.Len) != len(msgs[i]) {
 			t.Errorf("recv wc %d = %+v", i, wc)
 		}
 		if !bytes.Equal(bufs[i][:wc.Len], msgs[i]) {
@@ -323,14 +323,14 @@ func TestWriteNotifyNeedsNoReceiveDescriptor(t *testing.T) {
 	region := make([]byte, 16*n)
 	mr := qp1.HCA().RegisterMemory(region)
 	for i := 0; i < n; i++ {
-		qp0.PostWriteNotify(uint64(i), []byte{byte(i)}, RemoteKey{MR: mr, Offset: i * 16}, uint64(i))
+		qp0.PostWriteNotify(uint64(i), []byte{byte(i)}, RemoteKey{MR: mr, Offset: i * 16}, uint32(i))
 	}
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		wc, ok := cq1.Poll()
-		if !ok || wc.Opcode != OpRecvImm || wc.Imm != uint64(i) {
+		if !ok || wc.Opcode != OpRecvImm || wc.Imm != uint32(i) {
 			t.Fatalf("notify %d = %+v ok=%v", i, wc, ok)
 		}
 		if region[i*16] != byte(i) {

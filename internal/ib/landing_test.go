@@ -3,6 +3,7 @@ package ib
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -109,7 +110,7 @@ func TestCommitOncePerAcceptedMessage(t *testing.T) {
 	}
 	for i, m := range msgs {
 		wc, ok := cq1.Poll()
-		if !ok || wc.WRID != uint64(i) || wc.Len != len(m) {
+		if !ok || wc.WRID != uint64(i) || int(wc.Len) != len(m) {
 			t.Fatalf("recv wc %d = %+v ok=%v", i, wc, ok)
 		}
 		if &wc.Buf[0] != &src.bufs[i][0] || !bytes.Equal(wc.Buf[:wc.Len], []byte(m)) {
@@ -296,6 +297,36 @@ func TestSRQCommitsAtLanding(t *testing.T) {
 			t.Errorf("wc %d = wrid %d ok=%v, want commit %d", i, wc.WRID, ok, i)
 		}
 	}
+}
+
+// A region, and a send, is shorter than 2^31 bytes, because a completion
+// reports its length in 32 bits: the largest region reserves without
+// committing a byte, and one byte more is refused where it enters —
+// ReserveMemory, InitMR, PostSend — not truncated in a completion later.
+func TestRegionsFitACompletionsLength(t *testing.T) {
+	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
+	over := math.MaxInt32
+	over++ // 2^31 where int is 64 bits; negative, and refused as well, where it is 32
+	mr := h.ReserveMemory(math.MaxInt32, 1<<20)
+	if mr.Len() != math.MaxInt32 || mr.Committed() != 0 {
+		t.Fatalf("largest reservation: len %d, committed %d; want %d, 0", mr.Len(), mr.Committed(), math.MaxInt32)
+	}
+	if w := mr.Window(2047<<20, 8); len(w) != 8 || mr.Committed() != extentAlign {
+		t.Errorf("a window on the largest region's last granule committed %d bytes, want %d", mr.Committed(), extentAlign)
+	}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("ReserveMemory of 2^31 bytes", func() { h.ReserveMemory(over, 1<<20) })
+	mustPanic("InitMR of 2^31 bytes", func() { h.InitMR(new(MR), over, over) })
+	mustPanic("a 2^31-byte send", func() { checkPayload(over) })
+	checkPayload(math.MaxInt32)
 }
 
 // A reserved region has its id, length and bounds from the start and no

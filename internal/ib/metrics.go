@@ -22,7 +22,7 @@ func (qp *QP) registerMetrics() {
 	ls := []metrics.Label{
 		{Key: "node", Value: strconv.Itoa(qp.hca.node)},
 		{Key: "peer", Value: strconv.Itoa(qp.peer.hca.node)},
-		{Key: "qp", Value: strconv.Itoa(qp.num)},
+		{Key: "qp", Value: strconv.Itoa(int(qp.num))},
 	}
 	r.CounterFunc("ib_msgs_sent", func() uint64 { return qp.stats.MsgsSent }, ls...)
 	r.CounterFunc("ib_msgs_delivered", func() uint64 { return qp.stats.Delivered }, ls...)

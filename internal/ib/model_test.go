@@ -92,7 +92,7 @@ type mwqe struct {
 	payload []byte // the bytes sent or written; for a read, the source's bytes
 	dst     []byte // a read's destination
 	target  []byte // a write's window of the remote region
-	imm     uint64
+	imm     uint32
 }
 
 func (w *mwqe) wireLen() int {
@@ -341,7 +341,7 @@ func (m *qpModel) post(q *mqp, op byte, arg byte) {
 			w.kind = opWrite
 			q.qp.PostWrite(w.wrid, w.payload, key)
 		} else {
-			w.kind, w.imm = opWriteImm, uint64(arg)<<8|uint64(seq)
+			w.kind, w.imm = opWriteImm, uint32(arg)<<8|uint32(seq)
 			q.qp.PostWriteNotify(w.wrid, w.payload, key, w.imm)
 		}
 	case stepRead:
@@ -592,7 +592,7 @@ func (m *qpModel) checkLanding(q *mqp, k int) {
 	wc := p.recvWCs[0]
 	p.recvWCs = p.recvWCs[1:]
 	if w.kind == opWriteImm {
-		if wc.Opcode != OpRecvImm || wc.Imm != w.imm || wc.Len != len(w.payload) {
+		if wc.Opcode != OpRecvImm || wc.Imm != w.imm || int(wc.Len) != len(w.payload) {
 			m.fail(1, "%s: write-notify %d completed as %+v, want imm %d", q.name, k, wc, w.imm)
 		}
 		return
@@ -607,7 +607,7 @@ func (m *qpModel) checkLanding(q *mqp, k int) {
 	switch {
 	case wc.WRID != d.wrid:
 		m.fail(1, "%s: send %d took descriptor wrid %d, %s's head is %d", q.name, k, wc.WRID, r.name, d.wrid)
-	case wc.Len != len(w.payload) || len(wc.Buf) < wc.Len || !bytes.Equal(wc.Buf[:wc.Len], w.payload):
+	case int(wc.Len) != len(w.payload) || len(wc.Buf) < int(wc.Len) || !bytes.Equal(wc.Buf[:wc.Len], w.payload):
 		m.fail(1, "%s: send %d landed as %x, want %x", q.name, k, wc.Buf, w.payload)
 	case d.buf != nil && unsafe.SliceData(wc.Buf) != unsafe.SliceData(d.buf):
 		m.fail(1, "%s: send %d landed outside its posted buffer", q.name, k)
@@ -651,7 +651,7 @@ func (m *qpModel) checkSendWC(q *mqp, wc WC) {
 		want = OpReadComplete
 	}
 	switch {
-	case wc.WRID != w.wrid || wc.Opcode != want || wc.Status != StatusSuccess || wc.Len != w.wireLen():
+	case wc.WRID != w.wrid || wc.Opcode != want || wc.Status != StatusSuccess || int(wc.Len) != w.wireLen():
 		m.fail(2, "%s: completion %+v, want %v wrid %d len %d", q.name, wc, want, w.wrid, w.wireLen())
 	case k >= q.landed:
 		m.fail(2, "%s: work request %d completed before it landed", q.name, k)

@@ -2,6 +2,7 @@ package ib
 
 import (
 	"fmt"
+	"math"
 
 	"ibflow/internal/debug"
 	"ibflow/internal/sim"
@@ -39,9 +40,9 @@ type sendWQE struct {
 	payload  []byte    // send / RDMA write source
 	remote   RemoteKey // RDMA target (write) or source (read)
 	readDst  []byte    // RDMA read destination
-	imm      uint64    // notify value for opWriteImm
 	seq      uint64
 	attempts int       // RNR retry attempts
+	imm      uint32    // notify value for opWriteImm
 	sent     bool      // has been transmitted at least once
 	acked    bool      // delivery acknowledged, awaiting in-order retirement
 	failing  bool      // ran out of RNR retries; its error CQE posts when it heads the queue
@@ -120,6 +121,14 @@ type ackEvent QP
 
 func (ae *ackEvent) OnEvent(seq uint64) { (*QP)(ae).retireSeq(seq) }
 
+// checkPayload refuses a send payload of n bytes that a completion's
+// 32-bit length cannot report.
+func checkPayload(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("ib: a %d-byte send does not fit a completion's 32-bit length", n))
+	}
+}
+
 func (w *sendWQE) wireLen() int {
 	switch w.kind {
 	case opSend, opWrite, opWriteImm:
@@ -146,7 +155,6 @@ type QPStats struct {
 // the paper's hardware-based flow control scheme expensive under pressure.
 type QP struct {
 	hca    *HCA
-	num    int
 	peer   *QP
 	sendCQ *CQ
 	recvCQ *CQ
@@ -156,19 +164,20 @@ type QP struct {
 	// retires, go-back-N rewinds next, an ack marks its entry in place.
 	queue    store.Fifo[*sendWQE] // [0,next) in flight; [next,Len) waiting
 	queue0   [4]*sendWQE          // the first ring
-	next     int
-	baseSeq  uint64 // seq of the queue's head
-	sendSeq  uint64 // next seq to assign
-	stalled  bool   // waiting out an RNR timer
-	failed   bool   // frozen after RNR budget exhaustion (see ResumeStalled)
-	refused  bool   // receiver: expected was RNR-NAKed since the last acceptance
-	rail     int32  // the connection's rail, fixed at Connect
+	baseSeq  uint64               // seq of the queue's head
+	sendSeq  uint64               // next seq to assign
+	num      int32                // the QP's number on its HCA
+	next     int32                // in-flight cursor, at most sendWindow
+	rail     int32                // the connection's rail, fixed at Connect
+	stalled  bool                 // waiting out an RNR timer
+	failed   bool                 // frozen after RNR budget exhaustion (see ResumeStalled)
+	refused  bool                 // receiver: expected was RNR-NAKed since the last acceptance
 	rnrTimer *sim.Timer
 
-	// receiver state. recv owns the posted receive descriptors: the
-	// private queue rq for a classic RC connection, or a shared SRQ
-	// serving many QPs (see recvProvisioner).
-	recv     recvProvisioner
+	// receiver state. The posted receive descriptors are the shared
+	// receive queue srq's, serving many QPs, or — srq nil — the private
+	// queue rq's, for a classic RC connection (see takeRecv).
+	srq      *SRQ
 	rq       recvQueue
 	expected uint64 // next acceptable incoming seq
 
@@ -195,14 +204,29 @@ func (qp *QP) Stats() QPStats { return qp.stats }
 // PostedRecvs reports how many receive descriptors are currently
 // available to arrivals on this QP. For an SRQ-attached QP this is the
 // shared pool's free count, which every attached QP reports alike.
-func (qp *QP) PostedRecvs() int { return qp.recv.posted() }
+func (qp *QP) PostedRecvs() int {
+	if qp.srq != nil {
+		return qp.srq.posted()
+	}
+	return qp.rq.posted()
+}
+
+// takeRecv consumes the next receive descriptor in FIFO order, from
+// whatever provisions this QP: its private queue, or the shared pool.
+// The delivery path asks only this and PostedRecvs, so a send arriving
+// when nothing is posted triggers the RNR NAK path identically for
+// both: "pool empty" and "queue empty" produce the same
+// receiver-not-ready semantics by construction.
+func (qp *QP) takeRecv() (recvWQE, bool) {
+	if qp.srq != nil {
+		return qp.srq.take()
+	}
+	return qp.rq.take()
+}
 
 // SRQ returns the shared receive queue this QP consumes from, or nil for
 // a QP with a private receive queue.
-func (qp *QP) SRQ() *SRQ {
-	s, _ := qp.recv.(*SRQ)
-	return s
-}
+func (qp *QP) SRQ() *SRQ { return qp.srq }
 
 // QueuedSends reports send WQEs not yet retired (in flight or waiting).
 func (qp *QP) QueuedSends() int { return qp.queue.Len() }
@@ -224,14 +248,17 @@ func (qp *QP) PostRecvFrom(wrid uint64, src RecvSource) {
 }
 
 func (qp *QP) postRecv(w recvWQE) {
-	if qp.recv != &qp.rq {
+	if qp.srq != nil {
 		panic("ib: PostRecv on an SRQ-attached QP; post to the SRQ instead")
 	}
 	qp.rq.post(w)
 }
 
-// PostSend posts a channel-semantics send of payload.
+// PostSend posts a channel-semantics send of payload, which must be
+// shorter than 2^31 bytes: its completions report the length in 32 bits
+// (WC.Len). An RDMA payload is bounded by its region, which is.
 func (qp *QP) PostSend(wrid uint64, payload []byte) {
+	checkPayload(len(payload))
 	w := qp.hca.wqes.Get()
 	w.kind, w.wrid, w.payload = opSend, wrid, payload
 	qp.post(w)
@@ -240,7 +267,7 @@ func (qp *QP) PostSend(wrid uint64, payload []byte) {
 // PostWrite posts an RDMA write of payload into remote memory. It consumes
 // no receive descriptor and completes invisibly to the remote software.
 func (qp *QP) PostWrite(wrid uint64, payload []byte, remote RemoteKey) {
-	if remote.Offset+len(payload) > remote.MR.n {
+	if remote.Offset+len(payload) > remote.MR.Len() {
 		panic("ib: RDMA write beyond registered region")
 	}
 	w := qp.hca.wqes.Get()
@@ -252,8 +279,8 @@ func (qp *QP) PostWrite(wrid uint64, payload []byte, remote RemoteKey) {
 // with an immediate value on the remote receive CQ without consuming a
 // receive descriptor. It models the memory-polling arrival detection of
 // RDMA-based eager channels.
-func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm uint64) {
-	if remote.Offset+len(payload) > remote.MR.n {
+func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm uint32) {
+	if remote.Offset+len(payload) > remote.MR.Len() {
 		panic("ib: RDMA write beyond registered region")
 	}
 	w := qp.hca.wqes.Get()
@@ -263,7 +290,7 @@ func (qp *QP) PostWriteNotify(wrid uint64, payload []byte, remote RemoteKey, imm
 
 // PostRead posts an RDMA read of len(dst) bytes from remote memory into dst.
 func (qp *QP) PostRead(wrid uint64, dst []byte, remote RemoteKey) {
-	if remote.Offset+len(dst) > remote.MR.n {
+	if remote.Offset+len(dst) > remote.MR.Len() {
 		panic("ib: RDMA read beyond registered region")
 	}
 	w := qp.hca.wqes.Get()
@@ -292,7 +319,7 @@ func (qp *QP) debugCheckQueue() {
 		return
 	}
 	n := qp.queue.Len()
-	debug.Assert(qp.next >= 0 && qp.next <= n,
+	debug.Assert(qp.next >= 0 && int(qp.next) <= n,
 		"ib: QP %d in-flight cursor %d outside send queue of %d", qp.num, qp.next, n)
 	debug.Assert(qp.sendSeq == qp.baseSeq+uint64(n),
 		"ib: QP %d sendSeq %d != baseSeq %d + %d queued", qp.num, qp.sendSeq, qp.baseSeq, n)
@@ -306,8 +333,8 @@ func (qp *QP) debugCheckQueue() {
 
 // pump transmits queued WQEs up to the in-flight window.
 func (qp *QP) pump() {
-	for !qp.stalled && !qp.failed && qp.next < qp.queue.Len() && qp.next < sendWindow {
-		qp.transmit(*qp.queue.At(qp.next))
+	for !qp.stalled && !qp.failed && int(qp.next) < qp.queue.Len() && qp.next < sendWindow {
+		qp.transmit(*qp.queue.At(int(qp.next)))
 		qp.next++
 	}
 }
@@ -362,9 +389,9 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		// fault schedules are identical across provisioner shapes.
 		var r recvWQE
 		ready := false
-		if qp.recv.posted() > 0 &&
+		if qp.PostedRecvs() > 0 &&
 			!(cfg.Faults != nil && cfg.Faults.ForceRNR(eng.Now(), qp.hca.node)) {
-			r, ready = qp.recv.take()
+			r, ready = qp.takeRecv()
 		}
 		if !ready {
 			// Receiver not ready: NAK back to the sender.
@@ -395,14 +422,14 @@ func (qp *QP) deliver(w *sendWQE, sender *QP) {
 		}
 		copy(r.buf, w.payload)
 		qp.accept()
-		qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvComplete, WRID: r.wrid, Len: len(w.payload), Buf: r.buf})
+		qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvComplete, WRID: r.wrid, Len: int32(len(w.payload)), Buf: r.buf})
 		qp.ack(sender, w)
 
 	case opWrite, opWriteImm:
 		copy(w.remote.MR.Window(w.remote.Offset, len(w.payload)), w.payload)
 		qp.accept()
 		if w.kind == opWriteImm {
-			qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvImm, Len: len(w.payload), Imm: w.imm})
+			qp.recvCQ.push(WC{QP: qp, Opcode: OpRecvImm, Len: int32(len(w.payload)), Imm: w.imm})
 		}
 		qp.ack(sender, w)
 
@@ -473,7 +500,7 @@ func (qp *QP) retireAcked() {
 		}
 		// The completion names what was posted (a read's payload is nil),
 		// so a consumer needs no record of its own; the box pins nothing.
-		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: head.wireLen(), Buf: head.payload}
+		wc := WC{QP: qp, Opcode: op, Status: StatusSuccess, WRID: head.wrid, Len: int32(head.wireLen()), Buf: head.payload}
 		head.payload, head.readDst, head.remote = nil, nil, RemoteKey{}
 		qp.hca.wqes.Put(head)
 		qp.sendCQ.push(wc)
@@ -513,7 +540,7 @@ func (qp *QP) onRNRNak(seq uint64) {
 		// decides: re-issue via ResumeStalled after degrading, or tear
 		// the connection down.
 		qp.failed = true
-		qp.next = idx
+		qp.next = int32(idx)
 		qp.stats.RNRExhausted++
 		qp.debugCheckQueue()
 		if cfg.Tracer != nil {
@@ -527,7 +554,7 @@ func (qp *QP) onRNRNak(seq uint64) {
 		return
 	}
 	qp.stalled = true
-	qp.next = idx
+	qp.next = int32(idx)
 	qp.debugCheckQueue()
 	if qp.rnrTimer == nil {
 		qp.rnrTimer = sim.NewTimer(qp.hca.fabric.eng, func() {
@@ -547,7 +574,7 @@ func (qp *QP) ResumeStalled() {
 	if !qp.failed {
 		return
 	}
-	w := *qp.queue.At(qp.next)
+	w := *qp.queue.At(int(qp.next))
 	if w.failing {
 		return
 	}

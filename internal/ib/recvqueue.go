@@ -2,22 +2,6 @@ package ib
 
 import "ibflow/internal/store"
 
-// recvProvisioner is the seam between a QP's delivery path and whatever
-// owns its receive descriptors: the per-QP FIFO of a classic Reliable
-// Connection, or a shared receive queue (SRQ) serving many QPs. The
-// delivery path only ever asks two questions — "is anything posted?" and
-// "give me the next descriptor" — so a send arriving when take has
-// nothing to give triggers the RNR NAK path identically whether the
-// provisioner is a private queue or a shared pool. "Pool empty" and
-// "queue empty" produce the same receiver-not-ready semantics by
-// construction.
-type recvProvisioner interface {
-	// take consumes the next receive descriptor in FIFO order.
-	take() (recvWQE, bool)
-	// posted reports descriptors currently available to arrivals.
-	posted() int
-}
-
 // RecvSource supplies the host bytes behind a descriptor-only receive
 // (PostRecvFrom). A posted descriptor only names memory, as a verbs
 // receive's scatter entry only bounds how many bytes may land: BufSize is

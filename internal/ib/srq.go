@@ -18,7 +18,7 @@ type SRQStats struct {
 // decouples receive-buffer memory from the number of connections. A send
 // arriving on any attached QP consumes the pool head; an empty pool
 // produces exactly the RNR NAK a drained per-QP queue would, because the
-// delivery path sees both through the same provisioner seam.
+// delivery path sees both through the same two questions (QP.takeRecv).
 //
 // SetLimit arms the low-watermark limit event (the simulator's analogue
 // of IBV_EVENT_SRQ_LIMIT_REACHED): when a take drops the free count
@@ -107,7 +107,7 @@ func (s *SRQ) take() (recvWQE, bool) {
 	return w, true
 }
 
-// posted implements recvProvisioner for SRQ-attached QPs.
+// posted reports the free descriptors an attached QP's arrival may take.
 func (s *SRQ) posted() int { return s.q.posted() }
 
 // registerMetrics folds the shared pool's depth and event counters into

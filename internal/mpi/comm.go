@@ -25,26 +25,27 @@ type Status struct {
 // the request live); a request never waited on stays checked out, and its
 // box goes when the world's chunk does.
 type Request struct {
+	buf    []byte
+	src    int32 // matching spec for receives (world rank)
+	comm   uint16
 	done   bool
 	isRecv bool
-	buf    []byte
-	src    int // matching spec for receives (world rank)
 	tag    int
-	comm   uint16
-	owner  *Comm // for translating the status source to a comm rank
+	// owner is the communicator that posted the request, for translating
+	// the status source to a comm rank. Release clears it: a request with
+	// no owner is back in the pool, and releasing it again does nothing.
+	owner  *Comm
 	status Status
-
-	released bool // back in the pool; release is idempotent
 }
 
 func (r *Request) complete(st Status) {
-	debug.Assert(!r.released, "mpi: completing a released request (tag %d)", r.tag)
+	debug.Assert(r.owner != nil, "mpi: completing a released request (tag %d)", r.tag)
 	if r.done {
 		panic("mpi: request completed twice")
 	}
 	r.done = true
 	if r.isRecv {
-		if r.owner != nil && st.Source >= 0 {
+		if st.Source >= 0 {
 			st.Source = r.owner.localRank(st.Source)
 		}
 		r.status = st
@@ -155,8 +156,16 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	return c.isend(dst, tag, data, false)
 }
 
-func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
+// request takes a request box from the world's pool for an operation
+// this communicator posts.
+func (c *Comm) request() *Request {
 	req := c.r.world.reqs.Get()
+	req.owner = c
+	return req
+}
+
+func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
+	req := c.request()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
 		c.selfSend(tag, data)
@@ -180,9 +189,9 @@ func (c *Comm) selfSend(tag int, data []byte) {
 // Irecv posts a non-blocking receive into buf for a message matching
 // (src, tag); src may be AnySource and tag AnyTag.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
-	req := c.r.world.reqs.Get()
-	req.isRecv, req.buf, req.src, req.tag, req.comm, req.owner =
-		true, buf, c.worldRank(src), tag, c.id, c
+	req := c.request()
+	req.isRecv, req.buf, req.src, req.tag, req.comm =
+		true, buf, int32(c.worldRank(src)), tag, c.id
 	if c.r.matchUnex(req) {
 		return req
 	}
@@ -207,7 +216,7 @@ func (c *Comm) Ssend(dst, tag int, data []byte) {
 
 // Issend starts a non-blocking synchronous-mode send.
 func (c *Comm) Issend(dst, tag int, data []byte) *Request {
-	req := c.r.world.reqs.Get()
+	req := c.request()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
 		// Self sends are matched locally and immediately.

@@ -104,13 +104,12 @@ func (r *Rank) waitSetAny() bool {
 // idempotent — a second Waitall over the same handles is a no-op, as it
 // is in MPI — and keeps done/status readable until the box is taken again.
 func (r *Rank) releaseReq(q *Request) {
-	if q.released {
+	if q.owner == nil {
 		return
 	}
 	debug.Assert(q.done, "mpi: rank %d releasing an incomplete request (tag %d)", r.idx, q.tag)
 	q.buf = nil
 	q.owner = nil
-	q.released = true
 	r.world.reqs.Put(q)
 }
 
@@ -152,7 +151,7 @@ func match(wantComm, comm uint16, wantSrc, wantTag, src, tag int) bool {
 // (src, tag), or nil.
 func (r *Rank) findPosted(src, tag int, comm uint16) *Request {
 	for i, req := range r.postedRecvs {
-		if match(req.comm, comm, req.src, req.tag, src, tag) {
+		if match(req.comm, comm, int(req.src), req.tag, src, tag) {
 			r.postedRecvs = append(r.postedRecvs[:i], r.postedRecvs[i+1:]...)
 			return req
 		}
@@ -246,7 +245,7 @@ func (r *Rank) SendDone(token any) {
 // immediately and accepting rendezvous ones. It reports whether it matched.
 func (r *Rank) matchUnex(req *Request) bool {
 	for i, e := range r.unex {
-		if !match(req.comm, e.comm, req.src, req.tag, e.src, e.tag) {
+		if !match(req.comm, e.comm, int(req.src), req.tag, e.src, e.tag) {
 			continue
 		}
 		r.unex = append(r.unex[:i], r.unex[i+1:]...)

@@ -3,6 +3,7 @@ package mpi
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/core"
 	"ibflow/internal/debug"
@@ -84,4 +85,14 @@ func TestWaitSetCleared(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A request is nine words: a 1 024-rank storm keeps a hundred thousand
+// boxes in its world's pool. The source is a 32-bit world rank, and the
+// two flags and the communicator share its word; a request is released
+// when its owner is cleared, so that takes no flag of its own.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 72", got)
+	}
 }
