@@ -20,6 +20,15 @@ type Fabric struct {
 	// Inter-leaf trunk hops in flight (see topology.go), each taken when a
 	// message enters the wire and returned at its last hop.
 	trunks store.Pool[trunkEvent]
+
+	// The host memory the adapters commit for the regions they own, named
+	// by index from pointer-free records (see extent), so a granule table
+	// is a slab the collector does not scan. Both lists start in the
+	// fabric's own backing, so a small world adds no allocation for them.
+	pages [][]byte   // commit pages (HCA.commit)
+	slabs [][]extent // granule-table slabs (HCA.carveTable)
+	page0 [4][]byte
+	slab0 [4][]extent
 }
 
 // NewFabric creates a fabric with nodes HCAs.
@@ -28,14 +37,17 @@ func NewFabric(eng *sim.Engine, cfg Config, nodes int) *Fabric {
 		panic("ib: fabric needs at least one node")
 	}
 	f := &Fabric{eng: eng, cfg: cfg}
+	f.pages, f.slabs = f.page0[:0], f.slab0[:0]
 	rails := max(cfg.Rails, 1)
 	for i := 0; i < nodes; i++ {
-		f.hcas = append(f.hcas, &HCA{
+		h := &HCA{
 			fabric:  f,
 			node:    i,
 			egress:  make([]link, rails),
 			ingress: make([]link, rails),
-		})
+		}
+		h.mrs = h.mr0[:0]
+		f.hcas = append(f.hcas, h)
 	}
 	if cfg.Topology == TopoFatTree {
 		if cfg.LeafRadix < 1 || cfg.Oversub < 1 {
@@ -97,8 +109,11 @@ type HCA struct {
 	mrs      []*MR               // region id-1 -> region, nil once deregistered: ids are dense from 1, never reused
 	mrPool   store.Pool[MR]      // handles of the regions the adapter allocates (ReserveMemory), back at DeregisterMemory
 	wqes     store.Pool[sendWQE] // send WQE boxes of every QP here (see sendWQE)
-	page     []byte              // rest of the current commit page (see commit)
-	tables   [][]byte            // rest of the current granule-table slab (see carveTable)
+	mr0      [4]*MR              // mrs' first backing: an adapter with a handful of regions allocates no list for them
+	page     uint32              // the current commit page, as extent.page names it (see commit)
+	pageLeft uint32              // bytes of it not committed yet
+	table    uint32              // the name the next table carved from the current slab gets (see carveTable)
+	slabLeft uint32              // entries of the current slab not carved yet
 	tableDue int                 // table entries the untouched multi-granule regions here may still take
 }
 
@@ -178,9 +193,9 @@ type MR struct {
 	hca     *HCA
 	id      int32
 	n       int32
-	granule int32    // commit unit; == n for a region committed whole
-	buf     []byte   // the committed extent of a whole-commit region (nil until committed)
-	grans   [][]byte // committed extents of a multi-granule region's granules; the table is carved from the adapter's table slab at the first commit
+	granule int32  // commit unit; == n for a region committed whole
+	table   uint32 // a multi-granule region's granule table, one extent per granule, carved at the first commit (see carveTable); 0 until then
+	buf     []byte // the committed extent of a whole-commit region (nil until committed)
 }
 
 // RegisterMemory registers buf and returns its region handle. The caller is
@@ -218,17 +233,19 @@ func (h *HCA) ReserveMemory(n, granule int) *MR {
 }
 
 // DeregisterMemory releases a region RegisterMemory or ReserveMemory
-// handed out (ibv_dereg_mr): its id stops resolving, its bytes are no
-// longer referenced and its handle goes back to the adapter's pool for
-// the next registration. Ids are never reused, so a deregistered id can
-// never name a newer region, and the ids later registrations get are the
-// ones they would have got without it. Nothing may use the region after.
+// handed out (ibv_dereg_mr): its id stops resolving, a registered buffer
+// is no longer referenced (what the adapter committed for a region it
+// owns stays on the fabric's pages) and its handle goes back to the
+// adapter's pool for the next registration. Ids are never reused, so a
+// deregistered id can never name a newer region, and the ids later
+// registrations get are the ones they would have got without it. Nothing
+// may use the region after.
 func (h *HCA) DeregisterMemory(mr *MR) {
 	if mr.hca != h || h.mrs[mr.id-1] != mr {
 		panic(fmt.Sprintf("ib: deregistering MR id %d, which node %d does not hold", mr.id, h.node))
 	}
 	h.mrs[mr.id-1] = nil
-	if mr.grans == nil {
+	if mr.table == 0 {
 		h.tableDue -= mr.tableLen()
 	}
 	*mr = MR{}
@@ -271,8 +288,10 @@ func (m *MR) tableLen() int {
 // reservation nothing has touched and Len for a registered buffer.
 func (m *MR) Committed() int {
 	total := len(m.buf)
-	for _, g := range m.grans {
-		total += len(g)
+	if m.table != 0 {
+		for i := range m.tableLen() {
+			total += len(m.hca.fabric.bytes(*m.entry(i)))
+		}
 	}
 	return total
 }
@@ -310,22 +329,59 @@ func (m *MR) Window(off, n int) []byte {
 	if off+n > base+gran {
 		panic(fmt.Sprintf("ib: window [%d,%d) straddles a %d-byte commit granule", off, off+n, gran))
 	}
-	g := &m.buf
+	var e *extent // the granule's record; nil for a region committed whole
+	g := m.buf
 	if gran < size {
-		if m.grans == nil {
-			m.grans = m.hca.carveTable(m.tableLen())
+		if m.table == 0 {
+			m.table = m.hca.carveTable(m.tableLen())
 		}
-		g = &m.grans[i]
+		e = m.entry(i)
+		g = m.hca.fabric.bytes(*e)
 	}
-	if end := off - base + n; end > len(*g) {
-		old := *g
-		*g = m.hca.commit(min((end+extentAlign-1)/extentAlign*extentAlign, gran, size-base))
-		copy(*g, old)
-		for j := range old {
-			old[j] = poison
+	if end := off - base + n; end > len(g) {
+		rec := m.hca.commit(min((end+extentAlign-1)/extentAlign*extentAlign, gran, size-base))
+		fresh := m.hca.fabric.bytes(rec)
+		copy(fresh, g)
+		for j := range g {
+			g[j] = poison
 		}
+		if e != nil {
+			*e = rec
+		} else {
+			m.buf = fresh
+		}
+		g = fresh
 	}
-	return (*g)[off-base : off-base+n]
+	return g[off-base : off-base+n]
+}
+
+// entry returns the record of granule i of a region whose table is
+// carved: table names a slab and an entry in it (see carveTable).
+func (m *MR) entry(i int) *extent {
+	t := int(m.table)
+	return &m.hca.fabric.slabs[t>>slabShift-1][t&(tableSlab-1)+i]
+}
+
+// extent records a granule's committed extent: which of the fabric's
+// commit pages holds it and where. It holds no pointer, so neither does a
+// granule table, and the collector does not scan the tables.
+type extent struct {
+	page uint32 // 1 + the page's index in Fabric.pages; 0 while nothing is committed
+	off  uint16 // where the extent starts in the page
+	n    uint16 // its length, below commitPage; 0 for an extent that is a page of its own
+}
+
+// bytes resolves a record to the host bytes it names, capped at the
+// extent: nil for a granule nothing has committed.
+func (f *Fabric) bytes(e extent) []byte {
+	if e.page == 0 {
+		return nil
+	}
+	p := f.pages[e.page-1]
+	if e.n == 0 {
+		return p
+	}
+	return p[e.off : e.off+e.n : e.off+e.n]
 }
 
 // commitPage is how much host memory the adapter takes at a time for the
@@ -334,51 +390,65 @@ func (m *MR) Window(off, n int) []byte {
 // allocation per page of them, not one each.
 const commitPage = 4 << 10
 
-// commit returns n zeroed bytes of adapter-owned memory for a granule's
-// extent (see MR.Window), capped at n so a write past the extent cannot
-// spill into its neighbour unnoticed. An extent that does not fit what is
-// left of the page starts the next one (a page or more gets an allocation
-// of its own); nothing carved is ever handed out again, not even the
-// extent a re-commit leaves behind.
-func (h *HCA) commit(n int) []byte {
-	if n <= len(h.page) {
-		g := h.page[:n:n]
-		h.page = h.page[n:]
-		return g
+// commit returns the record of n zeroed bytes of adapter-owned memory for
+// a granule's extent (see MR.Window), capped at n so a write past the
+// extent cannot spill into its neighbour unnoticed. An extent that does
+// not fit what is left of the page starts the next one; one of a page or
+// more is a page of its own. Every page goes on the fabric's list, which
+// the records index; nothing carved is ever handed out again, not even
+// the extent a re-commit leaves behind.
+func (h *HCA) commit(n int) extent {
+	if n <= int(h.pageLeft) {
+		e := extent{page: h.page, off: uint16(commitPage - h.pageLeft), n: uint16(n)}
+		h.pageLeft -= uint32(n)
+		return e
 	}
+	f := h.fabric
 	//fclint:allow hotalloc one allocation per commitPage bytes of granule extents, each committed at a first access or a growth; it replaces the make at reservation
 	fresh := make([]byte, max(n, commitPage))
-	if n < commitPage {
-		h.page = fresh[n:]
+	f.pages = append(f.pages, fresh)
+	p := uint32(len(f.pages))
+	if n >= commitPage {
+		return extent{page: p}
 	}
-	return fresh[:n:n]
+	h.page, h.pageLeft = p, uint32(commitPage-n)
+	return extent{page: p, n: uint16(n)}
 }
 
 // tableSlab is the most granule-table entries the adapter takes at a
 // time: a slab holds the tables of several small rings, so each costs a
-// share of one allocation rather than one of its own.
-const tableSlab = 64
+// share of one allocation rather than one of its own. A table's name
+// (MR.table) is 1 + its slab's index in Fabric.slabs, shifted by
+// slabShift, plus its first entry's place in the slab.
+const (
+	slabShift = 6
+	tableSlab = 1 << slabShift
+)
 
-// carveTable returns a zeroed granule table of n entries, capped at n, for
+// carveTable returns the name of a zeroed granule table of n entries for
 // a multi-granule region's first commit. A table that does not fit what
 // is left of the slab starts the next one, sized to what the untouched
 // regions here may still take (this one's included) up to tableSlab, so
 // an adapter with one ring carves exactly its table; a table of tableSlab
-// entries or more gets an allocation of its own. Nothing carved is ever
-// handed out again.
-func (h *HCA) carveTable(n int) [][]byte {
+// entries or more is a slab of its own. Nothing carved is ever handed
+// out again.
+func (h *HCA) carveTable(n int) uint32 {
 	due := h.tableDue
 	h.tableDue -= n
-	if n <= len(h.tables) {
-		t := h.tables[:n:n]
-		h.tables = h.tables[n:]
+	if n <= int(h.slabLeft) {
+		t := h.table
+		h.table += uint32(n)
+		h.slabLeft -= uint32(n)
 		return t
 	}
-	fresh := make([][]byte, max(n, min(due, tableSlab)))
+	f := h.fabric
+	slab := make([]extent, max(n, min(due, tableSlab)))
+	f.slabs = append(f.slabs, slab)
+	t := uint32(len(f.slabs)) << slabShift
 	if n < tableSlab {
-		h.tables = fresh[n:]
+		h.table, h.slabLeft = t+uint32(n), uint32(len(slab)-n)
 	}
-	return fresh[:n:n]
+	return t
 }
 
 // RemoteKey identifies a window of a remote memory region for RDMA.

@@ -115,22 +115,31 @@ func FuzzRecvQueue(f *testing.F) {
 // flat byte array, the reference the region's committed extents must be
 // indistinguishable from. The first two bytes pick the geometry: a
 // granule of 1–256 bytes, 1–6 granules (one commits the region whole),
-// and a tail granule up to a granule short. Every four bytes after are a
-// window: bit 0 of the first picks a write or a read, the other three the
-// granule, the offset in it and the length. Every read must equal the
-// reference, zeroes where nothing was written; each granule's extent must
-// be its farthest reach rounded up to 64 B and capped at the granule, and
-// Committed their sum; no extent may share a byte with another granule's
-// or have room to grow into one; and a window that re-commits a granule
-// must leave the old extent, which a consumer may still hold, reading
-// poison. A closing read of every granule must equal the reference.
+// and a tail granule up to a granule short; a second byte of 252 or more
+// scales the granule, and every window's offset and length, by 64, so an
+// extent can reach a commit page and take a page of its own. Every four
+// bytes after are a window: bit 0 of the first picks a write or a read,
+// the other three the granule, the offset in it and the length. Every
+// read must equal the reference, zeroes where nothing was written; the
+// window must lie in the extent its granule's record resolves to, ending
+// where the extent ends; each granule's extent must be its farthest reach
+// rounded up to 64 B and capped at the granule, and Committed the sum of
+// the records' lengths; no extent may share a byte with another
+// granule's or have room to grow into one; and a window that re-commits
+// a granule must leave the old extent, which a consumer may still hold,
+// reading poison. A closing read of every granule must equal the
+// reference.
 func FuzzMRWindow(f *testing.F) {
 	f.Add([]byte{199, 3, 0, 0, 0, 9, 0, 0, 100, 49, 1, 0, 0, 199, 1, 3, 5, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) < 2 {
 			return
 		}
-		granule, count := 1+int(script[0]), 1+int(script[1])%6
+		unit := 1
+		if script[1] >= 252 {
+			unit = 64
+		}
+		granule, count := unit*(1+int(script[0])), 1+int(script[1])%6
 		n := count * granule
 		if count > 1 {
 			n -= int(script[1]/6) % granule
@@ -143,10 +152,10 @@ func FuzzMRWindow(f *testing.F) {
 			if count == 1 {
 				return m.buf
 			}
-			if m.grans == nil {
+			if m.table == 0 {
 				return nil
 			}
-			return m.grans[i]
+			return m.hca.fabric.bytes(*m.entry(i))
 		}
 		check := func(k int) {
 			want := 0
@@ -168,17 +177,20 @@ func FuzzMRWindow(f *testing.F) {
 				}
 			}
 			if got := m.Committed(); got != want {
-				t.Fatalf("op %d: Committed() = %d, the extents sum to %d", k, got, want)
+				t.Fatalf("op %d: Committed() = %d, the records' extents sum to %d", k, got, want)
 			}
 		}
 		k := 0
 		for ops := script[2:]; len(ops) >= 4; ops = ops[4:] {
 			i := int(ops[1]) % count
 			base, gl := i*granule, glen(i)
-			off := int(ops[2]) % gl
-			ln := 1 + int(ops[3])%(gl-off)
+			off := unit * int(ops[2]) % gl
+			ln := 1 + unit*int(ops[3])%(gl-off)
 			old := extent(i)
 			w := m.Window(base+off, ln)
+			if e := extent(i); len(e) < off+ln || &e[off] != &w[0] || cap(w) != len(e)-off {
+				t.Fatalf("op %d: window [%d,%d) is not where granule %d's record resolves to (extent of %d bytes)", k, base+off, base+off+ln, i, len(e))
+			}
 			if ops[0]&1 == 0 {
 				for j := range w {
 					w[j] = byte(k + j + 1)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -471,20 +472,15 @@ func TestWindowCommitsWhatLands(t *testing.T) {
 
 // Two rings' granule tables are carved from one adapter slab, side by
 // side, and never alias: a slot committed in one ring is not committed,
-// and reads as zeroes, in the other, and a table is capped at its own
-// length, so nothing appended to it lands in its neighbour.
+// and reads as zeroes, in the other.
 func TestGranuleTablesNeverAlias(t *testing.T) {
 	h := NewFabric(sim.NewEngine(), DefaultConfig(), 1).HCA(0)
 	a, b, c := h.ReserveMemory(4*16, 16), h.ReserveMemory(4*16, 16), h.ReserveMemory(4*16, 16)
 	copy(a.Window(16, 16), "ring a, slot 1")
 	copy(b.Window(32, 16), "ring b, slot 2")
 	c.Window(0, 16)
-	next := unsafe.Add(unsafe.Pointer(&a.grans[0]), 4*unsafe.Sizeof(a.grans[0]))
-	if next != unsafe.Pointer(&b.grans[0]) {
-		t.Fatal("the second ring's table is not carved next to the first's: not one slab")
-	}
-	if cap(a.grans) != 4 || cap(b.grans) != 4 || cap(c.grans) != 4 {
-		t.Errorf("tables hold %d, %d and %d entries, want 4 each", cap(a.grans), cap(b.grans), cap(c.grans))
+	if b.table != a.table+4 || c.table != b.table+4 || len(h.fabric.slabs) != 1 {
+		t.Fatalf("tables %#x, %#x, %#x in %d slabs: not side by side in one slab", a.table, b.table, c.table, len(h.fabric.slabs))
 	}
 	if a.Committed() != 16 || b.Committed() != 16 {
 		t.Errorf("committed %d and %d bytes after one slot each, want 16 and 16", a.Committed(), b.Committed())
@@ -506,9 +502,9 @@ func TestOneRingCarvesItsTable(t *testing.T) {
 	h.ReserveMemory(64, 64).Window(0, 8)
 	ring := h.ReserveMemory(8*16, 16)
 	ring.Window(0, 16)
-	if len(ring.grans) != 8 || cap(h.tables) != 0 || h.tableDue != 0 {
-		t.Errorf("one 8-slot ring: table %d entries, %d spare in the slab, %d still due; want 8, 0, 0",
-			len(ring.grans), cap(h.tables), h.tableDue)
+	if len(h.fabric.slabs) != 1 || len(h.fabric.slabs[0]) != 8 || h.slabLeft != 0 || h.tableDue != 0 {
+		t.Errorf("one 8-slot ring: %d slabs, %d spare entries, %d still due; want one of 8 entries, 0, 0",
+			len(h.fabric.slabs), h.slabLeft, h.tableDue)
 	}
 }
 
@@ -522,14 +518,56 @@ func TestDeregisterUntouchedRingFreesItsEntries(t *testing.T) {
 	}
 	h.DeregisterMemory(dropped)
 	kept.Window(0, 16)
-	if cap(h.tables) != 0 || h.tableDue != 0 {
+	if h.slabLeft != 0 || h.tableDue != 0 {
 		t.Errorf("after dropping an untouched ring: %d spare entries in the slab, %d still due; want 0, 0",
-			cap(h.tables), h.tableDue)
+			h.slabLeft, h.tableDue)
 	}
 	// A touched ring already has its table: dropping it owes nothing back.
 	h.DeregisterMemory(kept)
 	if h.tableDue != 0 {
 		t.Errorf("deregistering a touched ring moved the due count to %d", h.tableDue)
+	}
+}
+
+// The granule tables are pointer-free: an extent record and a table
+// slab's element hold no pointer, so the collector never scans a table.
+// A field that brings one back puts every ring's table into the scan.
+func TestGranuleTablesHoldNoPointers(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(extent{}), reflect.TypeOf(Fabric{}.slabs).Elem().Elem()} {
+		if path := pointerIn(typ, typ.String()); path != "" {
+			t.Errorf("%v holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerIn returns the path to the first pointer typ holds, or "".
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	}
+	return path + " (" + typ.Kind().String() + ")"
+}
+
+// A region handle is six words: the adapter, four 32-bit fields (id,
+// length, granule, table name) and a whole-commit region's bytes. A conn
+// embeds one and the pin-down cache's handles are carved by the adapter's
+// pool, so a word here is a word per connection end.
+func TestMRSize(t *testing.T) {
+	if got := unsafe.Sizeof(MR{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(MR{}) = %d, want 48", got)
 	}
 }
 

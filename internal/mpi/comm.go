@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 
 	"ibflow/internal/debug"
 	"ibflow/internal/sim"
@@ -25,17 +26,20 @@ type Status struct {
 // the request live); a request never waited on stays checked out, and its
 // box goes when the world's chunk does.
 type Request struct {
-	buf    []byte
-	src    int32 // matching spec for receives (world rank)
-	comm   uint16
-	done   bool
-	isRecv bool
-	tag    int
+	buf []byte
+	// src and tag are a receive's matching spec (a world rank or
+	// AnySource, a tag checked where it entered or AnyTag) until it
+	// completes, and then its status's source (a rank of the owner) and
+	// tag: a completed receive matches nothing more.
+	src, tag int32
 	// owner is the communicator that posted the request, for translating
 	// the status source to a comm rank. Release clears it: a request with
 	// no owner is back in the pool, and releasing it again does nothing.
 	owner  *Comm
-	status Status
+	comm   uint16
+	done   bool
+	isRecv bool
+	n      int32 // a completed receive's length: a message is shorter than a region's 2^31 bytes
 }
 
 func (r *Request) complete(st Status) {
@@ -48,15 +52,36 @@ func (r *Request) complete(st Status) {
 		if st.Source >= 0 {
 			st.Source = r.owner.localRank(st.Source)
 		}
-		r.status = st
+		r.src, r.tag, r.n = int32(st.Source), int32(st.Tag), int32(st.Len)
 	}
 }
 
 // Done reports whether the request completed.
 func (r *Request) Done() bool { return r.done }
 
-// Status returns the receive status; valid once Done.
-func (r *Request) Status() Status { return r.status }
+// Status returns the receive status; valid once Done. A send's, or an
+// incomplete receive's, is the zero Status.
+func (r *Request) Status() Status {
+	if !r.done || !r.isRecv {
+		return Status{}
+	}
+	return Status{Source: int(r.src), Tag: int(r.tag), Len: int(r.n)}
+}
+
+// checkTag refuses a tag the wire cannot carry where it enters a
+// communicator: a packet header holds the tag in 32 bits, so a send tag
+// is 0..MaxInt32 and a receive tag that or AnyTag. A wider one would be
+// matched under its low 32 bits, as another message's.
+func checkTag(tag int, recv bool) {
+	if uint(tag) <= math.MaxInt32 || recv && tag == AnyTag {
+		return
+	}
+	op := "send"
+	if recv {
+		op = "receive"
+	}
+	panic(fmt.Sprintf("mpi: %s tag %d outside 0..%d", op, tag, math.MaxInt32))
+}
 
 // Comm is a rank's handle on a communicator. The one World.Run passes in
 // is MPI_COMM_WORLD; Split derives sub-communicators with their own rank
@@ -165,6 +190,7 @@ func (c *Comm) request() *Request {
 }
 
 func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
+	checkTag(tag, false)
 	req := c.request()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
@@ -189,9 +215,10 @@ func (c *Comm) selfSend(tag int, data []byte) {
 // Irecv posts a non-blocking receive into buf for a message matching
 // (src, tag); src may be AnySource and tag AnyTag.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
+	checkTag(tag, true)
 	req := c.request()
 	req.isRecv, req.buf, req.src, req.tag, req.comm =
-		true, buf, int32(c.worldRank(src)), tag, c.id
+		true, buf, int32(c.worldRank(src)), int32(tag), c.id
 	if c.r.matchUnex(req) {
 		return req
 	}
@@ -216,6 +243,7 @@ func (c *Comm) Ssend(dst, tag int, data []byte) {
 
 // Issend starts a non-blocking synchronous-mode send.
 func (c *Comm) Issend(dst, tag int, data []byte) *Request {
+	checkTag(tag, false)
 	req := c.request()
 	world := c.worldRank(dst)
 	if world == c.r.idx {
@@ -256,7 +284,7 @@ func (c *Comm) Recv(src, tag int, buf []byte) Status {
 // request is released for reuse, as MPI_Wait deallocates the handle.
 func (c *Comm) Wait(req *Request) Status {
 	c.r.waitFor(c.r.allDone, req)
-	st := req.status
+	st := req.Status()
 	c.r.releaseReq(req)
 	return st
 }
@@ -266,7 +294,7 @@ func (c *Comm) Test(req *Request) (Status, bool) {
 	if !req.done {
 		c.r.dev.Poke(c.r.proc)
 	}
-	return req.status, req.done
+	return req.Status(), req.done
 }
 
 // Waitall blocks until every request completes, then releases them all
@@ -291,7 +319,7 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 	rr := c.Irecv(src, rtag, rbuf)
 	sr := c.Isend(dst, stag, sdata)
 	c.r.waitFor(c.r.allDone, rr, sr)
-	st := rr.status
+	st := rr.Status()
 	c.r.releaseReq(rr)
 	c.r.releaseReq(sr)
 	return st
@@ -300,6 +328,7 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 // Probe blocks until a message matching (src, tag) is available without
 // receiving it, and returns its envelope.
 func (c *Comm) Probe(src, tag int) Status {
+	checkTag(tag, true)
 	var st Status
 	world := c.worldRank(src)
 	c.r.dev.WaitProgress(c.r.proc, func() bool {

@@ -3,6 +3,8 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +162,50 @@ func TestWildcardSourceAndTag(t *testing.T) {
 			}
 		default:
 			c.Send(0, 40+c.Rank(), []byte("hi"))
+		}
+	})
+}
+
+// A packet header carries the tag in 32 bits, so a tag it cannot carry
+// is refused where it enters the communicator, naming the tag; passed
+// on, a send tag of 2^32+5 went out as 5 and a Recv(0, 5) matched it.
+// The largest tag the header holds and AnyTag still travel.
+func TestTagsTheWireCannotCarryPanic(t *testing.T) {
+	const wrapped = 1<<32 + 5
+	for _, tc := range []struct {
+		name string
+		main func(c *Comm)
+		want string
+	}{
+		{"send wraps", func(c *Comm) {
+			if c.Rank() == 0 {
+				c.Send(1, wrapped, []byte("wrapped"))
+			} else {
+				c.Recv(0, 5, make([]byte, 8))
+			}
+		}, "mpi: send tag 4294967301 outside 0..2147483647"},
+		{"negative send", func(c *Comm) { c.Isend(1-c.Rank(), AnyTag, nil) }, "mpi: send tag -1 outside"},
+		{"synchronous send", func(c *Comm) { c.Ssend(1-c.Rank(), math.MaxInt32+1, nil) }, "mpi: send tag 2147483648 outside"},
+		{"receive", func(c *Comm) { c.Irecv(AnySource, wrapped, nil) }, "mpi: receive tag 4294967301 outside"},
+		{"probe", func(c *Comm) { c.Probe(AnySource, -2) }, "mpi: receive tag -2 outside"},
+	} {
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			err := NewWorld(2, DefaultOptions(core.Static(10))).Run(tc.main)
+			t.Errorf("%s: Run returned %v, want a panic naming the tag", tc.name, err)
+		}()
+		if msg := fmt.Sprint(got); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: panicked with %q, want %q", tc.name, msg, tc.want)
+		}
+	}
+	run(t, 2, core.Static(10), func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, math.MaxInt32, []byte("top"))
+			return
+		}
+		if st := c.Recv(0, AnyTag, make([]byte, 3)); st.Tag != math.MaxInt32 || st.Len != 3 {
+			c.Abort(fmt.Sprintf("status %+v, want tag %d and 3 bytes", st, math.MaxInt32))
 		}
 	})
 }

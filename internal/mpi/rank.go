@@ -151,7 +151,7 @@ func match(wantComm, comm uint16, wantSrc, wantTag, src, tag int) bool {
 // (src, tag), or nil.
 func (r *Rank) findPosted(src, tag int, comm uint16) *Request {
 	for i, req := range r.postedRecvs {
-		if match(req.comm, comm, int(req.src), req.tag, src, tag) {
+		if match(req.comm, comm, int(req.src), int(req.tag), src, tag) {
 			r.postedRecvs = append(r.postedRecvs[:i], r.postedRecvs[i+1:]...)
 			return req
 		}
@@ -245,7 +245,7 @@ func (r *Rank) SendDone(token any) {
 // immediately and accepting rendezvous ones. It reports whether it matched.
 func (r *Rank) matchUnex(req *Request) bool {
 	for i, e := range r.unex {
-		if !match(req.comm, e.comm, int(req.src), req.tag, e.src, e.tag) {
+		if !match(req.comm, e.comm, int(req.src), int(req.tag), e.src, e.tag) {
 			continue
 		}
 		r.unex = append(r.unex[:i], r.unex[i+1:]...)
