@@ -307,11 +307,10 @@ type metricsSink struct {
 
 func (s *metricsSink) attach(o *mpi.Options) {
 	r := metrics.New()
-	o.Metrics = r
+	o.IB.Metrics = r
 	s.regs = append(s.regs, r)
 	if s.format == "perfetto" {
 		ring := trace.NewBuffer(1 << 14)
-		o.Chan.Tracer = ring
 		o.IB.Tracer = ring
 		s.rings = append(s.rings, ring)
 	}

@@ -118,7 +118,6 @@ func runNAS(stdout, stderr io.Writer, p plan, v flagVals, tune func(*mpi.Options
 			if metricsTune != nil {
 				metricsTune(o)
 			}
-			o.Chan.Tracer = buf
 			o.IB.Tracer = buf
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // -spec 'ranks=2 scheme=static(100)'.
 func instrumentedLatencyDump() metrics.Dump {
 	reg := metrics.New()
-	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.Static(100)}, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.Static(100)}, 64, 50, func(o *mpi.Options) { o.IB.Metrics = reg })
 	return reg.Snapshot()
 }
 
@@ -55,7 +55,7 @@ func TestKeyListMatchesGolden(t *testing.T) {
 // scheme (fcbench -spec 'ranks=2 scheme=rdma(8,1024)').
 func instrumentedRingDump() metrics.Dump {
 	reg := metrics.New()
-	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.RDMA(8, 1024)}, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.RDMA(8, 1024)}, 64, 50, func(o *mpi.Options) { o.IB.Metrics = reg })
 	return reg.Snapshot()
 }
 
@@ -83,7 +83,7 @@ func TestRingKeyListMatchesGolden(t *testing.T) {
 func TestEndpointKeyListMatchesGolden(t *testing.T) {
 	reg := metrics.New()
 	spec := mpi.Spec{Ranks: 2, Scheme: core.Static(100), Endpoints: 2}
-	bench.Latency(spec, 64, 50, func(o *mpi.Options) { o.Metrics = reg })
+	bench.Latency(spec, 64, 50, func(o *mpi.Options) { o.IB.Metrics = reg })
 	d := reg.Snapshot()
 	checkKeyGolden(t, d, "endpoints_metrics_keys.golden")
 	onlyClassic, onlyEndpoints := keyDivergence(instrumentedLatencyDump(), d)

@@ -77,7 +77,6 @@ type (
 // events. Attach it to a cluster with:
 //
 //	ibflow.NewCluster(n, scheme, func(o *ibflow.Options) {
-//	    o.Chan.Tracer = buf
 //	    o.IB.Tracer = buf
 //	})
 func NewTrace(capacity int) *TraceBuffer { return trace.NewBuffer(capacity) }

@@ -88,7 +88,6 @@ func TestPublicRunNAS(t *testing.T) {
 func TestTraceFacade(t *testing.T) {
 	buf := NewTrace(256)
 	cl := NewCluster(2, Static(4), func(o *Options) {
-		o.Chan.Tracer = buf
 		o.IB.Tracer = buf
 	})
 	if err := cl.Run(func(c *Comm) {

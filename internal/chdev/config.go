@@ -6,16 +6,14 @@
 // delegated to internal/core; transport to internal/ib.
 package chdev
 
-import (
-	"ibflow/internal/metrics"
-	"ibflow/internal/sim"
-	"ibflow/internal/trace"
-)
+import "ibflow/internal/sim"
 
-// ECMFaults injects failures into the explicit-credit-message path. Both
-// methods are called from inside the serialized event loop, so a
-// deterministic implementation (internal/fault.Plan) keeps runs
-// bit-identical per seed. A nil injector means no ECM faults.
+// ECMFaults injects failures into the explicit-credit-message path. A
+// device takes it from its fabric's fault injector (ib.Config.Faults)
+// when that injector implements it too, as internal/fault.Plan does.
+// Both methods are called from inside the serialized event loop, so a
+// deterministic implementation keeps runs bit-identical per seed. No
+// injector means no ECM faults.
 type ECMFaults interface {
 	// DropECM reports whether the ECM from rank to peer fails before
 	// reaching the wire. The device keeps the owed credits and re-issues
@@ -84,30 +82,17 @@ const (
 	eagerThreshold = bufSize - HeaderSize
 )
 
-// Config holds the channel device's settings and observability hooks.
+// Config holds the channel device's settings. The device's observers —
+// the tracer, the metrics registry and the ECM fault hook — are not
+// here: they are the world's, read from the adapter's fabric (ib.Config).
 type Config struct {
 	// OnDemand delays connection (and buffer) setup until two ranks
 	// first communicate — the scalability extension discussed in the
 	// paper's related work. Each setup costs connSetup.
 	OnDemand bool
 
-	// Tracer, when non-nil, records protocol events (sends, arrivals,
-	// starvation, growth, transport retries) on the virtual timeline.
-	// All devices of a job share one buffer.
-	Tracer *trace.Buffer
-
-	// Metrics, when non-nil, receives per-connection flow control
-	// gauges/counters (registered as connections are established),
-	// per-rank buffer-pool gauges and rendezvous latency histograms (see
-	// internal/metrics). All devices of a job share one registry.
-	Metrics *metrics.Registry
-
 	// Debug enables per-progress invariant checking.
 	Debug bool
-
-	// Faults, when non-nil, injects explicit-credit-message drops and
-	// duplications (see internal/fault).
-	Faults ECMFaults
 
 	// Endpoints is the number of independent VC/QP endpoints per rank
 	// pair (Zambre et al.'s communication endpoints for MPI+threads).

@@ -224,7 +224,7 @@ type Device struct {
 	eng     *sim.Engine
 	hca     *ib.HCA
 	cq      *ib.CQ
-	cfg     *Config
+	cfg     Config
 	params  core.Params
 	rank    int
 	size    int
@@ -234,19 +234,18 @@ type Device struct {
 	regs   *mem.RegCache
 	blocks mem.Blocks // AllocMem's free lists
 	// live is the connection table: every established endpoint in
-	// (peer, ep) order, so a peer's endpoint set is epN consecutive entries
-	// (eps). The send-side lookup, credit flush, stats and audit walk it,
-	// so the device's cost follows the connections that exist, not the
-	// job size. addConn is its only writer.
+	// (peer, ep) order, so a peer's endpoint set is cfg.Endpoints
+	// consecutive entries (eps). The send-side lookup, credit flush, stats
+	// and audit walk it, so the device's cost follows the connections that
+	// exist, not the job size. addConn is its only writer.
 	live  []*conn
 	peers []*Device
 	ends  *endSlab // the world's, shared by every device Wire connects
 
-	// epN is the endpoint-set size (max(1, Config.Endpoints)); curTID
-	// is the logical thread the next send is issued from, set by
-	// BindThread. Both feed the endpoint-selection seam, which counts its
-	// selections over sets of more than one in stickySels.
-	epN        int
+	// curTID is the logical thread the next send is issued from, set by
+	// BindThread. It and the endpoint-set size (cfg.Endpoints, at least 1)
+	// feed the endpoint-selection seam, which counts its selections over
+	// sets of more than one in stickySels.
 	curTID     int
 	stickySels uint64
 
@@ -272,6 +271,12 @@ type Device struct {
 	progress progressMachine
 	gate     *sim.Gate
 
+	// tracer is the world's (ib.Config.Tracer), read from the fabric in
+	// New so that the trace check is one load and a nil test; nil when
+	// the world traces nothing. The registry and the ECM fault hook are
+	// read from the fabric where they are used (registry, sendReturn).
+	tracer *trace.Buffer
+
 	// rndvHist, when metrics are attached, is the per-rank histogram of
 	// sender-side rendezvous latency (RTS posted to FIN sent).
 	rndvHist *metrics.Histogram
@@ -286,11 +291,12 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 	if cfg.Endpoints < 0 {
 		panic(fmt.Sprintf("chdev: negative endpoint count %d", cfg.Endpoints))
 	}
+	cfg.Endpoints = max(cfg.Endpoints, 1)
 	d := &Device{
 		eng:      eng,
 		hca:      hca,
 		cq:       hca.NewCQ(),
-		cfg:      &cfg,
+		cfg:      cfg,
 		params:   params,
 		rank:     rank,
 		size:     size,
@@ -299,27 +305,29 @@ func New(eng *sim.Engine, hca *ib.HCA, cfg Config, params core.Params, rank, siz
 		regs:     mem.NewRegCache(hca),
 		sendRndv: make(map[uint64]*rndvOut),
 		recvRndv: make(map[uint64]*RndvIn),
-	}
-	d.epN = 1
-	if cfg.Endpoints > 1 {
-		d.epN = cfg.Endpoints
+		tracer:   hca.Fabric().Config().Tracer,
 	}
 	d.gate = sim.NewGate(eng)
 	d.progress.d = d
 	d.cq.SetNotify(&d.progress)
-	if cfg.Metrics != nil {
-		d.rndvHist = cfg.Metrics.Histogram("chdev_rndv_ns", metrics.TimeBuckets, metrics.RankLabel(rank))
+	if r := d.registry(); r != nil {
+		d.rndvHist = r.Histogram("chdev_rndv_ns", metrics.TimeBuckets, metrics.RankLabel(rank))
 	}
 	d.prov, d.eagerMax = newProvisioner(d)
 	d.registerMetrics()
 	return d
 }
 
+// registry returns the world's metrics registry (ib.Config.Metrics), or
+// nil. Only set-up paths read it: a series registers once and is read at
+// sampling instants.
+func (d *Device) registry() *metrics.Registry { return d.hca.Fabric().Config().Metrics }
+
 // registerMetrics folds the device's own gauges into the configured
 // registry as reader closures; without a registry nothing is built — no
 // closure, no label — as for a QP's and a VC's series.
 func (d *Device) registerMetrics() {
-	r := d.cfg.Metrics
+	r := d.registry()
 	if r == nil {
 		return
 	}
@@ -333,7 +341,7 @@ func (d *Device) registerMetrics() {
 	r.GaugeFunc("chdev_pool_out_hwm", func() int64 { return int64(d.pool.MaxOutstanding()) }, rank)
 	r.GaugeFunc("chdev_pool_allocated", func() int64 { return int64(d.pool.Allocated()) }, rank)
 	r.GaugeFunc("chdev_pool_recycled", func() int64 { return int64(d.pool.Recycled()) }, rank)
-	if d.epN > 1 {
+	if d.cfg.Endpoints > 1 {
 		// Endpoint-set observability, registered only for true sets: a
 		// size-1 device keeps exactly the pre-endpoint metric inventory
 		// (the fcstats key goldens and the semantic goldens' key digest
@@ -361,17 +369,17 @@ func (d *Device) BindThread(tid int) {
 // addConn enters a freshly established endpoint into the live list at
 // its (peer, ep) position; static wiring only ever appends.
 func (d *Device) addConn(c *conn) {
-	key := func(c *conn) int { return int(c.peer)*d.epN + int(c.ep) }
+	key := func(c *conn) int { return int(c.peer)*d.cfg.Endpoints + int(c.ep) }
 	i, _ := slices.BinarySearchFunc(d.live, key(c), func(e *conn, k int) int {
 		return cmp.Compare(key(e), k)
 	})
 	d.live = slices.Insert(d.live, i, c)
 }
 
-// eps returns the endpoint set toward peer — epN consecutive entries of
-// the live list — or nil if the peer is not connected. It is the send
-// path's lookup: a binary search over what is established, where a table
-// indexed by rank cost every device the job size.
+// eps returns the endpoint set toward peer — cfg.Endpoints consecutive
+// entries of the live list — or nil if the peer is not connected. It is
+// the send path's lookup: a binary search over what is established, where
+// a table indexed by rank cost every device the job size.
 func (d *Device) eps(peer int) []*conn {
 	i, ok := slices.BinarySearchFunc(d.live, peer, func(c *conn, peer int) int {
 		return cmp.Compare(int(c.peer), peer)
@@ -379,7 +387,7 @@ func (d *Device) eps(peer int) []*conn {
 	if !ok {
 		return nil
 	}
-	return d.live[i : i+d.epN]
+	return d.live[i : i+d.cfg.Endpoints]
 }
 
 // epAt returns endpoint ep of the set toward peer, or nil if the peer
@@ -398,7 +406,7 @@ func (d *Device) epAt(peer, ep int) *conn {
 // without touching the counter, keeping the single-endpoint device
 // byte-identical to the pre-endpoint one.
 func (d *Device) selectEP(eps []*conn) *conn {
-	if d.epN == 1 {
+	if d.cfg.Endpoints == 1 {
 		return eps[0]
 	}
 	d.stickySels++
@@ -412,7 +420,7 @@ func (d *Device) selectEP(eps []*conn) *conn {
 // messages land in set-up memory (mem.BufPool.Warm).
 func Wire(devs []*Device) {
 	n := len(devs)
-	ends := &endSlab{left: n * (n - 1) * devs[0].epN}
+	ends := &endSlab{left: n * (n - 1) * devs[0].cfg.Endpoints}
 	for _, d := range devs {
 		d.peers, d.ends = devs, ends
 	}
@@ -463,9 +471,9 @@ func (s *endSlab) take(n int) []conn {
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and
 // virtual channels — between two devices and returns a's. The two sets
-// are 2·epN adjacent ends of the world's slab, a's then b's: the conns
-// hold their QP, VC and landing region by value and are pointed into
-// from all sides, and the slab never moves them. All QPs
+// are 2·Endpoints adjacent ends of the world's slab, a's then b's: the
+// conns hold their QP, VC and landing region by value and are pointed
+// into from all sides, and the slab never moves them. All QPs
 // are made first (a's then b's per endpoint: queue pair numbers follow)
 // and connected in index order, then each endpoint's channel state is
 // built — at set size 1 the sequence is exactly the pre-endpoint
@@ -473,12 +481,13 @@ func (s *endSlab) take(n int) []conn {
 // before b: regions are numbered in reservation order, and two ranks may
 // share an HCA).
 func establish(a, b *Device) []*conn {
-	if a.epN != b.epN {
+	n := a.cfg.Endpoints
+	if n != b.cfg.Endpoints {
 		panic(fmt.Sprintf("chdev: endpoint-set size mismatch: rank %d has %d, rank %d has %d",
-			a.rank, a.epN, b.rank, b.epN))
+			a.rank, n, b.rank, b.cfg.Endpoints))
 	}
-	pair := a.ends.take(2 * a.epN)
-	ea, eb := pair[:a.epN:a.epN], pair[a.epN:]
+	pair := a.ends.take(2 * n)
+	ea, eb := pair[:n:n], pair[n:]
 	for ep := range ea {
 		a.prov.initQP(&ea[ep].qp)
 		b.prov.initQP(&eb[ep].qp)
@@ -507,13 +516,13 @@ func (d *Device) initConn(c *conn, peer, ep int) {
 	// Each direction of each endpoint is a distinct metric series; with
 	// on-demand wiring this runs mid-job and the series align via the
 	// registry's first-sample offsets.
-	c.vc.RegisterMetrics(d.cfg.Metrics, d.rank, peer, ep)
+	c.vc.RegisterMetrics(d.registry(), d.rank, peer, ep)
 }
 
 // tr records a trace event if tracing is enabled.
 func (d *Device) tr(kind trace.Kind, peer int, arg int64) {
-	if d.cfg.Tracer != nil {
-		d.cfg.Tracer.Add(trace.Event{T: d.eng.Now(), Rank: d.rank, Peer: peer, Kind: kind, Arg: arg})
+	if d.tracer != nil {
+		d.tracer.Add(trace.Event{T: d.eng.Now(), Rank: d.rank, Peer: peer, Kind: kind, Arg: arg})
 	}
 }
 
@@ -1008,7 +1017,8 @@ func (d *Device) debugLiveIn(r *RndvIn) {
 // the receiver.
 func (d *Device) sendReturn(c *conn) bool {
 	now := d.eng.Now()
-	if d.cfg.Faults != nil && d.cfg.Faults.DropECM(now, d.rank, int(c.peer)) {
+	faults, _ := d.hca.Fabric().Config().Faults.(ECMFaults)
+	if faults != nil && faults.DropECM(now, d.rank, int(c.peer)) {
 		c.vc.NoteECMDropped()
 		d.tr(trace.ECMDropped, int(c.peer), int64(c.vc.Unreturned()))
 		t := d.ecmTimer(c)
@@ -1019,7 +1029,7 @@ func (d *Device) sendReturn(c *conn) bool {
 	}
 	h := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
 	d.postCtrl(c, h)
-	if d.cfg.Faults != nil && d.cfg.Faults.DuplicateECM(now, d.rank, int(c.peer)) {
+	if faults != nil && faults.DuplicateECM(now, d.rank, int(c.peer)) {
 		c.vc.NoteECMDuplicated()
 		d.tr(trace.ECMDuplicated, int(c.peer), 0)
 		// The original took everything owed, so the duplicate carries zero

@@ -50,8 +50,14 @@ func (h *fakeHandler) SendDone(token any) { h.sendDone = append(h.sendDone, toke
 // devPair builds two wired devices with fake handlers on a 2-node fabric.
 func devPair(t *testing.T, cfg Config, params core.Params) (*sim.Engine, *Device, *Device, *fakeHandler, *fakeHandler) {
 	t.Helper()
+	return devPairOn(t, ib.DefaultConfig(), cfg, params)
+}
+
+// devPairOn is devPair on a fabric configured by fc.
+func devPairOn(t *testing.T, fc ib.Config, cfg Config, params core.Params) (*sim.Engine, *Device, *Device, *fakeHandler, *fakeHandler) {
+	t.Helper()
 	eng := sim.NewEngine()
-	f := ib.NewFabric(eng, ib.DefaultConfig(), 2)
+	f := ib.NewFabric(eng, fc, 2)
 	h0, h1 := &fakeHandler{}, &fakeHandler{}
 	d0 := New(eng, f.HCA(0), cfg, params, 0, 2, h0)
 	d1 := New(eng, f.HCA(1), cfg, params, 1, 2, h1)

@@ -15,10 +15,9 @@ import (
 // duplicate series) panics instead of passing silently.
 func devPairEP(t *testing.T, cfg Config, params core.Params) (*sim.Engine, *Device, *Device, *fakeHandler, *fakeHandler) {
 	t.Helper()
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.New()
-	}
-	return devPair(t, cfg, params)
+	fc := ib.DefaultConfig()
+	fc.Metrics = metrics.New()
+	return devPairOn(t, fc, cfg, params)
 }
 
 // ownedQPs counts the QPs that name one of d's connections as their
@@ -197,9 +196,10 @@ func TestEndpointOnDemandBothEnds(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Endpoints = epN
 			cfg.OnDemand = true
-			cfg.Metrics = metrics.New()
+			fc := ib.DefaultConfig()
+			fc.Metrics = metrics.New()
 			eng := sim.NewEngine()
-			f := ib.NewFabric(eng, ib.DefaultConfig(), 2)
+			f := ib.NewFabric(eng, fc, 2)
 			h0, h1 := &fakeHandler{}, &fakeHandler{}
 			d0 := New(eng, f.HCA(0), cfg, core.Static(8), 0, 2, h0)
 			d1 := New(eng, f.HCA(1), cfg, core.Static(8), 1, 2, h1)

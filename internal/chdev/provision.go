@@ -231,7 +231,7 @@ func newPoolProvisioner(d *Device) *poolProvisioner {
 	pp := &poolProvisioner{connProvisioner{d}, d.hca.NewSRQ(), core.NewPool(&d.params)}
 	pp.srq.SetLimit(pp.pool.Watermark(), pp.onLimit)
 	pp.post(pp.pool.Posted())
-	if r := d.cfg.Metrics; r != nil {
+	if r := d.registry(); r != nil {
 		pp.pool.RegisterMetrics(r, d.rank)
 		r.GaugeFunc("chdev_pool_free",
 			func() int64 { return int64(pp.srq.PostedRecvs()) }, metrics.RankLabel(d.rank))
@@ -344,7 +344,7 @@ func newRingProvisioner(d *Device) *ringProvisioner {
 		panic(err)
 	}
 	rp := &ringProvisioner{connProvisioner: connProvisioner{d}}
-	if r := d.cfg.Metrics; r != nil {
+	if r := d.registry(); r != nil {
 		rank := metrics.RankLabel(d.rank)
 		r.CounterFunc("chdev_rndv_read_bytes", func() uint64 { return rp.readTotal }, rank)
 		r.GaugeFunc("chdev_ring_occupancy_hwm",

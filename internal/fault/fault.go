@@ -6,12 +6,12 @@
 // well-defined points of the (serialized) event loop:
 //
 //   - per-message link-latency jitter and transient link outages
-//     (ib.Config.Faults, consulted by the fabric's delivery path),
+//     (consulted by the fabric's delivery path),
 //   - forced Receiver-Not-Ready verdicts that exercise the RNR
 //     retry/backoff machinery up to budget exhaustion (ib),
 //   - delayed acknowledgements, i.e. late completion events (ib),
-//   - dropped and duplicated explicit credit messages
-//     (chdev.Config.Faults, consulted when an ECM is about to post).
+//   - dropped and duplicated explicit credit messages (consulted by
+//     the channel device when an ECM is about to post).
 //
 // Because the simulation core serializes all processes and events, the
 // Plan's generator is drawn in a deterministic order: the same seed and
@@ -94,8 +94,8 @@ type Stats struct {
 }
 
 // Plan is a deterministic fault schedule. It implements ib.FaultInjector
-// and chdev.ECMFaults; wire one plan into both configurations (or use
-// mpi.Options.Faults, which does so for a whole job).
+// and chdev.ECMFaults: attach it once, as ib.Config.Faults, and the
+// fabric and every device on it consult it.
 type Plan struct {
 	cfg      Config
 	rng      *sim.Rand
@@ -134,6 +134,9 @@ func New(cfg Config) *Plan {
 	}
 	return p
 }
+
+// Nodes returns the fabric size the plan's outages were drawn for.
+func (p *Plan) Nodes() int { return p.cfg.Nodes }
 
 // drawDuration returns a uniform draw from (0, max], or 1ns when max <= 0.
 func (p *Plan) drawDuration(max sim.Time) sim.Time {

@@ -104,18 +104,20 @@ type Config struct {
 	// the classic single-rail port.
 	Rails int
 
-	// Tracer, when non-nil, records transport events (RNR NAKs and
-	// retransmissions) with node numbers in the rank fields.
+	// Tracer, Metrics and Faults are the world's observers, attached
+	// here once: the devices read them from the fabric (HCA.Fabric).
+	// Tracer, when non-nil, records the transport's events (RNR NAKs,
+	// retransmissions; node numbers in the rank fields) and the devices'.
 	Tracer *trace.Buffer
 
-	// Metrics, when non-nil, receives per-QP transport counters and
-	// queue-depth gauges at Connect time (see internal/metrics). The
-	// registry only reads QP state at sampling instants; hot paths are
-	// untouched.
+	// Metrics, when non-nil, receives every layer's series (see
+	// internal/metrics), read only at sampling instants; hot paths are
+	// untouched. A registry belongs to exactly one world.
 	Metrics *metrics.Registry
 
 	// Faults, when non-nil, injects latency jitter, link outages, forced
-	// RNR NAKs and delayed acks into the fabric (see internal/fault).
+	// RNR NAKs and delayed acks, and ECM faults where it also implements
+	// chdev.ECMFaults (see internal/fault).
 	Faults FaultInjector
 }
 

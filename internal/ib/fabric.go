@@ -120,6 +120,9 @@ type HCA struct {
 // Node returns the node index this HCA is attached to.
 func (h *HCA) Node() int { return h.node }
 
+// Fabric returns the fabric this HCA is attached to.
+func (h *HCA) Fabric() *Fabric { return h.fabric }
+
 // NewCQ creates a completion queue on this adapter.
 func (h *HCA) NewCQ() *CQ {
 	cq := &CQ{eng: h.fabric.eng}

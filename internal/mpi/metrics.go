@@ -5,7 +5,7 @@ import (
 	"ibflow/internal/sim"
 )
 
-// metricsInterval is the sampling period of Options.Metrics: fine
+// metricsInterval is the sampling period of Options.IB.Metrics: fine
 // enough to resolve credit dynamics at eager-message granularity
 // (~7.5us round trips) without dominating the event count.
 const metricsInterval = 20 * sim.Microsecond
@@ -14,7 +14,7 @@ const metricsInterval = 20 * sim.Microsecond
 // registry; connection- and transport-level metrics register themselves
 // as connections are established. No-op without a registry.
 func (w *World) registerMetrics() {
-	r := w.opts.Metrics
+	r := w.opts.IB.Metrics
 	if r == nil {
 		return
 	}
@@ -31,7 +31,7 @@ func (w *World) registerMetrics() {
 // startSampler begins periodic sampling for Run. Nil-safe: without a
 // registry it returns a nil (no-op) sampler.
 func (w *World) startSampler() *metrics.Sampler {
-	return w.opts.Metrics.StartSampler(w.eng, metricsInterval)
+	return w.opts.IB.Metrics.StartSampler(w.eng, metricsInterval)
 }
 
 // ObserveBarrier records one rank's barrier participation time in the
@@ -41,4 +41,4 @@ func (w *World) ObserveBarrier(d sim.Time) { w.barrierHist.ObserveTime(d) }
 
 // Metrics returns the attached registry, if any (for tools dumping
 // after Run).
-func (w *World) Metrics() *metrics.Registry { return w.opts.Metrics }
+func (w *World) Metrics() *metrics.Registry { return w.opts.IB.Metrics }

@@ -56,8 +56,7 @@ func TestMetricsDumpDeterminism(t *testing.T) {
 			run := func() (jsonB, csvB, pftB []byte) {
 				ring := trace.NewBuffer(1 << 12)
 				opts := DefaultOptions(fc)
-				opts.Metrics = metrics.New()
-				opts.Chan.Tracer = ring
+				opts.IB.Metrics = metrics.New()
 				opts.IB.Tracer = ring
 				w := runInstrumented(t, opts, 3)
 				var j, c, p bytes.Buffer
@@ -107,7 +106,7 @@ func TestMetricsDoNotChangeMakespan(t *testing.T) {
 					opts := DefaultOptions(fc)
 					opts.Settle = settle
 					if instrument {
-						opts.Metrics = metrics.New()
+						opts.IB.Metrics = metrics.New()
 					}
 					return runInstrumented(t, opts, 3).Time()
 				}
@@ -132,7 +131,7 @@ func TestMetricsUnderSettle(t *testing.T) {
 	const n = 3
 	opts := DefaultOptions(core.Dynamic(1, 64))
 	opts.Settle = true
-	opts.Metrics = metrics.New()
+	opts.IB.Metrics = metrics.New()
 	w := runInstrumented(t, opts, n)
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
@@ -180,7 +179,7 @@ func TestMetricsUnderSettle(t *testing.T) {
 // without bound.
 func TestPoolHealthMetricsAreGated(t *testing.T) {
 	opts := DefaultOptions(core.Static(4))
-	opts.Metrics = metrics.New()
+	opts.IB.Metrics = metrics.New()
 	d := runInstrumented(t, opts, 3).Metrics().Snapshot()
 	got := make(map[string]int64)
 	for i := range d.Metrics {
@@ -212,7 +211,7 @@ func TestPoolHealthMetricsAreGated(t *testing.T) {
 func TestMetricsOnDemandMidRunRegistration(t *testing.T) {
 	opts := DefaultOptions(core.Dynamic(1, 64))
 	opts.Chan.OnDemand = true
-	opts.Metrics = metrics.New()
+	opts.IB.Metrics = metrics.New()
 	w := runInstrumented(t, opts, 3)
 	d := w.Metrics().Snapshot()
 	late := 0

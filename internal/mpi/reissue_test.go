@@ -74,7 +74,7 @@ func TestReissuesCountPerFrozenRequest(t *testing.T) {
 	opts := DefaultOptions(core.Hardware(1))
 	opts.IB.RNRRetryCount = 0
 	opts.Chan.Debug = true
-	opts.Chan.Tracer = tr
+	opts.IB.Tracer = tr
 	opts.Settle = true
 	opts.TimeLimit = 100 * sim.Millisecond
 	w := NewWorld(2, opts)
@@ -104,6 +104,9 @@ func TestReissuesCountPerFrozenRequest(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tr.Total() > 1<<12 {
+		t.Fatalf("%d events traced: the ring of %d lost the first", tr.Total(), 1<<12)
 	}
 	var args []int64
 	for _, e := range tr.Events() {

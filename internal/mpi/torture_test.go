@@ -204,15 +204,14 @@ func faultTortureOpts(s Spec, seed uint64, tracer *trace.Buffer) Options {
 	opts.IB.RNRRetryCount = 3
 	opts.IB.Tracer = tracer
 	opts.Chan.Debug = true
-	opts.Chan.Tracer = tracer
 	// Instrumentation rides along under the full fault mix: the metric
 	// dump is part of the bit-identical rerun contract below.
-	opts.Metrics = metrics.New()
+	opts.IB.Metrics = metrics.New()
 	// Backstop: a liveness bug surfaces as a crisp error, not a hang.
 	opts.TimeLimit = 2 * sim.Second
-	opts.Faults = fault.New(fault.Config{
+	opts.IB.Faults = fault.New(fault.Config{
 		Seed:         seed,
-		Nodes:        s.Ranks, // one rank per node in every fault row
+		Nodes:        s.Ranks, // one rank per node in every fault row (NewWorld checks)
 		JitterProb:   0.2,
 		JitterMax:    30 * sim.Microsecond,
 		OutageCount:  2,
@@ -304,7 +303,7 @@ func faultTorture(s Spec, seed uint64, settle bool) (faultRunResult, error) {
 		makespan:    w.Time(),
 		firstExit:   firstExit,
 		stats:       w.Stats(),
-		fstats:      opts.Faults.Stats(),
+		fstats:      opts.IB.Faults.(*fault.Plan).Stats(),
 		events:      tracer.Events(),
 		metricsJSON: mbuf.Bytes(),
 	}, nil

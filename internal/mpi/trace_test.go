@@ -11,7 +11,6 @@ import (
 func TestTraceCapturesProtocolStory(t *testing.T) {
 	buf := trace.NewBuffer(4096)
 	opts := DefaultOptions(core.Dynamic(1, 64))
-	opts.Chan.Tracer = buf
 	opts.IB.Tracer = buf
 	w := NewWorld(2, opts)
 	big := make([]byte, 64*1024)
@@ -63,7 +62,6 @@ func TestTraceCapturesProtocolStory(t *testing.T) {
 func TestTraceCapturesRNRUnderHardwareScheme(t *testing.T) {
 	buf := trace.NewBuffer(4096)
 	opts := DefaultOptions(core.Hardware(1))
-	opts.Chan.Tracer = buf
 	opts.IB.Tracer = buf
 	w := NewWorld(2, opts)
 	err := w.Run(func(c *Comm) {

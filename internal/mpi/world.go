@@ -19,7 +19,12 @@ import (
 
 // Options configures a simulated MPI job.
 type Options struct {
-	// IB is the fabric model configuration.
+	// IB is the fabric model configuration, and the one place a job
+	// attaches its observers: IB.Tracer records every layer's events,
+	// IB.Metrics is the job's registry (Run samples it on the sim clock
+	// every 20 us, metricsInterval; an instrumented run has the same
+	// makespan and stats as an uninstrumented one), and IB.Faults, a
+	// fault.Plan, perturbs the fabric and the devices' ECMs.
 	IB ib.Config
 	// Chan is the channel device (host software) configuration.
 	Chan chdev.Config
@@ -32,10 +37,6 @@ type Options struct {
 	RanksPerNode int
 	// TimeLimit aborts the simulation at this virtual time (0 = none).
 	TimeLimit sim.Time
-	// Faults, when non-nil, injects the plan's fabric and ECM faults
-	// into the whole job (it is wired into both IB.Faults and
-	// Chan.Faults by NewWorld).
-	Faults *fault.Plan
 	// Settle extends finalize with termination detection: a finished
 	// rank leaves its device's progress engine running detached, so late
 	// credits, FINs and re-issued streams are still processed, and Run
@@ -44,14 +45,6 @@ type Options struct {
 	// a settled job; perf runs leave this off so their makespans stay
 	// comparable.
 	Settle bool
-	// Metrics, when non-nil, attaches the deterministic metrics registry
-	// to the whole job: NewWorld wires it into Chan.Metrics and
-	// IB.Metrics, and Run samples it on the sim clock every 20 us
-	// (metricsInterval). Instrumentation never changes what the
-	// simulation computes — an instrumented run has the same makespan and
-	// stats as an uninstrumented one. A registry belongs to exactly one
-	// world.
-	Metrics *metrics.Registry
 }
 
 // DefaultOptions returns the calibrated testbed configuration under the
@@ -73,7 +66,7 @@ type World struct {
 	opts   Options
 	reqs   store.Pool[Request] // every rank's request boxes (see Request)
 
-	// Job-level histograms, non-nil only when Options.Metrics is set
+	// Job-level histograms, non-nil only when Options.IB.Metrics is set
 	// (their methods are nil-safe).
 	settleHist  *metrics.Histogram
 	barrierHist *metrics.Histogram
@@ -89,13 +82,8 @@ func NewWorld(n int, opts Options) *World {
 		rpn = 1
 	}
 	nodes := (n + rpn - 1) / rpn
-	if opts.Faults != nil {
-		opts.IB.Faults = opts.Faults
-		opts.Chan.Faults = opts.Faults
-	}
-	if opts.Metrics != nil {
-		opts.IB.Metrics = opts.Metrics
-		opts.Chan.Metrics = opts.Metrics
+	if p, ok := opts.IB.Faults.(*fault.Plan); ok && p.Nodes() != 0 && p.Nodes() != nodes {
+		panic(fmt.Sprintf("mpi: fault plan drawn for %d nodes, world has %d", p.Nodes(), nodes))
 	}
 	eng := sim.NewEngine()
 	w := &World{
@@ -181,7 +169,7 @@ func (w *World) Run(main func(c *Comm)) error {
 		for _, r := range w.ranks {
 			w.settleHist.ObserveTime(w.eng.Now() - r.detached)
 		}
-		w.opts.Metrics.Sample(w.eng.Now())
+		w.opts.IB.Metrics.Sample(w.eng.Now())
 	}
 	return nil
 }

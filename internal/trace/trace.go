@@ -1,8 +1,8 @@
 // Package trace records per-rank protocol events on the virtual timeline:
 // what the channel device sent, what starved, when the dynamic scheme
-// grew, and where the transport took RNR NAKs. A Buffer is attached
-// through the device/fabric configuration; recording is allocation-free
-// after warm-up (a fixed ring) so it can stay on during experiments.
+// grew, and where the transport took RNR NAKs. A Buffer is attached once,
+// as ib.Config.Tracer; recording is allocation-free after warm-up (a
+// fixed ring) so it can stay on during experiments.
 package trace
 
 import (
