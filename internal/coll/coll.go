@@ -1,8 +1,9 @@
 // Package coll implements MPI collective operations over the
 // point-to-point layer, with the classic algorithms MPICH-era stacks used:
 // dissemination barrier, binomial-tree broadcast and reduce, recursive
-// doubling allreduce and allgather, and pairwise-exchange all-to-all.
-// The NAS kernels in internal/nas are built on these. Every scratch buffer
+// doubling allreduce, and pairwise-exchange all-to-all (Alltoallv for
+// variable blocks). The NAS kernels in internal/nas and the repo
+// benchmark's collective rungs are built on these. Every scratch buffer
 // a collective hands to the point-to-point layer comes from Comm.AllocMem
 // and goes back through Comm.FreeMem when the collective is done with it.
 package coll
@@ -20,10 +21,6 @@ const (
 	tagReduce
 	tagAllreduce
 	tagAlltoall
-	tagAllgather
-	tagGather
-	tagScatter
-	tagRedScat
 )
 
 // ReduceOp combines src into dst element-wise; both slices encode the same
@@ -179,72 +176,4 @@ func Alltoallv(c *mpi.Comm, send []byte, sendCounts, sendOffs []int,
 			c.Isend(to, tagAlltoall, send[sendOffs[to]:sendOffs[to]+sendCounts[to]]))
 	}
 	c.Waitall(reqs...)
-}
-
-// Allgather concatenates every rank's block (each block bytes) into recv
-// (n*block bytes) on all ranks, using the ring algorithm.
-func Allgather(c *mpi.Comm, send, recv []byte, block int) {
-	n, me := c.Size(), c.Rank()
-	if len(send) != block || len(recv) != n*block {
-		panic("coll: allgather buffer sizes")
-	}
-	copy(recv[me*block:(me+1)*block], send)
-	right := (me + 1) % n
-	left := (me - 1 + n) % n
-	cur := me
-	for step := 0; step < n-1; step++ {
-		next := (cur - 1 + n) % n
-		c.Sendrecv(right, tagAllgather, recv[cur*block:(cur+1)*block],
-			left, tagAllgather, recv[next*block:(next+1)*block])
-		cur = next
-	}
-}
-
-// Gather collects every rank's block at root (root's recv is n*block
-// bytes; other ranks may pass nil recv).
-func Gather(c *mpi.Comm, root int, send, recv []byte, block int) {
-	n, me := c.Size(), c.Rank()
-	if me == root {
-		copy(recv[me*block:(me+1)*block], send)
-		for i := 0; i < n; i++ {
-			if i == root {
-				continue
-			}
-			c.Recv(i, tagGather, recv[i*block:(i+1)*block])
-		}
-		return
-	}
-	c.Send(root, tagGather, send)
-}
-
-// Scatter distributes root's send (n*block bytes) so rank i gets block i
-// in recv (block bytes).
-func Scatter(c *mpi.Comm, root int, send, recv []byte, block int) {
-	n, me := c.Size(), c.Rank()
-	if me == root {
-		copy(recv, send[me*block:(me+1)*block])
-		for i := 0; i < n; i++ {
-			if i == root {
-				continue
-			}
-			c.Send(i, tagScatter, send[i*block:(i+1)*block])
-		}
-		return
-	}
-	c.Recv(root, tagScatter, recv)
-}
-
-// ReduceScatter reduces data (n*block bytes) element-wise across ranks and
-// leaves rank i with block i in recv (block bytes). Implemented as reduce
-// to rank 0 followed by scatter, which matches MPICH's small-message path.
-func ReduceScatter(c *mpi.Comm, data []byte, recv []byte, block int, op ReduceOp) {
-	n := c.Size()
-	if len(data) != n*block || len(recv) != block {
-		panic("coll: reduce_scatter buffer sizes")
-	}
-	work := c.AllocMem(len(data))
-	copy(work, data)
-	Reduce(c, 0, work, op)
-	Scatter(c, 0, work, recv, block)
-	c.FreeMem(work)
 }

@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -13,6 +12,13 @@ import (
 
 // sizes to exercise: 1 rank, powers of two, and awkward sizes.
 var worldSizes = []int{1, 2, 3, 4, 5, 7, 8}
+
+// getF64 decodes the first float64 of b.
+func getF64(b []byte) float64 {
+	v := make([]float64, 1)
+	enc.GetF64(b, v)
+	return v[0]
+}
 
 func runN(t *testing.T, n int, main func(c *mpi.Comm)) {
 	t.Helper()
@@ -89,10 +95,11 @@ func TestReduceSum(t *testing.T) {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			runN(t, n, func(c *mpi.Comm) {
 				vals := []float64{float64(c.Rank()), 1, float64(c.Rank() * c.Rank())}
-				buf := enc.F64Bytes(vals)
+				buf := enc.PutF64(make([]byte, 8*len(vals)), vals)
 				Reduce(c, 0, buf, SumF64)
 				if c.Rank() == 0 {
-					got := enc.F64s(buf)
+					got := make([]float64, len(vals))
+					enc.GetF64(buf, got)
 					wantSum := 0.0
 					wantSq := 0.0
 					for r := 0; r < n; r++ {
@@ -113,10 +120,10 @@ func TestAllreduceEveryRankSeesResult(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			runN(t, n, func(c *mpi.Comm) {
-				buf := enc.F64Bytes([]float64{float64(1 + c.Rank())})
+				buf := enc.PutF64(make([]byte, 8), []float64{float64(1 + c.Rank())})
 				Allreduce(c, buf, SumF64)
 				want := float64(n * (n + 1) / 2)
-				if got := enc.F64s(buf)[0]; got != want {
+				if got := getF64(buf); got != want {
 					c.Abort(fmt.Sprintf("allreduce got %v want %v", got, want))
 				}
 			})
@@ -124,11 +131,21 @@ func TestAllreduceEveryRankSeesResult(t *testing.T) {
 	}
 }
 
+// maxF64 element-wise maximizes little-endian float64 payloads: a
+// ReduceOp no kernel needs, so it lives here.
+func maxF64(dst, src []byte) {
+	for i := 0; i+8 <= len(dst); i += 8 {
+		if getF64(src[i:]) > getF64(dst[i:]) {
+			copy(dst[i:i+8], src[i:i+8])
+		}
+	}
+}
+
 func TestAllreduceMax(t *testing.T) {
 	runN(t, 5, func(c *mpi.Comm) {
-		buf := enc.F64Bytes([]float64{float64(c.Rank() * 7 % 5)})
-		Allreduce(c, buf, MaxF64)
-		if got := enc.F64s(buf)[0]; got != 4 {
+		buf := enc.PutF64(make([]byte, 8), []float64{float64(c.Rank() * 7 % 5)})
+		Allreduce(c, buf, maxF64)
+		if got := getF64(buf); got != 4 {
 			c.Abort(fmt.Sprintf("max got %v", got))
 		}
 	})
@@ -205,79 +222,6 @@ func TestAlltoallvVariableBlocks(t *testing.T) {
 	}
 }
 
-func TestAllgatherRing(t *testing.T) {
-	for _, n := range worldSizes {
-		n := n
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			runN(t, n, func(c *mpi.Comm) {
-				const block = 16
-				send := bytes.Repeat([]byte{byte(c.Rank() + 1)}, block)
-				recv := make([]byte, n*block)
-				Allgather(c, send, recv, block)
-				for i := 0; i < n; i++ {
-					for b := 0; b < block; b++ {
-						if recv[i*block+b] != byte(i+1) {
-							c.Abort("allgather corrupted")
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	runN(t, 6, func(c *mpi.Comm) {
-		const block = 12
-		n := c.Size()
-		me := c.Rank()
-		send := bytes.Repeat([]byte{byte(me * 3)}, block)
-		var all []byte
-		if me == 2 {
-			all = make([]byte, n*block)
-		}
-		Gather(c, 2, send, all, block)
-		if me == 2 {
-			for i := 0; i < n; i++ {
-				if all[i*block] != byte(i*3) {
-					c.Abort("gather corrupted")
-				}
-			}
-		}
-		out := make([]byte, block)
-		Scatter(c, 2, all, out, block)
-		if out[0] != byte(me*3) {
-			c.Abort("scatter corrupted")
-		}
-	})
-}
-
-func TestReduceScatter(t *testing.T) {
-	runN(t, 4, func(c *mpi.Comm) {
-		n := c.Size()
-		const vals = 2 // float64s per block
-		block := vals * 8
-		data := make([]float64, n*vals)
-		for i := range data {
-			data[i] = float64(c.Rank() + i)
-		}
-		buf := enc.F64Bytes(data)
-		out := make([]byte, block)
-		ReduceScatter(c, buf, out, block, SumF64)
-		got := enc.F64s(out)
-		for v := 0; v < vals; v++ {
-			idx := c.Rank()*vals + v
-			want := 0.0
-			for r := 0; r < n; r++ {
-				want += float64(r + idx)
-			}
-			if got[v] != want {
-				c.Abort(fmt.Sprintf("reduce_scatter got %v want %v", got[v], want))
-			}
-		}
-	})
-}
-
 func TestCollectivesUnderEverySchemeAndPressure(t *testing.T) {
 	schemes := []core.Params{core.Hardware(1), core.Static(1), core.Dynamic(1, 64)}
 	for _, fc := range schemes {
@@ -286,9 +230,9 @@ func TestCollectivesUnderEverySchemeAndPressure(t *testing.T) {
 			w := mpi.NewWorld(8, mpi.DefaultOptions(fc))
 			err := w.Run(func(c *mpi.Comm) {
 				n := c.Size()
-				buf := enc.F64Bytes([]float64{float64(c.Rank())})
+				buf := enc.PutF64(make([]byte, 8), []float64{float64(c.Rank())})
 				Allreduce(c, buf, SumF64)
-				if got := enc.F64s(buf)[0]; got != float64(n*(n-1)/2) {
+				if got := getF64(buf); got != float64(n*(n-1)/2) {
 					c.Abort("allreduce wrong under pressure")
 				}
 				const block = 64
@@ -326,7 +270,7 @@ func TestPropertyAllreduceMatchesSerialSum(t *testing.T) {
 		okAll := true
 		w := mpi.NewWorld(n, mpi.DefaultOptions(core.Static(8)))
 		err := w.Run(func(c *mpi.Comm) {
-			buf := enc.I64Bytes(inputs[c.Rank()])
+			buf := enc.PutI64(make([]byte, 8*k), inputs[c.Rank()])
 			Allreduce(c, buf, SumI64)
 			got := enc.I64s(buf)
 			for i := range got {
@@ -345,14 +289,14 @@ func TestPropertyAllreduceMatchesSerialSum(t *testing.T) {
 func TestCollectivesOnSubcommunicators(t *testing.T) {
 	runN(t, 8, func(c *mpi.Comm) {
 		row := c.Split(c.Rank()/4, c.Rank()) // two rows of 4
-		buf := enc.F64Bytes([]float64{float64(c.Rank())})
+		buf := enc.PutF64(make([]byte, 8), []float64{float64(c.Rank())})
 		Allreduce(row, buf, SumF64)
 		want := 0.0
 		base := (c.Rank() / 4) * 4
 		for i := 0; i < 4; i++ {
 			want += float64(base + i)
 		}
-		if got := enc.F64s(buf)[0]; got != want {
+		if got := getF64(buf); got != want {
 			c.Abort(fmt.Sprintf("row allreduce got %v want %v", got, want))
 		}
 		// Broadcast within the row from row-rank 2.

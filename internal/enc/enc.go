@@ -8,9 +8,6 @@ import (
 	"math"
 )
 
-// F64Bytes encodes a float64 slice into a fresh byte slice.
-func F64Bytes(v []float64) []byte { return PutF64(make([]byte, 8*len(v)), v) }
-
 // PutF64 encodes v into b, which must hold 8*len(v) bytes, and returns b.
 func PutF64(b []byte, v []float64) []byte {
 	for i, x := range v {
@@ -19,22 +16,12 @@ func PutF64(b []byte, v []float64) []byte {
 	return b
 }
 
-// F64s decodes b (length a multiple of 8) into a fresh float64 slice.
-func F64s(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	GetF64(b, v)
-	return v
-}
-
 // GetF64 decodes b into v, which must hold len(b)/8 values.
 func GetF64(b []byte, v []float64) {
 	for i := range v {
 		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
-
-// I64Bytes encodes an int64 slice into a fresh byte slice.
-func I64Bytes(v []int64) []byte { return PutI64(make([]byte, 8*len(v)), v) }
 
 // PutI64 encodes v into b, which must hold 8*len(v) bytes, and returns b.
 func PutI64(b []byte, v []int64) []byte {
@@ -57,9 +44,6 @@ func GetI64(b []byte, v []int64) {
 		v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
-
-// I32Bytes encodes an int32 slice into a fresh byte slice.
-func I32Bytes(v []int32) []byte { return PutI32(make([]byte, 4*len(v)), v) }
 
 // PutI32 encodes v into b, which must hold 4*len(v) bytes, and returns b.
 func PutI32(b []byte, v []int32) []byte {

@@ -8,10 +8,12 @@ import (
 
 func TestF64RoundTrip(t *testing.T) {
 	in := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1), math.SmallestNonzeroFloat64}
-	got := F64s(F64Bytes(in))
-	if len(got) != len(in) {
+	b := PutF64(make([]byte, 8*len(in)), in)
+	if len(b) != 8*len(in) {
 		t.Fatal("length changed")
 	}
+	got := make([]float64, len(b)/8)
+	GetF64(b, got)
 	for i := range in {
 		if got[i] != in[i] {
 			t.Errorf("slot %d: %v != %v", i, got[i], in[i])
@@ -21,7 +23,7 @@ func TestF64RoundTrip(t *testing.T) {
 
 func TestI64RoundTrip(t *testing.T) {
 	in := []int64{0, -1, math.MaxInt64, math.MinInt64, 42}
-	got := I64s(I64Bytes(in))
+	got := I64s(PutI64(make([]byte, 8*len(in)), in))
 	for i := range in {
 		if got[i] != in[i] {
 			t.Errorf("slot %d: %v != %v", i, got[i], in[i])
@@ -31,7 +33,7 @@ func TestI64RoundTrip(t *testing.T) {
 
 func TestI32RoundTrip(t *testing.T) {
 	in := []int32{0, -7, math.MaxInt32, math.MinInt32}
-	got := I32s(I32Bytes(in))
+	got := I32s(PutI32(make([]byte, 4*len(in)), in))
 	for i := range in {
 		if got[i] != in[i] {
 			t.Errorf("slot %d: %v != %v", i, got[i], in[i])
@@ -62,7 +64,7 @@ func TestInPlaceVariants(t *testing.T) {
 
 func TestPropertyRoundTrips(t *testing.T) {
 	if err := quick.Check(func(v []int64) bool {
-		got := I64s(I64Bytes(v))
+		got := I64s(PutI64(make([]byte, 8*len(v)), v))
 		for i := range v {
 			if got[i] != v[i] {
 				return false
@@ -73,7 +75,8 @@ func TestPropertyRoundTrips(t *testing.T) {
 		t.Error(err)
 	}
 	if err := quick.Check(func(v []float64) bool {
-		got := F64s(F64Bytes(v))
+		got := make([]float64, len(v))
+		GetF64(PutF64(make([]byte, 8*len(v)), v), got)
 		for i := range v {
 			// NaN encodes fine but does not compare equal.
 			if got[i] != v[i] && !(math.IsNaN(got[i]) && math.IsNaN(v[i])) {

@@ -1,8 +1,9 @@
 // Package fault implements seeded, deterministic fault injection for the
 // simulated InfiniBand fabric and the MPI channel device.
 //
-// A Plan is constructed from a sim.NewRand seed — never wall clock — and
-// perturbs a run through narrow hooks the transport and device consult at
+// A Plan is built from a sim.NewRand seed — never wall clock — bound by
+// the fabric it is attached to (ib.Config.Faults, Plan.Bind), and perturbs
+// a run through narrow hooks the transport and device consult at
 // well-defined points of the (serialized) event loop:
 //
 //   - per-message link-latency jitter and transient link outages
@@ -34,17 +35,14 @@ type Config struct {
 	// remapped by sim.NewRand, so every seed, including 0, is valid.
 	Seed uint64
 
-	// Nodes is the fabric size; outages pick victim nodes in [0, Nodes).
-	Nodes int
-
 	// JitterProb is the per-message probability of extra path latency,
 	// drawn uniformly from (0, JitterMax].
 	JitterProb float64
 	JitterMax  sim.Time
 
-	// OutageCount transient link outages are scheduled over [0, Horizon):
-	// a node's links stall and traffic touching it is delayed until the
-	// outage ends. Durations draw uniformly from (0, OutageMax].
+	// OutageCount transient link outages on the bound fabric's nodes are
+	// scheduled over [0, Horizon): a node's links stall and traffic touching
+	// it is delayed until the outage ends. Durations draw from (0, OutageMax].
 	OutageCount int
 	OutageMax   sim.Time
 	Horizon     sim.Time
@@ -66,11 +64,6 @@ type Config struct {
 	// event — by a uniform draw from (0, AckDelayMax].
 	AckDelayProb float64
 	AckDelayMax  sim.Time
-
-	// Tracer, when non-nil, records injected faults on the timeline
-	// (trace.LinkOutage at plan construction, trace.FaultDelay per
-	// delayed message).
-	Tracer *trace.Buffer
 }
 
 // Outage is one scheduled link stall: node's ports are down in [Start, End).
@@ -95,29 +88,36 @@ type Stats struct {
 
 // Plan is a deterministic fault schedule. It implements ib.FaultInjector
 // and chdev.ECMFaults: attach it once, as ib.Config.Faults, and the
-// fabric and every device on it consult it.
+// fabric binds it and every device on it consults it.
 type Plan struct {
 	cfg      Config
-	rng      *sim.Rand
+	rng      *sim.Rand // made by Bind: a generator serves one run
+	tracer   *trace.Buffer
 	outages  []Outage
 	lastExit map[[2]int]sim.Time // last wire-entry time per directed pair
 	stats    Stats
 }
 
-// New builds a plan from cfg. Outage windows are precomputed here so they
-// are a pure function of the seed, independent of traffic.
+// New builds a plan from cfg. Its hooks need it bound (Bind).
 func New(cfg Config) *Plan {
-	if cfg.OutageCount > 0 && cfg.Nodes <= 0 {
-		panic("fault: outages need Nodes > 0")
-	}
 	if cfg.OutageCount > 0 && cfg.Horizon <= 0 {
 		panic("fault: outages need a positive Horizon")
 	}
-	p := &Plan{cfg: cfg, rng: sim.NewRand(cfg.Seed), lastExit: map[[2]int]sim.Time{}}
-	for i := 0; i < cfg.OutageCount; i++ {
-		node := p.rng.Intn(cfg.Nodes)
-		start := sim.Time(p.rng.Intn(int(cfg.Horizon)))
-		dur := p.drawDuration(cfg.OutageMax)
+	return &Plan{cfg: cfg, lastExit: map[[2]int]sim.Time{}}
+}
+
+// Bind implements ib.FaultInjector: it draws the outage windows over the
+// fabric's nodes before any traffic, a pure function of the seed, and
+// traces them and every later fault delay in tr. A second Bind panics.
+func (p *Plan) Bind(nodes int, tr *trace.Buffer) {
+	if p.rng != nil {
+		panic("fault: plan is already bound to a fabric")
+	}
+	p.rng, p.tracer = sim.NewRand(p.cfg.Seed), tr
+	for i := 0; i < p.cfg.OutageCount; i++ {
+		node := p.rng.Intn(nodes)
+		start := sim.Time(p.rng.Intn(int(p.cfg.Horizon)))
+		dur := p.drawDuration(p.cfg.OutageMax)
 		p.outages = append(p.outages, Outage{Node: node, Start: start, End: start + dur})
 	}
 	sort.Slice(p.outages, func(i, j int) bool {
@@ -126,17 +126,13 @@ func New(cfg Config) *Plan {
 		}
 		return p.outages[i].Node < p.outages[j].Node
 	})
-	if cfg.Tracer != nil {
+	if tr != nil {
 		for _, o := range p.outages {
-			cfg.Tracer.Add(trace.Event{T: o.Start, Rank: o.Node, Peer: -1,
+			tr.Add(trace.Event{T: o.Start, Rank: o.Node, Peer: -1,
 				Kind: trace.LinkOutage, Arg: int64(o.End - o.Start)})
 		}
 	}
-	return p
 }
-
-// Nodes returns the fabric size the plan's outages were drawn for.
-func (p *Plan) Nodes() int { return p.cfg.Nodes }
 
 // drawDuration returns a uniform draw from (0, max], or 1ns when max <= 0.
 func (p *Plan) drawDuration(max sim.Time) sim.Time {
@@ -146,7 +142,7 @@ func (p *Plan) drawDuration(max sim.Time) sim.Time {
 	return sim.Time(p.rng.Intn(int(max))) + 1
 }
 
-// Outages returns the precomputed outage windows, ordered by start time.
+// Outages returns the outage windows Bind drew, ordered by start time.
 func (p *Plan) Outages() []Outage {
 	out := make([]Outage, len(p.outages))
 	copy(out, p.outages)
@@ -159,7 +155,7 @@ func (p *Plan) Stats() Stats { return p.stats }
 // String summarizes the plan configuration for logs.
 func (p *Plan) String() string {
 	return fmt.Sprintf("fault.Plan{seed=%#x outages=%d jitter=%.2f ecmDrop=%.2f ecmDup=%.2f rnrForce=%.2f ackDelay=%.2f}",
-		p.cfg.Seed, len(p.outages), p.cfg.JitterProb, p.cfg.ECMDropProb,
+		p.cfg.Seed, p.cfg.OutageCount, p.cfg.JitterProb, p.cfg.ECMDropProb,
 		p.cfg.ECMDupProb, p.cfg.RNRForceProb, p.cfg.AckDelayProb)
 }
 
@@ -207,8 +203,8 @@ func (p *Plan) MessageDelay(now sim.Time, src, dst, n int) sim.Time {
 		delay = last + 1 - now // keep FIFO behind an earlier, slower message
 	}
 	p.lastExit[pair] = now + delay
-	if delay > 0 && p.cfg.Tracer != nil {
-		p.cfg.Tracer.Add(trace.Event{T: now, Rank: src, Peer: dst,
+	if delay > 0 && p.tracer != nil {
+		p.tracer.Add(trace.Event{T: now, Rank: src, Peer: dst,
 			Kind: trace.FaultDelay, Arg: int64(delay)})
 	}
 	return delay

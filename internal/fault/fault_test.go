@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"ibflow/internal/sim"
@@ -10,7 +11,6 @@ import (
 func testConfig(seed uint64) Config {
 	return Config{
 		Seed:         seed,
-		Nodes:        4,
 		JitterProb:   0.5,
 		JitterMax:    30 * sim.Microsecond,
 		OutageCount:  3,
@@ -22,6 +22,14 @@ func testConfig(seed uint64) Config {
 		AckDelayProb: 0.2,
 		AckDelayMax:  20 * sim.Microsecond,
 	}
+}
+
+// bound builds a plan from cfg and binds it to an untraced fabric of
+// nodes adapters, as NewFabric does.
+func bound(cfg Config, nodes int) *Plan {
+	p := New(cfg)
+	p.Bind(nodes, nil)
+	return p
 }
 
 // drive exercises every injection hook in a fixed call order and returns
@@ -39,7 +47,7 @@ func drive(p *Plan) Stats {
 }
 
 func TestSameSeedSameSchedule(t *testing.T) {
-	a, b := New(testConfig(42)), New(testConfig(42))
+	a, b := bound(testConfig(42), 4), bound(testConfig(42), 4)
 	oa, ob := a.Outages(), b.Outages()
 	if len(oa) != 3 {
 		t.Fatalf("outages = %d, want 3", len(oa))
@@ -60,15 +68,15 @@ func TestSameSeedSameSchedule(t *testing.T) {
 }
 
 func TestDifferentSeedsDiverge(t *testing.T) {
-	sa := drive(New(testConfig(1)))
-	sb := drive(New(testConfig(2)))
+	sa := drive(bound(testConfig(1), 4))
+	sb := drive(bound(testConfig(2), 4))
 	if sa == sb {
 		t.Error("distinct seeds produced identical injection stats")
 	}
 }
 
 func TestZeroConfigInjectsNothing(t *testing.T) {
-	p := New(Config{Seed: 7})
+	p := bound(Config{Seed: 7}, 4)
 	if d := p.MessageDelay(0, 0, 1, 64); d != 0 {
 		t.Errorf("MessageDelay = %v, want 0", d)
 	}
@@ -78,8 +86,9 @@ func TestZeroConfigInjectsNothing(t *testing.T) {
 }
 
 func TestOutageDelaysCoveredTraffic(t *testing.T) {
-	p := New(Config{Seed: 3, Nodes: 2, OutageCount: 1,
-		OutageMax: 100 * sim.Microsecond, Horizon: sim.Millisecond})
+	cfg := Config{Seed: 3, OutageCount: 1,
+		OutageMax: 100 * sim.Microsecond, Horizon: sim.Millisecond}
+	p := bound(cfg, 2)
 	o := p.Outages()[0]
 	mid := o.Start + (o.End-o.Start)/2
 	// Traffic touching the downed node waits out the window...
@@ -89,15 +98,14 @@ func TestOutageDelaysCoveredTraffic(t *testing.T) {
 	// ...and traffic after the window sails through (jitter is off; a
 	// fresh plan, so the FIFO clamp from the delayed message above does
 	// not apply).
-	p2 := New(Config{Seed: 3, Nodes: 2, OutageCount: 1,
-		OutageMax: 100 * sim.Microsecond, Horizon: sim.Millisecond})
+	p2 := bound(cfg, 2)
 	if d := p2.MessageDelay(o.End, o.Node, 1-o.Node, 64); d != 0 {
 		t.Errorf("post-outage delay = %v, want 0", d)
 	}
 }
 
 func TestMessageDelayPreservesPairFIFO(t *testing.T) {
-	p := New(testConfig(5))
+	p := bound(testConfig(5), 4)
 	var last sim.Time
 	for i := 0; i < 500; i++ {
 		now := sim.Time(i) * 3 * sim.Microsecond
@@ -114,32 +122,41 @@ func TestMessageDelayPreservesPairFIFO(t *testing.T) {
 
 func TestOutagesRecordedInTrace(t *testing.T) {
 	buf := trace.NewBuffer(16)
-	cfg := Config{Seed: 9, Nodes: 4, OutageCount: 2,
-		OutageMax: 50 * sim.Microsecond, Horizon: sim.Millisecond, Tracer: buf}
-	New(cfg)
+	p := New(Config{Seed: 9, OutageCount: 2,
+		OutageMax: 50 * sim.Microsecond, Horizon: sim.Millisecond})
+	if buf.Total() != 0 || len(p.Outages()) != 0 {
+		t.Fatal("an unbound plan drew or traced its outages")
+	}
+	if !strings.Contains(p.String(), "outages=2") {
+		t.Errorf("unbound plan reads %s, want outages=2", p)
+	}
+	p.Bind(4, buf)
 	evs := buf.Events()
 	if len(evs) != 2 {
 		t.Fatalf("trace has %d events, want 2", len(evs))
 	}
 	for _, e := range evs {
-		if e.Kind != trace.LinkOutage || e.Arg <= 0 {
+		if e.Kind != trace.LinkOutage || e.Arg <= 0 || e.Rank < 0 || e.Rank >= 4 {
 			t.Errorf("bad outage event %+v", e)
 		}
 	}
 }
 
-func TestOutageNeedsNodesAndHorizon(t *testing.T) {
-	for _, cfg := range []Config{
-		{OutageCount: 1, Horizon: sim.Millisecond},
-		{OutageCount: 1, Nodes: 2},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for %+v", cfg)
-				}
-			}()
-			New(cfg)
-		}()
-	}
+func TestOutageNeedsHorizon(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for outages without a horizon")
+		}
+	}()
+	New(Config{OutageCount: 1})
+}
+
+func TestSecondBindPanics(t *testing.T) {
+	p := bound(testConfig(1), 4)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic binding a plan twice")
+		}
+	}()
+	p.Bind(4, nil)
 }

@@ -22,11 +22,14 @@ import (
 	"ibflow/internal/trace"
 )
 
-// FaultInjector perturbs the fabric at three well-defined points. All
-// methods are called from inside the serialized event loop, so a
+// FaultInjector perturbs the fabric at three well-defined points, called
+// from inside the serialized event loop once NewFabric has bound it, so a
 // deterministic implementation (internal/fault.Plan) yields bit-identical
 // runs per seed. A nil injector means a fault-free fabric.
 type FaultInjector interface {
+	// Bind is NewFabric's one call, before anything runs: the fabric's
+	// node count and its tracer (nil when untraced).
+	Bind(nodes int, tr *trace.Buffer)
 	// MessageDelay returns extra path latency for one message of n wire
 	// bytes from node src to node dst (jitter, link outages).
 	MessageDelay(now sim.Time, src, dst, n int) sim.Time
@@ -117,7 +120,7 @@ type Config struct {
 
 	// Faults, when non-nil, injects latency jitter, link outages, forced
 	// RNR NAKs and delayed acks, and ECM faults where it also implements
-	// chdev.ECMFaults (see internal/fault).
+	// chdev.ECMFaults (see internal/fault). NewFabric binds it.
 	Faults FaultInjector
 }
 

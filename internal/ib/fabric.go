@@ -36,6 +36,9 @@ func NewFabric(eng *sim.Engine, cfg Config, nodes int) *Fabric {
 	if nodes <= 0 {
 		panic("ib: fabric needs at least one node")
 	}
+	if cfg.Faults != nil {
+		cfg.Faults.Bind(nodes, cfg.Tracer)
+	}
 	f := &Fabric{eng: eng, cfg: cfg}
 	f.pages, f.slabs = f.page0[:0], f.slab0[:0]
 	rails := max(cfg.Rails, 1)

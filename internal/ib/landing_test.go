@@ -11,6 +11,7 @@ import (
 
 	"ibflow/internal/debug"
 	"ibflow/internal/sim"
+	"ibflow/internal/trace"
 )
 
 // countingSource is a RecvSource of size-byte descriptors that hands out
@@ -32,6 +33,7 @@ func (s *countingSource) GetN(n int) []byte {
 // forceRNR NAKs the first n deliveries that find a descriptor posted.
 type forceRNR struct{ n int }
 
+func (f *forceRNR) Bind(int, *trace.Buffer)                       {}
 func (f *forceRNR) MessageDelay(sim.Time, int, int, int) sim.Time { return 0 }
 func (f *forceRNR) AckDelay(sim.Time) sim.Time                    { return 0 }
 func (f *forceRNR) ForceRNR(sim.Time, int) bool {

@@ -225,7 +225,6 @@ func newQPModel(t *testing.T, data []byte) *qpModel {
 	cfg.Tracer = tracer
 	cfg.Faults = fault.New(fault.Config{
 		Seed:         uint64(hdr[3]),
-		Nodes:        nodes,
 		AckDelayProb: modelAckProbs[hdr[2]&3],
 		AckDelayMax:  20 * sim.Microsecond,
 		RNRForceProb: modelRNRProbs[hdr[2]>>2&3],

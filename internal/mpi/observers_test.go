@@ -79,30 +79,67 @@ func TestObserversAttachOnTheFabric(t *testing.T) {
 	})
 	t.Run("faults", func(t *testing.T) {
 		opts := DefaultOptions(core.Static(8))
-		opts.IB.Faults = fault.New(fault.Config{Seed: 1, Nodes: 2, ECMDropProb: 0.5})
+		opts.IB.Faults = fault.New(fault.Config{Seed: 1, ECMDropProb: 0.5})
 		if st := oneWayBurst(t, opts, 64).Stats(); st.ECMsSent == 0 || st.ECMsDropped == 0 {
 			t.Errorf("%d ECMs sent, %d dropped: want some of each", st.ECMsSent, st.ECMsDropped)
 		}
 	})
 }
 
-// TestFaultPlanForAnotherNodeCountPanics: a plan whose outages name
-// nodes of a different fabric is refused when the world is built, with
-// both counts in the message; a plan drawn for the world's nodes is not.
-func TestFaultPlanForAnotherNodeCountPanics(t *testing.T) {
-	withPlan := func(nodes int) Options {
-		opts := DefaultOptions(core.Static(8))
-		opts.RanksPerNode = 2
-		opts.IB.Faults = fault.New(fault.Config{Seed: 1, Nodes: nodes, OutageCount: 2,
-			OutageMax: sim.Microsecond, Horizon: sim.Millisecond})
-		return opts
+// TestFaultPlanTracesOnTheFabricRing: a plan records its events in the
+// one ring the world attaches, IB.Tracer — its outages when the fabric
+// binds it, a fault delay per delayed message.
+func TestFaultPlanTracesOnTheFabricRing(t *testing.T) {
+	buf := trace.NewBuffer(1 << 12)
+	opts := DefaultOptions(core.Static(8))
+	opts.IB.Tracer = buf
+	opts.IB.Faults = fault.New(fault.Config{Seed: 1, OutageCount: 2,
+		OutageMax: 20 * sim.Microsecond, Horizon: sim.Millisecond,
+		JitterProb: 0.5, JitterMax: 10 * sim.Microsecond})
+	oneWayBurst(t, opts, 16)
+	seen := map[trace.Kind]int{}
+	for _, s := range buf.Summary() {
+		seen[s.Kind] = s.Count
 	}
-	NewWorld(4, withPlan(2))
+	if seen[trace.LinkOutage] != 2 || seen[trace.FaultDelay] == 0 {
+		t.Errorf("%d link-outage and %d fault-delay events traced, want 2 and some",
+			seen[trace.LinkOutage], seen[trace.FaultDelay])
+	}
+}
+
+// TestFaultPlanDrawsForItsWorld: a plan's outages name only nodes of
+// the world that binds it, here two nodes of two ranks each.
+func TestFaultPlanDrawsForItsWorld(t *testing.T) {
+	s, err := ParseSpec("ranks=4 pernode=2 scheme=static(8)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := s.Options()
+	plan := fault.New(fault.Config{Seed: 1, OutageCount: 16,
+		OutageMax: sim.Microsecond, Horizon: sim.Millisecond})
+	opts.IB.Faults = plan
+	NewWorld(s.Ranks, opts)
+	outs := plan.Outages()
+	if len(outs) != 16 {
+		t.Fatalf("%d outages drawn, want 16", len(outs))
+	}
+	for _, o := range outs {
+		if o.Node < 0 || o.Node >= 2 {
+			t.Errorf("outage %+v names a node outside [0, 2)", o)
+		}
+	}
+}
+
+// TestFaultPlanBindsOnce: a plan's generator belongs to one run, so a
+// second world built on the same plan is refused.
+func TestFaultPlanBindsOnce(t *testing.T) {
+	opts := DefaultOptions(core.Static(8))
+	opts.IB.Faults = fault.New(fault.Config{Seed: 1})
+	NewWorld(2, opts)
 	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "4 nodes") || !strings.Contains(msg, "has 2") {
-			t.Errorf("panic %q, want one naming the plan's 4 nodes and the world's 2", msg)
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "already bound") {
+			t.Errorf("panic %q, want one saying the plan is already bound", msg)
 		}
 	}()
-	NewWorld(4, withPlan(4))
+	NewWorld(2, opts)
 }

@@ -211,7 +211,6 @@ func faultTortureOpts(s Spec, seed uint64, tracer *trace.Buffer) Options {
 	opts.TimeLimit = 2 * sim.Second
 	opts.IB.Faults = fault.New(fault.Config{
 		Seed:         seed,
-		Nodes:        s.Ranks, // one rank per node in every fault row (NewWorld checks)
 		JitterProb:   0.2,
 		JitterMax:    30 * sim.Microsecond,
 		OutageCount:  2,
@@ -222,7 +221,6 @@ func faultTortureOpts(s Spec, seed uint64, tracer *trace.Buffer) Options {
 		RNRForceProb: 0.25,
 		AckDelayProb: 0.1,
 		AckDelayMax:  20 * sim.Microsecond,
-		Tracer:       tracer,
 	})
 	return opts
 }

@@ -10,7 +10,6 @@ import (
 
 	"ibflow/internal/chdev"
 	"ibflow/internal/core"
-	"ibflow/internal/fault"
 	"ibflow/internal/ib"
 	"ibflow/internal/metrics"
 	"ibflow/internal/sim"
@@ -24,7 +23,8 @@ type Options struct {
 	// IB.Metrics is the job's registry (Run samples it on the sim clock
 	// every 20 us, metricsInterval; an instrumented run has the same
 	// makespan and stats as an uninstrumented one), and IB.Faults, a
-	// fault.Plan, perturbs the fabric and the devices' ECMs.
+	// fault.Plan the fabric binds to its nodes, perturbs the fabric and
+	// the devices' ECMs.
 	IB ib.Config
 	// Chan is the channel device (host software) configuration.
 	Chan chdev.Config
@@ -82,9 +82,6 @@ func NewWorld(n int, opts Options) *World {
 		rpn = 1
 	}
 	nodes := (n + rpn - 1) / rpn
-	if p, ok := opts.IB.Faults.(*fault.Plan); ok && p.Nodes() != 0 && p.Nodes() != nodes {
-		panic(fmt.Sprintf("mpi: fault plan drawn for %d nodes, world has %d", p.Nodes(), nodes))
-	}
 	eng := sim.NewEngine()
 	w := &World{
 		eng:    eng,
