@@ -74,10 +74,46 @@ var tortureSchemes = []core.Params{
 // connection's path is fixed at Connect). Each row sets the scheme.
 var multiRail = Spec{Ranks: 4, LeafRadix: 2, Oversub: 1, Rails: 2}
 
-// runTorture executes the schedule in the world s describes: every rank
-// posts receives for its inbound messages in schedule order (per source,
-// order must hold) and fires its sends in schedule order, then verifies
-// every payload. Debug mode re-checks every credit invariant after each
+// tortureRank is every torture world's rank main: the rank posts a
+// receive for each of its inbound messages in schedule order (per source,
+// order must hold), fires its sends in schedule order, waits for all of
+// its receives and verifies every payload.
+func tortureRank(c *Comm, sched []tortureMsg) {
+	me := c.Rank()
+	var reqs []*Request
+	var bufs [][]byte
+	var expect []tortureMsg
+	for _, m := range sched {
+		if m.dst == me {
+			buf := make([]byte, m.size)
+			reqs = append(reqs, c.Irecv(m.src, m.tag, buf))
+			bufs = append(bufs, buf)
+			expect = append(expect, m)
+		}
+	}
+	for _, m := range sched {
+		if m.src == me {
+			data := make([]byte, m.size)
+			fillPattern(data, m.seed)
+			// Sends issue from a logical worker thread keyed by tag:
+			// inert on a single connection, and under an endpoint set
+			// the sticky policy then pins each (src, dst, tag) stream
+			// to one endpoint, preserving the FIFO that same-tag
+			// matching depends on.
+			c.Wait(c.Thread(m.tag).Isend(m.dst, m.tag, data))
+		}
+	}
+	c.Waitall(reqs...)
+	for i, m := range expect {
+		if !checkPattern(bufs[i], m.seed) {
+			c.Abort(fmt.Sprintf("payload %d from %d (tag %d, %dB) corrupted",
+				i, m.src, m.tag, m.size))
+		}
+	}
+}
+
+// runTorture executes the schedule in the world s describes
+// (tortureRank). Debug mode re-checks every credit invariant after each
 // progress pass, so a leak panics the run.
 func runTorture(t *testing.T, s Spec, count int, seed uint64) {
 	t.Helper()
@@ -85,40 +121,7 @@ func runTorture(t *testing.T, s Spec, count int, seed uint64) {
 	opts := s.Options()
 	opts.Chan.Debug = true
 	w := NewWorld(s.Ranks, opts)
-	err := w.Run(func(c *Comm) {
-		me := c.Rank()
-		var reqs []*Request
-		var bufs [][]byte
-		var expect []tortureMsg
-		for _, m := range sched {
-			if m.dst == me {
-				buf := make([]byte, m.size)
-				reqs = append(reqs, c.Irecv(m.src, m.tag, buf))
-				bufs = append(bufs, buf)
-				expect = append(expect, m)
-			}
-		}
-		for _, m := range sched {
-			if m.src == me {
-				data := make([]byte, m.size)
-				fillPattern(data, m.seed)
-				// Sends issue from a logical worker thread keyed by tag:
-				// inert on a single connection, and under an endpoint set
-				// the sticky policy then pins each (src, dst, tag) stream
-				// to one endpoint, preserving the FIFO that same-tag
-				// matching depends on.
-				c.Wait(c.Thread(m.tag).Isend(m.dst, m.tag, data))
-			}
-		}
-		c.Waitall(reqs...)
-		for i, m := range expect {
-			if !checkPattern(bufs[i], m.seed) {
-				c.Abort(fmt.Sprintf("payload %d from %d (tag %d, %dB) corrupted",
-					i, m.src, m.tag, m.size))
-			}
-		}
-	})
-	if err != nil {
+	if err := w.Run(func(c *Comm) { tortureRank(c, sched) }); err != nil {
 		t.Fatalf("torture %v, %d msgs: %v", s, count, err)
 	}
 }
@@ -160,36 +163,12 @@ func TestTortureDelayedReceivers(t *testing.T) {
 	sched := tortureSchedule(4, 80, 0xbeef)
 	w := NewWorld(4, opts)
 	err := w.Run(func(c *Comm) {
-		me := c.Rank()
 		// Odd ranks sit out a long compute before receiving anything,
 		// forcing deep unexpected queues at their devices.
-		if me%2 == 1 {
+		if c.Rank()%2 == 1 {
 			c.Compute(400 * sim.Microsecond)
 		}
-		var reqs []*Request
-		var bufs [][]byte
-		var expect []tortureMsg
-		for _, m := range sched {
-			if m.dst == me {
-				buf := make([]byte, m.size)
-				reqs = append(reqs, c.Irecv(m.src, m.tag, buf))
-				bufs = append(bufs, buf)
-				expect = append(expect, m)
-			}
-		}
-		for _, m := range sched {
-			if m.src == me {
-				data := make([]byte, m.size)
-				fillPattern(data, m.seed)
-				c.Wait(c.Isend(m.dst, m.tag, data))
-			}
-		}
-		c.Waitall(reqs...)
-		for i, m := range expect {
-			if !checkPattern(bufs[i], m.seed) {
-				c.Abort("delayed receiver corruption")
-			}
-		}
+		tortureRank(c, sched)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,34 +231,7 @@ func faultTorture(s Spec, seed uint64, settle bool) (faultRunResult, error) {
 	w := NewWorld(s.Ranks, opts)
 	firstExit := sim.MaxTime
 	err := w.Run(func(c *Comm) {
-		me := c.Rank()
-		var reqs []*Request
-		var bufs [][]byte
-		var expect []tortureMsg
-		for _, m := range sched {
-			if m.dst == me {
-				buf := make([]byte, m.size)
-				reqs = append(reqs, c.Irecv(m.src, m.tag, buf))
-				bufs = append(bufs, buf)
-				expect = append(expect, m)
-			}
-		}
-		for _, m := range sched {
-			if m.src == me {
-				data := make([]byte, m.size)
-				fillPattern(data, m.seed)
-				// Tag-keyed worker threads, as in runTorture: inert on a
-				// single connection, endpoint-multiplexing under sets.
-				c.Wait(c.Thread(m.tag).Isend(m.dst, m.tag, data))
-			}
-		}
-		c.Waitall(reqs...)
-		for i, m := range expect {
-			if !checkPattern(bufs[i], m.seed) {
-				c.Abort(fmt.Sprintf("payload %d from %d (tag %d, %dB) corrupted under faults",
-					i, m.src, m.tag, m.size))
-			}
-		}
+		tortureRank(c, sched)
 		// Run finalize's wait here, where its end can be observed; the
 		// one World.Run issues after main then returns without a pass.
 		c.r.dev.WaitProgress(c.r.proc, c.r.dev.Quiescent)
@@ -479,23 +431,7 @@ func TestTortureDeterminism(t *testing.T) {
 		opts := DefaultOptions(core.Dynamic(1, 64))
 		sched := tortureSchedule(4, 100, 0xabcd)
 		w := NewWorld(4, opts)
-		if err := w.Run(func(c *Comm) {
-			me := c.Rank()
-			var reqs []*Request
-			for _, m := range sched {
-				if m.dst == me {
-					reqs = append(reqs, c.Irecv(m.src, m.tag, make([]byte, m.size)))
-				}
-			}
-			for _, m := range sched {
-				if m.src == me {
-					data := make([]byte, m.size)
-					fillPattern(data, m.seed)
-					c.Wait(c.Isend(m.dst, m.tag, data))
-				}
-			}
-			c.Waitall(reqs...)
-		}); err != nil {
+		if err := w.Run(func(c *Comm) { tortureRank(c, sched) }); err != nil {
 			t.Fatal(err)
 		}
 		return w.Time()
