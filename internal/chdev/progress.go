@@ -212,6 +212,7 @@ func (m *progressMachine) step() {
 			// wrote directly. Either way it is released at pcPktTail.
 			m.buf = d.prov.landed(c, wc.Buf, int(wc.Len), wc.Imm)
 			m.hdr = DecodeHeader(m.buf)
+			d.debugCheckSeq(c, &m.hdr)
 			m.pc = pcPktCredits
 			switch { // charge: the software receive overhead of the arrival
 			case wc.Opcode == ib.OpRecvImm:
@@ -236,7 +237,7 @@ func (m *progressMachine) step() {
 		case pcPktBody:
 			if m.hdr.Flags&FlagStarved != 0 {
 				if grow := m.c.vc.OnStarvedFeedback(d.eng.Now()); grow > 0 {
-					d.tr(trace.Grew, int(m.c.peer), int64(m.c.vc.Posted()))
+					d.tr(trace.Grew, int(m.c.peer), 0, int64(m.c.vc.Posted()))
 					d.prepost(m.c, grow)
 				}
 			}
@@ -251,13 +252,13 @@ func (m *progressMachine) step() {
 			case PktRTS:
 				r := d.ins.Get()
 				*r = RndvIn{
-					Src:       int(m.hdr.Src),
-					Tag:       int(m.hdr.Tag),
-					Comm:      m.hdr.Comm,
-					Len:       int(m.hdr.Len),
-					conn:      m.c,
-					senderReq: m.hdr.ReqID,
-					senderMR:  m.hdr.MRID,
+					Src:      int(m.hdr.Src),
+					Tag:      int(m.hdr.Tag),
+					Comm:     m.hdr.Comm,
+					Len:      int(m.hdr.Len),
+					conn:     m.c,
+					seq:      m.hdr.Seq,
+					senderMR: m.hdr.MRID,
 				}
 				ubuf, accept := d.handler.DeliverRndvStart(r)
 				if !accept {
@@ -274,23 +275,22 @@ func (m *progressMachine) step() {
 				}
 				continue
 			case PktCTS:
-				out := d.sendRndvOn(m.c, m.hdr.ReqID, "CTS")
-				out.peerReq = m.hdr.PeerReqID
+				out := d.sendRndvOn(m.c, m.hdr.Seq, "CTS")
 				if len(out.data) == 0 {
-					d.sendFin(m.c, out.peerReq)
-					d.finishSend(out)
+					d.sendFin(m.c, out.seq)
+					d.finishSend(m.c, out)
 				} else {
 					// The one post that leaves lastSend alone: the silence
 					// gate has never counted the payload write as traffic.
 					mr := m.c.qp.Peer().HCA().LookupMR(int(m.hdr.MRID))
 					d.track(m.c)
-					m.c.qp.PostWrite(out.id, out.data, ib.RemoteKey{MR: mr})
-					d.tr(trace.SendRDMAData, int(m.c.peer), int64(len(out.data)))
+					m.c.qp.PostWrite(uint64(out.seq), out.data, ib.RemoteKey{MR: mr})
+					d.tr(trace.SendRDMAData, int(m.c.peer), out.seq, int64(len(out.data)))
 				}
 				m.pc = pcPktTail
 			case PktFin:
 				// Which end a FIN completes depends on who moved the data.
-				d.prov.fin(m.c, m.hdr.ReqID)
+				d.prov.fin(m.c, m.hdr.Seq)
 				m.pc = pcPktTail
 			case PktCredit, PktRingSync:
 				// What they return was applied at pcPktCredits.
@@ -321,7 +321,7 @@ func (m *progressMachine) step() {
 			m.pc = pcPktTail
 
 		case pcPktTail:
-			d.tr(trace.Recv, int(m.c.peer), int64(m.hdr.Type))
+			d.tr(trace.Recv, int(m.c.peer), m.hdr.Seq, int64(m.hdr.Type))
 			d.prov.processed(m.c, m.buf, &m.hdr)
 			m.c, m.buf = nil, nil
 			m.pc = pcPoll

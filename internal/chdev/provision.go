@@ -65,8 +65,8 @@ type recvProvisioner interface {
 	// for the caller to charge the header copy for and post, or nil if
 	// the shape moved the transfer along itself.
 	accepted(r *RndvIn, h Header) []byte
-	// fin handles an arrived FIN naming rendezvous id.
-	fin(c *conn, id uint64)
+	// fin handles an arrived FIN naming rendezvous seq of c.
+	fin(c *conn, seq uint32)
 
 	// stats completes the device's counters with what the shape owns:
 	// the receive memory it provisions (SumPosted, BufBytesInUse and
@@ -131,22 +131,19 @@ func (cp *connProvisioner) fillReturn(c *conn, h Header) Header {
 	return h
 }
 
-// accept names the transfer for the sender's FIN and builds the CTS
-// carrying the registered destination. Its piggyback is taken and its id
-// drawn now, before the registration charge: in process context an ECM
-// timer can fire inside that charge.
+// accept enters the transfer in recvRndv for the sender's FIN and builds
+// the CTS carrying the registered destination, echoing the RTS's number.
+// Its piggyback is taken now, before the registration charge: in process
+// context an ECM timer can fire inside that charge.
 func (cp *connProvisioner) accept(r *RndvIn, mr *ib.MR) Header {
 	d := cp.d
-	d.rndvSeq++
-	r.myReq = d.rndvSeq
-	d.recvRndv[r.myReq] = r
+	d.recvRndv[d.rndvKey(r.conn, r.seq)] = r
 	h := Header{
 		Type:      PktCTS,
 		Src:       int32(d.rank),
 		Len:       uint32(r.Len),
 		Piggyback: uint32(r.conn.vc.TakePiggyback()),
-		ReqID:     r.senderReq,
-		PeerReqID: r.myReq,
+		Seq:       r.seq,
 	}
 	if mr != nil {
 		h.MRID = uint32(mr.ID())
@@ -161,8 +158,8 @@ func (cp *connProvisioner) accepted(r *RndvIn, h Header) []byte {
 }
 
 // fin: the sender's RDMA write completed, the data is in the buffer.
-func (cp *connProvisioner) fin(c *conn, id uint64) {
-	cp.d.finishRecv(cp.d.takeRecvRndv(c, id, "FIN"))
+func (cp *connProvisioner) fin(c *conn, seq uint32) {
+	cp.d.finishRecv(cp.d.takeRecvRndv(c, seq, "FIN"))
 }
 
 // stats: each connection's receive memory is its own pre-post, so the
@@ -253,10 +250,10 @@ func (pp *poolProvisioner) post(n int) {
 // pressure instead of the connection count.
 func (pp *poolProvisioner) onLimit() {
 	d := pp.d
-	d.tr(trace.PoolLimit, d.rank, int64(pp.srq.PostedRecvs()))
+	d.tr(trace.PoolLimit, d.rank, 0, int64(pp.srq.PostedRecvs()))
 	if grow := pp.pool.OnLimitEvent(d.eng.Now()); grow > 0 {
 		pp.post(grow)
-		d.tr(trace.PoolGrew, d.rank, int64(pp.pool.Posted()))
+		d.tr(trace.PoolGrew, d.rank, 0, int64(pp.pool.Posted()))
 	}
 }
 
@@ -382,7 +379,7 @@ func (rp *ringProvisioner) postEager(c *conn, buf []byte, n int) {
 	d.track(c)
 	c.qp.PostWriteNotify(0, buf[:n], ib.RemoteKey{MR: &c.peerEnd().ringMR, Offset: slot * d.params.SlotBytes}, uint32(slot))
 	c.lastSend = d.eng.Now()
-	d.tr(trace.SendEager, int(c.peer), int64(n))
+	d.tr(trace.SendEager, int(c.peer), packetSeq(buf), int64(n))
 }
 
 // landed: a control packet arrives in a descriptor's buffer; an eager one
@@ -425,33 +422,32 @@ func (rp *ringProvisioner) fillReturn(c *conn, h Header) Header {
 func (rp *ringProvisioner) accept(r *RndvIn, mr *ib.MR) Header { return Header{} }
 
 // accepted pulls the payload from the source region the RTS named with an
-// RDMA read, posted under the rendezvous's own id and entered in recvRndv
-// as the write shape's accept enters it; the read's completion sends the
+// RDMA read, posted under the RTS's number and entered in recvRndv as
+// the write shape's accept enters it; the read's completion sends the
 // FIN and delivers (retireSend). A zero-length transfer has nothing to
 // pull and finishes here.
 func (rp *ringProvisioner) accepted(r *RndvIn, h Header) []byte {
 	d, c := rp.d, r.conn
 	if r.Len == 0 {
-		d.sendFin(c, r.senderReq)
+		d.sendFin(c, r.seq)
 		d.finishRecv(r)
 		return nil
 	}
-	d.rndvSeq++
-	r.myReq, r.pulled = d.rndvSeq, true
-	d.recvRndv[r.myReq] = r
+	r.pulled = true
+	d.recvRndv[d.rndvKey(c, r.seq)] = r
 	mr := c.qp.Peer().HCA().LookupMR(int(r.senderMR))
 	d.track(c)
-	c.qp.PostRead(r.myReq, r.buf[:r.Len], ib.RemoteKey{MR: mr})
+	c.qp.PostRead(uint64(r.seq), r.buf[:r.Len], ib.RemoteKey{MR: mr})
 	c.lastSend = d.eng.Now()
 	rp.readTotal += uint64(r.Len)
-	d.tr(trace.SendRDMARead, int(c.peer), int64(r.Len))
+	d.tr(trace.SendRDMARead, int(c.peer), r.seq, int64(r.Len))
 	return nil
 }
 
 // fin: the ring rendezvous FIN travels receiver -> sender — the RDMA read
 // finished, the source buffer is free.
-func (rp *ringProvisioner) fin(c *conn, id uint64) {
-	rp.d.finishSend(rp.d.sendRndvOn(c, id, "FIN"))
+func (rp *ringProvisioner) fin(c *conn, seq uint32) {
+	rp.d.finishSend(c, rp.d.sendRndvOn(c, seq, "FIN"))
 }
 
 // stats counts the pinned ring slots alongside the control receives:

@@ -133,15 +133,17 @@ func TestStaleRndvInIsCaught(t *testing.T) {
 	}
 }
 
-// Finishing a send twice is caught too: the second finish finds the id
-// gone from the table (and, under ibdebug, the object back in the pool).
+// Finishing a send twice is caught too: the second finish finds the
+// rendezvous gone from the table (and, under ibdebug, the object back in
+// the pool). The message is its end's first, so it is rendezvous 1.
 func TestDoubleFinishSendIsCaught(t *testing.T) {
 	for _, fc := range rndvShapes {
 		eng, d0, d1, h0, h1 := rndvPair(t, fc, 16<<10)
 		var out *rndvOut
+		c := d0.epAt(1, 0)
 		eng.Go("sender", func(p *sim.Proc) {
 			d0.Send(p, 1, 0, 0, make([]byte, 16<<10), nil, false)
-			out = d0.sendRndv[d0.rndvSeq]
+			out = d0.sendRndv[d0.rndvKey(c, 1)]
 			d0.WaitProgress(p, func() bool { return h0.sends == 1 && d0.Quiescent() })
 		})
 		eng.Go("receiver", func(p *sim.Proc) {
@@ -157,7 +159,7 @@ func TestDoubleFinishSendIsCaught(t *testing.T) {
 		if debug.Enabled {
 			want = "rank 0: outgoing rendezvous 1 used after it was recycled"
 		}
-		if msg := panicOf(func() { d0.finishSend(out) }); !strings.Contains(msg, want) {
+		if msg := panicOf(func() { d0.finishSend(c, out) }); !strings.Contains(msg, want) {
 			t.Errorf("%v: second finishSend panicked with %q, want %q", fc.Kind, msg, want)
 		}
 		if h0.sends != 1 {
@@ -168,8 +170,8 @@ func TestDoubleFinishSendIsCaught(t *testing.T) {
 
 // An accepted rendezvous is in recvRndv until its data is in, under
 // either shape: a pull the receiver has posted and not yet retired is
-// there, marked as pulled, and Audit reports it in flight; its read's
-// completion takes it out.
+// there under its RTS's number, marked as pulled, and Audit reports it in
+// flight; its read's completion takes it out.
 func TestPullInFlightIsInRecvRndv(t *testing.T) {
 	const size = 16 << 10
 	eng, d0, d1, h0, _ := rndvPair(t, core.RDMA(8, 1024), size)
@@ -182,15 +184,15 @@ func TestPullInFlightIsInRecvRndv(t *testing.T) {
 	})
 	eng.Go("receiver", func(p *sim.Proc) {
 		d0.WaitProgress(p, func() bool { return len(d0.recvRndv) > 0 })
-		r = d0.recvRndv[d0.rndvSeq] // the id the pull drew
+		r = d0.recvRndv[d0.rndvKey(d0.epAt(1, 0), 1)] // the end's first message
 		auditErr = Audit([]*Device{d0, d1})
 		d0.WaitProgress(p, func() bool { return h0.rndvDone == 1 && d0.Quiescent() })
 	})
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if r == nil || !r.pulled || r.myReq == 0 {
-		t.Fatalf("pull in flight: recvRndv entry %+v, want one pulled under its own id", r)
+	if r == nil || !r.pulled || r.seq != 1 {
+		t.Fatalf("pull in flight: recvRndv entry %+v, want rendezvous 1, pulled", r)
 	}
 	want := "rank 0: rendezvous still in flight (0 out, 1 in)"
 	if auditErr == nil || !strings.Contains(auditErr.Error(), want) {

@@ -84,11 +84,20 @@ type Event struct {
 	Rank int
 	Peer int
 	Kind Kind
-	Arg  int64 // kind-specific: bytes, credits, new pre-post count, ...
+	// Seq names the message the event is about: the number its sending
+	// connection end gave it (the channel device's Header.Seq), counted
+	// per end from 1; 0 for an event about no message. The send, recv,
+	// demoted, backlogged, drained, rdma-data and rdma-read kinds set it.
+	Seq uint32
+	Arg int64 // kind-specific: bytes, credits, new pre-post count, ...
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%-12v rank %d -> %d  %-12v %d", e.T, e.Rank, e.Peer, e.Kind, e.Arg)
+	s := fmt.Sprintf("%-12v rank %d -> %d  %-12v %d", e.T, e.Rank, e.Peer, e.Kind, e.Arg)
+	if e.Seq != 0 {
+		s += fmt.Sprintf("  #%d", e.Seq)
+	}
+	return s
 }
 
 // Buffer is a fixed-capacity ring of events. The zero value is unusable;

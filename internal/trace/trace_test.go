@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ibflow/internal/sim"
 )
@@ -119,4 +120,20 @@ func TestNewBufferValidates(t *testing.T) {
 		}
 	}()
 	NewBuffer(0)
+}
+
+// An event names its message in Kind's padding: it stays 40 B, and its
+// text shows the number only when there is one.
+func TestEventNamesItsMessage(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 40", got)
+	}
+	e := Event{T: 5, Rank: 0, Peer: 1, Kind: SendEager, Arg: 56}
+	if s := e.String(); strings.Contains(s, "#") {
+		t.Errorf("event about no message prints %q", s)
+	}
+	e.Seq = 7
+	if s := e.String(); !strings.HasSuffix(s, "send-eager   56  #7") {
+		t.Errorf("event about message 7 prints %q", s)
+	}
 }
