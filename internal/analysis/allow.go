@@ -68,19 +68,12 @@ func CollectAllows(fset *token.FileSet, files []*ast.File, known map[string]bool
 	return allows, bad
 }
 
-// FilterAllowed drops diagnostics that a matching, well-formed suppression
-// covers: same file, same analyzer, on the finding's line or the line
-// directly above it.
-func FilterAllowed(fset *token.FileSet, diags []Diagnostic, allows []Allow) []Diagnostic {
-	kept, _ := filterAllowed(fset, diags, allows)
-	return kept
-}
-
-// FilterAllowedStale is FilterAllowed plus stale-suppression detection:
-// it additionally returns the allows that suppressed nothing. For the
-// stale set to be meaningful, diags must contain every analyzer's
-// findings for the files the allows came from (a suppression is only
-// stale if nothing at all matched it).
+// FilterAllowedStale drops diagnostics that a matching, well-formed
+// suppression covers: same file, same analyzer, on the finding's line or
+// the line directly above it. It also returns the allows that suppressed
+// nothing. For that stale set to be meaningful, diags must contain every
+// analyzer's findings for the files the allows came from (a suppression
+// is only stale if nothing at all matched it).
 func FilterAllowedStale(fset *token.FileSet, diags []Diagnostic, allows []Allow) ([]Diagnostic, []Allow) {
 	kept, used := filterAllowed(fset, diags, allows)
 	var stale []Allow

@@ -254,7 +254,7 @@ func TestHotAllocAllowsRefill(t *testing.T) {
 	if len(allows) != 1 || len(bad) != 0 {
 		t.Fatalf("allows = %v, malformed = %v, want the refill's one allow", allows, bad)
 	}
-	kept := analysis.FilterAllowed(pkg.Fset, diags, allows)
+	kept, _ := analysis.FilterAllowedStale(pkg.Fset, diags, allows)
 	if got := structs(kept); got != 2 {
 		t.Errorf("struct-allocation findings after filtering = %d, want 2: %v", got, kept)
 	}

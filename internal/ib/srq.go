@@ -45,9 +45,6 @@ func (h *HCA) NewSRQ() *SRQ {
 	return s
 }
 
-// Num returns the shared receive queue's number on its HCA.
-func (s *SRQ) Num() int { return s.num }
-
 // HCA returns the adapter this SRQ lives on.
 func (s *SRQ) HCA() *HCA { return s.hca }
 
@@ -65,9 +62,6 @@ func (s *SRQ) SetLimit(n int, fn func()) {
 	s.onLimit = fn
 	s.armed = n > 0 && fn != nil
 }
-
-// Limit returns the armed low-watermark threshold (0 when disabled).
-func (s *SRQ) Limit() int { return s.limit }
 
 // PostRecv posts a receive descriptor into the shared pool. Arrivals on
 // any attached QP consume descriptors in FIFO order.

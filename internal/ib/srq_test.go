@@ -181,12 +181,12 @@ func TestSRQAttachmentValidation(t *testing.T) {
 	if qp.SRQ() != srq {
 		t.Error("SRQ() does not return the attached pool")
 	}
-	if srq.Num() != 0 || srq.HCA() != f.HCA(0) {
-		t.Errorf("SRQ identity: num %d, hca %v", srq.Num(), srq.HCA())
+	if srq.num != 0 || srq.HCA() != f.HCA(0) {
+		t.Errorf("SRQ identity: num %d, hca %v", srq.num, srq.HCA())
 	}
 	srq.SetLimit(3, func() {})
-	if srq.Limit() != 3 {
-		t.Errorf("Limit() = %d, want 3", srq.Limit())
+	if srq.limit != 3 {
+		t.Errorf("limit = %d, want 3", srq.limit)
 	}
 	srq.SetLimit(0, nil)
 	if plain := f.HCA(0).NewQP(cq, cq); plain.SRQ() != nil {

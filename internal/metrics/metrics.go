@@ -37,9 +37,6 @@ type Label struct {
 	Value string
 }
 
-// L is shorthand for constructing a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
-
 // RankLabel labels a metric with the owning MPI rank.
 func RankLabel(rank int) Label { return Label{Key: "rank", Value: strconv.Itoa(rank)} }
 
@@ -323,14 +320,6 @@ func (r *Registry) Sample(now sim.Time) {
 	for _, m := range r.order {
 		m.series = append(m.series, m.value())
 	}
-}
-
-// SampleCount reports how many sampling instants have been recorded.
-func (r *Registry) SampleCount() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.times)
 }
 
 // Len reports how many metrics are registered.

@@ -171,12 +171,12 @@ func TestTimerDeadlineSaturates(t *testing.T) {
 	tm := NewTimer(e, func() { firedAt = append(firedAt, e.Now()) })
 	e.At(7, func() {
 		tm.Reset(-3)
-		if tm.Deadline() != 7 {
-			t.Errorf("Reset(-3) at 7ns: Deadline() = %v, want 7ns", tm.Deadline())
+		if tm.at != 7 {
+			t.Errorf("Reset(-3) at 7ns: deadline %v, want 7ns", tm.at)
 		}
 		tm.Reset(MaxTime)
-		if tm.Deadline() != MaxTime {
-			t.Errorf("Reset(MaxTime) at 7ns: Deadline() = %d, want MaxTime", tm.Deadline())
+		if tm.at != MaxTime {
+			t.Errorf("Reset(MaxTime) at 7ns: deadline %d, want MaxTime", tm.at)
 		}
 	})
 	e.At(100, func() {})

@@ -324,8 +324,8 @@ func TestTimerResetSupersedesPending(t *testing.T) {
 	if len(firedAt) != 1 || firedAt[0] != 105 {
 		t.Errorf("firedAt = %v, want [105]", firedAt)
 	}
-	if tm.Deadline() != 105 {
-		t.Errorf("Deadline = %v, want 105", tm.Deadline())
+	if tm.at != 105 {
+		t.Errorf("deadline %v, want 105", tm.at)
 	}
 }
 

@@ -47,9 +47,6 @@ func (t *Timer) Stop() bool {
 // Armed reports whether the timer is waiting to fire.
 func (t *Timer) Armed() bool { return t.set }
 
-// Deadline returns the virtual time at which an armed timer will fire.
-func (t *Timer) Deadline() Time { return t.at }
-
 // Rand is a small deterministic pseudo-random source (xorshift64*) for
 // simulation components that need jitter without pulling in global state.
 // The zero value is invalid; use NewRand.
