@@ -197,10 +197,10 @@ type qpModel struct {
 const modelHeaderLen = 4
 
 var (
-	modelBudgets  = [4]int{-1, 0, 1, 3}
-	modelAckProbs = [4]float64{0, 0.2, 0.5, 0.9}
-	modelRNRProbs = [4]float64{0, 0.1, 0.3, 0.6}
-	modelJitProbs = [4]float64{0, 0.2, 0.5, 0.9}
+	modelBudgets = [4]int{-1, 0, 1, 3}
+	modelAckPcts = [4]int{0, 20, 50, 90}
+	modelRNRPcts = [4]int{0, 10, 30, 60}
+	modelJitPcts = [4]int{0, 20, 50, 90}
 )
 
 // newQPModel decodes the input's header and builds its world. Byte 0:
@@ -224,12 +224,10 @@ func newQPModel(t *testing.T, data []byte) *qpModel {
 	tracer := trace.NewBuffer(64)
 	cfg.Tracer = tracer
 	cfg.Faults = fault.New(fault.Config{
-		Seed:         uint64(hdr[3]),
-		AckDelayProb: modelAckProbs[hdr[2]&3],
-		AckDelayMax:  20 * sim.Microsecond,
-		RNRForceProb: modelRNRProbs[hdr[2]>>2&3],
-		JitterProb:   modelJitProbs[hdr[2]>>4&3],
-		JitterMax:    30 * sim.Microsecond,
+		Seed:        uint64(hdr[3]),
+		AckDelayPct: modelAckPcts[hdr[2]&3],
+		RNRForcePct: modelRNRPcts[hdr[2]>>2&3],
+		JitterPct:   modelJitPcts[hdr[2]>>4&3],
 	})
 	eng := sim.NewEngine()
 	m := &qpModel{

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ibflow/internal/core"
-	"ibflow/internal/fault"
 	"ibflow/internal/metrics"
 	"ibflow/internal/sim"
 	"ibflow/internal/trace"
@@ -78,8 +77,7 @@ func TestObserversAttachOnTheFabric(t *testing.T) {
 		}
 	})
 	t.Run("faults", func(t *testing.T) {
-		opts := DefaultOptions(core.Static(8))
-		opts.IB.Faults = fault.New(fault.Config{Seed: 1, ECMDropProb: 0.5})
+		opts := specOptions(t, "ranks=2 scheme=static(8) faults=seed(1)+ecmdrop(50)")
 		if st := oneWayBurst(t, opts, 64).Stats(); st.ECMsSent == 0 || st.ECMsDropped == 0 {
 			t.Errorf("%d ECMs sent, %d dropped: want some of each", st.ECMsSent, st.ECMsDropped)
 		}
@@ -91,11 +89,8 @@ func TestObserversAttachOnTheFabric(t *testing.T) {
 // binds it, a fault delay per delayed message.
 func TestFaultPlanTracesOnTheFabricRing(t *testing.T) {
 	buf := trace.NewBuffer(1 << 12)
-	opts := DefaultOptions(core.Static(8))
+	opts := specOptions(t, "ranks=2 scheme=static(8) faults=seed(1)+jitter(50)+outages(2)")
 	opts.IB.Tracer = buf
-	opts.IB.Faults = fault.New(fault.Config{Seed: 1, OutageCount: 2,
-		OutageMax: 20 * sim.Microsecond, Horizon: sim.Millisecond,
-		JitterProb: 0.5, JitterMax: 10 * sim.Microsecond})
 	oneWayBurst(t, opts, 16)
 	seen := map[trace.Kind]int{}
 	for _, s := range buf.Summary() {
@@ -110,31 +105,28 @@ func TestFaultPlanTracesOnTheFabricRing(t *testing.T) {
 // TestFaultPlanDrawsForItsWorld: a plan's outages name only nodes of
 // the world that binds it, here two nodes of two ranks each.
 func TestFaultPlanDrawsForItsWorld(t *testing.T) {
-	s, err := ParseSpec("ranks=4 pernode=2 scheme=static(8)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := s.Options()
-	plan := fault.New(fault.Config{Seed: 1, OutageCount: 16,
-		OutageMax: sim.Microsecond, Horizon: sim.Millisecond})
-	opts.IB.Faults = plan
-	NewWorld(s.Ranks, opts)
-	outs := plan.Outages()
-	if len(outs) != 16 {
-		t.Fatalf("%d outages drawn, want 16", len(outs))
-	}
-	for _, o := range outs {
-		if o.Node < 0 || o.Node >= 2 {
-			t.Errorf("outage %+v names a node outside [0, 2)", o)
+	buf := trace.NewBuffer(64)
+	opts := specOptions(t, "ranks=4 pernode=2 scheme=static(8) faults=seed(1)+outages(16)")
+	opts.IB.Tracer = buf
+	NewWorld(4, opts)
+	outages := 0
+	for _, e := range buf.Events() {
+		if e.Kind != trace.LinkOutage {
+			continue
 		}
+		if outages++; e.Rank < 0 || e.Rank >= 2 {
+			t.Errorf("outage %v names a node outside [0, 2)", e)
+		}
+	}
+	if outages != 16 {
+		t.Errorf("%d outages drawn, want 16", outages)
 	}
 }
 
 // TestFaultPlanBindsOnce: a plan's generator belongs to one run, so a
 // second world built on the same plan is refused.
 func TestFaultPlanBindsOnce(t *testing.T) {
-	opts := DefaultOptions(core.Static(8))
-	opts.IB.Faults = fault.New(fault.Config{Seed: 1})
+	opts := specOptions(t, "ranks=2 scheme=static(8) faults=seed(1)")
 	NewWorld(2, opts)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "already bound") {

@@ -42,13 +42,12 @@ func TestSettleReportsDeadlock(t *testing.T) {
 // settlement mechanism, so it reads the same before and after one is
 // replaced.
 func TestSettleLeavesFinalizePrefixAlone(t *testing.T) {
-	const seed = 0x5eed7
 	for _, cell := range semanticCells() {
-		on, err := faultTorture(cell.spec, seed, true)
+		on, err := faultTorture(cell.spec, true)
 		if err != nil {
 			t.Fatalf("%s: %v", cell.name, err)
 		}
-		off, err := faultTorture(cell.spec, seed, false)
+		off, err := faultTorture(cell.spec, false)
 		if err != nil {
 			t.Fatalf("%s-nosettle: %v", cell.name, err)
 		}

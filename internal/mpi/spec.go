@@ -2,23 +2,27 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"ibflow/internal/chdev"
 	"ibflow/internal/core"
+	"ibflow/internal/fault"
 	"ibflow/internal/ib"
 )
 
-// Spec describes a world: its ranks, their placement and fabric, and
-// the scheme and connections they run. Its one text form lists the keys
-// in this order, each left out at its default (DESIGN.md, "World spec"):
+// Spec describes a world: its ranks, their placement and fabric, the
+// scheme and connections they run, and the faults injected into it. Its
+// one text form lists the keys in this order, each left out at its
+// default (DESIGN.md, "World spec"):
 //
-//	ranks=1024 pernode=2 fabric=fattree(32,2) rails=2 scheme=rdma(8,1024) eps=2 ondemand
+//	ranks=1024 pernode=2 fabric=fattree(32,2) rails=2 scheme=rdma(8,1024) eps=2 ondemand faults=seed(7)+jitter(20)
 //
 // A zero PerNode, Rails or Endpoints means 1, a zero LeafRadix the
-// crossbar. A harness sets what it attaches (time limit, settling,
-// metrics, tracers, faults, debug checks) on what Options returns.
+// crossbar, a zero Faults no fault plan. A harness sets what it attaches
+// (time limit, settling, metrics, tracers, debug checks) on what Options
+// returns.
 type Spec struct {
 	Ranks, PerNode     int
 	LeafRadix, Oversub int // the fat tree; 0 = the crossbar
@@ -26,6 +30,7 @@ type Spec struct {
 	Scheme             core.Params // as a core constructor returns it
 	Endpoints          int
 	OnDemand           bool
+	Faults             fault.Config
 }
 
 // maxSpecNum bounds every number of a spec, so that no product a world
@@ -88,8 +93,10 @@ func parseSpec(text string) (s Spec, err error) {
 			s.Endpoints, err = specNum(val)
 		case "ondemand":
 			s.OnDemand = true
+		case "faults":
+			s.Faults, err = parseFaults(val)
 		default:
-			err = fmt.Errorf("unknown key %q (ranks, pernode, fabric, rails, scheme, eps, ondemand)", key)
+			err = fmt.Errorf("unknown key %q (ranks, pernode, fabric, rails, scheme, eps, ondemand, faults)", key)
 		}
 		if err != nil {
 			return s, err
@@ -134,6 +141,38 @@ func specCall(val, name string, arity int) ([]int, error) {
 	return args, nil
 }
 
+// faultTerms name the faults= key's terms in their one order. Every term
+// but seed and outages is a percent.
+var faultTerms = [...]string{"seed", "jitter", "outages", "ecmdrop", "ecmdup", "rnr", "ack"}
+
+// faultKnobs lists c's fields in faultTerms' order.
+func faultKnobs(c fault.Config) [len(faultTerms)]int {
+	return [...]int{int(c.Seed), c.JitterPct, c.OutageCount, c.ECMDropPct, c.ECMDupPct, c.RNRForcePct, c.AckDelayPct}
+}
+
+// parseFaults reads the faults= key's +-joined terms. A term given twice
+// keeps its last value, and terms out of order still parse; the round
+// trip rejects both.
+func parseFaults(val string) (fault.Config, error) {
+	var k [len(faultTerms)]int
+	for _, term := range strings.Split(val, "+") {
+		name, _, _ := strings.Cut(term, "(")
+		i := slices.Index(faultTerms[:], name)
+		if i < 0 {
+			return fault.Config{}, fmt.Errorf("unknown fault term %q (%s)", name, strings.Join(faultTerms[:], ", "))
+		}
+		args, err := specCall(term, name, 1)
+		if err != nil {
+			return fault.Config{}, err
+		}
+		if k[i] = args[0]; k[i] > 100 && name != "seed" && name != "outages" {
+			return fault.Config{}, fmt.Errorf("%q is not a percent in [1, 100]", term)
+		}
+	}
+	return fault.Config{Seed: uint64(k[0]), JitterPct: k[1], OutageCount: k[2],
+		ECMDropPct: k[3], ECMDupPct: k[4], RNRForcePct: k[5], AckDelayPct: k[6]}, nil
+}
+
 // String returns the spec's text form.
 func (s Spec) String() string {
 	b := fmt.Appendf(nil, "ranks=%d", s.Ranks)
@@ -161,11 +200,19 @@ func (s Spec) String() string {
 	if s.OnDemand {
 		b = append(b, " ondemand"...)
 	}
+	sep := " faults="
+	for i, k := range faultKnobs(s.Faults) {
+		if k != 0 {
+			b = fmt.Appendf(b, "%s%s(%d)", sep, faultTerms[i], k)
+			sep = "+"
+		}
+	}
 	return string(b)
 }
 
 // Options returns the calibrated testbed configuration of the world s
-// describes: NewWorld(s.Ranks, s.Options()) builds it.
+// describes: NewWorld(s.Ranks, s.Options()) builds it. Each call makes a
+// fresh fault plan, because a plan serves one world.
 func (s Spec) Options() Options {
 	o := DefaultOptions(s.Scheme)
 	o.RanksPerNode = s.PerNode
@@ -176,5 +223,8 @@ func (s Spec) Options() Options {
 	o.IB.Rails = s.Rails
 	o.Chan.Endpoints = s.Endpoints
 	o.Chan.OnDemand = s.OnDemand
+	if s.Faults != (fault.Config{}) {
+		o.IB.Faults = fault.New(s.Faults)
+	}
 	return o
 }

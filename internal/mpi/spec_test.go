@@ -6,14 +6,17 @@ import (
 
 	"ibflow/internal/chdev"
 	"ibflow/internal/core"
+	"ibflow/internal/fault"
 )
 
 // specsRun are the specs the repository runs, one of each shape:
 // fcbench's latency and nas defaults, the metric-smoke points, the micro,
-// scaling and endpoint document cells, the paper's NAS worlds and the
-// torture rows. FuzzSpec's seed corpus (testdata/fuzz/FuzzSpec) holds
-// every torture row, the tool defaults and each scheme's BENCH cells at
-// every world shape.
+// scaling and endpoint document cells, the paper's NAS worlds, the
+// torture rows, every fault row (faultRow: the crossbar sweep at seed 0,
+// the multirail sweep, the semantic cells, the endpoint rerun) and the
+// observer tests' plans. FuzzSpec's seed corpus
+// (testdata/fuzz/FuzzSpec) holds every torture and fault row, the tool
+// defaults and each scheme's BENCH cells at every world shape.
 var specsRun = []string{
 	"ranks=2 scheme=static(100)",
 	"ranks=2 scheme=rdma(8,1024)",
@@ -42,6 +45,37 @@ var specsRun = []string{
 	"ranks=4 scheme=hardware(2) eps=2",
 	"ranks=4 scheme=static(2) ondemand",
 	"ranks=4 scheme=dynamic(1,64) ondemand",
+	"ranks=4 scheme=hardware(2) faults=" + faultMix,
+	"ranks=4 scheme=static(2) faults=" + faultMix,
+	"ranks=4 scheme=dynamic(1,64) faults=" + faultMix,
+	"ranks=4 scheme=shared(4,64) faults=" + faultMix,
+	"ranks=4 scheme=rdma(4,1024) faults=" + faultMix,
+	"ranks=4 fabric=fattree(2,1) rails=2 scheme=hardware(2) faults=seed(63)+" + faultMix,
+	"ranks=4 fabric=fattree(2,1) rails=2 scheme=static(2) faults=seed(63)+" + faultMix,
+	"ranks=4 fabric=fattree(2,1) rails=2 scheme=dynamic(1,64) faults=seed(63)+" + faultMix,
+	"ranks=4 fabric=fattree(2,1) rails=2 scheme=shared(4,64) faults=seed(63)+" + faultMix,
+	"ranks=4 fabric=fattree(2,1) rails=2 scheme=rdma(4,1024) faults=seed(63)+" + faultMix,
+	"ranks=4 scheme=hardware(2) faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=static(2) faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=dynamic(1,64) faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=shared(4,64) faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=rdma(4,1024) faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=dynamic(1,64) ondemand faults=seed(388823)+" + faultMix,
+	"ranks=4 scheme=dynamic(1,64) eps=2 faults=seed(63)+" + faultMix,
+	"ranks=2 scheme=static(8) faults=seed(1)",
+	"ranks=2 scheme=static(8) faults=seed(1)+ecmdrop(50)",
+	"ranks=2 scheme=static(8) faults=seed(1)+jitter(50)+outages(2)",
+	"ranks=4 pernode=2 scheme=static(8) faults=seed(1)+outages(16)",
+}
+
+// specOptions returns the options of the world text describes.
+func specOptions(t *testing.T, text string) Options {
+	t.Helper()
+	s, err := ParseSpec(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Options()
 }
 
 // TestParseSpec runs the spec grammar: every spec the repository runs
@@ -61,6 +95,12 @@ func TestParseSpec(t *testing.T) {
 	}
 	s, err := ParseSpec("ranks=1024 fabric=fattree(32,2) rails=2 scheme=rdma(8,1024) eps=2 ondemand")
 	want := Spec{Ranks: 1024, LeafRadix: 32, Oversub: 2, Rails: 2, Scheme: core.RDMA(8, 1024), Endpoints: 2, OnDemand: true}
+	if err != nil || s != want {
+		t.Errorf("ParseSpec = %+v, %v; want %+v", s, err, want)
+	}
+	s, err = ParseSpec("ranks=4 scheme=static(2) faults=seed(7)+jitter(20)+outages(2)+ecmdrop(30)+ecmdup(20)+rnr(25)+ack(10)")
+	want = Spec{Ranks: 4, Scheme: core.Static(2), Faults: fault.Config{Seed: 7, JitterPct: 20,
+		OutageCount: 2, ECMDropPct: 30, ECMDupPct: 20, RNRForcePct: 25, AckDelayPct: 10}}
 	if err != nil || s != want {
 		t.Errorf("ParseSpec = %+v, %v; want %+v", s, err, want)
 	}
@@ -93,6 +133,15 @@ func TestParseSpec(t *testing.T) {
 		{"ranks=2", "ranks= and scheme= are required"},
 		{"scheme=static(100)", "ranks= and scheme= are required"},
 		{"", `unknown key ""`},
+		{"ranks=2 scheme=static(100) faults=jitter(0)", `"0" is not a number`},
+		{"ranks=2 scheme=static(100) faults=seed(0)", `"0" is not a number`},
+		{"ranks=2 scheme=static(100) faults=jitter(101)", `"jitter(101)" is not a percent in [1, 100]`},
+		{"ranks=2 scheme=static(100) faults=jitter(20)+seed(1)", `write "ranks=2 scheme=static(100) faults=seed(1)+jitter(20)"`},
+		{"ranks=2 scheme=static(100) faults=seed(1)+seed(2)", `write "ranks=2 scheme=static(100) faults=seed(2)"`},
+		{"ranks=2 scheme=static(100) faults=", `unknown fault term ""`},
+		{"ranks=2 scheme=static(100) faults=kill(1)", `unknown fault term "kill"`},
+		{"ranks=2 scheme=static(100) faults=seed(1,2)", "seed takes 1 arguments"},
+		{"ranks=2 scheme=static(100) faults=seed(1) ondemand", `write "ranks=2 scheme=static(100) ondemand faults=seed(1)"`},
 	} {
 		if _, err := ParseSpec(c.text); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ParseSpec(%q) error = %v, want %q", c.text, err, c.want)
@@ -134,8 +183,9 @@ func TestSchemeRoundTripsThroughSpec(t *testing.T) {
 // FuzzSpec holds the spec's two laws on any input: an accepted spec
 // prints back to itself (parse then print is the identity), and an
 // accepted spec of a small world builds without a panic — the class of
-// bug a flag the channel device refuses used to be. Bigger worlds are
-// left out because they cost memory, not because they may panic.
+// bug a flag the channel device refuses used to be. Bigger worlds, and
+// plans of more than 64 outages, are left out because they cost memory
+// and time, not because they may panic.
 func FuzzSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSpec(text)
@@ -145,7 +195,7 @@ func FuzzSpec(f *testing.F) {
 		if got := s.String(); got != text {
 			t.Fatalf("%q prints back as %q", text, got)
 		}
-		if s.Ranks <= 16 && s.Rails <= 4 && s.Endpoints <= 4 {
+		if s.Ranks <= 16 && s.Rails <= 4 && s.Endpoints <= 4 && s.Faults.OutageCount <= 64 {
 			NewWorld(s.Ranks, s.Options())
 		}
 	})
