@@ -2,7 +2,7 @@ GO ?= go
 
 # The enforced statement-coverage floor for ./internal/... (percent).
 # Raise it when coverage improves; never lower it to make a change pass.
-COVER_FLOOR ?= 75.0
+COVER_FLOOR ?= 85.0
 
 .PHONY: all build vet lint lint-json lint-fix test debug race cover fuzz bench bench-simcore bench-chdev bench-nas bench-diff fmt metrics-smoke loc
 
