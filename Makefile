@@ -19,18 +19,19 @@ vet:
 
 # fclint enforces the determinism, credit-accounting and hot-path
 # contracts (DESIGN.md, "Determinism contract & static enforcement"):
-# any finding fails. Audited hot-path allocations are counted too: one
-# `//fclint:allow hotalloc` stands outside the analyzer's own fixtures (the
-# 4 KB commit page in ib/fabric.go), and a recycled object comes from
-# store.Pool or mem.BufPool, not from a third. Deleting one lowers the
+# any finding fails. Audited hot-path allocations are counted too: two
+# `//fclint:allow hotalloc` stand outside the analyzer's own fixtures (the
+# 4 KB commit page in ib/fabric.go and BufPool.GetN's slab refill in
+# mem/mem.go), and a recycled object comes from store.Pool or
+# mem.BufPool, not from a third. Deleting one lowers the
 # number here; CI runs this target, so the count and its message live
 # only here.
 lint:
 	$(GO) run ./cmd/fclint ./...
 	@allows=$$(git ls-files '*.go' | grep -v '^internal/analysis/' | xargs grep -n '//fclint:allow hotalloc' || true); \
 	n=$$(printf '%s\n' "$$allows" | grep -c . || true); \
-	if [ "$$n" -ne 1 ]; then \
-		echo "$$n //fclint:allow hotalloc outside internal/analysis, want 1: take the object from store.Pool or mem.BufPool"; \
+	if [ "$$n" -ne 2 ]; then \
+		echo "$$n //fclint:allow hotalloc outside internal/analysis, want 2 (ib/fabric.go's commit page, mem/mem.go's slab refill): take the object from store.Pool or mem.BufPool"; \
 		printf '%s\n' "$$allows"; exit 1; \
 	fi
 

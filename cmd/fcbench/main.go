@@ -28,8 +28,9 @@
 // their own worlds and take no -spec. The -json forms of micro, scaling,
 // endpoints and paper are the BENCH_<test>.json documents at the repo
 // root; every number in them is virtual, so they repeat byte for byte at
-// any -parallel, and `make bench-diff` regenerates them and compares the
-// bytes with the committed files.
+// any GOMAXPROCS (a sweep runs one world per worker, one worker per CPU),
+// and `make bench-diff` regenerates them and compares the bytes with the
+// committed files.
 //
 // -metrics-out gives every world the run builds its own metrics registry
 // and, after the run, dumps the deterministic metric series in
@@ -61,14 +62,13 @@ import (
 	"ibflow/internal/metrics"
 	"ibflow/internal/mpi"
 	"ibflow/internal/nas"
-	"ibflow/internal/runner"
 	"ibflow/internal/trace"
 )
 
 // flagVals are the parsed flag values, all but -test.
 type flagVals struct {
 	spec, metricsOut, metricsFormat, only, app, class, cpuprofile, memprofile string
-	size, window, reps, iters, parallel, trace                                int
+	size, window, reps, iters, trace                                          int
 	blocking, json, quick, csv                                                bool
 }
 
@@ -166,10 +166,6 @@ func checkFlags(test string, set map[string]bool, v flagVals) (p plan, err error
 		return p, errors.New("-csv and -json are mutually exclusive")
 	case set["quick"] && test != "scaling" && test != "endpoints" && test != "paper":
 		return p, errors.New("-quick applies to -test scaling, endpoints and paper only")
-	case v.parallel < 0:
-		return p, errors.New("-parallel must be >= 0")
-	case set["parallel"] && v.parallel != 1 && v.metricsOut != "":
-		return p, errors.New("-metrics-out numbers dumps in world-construction order and needs the serial sweep; drop -parallel or pass -parallel 1")
 	case set["metrics-format"] && v.metricsOut == "":
 		return p, errors.New("-metrics-format requires -metrics-out")
 	}
@@ -201,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&v.metricsOut, "metrics-out", "", "dump each world's metrics: to this file for one world, to <prefix>-NNN.<ext> for more (worlds are then built one at a time)")
 	fs.StringVar(&v.metricsFormat, "metrics-format", "json", "metric dump format: json, csv, or perfetto")
 	fs.BoolVar(&v.quick, "quick", false, "smaller sweep (scaling, endpoints, paper): fewer cells and messages, class W for paper")
-	fs.IntVar(&v.parallel, "parallel", 0, "worker goroutines for sweeps (0 = one per CPU, 1 = serial); results are identical for every value")
 	fs.StringVar(&v.only, "only", "", "-test paper: comma-separated subset: fig2 ... fig10, table1, table2, micro (Figures 2-8), nas (Figures 9-10, Tables 1-2)")
 	fs.BoolVar(&v.csv, "csv", false, "-test paper: emit tables as CSV instead of aligned text")
 	fs.StringVar(&v.app, "app", "IS", "-test nas kernel: IS, FT, LU, CG, MG, BT, SP")
@@ -228,18 +223,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if v.parallel == 0 {
-		v.parallel = runner.Default()
-	}
 	var sink *metricsSink
 	var tune func(*mpi.Options)
 	if v.metricsOut != "" {
-		sink = &metricsSink{path: v.metricsOut, format: v.metricsFormat}
-		tune = sink.attach
 		// The sink appends registries as worlds are built: that order is
 		// only meaningful (and the append only safe) when worlds are built
-		// one at a time.
-		v.parallel = 1
+		// one at a time, as every sweep with a Tune hook builds them
+		// (bench.Workers).
+		sink = &metricsSink{path: v.metricsOut, format: v.metricsFormat}
+		tune = sink.attach
 	}
 
 	// Everything below is the measured run; usage errors returned above.
@@ -256,7 +248,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "micro":
 		runMicro(stdout, v, tune)
 	case "scaling":
-		doc := bench.ConnScaling(bench.Opts{Quick: v.quick, Parallel: v.parallel})
+		doc := bench.ConnScaling(bench.Opts{Quick: v.quick})
 		if v.json {
 			emitJSON(stdout, doc)
 		} else {
@@ -264,7 +256,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, t.String())
 		}
 	case "endpoints":
-		doc := bench.EndpointContention(bench.Opts{Quick: v.quick, Parallel: v.parallel})
+		doc := bench.EndpointContention(bench.Opts{Quick: v.quick})
 		if v.json {
 			emitJSON(stdout, doc)
 		} else {

@@ -34,20 +34,18 @@ func TestCheckFlags(t *testing.T) {
 		{"bandwidth", []string{"window", "metrics-out", "metrics-format"}, flagVals{metricsOut: "m", metricsFormat: "perfetto"}, ""},
 		{"bandwidth", []string{"spec"}, flagVals{spec: "ranks=2 scheme=dynamic(10,300)"}, ""},
 		{"micro", []string{"size", "iters", "reps", "blocking", "json"}, flagVals{}, ""},
-		{"scaling", []string{"quick", "json", "parallel"}, flagVals{parallel: 1}, ""},
+		{"scaling", []string{"quick", "json"}, flagVals{}, ""},
 		{"endpoints", []string{"quick"}, flagVals{}, ""},
-		{"paper", []string{"quick", "only", "csv", "parallel"}, flagVals{only: "fig6,table2", csv: true, parallel: 2}, ""},
-		{"paper", []string{"metrics-out", "parallel"}, flagVals{metricsOut: "m", parallel: 1}, ""},
+		{"paper", []string{"quick", "only", "csv"}, flagVals{only: "fig6,table2", csv: true}, ""},
+		{"paper", []string{"metrics-out"}, flagVals{metricsOut: "m"}, ""},
 		{"nas", nil, flagVals{}, ""},
 		{"nas", []string{"app", "class", "spec", "trace", "metrics-out"}, flagVals{app: "CG", class: "S", spec: "ranks=8 scheme=dynamic(1,300)", trace: 20, metricsOut: "m"}, ""},
 
 		// One registry per world: a sweep of sizes, windows or schemes
-		// writes one numbered dump per world, and -parallel 1 is the
-		// serial sweep -metrics-out runs anyway.
+		// writes one numbered dump per world, built one at a time.
 		{"latency", []string{"metrics-out"}, out, ""},
 		{"bandwidth", []string{"metrics-out"}, out, ""},
 		{"micro", []string{"metrics-out"}, out, ""},
-		{"latency", []string{"size", "metrics-out", "parallel"}, flagVals{metricsOut: "m", parallel: 1}, ""},
 
 		{"latency", []string{"window"}, flagVals{}, "-window applies to -test bandwidth"},
 		{"latency", []string{"reps"}, flagVals{}, "-reps applies to -test bandwidth"},
@@ -76,8 +74,6 @@ func TestCheckFlags(t *testing.T) {
 		{"nas", []string{"quick"}, flagVals{}, "-quick applies to -test scaling"},
 		{"nosuch", nil, flagVals{}, `unknown -test "nosuch"`},
 		{"latency", []string{"quick"}, flagVals{}, "-quick applies to -test scaling"},
-		{"latency", []string{"parallel"}, flagVals{parallel: -1}, "-parallel must be >= 0"},
-		{"paper", []string{"metrics-out", "parallel"}, flagVals{metricsOut: "m", parallel: 2}, "needs the serial sweep"},
 		{"latency", []string{"metrics-format"}, flagVals{metricsFormat: "csv"}, "-metrics-format requires -metrics-out"},
 		{"latency", []string{"size", "metrics-out", "metrics-format"}, flagVals{metricsOut: "m", metricsFormat: "xml"}, `unknown -metrics-format "xml"`},
 	}

@@ -38,7 +38,7 @@ func runLatency(w io.Writer, spec mpi.Spec, oneSize bool, v flagVals, tune func(
 	if oneSize {
 		sizes = []int{v.size}
 	}
-	points := runner.Map(len(sizes), v.parallel, func(i int) latPoint {
+	points := runner.Map(len(sizes), bench.Workers(tune), func(i int) latPoint {
 		return latPoint{sizes[i], bench.Latency(spec, sizes[i], v.iters, tune)}
 	})
 	if v.json {
@@ -64,7 +64,7 @@ func runBandwidth(w io.Writer, spec mpi.Spec, v flagVals, tune func(*mpi.Options
 	if v.window > 0 {
 		windows = []int{v.window}
 	}
-	points := runner.Map(len(windows), v.parallel, func(i int) bwPoint {
+	points := runner.Map(len(windows), bench.Workers(tune), func(i int) bwPoint {
 		return bwPoint{windows[i], bench.Bandwidth(spec, v.size, windows[i], v.reps, v.blocking, tune)}
 	})
 	if v.json {
@@ -99,14 +99,14 @@ func runMicro(w io.Writer, v flagVals, tune func(*mpi.Options)) {
 
 	// Each (scheme, point) cell is an independent world: sweep the grids
 	// through the worker pool and reassemble series in cell-index order.
-	latVals := runner.Map(len(schemes)*len(latSizes), v.parallel, func(k int) float64 {
+	latVals := runner.Map(len(schemes)*len(latSizes), bench.Workers(tune), func(k int) float64 {
 		return bench.Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(latSizes)]}, latSizes[k%len(latSizes)], v.iters, tune)
 	})
 	lat := make([]series, len(schemes))
 	for i := range schemes {
 		lat[i] = series{schemes[i].Kind.String(), latVals[i*len(latSizes) : (i+1)*len(latSizes)]}
 	}
-	bwVals := runner.Map(len(schemes)*len(bwWindows), v.parallel, func(k int) float64 {
+	bwVals := runner.Map(len(schemes)*len(bwWindows), bench.Workers(tune), func(k int) float64 {
 		return bench.Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k/len(bwWindows)]}, v.size, bwWindows[k%len(bwWindows)], v.reps, v.blocking, tune)
 	})
 	bw := make([]series, len(schemes))

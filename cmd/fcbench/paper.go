@@ -77,7 +77,7 @@ func selectExperiments(only string) ([]experiment, error) {
 // order; its full -json form is the BENCH_paper.json document, which
 // TestPaperClaims (internal/bench) holds to the shapes the paper reports.
 func runPaper(w io.Writer, tables []experiment, v flagVals, tune func(*mpi.Options)) {
-	o := bench.Opts{Quick: v.quick, Parallel: v.parallel, Tune: tune}
+	o := bench.Opts{Quick: v.quick, Tune: tune}
 	mode := "full (class A)"
 	if v.quick {
 		mode = "quick (class W)"

@@ -23,8 +23,9 @@
 //	                 sorted by file, line, column, analyzer, message, with
 //	                 module-relative paths)
 //	-fix             delete stale fclint:allow comments in place
-//	-parallel N      analyze packages with N workers (0 = GOMAXPROCS);
-//	                 output is byte-identical for any worker count
+//
+// Packages are analyzed on one worker per CPU (GOMAXPROCS); the output
+// is byte-identical for any worker count.
 package main
 
 import (
@@ -60,9 +61,8 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("fclint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	var (
-		asJSON   = flags.Bool("json", false, "emit findings as a JSON array on stdout")
-		fix      = flags.Bool("fix", false, "delete stale fclint:allow comments in place")
-		parallel = flags.Int("parallel", 0, "analyzer workers (0 = GOMAXPROCS)")
+		asJSON = flags.Bool("json", false, "emit findings as a JSON array on stdout")
+		fix    = flags.Bool("fix", false, "delete stale fclint:allow comments in place")
 	)
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -89,17 +89,13 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	// Analyze packages in parallel. Each worker touches only its own
 	// package's syntax and the read-only module facts; results come back
 	// index-ordered, so output is byte-identical for any worker count.
-	workers := *parallel
-	if workers <= 0 {
-		workers = runner.Default()
-	}
 	type pkgResult struct {
 		findings []finding
 		stale    []analysis.Allow
 		typeErrs []string
 		err      error
 	}
-	results := runner.Map(len(audited), workers, func(i int) pkgResult {
+	results := runner.Map(len(audited), runner.Default(), func(i int) pkgResult {
 		pkg := audited[i]
 		var res pkgResult
 		for _, terr := range pkg.TypeErrs {

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"ibflow/internal/runner"
 )
 
 // writeTestModule lays out a miniature module named ibflow in a temp
@@ -94,16 +97,27 @@ func runFclint(t *testing.T, dir string, args ...string) (int, string, string) {
 
 func TestFindingsAndJSONStability(t *testing.T) {
 	dir := writeTestModule(t)
-	code1, out1, _ := runFclint(t, dir, "-json", "-parallel", "1", "./...")
-	code4, out4, _ := runFclint(t, dir, "-json", "-parallel", "4", "./...")
-	if code1 != 1 || code4 != 1 {
-		t.Fatalf("exit codes = %d, %d, want 1 (module has known violations)", code1, code4)
+	// The worker count is GOMAXPROCS: vary it, and check that the run
+	// sees it, so that no comparison is serial against serial.
+	lint := func(procs int) (int, string) {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if got := runner.Default(); got != procs {
+			t.Fatalf("runner.Default() = %d under GOMAXPROCS(%d)", got, procs)
+		}
+		code, out, _ := runFclint(t, dir, "-json", "./...")
+		return code, out
 	}
-	if out1 != out4 {
-		t.Errorf("-json output differs between -parallel 1 and -parallel 4:\n%s\nvs\n%s", out1, out4)
+	code1, out1 := lint(1)
+	if code1 != 1 {
+		t.Fatalf("exit code = %d, want 1 (module has known violations)", code1)
 	}
-	code, again, _ := runFclint(t, dir, "-json", "-parallel", "1", "./...")
-	if code != 1 || again != out1 {
+	for _, procs := range []int{2, 4} {
+		if code, out := lint(procs); code != 1 || out != out1 {
+			t.Errorf("GOMAXPROCS %d: exit %d, -json output differs from the serial run:\n%s\nvs\n%s", procs, code, out, out1)
+		}
+	}
+	if code, again := lint(1); code != 1 || again != out1 {
 		t.Error("-json output is not byte-stable across identical runs")
 	}
 

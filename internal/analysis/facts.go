@@ -3,8 +3,8 @@ package analysis
 // Cross-package function facts for the hot-path contract analyzers
 // (simhotpath, hotalloc).
 //
-// A FuncFact is a per-function summary — "parks", "starts-goroutine",
-// "schedules-via-At", "allocates-closure" — computed bottom-up: within a
+// A FuncFact is a per-function summary — whether it parks, what it
+// calls, whether it runs in event context — computed bottom-up: within a
 // package by fixpoint over the static call graph, across packages by
 // consulting the facts of already-summarized dependencies. The loader's
 // dependency order (Module.DepOrder) guarantees a callee's package is
@@ -30,18 +30,6 @@ import (
 	"strings"
 )
 
-// HotpathPrefix begins a migration-frontier annotation:
-//
-//	//fclint:hotpath <reason>
-//
-// placed in a function's doc comment. It declares the function
-// contractually part of the event hot path even though no OnEvent
-// implementation reaches it statically — the ROADMAP's
-// goroutine-to-handler migration targets are annotated this way, so
-// their parks surface as (baselined) simhotpath findings that burn down
-// as the migrations land. The reason is mandatory.
-const HotpathPrefix = "//fclint:hotpath"
-
 // RootKind classifies why a function executes in event context.
 type RootKind int
 
@@ -54,8 +42,6 @@ const (
 	// RootScheduled marks closures and method values handed to
 	// Engine.At/After/AtCancel or sim.NewTimer: they fire as events.
 	RootScheduled
-	// RootHotpath marks //fclint:hotpath-annotated functions.
-	RootHotpath
 )
 
 // FuncFact is one function's (or func literal's) summary.
@@ -64,16 +50,11 @@ type FuncFact struct {
 	Pkg string // import path of the defining package
 	Pos token.Pos
 
-	Root       RootKind
-	RootReason string // the //fclint:hotpath reason, for RootHotpath
+	Root RootKind
 
-	// The five propagated facts: true when the function does the thing
-	// directly or through any static callee.
-	Parks            bool
-	StartsGoroutine  bool
-	SchedulesViaAt   bool
-	AllocatesClosure bool
-	AllocatesSlice   bool
+	// Parks is the one propagated fact: true when the function parks the
+	// calling goroutine directly or through any static callee.
+	Parks bool
 
 	// Park provenance, for diagnostics: ParkWhy names a direct parking
 	// operation ("sends on a channel"); otherwise ParkVia is the key of
@@ -94,14 +75,8 @@ type ScheduleSite struct {
 	File   string
 }
 
-// badDirective is a malformed //fclint:hotpath annotation.
-type badDirective struct {
-	Pos     token.Pos
-	Message string
-}
-
 // PkgFacts is the summary of one package: per-function facts plus the
-// schedule sites and malformed directives found along the way.
+// schedule sites found along the way.
 type PkgFacts struct {
 	Funcs map[string]*FuncFact
 	// AtSites are closure literals passed to Engine.At/After — a
@@ -122,8 +97,6 @@ type PkgFacts struct {
 	// (store.Pool) or inside the long-lived owner. A handler built at an
 	// AtCall/AfterCall call site is a FreshSite, not repeated here.
 	StructSites []ScheduleSite
-	// BadHotpath are //fclint:hotpath annotations without a reason.
-	BadHotpath []badDirective
 
 	// pendingRoots records schedule-time roots (method values passed to
 	// Engine.At and friends) whose target may be declared elsewhere.
@@ -160,7 +133,7 @@ func (fs *FactSet) AddPackage(pkg *LoadedPackage, rooted bool) *PkgFacts {
 	for k, f := range pf.Funcs {
 		if !rooted {
 			c := *f
-			c.Root, c.RootReason = RootNone, ""
+			c.Root = RootNone
 			fs.funcs[k] = &c
 			continue
 		}
@@ -268,7 +241,7 @@ func SummarizePackage(fset *token.FileSet, files []*ast.File, pkg *types.Package
 	return pf
 }
 
-// propagate closes the four facts over the package-local call graph,
+// propagate closes Parks over the package-local call graph,
 // consulting lookup for callees summarized elsewhere. Iteration visits
 // functions in sorted key order and callees in source order, and a fact
 // set once is never rewritten, so provenance is deterministic.
@@ -295,22 +268,6 @@ func propagate(funcs map[string]*FuncFact, lookup func(string) *FuncFact) {
 				}
 				if g.Parks && !f.Parks {
 					f.Parks, f.ParkVia = true, callee
-					changed = true
-				}
-				if g.StartsGoroutine && !f.StartsGoroutine {
-					f.StartsGoroutine = true
-					changed = true
-				}
-				if g.SchedulesViaAt && !f.SchedulesViaAt {
-					f.SchedulesViaAt = true
-					changed = true
-				}
-				if g.AllocatesClosure && !f.AllocatesClosure {
-					f.AllocatesClosure = true
-					changed = true
-				}
-				if g.AllocatesSlice && !f.AllocatesSlice {
-					f.AllocatesSlice = true
 					changed = true
 				}
 			}
@@ -383,11 +340,6 @@ func (s *summarizer) declFact(fd *ast.FuncDecl) {
 	if isOnEventMethod(fd, obj) {
 		f.Root = RootHandler
 	}
-	if reason, ok, bad := hotpathDirective(fd); bad != nil {
-		s.pf.BadHotpath = append(s.pf.BadHotpath, *bad)
-	} else if ok {
-		f.Root, f.RootReason = RootHotpath, reason
-	}
 	s.walkBody(f, fd.Body)
 }
 
@@ -439,7 +391,6 @@ func (s *summarizer) walkBody(f *FuncFact, body ast.Node) {
 			s.litFact(n)
 			return false
 		case *ast.GoStmt:
-			f.StartsGoroutine = true
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				s.litFact(lit)
 			}
@@ -477,7 +428,6 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 		return
 	}
 	if s.isByteSliceMake(call) {
-		f.AllocatesSlice = true
 		pos := s.fset.Position(call.Pos())
 		s.pf.SliceSites = append(s.pf.SliceSites, ScheduleSite{
 			Pos: call.Pos(), Method: "make", Owner: f.Key, File: pos.Filename,
@@ -510,20 +460,13 @@ func (s *summarizer) call(f *FuncFact, call *ast.CallExpr, edge func(string)) {
 }
 
 // scheduleCall handles a call to one of the sim package's scheduling
-// entry points: records the schedule facts, marks scheduled callbacks as
-// event-context roots, and collects hotalloc sites.
+// entry points: marks scheduled callbacks as event-context roots and
+// collects hotalloc sites.
 func (s *summarizer) scheduleCall(f *FuncFact, call *ast.CallExpr, kind string) {
-	switch kind {
-	case "Go":
-		// Engine-sanctioned process spawn: the body runs as a coroutine,
-		// not in event context, so it is neither a root nor an edge.
-		f.StartsGoroutine = true
-		return
-	case "At", "After", "AtCall", "AfterCall", "AtCancel":
-		f.SchedulesViaAt = true
-	}
-	// The scheduled callback argument: (time, fn|handler[, arg]).
-	if len(call.Args) < 2 {
+	// Engine.Go is the engine-sanctioned process spawn: the body runs as
+	// a coroutine, not in event context, so it is neither a root nor an
+	// edge. Every other entry point takes (time, fn|handler[, arg]).
+	if kind == "Go" || len(call.Args) < 2 {
 		return
 	}
 	arg := call.Args[1]
@@ -532,7 +475,6 @@ func (s *summarizer) scheduleCall(f *FuncFact, call *ast.CallExpr, kind string) 
 	case "At", "After":
 		if lit, ok := arg.(*ast.FuncLit); ok {
 			s.litFact(lit).Root = RootScheduled
-			f.AllocatesClosure = true
 			s.pf.AtSites = append(s.pf.AtSites, ScheduleSite{
 				Pos: arg.Pos(), Method: kind, Owner: f.Key, File: pos.Filename,
 			})
@@ -768,29 +710,4 @@ func isOnEventMethod(fd *ast.FuncDecl, obj *types.Func) bool {
 	}
 	b, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Uint64
-}
-
-// hotpathDirective parses a //fclint:hotpath annotation from fd's doc
-// comment. It returns the reason and ok, or a badDirective when the
-// mandatory reason is missing.
-func hotpathDirective(fd *ast.FuncDecl) (string, bool, *badDirective) {
-	if fd.Doc == nil {
-		return "", false, nil
-	}
-	for _, c := range fd.Doc.List {
-		if !strings.HasPrefix(c.Text, HotpathPrefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(c.Text, HotpathPrefix)
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue // e.g. //fclint:hotpathological
-		}
-		reason := strings.TrimSpace(rest)
-		if reason == "" {
-			return "", false, &badDirective{Pos: fd.Pos(),
-				Message: "fclint:hotpath needs a reason (why is this function contractually on the event hot path?)"}
-		}
-		return reason, true, nil
-	}
-	return "", false, nil
 }

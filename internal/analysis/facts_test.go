@@ -111,21 +111,13 @@ func TestFactPropagation(t *testing.T) {
 	if spawner == nil {
 		t.Fatal("no fact for simhotpath.spawner")
 	}
-	if !spawner.StartsGoroutine {
-		t.Error("spawner should carry StartsGoroutine")
-	}
 	if spawner.Parks {
 		t.Error("spawner must not inherit the goroutine body's park")
 	}
-
-	// The schedule facts.
-	sched := fs.Fact("simhotpath.schedule")
-	if sched == nil || !sched.SchedulesViaAt || !sched.AllocatesClosure {
-		t.Errorf("schedule should carry SchedulesViaAt and AllocatesClosure, got %+v", sched)
-	}
+	// Rescheduling through the handler path is not a park.
 	clean := fs.Fact("(*simhotpath.clean).OnEvent")
-	if clean == nil || !clean.SchedulesViaAt || clean.AllocatesClosure || clean.Parks {
-		t.Errorf("clean.OnEvent should schedule without allocating or parking, got %+v", clean)
+	if clean == nil || clean.Parks {
+		t.Errorf("clean.OnEvent should reschedule without parking, got %+v", clean)
 	}
 }
 

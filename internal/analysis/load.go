@@ -108,21 +108,11 @@ type Module struct {
 	Matched []*LoadedPackage
 }
 
-// Load type-checks the packages matching patterns (plus their
-// module-internal dependencies) rooted at the module in dir, and returns
-// one LoadedPackage per matched package, augmented with its in-package
-// test files. External test packages (package foo_test) are returned as
-// separate entries with an "_test" path suffix.
-func Load(dir string, patterns []string) ([]*LoadedPackage, error) {
-	mod, err := LoadModule(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return mod.Matched, nil
-}
-
-// LoadModule is Load plus the dependency-ordered pure views the facts
-// layer consumes.
+// LoadModule type-checks the packages matching patterns (plus their
+// module-internal dependencies) rooted at the module in dir. It returns
+// one augmented LoadedPackage per matched package (in-package test files
+// folded in, an external test package as a separate "_test"-suffixed
+// entry) and the dependency-ordered pure views the facts layer consumes.
 func LoadModule(dir string, patterns []string) (*Module, error) {
 	pkgs, order, err := goList(dir, patterns)
 	if err != nil {

@@ -198,16 +198,15 @@ func TestLoadModuleErrors(t *testing.T) {
 	}
 }
 
-// TestLoadWrapsModule: the original entry point returns exactly the
-// matched augmented views.
+// TestLoad: a one-package pattern matches exactly that package.
 func TestLoad(t *testing.T) {
 	dir := writeModule(t)
-	pkgs, err := analysis.Load(dir, []string{"./leaf"})
+	mod, err := analysis.LoadModule(dir, []string{"./leaf"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 1 || pkgs[0].Path != "ibflow/leaf" {
-		t.Fatalf("Load(./leaf) = %v, want just ibflow/leaf", pkgs)
+	if pkgs := mod.Matched; len(pkgs) != 1 || pkgs[0].Path != "ibflow/leaf" {
+		t.Fatalf("LoadModule(./leaf).Matched = %v, want just ibflow/leaf", pkgs)
 	}
 }
 

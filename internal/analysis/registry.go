@@ -29,6 +29,10 @@ var AuditedPackages = []string{
 	"ibflow/internal/metrics",
 	"ibflow/internal/coll",
 	"ibflow/internal/nas",
+	"ibflow/internal/mem",
+	"ibflow/internal/fault",
+	"ibflow/internal/trace",
+	"ibflow/internal/enc",
 	// The worker-pool runner is audited under an inverted simgoroutine
 	// rule: raw concurrency is sanctioned there, importing internal/sim
 	// is the violation (see SimGoroutine).

@@ -1,6 +1,6 @@
 // Package simhotpath exercises the simhotpath analyzer: functions that
-// run in event context (handlers, event-scheduled callbacks, annotated
-// hot-path functions) must never park.
+// run in event context (handlers, event-scheduled callbacks) must never
+// park.
 package simhotpath
 
 import (
@@ -61,25 +61,6 @@ func schedule(e *sim.Engine, ch chan int) {
 		_ = dep.Pure()
 	})
 }
-
-// frontier is annotated as contractually hot: its parks are findings
-// even though no handler reaches it statically.
-//
-//fclint:hotpath progress-engine loop slated for handler conversion
-func frontier(p *sim.Proc) { // want `hot-path function simhotpath\.frontier parks: calls \(\*sim\.Proc\)\.Sleep, which calls \(\*sim\.Proc\)\.park, which yields its coroutine to the engine`
-	p.Sleep(5)
-}
-
-// quietFrontier is annotated but park-free: annotation alone is not a
-// finding.
-//
-//fclint:hotpath already migrated, annotation keeps the contract pinned
-func quietFrontier() int { return dep.Pure() }
-
-// badDirective's annotation is missing its mandatory reason.
-//
-//fclint:hotpath
-func badDirective() {} // want `fclint:hotpath needs a reason`
 
 // spawned goroutine bodies are not event context: their parks are the
 // spawned goroutine's business (and simgoroutine's, elsewhere).

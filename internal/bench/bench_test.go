@@ -2,12 +2,14 @@ package bench
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ibflow/internal/core"
 	"ibflow/internal/mpi"
 	"ibflow/internal/nas"
+	"ibflow/internal/runner"
 )
 
 var quick = Opts{Quick: true}
@@ -26,12 +28,24 @@ func docJSON(t *testing.T, doc any) string {
 	return string(b)
 }
 
+// withProcs runs fn with GOMAXPROCS at n, the count a sweep's workers
+// derive from, and restores it. It fails the test unless the sweep sees
+// exactly n workers, so that no comparison is serial against serial.
+func withProcs(t *testing.T, n int, fn func() string) string {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	if got := runner.Default(); got != n {
+		t.Fatalf("runner.Default() = %d under GOMAXPROCS(%d)", got, n)
+	}
+	return fn()
+}
+
 // TestScalingSerialParallelIdentical pins the parallel runner's contract
 // at the bench layer: the connection-scaling document, as fcbench emits
 // it, must be byte-identical whatever the worker count.
 func TestScalingSerialParallelIdentical(t *testing.T) {
 	sweep := func(workers int) string {
-		return docJSON(t, ConnScaling(Opts{Quick: true, Parallel: workers}))
+		return withProcs(t, workers, func() string { return docJSON(t, ConnScaling(quick)) })
 	}
 	serial := sweep(1)
 	for _, workers := range []int{2, 4} {
@@ -48,10 +62,11 @@ func TestScalingSerialParallelIdentical(t *testing.T) {
 // byte-identical whatever the worker count.
 func TestPaperSerialParallelIdentical(t *testing.T) {
 	tables := func(workers int) string {
-		o := Opts{Quick: true, Parallel: workers}
-		fig5 := Figure5(o)
-		fig10, _ := Figure10(o)
-		return fig5.JSON() + fig10.JSON()
+		return withProcs(t, workers, func() string {
+			fig5 := Figure5(quick)
+			fig10, _ := Figure10(quick)
+			return fig5.JSON() + fig10.JSON()
+		})
 	}
 	serial := tables(1)
 	for _, workers := range []int{2, 4} {

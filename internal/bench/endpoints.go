@@ -94,7 +94,7 @@ func EndpointContention(o Opts) EndpointDoc {
 		timeMS float64
 	}
 	ne := len(doc.Endpoints)
-	cells := runner.Map(len(schemes)*ne, o.workers(), func(k int) cell {
+	cells := runner.Map(len(schemes)*ne, Workers(o.Tune), func(k int) cell {
 		s := mpi.Spec{Ranks: doc.Ranks, Scheme: schemes[k/ne], Endpoints: doc.Endpoints[k%ne]}
 		w := newWorld(s, nil)
 		err := w.Run(endpointIncast(doc.Threads, doc.Bursts, doc.MsgsPerBurst, doc.MsgSizeB))

@@ -62,7 +62,7 @@ func TestEndpointContentionQuick(t *testing.T) {
 // whatever the worker count.
 func TestEndpointSerialParallelIdentical(t *testing.T) {
 	sweep := func(workers int) string {
-		return docJSON(t, EndpointContention(Opts{Quick: true, Parallel: workers}))
+		return withProcs(t, workers, func() string { return docJSON(t, EndpointContention(quick)) })
 	}
 	serial := sweep(1)
 	for _, workers := range []int{2, 4} {

@@ -15,29 +15,25 @@ import (
 type Opts struct {
 	Quick bool
 
-	// Parallel fans a sweep's independent worlds out across OS threads
-	// (see internal/runner): 0 selects one worker per CPU, 1 recovers
-	// the classic serial loop. Worlds are share-nothing, so results are
-	// byte-identical for every value — only wall-clock time changes.
-	// When Parallel != 1, Tune must be safe to call from concurrent
-	// goroutines (fcbench pins Parallel to 1 when its Tune accumulates
-	// state).
-	Parallel int
-
 	// Tune, when non-nil, is applied to the options of every world the
 	// figures and tables build, just before construction — the hook
 	// fcbench's -metrics-out uses to attach a fresh metrics registry (and,
-	// for a perfetto dump, a trace ring) per world. ConnScaling and EndpointContention read only Quick and
-	// Parallel.
+	// for a perfetto dump, a trace ring) per world. A sweep with a Tune
+	// hook builds its worlds one at a time (see Workers).
+	// ConnScaling and EndpointContention read only Quick.
 	Tune func(*mpi.Options)
 }
 
-// workers resolves Parallel to an explicit worker count.
-func (o Opts) workers() int {
-	if o.Parallel == 0 {
-		return runner.Default()
+// Workers is the worker count of a sweep whose worlds get tune: one per
+// CPU (runner.Default, so GOMAXPROCS sets it), or one when tune is set,
+// since a hook may keep state in world-construction order. Worlds are
+// share-nothing (see internal/runner), so a sweep's results are
+// byte-identical for every count; only wall-clock time changes.
+func Workers(tune func(*mpi.Options)) int {
+	if tune != nil {
+		return 1
 	}
-	return o.Parallel
+	return runner.Default()
 }
 
 func (o Opts) class() nas.Class {
@@ -90,7 +86,7 @@ func Figure2(o Opts) Table {
 	}
 	sizes := o.latSizes()
 	schemes := Schemes(100, dynMax)
-	vals := runner.Map(len(sizes)*len(schemes), o.workers(), func(k int) float64 {
+	vals := runner.Map(len(sizes)*len(schemes), Workers(o.Tune), func(k int) float64 {
 		return Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, sizes[k/len(schemes)], o.latIters(), o.Tune)
 	})
 	for i, size := range sizes {
@@ -112,7 +108,7 @@ func bwFigure(o Opts, title, note string, size, prepost int, blocking bool) Tabl
 	}
 	wins := o.windows()
 	schemes := Schemes(prepost, dynMax)
-	vals := runner.Map(len(wins)*len(schemes), o.workers(), func(k int) float64 {
+	vals := runner.Map(len(wins)*len(schemes), Workers(o.Tune), func(k int) float64 {
 		return Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
 	})
 	for i, win := range wins {
@@ -173,7 +169,7 @@ func Figure9(o Opts) (Table, []NASResult) {
 	}
 	schemes := Schemes(100, dynMax)
 	ns := len(schemes)
-	results := runner.Map(len(nasApps)*ns, o.workers(), func(k int) NASResult {
+	results := runner.Map(len(nasApps)*ns, Workers(o.Tune), func(k int) NASResult {
 		app := nasApps[k/ns]
 		res, err := RunNAS(app, o.class(), PaperSpec(app, schemes[k%ns]), o.Tune)
 		if err != nil {
@@ -211,7 +207,7 @@ func Figure10(o Opts) (Table, []NASResult) {
 	baseSchemes := Schemes(100, dynMax)
 	degSchemes := Schemes(1, dynMax)
 	ns := len(baseSchemes)
-	results := runner.Map(len(nasApps)*2*ns, o.workers(), func(k int) NASResult {
+	results := runner.Map(len(nasApps)*2*ns, Workers(o.Tune), func(k int) NASResult {
 		app := nasApps[k/(2*ns)]
 		phase, scheme := (k%(2*ns))/ns, k%ns
 		fc := baseSchemes[scheme]

@@ -139,7 +139,7 @@ func ConnScaling(o Opts) ScalingDoc {
 		timeMS float64
 	}
 	nr := len(doc.Ranks)
-	cells := runner.Map(len(schemes)*nr, o.workers(), func(k int) cell {
+	cells := runner.Map(len(schemes)*nr, Workers(o.Tune), func(k int) cell {
 		s := doc.spec(schemes[k/nr], doc.Ranks[k%nr])
 		w := newWorld(s, nil)
 		if err := w.Run(scalingStorm(doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout)); err != nil {

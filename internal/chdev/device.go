@@ -348,9 +348,6 @@ func pktKind(t PktType) trace.Kind {
 	return trace.Kind(0)
 }
 
-// Rank returns the device's rank.
-func (d *Device) Rank() int { return d.rank }
-
 // Pool returns the device's pre-pinned wire-buffer pool. The MPI layer
 // stages unexpected eager payloads through it so matching a late receive
 // recycles the staging buffer instead of leaving garbage.

@@ -42,25 +42,25 @@ func TestEndpointSetEstablish(t *testing.T) {
 	for _, d := range []*Device{d0, d1} {
 		st := d.Stats()
 		if st.Conns != 4 {
-			t.Fatalf("rank %d Stats.Conns = %d, want 4 endpoints", d.Rank(), st.Conns)
+			t.Fatalf("rank %d Stats.Conns = %d, want 4 endpoints", d.rank, st.Conns)
 		}
 		if n := ownedQPs(d); n != 4 {
-			t.Fatalf("rank %d has %d QPs, want 4", d.Rank(), n)
+			t.Fatalf("rank %d has %d QPs, want 4", d.rank, n)
 		}
 		if want := 4 * 4; st.SumPosted != want {
-			t.Errorf("rank %d SumPosted = %d, want %d (4 endpoints x prepost 4)", d.Rank(), st.SumPosted, want)
+			t.Errorf("rank %d SumPosted = %d, want %d (4 endpoints x prepost 4)", d.rank, st.SumPosted, want)
 		}
 		seen := map[*ib.QP]bool{}
 		for ep := 0; ep < 4; ep++ {
-			c := d.epAt(1-d.Rank(), ep)
+			c := d.epAt(1-d.rank, ep)
 			if c == nil {
-				t.Fatalf("rank %d endpoint %d missing", d.Rank(), ep)
+				t.Fatalf("rank %d endpoint %d missing", d.rank, ep)
 			}
 			if int(c.ep) != ep {
-				t.Fatalf("rank %d endpoint %d self-index = %d", d.Rank(), ep, c.ep)
+				t.Fatalf("rank %d endpoint %d self-index = %d", d.rank, ep, c.ep)
 			}
 			if seen[&c.qp] {
-				t.Fatalf("rank %d endpoint %d shares a QP", d.Rank(), ep)
+				t.Fatalf("rank %d endpoint %d shares a QP", d.rank, ep)
 			}
 			seen[&c.qp] = true
 		}
@@ -224,10 +224,10 @@ func TestEndpointOnDemandBothEnds(t *testing.T) {
 			}
 			for _, d := range []*Device{d0, d1} {
 				if got := d.Stats().Conns; got != epN {
-					t.Errorf("rank %d has %d endpoints, want %d", d.Rank(), got, epN)
+					t.Errorf("rank %d has %d endpoints, want %d", d.rank, got, epN)
 				}
 				if n := ownedQPs(d); n != epN {
-					t.Errorf("rank %d has %d QPs, want %d", d.Rank(), n, epN)
+					t.Errorf("rank %d has %d QPs, want %d", d.rank, n, epN)
 				}
 			}
 			if err := Audit([]*Device{d0, d1}); err != nil {

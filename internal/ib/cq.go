@@ -123,9 +123,6 @@ func (cq *CQ) Arm() {
 	cq.armed = true
 }
 
-// Armed reports whether a notification is pending.
-func (cq *CQ) Armed() bool { return cq.armed }
-
 // Poll removes and returns the oldest completion, if any. A WC is seven
 // words, so it is copied out of the ring once, straight into the result
 // (At, then Drop), not through Pop's.

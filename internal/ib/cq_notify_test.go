@@ -48,7 +48,7 @@ func TestCQNotifyCompletionAfterArm(t *testing.T) {
 	rec := &notifyRec{eng: eng}
 	cq1.SetNotify(rec)
 	cq1.Arm()
-	if !cq1.Armed() {
+	if !cq1.armed {
 		t.Fatal("Arm on empty CQ did not latch")
 	}
 	qp1.PostRecv(1, make([]byte, 8))
@@ -84,7 +84,7 @@ func TestCQNotifyCompletionBeforeArm(t *testing.T) {
 			t.Fatal("completion not delivered before arm")
 		}
 		cq1.Arm()
-		if cq1.Armed() {
+		if cq1.armed {
 			t.Error("Arm with pending completions latched instead of firing")
 		}
 	})

@@ -93,11 +93,11 @@ func TestConnectSetSharedSRQ(t *testing.T) {
 	var as, bs []*QP
 	for ep := 0; ep < epN; ep++ {
 		as = append(as, f.HCA(0).NewQP(cq0, cq0))
-		bs = append(bs, f.HCA(1).NewQPWithSRQ(cq1, cq1, srq))
+		bs = append(bs, srqQP(f.HCA(1), cq1, srq))
 	}
 	connectSet(as, bs)
 	for i := 0; i < epN+2; i++ {
-		srq.PostRecv(uint64(100+i), make([]byte, 16))
+		srq.postRecv(recvWQE{wrid: uint64(100 + i), buf: make([]byte, 16)})
 	}
 	for ep := 0; ep < epN; ep++ {
 		as[ep].PostSend(uint64(ep), []byte{byte(ep)})

@@ -120,9 +120,6 @@ type HCA struct {
 	tableDue int                 // table entries the untouched multi-granule regions here may still take
 }
 
-// Node returns the node index this HCA is attached to.
-func (h *HCA) Node() int { return h.node }
-
 // Fabric returns the fabric this HCA is attached to.
 func (h *HCA) Fabric() *Fabric { return h.fabric }
 
@@ -154,17 +151,6 @@ func (h *HCA) InitQP(qp *QP, sendCQ, recvCQ *CQ, srq *SRQ) {
 func (h *HCA) NewQP(sendCQ, recvCQ *CQ) *QP {
 	qp := new(QP)
 	h.InitQP(qp, sendCQ, recvCQ, nil)
-	return qp
-}
-
-// NewQPWithSRQ allocates a queue pair whose receive descriptors come from
-// the shared receive queue srq instead of a private queue (see InitQP).
-func (h *HCA) NewQPWithSRQ(sendCQ, recvCQ *CQ, srq *SRQ) *QP {
-	if srq == nil {
-		panic("ib: NewQPWithSRQ with nil SRQ")
-	}
-	qp := new(QP)
-	h.InitQP(qp, sendCQ, recvCQ, srq)
 	return qp
 }
 

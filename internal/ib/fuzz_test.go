@@ -30,7 +30,7 @@ func FuzzRecvQueue(f *testing.F) {
 		srcs := [2]RecvSource{&countingSource{size: 8}, &countingSource{size: 16}}
 		type side struct {
 			name     string
-			postRecv func(uint64, []byte)
+			postRecv func(recvWQE)
 			postFrom func(uint64, RecvSource)
 			take     func() (recvWQE, bool)
 			posted   func() int
@@ -38,8 +38,8 @@ func FuzzRecvQueue(f *testing.F) {
 			ref      []recvWQE
 		}
 		sides := [2]*side{
-			{name: "QP", postRecv: qp.PostRecv, postFrom: qp.PostRecvFrom, take: qp.takeRecv, posted: qp.PostedRecvs, q: &qp.rq},
-			{name: "SRQ", postRecv: srq.PostRecv, postFrom: srq.PostRecvFrom, take: srq.take, posted: srq.posted, q: &srq.q},
+			{name: "QP", postRecv: qp.postRecv, postFrom: qp.PostRecvFrom, take: qp.takeRecv, posted: qp.PostedRecvs, q: &qp.rq},
+			{name: "SRQ", postRecv: srq.postRecv, postFrom: srq.PostRecvFrom, take: srq.take, posted: srq.posted, q: &srq.q},
 		}
 		var posted, taken uint64 // the SRQ's, as the reference counts them
 		take := func(i int, s *side) {
@@ -86,7 +86,7 @@ func FuzzRecvQueue(f *testing.F) {
 					w := recvWQE{wrid: wrid}
 					if kind == 0 {
 						w.buf = make([]byte, 1)
-						s.postRecv(wrid, w.buf)
+						s.postRecv(w)
 					} else {
 						w.src = src
 						s.postFrom(wrid, src)

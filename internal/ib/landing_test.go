@@ -269,7 +269,7 @@ func TestSRQCommitsAtLanding(t *testing.T) {
 	for i := range senders {
 		cq := f.HCA(i).NewCQ()
 		senders[i] = f.HCA(i).NewQP(cq, cq)
-		Connect(senders[i], f.HCA(2).NewQPWithSRQ(cq1, cq1, srq))
+		Connect(senders[i], srqQP(f.HCA(2), cq1, srq))
 	}
 	src := &countingSource{size: 16}
 	fired := 0

@@ -137,7 +137,7 @@ func (r *mrq) post(wrid uint64, descOnly bool) {
 		r.qp.PostRecvFrom(wrid, r.src)
 	case r.srq != nil:
 		d.buf = make([]byte, modelBufSize)
-		r.srq.PostRecv(wrid, d.buf)
+		r.srq.postRecv(recvWQE{wrid: wrid, buf: d.buf})
 	default:
 		d.buf = make([]byte, modelBufSize)
 		r.qp.PostRecv(wrid, d.buf)
@@ -261,7 +261,7 @@ func newQPModel(t *testing.T, data []byte) *qpModel {
 				srqs[node] = &mrq{name: fmt.Sprintf("srq@%d", node), srq: h.NewSRQ(), src: &countingSource{size: modelBufSize}}
 				m.rqs = append(m.rqs, srqs[node])
 			}
-			e.qp = h.NewQPWithSRQ(m.cqs[node], m.cqs[node], srqs[node].srq)
+			e.qp = srqQP(h, m.cqs[node], srqs[node].srq)
 			e.rq = srqs[node]
 		} else {
 			e.qp = h.NewQP(m.cqs[node], m.cqs[node])
@@ -324,7 +324,7 @@ func (m *qpModel) post(q *mqp, op byte, arg byte) {
 	for i := 1; i < n; i++ {
 		w.payload[i] = byte(31*seq + 7*i + int(arg))
 	}
-	node := q.peer.qp.HCA().Node()
+	node := q.peer.qp.hca.node
 	switch op {
 	case stepSend:
 		w.kind = opSend
@@ -510,7 +510,7 @@ func (m *qpModel) checkNAKs() {
 	q, e := moved[0], naks[0]
 	s := int(e.Arg)
 	switch {
-	case e.Rank != q.peer.qp.HCA().Node() || e.Peer != q.qp.HCA().Node():
+	case e.Rank != q.peer.qp.hca.node || e.Peer != q.qp.hca.node:
 		m.fail(4, "%s counted a NAK traced from node %d to node %d", q.name, e.Rank, e.Peer)
 	case q.failing || q.frozen:
 		m.fail(5, "%s: message %d NAKed on a frozen stream", q.name, s)

@@ -14,7 +14,7 @@ type SRQStats struct {
 }
 
 // SRQ is a shared receive queue: one FIFO pool of receive descriptors
-// serving every QP attached via NewQPWithSRQ, the way a real HCA's SRQ
+// serving every QP attached to it by InitQP, the way a real HCA's SRQ
 // decouples receive-buffer memory from the number of connections. A send
 // arriving on any attached QP consumes the pool head; an empty pool
 // produces exactly the RNR NAK a drained per-QP queue would, because the
@@ -45,9 +45,6 @@ func (h *HCA) NewSRQ() *SRQ {
 	return s
 }
 
-// HCA returns the adapter this SRQ lives on.
-func (s *SRQ) HCA() *HCA { return s.hca }
-
 // Stats returns a copy of the SRQ's counters.
 func (s *SRQ) Stats() SRQStats { return s.stats }
 
@@ -63,14 +60,9 @@ func (s *SRQ) SetLimit(n int, fn func()) {
 	s.armed = n > 0 && fn != nil
 }
 
-// PostRecv posts a receive descriptor into the shared pool. Arrivals on
-// any attached QP consume descriptors in FIFO order.
-func (s *SRQ) PostRecv(wrid uint64, buf []byte) {
-	s.postRecv(recvWQE{wrid: wrid, buf: buf})
-}
-
 // PostRecvFrom posts a descriptor-only receive into the shared pool; its
 // bytes are committed from src when a message lands (see RecvSource).
+// Arrivals on any attached QP consume descriptors in FIFO order.
 func (s *SRQ) PostRecvFrom(wrid uint64, src RecvSource) {
 	s.postRecv(recvWQE{wrid: wrid, src: src})
 }

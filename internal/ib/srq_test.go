@@ -7,6 +7,14 @@ import (
 	"ibflow/internal/sim"
 )
 
+// srqQP makes a queue pair on h whose receive descriptors come from srq,
+// with cq for both of its completion queues.
+func srqQP(h *HCA, cq *CQ, srq *SRQ) *QP {
+	qp := new(QP)
+	h.InitQP(qp, cq, cq, srq)
+	return qp
+}
+
 // srqPair builds a 2-node fabric where node 1's QP draws its receive
 // descriptors from a shared receive queue.
 func srqPair(cfg Config) (*sim.Engine, *QP, *QP, *CQ, *CQ, *SRQ) {
@@ -16,7 +24,7 @@ func srqPair(cfg Config) (*sim.Engine, *QP, *QP, *CQ, *CQ, *SRQ) {
 	cq1 := f.HCA(1).NewCQ()
 	qp0 := f.HCA(0).NewQP(cq0, cq0)
 	srq := f.HCA(1).NewSRQ()
-	qp1 := f.HCA(1).NewQPWithSRQ(cq1, cq1, srq)
+	qp1 := srqQP(f.HCA(1), cq1, srq)
 	Connect(qp0, qp1)
 	return eng, qp0, qp1, cq0, cq1, srq
 }
@@ -32,14 +40,14 @@ func TestSRQServesMultipleQPsFIFO(t *testing.T) {
 	for n := 0; n < 2; n++ {
 		cq := f.HCA(n).NewCQ()
 		tx := f.HCA(n).NewQP(cq, cq)
-		rx := f.HCA(2).NewQPWithSRQ(cqRx, cqRx, srq)
+		rx := srqQP(f.HCA(2), cqRx, srq)
 		Connect(tx, rx)
 		senders = append(senders, tx)
 	}
 	bufs := make([][]byte, 4)
 	for i := range bufs {
 		bufs[i] = make([]byte, 16)
-		srq.PostRecv(uint64(100+i), bufs[i])
+		srq.postRecv(recvWQE{wrid: uint64(100 + i), buf: bufs[i]})
 	}
 	senders[0].PostSend(1, []byte("from0"))
 	senders[1].PostSend(2, []byte("from1"))
@@ -77,7 +85,7 @@ func TestSRQEmptyPoolTriggersRNRNak(t *testing.T) {
 	eng, qp0, _, _, cq1, srq := srqPair(cfg)
 	qp0.PostSend(7, []byte("late"))
 	buf := make([]byte, 16)
-	eng.At(3*rnrTimeout+rnrTimeout/2, func() { srq.PostRecv(9, buf) })
+	eng.At(3*rnrTimeout+rnrTimeout/2, func() { srq.postRecv(recvWQE{wrid: 9, buf: buf}) })
 	if err := eng.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func TestSRQLimitEventHysteresis(t *testing.T) {
 	fired := 0
 	srq.SetLimit(2, func() { fired++ })
 	for i := 0; i < 4; i++ {
-		srq.PostRecv(uint64(i), make([]byte, 8))
+		srq.postRecv(recvWQE{wrid: uint64(i), buf: make([]byte, 8)})
 	}
 	take := func() {
 		if _, ok := srq.take(); !ok {
@@ -138,14 +146,14 @@ func TestSRQLimitEventHysteresis(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("limit re-fired without replenishment: %d", fired)
 	}
-	srq.PostRecv(10, make([]byte, 8)) // free 1: below threshold, stays disarmed
-	take()                            // free 0
+	srq.postRecv(recvWQE{wrid: 10, buf: make([]byte, 8)}) // free 1: below threshold, stays disarmed
+	take()                                                // free 0
 	if fired != 1 {
 		t.Fatalf("limit fired before replenishment reached the watermark: %d", fired)
 	}
-	srq.PostRecv(11, make([]byte, 8)) // free 1
-	srq.PostRecv(12, make([]byte, 8)) // free 2: re-armed
-	take()                            // free 1: second dip
+	srq.postRecv(recvWQE{wrid: 11, buf: make([]byte, 8)}) // free 1
+	srq.postRecv(recvWQE{wrid: 12, buf: make([]byte, 8)}) // free 2: re-armed
+	take()                                                // free 1: second dip
 	if fired != 2 {
 		t.Fatalf("limit events after second dip = %d, want 2", fired)
 	}
@@ -159,10 +167,10 @@ func TestSRQLimitDisabled(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng, DefaultConfig(), 1)
 	srq := f.HCA(0).NewSRQ()
-	srq.PostRecv(1, make([]byte, 8))
+	srq.postRecv(recvWQE{wrid: 1, buf: make([]byte, 8)})
 	srq.SetLimit(0, func() { t.Error("disabled limit fired") })
 	srq.take()
-	srq.PostRecv(2, make([]byte, 8))
+	srq.postRecv(recvWQE{wrid: 2, buf: make([]byte, 8)})
 	srq.SetLimit(4, nil)
 	srq.take()
 	if st := srq.Stats(); st.LimitEvents != 0 {
@@ -171,18 +179,18 @@ func TestSRQLimitDisabled(t *testing.T) {
 }
 
 // Construction contracts: an SRQ-attached QP rejects direct PostRecv,
-// and NewQPWithSRQ validates its arguments.
+// and InitQP refuses an SRQ on another adapter.
 func TestSRQAttachmentValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng, DefaultConfig(), 2)
 	cq := f.HCA(0).NewCQ()
 	srq := f.HCA(0).NewSRQ()
-	qp := f.HCA(0).NewQPWithSRQ(cq, cq, srq)
+	qp := srqQP(f.HCA(0), cq, srq)
 	if qp.SRQ() != srq {
 		t.Error("SRQ() does not return the attached pool")
 	}
-	if srq.num != 0 || srq.HCA() != f.HCA(0) {
-		t.Errorf("SRQ identity: num %d, hca %v", srq.num, srq.HCA())
+	if srq.num != 0 || srq.hca != f.HCA(0) {
+		t.Errorf("SRQ identity: num %d, hca %v", srq.num, srq.hca)
 	}
 	srq.SetLimit(3, func() {})
 	if srq.limit != 3 {
@@ -201,9 +209,8 @@ func TestSRQAttachmentValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("PostRecv on SRQ-attached QP", func() { qp.PostRecv(1, make([]byte, 8)) })
-	mustPanic("NewQPWithSRQ(nil)", func() { f.HCA(0).NewQPWithSRQ(cq, cq, nil) })
-	mustPanic("NewQPWithSRQ cross-HCA", func() {
+	mustPanic("InitQP cross-HCA", func() {
 		cq1 := f.HCA(1).NewCQ()
-		f.HCA(1).NewQPWithSRQ(cq1, cq1, srq)
+		srqQP(f.HCA(1), cq1, srq)
 	})
 }

@@ -122,6 +122,7 @@ func (p *BufPool) GetN(n int) []byte {
 	} else {
 		sz := p.classCap(c)
 		if len(p.slab) < sz {
+			//fclint:allow hotalloc a slab refill, paid once per slab of buffers, which are then recycled without allocating
 			p.slab = make([]byte, p.size*min(slabBufs, max(slabStep, p.carved/(p.size*slabStep))))
 		}
 		b = p.slab[:sz:sz]
@@ -291,6 +292,7 @@ func (c *RegCache) Invalidate(blk []byte) {
 		return
 	}
 	if !c.indexed {
+		//fclint:allow simmapiter the first index build: the keys are sorted on the next line, and addr is a pure conversion
 		for key := range c.entries {
 			c.keys = append(c.keys, addr(key))
 		}

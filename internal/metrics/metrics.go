@@ -128,22 +128,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveTime records a virtual duration in nanoseconds.
 func (h *Histogram) ObserveTime(d sim.Time) { h.Observe(int64(d)) }
 
-// Count reports how many values were observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum reports the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // metric is one registered instrument plus its sampled series.
 type metric struct {
 	name   string
@@ -320,14 +304,6 @@ func (r *Registry) Sample(now sim.Time) {
 	for _, m := range r.order {
 		m.series = append(m.series, m.value())
 	}
-}
-
-// Len reports how many metrics are registered.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.order)
 }
 
 // sorted returns the metrics ordered by canonical key — the export

@@ -15,15 +15,12 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	h := r.Histogram("h", TimeBuckets)
 	r.CounterFunc("cf", func() uint64 { return 1 })
 	r.GaugeFunc("gf", func() int64 { return 1 })
+	if h != nil {
+		t.Fatal("a nil registry must hand out a nil histogram")
+	}
 	h.Observe(5)
 	h.ObserveTime(3 * sim.Microsecond)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("a nil histogram must read as zero")
-	}
 	r.Sample(10)
-	if r.Len() != 0 {
-		t.Fatal("nil registry must not record anything")
-	}
 	eng := sim.NewEngine()
 	s := r.StartSampler(eng, sim.Microsecond)
 	s.Stop()

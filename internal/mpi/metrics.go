@@ -38,7 +38,3 @@ func (w *World) startSampler() *metrics.Sampler {
 // job's collective-latency histogram. Collectives (internal/coll) call
 // it through Comm.World; nil-safe, so they never check for a registry.
 func (w *World) ObserveBarrier(d sim.Time) { w.barrierHist.ObserveTime(d) }
-
-// Metrics returns the attached registry, if any (for tools dumping
-// after Run).
-func (w *World) Metrics() *metrics.Registry { return w.opts.IB.Metrics }

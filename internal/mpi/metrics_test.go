@@ -60,13 +60,13 @@ func TestMetricsDumpDeterminism(t *testing.T) {
 				opts.IB.Tracer = ring
 				w := runInstrumented(t, opts, 3)
 				var j, c, p bytes.Buffer
-				if err := w.Metrics().WriteJSON(&j); err != nil {
+				if err := w.opts.IB.Metrics.WriteJSON(&j); err != nil {
 					t.Fatal(err)
 				}
-				if err := w.Metrics().WriteCSV(&c); err != nil {
+				if err := w.opts.IB.Metrics.WriteCSV(&c); err != nil {
 					t.Fatal(err)
 				}
-				if err := w.Metrics().WritePerfetto(&p, ring.Events()); err != nil {
+				if err := w.opts.IB.Metrics.WritePerfetto(&p, ring.Events()); err != nil {
 					t.Fatal(err)
 				}
 				return j.Bytes(), c.Bytes(), p.Bytes()
@@ -136,7 +136,7 @@ func TestMetricsUnderSettle(t *testing.T) {
 	if err := w.Audit(); err != nil {
 		t.Fatal(err)
 	}
-	d := w.Metrics().Snapshot()
+	d := w.opts.IB.Metrics.Snapshot()
 	if got := sim.Time(d.SampleNS[len(d.SampleNS)-1]); got != w.Time() {
 		t.Errorf("last sample at %v, want the makespan %v", got, w.Time())
 	}
@@ -180,7 +180,7 @@ func TestMetricsUnderSettle(t *testing.T) {
 func TestPoolHealthMetricsAreGated(t *testing.T) {
 	opts := DefaultOptions(core.Static(4))
 	opts.IB.Metrics = metrics.New()
-	d := runInstrumented(t, opts, 3).Metrics().Snapshot()
+	d := runInstrumented(t, opts, 3).opts.IB.Metrics.Snapshot()
 	got := make(map[string]int64)
 	for i := range d.Metrics {
 		m := &d.Metrics[i]
@@ -213,7 +213,7 @@ func TestMetricsOnDemandMidRunRegistration(t *testing.T) {
 	opts.Chan.OnDemand = true
 	opts.IB.Metrics = metrics.New()
 	w := runInstrumented(t, opts, 3)
-	d := w.Metrics().Snapshot()
+	d := w.opts.IB.Metrics.Snapshot()
 	late := 0
 	for i := range d.Metrics {
 		m := &d.Metrics[i]

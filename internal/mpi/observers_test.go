@@ -62,7 +62,7 @@ func TestObserversAttachOnTheFabric(t *testing.T) {
 	t.Run("metrics", func(t *testing.T) {
 		opts := DefaultOptions(core.Static(8))
 		opts.IB.Metrics = metrics.New()
-		d := oneWayBurst(t, opts, 16).Metrics().Snapshot()
+		d := oneWayBurst(t, opts, 16).opts.IB.Metrics.Snapshot()
 		if len(d.SampleNS) == 0 {
 			t.Error("the registry was never sampled")
 		}

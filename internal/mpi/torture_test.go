@@ -254,7 +254,7 @@ func faultTorture(s Spec, settle bool) (faultRunResult, error) {
 		}
 	}
 	var mbuf bytes.Buffer
-	if err := w.Metrics().WriteJSON(&mbuf); err != nil {
+	if err := w.opts.IB.Metrics.WriteJSON(&mbuf); err != nil {
 		return faultRunResult{}, fmt.Errorf("%v: metrics dump: %w", s, err)
 	}
 	return faultRunResult{

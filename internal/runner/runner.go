@@ -31,8 +31,8 @@ import (
 	"sync/atomic"
 )
 
-// Default is the worker count used when a -parallel flag is unset or
-// non-positive: one worker per available CPU.
+// Default is the worker count of every sweep and of fclint: one worker
+// per CPU, as GOMAXPROCS counts them, so GOMAXPROCS=1 runs serially.
 func Default() int { return runtime.GOMAXPROCS(0) }
 
 // Map runs fn(i) for every i in [0, n) on up to workers goroutines and

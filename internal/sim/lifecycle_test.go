@@ -187,7 +187,7 @@ func TestGateReleaseNestsInsideProcess(t *testing.T) {
 		want uint64
 	}{{pA, 1}, {pB, 3}, {pC, 3}} {
 		if got := c.p.Dispatches(); got != c.want {
-			t.Errorf("%s: %d dispatches, want %d", c.p.Name(), got, c.want)
+			t.Errorf("%s: %d dispatches, want %d", c.p.name, got, c.want)
 		}
 	}
 	if e.EventsFired() != 5 {

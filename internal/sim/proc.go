@@ -85,17 +85,11 @@ func (p *Proc) park() {
 	}
 }
 
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Dispatches reports how many times the engine has handed the CPU to this
 // process — the coroutine context-switch count. A wake a Sleep takes in
 // place is not a switch and does not count. Handler-based progress
 // engines exist to keep this flat: steady-state traffic must not grow it.
 func (p *Proc) Dispatches() uint64 { return p.dispatches }
-
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }

@@ -188,7 +188,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 // parkForever parks p on a gate nobody releases: the one way a process
 // stays parked for good.
-func parkForever(p *Proc) { NewGate(p.Engine()).Wait(p) }
+func parkForever(p *Proc) { NewGate(p.eng).Wait(p) }
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
@@ -289,25 +289,6 @@ func TestTimerFiresOnce(t *testing.T) {
 	}
 	if fired != 1 || tm.Armed() {
 		t.Errorf("fired = %d, armed = %v", fired, tm.Armed())
-	}
-}
-
-func TestTimerStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tm := NewTimer(e, func() { fired++ })
-	tm.Reset(10)
-	if !tm.Stop() {
-		t.Error("Stop() = false on armed timer")
-	}
-	if tm.Stop() {
-		t.Error("second Stop() = true")
-	}
-	if err := e.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 0 {
-		t.Errorf("stopped timer fired %d times", fired)
 	}
 }
 

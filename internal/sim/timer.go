@@ -1,8 +1,8 @@
 package sim
 
-// Timer is a cancellable one-shot virtual timer.
+// Timer is a re-armable one-shot virtual timer.
 //
-// A Timer may be reused: Reset re-arms it. Stop prevents a pending firing.
+// A Timer may be reused: Reset re-arms it, cancelling a pending firing.
 // The callback runs as an ordinary engine event.
 type Timer struct {
 	eng *Engine
@@ -27,21 +27,13 @@ func (t *Timer) Reset(d Time) {
 }
 
 // OnEvent implements Handler: the timer fires if the armed generation in
-// arg is still current (Stop/Reset bump it to invalidate stale firings).
+// arg is still current (Reset bumps it to invalidate stale firings).
 func (t *Timer) OnEvent(gen uint64) {
 	if t.gen != gen {
 		return // cancelled or re-armed
 	}
 	t.set = false
 	t.fn()
-}
-
-// Stop cancels a pending firing. It reports whether the timer was armed.
-func (t *Timer) Stop() bool {
-	was := t.set
-	t.gen++
-	t.set = false
-	return was
 }
 
 // Armed reports whether the timer is waiting to fire.
