@@ -127,12 +127,12 @@ bench-diff:
 
 # metrics-smoke mirrors the CI step: an instrumented run must produce a
 # parseable dump whose key set matches the checked-in golden inventory,
-# for the classic device, the ring and an endpoint set (each entry is
-# golden:dump-suffix:scheme). Endpoint 0 keeps
-# the classic per-connection labels, so the endpoint inventory must
-# strictly grow the classic one (-allow-new-keys).
+# for the classic device, the ring, an endpoint set and the shared pool
+# (each entry is golden:dump-suffix:scheme). Endpoint 0 keeps the classic
+# per-connection labels, so the endpoint inventory must strictly grow the
+# classic one (-allow-new-keys).
 metrics-smoke:
-	for p in 'latency::static(100)' 'rdma:-rdma:rdma(8,1024)' 'endpoints:-ep:static(100) eps=2'; do \
+	for p in 'latency::static(100)' 'rdma:-rdma:rdma(8,1024)' 'endpoints:-ep:static(100) eps=2' 'shared:-shared:shared(16,96)'; do \
 		golden=$${p%%:*}; rest=$${p#*:}; out=/tmp/ibflow-metrics$${rest%%:*}.json; scheme=$${rest#*:}; \
 		$(GO) run ./cmd/fcbench -test latency -size 64 -iters 50 -spec "ranks=2 scheme=$$scheme" -metrics-out $$out || exit 1; \
 		$(GO) run ./cmd/fcstats $$out > /dev/null || exit 1; \

@@ -76,6 +76,16 @@ func TestRingKeyListMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestSharedKeyListMatchesGolden pins the shared scheme's inventory
+// (fcbench -spec 'ranks=2 scheme=shared(16,96)'): one pool per rank
+// (fc_pool_*) over one SRQ per device (ib_srq_*), which no other
+// golden carries.
+func TestSharedKeyListMatchesGolden(t *testing.T) {
+	reg := metrics.New()
+	bench.Latency(mpi.Spec{Ranks: 2, Scheme: core.Shared(16, 96)}, 64, 50, func(o *mpi.Options) { o.IB.Metrics = reg })
+	checkKeyGolden(t, reg.Snapshot(), "shared_metrics_keys.golden")
+}
+
 // TestEndpointKeyListMatchesGolden pins the endpoint-set inventory of
 // fcbench -spec 'ranks=2 scheme=static(100) eps=2', and checks what
 // fcstats -allow-new-keys accepts of it against the classic run: every
