@@ -8,22 +8,6 @@ package chdev
 
 import "ibflow/internal/sim"
 
-// ECMFaults injects failures into the explicit-credit-message path. A
-// device takes it from its fabric's fault injector (ib.Config.Faults)
-// when that injector implements it too, as internal/fault.Plan does.
-// Both methods are called from inside the serialized event loop, so a
-// deterministic implementation keeps runs bit-identical per seed. No
-// injector means no ECM faults.
-type ECMFaults interface {
-	// DropECM reports whether the ECM from rank to peer fails before
-	// reaching the wire. The device keeps the owed credits and re-issues
-	// after another silence interval.
-	DropECM(now sim.Time, rank, peer int) bool
-	// DuplicateECM reports whether a successfully sent ECM should be
-	// followed by a spurious zero-credit duplicate.
-	DuplicateECM(now sim.Time, rank, peer int) bool
-}
-
 // The channel device's host-side (software) costs, calibrated so the full
 // MPI stack reproduces the paper's ~7.5 us small-message latency over the
 // default fabric model. They are constants: no figure, table or benchmark

@@ -141,10 +141,7 @@ type Stats struct {
 	RndvReadBytes    uint64 // payload bytes pulled by RDMA-read rendezvous
 
 	// Graceful-degradation counters (fault handling).
-	RNRExhausted   uint64 // transport retry budgets exhausted
-	Reissues       uint64 // frozen streams re-issued after degradation
-	ECMsDropped    uint64 // explicit credit messages lost before the wire
-	ECMsDuplicated uint64 // spurious duplicate ECMs injected
+	RNRExhausted uint64 // transport retry budgets exhausted
 
 	// Endpoint-set and connection set-up counters.
 	OccupancyHWM int    // max outstanding work requests on any endpoint
@@ -178,9 +175,6 @@ func (s *Stats) Add(o Stats) {
 	s.RingOccupancyHWM = max(s.RingOccupancyHWM, o.RingOccupancyHWM)
 	s.RndvReadBytes += o.RndvReadBytes
 	s.RNRExhausted += o.RNRExhausted
-	s.Reissues += o.Reissues
-	s.ECMsDropped += o.ECMsDropped
-	s.ECMsDuplicated += o.ECMsDuplicated
 	s.OccupancyHWM = max(s.OccupancyHWM, o.OccupancyHWM)
 	s.StickySels += o.StickySels
 	s.ConnSetups += o.ConnSetups
@@ -764,22 +758,19 @@ func (d *Device) Stats() Stats {
 func (c *conn) stats() Stats {
 	vs, qs := c.vc.Stats(), c.qp.Stats()
 	return Stats{
-		Conns:          1,
-		MsgsSent:       vs.MsgsSent,
-		EagerSent:      vs.EagerSent,
-		Demoted:        vs.Demoted,
-		Backlogged:     vs.Backlogged,
-		ECMsSent:       vs.ECMsSent,
-		GrowthEvents:   vs.GrowthEvents,
-		MaxPosted:      c.vc.Posted(),
-		SumPosted:      c.vc.Posted(),
-		RNRNaks:        qs.RNRNaks,
-		Retransmits:    qs.Retransmits,
-		WastedBytes:    qs.WastedBytes,
-		RNRExhausted:   qs.RNRExhausted,
-		Reissues:       vs.Reissues,
-		ECMsDropped:    vs.ECMsDropped,
-		ECMsDuplicated: vs.ECMsDuplicated,
-		OccupancyHWM:   int(c.occHWM),
+		Conns:        1,
+		MsgsSent:     vs.MsgsSent,
+		EagerSent:    vs.EagerSent,
+		Demoted:      vs.Demoted,
+		Backlogged:   vs.Backlogged,
+		ECMsSent:     vs.ECMsSent,
+		GrowthEvents: vs.GrowthEvents,
+		MaxPosted:    c.vc.Posted(),
+		SumPosted:    c.vc.Posted(),
+		RNRNaks:      qs.RNRNaks,
+		Retransmits:  qs.Retransmits,
+		WastedBytes:  qs.WastedBytes,
+		RNRExhausted: qs.RNRExhausted,
+		OccupancyHWM: int(c.occHWM),
 	}
 }

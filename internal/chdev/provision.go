@@ -230,8 +230,6 @@ func newPoolProvisioner(d *Device) *poolProvisioner {
 	pp.post(pp.pool.Posted())
 	if r := d.registry(); r != nil {
 		pp.pool.RegisterMetrics(r, d.rank)
-		r.GaugeFunc("chdev_pool_free",
-			func() int64 { return int64(pp.srq.PostedRecvs()) }, metrics.RankLabel(d.rank))
 	}
 	return pp
 }
@@ -276,15 +274,14 @@ func (pp *poolProvisioner) processed(c *conn, buf []byte, hdr *Header) {
 
 // stats: the pool's accounting replaces the per-VC receiver-side numbers,
 // which are vestigial under this scheme. The pool never shrinks, so its
-// size is also its mark.
+// size is also its mark. The SRQ counts the limit events it fires.
 func (pp *poolProvisioner) stats(s Stats) Stats {
-	ps := pp.pool.Stats()
 	s.MaxPosted = pp.pool.Posted()
 	s.SumPosted = pp.pool.Posted()
 	s.BufBytesInUse = s.SumPosted * bufSize
 	s.BufBytesHWM = s.BufBytesInUse
-	s.LimitEvents = ps.LimitEvents
-	s.GrowthEvents += ps.GrowthEvents
+	s.LimitEvents = pp.srq.Stats().LimitEvents
+	s.GrowthEvents += pp.pool.Stats().GrowthEvents
 	return s
 }
 

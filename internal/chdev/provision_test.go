@@ -18,7 +18,8 @@ func TestSharedPoolEagerDelivery(t *testing.T) {
 	if pp, ok := d0.prov.(*poolProvisioner); !ok || pp.srq == nil || pp.pool == nil {
 		t.Fatal("shared-scheme device built without SRQ/pool")
 	}
-	rpool := d1.prov.(*poolProvisioner).pool
+	pp := d1.prov.(*poolProvisioner)
+	rpool := pp.pool
 	eng.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			d0.Send(p, 1, i, 0, []byte(fmt.Sprintf("msg%d", i)), i, true)
@@ -43,8 +44,8 @@ func TestSharedPoolEagerDelivery(t *testing.T) {
 	if want := rpool.Posted() * bufSize; st.BufBytesHWM != want {
 		t.Errorf("BufBytesHWM = %d, want %d", st.BufBytesHWM, want)
 	}
-	if ps := rpool.Stats(); ps.Taken != 4 || ps.Reposted != 4 {
-		t.Errorf("pool stats = %+v, want Taken 4, Reposted 4", ps)
+	if n, taken := rpool.InUse(), pp.srq.Stats().Taken; n != 0 || taken != 4 {
+		t.Errorf("pool has %d in use after %d SRQ takes, want 0 after 4", n, taken)
 	}
 	if err := Audit([]*Device{d0, d1}); err != nil {
 		t.Errorf("audit after shared-pool run: %v", err)

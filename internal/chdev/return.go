@@ -1,6 +1,7 @@
 package chdev
 
 import (
+	"ibflow/internal/fault"
 	"ibflow/internal/sim"
 	"ibflow/internal/trace"
 )
@@ -10,17 +11,18 @@ import (
 // said one is due. It may run from a timer event, so it never charges
 // process time.
 //
-// An injected drop fails the message before the wire: what was owed stays
-// owed (the VC is not touched, so NeedECM stays true) and the silence
-// timer re-arms so it still flows — a peer may be blocked waiting for
-// exactly this. An injected duplicate follows a successful message with a
-// copy that carries nothing new, exercising exactly-once application at
-// the receiver.
+// The ECM faults come from the fabric's injector when it is a *fault.Plan;
+// any other injector, or none, injects no ECM faults. An injected drop
+// fails the message before the wire: what was owed stays owed (the VC is
+// not touched, so NeedECM stays true) and the silence timer re-arms so it
+// still flows — a peer may be blocked waiting for exactly this. An
+// injected duplicate follows a successful message with a copy that
+// carries nothing new, exercising exactly-once application at the
+// receiver.
 func (d *Device) sendReturn(c *conn) bool {
 	now := d.eng.Now()
-	faults, _ := d.hca.Fabric().Config().Faults.(ECMFaults)
+	faults, _ := d.hca.Fabric().Config().Faults.(*fault.Plan)
 	if faults != nil && faults.DropECM(now, d.rank, int(c.peer)) {
-		c.vc.NoteECMDropped()
 		d.tr(trace.ECMDropped, int(c.peer), 0, int64(c.vc.Unreturned()))
 		t := d.ecmTimer(c)
 		if !t.Armed() {
@@ -31,7 +33,6 @@ func (d *Device) sendReturn(c *conn) bool {
 	h := d.prov.fillReturn(c, Header{Type: PktCredit, Src: int32(d.rank)})
 	d.postCtrl(c, h)
 	if faults != nil && faults.DuplicateECM(now, d.rank, int(c.peer)) {
-		c.vc.NoteECMDuplicated()
 		d.tr(trace.ECMDuplicated, int(c.peer), 0, 0)
 		// The original took everything owed, so the duplicate carries zero
 		// credits — double-applying it cannot mint credit at the peer —
@@ -104,7 +105,6 @@ func (d *Device) maybeSendReturn(c *conn) bool {
 // re-issues from 1.
 func (d *Device) onRetryExhausted(c *conn) {
 	c.reissues++
-	c.vc.NoteReissue()
 	d.tr(trace.Reissued, int(c.peer), 0, int64(c.reissues))
 	d.eng.AfterCall(reissueDelay, (*reissueEvent)(c), 0)
 }

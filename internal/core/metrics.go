@@ -23,12 +23,9 @@ func (vc *VC) RegisterMetrics(r *metrics.Registry, rank, peer, ep int) {
 	r.CounterFunc("fc_backlogged", func() uint64 { return vc.stats.Backlogged }, ls...)
 	r.CounterFunc("fc_msgs_sent", func() uint64 { return vc.stats.MsgsSent }, ls...)
 	r.CounterFunc("fc_ecms_sent", func() uint64 { return vc.stats.ECMsSent }, ls...)
-	r.CounterFunc("fc_ecms_dropped", func() uint64 { return vc.stats.ECMsDropped }, ls...)
-	r.CounterFunc("fc_ecms_duplicated", func() uint64 { return vc.stats.ECMsDuplicated }, ls...)
 	r.CounterFunc("fc_credits_piggy", func() uint64 { return vc.stats.CreditsPiggy }, ls...)
 	r.CounterFunc("fc_credits_ecm", func() uint64 { return vc.stats.CreditsByECM }, ls...)
 	r.CounterFunc("fc_growth_events", func() uint64 { return vc.stats.GrowthEvents }, ls...)
-	r.CounterFunc("fc_reissues", func() uint64 { return vc.stats.Reissues }, ls...)
 }
 
 // RegisterMetrics folds the shared pool's accounting into r: one series
@@ -41,7 +38,5 @@ func (pl *Pool) RegisterMetrics(r *metrics.Registry, rank int) {
 	ls := []metrics.Label{metrics.RankLabel(rank)}
 	r.GaugeFunc("fc_pool_posted", func() int64 { return int64(pl.Posted()) }, ls...)
 	r.GaugeFunc("fc_pool_in_use", func() int64 { return int64(pl.InUse()) }, ls...)
-	r.CounterFunc("fc_pool_taken", func() uint64 { return pl.stats.Taken }, ls...)
-	r.CounterFunc("fc_pool_limit_events", func() uint64 { return pl.stats.LimitEvents }, ls...)
 	r.CounterFunc("fc_pool_growth_events", func() uint64 { return pl.stats.GrowthEvents }, ls...)
 }

@@ -9,10 +9,9 @@ import (
 
 // PoolStats counts shared-pool provisioning events. These feed the
 // connection-scaling benchmark the way VC.Stats feeds Tables 1 and 2.
+// Takes and limit events are the SRQ's to count (ib.SRQStats), where
+// they happen.
 type PoolStats struct {
-	Taken        uint64 // arrivals that consumed a pooled descriptor
-	Reposted     uint64 // descriptors returned to the pool after processing
-	LimitEvents  uint64 // SRQ low-watermark events handled
 	GrowthEvents uint64 // pool-size increases
 }
 
@@ -64,7 +63,6 @@ func (pl *Pool) Stats() PoolStats { return pl.stats }
 // Take records an arrival consuming one pooled descriptor.
 func (pl *Pool) Take() {
 	pl.inUse++
-	pl.stats.Taken++
 	pl.debugCheck()
 }
 
@@ -76,7 +74,6 @@ func (pl *Pool) Processed() {
 		panic("core: Processed with no pooled buffer in use")
 	}
 	pl.inUse--
-	pl.stats.Reposted++
 	pl.debugCheck()
 }
 
@@ -90,7 +87,6 @@ func (pl *Pool) OnLimitEvent(now sim.Time) int {
 	if debug.Enabled {
 		defer pl.debugCheck()
 	}
-	pl.stats.LimitEvents++
 	p := pl.params
 	if pl.posted >= p.Max {
 		return 0

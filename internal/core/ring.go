@@ -61,11 +61,8 @@ type RingStats struct {
 	OccupancyHWM int32
 	// Syncs counts explicit credit-sync messages sent because the
 	// reverse path was idle. Only the inbound view sends heads, so the
-	// outbound view's two counters stay zero.
+	// outbound view's count stays zero.
 	Syncs uint32
-	// HeadsPiggybacked counts head updates that rode on reverse
-	// traffic for free.
-	HeadsPiggybacked uint32
 }
 
 // NewRing returns the bookkeeping for one ring direction of slots slots.
@@ -161,14 +158,10 @@ func (r *Ring) Consumed() {
 // TakeHead returns the current head for stamping into an outgoing
 // header (piggyback or credit-sync) and records it as communicated.
 // piggy distinguishes free rides on reverse traffic from explicit
-// syncs in the stats.
+// syncs, which the stats count.
 func (r *Ring) TakeHead(piggy bool) uint32 {
-	if r.headSent != r.head {
-		if piggy {
-			r.stats.HeadsPiggybacked++
-		} else {
-			r.stats.Syncs++
-		}
+	if !piggy && r.headSent != r.head {
+		r.stats.Syncs++
 	}
 	r.headSent = r.head
 	return r.head

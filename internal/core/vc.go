@@ -51,11 +51,6 @@ type Stats struct {
 	CreditsPiggy uint64 // credits returned by piggybacking
 	CreditsByECM uint64 // credits returned by explicit messages
 	GrowthEvents uint64 // dynamic-scheme increases
-
-	// Graceful-degradation counters (fault handling; see internal/fault).
-	Reissues       uint64 // sends re-issued after RNR budget exhaustion
-	ECMsDropped    uint64 // explicit credit messages lost before the wire
-	ECMsDuplicated uint64 // spurious duplicate ECMs injected after a send
 }
 
 // VC is the flow control state of one virtual channel: the sender-side
@@ -142,20 +137,6 @@ func (vc *VC) Stats() Stats { return vc.stats }
 
 // CountMsg records any outgoing message for the totals in Table 1.
 func (vc *VC) CountMsg() { vc.stats.MsgsSent++ }
-
-// NoteReissue records that the device re-issued traffic on this channel
-// after the transport's RNR retry budget ran out.
-func (vc *VC) NoteReissue() { vc.stats.Reissues++ }
-
-// NoteECMDropped records an explicit credit message lost before the wire.
-// The owed credits are untouched — they stay owed and ride the next
-// attempt, which is exactly what keeps the conservation law intact.
-func (vc *VC) NoteECMDropped() { vc.stats.ECMsDropped++ }
-
-// NoteECMDuplicated records a spurious duplicate ECM sent after a real
-// one. The duplicate carries zero credits (TakeECM already cleared owed),
-// so applying it twice at the peer cannot mint credit.
-func (vc *VC) NoteECMDuplicated() { vc.stats.ECMsDuplicated++ }
 
 // DecideEager decides the fate of an outgoing eager (credit-consuming)
 // send. For user-level schemes a returned ActionSend has already consumed

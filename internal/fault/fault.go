@@ -90,9 +90,10 @@ type Stats struct {
 	ECMDups      uint64
 }
 
-// Plan is a deterministic fault schedule. It implements ib.FaultInjector
-// and chdev.ECMFaults: attach it once, as ib.Config.Faults, and the
-// fabric binds it and every device on it consults it.
+// Plan is a deterministic fault schedule. It implements ib.FaultInjector,
+// and its DropECM and DuplicateECM are the channel device's ECM faults:
+// attach it once, as ib.Config.Faults, and the fabric binds it and every
+// device on it consults it.
 type Plan struct {
 	cfg      Config
 	rng      *sim.Rand // made by Bind: a generator serves one run
@@ -222,9 +223,9 @@ func (p *Plan) AckDelay(now sim.Time) sim.Time {
 	return d
 }
 
-// DropECM implements chdev.ECMFaults: the explicit credit message from
-// rank to peer fails before the wire; the device must keep the credits
-// and re-issue.
+// DropECM reports whether the explicit credit message from
+// rank to peer fails before the wire; the device keeps the credits and
+// re-issues. The plan's count of drops is the only one (Stats.ECMDrops).
 func (p *Plan) DropECM(now sim.Time, rank, peer int) bool {
 	if !p.draw(p.cfg.ECMDropPct) {
 		return false
@@ -233,9 +234,9 @@ func (p *Plan) DropECM(now sim.Time, rank, peer int) bool {
 	return true
 }
 
-// DuplicateECM implements chdev.ECMFaults: follow a sent ECM with a
-// spurious zero-credit duplicate (exercises exactly-once credit
-// application at the receiver).
+// DuplicateECM reports whether a sent ECM is followed by a spurious
+// zero-credit duplicate (exercises exactly-once credit application at the
+// receiver). Stats.ECMDups is the only count of them.
 func (p *Plan) DuplicateECM(now sim.Time, rank, peer int) bool {
 	if !p.draw(p.cfg.ECMDupPct) {
 		return false

@@ -119,8 +119,9 @@ type Config struct {
 	Metrics *metrics.Registry
 
 	// Faults, when non-nil, injects latency jitter, link outages, forced
-	// RNR NAKs and delayed acks, and ECM faults where it also implements
-	// chdev.ECMFaults (see internal/fault). NewFabric binds it.
+	// RNR NAKs and delayed acks, and ECM faults where it is a
+	// *fault.Plan, the one injector the channel device asks about ECMs
+	// (see internal/fault). NewFabric binds it.
 	Faults FaultInjector
 }
 

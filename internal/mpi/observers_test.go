@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ibflow/internal/core"
+	"ibflow/internal/fault"
 	"ibflow/internal/metrics"
 	"ibflow/internal/sim"
 	"ibflow/internal/trace"
@@ -78,8 +79,9 @@ func TestObserversAttachOnTheFabric(t *testing.T) {
 	})
 	t.Run("faults", func(t *testing.T) {
 		opts := specOptions(t, "ranks=2 scheme=static(8) faults=seed(1)+ecmdrop(50)")
-		if st := oneWayBurst(t, opts, 64).Stats(); st.ECMsSent == 0 || st.ECMsDropped == 0 {
-			t.Errorf("%d ECMs sent, %d dropped: want some of each", st.ECMsSent, st.ECMsDropped)
+		sent := oneWayBurst(t, opts, 64).Stats().ECMsSent
+		if dropped := opts.IB.Faults.(*fault.Plan).Stats().ECMDrops; sent == 0 || dropped == 0 {
+			t.Errorf("%d ECMs sent, %d dropped: want some of each", sent, dropped)
 		}
 	})
 }

@@ -349,21 +349,23 @@ func faultSweep(t *testing.T, world Spec) {
 					fagg.OutageDelays += res.fstats.OutageDelays
 					fagg.ForcedRNRs += res.fstats.ForcedRNRs
 					fagg.AckDelays += res.fstats.AckDelays
+					fagg.ECMDrops += res.fstats.ECMDrops
+					fagg.ECMDups += res.fstats.ECMDups
 				}
 				if fagg.Jitters == 0 || fagg.OutageDelays == 0 ||
 					fagg.ForcedRNRs == 0 || fagg.AckDelays == 0 {
 					t.Errorf("%v: a fabric fault hook never fired across the sweep: %+v", s, fagg)
 				}
-				if agg.RNRExhausted == 0 || agg.Reissues == 0 {
+				if agg.RNRExhausted == 0 {
 					t.Errorf("%v: retry-exhaustion path never exercised: %+v", s, agg)
 				}
-				if fc.UserLevel() && agg.ECMsDropped == 0 {
+				if fc.UserLevel() && fagg.ECMDrops == 0 {
 					t.Errorf("%v: ECM drop path never exercised", s)
 				}
 				t.Logf("%v: %d seeds: jitters=%d outageDelays=%d forcedRNRs=%d ackDelays=%d "+
-					"rnrExhausted=%d reissues=%d ecmDrops=%d ecmDups=%d",
+					"rnrExhausted=%d ecmDrops=%d ecmDups=%d",
 					s, seeds, fagg.Jitters, fagg.OutageDelays, fagg.ForcedRNRs, fagg.AckDelays,
-					agg.RNRExhausted, agg.Reissues, agg.ECMsDropped, agg.ECMsDuplicated)
+					agg.RNRExhausted, fagg.ECMDrops, fagg.ECMDups)
 			})
 		})
 	}
