@@ -206,21 +206,22 @@ func TestDeviceStatsAccounting(t *testing.T) {
 }
 
 // A connection end is carved from its world's end slab (endSlab), so it
-// costs exactly its size of a slab: 664 B, 48 to a 32 KB slab (a slab
-// holds whole pairs, so 49 do not). The QP is 336 B of it: its receive
+// costs exactly its size of a slab: 632 B, 50 to a 32 KB slab (a slab
+// holds whole pairs, so 51 do not). The QP is 336 B of it: its receive
 // queue keeps descriptors as runs, one of them inline; the landing
 // region is 48 B, as its granule table is a 32-bit name (ib.TestMRSize).
 // The end keeps no record per work request — a completion names what it
 // retires — nor its write target at the peer, which its QP reaches
 // (peerEnd); counts, credits and sizes are 32 bits. Its two message
 // sequence counters (the last number it gave a data packet, the last
-// that arrived) are the 8 B over 656. A field that pushes the conn past
-// 664 B fails here by name: shrink something, or say why the end is
-// worth it and move the bound (past 682 B, 48 no longer fit).
+// that arrived) are 8 B of it, and its VC counts no event its QP or the
+// fault plan counts. A field that pushes the conn past 632 B fails here
+// by name: shrink something, or say why the end is worth it and move
+// the bound (past 655 B, 50 no longer fit).
 // With -v it logs where the bytes go.
 func TestConnSize(t *testing.T) {
-	if got := unsafe.Sizeof(conn{}); got > 664 {
-		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 664 (48 ends to a 32 KB slab)", got)
+	if got := unsafe.Sizeof(conn{}); got > 632 {
+		t.Errorf("unsafe.Sizeof(conn{}) = %d, want <= 632 (50 ends to a 32 KB slab)", got)
 	}
 	if got := unsafe.Sizeof(ib.QP{}); got != 336 {
 		t.Errorf("unsafe.Sizeof(ib.QP{}) = %d, want 336", got)
