@@ -128,20 +128,22 @@ func rendezvousRounds(rounds, size, fanout int) func(c *mpi.Comm) {
 // same reading before NewWorld, which is the quantity the benchmark
 // reports as live_heap_mb. An end is its conn (DESIGN.md, provisioning
 // seam), holding VC, QP, both queues' first rings and the landing region
-// by value, 656 B carved from the world's 32 KB end slab (TestConnSize),
-// so it costs a 48th of an allocation; a ring's granule table is carved
+// by value, 632 B carved from the world's 32 KB end slab (TestConnSize),
+// so it costs a 50th of an allocation; a ring's granule table is carved
 // from its adapter's table slab, 8 B of records per slot; a posted
 // receive is a descriptor, and descriptors posted alike are one run of
 // the receive queue; a ring slot commits the bytes that land in it, 320 B
 // for a 304-byte packet; and an on-demand device's buffer pool grows
 // with what lands, in size classes, so a 304-byte packet holds 512 B.
-// Measured, allocated B / objects / retained B per end: 2.05 KB / 1.1 /
-// 1.46 KB (hardware, static, dynamic), 1.90 KB / 1.6 / 1.35 KB (shared),
-// 2.15 KB / 1.2 / 1.56 KB (rdma; 2.31 KB / 1.3 / 1.65 KB under -tags
+// Measured, allocated B / objects / retained B per end: 2.02 KB / 1.1 /
+// 1.43 KB (hardware, static, dynamic), 1.88 KB / 1.6 / 1.32 KB (shared),
+// 2.13 KB / 1.2 / 1.53 KB (rdma; 2.29 KB / 1.3 / 1.62 KB under -tags
 // ibdebug); the gates are the worst release reading, the ring's, plus
-// ~10 %. With 24-B granule-table entries and 72-B requests the ends read
-// 2.10 KB / 1.1 / 1.51 KB, 1.95 KB / 1.6 / 1.40 KB and 2.28 KB / 1.3 /
-// 1.69 KB, gated at 2.50 KB / 2 / 1.85 KB. The 776-B end (42 to a
+// ~10 %, rounded up to 50 B. The 664-B end (48 to a slab) read 2.05 KB
+// / 1.1 / 1.46 KB, 1.90 KB / 1.6 / 1.35 KB and 2.15 KB / 1.2 / 1.56 KB,
+// under the same gates. With 24-B granule-table entries and 72-B
+// requests the ends read 2.10 KB / 1.1 / 1.51 KB, 1.95 KB / 1.6 / 1.40 KB
+// and 2.28 KB / 1.3 / 1.69 KB, gated at 2.50 KB / 2 / 1.85 KB. The 776-B end (42 to a
 // slab) with 96-B requests read 2.29 KB / 1.1 / 1.68 KB, 2.13 KB / 1.6 /
 // 1.57 KB and 2.47 KB / 1.3 / 1.86 KB, gated at 2.70 KB / 2 / 2.05 KB.
 // Committing each written ring slot whole read 3.15 KB / 1.4 / 2.54 KB on
