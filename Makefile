@@ -112,14 +112,15 @@ BENCHTIME ?= 1s
 bench-nas:
 	$(GO) test -run '^$$' -bench BenchmarkKernel -benchmem -benchtime $(BENCHTIME) ./internal/nas
 
-# bench-diff regenerates the four checked-in benchmark documents at the
-# default worker count — three fcbench sweeps and the paper's evaluation
-# (BENCH_paper.json: figures 2-10 and tables 1-2 at class A) — and
-# compares them byte for byte with the committed files. Every number in
+# bench-diff regenerates the three checked-in benchmark documents at the
+# default worker count — two fcbench sweeps and the paper's evaluation
+# (BENCH_paper.json: figures 2-10 and tables 1-2 at class A, every cell
+# at full precision) — and compares them byte for byte with the committed
+# files. Every number in
 # them is virtual, so any difference is a change in simulated behaviour:
 # fix it, or re-pin the file on purpose.
 bench-diff:
-	st=0; for t in micro scaling endpoints paper; do \
+	st=0; for t in scaling endpoints paper; do \
 		$(GO) run ./cmd/fcbench -test $$t -json > /tmp/ibflow-$$t.json || exit 1; \
 		diff -u BENCH_$$t.json /tmp/ibflow-$$t.json || st=1; \
 	done; \

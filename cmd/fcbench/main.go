@@ -11,7 +11,6 @@
 //	fcbench -test latency -spec 'ranks=2 scheme=static(100) eps=4'
 //	fcbench -test nas -app LU -class A -spec 'ranks=8 scheme=dynamic(1,300)'
 //	fcbench -test paper -quick -only fig9
-//	fcbench -test micro -json > BENCH_micro.json
 //	fcbench -test scaling -json > BENCH_scaling.json
 //	fcbench -test endpoints -json > BENCH_endpoints.json
 //	fcbench -test paper -json > BENCH_paper.json
@@ -21,13 +20,14 @@
 // bandwidth; -test nas without it runs the paper's world for -app under
 // static(100). -test paper builds the eleven tables of Figures 2-10 and
 // Tables 1-2 (NAS class A, or class W with fewer points under -quick);
-// -only picks some of them. -test micro sweeps all five schemes through
-// the latency and bandwidth tests, -test scaling runs the
-// connection-scaling benchmark (Table-2 style) and -test endpoints sweeps
-// endpoint-set sizes under a many-to-one burst. The fixed sweeps build
-// their own worlds and take no -spec. The -json forms of micro, scaling,
-// endpoints and paper are the BENCH_<test>.json documents at the repo
-// root; every number in them is virtual, so they repeat byte for byte at
+// -only picks some of them; Figures 2 and 3 also carry the shared and
+// rdma schemes. -test scaling runs the connection-scaling benchmark
+// (Table-2 style) and -test endpoints sweeps endpoint-set sizes under a
+// many-to-one burst. The fixed sweeps build their own worlds and take no
+// -spec. The -json forms of scaling, endpoints and paper are the
+// BENCH_<test>.json documents at the repo root; the paper document keeps
+// every cell at full precision, and its text and CSV forms round. Every
+// number in them is virtual, so they repeat byte for byte at
 // any GOMAXPROCS (a sweep runs one world per worker, one worker per CPU),
 // and `make bench-diff` regenerates them and compares the bytes with the
 // committed files.
@@ -108,13 +108,6 @@ func checkFlags(test string, set map[string]bool, v flagVals) (p plan, err error
 		if set["iters"] {
 			return p, errors.New("-iters applies to -test latency, not bandwidth")
 		}
-	case "micro":
-		if set["spec"] {
-			return p, errors.New("-test micro sweeps all schemes at fixed pre-posts; drop -spec")
-		}
-		if set["window"] {
-			return p, errors.New("-test micro sweeps every bandwidth window; drop -window")
-		}
 	case "scaling", "endpoints", "paper":
 		sweep := map[string]string{"scaling": "ConnScaling", "endpoints": "EndpointContention", "paper": "Figure2 ... Table2"}[test]
 		if set["metrics-out"] && test != "paper" {
@@ -149,7 +142,7 @@ func checkFlags(test string, set map[string]bool, v flagVals) (p plan, err error
 			}
 		}
 	default:
-		return p, fmt.Errorf("unknown -test %q (latency|bandwidth|micro|scaling|endpoints|paper|nas)", test)
+		return p, fmt.Errorf("unknown -test %q (latency|bandwidth|scaling|endpoints|paper|nas)", test)
 	}
 	for _, f := range []string{"only", "csv"} {
 		if set[f] && test != "paper" {
@@ -186,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var v flagVals
 	fs := flag.NewFlagSet("fcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	test := fs.String("test", "latency", "benchmark: latency, bandwidth, micro (all schemes), scaling (connection scaling, all schemes), endpoints (endpoint-set contention, all schemes), paper (the paper's eleven tables) or nas (one NAS kernel)")
+	test := fs.String("test", "latency", "benchmark: latency, bandwidth, scaling (connection scaling, all schemes), endpoints (endpoint-set contention, all schemes), paper (the paper's eleven tables) or nas (one NAS kernel)")
 	fs.StringVar(&v.spec, "spec", "ranks=2 scheme=static(100)", "the world of -test latency or bandwidth (two ranks) or nas (mpi.Spec: e.g. 'ranks=2 scheme=rdma(8,1024) eps=2'); -test nas defaults to the paper's world for -app under scheme=static(100)")
 	fs.IntVar(&v.size, "size", 4, "message size in bytes (bandwidth; latency sweeps unless set)")
 	fs.IntVar(&v.window, "window", 0, "bandwidth window size (0 = sweep)")
@@ -245,8 +238,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runLatency(stdout, p.spec, set["size"], v, tune)
 	case "bandwidth":
 		runBandwidth(stdout, p.spec, v, tune)
-	case "micro":
-		runMicro(stdout, v, tune)
 	case "scaling":
 		doc := bench.ConnScaling(bench.Opts{Quick: v.quick})
 		if v.json {

@@ -33,7 +33,6 @@ func TestCheckFlags(t *testing.T) {
 		{"latency", []string{"spec"}, flagVals{spec: "ranks=2 scheme=rdma(8,2048) eps=2"}, ""},
 		{"bandwidth", []string{"window", "metrics-out", "metrics-format"}, flagVals{metricsOut: "m", metricsFormat: "perfetto"}, ""},
 		{"bandwidth", []string{"spec"}, flagVals{spec: "ranks=2 scheme=dynamic(10,300)"}, ""},
-		{"micro", []string{"size", "iters", "reps", "blocking", "json"}, flagVals{}, ""},
 		{"scaling", []string{"quick", "json"}, flagVals{}, ""},
 		{"endpoints", []string{"quick"}, flagVals{}, ""},
 		{"paper", []string{"quick", "only", "csv"}, flagVals{only: "fig6,table2", csv: true}, ""},
@@ -45,7 +44,6 @@ func TestCheckFlags(t *testing.T) {
 		// writes one numbered dump per world, built one at a time.
 		{"latency", []string{"metrics-out"}, out, ""},
 		{"bandwidth", []string{"metrics-out"}, out, ""},
-		{"micro", []string{"metrics-out"}, out, ""},
 
 		{"latency", []string{"window"}, flagVals{}, "-window applies to -test bandwidth"},
 		{"latency", []string{"reps"}, flagVals{}, "-reps applies to -test bandwidth"},
@@ -56,8 +54,6 @@ func TestCheckFlags(t *testing.T) {
 		{"bandwidth", []string{"spec"}, flagVals{spec: "ranks=2 scheme=static(0)"}, `"0" is not a number`},
 		{"latency", []string{"spec"}, flagVals{spec: "ranks=4 scheme=static(100)"}, "-test latency measures two ranks"},
 		{"bandwidth", []string{"spec"}, flagVals{spec: "ranks=2 scheme=static(100) eps=1"}, "not canonical"},
-		{"micro", []string{"spec"}, flagVals{}, "-test micro sweeps all schemes at fixed pre-posts; drop -spec"},
-		{"micro", []string{"window"}, flagVals{}, "-test micro sweeps every bandwidth window"},
 		{"scaling", []string{"metrics-out"}, out, "not supported with -test scaling"},
 		{"scaling", []string{"window"}, flagVals{}, "-window does not apply to -test scaling (fixed sweep; see internal/bench.ConnScaling)"},
 		{"endpoints", []string{"metrics-out"}, out, "not supported with -test endpoints"},
@@ -67,7 +63,7 @@ func TestCheckFlags(t *testing.T) {
 		{"latency", []string{"only"}, flagVals{only: "fig2"}, "-only applies to -test paper"},
 		{"nas", []string{"csv"}, flagVals{csv: true}, "-csv applies to -test paper"},
 		{"paper", []string{"app"}, flagVals{app: "CG"}, "-app applies to -test nas"},
-		{"micro", []string{"class"}, flagVals{class: "S"}, "-class applies to -test nas"},
+		{"bandwidth", []string{"class"}, flagVals{class: "S"}, "-class applies to -test nas"},
 		{"latency", []string{"trace"}, flagVals{trace: 20}, "-trace applies to -test nas"},
 		{"nas", []string{"class"}, flagVals{class: "Q"}, `unknown class "Q"`},
 		{"nas", []string{"trace", "metrics-out", "metrics-format"}, flagVals{trace: 20, metricsOut: "m", metricsFormat: "perfetto"}, "-trace and -metrics-format perfetto"},

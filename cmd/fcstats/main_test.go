@@ -112,13 +112,14 @@ func TestSummaryTable(t *testing.T) {
 		t.Fatalf("summary rows = %d, want %d", len(tab.Rows), len(d.Metrics))
 	}
 	for _, r := range tab.Rows {
-		if len(r) != len(tab.Columns) {
-			t.Fatalf("row %v has %d cells, want %d", r, len(r), len(tab.Columns))
+		if len(r.Labels) != len(tab.Columns) {
+			t.Fatalf("row %v has %d cells, want %d", r.Labels, len(r.Labels), len(tab.Columns))
 		}
 	}
 	// The whole-job event counter must be present and nonzero.
 	found := false
-	for _, r := range tab.Rows {
+	for _, tr := range tab.Rows {
+		r := tr.Labels
 		if r[0] == "sim_events_fired" {
 			found = true
 			if r[1] != "counter" || r[2] == "0" {
@@ -137,8 +138,8 @@ func TestDiffTableIdenticalDumps(t *testing.T) {
 	if len(tab.Rows) != len(d.Metrics) {
 		t.Fatalf("diff rows = %d, want %d", len(tab.Rows), len(d.Metrics))
 	}
-	for _, r := range tab.Rows {
-		if r[4] != "+0" {
+	for _, tr := range tab.Rows {
+		if r := tr.Labels; r[4] != "+0" {
 			t.Errorf("metric %s: delta %q, want +0 for identical dumps", r[0], r[4])
 		}
 	}
@@ -162,7 +163,8 @@ func TestDiffTableDisjointAndChanged(t *testing.T) {
 	if len(tab.Rows) != len(want) {
 		t.Fatalf("diff rows = %d, want %d", len(tab.Rows), len(want))
 	}
-	for _, r := range tab.Rows {
+	for _, tr := range tab.Rows {
+		r := tr.Labels
 		w, ok := want[r[0]]
 		if !ok {
 			t.Errorf("unexpected row %v", r)

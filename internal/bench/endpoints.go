@@ -173,21 +173,22 @@ func EndpointContentionTable(doc EndpointDoc) Table {
 		Title: fmt.Sprintf(
 			"Endpoint contention: %d-to-1 incast, %d threads/sender, %d bursts x %d x %dB per thread",
 			doc.Ranks-1, doc.Threads, doc.Bursts, doc.MsgsPerBurst, doc.MsgSizeB),
-		Columns: []string{"scheme", "endpoints", "time (ms)", "backlogged", "RNR NAKs",
-			"occ HWM", "sticky sels", "buf HWM (KB)"},
+		Columns: []Column{{Name: "scheme"}, {Name: "endpoints"}, {"time (ms)", "%.3f"},
+			{"backlogged", "%.0f"}, {"RNR NAKs", "%.0f"}, {"occ HWM", "%.0f"}, {"sticky sels", "%.0f"},
+			{"buf HWM (KB)", "%.1f"}},
 		Note: fmt.Sprintf(
 			"sticky policy: thread t rides endpoint t mod N; per-conn schemes pre-post %d/endpoint (dynamic cap %d); shared pool %d..%d per rank; rdma ring %d x %dB slots per endpoint direction",
 			doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax, doc.RingSlots, doc.SlotBytes),
 	}
 	for _, s := range doc.Series {
 		for i, eps := range doc.Endpoints {
-			t.AddRow(s.Scheme, fmt.Sprint(eps),
-				fmt.Sprintf("%.3f", s.TimeMS[i]),
-				fmt.Sprint(s.Backlogged[i]),
-				fmt.Sprint(s.RNRNaks[i]),
-				fmt.Sprint(s.OccupancyHWM[i]),
-				fmt.Sprint(s.StickySels[i]),
-				fmt.Sprintf("%.1f", float64(s.BufBytesHWM[i])/1024))
+			t.Rows = append(t.Rows, Row{[]string{s.Scheme, fmt.Sprint(eps)}, []float64{
+				s.TimeMS[i],
+				float64(s.Backlogged[i]),
+				float64(s.RNRNaks[i]),
+				float64(s.OccupancyHWM[i]),
+				float64(s.StickySels[i]),
+				float64(s.BufBytesHWM[i]) / 1024}})
 		}
 	}
 	return t

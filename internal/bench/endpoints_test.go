@@ -21,11 +21,7 @@ func TestEndpointContentionQuick(t *testing.T) {
 	if len(tab.Rows) != 5*ne {
 		t.Fatalf("table rows = %d, want 5 schemes x %d set sizes", len(tab.Rows), ne)
 	}
-	for _, r := range tab.Rows {
-		if len(r) != len(tab.Columns) {
-			t.Fatalf("row %v has %d cells for %d columns", r, len(r), len(tab.Columns))
-		}
-	}
+	checkShape(t, tab)
 	senders := doc.Ranks - 1
 	msgs := uint64(senders * doc.Threads * doc.Bursts * doc.MsgsPerBurst)
 	for _, s := range doc.Series {

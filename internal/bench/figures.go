@@ -54,7 +54,7 @@ func (o Opts) latSizes() []int {
 	if o.Quick {
 		return []int{4, 256, 4096, 16384}
 	}
-	return []int{4, 16, 64, 256, 1024, 2048, 4096, 8192, 16384}
+	return []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 }
 
 func (o Opts) bwReps() int {
@@ -74,87 +74,89 @@ func (o Opts) windows() []int {
 // dynMax bounds dynamic growth in all experiments.
 const dynMax = 300
 
+// schemeNames heads the columns of the paper's three schemes.
 var schemeNames = []string{"hardware", "static", "dynamic"}
 
-// Figure2 reproduces the MPI latency plot: one-way microseconds per
-// message size under each scheme, with ample (100) pre-posted buffers.
-func Figure2(o Opts) Table {
-	t := Table{
-		Title:   "Figure 2: MPI latency (us, one-way)",
-		Columns: append([]string{"size(B)"}, schemeNames...),
-		Note:    "ping-pong, pre-post 100; paper: all three schemes comparable (~7.5us small)",
+// ample provisions Figures 2 and 3, whose 100 buffers outnumber every
+// window: the paper's three schemes pre-post 100, and the repository's
+// two extensions follow suit (the shared pool starts at 100 and grows to
+// dynMax, the ring pins 100 slots of 2048 bytes).
+var ample = Provision{Prepost: 100, DynMax: dynMax, PoolPrepost: 100, PoolMax: dynMax, RingSlots: 100, SlotBytes: 2048}
+
+// extNote marks the two columns Figures 2 and 3 add to the paper's.
+const extNote = "; shared and rdma are this repository's extensions, not the paper's"
+
+// schemeFigure measures one cell per (point, scheme) pair, each in its
+// own world across the worker pool, into a table with one row per point
+// and one column per scheme printed through verb.
+func schemeFigure(o Opts, title, label, verb, note string, points []int, schemes []core.Params,
+	cell func(point int, fc core.Params) float64) Table {
+	names := make([]string, len(schemes))
+	for i, fc := range schemes {
+		names[i] = fc.Kind.String()
 	}
-	sizes := o.latSizes()
-	schemes := Schemes(100, dynMax)
-	vals := runner.Map(len(sizes)*len(schemes), Workers(o.Tune), func(k int) float64 {
-		return Latency(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, sizes[k/len(schemes)], o.latIters(), o.Tune)
+	t := Table{Title: title, Columns: columns(label, verb, names...), Note: note}
+	ns := len(schemes)
+	vals := runner.Map(len(points)*ns, Workers(o.Tune), func(k int) float64 {
+		return cell(points[k/ns], schemes[k%ns])
 	})
-	for i, size := range sizes {
-		row := []string{fmt.Sprint(size)}
-		for j := range schemes {
-			row = append(row, f2(vals[i*len(schemes)+j]))
-		}
-		t.AddRow(row...)
+	for i, p := range points {
+		t.AddRow(fmt.Sprint(p), vals[i*ns:(i+1)*ns]...)
 	}
 	return t
 }
 
+// Figure2 reproduces the MPI latency plot: one-way microseconds per
+// message size under each scheme, with ample (100) pre-posted buffers.
+func Figure2(o Opts) Table {
+	return schemeFigure(o, "Figure 2: MPI latency (us, one-way)", "size(B)", "%.2f",
+		"ping-pong, pre-post 100; paper: all three schemes comparable (~7.5us small)"+extNote,
+		o.latSizes(), ample.Schemes(), func(size int, fc core.Params) float64 {
+			return Latency(mpi.Spec{Ranks: 2, Scheme: fc}, size, o.latIters(), o.Tune)
+		})
+}
+
 // bwFigure is the shared shape of Figures 3-8.
-func bwFigure(o Opts, title, note string, size, prepost int, blocking bool) Table {
-	t := Table{
-		Title:   title,
-		Columns: append([]string{"window"}, schemeNames...),
-		Note:    note,
-	}
-	wins := o.windows()
-	schemes := Schemes(prepost, dynMax)
-	vals := runner.Map(len(wins)*len(schemes), Workers(o.Tune), func(k int) float64 {
-		return Bandwidth(mpi.Spec{Ranks: 2, Scheme: schemes[k%len(schemes)]}, size, wins[k/len(schemes)], o.bwReps(), blocking, o.Tune)
+func bwFigure(o Opts, title, note string, size int, schemes []core.Params, blocking bool) Table {
+	return schemeFigure(o, title, "window", "%.1f", note, o.windows(), schemes, func(win int, fc core.Params) float64 {
+		return Bandwidth(mpi.Spec{Ranks: 2, Scheme: fc}, size, win, o.bwReps(), blocking, o.Tune)
 	})
-	for i, win := range wins {
-		row := []string{fmt.Sprint(win)}
-		for j := range schemes {
-			row = append(row, f1(vals[i*len(schemes)+j]))
-		}
-		t.AddRow(row...)
-	}
-	return t
 }
 
 // Figure3 is bandwidth, 4-byte messages, pre-post 100, blocking.
 func Figure3(o Opts) Table {
 	return bwFigure(o, "Figure 3: bandwidth MB/s (4B, pre-post 100, blocking)",
-		"paper: all schemes comparable while window <= pre-post", 4, 100, true)
+		"paper: all schemes comparable while window <= pre-post"+extNote, 4, ample.Schemes(), true)
 }
 
 // Figure4 is bandwidth, 4-byte messages, pre-post 100, non-blocking.
 func Figure4(o Opts) Table {
 	return bwFigure(o, "Figure 4: bandwidth MB/s (4B, pre-post 100, non-blocking)",
-		"paper: all schemes comparable while window <= pre-post", 4, 100, false)
+		"paper: all schemes comparable while window <= pre-post", 4, Schemes(100, dynMax), false)
 }
 
 // Figure5 is bandwidth, 4-byte messages, pre-post 10, blocking.
 func Figure5(o Opts) Table {
 	return bwFigure(o, "Figure 5: bandwidth MB/s (4B, pre-post 10, blocking)",
-		"paper: beyond window 10 dynamic adapts and wins; static stalls worst", 4, 10, true)
+		"paper: beyond window 10 dynamic adapts and wins; static stalls worst", 4, Schemes(10, dynMax), true)
 }
 
 // Figure6 is bandwidth, 4-byte messages, pre-post 10, non-blocking.
 func Figure6(o Opts) Table {
 	return bwFigure(o, "Figure 6: bandwidth MB/s (4B, pre-post 10, non-blocking)",
-		"paper: dynamic best past the credit limit; user-level blocking beats non-blocking", 4, 10, false)
+		"paper: dynamic best past the credit limit; user-level blocking beats non-blocking", 4, Schemes(10, dynMax), false)
 }
 
 // Figure7 is bandwidth, 32 KB messages, pre-post 10, blocking.
 func Figure7(o Opts) Table {
 	return bwFigure(o, "Figure 7: bandwidth MB/s (32KB, pre-post 10, blocking)",
-		"paper: rendezvous self-regulates; all three schemes do well", 32*1024, 10, true)
+		"paper: rendezvous self-regulates; all three schemes do well", 32*1024, Schemes(10, dynMax), true)
 }
 
 // Figure8 is bandwidth, 32 KB messages, pre-post 10, non-blocking.
 func Figure8(o Opts) Table {
 	return bwFigure(o, "Figure 8: bandwidth MB/s (32KB, pre-post 10, non-blocking)",
-		"paper: non-blocking overlaps handshakes and beats blocking", 32*1024, 10, false)
+		"paper: non-blocking overlaps handshakes and beats blocking", 32*1024, Schemes(10, dynMax), false)
 }
 
 // nasApps is the paper's application order.
@@ -164,7 +166,7 @@ var nasApps = []string{"IS", "FT", "LU", "CG", "MG", "BT", "SP"}
 func Figure9(o Opts) (Table, []NASResult) {
 	t := Table{
 		Title:   fmt.Sprintf("Figure 9: NAS class %v runtimes (virtual seconds, pre-post 100)", o.class()),
-		Columns: append([]string{"app"}, schemeNames...),
+		Columns: columns("app", "%.4f", schemeNames...),
 		Note:    "paper: schemes within 2-3% except LU, where hardware wins ~5-6% (ECM overhead)",
 	}
 	schemes := Schemes(100, dynMax)
@@ -182,13 +184,12 @@ func Figure9(o Opts) (Table, []NASResult) {
 	})
 	var all []NASResult
 	for i, app := range nasApps {
-		row := []string{app}
-		for j := range schemes {
-			res := results[i*ns+j]
+		var row []float64
+		for _, res := range results[i*ns : (i+1)*ns] {
 			all = append(all, res)
-			row = append(row, fmt.Sprintf("%.4f", res.Time.Seconds()))
+			row = append(row, res.Time.Seconds())
 		}
-		t.AddRow(row...)
+		t.AddRow(app, row...)
 	}
 	return t, all
 }
@@ -198,7 +199,7 @@ func Figure9(o Opts) (Table, []NASResult) {
 func Figure10(o Opts) (Table, []NASResult) {
 	t := Table{
 		Title:   fmt.Sprintf("Figure 10: NAS class %v degradation, pre-post 100 -> 1 (%%)", o.class()),
-		Columns: append([]string{"app"}, schemeNames...),
+		Columns: columns("app", "%.1f%%", schemeNames...),
 		Note:    "paper: hardware collapses on LU/MG (RNR storms); static loses up to 13% (LU); dynamic ~0%",
 	}
 	// Cells: per app, three baseline runs (pre-post 100) then three
@@ -225,14 +226,14 @@ func Figure10(o Opts) (Table, []NASResult) {
 	})
 	var all []NASResult
 	for a, app := range nasApps {
-		row := []string{app}
+		var row []float64
 		for i := 0; i < ns; i++ {
 			base := results[a*2*ns+i].Time.Seconds()
 			res := results[a*2*ns+ns+i]
 			all = append(all, res)
-			row = append(row, pct((res.Time.Seconds()-base)/base*100))
+			row = append(row, (res.Time.Seconds()-base)/base*100)
 		}
-		t.AddRow(row...)
+		t.AddRow(app, row...)
 	}
 	return t, all
 }
@@ -242,7 +243,7 @@ func Figure10(o Opts) (Table, []NASResult) {
 func Table1(o Opts) Table {
 	t := Table{
 		Title:   fmt.Sprintf("Table 1: explicit credit messages, user-level static, class %v", o.class()),
-		Columns: []string{"app", "#ECM/conn", "#total/conn", "ECM share"},
+		Columns: []Column{{Name: "app"}, {"#ECM/conn", "%.1f"}, {"#total/conn", "%.1f"}, {"ECM share", "%.1f%%"}},
 		Note:    "paper: LU ~18% ECMs; all other applications near zero",
 	}
 	for _, app := range nasApps {
@@ -256,7 +257,7 @@ func Table1(o Opts) Table {
 		if total > 0 {
 			share = float64(res.Stats.ECMsSent) / float64(total) * 100
 		}
-		t.AddRow(app, f1(res.ECMPerConn), f1(totalPerConn), pct(share))
+		t.AddRow(app, res.ECMPerConn, totalPerConn, share)
 	}
 	return t
 }
@@ -266,7 +267,7 @@ func Table1(o Opts) Table {
 func Table2(o Opts) Table {
 	t := Table{
 		Title:   fmt.Sprintf("Table 2: max posted buffers, user-level dynamic from 1, class %v", o.class()),
-		Columns: []string{"app", "max #buffers", "growth events"},
+		Columns: columns("app", "%.0f", "max #buffers", "growth events"),
 		Note:    "paper: IS 4, FT 4, LU 63, CG 3, MG 6, BT 7, SP 7",
 	}
 	for _, app := range nasApps {
@@ -274,7 +275,7 @@ func Table2(o Opts) Table {
 		if err != nil {
 			panic(err)
 		}
-		t.AddRow(app, fmt.Sprint(res.Stats.MaxPosted), fmt.Sprint(res.Stats.GrowthEvents))
+		t.AddRow(app, float64(res.Stats.MaxPosted), float64(res.Stats.GrowthEvents))
 	}
 	return t
 }

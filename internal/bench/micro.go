@@ -1,10 +1,11 @@
 // Package bench is the experiment harness: it reruns the paper's
 // micro-benchmarks (latency, bandwidth) and NAS application experiments
 // under each flow control scheme and formats the tables and figures the
-// paper reports (Figures 2-10, Tables 1-2). TestPaperClaims holds the
-// committed BENCH_paper.json to the shapes the paper describes. The
-// package also builds the other three documents fcbench writes: the
-// five-scheme micro sweep, connection scaling and endpoint contention.
+// paper reports (Figures 2-10, Tables 1-2), each cell at full precision.
+// Figures 2 and 3 also carry the shared and rdma schemes.
+// TestPaperClaims holds the committed BENCH_paper.json to the shapes the
+// paper describes. The package also builds the other two documents
+// fcbench writes: connection scaling and endpoint contention.
 package bench
 
 import (

@@ -228,34 +228,32 @@ func ConnScalingTable(doc ScalingDoc) Table {
 		Title: fmt.Sprintf(
 			"Connection scaling: per-process buffer memory HWM (KB), small-message storm (%d x %dB per peer, fanout %d)",
 			doc.MsgsPerPeer, doc.MsgSizeB, doc.Fanout),
-		Columns: []string{"ranks"},
+		Columns: []Column{{Name: "ranks"}},
 		Note: fmt.Sprintf(
 			"per-connection schemes pre-post %d/conn (dynamic cap %d); shared pool starts at %d, cap %d — memory bounded regardless of fan-in; rdma ring pins %d x %dB slots per conn direction; >= %d ranks: fat tree (radix %d, %d:1, %d rails); >= %d ranks: on-demand connections",
 			doc.Prepost, doc.DynMax, doc.PoolPrepost, doc.PoolMax,
 			doc.RingSlots, doc.SlotBytes,
 			doc.FatTreeFrom, doc.LeafRadix, doc.Oversub, doc.Rails, doc.OnDemandFrom),
 	}
-	for _, s := range doc.Series {
-		t.Columns = append(t.Columns, s.Scheme)
-	}
-	t.Columns = append(t.Columns, "shared RNR", "shared limit ev")
 	var shared *ScalingSeries
-	for i := range doc.Series {
-		if doc.Series[i].Scheme == "shared" {
+	for i, s := range doc.Series {
+		t.Columns = append(t.Columns, Column{s.Scheme, "%.1f"})
+		if s.Scheme == "shared" {
 			shared = &doc.Series[i]
 		}
 	}
+	if shared != nil {
+		t.Columns = append(t.Columns, Column{"shared RNR", "%.0f"}, Column{"shared limit ev", "%.0f"})
+	}
 	for i, n := range doc.Ranks {
-		row := []string{fmt.Sprint(n)}
+		var row []float64
 		for _, s := range doc.Series {
-			row = append(row, fmt.Sprintf("%.1f", float64(s.BufBytesHWM[i])/1024))
+			row = append(row, float64(s.BufBytesHWM[i])/1024)
 		}
 		if shared != nil {
-			row = append(row, fmt.Sprint(shared.RNRNaks[i]), fmt.Sprint(shared.LimitEvents[i]))
-		} else {
-			row = append(row, "-", "-")
+			row = append(row, float64(shared.RNRNaks[i]), float64(shared.LimitEvents[i]))
 		}
-		t.AddRow(row...)
+		t.AddRow(fmt.Sprint(n), row...)
 	}
 	return t
 }

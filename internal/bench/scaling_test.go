@@ -93,12 +93,8 @@ func TestConnScalingTableShape(t *testing.T) {
 	if len(tab.Rows) != len(doc.Ranks) {
 		t.Fatalf("table rows = %d, want %d", len(tab.Rows), len(doc.Ranks))
 	}
-	for _, r := range tab.Rows {
-		if len(r) != len(tab.Columns) {
-			t.Fatalf("row %v has %d cells for %d columns", r, len(r), len(tab.Columns))
-		}
-	}
-	if !strings.Contains(tab.Columns[4], "shared") {
+	checkShape(t, tab)
+	if !strings.Contains(tab.Columns[4].Name, "shared") {
 		t.Errorf("columns = %v, want shared in position 4", tab.Columns)
 	}
 }
