@@ -1,9 +1,10 @@
 // Adaptive: a bursty producer/consumer workload that shows why the
 // user-level dynamic scheme exists. A fast producer fires irregular
 // bursts of small messages at a slow consumer; with one pre-posted
-// buffer the hardware scheme drowns in RNR retries, the static scheme
-// crawls through demoted handshakes, and the dynamic scheme measures the
-// burst and provisions for it. Like the paper's, the dynamic scheme only
+// buffer the hardware scheme drowns in RNR retries, the static scheme's
+// sends wait in the backlog, each for an explicit credit message to
+// return the one buffer, and the dynamic scheme measures the burst and
+// provisions for it. Like the paper's, the dynamic scheme only
 // grows: the buffers a burst earned stay posted after the bursts stop.
 package main
 
@@ -50,7 +51,7 @@ func run(name string, scheme ibflow.Scheme) {
 		panic(err)
 	}
 	st := cluster.Stats()
-	fmt.Printf("%-16s time=%8v  RNR=%-5d retx=%-5d demoted=%-4d maxPosted=%-3d finalPosted=%-3d\n",
+	fmt.Printf("%-16s time=%8v  RNR=%-5d retx=%-5d demoted=%-4d maxPosted=%-3d finalPosted=%d\n",
 		name, cluster.Time(), st.RNRNaks, st.Retransmits, st.Demoted, st.MaxPosted, st.SumPosted)
 }
 
