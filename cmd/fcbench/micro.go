@@ -9,11 +9,6 @@ import (
 	"ibflow/internal/runner"
 )
 
-var (
-	latSizes  = []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
-	bwWindows = []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 80, 100}
-)
-
 type latPoint struct {
 	SizeB int     `json:"size_b"`
 	US    float64 `json:"us"`
@@ -25,9 +20,9 @@ type bwPoint struct {
 }
 
 // runLatency measures the one-way latency of spec at -size, or at every
-// size of latSizes when -size is not given.
+// size of the full suite's Figure 2 when -size is not given.
 func runLatency(w io.Writer, spec mpi.Spec, oneSize bool, v flagVals, tune func(*mpi.Options)) {
-	sizes := latSizes
+	sizes := bench.Opts{}.LatSizes()
 	if oneSize {
 		sizes = []int{v.size}
 	}
@@ -51,9 +46,9 @@ func runLatency(w io.Writer, spec mpi.Spec, oneSize bool, v flagVals, tune func(
 }
 
 // runBandwidth measures the bandwidth of spec at -window, or at every
-// window of bwWindows when -window is 0.
+// window of the full suite's Figures 3-8 when -window is 0.
 func runBandwidth(w io.Writer, spec mpi.Spec, v flagVals, tune func(*mpi.Options)) {
-	windows := bwWindows
+	windows := bench.Opts{}.Windows()
 	if v.window > 0 {
 		windows = []int{v.window}
 	}

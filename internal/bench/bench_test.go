@@ -208,7 +208,7 @@ func TestTableFormatting(t *testing.T) {
 
 func TestFigure2Shape(t *testing.T) {
 	tab := Figure2(Opts{Quick: true})
-	if len(tab.Rows) != len(quick.latSizes()) {
+	if len(tab.Rows) != len(quick.LatSizes()) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	checkShape(t, tab)

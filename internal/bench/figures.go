@@ -50,7 +50,9 @@ func (o Opts) latIters() int {
 	return 200
 }
 
-func (o Opts) latSizes() []int {
+// LatSizes returns the message sizes Figure 2 sweeps; fcbench's -test
+// latency sweeps the full suite's.
+func (o Opts) LatSizes() []int {
 	if o.Quick {
 		return []int{4, 256, 4096, 16384}
 	}
@@ -64,7 +66,9 @@ func (o Opts) bwReps() int {
 	return 12
 }
 
-func (o Opts) windows() []int {
+// Windows returns the windows Figures 3-8 sweep; fcbench's -test
+// bandwidth sweeps the full suite's.
+func (o Opts) Windows() []int {
 	if o.Quick {
 		return []int{1, 4, 16, 32, 64, 100}
 	}
@@ -111,14 +115,14 @@ func schemeFigure(o Opts, title, label, verb, note string, points []int, schemes
 func Figure2(o Opts) Table {
 	return schemeFigure(o, "Figure 2: MPI latency (us, one-way)", "size(B)", "%.2f",
 		"ping-pong, pre-post 100; paper: all three schemes comparable (~7.5us small)"+extNote,
-		o.latSizes(), ample.Schemes(), func(size int, fc core.Params) float64 {
+		o.LatSizes(), ample.Schemes(), func(size int, fc core.Params) float64 {
 			return Latency(mpi.Spec{Ranks: 2, Scheme: fc}, size, o.latIters(), o.Tune)
 		})
 }
 
 // bwFigure is the shared shape of Figures 3-8.
 func bwFigure(o Opts, title, note string, size int, schemes []core.Params, blocking bool) Table {
-	return schemeFigure(o, title, "window", "%.1f", note, o.windows(), schemes, func(win int, fc core.Params) float64 {
+	return schemeFigure(o, title, "window", "%.1f", note, o.Windows(), schemes, func(win int, fc core.Params) float64 {
 		return Bandwidth(mpi.Spec{Ranks: 2, Scheme: fc}, size, win, o.bwReps(), blocking, o.Tune)
 	})
 }

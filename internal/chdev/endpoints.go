@@ -21,12 +21,19 @@ func (d *Device) BindThread(tid int) {
 }
 
 // addConn enters a freshly established endpoint into the live list at
-// its (peer, ep) position; static wiring only ever appends.
+// its (peer, ep) position; static wiring only ever appends. A full list
+// moves to a run of twice its capacity from the world's table slab
+// (endSlab.table) and leaves its old run there, cleared.
 func (d *Device) addConn(c *conn) {
 	key := func(c *conn) int { return int(c.peer)*d.cfg.Endpoints + int(c.ep) }
 	i, _ := slices.BinarySearchFunc(d.live, key(c), func(e *conn, k int) int {
 		return cmp.Compare(key(e), k)
 	})
+	if len(d.live) == cap(d.live) {
+		grown := append(d.ends.table(max(1, 2*cap(d.live))), d.live...)
+		clear(d.live)
+		d.live = grown
+	}
 	d.live = slices.Insert(d.live, i, c)
 }
 
@@ -73,8 +80,8 @@ func (d *Device) selectEP(eps []*conn) *conn {
 // pool's first slab here with its connections, so that the job's first
 // messages land in set-up memory (mem.BufPool.Warm).
 func Wire(devs []*Device) {
-	n := len(devs)
-	ends := &endSlab{left: n * (n - 1) * devs[0].cfg.Endpoints}
+	n, epN := len(devs), devs[0].cfg.Endpoints
+	ends := &endSlab{left: n * (n - 1) * epN}
 	for _, d := range devs {
 		d.peers, d.ends = devs, ends
 	}
@@ -83,6 +90,7 @@ func Wire(devs []*Device) {
 	}
 	for _, d := range devs {
 		d.pool.Warm()
+		d.live = ends.table((n - 1) * epN)
 	}
 	for i := range devs {
 		for j := i + 1; j < len(devs); j++ {
@@ -92,9 +100,18 @@ func Wire(devs []*Device) {
 }
 
 // endSlabBytes is how much host memory a world takes at a time for its
-// connection ends: the largest small-object size class, so a slab is one
-// allocation of ends with no size-class slack beyond a part of one end.
+// connection ends, and at most for its live lists' backing: the largest
+// small-object size class, so a slab is one allocation with no size-class
+// slack beyond a part of one end.
 const endSlabBytes = 32 << 10
+
+// tableMin and tableMax bound the live-list entries of a table slab
+// (endSlab.table): a 2-rank world's two lists of one fit one 32-B slab,
+// and no slab takes more than endSlabBytes unless one run asks for more.
+const (
+	tableMin = 4
+	tableMax = endSlabBytes / int(unsafe.Sizeof((*conn)(nil)))
+)
 
 // endSlab carves the connection ends of one world, as HCA.commit carves
 // ring slots from pages: a pair's two endpoint sets are adjacent in it, a
@@ -103,9 +120,20 @@ const endSlabBytes = 32 << 10
 // than endSlabBytes' worth, so a statically wired world gets exactly the
 // ends it uses and any world leaves at most one slab partly unused. The
 // devices of a world share it; the engine serializes them.
+//
+// It also backs the devices' live lists (table): a list that outgrows its
+// run takes one twice as long from the current table slab, so a device's
+// k-th establishment allocates nothing of its own. A new table slab is as
+// large as every one made before it together, between tableMin and
+// tableMax entries (or the one run asked for), and an outgrown run stays
+// in its slab: the runs a list outgrows add up to fewer entries than it
+// holds (1 + 2 + … + c/2 < c), too little to keep a free list for.
 type endSlab struct {
 	free []conn // the rest of the current slab
 	left int    // ends the world has yet to establish
+
+	runs []*conn // the rest of the current table slab
+	made int     // entries in every table slab made so far
 }
 
 // take returns n adjacent fresh ends, n being one pair's two sets.
@@ -121,6 +149,18 @@ func (s *endSlab) take(n int) []conn {
 	s.free = s.free[n:]
 	s.left -= n
 	return set
+}
+
+// table returns an empty live list of capacity n from the table slab.
+func (s *endSlab) table(n int) []*conn {
+	if len(s.runs) < n {
+		per := max(n, min(max(tableMin, s.made), tableMax))
+		s.runs = make([]*conn, per)
+		s.made += per
+	}
+	run := s.runs[:0:n]
+	s.runs = s.runs[n:]
+	return run
 }
 
 // establish creates the endpoint set — Config.Endpoints QP pairs and

@@ -70,18 +70,25 @@ func TestEndsStayWhereEstablished(t *testing.T) {
 }
 
 // A statically wired world establishes every pair, and each new slab is
-// capped at the ends still to come, so none is left spare.
+// capped at the ends still to come, so none is left spare; each device's
+// live list is one run of the table slab, as long as its connections.
 func TestStaticWorldLeavesNoSpareEnds(t *testing.T) {
 	for _, n := range []int{2, 7, 19} {
 		devs := wiredWorld(n, DefaultConfig(), core.Static(2))
 		if s := devs[0].ends; s.left != 0 || cap(s.free) != 0 {
 			t.Errorf("%d ranks: %d ends still to establish, %d spare in the slab; want 0, 0", n, s.left, cap(s.free))
 		}
+		for _, d := range devs {
+			if len(d.live) != n-1 || cap(d.live) != n-1 {
+				t.Fatalf("%d ranks: rank %d's live list holds %d of %d entries, want %d of %d", n, d.rank, len(d.live), cap(d.live), n-1, n-1)
+			}
+		}
 	}
 }
 
 // A 2-rank on-demand world can establish one pair, so its slab holds
-// exactly that pair's 2 ends.
+// exactly that pair's 2 ends, and its two live lists of one take one
+// 4-entry table slab, 32 B.
 func TestTwoRankWorldGetsTwoEnds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.OnDemand = true
@@ -92,6 +99,9 @@ func TestTwoRankWorldGetsTwoEnds(t *testing.T) {
 	establish(devs[0], devs[1])
 	if s := devs[0].ends; s.left != 0 || cap(s.free) != 0 {
 		t.Errorf("after it: %d ends to establish, %d spare in the slab; want 0, 0", s.left, cap(s.free))
+	}
+	if s := devs[0].ends; s.made != tableMin || len(s.runs) != tableMin-2 {
+		t.Errorf("table slabs made %d entries and %d are left, want %d and %d", s.made, len(s.runs), tableMin, tableMin-2)
 	}
 }
 

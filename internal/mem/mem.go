@@ -23,8 +23,9 @@ import (
 // costs one allocation per slabBufs cache misses instead of one per buffer.
 const slabBufs = 64
 
-// slabStep sets how a pool that nobody warmed follows its demand: the
-// next slab holds a 1/slabStep of the bytes carved so far, at least
+// slabStep sets how a pool that nobody warmed follows its demand: its
+// first slab holds slabStep buffers of the first class asked for, and
+// each next one a 1/slabStep of the bytes carved so far, at least
 // slabStep and at most slabBufs full-size buffers' worth. What a pool
 // holds is therefore what it carved plus a quarter at most — where a
 // fixed slab held 64 buffers for a demand of 3 — and the end of a slab
@@ -122,8 +123,12 @@ func (p *BufPool) GetN(n int) []byte {
 	} else {
 		sz := p.classCap(c)
 		if len(p.slab) < sz {
+			bytes := sz * slabStep // the first slab: slabStep buffers of this class
+			if p.carved > 0 {
+				bytes = p.size * min(slabBufs, max(slabStep, p.carved/(p.size*slabStep)))
+			}
 			//fclint:allow hotalloc a slab refill, paid once per slab of buffers, which are then recycled without allocating
-			p.slab = make([]byte, p.size*min(slabBufs, max(slabStep, p.carved/(p.size*slabStep))))
+			p.slab = make([]byte, bytes)
 		}
 		b = p.slab[:sz:sz]
 		p.slab = p.slab[sz:]

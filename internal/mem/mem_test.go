@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ibflow/internal/debug"
 	"ibflow/internal/ib"
 	"ibflow/internal/sim"
 )
@@ -100,6 +101,40 @@ func TestBufPoolSlabGrowth(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	if got := ms1.Mallocs - ms0.Mallocs; got > slabBufs/2 {
 		t.Errorf("%d mallocs for %d carves of a grown pool; slab growth should amortize", got, slabBufs)
+	}
+}
+
+// An unwarmed pool's first slab holds slabStep buffers of the first class
+// asked for, not slabStep full-size ones: an RDMA device staging three
+// 304-byte packets holds 2 KB where it held 8 KB. The carves after the
+// first come from that slab without allocating, and the slab after it
+// follows the full-size law (a quarter of what was carved, at least
+// slabStep full-size buffers).
+func TestBufPoolFirstSlabFitsItsClass(t *testing.T) {
+	const size = 2048
+	p := NewBufPool(size)
+	first := p.GetN(304)
+	if cap(first) != 512 || len(p.slab) != 3*512 {
+		t.Fatalf("first GetN(304): a %d-byte buffer and %d bytes left in the slab, want 512 and %d", cap(first), len(p.slab), 3*512)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	second, third := p.GetN(512), p.GetN(400)
+	runtime.ReadMemStats(&ms1)
+	if got := ms1.Mallocs - ms0.Mallocs; got != 0 && !debug.Enabled {
+		t.Errorf("the next two 512-B carves allocated %d objects, want 0", got)
+	}
+	base := unsafe.Pointer(&first[0])
+	if unsafe.Pointer(&second[0]) != unsafe.Add(base, 512) || unsafe.Pointer(&third[0]) != unsafe.Add(base, 1024) {
+		t.Error("the next two 512-B carves are not the first slab's next buffers")
+	}
+	p.GetN(512)
+	if len(p.slab) != 0 {
+		t.Fatalf("four 512-B carves left %d bytes of the first slab, want 0", len(p.slab))
+	}
+	p.GetN(64)
+	if got, want := len(p.slab)+64, slabStep*size; got != want {
+		t.Errorf("the second slab holds %d bytes, want %d (slabStep full-size buffers)", got, want)
 	}
 }
 

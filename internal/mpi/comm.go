@@ -35,7 +35,10 @@ type Request struct {
 	// owner is the communicator that posted the request, for translating
 	// the status source to a comm rank. Release clears it: a request with
 	// no owner is back in the pool, and releasing it again does nothing.
-	owner  *Comm
+	owner *Comm
+	// next is the receive posted after this one while it waits in its
+	// rank's posted queue (Rank.posted), nil otherwise.
+	next   *Request
 	comm   uint16
 	done   bool
 	isRecv bool
@@ -222,7 +225,7 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	if c.r.matchUnex(req) {
 		return req
 	}
-	c.r.postedRecvs = append(c.r.postedRecvs, req)
+	c.r.post(req)
 	return req
 }
 

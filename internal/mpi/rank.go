@@ -40,14 +40,18 @@ type unexEntry struct {
 // Rank is one MPI process: it owns the matching queues and implements the
 // channel device's upcall interface.
 type Rank struct {
-	world       *World
-	idx         int
-	dev         *chdev.Device
-	proc        *sim.Proc
-	detached    sim.Time   // Options.Settle: when the rank left finalize and detached its device
-	postedRecvs []*Request // posted receives, in post order
-	unex        []unexEntry
-	nextCommID  uint16 // context ids handed out by Split
+	world      *World
+	idx        int
+	dev        *chdev.Device
+	proc       *sim.Proc
+	detached   sim.Time // Options.Settle: when the rank left finalize and detached its device
+	unex       []unexEntry
+	nextCommID uint16 // context ids handed out by Split
+
+	// posted and postedTail are the ends of the posted-receive queue, in
+	// post order, threaded through the requests (Request.next), so posting
+	// and matching allocate nothing.
+	posted, postedTail *Request
 
 	// pending is the eager delivery in flight between DeliverEagerStart
 	// and DeliverEagerDone (the device charges the payload copy between
@@ -121,7 +125,7 @@ func (r *Rank) debugFreeMem(buf []byte) {
 	if !debug.Enabled {
 		return
 	}
-	for _, q := range r.postedRecvs {
+	for q := r.posted; q != nil; q = q.next {
 		debug.Assert(!mem.Overlaps(buf, q.buf),
 			"mpi: rank %d: FreeMem of a block a posted receive (source %d, tag %d) lands in", r.idx, q.src, q.tag)
 	}
@@ -147,14 +151,35 @@ func match(wantComm, comm uint16, wantSrc, wantTag, src, tag int) bool {
 		(wantTag == AnyTag || wantTag == tag)
 }
 
+// post appends a receive that matched nothing unexpected to the posted
+// queue.
+func (r *Rank) post(req *Request) {
+	if r.postedTail == nil {
+		r.posted = req
+	} else {
+		r.postedTail.next = req
+	}
+	r.postedTail = req
+}
+
 // findPosted removes and returns the first posted receive matching
 // (src, tag), or nil.
 func (r *Rank) findPosted(src, tag int, comm uint16) *Request {
-	for i, req := range r.postedRecvs {
-		if match(req.comm, comm, int(req.src), int(req.tag), src, tag) {
-			r.postedRecvs = append(r.postedRecvs[:i], r.postedRecvs[i+1:]...)
-			return req
+	var prev *Request
+	for req := r.posted; req != nil; prev, req = req, req.next {
+		if !match(req.comm, comm, int(req.src), int(req.tag), src, tag) {
+			continue
 		}
+		if prev == nil {
+			r.posted = req.next
+		} else {
+			prev.next = req.next
+		}
+		if r.postedTail == req {
+			r.postedTail = prev
+		}
+		req.next = nil
+		return req
 	}
 	return nil
 }

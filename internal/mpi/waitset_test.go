@@ -87,17 +87,19 @@ func TestWaitSetCleared(t *testing.T) {
 	})
 }
 
-// A request is six words: a 1 024-rank storm keeps a hundred thousand
+// A request is seven words: a 1 024-rank storm keeps a hundred thousand
 // boxes in its world's pool, carved 64 to a chunk, and 64 requests of
-// 48 B are exactly the 3 072-B size class (at 72 B a chunk took the
-// 4 864-B class; at 56 B it would take 4 096, as there is no 3 584-B
-// class). The source and the tag are 32 bits, as the wire carries them,
-// and share a word; they are the matching spec until a receive
-// completes and its status after, so the status adds only its length;
-// the communicator and the two flags share that word. A request is
-// released when its owner is cleared, so that takes no flag of its own.
+// 56 B take the 4 096-B size class, as there is no 3 584-B class (at
+// 48 B a chunk was exactly the 3 072-B class, at 72 B it took 4 864).
+// The seventh word is the posted-receive queue's link (Request.next),
+// which lets posting and matching allocate nothing. The source and the
+// tag are 32 bits, as the wire carries them, and share a word; they are
+// the matching spec until a receive completes and its status after, so
+// the status adds only its length; the communicator and the two flags
+// share that word. A request is released when its owner is cleared, so
+// that takes no flag of its own.
 func TestRequestSize(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(Request{}); got != 56 {
+		t.Errorf("unsafe.Sizeof(Request{}) = %d, want 56", got)
 	}
 }
