@@ -1,9 +1,6 @@
 package ib
 
-import (
-	"ibflow/internal/sim"
-	"ibflow/internal/store"
-)
+import "ibflow/internal/sim"
 
 // Opcode identifies the kind of completed work.
 type Opcode int32
@@ -60,8 +57,8 @@ func (s Status) String() string {
 // WC is a work completion (a completion queue entry). Its byte count
 // and immediate value are 32 bits wide, as verbs' byte_len and imm_data
 // are: a post refuses a payload that does not fit Len, and a region is
-// shorter than 2^31 bytes (HCA.InitMR). Seven words: a CQ ring holds one
-// per pending completion.
+// shorter than 2^31 bytes (HCA.InitMR). Seven words: a pending completion
+// is one, plus its queue link (cqEntry).
 type WC struct {
 	QP     *QP // queue pair the work belonged to
 	Opcode Opcode
@@ -72,33 +69,46 @@ type WC struct {
 	Buf    []byte // receives: where the message landed (posted, or committed at landing); successful sends and writes: the posted payload; reads and error completions: nil
 }
 
-// CQ is a completion queue. Multiple queue pairs may share one CQ; the
-// paper's MPI attaches every connection of a process to a single CQ. Its
-// entries are the one ring (store.Fifo), sized by the completions pending
-// at once and zeroing what it pops, so a polled completion pins no
-// buffer; the first ring is the CQ's own array — what a consumer that
-// polls as it goes leaves pending costs no allocation — so a CQ must not
-// be copied.
-type CQ struct {
-	eng    *sim.Engine
-	q      store.Fifo[WC]
-	first  [cqMinCap]WC
-	notify sim.Handler
-	armed  bool
+// cqEntry is a pending completion: a WC threaded to the one after it,
+// taken from the fabric's pool (Fabric.cqes) at push and returned at Poll.
+type cqEntry struct {
+	WC
+	next *cqEntry
 }
 
-// cqMinCap is the first ring's size: a power of two, what a consumer
-// that polls as it goes has pending (a ping-pong has one).
-const cqMinCap = 2
+// CQ is a completion queue. Multiple queue pairs may share one CQ; the
+// paper's MPI attaches every connection of a process to a single CQ. Its
+// entries are threaded head to tail through nodes of the fabric's one
+// pool, so a CQ owns no array that grows with its deepest burst: the
+// fabric holds the world's peak of completions pending at once, not the
+// sum of each CQ's, as a verbs CQ is one array sized at creation rather
+// than one that doubles. Poll zeroes the node it frees, so a polled
+// completion pins no buffer.
+type CQ struct {
+	fabric     *Fabric
+	head, tail *cqEntry
+	n          int
+	notify     sim.Handler
+	armed      bool
+}
 
 // push appends a completion and, if the CQ is armed, fires its notify
 // handler as an event at the current time (one-shot). A consumer learns
 // of completions only this way or by polling.
 func (cq *CQ) push(wc WC) {
-	cq.q.Push(wc)
+	e := cq.fabric.cqes.Get()
+	e.WC = wc
+	if cq.tail == nil {
+		cq.head = e
+	} else {
+		cq.tail.next = e
+	}
+	cq.tail = e
+	cq.n++
 	if cq.armed {
 		cq.armed = false
-		cq.eng.AtCall(cq.eng.Now(), cq.notify, 0)
+		eng := cq.fabric.eng
+		eng.AtCall(eng.Now(), cq.notify, 0)
 	}
 }
 
@@ -116,23 +126,31 @@ func (cq *CQ) Arm() {
 	if cq.notify == nil {
 		panic("ib: CQ.Arm without SetNotify")
 	}
-	if cq.Len() > 0 {
-		cq.eng.AtCall(cq.eng.Now(), cq.notify, 0)
+	if cq.n > 0 {
+		eng := cq.fabric.eng
+		eng.AtCall(eng.Now(), cq.notify, 0)
 		return
 	}
 	cq.armed = true
 }
 
-// Poll removes and returns the oldest completion, if any. A WC is seven
-// words, so it is copied out of the ring once, straight into the result
-// (At, then Drop), not through Pop's.
+// Poll removes and returns the oldest completion, if any: the WC is
+// copied out of its node, which is zeroed and goes back to the fabric's
+// pool.
 func (cq *CQ) Poll() (wc WC, ok bool) {
-	if ok = cq.q.Len() > 0; ok {
-		wc = *cq.q.At(0)
-		cq.q.Drop()
+	e := cq.head
+	if e == nil {
+		return
 	}
+	wc, ok = e.WC, true
+	if cq.head = e.next; cq.head == nil {
+		cq.tail = nil
+	}
+	cq.n--
+	*e = cqEntry{}
+	cq.fabric.cqes.Put(e)
 	return
 }
 
 // Len reports how many completions are waiting.
-func (cq *CQ) Len() int { return cq.q.Len() }
+func (cq *CQ) Len() int { return cq.n }

@@ -21,6 +21,10 @@ type Fabric struct {
 	// message enters the wire and returned at its last hop.
 	trunks store.Pool[trunkEvent]
 
+	// Every CQ's pending completions, each taken at push and returned at
+	// Poll (see CQ).
+	cqes store.Pool[cqEntry]
+
 	// The host memory the adapters commit for the regions they own, named
 	// by index from pointer-free records (see extent), so a granule table
 	// is a slab the collector does not scan. Both lists start in the
@@ -124,11 +128,7 @@ type HCA struct {
 func (h *HCA) Fabric() *Fabric { return h.fabric }
 
 // NewCQ creates a completion queue on this adapter.
-func (h *HCA) NewCQ() *CQ {
-	cq := &CQ{eng: h.fabric.eng}
-	cq.q.Seed(cq.first[:])
-	return cq
-}
+func (h *HCA) NewCQ() *CQ { return &CQ{fabric: h.fabric} }
 
 // InitQP makes *qp a queue pair on this adapter using the given
 // completion queues (they may be the same queue, as the paper's MPI

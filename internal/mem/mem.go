@@ -49,6 +49,14 @@ const (
 // past any seed anyway.
 const freeSeed = 2
 
+// freeList is one size class's free stack, last returned on top, and how
+// many buffers of the class the pool has carved: the most the stack can
+// ever hold, so a full stack grows straight to that (see Put).
+type freeList struct {
+	bufs   [][]byte
+	carved int
+}
+
 // BufPool hands out pre-pinned buffers of up to BufSize bytes. The pool
 // grows on demand (host memory is plentiful; the scarce resource the paper
 // studies is the *pre-posted* buffers on each connection) and recycles
@@ -59,10 +67,11 @@ const freeSeed = 2
 // per posted buffer, is the caller's to count. Growth is slab-based:
 // buffers of every class are carved from one backing allocation at a
 // time, sized by the demand seen so far (slabStep), and a returned buffer
-// waits on its class's free list.
+// waits on its class's free list, which grows at most once per doubling
+// of what the class has carved.
 type BufPool struct {
 	size     int
-	free     [][][]byte // by class: returned buffers of that capacity, last returned on top
+	free     []freeList // by class: returned buffers of that capacity
 	slab     []byte     // remainder of the current growth slab
 	carved   int        // bytes ever carved
 	alloc    int        // total buffers ever carved
@@ -82,10 +91,10 @@ func NewBufPool(bufSize int) *BufPool {
 	for minClass<<(classes-1) < bufSize {
 		classes++
 	}
-	p := &BufPool{size: bufSize, free: make([][][]byte, classes)}
+	p := &BufPool{size: bufSize, free: make([]freeList, classes)}
 	seed := make([][]byte, classes*freeSeed)
 	for c := range p.free {
-		p.free[c] = seed[c*freeSeed : c*freeSeed : (c+1)*freeSeed]
+		p.free[c].bufs = seed[c*freeSeed : c*freeSeed : (c+1)*freeSeed]
 	}
 	return p
 }
@@ -114,11 +123,12 @@ func (p *BufPool) GetN(n int) []byte {
 		panic("mem: buffer length outside the pool's 0..BufSize")
 	}
 	c := p.class(n)
+	fl := &p.free[c]
 	var b []byte
-	if l := p.free[c]; len(l) > 0 {
+	if l := fl.bufs; len(l) > 0 {
 		b = l[len(l)-1]
 		l[len(l)-1] = nil
-		p.free[c] = l[:len(l)-1]
+		fl.bufs = l[:len(l)-1]
 		p.recycled++
 	} else {
 		sz := p.classCap(c)
@@ -134,6 +144,7 @@ func (p *BufPool) GetN(n int) []byte {
 		p.slab = p.slab[sz:]
 		p.carved += sz
 		p.alloc++
+		fl.carved++
 		p.debugCarve(b)
 	}
 	p.out++
@@ -171,7 +182,15 @@ func (p *BufPool) Put(b []byte) {
 	if p.out < 0 {
 		panic("mem: more buffers returned than taken")
 	}
-	p.free[c] = append(p.free[c], b)
+	fl := &p.free[c]
+	if n := len(fl.bufs); n == cap(fl.bufs) {
+		// The stack never holds more than its class carved, so it grows
+		// straight to that, and at least to double, so a class whose
+		// carves trickle in between full returns still grows only once
+		// per doubling.
+		fl.bufs = append(make([][]byte, 0, max(fl.carved, 2*n)), fl.bufs...)
+	}
+	fl.bufs = append(fl.bufs, b)
 }
 
 // Outstanding reports buffers currently checked out.

@@ -200,6 +200,36 @@ func TestBufPoolPanicsOnMisuse(t *testing.T) {
 // the one of its class most recently returned whenever there is one;
 // Outstanding, MaxOutstanding, Allocated and Recycled must count what the
 // model counts.
+// A class's free stack grows straight to what the class has carved, the
+// most it can ever hold: after N carves spread over the classes, putting
+// all N back allocates at most one stack per class, where growing by
+// doubling from the seed cost one per power of two on the way.
+func TestBufPoolFreeStackGrowsOnce(t *testing.T) {
+	const size = 2048
+	sizes := []int{1, 100, 300, 600, 1200, size}
+	for _, n := range []int{3, 40, 500} {
+		p := NewBufPool(size)
+		bufs := make([][]byte, 0, n)
+		for i := 0; i < n; i++ {
+			bufs = append(bufs, p.GetN(sizes[i%len(sizes)]))
+		}
+		classes := min(n, len(sizes))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, b := range bufs {
+			p.Put(b)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.Mallocs - before.Mallocs; got > uint64(classes) {
+			t.Errorf("%d carves over %d classes: putting them back allocated %d objects, want at most %d",
+				n, classes, got, classes)
+		}
+		if p.Outstanding() != 0 {
+			t.Fatalf("%d buffers out after every one came back", p.Outstanding())
+		}
+	}
+}
+
 func FuzzBufPool(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 48, 1, 1, 0, 0, 2, 0, 1, 7, 208, 3, 2, 1, 0, 48})
 	f.Fuzz(func(t *testing.T, ops []byte) {

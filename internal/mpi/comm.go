@@ -202,7 +202,7 @@ func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
 		return req
 	}
 	c.r.dev.BindThread(c.tid)
-	c.r.dev.Send(c.r.proc, world, tag, c.id, data, req, blocking)
+	c.r.dev.Send(&c.r.proc, world, tag, c.id, data, req, blocking)
 	return req
 }
 
@@ -211,7 +211,7 @@ func (c *Comm) isend(dst, tag int, data []byte, blocking bool) *Request {
 // progress machine would stage is paid here directly.
 func (c *Comm) selfSend(tag int, data []byte) {
 	c.r.DeliverEagerStart(c.r.idx, tag, c.id, data)
-	c.r.dev.ChargeCopy(c.r.proc, len(data))
+	c.r.dev.ChargeCopy(&c.r.proc, len(data))
 	c.r.DeliverEagerDone()
 }
 
@@ -256,7 +256,7 @@ func (c *Comm) Issend(dst, tag int, data []byte) *Request {
 		return req
 	}
 	c.r.dev.BindThread(c.tid)
-	c.r.dev.SendSync(c.r.proc, world, tag, c.id, data, req)
+	c.r.dev.SendSync(&c.r.proc, world, tag, c.id, data, req)
 	return req
 }
 
@@ -266,7 +266,7 @@ func (c *Comm) Issend(dst, tag int, data []byte) *Request {
 func (c *Comm) Bsend(dst, tag int, data []byte) {
 	owned := make([]byte, len(data))
 	copy(owned, data)
-	c.r.dev.ChargeCopy(c.r.proc, len(data)) // the buffering copy
+	c.r.dev.ChargeCopy(&c.r.proc, len(data)) // the buffering copy
 	c.isend(dst, tag, owned, false)
 }
 
@@ -295,7 +295,7 @@ func (c *Comm) Wait(req *Request) Status {
 // Test polls req without blocking, making one progress pass.
 func (c *Comm) Test(req *Request) (Status, bool) {
 	if !req.done {
-		c.r.dev.Poke(c.r.proc)
+		c.r.dev.Poke(&c.r.proc)
 	}
 	return req.Status(), req.done
 }
@@ -334,7 +334,7 @@ func (c *Comm) Probe(src, tag int) Status {
 	checkTag(tag, true)
 	var st Status
 	world := c.worldRank(src)
-	c.r.dev.WaitProgress(c.r.proc, func() bool {
+	c.r.dev.WaitProgress(&c.r.proc, func() bool {
 		s, ok := c.r.probeUnex(world, tag, c.id)
 		if ok {
 			st = s

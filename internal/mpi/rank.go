@@ -43,7 +43,8 @@ type Rank struct {
 	world      *World
 	idx        int
 	dev        *chdev.Device
-	proc       *sim.Proc
+	proc       sim.Proc // the rank's process, spawned in place by World.Run
+	comm       Comm     // the world communicator, handed to the rank's main
 	detached   sim.Time // Options.Settle: when the rank left finalize and detached its device
 	unex       []unexEntry
 	nextCommID uint16 // context ids handed out by Split
@@ -63,15 +64,18 @@ type Rank struct {
 	// anyDone are the predicates over it, bound once (newRank): Wait,
 	// Waitall, Waitany and Sendrecv build no closure per call, and a
 	// caller's variadic request list does not escape. waitIdx is anyDone's
-	// answer: the lowest-numbered completed request.
+	// answer: the lowest-numbered completed request. quiescent is
+	// finalize's predicate, the device's, bound once with it (NewWorld).
 	waitSet          []*Request
 	waitIdx          int
 	allDone, anyDone func() bool
+	quiescent        func() bool
 }
 
 // newRank makes rank idx of w, without its device.
 func newRank(w *World, idx int) *Rank {
 	r := &Rank{world: w, idx: idx}
+	r.comm.r = r
 	r.allDone, r.anyDone = r.waitSetDone, r.waitSetAny
 	return r
 }
@@ -80,7 +84,7 @@ func newRank(w *World, idx int) *Rank {
 // reqs. The set is cleared before the caller releases the requests.
 func (r *Rank) waitFor(pred func() bool, reqs ...*Request) {
 	r.waitSet = append(r.waitSet[:0], reqs...)
-	r.dev.WaitProgress(r.proc, pred)
+	r.dev.WaitProgress(&r.proc, pred)
 	clear(r.waitSet)
 }
 
@@ -281,7 +285,7 @@ func (r *Rank) matchUnex(req *Request) bool {
 					r.idx, len(e.data), len(req.buf)))
 			}
 			copy(req.buf, e.data)
-			r.dev.ChargeCopy(r.proc, len(e.data))
+			r.dev.ChargeCopy(&r.proc, len(e.data))
 			n := len(e.data)
 			r.unstageUnex(e.data)
 			req.complete(Status{Source: e.src, Tag: e.tag, Len: n})
@@ -291,7 +295,7 @@ func (r *Rank) matchUnex(req *Request) bool {
 					r.idx, e.rndv.Len, len(req.buf)))
 			}
 			e.rndv.UserData = req
-			r.dev.AcceptRndv(r.proc, e.rndv, req.buf)
+			r.dev.AcceptRndv(&r.proc, e.rndv, req.buf)
 		}
 		return true
 	}

@@ -30,7 +30,7 @@ func TestFrozenQPQueuesLaterSends(t *testing.T) {
 				send(i)
 			}
 			d := c.r.dev
-			d.WaitProgress(c.r.proc, func() bool { return d.Stats().RNRExhausted > 0 })
+			d.WaitProgress(&c.r.proc, func() bool { return d.Stats().RNRExhausted > 0 })
 			for i := range after {
 				send(before + i)
 			}

@@ -242,7 +242,7 @@ func faultTorture(s Spec, settle bool) (faultRunResult, error) {
 		tortureRank(c, sched)
 		// Run finalize's wait here, where its end can be observed; the
 		// one World.Run issues after main then returns without a pass.
-		c.r.dev.WaitProgress(c.r.proc, c.r.dev.Quiescent)
+		c.r.dev.WaitProgress(&c.r.proc, c.r.dev.Quiescent)
 		firstExit = min(firstExit, c.Time())
 	})
 	if err != nil {

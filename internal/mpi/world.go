@@ -92,6 +92,7 @@ func NewWorld(n int, opts Options) *World {
 	for i := 0; i < n; i++ {
 		r := newRank(w, i)
 		r.dev = chdev.New(eng, w.fabric.HCA(i/rpn), opts.Chan, opts.FC, i, n, r)
+		r.quiescent = r.dev.Quiescent
 		w.ranks = append(w.ranks, r)
 		devs[i] = r.dev
 	}
@@ -114,33 +115,35 @@ func (w *World) Size() int { return len(w.ranks) }
 func (w *World) Run(main func(c *Comm)) error {
 	sampler := w.startSampler()
 	running := len(w.ranks)
+	// One body serves every rank: it finds its rank by spawn index, so a
+	// spawn costs the coroutine and nothing else.
+	body := func(p *sim.Proc) {
+		r := w.ranks[p.Index()]
+		main(&r.comm)
+		// Finalize: flush backlogged sends and in-flight
+		// rendezvous before the rank exits, as MPI_Finalize
+		// does.
+		r.dev.WaitProgress(p, r.quiescent)
+		if w.opts.Settle {
+			// The rank is done but its device is not: peers may still
+			// owe it credits, FINs or a re-issued stream, which an
+			// early exit would leave for the audit to misread as
+			// leaks. Detached, the device keeps draining its own CQ,
+			// and the engine's empty queue is the termination
+			// detector: nothing is in flight once no event is.
+			r.detached = p.Now()
+			r.dev.Detach()
+		}
+		// The last rank out stops the sampler: its armed tick is
+		// cancelled before it could fire past the final real event,
+		// so instrumentation never stretches the makespan.
+		running--
+		if running == 0 {
+			sampler.Stop()
+		}
+	}
 	for _, r := range w.ranks {
-		r := r
-		w.eng.Go(fmt.Sprintf("rank%d", r.idx), func(p *sim.Proc) {
-			r.proc = p
-			main(&Comm{r: r})
-			// Finalize: flush backlogged sends and in-flight
-			// rendezvous before the rank exits, as MPI_Finalize
-			// does.
-			r.dev.WaitProgress(p, r.dev.Quiescent)
-			if w.opts.Settle {
-				// The rank is done but its device is not: peers may still
-				// owe it credits, FINs or a re-issued stream, which an
-				// early exit would leave for the audit to misread as
-				// leaks. Detached, the device keeps draining its own CQ,
-				// and the engine's empty queue is the termination
-				// detector: nothing is in flight once no event is.
-				r.detached = p.Now()
-				r.dev.Detach()
-			}
-			// The last rank out stops the sampler: its armed tick is
-			// cancelled before it could fire past the final real event,
-			// so instrumentation never stretches the makespan.
-			running--
-			if running == 0 {
-				sampler.Stop()
-			}
-		})
+		w.eng.Spawn(&r.proc, "rank", r.idx, body)
 	}
 	limit := w.opts.TimeLimit
 	if limit == 0 {

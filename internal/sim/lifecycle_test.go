@@ -187,7 +187,7 @@ func TestGateReleaseNestsInsideProcess(t *testing.T) {
 		want uint64
 	}{{pA, 1}, {pB, 3}, {pC, 3}} {
 		if got := c.p.Dispatches(); got != c.want {
-			t.Errorf("%s: %d dispatches, want %d", c.p.name, got, c.want)
+			t.Errorf("%s: %d dispatches, want %d", c.p.name(), got, c.want)
 		}
 	}
 	if e.EventsFired() != 5 {
@@ -226,8 +226,9 @@ func TestNestedPanicSurfacesFromRun(t *testing.T) {
 	e.Close()
 }
 
-// TestDeadlockErrorText pins the full report for two parked ranks:
-// torture-run triage reads this line.
+// TestDeadlockErrorText pins the full report for three parked ranks,
+// two named by Go and one by Spawn's prefix and index: torture-run
+// triage reads this line.
 func TestDeadlockErrorText(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()
@@ -236,8 +237,15 @@ func TestDeadlockErrorText(t *testing.T) {
 		parkForever(p)
 	})
 	e.Go("rank0", parkForever)
+	var spawned Proc
+	e.Spawn(&spawned, "rank", 12, func(p *Proc) {
+		if p != &spawned || p.Index() != 12 {
+			t.Errorf("Spawn ran process %p with index %d, want %p with 12", p, p.Index(), &spawned)
+		}
+		parkForever(p)
+	})
 	err := e.Run(MaxTime)
-	want := "sim: deadlock at 5ns after 3 event(s): 2 process(es) blocked forever: [rank0 rank1]"
+	want := "sim: deadlock at 5ns after 4 event(s): 3 process(es) blocked forever: [rank0 rank1 rank12]"
 	if err == nil || err.Error() != want {
 		t.Errorf("Run = %v\nwant %s", err, want)
 	}

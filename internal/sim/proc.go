@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
+	"strconv"
 )
 
 // Proc is a simulated process: a runtime coroutine (iter.Pull) that the
@@ -15,13 +17,14 @@ import (
 // All Proc methods must be called from the process's own coroutine.
 type Proc struct {
 	eng        *Engine
-	name       string
+	label      string                  // the whole name, or with idx >= 0 its prefix (see name)
 	next       func() (struct{}, bool) // engine -> proc: run until the next park (or the end)
 	stop       func()                  // engine -> proc: unwind (Engine.Close)
 	yield      func(struct{}) bool     // proc -> engine: I parked; false means unwind
+	dispatches uint64
+	idx        int32 // spawn index (Spawn); -1 for a process Go named
 	finished   bool
 	direct     bool // last dispatched from the engine's stack: no process lies between it and the run loop
-	dispatches uint64
 }
 
 // unwind is the value park panics with when the engine is closed under a
@@ -32,7 +35,27 @@ type unwind struct{}
 // Go spawns a new process running fn. The process starts at the current
 // virtual time (as a scheduled event). The name is used in deadlock reports.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := new(Proc)
+	e.start(p, name, -1, fn)
+	return p
+}
+
+// Spawn starts process idx of a numbered group in *p, storage the caller
+// owns — one record per rank embeds its process there, as a connection
+// embeds its QP (ib.HCA.InitQP) — so a spawn allocates nothing beyond
+// the coroutine, and one fn serves the whole group: it finds its member
+// by p.Index(). The process starts at the current virtual time, and its
+// name is prefix followed by idx, formatted only where it is printed:
+// the deadlock report and the panics. *p must not be copied or moved afterwards.
+func (e *Engine) Spawn(p *Proc, prefix string, idx int, fn func(p *Proc)) {
+	if idx < 0 || idx > math.MaxInt32 {
+		panic("sim: Spawn index outside 0..MaxInt32")
+	}
+	e.start(p, prefix, idx, fn)
+}
+
+func (e *Engine) start(p *Proc, name string, idx int, fn func(p *Proc)) {
+	*p = Proc{eng: e, label: name, idx: int32(idx)}
 	e.procs = append(e.procs, p)
 	e.nlive++
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -50,7 +73,18 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	e.AtCall(e.now, p, 0)
-	return p
+}
+
+// Index reports the process's index in its Spawn group, -1 for one
+// started by Go.
+func (p *Proc) Index() int { return int(p.idx) }
+
+// name is the process's name: Go's, or Spawn's prefix and index.
+func (p *Proc) name() string {
+	if p.idx < 0 {
+		return p.label
+	}
+	return p.label + strconv.Itoa(int(p.idx))
 }
 
 // OnEvent implements Handler: a scheduled wakeup hands the CPU to this
@@ -63,7 +97,7 @@ func (p *Proc) OnEvent(uint64) { p.eng.dispatch(p) }
 // call at a time. A panic in p surfaces here with its original value.
 func (e *Engine) dispatch(p *Proc) {
 	if p.finished {
-		panic(fmt.Sprintf("sim: dispatch of finished process %q", p.name))
+		panic(fmt.Sprintf("sim: dispatch of finished process %q", p.name()))
 	}
 	if e.inlined && e.cur == nil {
 		panic(tailContract)
@@ -149,7 +183,7 @@ func NewGate(e *Engine) *Gate { return &Gate{eng: e} }
 // gate models a request/completion pair, not a queue.
 func (g *Gate) Wait(p *Proc) {
 	if g.p != nil {
-		panic(fmt.Sprintf("sim: Gate.Wait(%q) while %q is already waiting", p.name, g.p.name))
+		panic(fmt.Sprintf("sim: Gate.Wait(%q) while %q is already waiting", p.name(), g.p.name()))
 	}
 	g.p = p
 	p.park()

@@ -122,7 +122,7 @@ func (e *Engine) Close() {
 		return
 	}
 	if e.cur != nil {
-		panic(fmt.Sprintf("sim: Close called from inside running process %q", e.cur.name))
+		panic(fmt.Sprintf("sim: Close called from inside running process %q", e.cur.name()))
 	}
 	e.closed = true
 	for _, p := range e.procs {
@@ -285,7 +285,7 @@ func (e *Engine) Run(limit Time) error {
 		var blocked []string
 		for _, p := range e.procs {
 			if !p.finished {
-				blocked = append(blocked, p.name)
+				blocked = append(blocked, p.name())
 			}
 		}
 		sort.Strings(blocked)

@@ -19,8 +19,8 @@ const (
 // Pool hands out *T carved from chunked []T backing and, for an owner that
 // returns them, recycles them: the one recycler behind every object a
 // message needs on its way — the engine's events, an adapter's send WQEs,
-// the fabric's trunk hops, the world's requests, the
-// device's rendezvous state — and behind registration handles (ib.MR,
+// the fabric's trunk hops and pending completions, the world's requests,
+// the device's rendezvous state — and behind registration handles (ib.MR,
 // returned at deregistration). The zero value is ready to use; a pool in
 // use points into itself and must not be copied. Get's object is zeroed. Put does not touch it — the
 // owner drops the references it holds and may leave the scalars readable,
