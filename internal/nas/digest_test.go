@@ -1,17 +1,15 @@
 package nas
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"runtime"
-	"strings"
 	"testing"
 
 	"ibflow/internal/core"
+	"ibflow/internal/golden"
 	"ibflow/internal/mpi"
 )
 
@@ -62,11 +60,9 @@ func kernelDigests(t *testing.T, name string, class Class, n int, fc core.Params
 // TestKernelDigests pins every kernel's numerics bit for bit. Class S on
 // 4 ranks runs under all five schemes — flow control must never change a
 // bit of any rank's result — and class W at the paper's geometry (8 ranks,
-// 16 for BT/SP) under the static scheme. Each rank's digest must equal the
-// line in testdata/digests.golden. Regenerate only when a kernel's
-// arithmetic is meant to change:
-//
-//	IBFLOW_UPDATE_GOLDENS=1 go test -run TestKernelDigests ./internal/nas
+// 16 for BT/SP) under the static scheme. Each rank's digest is one line of
+// testdata/digests.golden; `make goldens` re-pins it, only when a kernel's
+// arithmetic is meant to change.
 //
 // The goldens are amd64 results: Go fuses a*b+c into one FMA on arm64,
 // ppc64 and s390x, which rounds differently.
@@ -74,11 +70,10 @@ func TestKernelDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-	var keys, got []string
+	got := []byte("# class kernel rank  FNV-64a of the rank's final field and verification scalars\n")
 	record := func(class Class, name string, d []uint64) {
 		for r, v := range d {
-			keys = append(keys, fmt.Sprintf("%v %s r%d", class, name, r))
-			got = append(got, fmt.Sprintf("%016x", v))
+			got = fmt.Appendf(got, "%v %s r%d %016x\n", class, name, r, v)
 		}
 	}
 	for _, app := range Apps() {
@@ -98,49 +93,12 @@ func TestKernelDigests(t *testing.T) {
 		}
 		record(ClassS, app.Name, first)
 	}
-	if !testing.Short() {
-		for _, app := range Apps() {
-			n := 8
-			if app.Name == "BT" || app.Name == "SP" {
-				n = 16
-			}
-			record(ClassW, app.Name, kernelDigests(t, app.Name, ClassW, n, core.Static(100)))
+	for _, app := range Apps() {
+		n := 8
+		if app.Name == "BT" || app.Name == "SP" {
+			n = 16
 		}
+		record(ClassW, app.Name, kernelDigests(t, app.Name, ClassW, n, core.Static(100)))
 	}
-
-	if os.Getenv("IBFLOW_UPDATE_GOLDENS") != "" {
-		var sb strings.Builder
-		sb.WriteString("# class kernel rank  FNV-64a of the rank's final field and verification scalars\n")
-		for i := range keys {
-			fmt.Fprintf(&sb, "%s %s\n", keys[i], got[i])
-		}
-		if err := os.WriteFile(digestGolden, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-
-	want := map[string]string{}
-	f, err := os.Open(digestGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
-			want[line[:i]] = line[i+1:]
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if w, ok := want[k]; !ok {
-			t.Errorf("%s: no golden digest", k)
-		} else if got[i] != w {
-			t.Errorf("%s: digest %s, golden %s — the kernel's arithmetic changed", k, got[i], w)
-		}
-	}
+	golden.Check(t, digestGolden, got)
 }
